@@ -15,7 +15,12 @@
 //!
 //! Both profiles exercise a kill/resume: the run is stopped after a few
 //! shards, resumed by a fresh runner, and the checkpointed shard count is
-//! asserted. Prints one JSON object on stdout.
+//! asserted. Prints one JSON object on stdout, and on stderr the stage
+//! ledger: where `elapsed_s` went — the killed run as one row, then the
+//! resumed run's own [`measure::shard::StageLedger`] stage by stage. On
+//! one worker thread the rows must account for `elapsed_s` to within 5 %
+//! (with more, the per-shard stages are summed over concurrent workers
+//! and the ledger is CPU time, not wall time).
 
 // Bench harness: real elapsed time is the measurement itself.
 #![allow(clippy::disallowed_methods)]
@@ -28,6 +33,12 @@ use measure::{Campaign, CampaignConfig, ShardedRunner};
 /// under 200 MB on the reference container; holding every record of even
 /// the quick-profile campaign in memory again would blow past this.
 const QUICK_RSS_CAP_KB: u64 = 512 * 1024;
+
+/// Throughput floor for the CI profile: half the 77.2k probes/s measured
+/// on the reference container (2 vCPUs, 1 worker thread;
+/// `BENCH_campaign.json`), so only a structural regression — the manifest
+/// or assembly going super-linear again — trips it.
+const QUICK_PROBES_PER_SEC_FLOOR: f64 = 38_000.0;
 
 /// Peak RSS of this process in kB, from /proc/self/status (VmHWM).
 fn peak_rss_kb() -> u64 {
@@ -78,6 +89,7 @@ fn main() {
     let remaining = first.advance(kill_after).unwrap();
     assert_eq!(remaining, shards as usize - kill_after);
     drop(first);
+    let killed_run_s = t.elapsed().as_secs_f64();
 
     // Phase 2: a fresh runner resumes from the checkpoint directory and
     // finishes the campaign.
@@ -94,12 +106,42 @@ fn main() {
     let jsonl_bytes = std::fs::metadata(&outcome.jsonl_path).unwrap().len();
     let overall = outcome.aggregates.overall();
     let rss_kb = peak_rss_kb();
+    let probes_per_sec = outcome.records as f64 / elapsed;
     if quick {
         assert!(
             rss_kb > 0 && rss_kb < QUICK_RSS_CAP_KB,
             "peak RSS {rss_kb} kB breaches the {QUICK_RSS_CAP_KB} kB bounded-memory cap"
         );
+        assert!(
+            probes_per_sec >= QUICK_PROBES_PER_SEC_FLOOR,
+            "{probes_per_sec:.0} probes/s is under the {QUICK_PROBES_PER_SEC_FLOOR} floor"
+        );
     }
+
+    // The stage ledger: every row a wall-clock total, summing to elapsed_s.
+    let mut rows = vec![("killed_run_s", killed_run_s)];
+    rows.extend(outcome.stages.rows());
+    let attributed: f64 = rows.iter().map(|(_, s)| s).sum();
+    rows.push(("unattributed_s", elapsed - attributed));
+    eprintln!("stage ledger ({threads} worker thread(s)):");
+    for (name, seconds) in &rows {
+        eprintln!(
+            "  {name:<18} {seconds:>8.3} s  {:>5.1} %",
+            seconds / elapsed * 100.0
+        );
+    }
+    eprintln!("  {:<18} {elapsed:>8.3} s", "elapsed_s");
+    if threads == 1 {
+        assert!(
+            (elapsed - attributed).abs() <= 0.05 * elapsed,
+            "stage rows sum to {attributed:.3} s, elapsed is {elapsed:.3} s"
+        );
+    }
+    let stages_json = rows
+        .iter()
+        .map(|(name, seconds)| format!("\"{name}\":{seconds:.3}"))
+        .collect::<Vec<_>>()
+        .join(",");
 
     println!(
         concat!(
@@ -107,7 +149,8 @@ fn main() {
             "\"probes\":{},\"resumed_shards\":{},\"jsonl_bytes\":{},",
             "\"elapsed_s\":{:.3},\"probes_per_sec\":{:.0},",
             "\"peak_rss_kb\":{},\"availability_pct\":{:.2},",
-            "\"response_p50_ms\":{:.1},\"response_p95_ms\":{:.1}}}"
+            "\"response_p50_ms\":{:.1},\"response_p95_ms\":{:.1},",
+            "\"longitudinal_stages\":{{{}}}}}"
         ),
         if quick { "quick" } else { "full" },
         days,
@@ -117,11 +160,12 @@ fn main() {
         kill_after,
         jsonl_bytes,
         elapsed,
-        outcome.records as f64 / elapsed,
+        probes_per_sec,
         rss_kb,
         overall.availability.availability() * 100.0,
         overall.response.quantile(0.5).unwrap_or(0.0),
         overall.response.quantile(0.95).unwrap_or(0.0),
+        stages_json,
     );
 
     std::fs::remove_dir_all(&dir).unwrap();

@@ -1,4 +1,4 @@
-//! Regenerates the shard-scheduler golden fixture under
+//! Regenerates the shard-scheduler golden fixtures under
 //! `crates/measure/tests/golden/`. Run from the repo root after an
 //! *intentional* checkpoint-format change:
 //!
@@ -6,11 +6,12 @@
 //! cargo run --release -p bench --bin shard_golden_regen
 //! ```
 //!
-//! The fixture pins the complete `manifest.ckpt` bytes (header, checksum,
-//! per-shard record/byte counts, and aggregate cells) for a fixed-seed
-//! campaign split into five shards; `crates/measure/tests/shard_golden.rs`
-//! asserts the scheduler reproduces them byte-for-byte and that the
-//! assembled JSONL still matches the one-shot golden fixture.
+//! The fixtures pin the complete `manifest.ckpt` bytes (header, checksum,
+//! per-shard record/byte counts and file checksums) and shard 2's cell
+//! file (its aggregate and health cells) for a fixed-seed campaign split
+//! into five shards; `crates/measure/tests/shard_golden.rs` asserts the
+//! scheduler reproduces them byte-for-byte and that the assembled JSONL
+//! still matches the one-shot golden fixture.
 
 use measure::{Campaign, CampaignConfig, ShardedRunner};
 
@@ -37,9 +38,13 @@ fn main() {
 
     let manifest = std::fs::read_to_string(scratch.join("manifest.ckpt")).unwrap();
     std::fs::write(golden.join("shard_manifest_seed4.ckpt"), &manifest).unwrap();
+    let cells = std::fs::read_to_string(runner.cells_path(2)).unwrap();
+    std::fs::write(golden.join("shard_cells_seed4_shard2.cells"), &cells).unwrap();
     eprintln!(
-        "wrote shard_manifest_seed4.ckpt ({} bytes, {} records across 5 shards)",
+        "wrote shard_manifest_seed4.ckpt ({} bytes) and shard_cells_seed4_shard2.cells \
+         ({} bytes); {} records across 5 shards",
         manifest.len(),
+        cells.len(),
         outcome.records
     );
     std::fs::remove_dir_all(&scratch).unwrap();

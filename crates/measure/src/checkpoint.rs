@@ -2,34 +2,45 @@
 //!
 //! A sharded campaign persists its progress as a *manifest*: one file
 //! recording, per shard, whether the shard is still pending or complete —
-//! and for complete shards, the shard's record count, its JSONL byte count
-//! and checksum, and the per-pair aggregate cells it produced. A killed
-//! campaign resumes by loading the manifest, re-validating every complete
-//! shard's data file against the recorded checksum, and running only what
-//! is left.
+//! and for complete shards, the record count of the shard, and the byte
+//! count and checksum of its two write-once files: the JSONL data file and
+//! the *cell file* ([`ShardCells`]) holding the per-pair aggregate cells
+//! and per-(pair, day) health cells the shard produced. The manifest is
+//! O(shards) however long the campaign runs; a commit rewrites a few KB.
+//! A killed campaign resumes by loading the manifest, re-validating every
+//! complete shard's two files against the recorded checksums, and running
+//! only what is left.
 //!
-//! The on-disk format is one header line followed by a JSON body:
+//! Manifest and cell file share one framing, a header line followed by a
+//! JSON body:
 //!
 //! ```text
-//! edns-checkpoint v2 <16-hex fnv64 of body>
+//! edns-checkpoint v3 <16-hex fnv64 of body>
 //! {"entries":[...],"fingerprint":"...","pairs":21,"seed":"2a","shards":4}
 //! ```
 //!
+//! ```text
+//! edns-checkpoint v3 <16-hex fnv64 of body>
+//! {"cells":[...],"health":[...],"shard":2}
+//! ```
+//!
 //! The header carries the format version and a checksum of the body, so a
-//! truncated write, a corrupt byte, or a manifest from a different format
+//! truncated write, a corrupt byte, or a file from a different format
 //! version is detected and rejected with a typed [`CheckpointError`] — the
 //! engine then re-runs from scratch rather than silently resuming from bad
 //! state. The `fingerprint` binds the manifest to one campaign
 //! configuration (seed, pair list, schedule); resuming with a different
 //! configuration is a [`CheckpointError::ConfigMismatch`].
 //!
-//! Every float in the body is written with the workspace's
+//! Every float in a body is written with the workspace's
 //! shortest-round-trip formatter ([`crate::json::write_float`]), which
 //! re-parses bit-exactly — a decode of an encode reproduces the aggregate
 //! cells down to the last bit, which the resume-determinism tests rely on.
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::fs::File;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 
 use edns_stats::{Availability, LatencySketch, RunningMoments, SKETCH_BUCKET_COUNT};
 use obs::Label;
@@ -40,22 +51,69 @@ use crate::json::Json;
 
 /// The checkpoint format version this build reads and writes.
 ///
-/// v2 added the per-(pair, day) health cells that feed the flight
-/// recorder's health timeseries; v1 manifests are rejected (the engine
-/// re-runs from scratch rather than resuming without health state).
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// v3 moved every shard's aggregate and health cells out of the manifest
+/// into a write-once per-shard cell file, so a commit costs O(shards)
+/// rather than O(everything checkpointed so far). v1 and v2 manifests are
+/// rejected (the engine re-runs from scratch rather than resuming from a
+/// manifest whose cells it no longer reads).
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// The magic token opening every checkpoint header line.
 pub const CHECKPOINT_MAGIC: &str = "edns-checkpoint";
 
+/// The FNV-1a offset basis: the checksum of no bytes, and the state
+/// [`fnv64_extend`] starts from.
+pub(crate) const FNV64_INIT: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a — the workspace's dependency-free content checksum.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv64_extend(FNV64_INIT, bytes)
+}
+
+/// Continues an FNV-1a checksum `h` over `bytes`, so a writer can sum
+/// what it produces piece by piece: extending over the pieces in order
+/// equals [`fnv64`] over their concatenation.
+pub(crate) fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// `map_err` adapter for the filesystem calls of the checkpoint and shard
+/// layers: names the operation and the path in a [`CheckpointError::Io`].
+pub(crate) fn io_err<'a>(
+    op: &'a str,
+    path: &'a Path,
+) -> impl Fn(std::io::Error) -> CheckpointError + 'a {
+    move |e| CheckpointError::Io(format!("{op} {}: {e}", path.display()))
+}
+
+/// Writes `path` atomically: `fill` writes the content to a `<name>.tmp`
+/// sibling, which is then renamed over `path` — so a crash never leaves a
+/// half-written file under the real name, and a leftover `.tmp` is never
+/// read. The one write protocol of shard data files, cell files, the
+/// manifest and the assembled campaign.
+pub(crate) fn write_atomic<T>(
+    path: &Path,
+    fill: impl FnOnce(&mut File) -> Result<T, CheckpointError>,
+) -> Result<T, CheckpointError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = File::create(&tmp).map_err(io_err("create", &tmp))?;
+    let filled = fill(&mut file)?;
+    drop(file);
+    std::fs::rename(&tmp, path).map_err(io_err("rename to", path))?;
+    Ok(filled)
+}
+
+/// [`write_atomic`] with `bytes` as the whole content.
+pub(crate) fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    write_atomic(path, |file| {
+        file.write_all(bytes).map_err(io_err("write", path))
+    })
 }
 
 /// Why a checkpoint could not be loaded or trusted.
@@ -126,6 +184,19 @@ pub struct ShardCheckpoint {
     pub bytes: u64,
     /// FNV-1a checksum of the shard's JSONL data file.
     pub checksum: u64,
+    /// Size of the shard's cell file in bytes.
+    pub cell_bytes: u64,
+    /// FNV-1a checksum of the shard's cell file (header line included).
+    pub cell_checksum: u64,
+}
+
+/// One shard's cells: the content of its write-once cell file, written
+/// before the manifest commit that marks the shard complete and decoded
+/// again, one file at a time, by assembly.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardCells {
+    /// Shard index (a cell file under another shard's name is rejected).
+    pub shard: u32,
     /// The shard's per-pair aggregate cells, in pair-index order.
     pub pairs: Vec<PairAggregate>,
     /// The shard's per-(pair, day) health cells, in (pair, day) order —
@@ -133,7 +204,43 @@ pub struct ShardCheckpoint {
     pub health: Vec<PairDayHealth>,
 }
 
-/// One (pair, day) health delta as persisted in the manifest.
+impl ShardCells {
+    /// Serialises the cells: header line plus compact JSON body.
+    pub fn encode(&self) -> String {
+        frame(
+            &Json::object([
+                ("shard", Json::Int(self.shard as i64)),
+                (
+                    "cells",
+                    Json::Array(self.pairs.iter().map(pair_aggregate_to_json).collect()),
+                ),
+                (
+                    "health",
+                    Json::Array(self.health.iter().map(pair_day_health_to_json).collect()),
+                ),
+            ])
+            .to_string_compact(),
+        )
+    }
+
+    /// Parses and validates a serialised cell file.
+    pub fn decode(text: &str) -> Result<ShardCells, CheckpointError> {
+        let v = unframe(text)?;
+        Ok(ShardCells {
+            shard: int_field(&v, "shard")? as u32,
+            pairs: array_field(&v, "cells")?
+                .iter()
+                .map(pair_aggregate_from_json)
+                .collect::<Result<_, _>>()?,
+            health: array_field(&v, "health")?
+                .iter()
+                .map(pair_day_health_from_json)
+                .collect::<Result<_, _>>()?,
+        })
+    }
+}
+
+/// One (pair, day) health delta as persisted in a cell file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairDayHealth {
     /// Pair index within the campaign plan.
@@ -212,70 +319,38 @@ impl Manifest {
                     ("records", Json::Int(c.records as i64)),
                     ("bytes", Json::Int(c.bytes as i64)),
                     ("checksum", Json::Str(format!("{:016x}", c.checksum))),
+                    ("cell_bytes", Json::Int(c.cell_bytes as i64)),
                     (
-                        "cells",
-                        Json::Array(c.pairs.iter().map(pair_aggregate_to_json).collect()),
-                    ),
-                    (
-                        "health",
-                        Json::Array(c.health.iter().map(pair_day_health_to_json).collect()),
+                        "cell_checksum",
+                        Json::Str(format!("{:016x}", c.cell_checksum)),
                     ),
                 ]),
             })
             .collect();
-        let body = Json::object([
-            (
-                "fingerprint",
-                Json::Str(format!("{:016x}", self.fingerprint)),
-            ),
-            ("seed", Json::Str(format!("{:x}", self.seed))),
-            ("shards", Json::Int(self.states.len() as i64)),
-            ("pairs", Json::Int(self.pairs as i64)),
-            ("entries", Json::Array(entries)),
-        ])
-        .to_string_compact();
-        format!(
-            "{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {:016x}\n{body}\n",
-            fnv64(body.as_bytes())
+        frame(
+            &Json::object([
+                (
+                    "fingerprint",
+                    Json::Str(format!("{:016x}", self.fingerprint)),
+                ),
+                ("seed", Json::Str(format!("{:x}", self.seed))),
+                ("shards", Json::Int(self.states.len() as i64)),
+                ("pairs", Json::Int(self.pairs as i64)),
+                ("entries", Json::Array(entries)),
+            ])
+            .to_string_compact(),
         )
     }
 
     /// Parses and validates a serialised manifest.
     pub fn decode(text: &str) -> Result<Manifest, CheckpointError> {
-        let mut lines = text.splitn(2, '\n');
-        let header = lines.next().unwrap_or("");
-        let mut tokens = header.split(' ');
-        if tokens.next() != Some(CHECKPOINT_MAGIC) {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = tokens.next().ok_or(CheckpointError::Truncated)?;
-        if version != format!("v{CHECKPOINT_VERSION}") {
-            return Err(CheckpointError::VersionMismatch {
-                found: version.to_string(),
-            });
-        }
-        let checksum_hex = tokens.next().ok_or(CheckpointError::Truncated)?;
-        let expected = u64::from_str_radix(checksum_hex, 16)
-            .map_err(|_| CheckpointError::Parse("unreadable header checksum".to_string()))?;
-        let body = lines.next().ok_or(CheckpointError::Truncated)?;
-        let body = body.strip_suffix('\n').unwrap_or(body);
-        if body.is_empty() {
-            return Err(CheckpointError::Truncated);
-        }
-        let actual = fnv64(body.as_bytes());
-        if actual != expected {
-            return Err(CheckpointError::ChecksumMismatch { expected, actual });
-        }
-        let v = crate::json::parse(body).map_err(|e| CheckpointError::Parse(e.to_string()))?;
+        let v = unframe(text)?;
 
         let fingerprint = hex_field(&v, "fingerprint")?;
         let seed = hex_field(&v, "seed")?;
         let shards = int_field(&v, "shards")? as usize;
         let pairs = int_field(&v, "pairs")? as u32;
-        let entries = v
-            .get("entries")
-            .and_then(Json::as_array)
-            .ok_or_else(|| parse_err("missing entries array"))?;
+        let entries = array_field(&v, "entries")?;
         if entries.len() != shards {
             return Err(parse_err("entries length disagrees with shard count"));
         }
@@ -290,31 +365,14 @@ impl Manifest {
                 .ok_or_else(|| parse_err("missing shard state"))?;
             match state {
                 "pending" => states.push(ShardState::Pending),
-                "complete" => {
-                    let cells = e
-                        .get("cells")
-                        .and_then(Json::as_array)
-                        .ok_or_else(|| parse_err("complete shard missing cells"))?;
-                    let pairs = cells
-                        .iter()
-                        .map(pair_aggregate_from_json)
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let health = e
-                        .get("health")
-                        .and_then(Json::as_array)
-                        .ok_or_else(|| parse_err("complete shard missing health array"))?
-                        .iter()
-                        .map(pair_day_health_from_json)
-                        .collect::<Result<Vec<_>, _>>()?;
-                    states.push(ShardState::Complete(ShardCheckpoint {
-                        shard: i as u32,
-                        records: int_field(e, "records")?,
-                        bytes: int_field(e, "bytes")?,
-                        checksum: hex_field(e, "checksum")?,
-                        pairs,
-                        health,
-                    }));
-                }
+                "complete" => states.push(ShardState::Complete(ShardCheckpoint {
+                    shard: i as u32,
+                    records: int_field(e, "records")?,
+                    bytes: int_field(e, "bytes")?,
+                    checksum: hex_field(e, "checksum")?,
+                    cell_bytes: int_field(e, "cell_bytes")?,
+                    cell_checksum: hex_field(e, "cell_checksum")?,
+                })),
                 other => {
                     return Err(parse_err_owned(format!("unknown shard state {other:?}")));
                 }
@@ -328,23 +386,56 @@ impl Manifest {
         })
     }
 
-    /// Writes the manifest atomically: the serialised form goes to a
-    /// `.tmp` sibling which is then renamed over `path`, so a crash never
-    /// leaves a half-written manifest under the real name.
+    /// Writes the manifest atomically (tmp sibling + rename), so a crash
+    /// never leaves a half-written manifest under the real name.
     pub fn store(&self, path: &Path) -> Result<(), CheckpointError> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.encode())
-            .map_err(|e| CheckpointError::Io(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| CheckpointError::Io(format!("rename to {}: {e}", path.display())))
+        write_atomic_bytes(path, self.encode().as_bytes())
     }
 
     /// Loads and validates a manifest from `path`.
     pub fn load(path: &Path) -> Result<Manifest, CheckpointError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))?;
+        let text = std::fs::read_to_string(path).map_err(io_err("read", path))?;
         Manifest::decode(&text)
     }
+}
+
+/// Frames a JSON body: the versioned, checksummed header line, then the
+/// body, then a newline.
+fn frame(body: &str) -> String {
+    format!(
+        "{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {:016x}\n{body}\n",
+        fnv64(body.as_bytes())
+    )
+}
+
+/// Checks a framed file's magic, version and body checksum, and parses
+/// the body.
+fn unframe(text: &str) -> Result<Json, CheckpointError> {
+    let mut lines = text.splitn(2, '\n');
+    let header = lines.next().unwrap_or("");
+    let mut tokens = header.split(' ');
+    if tokens.next() != Some(CHECKPOINT_MAGIC) {
+        return Err(CheckpointError::BadMagic);
+    }
+    let version = tokens.next().ok_or(CheckpointError::Truncated)?;
+    if version != format!("v{CHECKPOINT_VERSION}") {
+        return Err(CheckpointError::VersionMismatch {
+            found: version.to_string(),
+        });
+    }
+    let checksum_hex = tokens.next().ok_or(CheckpointError::Truncated)?;
+    let expected = u64::from_str_radix(checksum_hex, 16)
+        .map_err(|_| CheckpointError::Parse("unreadable header checksum".to_string()))?;
+    let body = lines.next().ok_or(CheckpointError::Truncated)?;
+    let body = body.strip_suffix('\n').unwrap_or(body);
+    if body.is_empty() {
+        return Err(CheckpointError::Truncated);
+    }
+    let actual = fnv64(body.as_bytes());
+    if actual != expected {
+        return Err(CheckpointError::ChecksumMismatch { expected, actual });
+    }
+    crate::json::parse(body).map_err(|e| CheckpointError::Parse(e.to_string()))
 }
 
 fn parse_err(msg: &str) -> CheckpointError {
@@ -361,6 +452,12 @@ fn int_field(v: &Json, key: &str) -> Result<u64, CheckpointError> {
         .filter(|&n| n >= 0)
         .map(|n| n as u64)
         .ok_or_else(|| parse_err_owned(format!("missing or invalid field {key:?}")))
+}
+
+fn array_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], CheckpointError> {
+    v.get(key)
+        .and_then(Json::as_array)
+        .ok_or_else(|| parse_err_owned(format!("missing or invalid array {key:?}")))
 }
 
 fn hex_field(v: &Json, key: &str) -> Result<u64, CheckpointError> {
@@ -587,6 +684,15 @@ mod tests {
             records: 120,
             bytes: 34_567,
             checksum: 0xdead_beef_dead_beef,
+            cell_bytes: 1_234,
+            cell_checksum: 0x0123_4567_89ab_cdef,
+        });
+        m
+    }
+
+    fn sample_cells() -> ShardCells {
+        ShardCells {
+            shard: 1,
             pairs: vec![
                 PairAggregate {
                     pair: 2,
@@ -602,8 +708,7 @@ mod tests {
                 },
             ],
             health: sample_health(),
-        });
-        m
+        }
     }
 
     #[test]
@@ -617,12 +722,37 @@ mod tests {
     }
 
     #[test]
+    fn shard_cells_round_trip_exactly() {
+        let cells = sample_cells();
+        let text = cells.encode();
+        let back = ShardCells::decode(&text).unwrap();
+        assert_eq!(back, cells);
+        assert_eq!(back.encode(), text);
+        // The framing is the manifest's: a flipped body byte and a torn
+        // write are both caught.
+        assert!(matches!(
+            ShardCells::decode(&text.replacen("home-us-east", "home-us-west", 1)),
+            Err(CheckpointError::ChecksumMismatch { .. })
+        ));
+        assert_eq!(
+            ShardCells::decode(text.lines().next().unwrap()),
+            Err(CheckpointError::Truncated)
+        );
+        // A manifest is not a cell file.
+        assert!(matches!(
+            ShardCells::decode(&sample_manifest().encode()),
+            Err(CheckpointError::Parse(_))
+        ));
+    }
+
+    #[test]
     fn header_is_versioned_and_checksummed() {
-        let text = sample_manifest().encode();
-        let header = text.lines().next().unwrap();
-        assert!(header.starts_with("edns-checkpoint v2 "));
-        let hex = header.rsplit(' ').next().unwrap();
-        assert_eq!(hex.len(), 16);
+        for text in [sample_manifest().encode(), sample_cells().encode()] {
+            let header = text.lines().next().unwrap();
+            assert!(header.starts_with("edns-checkpoint v3 "));
+            let hex = header.rsplit(' ').next().unwrap();
+            assert_eq!(hex.len(), 16);
+        }
     }
 
     #[test]
@@ -635,23 +765,18 @@ mod tests {
 
     #[test]
     fn other_versions_are_rejected() {
-        // A future format.
-        let text = sample_manifest().encode().replace("v2", "v3");
-        assert_eq!(
-            Manifest::decode(&text),
-            Err(CheckpointError::VersionMismatch {
-                found: "v3".to_string()
-            })
-        );
-        // And the pre-health v1 format (no silent resume without health
-        // state — the engine re-runs from scratch).
-        let text = sample_manifest().encode().replace("v2", "v1");
-        assert_eq!(
-            Manifest::decode(&text),
-            Err(CheckpointError::VersionMismatch {
-                found: "v1".to_string()
-            })
-        );
+        // A future format, and the two earlier ones: v2 kept every cell
+        // in the manifest, v1 had no health cells. No silent resume from
+        // either — the engine re-runs from scratch.
+        for other in ["v4", "v2", "v1"] {
+            let text = sample_manifest().encode().replacen("v3", other, 1);
+            assert_eq!(
+                Manifest::decode(&text),
+                Err(CheckpointError::VersionMismatch {
+                    found: other.to_string()
+                })
+            );
+        }
     }
 
     #[test]
@@ -741,7 +866,7 @@ mod tests {
         m.store(&path).unwrap();
         assert_eq!(Manifest::load(&path).unwrap(), m);
         // The tmp sibling does not linger.
-        assert!(!path.with_extension("tmp").exists());
+        assert!(!dir.join("manifest.ckpt.tmp").exists());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -750,5 +875,10 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+        // Summing piece by piece equals summing the whole.
+        assert_eq!(
+            fnv64_extend(fnv64_extend(FNV64_INIT, b"foo"), b"bar"),
+            fnv64(b"foobar")
+        );
     }
 }

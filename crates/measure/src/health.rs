@@ -5,7 +5,7 @@
 //! latency shifts over months — so the flight recorder keeps one
 //! [`HealthCell`] (availability ledger + response-latency sketch delta)
 //! per **(pair, day)**, folded during sharded execution and persisted in
-//! the `edns-checkpoint` manifest. Memory is O(pairs × days) =
+//! each shard's `edns-checkpoint` cell file. Memory is O(pairs × days) =
 //! O(vantages × resolvers × days) with the vantage count a small constant
 //! — bounded however many probes a day carries.
 //!
@@ -172,15 +172,6 @@ impl HealthSeries {
     /// Total probes across all cells.
     pub fn probes(&self) -> u64 {
         self.pair_cells().map(|(_, c)| c.probes()).sum()
-    }
-
-    /// The day's total for one pair across all its days (checkpoint
-    /// cross-validation).
-    pub fn pair_probes(&self, pair: u32) -> u64 {
-        self.pair_cells()
-            .filter(|((p, _), _)| *p == pair)
-            .map(|(_, c)| c.probes())
-            .sum()
     }
 
     /// Reduces to (resolver, day) rows: pair cells merge in pair-index

@@ -50,7 +50,9 @@ pub use obs::Label;
 
 pub use aggregate::{AggregateCell, CampaignAggregates, PairAggregate};
 pub use campaign::{metrics_of, observe_record, Campaign, CampaignResult, GeneratedPairs};
-pub use checkpoint::{CheckpointError, Manifest, ShardCheckpoint, ShardState, CHECKPOINT_VERSION};
+pub use checkpoint::{
+    CheckpointError, Manifest, ShardCells, ShardCheckpoint, ShardState, CHECKPOINT_VERSION,
+};
 pub use config::{standard_domains, CampaignConfig, Span};
 pub use errors::ProbeErrorKind;
 pub use health::{

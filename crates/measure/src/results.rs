@@ -1,6 +1,8 @@
 //! Result records: one JSON-serialisable record per probe, as the tool
 //! writes to its output file.
 
+use std::borrow::Cow;
+
 use detlint_macros::deny_alloc;
 use netsim::{Region, SimDuration, SimTime};
 use obs::{Label, Phase};
@@ -318,6 +320,151 @@ fn region_from_label(s: &str) -> Option<Region> {
     })
 }
 
+/// The cursor of [`ProbeRecord::read_json_line`]: token readers that
+/// accept exactly what [`ProbeRecord::write_json_line`] emits and agree
+/// with [`crate::json::parse`] on every token they accept.
+struct LineReader<'a> {
+    s: &'a str,
+    pos: usize,
+}
+
+impl<'a> LineReader<'a> {
+    fn try_eat(&mut self, lit: &str) -> bool {
+        let hit = self.s.as_bytes()[self.pos..].starts_with(lit.as_bytes());
+        if hit {
+            self.pos += lit.len();
+        }
+        hit
+    }
+
+    fn eat(&mut self, lit: &str) -> Option<()> {
+        self.try_eat(lit).then_some(())
+    }
+
+    /// `"k":`, after a comma unless `first`; consumes nothing unless all
+    /// of it is there.
+    fn try_key(&mut self, first: bool, k: &str) -> bool {
+        let start = self.pos;
+        let hit = (first || self.try_eat(","))
+            && self.try_eat("\"")
+            && self.try_eat(k)
+            && self.try_eat("\":");
+        if !hit {
+            self.pos = start;
+        }
+        hit
+    }
+
+    fn key(&mut self, first: bool, k: &str) -> Option<()> {
+        self.try_key(first, k).then_some(())
+    }
+
+    fn boolean(&mut self) -> Option<bool> {
+        if self.try_eat("true") {
+            Some(true)
+        } else {
+            self.eat("false").map(|()| false)
+        }
+    }
+
+    /// The token `json::parse` takes for a number: a digit or `-`, then
+    /// every following digit, `.`, `e`, `E`, `+` and `-`.
+    fn number_token(&mut self) -> Option<(&'a str, bool)> {
+        let b = self.s.as_bytes();
+        let start = self.pos;
+        if !matches!(b.get(start), Some(b'-' | b'0'..=b'9')) {
+            return None;
+        }
+        let mut end = start + 1;
+        let mut is_float = false;
+        while let Some(&c) = b.get(end) {
+            match c {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
+                _ => break,
+            }
+            end += 1;
+        }
+        self.pos = end;
+        Some((&self.s[start..end], is_float))
+    }
+
+    /// A number as `json::parse` → `Json::as_f64` reads it: an integer
+    /// token goes through `i64` first.
+    fn number(&mut self) -> Option<f64> {
+        let (text, is_float) = self.number_token()?;
+        if !is_float {
+            if let Ok(i) = text.parse::<i64>() {
+                return Some(i as f64);
+            }
+        }
+        text.parse::<f64>().ok()
+    }
+
+    /// An integer token (the writer never renders a count as a float).
+    fn int(&mut self) -> Option<i64> {
+        match self.number_token()? {
+            (text, false) => text.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// A string literal: borrowed from the line unless it holds an
+    /// escape. A raw control character is rejected, as `json::parse` does.
+    fn string(&mut self) -> Option<Cow<'a, str>> {
+        self.eat("\"")?;
+        let rest = &self.s[self.pos..];
+        let mut escaped = false;
+        let mut bytes = rest.bytes().enumerate();
+        let end = loop {
+            match bytes.next()? {
+                (i, b'"') => break i,
+                (_, b'\\') => {
+                    escaped = true;
+                    bytes.next()?;
+                }
+                (_, c) if c < 0x20 => return None,
+                _ => {}
+            }
+        };
+        self.pos += end + 1;
+        let raw = &rest[..end];
+        if escaped {
+            unescape(raw).map(Cow::Owned)
+        } else {
+            Some(Cow::Borrowed(raw))
+        }
+    }
+}
+
+/// Undoes the escapes `json::write_str` emits (`\"`, `\\`, `\n`, `\r`,
+/// `\t`, `\u00XX` for the other control characters); any other escape is
+/// `None`.
+fn unescape(raw: &str) -> Option<String> {
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next()? {
+                '"' => '"',
+                '\\' => '\\',
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => {
+                    let (hex, rest) = chars.as_str().split_at_checked(4)?;
+                    chars = rest.chars();
+                    let code = u32::from_str_radix(hex, 16).ok()?;
+                    char::from_u32(code).filter(|_| code < 0x20)?
+                }
+                _ => return None,
+            },
+            c => c,
+        });
+    }
+    Some(out)
+}
+
 impl ProbeRecord {
     /// Builds a record from interned coordinate labels. Allocation-free.
     #[allow(clippy::too_many_arguments)]
@@ -565,6 +712,161 @@ impl ProbeRecord {
             }
         }
         out.push('}');
+    }
+
+    /// Reads back one line written by
+    /// [`write_json_line`](Self::write_json_line): its exact inverse, over
+    /// the same fixed key order, both record shapes and the optional retry
+    /// and `conn_mode` keys, with no intermediate tree and no allocation
+    /// (a record's `attempt_errors` and a label with an escape in it
+    /// aside). Numbers and labels go through the same `str::parse` and
+    /// [`Label::intern`] as [`json::parse`](crate::json::parse) →
+    /// [`from_json`](Self::from_json), so wherever this returns a record
+    /// that path returns the same one, bit for bit.
+    ///
+    /// Strict: anything `write_json_line` would not have written —
+    /// reordered or extra keys, whitespace, an escape it never emits — is
+    /// `None`. Files the engine did not write go through the tree path.
+    pub fn read_json_line(line: &str) -> Option<ProbeRecord> {
+        let mut r = LineReader { s: line, pos: 0 };
+        r.eat("{")?;
+        let retried = r.try_key(true, "attempt_errors");
+        let mut attempt_errors = Vec::new();
+        let mut attempts = 0;
+        if retried {
+            r.eat("[")?;
+            if !r.try_eat("]") {
+                loop {
+                    attempt_errors.push(ProbeErrorKind::from_label(&r.string()?)?);
+                    if !r.try_eat(",") {
+                        r.eat("]")?;
+                        break;
+                    }
+                }
+            }
+            r.key(false, "attempts")?;
+            attempts = r.int()? as u32;
+        }
+        let lead = !retried;
+        // Only the success shape has "cache_hit", and has it first.
+        let success = r.try_key(lead, "cache_hit");
+        let cache_hit = success && r.boolean()?;
+        // "conn_mode" follows "cache_hit" in the success shape and leads
+        // the failure shape.
+        let conn_first = lead && !success;
+        let conn_mode = if r.try_key(conn_first, "conn_mode") {
+            Some(ConnectionMode::from_label(&r.string()?)?)
+        } else {
+            None
+        };
+        if success {
+            // The legacy top-level legs repeat what "phases" holds; they
+            // are read, so a malformed one fails the line, and dropped.
+            r.key(false, "connect_ms")?;
+            r.number()?;
+        }
+        r.key(conn_first && conn_mode.is_none(), "domain")?;
+        let domain = Label::intern(&r.string()?);
+        let mut failure = None;
+        if !success {
+            r.key(false, "elapsed_ms")?;
+            let elapsed = SimDuration::from_millis_f64(r.number()?);
+            r.key(false, "error")?;
+            failure = Some((ProbeErrorKind::from_label(&r.string()?)?, elapsed));
+        }
+        r.key(false, "mainstream")?;
+        let mainstream = r.boolean()?;
+        let mut timings = ProbeTimings::default();
+        if success {
+            r.key(false, "phases")?;
+            r.eat("{")?;
+            // The phases object in its sorted key order.
+            for (i, p) in [
+                Phase::Connect,
+                Phase::DnsDecode,
+                Phase::DnsEncode,
+                Phase::HttpExchange,
+                Phase::ServerProcessing,
+                Phase::TlsHandshake,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                r.key(i == 0, phase_key(p))?;
+                *timings.phase_mut(p) = SimDuration::from_millis_f64(r.number()?);
+            }
+            r.eat("}")?;
+        }
+        r.key(false, "ping_ms")?;
+        let ping = if r.try_eat("null") {
+            None
+        } else {
+            Some(SimDuration::from_millis_f64(r.number()?))
+        };
+        r.key(false, "protocol")?;
+        let protocol = Protocol::from_label(&r.string()?)?;
+        if success {
+            r.key(false, "query_ms")?;
+            r.number()?;
+        }
+        r.key(false, "resolver")?;
+        let resolver = Label::intern(&r.string()?);
+        r.key(false, "resolver_region")?;
+        let resolver_region = region_from_label(&r.string()?)?;
+        let outcome = match failure {
+            None => {
+                r.key(false, "response_ms")?;
+                r.number()?;
+                r.key(false, "secure_ms")?;
+                r.number()?;
+                r.key(false, "site")?;
+                let site = r.int()? as usize;
+                r.key(false, "success")?;
+                r.eat("true")?;
+                ProbeOutcome::Success {
+                    timings,
+                    cache_hit,
+                    site,
+                }
+            }
+            Some((kind, elapsed)) => {
+                r.key(false, "success")?;
+                r.eat("false")?;
+                ProbeOutcome::Failure { kind, elapsed }
+            }
+        };
+        r.key(false, "ts_ms")?;
+        let at = SimTime::from_nanos((r.number()? * 1e6).round() as u64);
+        let retry = if retried {
+            r.key(false, "ttfb_ms")?;
+            let ttfb = SimDuration::from_millis_f64(r.number()?);
+            r.key(false, "ttlb_ms")?;
+            let ttlb = SimDuration::from_millis_f64(r.number()?);
+            Some(RetryInfo {
+                attempts,
+                attempt_errors,
+                ttfb,
+                ttlb,
+            })
+        } else {
+            None
+        };
+        r.key(false, "vantage")?;
+        let vantage = Label::intern(&r.string()?);
+        r.eat("}")?;
+        (r.pos == line.len()).then_some(ProbeRecord {
+            at,
+            vantage,
+            resolver,
+            resolver_region,
+            mainstream,
+            domain,
+            protocol,
+            outcome,
+            ping,
+            retry,
+            conn_mode,
+        })
     }
 
     /// Serialises to the tool's JSON record shape.

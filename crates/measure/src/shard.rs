@@ -6,14 +6,15 @@
 //! is sequential, so a pair can never be split without replaying it.
 //! Shards execute independently (work-queue over a thread pool, or one at
 //! a time via [`ShardedRunner::advance`]); each completed shard writes its
-//! records as a JSONL data file (tmp + rename, so a crash never leaves a
-//! torn file under the real name) and checkpoints its per-pair aggregate
-//! cells into the campaign [`Manifest`].
+//! records as a JSONL data file and its aggregate and health cells as a
+//! cell file (both tmp + rename, so a crash never leaves a torn file under
+//! the real name), and is then marked complete in the campaign
+//! [`Manifest`] — a commit that costs O(shards), not O(work done so far).
 //!
 //! *Assembly* streams the shard files through a k-way merge into the final
-//! campaign JSONL, folding each record into the metrics registry and
-//! installing checkpointed aggregate cells — memory stays O(shards) buffer
-//! heads + O(pairs) cells, never O(records).
+//! campaign JSONL, folding each record into the metrics registry, then
+//! installs the cells one cell file at a time — memory stays O(shards)
+//! buffer heads + O(pairs) cells, never O(records).
 //!
 //! Determinism contract (DESIGN.md §9): for any seed, shard count, thread
 //! count, and any kill/resume schedule,
@@ -32,6 +33,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt::Write as _;
+use std::fs::File;
 use std::io::{BufRead, BufReader, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -48,13 +50,12 @@ use obs::{
 use crate::aggregate::{CampaignAggregates, PairAggregate};
 use crate::campaign::{observe_record, Campaign};
 use crate::checkpoint::{
-    fnv64, CheckpointError, Manifest, PairDayHealth, ShardCheckpoint, ShardState,
-    CHECKPOINT_VERSION,
+    fnv64, fnv64_extend, io_err, write_atomic, write_atomic_bytes, CheckpointError, Manifest,
+    PairDayHealth, ShardCells, ShardCheckpoint, ShardState, CHECKPOINT_VERSION, FNV64_INIT,
 };
 use crate::health::{
     day_of, detect_drift, DriftConfig, DriftFinding, HealthCell, HealthSeries, NANOS_PER_DAY,
 };
-use crate::json;
 use crate::results::{ProbeOutcome, ProbeRecord};
 
 /// The manifest's file name inside a checkpoint directory.
@@ -92,6 +93,155 @@ pub struct ShardedOutcome {
     /// fault windows, retry exhaustions and drift findings in simulated
     /// time, plus Ops-class resume telemetry.
     pub journal: Journal,
+    /// Where this run's wall-clock time went, stage by stage.
+    pub stages: StageLedger,
+}
+
+/// Wall-clock seconds per stage of one [`ShardedRunner::run`], summed
+/// over the shards it executed — so with one worker thread the rows add
+/// up to the run's elapsed time, less the few milliseconds of drift
+/// detection and journal assembly. Operator telemetry from the audited
+/// [`obs::clock::Stopwatch`]: nothing here flows into any deterministic
+/// output.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StageLedger {
+    /// `load_or_init`: manifest decode plus re-validation of every
+    /// complete shard's data and cell file.
+    pub validate_s: f64,
+    /// `run_pair` over each executed shard's pairs.
+    pub generate_s: f64,
+    /// The per-pair aggregate and per-(pair, day) health fold.
+    pub fold_s: f64,
+    /// `merge_pairs` within each shard.
+    pub merge_s: f64,
+    /// Rendering each shard's JSONL body, checksummed as it is rendered.
+    pub serialise_s: f64,
+    /// Data-file write + rename.
+    pub data_write_s: f64,
+    /// Cell-file encode + write + rename.
+    pub cell_write_s: f64,
+    /// Manifest commits: lock, encode, write + rename.
+    pub commit_s: f64,
+    /// Assembly less its writes: shard-file reads, line parsing, the
+    /// k-way merge, the metrics fold, cell-file decode and install.
+    pub assemble_read_s: f64,
+    /// Assembly's writes of the campaign JSONL.
+    pub assemble_write_s: f64,
+}
+
+impl StageLedger {
+    /// The stages in pipeline order, by field name.
+    pub fn rows(&self) -> [(&'static str, f64); 10] {
+        [
+            ("validate_s", self.validate_s),
+            ("generate_s", self.generate_s),
+            ("fold_s", self.fold_s),
+            ("merge_s", self.merge_s),
+            ("serialise_s", self.serialise_s),
+            ("data_write_s", self.data_write_s),
+            ("cell_write_s", self.cell_write_s),
+            ("commit_s", self.commit_s),
+            ("assemble_read_s", self.assemble_read_s),
+            ("assemble_write_s", self.assemble_write_s),
+        ]
+    }
+
+    /// The execute-side stages of one shard, folded into the run's.
+    fn absorb(&mut self, shard: &StageLedger) {
+        self.generate_s += shard.generate_s;
+        self.fold_s += shard.fold_s;
+        self.merge_s += shard.merge_s;
+        self.serialise_s += shard.serialise_s;
+        self.data_write_s += shard.data_write_s;
+        self.cell_write_s += shard.cell_write_s;
+    }
+}
+
+/// Assembly's output buffer: the campaign JSONL goes to disk in writes of
+/// this size.
+const ASSEMBLE_WRITE_BYTES: usize = 256 * 1024;
+
+/// Assembly's per-shard read buffer.
+const ASSEMBLE_READ_BYTES: usize = 64 * 1024;
+
+/// Re-validates one of a complete shard's files against the size and
+/// checksum its manifest entry records.
+fn validate_file(path: &Path, bytes: u64, checksum: u64) -> Result<(), CheckpointError> {
+    let found = std::fs::read(path)
+        .map_err(|e| CheckpointError::ShardData(format!("read {}: {e}", path.display())))?;
+    if found.len() as u64 != bytes {
+        return Err(CheckpointError::ShardData(format!(
+            "{} is {} bytes, manifest says {bytes}",
+            path.display(),
+            found.len()
+        )));
+    }
+    let sum = fnv64(&found);
+    if sum != checksum {
+        return Err(CheckpointError::ShardData(format!(
+            "{} hashes to {sum:016x}, manifest says {checksum:016x}",
+            path.display()
+        )));
+    }
+    Ok(())
+}
+
+/// One shard file's position in assembly's k-way merge.
+struct Cursor {
+    path: PathBuf,
+    reader: BufReader<File>,
+    /// The head line as read, newline included.
+    line: String,
+    /// The head line's record; `None` once the file is exhausted.
+    head: Option<ProbeRecord>,
+    first_at: u64,
+    last_at: u64,
+}
+
+impl Cursor {
+    fn open(path: PathBuf) -> Result<Cursor, CheckpointError> {
+        let file = File::open(&path).map_err(io_err("open", &path))?;
+        let mut cursor = Cursor {
+            reader: BufReader::with_capacity(ASSEMBLE_READ_BYTES, file),
+            path,
+            line: String::new(),
+            head: None,
+            first_at: 0,
+            last_at: 0,
+        };
+        cursor.advance()?;
+        if let Some(r) = &cursor.head {
+            cursor.first_at = r.at.as_nanos();
+            cursor.last_at = cursor.first_at;
+        }
+        Ok(cursor)
+    }
+
+    /// Reads the next line into `line` and `head`. The engine wrote the
+    /// file, so anything but newline-terminated `write_json_line` output
+    /// is damage.
+    fn advance(&mut self) -> Result<(), CheckpointError> {
+        self.line.clear();
+        let n = self
+            .reader
+            .read_line(&mut self.line)
+            .map_err(io_err("read", &self.path))?;
+        self.head = match n {
+            0 => None,
+            _ => Some(
+                self.line
+                    .strip_suffix('\n')
+                    .and_then(ProbeRecord::read_json_line)
+                    .ok_or_else(|| {
+                        CheckpointError::ShardData(format!(
+                            "{}: line is not an engine-written probe record",
+                            self.path.display()
+                        ))
+                    })?,
+            ),
+        };
+        Ok(())
+    }
 }
 
 /// Default flight-recorder journal capacity: comfortably above what a
@@ -195,6 +345,11 @@ impl<'a> ShardedRunner<'a> {
         self.dir.join(format!("shard-{index:04}.jsonl"))
     }
 
+    /// The cell-file path of shard `index`.
+    pub fn cells_path(&self, index: u32) -> PathBuf {
+        self.dir.join(format!("shard-{index:04}.cells"))
+    }
+
     /// Pair range of shard `index`: contiguous and balanced (sizes differ
     /// by at most one).
     pub fn shard_range(&self, index: u32) -> Range<usize> {
@@ -270,10 +425,11 @@ impl<'a> ShardedRunner<'a> {
     }
 
     /// Loads the manifest if one exists and belongs to this configuration,
-    /// re-validating every complete shard's data file; otherwise starts a
-    /// fresh one. A manifest for a different configuration, a corrupt
-    /// manifest, or a complete shard whose data file is missing or fails
-    /// its checksum is a typed error — never a silent restart.
+    /// re-validating every complete shard's data file and cell file;
+    /// otherwise starts a fresh one. A manifest for a different
+    /// configuration, a corrupt manifest, or a complete shard with a file
+    /// that is missing or fails its checksum is a typed error — never a
+    /// silent restart.
     pub fn load_or_init(&self) -> Result<Manifest, CheckpointError> {
         let path = self.manifest_path();
         if !path.exists() {
@@ -301,37 +457,27 @@ impl<'a> ShardedRunner<'a> {
         }
         for (i, state) in manifest.states.iter().enumerate() {
             if let ShardState::Complete(c) = state {
-                self.validate_shard_file(i as u32, c)?;
+                validate_file(&self.shard_path(i as u32), c.bytes, c.checksum)?;
+                validate_file(&self.cells_path(i as u32), c.cell_bytes, c.cell_checksum)?;
             }
         }
         Ok(manifest)
     }
 
-    fn validate_shard_file(&self, index: u32, c: &ShardCheckpoint) -> Result<(), CheckpointError> {
-        let path = self.shard_path(index);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| CheckpointError::ShardData(format!("read {}: {e}", path.display())))?;
-        if bytes.len() as u64 != c.bytes {
-            return Err(CheckpointError::ShardData(format!(
-                "{} is {} bytes, manifest says {}",
-                path.display(),
-                bytes.len(),
-                c.bytes
-            )));
-        }
-        let sum = fnv64(&bytes);
-        if sum != c.checksum {
-            return Err(CheckpointError::ShardData(format!(
-                "{} hashes to {sum:016x}, manifest says {:016x}",
-                path.display(),
-                c.checksum
-            )));
-        }
-        Ok(())
-    }
+    /// Executes shard `index` and persists its data file, then its cell
+    /// file (each tmp + rename). The shard is not complete until the
+    /// caller commits the returned checkpoint to the manifest; a kill
+    /// before that leaves files the re-run simply overwrites.
+    fn execute_shard(&self, index: u32) -> Result<(ShardCheckpoint, StageLedger), CheckpointError> {
+        let watch = Stopwatch::start();
+        let mut mark = 0.0;
+        let mut lap = || {
+            let since = mark;
+            mark = watch.elapsed_secs();
+            mark - since
+        };
+        let mut stages = StageLedger::default();
 
-    /// Executes shard `index` and persists its data file (tmp + rename).
-    fn execute_shard(&self, index: u32) -> Result<ShardCheckpoint, CheckpointError> {
         let plans = self.campaign.pair_plans();
         let range = self.shard_range(index);
         let shard_plans = &plans[range.clone()];
@@ -339,13 +485,17 @@ impl<'a> ShardedRunner<'a> {
             .iter()
             .map(|p| self.campaign.run_pair(p))
             .collect();
+        stages.generate_s = lap();
 
         // Per-pair aggregate cells and per-(pair, day) health cells, both
         // folded in each pair's own canonical order (merging never
         // reorders records within a pair) — so the checkpointed health
         // series is independent of shard count and resume schedule.
-        let mut cells = Vec::with_capacity(shard_plans.len());
-        let mut health: Vec<PairDayHealth> = Vec::new();
+        let mut cells = ShardCells {
+            shard: index,
+            pairs: Vec::with_capacity(shard_plans.len()),
+            health: Vec::new(),
+        };
         for (offset, records) in outputs.iter().enumerate() {
             let plan = &shard_plans[offset];
             let pair = (range.start + offset) as u32;
@@ -360,33 +510,45 @@ impl<'a> ShardedRunner<'a> {
                 agg.cell.observe(r);
                 days.entry(day_of(r.at.as_nanos())).or_default().observe(r);
             }
-            cells.push(agg);
-            health.extend(
-                days.into_iter()
-                    .map(|(day, cell)| PairDayHealth { pair, day, cell }),
-            );
+            cells.pairs.push(agg);
+            let days = days
+                .into_iter()
+                .map(|(day, cell)| PairDayHealth { pair, day, cell });
+            cells.health.extend(days);
         }
+        stages.fold_s = lap();
 
         let merged = self.campaign.merge_pairs(outputs, shard_plans);
+        stages.merge_s = lap();
+
+        // Each line is summed as it is appended, while it is still in
+        // cache, rather than in a second pass over the finished body.
         let mut body = String::new();
+        let mut checksum = FNV64_INIT;
         for r in &merged {
+            let line_start = body.len();
             r.write_json_line(&mut body);
             body.push('\n');
+            checksum = fnv64_extend(checksum, &body.as_bytes()[line_start..]);
         }
-        let path = self.shard_path(index);
-        let tmp = path.with_extension("jsonl.tmp");
-        std::fs::write(&tmp, &body)
-            .map_err(|e| CheckpointError::Io(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| CheckpointError::Io(format!("rename to {}: {e}", path.display())))?;
-        Ok(ShardCheckpoint {
+        stages.serialise_s = lap();
+
+        write_atomic_bytes(&self.shard_path(index), body.as_bytes())?;
+        stages.data_write_s = lap();
+
+        let encoded_cells = cells.encode();
+        write_atomic_bytes(&self.cells_path(index), encoded_cells.as_bytes())?;
+        stages.cell_write_s = lap();
+
+        let checkpoint = ShardCheckpoint {
             shard: index,
             records: merged.len() as u64,
             bytes: body.len() as u64,
-            checksum: fnv64(body.as_bytes()),
-            pairs: cells,
-            health,
-        })
+            checksum,
+            cell_bytes: encoded_cells.len() as u64,
+            cell_checksum: fnv64(encoded_cells.as_bytes()),
+        };
+        Ok((checkpoint, stages))
     }
 
     /// Runs the whole campaign across `threads` workers, resuming from any
@@ -400,7 +562,12 @@ impl<'a> ShardedRunner<'a> {
         let mut run = ShardRunMetrics::new();
         run.shards_planned.add(self.shards as u64);
         let mut journal = self.new_journal();
+        let validate = Stopwatch::start();
         let manifest = self.load_or_init()?;
+        let stages = StageLedger {
+            validate_s: validate.elapsed_secs(),
+            ..StageLedger::default()
+        };
         let pending: Vec<u32> = manifest
             .states
             .iter()
@@ -416,7 +583,7 @@ impl<'a> ShardedRunner<'a> {
         // never reach the JSONL export.
         for (i, state) in manifest.states.iter().enumerate() {
             if let ShardState::Complete(c) = state {
-                run.pairs_run.add(c.pairs.len() as u64);
+                run.pairs_run.add(self.shard_range(i as u32).len() as u64);
                 run.records_produced.add(c.records);
                 journal.record_ops(
                     0,
@@ -427,7 +594,7 @@ impl<'a> ShardedRunner<'a> {
             }
         }
 
-        let shared = Mutex::new((manifest, run));
+        let shared = Mutex::new((manifest, run, stages));
         let threads = threads.max(1).min(pending.len().max(1));
         let next = std::sync::atomic::AtomicUsize::new(0);
         let first_error: Mutex<Option<CheckpointError>> = Mutex::new(None);
@@ -444,23 +611,15 @@ impl<'a> ShardedRunner<'a> {
                         break;
                     }
                     let index = pending[slot];
-                    match self.execute_shard(index) {
-                        Ok(checkpoint) => {
-                            if let Err(e) = self.commit_shard(shared, checkpoint, watch.as_ref()) {
-                                first_error
-                                    .lock()
-                                    .unwrap_or_else(|p| p.into_inner())
-                                    .get_or_insert(e);
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            first_error
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .get_or_insert(e);
-                            break;
-                        }
+                    let committed = self.execute_shard(index).and_then(|(checkpoint, stages)| {
+                        self.commit_shard(shared, checkpoint, &stages, watch.as_ref())
+                    });
+                    if let Err(e) = committed {
+                        first_error
+                            .lock()
+                            .unwrap_or_else(|p| p.into_inner())
+                            .get_or_insert(e);
+                        break;
                     }
                 }));
             }
@@ -472,33 +631,39 @@ impl<'a> ShardedRunner<'a> {
         if let Some(e) = first_error.lock().unwrap_or_else(|p| p.into_inner()).take() {
             return Err(e);
         }
-        let (manifest, run) = match shared.into_inner() {
+        let (manifest, run, stages) = match shared.into_inner() {
             Ok(inner) => inner,
             Err(poisoned) => poisoned.into_inner(),
         };
-        self.assemble(&manifest, run, journal)
+        self.assemble(&manifest, run, journal, stages)
     }
 
     /// Commits one completed shard: updates the manifest state and
     /// rewrites the manifest atomically (this is the resume boundary).
     fn commit_shard(
         &self,
-        shared: &Mutex<(Manifest, ShardRunMetrics)>,
+        shared: &Mutex<(Manifest, ShardRunMetrics, StageLedger)>,
         checkpoint: ShardCheckpoint,
+        shard_stages: &StageLedger,
         watch: Option<&Stopwatch>,
     ) -> Result<(), CheckpointError> {
+        let commit = Stopwatch::start();
         let mut guard = shared.lock().unwrap_or_else(|p| p.into_inner());
-        let (manifest, run) = &mut *guard;
+        let (manifest, run, stages) = &mut *guard;
         run.shards_executed.add(1);
-        run.pairs_run.add(checkpoint.pairs.len() as u64);
+        run.pairs_run
+            .add(self.shard_range(checkpoint.shard).len() as u64);
         run.records_produced.add(checkpoint.records);
+        run.cell_bytes.add(checkpoint.cell_bytes);
         let index = checkpoint.shard as usize;
         let records = checkpoint.records;
         manifest.states[index] = ShardState::Complete(checkpoint);
-        let encoded_len = manifest.encode().len() as u64;
-        manifest.store(&self.manifest_path())?;
+        let encoded = manifest.encode();
+        write_atomic_bytes(&self.manifest_path(), encoded.as_bytes())?;
         run.manifest_writes.add(1);
-        run.checkpoint_bytes.add(encoded_len);
+        run.checkpoint_bytes.add(encoded.len() as u64);
+        stages.absorb(shard_stages);
+        stages.commit_s += commit.elapsed_secs();
         // Operator feedback only — stderr, audited wall clock, and nothing
         // here flows into any deterministic output.
         if let Some(w) = watch {
@@ -526,7 +691,7 @@ impl<'a> ShardedRunner<'a> {
             if manifest.states[i].is_complete() {
                 continue;
             }
-            let checkpoint = self.execute_shard(i as u32)?;
+            let (checkpoint, _) = self.execute_shard(i as u32)?;
             manifest.states[i] = ShardState::Complete(checkpoint);
             manifest.store(&self.manifest_path())?;
             done += 1;
@@ -535,20 +700,23 @@ impl<'a> ShardedRunner<'a> {
     }
 
     /// Streams the completed shard files through a k-way merge into the
-    /// final campaign JSONL, rebuilding metrics and installing the
-    /// checkpointed aggregates. Memory: one buffered line per shard plus
-    /// the O(pairs) aggregate cells.
+    /// final campaign JSONL, rebuilding metrics, then installs the
+    /// checkpointed cells one cell file at a time — the same way whether
+    /// this process executed the shard or resumed it. Memory: one buffered
+    /// line per shard, one shard's cells, and the O(pairs × days) series.
     fn assemble(
         &self,
         manifest: &Manifest,
         mut run: ShardRunMetrics,
         mut journal: Journal,
+        mut stages: StageLedger,
     ) -> Result<ShardedOutcome, CheckpointError> {
         if !manifest.is_complete() {
             return Err(CheckpointError::ShardData(
                 "cannot assemble: shards still pending".to_string(),
             ));
         }
+        let watch = Stopwatch::start();
         let plans = self.campaign.pair_plans();
         // (vantage, resolver) → merge rank, for head-line keying.
         let ranks: BTreeMap<(Label, Label), u32> = plans
@@ -556,63 +724,9 @@ impl<'a> ShardedRunner<'a> {
             .map(|p| ((p.vantage_label, p.resolver_label), p.order))
             .collect();
 
-        struct Cursor {
-            reader: BufReader<std::fs::File>,
-            /// The head line (without trailing newline) and its record.
-            head: Option<(String, ProbeRecord)>,
-            first_at: u64,
-            last_at: u64,
-        }
-        let parse_line = |line: &str, path: &Path| -> Result<ProbeRecord, CheckpointError> {
-            let v = json::parse(line)
-                .map_err(|e| CheckpointError::ShardData(format!("{}: {e}", path.display())))?;
-            ProbeRecord::from_json(&v).ok_or_else(|| {
-                CheckpointError::ShardData(format!(
-                    "{}: line is not a probe record",
-                    path.display()
-                ))
-            })
-        };
-        let advance_cursor = |cursor: &mut Cursor, path: &Path| -> Result<(), CheckpointError> {
-            let mut line = String::new();
-            loop {
-                line.clear();
-                let n = cursor
-                    .reader
-                    .read_line(&mut line)
-                    .map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))?;
-                if n == 0 {
-                    cursor.head = None;
-                    return Ok(());
-                }
-                let trimmed = line.trim_end_matches('\n');
-                if trimmed.is_empty() {
-                    continue;
-                }
-                let record = parse_line(trimmed, path)?;
-                cursor.head = Some((trimmed.to_string(), record));
-                return Ok(());
-            }
-        };
-
-        let mut cursors = Vec::with_capacity(self.shards as usize);
-        for i in 0..self.shards {
-            let path = self.shard_path(i);
-            let file = std::fs::File::open(&path)
-                .map_err(|e| CheckpointError::Io(format!("open {}: {e}", path.display())))?;
-            let mut cursor = Cursor {
-                reader: BufReader::new(file),
-                head: None,
-                first_at: 0,
-                last_at: 0,
-            };
-            advance_cursor(&mut cursor, &path)?;
-            if let Some((_, r)) = &cursor.head {
-                cursor.first_at = r.at.as_nanos();
-                cursor.last_at = cursor.first_at;
-            }
-            cursors.push(cursor);
-        }
+        let mut cursors = (0..self.shards)
+            .map(|i| Cursor::open(self.shard_path(i)))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let key = |r: &ProbeRecord| -> Result<(u64, u32, u32), CheckpointError> {
             let rank = ranks
@@ -639,17 +753,13 @@ impl<'a> ShardedRunner<'a> {
         let mut heap: BinaryHeap<Reverse<(u64, u32, u32, u32)>> =
             BinaryHeap::with_capacity(cursors.len());
         for (i, c) in cursors.iter().enumerate() {
-            if let Some((_, r)) = &c.head {
+            if let Some(r) = &c.head {
                 let (at, rank, domain) = key(r)?;
                 heap.push(Reverse((at, rank, domain, i as u32)));
             }
         }
 
         let jsonl_path = self.dir.join(CAMPAIGN_FILE);
-        let tmp = jsonl_path.with_extension("jsonl.tmp");
-        let out_file = std::fs::File::create(&tmp)
-            .map_err(|e| CheckpointError::Io(format!("create {}: {e}", tmp.display())))?;
-        let mut out = std::io::BufWriter::new(out_file);
         let mut registry = MetricsRegistry::new();
         let mut records = 0u64;
         // Sim-class journal events, collected here and recorded in one
@@ -657,97 +767,109 @@ impl<'a> ShardedRunner<'a> {
         // of shard execution interleaving).
         let mut events: Vec<JournalEvent> = Vec::new();
         let journal_on = journal.is_enabled();
-        while let Some(Reverse((_, _, _, i))) = heap.pop() {
-            let path = self.shard_path(i);
-            let cursor = &mut cursors[i as usize];
-            let (line, record) = match cursor.head.take() {
-                Some(h) => h,
-                None => {
-                    return Err(CheckpointError::ShardData(format!(
-                        "merge cursor for {} lost its head",
-                        path.display()
-                    )))
-                }
+        write_atomic(&jsonl_path, |file| {
+            let mut out: Vec<u8> = Vec::with_capacity(ASSEMBLE_WRITE_BYTES + 4096);
+            let mut flush = |out: &mut Vec<u8>| {
+                let started = watch.elapsed_secs();
+                let written = file.write_all(out).map_err(io_err("write", &jsonl_path));
+                out.clear();
+                stages.assemble_write_s += watch.elapsed_secs() - started;
+                written
             };
-            cursor.last_at = record.at.as_nanos();
-            observe_record(&mut registry, &record);
-            if journal_on {
-                if let (ProbeOutcome::Failure { .. }, Some(retry)) =
-                    (&record.outcome, &record.retry)
-                {
-                    if retry.exhausted() {
-                        events.push(JournalEvent {
-                            at: record.at.as_nanos(),
-                            level: EventLevel::Warn,
-                            class: obs::EventClass::Sim,
-                            code: codes::RETRY_EXHAUSTED,
-                            data: EventData {
-                                resolver: Some(record.resolver_id()),
-                                vantage: Some(record.vantage_id()),
-                                count: Some(retry.attempts as u64),
-                                ..EventData::default()
-                            },
-                        });
+            while let Some(Reverse((_, _, _, i))) = heap.pop() {
+                let cursor = &mut cursors[i as usize];
+                let record = cursor.head.take().ok_or_else(|| {
+                    CheckpointError::ShardData(format!(
+                        "merge cursor for {} lost its head",
+                        cursor.path.display()
+                    ))
+                })?;
+                cursor.last_at = record.at.as_nanos();
+                observe_record(&mut registry, &record);
+                if journal_on {
+                    if let (ProbeOutcome::Failure { .. }, Some(retry)) =
+                        (&record.outcome, &record.retry)
+                    {
+                        if retry.exhausted() {
+                            events.push(JournalEvent {
+                                at: record.at.as_nanos(),
+                                level: EventLevel::Warn,
+                                class: obs::EventClass::Sim,
+                                code: codes::RETRY_EXHAUSTED,
+                                data: EventData {
+                                    resolver: Some(record.resolver_id()),
+                                    vantage: Some(record.vantage_id()),
+                                    count: Some(retry.attempts as u64),
+                                    ..EventData::default()
+                                },
+                            });
+                        }
                     }
                 }
+                out.extend_from_slice(cursor.line.as_bytes());
+                if out.len() >= ASSEMBLE_WRITE_BYTES {
+                    flush(&mut out)?;
+                }
+                records += 1;
+                cursor.advance()?;
+                if let Some(r) = &cursor.head {
+                    let (at, rank, domain) = key(r)?;
+                    heap.push(Reverse((at, rank, domain, i)));
+                }
             }
-            out.write_all(line.as_bytes())
-                .and_then(|_| out.write_all(b"\n"))
-                .map_err(|e| CheckpointError::Io(format!("write {}: {e}", tmp.display())))?;
-            records += 1;
-            advance_cursor(cursor, &path)?;
-            if let Some((_, r)) = &cursor.head {
-                let (at, rank, domain) = key(r)?;
-                heap.push(Reverse((at, rank, domain, i)));
-            }
-        }
-        out.flush()
-            .map_err(|e| CheckpointError::Io(format!("flush {}: {e}", tmp.display())))?;
-        drop(out);
-        std::fs::rename(&tmp, &jsonl_path)
-            .map_err(|e| CheckpointError::Io(format!("rename to {}: {e}", jsonl_path.display())))?;
+            flush(&mut out)
+        })?;
         run.records_merged.add(records);
 
-        // Install the checkpointed aggregate cells — every pair exactly
-        // once, in pair-index order.
+        // Install the checkpointed cells, one cell file at a time. A cell
+        // file must list exactly its shard's pairs, in pair-index order,
+        // and its day cells must account for exactly the probes each
+        // pair's aggregate cell saw.
         let mut aggregates = CampaignAggregates::for_campaign(self.campaign);
-        let mut installed = 0u32;
-        for state in &manifest.states {
-            if let ShardState::Complete(c) = state {
-                for p in &c.pairs {
-                    aggregates.install(p).map_err(CheckpointError::ShardData)?;
-                    installed += 1;
-                }
-            }
-        }
-        if installed != plans.len() as u32 {
-            return Err(CheckpointError::ShardData(format!(
-                "manifest holds {installed} pair cells, campaign has {}",
-                plans.len()
-            )));
-        }
-
-        // Install the checkpointed health cells and cross-validate them
-        // against the pair aggregates: every pair's day cells must account
-        // for exactly the probes its aggregate cell saw.
         let mut health = HealthSeries::for_campaign(self.campaign);
-        for state in &manifest.states {
-            if let ShardState::Complete(c) = state {
-                for h in &c.health {
-                    health.install(h.pair, h.day, h.cell.clone());
-                }
-            }
-        }
-        for p in aggregates.pairs() {
-            let daily = health.pair_probes(p.pair);
-            let total = p.cell.availability.total();
-            if daily != total {
-                return Err(CheckpointError::ShardData(format!(
-                    "pair {} health cells hold {daily} probes, aggregate has {total}",
-                    p.pair
+        for i in 0..self.shards {
+            let path = self.cells_path(i);
+            let text = std::fs::read_to_string(&path).map_err(io_err("read", &path))?;
+            let cells = ShardCells::decode(&text)?;
+            let invalid =
+                |what: String| CheckpointError::ShardData(format!("{}: {what}", path.display()));
+            if cells.shard != i
+                || !cells
+                    .pairs
+                    .iter()
+                    .map(|p| p.pair as usize)
+                    .eq(self.shard_range(i))
+            {
+                return Err(invalid(format!(
+                    "holds shard {}'s cells, not shard {i}'s pairs {:?}",
+                    cells.shard,
+                    self.shard_range(i)
                 )));
             }
+            let mut daily: BTreeMap<u32, u64> = BTreeMap::new();
+            for h in &cells.health {
+                *daily.entry(h.pair).or_default() += h.cell.probes();
+            }
+            for p in &cells.pairs {
+                let (days, total) = (daily.remove(&p.pair).unwrap_or(0), p.cell.probes());
+                if days != total {
+                    return Err(invalid(format!(
+                        "pair {} health cells hold {days} probes, aggregate has {total}",
+                        p.pair
+                    )));
+                }
+                aggregates.install(p).map_err(invalid)?;
+            }
+            if let Some(pair) = daily.keys().next() {
+                return Err(invalid(format!(
+                    "health cells for pair {pair}, which is not the shard's"
+                )));
+            }
+            for h in cells.health {
+                health.install(h.pair, h.day, h.cell);
+            }
         }
+        stages.assemble_read_s = watch.elapsed_secs() - stages.assemble_write_s;
         let drift = detect_drift(&health.resolver_rows(), &DriftConfig::default());
 
         // Shard spans, recorded in shard-index order so the log is
@@ -857,6 +979,7 @@ impl<'a> ShardedRunner<'a> {
             health,
             drift,
             journal,
+            stages,
         })
     }
 

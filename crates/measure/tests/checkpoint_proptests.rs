@@ -1,13 +1,15 @@
 //! Property tests for the checkpoint codec: manifests built from
-//! arbitrary shard states must encode/decode exactly, and the encoding
-//! must be a fixed point (encode ∘ decode ∘ encode = encode).
+//! arbitrary shard states and cell files built from arbitrary cells must
+//! encode/decode exactly, the encoding must be a fixed point
+//! (encode ∘ decode ∘ encode = encode), and a changed byte must never
+//! decode to different content.
 
 use proptest::prelude::*;
 
 use measure::aggregate::{AggregateCell, PairAggregate};
 use measure::checkpoint::{
     availability_from_json, availability_to_json, pair_day_health_from_json,
-    pair_day_health_to_json, sketch_from_json, sketch_to_json, Manifest, PairDayHealth,
+    pair_day_health_to_json, sketch_from_json, sketch_to_json, Manifest, PairDayHealth, ShardCells,
     ShardCheckpoint, ShardState,
 };
 use measure::{HealthCell, Label};
@@ -88,24 +90,39 @@ fn arb_state() -> impl Strategy<Value = ShardState> {
         0u64..1_000_000,
         0u64..100_000_000,
         any::<u64>(),
+        0u64..10_000_000,
+        any::<u64>(),
+    )
+        .prop_map(
+            |(complete, records, bytes, checksum, cell_bytes, cell_checksum)| {
+                if complete {
+                    // The shard index is rewritten to the entry slot by the
+                    // caller; 0 is a placeholder.
+                    ShardState::Complete(ShardCheckpoint {
+                        shard: 0,
+                        records,
+                        bytes,
+                        checksum,
+                        cell_bytes,
+                        cell_checksum,
+                    })
+                } else {
+                    ShardState::Pending
+                }
+            },
+        )
+}
+
+fn arb_cells() -> impl Strategy<Value = ShardCells> {
+    (
+        0u32..64,
         proptest::collection::vec(arb_pair(), 0..5),
         proptest::collection::vec(arb_pair_day_health(), 0..6),
     )
-        .prop_map(|(complete, records, bytes, checksum, pairs, health)| {
-            if complete {
-                // The shard index is rewritten to the entry slot by the
-                // caller; 0 is a placeholder.
-                ShardState::Complete(ShardCheckpoint {
-                    shard: 0,
-                    records,
-                    bytes,
-                    checksum,
-                    pairs,
-                    health,
-                })
-            } else {
-                ShardState::Pending
-            }
+        .prop_map(|(shard, pairs, health)| ShardCells {
+            shard,
+            pairs,
+            health,
         })
 }
 
@@ -141,6 +158,35 @@ proptest! {
         prop_assert_eq!(&back, &m);
         // Fixed point: re-encoding the decoded manifest is byte-identical.
         prop_assert_eq!(back.encode(), text);
+    }
+
+    #[test]
+    fn cell_file_encode_decode_round_trips(cells in arb_cells()) {
+        let text = cells.encode();
+        let back = ShardCells::decode(&text).unwrap();
+        prop_assert_eq!(&back, &cells);
+        prop_assert_eq!(back.encode(), text);
+    }
+
+    #[test]
+    fn cell_file_corruption_is_detected(
+        cells in arb_cells(),
+        idx in any::<prop::sample::Index>(),
+        byte in 0u8..128,
+    ) {
+        let text = cells.encode();
+        let mut mutated = text.clone().into_bytes();
+        let i = idx.index(mutated.len());
+        mutated[i] = byte;
+        if let Ok(s) = std::str::from_utf8(&mutated) {
+            // Never a panic and never different cells: a changed byte is
+            // a typed error, unless it leaves the content as it was (the
+            // byte it replaced, or the other case of a header hex digit).
+            match ShardCells::decode(s) {
+                Ok(back) => prop_assert_eq!(back, cells),
+                Err(_) => prop_assert_ne!(s, text.as_str()),
+            }
+        }
     }
 
     #[test]

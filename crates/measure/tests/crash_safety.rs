@@ -1,13 +1,16 @@
 //! Crash-safety: a sharded campaign must *detect* — never silently absorb
 //! — truncated manifests, flipped bytes, stale format versions, shard
-//! data files that no longer match their recorded checksums, and
+//! data and cell files that no longer match their recorded checksums, and
 //! checkpoints from a different campaign configuration. Every rejection
-//! is a typed [`CheckpointError`].
+//! is a typed [`CheckpointError`]. A kill at any point of a shard's
+//! commit order (data file → cell file → manifest) must resume to the
+//! one-shot output.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use measure::{Campaign, CampaignConfig, CheckpointError, ShardedRunner};
+use measure::checkpoint::fnv64;
+use measure::{Campaign, CampaignConfig, CheckpointError, Manifest, ShardState, ShardedRunner};
 
 const HOSTS: [&str; 3] = ["dns.google", "dns.quad9.net", "doh.ffmuc.net"];
 
@@ -85,19 +88,19 @@ fn stale_format_version_is_rejected() {
     let dir = partial_run(&c, "version");
     let path = dir.join("manifest.ckpt");
     let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(
-        &path,
-        text.replacen("edns-checkpoint v2", "edns-checkpoint v0", 1),
-    )
-    .unwrap();
-
-    let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
-    assert_eq!(
-        runner.run(1).unwrap_err(),
-        CheckpointError::VersionMismatch {
-            found: "v0".to_string()
-        }
-    );
+    // v2 is the previous format, whose manifest held every cell: it must
+    // not resume either.
+    for stale in ["v0", "v2"] {
+        let header = format!("edns-checkpoint {stale}");
+        std::fs::write(&path, text.replacen("edns-checkpoint v3", &header, 1)).unwrap();
+        let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
+        assert_eq!(
+            runner.run(1).unwrap_err(),
+            CheckpointError::VersionMismatch {
+                found: stale.to_string()
+            }
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -144,6 +147,127 @@ fn corrupt_shard_data_file_is_rejected() {
         CheckpointError::ShardData(_)
     ));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_shard_file_the_engine_did_not_write_is_rejected_at_assembly() {
+    // Valid JSON records, checksummed correctly in the manifest, but not
+    // `write_json_line` output (a space after each comma): assembly reads
+    // shard files with the strict line reader and must say so, typed.
+    let c = campaign(CampaignConfig::quick(3, 2));
+    let dir = scratch_dir("foreign-lines");
+    let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
+    assert_eq!(runner.advance(4).unwrap(), 0);
+    let shard = runner.shard_path(1);
+    let respaced = std::fs::read_to_string(&shard)
+        .unwrap()
+        .replace(",\"", ", \"");
+    std::fs::write(&shard, &respaced).unwrap();
+    let mut manifest = Manifest::load(&runner.manifest_path()).unwrap();
+    match &mut manifest.states[1] {
+        ShardState::Complete(entry) => {
+            entry.bytes = respaced.len() as u64;
+            entry.checksum = fnv64(respaced.as_bytes());
+        }
+        ShardState::Pending => unreachable!("all four shards ran"),
+    }
+    manifest.store(&runner.manifest_path()).unwrap();
+
+    match runner.run(1).unwrap_err() {
+        CheckpointError::ShardData(msg) => assert!(msg.contains("shard-0001.jsonl"), "{msg}"),
+        other => panic!("expected ShardData, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn damaged_cell_file_is_rejected() {
+    let c = campaign(CampaignConfig::quick(3, 2));
+    let dir = partial_run(&c, "cells");
+    let cells = dir.join("shard-0000.cells");
+    let intact = std::fs::read(&cells).unwrap();
+    let rejected = || {
+        let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
+        matches!(
+            runner.load_or_init().unwrap_err(),
+            CheckpointError::ShardData(_)
+        )
+    };
+
+    // One flipped byte, same length.
+    let mut flipped = intact.clone();
+    let mid = flipped.len() / 2;
+    flipped[mid] = flipped[mid].wrapping_add(1);
+    std::fs::write(&cells, &flipped).unwrap();
+    assert!(rejected(), "byte-flipped cell file");
+
+    std::fs::write(&cells, &intact[..mid]).unwrap();
+    assert!(rejected(), "truncated cell file");
+
+    // Another complete shard's cell file under this shard's name: valid
+    // in itself, but not what the manifest recorded.
+    std::fs::copy(dir.join("shard-0001.cells"), &cells).unwrap();
+    assert!(rejected(), "wrong-shard cell file");
+
+    std::fs::remove_file(&cells).unwrap();
+    assert!(rejected(), "missing cell file");
+
+    // Restored, the directory resumes to the one-shot output.
+    std::fs::write(&cells, &intact).unwrap();
+    let outcome = ShardedRunner::new(&c, 4, &dir).unwrap().run(1).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&outcome.jsonl_path).unwrap(),
+        c.run().to_json_lines()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_kill_between_cell_file_and_manifest_commit_resumes_identically() {
+    let c = campaign(CampaignConfig::quick(3, 2));
+    let records = c.run();
+    let reference = ShardedRunner::new(&c, 4, scratch_dir("commit-ref"))
+        .unwrap()
+        .run(1)
+        .unwrap();
+    // For every shard k: shards 0..k committed, shard k's data and cell
+    // files renamed into place, and the kill before its manifest commit —
+    // the manifest is the one from before shard k ran (none at all for
+    // k = 0).
+    for k in 0..4 {
+        let dir = scratch_dir("commit");
+        let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
+        runner.advance(k).unwrap();
+        let manifest = dir.join("manifest.ckpt");
+        let before = std::fs::read(&manifest).ok();
+        runner.advance(1).unwrap();
+        match before {
+            Some(bytes) => std::fs::write(&manifest, bytes).unwrap(),
+            None => std::fs::remove_file(&manifest).unwrap(),
+        }
+        assert!(dir.join(format!("shard-{k:04}.jsonl")).exists());
+        assert!(dir.join(format!("shard-{k:04}.cells")).exists());
+
+        let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
+        let pending = runner.load_or_init().unwrap();
+        assert_eq!(
+            pending.complete_count(),
+            k,
+            "shard {k} must still be pending"
+        );
+        let outcome = runner.run(1).unwrap();
+        assert_eq!(outcome.run.shards_resumed.get(), k as u64);
+        assert_eq!(
+            std::fs::read_to_string(&outcome.jsonl_path).unwrap(),
+            records.to_json_lines(),
+            "kill before shard {k}'s commit"
+        );
+        assert_eq!(outcome.metrics, reference.metrics);
+        assert_eq!(outcome.aggregates, reference.aggregates);
+        assert_eq!(outcome.health.to_jsonl(), reference.health.to_jsonl());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    std::fs::remove_dir_all(reference.jsonl_path.parent().unwrap()).unwrap();
 }
 
 #[test]
@@ -212,7 +336,11 @@ fn a_leftover_tmp_file_never_shadows_real_state() {
     let c = campaign(CampaignConfig::quick(3, 2));
     let dir = partial_run(&c, "tmp");
     std::fs::write(dir.join("shard-0002.jsonl.tmp"), "garbage half-write").unwrap();
-    std::fs::write(dir.join("manifest.tmp"), "torn manifest write").unwrap();
+    std::fs::write(dir.join("shard-0002.cells.tmp"), "garbage half-write").unwrap();
+    // An orphan next to a *complete* shard's cell file must not be read
+    // in its place either.
+    std::fs::write(dir.join("shard-0000.cells.tmp"), "garbage half-write").unwrap();
+    std::fs::write(dir.join("manifest.ckpt.tmp"), "torn manifest write").unwrap();
 
     let outcome = ShardedRunner::new(&c, 4, &dir).unwrap().run(1).unwrap();
     let reference = c.run();

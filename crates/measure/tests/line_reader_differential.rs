@@ -1,0 +1,292 @@
+//! Differential pinning of the strict line reader against the tree path:
+//! for every line the engine writes, `ProbeRecord::read_json_line(l)` must
+//! equal `ProbeRecord::from_json(json::parse(l))` — both record shapes,
+//! with and without the retry and `conn_mode` keys — so shard assembly,
+//! which reads each line back with the former, rebuilds exactly the
+//! records, metrics and journal the tree path did.
+//!
+//! On hostile input (every truncation, seeded single-byte mutations) the
+//! reader may be stricter than the tree path, never different: it must
+//! not panic, and a record it does return is the tree path's record.
+
+use measure::json;
+use measure::{
+    Campaign, CampaignConfig, ConnectionMode, Label, LoadModel, ProbeErrorKind, ProbeOutcome,
+    ProbeRecord, Protocol, RetryInfo, RetryPolicy, SessionConfig,
+};
+use netsim::{Region, SimDuration, SimTime};
+use proptest::prelude::*;
+
+/// Healthy anycast mainstream, mostly-down hobbyist, HTTP/1.1-only flaky
+/// host: successes, failures and retries all occur.
+const HOSTS: [&str; 3] = [
+    "dns.google",
+    "chewbacca.meganerd.nl",
+    "ibksturm.synology.me",
+];
+
+const PROTOCOLS: [Protocol; 5] = [
+    Protocol::Do53,
+    Protocol::DoT,
+    Protocol::DoH,
+    Protocol::DoQ,
+    Protocol::ODoH,
+];
+
+fn tree(line: &str) -> Option<ProbeRecord> {
+    json::parse(line)
+        .ok()
+        .as_ref()
+        .and_then(ProbeRecord::from_json)
+}
+
+/// An engine-written line: both paths read it, to the same record.
+fn assert_reads_like_the_tree(line: &str, context: &str) {
+    let read = ProbeRecord::read_json_line(line);
+    assert!(read.is_some(), "unread engine line ({context}): {line}");
+    assert_eq!(read, tree(line), "{context}: {line}");
+}
+
+/// Any text at all: whatever the reader returns, the tree path returns.
+fn assert_never_differs(text: &str, context: &str) {
+    if let Some(record) = ProbeRecord::read_json_line(text) {
+        assert_eq!(Some(record), tree(text), "{context}: {text}");
+    }
+}
+
+/// The four campaign flavours whose lines differ in shape: plain, faults
+/// with retries, faults under 2x load, faults with interleaved sessions.
+fn flavours(seed: u64, protocol: Protocol) -> Vec<(&'static str, CampaignConfig)> {
+    let plain = || {
+        let mut config = CampaignConfig::quick(seed, 2);
+        config.probe.protocol = protocol;
+        config
+    };
+    let faulted = || {
+        let mut config = plain().with_default_faults();
+        config.probe.retry = RetryPolicy::dig_defaults();
+        config
+    };
+    vec![
+        ("plain", plain()),
+        ("faults + retries", faulted()),
+        (
+            "faults + retries + load 2",
+            faulted().with_load(LoadModel::standard(seed).with_multiplier(2.0)),
+        ),
+        (
+            "faults + retries + interleaved sessions",
+            faulted().with_session(SessionConfig::interleaved(0.3)),
+        ),
+    ]
+}
+
+fn lines_of(config: CampaignConfig) -> String {
+    let entries = HOSTS
+        .iter()
+        .map(|h| catalog::resolvers::find(h).unwrap())
+        .collect();
+    Campaign::with_resolvers(config, entries)
+        .run()
+        .to_json_lines()
+}
+
+#[test]
+fn golden_fixtures_read_like_the_tree() {
+    for (name, fixture) in [
+        (
+            "campaign_seed4.jsonl",
+            include_str!("golden/campaign_seed4.jsonl"),
+        ),
+        (
+            "campaign_seed4_retries.jsonl",
+            include_str!("golden/campaign_seed4_retries.jsonl"),
+        ),
+    ] {
+        assert!(fixture.lines().count() > 100, "{name} is populated");
+        for line in fixture.lines() {
+            assert_reads_like_the_tree(line, name);
+        }
+    }
+}
+
+#[test]
+fn every_flavour_and_protocol_reads_like_the_tree() {
+    let (mut failures, mut retried, mut warm) = (0, 0, 0);
+    for protocol in PROTOCOLS {
+        for (flavour, config) in flavours(23, protocol) {
+            for line in lines_of(config).lines() {
+                assert_reads_like_the_tree(line, &format!("{protocol:?}, {flavour}"));
+                failures += usize::from(line.contains("\"success\":false"));
+                retried += usize::from(line.contains("\"attempt_errors\":[\""));
+                warm += usize::from(line.contains("\"conn_mode\":\"re"));
+            }
+        }
+    }
+    // The sweep reached every optional key and both shapes.
+    assert!(
+        failures > 0 && retried > 0 && warm > 0,
+        "{failures} {retried} {warm}"
+    );
+}
+
+/// Both shapes in every combination of the optional keys, with a vantage
+/// label that needs each escape the writer can emit — the lines a
+/// campaign cannot be relied on to produce.
+#[test]
+fn hand_built_records_round_trip_through_both_paths() {
+    let retry = RetryInfo {
+        attempts: 2,
+        attempt_errors: vec![ProbeErrorKind::ConnectTimeout, ProbeErrorKind::QueryTimeout],
+        ttfb: SimDuration::from_secs(5),
+        ttlb: SimDuration::from_millis_f64(5_000.25),
+    };
+    for vantage in ["home-1", "we\"ird\\van\ntage\r\t\u{1}\u{1f}é漢"] {
+        for retry in [None, Some(retry.clone())] {
+            for mode in [
+                None,
+                Some(ConnectionMode::Cold),
+                Some(ConnectionMode::Reused),
+            ] {
+                for outcome in [
+                    ProbeOutcome::Failure {
+                        kind: ProbeErrorKind::ConnectTimeout,
+                        elapsed: SimDuration::from_secs(15),
+                    },
+                    ProbeOutcome::Success {
+                        timings: Default::default(),
+                        cache_hit: false,
+                        site: 3,
+                    },
+                ] {
+                    let record = ProbeRecord::new(
+                        SimTime::from_nanos(86_400_000_000_123),
+                        Label::intern(vantage),
+                        Label::intern("doh.example"),
+                        Region::Europe,
+                        false,
+                        Label::intern("amazon.com"),
+                        Protocol::DoH,
+                        outcome,
+                        None,
+                    )
+                    .with_retry(retry.clone())
+                    .with_conn_mode(mode);
+                    let mut line = String::new();
+                    record.write_json_line(&mut line);
+                    assert_reads_like_the_tree(&line, "hand-built");
+                    assert_eq!(ProbeRecord::read_json_line(&line), Some(record));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn what_the_writer_would_not_write_is_rejected() {
+    let fixture = include_str!("golden/campaign_seed4.jsonl");
+    let line = fixture.lines().find(|l| l.contains("\"site\":0,")).unwrap();
+    assert!(ProbeRecord::read_json_line(line).is_some());
+    for (what, text) in [
+        ("leading space", format!(" {line}")),
+        ("trailing space", format!("{line} ")),
+        ("trailing newline", format!("{line}\n")),
+        ("space after a colon", line.replacen("\":", "\": ", 1)),
+        ("an extra key", line.replacen('{', "{\"a\":1,", 1)),
+        (
+            "an escape it never emits",
+            line.replacen("\"doh\"", "\"do\\u0068\"", 1),
+        ),
+        (
+            "a float where it writes a count",
+            line.replacen("\"site\":0,", "\"site\":0.0,", 1),
+        ),
+        ("two records", format!("{line}{line}")),
+        ("nothing", String::new()),
+    ] {
+        assert_eq!(ProbeRecord::read_json_line(&text), None, "{what}: {text}");
+    }
+    // The tree path reads most of those; that is what it is kept for.
+    assert!(tree(&format!(" {line} ")).is_some());
+}
+
+/// Every 7th line of a faulted, retried, session-driven campaign (both
+/// shapes, every optional key) and of the plain golden fixture.
+fn hostile_sample() -> Vec<String> {
+    let warm = lines_of(flavours(9, Protocol::DoH).pop().unwrap().1);
+    let sample: Vec<String> = warm
+        .lines()
+        .chain(include_str!("golden/campaign_seed4.jsonl").lines())
+        .step_by(7)
+        .map(str::to_string)
+        .collect();
+    assert!(sample.iter().any(|l| l.contains("\"success\":false")));
+    assert!(sample.iter().any(|l| l.contains("\"conn_mode\"")));
+    sample
+}
+
+#[test]
+fn truncation_at_every_offset_never_panics_or_differs() {
+    for line in hostile_sample() {
+        for end in 0..line.len() {
+            if line.is_char_boundary(end) {
+                assert_never_differs(&line[..end], "truncated");
+                assert_eq!(ProbeRecord::read_json_line(&line[..end]), None);
+            }
+        }
+    }
+}
+
+#[test]
+fn seeded_single_byte_mutations_never_panic_or_differ() {
+    // splitmix64: seeded, so a failure names a reproducible mutation.
+    let mut state = 0x5eed_0012u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut still_read = 0;
+    for line in hostile_sample() {
+        for _ in 0..400 {
+            let mut bytes = line.clone().into_bytes();
+            let at = (next() % bytes.len() as u64) as usize;
+            // Mostly the bytes a record is made of, so that mutations land
+            // on other valid tokens; sometimes any ASCII byte at all.
+            let pool = b"0123456789.eE+-\",:{}[]\\ntrufalsn ";
+            bytes[at] = match next() % 4 {
+                0 => (next() % 128) as u8,
+                _ => pool[(next() % pool.len() as u64) as usize],
+            };
+            let Ok(text) = String::from_utf8(bytes) else {
+                continue;
+            };
+            assert_never_differs(&text, &format!("byte {at} mutated"));
+            still_read += usize::from(ProbeRecord::read_json_line(&text).is_some());
+        }
+    }
+    // Digit-for-digit mutations keep a line readable: the comparison above
+    // was not vacuous.
+    assert!(still_read > 100, "{still_read} mutated lines still read");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn generated_campaigns_read_like_the_tree(
+        seed in any::<u64>(),
+        proto_idx in 0usize..PROTOCOLS.len(),
+    ) {
+        for (flavour, config) in flavours(seed, PROTOCOLS[proto_idx]) {
+            for line in lines_of(config).lines() {
+                assert_reads_like_the_tree(
+                    line,
+                    &format!("seed={seed}, {:?}, {flavour}", PROTOCOLS[proto_idx]),
+                );
+            }
+        }
+    }
+}

@@ -1,7 +1,7 @@
 //! Proves the campaign hot path is allocation-free per record after
 //! warm-up: building a `ProbeRecord` from interned labels, streaming it
-//! as a JSON line into a pre-grown buffer, and folding it into an
-//! existing metrics cell must not touch the heap.
+//! as a JSON line into a pre-grown buffer, reading that line back, and
+//! folding it into an existing metrics cell must not touch the heap.
 //!
 //! One test function only: the allocation counter is global, so parallel
 //! test threads would pollute it.
@@ -112,6 +112,20 @@ fn record_build_serialize_and_observe_are_allocation_free() {
     assert_eq!(
         serialize, 0,
         "streaming JSONL serialization allocated {serialize} times per 100 records"
+    );
+
+    // Reading the line back with the strict reader: labels are already
+    // interned and a success record owns no heap data.
+    let mut read = None;
+    let parse = allocations_during(|| {
+        for _ in 0..100 {
+            read = ProbeRecord::read_json_line(&buf);
+        }
+    });
+    assert_eq!(read.as_ref(), Some(&record));
+    assert_eq!(
+        parse, 0,
+        "reading a JSONL line back allocated {parse} times per 100 records"
     );
 
     // Metrics: the record's cell and error entries already exist, so each

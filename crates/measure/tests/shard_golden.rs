@@ -1,10 +1,13 @@
 //! Golden regression for the shard scheduler and checkpoint format.
 //!
 //! `golden/shard_manifest_seed4.ckpt` pins the manifest bytes — header,
-//! body checksum, per-shard record/byte counts and data-file checksums,
-//! and every serialized aggregate cell — for the seed-4 quick campaign
-//! split into five shards. Any drift in shard assignment, checkpoint
-//! encoding, or the aggregate fold shows up as a byte diff here.
+//! body checksum, per-shard record/byte counts, data-file and cell-file
+//! checksums — for the seed-4 quick campaign split into five shards, and
+//! `golden/shard_cells_seed4_shard2.cells` pins one of its cell files:
+//! every serialized aggregate and health cell of shard 2. Any drift in
+//! shard assignment, checkpoint encoding, or the aggregate and health
+//! folds shows up as a byte diff here (in the other four cell files too:
+//! the manifest pins their checksums).
 //!
 //! Regenerate after an intentional format change with:
 //! `cargo run --release -p bench --bin shard_golden_regen`.
@@ -43,6 +46,11 @@ fn shard_manifest_matches_golden_bytes() {
         assert_eq!(got, want, "manifest line {} drifted", i + 1);
     }
     assert_eq!(manifest, expected, "manifest bytes drifted from fixture");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("shard-0002.cells")).unwrap(),
+        include_str!("golden/shard_cells_seed4_shard2.cells"),
+        "shard 2's cell file drifted from fixture"
+    );
 
     // The assembled campaign stream must still match the one-shot golden
     // JSONL fixture: sharding is invisible in the output.

@@ -30,9 +30,13 @@ pub struct ShardRunMetrics {
     /// Probe records completed campaign-wide (this run's executed shards
     /// plus resumed checkpoints — equals the one-shot total after resume).
     pub records_produced: Counter,
-    /// Bytes of shard checkpoint data written by this run (process-local
-    /// I/O telemetry; a resume does not inherit earlier runs' writes).
+    /// Manifest bytes written by this run, over all its commits
+    /// (process-local I/O telemetry; a resume does not inherit earlier
+    /// runs' writes).
     pub checkpoint_bytes: Counter,
+    /// Cell-file bytes written by this run: the aggregate and health
+    /// cells of the shards it executed, each written once.
+    pub cell_bytes: Counter,
     /// Manifest rewrites performed by this run.
     pub manifest_writes: Counter,
     /// Records streamed through the final k-way assembly merge.
@@ -54,6 +58,7 @@ impl ShardRunMetrics {
         self.pairs_run.add(other.pairs_run.get());
         self.records_produced.add(other.records_produced.get());
         self.checkpoint_bytes.add(other.checkpoint_bytes.get());
+        self.cell_bytes.add(other.cell_bytes.get());
         self.manifest_writes.add(other.manifest_writes.get());
         self.records_merged.add(other.records_merged.get());
     }
@@ -69,6 +74,7 @@ impl ShardRunMetrics {
             ("pairs_run", self.pairs_run),
             ("records_produced", self.records_produced),
             ("checkpoint_bytes", self.checkpoint_bytes),
+            ("cell_bytes", self.cell_bytes),
             ("manifest_writes", self.manifest_writes),
             ("records_merged", self.records_merged),
         ] {
