@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dns_wire::Name;
-use measure::{ProbeConfig, ProbeTarget, Prober};
+use measure::{ProbeConfig, ProbeRequest, ProbeTarget, Prober, SpanLog};
 use netsim::geo::cities;
 use netsim::{AccessProfile, Host, HostId, Path, SimDuration, SimRng, SimTime};
 use transport::{
@@ -106,15 +106,18 @@ fn anycast_vs_unicast(c: &mut Criterion) {
             let mut rng = SimRng::from_seed(5);
             let mut times = Vec::new();
             for i in 0..120 {
-                let (o, _) = prober.probe(
-                    &client,
-                    &mut target,
-                    &domain,
-                    SimTime::from_nanos(i * 3_600_000_000_000),
-                    false,
-                    ProbeConfig::default(),
-                    &mut rng,
-                );
+                let o = prober
+                    .probe(
+                        &ProbeRequest::new(
+                            &client,
+                            &domain,
+                            SimTime::from_nanos(i * 3_600_000_000_000),
+                        ),
+                        &mut target,
+                        &mut rng,
+                        &mut SpanLog::disabled(),
+                    )
+                    .outcome;
                 if let Some(rt) = o.response_time() {
                     times.push(rt.as_millis_f64());
                 }
@@ -134,13 +137,10 @@ fn anycast_vs_unicast(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             prober.probe(
-                &client,
+                &ProbeRequest::new(&client, &domain, SimTime::from_nanos(i * 3_600_000_000_000)),
                 &mut target,
-                &domain,
-                SimTime::from_nanos(i * 3_600_000_000_000),
-                false,
-                ProbeConfig::default(),
                 &mut rng,
+                &mut SpanLog::disabled(),
             )
         })
     });
@@ -169,13 +169,17 @@ fn padding_cost(c: &mut Criterion) {
             b.iter(|| {
                 i += 1;
                 prober.probe(
-                    &client,
+                    &ProbeRequest {
+                        cfg,
+                        ..ProbeRequest::new(
+                            &client,
+                            &domain,
+                            SimTime::from_nanos(i * 3_600_000_000_000),
+                        )
+                    },
                     &mut target,
-                    &domain,
-                    SimTime::from_nanos(i * 3_600_000_000_000),
-                    false,
-                    cfg,
                     &mut rng,
+                    &mut SpanLog::disabled(),
                 )
             })
         });

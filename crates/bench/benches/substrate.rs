@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use dns_wire::Name;
-use measure::{ProbeConfig, ProbeTarget, Prober, Protocol};
+use measure::{ProbeConfig, ProbeRequest, ProbeTarget, Prober, Protocol, SpanLog};
 use netsim::geo::cities;
 use netsim::{AccessProfile, Deployment, EventQueue, Host, HostId, Path, SimRng, SimTime, Site};
 
@@ -78,13 +78,17 @@ fn bench_probe_per_protocol(c: &mut Criterion) {
             b.iter(|| {
                 i += 1;
                 prober.probe(
-                    &client,
+                    &ProbeRequest {
+                        cfg,
+                        ..ProbeRequest::new(
+                            &client,
+                            &domain,
+                            SimTime::from_nanos(i * 3_600_000_000_000),
+                        )
+                    },
                     &mut target,
-                    &domain,
-                    SimTime::from_nanos(i * 3_600_000_000_000),
-                    false,
-                    cfg,
                     &mut rng,
+                    &mut SpanLog::disabled(),
                 )
             })
         });

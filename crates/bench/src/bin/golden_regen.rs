@@ -11,13 +11,14 @@
 //! asserts the hot path reproduces them byte-for-byte. The metrics-export
 //! fixtures under `crates/report/tests/golden/` pin the JSON and CSV
 //! export formats the same way (`crates/report/tests/golden_metrics.rs`).
+//!
+//! `crates/measure/tests/golden/probe_matrix.txt` is deliberately not
+//! written here. It holds what the separate reference implementation of
+//! the probe path produced at the last commit that had one (named in its
+//! header, whose version of this bin generated it); rewriting it from
+//! today's code would make it agree with itself.
 
-use measure::checkpoint::fnv64;
-use measure::{
-    metrics_of, Campaign, CampaignConfig, LoadModel, ProbeConfig, ProbeTarget, Prober, Protocol,
-    RetryPolicy, SessionConfig,
-};
-use netsim::{SimDuration, SimRng, SimTime};
+use measure::{metrics_of, Campaign, CampaignConfig, LoadModel, Protocol, SessionConfig};
 
 fn entries() -> Vec<catalog::ResolverEntry> {
     [
@@ -31,145 +32,9 @@ fn entries() -> Vec<catalog::ResolverEntry> {
     .collect()
 }
 
-const MATRIX_PROTOCOLS: [Protocol; 5] = [
-    Protocol::Do53,
-    Protocol::DoT,
-    Protocol::DoH,
-    Protocol::DoQ,
-    Protocol::ODoH,
-];
-
-/// The probe-matrix cells: every arm the probe layer has, by name. Must
-/// mirror `matrix_config` in `crates/measure/tests/golden_output.rs`.
-const MATRIX_CELLS: [&str; 6] = [
-    "plain",
-    "faults_dig",
-    "faults_jitter3",
-    "faults_dig_load2",
-    "faults_dig_interleaved",
-    "warm",
-];
-
-fn matrix_config(seed: u64, protocol: Protocol, cell: &str) -> CampaignConfig {
-    let mut config = CampaignConfig::quick(seed, 2);
-    config.probe.protocol = protocol;
-    match cell {
-        "plain" => config,
-        "faults_dig" => config.with_default_faults(),
-        "faults_jitter3" => {
-            let mut config = config.with_default_faults();
-            config.probe.retry = RetryPolicy {
-                tries: 3,
-                attempt_timeout: Some(SimDuration::from_millis(800)),
-                backoff_base: SimDuration::from_millis(100),
-                backoff_cap: SimDuration::from_secs(1),
-                jitter: 0.5,
-            };
-            config
-        }
-        "faults_dig_load2" => config
-            .with_default_faults()
-            .with_load(LoadModel::standard(seed).with_multiplier(2.0)),
-        "faults_dig_interleaved" => config
-            .with_default_faults()
-            .with_session(SessionConfig::interleaved(0.3)),
-        "warm" => config.with_session(SessionConfig::warm()),
-        other => panic!("unknown matrix cell {other}"),
-    }
-}
-
-/// Renders `tests/golden/probe_matrix.txt`: one line per (seed, protocol,
-/// cell) with the record count and FNV-64 of the reference run's JSONL
-/// (the fast run's where the reference has no such arm), then one line per
-/// (protocol, host) with the FNV-64 of three traced probes' span renders.
-fn probe_matrix() -> String {
-    let mut out = String::from(
-        "# probe matrix, generated by commit 8f7ec30aa020df042a4cbd59cddf027624d951b0\n\
-         # campaign lines: run_reference() output (run() for the load cells, which that\n\
-         # commit's reference path does not model); span lines: probe_with_faults_traced\n",
-    );
-    let hosts = [
-        "dns.google",
-        "chewbacca.meganerd.nl",
-        "ibksturm.synology.me",
-    ];
-    for seed in [4u64, 23] {
-        for protocol in MATRIX_PROTOCOLS {
-            for cell in MATRIX_CELLS {
-                let entries = hosts
-                    .iter()
-                    .map(|h| catalog::resolvers::find(h).unwrap())
-                    .collect();
-                let campaign =
-                    Campaign::with_resolvers(matrix_config(seed, protocol, cell), entries);
-                let fast = campaign.run();
-                let (source, result) = if cell == "faults_dig_load2" {
-                    ("run", fast)
-                } else {
-                    let reference = campaign.run_reference();
-                    assert_eq!(
-                        fast.records, reference.records,
-                        "fast path diverged from reference: seed {seed} {protocol} {cell}"
-                    );
-                    ("run_reference", reference)
-                };
-                out.push_str(&format!(
-                    "campaign seed={seed} protocol={protocol} cell={cell} source={source} \
-                     records={} fnv64={:016x}\n",
-                    result.records.len(),
-                    fnv64(result.to_json_lines().as_bytes()),
-                ));
-            }
-        }
-    }
-
-    let vantage = measure::vantage::find("ec2-ohio").unwrap();
-    let client = vantage.host(0);
-    let domain = dns_wire::Name::parse("google.com").unwrap();
-    let faults = measure::config::default_fault_plan(4, SimDuration::from_hours(24));
-    let prober = Prober::new();
-    for protocol in MATRIX_PROTOCOLS {
-        for host in ["dns.google", "chewbacca.meganerd.nl"] {
-            let mut target = ProbeTarget::from_entry(catalog::resolvers::find(host).unwrap());
-            let mut rng = SimRng::derived(4, &format!("matrix:{host}"));
-            let cfg = ProbeConfig {
-                protocol,
-                retry: RetryPolicy::dig_defaults(),
-                ..ProbeConfig::default()
-            };
-            let mut text = String::new();
-            let mut events = 0;
-            for i in 0..3u64 {
-                let mut log = obs::SpanLog::with_capacity(1024);
-                prober.probe_with_faults_traced(
-                    &client,
-                    &mut target,
-                    &domain,
-                    SimTime::ZERO + SimDuration::from_hours(i),
-                    vantage.is_home(),
-                    cfg,
-                    &faults,
-                    &mut rng,
-                    &mut log,
-                );
-                assert_eq!(log.dropped(), 0, "span log too small for {protocol} {host}");
-                events += log.recorded();
-                text.push_str(&log.render());
-            }
-            out.push_str(&format!(
-                "spans protocol={protocol} host={host} events={events} fnv64={:016x}\n",
-                fnv64(text.as_bytes()),
-            ));
-        }
-    }
-    out
-}
-
 fn main() {
     let dir = std::path::Path::new("crates/measure/tests/golden");
     std::fs::create_dir_all(dir).unwrap();
-    std::fs::write(dir.join("probe_matrix.txt"), probe_matrix()).unwrap();
-    eprintln!("wrote probe matrix");
 
     // Baseline: retries disabled, no fault plan. This fixture predates the
     // retry layer and must never change when retry/fault code does — the

@@ -2,7 +2,7 @@
 //! real (simulated) resolvers, collecting latency and exposure.
 
 use dns_wire::Name;
-use measure::{ProbeConfig, ProbeTarget, Prober};
+use measure::{ProbeConfig, ProbeRequest, ProbeTarget, Prober, SpanLog};
 use netsim::{Host, SimDuration, SimRng, SimTime};
 
 use crate::privacy::Exposure;
@@ -107,15 +107,19 @@ impl<'a> Session<'a> {
             let mut best: Option<SimDuration> = None;
             for &i in &picks {
                 exposure.record(i, &domain);
-                let (outcome, _) = self.prober.probe(
-                    self.client,
-                    &mut self.targets[i],
-                    &domain,
-                    now,
-                    self.is_home,
-                    cfg,
-                    &mut rng,
-                );
+                let outcome = self
+                    .prober
+                    .probe(
+                        &ProbeRequest {
+                            is_home: self.is_home,
+                            cfg,
+                            ..ProbeRequest::new(self.client, &domain, now)
+                        },
+                        &mut self.targets[i],
+                        &mut rng,
+                        &mut SpanLog::disabled(),
+                    )
+                    .outcome;
                 if let Some(rt) = outcome.response_time() {
                     best = Some(match best {
                         Some(b) if b <= rt => b,
@@ -161,15 +165,19 @@ impl<'a> Session<'a> {
             let i = selector.pick(&mut rng);
             exposure.record(i, &domain);
             let now = SimTime::from_nanos(seq as u64 * 30_000_000_000);
-            let (outcome, _) = self.prober.probe(
-                self.client,
-                &mut self.targets[i],
-                &domain,
-                now,
-                self.is_home,
-                cfg,
-                &mut rng,
-            );
+            let outcome = self
+                .prober
+                .probe(
+                    &ProbeRequest {
+                        is_home: self.is_home,
+                        cfg,
+                        ..ProbeRequest::new(self.client, &domain, now)
+                    },
+                    &mut self.targets[i],
+                    &mut rng,
+                    &mut SpanLog::disabled(),
+                )
+                .outcome;
             match outcome.response_time() {
                 Some(rt) => {
                     let ms = rt.as_millis_f64();

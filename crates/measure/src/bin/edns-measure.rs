@@ -11,8 +11,8 @@ use std::process::ExitCode;
 
 use dns_wire::Name;
 use measure::{
-    Campaign, CampaignConfig, CampaignResult, ProbeConfig, ProbeOutcome, ProbeTarget, Prober,
-    Protocol, RetryPolicy,
+    Campaign, CampaignConfig, CampaignResult, ProbeConfig, ProbeOutcome, ProbeReport, ProbeRequest,
+    ProbeTarget, Prober, Protocol, RetryPolicy,
 };
 use netsim::faults::FaultPlan;
 use netsim::{SimDuration, SimTime};
@@ -136,8 +136,9 @@ SESSION FLAGS (campaign only):
                     a seeded schedule, so the output carries its own cold
                     baseline). Warm records gain a \"conn_mode\" JSON key
                     (cold|resumed|reused); see report::ReuseAblation for
-                    the per-protocol ablation table. Mutually exclusive
-                    with --load.
+                    the per-protocol ablation table. Composes with
+                    --load: a pooled connection is dropped when the load
+                    model moves the pair to another site.
 ";
 
 /// Fetches the value following `--flag`, if present.
@@ -274,17 +275,20 @@ fn cmd_probe(args: &[String]) -> Result<(), String> {
         } else {
             obs::SpanLog::disabled()
         };
-        let (outcome, ping, retry_info) = prober.probe_with_faults_traced(
-            &client,
-            &mut target,
-            &domain,
+        let req = ProbeRequest {
+            client: &client,
+            domain: &domain,
             now,
-            vantage.is_home(),
+            is_home: vantage.is_home(),
             cfg,
-            &faults,
-            &mut rng,
-            &mut log,
-        );
+            faults: &faults,
+        };
+        let ProbeReport {
+            outcome,
+            ping,
+            retry: retry_info,
+            ..
+        } = prober.probe(&req, &mut target, &mut rng, &mut log);
         let attempts_note = retry_info
             .as_ref()
             .filter(|info| info.attempts > 1)

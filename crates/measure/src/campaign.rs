@@ -17,12 +17,12 @@ use std::collections::BinaryHeap;
 use detlint_macros::deny_alloc;
 use dns_wire::Name;
 use netsim::rng::SimRng;
-use obs::{Label, MetricsRegistry, MetricsSnapshot, Phase};
+use obs::{Label, MetricsRegistry, MetricsSnapshot, Phase, SpanLog};
 
 use crate::config::CampaignConfig;
-use crate::context::PairContext;
+use crate::context::{PairContext, Wires};
 use crate::population::PairLoad;
-use crate::probe::{ProbeTarget, Prober};
+use crate::probe::{ProbeJob, ProbeRequest, ProbeTarget, Prober};
 use crate::results::{ProbeOutcome, ProbeRecord};
 use crate::session::SessionState;
 use crate::vantage::Vantage;
@@ -313,16 +313,19 @@ impl Campaign {
         self.assemble(self.generate(threads))
     }
 
-    /// [`run`](Self::run) through the per-probe reference path (no
-    /// [`PairContext`], no arena, no wire-template caches). Slower but
-    /// structurally independent of the fast path: the arena differential
-    /// proptest pins `run()` byte-identical to this across seeds, fault
-    /// plans and retry policies.
+    /// [`run`](Self::run) with nothing cached across probes: every probe
+    /// goes through the one-off path ([`Prober::probe`]'s), which routes
+    /// it, resolves its faults against the unmasked plan and builds,
+    /// encodes and parses back every wire for that probe alone. Same
+    /// driver and protocol machines as `run()`, independent inputs to
+    /// them: the differential suites pin `run()` byte-identical to this
+    /// across seeds, protocols, fault plans, retry policies, load and
+    /// session models.
     #[doc(hidden)]
     pub fn run_reference(&self) -> CampaignResult {
         let plans = self.pair_plans();
         let outputs: Vec<Vec<ProbeRecord>> =
-            plans.iter().map(|p| self.run_pair_reference(p)).collect();
+            plans.iter().map(|p| self.run_pair_over(p, false)).collect();
         CampaignResult {
             records: self.merge_pairs(outputs, &plans),
             seed: self.config.seed,
@@ -420,37 +423,46 @@ impl Campaign {
     /// returning its records in canonical (time, domain) order.
     ///
     /// Pair-constant work — routing, fault scope matching, query and HTTP
-    /// wire templates — is hoisted into a [`PairContext`] built once here;
-    /// each probe then borrows it through the arena-backed fast path. The
-    /// output is byte-identical to
-    /// [`run_pair_reference`](Self::run_pair_reference), which keeps the
-    /// per-probe reference build as the differential anchor.
+    /// wire templates — is hoisted into a [`PairContext`] built once here
+    /// and borrowed by every probe.
     pub(crate) fn run_pair(&self, plan: &PairPlan) -> Vec<ProbeRecord> {
+        self.run_pair_over(plan, true)
+    }
+
+    /// [`run_pair`](Self::run_pair) over either wire source. With `cached`
+    /// off nothing outlives a probe except what the model says does (the
+    /// resolver's caches, the session state, the RNG stream): each probe
+    /// is routed, resolves its faults against the whole plan, rebuilds the
+    /// pair's load tables and encodes and re-parses every wire, through
+    /// [`Prober::probe_fresh`].
+    fn run_pair_over(&self, plan: &PairPlan, cached: bool) -> Vec<ProbeRecord> {
         let vantage = &plan.vantage;
         let entry = &plan.entry;
+        let cfg = self.config.probe;
+        let faults = &self.config.faults;
         let prober = Prober::new();
         let mut target = ProbeTarget::from_entry(entry.clone());
         let mut rng = SimRng::derived(
             self.config.seed,
             &format!("probe:{}:{}", vantage.label, entry.hostname),
         );
-        let mut ctx = PairContext::build(
-            &prober,
-            vantage,
-            &target,
-            self.config.probe,
-            &self.config.faults,
-            self.domains.iter().map(|d| &d.name),
-        );
-        // A zero (or absent) load model takes the unloaded call below —
-        // the exact code path the seed goldens pin, untouched byte for
-        // byte. Only a live model builds pair load state.
+        let mut log = SpanLog::disabled();
+        let mut ctx = cached.then(|| {
+            PairContext::build(
+                vantage,
+                &target,
+                cfg,
+                faults,
+                self.domains.iter().map(|d| &d.name),
+            )
+        });
+        let client = vantage.host(0);
+        // A zero (or absent) load model and a cold-only (or absent)
+        // session model build no per-pair state at all: the driver then
+        // routes statically and starts every connection cold, and records
+        // carry no connection mode — byte for byte the seed goldens.
         let load = self.config.load.as_ref().filter(|m| !m.is_zero());
         let mut pair_load = load.map(|m| PairLoad::build(m, vantage, &target));
-        // Likewise for sessions: a cold-only (or absent) session model
-        // takes the legacy calls and never stamps a connection mode, so
-        // its records serialize byte-identically to the seed goldens.
-        // Only a live model builds per-pair session state.
         let session_cfg = self.config.session.as_ref().filter(|s| s.is_live());
         let mut session = session_cfg.map(|_| {
             SessionState::new(
@@ -469,140 +481,50 @@ impl Campaign {
             }
             for at in span.round_times() {
                 for (domain_idx, domain) in self.domains.iter().enumerate() {
-                    let (outcome, ping, retry, mode) =
-                        match (load, &mut pair_load, session_cfg, &mut session) {
-                            (Some(model), Some(pl), _, _) => {
-                                let (outcome, ping, retry) = prober.probe_pair_loaded(
-                                    &mut ctx,
-                                    pl,
-                                    model,
-                                    &mut target,
-                                    domain_idx,
-                                    at,
-                                    self.config.probe,
-                                    &self.config.faults,
-                                    &mut rng,
-                                );
-                                (outcome, ping, retry, None)
-                            }
-                            (_, _, Some(scfg), Some(sess)) => {
-                                let (outcome, ping, retry, mode) = prober.probe_pair_session(
-                                    &mut ctx,
-                                    sess,
-                                    scfg,
-                                    &mut target,
-                                    domain_idx,
-                                    at,
-                                    self.config.probe,
-                                    &self.config.faults,
-                                    &mut rng,
-                                );
-                                (outcome, ping, retry, Some(mode))
-                            }
-                            _ => {
-                                let (outcome, ping, retry) = prober.probe_pair(
-                                    &mut ctx,
-                                    &mut target,
-                                    domain_idx,
-                                    at,
-                                    self.config.probe,
-                                    &self.config.faults,
-                                    &mut rng,
-                                );
-                                (outcome, ping, retry, None)
-                            }
-                        };
-                    // Rewind the arena's checkout accounting: buffers kept
-                    // by the context's caches stay; scratch is written off.
-                    ctx.arena.reset();
-                    records.push(
-                        ProbeRecord::new(
-                            at,
-                            plan.vantage_label,
-                            plan.resolver_label,
-                            entry.region(),
-                            entry.mainstream,
-                            domain.label,
-                            self.config.probe.protocol,
-                            outcome,
-                            ping,
-                        )
-                        .with_retry(retry)
-                        .with_conn_mode(mode),
-                    );
-                }
-            }
-        }
-        // Probes run in schedule order (the RNG stream depends on it);
-        // canonical order only differs by the within-round domain
-        // permutation, so this stable integer-keyed sort is near-free.
-        records.sort_by_cached_key(|r| (r.at, self.domain_rank(r.domain_id())));
-        records
-    }
-
-    /// [`run_pair`](Self::run_pair) through the per-probe reference path:
-    /// no context, no caches — every probe rebuilds its wires from
-    /// scratch via [`Prober::probe_with_faults`]. The arena differential
-    /// proptest holds the fast path to this, byte for byte.
-    pub(crate) fn run_pair_reference(&self, plan: &PairPlan) -> Vec<ProbeRecord> {
-        let vantage = &plan.vantage;
-        let entry = &plan.entry;
-        let prober = Prober::new();
-        let mut target = ProbeTarget::from_entry(entry.clone());
-        let mut rng = SimRng::derived(
-            self.config.seed,
-            &format!("probe:{}:{}", vantage.label, entry.hostname),
-        );
-        let client = vantage.host(0);
-        let is_home = vantage.is_home();
-        // Mirror of the fast path's session gate: a live model drives the
-        // reference session probe, anything else takes the legacy call.
-        let session_cfg = self.config.session.as_ref().filter(|s| s.is_live());
-        let mut session = session_cfg.map(|_| {
-            SessionState::new(
-                self.config.seed,
-                vantage.label,
-                entry.hostname,
-                entry.reuse_policy(),
-                entry.coalesce_key(),
-            )
-        });
-
-        let mut records = Vec::new();
-        for span in &self.config.spans {
-            if !span.vantages.contains(&vantage.label) {
-                continue;
-            }
-            for at in span.round_times() {
-                for domain in &self.domains {
-                    let (outcome, ping, retry, mode) = match (session_cfg, &mut session) {
-                        (Some(scfg), Some(sess)) => {
-                            let (outcome, ping, retry, mode) = prober.probe_with_faults_session(
-                                &client,
-                                sess,
-                                scfg,
-                                &mut target,
-                                &domain.name,
-                                at,
-                                is_home,
-                                self.config.probe,
-                                &self.config.faults,
-                                &mut rng,
-                            );
-                            (outcome, ping, retry, Some(mode))
+                    let session = session_cfg.zip(session.as_mut());
+                    let report = match &mut ctx {
+                        Some(ctx) => {
+                            let report = prober.drive(ProbeJob {
+                                client: &ctx.client,
+                                ftarget: &ctx.ftarget,
+                                scope_mask: Some(&ctx.scope_mask),
+                                site: ctx.site,
+                                path: &ctx.path,
+                                now: at,
+                                cfg,
+                                faults,
+                                target: &mut target,
+                                wires: Wires::Cached(&mut ctx.domains[domain_idx]),
+                                load: load.zip(pair_load.as_mut()),
+                                session,
+                                arena: &mut ctx.arena,
+                                rng: &mut rng,
+                                log: &mut log,
+                            });
+                            // Rewind the arena's checkout accounting:
+                            // buffers kept by the templates stay; scratch
+                            // is written off.
+                            ctx.arena.reset();
+                            report
                         }
-                        _ => {
-                            let (outcome, ping, retry) = prober.probe_with_faults(
-                                &client,
+                        None => {
+                            let mut fresh_load = load.map(|m| PairLoad::build(m, vantage, &target));
+                            let req = ProbeRequest {
+                                client: &client,
+                                domain: &domain.name,
+                                now: at,
+                                is_home: vantage.is_home(),
+                                cfg,
+                                faults,
+                            };
+                            prober.probe_fresh(
+                                &req,
                                 &mut target,
-                                &domain.name,
-                                at,
-                                is_home,
-                                self.config.probe,
-                                &self.config.faults,
+                                load.zip(fresh_load.as_mut()),
+                                session,
                                 &mut rng,
-                            );
-                            (outcome, ping, retry, None)
+                                &mut log,
+                            )
                         }
                     };
                     records.push(
@@ -613,16 +535,19 @@ impl Campaign {
                             entry.region(),
                             entry.mainstream,
                             domain.label,
-                            self.config.probe.protocol,
-                            outcome,
-                            ping,
+                            cfg.protocol,
+                            report.outcome,
+                            report.ping,
                         )
-                        .with_retry(retry)
-                        .with_conn_mode(mode),
+                        .with_retry(report.retry)
+                        .with_conn_mode(report.conn_mode),
                     );
                 }
             }
         }
+        // Probes run in schedule order (the RNG stream depends on it);
+        // canonical order only differs by the within-round domain
+        // permutation, so this stable integer-keyed sort is near-free.
         records.sort_by_cached_key(|r| (r.at, self.domain_rank(r.domain_id())));
         records
     }

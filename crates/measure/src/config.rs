@@ -267,15 +267,6 @@ impl CampaignConfig {
             session
                 .validate()
                 .map_err(|e| format!("session model: {e}"))?;
-            // The load-aware probe path and the session-aware probe path
-            // are separate engines; a campaign picks at most one.
-            if session.is_live() && self.load.as_ref().is_some_and(|m| !m.is_zero()) {
-                return Err(
-                    "session model: a live session model cannot be combined with a live \
-                     load model"
-                        .to_string(),
-                );
-            }
         }
         Ok(())
     }
@@ -536,14 +527,10 @@ mod tests {
         assert_eq!(c.validate(), Ok(()));
         let c = CampaignConfig::quick(1, 1).with_session(SessionConfig::interleaved(2.0));
         assert!(c.validate().unwrap_err().starts_with("session model: "));
-        // Live session + live load is rejected; cold-only + live load is fine.
+        // Load and session compose: a live model of each is a valid config.
         let c = CampaignConfig::quick(1, 1)
             .with_load(LoadModel::standard(1).with_multiplier(1.0))
             .with_session(SessionConfig::warm());
-        assert!(c.validate().unwrap_err().contains("load model"));
-        let c = CampaignConfig::quick(1, 1)
-            .with_load(LoadModel::standard(1).with_multiplier(1.0))
-            .with_session(SessionConfig::cold_only());
         assert_eq!(c.validate(), Ok(()));
     }
 

@@ -46,7 +46,7 @@ pub mod vantage;
 /// The label interner the measurement stack's hot path is built on
 /// (re-exported from `obs` so callers need only one import path).
 pub use obs::intern;
-pub use obs::Label;
+pub use obs::{Label, SpanLog};
 
 pub use aggregate::{AggregateCell, CampaignAggregates, PairAggregate};
 pub use campaign::{metrics_of, observe_record, Campaign, CampaignResult, GeneratedPairs};
@@ -60,7 +60,7 @@ pub use health::{
     HealthSeries, NANOS_PER_DAY,
 };
 pub use population::{representative_client, LoadModel, RegionDemand};
-pub use probe::{ProbeConfig, ProbeTarget, Prober};
+pub use probe::{ProbeConfig, ProbeReport, ProbeRequest, ProbeTarget, Prober};
 pub use results::{ConnectionMode, ProbeOutcome, ProbeRecord, ProbeTimings, Protocol};
 pub use retry::{RetryInfo, RetryPolicy};
 pub use session::{SessionConfig, SessionState};

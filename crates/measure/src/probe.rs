@@ -8,10 +8,19 @@
 //! Besides DoH (the paper's focus) the engine speaks Do53, DoT and DoQ —
 //! "our tool enables researchers to issue traditional DNS, DoT, and DoH
 //! queries".
+//!
+//! There is one path through this module. [`Prober::drive`] runs every
+//! probe — a campaign's and a one-off [`Prober::probe`] alike: ping, then
+//! per attempt resolve the fault plan, ask the load model (if any) where
+//! the attempt is served, sample health, ask the session layer (if any)
+//! how the connection starts, and hand the resulting [`Attempt`] to the
+//! transport's state machine. Each transport has exactly one machine; what
+//! differs between a campaign and a one-off probe is only the
+//! [`Wires`] the machine reads its byte counts from.
 
 use bytes::Bytes;
 use catalog::ResolverEntry;
-use dns_wire::{base64url, Message, MessageBuilder, Name, Rcode, RecordType};
+use dns_wire::{Message, Name, Rcode, RecordType};
 use netsim::faults::{FaultEffects, FaultPlan, FaultTarget};
 use netsim::{icmp, Arena, Host, Path, SimDuration, SimRng, SimTime};
 use obs::{Nanos, Phase, SpanLog};
@@ -19,10 +28,10 @@ use resolver_sim::{AuthorityTree, ProbeHealth, ResolverInstance};
 use transport::{
     doh_headers, FaultHooks, H2Connection, H2Request, HeaderField, QuicConfig, QuicConnection,
     SessionTicket, TcpConfig, TcpConnection, TlsConfig, TlsServerBehavior, TlsSession,
-    TransportErrorKind,
+    TransportError, TransportErrorKind,
 };
 
-use crate::context::{DomainTemplate, PairContext};
+use crate::context::{FreshWires, Wires};
 use crate::errors::ProbeErrorKind;
 use crate::population::{LoadModel, PairLoad};
 use crate::results::{ConnectionMode, ProbeOutcome, ProbeTimings, Protocol};
@@ -34,7 +43,7 @@ use crate::session::{SessionConfig, SessionState};
 /// up in the phase breakdown without moving the calibrated response-time
 /// distributions; crucially it draws nothing from the RNG, so enabling the
 /// phase accounting cannot perturb a seeded run.
-pub(crate) fn encode_cost(wire_len: usize) -> SimDuration {
+fn encode_cost(wire_len: usize) -> SimDuration {
     SimDuration::from_nanos(2_000 + 25 * wire_len as u64)
 }
 
@@ -44,20 +53,12 @@ fn decode_cost(wire_len: usize) -> SimDuration {
     SimDuration::from_nanos(3_000 + 35 * wire_len as u64)
 }
 
-/// Records a codec phase as a span and returns the advanced clock.
-fn record_codec_span(log: &mut SpanLog, t0: Nanos, phase: Phase, cost: SimDuration) -> Nanos {
-    log.enter(t0, phase.name());
-    let t = t0 + cost.as_nanos();
-    log.exit(t, phase.name());
-    t
-}
-
-/// How a probe starts its transport. Non-session campaigns always start
-/// [`WarmStart::Cold`]; a live session layer maps the pair's
+/// How an attempt starts its transport. Without a session layer every
+/// attempt starts [`WarmStart::Cold`]; a live one maps the pair's
 /// [`ConnectionMode`] decision onto a warm start.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum WarmStart {
-    /// Fresh connection, full handshake — the legacy fresh-`dig` path.
+enum WarmStart {
+    /// Fresh connection, full handshake — the paper's fresh-`dig` path.
     Cold,
     /// Fresh transport connect plus an abbreviated handshake: TLS 1.3
     /// ticket resumption on TCP transports, 0-RTT on QUIC.
@@ -74,105 +75,163 @@ impl WarmStart {
     fn is_reused(self) -> bool {
         matches!(self, WarmStart::Reused { .. })
     }
+}
 
-    /// TCP + TLS establishment for the TCP-carried transports (DoH, DoT):
-    /// cold pays the full handshake pair; resumed pays the TCP handshake
-    /// plus the ticket-abbreviated TLS flight; reused touches the wire not
-    /// at all (the pooled connection is reconstructed from metadata).
-    /// Advances `t` past whatever was paid. When `self` is `Cold` this is
-    /// call-for-call identical to the legacy connect + handshake sequence.
-    fn tcp_tls_setup(
-        self,
-        path: &Path,
-        hooks: FaultHooks,
-        rng: &mut SimRng,
-        t: &mut Nanos,
-        log: &mut SpanLog,
-    ) -> Result<(TcpConnection, SimDuration, SimDuration), ProbeOutcome> {
-        let ticket = match self {
+/// One attempt's environment: everything a transport's state machine
+/// reads besides the resolver it talks to and its wire source, plus the
+/// attempt's timeline as the machine walks it. Built by [`Prober::drive`]
+/// once per attempt, after the fault plan, the load model and the session
+/// layer have had their say.
+struct Attempt<'a> {
+    /// When the attempt starts.
+    now: SimTime,
+    /// The probing host (ODoH picks its relay by it).
+    client: &'a Host,
+    /// The site serving this attempt.
+    site: usize,
+    /// The path to that site, shaped by this attempt's health and faults.
+    path: Path,
+    /// What the transport layers are told to do to this attempt.
+    hooks: FaultHooks,
+    /// The resolver's health as sampled for this attempt.
+    health: ProbeHealth,
+    /// The fault plan's (and load model's) effects at `now`.
+    effects: FaultEffects,
+    /// How the connection starts.
+    warm: WarmStart,
+    rng: &'a mut SimRng,
+    log: &'a mut SpanLog,
+    arena: &'a mut Arena,
+    /// The timeline's clock: where the next phase span starts.
+    t: Nanos,
+    /// The phases paid so far.
+    timings: ProbeTimings,
+}
+
+impl Attempt<'_> {
+    /// Charges a codec phase as a span and advances the clock.
+    fn codec(&mut self, phase: Phase, cost: SimDuration) {
+        self.log.enter(self.t, phase.name());
+        self.t += cost.as_nanos();
+        self.log.exit(self.t, phase.name());
+    }
+
+    /// Opens the timeline with the client-side encode of a `wire_len`-octet
+    /// message. Building the message draws no randomness, so doing it
+    /// ahead of the transport legs leaves the RNG stream untouched.
+    fn encode(&mut self, wire_len: usize) {
+        self.timings.dns_encode = encode_cost(wire_len);
+        self.codec(Phase::DnsEncode, self.timings.dns_encode);
+    }
+
+    /// Connection setup paid so far — what a failure past this point has
+    /// cost before its own leg. (The microsecond encode phase is not
+    /// charged to failures.)
+    fn setup(&self) -> SimDuration {
+        self.timings.connect + self.timings.tls_handshake
+    }
+
+    /// A transport failure after the connection setup paid so far.
+    fn failed(&self, e: TransportError) -> ProbeOutcome {
+        ProbeOutcome::Failure {
+            kind: e.into(),
+            elapsed: self.setup() + e.elapsed,
+        }
+    }
+
+    /// TCP + TLS establishment for the TCP-carried transports: cold pays
+    /// the full handshake pair; resumed pays the TCP handshake plus the
+    /// ticket-abbreviated TLS flight; reused touches the wire not at all
+    /// (the pooled connection is reconstructed from metadata).
+    fn tcp_tls_setup(&mut self) -> Result<TcpConnection, ProbeOutcome> {
+        let ticket = match self.warm {
             WarmStart::Cold => None,
             WarmStart::Resumed { ticket } => Some(ticket),
             WarmStart::Reused { srtt_hint, .. } => {
-                return Ok((
-                    TcpConnection::resumed(TcpConfig::default(), srtt_hint),
-                    SimDuration::ZERO,
-                    SimDuration::ZERO,
-                ))
+                return Ok(TcpConnection::resumed(TcpConfig::default(), srtt_hint))
             }
         };
-        let (mut tcp, connect) = match TcpConnection::connect_traced(
-            path,
-            hooks.refuse_connect,
-            rng,
+        let (mut tcp, connect) = TcpConnection::connect_traced(
+            &self.path,
+            self.hooks.refuse_connect,
+            self.rng,
             TcpConfig::default(),
-            *t,
-            log,
-        ) {
-            Ok(ok) => ok,
-            Err(e) => {
-                return Err(ProbeOutcome::Failure {
-                    kind: e.into(),
-                    elapsed: e.elapsed,
-                })
-            }
-        };
-        *t += connect.as_nanos();
-        let tls = match TlsSession::handshake_traced(
+            self.t,
+            self.log,
+        )
+        .map_err(|e| self.failed(e))?;
+        self.t += connect.as_nanos();
+        self.timings.connect = connect;
+        let tls = TlsSession::handshake_traced(
             &mut tcp,
-            path,
+            &self.path,
             TlsConfig::default(),
-            hooks.tls_behavior,
+            self.hooks.tls_behavior,
             ticket,
-            rng,
-            *t,
-            log,
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                return Err(ProbeOutcome::Failure {
-                    kind: e.into(),
-                    elapsed: connect + e.elapsed,
-                })
-            }
-        };
-        *t += tls.handshake_time.as_nanos();
-        Ok((tcp, connect, tls.handshake_time))
+            self.rng,
+            self.t,
+            self.log,
+        )
+        .map_err(|e| self.failed(e))?;
+        self.t += tls.handshake_time.as_nanos();
+        self.timings.tls_handshake = tls.handshake_time;
+        Ok(tcp)
     }
 
-    /// QUIC establishment: cold pays the combined handshake; resumed sends
-    /// 0-RTT (no handshake flight, no RNG draws — the first stream flight
-    /// is amplification-padded by the connection); reused rides an open
-    /// pooled connection, which behaves like 0-RTT minus the padding.
-    fn quic_setup(
-        self,
-        path: &Path,
-        rng: &mut SimRng,
-        t: &mut Nanos,
-        log: &mut SpanLog,
-    ) -> Result<(QuicConnection, SimDuration), ProbeOutcome> {
-        match self {
+    /// QUIC establishment: cold pays the combined handshake (transport
+    /// and crypto in one leg, so `tls_handshake` stays zero); resumed
+    /// sends 0-RTT (no handshake flight, no RNG draws — the first stream
+    /// flight is amplification-padded by the connection); reused rides an
+    /// open pooled connection, which behaves like 0-RTT minus the padding.
+    fn quic_setup(&mut self) -> Result<QuicConnection, ProbeOutcome> {
+        match self.warm {
             WarmStart::Cold => {
-                match QuicConnection::connect_traced(path, QuicConfig::default(), rng, *t, log) {
-                    Ok((quic, connect)) => {
-                        *t += connect.as_nanos();
-                        Ok((quic, connect))
-                    }
-                    Err(e) => Err(ProbeOutcome::Failure {
-                        kind: e.into(),
-                        elapsed: e.elapsed,
-                    }),
-                }
+                let (quic, connect) = QuicConnection::connect_traced(
+                    &self.path,
+                    QuicConfig::default(),
+                    self.rng,
+                    self.t,
+                    self.log,
+                )
+                .map_err(|e| self.failed(e))?;
+                self.t += connect.as_nanos();
+                self.timings.connect = connect;
+                Ok(quic)
             }
-            WarmStart::Resumed { ticket } => Ok((
-                QuicConnection::resume_zero_rtt(path, QuicConfig::default(), ticket),
-                SimDuration::ZERO,
+            WarmStart::Resumed { ticket } => Ok(QuicConnection::resume_zero_rtt(
+                &self.path,
+                QuicConfig::default(),
+                ticket,
             )),
             WarmStart::Reused { ticket, .. } => {
-                let mut quic = QuicConnection::resume_zero_rtt(path, QuicConfig::default(), ticket);
+                let mut quic =
+                    QuicConnection::resume_zero_rtt(&self.path, QuicConfig::default(), ticket);
                 quic.zero_rtt = false;
-                Ok((quic, SimDuration::ZERO))
+                Ok(quic)
             }
         }
+    }
+
+    /// Closes the timeline of a completed exchange: `exchange` is the
+    /// wire-level elapsed time including the server's `server_time`, and
+    /// the client then decodes a `body_len`-octet message.
+    fn complete(
+        &mut self,
+        exchange: SimDuration,
+        server_time: SimDuration,
+        body_len: usize,
+    ) -> ProbeTimings {
+        self.t += exchange.as_nanos();
+        let dns_decode = decode_cost(body_len);
+        self.codec(Phase::DnsDecode, dns_decode);
+        ProbeTimings::from_legs(
+            self.timings.dns_encode,
+            self.timings.connect,
+            self.timings.tls_handshake,
+            exchange,
+            server_time,
+            dns_decode,
+        )
     }
 }
 
@@ -223,6 +282,99 @@ impl Default for ProbeConfig {
     }
 }
 
+/// The empty plan with a `'static` address, for requests built by
+/// [`ProbeRequest::new`].
+static NO_FAULTS: FaultPlan = FaultPlan::EMPTY;
+
+/// A one-off measurement: who asks for what, when, and under which plan.
+#[derive(Debug, Clone, Copy)]
+pub struct ProbeRequest<'a> {
+    /// The probing host.
+    pub client: &'a Host,
+    /// The name to query (type A).
+    pub domain: &'a Name,
+    /// Simulated time of the probe's first attempt.
+    pub now: SimTime,
+    /// Marks residential vantage points, which some resolvers serve over
+    /// worse peering (the catalog's `home_extra_ms`).
+    pub is_home: bool,
+    /// Protocol, probe options and retry schedule.
+    pub cfg: ProbeConfig,
+    /// The fault plan in force. Each attempt re-resolves it at its own
+    /// start time, so a transient window can end between attempts — the
+    /// recovery the paper's `dig` retries provide.
+    pub faults: &'a FaultPlan,
+}
+
+impl<'a> ProbeRequest<'a> {
+    /// A request from a cloud vantage with the default configuration and
+    /// no faults; override fields with struct-update syntax.
+    pub fn new(client: &'a Host, domain: &'a Name, now: SimTime) -> Self {
+        ProbeRequest {
+            client,
+            domain,
+            now,
+            is_home: false,
+            cfg: ProbeConfig::default(),
+            faults: &NO_FAULTS,
+        }
+    }
+}
+
+/// What one measurement produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProbeReport {
+    /// The DNS probe's result.
+    pub outcome: ProbeOutcome,
+    /// Round-trip time of the paired ICMP echo; `None` when unanswered.
+    pub ping: Option<SimDuration>,
+    /// Per-attempt accounting; `Some` iff the retry policy is
+    /// [enabled](RetryPolicy::enabled).
+    pub retry: Option<RetryInfo>,
+    /// How the final attempt's connection started; `Some` iff a live
+    /// session layer drove the probe. A warm probe whose retry fell back
+    /// cold reports `Cold`.
+    pub conn_mode: Option<ConnectionMode>,
+}
+
+/// One probe as [`Prober::drive`] takes it: the pair's constants borrowed
+/// from a [`PairContext`](crate::context::PairContext) on the campaign
+/// path, or worked out for this probe alone on the one-off path.
+pub(crate) struct ProbeJob<'a> {
+    pub(crate) client: &'a Host,
+    pub(crate) ftarget: &'a FaultTarget<'a>,
+    /// Indices of the plan events in scope for this pair; `None` resolves
+    /// every attempt against the whole plan.
+    pub(crate) scope_mask: Option<&'a [u32]>,
+    /// The unloaded route: serving site and path (home penalty applied).
+    pub(crate) site: usize,
+    pub(crate) path: &'a Path,
+    pub(crate) now: SimTime,
+    pub(crate) cfg: ProbeConfig,
+    pub(crate) faults: &'a FaultPlan,
+    pub(crate) target: &'a mut ProbeTarget,
+    pub(crate) wires: Wires<'a>,
+    /// Where each attempt is served: `None` is the static route above, a
+    /// live model picks per attempt by site load.
+    pub(crate) load: Option<(&'a LoadModel, &'a mut PairLoad)>,
+    /// How each attempt's connection starts: `None` is always cold, a live
+    /// session layer decides per attempt and learns from the outcome.
+    pub(crate) session: Option<(&'a SessionConfig, &'a mut SessionState)>,
+    pub(crate) arena: &'a mut Arena,
+    pub(crate) rng: &'a mut SimRng,
+    pub(crate) log: &'a mut SpanLog,
+}
+
+/// The server side of one exchange.
+struct Served {
+    server_time: SimDuration,
+    cache_hit: bool,
+    /// The rcode the frontend put on the wire.
+    rcode: Rcode,
+    /// The wire source's handle for the response message.
+    response: usize,
+}
+
 /// The probe engine. Holds the authoritative hierarchy all resolvers
 /// recurse against.
 #[derive(Debug)]
@@ -250,136 +402,193 @@ impl Prober {
         Prober { authorities }
     }
 
-    /// Runs one measurement: the DNS probe plus the paired ICMP ping.
+    /// Runs one measurement — the DNS probe, with retries under
+    /// `req.cfg.retry`, plus the paired ICMP ping — recording every phase
+    /// into `log` as a span in simulated time. Pass
+    /// [`SpanLog::disabled`] when no trace is wanted: it allocates nothing
+    /// and tracing never touches the RNG, so traced and untraced runs of a
+    /// seed are bit-identical.
     ///
-    /// `is_home` marks residential vantage points, which some resolvers
-    /// serve over worse peering (the catalog's `home_extra_ms`).
-    #[allow(clippy::too_many_arguments)]
+    /// Nothing is cached across calls: the probe is routed, its faults
+    /// resolved against the whole plan and every wire built, encoded and
+    /// parsed back for this probe alone.
     pub fn probe(
         &self,
-        client: &Host,
+        req: &ProbeRequest<'_>,
         target: &mut ProbeTarget,
-        domain: &Name,
-        now: SimTime,
-        is_home: bool,
-        cfg: ProbeConfig,
-        rng: &mut SimRng,
-    ) -> (ProbeOutcome, Option<SimDuration>) {
-        // A disabled log allocates nothing and costs one branch per
-        // recording site, so the untraced path stays the hot path.
-        let mut log = SpanLog::disabled();
-        self.probe_traced(client, target, domain, now, is_home, cfg, rng, &mut log)
-    }
-
-    /// [`probe`](Self::probe) with span tracing: every phase of the probe
-    /// is recorded into `log` as a span in simulated time. Tracing never
-    /// touches the RNG, so a traced run produces bit-identical outcomes to
-    /// an untraced one under the same seed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_traced(
-        &self,
-        client: &Host,
-        target: &mut ProbeTarget,
-        domain: &Name,
-        now: SimTime,
-        is_home: bool,
-        cfg: ProbeConfig,
         rng: &mut SimRng,
         log: &mut SpanLog,
-    ) -> (ProbeOutcome, Option<SimDuration>) {
-        let (outcome, ping, _) = self.probe_with_faults_traced(
-            client,
-            target,
-            domain,
-            now,
-            is_home,
-            cfg,
-            &FaultPlan::EMPTY,
-            rng,
-            log,
-        );
-        (outcome, ping)
+    ) -> ProbeReport {
+        self.probe_fresh(req, target, None, None, rng, log)
     }
 
-    /// One measurement under a fault plan, with per-attempt retry
-    /// accounting. This is the full probe engine; [`probe`](Self::probe)
-    /// is this with the empty plan.
-    ///
-    /// Each attempt re-resolves the plan at the attempt's start time and
-    /// re-samples the resolver's health, so a transient window can end
-    /// between attempts — that is exactly the recovery the paper's `dig`
-    /// retries provide. The returned [`RetryInfo`] is `Some` iff the
-    /// configured policy is [enabled](RetryPolicy::enabled).
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_with_faults(
+    /// [`probe`](Self::probe) under a load model and/or a session layer —
+    /// what [`Campaign::run_reference`](crate::Campaign::run_reference)
+    /// issues per scheduled probe.
+    pub(crate) fn probe_fresh<'a>(
         &self,
-        client: &Host,
-        target: &mut ProbeTarget,
-        domain: &Name,
-        now: SimTime,
-        is_home: bool,
-        cfg: ProbeConfig,
-        faults: &FaultPlan,
-        rng: &mut SimRng,
-    ) -> (ProbeOutcome, Option<SimDuration>, Option<RetryInfo>) {
-        let mut log = SpanLog::disabled();
-        self.probe_with_faults_traced(
-            client, target, domain, now, is_home, cfg, faults, rng, &mut log,
-        )
-    }
-
-    /// [`probe_with_faults`](Self::probe_with_faults) with span tracing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_with_faults_traced(
-        &self,
-        client: &Host,
-        target: &mut ProbeTarget,
-        domain: &Name,
-        now: SimTime,
-        is_home: bool,
-        cfg: ProbeConfig,
-        faults: &FaultPlan,
-        rng: &mut SimRng,
-        log: &mut SpanLog,
-    ) -> (ProbeOutcome, Option<SimDuration>, Option<RetryInfo>) {
-        let (site, mut path) = target.instance.route(client);
-        if is_home {
+        req: &ProbeRequest<'a>,
+        target: &'a mut ProbeTarget,
+        load: Option<(&'a LoadModel, &'a mut PairLoad)>,
+        session: Option<(&'a SessionConfig, &'a mut SessionState)>,
+        rng: &'a mut SimRng,
+        log: &'a mut SpanLog,
+    ) -> ProbeReport {
+        let (site, mut path) = target.instance.route(req.client);
+        if req.is_home {
             path.extra_latency_ms += target.entry.home_extra_ms;
         }
+        let ftarget = FaultTarget {
+            resolver: target.entry.hostname,
+            region: target.entry.region(),
+            vantage: &req.client.label,
+        };
+        let mut wires = FreshWires::new(&target.entry, req.domain, req.cfg);
+        self.drive(ProbeJob {
+            client: req.client,
+            ftarget: &ftarget,
+            scope_mask: None,
+            site,
+            path: &path,
+            now: req.now,
+            cfg: req.cfg,
+            faults: req.faults,
+            target,
+            wires: Wires::Fresh(&mut wires),
+            load,
+            session,
+            arena: &mut Arena::new(),
+            rng,
+            log,
+        })
+    }
 
-        // Paired ICMP probe (§3.1 "Latency"). Pings travel the base path:
-        // like the paper's tooling, the ICMP companion is a reachability
-        // signal, not a fault-injection subject.
-        let ping = icmp::ping(&path, target.instance.icmp, cfg.ping_timeout, rng).rtt();
+    /// The per-probe driver: the paired ping, then attempts under the
+    /// retry policy. Each attempt consults, in this order, the fault plan,
+    /// the load model, the resolver's health and the session layer, and
+    /// runs the protocol's state machine in the environment they leave.
+    ///
+    /// Load and session inputs are pure functions of (model, pair, time)
+    /// and of the pair's outcome history: the probe RNG is consumed the
+    /// same with them as without.
+    pub(crate) fn drive(&self, job: ProbeJob<'_>) -> ProbeReport {
+        let ProbeJob {
+            client,
+            ftarget,
+            scope_mask,
+            site,
+            path,
+            now,
+            cfg,
+            faults,
+            target,
+            mut wires,
+            mut load,
+            mut session,
+            arena,
+            rng,
+            log,
+        } = job;
+
+        // Paired ICMP probe (§3.1 "Latency"), towards the site the first
+        // attempt is served from. Pings travel the base path: like the
+        // paper's tooling, the ICMP companion is a reachability signal,
+        // not a fault-injection subject.
+        let mut first_pick = None;
+        let ping_path = match &mut load {
+            Some((model, pair_load)) => {
+                let pick = pair_load.pick(model, ftarget, now);
+                first_pick = Some(pick);
+                pair_load.path(pick.site)
+            }
+            None => path,
+        };
+        let ping = icmp::ping(ping_path, target.instance.icmp, cfg.ping_timeout, rng).rtt();
         match ping {
             Some(rtt) => log.instant(now.as_nanos() + rtt.as_nanos(), "icmp_echo_reply"),
             None => log.instant(now.as_nanos(), "icmp_filtered"),
         }
 
-        let ftarget = FaultTarget {
-            resolver: target.entry.hostname,
-            region: target.entry.region(),
-            vantage: &client.label,
-        };
-        let (outcome, info) = Self::run_attempts(cfg.retry, now, rng, |attempt_now, rng| {
-            let effects = faults.effects_at(attempt_now, &ftarget);
+        // One schedule draw per probe, before any attempt: the stream
+        // position is the probe ordinal, independent of outcomes.
+        let forced_cold = session
+            .as_mut()
+            .is_some_and(|(scfg, state)| state.draw_forced_cold(scfg));
+        let mut conn_mode = None;
+        let (outcome, retry) = Self::run_attempts(cfg.retry, now, rng, |attempt_now, rng| {
+            let mut effects = match scope_mask {
+                Some(mask) => faults.effects_at_masked(attempt_now, ftarget, mask),
+                None => faults.effects_at(attempt_now, ftarget),
+            };
+
+            // Where is it served? An overloaded nearest site spills the
+            // vantage to the next-nearest; the site's offered rate rides
+            // the effects into the frontend's queue model, and a shed
+            // attempt rides the rate-limit machinery (429 on DoH, SERVFAIL
+            // on bare transports).
+            let (site, path) = match &mut load {
+                Some((model, pair_load)) => {
+                    // The first attempt starts at `now`: its pick is the
+                    // ping's.
+                    let pick = first_pick
+                        .take()
+                        .unwrap_or_else(|| pair_load.pick(model, ftarget, attempt_now));
+                    effects.offered_load_qps = pick.offered_qps;
+                    effects.rate_limited |= pick.shed;
+                    (pick.site, pair_load.path(pick.site))
+                }
+                None => (site, path),
+            };
             let health = Self::effective_health(target, attempt_now, &effects, rng);
-            self.dns_probe(
-                WarmStart::Cold,
+
+            // How does the connection start? A pooled connection is an
+            // open socket to one site, so the session layer is told where
+            // this attempt goes before it decides.
+            let (mode, warm) = match &mut session {
+                Some((_, state)) => {
+                    state.bind_site(site);
+                    let healthy = Self::connection_healthy(health, &effects);
+                    let mode = state.decide(attempt_now, cfg.protocol, healthy, forced_cold);
+                    (Some(mode), Self::warm_start(state, mode))
+                }
+                None => (None, WarmStart::Cold),
+            };
+
+            let (path, hooks) = Self::shape(path, health, &effects);
+            let mut env = Attempt {
+                now: attempt_now,
                 client,
-                target,
-                domain,
-                attempt_now,
                 site,
-                &path,
+                path,
+                hooks,
                 health,
-                &effects,
-                cfg,
+                effects,
+                warm,
                 rng,
-                log,
-            )
+                log: &mut *log,
+                arena: &mut *arena,
+                t: attempt_now.as_nanos(),
+                timings: ProbeTimings::default(),
+            };
+            let outcome = match cfg.protocol {
+                Protocol::DoH => self.doh(&mut env, target, &mut wires),
+                Protocol::DoT => self.dot(&mut env, target, &mut wires),
+                Protocol::Do53 => self.do53(&mut env, target, &mut wires),
+                Protocol::DoQ => self.doq(&mut env, target, &mut wires),
+                Protocol::ODoH => self.odoh(&mut env, target, &mut wires),
+            };
+            if let (Some((_, state)), Some(mode)) = (&mut session, mode) {
+                Self::update_session(state, cfg.retry, attempt_now, cfg.protocol, mode, &outcome);
+            }
+            conn_mode = mode;
+            outcome
         });
-        (outcome, ping, info)
+        ProbeReport {
+            outcome,
+            ping,
+            retry,
+            conn_mode,
+        }
     }
 
     /// Samples the resolver's health for one attempt and applies the
@@ -401,9 +610,92 @@ impl Prober {
         health
     }
 
-    /// The per-probe retry driver shared by the reference and context
-    /// paths: runs `attempt` under `policy`, accumulating elapsed time and
-    /// backoff waits so later attempts see later fault-plan windows.
+    /// Turns an attempt's sampled health and fault effects into the path
+    /// it travels and the behaviour its transport layers meet.
+    fn shape(path: &Path, health: ProbeHealth, effects: &FaultEffects) -> (Path, FaultHooks) {
+        let mut path = path.clone();
+        if health == ProbeHealth::Blackholed || effects.link_down {
+            path.extra_loss = 1.0;
+        }
+        if effects.extra_loss > 0.0 {
+            path.extra_loss = (path.extra_loss + effects.extra_loss).min(1.0);
+        }
+        path.extra_latency_ms += effects.extra_latency_ms;
+        let hooks = FaultHooks {
+            refuse_connect: health == ProbeHealth::Refusing,
+            tls_behavior: match health {
+                ProbeHealth::TlsBroken => TlsServerBehavior::Stall,
+                ProbeHealth::BadCertificate => TlsServerBehavior::BadCertificate,
+                _ => TlsServerBehavior::Normal,
+            },
+            // HTTP-level rate limiting surfaces as a 429 on HTTP-carried
+            // protocols; `serve` folds it into a SERVFAIL elsewhere.
+            http_status_override: effects.rate_limited.then_some(429),
+        };
+        (path, hooks)
+    }
+
+    /// True when the sampled health and fault effects would let a client
+    /// establish (or keep) a transport connection. Any connection-layer
+    /// fault — blackhole/outage, refused, broken TLS, expired certificate,
+    /// link down — invalidates all warm session state before the attempt
+    /// runs. `HttpError` is connection-healthy: the transport works, only
+    /// the application layer misbehaves, so warm connections survive it.
+    fn connection_healthy(health: ProbeHealth, effects: &FaultEffects) -> bool {
+        !(matches!(
+            health,
+            ProbeHealth::Blackholed
+                | ProbeHealth::Refusing
+                | ProbeHealth::TlsBroken
+                | ProbeHealth::BadCertificate
+        ) || effects.link_down)
+    }
+
+    /// Maps the session layer's decision onto the transport start. Ticket
+    /// identities never influence timing (the TLS model distinguishes only
+    /// `Some`/`None`), so the zero ticket stands in for a pooled QUIC
+    /// connection that outlived its ticket.
+    fn warm_start(session: &SessionState, mode: ConnectionMode) -> WarmStart {
+        let ticket = session.ticket().unwrap_or(SessionTicket { id: 0 });
+        match mode {
+            ConnectionMode::Cold => WarmStart::Cold,
+            ConnectionMode::Resumed => WarmStart::Resumed { ticket },
+            ConnectionMode::Reused => WarmStart::Reused {
+                ticket,
+                srtt_hint: session.pool_srtt_hint().unwrap_or(SimDuration::ZERO),
+            },
+        }
+    }
+
+    /// Applies one attempt's outcome to the session state, mirroring
+    /// [`run_attempts`](Self::run_attempts)' attempt-timeout conversion: an
+    /// exchange that outlives the client's patience is a failure from the
+    /// client's point of view, and the client tears the connection down
+    /// with it.
+    fn update_session(
+        session: &mut SessionState,
+        policy: RetryPolicy,
+        attempt_now: SimTime,
+        protocol: Protocol,
+        mode: ConnectionMode,
+        outcome: &ProbeOutcome,
+    ) {
+        match outcome {
+            ProbeOutcome::Success { timings, .. }
+                if policy
+                    .attempt_timeout
+                    .is_none_or(|to| timings.total() <= to) =>
+            {
+                session.on_success(attempt_now, protocol, mode, timings.connect);
+            }
+            _ => session.on_failure(),
+        }
+    }
+
+    /// The retry loop: runs `attempt` under `policy`, accumulating elapsed
+    /// time and backoff waits so later attempts see later fault-plan
+    /// windows. The returned [`RetryInfo`] is `Some` iff the policy is
+    /// [enabled](RetryPolicy::enabled).
     fn run_attempts(
         policy: RetryPolicy,
         now: SimTime,
@@ -492,1574 +784,409 @@ impl Prober {
         }
     }
 
-    /// [`probe_with_faults`](Self::probe_with_faults) over a prebuilt
-    /// [`PairContext`] — the campaign fast path. Behaviour and RNG
-    /// consumption are byte-identical to the reference path: every hoisted
-    /// quantity is RNG-free and every cached wire is a pure function of
-    /// pair-constant inputs (fresh connection per probe). Pinned by the
-    /// `arena_differential` proptest and the golden fixtures.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_pair(
-        &self,
-        ctx: &mut PairContext,
-        target: &mut ProbeTarget,
-        domain_idx: usize,
-        now: SimTime,
-        cfg: ProbeConfig,
-        faults: &FaultPlan,
-        rng: &mut SimRng,
-    ) -> (ProbeOutcome, Option<SimDuration>, Option<RetryInfo>) {
-        let mut log = SpanLog::disabled();
-        let PairContext {
-            client,
-            site,
-            path,
-            ftarget,
-            scope_mask,
-            domains,
-            arena,
-        } = ctx;
-        let site = *site;
-        let tmpl = &mut domains[domain_idx];
-
-        let ping = icmp::ping(path, target.instance.icmp, cfg.ping_timeout, rng).rtt();
-        match ping {
-            Some(rtt) => log.instant(now.as_nanos() + rtt.as_nanos(), "icmp_echo_reply"),
-            None => log.instant(now.as_nanos(), "icmp_filtered"),
-        }
-
-        let (outcome, info) = Self::run_attempts(cfg.retry, now, rng, |attempt_now, rng| {
-            let effects = faults.effects_at_masked(attempt_now, ftarget, scope_mask);
-            let health = Self::effective_health(target, attempt_now, &effects, rng);
-            self.dns_probe_ctx(
-                WarmStart::Cold,
-                client,
-                target,
-                tmpl,
-                attempt_now,
-                site,
-                path,
-                health,
-                &effects,
-                cfg,
-                arena,
-                rng,
-                &mut log,
-            )
-        });
-        (outcome, ping, info)
-    }
-
-    /// [`probe_pair`](Self::probe_pair) under a client-population load
-    /// model: each attempt resolves its serving site through the
-    /// [`PairLoad`]'s load-sensitive selection (an overloaded nearest site
-    /// spills the vantage to the next-nearest), overlays the site's
-    /// offered-load rate onto the fault effects (queueing delay via the
-    /// frontend's `QueueModel`) and makes the hash-based shed decision —
-    /// a shed attempt rides the existing rate-limit machinery, so it
-    /// surfaces as HTTP 429 on DoH and SERVFAIL on bare transports. All
-    /// load inputs are pure functions of `(model, pair, attempt time)`:
-    /// the probe RNG stream is consumed exactly as on the unloaded path.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_pair_loaded(
-        &self,
-        ctx: &mut PairContext,
-        pair_load: &mut PairLoad,
-        model: &LoadModel,
-        target: &mut ProbeTarget,
-        domain_idx: usize,
-        now: SimTime,
-        cfg: ProbeConfig,
-        faults: &FaultPlan,
-        rng: &mut SimRng,
-    ) -> (ProbeOutcome, Option<SimDuration>, Option<RetryInfo>) {
-        let mut log = SpanLog::disabled();
-        let PairContext {
-            client,
-            ftarget,
-            scope_mask,
-            domains,
-            arena,
-            ..
-        } = ctx;
-        let tmpl = &mut domains[domain_idx];
-
-        let first = pair_load.pick(model, ftarget, now);
-        let ping = icmp::ping(
-            pair_load.path(first.site),
-            target.instance.icmp,
-            cfg.ping_timeout,
-            rng,
-        )
-        .rtt();
-        match ping {
-            Some(rtt) => log.instant(now.as_nanos() + rtt.as_nanos(), "icmp_echo_reply"),
-            None => log.instant(now.as_nanos(), "icmp_filtered"),
-        }
-
-        let (outcome, info) = Self::run_attempts(cfg.retry, now, rng, |attempt_now, rng| {
-            let mut effects = faults.effects_at_masked(attempt_now, ftarget, scope_mask);
-            let pick = pair_load.pick(model, ftarget, attempt_now);
-            effects.offered_load_qps = pick.offered_qps;
-            if pick.shed {
-                effects.rate_limited = true;
-            }
-            let health = Self::effective_health(target, attempt_now, &effects, rng);
-            let path = pair_load.path(pick.site).clone();
-            self.dns_probe_ctx(
-                WarmStart::Cold,
-                client,
-                target,
-                tmpl,
-                attempt_now,
-                pick.site,
-                &path,
-                health,
-                &effects,
-                cfg,
-                arena,
-                rng,
-                &mut log,
-            )
-        });
-        (outcome, ping, info)
-    }
-
-    /// True when the sampled health and fault effects would let a client
-    /// establish (or keep) a transport connection. Any connection-layer
-    /// fault — blackhole/outage, refused, broken TLS, expired certificate,
-    /// link down — invalidates all warm session state before the attempt
-    /// runs. `HttpError` is connection-healthy: the transport works, only
-    /// the application layer misbehaves, so warm connections survive it.
-    fn connection_healthy(health: ProbeHealth, effects: &FaultEffects) -> bool {
-        !(matches!(
-            health,
-            ProbeHealth::Blackholed
-                | ProbeHealth::Refusing
-                | ProbeHealth::TlsBroken
-                | ProbeHealth::BadCertificate
-        ) || effects.link_down)
-    }
-
-    /// Maps the session layer's decision onto the transport start. Ticket
-    /// identities never influence timing (the TLS model distinguishes only
-    /// `Some`/`None`), so the zero ticket stands in for a pooled QUIC
-    /// connection that outlived its ticket.
-    fn warm_start(session: &SessionState, mode: ConnectionMode) -> WarmStart {
-        match mode {
-            ConnectionMode::Cold => WarmStart::Cold,
-            ConnectionMode::Resumed => WarmStart::Resumed {
-                ticket: session.ticket().unwrap_or(SessionTicket { id: 0 }),
-            },
-            ConnectionMode::Reused => WarmStart::Reused {
-                ticket: session.ticket().unwrap_or(SessionTicket { id: 0 }),
-                srtt_hint: session.pool_srtt_hint().unwrap_or(SimDuration::ZERO),
-            },
-        }
-    }
-
-    /// Applies one attempt's outcome to the session state, mirroring
-    /// [`run_attempts`](Self::run_attempts)' attempt-timeout conversion: an
-    /// exchange that outlives the client's patience is a failure from the
-    /// client's point of view, and the client tears the connection down
-    /// with it.
-    fn update_session(
-        session: &mut SessionState,
-        policy: RetryPolicy,
-        attempt_now: SimTime,
-        protocol: Protocol,
-        mode: ConnectionMode,
-        outcome: &ProbeOutcome,
-    ) {
-        match outcome {
-            ProbeOutcome::Success { timings, .. }
-                if policy
-                    .attempt_timeout
-                    .is_none_or(|to| timings.total() <= to) =>
-            {
-                session.on_success(attempt_now, protocol, mode, timings.connect);
-            }
-            _ => session.on_failure(),
-        }
-    }
-
-    /// [`probe_pair`](Self::probe_pair) with a live session layer: the
-    /// pair's [`SessionState`] decides per attempt whether the transport
-    /// starts cold, resumes a TLS/QUIC session, or reuses a pooled
-    /// connection, and the attempt's outcome feeds back into the state.
-    /// Returns the [`ConnectionMode`] of the probe's final attempt, for
-    /// recording — a warm probe whose retry fell back cold reports `Cold`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_pair_session(
-        &self,
-        ctx: &mut PairContext,
-        session: &mut SessionState,
-        scfg: &SessionConfig,
-        target: &mut ProbeTarget,
-        domain_idx: usize,
-        now: SimTime,
-        cfg: ProbeConfig,
-        faults: &FaultPlan,
-        rng: &mut SimRng,
-    ) -> (
-        ProbeOutcome,
-        Option<SimDuration>,
-        Option<RetryInfo>,
-        ConnectionMode,
-    ) {
-        let mut log = SpanLog::disabled();
-        let PairContext {
-            client,
-            site,
-            path,
-            ftarget,
-            scope_mask,
-            domains,
-            arena,
-        } = ctx;
-        let site = *site;
-        let tmpl = &mut domains[domain_idx];
-
-        let ping = icmp::ping(path, target.instance.icmp, cfg.ping_timeout, rng).rtt();
-        match ping {
-            Some(rtt) => log.instant(now.as_nanos() + rtt.as_nanos(), "icmp_echo_reply"),
-            None => log.instant(now.as_nanos(), "icmp_filtered"),
-        }
-
-        // One schedule draw per probe, before any attempt: the stream
-        // position is the probe ordinal, independent of outcomes.
-        let forced_cold = session.draw_forced_cold(scfg);
-        let mut last_mode = ConnectionMode::Cold;
-        let session = &mut *session;
-        let (outcome, info) = Self::run_attempts(cfg.retry, now, rng, |attempt_now, rng| {
-            let effects = faults.effects_at_masked(attempt_now, ftarget, scope_mask);
-            let health = Self::effective_health(target, attempt_now, &effects, rng);
-            let conn_healthy = Self::connection_healthy(health, &effects);
-            let mode = session.decide(attempt_now, cfg.protocol, conn_healthy, forced_cold);
-            last_mode = mode;
-            let outcome = self.dns_probe_ctx(
-                Self::warm_start(session, mode),
-                client,
-                target,
-                tmpl,
-                attempt_now,
-                site,
-                path,
-                health,
-                &effects,
-                cfg,
-                arena,
-                rng,
-                &mut log,
-            );
-            Self::update_session(
-                session,
-                cfg.retry,
-                attempt_now,
-                cfg.protocol,
-                mode,
-                &outcome,
-            );
-            outcome
-        });
-        (outcome, ping, info, last_mode)
-    }
-
-    /// [`probe_with_faults`](Self::probe_with_faults) with a live session
-    /// layer — the reference twin of
-    /// [`probe_pair_session`](Self::probe_pair_session), rebuilding every
-    /// wire per probe, so the session differential tests can anchor the
-    /// fast path against it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_with_faults_session(
-        &self,
-        client: &Host,
-        session: &mut SessionState,
-        scfg: &SessionConfig,
-        target: &mut ProbeTarget,
-        domain: &Name,
-        now: SimTime,
-        is_home: bool,
-        cfg: ProbeConfig,
-        faults: &FaultPlan,
-        rng: &mut SimRng,
-    ) -> (
-        ProbeOutcome,
-        Option<SimDuration>,
-        Option<RetryInfo>,
-        ConnectionMode,
-    ) {
-        let mut disabled = SpanLog::disabled();
-        let log = &mut disabled;
-        let (site, mut path) = target.instance.route(client);
-        if is_home {
-            path.extra_latency_ms += target.entry.home_extra_ms;
-        }
-
-        let ping = icmp::ping(&path, target.instance.icmp, cfg.ping_timeout, rng).rtt();
-        match ping {
-            Some(rtt) => log.instant(now.as_nanos() + rtt.as_nanos(), "icmp_echo_reply"),
-            None => log.instant(now.as_nanos(), "icmp_filtered"),
-        }
-
-        let ftarget = FaultTarget {
-            resolver: target.entry.hostname,
-            region: target.entry.region(),
-            vantage: &client.label,
-        };
-        let forced_cold = session.draw_forced_cold(scfg);
-        let mut last_mode = ConnectionMode::Cold;
-        let session = &mut *session;
-        let (outcome, info) = Self::run_attempts(cfg.retry, now, rng, |attempt_now, rng| {
-            let effects = faults.effects_at(attempt_now, &ftarget);
-            let health = Self::effective_health(target, attempt_now, &effects, rng);
-            let conn_healthy = Self::connection_healthy(health, &effects);
-            let mode = session.decide(attempt_now, cfg.protocol, conn_healthy, forced_cold);
-            last_mode = mode;
-            let outcome = self.dns_probe(
-                Self::warm_start(session, mode),
-                client,
-                target,
-                domain,
-                attempt_now,
-                site,
-                &path,
-                health,
-                &effects,
-                cfg,
-                rng,
-                log,
-            );
-            Self::update_session(
-                session,
-                cfg.retry,
-                attempt_now,
-                cfg.protocol,
-                mode,
-                &outcome,
-            );
-            outcome
-        });
-        (outcome, ping, info, last_mode)
-    }
-
-    /// Context-path twin of [`dns_probe`](Self::dns_probe): identical
-    /// fault/health shaping, dispatching to the template-backed protocol
-    /// probes. ODoH falls through to the reference path — its per-probe
-    /// KEM entropy draw leaves nothing pair-constant to hoist.
-    #[allow(clippy::too_many_arguments)]
-    fn dns_probe_ctx(
-        &self,
-        warm: WarmStart,
-        client: &Host,
-        target: &mut ProbeTarget,
-        tmpl: &mut DomainTemplate,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        health: ProbeHealth,
-        effects: &FaultEffects,
-        cfg: ProbeConfig,
-        arena: &mut Arena,
-        rng: &mut SimRng,
-        log: &mut SpanLog,
-    ) -> ProbeOutcome {
-        let mut path = path.clone();
-        if health == ProbeHealth::Blackholed || effects.link_down {
-            path.extra_loss = 1.0;
-        }
-        if effects.extra_loss > 0.0 {
-            path.extra_loss = (path.extra_loss + effects.extra_loss).min(1.0);
-        }
-        path.extra_latency_ms += effects.extra_latency_ms;
-        let refused = health == ProbeHealth::Refusing;
-        let tls_behavior = match health {
-            ProbeHealth::TlsBroken => TlsServerBehavior::Stall,
-            ProbeHealth::BadCertificate => TlsServerBehavior::BadCertificate,
-            _ => TlsServerBehavior::Normal,
-        };
-        let hooks = FaultHooks {
-            refuse_connect: refused,
-            tls_behavior,
-            http_status_override: if effects.rate_limited {
-                Some(429)
-            } else {
-                None
-            },
-        };
-
-        match cfg.protocol {
-            Protocol::DoH => self.doh_probe_ctx(
-                warm, target, tmpl, now, site, &path, hooks, health, effects, arena, rng, log,
-            ),
-            Protocol::DoT => self.dot_probe_ctx(
-                warm, target, tmpl, now, site, &path, hooks, health, effects, arena, rng, log,
-            ),
-            Protocol::Do53 => self.do53_probe_ctx(
-                target, tmpl, now, site, &path, health, effects, arena, rng, log,
-            ),
-            Protocol::DoQ => self.doq_probe_ctx(
-                warm, target, tmpl, now, site, &path, hooks, health, effects, arena, rng, log,
-            ),
-            Protocol::ODoH => self.odoh_probe(
-                client, target, &tmpl.name, now, site, health, effects, cfg, rng, log,
-            ),
-        }
-    }
-
-    /// [`serve`](Self::serve) against the pair's response-variant cache:
-    /// the resolver engine runs exactly as on the reference path (same RNG
-    /// draws), but the response message is only *assembled and encoded*
-    /// the first time each (shed, rcode, answers) shape appears. Returns
-    /// the variant index instead of wire bytes.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_cached(
-        &self,
-        target: &mut ProbeTarget,
-        tmpl: &mut DomainTemplate,
-        now: SimTime,
-        site: usize,
-        effects: &FaultEffects,
-        http_layer: bool,
-        rng: &mut SimRng,
-        arena: &mut Arena,
-    ) -> (SimDuration, bool, usize) {
-        let (server_time, resolution) = target.instance.server_mut(site).handle_query_loaded(
-            &tmpl.name,
-            RecordType::A,
-            &self.authorities,
-            now,
-            effects.slowdown,
-            effects.offered_load_qps,
-            rng,
-        );
-        let shed = effects.servfail || (!http_layer && effects.rate_limited);
-        let rcode = if shed {
-            Rcode::ServFail
-        } else {
-            resolution.rcode
-        };
-        let variant = match tmpl.find_variant(shed, rcode, &resolution.records) {
-            Some(i) => i,
-            None => tmpl.add_variant(shed, rcode, resolution.records, arena),
-        };
-        (server_time, resolution.cache_hit, variant)
-    }
-
-    /// [`doh_probe`](Self::doh_probe) over cached wire lengths: the query
-    /// encode, DoH URL, HPACK request frames and response frames are all
-    /// template lookups; the transport legs (the only RNG consumers) run
-    /// unchanged with identical byte counts, so outcomes and span traces
-    /// are byte-identical to the reference path.
-    #[allow(clippy::too_many_arguments)]
-    fn doh_probe_ctx(
-        &self,
-        warm: WarmStart,
-        target: &mut ProbeTarget,
-        tmpl: &mut DomainTemplate,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        hooks: FaultHooks,
-        health: ProbeHealth,
-        effects: &FaultEffects,
-        arena: &mut Arena,
-        rng: &mut SimRng,
-        log: &mut SpanLog,
-    ) -> ProbeOutcome {
-        let dns_encode = tmpl.dns_encode;
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
-
-        let (mut tcp, connect, tls_time) = match warm.tcp_tls_setup(path, hooks, rng, &mut t, log) {
-            Ok(ok) => ok,
-            Err(fail) => return fail,
-        };
-
-        let (server_time, cache_hit, variant) =
-            self.serve_cached(target, tmpl, now, site, effects, true, rng, arena);
-        let base_status = if health == ProbeHealth::HttpError {
-            500
-        } else {
-            200
-        };
-        let http_status = hooks.http_status(base_status);
-        // detlint:allow(unwrap, dns_probe_ctx only dispatches DoH when the template was built for DoH)
-        let doh = tmpl.doh.as_ref().expect("DoH template");
-        // A follow-up request on a kept-alive connection skips the preface
-        // and benefits from warm HPACK state; the response length is
-        // stream-id-independent, so the cold cache serves both.
-        let req_len = if warm.is_reused() {
-            doh.req_len_reused
-        } else {
-            doh.req_len
-        };
-        let resp_len = tmpl.resp_len_for(variant, http_status);
-
-        // Both the HTTP/1.1 and HTTP/2 reference branches bottom out in
-        // this same traced TCP exchange with the same span pattern; only
-        // the byte counts differ, and those are cached above.
-        let out =
-            match tcp.request_response_traced(path, req_len, resp_len, server_time, rng, t, log) {
-                Ok(out) => out,
-                Err(e) => {
-                    return ProbeOutcome::Failure {
-                        kind: e.into(),
-                        elapsed: connect + tls_time + e.elapsed,
-                    }
-                }
-            };
-        let query_time = out.elapsed;
-        t += query_time.as_nanos();
-
-        let body_len = tmpl.variants[variant].dns_response.len();
-        let dns_decode = decode_cost(body_len);
-        record_codec_span(log, t, Phase::DnsDecode, dns_decode);
-        let timings = ProbeTimings::from_legs(
-            dns_encode,
-            connect,
-            tls_time,
-            query_time,
-            server_time,
-            dns_decode,
-        );
-        if http_status != 200 {
-            return ProbeOutcome::Failure {
-                kind: if http_status == 429 {
-                    ProbeErrorKind::RateLimited
-                } else {
-                    ProbeErrorKind::HttpStatus
-                },
-                elapsed: timings.total(),
-            };
-        }
-        match tmpl.variants[variant].decoded_rcode {
-            Some(rcode) => Self::check_rcode(rcode, timings, cache_hit, site),
-            None => ProbeOutcome::Failure {
-                kind: ProbeErrorKind::DnsError,
-                elapsed: timings.total(),
-            },
-        }
-    }
-
-    /// [`dot_probe`](Self::dot_probe) over the query template. The RFC
-    /// 7858 length-prefix framing adds exactly 2 octets per message, so
-    /// the framed sizes are computed without materializing the frames.
-    #[allow(clippy::too_many_arguments)]
-    fn dot_probe_ctx(
-        &self,
-        warm: WarmStart,
-        target: &mut ProbeTarget,
-        tmpl: &mut DomainTemplate,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        hooks: FaultHooks,
-        health: ProbeHealth,
-        effects: &FaultEffects,
-        arena: &mut Arena,
-        rng: &mut SimRng,
-        log: &mut SpanLog,
-    ) -> ProbeOutcome {
-        let dns_encode = tmpl.dns_encode;
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
-
-        let (mut tcp, connect, tls_time) = match warm.tcp_tls_setup(path, hooks, rng, &mut t, log) {
-            Ok(ok) => ok,
-            Err(fail) => return fail,
-        };
-        let (server_time, cache_hit, variant) =
-            self.serve_cached(target, tmpl, now, site, effects, false, rng, arena);
-        if health == ProbeHealth::HttpError {
-            let out = tcp.request_response_traced(
-                path,
-                2 + tmpl.query_wire.len(),
-                2 + 12,
-                server_time,
-                rng,
-                t,
-                log,
-            );
-            return match out {
-                Ok(o) => ProbeOutcome::Failure {
-                    kind: ProbeErrorKind::DnsError,
-                    elapsed: connect + tls_time + o.elapsed,
-                },
-                Err(e) => ProbeOutcome::Failure {
-                    kind: e.into(),
-                    elapsed: connect + tls_time + e.elapsed,
-                },
-            };
-        }
-        let resp_len = tmpl.variants[variant].dns_response.len();
-        match tcp.request_response_traced(
-            path,
-            2 + tmpl.query_wire.len(),
-            2 + resp_len,
-            server_time,
-            rng,
-            t,
-            log,
-        ) {
-            Ok(out) => {
-                t += out.elapsed.as_nanos();
-                let dns_decode = decode_cost(resp_len);
-                record_codec_span(log, t, Phase::DnsDecode, dns_decode);
-                let timings = ProbeTimings::from_legs(
-                    dns_encode,
-                    connect,
-                    tls_time,
-                    out.elapsed,
-                    server_time,
-                    dns_decode,
-                );
-                Self::check_rcode(tmpl.variants[variant].rcode, timings, cache_hit, site)
-            }
-            Err(e) => ProbeOutcome::Failure {
-                kind: e.into(),
-                elapsed: connect + tls_time + e.elapsed,
-            },
-        }
-    }
-
-    /// [`do53_probe`](Self::do53_probe) over the query template.
-    #[allow(clippy::too_many_arguments)]
-    fn do53_probe_ctx(
-        &self,
-        target: &mut ProbeTarget,
-        tmpl: &mut DomainTemplate,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        health: ProbeHealth,
-        effects: &FaultEffects,
-        arena: &mut Arena,
-        rng: &mut SimRng,
-        log: &mut SpanLog,
-    ) -> ProbeOutcome {
-        let dead = matches!(
-            health,
-            ProbeHealth::Refusing | ProbeHealth::TlsBroken | ProbeHealth::BadCertificate
-        );
-        let mut path = path.clone();
-        if dead {
-            path.extra_loss = 1.0;
-        }
-        let dns_encode = tmpl.dns_encode;
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
-        let (server_time, cache_hit, variant) =
-            self.serve_cached(target, tmpl, now, site, effects, false, rng, arena);
-        let resp_len = tmpl.variants[variant].dns_response.len();
-        let policy = RetryPolicy::dig_defaults().as_flight_policy();
-        match transport::exchange_traced(
-            &path,
-            tmpl.query_wire.len(),
-            resp_len,
-            server_time,
-            policy,
-            TransportErrorKind::RequestTimeout,
-            rng,
-            t,
-            log,
-        ) {
-            Ok(out) => {
-                t += out.elapsed.as_nanos();
-                let dns_decode = decode_cost(resp_len);
-                record_codec_span(log, t, Phase::DnsDecode, dns_decode);
-                let timings = ProbeTimings::from_legs(
-                    dns_encode,
-                    SimDuration::ZERO,
-                    SimDuration::ZERO,
-                    out.elapsed,
-                    server_time,
-                    dns_decode,
-                );
-                if health == ProbeHealth::HttpError {
-                    return ProbeOutcome::Failure {
-                        kind: ProbeErrorKind::DnsError,
-                        elapsed: timings.total(),
-                    };
-                }
-                Self::check_rcode(tmpl.variants[variant].rcode, timings, cache_hit, site)
-            }
-            Err(e) => ProbeOutcome::Failure {
-                kind: ProbeErrorKind::QueryTimeout,
-                elapsed: e.elapsed,
-            },
-        }
-    }
-
-    /// [`doq_probe`](Self::doq_probe) over the query template.
-    #[allow(clippy::too_many_arguments)]
-    fn doq_probe_ctx(
-        &self,
-        warm: WarmStart,
-        target: &mut ProbeTarget,
-        tmpl: &mut DomainTemplate,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        hooks: FaultHooks,
-        health: ProbeHealth,
-        effects: &FaultEffects,
-        arena: &mut Arena,
-        rng: &mut SimRng,
-        log: &mut SpanLog,
-    ) -> ProbeOutcome {
-        if hooks.refuse_connect {
-            let rtt = path
-                .sample_rtt(1200, 60, rng)
-                .unwrap_or(SimDuration::from_millis(300));
-            log.instant(now.as_nanos() + rtt.as_nanos(), "connection_refused");
-            return ProbeOutcome::Failure {
-                kind: ProbeErrorKind::ConnectionRefused,
-                elapsed: rtt,
-            };
-        }
-        let dns_encode = tmpl.dns_encode;
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
-        let (mut quic, connect) = match warm.quic_setup(path, rng, &mut t, log) {
-            Ok(ok) => ok,
-            Err(fail) => return fail,
-        };
-        if hooks.tls_behavior == TlsServerBehavior::BadCertificate {
-            // QUIC folds TLS 1.3 into its handshake: the certificate
-            // arrives with the combined connect flight, so the client pays
-            // the connect round trip and then aborts — same shape as the
-            // TCP-carried transports.
-            log.instant(t, "certificate_rejected");
-            return ProbeOutcome::Failure {
-                kind: ProbeErrorKind::CertificateError,
-                elapsed: connect,
-            };
-        }
-        let (server_time, cache_hit, variant) =
-            self.serve_cached(target, tmpl, now, site, effects, false, rng, arena);
-        let resp_len = tmpl.variants[variant].dns_response.len();
-        match quic.stream_exchange_traced(
-            path,
-            2 + tmpl.query_wire.len(),
-            2 + resp_len,
-            server_time,
-            rng,
-            t,
-            log,
-        ) {
-            Ok(out) => {
-                t += out.elapsed.as_nanos();
-                let dns_decode = decode_cost(resp_len);
-                record_codec_span(log, t, Phase::DnsDecode, dns_decode);
-                let timings = ProbeTimings::from_legs(
-                    dns_encode,
-                    connect,
-                    SimDuration::ZERO,
-                    out.elapsed,
-                    server_time,
-                    dns_decode,
-                );
-                if health == ProbeHealth::HttpError {
-                    return ProbeOutcome::Failure {
-                        kind: ProbeErrorKind::DnsError,
-                        elapsed: timings.total(),
-                    };
-                }
-                Self::check_rcode(tmpl.variants[variant].rcode, timings, cache_hit, site)
-            }
-            Err(e) => ProbeOutcome::Failure {
-                kind: e.into(),
-                elapsed: connect + e.elapsed,
-            },
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dns_probe(
-        &self,
-        warm: WarmStart,
-        _client: &Host,
-        target: &mut ProbeTarget,
-        domain: &Name,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        health: ProbeHealth,
-        effects: &FaultEffects,
-        cfg: ProbeConfig,
-        rng: &mut SimRng,
-        log: &mut SpanLog,
-    ) -> ProbeOutcome {
-        // Outage states and link-layer faults shape the path / transport
-        // behaviour.
-        let mut path = path.clone();
-        if health == ProbeHealth::Blackholed || effects.link_down {
-            path.extra_loss = 1.0;
-        }
-        if effects.extra_loss > 0.0 {
-            path.extra_loss = (path.extra_loss + effects.extra_loss).min(1.0);
-        }
-        path.extra_latency_ms += effects.extra_latency_ms;
-        let refused = health == ProbeHealth::Refusing;
-        let tls_behavior = match health {
-            ProbeHealth::TlsBroken => TlsServerBehavior::Stall,
-            ProbeHealth::BadCertificate => TlsServerBehavior::BadCertificate,
-            _ => TlsServerBehavior::Normal,
-        };
-        let hooks = FaultHooks {
-            refuse_connect: refused,
-            tls_behavior,
-            // HTTP-level rate limiting surfaces as a 429 on HTTP-carried
-            // protocols; `serve` folds it into a SERVFAIL elsewhere.
-            http_status_override: if effects.rate_limited {
-                Some(429)
-            } else {
-                None
-            },
-        };
-
-        match cfg.protocol {
-            Protocol::DoH => self.doh_probe(
-                warm, target, domain, now, site, &path, hooks, health, effects, cfg, rng, log,
-            ),
-            Protocol::DoT => self.dot_probe(
-                warm, target, domain, now, site, &path, hooks, health, effects, cfg, rng, log,
-            ),
-            Protocol::Do53 => self.do53_probe(
-                target, domain, now, site, &path, health, effects, cfg, rng, log,
-            ),
-            Protocol::DoQ => self.doq_probe(
-                warm, target, domain, now, site, &path, hooks, health, effects, cfg, rng, log,
-            ),
-            Protocol::ODoH => self.odoh_probe(
-                _client, target, domain, now, site, health, effects, cfg, rng, log,
-            ),
-        }
-    }
-
-    /// Builds the query message (id 0 per RFC 8484 cache friendliness).
-    pub(crate) fn build_query(&self, domain: &Name, cfg: ProbeConfig, encrypted: bool) -> Message {
-        let mut b = MessageBuilder::query(
-            if encrypted { 0 } else { 0x2b2b },
-            domain.clone(),
-            RecordType::A,
-        )
-        .recursion_desired(true)
-        .edns_udp_size(1232);
-        if cfg.padding && encrypted {
-            b = b.padding_to(128);
-        }
-        b.build()
-    }
-
-    /// Runs the server side and builds the DNS response message bytes.
+    /// Runs the server side of an attempt: the resolver engine answers
+    /// (drawing from the RNG), and the wire source makes the response
+    /// message.
     ///
     /// `http_layer` says whether the carrying protocol has an HTTP layer:
     /// there an injected rate limit surfaces as a 429 before any DNS
     /// payload matters, while on bare transports (Do53/DoT/DoQ) the
     /// overloaded frontend sheds load by answering SERVFAIL instead.
-    #[allow(clippy::too_many_arguments)]
     fn serve(
         &self,
+        env: &mut Attempt<'_>,
         target: &mut ProbeTarget,
-        query: &Message,
-        domain: &Name,
-        now: SimTime,
-        site: usize,
-        effects: &FaultEffects,
+        wires: &mut Wires<'_>,
         http_layer: bool,
-        rng: &mut SimRng,
-    ) -> (SimDuration, bool, Rcode, Vec<u8>) {
-        let (server_time, resolution) = target.instance.server_mut(site).handle_query_loaded(
-            domain,
+    ) -> Served {
+        let (server_time, resolution) = target.instance.server_mut(env.site).handle_query_loaded(
+            wires.name(),
             RecordType::A,
             &self.authorities,
-            now,
-            effects.slowdown,
-            effects.offered_load_qps,
-            rng,
+            env.now,
+            env.effects.slowdown,
+            env.effects.offered_load_qps,
+            env.rng,
         );
-        let shed = effects.servfail || (!http_layer && effects.rate_limited);
+        let shed = env.effects.servfail || (!http_layer && env.effects.rate_limited);
         let rcode = if shed {
             Rcode::ServFail
         } else {
             resolution.rcode
         };
-        let mut response = MessageBuilder::response_to(query, rcode)
-            .recursion_available(true)
-            .build();
-        if !shed {
-            for rdata in &resolution.records {
-                response.answers.push(dns_wire::ResourceRecord::new(
-                    domain.clone(),
-                    300,
-                    rdata.clone(),
-                ));
-            }
+        Served {
+            server_time,
+            cache_hit: resolution.cache_hit,
+            rcode,
+            response: wires.respond(shed, rcode, resolution.records, env.arena),
         }
-        // detlint:allow(unwrap, responses assembled by the simulated resolver are well-formed)
-        let wire = response.encode().expect("response encodes");
-        (server_time, resolution.cache_hit, rcode, wire)
     }
 
+    /// The verdict of a completed exchange whose response carried `rcode`.
     fn check_rcode(
         rcode: Rcode,
         timings: ProbeTimings,
-        cache_hit: bool,
+        served: &Served,
         site: usize,
     ) -> ProbeOutcome {
         if rcode.is_success() {
             ProbeOutcome::Success {
                 timings,
-                cache_hit,
+                cache_hit: served.cache_hit,
                 site,
             }
         } else {
-            ProbeOutcome::Failure {
-                kind: ProbeErrorKind::DnsError,
-                elapsed: timings.total(),
-            }
+            Self::dns_error(timings.total())
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn doh_probe(
-        &self,
-        warm: WarmStart,
-        target: &mut ProbeTarget,
-        domain: &Name,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        hooks: FaultHooks,
-        health: ProbeHealth,
-        effects: &FaultEffects,
-        cfg: ProbeConfig,
-        rng: &mut SimRng,
-        log: &mut SpanLog,
-    ) -> ProbeOutcome {
-        // Encode the query first: the phase timeline starts with the
-        // client-side codec work. Building the message draws no randomness,
-        // so hoisting it above the transport legs leaves the RNG stream —
-        // and therefore every calibrated distribution — untouched.
-        let query = self.build_query(domain, cfg, true);
-        // detlint:allow(unwrap, queries built by build_query are well-formed; encoding cannot fail)
-        let query_wire = query.encode().expect("query encodes");
-        let dns_encode = encode_cost(query_wire.len());
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
+    /// The exchange completed but carried no usable answer.
+    fn dns_error(elapsed: SimDuration) -> ProbeOutcome {
+        ProbeOutcome::Failure {
+            kind: ProbeErrorKind::DnsError,
+            elapsed,
+        }
+    }
 
-        // TCP + TLS (skipped entirely on a pooled connection).
-        let (mut tcp, connect, tls_time) = match warm.tcp_tls_setup(path, hooks, rng, &mut t, log) {
-            Ok(ok) => ok,
+    /// The exchange completed with a non-200 HTTP status.
+    fn http_error(status: u16, timings: ProbeTimings) -> ProbeOutcome {
+        ProbeOutcome::Failure {
+            kind: if status == 429 {
+                ProbeErrorKind::RateLimited
+            } else {
+                ProbeErrorKind::HttpStatus
+            },
+            elapsed: timings.total(),
+        }
+    }
+
+    /// DNS over HTTPS (RFC 8484): TCP, TLS, then one HTTP exchange —
+    /// HTTP/2, or HTTP/1.1 for servers that offer no h2; both ride the
+    /// same traced TCP exchange and differ only in byte counts.
+    fn doh(
+        &self,
+        env: &mut Attempt<'_>,
+        target: &mut ProbeTarget,
+        wires: &mut Wires<'_>,
+    ) -> ProbeOutcome {
+        env.encode(wires.query_wire().len());
+        let mut tcp = match env.tcp_tls_setup() {
+            Ok(tcp) => tcp,
             Err(fail) => return fail,
         };
-
-        // Build the HTTP/2 request with real wire bytes.
-        let (http_path, body) = if cfg.doh_get {
-            (
-                format!(
-                    "{}?dns={}",
-                    target.entry.doh_path,
-                    base64url::encode(&query_wire)
-                ),
-                Bytes::new(),
-            )
-        } else {
-            (
-                target.entry.doh_path.to_string(),
-                Bytes::from(query_wire.clone()),
-            )
-        };
-        let req = H2Request {
-            headers: doh_headers(target.entry.hostname, &http_path, !cfg.doh_get, body.len()),
-            body,
-        };
+        let req_len = wires.doh_request_len(env.warm.is_reused());
 
         // Server side. The authoritative rcode travels inside the encoded
-        // response; the client re-derives it by decoding the HTTP body.
-        let (server_time, cache_hit, _rcode, dns_response) =
-            self.serve(target, &query, domain, now, site, effects, true, rng);
-        let base_status = if health == ProbeHealth::HttpError {
+        // response; the client re-derives it from the HTTP body.
+        let served = self.serve(env, target, wires, true);
+        let base_status = if env.health == ProbeHealth::HttpError {
             500
         } else {
             200
         };
-        let http_status = hooks.http_status(base_status);
-        let content_type = HeaderField::new("content-type", "application/dns-message");
+        let reply = wires.http_reply(served.response, env.hooks.http_status(base_status));
 
-        // HTTP/1.1-only servers don't offer h2 in their ALPN; the client
-        // falls back to serialised HTTP/1.1 over the same TLS connection.
-        let (status, body, query_time) = if target.entry.http1_only {
-            let req_wire = transport::h1_encode_request(&req.headers, &req.body);
-            let resp_wire =
-                transport::h1_encode_response(http_status, &[content_type], &dns_response);
-            let out = match tcp.request_response_traced(
-                path,
-                req_wire.len(),
-                resp_wire.len(),
-                server_time,
-                rng,
-                t,
-                log,
-            ) {
-                Ok(out) => out,
-                Err(e) => {
-                    return ProbeOutcome::Failure {
-                        kind: e.into(),
-                        elapsed: connect + tls_time + e.elapsed,
-                    }
-                }
-            };
-            match transport::h1_parse_response(&resp_wire) {
-                Ok(resp) => (resp.status, resp.body, out.elapsed),
-                Err(e) => {
-                    return ProbeOutcome::Failure {
-                        kind: e.into(),
-                        elapsed: connect + tls_time + out.elapsed,
-                    }
-                }
-            }
-        } else {
-            let mut h2 = H2Connection::new();
-            if warm.is_reused() {
-                // A pooled connection already carried one request: burn an
-                // encode so the HPACK tables are warm and the preface is
-                // spent — the round trip below then produces exactly the
-                // follow-up request the fast path's `req_len_reused` cached.
-                let _ = h2.encode_request(&req);
-            }
-            let result = h2.round_trip_traced(
-                &mut tcp,
-                path,
-                &req,
-                |sid, enc| {
-                    H2Connection::encode_response(
-                        enc,
-                        sid,
-                        http_status,
-                        std::slice::from_ref(&content_type),
-                        &dns_response,
-                    )
-                },
-                server_time,
-                rng,
-                t,
-                log,
-            );
-            match result {
-                Ok((resp, elapsed)) => (resp.status, resp.body, elapsed),
-                Err(e) => {
-                    return ProbeOutcome::Failure {
-                        kind: e.into(),
-                        elapsed: connect + tls_time + e.elapsed,
-                    }
-                }
-            }
+        let out = match tcp.request_response_traced(
+            &env.path,
+            req_len,
+            reply.wire_len,
+            served.server_time,
+            env.rng,
+            env.t,
+            env.log,
+        ) {
+            Ok(out) => out,
+            Err(e) => return env.failed(e),
         };
-        t += query_time.as_nanos();
-
-        let dns_decode = decode_cost(body.len());
-        record_codec_span(log, t, Phase::DnsDecode, dns_decode);
-        let timings = ProbeTimings::from_legs(
-            dns_encode,
-            connect,
-            tls_time,
-            query_time,
-            server_time,
-            dns_decode,
-        );
-        if status != 200 {
-            return ProbeOutcome::Failure {
-                kind: if status == 429 {
-                    ProbeErrorKind::RateLimited
-                } else {
-                    ProbeErrorKind::HttpStatus
-                },
-                elapsed: timings.total(),
-            };
+        let timings = env.complete(out.elapsed, served.server_time, reply.body_len);
+        if reply.status != 200 {
+            return Self::http_error(reply.status, timings);
         }
-        // Decode and validate the DNS payload.
-        match Message::decode(&body) {
-            Ok(msg) => Self::check_rcode(msg.rcode(), timings, cache_hit, site),
-            Err(_) => ProbeOutcome::Failure {
-                kind: ProbeErrorKind::DnsError,
-                elapsed: timings.total(),
-            },
+        match reply.rcode {
+            Some(rcode) => Self::check_rcode(rcode, timings, &served, env.site),
+            None => Self::dns_error(timings.total()),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn dot_probe(
+    /// DNS over TLS (RFC 7858): TCP, TLS, then one length-prefixed
+    /// exchange.
+    fn dot(
         &self,
-        warm: WarmStart,
+        env: &mut Attempt<'_>,
         target: &mut ProbeTarget,
-        domain: &Name,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        hooks: FaultHooks,
-        health: ProbeHealth,
-        effects: &FaultEffects,
-        cfg: ProbeConfig,
-        rng: &mut SimRng,
-        log: &mut SpanLog,
+        wires: &mut Wires<'_>,
     ) -> ProbeOutcome {
-        let query = self.build_query(domain, cfg, true);
-        // detlint:allow(unwrap, queries built by build_query are well-formed; encoding cannot fail)
-        let query_wire = query.encode().expect("query encodes");
-        let dns_encode = encode_cost(query_wire.len());
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
-
-        let (mut tcp, connect, tls_time) = match warm.tcp_tls_setup(path, hooks, rng, &mut t, log) {
-            Ok(ok) => ok,
+        env.encode(wires.query_wire().len());
+        let mut tcp = match env.tcp_tls_setup() {
+            Ok(tcp) => tcp,
             Err(fail) => return fail,
         };
-        let (server_time, cache_hit, rcode, dns_response) =
-            self.serve(target, &query, domain, now, site, effects, false, rng);
-        if health == ProbeHealth::HttpError {
-            // DoT has no HTTP layer; the analogous failure is a ServFail.
-            let out = tcp.request_response_traced(
-                path,
-                2 + query_wire.len(),
-                2 + 12,
-                server_time,
-                rng,
-                t,
-                log,
-            );
-            return match out {
-                Ok(o) => ProbeOutcome::Failure {
-                    kind: ProbeErrorKind::DnsError,
-                    elapsed: connect + tls_time + o.elapsed,
-                },
-                Err(e) => ProbeOutcome::Failure {
-                    kind: e.into(),
-                    elapsed: connect + tls_time + e.elapsed,
-                },
-            };
-        }
-        // RFC 7858: each DNS message is TCP-framed with a length prefix.
-        // detlint:allow(unwrap, probe queries are far below the 64 KiB TCP framing limit)
-        let framed_query = dns_wire::tcp_frame::frame(&query_wire).expect("query frames");
-        // detlint:allow(unwrap, simulated responses are far below the 64 KiB TCP framing limit)
-        let framed_response = dns_wire::tcp_frame::frame(&dns_response).expect("response frames");
-        match tcp.request_response_traced(
-            path,
-            framed_query.len(),
-            framed_response.len(),
-            server_time,
-            rng,
-            t,
-            log,
+        let served = self.serve(env, target, wires, false);
+        let (req_len, resp_len) = wires.stream_lens(served.response);
+        // DoT has no HTTP layer; the analogous failure is a bare
+        // header-only SERVFAIL.
+        let broken = env.health == ProbeHealth::HttpError;
+        let out = match tcp.request_response_traced(
+            &env.path,
+            req_len,
+            if broken { 2 + 12 } else { resp_len },
+            served.server_time,
+            env.rng,
+            env.t,
+            env.log,
         ) {
-            Ok(out) => {
-                t += out.elapsed.as_nanos();
-                let dns_decode = decode_cost(dns_response.len());
-                record_codec_span(log, t, Phase::DnsDecode, dns_decode);
-                let timings = ProbeTimings::from_legs(
-                    dns_encode,
-                    connect,
-                    tls_time,
-                    out.elapsed,
-                    server_time,
-                    dns_decode,
-                );
-                Self::check_rcode(rcode, timings, cache_hit, site)
-            }
-            Err(e) => ProbeOutcome::Failure {
-                kind: e.into(),
-                elapsed: connect + tls_time + e.elapsed,
-            },
+            Ok(out) => out,
+            Err(e) => return env.failed(e),
+        };
+        if broken {
+            return Self::dns_error(env.setup() + out.elapsed);
         }
+        let body_len = wires.response_wire(served.response).len();
+        let timings = env.complete(out.elapsed, served.server_time, body_len);
+        Self::check_rcode(served.rcode, timings, &served, env.site)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn do53_probe(
+    /// Plain DNS over UDP, with `dig`'s datagram retransmit schedule.
+    fn do53(
         &self,
+        env: &mut Attempt<'_>,
         target: &mut ProbeTarget,
-        domain: &Name,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        health: ProbeHealth,
-        effects: &FaultEffects,
-        cfg: ProbeConfig,
-        rng: &mut SimRng,
-        log: &mut SpanLog,
+        wires: &mut Wires<'_>,
     ) -> ProbeOutcome {
         // Plain DNS has no connection; refused/TLS failures manifest as
         // silence (dig retries then times out).
-        let dead = matches!(
-            health,
+        if matches!(
+            env.health,
             ProbeHealth::Refusing | ProbeHealth::TlsBroken | ProbeHealth::BadCertificate
-        );
-        let mut path = path.clone();
-        if dead {
-            path.extra_loss = 1.0;
-        }
-        let query = self.build_query(domain, cfg, false);
-        // detlint:allow(unwrap, queries built by build_query are well-formed; encoding cannot fail)
-        let query_wire = query.encode().expect("query encodes");
-        let dns_encode = encode_cost(query_wire.len());
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
-        let (server_time, cache_hit, rcode, dns_response) =
-            self.serve(target, &query, domain, now, site, effects, false, rng);
-        // The datagram-level retransmit schedule is `dig`'s: one home for
-        // the constants, shared with the probe-level retry layer.
-        let policy = RetryPolicy::dig_defaults().as_flight_policy();
-        match transport::exchange_traced(
-            &path,
-            query_wire.len(),
-            dns_response.len(),
-            server_time,
-            policy,
-            TransportErrorKind::RequestTimeout,
-            rng,
-            t,
-            log,
         ) {
-            Ok(out) => {
-                t += out.elapsed.as_nanos();
-                let dns_decode = decode_cost(dns_response.len());
-                record_codec_span(log, t, Phase::DnsDecode, dns_decode);
-                let timings = ProbeTimings::from_legs(
-                    dns_encode,
-                    SimDuration::ZERO,
-                    SimDuration::ZERO,
-                    out.elapsed,
-                    server_time,
-                    dns_decode,
-                );
-                if health == ProbeHealth::HttpError {
-                    return ProbeOutcome::Failure {
-                        kind: ProbeErrorKind::DnsError,
-                        elapsed: timings.total(),
-                    };
-                }
-                Self::check_rcode(rcode, timings, cache_hit, site)
-            }
-            Err(e) => ProbeOutcome::Failure {
-                kind: ProbeErrorKind::QueryTimeout,
-                elapsed: e.elapsed,
-            },
+            env.path.extra_loss = 1.0;
         }
+        env.encode(wires.query_wire().len());
+        let served = self.serve(env, target, wires, false);
+        let resp_len = wires.response_wire(served.response).len();
+        let out = match transport::exchange_traced(
+            &env.path,
+            wires.query_wire().len(),
+            resp_len,
+            served.server_time,
+            // The datagram-level retransmit schedule is `dig`'s: one home
+            // for the constants, shared with the probe-level retry layer.
+            RetryPolicy::dig_defaults().as_flight_policy(),
+            TransportErrorKind::RequestTimeout,
+            env.rng,
+            env.t,
+            env.log,
+        ) {
+            Ok(out) => out,
+            Err(e) => {
+                return ProbeOutcome::Failure {
+                    kind: ProbeErrorKind::QueryTimeout,
+                    elapsed: e.elapsed,
+                }
+            }
+        };
+        let timings = env.complete(out.elapsed, served.server_time, resp_len);
+        if env.health == ProbeHealth::HttpError {
+            return Self::dns_error(timings.total());
+        }
+        Self::check_rcode(served.rcode, timings, &served, env.site)
+    }
+
+    /// DNS over QUIC (RFC 9250): one combined handshake, then one
+    /// length-prefixed stream exchange.
+    fn doq(
+        &self,
+        env: &mut Attempt<'_>,
+        target: &mut ProbeTarget,
+        wires: &mut Wires<'_>,
+    ) -> ProbeOutcome {
+        if env.hooks.refuse_connect {
+            // QUIC: a closed port answers with ICMP unreachable ≈ one RTT.
+            let rtt = env
+                .path
+                .sample_rtt(1200, 60, env.rng)
+                .unwrap_or(SimDuration::from_millis(300));
+            env.log
+                .instant(env.t + rtt.as_nanos(), "connection_refused");
+            return ProbeOutcome::Failure {
+                kind: ProbeErrorKind::ConnectionRefused,
+                elapsed: rtt,
+            };
+        }
+        env.encode(wires.query_wire().len());
+        let mut quic = match env.quic_setup() {
+            Ok(quic) => quic,
+            Err(fail) => return fail,
+        };
+        if env.hooks.tls_behavior == TlsServerBehavior::BadCertificate {
+            // QUIC folds TLS 1.3 into its handshake: the certificate
+            // arrives with the combined connect flight, so the client pays
+            // the connect round trip and then aborts — same shape as the
+            // TCP-carried transports.
+            env.log.instant(env.t, "certificate_rejected");
+            return ProbeOutcome::Failure {
+                kind: ProbeErrorKind::CertificateError,
+                elapsed: env.timings.connect,
+            };
+        }
+        let served = self.serve(env, target, wires, false);
+        let (req_len, resp_len) = wires.stream_lens(served.response);
+        let out = match quic.stream_exchange_traced(
+            &env.path,
+            req_len,
+            resp_len,
+            served.server_time,
+            env.rng,
+            env.t,
+            env.log,
+        ) {
+            Ok(out) => out,
+            Err(e) => return env.failed(e),
+        };
+        let body_len = wires.response_wire(served.response).len();
+        let timings = env.complete(out.elapsed, served.server_time, body_len);
+        if env.health == ProbeHealth::HttpError {
+            return Self::dns_error(timings.total());
+        }
+        Self::check_rcode(served.rcode, timings, &served, env.site)
     }
 
     /// Oblivious DoH (RFC 9230): the query is sealed to the target's key
     /// and carried through a relay. The client pays a cold DoH transaction
     /// to its nearest relay plus one relay→target round trip (relays hold
-    /// warm connections to targets) plus the target's processing.
-    #[allow(clippy::too_many_arguments)]
-    fn odoh_probe(
+    /// warm connections to targets) plus the target's processing. The
+    /// per-probe KEM entropy draw leaves no sealed wire to cache.
+    fn odoh(
         &self,
-        client: &Host,
+        env: &mut Attempt<'_>,
         target: &mut ProbeTarget,
-        domain: &Name,
-        now: SimTime,
-        site: usize,
-        health: ProbeHealth,
-        effects: &FaultEffects,
-        cfg: ProbeConfig,
-        rng: &mut SimRng,
-        log: &mut SpanLog,
+        wires: &mut Wires<'_>,
     ) -> ProbeOutcome {
         use dns_wire::odoh;
         use netsim::AccessProfile;
 
-        let relay = catalog::relays::nearest_relay(&client.location);
-        // Client → relay leg inherits the client's access network.
-        let client_relay = Path::between(
-            client.location,
-            client.access,
-            relay.city.point,
-            AccessProfile::datacenter(),
-        );
+        let relay = catalog::relays::nearest_relay(&env.client.location);
         // Relay → target leg between datacenters; target outages blackhole it.
-        let target_city = target.instance.servers[site].location();
+        let target_city = target.instance.servers[env.site].location();
         let mut relay_target = Path::between(
             relay.city.point,
             AccessProfile::datacenter(),
             target_city.point,
             AccessProfile::datacenter(),
         );
-        if health == ProbeHealth::Blackholed {
+        if env.health == ProbeHealth::Blackholed {
             relay_target.extra_loss = 1.0;
         }
+        // The client's own transport runs to the relay, not the target:
+        // the leg inherits the client's access network, relays are
+        // modelled reliable, and the target never sees the client, so
+        // there is no session to resume.
+        env.path = Path::between(
+            env.client.location,
+            env.client.access,
+            relay.city.point,
+            AccessProfile::datacenter(),
+        );
+        env.hooks = FaultHooks::NONE;
+        env.warm = WarmStart::Cold;
 
-        // Seal the query to the target's key configuration.
+        // Seal the query to the target's key configuration. The encode
+        // phase covers building the query and sealing it (the sealed
+        // message is what goes on the wire).
         let key = odoh::TargetKey::from_seed(netsim::rng::derive_seed(
             0x0D0A_0D0A,
             target.entry.hostname,
         ));
-        let query = self.build_query(domain, cfg, true);
-        // detlint:allow(unwrap, queries built by build_query are well-formed; encoding cannot fail)
-        let query_wire = query.encode().expect("query encodes");
-        let kem_entropy = (rng.uniform() * u64::MAX as f64) as u64;
-        let sealed_query = odoh::seal_query(&key, &query_wire, kem_entropy);
+        let kem_entropy = (env.rng.uniform() * u64::MAX as f64) as u64;
+        let sealed_query = odoh::seal_query(&key, wires.query_wire(), kem_entropy);
         // detlint:allow(unwrap, sealed ODoH messages built here are well-formed by construction)
         let sealed_query_wire = sealed_query.encode().expect("odoh encodes");
-        // The encode phase covers building the query and sealing it to the
-        // target's key (the sealed message is what goes on the wire).
-        let dns_encode = encode_cost(sealed_query_wire.len());
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
-
-        // Connect to the relay (TCP + TLS).
-        let refused_relay = false; // relays are modelled reliable
-        let (mut tcp, connect) = match TcpConnection::connect_traced(
-            &client_relay,
-            refused_relay,
-            rng,
-            TcpConfig::default(),
-            t,
-            log,
-        ) {
-            Ok(ok) => ok,
-            Err(e) => {
-                return ProbeOutcome::Failure {
-                    kind: e.into(),
-                    elapsed: e.elapsed,
-                }
-            }
+        env.encode(sealed_query_wire.len());
+        let mut tcp = match env.tcp_tls_setup() {
+            Ok(tcp) => tcp,
+            Err(fail) => return fail,
         };
-        t += connect.as_nanos();
-        let tls_behavior = TlsServerBehavior::Normal;
-        let tls = match TlsSession::handshake_traced(
-            &mut tcp,
-            &client_relay,
-            TlsConfig::default(),
-            tls_behavior,
-            None,
-            rng,
-            t,
-            log,
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                return ProbeOutcome::Failure {
-                    kind: e.into(),
-                    elapsed: connect + e.elapsed,
-                }
-            }
-        };
-        t += tls.handshake_time.as_nanos();
+        let setup = env.setup();
 
         // Target side: resolve and seal the response.
-        let (server_time, cache_hit, rcode, dns_response) =
-            self.serve(target, &query, domain, now, site, effects, true, rng);
+        let served = self.serve(env, target, wires, true);
         let (_plain, kem) = match odoh::open_query(&key, &sealed_query) {
             Ok(ok) => ok,
-            Err(_) => {
-                return ProbeOutcome::Failure {
-                    kind: ProbeErrorKind::DnsError,
-                    elapsed: connect + tls.handshake_time,
-                }
-            }
+            Err(_) => return Self::dns_error(setup),
         };
-        let sealed_response = odoh::seal_response(&key, &kem, &dns_response);
+        let sealed_response = odoh::seal_response(&key, &kem, wires.response_wire(served.response));
         // detlint:allow(unwrap, sealed ODoH messages built here are well-formed by construction)
         let sealed_response_wire = sealed_response.encode().expect("odoh encodes");
 
         // Relay forwards over its warm target connection: one round trip.
-        let relay_forward =
-            match relay_target.sample_rtt(sealed_query_wire.len(), sealed_response_wire.len(), rng)
-            {
-                Some(rtt) => rtt + server_time,
+        // On a lost one it retries once after a 2-second upstream timeout,
+        // then reports 502 to the client after another.
+        let (req_len, resp_len) = (sealed_query_wire.len(), sealed_response_wire.len());
+        let relay_forward = match relay_target.sample_rtt(req_len, resp_len, env.rng) {
+            Some(rtt) => rtt + served.server_time,
+            None => match relay_target.sample_rtt(req_len, resp_len, env.rng) {
+                Some(rtt) => SimDuration::from_secs(2) + rtt + served.server_time,
                 None => {
-                    // Relay retries once, then reports 502 to the client after
-                    // a 2-second upstream timeout.
-                    match relay_target.sample_rtt(
-                        sealed_query_wire.len(),
-                        sealed_response_wire.len(),
-                        rng,
-                    ) {
-                        Some(rtt) => SimDuration::from_secs(2) + rtt + server_time,
-                        None => {
-                            let elapsed = connect + tls.handshake_time + SimDuration::from_secs(4);
-                            return ProbeOutcome::Failure {
-                                kind: ProbeErrorKind::HttpStatus,
-                                elapsed,
-                            };
-                        }
+                    return ProbeOutcome::Failure {
+                        kind: ProbeErrorKind::HttpStatus,
+                        elapsed: setup + SimDuration::from_secs(4),
                     }
                 }
-            };
-
-        // Client ↔ relay HTTP exchange, with the relay's forwarding time as
-        // its "server time".
-        let req = H2Request {
-            headers: {
-                let mut h = doh_headers(relay.hostname, "/proxy", true, sealed_query_wire.len());
-                h.push(HeaderField::new(
-                    "content-type",
-                    "application/oblivious-dns-message",
-                ));
-                h
             },
+        };
+
+        // Client ↔ relay HTTP exchange. Through a relay, everything past
+        // that wire exchange — the relay→target leg plus the target's own
+        // processing — is "server" time from the client's point of view.
+        let content_type = HeaderField::new("content-type", "application/oblivious-dns-message");
+        let mut headers = doh_headers(relay.hostname, "/proxy", true, req_len);
+        headers.push(content_type.clone());
+        let req = H2Request {
+            headers,
             body: Bytes::from(sealed_query_wire),
         };
         // A rate-limited target answers the relay with a 429, which the
         // relay forwards to the client.
-        let http_status = if effects.rate_limited {
+        let http_status = if env.effects.rate_limited {
             429
-        } else if health == ProbeHealth::HttpError {
+        } else if env.health == ProbeHealth::HttpError {
             500
         } else {
             200
         };
-        let mut h2 = H2Connection::new();
-        let result = h2.round_trip_traced(
+        let (resp, query_time) = match H2Connection::new().round_trip_traced(
             &mut tcp,
-            &client_relay,
+            &env.path,
             &req,
             |sid, enc| {
                 H2Connection::encode_response(
                     enc,
                     sid,
                     http_status,
-                    &[HeaderField::new(
-                        "content-type",
-                        "application/oblivious-dns-message",
-                    )],
+                    std::slice::from_ref(&content_type),
                     &sealed_response_wire,
                 )
             },
             relay_forward,
-            rng,
-            t,
-            log,
-        );
-        let (resp, query_time) = match result {
+            env.rng,
+            env.t,
+            env.log,
+        ) {
             Ok(ok) => ok,
-            Err(e) => {
-                return ProbeOutcome::Failure {
-                    kind: e.into(),
-                    elapsed: connect + tls.handshake_time + e.elapsed,
-                }
-            }
+            Err(e) => return env.failed(e),
         };
-        t += query_time.as_nanos();
         // The decode phase covers decapsulating the sealed response and
         // parsing the DNS message inside it.
-        let dns_decode = decode_cost(resp.body.len());
-        record_codec_span(log, t, Phase::DnsDecode, dns_decode);
-        // Through a relay, everything past the client↔relay wire exchange —
-        // the relay→target leg plus the target's own processing — is
-        // "server" time from the client's point of view.
-        let timings = ProbeTimings::from_legs(
-            dns_encode,
-            connect,
-            tls.handshake_time,
-            query_time,
-            relay_forward,
-            dns_decode,
-        );
+        let timings = env.complete(query_time, relay_forward, resp.body.len());
         if resp.status != 200 {
-            return ProbeOutcome::Failure {
-                kind: if resp.status == 429 {
-                    ProbeErrorKind::RateLimited
-                } else {
-                    ProbeErrorKind::HttpStatus
-                },
-                elapsed: timings.total(),
-            };
+            return Self::http_error(resp.status, timings);
         }
-        // Client decapsulates and validates the DNS payload.
-        let opened = dns_wire::odoh::ObliviousMessage::decode(&resp.body)
+        let opened = odoh::ObliviousMessage::decode(&resp.body)
             .and_then(|m| odoh::open_response(&key, &kem, &m))
             .and_then(|plain| Message::decode(&plain));
         match opened {
-            Ok(msg) if msg.rcode() == rcode => {
-                Self::check_rcode(msg.rcode(), timings, cache_hit, site)
-            }
-            Ok(msg) => Self::check_rcode(msg.rcode(), timings, cache_hit, site),
-            Err(_) => ProbeOutcome::Failure {
-                kind: ProbeErrorKind::DnsError,
-                elapsed: timings.total(),
-            },
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn doq_probe(
-        &self,
-        warm: WarmStart,
-        target: &mut ProbeTarget,
-        domain: &Name,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        hooks: FaultHooks,
-        health: ProbeHealth,
-        effects: &FaultEffects,
-        cfg: ProbeConfig,
-        rng: &mut SimRng,
-        log: &mut SpanLog,
-    ) -> ProbeOutcome {
-        if hooks.refuse_connect {
-            // QUIC: a closed port answers with ICMP unreachable ≈ one RTT.
-            let rtt = path
-                .sample_rtt(1200, 60, rng)
-                .unwrap_or(SimDuration::from_millis(300));
-            log.instant(now.as_nanos() + rtt.as_nanos(), "connection_refused");
-            return ProbeOutcome::Failure {
-                kind: ProbeErrorKind::ConnectionRefused,
-                elapsed: rtt,
-            };
-        }
-        let query = self.build_query(domain, cfg, true);
-        // detlint:allow(unwrap, queries built by build_query are well-formed; encoding cannot fail)
-        let query_wire = query.encode().expect("query encodes");
-        let dns_encode = encode_cost(query_wire.len());
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
-        let (mut quic, connect) = match warm.quic_setup(path, rng, &mut t, log) {
-            Ok(ok) => ok,
-            Err(fail) => return fail,
-        };
-        if hooks.tls_behavior == TlsServerBehavior::BadCertificate {
-            // QUIC folds TLS 1.3 into its handshake: the certificate
-            // arrives with the combined connect flight, so the client pays
-            // the connect round trip and then aborts — same shape as the
-            // TCP-carried transports.
-            log.instant(t, "certificate_rejected");
-            return ProbeOutcome::Failure {
-                kind: ProbeErrorKind::CertificateError,
-                elapsed: connect,
-            };
-        }
-        let (server_time, cache_hit, rcode, dns_response) =
-            self.serve(target, &query, domain, now, site, effects, false, rng);
-        match quic.stream_exchange_traced(
-            path,
-            2 + query_wire.len(),
-            2 + dns_response.len(),
-            server_time,
-            rng,
-            t,
-            log,
-        ) {
-            Ok(out) => {
-                t += out.elapsed.as_nanos();
-                let dns_decode = decode_cost(dns_response.len());
-                record_codec_span(log, t, Phase::DnsDecode, dns_decode);
-                // The QUIC handshake folds transport and crypto setup into
-                // one leg, so `tls_handshake` is structurally zero.
-                let timings = ProbeTimings::from_legs(
-                    dns_encode,
-                    connect,
-                    SimDuration::ZERO,
-                    out.elapsed,
-                    server_time,
-                    dns_decode,
-                );
-                if health == ProbeHealth::HttpError {
-                    return ProbeOutcome::Failure {
-                        kind: ProbeErrorKind::DnsError,
-                        elapsed: timings.total(),
-                    };
-                }
-                Self::check_rcode(rcode, timings, cache_hit, site)
-            }
-            Err(e) => ProbeOutcome::Failure {
-                kind: e.into(),
-                elapsed: connect + e.elapsed,
-            },
+            Ok(msg) => Self::check_rcode(msg.rcode(), timings, &served, env.site),
+            Err(_) => Self::dns_error(timings.total()),
         }
     }
 }
@@ -2084,126 +1211,137 @@ mod tests {
         ProbeTarget::from_entry(resolvers::find(hostname).unwrap())
     }
 
-    fn domain() -> Name {
-        Name::parse("google.com").unwrap()
+    fn over(protocol: Protocol) -> ProbeConfig {
+        ProbeConfig {
+            protocol,
+            ..ProbeConfig::default()
+        }
+    }
+
+    /// `hours` untraced, fault-free probes of google.com, one per hour; a
+    /// client labelled `home-*` probes as a residential vantage.
+    fn hourly(
+        client: &Host,
+        target: &mut ProbeTarget,
+        cfg: ProbeConfig,
+        hours: u64,
+        rng: &mut SimRng,
+    ) -> Vec<ProbeReport> {
+        let prober = Prober::new();
+        let domain = Name::parse("google.com").unwrap();
+        (0..hours)
+            .map(|h| {
+                let req = ProbeRequest {
+                    is_home: client.label.starts_with("home"),
+                    cfg,
+                    ..ProbeRequest::new(client, &domain, SimTime::ZERO + SimDuration::from_hours(h))
+                };
+                prober.probe(&req, target, rng, &mut SpanLog::disabled())
+            })
+            .collect()
+    }
+
+    /// Sorted response times of the successful probes, in milliseconds.
+    fn times_ms(reports: &[ProbeReport]) -> Vec<f64> {
+        let mut times: Vec<f64> = reports
+            .iter()
+            .filter_map(|r| r.outcome.response_time())
+            .map(|rt| rt.as_millis_f64())
+            .collect();
+        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        times
+    }
+
+    fn median_ms(reports: &[ProbeReport]) -> f64 {
+        let times = times_ms(reports);
+        times[times.len() / 2]
+    }
+
+    fn failure_kinds(reports: &[ProbeReport]) -> Vec<ProbeErrorKind> {
+        reports
+            .iter()
+            .filter_map(|r| match r.outcome {
+                ProbeOutcome::Failure { kind, .. } => Some(kind),
+                ProbeOutcome::Success { .. } => None,
+            })
+            .collect()
     }
 
     #[test]
     fn doh_probe_of_mainstream_succeeds_fast() {
-        let prober = Prober::new();
-        let mut t = target("dns.google");
         let mut rng = SimRng::from_seed(1);
-        let mut times = Vec::new();
-        for i in 0..50 {
-            let (outcome, ping) = prober.probe(
-                &client(),
-                &mut t,
-                &domain(),
-                SimTime::from_nanos(i * 3_600_000_000_000),
-                false,
-                ProbeConfig::default(),
-                &mut rng,
-            );
-            if let Some(rt) = outcome.response_time() {
-                times.push(rt.as_millis_f64());
-            }
-            if let Some(p) = ping {
-                assert!(p.as_millis_f64() < 60.0, "ping {p}");
-            }
+        let reports = hourly(
+            &client(),
+            &mut target("dns.google"),
+            ProbeConfig::default(),
+            50,
+            &mut rng,
+        );
+        for p in reports.iter().filter_map(|r| r.ping) {
+            assert!(p.as_millis_f64() < 60.0, "ping {p}");
         }
+        let times = times_ms(&reports);
         assert!(times.len() >= 48, "mainstream should almost always succeed");
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = times[times.len() / 2];
         // Cold DoH ≈ 3 round trips Ohio→Chicago/Ashburn ≈ 20-50 ms.
+        let median = times[times.len() / 2];
         assert!((10.0..60.0).contains(&median), "median {median}");
     }
 
     #[test]
     fn remote_unicast_resolver_is_much_slower() {
-        let prober = Prober::new();
-        let mut near = target("dns.google");
-        let mut far = target("dns.bebasid.com"); // Bandung, Indonesia
         let mut rng = SimRng::from_seed(2);
-        let mut near_median = Vec::new();
-        let mut far_median = Vec::new();
-        for i in 0..40 {
-            let now = SimTime::from_nanos(i * 3_600_000_000_000);
-            let (o, _) = prober.probe(
-                &client(),
-                &mut near,
-                &domain(),
-                now,
-                false,
-                ProbeConfig::default(),
-                &mut rng,
-            );
-            if let Some(rt) = o.response_time() {
-                near_median.push(rt.as_millis_f64());
-            }
-            let (o, _) = prober.probe(
-                &client(),
-                &mut far,
-                &domain(),
-                now,
-                false,
-                ProbeConfig::default(),
-                &mut rng,
-            );
-            if let Some(rt) = o.response_time() {
-                far_median.push(rt.as_millis_f64());
-            }
-        }
-        near_median.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        far_median.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let (n, f) = (
-            near_median[near_median.len() / 2],
-            far_median[far_median.len() / 2],
-        );
+        let cfg = ProbeConfig::default();
+        let n = median_ms(&hourly(
+            &client(),
+            &mut target("dns.google"),
+            cfg,
+            40,
+            &mut rng,
+        ));
+        // Bandung, Indonesia.
+        let f = median_ms(&hourly(
+            &client(),
+            &mut target("dns.bebasid.com"),
+            cfg,
+            40,
+            &mut rng,
+        ));
         assert!(f > n * 5.0, "near {n} ms vs far {f} ms");
     }
 
     #[test]
     fn icmp_filtered_resolver_has_no_ping() {
-        let prober = Prober::new();
-        let mut t = target("dns.njal.la");
         let mut rng = SimRng::from_seed(3);
-        let (_, ping) = prober.probe(
+        let reports = hourly(
             &client(),
-            &mut t,
-            &domain(),
-            SimTime::ZERO,
-            false,
+            &mut target("dns.njal.la"),
             ProbeConfig::default(),
+            1,
             &mut rng,
         );
-        assert_eq!(ping, None);
+        assert_eq!(reports[0].ping, None);
     }
 
     #[test]
     fn mostly_down_resolver_yields_connection_errors() {
-        let prober = Prober::new();
-        let mut t = target("chewbacca.meganerd.nl");
         let mut rng = SimRng::from_seed(4);
-        let mut failures = 0;
-        let mut conn_failures = 0;
-        for i in 0..60 {
-            let (outcome, _) = prober.probe(
-                &client(),
-                &mut t,
-                &domain(),
-                SimTime::from_nanos(i * 3_600_000_000_000),
-                false,
-                ProbeConfig::default(),
-                &mut rng,
-            );
-            if let ProbeOutcome::Failure { kind, elapsed } = outcome {
-                failures += 1;
-                if kind.is_connection_failure() {
-                    conn_failures += 1;
-                }
+        let reports = hourly(
+            &client(),
+            &mut target("chewbacca.meganerd.nl"),
+            ProbeConfig::default(),
+            60,
+            &mut rng,
+        );
+        for r in &reports {
+            if let ProbeOutcome::Failure { elapsed, .. } = r.outcome {
                 assert!(elapsed > SimDuration::ZERO);
             }
         }
+        let kinds = failure_kinds(&reports);
+        let (failures, conn_failures) = (
+            kinds.len(),
+            kinds.iter().filter(|k| k.is_connection_failure()).count(),
+        );
         assert!(failures > 40, "mostly-down should mostly fail: {failures}");
         assert!(
             conn_failures * 10 > failures * 8,
@@ -2213,7 +1351,6 @@ mod tests {
 
     #[test]
     fn home_extra_latency_applies_only_at_home() {
-        let prober = Prober::new();
         let mut rng = SimRng::from_seed(5);
         let cfg = ProbeConfig::default();
         let mut t = target("dns.twnic.tw");
@@ -2223,54 +1360,19 @@ mod tests {
             cities::CHICAGO,
             AccessProfile::home_cable(),
         );
-        let mut home_times = Vec::new();
-        let mut cloud_times = Vec::new();
-        for i in 0..30 {
-            let now = SimTime::from_nanos(i * 3_600_000_000_000);
-            let (o, _) = prober.probe(&home_client, &mut t, &domain(), now, true, cfg, &mut rng);
-            if let Some(rt) = o.response_time() {
-                home_times.push(rt.as_millis_f64());
-            }
-            let (o, _) = prober.probe(&client(), &mut t, &domain(), now, false, cfg, &mut rng);
-            if let Some(rt) = o.response_time() {
-                cloud_times.push(rt.as_millis_f64());
-            }
-        }
-        let med = |v: &mut Vec<f64>| {
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            v[v.len() / 2]
-        };
-        let hm = med(&mut home_times);
-        let cm = med(&mut cloud_times);
+        let hm = median_ms(&hourly(&home_client, &mut t, cfg, 30, &mut rng));
+        let cm = median_ms(&hourly(&client(), &mut t, cfg, 30, &mut rng));
         // 70 ms extra one-way over 3 round trips = several hundred ms more.
         assert!(hm > cm + 200.0, "home {hm} vs cloud {cm}");
     }
 
     #[test]
     fn all_protocols_succeed_against_healthy_target() {
-        let prober = Prober::new();
         let mut rng = SimRng::from_seed(6);
         for protocol in [Protocol::Do53, Protocol::DoT, Protocol::DoH, Protocol::DoQ] {
             let mut t = target("dns.quad9.net");
-            let cfg = ProbeConfig {
-                protocol,
-                ..ProbeConfig::default()
-            };
-            let mut successes = 0;
-            for i in 0..20 {
-                let (o, _) = prober.probe(
-                    &client(),
-                    &mut t,
-                    &domain(),
-                    SimTime::from_nanos(i * 3_600_000_000_000),
-                    false,
-                    cfg,
-                    &mut rng,
-                );
-                if o.is_success() {
-                    successes += 1;
-                }
-            }
+            let successes =
+                times_ms(&hourly(&client(), &mut t, over(protocol), 20, &mut rng)).len();
             assert!(successes >= 18, "{protocol}: {successes}/20");
         }
     }
@@ -2278,66 +1380,28 @@ mod tests {
     #[test]
     fn do53_is_fastest_cold_doh_slowest() {
         // Böttger et al.'s ordering: DNS < DoT ≈ DoH on cold connections.
-        let prober = Prober::new();
         let mut rng = SimRng::from_seed(7);
-        let mut medians = std::collections::HashMap::new();
-        for protocol in [Protocol::Do53, Protocol::DoT, Protocol::DoH] {
+        let [do53, dot, doh] = [Protocol::Do53, Protocol::DoT, Protocol::DoH].map(|protocol| {
             let mut t = target("dns.google");
-            let cfg = ProbeConfig {
-                protocol,
-                ..ProbeConfig::default()
-            };
-            let mut times = Vec::new();
-            for i in 0..60 {
-                let (o, _) = prober.probe(
-                    &client(),
-                    &mut t,
-                    &domain(),
-                    SimTime::from_nanos(i * 3_600_000_000_000),
-                    false,
-                    cfg,
-                    &mut rng,
-                );
-                if let Some(rt) = o.response_time() {
-                    times.push(rt.as_millis_f64());
-                }
-            }
-            times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            medians.insert(protocol, times[times.len() / 2]);
-        }
-        assert!(
-            medians[&Protocol::Do53] < medians[&Protocol::DoT],
-            "do53 {} vs dot {}",
-            medians[&Protocol::Do53],
-            medians[&Protocol::DoT]
-        );
-        assert!(
-            medians[&Protocol::Do53] * 2.0 < medians[&Protocol::DoH],
-            "cold DoH should cost ≈3x a UDP exchange"
-        );
+            median_ms(&hourly(&client(), &mut t, over(protocol), 60, &mut rng))
+        });
+        assert!(do53 < dot, "do53 {do53} vs dot {dot}");
+        assert!(do53 * 2.0 < doh, "cold DoH should cost ≈3x a UDP exchange");
     }
 
     #[test]
     fn http1_only_resolver_probes_succeed() {
-        let prober = Prober::new();
         let mut t = target("ibksturm.synology.me"); // http1_only, flaky
         assert!(t.entry.http1_only);
         let mut rng = SimRng::from_seed(12);
-        let mut ok = 0;
-        for i in 0..30 {
-            let (o, _) = prober.probe(
-                &client(),
-                &mut t,
-                &domain(),
-                SimTime::from_nanos(i * 3_600_000_000_000),
-                false,
-                ProbeConfig::default(),
-                &mut rng,
-            );
-            if o.is_success() {
-                ok += 1;
-            }
-        }
+        let ok = times_ms(&hourly(
+            &client(),
+            &mut t,
+            ProbeConfig::default(),
+            30,
+            &mut rng,
+        ))
+        .len();
         // Flaky health: most but not all succeed, over HTTP/1.1.
         assert!(ok >= 20, "{ok}/30");
     }
@@ -2349,100 +1413,55 @@ mod tests {
         // the cold handshakes terminate at the nearby relay, whose *warm*
         // connection crosses the ocean once — so ODoH can beat cold direct
         // DoH. Both regimes are asserted.
-        let prober = Prober::new();
-        let mut med = std::collections::HashMap::new();
-        for (case, city, access) in [
-            ("near", cities::FRANKFURT, AccessProfile::cloud_vm()),
-            ("far", cities::COLUMBUS_OH, AccessProfile::cloud_vm()),
-        ] {
-            let probe_client = Host::in_city(HostId(0), "c", city, access);
-            for protocol in [Protocol::DoH, Protocol::ODoH] {
-                let mut t = target("odoh-target.alekberg.net");
-                let mut rng = SimRng::from_seed(8);
-                let cfg = ProbeConfig {
-                    protocol,
-                    ..ProbeConfig::default()
-                };
-                let mut times = Vec::new();
-                for i in 0..40 {
-                    let (o, _) = prober.probe(
-                        &probe_client,
-                        &mut t,
-                        &domain(),
-                        SimTime::from_nanos(i * 3_600_000_000_000),
-                        false,
-                        cfg,
-                        &mut rng,
-                    );
-                    if let Some(rt) = o.response_time() {
-                        times.push(rt.as_millis_f64());
-                    }
-                }
-                assert!(times.len() >= 35, "{case}/{protocol}: {} ok", times.len());
-                times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                med.insert((case, protocol), times[times.len() / 2]);
-            }
-        }
-        assert!(
-            med[&("near", Protocol::ODoH)] > med[&("near", Protocol::DoH)] + 1.0,
-            "near: odoh {} vs doh {}",
-            med[&("near", Protocol::ODoH)],
-            med[&("near", Protocol::DoH)]
+        let median = |city, protocol| {
+            let probe_client = Host::in_city(HostId(0), "c", city, AccessProfile::cloud_vm());
+            let mut t = target("odoh-target.alekberg.net");
+            let mut rng = SimRng::from_seed(8);
+            let times = times_ms(&hourly(&probe_client, &mut t, over(protocol), 40, &mut rng));
+            assert!(times.len() >= 35, "{protocol}: {} ok", times.len());
+            times[times.len() / 2]
+        };
+        let (doh, odoh) = (
+            median(cities::FRANKFURT, Protocol::DoH),
+            median(cities::FRANKFURT, Protocol::ODoH),
         );
-        assert!(
-            med[&("far", Protocol::ODoH)] < med[&("far", Protocol::DoH)],
-            "far: odoh {} vs doh {}",
-            med[&("far", Protocol::ODoH)],
-            med[&("far", Protocol::DoH)]
+        assert!(odoh > doh + 1.0, "near: odoh {odoh} vs doh {doh}");
+        let (doh, odoh) = (
+            median(cities::COLUMBUS_OH, Protocol::DoH),
+            median(cities::COLUMBUS_OH, Protocol::ODoH),
         );
+        assert!(odoh < doh, "far: odoh {odoh} vs doh {doh}");
     }
 
     #[test]
     fn odoh_blackholed_target_surfaces_as_http_error() {
-        let prober = Prober::new();
         let mut t = target("chewbacca.meganerd.nl"); // mostly blackholed
         let mut rng = SimRng::from_seed(9);
-        let cfg = ProbeConfig {
-            protocol: Protocol::ODoH,
-            ..ProbeConfig::default()
-        };
-        let mut http_errors = 0;
-        for i in 0..40 {
-            let (o, _) = prober.probe(
-                &client(),
-                &mut t,
-                &domain(),
-                SimTime::from_nanos(i * 3_600_000_000_000),
-                false,
-                cfg,
-                &mut rng,
-            );
-            if let ProbeOutcome::Failure { kind, .. } = o {
-                if kind == ProbeErrorKind::HttpStatus {
-                    http_errors += 1;
-                }
-            }
-        }
+        let http_errors = failure_kinds(&hourly(
+            &client(),
+            &mut t,
+            over(Protocol::ODoH),
+            40,
+            &mut rng,
+        ))
+        .iter()
+        .filter(|k| **k == ProbeErrorKind::HttpStatus)
+        .count();
         // Through a relay, a dead target looks like a 5xx from the relay.
         assert!(http_errors > 10, "{http_errors}/40 relay 5xx");
     }
 
     #[test]
     fn deterministic_probes() {
-        let prober = Prober::new();
         let run = |seed: u64| {
-            let mut t = target("dns.google");
             let mut rng = SimRng::from_seed(seed);
-            let (o, p) = prober.probe(
+            hourly(
                 &client(),
-                &mut t,
-                &domain(),
-                SimTime::ZERO,
-                false,
+                &mut target("dns.google"),
                 ProbeConfig::default(),
+                1,
                 &mut rng,
-            );
-            (o, p)
+            )
         };
         assert_eq!(run(11), run(11));
     }

@@ -20,7 +20,10 @@
 //! at decide time (outage/blackhole, refused, broken TLS, expired
 //! certificate, link down) drops tickets *and* pooled connections before
 //! the attempt runs; any failed attempt does the same, so warm state only
-//! ever survives along an unbroken chain of successes.
+//! ever survives along an unbroken chain of successes. A pooled connection
+//! is an open socket to one site: when a load model moves an attempt to
+//! another site ([`SessionState::bind_site`]) the pool entry is dropped and
+//! the ticket, which is the operator's, is kept.
 
 use catalog::ReusePolicy;
 use netsim::{SimDuration, SimRng, SimTime};
@@ -132,6 +135,8 @@ struct CachedTicket {
 struct PooledConn {
     last_used: SimTime,
     srtt_hint: SimDuration,
+    /// The site the connection was opened to.
+    site: usize,
 }
 
 /// True for protocols with per-connection session state. Do53 is
@@ -151,6 +156,8 @@ pub struct SessionState {
     ticket: Option<CachedTicket>,
     pool: Option<PooledConn>,
     zero_rtt_remaining: u32,
+    /// The site the next attempt is served from.
+    site: usize,
     schedule: SimRng,
 }
 
@@ -171,6 +178,7 @@ impl SessionState {
             ticket: None,
             pool: None,
             zero_rtt_remaining: 0,
+            site: 0,
             schedule: SimRng::derived(seed, &format!("session:{vantage}:{hostname}")),
         }
     }
@@ -186,6 +194,17 @@ impl SessionState {
     /// ordinal within the pair.
     pub fn draw_forced_cold(&mut self, config: &SessionConfig) -> bool {
         self.schedule.uniform() < config.cold_fraction
+    }
+
+    /// Tells the state which site serves the next attempt. A pooled
+    /// connection to any other site cannot carry it and is dropped; the
+    /// ticket survives. Without a load model a pair's site never changes
+    /// and this never drops anything.
+    pub fn bind_site(&mut self, site: usize) {
+        self.site = site;
+        if self.pool.is_some_and(|p| p.site != site) {
+            self.pool = None;
+        }
     }
 
     /// Decides how the next attempt connects, and maintains the state
@@ -262,8 +281,7 @@ impl SessionState {
     /// `connect` is the probe's connect-phase duration; it seeds the
     /// pooled smoothed-RTT hint and (with `now`) the deterministic ticket
     /// identity. Ticket identities never influence timing — the TLS model
-    /// only distinguishes `Some`/`None` — so minting them here keeps the
-    /// fast path and the reference path trivially in agreement.
+    /// only distinguishes `Some`/`None`.
     pub fn on_success(
         &mut self,
         now: SimTime,
@@ -301,6 +319,7 @@ impl SessionState {
             self.pool = Some(PooledConn {
                 last_used: now,
                 srtt_hint,
+                site: self.site,
             });
         }
     }
@@ -362,9 +381,10 @@ impl SessionState {
         }
         match self.pool {
             Some(p) => s.push_str(&format!(
-                "pool={},{};",
+                "pool={},{},{};",
                 p.last_used.as_nanos(),
-                p.srtt_hint.as_nanos()
+                p.srtt_hint.as_nanos(),
+                p.site
             )),
             None => s.push_str("pool=-;"),
         }
@@ -509,6 +529,33 @@ mod tests {
         assert!(s.ticket().is_none());
         assert!(s.pool_srtt_hint().is_none());
         assert_eq!(s.zero_rtt_remaining(), 0);
+    }
+
+    #[test]
+    fn pool_is_bound_to_its_site_ticket_is_not() {
+        let mut s = state(ReusePolicy::production());
+        s.bind_site(2);
+        s.on_success(t(0), Protocol::DoH, ConnectionMode::Cold, MS);
+        // Same site: the pooled connection carries the next attempt.
+        s.bind_site(2);
+        assert_eq!(
+            s.decide(t(1), Protocol::DoH, true, false),
+            ConnectionMode::Reused
+        );
+        // The load model moves the pair: the socket to site 2 is useless
+        // at site 0, the operator's ticket is not.
+        s.bind_site(0);
+        assert!(s.pool_srtt_hint().is_none());
+        assert_eq!(
+            s.decide(t(2), Protocol::DoH, true, false),
+            ConnectionMode::Resumed
+        );
+        // ...and coming back does not resurrect it.
+        s.bind_site(2);
+        assert_eq!(
+            s.decide(t(3), Protocol::DoH, true, false),
+            ConnectionMode::Resumed
+        );
     }
 
     #[test]

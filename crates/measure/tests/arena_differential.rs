@@ -1,10 +1,12 @@
-//! Differential pinning of the probe fast path: `Campaign::run()` (the
-//! arena-backed `PairContext` path) must produce **byte-identical**
-//! records to `Campaign::run_reference()` (the per-probe reference build,
-//! no context, no caches) — across seeds, protocols, fault plans, retry
+//! Differential pinning of the cached wire source: `Campaign::run()`
+//! (pair-constant `PairContext`, wire templates, arena) must produce
+//! **byte-identical** records to `Campaign::run_reference()` (same driver
+//! and protocol machines, but every probe routed on its own, its faults
+//! resolved against the unmasked plan, and every wire freshly built,
+//! encoded and parsed back) — across seeds, protocols, fault plans, retry
 //! policies and probe options, serially and in parallel.
 //!
-//! This is the contract that makes the fast path safe: every hoisted
+//! This is the contract that makes the caches safe: every hoisted
 //! quantity is RNG-free and every cached wire is a pure function of
 //! pair-constant inputs, so the RNG stream and therefore every outcome,
 //! timing and retry record is unchanged.

@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dns_wire::Name;
-use measure::{ProbeConfig, ProbeTarget, Prober};
+use measure::{ProbeRequest, ProbeTarget, Prober};
 use netsim::{SimRng, SimTime};
 use obs::SpanLog;
 
@@ -53,18 +53,9 @@ fn probe_allocations(log: &mut SpanLog) -> u64 {
     let domain = Name::parse("google.com").unwrap();
     let mut rng = SimRng::derived(7, "alloc:probe");
     let prober = Prober::new();
-    let cfg = ProbeConfig::default();
+    let req = ProbeRequest::new(&client, &domain, SimTime::ZERO);
     allocations_during(|| {
-        let (outcome, _) = prober.probe_traced(
-            &client,
-            &mut target,
-            &domain,
-            SimTime::ZERO,
-            false,
-            cfg,
-            &mut rng,
-            log,
-        );
+        let outcome = prober.probe(&req, &mut target, &mut rng, log).outcome;
         assert!(outcome.is_success(), "probe setup changed: {outcome:?}");
     })
 }

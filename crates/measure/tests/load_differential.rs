@@ -5,14 +5,15 @@
 //! plans and retry policies, serially and at 3 threads.
 //!
 //! This is the invariant that lets the load subsystem ride along without
-//! invalidating any seed golden: `run_pair` only leaves the unloaded code
-//! path for a live model, a zero model never builds pair load state, and
-//! the unloaded path itself still matches the per-probe reference build.
-//! A live model, by contrast, MUST change output (otherwise the sweep
-//! measures nothing) — asserted here too, along with thread-count
-//! invariance of the loaded path itself.
+//! invalidating any seed golden: a zero model never builds pair load
+//! state, so the driver routes every attempt statically, and that run
+//! still matches the fresh-wire reference run. A live model, by contrast,
+//! MUST change output (otherwise the sweep measures nothing) — asserted
+//! here too, along with its thread-count invariance, its agreement with
+//! the reference run for every protocol, and its indifference to a
+//! cold-only session config.
 
-use measure::{Campaign, CampaignConfig, LoadModel, Protocol, RetryPolicy};
+use measure::{Campaign, CampaignConfig, LoadModel, Protocol, RetryPolicy, SessionConfig};
 use netsim::SimDuration;
 use proptest::prelude::*;
 
@@ -136,6 +137,38 @@ fn live_load_changes_output_and_is_thread_invariant() {
         loaded.run().to_json_lines(),
         "loaded campaign must be rerun-deterministic"
     );
+}
+
+#[test]
+fn live_load_matches_the_per_probe_reference_for_every_protocol() {
+    for protocol in PROTOCOLS {
+        let base = config(23, protocol, true, RetryPolicy::dig_defaults());
+        let loaded = campaign_with(base.with_load(LoadModel::standard(23).with_multiplier(2.0)));
+        let fast = loaded.run();
+        let reference = loaded.run_reference();
+        assert_eq!(
+            fast.records, reference.records,
+            "loaded run diverged from its reference: {protocol:?}"
+        );
+        assert_eq!(fast.to_json_lines(), reference.to_json_lines());
+    }
+}
+
+#[test]
+fn cold_only_sessions_under_live_load_are_load_alone() {
+    for protocol in PROTOCOLS {
+        let base = config(23, protocol, true, RetryPolicy::dig_defaults())
+            .with_load(LoadModel::standard(23).with_multiplier(2.0));
+        let alone = campaign_with(base.clone()).run().to_json_lines();
+        let cold = campaign_with(base.with_session(SessionConfig::cold_only()))
+            .run()
+            .to_json_lines();
+        assert_eq!(
+            alone, cold,
+            "a cold-only session config changed a loaded campaign: {protocol:?}"
+        );
+        assert!(!cold.contains("\"conn_mode\""));
+    }
 }
 
 proptest! {

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 
-use measure::{ProbeConfig, ProbeOutcome, ProbeTarget, Prober, RetryPolicy};
+use measure::{
+    ProbeConfig, ProbeOutcome, ProbeReport, ProbeRequest, ProbeTarget, Prober, RetryPolicy, SpanLog,
+};
 use netsim::faults::{FaultKind, FaultPlan, FaultScope};
 use netsim::{SimDuration, SimRng, SimTime};
 
@@ -94,9 +96,9 @@ proptest! {
         let domain = dns_wire::Name::parse("google.com").unwrap();
         let mut rng = SimRng::from_seed(seed);
         let cfg = ProbeConfig { retry: policy, ..ProbeConfig::default() };
-        let (outcome, _ping, retry) = prober.probe_with_faults(
-            &client, &mut target, &domain, SimTime::ZERO, false, cfg, &plan, &mut rng,
-        );
+        let req = ProbeRequest { cfg, faults: &plan, ..ProbeRequest::new(&client, &domain, SimTime::ZERO) };
+        let ProbeReport { outcome, retry, .. } =
+            prober.probe(&req, &mut target, &mut rng, &mut SpanLog::disabled());
         let elapsed = match outcome {
             ProbeOutcome::Failure { elapsed, .. } => elapsed,
             other => return Err(TestCaseError::fail(format!("outage must fail: {other:?}"))),

@@ -1,4 +1,4 @@
-//! The session layer's safety net, in three parts.
+//! The session layer's safety net, in four parts.
 //!
 //! **Cold-only transparency** — a campaign configured with
 //! `SessionConfig::cold_only()` (or no session config at all) must produce
@@ -8,9 +8,8 @@
 //! the contract that lets the session subsystem ship inside the measuring
 //! tool without perturbing the paper's cold-start methodology.
 //!
-//! **Live-session differential** — with reuse enabled, the fast
-//! (`PairContext`) path must stay byte-identical to the per-probe
-//! reference build, `run()` must equal `run_parallel(n)` (session state is
+//! **Live-session differential** — with reuse enabled, the cached-wire
+//! run must stay byte-identical to the fresh-wire reference run, `run()` must equal `run_parallel(n)` (session state is
 //! strictly per-pair), and a campaign killed and resumed at shard
 //! boundaries must reassemble the same bytes. Session state itself must be
 //! a pure function of `(seed, simulated time, outcome sequence)` — pinned
@@ -22,10 +21,16 @@
 //! cached tickets and pools; after any failed probe the next probe of the
 //! pair opens cold; and every record of a live-session campaign carries a
 //! connection mode.
+//!
+//! **Composition with load** — the determinism checks above also run with
+//! a live client population on top of live sessions; a zero load model
+//! under live sessions changes nothing; and when the load model moves a
+//! pair between sites, a connection is only ever reused at the site it was
+//! opened to.
 
 use measure::{
-    Campaign, CampaignConfig, ConnectionMode, ProbeOutcome, ProbeRecord, Protocol, RetryPolicy,
-    SessionConfig, SessionState, ShardedRunner,
+    Campaign, CampaignConfig, ConnectionMode, LoadModel, ProbeOutcome, ProbeRecord, Protocol,
+    RetryPolicy, SessionConfig, SessionState, ShardedRunner,
 };
 use netsim::faults::{FaultKind, FaultPlan, FaultScope};
 use netsim::{SimDuration, SimTime};
@@ -74,8 +79,12 @@ fn campaign(
     faulted: bool,
     retry: RetryPolicy,
     session: Option<SessionConfig>,
+    load: f64,
 ) -> Campaign {
     let mut config = CampaignConfig::quick(seed, 2);
+    if load > 0.0 {
+        config = config.with_load(LoadModel::standard(seed).with_multiplier(load));
+    }
     config.probe.protocol = protocol;
     config.probe.retry = retry;
     if faulted {
@@ -95,13 +104,14 @@ fn campaign(
 fn assert_cold_only_transparent(seed: u64, protocol: Protocol, faulted: bool, retry_idx: usize) {
     let context =
         format!("seed={seed}, protocol={protocol:?}, faulted={faulted}, retry={retry_idx}");
-    let legacy = campaign(seed, protocol, faulted, retry_policy(retry_idx), None);
+    let legacy = campaign(seed, protocol, faulted, retry_policy(retry_idx), None, 0.0);
     let cold = campaign(
         seed,
         protocol,
         faulted,
         retry_policy(retry_idx),
         Some(SessionConfig::cold_only()),
+        0.0,
     );
     let legacy_run = legacy.run();
     let cold_run = cold.run();
@@ -162,10 +172,11 @@ fn assert_live_session_deterministic(
     faulted: bool,
     retry_idx: usize,
     cold_fraction: f64,
+    load: f64,
 ) {
     let context = format!(
         "seed={seed}, protocol={protocol:?}, faulted={faulted}, retry={retry_idx}, \
-         cold_fraction={cold_fraction}"
+         cold_fraction={cold_fraction}, load={load}"
     );
     let c = campaign(
         seed,
@@ -173,6 +184,7 @@ fn assert_live_session_deterministic(
         faulted,
         retry_policy(retry_idx),
         Some(SessionConfig::interleaved(cold_fraction)),
+        load,
     );
     let fast = c.run();
     let reference = c.run_reference();
@@ -198,8 +210,31 @@ fn assert_live_session_deterministic(
 
 #[test]
 fn live_sessions_match_reference_and_parallel_for_every_protocol() {
+    // Alone, and with a client population at x2 and x8 on top: an
+    // overloaded site and a warm session act on the same attempt.
     for protocol in PROTOCOLS {
-        assert_live_session_deterministic(23, protocol, true, 1, 0.25);
+        for load in [0.0, 2.0, 8.0] {
+            assert_live_session_deterministic(23, protocol, true, 1, 0.25, load);
+        }
+    }
+}
+
+#[test]
+fn zero_load_under_live_sessions_is_sessions_alone() {
+    for protocol in PROTOCOLS {
+        let session = Some(SessionConfig::interleaved(0.25));
+        let alone = campaign(23, protocol, true, retry_policy(1), session, 0.0).run();
+        let mut config = CampaignConfig::quick(23, 2)
+            .with_default_faults()
+            .with_session(SessionConfig::interleaved(0.25))
+            .with_load(LoadModel::zero());
+        config.probe.protocol = protocol;
+        let zeroed = Campaign::with_resolvers(config, entries(&HOSTS)).run();
+        assert_eq!(
+            alone.to_json_lines(),
+            zeroed.to_json_lines(),
+            "a zero load model changed a live-session campaign: {protocol:?}"
+        );
     }
 }
 
@@ -225,7 +260,7 @@ proptest! {
         cold_idx in 0usize..3,
     ) {
         let cold_fraction = [0.0, 0.25, 0.9][cold_idx];
-        assert_live_session_deterministic(seed, PROTOCOLS[proto_idx], faulted, retry_idx, cold_fraction);
+        assert_live_session_deterministic(seed, PROTOCOLS[proto_idx], faulted, retry_idx, cold_fraction, 0.0);
     }
 
     // Session state is a pure function of (seed, simulated time, outcome
@@ -269,36 +304,43 @@ proptest! {
 
 #[test]
 fn live_session_kill_resume_at_every_shard_boundary_is_byte_identical() {
-    let mut config = CampaignConfig::quick(11, 2).with_session(SessionConfig::interleaved(0.25));
-    config.probe.protocol = Protocol::DoH;
-    let c = Campaign::with_resolvers(config, entries(&HOSTS));
-    let reference = c.run().to_json_lines();
-    let shards = 4u32;
-    for stop_after in 0..=shards as usize {
-        let dir = std::env::temp_dir().join(format!(
-            "edns-session-resume-{}-{stop_after}",
-            std::process::id()
-        ));
-        if dir.exists() {
+    for load in [0.0, 2.0, 8.0] {
+        let mut config =
+            CampaignConfig::quick(11, 2).with_session(SessionConfig::interleaved(0.25));
+        if load > 0.0 {
+            config = config.with_load(LoadModel::standard(11).with_multiplier(load));
+        }
+        config.probe.protocol = Protocol::DoH;
+        let c = Campaign::with_resolvers(config, entries(&HOSTS));
+        let reference = c.run().to_json_lines();
+        let shards = 4u32;
+        for stop_after in 0..=shards as usize {
+            let dir = std::env::temp_dir().join(format!(
+                "edns-session-resume-{}-{load}-{stop_after}",
+                std::process::id()
+            ));
+            if dir.exists() {
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+            {
+                // First process: killed after `stop_after` shards. Each
+                // shard rebuilds its pairs' session and load state from
+                // scratch, so the boundary never splits a ticket cache or
+                // pool.
+                let runner = ShardedRunner::new(&c, shards, &dir).unwrap();
+                runner.advance(stop_after).unwrap();
+            }
+            let outcome = ShardedRunner::new(&c, shards, &dir)
+                .unwrap()
+                .run(2)
+                .unwrap();
+            let assembled = std::fs::read_to_string(&outcome.jsonl_path).unwrap();
+            assert_eq!(
+                assembled, reference,
+                "live-session resume diverged after {stop_after}/{shards} shards at load x{load}"
+            );
             std::fs::remove_dir_all(&dir).unwrap();
         }
-        {
-            // First process: killed after `stop_after` shards. Each shard
-            // rebuilds its pairs' session state from scratch, so the
-            // boundary never splits a ticket cache or pool.
-            let runner = ShardedRunner::new(&c, shards, &dir).unwrap();
-            runner.advance(stop_after).unwrap();
-        }
-        let outcome = ShardedRunner::new(&c, shards, &dir)
-            .unwrap()
-            .run(2)
-            .unwrap();
-        let assembled = std::fs::read_to_string(&outcome.jsonl_path).unwrap();
-        assert_eq!(
-            assembled, reference,
-            "live-session resume diverged after {stop_after}/{shards} shards"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -465,4 +507,65 @@ fn every_fault_kind_interacts_sanely_with_live_sessions() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Part 4: sessions under a load model that moves the pair between sites.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_reused_connection_is_always_to_the_site_it_was_opened_to() {
+    // An anycast pair at x8 with the spill threshold pulled down into the
+    // diurnal swing, probed every two minutes — inside the production
+    // pool's 240 s idle window — so the load model moves vantages between
+    // sites while their pooled connections are still alive.
+    let mut model = LoadModel::standard(5).with_multiplier(8.0);
+    model.spill_utilization = 0.001;
+    let mut config = CampaignConfig::quick(5, 1)
+        .with_load(model)
+        .with_session(SessionConfig::warm());
+    config.domains = vec!["google.com".to_string()];
+    for span in &mut config.spans {
+        span.rounds_per_day = 720;
+    }
+    let c = Campaign::with_resolvers(config, entries(&["dns.google"]));
+    let result = c.run();
+    assert_eq!(result.records, c.run_reference().records);
+
+    let idle = SimDuration::from_secs(240);
+    let (mut reused, mut moved_while_pooled) = (0, 0);
+    for series in by_vantage(&result.records) {
+        let mut previous: Option<(SimTime, usize)> = None;
+        for r in series {
+            let ProbeOutcome::Success { site, .. } = r.outcome else {
+                previous = None;
+                continue;
+            };
+            if let Some((at, prev_site)) = previous {
+                if r.conn_mode == Some(ConnectionMode::Reused) {
+                    reused += 1;
+                    assert_eq!(
+                        site,
+                        prev_site,
+                        "{}: reused a connection to site {prev_site} for a query served by site \
+                         {site} at {:?}",
+                        r.vantage(),
+                        r.at
+                    );
+                }
+                if site != prev_site && r.at.since(at) <= idle {
+                    moved_while_pooled += 1;
+                }
+            }
+            previous = Some((r.at, site));
+        }
+    }
+    assert!(
+        reused > 1000,
+        "the scenario must exercise the pool: {reused}"
+    );
+    assert!(
+        moved_while_pooled > 0,
+        "the scenario must move a pair while its connection is pooled"
+    );
 }

@@ -21,7 +21,8 @@ use std::collections::HashMap;
 
 use dns_wire::Name;
 use measure::{
-    ConnectionMode, ProbeConfig, ProbeOutcome, ProbeTarget, Prober, SessionConfig, SessionState,
+    ConnectionMode, ProbeConfig, ProbeOutcome, ProbeRequest, ProbeTarget, Prober, SessionConfig,
+    SessionState, SpanLog,
 };
 use netsim::{Host, SimRng, SimTime};
 
@@ -129,9 +130,19 @@ impl Loader {
         for domain in page.domains() {
             let forced_cold = session.draw_forced_cold(&scfg);
             let mode = session.decide(now, cfg.protocol, true, forced_cold);
-            let (outcome, _) = self
+            let outcome = self
                 .prober
-                .probe(client, resolver, &domain, now, is_home, cfg, rng);
+                .probe(
+                    &ProbeRequest {
+                        is_home,
+                        cfg,
+                        ..ProbeRequest::new(client, &domain, now)
+                    },
+                    resolver,
+                    rng,
+                    &mut SpanLog::disabled(),
+                )
+                .outcome;
             match outcome {
                 ProbeOutcome::Success { timings, .. } => {
                     let ms = match mode {

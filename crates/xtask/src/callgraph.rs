@@ -37,11 +37,15 @@
 //!   `SimRng` draw or a raw `Rng` trait draw; direct draws in the
 //!   annotated body are reported too. Same attribution as above.
 //! * `panic-reach` — every fn reachable from the hot-path roots
-//!   (`run_pair`, `probe_pair`) must be panic-free: `panic!` / `.unwrap()`
-//!   / `.expect()` are reported at the panicking line unless a reasoned
+//!   (`run_pair`, the per-pair loop, and `drive`, the per-probe driver)
+//!   must be panic-free: `panic!` / `.unwrap()` / `.expect()` are reported
+//!   at the panicking line unless a reasoned
 //!   `detlint:allow(panic-reach, …)` — or the `unwrap` rule's existing
 //!   allow — covers it. Files that are `unwrap`-exempt by path policy
-//!   (binaries, harnesses) are exempt here for the same reason.
+//!   (binaries, harnesses) are exempt here for the same reason. A root
+//!   that names no linkable function while `crates/measure` is being
+//!   scanned is itself a finding: a renamed entry point must not take its
+//!   call closure out of the rule unnoticed.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -49,7 +53,11 @@ use crate::rules::{Finding, Rule};
 use crate::symbols::{Callee, FnSymbol, SymbolIndex};
 
 /// Names of the hot-path entry points that seed `panic-reach`.
-pub const PANIC_REACH_ROOTS: [&str; 2] = ["run_pair", "probe_pair"];
+pub const PANIC_REACH_ROOTS: [&str; 2] = ["run_pair", "drive"];
+
+/// The crate the roots live in; a root missing while it is scanned is
+/// reported against its crate root.
+const HOT_PATH_CRATE: &str = "crates/measure/";
 
 /// One resolved call edge.
 #[derive(Debug, Clone, Copy)]
@@ -378,8 +386,21 @@ fn panic_reach_findings(index: &SymbolIndex, graph: &CallGraph, findings: &mut V
         .filter(|(_, f)| PANIC_REACH_ROOTS.contains(&f.name.as_str()) && !f.in_test && f.linkable)
         .map(|(id, _)| id)
         .collect();
-    if roots.is_empty() {
-        return;
+    if index.fns.iter().any(|f| f.file.starts_with(HOT_PATH_CRATE)) {
+        for name in PANIC_REACH_ROOTS {
+            if !roots.iter().any(|&id| index.fns[id].name == name) {
+                findings.push(Finding {
+                    file: format!("{HOT_PATH_CRATE}src/lib.rs"),
+                    line: 1,
+                    rule: Rule::PanicReach,
+                    message: format!(
+                        "hot-path root `{name}` names no linkable function, so its call \
+                         closure is no longer checked — point \
+                         xtask::callgraph::PANIC_REACH_ROOTS at the surviving entry point"
+                    ),
+                });
+            }
+        }
     }
     let mut visited: BTreeSet<usize> = BTreeSet::new();
     let mut parents: BTreeMap<usize, usize> = BTreeMap::new();

@@ -10,7 +10,7 @@
 //! | `float-order` | `f64` reductions (`sum`/`fold`/`product`/`+=`) fed by hash-container iteration — float addition is not associative, so reduction order must be rank-ordered |
 //! | `deny-alloc-reach` | a call inside a `#[deny_alloc]` fn that transitively reaches an allocating construct (or `Arena::new`) through the workspace call graph — see [`crate::callgraph`] |
 //! | `rng-stream` | a `#[rng_neutral]` fn that draws on, or transitively reaches a draw on, the probe RNG stream (`SimRng`) |
-//! | `panic-reach` | `panic!`/`unwrap`/`expect` in any fn reachable from the hot-path roots (`run_pair`, `probe_pair`) |
+//! | `panic-reach` | `panic!`/`unwrap`/`expect` in any fn reachable from the hot-path roots (`run_pair`, `drive`); a root that names no function while `crates/measure` is scanned |
 //! | `bad-allow` | a `detlint:allow` escape hatch without a reason, or naming an unknown rule |
 //! | `unused-allow` | a well-formed allow that suppresses no finding (workspace passes only — partial file sets lack graph context) |
 //!
@@ -83,7 +83,7 @@ impl Rule {
             Rule::RngStream => {
                 "#[rng_neutral] fn that transitively reaches a probe-RNG (SimRng) draw"
             }
-            Rule::PanicReach => "panicking construct reachable from run_pair/probe_pair",
+            Rule::PanicReach => "panicking construct reachable from run_pair/drive",
             Rule::UnusedAllow => {
                 "detlint:allow that suppresses no finding (meta; workspace passes only)"
             }

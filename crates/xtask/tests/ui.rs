@@ -29,21 +29,32 @@ fn findings_of(fixture: &Path) -> String {
     out
 }
 
+/// Every `*.rs` under `dir`, recursively, as paths relative to `root`.
+fn rust_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
+    for entry in std::fs::read_dir(dir).expect("fixture dir readable") {
+        let path = entry.expect("readable entry").path();
+        if path.is_dir() {
+            rust_files(root, &path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let rel = path.strip_prefix(root).expect("under the fixture root");
+            out.push(rel.to_string_lossy().into_owned());
+        }
+    }
+}
+
 /// Lints every `*.rs` in a directory fixture through the two-phase
-/// pipeline; file paths in the output are relative to the fixture dir.
+/// pipeline; file paths in the output are relative to the fixture dir, so
+/// a fixture can lay files out under `crates/<name>/src/` where a rule
+/// looks at the path.
 fn findings_of_dir(dir: &Path) -> String {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("fixture dir readable")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-        .collect();
+    let mut files = Vec::new();
+    rust_files(dir, dir, &mut files);
     files.sort();
     assert!(!files.is_empty(), "empty fixture dir {}", dir.display());
     let sources: Vec<(String, String)> = files
-        .iter()
-        .map(|p| {
-            let rel = p.file_name().unwrap().to_string_lossy().into_owned();
-            let src = std::fs::read_to_string(p).expect("fixture readable");
+        .into_iter()
+        .map(|rel| {
+            let src = std::fs::read_to_string(dir.join(&rel)).expect("fixture readable");
             (rel, src)
         })
         .collect();

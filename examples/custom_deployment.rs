@@ -8,7 +8,7 @@
 //! ```
 
 use edns_bench::dns_wire::Name;
-use edns_bench::measure::{ProbeConfig, ProbeTarget, Prober};
+use edns_bench::measure::{ProbeRequest, ProbeTarget, Prober, SpanLog};
 use edns_bench::netsim::geo::cities;
 use edns_bench::netsim::{
     AccessProfile, Deployment, Host, HostId, IcmpPolicy, SimRng, SimTime, Site,
@@ -100,15 +100,18 @@ fn main() {
             let mut rng = SimRng::derived(11, label);
             let mut times = Vec::new();
             for i in 0..60 {
-                let (o, _) = prober.probe(
-                    &client,
-                    &mut target,
-                    &domain,
-                    SimTime::from_nanos(i * 3_600_000_000_000),
-                    false,
-                    ProbeConfig::default(),
-                    &mut rng,
-                );
+                let o = prober
+                    .probe(
+                        &ProbeRequest::new(
+                            &client,
+                            &domain,
+                            SimTime::from_nanos(i * 3_600_000_000_000),
+                        ),
+                        &mut target,
+                        &mut rng,
+                        &mut SpanLog::disabled(),
+                    )
+                    .outcome;
                 if let Some(rt) = o.response_time() {
                     times.push(rt.as_millis_f64());
                 }

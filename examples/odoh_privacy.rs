@@ -13,7 +13,7 @@
 
 use edns_bench::catalog::relays;
 use edns_bench::dns_wire::{odoh, MessageBuilder, Name, RecordType};
-use edns_bench::measure::{ProbeConfig, ProbeTarget, Prober, Protocol};
+use edns_bench::measure::{ProbeConfig, ProbeRequest, ProbeTarget, Prober, Protocol, SpanLog};
 use edns_bench::netsim::geo::cities;
 use edns_bench::netsim::{AccessProfile, Host, HostId, SimRng, SimTime};
 use edns_bench::report::TextTable;
@@ -84,15 +84,21 @@ fn main() {
                 };
                 let mut times = Vec::new();
                 for i in 0..80 {
-                    let (o, _) = prober.probe(
-                        &client,
-                        &mut target,
-                        &Name::parse("google.com").unwrap(),
-                        SimTime::from_nanos(i * 3_600_000_000_000),
-                        false,
-                        cfg,
-                        &mut rng,
-                    );
+                    let o = prober
+                        .probe(
+                            &ProbeRequest {
+                                cfg,
+                                ..ProbeRequest::new(
+                                    &client,
+                                    &Name::parse("google.com").unwrap(),
+                                    SimTime::from_nanos(i * 3_600_000_000_000),
+                                )
+                            },
+                            &mut target,
+                            &mut rng,
+                            &mut SpanLog::disabled(),
+                        )
+                        .outcome;
                     if let Some(rt) = o.response_time() {
                         times.push(rt.as_millis_f64());
                     }

@@ -9,7 +9,8 @@
 
 use edns_bench::dns_wire::Name;
 use edns_bench::measure::{
-    Campaign, CampaignConfig, ProbeConfig, ProbeTarget, Prober, Protocol, SessionConfig,
+    Campaign, CampaignConfig, ProbeConfig, ProbeRequest, ProbeTarget, Prober, Protocol,
+    SessionConfig, SpanLog,
 };
 use edns_bench::netsim::geo::cities;
 use edns_bench::netsim::{AccessProfile, Host, HostId, SimRng, SimTime};
@@ -51,15 +52,21 @@ fn main() {
         };
         let mut times = Vec::new();
         for i in 0..rounds {
-            let (outcome, _) = prober.probe(
-                &client,
-                &mut target,
-                &domain,
-                SimTime::from_nanos(i * 3_600_000_000_000),
-                false,
-                cfg,
-                &mut rng,
-            );
+            let outcome = prober
+                .probe(
+                    &ProbeRequest {
+                        cfg,
+                        ..ProbeRequest::new(
+                            &client,
+                            &domain,
+                            SimTime::from_nanos(i * 3_600_000_000_000),
+                        )
+                    },
+                    &mut target,
+                    &mut rng,
+                    &mut SpanLog::disabled(),
+                )
+                .outcome;
             if let Some(rt) = outcome.response_time() {
                 times.push(rt.as_millis_f64());
             }

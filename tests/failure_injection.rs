@@ -4,7 +4,10 @@
 
 use edns_bench::catalog::{HealthClass, ProfileClass, ResolverEntry};
 use edns_bench::dns_wire::Name;
-use edns_bench::measure::{ProbeConfig, ProbeErrorKind, ProbeOutcome, ProbeTarget, Prober};
+use edns_bench::measure::{
+    ProbeConfig, ProbeErrorKind, ProbeOutcome, ProbeReport, ProbeRequest, ProbeTarget, Prober,
+    SpanLog,
+};
 use edns_bench::netsim::geo::cities;
 use edns_bench::netsim::{AccessProfile, Host, HostId, SimRng, SimTime};
 use edns_bench::resolver_sim::HealthModel;
@@ -48,15 +51,18 @@ fn observe(health: HealthModel, probes: usize) -> Vec<Option<ProbeErrorKind>> {
     let domain = Name::parse("google.com").unwrap();
     (0..probes)
         .map(|i| {
-            let (outcome, _) = prober.probe(
-                &client(),
-                &mut target,
-                &domain,
-                SimTime::from_nanos(i as u64 * 3_600_000_000_000),
-                false,
-                ProbeConfig::default(),
-                &mut rng,
-            );
+            let outcome = prober
+                .probe(
+                    &ProbeRequest::new(
+                        &client(),
+                        &domain,
+                        SimTime::from_nanos(i as u64 * 3_600_000_000_000),
+                    ),
+                    &mut target,
+                    &mut rng,
+                    &mut SpanLog::disabled(),
+                )
+                .outcome;
             match outcome {
                 ProbeOutcome::Success { .. } => None,
                 ProbeOutcome::Failure { kind, .. } => Some(kind),
@@ -98,15 +104,18 @@ fn blackholes_classify_as_connect_timeout_after_full_backoff() {
     let mut target = ProbeTarget::from_entry(base_entry());
     target.instance.health = always("blackhole");
     let mut rng = SimRng::from_seed(2);
-    let (outcome, _) = prober.probe(
-        &client(),
-        &mut target,
-        &Name::parse("google.com").unwrap(),
-        SimTime::ZERO,
-        false,
-        ProbeConfig::default(),
-        &mut rng,
-    );
+    let outcome = prober
+        .probe(
+            &ProbeRequest::new(
+                &client(),
+                &Name::parse("google.com").unwrap(),
+                SimTime::ZERO,
+            ),
+            &mut target,
+            &mut rng,
+            &mut SpanLog::disabled(),
+        )
+        .outcome;
     match outcome {
         ProbeOutcome::Failure { kind, elapsed } => {
             assert_eq!(kind, ProbeErrorKind::ConnectTimeout);
@@ -166,15 +175,14 @@ fn failure_modes_cost_realistic_time() {
         let mut target = ProbeTarget::from_entry(base_entry());
         target.instance.health = always(mode);
         let mut rng = SimRng::from_seed(3);
-        let (outcome, _) = prober.probe(
-            &client(),
-            &mut target,
-            &domain,
-            SimTime::ZERO,
-            false,
-            ProbeConfig::default(),
-            &mut rng,
-        );
+        let outcome = prober
+            .probe(
+                &ProbeRequest::new(&client(), &domain, SimTime::ZERO),
+                &mut target,
+                &mut rng,
+                &mut SpanLog::disabled(),
+            )
+            .outcome;
         match outcome {
             ProbeOutcome::Failure { elapsed, .. } => elapsed.as_millis_f64(),
             other => panic!("{other:?}"),
@@ -211,15 +219,14 @@ fn scheduled_outages_turn_probes_into_connect_timeouts() {
     let mut timeouts_inside = 0;
     for hour in (0..144).step_by(6) {
         let now = SimTime::ZERO + SimDuration::from_hours(hour);
-        let (outcome, _) = prober.probe(
-            &client(),
-            &mut target,
-            &domain,
-            now,
-            false,
-            ProbeConfig::default(),
-            &mut rng,
-        );
+        let outcome = prober
+            .probe(
+                &ProbeRequest::new(&client(), &domain, now),
+                &mut target,
+                &mut rng,
+                &mut SpanLog::disabled(),
+            )
+            .outcome;
         let inside = (48..96).contains(&hour);
         match (inside, outcome) {
             (true, ProbeOutcome::Failure { kind, .. }) => {
@@ -326,15 +333,19 @@ fn run_matrix_probe(mode: &str, policy: RetryPolicy) -> (ProbeOutcome, Option<Re
         retry: policy,
         ..ProbeConfig::default()
     };
-    let (outcome, _ping, retry) = prober.probe_with_faults(
-        &client(),
+    let ProbeReport { outcome, retry, .. } = prober.probe(
+        &ProbeRequest {
+            cfg,
+            faults: &plan,
+            ..ProbeRequest::new(
+                &client(),
+                &Name::parse("google.com").unwrap(),
+                SimTime::ZERO,
+            )
+        },
         &mut target,
-        &Name::parse("google.com").unwrap(),
-        SimTime::ZERO,
-        false,
-        cfg,
-        &plan,
         &mut rng,
+        &mut SpanLog::disabled(),
     );
     (outcome, retry)
 }
@@ -409,15 +420,19 @@ fn transient_fault_windows_recover_between_attempts() {
         retry: RetryPolicy::dig_defaults(),
         ..ProbeConfig::default()
     };
-    let (outcome, _ping, retry) = prober.probe_with_faults(
-        &client(),
+    let ProbeReport { outcome, retry, .. } = prober.probe(
+        &ProbeRequest {
+            cfg,
+            faults: &plan,
+            ..ProbeRequest::new(
+                &client(),
+                &Name::parse("google.com").unwrap(),
+                SimTime::ZERO,
+            )
+        },
         &mut target,
-        &Name::parse("google.com").unwrap(),
-        SimTime::ZERO,
-        false,
-        cfg,
-        &plan,
         &mut rng,
+        &mut SpanLog::disabled(),
     );
     assert!(outcome.is_success(), "{outcome:?}");
     let info = retry.expect("enabled policy records attempts");

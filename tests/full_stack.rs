@@ -123,7 +123,7 @@ fn a_full_doh_transaction_end_to_end() {
 #[test]
 fn doh_get_and_post_produce_equivalent_answers() {
     use edns_bench::dns_wire::Name;
-    use edns_bench::measure::{ProbeConfig, ProbeTarget, Prober, Protocol};
+    use edns_bench::measure::{ProbeConfig, ProbeRequest, ProbeTarget, Prober, Protocol, SpanLog};
 
     let prober = Prober::new();
     let client = Host::in_city(
@@ -144,15 +144,21 @@ fn doh_get_and_post_produce_equivalent_answers() {
         };
         let mut ok = 0;
         for i in 0..10 {
-            let (outcome, _) = prober.probe(
-                &client,
-                &mut target,
-                &domain,
-                edns_bench::netsim::SimTime::from_nanos(i * 7_200_000_000_000),
-                false,
-                cfg,
-                &mut rng,
-            );
+            let outcome = prober
+                .probe(
+                    &ProbeRequest {
+                        cfg,
+                        ..ProbeRequest::new(
+                            &client,
+                            &domain,
+                            edns_bench::netsim::SimTime::from_nanos(i * 7_200_000_000_000),
+                        )
+                    },
+                    &mut target,
+                    &mut rng,
+                    &mut SpanLog::disabled(),
+                )
+                .outcome;
             if outcome.is_success() {
                 ok += 1;
             }
@@ -175,7 +181,7 @@ fn stamps_for_the_whole_population_round_trip_through_the_list_format() {
 
 #[test]
 fn every_catalog_resolver_answers_a_doh_probe_when_healthy() {
-    use edns_bench::measure::{ProbeConfig, ProbeTarget, Prober};
+    use edns_bench::measure::{ProbeRequest, ProbeTarget, Prober, SpanLog};
 
     let prober = Prober::new();
     let client = Host::in_city(
@@ -194,15 +200,18 @@ fn every_catalog_resolver_answers_a_doh_probe_when_healthy() {
         // Give each resolver a few tries so per-probe health noise doesn't
         // mask genuinely reachable services.
         let ok = (0..5).any(|i| {
-            let (outcome, _) = prober.probe(
-                &client,
-                &mut target,
-                &domain,
-                edns_bench::netsim::SimTime::from_nanos(i * 3_600_000_000_000),
-                false,
-                ProbeConfig::default(),
-                &mut rng,
-            );
+            let outcome = prober
+                .probe(
+                    &ProbeRequest::new(
+                        &client,
+                        &domain,
+                        edns_bench::netsim::SimTime::from_nanos(i * 3_600_000_000_000),
+                    ),
+                    &mut target,
+                    &mut rng,
+                    &mut SpanLog::disabled(),
+                )
+                .outcome;
             outcome.is_success()
         });
         if ok {
