@@ -4,12 +4,17 @@
 //! contiguous, balanced ranges of the (vantage, resolver) pair list. A
 //! whole pair always lives in exactly one shard — the per-pair RNG stream
 //! is sequential, so a pair can never be split without replaying it.
-//! Shards execute independently (work-queue over a thread pool, or one at
-//! a time via [`ShardedRunner::advance`]); each completed shard writes its
-//! records as a JSONL data file and its aggregate and health cells as a
-//! cell file (both tmp + rename, so a crash never leaves a torn file under
-//! the real name), and is then marked complete in the campaign
-//! [`Manifest`] — a commit that costs O(shards), not O(work done so far).
+//! Shards execute independently, in two halves. The *generator* half runs
+//! a shard's pairs, folds their cells and merges their records; the
+//! *persist* half writes the records as a JSONL data file and the
+//! aggregate and health cells as a cell file (both tmp + rename, so a
+//! crash never leaves a torn file under the real name), after which the
+//! shard is marked complete in the campaign [`Manifest`] — a commit that
+//! costs O(shards), not O(work done so far). [`ShardedRunner::run`] runs
+//! the halves on different threads — generator threads claim shards off a
+//! work queue and [`hand_off`] each finished one to the calling thread,
+//! which persists and commits it while the next is being generated;
+//! [`ShardedRunner::advance`] runs them one after the other.
 //!
 //! *Assembly* streams the shard files through a k-way merge into the final
 //! campaign JSONL, folding each record into the metrics registry, then
@@ -37,7 +42,8 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 
 use netsim::faults::FaultScope;
 use obs::clock::Stopwatch;
@@ -48,7 +54,7 @@ use obs::{
 };
 
 use crate::aggregate::{CampaignAggregates, PairAggregate};
-use crate::campaign::{observe_record, Campaign};
+use crate::campaign::{observe_record, Campaign, PairPlan};
 use crate::checkpoint::{
     fnv64, fnv64_extend, io_err, write_atomic, write_atomic_bytes, CheckpointError, Manifest,
     PairDayHealth, ShardCells, ShardCheckpoint, ShardState, CHECKPOINT_VERSION, FNV64_INIT,
@@ -97,31 +103,59 @@ pub struct ShardedOutcome {
     pub stages: StageLedger,
 }
 
-/// Wall-clock seconds per stage of one [`ShardedRunner::run`], summed
-/// over the shards it executed — so with one worker thread the rows add
-/// up to the run's elapsed time, less the few milliseconds of drift
-/// detection and journal assembly. Operator telemetry from the audited
-/// [`obs::clock::Stopwatch`]: nothing here flows into any deterministic
-/// output.
+/// Wall-clock seconds per stage of one [`ShardedRunner::run`]. Operator
+/// telemetry from the audited [`obs::clock::Stopwatch`]: nothing here
+/// flows into any deterministic output.
+///
+/// A run is three phases one after another — validate, execute,
+/// assemble — so
+///
+/// ```text
+/// validate_s + execute_wall_s + assemble_read_s + assemble_write_s == elapsed
+/// ```
+///
+/// less the few milliseconds of drift detection and journal assembly.
+/// The execute phase has two lanes running side by side, the generators
+/// and the committing (calling) thread, and each lane's rows account for
+/// the phase's wall time:
+///
+/// ```text
+/// generate_s + fold_s + merge_s + generator_wait_s
+///     == generators * execute_wall_s
+/// serialise_s + data_write_s + cell_write_s + commit_s + committer_wait_s
+///     == execute_wall_s
+/// ```
+///
+/// Whichever lane is the shorter one shows the overlap as its wait row.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageLedger {
     /// `load_or_init`: manifest decode plus re-validation of every
     /// complete shard's data and cell file.
     pub validate_s: f64,
-    /// `run_pair` over each executed shard's pairs.
+    /// The execute phase's wall time: from the first generator's spawn to
+    /// the last shard's commit. Next to nothing when no shard is pending.
+    pub execute_wall_s: f64,
+    /// `run_pair` over each executed shard's pairs (generator lane,
+    /// summed over generators like the lane's other rows).
     pub generate_s: f64,
     /// The per-pair aggregate and per-(pair, day) health fold.
     pub fold_s: f64,
     /// `merge_pairs` within each shard.
     pub merge_s: f64,
-    /// Rendering each shard's JSONL body, checksummed as it is rendered.
+    /// Generators not generating: blocked handing a finished shard to the
+    /// committer, or out of shards while the committer lands the rest.
+    pub generator_wait_s: f64,
+    /// Rendering each shard's JSONL body, checksummed as it is rendered
+    /// (committer lane, as are the four rows after it).
     pub serialise_s: f64,
     /// Data-file write + rename.
     pub data_write_s: f64,
     /// Cell-file encode + write + rename.
     pub cell_write_s: f64,
-    /// Manifest commits: lock, encode, write + rename.
+    /// Manifest commits: encode, write + rename.
     pub commit_s: f64,
+    /// The committer waiting for a generator to hand it a shard.
+    pub committer_wait_s: f64,
     /// Assembly less its writes: shard-file reads, line parsing, the
     /// k-way merge, the metrics fold, cell-file decode and install.
     pub assemble_read_s: f64,
@@ -131,29 +165,41 @@ pub struct StageLedger {
 
 impl StageLedger {
     /// The stages in pipeline order, by field name.
-    pub fn rows(&self) -> [(&'static str, f64); 10] {
+    pub fn rows(&self) -> [(&'static str, f64); 13] {
         [
             ("validate_s", self.validate_s),
+            ("execute_wall_s", self.execute_wall_s),
             ("generate_s", self.generate_s),
             ("fold_s", self.fold_s),
             ("merge_s", self.merge_s),
+            ("generator_wait_s", self.generator_wait_s),
             ("serialise_s", self.serialise_s),
             ("data_write_s", self.data_write_s),
             ("cell_write_s", self.cell_write_s),
             ("commit_s", self.commit_s),
+            ("committer_wait_s", self.committer_wait_s),
             ("assemble_read_s", self.assemble_read_s),
             ("assemble_write_s", self.assemble_write_s),
         ]
     }
 
-    /// The execute-side stages of one shard, folded into the run's.
-    fn absorb(&mut self, shard: &StageLedger) {
-        self.generate_s += shard.generate_s;
-        self.fold_s += shard.fold_s;
-        self.merge_s += shard.merge_s;
-        self.serialise_s += shard.serialise_s;
-        self.data_write_s += shard.data_write_s;
-        self.cell_write_s += shard.cell_write_s;
+    /// What the generator lane spent on its stages, wait included.
+    pub fn generator_lane_s(&self) -> f64 {
+        self.generate_s + self.fold_s + self.merge_s + self.generator_wait_s
+    }
+
+    /// What the committer lane spent on its stages, wait included.
+    pub fn committer_lane_s(&self) -> f64 {
+        self.serialise_s
+            + self.data_write_s
+            + self.cell_write_s
+            + self.commit_s
+            + self.committer_wait_s
+    }
+
+    /// The three phases' wall time: what a run's elapsed time must match.
+    pub fn phases_s(&self) -> f64 {
+        self.validate_s + self.execute_wall_s + self.assemble_read_s + self.assemble_write_s
     }
 }
 
@@ -244,6 +290,138 @@ impl Cursor {
     }
 }
 
+/// The shards `manifest` does not hold complete, lowest index first.
+fn pending_shards(manifest: &Manifest) -> Vec<u32> {
+    (0..manifest.states.len() as u32)
+        .filter(|&i| !manifest.states[i as usize].is_complete())
+        .collect()
+}
+
+/// A stopwatch read as consecutive laps.
+struct Laps {
+    watch: Stopwatch,
+    mark: f64,
+}
+
+impl Laps {
+    fn start() -> Laps {
+        Laps {
+            watch: Stopwatch::start(),
+            mark: 0.0,
+        }
+    }
+
+    /// Seconds since the previous lap ended (or the start).
+    fn lap(&mut self) -> f64 {
+        let since = self.mark;
+        self.mark = self.watch.elapsed_secs();
+        self.mark - since
+    }
+}
+
+/// One shard as the generator half hands it to the persist half.
+struct GeneratedShard {
+    /// The shard's records in canonical order.
+    merged: Vec<ProbeRecord>,
+    cells: ShardCells,
+    /// The generator-lane stages (`generate_s`, `fold_s`, `merge_s`).
+    stages: StageLedger,
+}
+
+/// What the committing thread owns for the length of a run: no lock, the
+/// generators never see it.
+struct RunState {
+    manifest: Manifest,
+    run: ShardRunMetrics,
+    stages: StageLedger,
+    /// Started when progress lines are on.
+    progress: Option<Stopwatch>,
+}
+
+/// Where the two lanes of one [`hand_off`] waited, and how long it took.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct HandOff {
+    /// As [`StageLedger::execute_wall_s`].
+    pub execute_wall_s: f64,
+    /// As [`StageLedger::generator_wait_s`].
+    pub generator_wait_s: f64,
+    /// As [`StageLedger::committer_wait_s`].
+    pub committer_wait_s: f64,
+}
+
+/// The execute phase's two lanes. Up to `generators` threads (at least
+/// one, never more than there are items) claim `pending`'s items in order
+/// and `generate` them; each finished product goes over a rendezvous
+/// channel to the calling thread, which `land`s it while its generator
+/// starts on the next item. Nothing is queued: a generator whose product
+/// is not yet taken waits, so one product per generator is in flight at
+/// most, and with one generator products land in `pending`'s order.
+///
+/// `land`'s first error ends the run: the receiver is dropped, every
+/// generator's pending or next hand-off fails, and it exits without
+/// generating again. All threads are joined before this returns.
+///
+/// Public for `tests/handoff_stress.rs`, which drives it with fakes.
+#[doc(hidden)]
+pub fn hand_off<T: Send, E>(
+    pending: &[u32],
+    generators: usize,
+    generate: impl Fn(u32) -> T + Sync,
+    mut land: impl FnMut(T) -> Result<(), E>,
+) -> (Result<(), E>, HandOff) {
+    let generators = generators.max(1).min(pending.len());
+    let next = AtomicUsize::new(0);
+    let mut lanes = HandOff::default();
+    let execute = Stopwatch::start();
+    let landed = std::thread::scope(|scope| {
+        let (handoff, finished) = sync_channel::<T>(0);
+        let handles: Vec<_> = (0..generators)
+            .map(|_| {
+                let handoff = handoff.clone();
+                let (next, generate) = (&next, &generate);
+                scope.spawn(move || {
+                    let mut blocked_s = 0.0;
+                    while let Some(&item) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let product = generate(item);
+                        let blocked = Stopwatch::start();
+                        if handoff.send(product).is_err() {
+                            break;
+                        }
+                        blocked_s += blocked.elapsed_secs();
+                    }
+                    (blocked_s, execute.elapsed_secs())
+                })
+            })
+            .collect();
+        drop(handoff);
+
+        let mut land_all = || loop {
+            let idle = Stopwatch::start();
+            let received = finished.recv();
+            lanes.committer_wait_s += idle.elapsed_secs();
+            // Every generator has run out of items and hung up.
+            let Ok(product) = received else {
+                return Ok(());
+            };
+            land(product)?;
+        };
+        let landed = land_all();
+        drop(finished);
+        let exits: Vec<(f64, f64)> = handles
+            .into_iter()
+            // detlint:allow(unwrap, propagates a generator panic; there is no partial result to salvage)
+            .map(|h| h.join().expect("shard generator panicked"))
+            .collect();
+        lanes.execute_wall_s = execute.elapsed_secs();
+        for (blocked_s, exited_at) in exits {
+            lanes.generator_wait_s += blocked_s + (lanes.execute_wall_s - exited_at);
+        }
+        landed
+    });
+    (landed, lanes)
+}
+
 /// Default flight-recorder journal capacity: comfortably above what a
 /// months-long campaign's lifecycle + findings emit, still O(1) memory.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 8_192;
@@ -252,6 +430,9 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 8_192;
 #[derive(Debug)]
 pub struct ShardedRunner<'a> {
     campaign: &'a Campaign,
+    /// Every (vantage, resolver) pair in schedule order, ranked once here
+    /// rather than on each use.
+    plans: Vec<PairPlan>,
     shards: u32,
     dir: PathBuf,
     /// Journal ring capacity; 0 disables the journal entirely.
@@ -295,6 +476,7 @@ impl<'a> ShardedRunner<'a> {
         Ok(ShardedRunner {
             campaign,
             shards: shards.min(plans.len().max(1) as u32),
+            plans,
             dir,
             journal_capacity: DEFAULT_JOURNAL_CAPACITY,
             progress: false,
@@ -353,7 +535,7 @@ impl<'a> ShardedRunner<'a> {
     /// Pair range of shard `index`: contiguous and balanced (sizes differ
     /// by at most one).
     pub fn shard_range(&self, index: u32) -> Range<usize> {
-        let pairs = self.campaign.pair_plans().len();
+        let pairs = self.plans.len();
         let k = self.shards as usize;
         let i = index as usize;
         (i * pairs / k)..((i + 1) * pairs / k)
@@ -413,7 +595,7 @@ impl<'a> ShardedRunner<'a> {
         if let Some(session) = config.session.as_ref().filter(|s| s.is_live()) {
             let _ = write!(s, "session={},{};", session.reuse, session.cold_fraction);
         }
-        for p in self.campaign.pair_plans() {
+        for p in &self.plans {
             let _ = write!(
                 s,
                 "pair={}/{};",
@@ -437,7 +619,7 @@ impl<'a> ShardedRunner<'a> {
                 self.fingerprint(),
                 self.campaign.config().seed,
                 self.shards,
-                self.campaign.pair_plans().len() as u32,
+                self.plans.len() as u32,
             ));
         }
         let manifest = Manifest::load(&path)?;
@@ -464,28 +646,19 @@ impl<'a> ShardedRunner<'a> {
         Ok(manifest)
     }
 
-    /// Executes shard `index` and persists its data file, then its cell
-    /// file (each tmp + rename). The shard is not complete until the
-    /// caller commits the returned checkpoint to the manifest; a kill
-    /// before that leaves files the re-run simply overwrites.
-    fn execute_shard(&self, index: u32) -> Result<(ShardCheckpoint, StageLedger), CheckpointError> {
-        let watch = Stopwatch::start();
-        let mut mark = 0.0;
-        let mut lap = || {
-            let since = mark;
-            mark = watch.elapsed_secs();
-            mark - since
-        };
+    /// The generator half of a shard: runs its pairs, folds their cells
+    /// and merges their records. Touches no file.
+    fn generate_shard(&self, index: u32) -> GeneratedShard {
+        let mut laps = Laps::start();
         let mut stages = StageLedger::default();
 
-        let plans = self.campaign.pair_plans();
         let range = self.shard_range(index);
-        let shard_plans = &plans[range.clone()];
+        let shard_plans = &self.plans[range.clone()];
         let outputs: Vec<Vec<ProbeRecord>> = shard_plans
             .iter()
             .map(|p| self.campaign.run_pair(p))
             .collect();
-        stages.generate_s = lap();
+        stages.generate_s = laps.lap();
 
         // Per-pair aggregate cells and per-(pair, day) health cells, both
         // folded in each pair's own canonical order (merging never
@@ -516,49 +689,129 @@ impl<'a> ShardedRunner<'a> {
                 .map(|(day, cell)| PairDayHealth { pair, day, cell });
             cells.health.extend(days);
         }
-        stages.fold_s = lap();
+        stages.fold_s = laps.lap();
 
         let merged = self.campaign.merge_pairs(outputs, shard_plans);
-        stages.merge_s = lap();
+        stages.merge_s = laps.lap();
+        GeneratedShard {
+            merged,
+            cells,
+            stages,
+        }
+    }
+
+    /// The persist half of a shard: writes its data file, then its cell
+    /// file (each tmp + rename), timing itself into `stages`. The shard is
+    /// not complete until [`commit_shard`](Self::commit_shard) puts the
+    /// returned checkpoint in the manifest; a kill before that leaves
+    /// files the re-run simply overwrites.
+    fn persist_shard(
+        &self,
+        shard: GeneratedShard,
+        stages: &mut StageLedger,
+    ) -> Result<ShardCheckpoint, CheckpointError> {
+        let mut laps = Laps::start();
+        let GeneratedShard { merged, cells, .. } = shard;
+        let index = cells.shard;
 
         // Each line is summed as it is appended, while it is still in
         // cache, rather than in a second pass over the finished body.
+        // Each record is freed once rendered, so the body alone waits for
+        // the write while the next shard's records are being generated.
+        let records = merged.len() as u64;
         let mut body = String::new();
         let mut checksum = FNV64_INIT;
-        for r in &merged {
+        for r in merged {
             let line_start = body.len();
             r.write_json_line(&mut body);
             body.push('\n');
             checksum = fnv64_extend(checksum, &body.as_bytes()[line_start..]);
         }
-        stages.serialise_s = lap();
+        stages.serialise_s += laps.lap();
 
         write_atomic_bytes(&self.shard_path(index), body.as_bytes())?;
-        stages.data_write_s = lap();
+        stages.data_write_s += laps.lap();
 
         let encoded_cells = cells.encode();
         write_atomic_bytes(&self.cells_path(index), encoded_cells.as_bytes())?;
-        stages.cell_write_s = lap();
+        stages.cell_write_s += laps.lap();
 
-        let checkpoint = ShardCheckpoint {
+        Ok(ShardCheckpoint {
             shard: index,
-            records: merged.len() as u64,
+            records,
             bytes: body.len() as u64,
             checksum,
             cell_bytes: encoded_cells.len() as u64,
             cell_checksum: fnv64(encoded_cells.as_bytes()),
-        };
-        Ok((checkpoint, stages))
+        })
     }
 
-    /// Runs the whole campaign across `threads` workers, resuming from any
-    /// existing checkpoints, and assembles the final output.
+    /// Commits one persisted shard: marks it complete and rewrites the
+    /// manifest atomically (this is the resume boundary).
+    fn commit_shard(
+        &self,
+        state: &mut RunState,
+        checkpoint: ShardCheckpoint,
+    ) -> Result<(), CheckpointError> {
+        let commit = Stopwatch::start();
+        let RunState {
+            manifest,
+            run,
+            stages,
+            progress,
+        } = state;
+        run.shards_executed.add(1);
+        run.pairs_run
+            .add(self.shard_range(checkpoint.shard).len() as u64);
+        run.records_produced.add(checkpoint.records);
+        run.cell_bytes.add(checkpoint.cell_bytes);
+        let index = checkpoint.shard as usize;
+        let records = checkpoint.records;
+        manifest.states[index] = ShardState::Complete(checkpoint);
+        let encoded = manifest.encode();
+        write_atomic_bytes(&self.manifest_path(), encoded.as_bytes())?;
+        run.manifest_writes.add(1);
+        run.checkpoint_bytes.add(encoded.len() as u64);
+        stages.commit_s += commit.elapsed_secs();
+        // Operator feedback only — stderr, audited wall clock, and nothing
+        // here flows into any deterministic output.
+        if let Some(w) = progress {
+            eprintln!(
+                "[{:7.1}s] shard {index}/{} complete: {records} records ({} of {} shards done)",
+                w.elapsed_secs(),
+                self.shards,
+                manifest.complete_count(),
+                self.shards,
+            );
+        }
+        Ok(())
+    }
+
+    /// Lands one generated shard, in commit order: data file, cell file,
+    /// manifest. The one way a shard becomes complete, whether
+    /// [`run`](Self::run) or [`advance`](Self::advance) generated it.
+    fn land_shard(
+        &self,
+        state: &mut RunState,
+        shard: GeneratedShard,
+    ) -> Result<(), CheckpointError> {
+        state.stages.generate_s += shard.stages.generate_s;
+        state.stages.fold_s += shard.stages.fold_s;
+        state.stages.merge_s += shard.stages.merge_s;
+        let checkpoint = self.persist_shard(shard, &mut state.stages)?;
+        self.commit_shard(state, checkpoint)
+    }
+
+    /// Runs the whole campaign, resuming from any existing checkpoints,
+    /// and assembles the final output.
+    ///
+    /// `threads` is the number of *generator* threads. They only generate;
+    /// the calling thread persists and commits each shard they
+    /// [`hand_off`], while its generator is already on the next one. At
+    /// most one finished shard per generator waits, so memory stays
+    /// O(shard). With one generator shards commit in index order; with no
+    /// shard pending none is spawned.
     pub fn run(&self, threads: usize) -> Result<ShardedOutcome, CheckpointError> {
-        let watch = if self.progress {
-            Some(Stopwatch::start())
-        } else {
-            None
-        };
         let mut run = ShardRunMetrics::new();
         run.shards_planned.add(self.shards as u64);
         let mut journal = self.new_journal();
@@ -568,13 +821,7 @@ impl<'a> ShardedRunner<'a> {
             validate_s: validate.elapsed_secs(),
             ..StageLedger::default()
         };
-        let pending: Vec<u32> = manifest
-            .states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_complete())
-            .map(|(i, _)| i as u32)
-            .collect();
+        let pending = pending_shards(&manifest);
         run.shards_resumed
             .add((self.shards as usize - pending.len()) as u64);
         // Fold resumed shards' work into the campaign-wide counters (and
@@ -594,109 +841,40 @@ impl<'a> ShardedRunner<'a> {
             }
         }
 
-        let shared = Mutex::new((manifest, run, stages));
-        let threads = threads.max(1).min(pending.len().max(1));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let first_error: Mutex<Option<CheckpointError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let pending = &pending;
-                let next = &next;
-                let shared = &shared;
-                let first_error = &first_error;
-                handles.push(scope.spawn(move || loop {
-                    let slot = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if slot >= pending.len() {
-                        break;
-                    }
-                    let index = pending[slot];
-                    let committed = self.execute_shard(index).and_then(|(checkpoint, stages)| {
-                        self.commit_shard(shared, checkpoint, &stages, watch.as_ref())
-                    });
-                    if let Err(e) = committed {
-                        first_error
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .get_or_insert(e);
-                        break;
-                    }
-                }));
-            }
-            for h in handles {
-                // detlint:allow(unwrap, propagates a worker panic; there is no partial result to salvage)
-                h.join().expect("shard worker panicked");
-            }
-        });
-        if let Some(e) = first_error.lock().unwrap_or_else(|p| p.into_inner()).take() {
-            return Err(e);
-        }
-        let (manifest, run, stages) = match shared.into_inner() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
+        let mut state = RunState {
+            manifest,
+            run,
+            stages,
+            progress: self.progress.then(Stopwatch::start),
         };
-        self.assemble(&manifest, run, journal, stages)
-    }
-
-    /// Commits one completed shard: updates the manifest state and
-    /// rewrites the manifest atomically (this is the resume boundary).
-    fn commit_shard(
-        &self,
-        shared: &Mutex<(Manifest, ShardRunMetrics, StageLedger)>,
-        checkpoint: ShardCheckpoint,
-        shard_stages: &StageLedger,
-        watch: Option<&Stopwatch>,
-    ) -> Result<(), CheckpointError> {
-        let commit = Stopwatch::start();
-        let mut guard = shared.lock().unwrap_or_else(|p| p.into_inner());
-        let (manifest, run, stages) = &mut *guard;
-        run.shards_executed.add(1);
-        run.pairs_run
-            .add(self.shard_range(checkpoint.shard).len() as u64);
-        run.records_produced.add(checkpoint.records);
-        run.cell_bytes.add(checkpoint.cell_bytes);
-        let index = checkpoint.shard as usize;
-        let records = checkpoint.records;
-        manifest.states[index] = ShardState::Complete(checkpoint);
-        let encoded = manifest.encode();
-        write_atomic_bytes(&self.manifest_path(), encoded.as_bytes())?;
-        run.manifest_writes.add(1);
-        run.checkpoint_bytes.add(encoded.len() as u64);
-        stages.absorb(shard_stages);
-        stages.commit_s += commit.elapsed_secs();
-        // Operator feedback only — stderr, audited wall clock, and nothing
-        // here flows into any deterministic output.
-        if let Some(w) = watch {
-            eprintln!(
-                "[{:7.1}s] shard {index}/{} complete: {records} records ({} of {} shards done)",
-                w.elapsed_secs(),
-                self.shards,
-                manifest.complete_count(),
-                self.shards,
-            );
-        }
-        Ok(())
+        let (landed, lanes) = hand_off(
+            &pending,
+            threads,
+            |index| self.generate_shard(index),
+            |shard| self.land_shard(&mut state, shard),
+        );
+        landed?;
+        state.stages.execute_wall_s = lanes.execute_wall_s;
+        state.stages.generator_wait_s = lanes.generator_wait_s;
+        state.stages.committer_wait_s = lanes.committer_wait_s;
+        self.assemble(&state.manifest, state.run, journal, state.stages)
     }
 
     /// Executes up to `max_shards` pending shards serially (lowest index
     /// first), checkpointing after each — the kill/resume simulation hook.
     /// Returns the number of shards still pending afterwards.
     pub fn advance(&self, max_shards: usize) -> Result<usize, CheckpointError> {
-        let mut manifest = self.load_or_init()?;
-        let mut done = 0;
-        for i in 0..manifest.states.len() {
-            if done >= max_shards {
-                break;
-            }
-            if manifest.states[i].is_complete() {
-                continue;
-            }
-            let (checkpoint, _) = self.execute_shard(i as u32)?;
-            manifest.states[i] = ShardState::Complete(checkpoint);
-            manifest.store(&self.manifest_path())?;
-            done += 1;
+        let mut state = RunState {
+            manifest: self.load_or_init()?,
+            run: ShardRunMetrics::new(),
+            stages: StageLedger::default(),
+            progress: None,
+        };
+        let pending = pending_shards(&state.manifest);
+        for &index in pending.iter().take(max_shards) {
+            self.land_shard(&mut state, self.generate_shard(index))?;
         }
-        Ok(manifest.states.iter().filter(|s| !s.is_complete()).count())
+        Ok(pending.len().saturating_sub(max_shards))
     }
 
     /// Streams the completed shard files through a k-way merge into the
@@ -717,9 +895,9 @@ impl<'a> ShardedRunner<'a> {
             ));
         }
         let watch = Stopwatch::start();
-        let plans = self.campaign.pair_plans();
         // (vantage, resolver) → merge rank, for head-line keying.
-        let ranks: BTreeMap<(Label, Label), u32> = plans
+        let ranks: BTreeMap<(Label, Label), u32> = self
+            .plans
             .iter()
             .map(|p| ((p.vantage_label, p.resolver_label), p.order))
             .collect();
@@ -984,7 +1162,7 @@ impl<'a> ShardedRunner<'a> {
     }
 
     /// Convenience: runs any remaining shards serially and assembles.
-    /// Equivalent to [`run`](Self::run) with one thread.
+    /// Equivalent to [`run`](Self::run) with one generator thread.
     pub fn finish(&self) -> Result<ShardedOutcome, CheckpointError> {
         self.run(1)
     }

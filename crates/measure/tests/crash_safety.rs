@@ -3,8 +3,8 @@
 //! data and cell files that no longer match their recorded checksums, and
 //! checkpoints from a different campaign configuration. Every rejection
 //! is a typed [`CheckpointError`]. A kill at any point of a shard's
-//! commit order (data file → cell file → manifest) must resume to the
-//! one-shot output.
+//! commit order (data file → cell file → manifest), and a write the
+//! committing thread cannot make, must resume to the one-shot output.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -268,6 +268,55 @@ fn a_kill_between_cell_file_and_manifest_commit_resumes_identically() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
     std::fs::remove_dir_all(reference.jsonl_path.parent().unwrap()).unwrap();
+}
+
+#[test]
+fn a_failed_shard_write_ends_the_run_typed_and_resumes_identically() {
+    let c = campaign(CampaignConfig::quick(3, 2));
+    let records = c.run();
+    for generators in [1, 3] {
+        let dir = scratch_dir("write-fails");
+        let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
+        // Shard 2's data file cannot be created: its tmp name is taken by
+        // a directory.
+        let obstacle = dir.join("shard-0002.jsonl.tmp");
+        std::fs::create_dir(&obstacle).unwrap();
+        // Returning at all means every generator was released from the
+        // hand-off and joined.
+        match runner.run(generators).unwrap_err() {
+            CheckpointError::Io(msg) => assert!(msg.contains("shard-0002.jsonl.tmp"), "{msg}"),
+            other => panic!("expected Io, got {other:?}"),
+        }
+
+        // What was committed before the failure still is (`load_or_init`
+        // re-validates each complete shard's files); shard 2 is not.
+        let before = ShardedRunner::new(&c, 4, &dir)
+            .unwrap()
+            .load_or_init()
+            .unwrap();
+        assert!(!before.states[2].is_complete());
+        if generators == 1 {
+            // One generator commits in index order.
+            let complete: Vec<bool> = before.states.iter().map(|s| s.is_complete()).collect();
+            assert_eq!(complete, [true, true, false, false]);
+        }
+
+        std::fs::remove_dir(&obstacle).unwrap();
+        let outcome = ShardedRunner::new(&c, 4, &dir)
+            .unwrap()
+            .run(generators)
+            .unwrap();
+        assert_eq!(
+            outcome.run.shards_resumed.get(),
+            before.complete_count() as u64
+        );
+        assert_eq!(
+            std::fs::read_to_string(&outcome.jsonl_path).unwrap(),
+            records.to_json_lines(),
+            "{generators} generator(s)"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]

@@ -101,7 +101,8 @@ fn kill_and_resume_at_every_shard_boundary_is_byte_identical() {
         let c = campaign(CampaignConfig::quick(seed, 2));
         let reference = one_shot(&c);
         let shards = 5u32;
-        for stop_after in 0..=shards as usize {
+        // Finished by one generator (commits in index order) and by two.
+        for (stop_after, finishers) in (0..=shards as usize).flat_map(|k| [(k, 1), (k, 2)]) {
             let dir = scratch_dir("resume");
             {
                 // First process: killed after `stop_after` shards.
@@ -112,17 +113,24 @@ fn kill_and_resume_at_every_shard_boundary_is_byte_identical() {
             // Second process: fresh runner over the same directory resumes
             // and finishes.
             let runner = ShardedRunner::new(&c, shards, &dir).unwrap();
-            let outcome = runner.run(2).unwrap();
+            let outcome = runner.run(finishers).unwrap();
             assert_eq!(
                 outcome.run.shards_resumed.get(),
                 stop_after as u64,
                 "resume must adopt exactly the checkpointed shards"
             );
+            assert_eq!(
+                outcome.run.manifest_writes.get(),
+                (shards as usize - stop_after) as u64,
+                "one manifest commit per shard this run executed"
+            );
             assert_matches_one_shot(
                 &c,
                 &reference,
                 &outcome,
-                &format!("seed {seed}, killed after {stop_after}/{shards} shards"),
+                &format!(
+                    "seed {seed}, killed after {stop_after}/{shards} shards, run({finishers})"
+                ),
             );
             std::fs::remove_dir_all(&dir).unwrap();
         }
