@@ -10,11 +10,13 @@
 //! aggregate and health cells as a cell file (both tmp + rename, so a
 //! crash never leaves a torn file under the real name), after which the
 //! shard is marked complete in the campaign [`Manifest`] — a commit that
-//! costs O(shards), not O(work done so far). [`ShardedRunner::run`] runs
-//! the halves on different threads — generator threads claim shards off a
-//! work queue and [`hand_off`] each finished one to the calling thread,
-//! which persists and commits it while the next is being generated;
-//! [`ShardedRunner::advance`] runs them one after the other.
+//! costs O(shards), not O(work done so far). [`ShardedRunner::run`]
+//! overlaps the halves — generator threads claim shards off a work queue
+//! and [`hand_off`] each finished one to the calling thread, which persists
+//! it while the next is being generated, and which alone commits; a
+//! generator that finds another already in line for the calling thread
+//! persists its own. [`ShardedRunner::advance`] runs the halves one after
+//! the other.
 //!
 //! *Assembly* streams the shard files through a k-way merge into the final
 //! campaign JSONL, folding each record into the metrics registry, then
@@ -42,8 +44,8 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel};
 
 use netsim::faults::FaultScope;
 use obs::clock::Stopwatch;
@@ -115,18 +117,23 @@ pub struct ShardedOutcome {
 /// ```
 ///
 /// less the few milliseconds of drift detection and journal assembly.
-/// The execute phase has two lanes running side by side, the generators
-/// and the committing (calling) thread, and each lane's rows account for
-/// the phase's wall time:
+/// The execute phase has two lanes running side by side, the generator
+/// threads and the committing (calling) thread. The persist rows
+/// (`serialise_s`, `data_write_s`, `cell_write_s`) are totals over both
+/// lanes: the committer persists the shards handed to it, a generator
+/// its own when another was already in line to hand one over, and
+/// `generator_persist_s` says how much of the three that was. Each lane
+/// accounts for the phase's wall time:
 ///
 /// ```text
-/// generate_s + fold_s + merge_s + generator_wait_s
+/// generate_s + fold_s + merge_s + generator_persist_s + generator_wait_s
 ///     == generators * execute_wall_s
-/// serialise_s + data_write_s + cell_write_s + commit_s + committer_wait_s
+/// serialise_s + data_write_s + cell_write_s - generator_persist_s
+///     + commit_s + committer_wait_s
 ///     == execute_wall_s
 /// ```
 ///
-/// Whichever lane is the shorter one shows the overlap as its wait row.
+/// A lane with nothing to do shows it as its wait row.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageLedger {
     /// `load_or_init`: manifest decode plus re-validation of every
@@ -135,6 +142,9 @@ pub struct StageLedger {
     /// The execute phase's wall time: from the first generator's spawn to
     /// the last shard's commit. Next to nothing when no shard is pending.
     pub execute_wall_s: f64,
+    /// Generator threads the execute phase ran: what `run` was asked for,
+    /// at least one, and no more than there were pending shards.
+    pub generators: usize,
     /// `run_pair` over each executed shard's pairs (generator lane,
     /// summed over generators like the lane's other rows).
     pub generate_s: f64,
@@ -142,17 +152,17 @@ pub struct StageLedger {
     pub fold_s: f64,
     /// `merge_pairs` within each shard.
     pub merge_s: f64,
-    /// Generators not generating: blocked handing a finished shard to the
-    /// committer, or out of shards while the committer lands the rest.
+    /// Generators not working: in line for the committer with a finished
+    /// shard, or out of shards while the rest are landed.
     pub generator_wait_s: f64,
     /// Rendering each shard's JSONL body, checksummed as it is rendered
-    /// (committer lane, as are the four rows after it).
+    /// (either lane, as are the two rows after it).
     pub serialise_s: f64,
     /// Data-file write + rename.
     pub data_write_s: f64,
     /// Cell-file encode + write + rename.
     pub cell_write_s: f64,
-    /// Manifest commits: encode, write + rename.
+    /// Manifest commits: encode, write + rename (committer lane).
     pub commit_s: f64,
     /// The committer waiting for a generator to hand it a shard.
     pub committer_wait_s: f64,
@@ -161,6 +171,9 @@ pub struct StageLedger {
     pub assemble_read_s: f64,
     /// Assembly's writes of the campaign JSONL.
     pub assemble_write_s: f64,
+    /// Not a row of its own: the part of the three persist rows that ran
+    /// on generator threads.
+    pub generator_persist_s: f64,
 }
 
 impl StageLedger {
@@ -185,14 +198,16 @@ impl StageLedger {
 
     /// What the generator lane spent on its stages, wait included.
     pub fn generator_lane_s(&self) -> f64 {
-        self.generate_s + self.fold_s + self.merge_s + self.generator_wait_s
+        self.generate_s
+            + self.fold_s
+            + self.merge_s
+            + self.generator_persist_s
+            + self.generator_wait_s
     }
 
     /// What the committer lane spent on its stages, wait included.
     pub fn committer_lane_s(&self) -> f64 {
-        self.serialise_s
-            + self.data_write_s
-            + self.cell_write_s
+        self.serialise_s + self.data_write_s + self.cell_write_s - self.generator_persist_s
             + self.commit_s
             + self.committer_wait_s
     }
@@ -328,6 +343,14 @@ struct GeneratedShard {
     stages: StageLedger,
 }
 
+/// One shard as the persist half hands it to the commit: both files are
+/// under their real names, the manifest does not know yet.
+struct PersistedShard {
+    checkpoint: ShardCheckpoint,
+    /// The generate stages and, added to them, the persist stages.
+    stages: StageLedger,
+}
+
 /// What the committing thread owns for the length of a run: no lock, the
 /// generators never see it.
 struct RunState {
@@ -338,83 +361,110 @@ struct RunState {
     progress: Option<Stopwatch>,
 }
 
-/// Where the two lanes of one [`hand_off`] waited, and how long it took.
+/// How one [`hand_off`] went: as the [`StageLedger`] fields of the same
+/// names.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HandOff {
-    /// As [`StageLedger::execute_wall_s`].
+    pub generators: usize,
     pub execute_wall_s: f64,
-    /// As [`StageLedger::generator_wait_s`].
+    pub generator_persist_s: f64,
     pub generator_wait_s: f64,
-    /// As [`StageLedger::committer_wait_s`].
     pub committer_wait_s: f64,
 }
 
 /// The execute phase's two lanes. Up to `generators` threads (at least
 /// one, never more than there are items) claim `pending`'s items in order
-/// and `generate` them; each finished product goes over a rendezvous
-/// channel to the calling thread, which `land`s it while its generator
-/// starts on the next item. Nothing is queued: a generator whose product
-/// is not yet taken waits, so one product per generator is in flight at
-/// most, and with one generator products land in `pending`'s order.
+/// and `generate` them. A finished product is offered to the calling
+/// thread over a rendezvous channel: the generator waits until it is
+/// taken, then starts on its next item while the calling thread
+/// `persist`s and `commit`s the product. Only one generator stands in
+/// line like that. One that finishes a product while another is in line
+/// `persist`s its own and reports the outcome, which the calling thread
+/// `commit`s when it next takes a product. So the calling thread is the
+/// only one to commit; `persist` runs on as many threads as it needs to
+/// keep up; nothing is queued but outcomes, and one product per thread is
+/// in flight at most. With one generator, every product goes to the
+/// calling thread and commits happen in `pending`'s order.
 ///
-/// `land`'s first error ends the run: the receiver is dropped, every
-/// generator's pending or next hand-off fails, and it exits without
-/// generating again. All threads are joined before this returns.
+/// The first error, from `persist` on either lane or from `commit`, ends
+/// the run: both receivers are dropped, the generator in line and every
+/// other at its next send find out and exit (what they persist on the way
+/// there is never committed). All threads are joined before this returns.
 ///
 /// Public for `tests/handoff_stress.rs`, which drives it with fakes.
 #[doc(hidden)]
-pub fn hand_off<T: Send, E>(
+pub fn hand_off<T: Send, P: Send, E: Send>(
     pending: &[u32],
     generators: usize,
     generate: impl Fn(u32) -> T + Sync,
-    mut land: impl FnMut(T) -> Result<(), E>,
+    persist: impl Fn(T) -> Result<P, E> + Sync,
+    mut commit: impl FnMut(P) -> Result<(), E>,
 ) -> (Result<(), E>, HandOff) {
-    let generators = generators.max(1).min(pending.len());
+    let mut lanes = HandOff {
+        generators: generators.max(1).min(pending.len()),
+        ..HandOff::default()
+    };
     let next = AtomicUsize::new(0);
-    let mut lanes = HandOff::default();
+    // Whether a generator is in line for the calling thread.
+    let in_line = AtomicBool::new(false);
     let execute = Stopwatch::start();
     let landed = std::thread::scope(|scope| {
-        let (handoff, finished) = sync_channel::<T>(0);
-        let handles: Vec<_> = (0..generators)
+        let (offer, offered) = sync_channel::<T>(0);
+        let (report, reported) = channel::<Result<P, E>>();
+        let handles: Vec<_> = (0..lanes.generators)
             .map(|_| {
-                let handoff = handoff.clone();
-                let (next, generate) = (&next, &generate);
+                let (offer, report) = (offer.clone(), report.clone());
+                let (next, in_line, generate, persist) = (&next, &in_line, &generate, &persist);
                 scope.spawn(move || {
-                    let mut blocked_s = 0.0;
+                    let (mut persist_s, mut blocked_s) = (0.0, 0.0);
                     while let Some(&item) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
                         let product = generate(item);
-                        let blocked = Stopwatch::start();
-                        if handoff.send(product).is_err() {
+                        let since = Stopwatch::start();
+                        let sent = if in_line.swap(true, Ordering::Relaxed) {
+                            let persisted = persist(product);
+                            persist_s += since.elapsed_secs();
+                            report.send(persisted).is_ok()
+                        } else {
+                            let taken = offer.send(product).is_ok();
+                            in_line.store(false, Ordering::Relaxed);
+                            blocked_s += since.elapsed_secs();
+                            taken
+                        };
+                        if !sent {
                             break;
                         }
-                        blocked_s += blocked.elapsed_secs();
                     }
-                    (blocked_s, execute.elapsed_secs())
+                    (persist_s, blocked_s, execute.elapsed_secs())
                 })
             })
             .collect();
-        drop(handoff);
+        drop((offer, report));
 
         let mut land_all = || loop {
             let idle = Stopwatch::start();
-            let received = finished.recv();
+            let taken = offered.recv();
             lanes.committer_wait_s += idle.elapsed_secs();
-            // Every generator has run out of items and hung up.
-            let Ok(product) = received else {
-                return Ok(());
-            };
-            land(product)?;
+            for persisted in reported.try_iter() {
+                commit(persisted?)?;
+            }
+            match taken {
+                Ok(product) => commit(persist(product)?)?,
+                // Every generator has run out of items and hung up, its
+                // last report sent before it did.
+                Err(_) => return Ok(()),
+            }
         };
         let landed = land_all();
-        drop(finished);
-        let exits: Vec<(f64, f64)> = handles
+        drop((offered, reported));
+        let exits: Vec<(f64, f64, f64)> = handles
             .into_iter()
             // detlint:allow(unwrap, propagates a generator panic; there is no partial result to salvage)
             .map(|h| h.join().expect("shard generator panicked"))
             .collect();
         lanes.execute_wall_s = execute.elapsed_secs();
-        for (blocked_s, exited_at) in exits {
+        for (persist_s, blocked_s, exited_at) in exits {
+            lanes.generator_persist_s += persist_s;
             lanes.generator_wait_s += blocked_s + (lanes.execute_wall_s - exited_at);
         }
         landed
@@ -701,17 +751,17 @@ impl<'a> ShardedRunner<'a> {
     }
 
     /// The persist half of a shard: writes its data file, then its cell
-    /// file (each tmp + rename), timing itself into `stages`. The shard is
-    /// not complete until [`commit_shard`](Self::commit_shard) puts the
-    /// returned checkpoint in the manifest; a kill before that leaves
-    /// files the re-run simply overwrites.
-    fn persist_shard(
-        &self,
-        shard: GeneratedShard,
-        stages: &mut StageLedger,
-    ) -> Result<ShardCheckpoint, CheckpointError> {
+    /// file (each tmp + rename), timing itself. The shard is not complete
+    /// until [`commit_shard`](Self::commit_shard) puts the checkpoint in
+    /// the manifest; a kill before that leaves files the re-run simply
+    /// overwrites.
+    fn persist_shard(&self, shard: GeneratedShard) -> Result<PersistedShard, CheckpointError> {
         let mut laps = Laps::start();
-        let GeneratedShard { merged, cells, .. } = shard;
+        let GeneratedShard {
+            merged,
+            cells,
+            mut stages,
+        } = shard;
         let index = cells.shard;
 
         // Each line is summed as it is appended, while it is still in
@@ -727,31 +777,36 @@ impl<'a> ShardedRunner<'a> {
             body.push('\n');
             checksum = fnv64_extend(checksum, &body.as_bytes()[line_start..]);
         }
-        stages.serialise_s += laps.lap();
+        stages.serialise_s = laps.lap();
 
         write_atomic_bytes(&self.shard_path(index), body.as_bytes())?;
-        stages.data_write_s += laps.lap();
+        stages.data_write_s = laps.lap();
 
         let encoded_cells = cells.encode();
         write_atomic_bytes(&self.cells_path(index), encoded_cells.as_bytes())?;
-        stages.cell_write_s += laps.lap();
+        stages.cell_write_s = laps.lap();
 
-        Ok(ShardCheckpoint {
-            shard: index,
-            records,
-            bytes: body.len() as u64,
-            checksum,
-            cell_bytes: encoded_cells.len() as u64,
-            cell_checksum: fnv64(encoded_cells.as_bytes()),
+        Ok(PersistedShard {
+            checkpoint: ShardCheckpoint {
+                shard: index,
+                records,
+                bytes: body.len() as u64,
+                checksum,
+                cell_bytes: encoded_cells.len() as u64,
+                cell_checksum: fnv64(encoded_cells.as_bytes()),
+            },
+            stages,
         })
     }
 
     /// Commits one persisted shard: marks it complete and rewrites the
-    /// manifest atomically (this is the resume boundary).
+    /// manifest atomically (this is the resume boundary). The one way a
+    /// shard becomes complete, whether [`run`](Self::run) or
+    /// [`advance`](Self::advance) executed it.
     fn commit_shard(
         &self,
         state: &mut RunState,
-        checkpoint: ShardCheckpoint,
+        shard: PersistedShard,
     ) -> Result<(), CheckpointError> {
         let commit = Stopwatch::start();
         let RunState {
@@ -760,6 +815,16 @@ impl<'a> ShardedRunner<'a> {
             stages,
             progress,
         } = state;
+        let PersistedShard {
+            checkpoint,
+            stages: shard_stages,
+        } = shard;
+        stages.generate_s += shard_stages.generate_s;
+        stages.fold_s += shard_stages.fold_s;
+        stages.merge_s += shard_stages.merge_s;
+        stages.serialise_s += shard_stages.serialise_s;
+        stages.data_write_s += shard_stages.data_write_s;
+        stages.cell_write_s += shard_stages.cell_write_s;
         run.shards_executed.add(1);
         run.pairs_run
             .add(self.shard_range(checkpoint.shard).len() as u64);
@@ -787,30 +852,17 @@ impl<'a> ShardedRunner<'a> {
         Ok(())
     }
 
-    /// Lands one generated shard, in commit order: data file, cell file,
-    /// manifest. The one way a shard becomes complete, whether
-    /// [`run`](Self::run) or [`advance`](Self::advance) generated it.
-    fn land_shard(
-        &self,
-        state: &mut RunState,
-        shard: GeneratedShard,
-    ) -> Result<(), CheckpointError> {
-        state.stages.generate_s += shard.stages.generate_s;
-        state.stages.fold_s += shard.stages.fold_s;
-        state.stages.merge_s += shard.stages.merge_s;
-        let checkpoint = self.persist_shard(shard, &mut state.stages)?;
-        self.commit_shard(state, checkpoint)
-    }
-
     /// Runs the whole campaign, resuming from any existing checkpoints,
     /// and assembles the final output.
     ///
-    /// `threads` is the number of *generator* threads. They only generate;
-    /// the calling thread persists and commits each shard they
-    /// [`hand_off`], while its generator is already on the next one. At
-    /// most one finished shard per generator waits, so memory stays
-    /// O(shard). With one generator shards commit in index order; with no
-    /// shard pending none is spawned.
+    /// `threads` is the number of *generator* threads. The calling thread
+    /// makes one more: it persists the shards they [`hand_off`] to it, each
+    /// while its generator is already on the next, and commits every shard.
+    /// A generator persists a shard itself when another is already in line
+    /// for the calling thread, so the persist half runs on as many threads
+    /// as it needs to keep up. One shard per thread is in flight at most,
+    /// so memory stays O(shard). With one generator shards commit in index
+    /// order; with no shard pending none is spawned.
     pub fn run(&self, threads: usize) -> Result<ShardedOutcome, CheckpointError> {
         let mut run = ShardRunMetrics::new();
         run.shards_planned.add(self.shards as u64);
@@ -851,10 +903,13 @@ impl<'a> ShardedRunner<'a> {
             &pending,
             threads,
             |index| self.generate_shard(index),
-            |shard| self.land_shard(&mut state, shard),
+            |shard| self.persist_shard(shard),
+            |shard| self.commit_shard(&mut state, shard),
         );
         landed?;
+        state.stages.generators = lanes.generators;
         state.stages.execute_wall_s = lanes.execute_wall_s;
+        state.stages.generator_persist_s = lanes.generator_persist_s;
         state.stages.generator_wait_s = lanes.generator_wait_s;
         state.stages.committer_wait_s = lanes.committer_wait_s;
         self.assemble(&state.manifest, state.run, journal, state.stages)
@@ -872,7 +927,8 @@ impl<'a> ShardedRunner<'a> {
         };
         let pending = pending_shards(&state.manifest);
         for &index in pending.iter().take(max_shards) {
-            self.land_shard(&mut state, self.generate_shard(index))?;
+            let persisted = self.persist_shard(self.generate_shard(index))?;
+            self.commit_shard(&mut state, persisted)?;
         }
         Ok(pending.len().saturating_sub(max_shards))
     }

@@ -281,8 +281,7 @@ fn a_failed_shard_write_ends_the_run_typed_and_resumes_identically() {
         // a directory.
         let obstacle = dir.join("shard-0002.jsonl.tmp");
         std::fs::create_dir(&obstacle).unwrap();
-        // Returning at all means every generator was released from the
-        // hand-off and joined.
+        // Returning at all means every generator stopped and was joined.
         match runner.run(generators).unwrap_err() {
             CheckpointError::Io(msg) => assert!(msg.contains("shard-0002.jsonl.tmp"), "{msg}"),
             other => panic!("expected Io, got {other:?}"),

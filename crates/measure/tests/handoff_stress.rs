@@ -1,18 +1,15 @@
 //! The sharded runner's hand-off ([`measure::shard::hand_off`]): generator
-//! threads claim pending shards and pass each finished one over a
-//! rendezvous channel to the calling thread, which lands it. Driven here
-//! with fakes, over 1 to 4 generators and every point at which the
-//! committer can fail: every pending shard is generated and landed exactly
-//! once; a failed landing stops every generator at its hand-off, having
-//! generated nothing further; and the call returns — it joins its threads
-//! — every time.
-//!
-//! The abort case forces the interleaving it checks instead of hoping for
-//! it: the failing landing first waits, on a channel the generators report
-//! to, until every generator has a finished shard to hand over.
+//! threads claim pending shards; a finished one is handed over a
+//! rendezvous channel to the calling thread to be persisted there, or —
+//! when another generator is already in line — is persisted by its own;
+//! the calling thread commits them all. Driven here with fakes, over 1 to
+//! 4 generators and every point at which a persist or a commit can fail:
+//! every pending shard is generated, persisted and committed exactly once;
+//! after a failure nothing more is committed and nothing is done twice;
+//! no finished shard is ever queued; and the call returns — it joins its
+//! threads, the one in line included — every time.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 use measure::shard::hand_off;
 
@@ -22,113 +19,158 @@ const SHARDS: usize = 6;
 /// same count the models beside this file run for).
 const REPEATS: usize = loom::STRESS_ITERATIONS;
 
+/// Where a hand-off is made to fail.
+#[derive(Debug, Clone, Copy)]
+enum Fail {
+    Never,
+    /// Persisting this shard fails, on whichever thread does it.
+    Persist(u32),
+    /// The commit after this many good ones fails.
+    Commit(usize),
+}
+
 struct Handed {
     result: Result<(), u32>,
-    /// How often each shard was generated and landed.
+    /// How often each shard went through each step.
     generated: Vec<usize>,
-    landed: Vec<usize>,
+    persisted: Vec<usize>,
+    committed: Vec<usize>,
+    /// The most finished shards that were waiting to be persisted at once.
+    most_unpersisted: usize,
 }
 
-/// How many shards exist once landing number `abort_at` is in the
-/// committer's hands and every generator waits at the hand-off with the
-/// one it went on to finish.
-fn in_flight(generators: usize, abort_at: usize) -> usize {
-    SHARDS.min(abort_at + 1 + generators)
+fn counters() -> Vec<AtomicUsize> {
+    (0..SHARDS).map(|_| AtomicUsize::new(0)).collect()
 }
 
-/// One hand-off over `SHARDS` shards whose landing number `abort_at`
-/// (counting from 0) fails; `abort_at == SHARDS` never fails.
-fn hand_over(generators: usize, abort_at: usize) -> Handed {
+fn counts(counters: Vec<AtomicUsize>) -> Vec<usize> {
+    counters.into_iter().map(AtomicUsize::into_inner).collect()
+}
+
+/// One hand-off over `SHARDS` shards; an error carries the shard it hit.
+fn hand_over(generators: usize, fail: Fail) -> Handed {
     let pending: Vec<u32> = (0..SHARDS as u32).collect();
-    let generated: Vec<AtomicUsize> = (0..SHARDS).map(|_| AtomicUsize::new(0)).collect();
-    let (report, reports) = mpsc::channel::<u32>();
-    let mut landed = vec![0usize; SHARDS];
-    let mut landings = 0;
-    let (result, _) = hand_off(
+    let (generated, persisted) = (counters(), counters());
+    let (unpersisted, most_unpersisted) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let mut committed = vec![0usize; SHARDS];
+    let mut commits = 0;
+    let (result, lanes) = hand_off(
         &pending,
         generators,
-        {
-            let generated = &generated;
-            move |shard| {
-                generated[shard as usize].fetch_add(1, Ordering::SeqCst);
-                report
-                    .send(shard)
-                    .expect("the test outlives its generators");
-                shard
+        |shard| {
+            generated[shard as usize].fetch_add(1, Ordering::SeqCst);
+            let now = unpersisted.fetch_add(1, Ordering::SeqCst) + 1;
+            most_unpersisted.fetch_max(now, Ordering::SeqCst);
+            shard
+        },
+        |shard| {
+            unpersisted.fetch_sub(1, Ordering::SeqCst);
+            persisted[shard as usize].fetch_add(1, Ordering::SeqCst);
+            match fail {
+                Fail::Persist(failing) if failing == shard => Err(shard),
+                _ => Ok(shard),
             }
         },
         |shard| {
-            if landings == abort_at {
-                for _ in 0..in_flight(generators, abort_at) {
-                    reports.recv().expect("a generator is still to report");
-                }
+            // Let the generators get ahead of this thread.
+            std::thread::yield_now();
+            if matches!(fail, Fail::Commit(after) if after == commits) {
                 return Err(shard);
             }
-            landings += 1;
-            landed[shard as usize] += 1;
+            commits += 1;
+            committed[shard as usize] += 1;
             Ok(())
         },
     );
+    assert_eq!(lanes.generators, generators.min(SHARDS));
     Handed {
         result,
-        generated: generated.into_iter().map(AtomicUsize::into_inner).collect(),
-        landed,
+        generated: counts(generated),
+        persisted: counts(persisted),
+        committed,
+        most_unpersisted: most_unpersisted.into_inner(),
     }
 }
 
+/// What holds however a hand-off ends: no step ran twice or out of order,
+/// and finished shards did not pile up.
+fn assert_sound(handed: &Handed, generators: usize, context: &str) {
+    for shard in 0..SHARDS {
+        assert!(handed.generated[shard] <= 1, "{context}: shard {shard}");
+        assert!(
+            handed.persisted[shard] <= handed.generated[shard],
+            "{context}: shard {shard} persisted without being generated"
+        );
+        assert!(
+            handed.committed[shard] <= handed.persisted[shard],
+            "{context}: shard {shard} committed without being persisted"
+        );
+    }
+    // One in each generator's hands and one the calling thread has just
+    // taken: nothing queued.
+    assert!(
+        handed.most_unpersisted <= generators + 1,
+        "{context}: {} finished shards waited at once",
+        handed.most_unpersisted
+    );
+}
+
 #[test]
-fn every_pending_shard_is_generated_and_landed_exactly_once() {
+fn every_pending_shard_is_generated_persisted_and_committed_exactly_once() {
     for generators in 1..=4 {
         for _ in 0..REPEATS {
-            let handed = hand_over(generators, SHARDS);
+            let handed = hand_over(generators, Fail::Never);
+            let context = format!("{generators} generators");
             assert_eq!(handed.result, Ok(()));
-            assert_eq!(handed.generated, [1; SHARDS], "{generators} generators");
-            assert_eq!(handed.landed, [1; SHARDS], "{generators} generators");
+            assert_sound(&handed, generators, &context);
+            assert_eq!(handed.committed, [1; SHARDS], "{context}");
         }
     }
 }
 
 #[test]
-fn a_failed_landing_stops_every_generator_at_its_hand_off() {
+fn a_failed_commit_ends_the_run_with_nothing_further_committed() {
     for generators in 1..=4 {
-        for abort_at in 0..SHARDS {
+        for after in 0..SHARDS {
             for _ in 0..REPEATS {
-                let handed = hand_over(generators, abort_at);
-                let context = format!("{generators} generators, landing {abort_at} fails");
+                let handed = hand_over(generators, Fail::Commit(after));
+                let context = format!("{generators} generators, commit {after} fails");
                 let failed = handed.result.expect_err(&context) as usize;
-                assert_eq!(handed.landed.iter().sum::<usize>(), abort_at, "{context}");
-                assert_eq!(handed.landed[failed], 0, "{context}");
-                for shard in 0..SHARDS {
-                    assert!(handed.generated[shard] <= 1, "{context}: shard {shard}");
-                    assert!(
-                        handed.landed[shard] <= handed.generated[shard],
-                        "{context}: shard {shard} landed without being generated"
-                    );
-                }
-                // The failed shard, those landed before it, and the one
-                // each generator was left holding — no generator went on
-                // to another after the committer hung up.
-                assert_eq!(
-                    handed.generated.iter().sum::<usize>(),
-                    in_flight(generators, abort_at),
-                    "{context}"
-                );
+                assert_sound(&handed, generators, &context);
+                assert_eq!(handed.committed.iter().sum::<usize>(), after, "{context}");
+                assert_eq!(handed.committed[failed], 0, "{context}");
             }
         }
     }
 }
 
 #[test]
-fn one_generator_lands_shards_in_pending_order() {
+fn a_failed_persist_on_either_lane_ends_the_run_with_that_error() {
+    for generators in 1..=4 {
+        for failing in 0..SHARDS as u32 {
+            for _ in 0..REPEATS {
+                let handed = hand_over(generators, Fail::Persist(failing));
+                let context = format!("{generators} generators, persisting {failing} fails");
+                assert_eq!(handed.result, Err(failing), "{context}");
+                assert_sound(&handed, generators, &context);
+                assert_eq!(handed.committed[failing as usize], 0, "{context}");
+            }
+        }
+    }
+}
+
+#[test]
+fn one_generator_commits_shards_in_pending_order() {
     let pending = [4u32, 1, 3, 0];
     let mut order = Vec::new();
     let (result, lanes) = hand_off(
         &pending,
         1,
         |shard| shard,
+        Ok::<u32, ()>,
         |shard| {
             order.push(shard);
-            Ok::<(), ()>(())
+            Ok(())
         },
     );
     assert_eq!(result, Ok(()));
@@ -137,7 +179,8 @@ fn one_generator_lands_shards_in_pending_order() {
 }
 
 #[test]
-fn nothing_pending_spawns_nothing_and_lands_nothing() {
-    let (result, _) = hand_off(&[], 4, |shard| shard, |_| Err::<(), &str>("landed"));
+fn nothing_pending_spawns_nothing_and_commits_nothing() {
+    let (result, lanes) = hand_off(&[], 4, |shard| shard, Ok, |_| Err::<(), &str>("committed"));
     assert_eq!(result, Ok(()));
+    assert_eq!(lanes.generators, 0);
 }
