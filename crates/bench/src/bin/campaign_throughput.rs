@@ -6,9 +6,10 @@
 //!
 //! Used three ways:
 //!
-//! * `cargo run --release -p bench --bin campaign_throughput` — the numbers
-//!   recorded in `BENCH_campaign.json` at the repo root, including the
-//!   1/2/4/8-thread probe-generation sweep;
+//! * `cargo run --release -p bench --bin campaign_throughput -- --threads 1,2`
+//!   — the numbers recorded in `BENCH_campaign.json` at the repo root,
+//!   with the probe-generation sweep kept to the reference container's
+//!   two cores (the default sweep is 1/2/4/8);
 //! * `-- --quick` — the CI smoke profile: a smaller campaign plus hard
 //!   floors on the single-thread probe-generation and pipeline rates so
 //!   hot-path regressions fail the workflow loudly;
@@ -29,18 +30,20 @@ use std::time::Instant;
 use measure::{metrics_of, Campaign, CampaignConfig, SessionConfig};
 
 /// CI floor for the quick profile, in end-to-end pipeline probes/sec
-/// (probe + merge + JSONL + metrics). The pre-interning implementation
-/// measured ~2.1e4 on the reference container, the streaming hot path
-/// ~6.1e4, and the arena/`PairContext` fast path ~1.0e5. Tripping this
-/// floor means probe generation lost the fast path's advantage (hoisted
-/// wire templates regressing to per-probe rebuilds shows up here first).
-const QUICK_FLOOR_PIPELINE_PROBES_PER_SEC: f64 = 55_000.0;
+/// (probe + merge + JSONL + metrics): half the 143.1k median of ten runs
+/// on the reference container (2 vCPUs; `BENCH_campaign.json` lists the
+/// ten). The pre-interning implementation measured ~2.1e4 there, the
+/// streaming hot path ~6.1e4, the arena/`PairContext` fast path ~1.15e5.
+/// Tripping this floor means a stage fell back a generation: hoisted wire
+/// templates regressing to per-probe rebuilds, or the resolver side
+/// cloning names again, shows up here first.
+const QUICK_FLOOR_PIPELINE_PROBES_PER_SEC: f64 = 71_000.0;
 
 /// CI floor on single-thread probe generation alone (the `generate`
-/// stage, before merge/serialization). The fast path measures ~1.3e5 on
-/// the reference container vs ~8.4e4 for the pre-context path; the floor
-/// sits above the old rate so losing the hoisting cannot pass CI.
-const QUICK_FLOOR_PROBE_GEN_PROBES_PER_SEC: f64 = 90_000.0;
+/// stage, before merge/serialization): half the 248.9k median of the same
+/// ten runs. The fast path with the resolver side as it was at the seed
+/// measured ~1.6e5, so losing either half's hoisting cannot pass CI.
+const QUICK_FLOOR_PROBE_GEN_PROBES_PER_SEC: f64 = 124_000.0;
 
 /// Minimum parallel efficiency — `pps(n) / (n · pps(1))` — at the highest
 /// swept thread count, enforced only when the host really has that many

@@ -34,7 +34,11 @@ use report::{LoadClass, LoadSweep};
 /// ~1e5 on the reference container; the load model adds a per-attempt
 /// site pick (a few float ops per site over a precomputed table), which
 /// measures within noise of unloaded. Tripping half that means the pick
-/// grew a per-attempt allocation or re-derivation.
+/// grew a per-attempt allocation or re-derivation. The quick profile
+/// times 315 probes a rung, so set-up and scheduler noise dominate it:
+/// re-measured with the allocation-free resolver side the slowest loaded
+/// rung's median of ten is 75k (`BENCH_campaign.json`), half of which is
+/// under this floor, so it stays where it was.
 const QUICK_FLOOR_LOADED_PROBES_PER_SEC: f64 = 40_000.0;
 
 /// Sub-saturation rungs: the hobbyist class's queueing delay grows

@@ -332,9 +332,9 @@ impl Ord for Name {
                 (None, Some(_)) => return std::cmp::Ordering::Less,
                 (Some(_), None) => return std::cmp::Ordering::Greater,
                 (Some(x), Some(y)) => {
-                    let lx: Vec<u8> = x.iter().map(|c| c.to_ascii_lowercase()).collect();
-                    let ly: Vec<u8> = y.iter().map(|c| c.to_ascii_lowercase()).collect();
-                    match lx.cmp(&ly) {
+                    let lx = x.iter().map(u8::to_ascii_lowercase);
+                    let ly = y.iter().map(u8::to_ascii_lowercase);
+                    match lx.cmp(ly) {
                         std::cmp::Ordering::Equal => continue,
                         o => return o,
                     }

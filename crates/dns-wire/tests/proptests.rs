@@ -23,6 +23,29 @@ fn arb_name() -> impl Strategy<Value = Name> {
         .prop_filter_map("name too long", |labels| Name::from_labels(labels).ok())
 }
 
+/// Names over a seven-octet alphabet, in labels of one to three octets:
+/// small enough that two generated names are often equal, equal up to
+/// case, or hold labels that are prefixes of each other. The alphabet
+/// straddles what lower-casing moves (`Z` sorts below `[` raw and above
+/// it lower-cased) and includes octets >= 0x80, which it must not touch.
+fn arb_confusable_name() -> impl Strategy<Value = Name> {
+    let octet = (0usize..7).prop_map(|i| b"aAbZ[\x80\xff"[i]);
+    let label = proptest::collection::vec(octet, 1..=3);
+    proptest::collection::vec(label, 0..=3)
+        .prop_map(|labels| Name::from_labels(labels).expect("short labels fit"))
+}
+
+/// `Name`'s order as first written: compare the collected lower-cased
+/// labels, right-most first (RFC 4034 §6.1).
+fn collected_order(a: &Name, b: &Name) -> std::cmp::Ordering {
+    let key = |n: &Name| {
+        let mut labels: Vec<Vec<u8>> = n.labels().map(|l| l.to_ascii_lowercase()).collect();
+        labels.reverse();
+        labels
+    };
+    key(a).cmp(&key(b))
+}
+
 fn arb_rdata() -> impl Strategy<Value = RData> {
     prop_oneof![
         any::<[u8; 4]>().prop_map(|o| RData::A(Ipv4Addr::from(o))),
@@ -83,6 +106,21 @@ proptest! {
             let shown = name.to_string();
             let back = Name::parse(&shown).unwrap();
             prop_assert_eq!(back, name);
+        }
+    }
+
+    #[test]
+    fn name_order_matches_collected_lowercase_labels(
+        a in arb_confusable_name(),
+        b in arb_confusable_name(),
+        x in arb_name(),
+        y in arb_name(),
+    ) {
+        for (a, b) in [(&a, &b), (&x, &y), (&a, &x), (&a, &a)] {
+            let order = a.cmp(b);
+            prop_assert_eq!(order, collected_order(a, b), "{} vs {}", a, b);
+            prop_assert_eq!(b.cmp(a), order.reverse());
+            prop_assert_eq!(order == std::cmp::Ordering::Equal, a == b, "{} vs {}", a, b);
         }
     }
 

@@ -212,6 +212,9 @@ pub struct Campaign {
     /// and the per-pair ordering compare these integers instead of domain
     /// strings.
     domain_ranks: Vec<u32>,
+    /// The probe engine (the authority tree every resolver recurses
+    /// against): read-only, so every pair and worker thread borrows it.
+    prober: Prober,
 }
 
 impl Campaign {
@@ -277,6 +280,7 @@ impl Campaign {
             entries,
             domains,
             domain_ranks,
+            prober: Prober::new(),
         })
     }
 
@@ -440,7 +444,7 @@ impl Campaign {
         let entry = &plan.entry;
         let cfg = self.config.probe;
         let faults = &self.config.faults;
-        let prober = Prober::new();
+        let prober = &self.prober;
         let mut target = ProbeTarget::from_entry(entry.clone());
         let mut rng = SimRng::derived(
             self.config.seed,
@@ -474,11 +478,14 @@ impl Campaign {
             )
         });
 
-        let mut records = Vec::new();
-        for span in &self.config.spans {
-            if !span.vantages.contains(&vantage.label) {
-                continue;
-            }
+        let spans = || {
+            let all = self.config.spans.iter();
+            all.filter(|s| s.vantages.contains(&vantage.label))
+        };
+        // Sized from the schedule, so the series never regrows.
+        let rounds: usize = spans().map(|s| s.round_count()).sum();
+        let mut records = Vec::with_capacity(rounds * self.domains.len());
+        for span in spans() {
             for at in span.round_times() {
                 for (domain_idx, domain) in self.domains.iter().enumerate() {
                     let session = session_cfg.zip(session.as_mut());

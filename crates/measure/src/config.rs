@@ -33,7 +33,7 @@ pub struct Span {
 impl Span {
     /// The probe times this span schedules.
     pub fn round_times(&self) -> Vec<SimTime> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.round_count());
         let step = SimDuration::from_secs(86_400 / u64::from(self.rounds_per_day.max(1)));
         for day in 0..self.days {
             let day_start =

@@ -167,19 +167,18 @@ impl Wires<'_> {
         &mut self,
         shed: bool,
         rcode: Rcode,
-        records: Vec<RData>,
+        records: &[RData],
         arena: &mut Arena,
     ) -> usize {
         match self {
-            Wires::Cached(t) => match t.find_variant(shed, rcode, &records) {
+            Wires::Cached(t) => match t.find_variant(shed, rcode, records) {
                 Some(i) => i,
+                // detlint:allow(deny-alloc-reach, the first sight of a response shape on a pair builds and keeps its wire; every later probe finds it above)
                 None => t.add_variant(shed, rcode, records, arena),
             },
             Wires::Fresh(f) => {
-                f.response = response_message(&f.query, &f.name, shed, rcode, &records)
-                    .encode()
-                    // detlint:allow(unwrap, responses assembled by the simulated resolver are well-formed)
-                    .expect("response encodes");
+                // detlint:allow(deny-alloc-reach, the fresh wire source exists to build every message anew; campaigns probe through Cached)
+                f.encode_response(shed, rcode, records);
                 0
             }
         }
@@ -263,6 +262,13 @@ impl FreshWires {
             stream_id: 0,
             response: Vec::new(),
         }
+    }
+
+    fn encode_response(&mut self, shed: bool, rcode: Rcode, records: &[RData]) {
+        self.response = response_message(&self.query, &self.name, shed, rcode, records)
+            .encode()
+            // detlint:allow(unwrap, responses assembled by the simulated resolver are well-formed)
+            .expect("response encodes");
     }
 
     fn encode_doh_request(&mut self, reused: bool) -> usize {
@@ -418,10 +424,10 @@ impl DomainTemplate {
         &mut self,
         shed: bool,
         rcode: Rcode,
-        records: Vec<RData>,
+        records: &[RData],
         arena: &mut Arena,
     ) -> usize {
-        let wire = response_message(&self.query, &self.name, shed, rcode, &records)
+        let wire = response_message(&self.query, &self.name, shed, rcode, records)
             .encode_into(arena.alloc())
             // detlint:allow(unwrap, responses assembled by the simulated resolver are well-formed)
             .expect("response encodes");
@@ -429,7 +435,7 @@ impl DomainTemplate {
         self.variants.push(ResponseVariant {
             shed,
             rcode,
-            records: if shed { Vec::new() } else { records },
+            records: if shed { Vec::new() } else { records.to_vec() },
             dns_response: wire,
             decoded_rcode,
             status_lens: Vec::new(),

@@ -20,6 +20,7 @@
 
 use bytes::Bytes;
 use catalog::ResolverEntry;
+use detlint_macros::deny_alloc;
 use dns_wire::{Message, Name, Rcode, RecordType};
 use netsim::faults::{FaultEffects, FaultPlan, FaultTarget};
 use netsim::{icmp, Arena, Host, Path, SimDuration, SimRng, SimTime};
@@ -792,6 +793,7 @@ impl Prober {
     /// there an injected rate limit surfaces as a 429 before any DNS
     /// payload matters, while on bare transports (Do53/DoT/DoQ) the
     /// overloaded frontend sheds load by answering SERVFAIL instead.
+    #[deny_alloc]
     fn serve(
         &self,
         env: &mut Attempt<'_>,
@@ -800,6 +802,7 @@ impl Prober {
         http_layer: bool,
     ) -> Served {
         let (server_time, resolution) = target.instance.server_mut(env.site).handle_query_loaded(
+            // detlint:allow(deny-alloc-reach, Wires::name borrows the queried name; the other workspace `name` methods this resolves to by name belong to unrelated types)
             wires.name(),
             RecordType::A,
             &self.authorities,
@@ -818,7 +821,7 @@ impl Prober {
             server_time,
             cache_hit: resolution.cache_hit,
             rcode,
-            response: wires.respond(shed, rcode, resolution.records, env.arena),
+            response: wires.respond(shed, rcode, &resolution.records, env.arena),
         }
     }
 

@@ -218,8 +218,8 @@ impl StageLedger {
     }
 }
 
-/// Assembly's output buffer: the campaign JSONL goes to disk in writes of
-/// this size.
+/// Assembly's output buffer, and a shard body's: JSONL goes to disk in
+/// writes of this size.
 const ASSEMBLE_WRITE_BYTES: usize = 256 * 1024;
 
 /// Assembly's per-shard read buffer.
@@ -764,23 +764,43 @@ impl<'a> ShardedRunner<'a> {
         } = shard;
         let index = cells.shard;
 
-        // Each line is summed as it is appended, while it is still in
-        // cache, rather than in a second pass over the finished body.
-        // Each record is freed once rendered, so the body alone waits for
-        // the write while the next shard's records are being generated.
+        // The body is rendered through one block-sized buffer and written
+        // as it fills, so no more than a block of it is ever in memory
+        // while the next shard's records are being generated. Each line
+        // is summed as it is appended, while it is still in cache, and
+        // each record is freed once rendered. Time inside `write_all` is
+        // the data write; the rest of the loop is serialisation.
         let records = merged.len() as u64;
-        let mut body = String::new();
+        let path = self.shard_path(index);
         let mut checksum = FNV64_INIT;
-        for r in merged {
-            let line_start = body.len();
-            r.write_json_line(&mut body);
-            body.push('\n');
-            checksum = fnv64_extend(checksum, &body.as_bytes()[line_start..]);
-        }
-        stages.serialise_s = laps.lap();
-
-        write_atomic_bytes(&self.shard_path(index), body.as_bytes())?;
-        stages.data_write_s = laps.lap();
+        let mut bytes = 0u64;
+        let mut write_s = 0.0;
+        let watch = &laps.watch;
+        write_atomic(&path, |file| {
+            let mut out = String::with_capacity(ASSEMBLE_WRITE_BYTES + 4096);
+            let mut flush = |out: &mut String| {
+                let started = watch.elapsed_secs();
+                let written = file
+                    .write_all(out.as_bytes())
+                    .map_err(io_err("write", &path));
+                bytes += out.len() as u64;
+                out.clear();
+                write_s += watch.elapsed_secs() - started;
+                written
+            };
+            for r in merged {
+                let line_start = out.len();
+                r.write_json_line(&mut out);
+                out.push('\n');
+                checksum = fnv64_extend(checksum, &out.as_bytes()[line_start..]);
+                if out.len() >= ASSEMBLE_WRITE_BYTES {
+                    flush(&mut out)?;
+                }
+            }
+            flush(&mut out)
+        })?;
+        stages.data_write_s = write_s;
+        stages.serialise_s = laps.lap() - write_s;
 
         let encoded_cells = cells.encode();
         write_atomic_bytes(&self.cells_path(index), encoded_cells.as_bytes())?;
@@ -790,7 +810,7 @@ impl<'a> ShardedRunner<'a> {
             checkpoint: ShardCheckpoint {
                 shard: index,
                 records,
-                bytes: body.len() as u64,
+                bytes,
                 checksum,
                 cell_bytes: encoded_cells.len() as u64,
                 cell_checksum: fnv64(encoded_cells.as_bytes()),

@@ -8,17 +8,22 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use dns_wire::{Name, RData, RecordType};
 use netsim::geo::{cities, City};
 
-/// What an authoritative server says about a query.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AuthorityAnswer {
+use crate::name_map::NameTypeMap;
+
+/// What an authoritative server says about a query. Borrowed from the
+/// tree: the recursion looks at an answer, it does not keep one (the
+/// record set it caches is the zone's own, shared).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AuthorityAnswer<'a> {
     /// The server is authoritative and has records.
     Answer {
         /// The records.
-        records: Vec<RData>,
+        records: &'a Arc<[RData]>,
         /// Their TTL in seconds.
         ttl_secs: u64,
     },
@@ -27,7 +32,7 @@ pub enum AuthorityAnswer {
     /// The server delegates to a child zone.
     Delegation {
         /// The delegated zone apex.
-        zone: Name,
+        zone: &'a Name,
         /// Where the child zone's name server lives (for latency).
         ns_location: City,
     },
@@ -41,53 +46,79 @@ pub struct Zone {
     /// Name-server location (one representative site).
     pub location: City,
     /// Records by (relative or absolute) owner name and type.
-    records: BTreeMap<(Name, RecordType), (Vec<RData>, u64)>,
+    records: NameTypeMap<(Arc<[RData]>, u64)>,
+    /// `*.apex`, the owner of wildcard record sets; `None` when the apex
+    /// is too long to take another label.
+    star: Option<Name>,
+    /// The empty record set a NODATA answer carries.
+    no_data: Arc<[RData]>,
 }
 
 impl Zone {
     /// Creates an empty zone.
     pub fn new(apex: Name, location: City) -> Self {
         Zone {
+            star: apex.child("*").ok(),
             apex,
             location,
-            records: BTreeMap::new(),
+            records: NameTypeMap::new(),
+            no_data: Arc::new([]),
         }
     }
 
     /// Adds a record set.
     pub fn add(&mut self, owner: Name, rtype: RecordType, records: Vec<RData>, ttl_secs: u64) {
-        self.records.insert((owner, rtype), (records, ttl_secs));
+        self.records
+            .insert(&owner, rtype, (records.into(), ttl_secs));
     }
 
     /// Adds a wildcard record set (`*.apex`, RFC 1034 §4.3.3): synthesised
     /// for any name under the apex that has no explicit records.
     pub fn add_wildcard(&mut self, rtype: RecordType, records: Vec<RData>, ttl_secs: u64) {
         // detlint:allow(unwrap, a single-asterisk label always fits the 63-octet limit)
-        let star = self.apex.child("*").expect("wildcard label fits");
-        self.records.insert((star, rtype), (records, ttl_secs));
+        let star = self.star.clone().expect("wildcard label fits");
+        self.add(star, rtype, records, ttl_secs);
     }
 
-    fn lookup(&self, qname: &Name, qtype: RecordType) -> Option<(Vec<RData>, u64)> {
-        if let Some(hit) = self.records.get(&(qname.clone(), qtype)) {
-            return Some(hit.clone());
+    fn lookup(&self, qname: &Name, qtype: RecordType) -> Option<&(Arc<[RData]>, u64)> {
+        if let Some(hit) = self.records.get(qname, qtype) {
+            return Some(hit);
         }
         // Wildcard synthesis: only when no explicit records exist for the
         // name and the name sits strictly below the apex.
         if !self.contains_name(qname) && qname != &self.apex {
-            let star = self.apex.child("*").ok()?;
-            return self.records.get(&(star, qtype)).cloned();
+            return self.records.get(self.star.as_ref()?, qtype);
         }
         None
     }
 
     fn contains_name(&self, qname: &Name) -> bool {
-        self.records.keys().any(|(n, _)| n == qname)
+        self.records.contains_name(qname)
     }
 
     fn has_wildcard(&self) -> bool {
         self.records
-            .keys()
-            .any(|(n, _)| n.labels().next() == Some(b"*".as_slice()))
+            .names()
+            .any(|n| n.labels().next() == Some(b"*".as_slice()))
+    }
+
+    /// What this zone's authoritative server answers.
+    pub fn answer(&self, qname: &Name, qtype: RecordType) -> AuthorityAnswer<'_> {
+        match self.lookup(qname, qtype) {
+            Some((records, ttl_secs)) => AuthorityAnswer::Answer {
+                records,
+                ttl_secs: *ttl_secs,
+            },
+            // NODATA vs NXDOMAIN distinction: if any type exists for the
+            // name (or a wildcard covers it), answer empty.
+            None if self.contains_name(qname) || (self.has_wildcard() && qname != &self.apex) => {
+                AuthorityAnswer::Answer {
+                    records: &self.no_data,
+                    ttl_secs: 300,
+                }
+            }
+            None => AuthorityAnswer::NxDomain,
+        }
     }
 }
 
@@ -125,7 +156,8 @@ impl AuthorityTree {
         self.zones.push(zone);
     }
 
-    /// Finds the most specific zone containing `qname`.
+    /// Finds the most specific zone containing `qname` — the leaf zone a
+    /// TLD server's referral names.
     pub fn zone_for(&self, qname: &Name) -> Option<&Zone> {
         self.zones
             .iter()
@@ -134,49 +166,23 @@ impl AuthorityTree {
     }
 
     /// What the root servers answer: a delegation to the TLD, or NXDOMAIN
-    /// for unknown TLDs.
-    pub fn root_referral(&self, qname: &Name) -> AuthorityAnswer {
-        let labels: Vec<&[u8]> = qname.labels().collect();
-        let Some(tld_label) = labels.last() else {
-            return AuthorityAnswer::NxDomain;
-        };
-        // detlint:allow(unwrap, a single label taken from an already-parsed name is always valid)
-        let tld = Name::from_labels([*tld_label]).expect("tld label");
-        match self.tlds.get(&tld) {
-            Some(loc) => AuthorityAnswer::Delegation {
-                zone: tld,
+    /// for unknown TLDs. The TLD is the single-label name `qname` sits
+    /// under, found among a handful of keys in place: no name is built.
+    pub fn root_referral(&self, qname: &Name) -> AuthorityAnswer<'_> {
+        let is_tld_of_qname = |tld: &Name| tld.label_count() == 1 && qname.is_subdomain_of(tld);
+        match self.tlds.iter().find(|(tld, _)| is_tld_of_qname(tld)) {
+            Some((zone, loc)) => AuthorityAnswer::Delegation {
+                zone,
                 ns_location: *loc,
             },
             None => AuthorityAnswer::NxDomain,
         }
     }
 
-    /// What a TLD server answers: a delegation to the leaf zone, or NXDOMAIN.
-    pub fn tld_referral(&self, qname: &Name) -> AuthorityAnswer {
-        match self.zone_for(qname) {
-            Some(z) => AuthorityAnswer::Delegation {
-                zone: z.apex.clone(),
-                ns_location: z.location,
-            },
-            None => AuthorityAnswer::NxDomain,
-        }
-    }
-
     /// What the leaf authoritative server answers.
-    pub fn authoritative_answer(&self, qname: &Name, qtype: RecordType) -> AuthorityAnswer {
+    pub fn authoritative_answer(&self, qname: &Name, qtype: RecordType) -> AuthorityAnswer<'_> {
         match self.zone_for(qname) {
-            Some(z) => match z.lookup(qname, qtype) {
-                Some((records, ttl_secs)) => AuthorityAnswer::Answer { records, ttl_secs },
-                // NODATA vs NXDOMAIN distinction: if any type exists for the
-                // name (or a wildcard covers it), answer empty.
-                None if z.contains_name(qname) || (z.has_wildcard() && qname != &z.apex) => {
-                    AuthorityAnswer::Answer {
-                        records: Vec::new(),
-                        ttl_secs: 300,
-                    }
-                }
-                None => AuthorityAnswer::NxDomain,
-            },
+            Some(z) => z.answer(qname, qtype),
             None => AuthorityAnswer::NxDomain,
         }
     }
@@ -303,7 +309,7 @@ mod tests {
     fn root_delegates_known_tlds() {
         let t = AuthorityTree::standard();
         match t.root_referral(&n("google.com")) {
-            AuthorityAnswer::Delegation { zone, .. } => assert_eq!(zone, n("com")),
+            AuthorityAnswer::Delegation { zone, .. } => assert_eq!(zone, &n("com")),
             other => panic!("expected delegation, got {other:?}"),
         }
         assert_eq!(
@@ -315,14 +321,9 @@ mod tests {
     #[test]
     fn tld_delegates_to_leaf_zone() {
         let t = AuthorityTree::standard();
-        match t.tld_referral(&n("www.google.com")) {
-            AuthorityAnswer::Delegation { zone, .. } => assert_eq!(zone, n("google.com")),
-            other => panic!("expected delegation, got {other:?}"),
-        }
-        assert_eq!(
-            t.tld_referral(&n("no-such-domain.com")),
-            AuthorityAnswer::NxDomain
-        );
+        let leaf = t.zone_for(&n("www.google.com")).expect("delegation");
+        assert_eq!(leaf.apex, n("google.com"));
+        assert!(t.zone_for(&n("no-such-domain.com")).is_none());
     }
 
     #[test]

@@ -4,18 +4,26 @@
 //! that most people query sites that are already in cache ... the presence
 //! of cached entries enables a more controlled experiment" — so the cache's
 //! hit behaviour directly shapes measured response times.
+//!
+//! A probe of a popular name is a hit or an expired-entry refresh, so both
+//! are allocation-free: lookups borrow the query name, record sets are
+//! shared (`Arc<[RData]>`, the zone's own), and an entry that expires
+//! leaves its key behind for the refetch to fill.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dns_wire::{Name, RData, RecordType};
 use netsim::{SimDuration, SimTime};
 
+use crate::name_map::NameTypeMap;
+
 /// A cached answer: the records plus when they expire.
 #[derive(Debug, Clone)]
 struct Entry {
-    records: Vec<RData>,
+    records: Arc<[RData]>,
     expires: SimTime,
-    /// LRU clock value at last touch.
+    /// LRU clock value at last touch; unique per entry, since every
+    /// lookup and insert ticks the clock and touches at most one.
     last_used: u64,
 }
 
@@ -47,7 +55,7 @@ impl CacheStats {
 /// A TTL + LRU record cache keyed by `(name, type)`.
 #[derive(Debug)]
 pub struct RecordCache {
-    entries: BTreeMap<(Name, RecordType), Entry>,
+    entries: NameTypeMap<Entry>,
     capacity: usize,
     clock: u64,
     stats: CacheStats,
@@ -58,7 +66,7 @@ impl RecordCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         RecordCache {
-            entries: BTreeMap::new(),
+            entries: NameTypeMap::new(),
             capacity,
             clock: 0,
             stats: CacheStats::default(),
@@ -73,7 +81,7 @@ impl RecordCache {
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Statistics so far.
@@ -82,18 +90,17 @@ impl RecordCache {
     }
 
     /// Looks up records for `(name, rtype)` at time `now`.
-    pub fn lookup(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Vec<RData>> {
+    pub fn lookup(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Arc<[RData]>> {
         self.clock += 1;
-        let key = (name.clone(), rtype);
-        match self.entries.get_mut(&key) {
+        match self.entries.get_mut(name, rtype) {
             Some(e) if e.expires > now => {
                 e.last_used = self.clock;
                 self.stats.hits += 1;
-                Some(e.records.clone())
+                Some(Arc::clone(&e.records))
             }
             Some(_) => {
                 // Expired in place: collect it.
-                self.entries.remove(&key);
+                self.entries.remove(name, rtype);
                 self.stats.expirations += 1;
                 self.stats.misses += 1;
                 None
@@ -109,40 +116,32 @@ impl RecordCache {
     /// entry if at capacity.
     pub fn insert(
         &mut self,
-        name: Name,
+        name: &Name,
         rtype: RecordType,
-        records: Vec<RData>,
+        records: impl Into<Arc<[RData]>>,
         ttl: SimDuration,
         now: SimTime,
     ) {
         self.clock += 1;
-        let key = (name, rtype);
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            // Evict the LRU entry.
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
-                self.stats.evictions += 1;
-            }
+        let entry = Entry {
+            records: records.into(),
+            expires: now + ttl,
+            last_used: self.clock,
+        };
+        let added = self.entries.insert(name, rtype, entry).is_none();
+        if added && self.entries.len() > self.capacity {
+            // Evict the LRU entry. The one just added carries the newest
+            // stamp, so it is never the victim.
+            let oldest = self.entries.values().map(|e| e.last_used).min();
+            self.entries.retain(|e| Some(e.last_used) != oldest);
+            self.stats.evictions += 1;
         }
-        self.entries.insert(
-            key,
-            Entry {
-                records,
-                expires: now + ttl,
-                last_used: self.clock,
-            },
-        );
     }
 
     /// Drops every expired entry (periodic maintenance).
     pub fn purge_expired(&mut self, now: SimTime) {
         let before = self.entries.len();
-        self.entries.retain(|_, e| e.expires > now);
+        self.entries.retain(|e| e.expires > now);
         self.stats.expirations += (before - self.entries.len()) as u64;
     }
 }
@@ -168,15 +167,16 @@ mod tests {
     fn hit_before_ttl_miss_after() {
         let mut c = RecordCache::new(16);
         c.insert(
-            name("google.com"),
+            &name("google.com"),
             RecordType::A,
             a(1),
             SimDuration::from_secs(300),
             at(0),
         );
         assert_eq!(
-            c.lookup(&name("google.com"), RecordType::A, at(299)),
-            Some(a(1))
+            c.lookup(&name("google.com"), RecordType::A, at(299))
+                .as_deref(),
+            Some(&a(1)[..])
         );
         assert_eq!(c.lookup(&name("google.com"), RecordType::A, at(300)), None);
         let s = c.stats();
@@ -187,7 +187,7 @@ mod tests {
     fn type_is_part_of_the_key() {
         let mut c = RecordCache::new(16);
         c.insert(
-            name("x.com"),
+            &name("x.com"),
             RecordType::A,
             a(1),
             SimDuration::from_secs(60),
@@ -201,7 +201,7 @@ mod tests {
     fn name_lookup_is_case_insensitive() {
         let mut c = RecordCache::new(16);
         c.insert(
-            name("Google.COM"),
+            &name("Google.COM"),
             RecordType::A,
             a(1),
             SimDuration::from_secs(60),
@@ -216,14 +216,14 @@ mod tests {
     fn lru_eviction_prefers_cold_entries() {
         let mut c = RecordCache::new(2);
         c.insert(
-            name("a.com"),
+            &name("a.com"),
             RecordType::A,
             a(1),
             SimDuration::from_secs(60),
             at(0),
         );
         c.insert(
-            name("b.com"),
+            &name("b.com"),
             RecordType::A,
             a(2),
             SimDuration::from_secs(60),
@@ -232,7 +232,7 @@ mod tests {
         // Touch a.com so b.com becomes the LRU victim.
         assert!(c.lookup(&name("a.com"), RecordType::A, at(1)).is_some());
         c.insert(
-            name("c.com"),
+            &name("c.com"),
             RecordType::A,
             a(3),
             SimDuration::from_secs(60),
@@ -249,34 +249,57 @@ mod tests {
     fn reinsert_refreshes_ttl() {
         let mut c = RecordCache::new(4);
         c.insert(
-            name("a.com"),
+            &name("a.com"),
             RecordType::A,
             a(1),
             SimDuration::from_secs(10),
             at(0),
         );
         c.insert(
-            name("a.com"),
+            &name("a.com"),
             RecordType::A,
             a(2),
             SimDuration::from_secs(100),
             at(5),
         );
-        assert_eq!(c.lookup(&name("a.com"), RecordType::A, at(50)), Some(a(2)));
+        assert_eq!(
+            c.lookup(&name("a.com"), RecordType::A, at(50)).as_deref(),
+            Some(&a(2)[..])
+        );
+    }
+
+    #[test]
+    fn expired_entry_is_collected_on_lookup_and_refreshed_by_insert() {
+        let mut c = RecordCache::new(2);
+        let ttl = SimDuration::from_secs(10);
+        c.insert(&name("a.com"), RecordType::A, a(1), ttl, at(0));
+        c.insert(&name("b.com"), RecordType::A, a(2), ttl, at(0));
+        // The lookup that finds a.com expired collects it: the cache is
+        // one entry short until the refetch lands, which evicts nothing.
+        assert_eq!(c.lookup(&name("a.com"), RecordType::A, at(10)), None);
+        assert_eq!(c.len(), 1);
+        c.insert(&name("a.com"), RecordType::A, a(3), ttl, at(10));
+        assert_eq!(c.len(), 2);
+        let s = c.stats();
+        assert_eq!((s.expirations, s.misses, s.evictions), (1, 1, 0));
+        assert_eq!(
+            c.lookup(&name("a.com"), RecordType::A, at(11)).as_deref(),
+            Some(&a(3)[..])
+        );
     }
 
     #[test]
     fn purge_removes_only_expired() {
         let mut c = RecordCache::new(8);
         c.insert(
-            name("a.com"),
+            &name("a.com"),
             RecordType::A,
             a(1),
             SimDuration::from_secs(10),
             at(0),
         );
         c.insert(
-            name("b.com"),
+            &name("b.com"),
             RecordType::A,
             a(2),
             SimDuration::from_secs(100),
@@ -292,7 +315,7 @@ mod tests {
         let mut c = RecordCache::new(8);
         assert_eq!(c.stats().hit_ratio(), 0.0);
         c.insert(
-            name("a.com"),
+            &name("a.com"),
             RecordType::A,
             a(1),
             SimDuration::from_secs(60),

@@ -23,6 +23,7 @@
 pub mod authority;
 pub mod cache;
 pub mod deployment;
+mod name_map;
 pub mod queue;
 pub mod recursive;
 pub mod server;

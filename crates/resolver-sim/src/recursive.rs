@@ -2,20 +2,24 @@
 //! from cache when possible, otherwise iterate root → TLD → authoritative
 //! and pay the network round trips each referral costs.
 
+use std::sync::Arc;
+
 use dns_wire::{Name, RData, Rcode, RecordType};
 use netsim::geo::City;
 use netsim::{AccessProfile, Path, SimDuration, SimRng, SimTime};
 
 use crate::authority::{AuthorityAnswer, AuthorityTree};
 use crate::cache::RecordCache;
+use crate::name_map::NameTypeMap;
 
 /// The outcome of resolving one query at the recursive resolver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Resolution {
     /// The response code.
     pub rcode: Rcode,
-    /// Answer records (empty for NXDOMAIN/NODATA).
-    pub records: Vec<RData>,
+    /// Answer records (empty for NXDOMAIN/NODATA): the zone's own record
+    /// set, shared through the cache, so an answer copies a pointer.
+    pub records: Arc<[RData]>,
     /// Time spent querying upstream authorities (zero on cache hit).
     pub upstream_time: SimDuration,
     /// Whether the answer came from cache.
@@ -29,7 +33,9 @@ pub struct RecursiveResolver {
     pub location: City,
     cache: RecordCache,
     /// RFC 2308 negative cache: names known not to exist, with expiry.
-    negative: std::collections::HashMap<(Name, RecordType), netsim::SimTime>,
+    negative: NameTypeMap<SimTime>,
+    /// The empty record set of negative answers and cached referrals.
+    no_records: Arc<[RData]>,
     /// Number of upstream exchanges performed (for tests/metrics).
     pub upstream_queries: u64,
 }
@@ -37,6 +43,9 @@ pub struct RecursiveResolver {
 /// Negative-caching TTL (RFC 2308 caps it at the zone SOA minimum; our
 /// standard zones use 300 s).
 const NEGATIVE_TTL: SimDuration = SimDuration::from_secs(300);
+
+/// How long a TLD referral stays cached (resolvers keep them for days).
+const REFERRAL_TTL: SimDuration = SimDuration::from_hours(48);
 
 /// Bytes of a typical upstream UDP query / response.
 const UPSTREAM_QUERY_BYTES: usize = 64;
@@ -48,7 +57,8 @@ impl RecursiveResolver {
         RecursiveResolver {
             location,
             cache: RecordCache::new(cache_capacity),
-            negative: std::collections::HashMap::new(),
+            negative: NameTypeMap::new(),
+            no_records: Arc::new([]),
             upstream_queries: 0,
         }
     }
@@ -58,9 +68,18 @@ impl RecursiveResolver {
         self.cache.stats()
     }
 
-    /// One round trip from this site to an authority at `target`.
-    fn upstream_rtt(&mut self, target: City, rng: &mut SimRng) -> SimDuration {
+    /// Number of entries in the record cache.
+    pub fn cache_len(&self) -> usize {
+        self.cache.len()
+    }
+
+    /// One round trip from this site to an authority at `target`, timed on
+    /// `rng` — or only counted, when the caller has no use for the time.
+    fn upstream_rtt(&mut self, target: City, rng: Option<&mut SimRng>) -> SimDuration {
         self.upstream_queries += 1;
+        let Some(rng) = rng else {
+            return SimDuration::ZERO;
+        };
         let path = Path::between(
             self.location.point,
             AccessProfile::datacenter(),
@@ -80,7 +99,8 @@ impl RecursiveResolver {
         }
     }
 
-    /// Resolves `qname`/`qtype` at simulated time `now`.
+    /// Resolves `qname`/`qtype` at simulated time `now`, drawing the
+    /// upstream round trips from `rng`.
     pub fn resolve(
         &mut self,
         qname: &Name,
@@ -88,6 +108,37 @@ impl RecursiveResolver {
         authorities: &AuthorityTree,
         now: SimTime,
         rng: &mut SimRng,
+    ) -> Resolution {
+        self.walk(qname, qtype, authorities, now, Some(rng))
+    }
+
+    /// Resolves `qname`/`qtype` for its effect on this resolver's state
+    /// alone — what another user's query leaves behind for the next one.
+    /// Exactly [`resolve`](Self::resolve) without the timing: cache
+    /// entries and their expiries, the LRU order, the statistics, the
+    /// negative cache and `upstream_queries` all depend on `now` and on
+    /// what the authorities say, never on how long a hop took, so no
+    /// round trip is sampled and no RNG is needed.
+    pub fn prewarm(
+        &mut self,
+        qname: &Name,
+        qtype: RecordType,
+        authorities: &AuthorityTree,
+        now: SimTime,
+    ) {
+        self.walk(qname, qtype, authorities, now, None);
+    }
+
+    /// The resolution walk: cache, negative cache, root and TLD referrals,
+    /// the leaf's answer, and the cache writes each step leaves. Upstream
+    /// hops are timed when there is an `rng` to time them on.
+    fn walk(
+        &mut self,
+        qname: &Name,
+        qtype: RecordType,
+        authorities: &AuthorityTree,
+        now: SimTime,
+        mut rng: Option<&mut SimRng>,
     ) -> Resolution {
         if let Some(records) = self.cache.lookup(qname, qtype, now) {
             return Resolution {
@@ -98,88 +149,55 @@ impl RecursiveResolver {
             };
         }
         // RFC 2308 negative cache: a recent NXDOMAIN answers instantly.
-        if let Some(&expiry) = self.negative.get(&(qname.clone(), qtype)) {
+        if let Some(&expiry) = self.negative.get(qname, qtype) {
             if expiry > now {
-                return Resolution {
-                    rcode: Rcode::NxDomain,
-                    records: Vec::new(),
-                    upstream_time: SimDuration::ZERO,
-                    cache_hit: true,
-                };
+                return self.nxdomain(SimDuration::ZERO, true);
             }
-            self.negative.remove(&(qname.clone(), qtype));
+            self.negative.remove(qname, qtype);
         }
 
         let mut upstream = SimDuration::ZERO;
 
         // Query the root (resolvers cache TLD referrals for days; charge a
         // root round trip only when the TLD referral is not cached).
-        let tld_key = {
-            let labels: Vec<&[u8]> = qname.labels().collect();
-            match labels.last() {
-                // detlint:allow(unwrap, a single label taken from an already-parsed name is always valid)
-                Some(l) => Name::from_labels([*l]).expect("tld label"),
-                None => Name::root(),
-            }
-        };
-        let tld_loc = if self.cache.lookup(&tld_key, RecordType::NS, now).is_none() {
-            upstream += self.upstream_rtt(authorities.root_location, rng);
-            match authorities.root_referral(qname) {
-                AuthorityAnswer::Delegation { ns_location, .. } => {
-                    self.cache.insert(
-                        tld_key.clone(),
-                        RecordType::NS,
-                        vec![],
-                        SimDuration::from_hours(48),
-                        now,
-                    );
-                    Some(ns_location)
+        let tld_loc = match authorities.root_referral(qname) {
+            AuthorityAnswer::Delegation { zone, ns_location } => {
+                if self.cache.lookup(zone, RecordType::NS, now).is_none() {
+                    upstream += self.upstream_rtt(authorities.root_location, rng.as_deref_mut());
+                    let referral = Arc::clone(&self.no_records);
+                    self.cache
+                        .insert(zone, RecordType::NS, referral, REFERRAL_TTL, now);
                 }
-                _ => None,
+                ns_location
             }
-        } else {
-            // Referral cached: recover the location from the tree directly.
-            match authorities.root_referral(qname) {
-                AuthorityAnswer::Delegation { ns_location, .. } => Some(ns_location),
-                _ => None,
+            _ => {
+                // Not a TLD the root knows: it is still asked, unless an
+                // earlier referral for that label is cached.
+                // detlint:allow(unwrap, a single label taken from an already-parsed name is always valid)
+                // detlint:allow(deny-alloc-reach, the unknown-TLD path ends in NXDOMAIN; no probed name takes it)
+                let tld = Name::from_labels(qname.labels().last()).expect("tld label");
+                if self.cache.lookup(&tld, RecordType::NS, now).is_none() {
+                    upstream += self.upstream_rtt(authorities.root_location, rng);
+                }
+                return self.learn_nxdomain(qname, qtype, now, upstream);
             }
-        };
-
-        let Some(tld_loc) = tld_loc else {
-            self.negative
-                .insert((qname.clone(), qtype), now + NEGATIVE_TTL);
-            return Resolution {
-                rcode: Rcode::NxDomain,
-                records: Vec::new(),
-                upstream_time: upstream,
-                cache_hit: false,
-            };
         };
 
         // Query the TLD for the leaf delegation.
-        upstream += self.upstream_rtt(tld_loc, rng);
-        let leaf = match authorities.tld_referral(qname) {
-            AuthorityAnswer::Delegation { ns_location, .. } => ns_location,
-            _ => {
-                self.negative
-                    .insert((qname.clone(), qtype), now + NEGATIVE_TTL);
-                return Resolution {
-                    rcode: Rcode::NxDomain,
-                    records: Vec::new(),
-                    upstream_time: upstream,
-                    cache_hit: false,
-                };
-            }
+        upstream += self.upstream_rtt(tld_loc, rng.as_deref_mut());
+        let Some(zone) = authorities.zone_for(qname) else {
+            return self.learn_nxdomain(qname, qtype, now, upstream);
         };
 
         // Query the authoritative server.
-        upstream += self.upstream_rtt(leaf, rng);
-        match authorities.authoritative_answer(qname, qtype) {
+        upstream += self.upstream_rtt(zone.location, rng);
+        match zone.answer(qname, qtype) {
             AuthorityAnswer::Answer { records, ttl_secs } => {
+                let records = Arc::clone(records);
                 self.cache.insert(
-                    qname.clone(),
+                    qname,
                     qtype,
-                    records.clone(),
+                    Arc::clone(&records),
                     SimDuration::from_secs(ttl_secs),
                     now,
                 );
@@ -190,17 +208,30 @@ impl RecursiveResolver {
                     cache_hit: false,
                 }
             }
-            _ => {
-                self.negative
-                    .insert((qname.clone(), qtype), now + NEGATIVE_TTL);
-                Resolution {
-                    rcode: Rcode::NxDomain,
-                    records: Vec::new(),
-                    upstream_time: upstream,
-                    cache_hit: false,
-                }
-            }
+            _ => self.learn_nxdomain(qname, qtype, now, upstream),
         }
+    }
+
+    fn nxdomain(&self, upstream_time: SimDuration, cache_hit: bool) -> Resolution {
+        Resolution {
+            rcode: Rcode::NxDomain,
+            records: Arc::clone(&self.no_records),
+            upstream_time,
+            cache_hit,
+        }
+    }
+
+    /// An authority said the name does not exist: remember that, and
+    /// answer NXDOMAIN after `upstream` spent finding out.
+    fn learn_nxdomain(
+        &mut self,
+        qname: &Name,
+        qtype: RecordType,
+        now: SimTime,
+        upstream: SimDuration,
+    ) -> Resolution {
+        self.negative.insert(qname, qtype, now + NEGATIVE_TTL);
+        self.nxdomain(upstream, false)
     }
 }
 
@@ -235,6 +266,34 @@ mod tests {
         assert_eq!(warm.upstream_time, SimDuration::ZERO);
         assert_eq!(warm.records, cold.records);
         assert_eq!(r.upstream_queries, 3, "warm hit adds no upstream queries");
+    }
+
+    #[test]
+    fn prewarm_leaves_what_a_resolution_leaves() {
+        let auth = AuthorityTree::standard();
+        let mut warmed = RecursiveResolver::new(cities::FRANKFURT, 1024);
+        let mut resolved = RecursiveResolver::new(cities::FRANKFURT, 1024);
+        let mut rng = SimRng::from_seed(6);
+        for (name, secs) in [
+            ("google.com", 0),
+            ("nope.google.com", 1),
+            ("amazon.com", 90),
+        ] {
+            warmed.prewarm(&n(name), RecordType::A, &auth, at(secs));
+            resolved.resolve(&n(name), RecordType::A, &auth, at(secs), &mut rng);
+        }
+        assert_eq!(warmed.upstream_queries, 3 + 2 + 2);
+        assert_eq!(warmed.upstream_queries, resolved.upstream_queries);
+        assert_eq!(warmed.cache_stats(), resolved.cache_stats());
+        assert_eq!(warmed.cache_len(), resolved.cache_len());
+        // What it left answers the next query from cache, positive or
+        // negative, exactly as the timed resolution's leavings do.
+        for name in ["google.com", "nope.google.com", "amazon.com"] {
+            let a = warmed.resolve(&n(name), RecordType::A, &auth, at(91), &mut rng);
+            let b = resolved.resolve(&n(name), RecordType::A, &auth, at(91), &mut rng);
+            assert!(a.cache_hit, "{name}");
+            assert_eq!(a, b, "{name}");
+        }
     }
 
     #[test]

@@ -226,10 +226,25 @@ pub struct ResolverServer {
 impl ResolverServer {
     /// Creates a frontend at `location`.
     pub fn new(location: City, profile: ServerProfile) -> Self {
+        Self::with_cache_capacity(location, profile, 4096)
+    }
+
+    /// [`new`](Self::new) with a record cache of `cache_capacity` entries
+    /// (small caches make eviction observable).
+    pub fn with_cache_capacity(
+        location: City,
+        profile: ServerProfile,
+        cache_capacity: usize,
+    ) -> Self {
         ResolverServer {
             profile,
-            engine: RecursiveResolver::new(location, 4096),
+            engine: RecursiveResolver::new(location, cache_capacity),
         }
+    }
+
+    /// The recursive engine behind this frontend, read-only.
+    pub fn engine(&self) -> &RecursiveResolver {
+        &self.engine
     }
 
     /// The site this server runs at.
@@ -278,11 +293,10 @@ impl ResolverServer {
     ) -> (SimDuration, Resolution) {
         // Background traffic from the resolver's other users keeps popular
         // names warm with probability `cache_warmth`: pre-resolve silently.
+        // Only what that query leaves in the cache is ever observed, so it
+        // is resolved for its effects alone — nothing is drawn or timed.
         if rng.chance(self.profile.cache_warmth) {
-            let mut warm_rng = rng.clone();
-            let _ = self
-                .engine
-                .resolve(qname, qtype, authorities, now, &mut warm_rng);
+            self.engine.prewarm(qname, qtype, authorities, now);
         }
 
         let resolution = self.engine.resolve(qname, qtype, authorities, now, rng);

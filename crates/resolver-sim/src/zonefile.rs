@@ -299,7 +299,10 @@ ns      IN  NS    ns1.provider.net.
         let t = tree_with(zone());
         match t.authoritative_answer(&n("example.org"), RecordType::A) {
             AuthorityAnswer::Answer { records, ttl_secs } => {
-                assert_eq!(records, vec![RData::A("93.184.216.34".parse().unwrap())]);
+                assert_eq!(
+                    records[..],
+                    vec![RData::A("93.184.216.34".parse().unwrap())]
+                );
                 assert_eq!(ttl_secs, 300, "default $TTL applies");
             }
             other => panic!("{other:?}"),
@@ -318,7 +321,7 @@ ns      IN  NS    ns1.provider.net.
         // www is a CNAME to the origin.
         match t.authoritative_answer(&n("www.example.org"), RecordType::CNAME) {
             AuthorityAnswer::Answer { records, .. } => {
-                assert_eq!(records, vec![RData::Cname(n("example.org"))]);
+                assert_eq!(records[..], vec![RData::Cname(n("example.org"))]);
             }
             other => panic!("{other:?}"),
         }
@@ -345,7 +348,7 @@ ns      IN  NS    ns1.provider.net.
         match t.authoritative_answer(&n("mail.example.org"), RecordType::MX) {
             AuthorityAnswer::Answer { records, .. } => {
                 assert_eq!(
-                    records,
+                    records[..],
                     vec![RData::Mx {
                         preference: 10,
                         exchange: n("mx.example.org"),
@@ -357,7 +360,7 @@ ns      IN  NS    ns1.provider.net.
         // Any unknown subdomain matches the wildcard.
         match t.authoritative_answer(&n("whatever.example.org"), RecordType::A) {
             AuthorityAnswer::Answer { records, .. } => {
-                assert_eq!(records, vec![RData::A("10.0.0.99".parse().unwrap())]);
+                assert_eq!(records[..], vec![RData::A("10.0.0.99".parse().unwrap())]);
             }
             other => panic!("{other:?}"),
         }

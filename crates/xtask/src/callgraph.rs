@@ -32,7 +32,15 @@
 //!   Reported at the offending call site *inside the annotated fn*, so
 //!   the escape hatch lives in the zone that owns the invariant.
 //!   Traversal stops at other `#[deny_alloc]` fns (they carry their own
-//!   obligation) and at the sanctioned `Arena` pool API.
+//!   obligation) and at the sanctioned `Arena` pool API. A reasoned
+//!   `detlint:allow(deny-alloc-reach, …)` on an allocating line *outside*
+//!   a zone sanctions that cold site for every zone that reaches it (a
+//!   name's first insertion into a map, say): the traversal neither
+//!   stops at that line's allocation nor follows the calls on it, and
+//!   looks on for the next allocation, so one documented cold site does
+//!   not hide the rest of the closure behind a blanket allow at the
+//!   zone's call. This is how a zone holds the line
+//!   across a crate that cannot itself depend on `detlint-macros`.
 //! * `rng-stream` — from every `#[rng_neutral]` fn, no call may reach a
 //!   `SimRng` draw or a raw `Rng` trait draw; direct draws in the
 //!   annotated body are reported too. Same attribution as above.
@@ -227,9 +235,16 @@ fn barrier(f: &FnSymbol, trace: Trace) -> bool {
     }
 }
 
-fn sink_of(f: &FnSymbol, trace: Trace) -> Option<(u32, String)> {
+/// `sanctioned(file, line)`: a reasoned allow documents the allocation on
+/// that line as a cold site.
+type Sanctioned<'a> = &'a dyn Fn(&str, u32) -> bool;
+
+fn sink_of(f: &FnSymbol, trace: Trace, sanctioned: Sanctioned<'_>) -> Option<(u32, String)> {
     let fact = match trace {
-        Trace::Alloc => f.alloc_facts.first(),
+        Trace::Alloc => f
+            .alloc_facts
+            .iter()
+            .find(|fact| !sanctioned(&f.file, fact.line)),
         Trace::Rng => f.rng_facts.first(),
     };
     if let Some(fact) = fact {
@@ -248,6 +263,7 @@ fn nearest_sink(
     graph: &CallGraph,
     start: usize,
     trace: Trace,
+    sanctioned: Sanctioned<'_>,
 ) -> Option<(Hit, BTreeMap<usize, usize>)> {
     let mut parents: BTreeMap<usize, usize> = BTreeMap::new();
     let mut visited: BTreeSet<usize> = BTreeSet::new();
@@ -258,7 +274,7 @@ fn nearest_sink(
         let id = queue[head];
         head += 1;
         let f = &index.fns[id];
-        if let Some((line, what)) = sink_of(f, trace) {
+        if let Some((line, what)) = sink_of(f, trace, sanctioned) {
             return Some((
                 Hit {
                     sink: id,
@@ -270,6 +286,11 @@ fn nearest_sink(
         }
         for e in &graph.edges[id] {
             if visited.contains(&e.target) || barrier(&index.fns[e.target], trace) {
+                continue;
+            }
+            // A sanctioned line is a documented cold site as a whole: the
+            // calls on it are not followed either.
+            if trace == Trace::Alloc && sanctioned(&f.file, e.line) {
                 continue;
             }
             visited.insert(e.target);
@@ -310,11 +331,18 @@ fn chain(
 }
 
 /// Runs the three transitive rules and returns their findings,
-/// un-suppressed (the caller applies `detlint:allow` filtering).
-pub fn reach_findings(index: &SymbolIndex, graph: &CallGraph) -> Vec<Finding> {
+/// un-suppressed (the caller applies `detlint:allow` filtering at the
+/// reporting site). `sanctioned` answers for the other end: whether a
+/// `deny-alloc-reach` allow covers an allocating line the traversal
+/// reaches.
+pub fn reach_findings(
+    index: &SymbolIndex,
+    graph: &CallGraph,
+    sanctioned: Sanctioned<'_>,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
-    annotated_zone_findings(index, graph, Trace::Alloc, &mut findings);
-    annotated_zone_findings(index, graph, Trace::Rng, &mut findings);
+    annotated_zone_findings(index, graph, Trace::Alloc, sanctioned, &mut findings);
+    annotated_zone_findings(index, graph, Trace::Rng, sanctioned, &mut findings);
     panic_reach_findings(index, graph, &mut findings);
     findings
 }
@@ -326,6 +354,7 @@ fn annotated_zone_findings(
     index: &SymbolIndex,
     graph: &CallGraph,
     trace: Trace,
+    sanctioned: Sanctioned<'_>,
     findings: &mut Vec<Finding>,
 ) {
     let (rule, zone) = match trace {
@@ -357,7 +386,8 @@ fn annotated_zone_findings(
             if flagged_lines.contains(&e.line) || barrier(&index.fns[e.target], trace) {
                 continue;
             }
-            let Some((hit, parents)) = nearest_sink(index, graph, e.target, trace) else {
+            let Some((hit, parents)) = nearest_sink(index, graph, e.target, trace, sanctioned)
+            else {
                 continue;
             };
             let via = chain(index, &parents, e.target, hit.sink);
@@ -468,7 +498,7 @@ mod tests {
 
     fn rules_of(files: &[(&str, &str)]) -> Vec<(String, u32, Rule)> {
         let (index, graph) = analyse(files);
-        reach_findings(&index, &graph)
+        reach_findings(&index, &graph, &|_, _| false)
             .into_iter()
             .map(|f| (f.file, f.line, f.rule))
             .collect()
@@ -490,6 +520,40 @@ mod tests {
             found,
             [("crates/a/src/lib.rs".to_string(), 3, Rule::DenyAllocReach)]
         );
+    }
+
+    #[test]
+    fn sanctioned_cold_site_is_looked_past() {
+        let (index, graph) = analyse(&[
+            (
+                "crates/a/src/lib.rs",
+                "#[deny_alloc]\npub fn hot() {\n    helper();\n}",
+            ),
+            (
+                "crates/b/src/lib.rs",
+                "pub fn helper() {\n    let k = key.clone();\n    deeper();\n    audit();\n}\n\
+                 pub fn deeper() { let v = vec![1]; }\n\
+                 pub fn audit() { let s = format!(\"x\"); }",
+            ),
+        ]);
+        let sinks = |sanctioned: &[u32]| -> Vec<String> {
+            let cold = |file: &str, line: u32| file.contains("/b/") && sanctioned.contains(&line);
+            reach_findings(&index, &graph, &cold)
+                .into_iter()
+                .map(|f| f.message)
+                .collect()
+        };
+        // Unsanctioned, the nearest allocation is the clone.
+        assert!(sinks(&[])[0].contains(".clone()"), "{:?}", sinks(&[]));
+        // Sanctioning it moves the finding to the next one, not away.
+        assert!(sinks(&[2])[0].contains("vec!"), "{:?}", sinks(&[2]));
+        // A sanctioned call line is not followed.
+        assert!(
+            sinks(&[2, 3])[0].contains("format!"),
+            "{:?}",
+            sinks(&[2, 3])
+        );
+        assert!(sinks(&[2, 3, 4]).is_empty());
     }
 
     #[test]

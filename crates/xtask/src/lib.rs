@@ -141,18 +141,24 @@ pub fn lint_files(files: &[(String, String)], detect_unused: bool) -> Report {
         per_file.push((rel.clone(), rules::parse_allows(rel, &lexed)));
     }
 
+    // Does an allow in `file` cover `(line, rule)`? Marks it used.
+    let allowed = |file: &str, line: u32, rule: Rule| {
+        per_file
+            .iter()
+            .find(|(p, _)| p == file)
+            .is_some_and(|(_, allows)| allows.covers(line, rule))
+    };
+
     let graph = callgraph::build(&index);
-    findings.extend(callgraph::reach_findings(&index, &graph));
+    // A `deny-alloc-reach` allow works at either end of a reach finding:
+    // on the allocating line (consulted by the traversal, here) or at the
+    // zone's call site (the suppression below).
+    let cold_site = |file: &str, line: u32| allowed(file, line, Rule::DenyAllocReach);
+    findings.extend(callgraph::reach_findings(&index, &graph, &cold_site));
 
     // Suppression: each finding consults its own file's allows (marking
     // them used), meta findings are never suppressible.
-    findings.retain(|f| {
-        f.rule.is_meta()
-            || !per_file
-                .iter()
-                .find(|(p, _)| p == &f.file)
-                .is_some_and(|(_, allows)| allows.covers(f.line, f.rule))
-    });
+    findings.retain(|f| f.rule.is_meta() || !allowed(&f.file, f.line, f.rule));
     for (path, allows) in &per_file {
         findings.extend(allows.bad.iter().cloned());
         if detect_unused {

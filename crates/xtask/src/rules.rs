@@ -8,7 +8,7 @@
 //! | `deny-alloc` | allocating constructs (`format!`, `vec!`, `String::from`, `.to_string()`, `.to_owned()`, `.clone()`, `Box::new`, `.alloc()` on a non-arena receiver, `Arena::new`, …) inside a `#[deny_alloc]` function body; `arena.alloc(…)` / `arena.recycle(…)` are the sanctioned pooled-buffer API and pass |
 //! | `unwrap` | `.unwrap()` / `.expect(…)` / `panic!` in library code (binaries and `#[cfg(test)]` code are exempt) |
 //! | `float-order` | `f64` reductions (`sum`/`fold`/`product`/`+=`) fed by hash-container iteration — float addition is not associative, so reduction order must be rank-ordered |
-//! | `deny-alloc-reach` | a call inside a `#[deny_alloc]` fn that transitively reaches an allocating construct (or `Arena::new`) through the workspace call graph — see [`crate::callgraph`] |
+//! | `deny-alloc-reach` | a call inside a `#[deny_alloc]` fn that transitively reaches an allocating construct (or `Arena::new`) through the workspace call graph; reported at the call in the annotated fn, and a reasoned allow on the allocating line itself sanctions that cold site for every zone — see [`crate::callgraph`] |
 //! | `rng-stream` | a `#[rng_neutral]` fn that draws on, or transitively reaches a draw on, the probe RNG stream (`SimRng`) |
 //! | `panic-reach` | `panic!`/`unwrap`/`expect` in any fn reachable from the hot-path roots (`run_pair`, `drive`); a root that names no function while `crates/measure` is scanned |
 //! | `bad-allow` | a `detlint:allow` escape hatch without a reason, or naming an unknown rule |

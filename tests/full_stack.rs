@@ -74,7 +74,7 @@ fn a_full_doh_transaction_end_to_end() {
     let mut response = MessageBuilder::response_to(&query, resolution.rcode)
         .recursion_available(true)
         .build();
-    for rdata in &resolution.records {
+    for rdata in resolution.records.iter() {
         response
             .answers
             .push(edns_bench::dns_wire::ResourceRecord::new(
