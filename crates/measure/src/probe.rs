@@ -1468,4 +1468,226 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
     }
+
+    // --- The timeline matrix ---------------------------------------------
+    //
+    // `golden/span_matrix.txt` is the stored verdict on every span and
+    // marker the engine emits: four resolvers (healthy, mostly down, flaky
+    // HTTP/1.1-only, small site) x every protocol x 336 hourly probes under
+    // seed 4's fault plan and `dig` retries, cold and — on the transports
+    // with session state — warm. Never regenerate it.
+
+    /// Every protocol, session-capable ones in the middle.
+    const PROTOCOLS: [Protocol; 5] = [
+        Protocol::Do53,
+        Protocol::DoT,
+        Protocol::DoH,
+        Protocol::DoQ,
+        Protocol::ODoH,
+    ];
+
+    /// Walks the matrix, folding each traced probe into its cell's `A`.
+    fn span_matrix<A: Default>(
+        mut fold: impl FnMut(&mut A, SimTime, &ProbeReport, &SpanLog),
+    ) -> Vec<(String, A)> {
+        let hosts = [
+            "dns.google",
+            "chewbacca.meganerd.nl",
+            "ibksturm.synology.me",
+            "doh.ffmuc.net",
+        ];
+        let (prober, host) = (Prober::new(), client());
+        let domain = Name::parse("google.com").unwrap();
+        let faults = crate::config::default_fault_plan(4, SimDuration::from_hours(336));
+        let mut log = SpanLog::with_capacity(1024);
+        let mut cells = Vec::new();
+        for (label, session_cfg) in [
+            ("cold", None),
+            ("warm", Some(SessionConfig::warm())),
+            ("interleaved", Some(SessionConfig::interleaved(0.3))),
+        ] {
+            // A warm cell probes twice an hour, five seconds apart: the second
+            // probe finds the first one's connection pooled, the next hour's
+            // only its ticket. Do53 and ODoH keep no session state.
+            let (burst, protocols) = match session_cfg {
+                Some(_) => (2, &PROTOCOLS[1..4]),
+                None => (1, &PROTOCOLS[..]),
+            };
+            let pairs = protocols.iter().flat_map(|p| hosts.map(|h| (*p, h)));
+            for (protocol, hostname) in pairs {
+                let mut target = target(hostname);
+                let mut rng = SimRng::derived(4, &format!("span-matrix:{hostname}"));
+                let mut state = SessionState::new(
+                    4,
+                    &host.label,
+                    hostname,
+                    target.entry.reuse_policy(),
+                    target.entry.coalesce_key(),
+                );
+                let cfg = ProbeConfig {
+                    retry: RetryPolicy::dig_defaults(),
+                    ..over(protocol)
+                };
+                let mut acc = A::default();
+                for tick in 0..336 * burst {
+                    let now = SimTime::ZERO
+                        + SimDuration::from_hours(tick / burst)
+                        + SimDuration::from_secs(5 * (tick % burst));
+                    let req = ProbeRequest {
+                        cfg,
+                        faults: &faults,
+                        ..ProbeRequest::new(&host, &domain, now)
+                    };
+                    let session = session_cfg.as_ref().map(|cfg| (cfg, &mut state));
+                    log.clear();
+                    let report =
+                        prober.probe_fresh(&req, &mut target, None, session, &mut rng, &mut log);
+                    assert_eq!(log.dropped(), 0);
+                    fold(&mut acc, now, &report, &log);
+                }
+                let cell = format!("cell={label} protocol={protocol} host={hostname}");
+                cells.push((cell, acc));
+            }
+        }
+        cells
+    }
+
+    #[test]
+    fn span_matrix_matches_the_frozen_verdict() {
+        use std::fmt::Write;
+        let mut census = std::collections::BTreeMap::new();
+        let cells = span_matrix(|(events, text): &mut (u64, String), _, _, log| {
+            *events += log.recorded();
+            text.push_str(&log.render());
+            let instant = |e: &&obs::SpanEvent| e.kind == obs::SpanEventKind::Instant;
+            for marker in log.events().filter(instant) {
+                *census.entry(marker.name).or_insert(0u64) += 1;
+            }
+        });
+        let mut got = String::new();
+        for (cell, (events, text)) in &cells {
+            let hash = crate::checkpoint::fnv64(text.as_bytes());
+            writeln!(got, "spans {cell} events={events} fnv64={hash:016x}").unwrap();
+        }
+        for (name, count) in &census {
+            writeln!(got, "marker name={name} count={count}").unwrap();
+        }
+        let fixture = include_str!("../tests/golden/span_matrix.txt");
+        let want: Vec<&str> = fixture.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(got.lines().count(), want.len(), "the fixture's line count");
+        for (got, want) in got.lines().zip(want) {
+            assert_eq!(got, want, "the timeline drifted from the frozen verdict");
+        }
+        // Every marker the engine can emit is on record.
+        for name in [
+            "certificate_invalid",
+            "certificate_rejected",
+            "connect_timeout",
+            "connection_refused",
+            "icmp_echo_reply",
+            "icmp_filtered",
+            "request_timeout",
+            "tls_failure",
+        ] {
+            assert!(census.contains_key(name), "no {name} marker in the matrix");
+        }
+    }
+
+    /// The two ledgers agree: a single-attempt success's spans run gap-free
+    /// from the probe's start to its response time, and per phase they sum
+    /// to the timings the record carries.
+    #[test]
+    fn spans_equal_timings_on_every_single_attempt_success() {
+        let cells = span_matrix(|checked: &mut u32, now, report, log| {
+            let (ProbeOutcome::Success { timings, .. }, Some(1)) = (
+                &report.outcome,
+                report.retry.as_ref().map(|retry| retry.attempts),
+            ) else {
+                return;
+            };
+            let spans = log.spans();
+            let mut t = now.as_nanos();
+            for span in &spans {
+                assert_eq!(span.start, t, "gap before {}", span.name);
+                t = span.end;
+            }
+            assert_eq!(t, (now + timings.total()).as_nanos(), "timeline's end");
+            for phase in Phase::ALL {
+                let named = spans.iter().filter(|s| s.name == phase.name());
+                let total: Nanos = named.map(|s| s.duration()).sum();
+                assert_eq!(total, timings.phase(phase).as_nanos(), "{phase}");
+            }
+            *checked += 1;
+        });
+        let checked: u32 = cells.iter().map(|(_, n)| n).sum();
+        assert!(checked >= 16_000, "only {checked} probes checked");
+    }
+
+    #[test]
+    fn a_disabled_log_records_nothing_and_changes_nothing() {
+        let (host, domain) = (client(), Name::parse("google.com").unwrap());
+        let faults = crate::config::default_fault_plan(4, SimDuration::from_hours(48));
+        for protocol in PROTOCOLS {
+            let run = |log: &mut SpanLog| {
+                let mut rng = SimRng::from_seed(13);
+                let mut target = target("chewbacca.meganerd.nl");
+                let reports: Vec<ProbeReport> = (0..48)
+                    .map(|h| {
+                        let now = SimTime::ZERO + SimDuration::from_hours(h);
+                        let req = ProbeRequest {
+                            cfg: over(protocol),
+                            faults: &faults,
+                            ..ProbeRequest::new(&host, &domain, now)
+                        };
+                        Prober::new().probe(&req, &mut target, &mut rng, log)
+                    })
+                    .collect();
+                (reports, rng.uniform().to_bits())
+            };
+            let (mut on, mut off) = (SpanLog::with_capacity(64), SpanLog::disabled());
+            assert_eq!(run(&mut on), run(&mut off), "{protocol}: tracing moved it");
+            assert!(on.recorded() > 0);
+            assert_eq!(off.recorded(), 0);
+        }
+    }
+
+    #[test]
+    fn refused_connect_closes_its_span_and_drops_the_marker_at_the_failure_time() {
+        let host = client();
+        let (_, path) = target("dns.google").instance.route(&host);
+        let now = SimTime::ZERO + SimDuration::from_secs(5);
+        let mut log = SpanLog::with_capacity(16);
+        let mut env = Attempt {
+            now,
+            client: &host,
+            site: 0,
+            path,
+            hooks: FaultHooks {
+                refuse_connect: true,
+                ..FaultHooks::NONE
+            },
+            health: ProbeHealth::Refusing,
+            effects: FaultEffects::clear(),
+            warm: WarmStart::Cold,
+            rng: &mut SimRng::from_seed(2),
+            log: &mut log,
+            arena: &mut Arena::new(),
+            t: now.as_nanos(),
+            timings: ProbeTimings::default(),
+        };
+        let Err(ProbeOutcome::Failure { kind, elapsed }) = env.tcp_tls_setup().map(drop) else {
+            panic!("a refused connect must fail");
+        };
+        assert_eq!(kind, ProbeErrorKind::ConnectionRefused);
+        let at = (now + elapsed).as_nanos();
+        let spans = log.spans();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(
+            (spans[0].name, spans[0].start, spans[0].end),
+            ("connect", now.as_nanos(), at)
+        );
+        assert!(log
+            .events()
+            .any(|e| e.name == "connection_refused" && e.at == at));
+    }
 }
