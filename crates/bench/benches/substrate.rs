@@ -1,6 +1,5 @@
 //! Micro-benchmarks of the simulation substrate: path sampling, anycast
-//! routing, event queue, recursive-resolver cache, and single probes per
-//! protocol.
+//! routing, recursive-resolver cache, and single probes per protocol.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -8,7 +7,7 @@ use std::hint::black_box;
 use dns_wire::Name;
 use measure::{ProbeConfig, ProbeRequest, ProbeTarget, Prober, Protocol, SpanLog};
 use netsim::geo::cities;
-use netsim::{AccessProfile, Deployment, EventQueue, Host, HostId, Path, SimRng, SimTime, Site};
+use netsim::{AccessProfile, Deployment, Host, HostId, Path, SimRng, SimTime, Site};
 
 fn bench_path_sampling(c: &mut Criterion) {
     let path = Path::between(
@@ -35,24 +34,6 @@ fn bench_anycast_route(c: &mut Criterion) {
     let client = Host::in_city(HostId(0), "c", cities::SEOUL, AccessProfile::cloud_vm());
     c.bench_function("anycast_route_6_sites", |b| {
         b.iter(|| black_box(&deployment).route(black_box(&client)))
-    });
-}
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_schedule_pop_1k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..1000u64 {
-                // Scatter times to exercise heap reordering.
-                let t = SimTime::from_nanos((i * 2_654_435_761) % 1_000_000);
-                q.schedule(t, i);
-            }
-            let mut sum = 0u64;
-            while let Some((_, v)) = q.pop() {
-                sum += v;
-            }
-            sum
-        })
     });
 }
 
@@ -99,7 +80,6 @@ criterion_group!(
     benches,
     bench_path_sampling,
     bench_anycast_route,
-    bench_event_queue,
     bench_probe_per_protocol
 );
 criterion_main!(benches);

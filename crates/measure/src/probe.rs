@@ -109,9 +109,23 @@ struct Attempt<'a> {
     timings: ProbeTimings,
 }
 
+/// The instant marker a transport failure leaves on the timeline.
+fn failure_marker(kind: TransportErrorKind) -> &'static str {
+    match kind {
+        TransportErrorKind::ConnectTimeout => "connect_timeout",
+        TransportErrorKind::ConnectionRefused => "connection_refused",
+        TransportErrorKind::TlsHandshakeFailure => "tls_failure",
+        TransportErrorKind::CertificateInvalid => "certificate_invalid",
+        TransportErrorKind::RequestTimeout => "request_timeout",
+        TransportErrorKind::ProtocolError => "protocol_error",
+    }
+}
+
 impl Attempt<'_> {
-    /// Charges a codec phase as a span and advances the clock.
-    fn codec(&mut self, phase: Phase, cost: SimDuration) {
+    /// Charges `cost` to `phase`: the one place a phase enters the
+    /// attempt's timings and its span log, and the clock moves past it.
+    fn charge(&mut self, phase: Phase, cost: SimDuration) {
+        *self.timings.phase_mut(phase) += cost;
         self.log.enter(self.t, phase.name());
         self.t += cost.as_nanos();
         self.log.exit(self.t, phase.name());
@@ -121,8 +135,7 @@ impl Attempt<'_> {
     /// message. Building the message draws no randomness, so doing it
     /// ahead of the transport legs leaves the RNG stream untouched.
     fn encode(&mut self, wire_len: usize) {
-        self.timings.dns_encode = encode_cost(wire_len);
-        self.codec(Phase::DnsEncode, self.timings.dns_encode);
+        self.charge(Phase::DnsEncode, encode_cost(wire_len));
     }
 
     /// Connection setup paid so far — what a failure past this point has
@@ -132,12 +145,23 @@ impl Attempt<'_> {
         self.timings.connect + self.timings.tls_handshake
     }
 
-    /// A transport failure after the connection setup paid so far.
-    fn failed(&self, e: TransportError) -> ProbeOutcome {
+    /// A transport leg failed `e.elapsed` into it, after the connection
+    /// setup paid so far: drops the failure's marker at that instant.
+    fn failed(&mut self, e: TransportError) -> ProbeOutcome {
+        let at = self.t + e.elapsed.as_nanos();
+        self.log.instant(at, failure_marker(e.kind));
         ProbeOutcome::Failure {
             kind: e.into(),
             elapsed: self.setup() + e.elapsed,
         }
+    }
+
+    /// A setup leg failed: the time it burned is charged to its `phase`
+    /// like a completed leg's, so the span closes at the failure, under
+    /// the marker, and nothing further elapses.
+    fn setup_failed(&mut self, phase: Phase, e: TransportError) -> ProbeOutcome {
+        self.charge(phase, e.elapsed);
+        self.failed(TransportError::new(e.kind, SimDuration::ZERO))
     }
 
     /// TCP + TLS establishment for the TCP-carried transports: cold pays
@@ -152,30 +176,24 @@ impl Attempt<'_> {
                 return Ok(TcpConnection::resumed(TcpConfig::default(), srtt_hint))
             }
         };
-        let (mut tcp, connect) = TcpConnection::connect_traced(
+        let (mut tcp, connect) = TcpConnection::connect(
             &self.path,
             self.hooks.refuse_connect,
             self.rng,
             TcpConfig::default(),
-            self.t,
-            self.log,
         )
-        .map_err(|e| self.failed(e))?;
-        self.t += connect.as_nanos();
-        self.timings.connect = connect;
-        let tls = TlsSession::handshake_traced(
+        .map_err(|e| self.setup_failed(Phase::Connect, e))?;
+        self.charge(Phase::Connect, connect);
+        let tls = TlsSession::handshake(
             &mut tcp,
             &self.path,
             TlsConfig::default(),
             self.hooks.tls_behavior,
             ticket,
             self.rng,
-            self.t,
-            self.log,
         )
-        .map_err(|e| self.failed(e))?;
-        self.t += tls.handshake_time.as_nanos();
-        self.timings.tls_handshake = tls.handshake_time;
+        .map_err(|e| self.setup_failed(Phase::TlsHandshake, e))?;
+        self.charge(Phase::TlsHandshake, tls.handshake_time);
         Ok(tcp)
     }
 
@@ -187,16 +205,10 @@ impl Attempt<'_> {
     fn quic_setup(&mut self) -> Result<QuicConnection, ProbeOutcome> {
         match self.warm {
             WarmStart::Cold => {
-                let (quic, connect) = QuicConnection::connect_traced(
-                    &self.path,
-                    QuicConfig::default(),
-                    self.rng,
-                    self.t,
-                    self.log,
-                )
-                .map_err(|e| self.failed(e))?;
-                self.t += connect.as_nanos();
-                self.timings.connect = connect;
+                let (quic, connect) =
+                    QuicConnection::connect(&self.path, QuicConfig::default(), self.rng)
+                        .map_err(|e| self.setup_failed(Phase::Connect, e))?;
+                self.charge(Phase::Connect, connect);
                 Ok(quic)
             }
             WarmStart::Resumed { ticket } => Ok(QuicConnection::resume_zero_rtt(
@@ -213,26 +225,26 @@ impl Attempt<'_> {
         }
     }
 
-    /// Closes the timeline of a completed exchange: `exchange` is the
-    /// wire-level elapsed time including the server's `server_time`, and
-    /// the client then decodes a `body_len`-octet message.
+    /// Charges a finished exchange: `elapsed` is the wire-level time
+    /// including the server's `server_time`, split here — once, for both
+    /// ledgers — into its two phases.
+    fn charge_exchange(&mut self, elapsed: SimDuration, server_time: SimDuration) {
+        let (wire, server) = ProbeTimings::split_exchange(elapsed, server_time);
+        self.charge(Phase::HttpExchange, wire);
+        self.charge(Phase::ServerProcessing, server);
+    }
+
+    /// Closes the timeline of a completed exchange: the client then
+    /// decodes a `body_len`-octet message.
     fn complete(
         &mut self,
-        exchange: SimDuration,
+        elapsed: SimDuration,
         server_time: SimDuration,
         body_len: usize,
     ) -> ProbeTimings {
-        self.t += exchange.as_nanos();
-        let dns_decode = decode_cost(body_len);
-        self.codec(Phase::DnsDecode, dns_decode);
-        ProbeTimings::from_legs(
-            self.timings.dns_encode,
-            self.timings.connect,
-            self.timings.tls_handshake,
-            exchange,
-            server_time,
-            dns_decode,
-        )
+        self.charge_exchange(elapsed, server_time);
+        self.charge(Phase::DnsDecode, decode_cost(body_len));
+        self.timings
     }
 }
 
@@ -865,7 +877,7 @@ impl Prober {
 
     /// DNS over HTTPS (RFC 8484): TCP, TLS, then one HTTP exchange —
     /// HTTP/2, or HTTP/1.1 for servers that offer no h2; both ride the
-    /// same traced TCP exchange and differ only in byte counts.
+    /// same TCP exchange and differ only in byte counts.
     fn doh(
         &self,
         env: &mut Attempt<'_>,
@@ -889,14 +901,12 @@ impl Prober {
         };
         let reply = wires.http_reply(served.response, env.hooks.http_status(base_status));
 
-        let out = match tcp.request_response_traced(
+        let out = match tcp.request_response(
             &env.path,
             req_len,
             reply.wire_len,
             served.server_time,
             env.rng,
-            env.t,
-            env.log,
         ) {
             Ok(out) => out,
             Err(e) => return env.failed(e),
@@ -929,19 +939,18 @@ impl Prober {
         // DoT has no HTTP layer; the analogous failure is a bare
         // header-only SERVFAIL.
         let broken = env.health == ProbeHealth::HttpError;
-        let out = match tcp.request_response_traced(
+        let out = match tcp.request_response(
             &env.path,
             req_len,
             if broken { 2 + 12 } else { resp_len },
             served.server_time,
             env.rng,
-            env.t,
-            env.log,
         ) {
             Ok(out) => out,
             Err(e) => return env.failed(e),
         };
         if broken {
+            env.charge_exchange(out.elapsed, served.server_time);
             return Self::dns_error(env.setup() + out.elapsed);
         }
         let body_len = wires.response_wire(served.response).len();
@@ -967,7 +976,7 @@ impl Prober {
         env.encode(wires.query_wire().len());
         let served = self.serve(env, target, wires, false);
         let resp_len = wires.response_wire(served.response).len();
-        let out = match transport::exchange_traced(
+        let out = match transport::exchange(
             &env.path,
             wires.query_wire().len(),
             resp_len,
@@ -977,16 +986,9 @@ impl Prober {
             RetryPolicy::dig_defaults().as_flight_policy(),
             TransportErrorKind::RequestTimeout,
             env.rng,
-            env.t,
-            env.log,
         ) {
             Ok(out) => out,
-            Err(e) => {
-                return ProbeOutcome::Failure {
-                    kind: ProbeErrorKind::QueryTimeout,
-                    elapsed: e.elapsed,
-                }
-            }
+            Err(e) => return env.failed(e),
         };
         let timings = env.complete(out.elapsed, served.server_time, resp_len);
         if env.health == ProbeHealth::HttpError {
@@ -1009,12 +1011,8 @@ impl Prober {
                 .path
                 .sample_rtt(1200, 60, env.rng)
                 .unwrap_or(SimDuration::from_millis(300));
-            env.log
-                .instant(env.t + rtt.as_nanos(), "connection_refused");
-            return ProbeOutcome::Failure {
-                kind: ProbeErrorKind::ConnectionRefused,
-                elapsed: rtt,
-            };
+            let refused = TransportError::new(TransportErrorKind::ConnectionRefused, rtt);
+            return env.failed(refused);
         }
         env.encode(wires.query_wire().len());
         let mut quic = match env.quic_setup() {
@@ -1034,18 +1032,11 @@ impl Prober {
         }
         let served = self.serve(env, target, wires, false);
         let (req_len, resp_len) = wires.stream_lens(served.response);
-        let out = match quic.stream_exchange_traced(
-            &env.path,
-            req_len,
-            resp_len,
-            served.server_time,
-            env.rng,
-            env.t,
-            env.log,
-        ) {
-            Ok(out) => out,
-            Err(e) => return env.failed(e),
-        };
+        let out =
+            match quic.stream_exchange(&env.path, req_len, resp_len, served.server_time, env.rng) {
+                Ok(out) => out,
+                Err(e) => return env.failed(e),
+            };
         let body_len = wires.response_wire(served.response).len();
         let timings = env.complete(out.elapsed, served.server_time, body_len);
         if env.health == ProbeHealth::HttpError {
@@ -1157,7 +1148,7 @@ impl Prober {
         } else {
             200
         };
-        let (resp, query_time) = match H2Connection::new().round_trip_traced(
+        let (resp, query_time) = match H2Connection::new().round_trip(
             &mut tcp,
             &env.path,
             &req,
@@ -1172,8 +1163,6 @@ impl Prober {
             },
             relay_forward,
             env.rng,
-            env.t,
-            env.log,
         ) {
             Ok(ok) => ok,
             Err(e) => return env.failed(e),
@@ -1579,7 +1568,8 @@ mod tests {
             assert_eq!(got, want, "the timeline drifted from the frozen verdict");
         }
         // Every marker the engine can emit is on record.
-        for name in [
+        let markers: Vec<&str> = census.keys().copied().collect();
+        let all = [
             "certificate_invalid",
             "certificate_rejected",
             "connect_timeout",
@@ -1588,9 +1578,8 @@ mod tests {
             "icmp_filtered",
             "request_timeout",
             "tls_failure",
-        ] {
-            assert!(census.contains_key(name), "no {name} marker in the matrix");
-        }
+        ];
+        assert_eq!(markers, all);
     }
 
     /// The two ledgers agree: a single-attempt success's spans run gap-free
@@ -1625,7 +1614,8 @@ mod tests {
 
     #[test]
     fn a_disabled_log_records_nothing_and_changes_nothing() {
-        let (host, domain) = (client(), Name::parse("google.com").unwrap());
+        let (prober, host) = (Prober::new(), client());
+        let domain = Name::parse("google.com").unwrap();
         let faults = crate::config::default_fault_plan(4, SimDuration::from_hours(48));
         for protocol in PROTOCOLS {
             let run = |log: &mut SpanLog| {
@@ -1639,7 +1629,7 @@ mod tests {
                             faults: &faults,
                             ..ProbeRequest::new(&host, &domain, now)
                         };
-                        Prober::new().probe(&req, &mut target, &mut rng, log)
+                        prober.probe(&req, &mut target, &mut rng, log)
                     })
                     .collect();
                 (reports, rng.uniform().to_bits())
@@ -1675,7 +1665,7 @@ mod tests {
             t: now.as_nanos(),
             timings: ProbeTimings::default(),
         };
-        let Err(ProbeOutcome::Failure { kind, elapsed }) = env.tcp_tls_setup().map(drop) else {
+        let Err(ProbeOutcome::Failure { kind, elapsed }) = env.tcp_tls_setup() else {
             panic!("a refused connect must fail");
         };
         assert_eq!(kind, ProbeErrorKind::ConnectionRefused);

@@ -150,10 +150,19 @@ pub struct ProbeTimings {
 }
 
 impl ProbeTimings {
-    /// Assembles timings from the raw legs a probe measures: the exchange
-    /// leg arrives as one wire-level elapsed time that *includes* the
-    /// server's processing time, and is split here so the phases stay
-    /// disjoint.
+    /// Splits an exchange leg — one wire-level elapsed time that *includes*
+    /// the server's processing time — into (wire, server), so the phases
+    /// stay disjoint and still sum to `elapsed`.
+    pub(crate) fn split_exchange(
+        elapsed: SimDuration,
+        server_time: SimDuration,
+    ) -> (SimDuration, SimDuration) {
+        let wire = elapsed.saturating_sub(server_time);
+        (wire, elapsed.saturating_sub(wire))
+    }
+
+    /// Assembles timings from the raw legs a probe measures, the exchange
+    /// leg split into its wire and server phases.
     pub fn from_legs(
         dns_encode: SimDuration,
         connect: SimDuration,
@@ -162,13 +171,14 @@ impl ProbeTimings {
         server_time: SimDuration,
         dns_decode: SimDuration,
     ) -> ProbeTimings {
-        let http_exchange = exchange_elapsed.saturating_sub(server_time);
+        let (http_exchange, server_processing) =
+            Self::split_exchange(exchange_elapsed, server_time);
         ProbeTimings {
             dns_encode,
             connect,
             tls_handshake,
             http_exchange,
-            server_processing: exchange_elapsed.saturating_sub(http_exchange),
+            server_processing,
             dns_decode,
         }
     }

@@ -127,7 +127,7 @@ impl AccessProfile {
 /// A host: an endpoint with a location and an access profile.
 #[derive(Debug, Clone)]
 pub struct Host {
-    /// Simulation-unique id.
+    /// Unique id among the hosts of one run.
     pub id: HostId,
     /// Human-readable label, e.g. `"ec2-ohio"` or `"home-1"`.
     pub label: String,

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use netsim::geo::{route_inflation, GeoPoint};
-use netsim::{AccessProfile, Deployment, EventQueue, Path, SimDuration, SimRng, SimTime, Site};
+use netsim::{AccessProfile, Deployment, Path, SimDuration, SimRng, Site};
 
 fn arb_point() -> impl Strategy<Value = GeoPoint> {
     (-90.0f64..90.0, -180.0f64..180.0).prop_map(|(lat, lon)| GeoPoint::new(lat, lon))
@@ -81,22 +81,6 @@ proptest! {
             let ms = Path::between(client, host.access, *s, AccessProfile::datacenter()).base_one_way_ms();
             prop_assert!(chosen_ms <= ms + 1e-9, "site {} ({} ms) beats chosen {} ({} ms)", i, ms, chosen, chosen_ms);
         }
-    }
-
-    #[test]
-    fn event_queue_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(*t), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod http2;
 pub mod quic;
 pub mod tcp;
 pub mod tls;
-pub mod traced;
 
 pub use error::{TransportError, TransportErrorKind};
 pub use fault::FaultHooks;
@@ -45,4 +44,3 @@ pub use http2::{doh_headers, H2Connection, H2Request, H2Response, HeaderField};
 pub use quic::{QuicConfig, QuicConnection};
 pub use tcp::{RttEstimator, TcpConfig, TcpConnection};
 pub use tls::{SessionTicket, TlsConfig, TlsServerBehavior, TlsSession};
-pub use traced::{exchange_traced, record_exchange_spans};

@@ -1,0 +1,67 @@
+//! The crate graph's layering, as a test: every dependency a crate declares
+//! is named somewhere in its code, and the simulation layers (`netsim`,
+//! `transport`) stay below observability — `obs` enters the stack at
+//! `measure`.
+
+use std::collections::HashSet;
+use std::fs;
+use std::path::Path;
+
+/// Appends every `.rs` file under `dir` (this one excepted: it names crates
+/// in strings) to `out`.
+fn rust_sources(dir: &Path, out: &mut String) {
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") && !path.ends_with("layering.rs") {
+            out.push_str(&fs::read_to_string(&path).unwrap());
+        }
+    }
+}
+
+/// The names in a manifest's `[dependencies]` table.
+fn dependencies(manifest: &str) -> impl Iterator<Item = &str> {
+    let table = manifest
+        .lines()
+        .skip_while(|l| l.trim() != "[dependencies]")
+        .skip(1);
+    table
+        .take_while(|l| !l.starts_with('['))
+        .filter_map(|l| l.split(['=', '.', ' ']).next())
+        .filter(|name| !name.is_empty() && !name.starts_with('#'))
+}
+
+#[test]
+fn every_dependency_is_named_and_the_simulation_layers_stay_below_obs() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut edges = 0;
+    for entry in fs::read_dir(root.join("crates")).unwrap() {
+        let dir = entry.unwrap().path();
+        let krate = dir.file_name().unwrap().to_str().unwrap();
+        let mut sources = String::new();
+        rust_sources(&dir, &mut sources);
+        if krate == "core" {
+            // The root examples and tests are `core`'s targets.
+            rust_sources(&root.join("examples"), &mut sources);
+            rust_sources(&root.join("tests"), &mut sources);
+        }
+        let idents: HashSet<&str> = sources
+            .split(|c: char| !c.is_alphanumeric() && c != '_')
+            .collect();
+        let manifest = fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+        for dep in dependencies(&manifest) {
+            assert!(
+                idents.contains(dep.replace('-', "_").as_str()),
+                "crates/{krate} declares {dep} and never names it"
+            );
+            let simulation = matches!(krate, "netsim" | "transport");
+            assert!(
+                !(simulation && matches!(dep, "obs" | "measure")),
+                "crates/{krate} must stay below {dep}"
+            );
+            edges += 1;
+        }
+    }
+    assert!(edges >= 40, "parsed only {edges} dependency edges");
+}
