@@ -31,11 +31,6 @@ pub fn campaign(seed: u64, rounds: u32, hostnames: &[&str]) -> Campaign {
     Campaign::with_resolvers(CampaignConfig::quick(seed, rounds), entries)
 }
 
-/// A campaign over the full population.
-pub fn full_campaign(seed: u64, rounds: u32) -> Campaign {
-    Campaign::new(CampaignConfig::quick(seed, rounds))
-}
-
 /// Runs a campaign into an analysable dataset.
 pub fn dataset(seed: u64, rounds: u32, hostnames: &[&str]) -> Dataset {
     Dataset::new(campaign(seed, rounds, hostnames).run().records)

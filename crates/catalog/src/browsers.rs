@@ -74,19 +74,6 @@ impl Provider {
             Provider::OpenDns,
         ]
     }
-
-    /// The operator string used by catalog entries, where the provider has
-    /// endpoints in the measured population (CleanBrowsing and OpenDNS do
-    /// not appear in the appendix's resolver list).
-    pub fn catalog_operator(self) -> Option<&'static str> {
-        match self {
-            Provider::Cloudflare => Some("Cloudflare"),
-            Provider::Google => Some("Google"),
-            Provider::Quad9 => Some("Quad9"),
-            Provider::NextDns => Some("NextDNS"),
-            Provider::CleanBrowsing | Provider::OpenDns => None,
-        }
-    }
 }
 
 impl fmt::Display for Provider {
@@ -120,22 +107,15 @@ pub fn offers(browser: Browser, provider: Provider) -> bool {
     }
 }
 
-/// The providers offered by a browser.
-pub fn providers_of(browser: Browser) -> Vec<Provider> {
-    Provider::all()
-        .into_iter()
-        .filter(|p| offers(browser, *p))
-        .collect()
-}
-
-/// The number of distinct resolver choices a user of `browser` has.
-pub fn choice_count(browser: Browser) -> usize {
-    providers_of(browser).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The number of distinct resolver choices a user of `browser` has.
+    fn choice_count(browser: Browser) -> usize {
+        let offered = |p: &Provider| offers(browser, *p);
+        Provider::all().into_iter().filter(offered).count()
+    }
 
     #[test]
     fn table1_row_counts() {
@@ -172,22 +152,6 @@ mod tests {
         }
         let population = crate::resolvers::all().len();
         assert!(population > 10 * 6);
-    }
-
-    #[test]
-    fn catalog_operator_mapping() {
-        assert_eq!(Provider::Google.catalog_operator(), Some("Google"));
-        assert_eq!(Provider::CleanBrowsing.catalog_operator(), None);
-        // Every provider with a catalog operator has mainstream entries.
-        for p in Provider::all() {
-            if let Some(op) = p.catalog_operator() {
-                let hits = crate::resolvers::mainstream()
-                    .into_iter()
-                    .filter(|e| e.operator == op)
-                    .count();
-                assert!(hits > 0, "no mainstream entries for {op}");
-            }
-        }
     }
 
     #[test]

@@ -127,11 +127,6 @@ impl ReusePolicy {
             ProfileClass::OdohTarget => ReusePolicy::none(),
         }
     }
-
-    /// True when the policy permits any form of reuse or resumption.
-    pub fn allows_any(&self) -> bool {
-        self.ticket_lifetime_s > 0 || self.pool_idle_timeout_s > 0
-    }
 }
 
 /// One resolver of the measured population, with everything needed to
@@ -186,14 +181,6 @@ impl ResolverEntry {
     /// The connection-reuse policy this resolver's deployment class runs.
     pub fn reuse_policy(&self) -> ReusePolicy {
         ReusePolicy::of(self.profile)
-    }
-
-    /// The key hostnames of one operator coalesce under: a client that
-    /// already holds a session to any of the operator's names may reuse
-    /// it for the others (RFC 8336-style origin coalescing, modeled at
-    /// the operator granularity).
-    pub fn coalesce_key(&self) -> &'static str {
-        self.operator
     }
 
     /// Builds the simulated deployment + servers for this entry.
@@ -267,7 +254,7 @@ mod tests {
         let inst = sample_entry().instantiate();
         assert_eq!(inst.hostname, "dns.test");
         assert_eq!(inst.servers.len(), 2);
-        assert!(inst.deployment.is_replicated());
+        assert_eq!(inst.deployment.policy, netsim::RoutingPolicy::Anycast);
     }
 
     #[test]
@@ -275,7 +262,7 @@ mod tests {
         let mut e = sample_entry();
         e.cities = vec![cities::MALMO];
         let inst = e.instantiate();
-        assert!(!inst.deployment.is_replicated());
+        assert_eq!(inst.deployment.policy, netsim::RoutingPolicy::Unicast);
     }
 
     #[test]
@@ -304,8 +291,6 @@ mod tests {
         assert!(prod.pool_idle_timeout_s > mid.pool_idle_timeout_s);
         assert!(mid.pool_idle_timeout_s > hob.pool_idle_timeout_s);
         assert!(prod.zero_rtt && mid.zero_rtt && !hob.zero_rtt);
-        assert!(!ReusePolicy::none().allows_any());
-        assert!(hob.allows_any());
         assert_eq!(
             ReusePolicy::of(ProfileClass::OdohTarget),
             ReusePolicy::none()
@@ -313,10 +298,8 @@ mod tests {
     }
 
     #[test]
-    fn entry_exposes_policy_and_coalesce_key() {
-        let e = sample_entry();
-        assert_eq!(e.reuse_policy(), ReusePolicy::midsize());
-        assert_eq!(e.coalesce_key(), "Test");
+    fn entry_exposes_policy() {
+        assert_eq!(sample_entry().reuse_policy(), ReusePolicy::midsize());
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub use experiment::{available_threads, Reproduction, Scale};
 // Re-export the component crates so downstream users need a single
 // dependency.
 pub use catalog;
-pub use distribute;
 pub use dns_wire;
 pub use edns_stats;
 pub use measure;
@@ -56,4 +55,3 @@ pub use obs;
 pub use report;
 pub use resolver_sim;
 pub use transport;
-pub use webperf;

@@ -68,8 +68,5 @@ pub use rdata::{
 pub use record::ResourceRecord;
 pub use wire::{Reader, Writer};
 
-/// The maximum length of a DNS message carried over UDP without EDNS.
-pub const MAX_UDP_PAYLOAD: usize = 512;
-
 /// The conventional EDNS(0) UDP payload size advertised by modern resolvers.
 pub const EDNS_UDP_PAYLOAD: u16 = 4096;

@@ -163,21 +163,6 @@ impl Name {
         Ok(name)
     }
 
-    /// A canonical lowercase key, used for map lookups and compression.
-    pub fn canonical_key(&self) -> String {
-        let mut out = String::new();
-        for l in &self.labels {
-            for &b in l {
-                out.push(b.to_ascii_lowercase() as char);
-            }
-            out.push('.');
-        }
-        if out.is_empty() {
-            out.push('.');
-        }
-        out
-    }
-
     /// Encodes without compression.
     pub fn encode_uncompressed(&self, w: &mut Writer) -> Result<(), WireError> {
         for l in &self.labels {

@@ -209,11 +209,6 @@ impl SvcbData {
         })
     }
 
-    /// True in AliasMode (priority 0).
-    pub fn is_alias(&self) -> bool {
-        self.priority == 0
-    }
-
     /// Returns the `dohpath` parameter as a string, if present and UTF-8.
     pub fn doh_path(&self) -> Option<String> {
         self.params.iter().find_map(|p| match p {
@@ -308,7 +303,6 @@ mod tests {
             target: Name::parse("pool.svc.example").unwrap(),
             params: vec![],
         };
-        assert!(d.is_alias());
         assert_eq!(round_trip(&d).target, d.target);
     }
 

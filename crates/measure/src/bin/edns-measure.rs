@@ -7,11 +7,12 @@
 //! edns-measure report results.jsonl
 //! ```
 
+use std::io::{BufRead, BufReader};
 use std::process::ExitCode;
 
 use dns_wire::Name;
 use measure::{
-    Campaign, CampaignConfig, CampaignResult, ProbeConfig, ProbeOutcome, ProbeReport, ProbeRequest,
+    Campaign, CampaignConfig, ProbeConfig, ProbeOutcome, ProbeRecord, ProbeReport, ProbeRequest,
     ProbeTarget, Prober, Protocol, RetryPolicy,
 };
 use netsim::faults::FaultPlan;
@@ -544,22 +545,29 @@ fn render_drift(f: &measure::DriftFinding) -> String {
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("report requires a results file")?;
-    let doc = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let result = CampaignResult::from_json_lines(0, &doc)?;
-    let n = result.records.len();
-    let successes = result.successes();
-    out!("{n} records: {successes} ok / {} errors\n", n - successes);
+    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
 
-    // One streaming pass: per-resolver availability + per-cell medians
-    // + retry-layer outcomes.
+    // One streaming pass, a line in memory at a time: per-resolver
+    // availability + per-cell medians + retry-layer outcomes.
     let mut summary = measure::StreamingSummary::new();
     let mut ledger = edns_stats::AvailabilityLedger::new();
+    let (mut n, mut successes) = (0u64, 0u64);
     let mut recovered = 0u64;
     let mut exhausted = 0u64;
-    for r in &result.records {
+    for (i, line) in BufReader::new(file).lines().enumerate() {
+        let at = |e: &dyn std::fmt::Display| format!("{path}:{}: {e}", i + 1);
+        let line = line.map_err(|e| at(&e))?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let r = &line.parse::<ProbeRecord>().map_err(|e| at(&e))?;
+        n += 1;
         summary.observe(r);
         match &r.outcome {
-            ProbeOutcome::Success { .. } => ledger.success(r.resolver()),
+            ProbeOutcome::Success { .. } => {
+                successes += 1;
+                ledger.success(r.resolver());
+            }
             ProbeOutcome::Failure { kind, .. } => ledger.error(r.resolver(), kind.label()),
         }
         if let Some(retry) = &r.retry {
@@ -570,6 +578,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             }
         }
     }
+    out!("{n} records: {successes} ok / {} errors\n", n - successes);
     if recovered > 0 || exhausted > 0 {
         out!("retry layer: {recovered} transient failures recovered, {exhausted} probes exhausted their budget\n");
     }

@@ -75,13 +75,15 @@ impl CampaignResult {
         metrics_of(&self.records)
     }
 
-    /// Parses records back from JSON Lines.
+    /// Parses records back from JSON Lines, one line at a time (blank
+    /// lines skipped); an error names the 1-based line it is on.
     pub fn from_json_lines(seed: u64, doc: &str) -> Result<Self, String> {
-        let values = crate::json::from_json_lines(doc).map_err(|e| e.to_string())?;
-        let records = values
-            .iter()
-            .map(|v| ProbeRecord::from_json(v).ok_or_else(|| "bad record".to_string()))
-            .collect::<Result<Vec<_>, _>>()?;
+        let records = doc
+            .lines()
+            .enumerate()
+            .filter(|(_, line)| !line.trim().is_empty())
+            .map(|(i, line)| line.parse().map_err(|e| format!("line {}: {e}", i + 1)))
+            .collect::<Result<Vec<ProbeRecord>, String>>()?;
         Ok(CampaignResult { records, seed })
     }
 }
@@ -474,7 +476,6 @@ impl Campaign {
                 vantage.label,
                 entry.hostname,
                 entry.reuse_policy(),
-                entry.coalesce_key(),
             )
         });
 

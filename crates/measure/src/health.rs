@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 
 use edns_stats::{Availability, LatencySketch};
-use obs::{DaySeries, Label};
+use obs::Label;
 
 use crate::campaign::Campaign;
 use crate::json::Json;
@@ -95,8 +95,9 @@ pub struct HealthRow {
 /// per-(resolver, day) rows in canonical order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthSeries {
-    /// (pair index, day) → cell.
-    pairs: DaySeries<HealthCell>,
+    /// (pair index, day) → cell. A `BTreeMap` over integer keys, so
+    /// iteration order never depends on hash state or insertion order.
+    pairs: BTreeMap<(u32, u32), HealthCell>,
     /// Pair index → resolver hostname, for the resolver reduction.
     pair_resolvers: Vec<Label>,
 }
@@ -105,7 +106,7 @@ impl HealthSeries {
     /// An empty series shaped for `campaign`'s pair space.
     pub fn for_campaign(campaign: &Campaign) -> HealthSeries {
         HealthSeries {
-            pairs: DaySeries::new(),
+            pairs: BTreeMap::new(),
             pair_resolvers: campaign
                 .pair_plans()
                 .iter()
@@ -145,18 +146,19 @@ impl HealthSeries {
     /// Folds one record into its (pair, day) cell.
     pub fn observe_pair(&mut self, pair: u32, r: &ProbeRecord) {
         self.pairs
-            .cell_mut(pair, day_of(r.at.as_nanos()))
+            .entry((pair, day_of(r.at.as_nanos())))
+            .or_default()
             .observe(r);
     }
 
     /// Installs a checkpointed (pair, day) cell wholesale (resume path).
     pub fn install(&mut self, pair: u32, day: u32, cell: HealthCell) {
-        self.pairs.insert(pair, day, cell);
+        self.pairs.insert((pair, day), cell);
     }
 
     /// Populated (pair, day) cells in ascending key order.
     pub fn pair_cells(&self) -> impl Iterator<Item = ((u32, u32), &HealthCell)> {
-        self.pairs.iter()
+        self.pairs.iter().map(|(&k, v)| (k, v))
     }
 
     /// Populated cell count.
@@ -179,7 +181,7 @@ impl HealthSeries {
     /// shard-count-independent.
     pub fn resolver_rows(&self) -> Vec<HealthRow> {
         let mut map: BTreeMap<(Label, u32), HealthCell> = BTreeMap::new();
-        for ((pair, day), cell) in self.pairs.iter() {
+        for (&(pair, day), cell) in &self.pairs {
             let resolver = self.pair_resolvers[pair as usize];
             map.entry((resolver, day)).or_default().merge(cell);
         }

@@ -446,26 +446,6 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     Ok(v)
 }
 
-/// Serialises a sequence of objects as JSON Lines (one record per line) —
-/// the format the tool writes campaign results in.
-pub fn to_json_lines<'a>(records: impl IntoIterator<Item = &'a Json>) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&r.to_string_compact());
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses a JSON Lines document.
-pub fn from_json_lines(input: &str) -> Result<Vec<Json>, ParseError> {
-    input
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(parse)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,19 +557,6 @@ mod tests {
             s.push('[');
         }
         assert!(parse(&s).is_err());
-    }
-
-    #[test]
-    fn json_lines_round_trip() {
-        let records = vec![
-            Json::object([("a", Json::Int(1))]),
-            Json::object([("b", Json::Str("x".into()))]),
-        ];
-        let doc = to_json_lines(records.iter());
-        assert_eq!(doc.lines().count(), 2);
-        assert_eq!(from_json_lines(&doc).unwrap(), records);
-        // Blank lines tolerated.
-        assert_eq!(from_json_lines("\n\n").unwrap(), vec![]);
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod campaign;
 pub mod checkpoint;
 pub mod config;
 mod context;
-pub mod dns_json;
 pub mod errors;
 pub mod health;
 pub mod json;

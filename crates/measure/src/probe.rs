@@ -814,7 +814,6 @@ impl Prober {
         http_layer: bool,
     ) -> Served {
         let (server_time, resolution) = target.instance.server_mut(env.site).handle_query_loaded(
-            // detlint:allow(deny-alloc-reach, Wires::name borrows the queried name; the other workspace `name` methods this resolves to by name belong to unrelated types)
             wires.name(),
             RecordType::A,
             &self.authorities,
@@ -1506,13 +1505,8 @@ mod tests {
             for (protocol, hostname) in pairs {
                 let mut target = target(hostname);
                 let mut rng = SimRng::derived(4, &format!("span-matrix:{hostname}"));
-                let mut state = SessionState::new(
-                    4,
-                    &host.label,
-                    hostname,
-                    target.entry.reuse_policy(),
-                    target.entry.coalesce_key(),
-                );
+                let mut state =
+                    SessionState::new(4, &host.label, hostname, target.entry.reuse_policy());
                 let cfg = ProbeConfig {
                     retry: RetryPolicy::dig_defaults(),
                     ..over(protocol)

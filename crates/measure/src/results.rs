@@ -475,6 +475,23 @@ fn unescape(raw: &str) -> Option<String> {
     Some(out)
 }
 
+/// One line of a results file: [`read_json_line`](ProbeRecord::read_json_line)
+/// first, and for a line that strict reader declines (a file the engine
+/// did not write) the tree path, [`json::parse`](crate::json::parse) →
+/// [`from_json`](ProbeRecord::from_json). The error says which of the two
+/// steps of the tree path gave up.
+impl std::str::FromStr for ProbeRecord {
+    type Err = String;
+
+    fn from_str(line: &str) -> Result<ProbeRecord, String> {
+        if let Some(record) = ProbeRecord::read_json_line(line) {
+            return Ok(record);
+        }
+        let tree = crate::json::parse(line).map_err(|e| e.to_string())?;
+        ProbeRecord::from_json(&tree).ok_or_else(|| "not a probe record".to_string())
+    }
+}
+
 impl ProbeRecord {
     /// Builds a record from interned coordinate labels. Allocation-free.
     #[allow(clippy::too_many_arguments)]

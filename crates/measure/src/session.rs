@@ -106,17 +106,6 @@ impl SessionConfig {
             }
         }
     }
-
-    /// Human-readable mode label for logs and reports.
-    pub fn mode_label(&self) -> &'static str {
-        if !self.reuse {
-            "cold-only"
-        } else if self.cold_fraction > 0.0 {
-            "interleaved"
-        } else {
-            "warm"
-        }
-    }
 }
 
 /// A cached TLS 1.3 session ticket with its absolute expiry instant.
@@ -152,7 +141,6 @@ fn session_capable(protocol: Protocol) -> bool {
 #[derive(Debug)]
 pub struct SessionState {
     policy: ReusePolicy,
-    coalesce_key: &'static str,
     ticket: Option<CachedTicket>,
     pool: Option<PooledConn>,
     zero_rtt_remaining: u32,
@@ -165,27 +153,15 @@ impl SessionState {
     /// Creates fresh (all-cold) state for one campaign pair. The schedule
     /// stream is derived from the campaign seed and the pair identity so
     /// it is independent of every other RNG stream in the run.
-    pub fn new(
-        seed: u64,
-        vantage: &str,
-        hostname: &str,
-        policy: ReusePolicy,
-        coalesce_key: &'static str,
-    ) -> SessionState {
+    pub fn new(seed: u64, vantage: &str, hostname: &str, policy: ReusePolicy) -> SessionState {
         SessionState {
             policy,
-            coalesce_key,
             ticket: None,
             pool: None,
             zero_rtt_remaining: 0,
             site: 0,
             schedule: SimRng::derived(seed, &format!("session:{vantage}:{hostname}")),
         }
-    }
-
-    /// The reuse policy this state enforces.
-    pub fn policy(&self) -> ReusePolicy {
-        self.policy
     }
 
     /// Draws the per-probe forced-cold decision from the schedule stream.
@@ -354,17 +330,6 @@ impl SessionState {
         self.zero_rtt_remaining
     }
 
-    /// RFC 8336-style origin coalescing: true when a session to this
-    /// resolver may serve another hostname with the same coalesce key
-    /// (modeled at operator granularity; see
-    /// `catalog::ResolverEntry::coalesce_key`). Campaign pairs never share
-    /// state across hostnames — that would couple per-pair RNG streams —
-    /// but `webperf` uses this to let one warm resolver session serve a
-    /// whole page load.
-    pub fn coalesces_with(&self, key: &str) -> bool {
-        self.coalesce_key == key
-    }
-
     /// FNV-1a fingerprint of the warm state (ticket identity + expiry,
     /// pool idle clock + RTT hint, 0-RTT window). Used by the checkpoint
     /// determinism tests to assert kill+resume rebuilds identical session
@@ -398,7 +363,7 @@ mod tests {
     use super::*;
 
     fn state(policy: ReusePolicy) -> SessionState {
-        SessionState::new(42, "Columbus-home", "dns.test", policy, "Test")
+        SessionState::new(42, "Columbus-home", "dns.test", policy)
     }
 
     fn t(secs: u64) -> SimTime {
@@ -411,9 +376,6 @@ mod tests {
     fn config_modes_and_parsing() {
         assert!(!SessionConfig::cold_only().is_live());
         assert!(SessionConfig::warm().is_live());
-        assert_eq!(SessionConfig::warm().mode_label(), "warm");
-        assert_eq!(SessionConfig::cold_only().mode_label(), "cold-only");
-        assert_eq!(SessionConfig::interleaved(0.3).mode_label(), "interleaved");
         assert_eq!(
             SessionConfig::from_arg("cold").unwrap(),
             SessionConfig::cold_only()
@@ -619,13 +581,7 @@ mod tests {
         assert_eq!(draws_a, draws_b);
         assert!(draws_a.iter().any(|c| *c) && draws_a.iter().any(|c| !*c));
         // A different pair gets a different stream.
-        let mut c = SessionState::new(
-            42,
-            "Columbus-home",
-            "dns.other",
-            ReusePolicy::production(),
-            "O",
-        );
+        let mut c = SessionState::new(42, "Columbus-home", "dns.other", ReusePolicy::production());
         let draws_c: Vec<bool> = (0..64).map(|_| c.draw_forced_cold(&cfg)).collect();
         assert_ne!(draws_a, draws_c);
     }
@@ -643,12 +599,5 @@ mod tests {
         assert_eq!(b.fingerprint(), warm);
         a.invalidate_all();
         assert_eq!(a.fingerprint(), cold);
-    }
-
-    #[test]
-    fn coalescing_matches_operator_key() {
-        let s = state(ReusePolicy::production());
-        assert!(s.coalesces_with("Test"));
-        assert!(!s.coalesces_with("Other"));
     }
 }

@@ -64,7 +64,9 @@ use crate::checkpoint::{
 use crate::health::{
     day_of, detect_drift, DriftConfig, DriftFinding, HealthCell, HealthSeries, NANOS_PER_DAY,
 };
+use crate::probe::ProbeConfig;
 use crate::results::{ProbeOutcome, ProbeRecord};
+use crate::retry::RetryPolicy;
 
 /// The manifest's file name inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "manifest.ckpt";
@@ -476,6 +478,33 @@ pub fn hand_off<T: Send, P: Send, E: Send>(
 /// months-long campaign's lifecycle + findings emit, still O(1) memory.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 8_192;
 
+/// Every field of a probe configuration, spelled for the fingerprint. The
+/// patterns are exhaustive, so a new field cannot be left out of it.
+fn probe_fingerprint(probe: &ProbeConfig) -> String {
+    let ProbeConfig {
+        protocol,
+        ping_timeout,
+        doh_get,
+        padding,
+        retry,
+    } = probe;
+    let RetryPolicy {
+        tries,
+        attempt_timeout,
+        backoff_base,
+        backoff_cap,
+        jitter,
+    } = retry;
+    format!(
+        "probe={},{},{doh_get},{padding};retry={tries},{:?},{},{},{jitter};",
+        protocol.label(),
+        ping_timeout.as_nanos(),
+        attempt_timeout.map(|t| t.as_nanos()),
+        backoff_base.as_nanos(),
+        backoff_cap.as_nanos(),
+    )
+}
+
 /// Splits a campaign into shards and executes them resumably.
 #[derive(Debug)]
 pub struct ShardedRunner<'a> {
@@ -562,11 +591,6 @@ impl<'a> ShardedRunner<'a> {
         self.shards
     }
 
-    /// The checkpoint directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The manifest path.
     pub fn manifest_path(&self) -> PathBuf {
         self.dir.join(MANIFEST_FILE)
@@ -592,7 +616,8 @@ impl<'a> ShardedRunner<'a> {
     }
 
     /// The fingerprint binding checkpoints to this campaign configuration:
-    /// seed, shard count, schedule, domains, and the exact pair list.
+    /// seed, shard count, schedule, domains, probe configuration, fault
+    /// plan, load and session models, and the exact pair list.
     pub fn fingerprint(&self) -> u64 {
         let config = self.campaign.config();
         let mut s = String::new();
@@ -644,6 +669,20 @@ impl<'a> ShardedRunner<'a> {
         // the campaign-layer gate.
         if let Some(session) = config.session.as_ref().filter(|s| s.is_live()) {
             let _ = write!(s, "session={},{};", session.reuse, session.cold_fraction);
+        }
+        // So do the probe configuration and the fault plan. The default
+        // probe configuration and a plan without events hash like their
+        // absence, as above (and as the golden manifest was written).
+        let probe = probe_fingerprint(&config.probe);
+        if probe != probe_fingerprint(&ProbeConfig::default()) {
+            s.push_str(&probe);
+        }
+        if !config.faults.is_empty() {
+            let _ = write!(s, "faults={:x};", config.faults.seed);
+            for e in &config.faults.events {
+                let (from, until) = (e.from.as_nanos(), e.until.as_nanos());
+                let _ = write!(s, "fault={:?},{:?},{from},{until};", e.kind, e.scope);
+            }
         }
         for p in &self.plans {
             let _ = write!(

@@ -85,13 +85,6 @@ impl StreamingSummary {
         }
     }
 
-    /// Consumes many records.
-    pub fn observe_all<'a>(&mut self, records: impl IntoIterator<Item = &'a ProbeRecord>) {
-        for r in records {
-            self.observe(r);
-        }
-    }
-
     /// Number of populated cells.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -115,11 +108,6 @@ impl StreamingSummary {
             .iter()
             .map(|((v, r), c)| (v.as_str(), r.as_str(), c))
     }
-
-    /// The streaming median for a cell, ms.
-    pub fn median_ms(&self, vantage: &str, resolver: &str) -> Option<f64> {
-        self.cell(vantage, resolver)?.median.estimate()
-    }
 }
 
 #[cfg(test)]
@@ -136,11 +124,18 @@ mod tests {
         Campaign::with_resolvers(CampaignConfig::quick(3, 20), entries).run()
     }
 
+    fn summary_of(result: &CampaignResult) -> StreamingSummary {
+        let mut s = StreamingSummary::new();
+        for r in &result.records {
+            s.observe(r);
+        }
+        s
+    }
+
     #[test]
     fn streaming_median_matches_batch_median_closely() {
         let result = result();
-        let mut s = StreamingSummary::new();
-        s.observe_all(&result.records);
+        let s = summary_of(&result);
 
         // Batch median for comparison.
         let batch: Vec<f64> = result
@@ -151,7 +146,8 @@ mod tests {
             .map(|d| d.as_millis_f64())
             .collect();
         let batch_median = edns_stats::median(&batch).unwrap();
-        let streaming = s.median_ms("ec2-ohio", "dns.google").unwrap();
+        let cell = s.cell("ec2-ohio", "dns.google").unwrap();
+        let streaming = cell.median.estimate().unwrap();
         assert!(
             (streaming - batch_median).abs() / batch_median < 0.10,
             "streaming {streaming} vs batch {batch_median}"
@@ -160,9 +156,7 @@ mod tests {
 
     #[test]
     fn availability_per_cell() {
-        let result = result();
-        let mut s = StreamingSummary::new();
-        s.observe_all(&result.records);
+        let s = summary_of(&result());
         let good = s.cell("ec2-ohio", "dns.google").unwrap();
         assert!(good.availability() > 0.95);
         let dead = s.cell("ec2-ohio", "chewbacca.meganerd.nl").unwrap();
@@ -173,9 +167,7 @@ mod tests {
 
     #[test]
     fn ping_moments_populated_for_responders() {
-        let result = result();
-        let mut s = StreamingSummary::new();
-        s.observe_all(&result.records);
+        let s = summary_of(&result());
         let cell = s.cell("ec2-frankfurt", "dns.google").unwrap();
         assert!(cell.ping.count() > 0);
         assert!(cell.ping.mean().unwrap() > 0.0);
@@ -183,9 +175,7 @@ mod tests {
 
     #[test]
     fn p95_at_least_median() {
-        let result = result();
-        let mut s = StreamingSummary::new();
-        s.observe_all(&result.records);
+        let s = summary_of(&result());
         for (v, r, cell) in s.iter() {
             if let (Some(m), Some(p)) = (cell.median.estimate(), cell.p95.estimate()) {
                 assert!(p >= m - 1e-6, "{v}/{r}: p95 {p} < median {m}");
@@ -197,6 +187,6 @@ mod tests {
     fn empty_summary() {
         let s = StreamingSummary::new();
         assert!(s.is_empty());
-        assert!(s.median_ms("x", "y").is_none());
+        assert!(s.cell("x", "y").is_none());
     }
 }

@@ -10,7 +10,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use measure::checkpoint::fnv64;
-use measure::{Campaign, CampaignConfig, CheckpointError, Manifest, ShardState, ShardedRunner};
+use measure::{
+    Campaign, CampaignConfig, CheckpointError, Manifest, Protocol, ShardState, ShardedRunner,
+};
 
 const HOSTS: [&str; 3] = ["dns.google", "dns.quad9.net", "doh.ffmuc.net"];
 
@@ -323,15 +325,27 @@ fn checkpoints_from_a_different_campaign_are_rejected() {
     let c = campaign(CampaignConfig::quick(3, 2));
     let dir = partial_run(&c, "config");
 
-    // Different seed → different fingerprint.
-    let other_seed = campaign(CampaignConfig::quick(4, 2));
-    assert!(matches!(
-        ShardedRunner::new(&other_seed, 4, &dir)
-            .unwrap()
-            .run(1)
-            .unwrap_err(),
-        CheckpointError::ConfigMismatch(_)
-    ));
+    // A different seed, fault plan, retry policy or protocol each makes
+    // different records, so each is a different fingerprint.
+    let mut faulted = CampaignConfig::quick(3, 2);
+    faulted.faults = CampaignConfig::quick(3, 2).with_default_faults().faults;
+    let mut one_more_try = CampaignConfig::quick(3, 2);
+    one_more_try.probe.retry.tries = 2;
+    let mut over_tls = CampaignConfig::quick(3, 2);
+    over_tls.probe.protocol = Protocol::DoT;
+    for (what, config) in [
+        ("seed", CampaignConfig::quick(4, 2)),
+        ("faults", faulted),
+        ("retry field", one_more_try),
+        ("protocol", over_tls),
+    ] {
+        let other = campaign(config);
+        let err = ShardedRunner::new(&other, 4, &dir).unwrap().run(1).err();
+        assert!(
+            matches!(err, Some(CheckpointError::ConfigMismatch(_))),
+            "a checkpoint met a change of {what} with {err:?}"
+        );
+    }
 
     // Different shard count → different fingerprint.
     assert!(matches!(

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use measure::json::{from_json_lines, parse, to_json_lines, Json};
+use measure::json::{parse, Json};
 
 fn arb_json() -> impl Strategy<Value = Json> {
     let leaf = prop_oneof![
@@ -44,18 +44,6 @@ proptest! {
         if let Ok(s) = std::str::from_utf8(&bytes) {
             let _ = parse(s);
         }
-    }
-
-    #[test]
-    fn json_lines_round_trip(records in proptest::collection::vec(arb_json(), 0..10)) {
-        // Objects only, as the tool writes.
-        let objects: Vec<Json> = records
-            .into_iter()
-            .map(|v| Json::object([("v", v)]))
-            .collect();
-        let doc = to_json_lines(objects.iter());
-        let back = from_json_lines(&doc).unwrap();
-        prop_assert_eq!(back, objects);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! as a JSON line into a pre-grown buffer, reading that line back, and
 //! folding it into an existing metrics cell must not touch the heap.
 //!
-//! One test function only: the allocation counter is global, so parallel
-//! test threads would pollute it.
+//! The counter counts the measuring thread only: the test harness's own
+//! thread allocates while it prints, at a moment of its choosing, and a
+//! budget of exactly zero has no room for that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use measure::{observe_record, ProbeOutcome, ProbeRecord, ProbeTimings, Protocol};
@@ -17,9 +19,22 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the measuring thread inside `allocations_during`.
+    /// Const-initialised and without a destructor, so reading it never
+    /// allocates.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if MEASURING.with(Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -28,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,7 +53,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    MEASURING.with(|m| m.set(true));
     f();
+    MEASURING.with(|m| m.set(false));
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
@@ -86,6 +103,9 @@ fn record_build_serialize_and_observe_are_allocation_free() {
         observe_record(&mut registry, &warm);
         buf.clear();
     }
+
+    let live = allocations_during(|| drop(std::hint::black_box(Box::new(0u8))));
+    assert_eq!(live, 1, "the counter sees this thread's allocations");
 
     // Construction: labels are Copy handles, so building a record is pure
     // stack work (the record owns no heap data at all).

@@ -278,8 +278,8 @@ proptest! {
     ) {
         let policy = catalog::resolvers::find("dns.google").unwrap().reuse_policy();
         let scfg = SessionConfig::interleaved(0.2);
-        let mut live = SessionState::new(seed, "ec2-ohio", "dns.google", policy, "Google");
-        let mut replay = SessionState::new(seed, "ec2-ohio", "dns.google", policy, "Google");
+        let mut live = SessionState::new(seed, "ec2-ohio", "dns.google", policy);
+        let mut replay = SessionState::new(seed, "ec2-ohio", "dns.google", policy);
         let mut now = 0u64;
         for (dt, ok) in steps {
             now += dt;
@@ -426,7 +426,7 @@ fn matrix_campaign(kind: FaultKind, protocol: Protocol) -> Campaign {
     let mut config = CampaignConfig::quick(9, 6).with_session(SessionConfig::warm());
     config.domains = vec!["google.com".to_string()];
     config.probe.protocol = protocol;
-    config.faults = FaultPlan::empty().event(
+    config.faults = FaultPlan::EMPTY.event(
         kind,
         FaultScope::Resolver("dns.google".to_string()),
         hour(7),

@@ -41,21 +41,6 @@ impl Arena {
         Arena::default()
     }
 
-    /// An arena pre-warmed with `buffers` buffers of `capacity` bytes, so
-    /// even the first probe allocates nothing.
-    pub fn with_buffers(buffers: usize, capacity: usize) -> Self {
-        let mut free = Vec::with_capacity(buffers);
-        for _ in 0..buffers {
-            free.push(Vec::with_capacity(capacity));
-        }
-        Arena {
-            free,
-            checked_out: 0,
-            reuses: 0,
-            fresh: buffers as u64,
-        }
-    }
-
     /// Checks out a cleared buffer, reusing pooled capacity when possible.
     ///
     /// This is the allocation primitive `#[deny_alloc]` zones are allowed
@@ -132,19 +117,6 @@ mod tests {
         assert!(buf.capacity() >= cap, "capacity is retained");
         assert_eq!(arena.reuses(), 1);
         assert_eq!(arena.fresh_allocations(), 1, "no second heap allocation");
-    }
-
-    #[test]
-    fn prewarmed_pool_serves_without_fresh_allocations() {
-        let mut arena = Arena::with_buffers(3, 256);
-        let baseline = arena.fresh_allocations();
-        let a = arena.alloc();
-        let b = arena.alloc();
-        assert!(a.capacity() >= 256 && b.capacity() >= 256);
-        arena.recycle(a);
-        arena.recycle(b);
-        assert_eq!(arena.fresh_allocations(), baseline);
-        assert_eq!(arena.checked_out(), 0);
     }
 
     #[test]

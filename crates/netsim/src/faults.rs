@@ -165,11 +165,6 @@ impl FaultEffects {
             offered_load_qps: 0.0,
         }
     }
-
-    /// True when no fault touches this attempt.
-    pub fn is_clear(&self) -> bool {
-        *self == Self::clear()
-    }
 }
 
 impl Default for FaultEffects {
@@ -194,12 +189,6 @@ impl FaultPlan {
         seed: 0,
         events: Vec::new(),
     };
-
-    /// An empty plan (alias of [`EMPTY`](Self::EMPTY) for call sites that
-    /// want an owned value).
-    pub fn empty() -> Self {
-        Self::EMPTY
-    }
 
     /// Starts a plan with a seed for its stochastic decisions.
     pub fn with_seed(seed: u64) -> Self {
@@ -287,31 +276,8 @@ impl FaultPlan {
             return fx;
         }
         for (i, e) in self.events.iter().enumerate() {
-            if !e.active_at(now) || !e.scope.matches(target) {
-                continue;
-            }
-            match e.kind {
-                FaultKind::LinkFlap => fx.link_down = true,
-                FaultKind::LossBurst { loss } => {
-                    fx.extra_loss = (fx.extra_loss + loss).min(1.0);
-                }
-                FaultKind::LatencyBurst { extra_ms } => fx.extra_latency_ms += extra_ms,
-                FaultKind::SiteOutage => fx.site_outage = true,
-                FaultKind::Brownout {
-                    slowdown,
-                    servfail_rate,
-                } => {
-                    fx.slowdown = fx.slowdown.max(slowdown);
-                    if self.decide(now, target, i, servfail_rate) {
-                        fx.servfail = true;
-                    }
-                }
-                FaultKind::CertExpiry => fx.bad_certificate = true,
-                FaultKind::RateLimit { reject_rate } => {
-                    if self.decide(now, target, i, reject_rate) {
-                        fx.rate_limited = true;
-                    }
-                }
+            if e.active_at(now) && e.scope.matches(target) {
+                self.fold_event(&mut fx, i, e.kind, now, target);
             }
         }
         fx
@@ -353,36 +319,49 @@ impl FaultPlan {
     ) -> FaultEffects {
         let mut fx = FaultEffects::clear();
         for &i in mask {
-            let i = i as usize;
-            let e = &self.events[i];
-            if !e.active_at(now) {
-                continue;
-            }
-            match e.kind {
-                FaultKind::LinkFlap => fx.link_down = true,
-                FaultKind::LossBurst { loss } => {
-                    fx.extra_loss = (fx.extra_loss + loss).min(1.0);
-                }
-                FaultKind::LatencyBurst { extra_ms } => fx.extra_latency_ms += extra_ms,
-                FaultKind::SiteOutage => fx.site_outage = true,
-                FaultKind::Brownout {
-                    slowdown,
-                    servfail_rate,
-                } => {
-                    fx.slowdown = fx.slowdown.max(slowdown);
-                    if self.decide(now, target, i, servfail_rate) {
-                        fx.servfail = true;
-                    }
-                }
-                FaultKind::CertExpiry => fx.bad_certificate = true,
-                FaultKind::RateLimit { reject_rate } => {
-                    if self.decide(now, target, i, reject_rate) {
-                        fx.rate_limited = true;
-                    }
-                }
+            let e = &self.events[i as usize];
+            if e.active_at(now) {
+                self.fold_event(&mut fx, i as usize, e.kind, now, target);
             }
         }
         fx
+    }
+
+    /// Folds event `i`, of kind `kind` — active at `now` and in scope for
+    /// `target` — into `fx`. The index is the event's position in the
+    /// plan, which salts its stochastic decisions.
+    #[inline]
+    fn fold_event(
+        &self,
+        fx: &mut FaultEffects,
+        i: usize,
+        kind: FaultKind,
+        now: SimTime,
+        target: &FaultTarget<'_>,
+    ) {
+        match kind {
+            FaultKind::LinkFlap => fx.link_down = true,
+            FaultKind::LossBurst { loss } => {
+                fx.extra_loss = (fx.extra_loss + loss).min(1.0);
+            }
+            FaultKind::LatencyBurst { extra_ms } => fx.extra_latency_ms += extra_ms,
+            FaultKind::SiteOutage => fx.site_outage = true,
+            FaultKind::Brownout {
+                slowdown,
+                servfail_rate,
+            } => {
+                fx.slowdown = fx.slowdown.max(slowdown);
+                if self.decide(now, target, i, servfail_rate) {
+                    fx.servfail = true;
+                }
+            }
+            FaultKind::CertExpiry => fx.bad_certificate = true,
+            FaultKind::RateLimit { reject_rate } => {
+                if self.decide(now, target, i, reject_rate) {
+                    fx.rate_limited = true;
+                }
+            }
+        }
     }
 
     /// A hash-based Bernoulli trial over `(plan seed, time, target, event)`
@@ -469,7 +448,6 @@ mod tests {
     fn empty_plan_is_clear_everywhere() {
         let plan = FaultPlan::EMPTY;
         let fx = plan.effects_at(hour(5), &target());
-        assert!(fx.is_clear());
         assert_eq!(fx, FaultEffects::clear());
         assert!(plan.is_empty());
         assert_eq!(plan.validate(), Ok(()));

@@ -57,12 +57,6 @@ impl SimRng {
         self.inner.gen::<f64>()
     }
 
-    /// Uniform in `[lo, hi)`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(hi >= lo);
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)`.
     pub fn below(&mut self, n: usize) -> usize {
         debug_assert!(n > 0);

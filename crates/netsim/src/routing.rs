@@ -5,7 +5,7 @@
 //! every vantage point while most non-mainstream resolvers only perform
 //! well nearby — is a direct consequence of this difference.
 
-use crate::geo::{City, Region};
+use crate::geo::City;
 use crate::link::Path;
 use crate::node::{AccessProfile, Host};
 
@@ -76,11 +76,6 @@ impl Deployment {
         }
     }
 
-    /// True if more than one site is reachable (replicated service).
-    pub fn is_replicated(&self) -> bool {
-        self.policy == RoutingPolicy::Anycast && self.sites.len() > 1
-    }
-
     /// Selects the site a given client is routed to, returning its index.
     pub fn route(&self, client: &Host) -> usize {
         match self.policy {
@@ -140,19 +135,6 @@ impl Deployment {
         }
         order
     }
-
-    /// The region of the site serving `client` (for anycast this can differ
-    /// per client; the paper notes anycasted resolvers "are not exclusively
-    /// located in North America").
-    pub fn serving_region(&self, client: &Host) -> Region {
-        self.sites[self.route(client)].city.region
-    }
-
-    /// The region of the primary (first) site — what a geolocation database
-    /// reports when it maps the service's address to one location.
-    pub fn geolocated_region(&self) -> Region {
-        self.sites[0].city.region
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +170,6 @@ mod tests {
         let d = Deployment::unicast(Site::datacenter(cities::FRANKFURT));
         assert_eq!(d.route(&client_in(cities::SEOUL)), 0);
         assert_eq!(d.route(&client_in(cities::FRANKFURT)), 0);
-        assert!(!d.is_replicated());
     }
 
     #[test]
@@ -204,18 +185,6 @@ mod tests {
             p_any.base_one_way_ms(),
             p_uni.base_one_way_ms()
         );
-    }
-
-    #[test]
-    fn serving_region_differs_by_client_for_anycast() {
-        let d = global_anycast();
-        assert_eq!(
-            d.serving_region(&client_in(cities::COLUMBUS_OH)),
-            Region::NorthAmerica
-        );
-        assert_eq!(d.serving_region(&client_in(cities::SEOUL)), Region::Asia);
-        // Geolocation databases see only the primary site.
-        assert_eq!(d.geolocated_region(), Region::NorthAmerica);
     }
 
     #[test]

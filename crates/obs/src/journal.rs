@@ -179,7 +179,6 @@ pub struct JournalEvent {
 pub struct Journal {
     enabled: bool,
     capacity: usize,
-    min_level: EventLevel,
     ring: Vec<JournalEvent>,
     /// Next overwrite position once the ring is full.
     head: usize,
@@ -196,7 +195,6 @@ impl Journal {
         Journal {
             enabled: false,
             capacity: 0,
-            min_level: EventLevel::Debug,
             ring: Vec::new(),
             head: 0,
             recorded: 0,
@@ -210,17 +208,11 @@ impl Journal {
         Journal {
             enabled: capacity > 0,
             capacity,
-            min_level: EventLevel::Debug,
             ring: Vec::with_capacity(capacity),
             head: 0,
             recorded: 0,
             by_level: [0; 4],
         }
-    }
-
-    /// Raises the severity floor: events below `level` are ignored.
-    pub fn set_min_level(&mut self, level: EventLevel) {
-        self.min_level = level;
     }
 
     /// Whether events are being recorded.
@@ -258,7 +250,7 @@ impl Journal {
         code: &'static str,
         data: EventData,
     ) {
-        if !self.enabled || level < self.min_level {
+        if !self.enabled {
             return;
         }
         let ev = JournalEvent {
@@ -477,19 +469,6 @@ mod tests {
             text.contains("\"code\":\"journal_truncated\",\"count\":6"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn min_level_filters() {
-        let mut j = Journal::with_capacity(8);
-        j.set_min_level(EventLevel::Warn);
-        j.record(1, EventLevel::Debug, "d", EventData::default());
-        j.record(2, EventLevel::Info, "i", EventData::default());
-        j.record(3, EventLevel::Warn, "w", EventData::default());
-        j.record(4, EventLevel::Error, "e", EventData::default());
-        assert_eq!(j.recorded(), 2);
-        assert_eq!(j.count_at(EventLevel::Warn), 1);
-        assert_eq!(j.count_at(EventLevel::Info), 0);
     }
 
     #[test]

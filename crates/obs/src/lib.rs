@@ -24,9 +24,6 @@
 //! * [`journal`] — the campaign flight recorder's bounded, severity-leveled
 //!   structured event journal: `Copy` events in simulated time, zero
 //!   allocations on record, deterministic `events.jsonl` export.
-//! * [`timeseries`] — generic `(track, day) → cell` series storage with
-//!   deterministic iteration and merging; `measure::health` builds the
-//!   per-(resolver, day) health model on it.
 //! * [`traceview`] — [`SpanLog`] → Chrome trace-event JSON, so probe
 //!   phase timelines and shard schedules render in `chrome://tracing`.
 //!
@@ -43,7 +40,6 @@ mod metrics;
 mod phase;
 pub mod sharding;
 mod span;
-pub mod timeseries;
 pub mod traceview;
 
 pub use intern::Label;
@@ -55,5 +51,4 @@ pub use metrics::{
 pub use phase::Phase;
 pub use sharding::ShardRunMetrics;
 pub use span::{Nanos, Span, SpanEvent, SpanEventKind, SpanLog};
-pub use timeseries::DaySeries;
 pub use traceview::ChromeTrace;

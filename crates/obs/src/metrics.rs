@@ -342,16 +342,6 @@ impl MetricsSnapshot {
         self.cells.iter().map(|c| c.metrics.total_retries()).sum()
     }
 
-    /// Total probes that recovered via retry across all cells.
-    pub fn total_recovered(&self) -> u64 {
-        self.cells.iter().map(|c| c.metrics.recovered.get()).sum()
-    }
-
-    /// Total probes that exhausted their retry budget across all cells.
-    pub fn total_exhausted(&self) -> u64 {
-        self.cells.iter().map(|c| c.metrics.exhausted.get()).sum()
-    }
-
     /// Renders a human-readable table: one block per cell with response and
     /// per-phase histograms. Deterministic for identical snapshots.
     pub fn render(&self) -> String {
@@ -494,8 +484,6 @@ mod tests {
         assert_eq!(cell.total_retries(), 3);
         let snap = r.snapshot();
         assert_eq!(snap.total_retries(), 3);
-        assert_eq!(snap.total_recovered(), 1);
-        assert_eq!(snap.total_exhausted(), 0);
         let loud = snap.render();
         assert!(
             loud.contains("retries: total=3 recovered=1 exhausted=0 [connect=2 tls_handshake=1]"),

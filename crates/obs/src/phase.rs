@@ -51,11 +51,6 @@ impl Phase {
         }
     }
 
-    /// Parses a wire label back into a phase.
-    pub fn from_name(name: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.name() == name)
-    }
-
     /// Dense index of this phase in [`Phase::ALL`].
     pub fn index(self) -> usize {
         self as usize
@@ -71,14 +66,6 @@ impl std::fmt::Display for Phase {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for p in Phase::ALL {
-            assert_eq!(Phase::from_name(p.name()), Some(p));
-        }
-        assert_eq!(Phase::from_name("bogus"), None);
-    }
 
     #[test]
     fn indexes_are_dense_and_ordered() {

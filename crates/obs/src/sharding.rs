@@ -49,20 +49,6 @@ impl ShardRunMetrics {
         ShardRunMetrics::default()
     }
 
-    /// Folds another block into this one (shards report independently;
-    /// the scheduler sums them under its lock).
-    pub fn absorb(&mut self, other: &ShardRunMetrics) {
-        self.shards_planned.add(other.shards_planned.get());
-        self.shards_executed.add(other.shards_executed.get());
-        self.shards_resumed.add(other.shards_resumed.get());
-        self.pairs_run.add(other.pairs_run.get());
-        self.records_produced.add(other.records_produced.get());
-        self.checkpoint_bytes.add(other.checkpoint_bytes.get());
-        self.cell_bytes.add(other.cell_bytes.get());
-        self.manifest_writes.add(other.manifest_writes.get());
-        self.records_merged.add(other.records_merged.get());
-    }
-
     /// Renders the counters in a fixed, machine-diffable order.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -118,18 +104,6 @@ mod tests {
         let planned = r.find("shards_planned").unwrap();
         let merged = r.find("records_merged").unwrap();
         assert!(planned < merged);
-    }
-
-    #[test]
-    fn absorb_sums_counters() {
-        let mut a = ShardRunMetrics::new();
-        a.shards_executed.add(2);
-        let mut b = ShardRunMetrics::new();
-        b.shards_executed.add(3);
-        b.records_produced.add(7);
-        a.absorb(&b);
-        assert_eq!(a.shards_executed.get(), 5);
-        assert_eq!(a.records_produced.get(), 7);
     }
 
     #[test]

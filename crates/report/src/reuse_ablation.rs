@@ -111,11 +111,6 @@ impl ReuseAblation {
             .collect()
     }
 
-    /// The rows of one mode across protocols (e.g. all cold baselines).
-    pub fn mode_rows(&self, mode: ConnectionMode) -> Vec<ReuseAblationRow> {
-        self.rows().into_iter().filter(|r| r.mode == mode).collect()
-    }
-
     /// Renders the ablation as a [`TextTable`].
     pub fn table(&self) -> TextTable {
         let mut t = TextTable::new([
@@ -218,9 +213,9 @@ mod tests {
         let mut ablation = ReuseAblation::new();
         ablation.add_campaign(&session_records(Protocol::DoH));
         let reused = ablation
-            .mode_rows(ConnectionMode::Reused)
+            .rows()
             .into_iter()
-            .next()
+            .find(|r| r.mode == ConnectionMode::Reused)
             .expect("DoH pool produced reused probes");
         assert_eq!(
             reused.setup_p50_ms,

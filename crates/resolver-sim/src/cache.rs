@@ -40,18 +40,6 @@ pub struct CacheStats {
     pub expirations: u64,
 }
 
-impl CacheStats {
-    /// Hit ratio in `[0, 1]`; zero when no lookups happened.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A TTL + LRU record cache keyed by `(name, type)`.
 #[derive(Debug)]
 pub struct RecordCache {
@@ -136,13 +124,6 @@ impl RecordCache {
             self.entries.retain(|e| Some(e.last_used) != oldest);
             self.stats.evictions += 1;
         }
-    }
-
-    /// Drops every expired entry (periodic maintenance).
-    pub fn purge_expired(&mut self, now: SimTime) {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.expires > now);
-        self.stats.expirations += (before - self.entries.len()) as u64;
     }
 }
 
@@ -286,44 +267,6 @@ mod tests {
             c.lookup(&name("a.com"), RecordType::A, at(11)).as_deref(),
             Some(&a(3)[..])
         );
-    }
-
-    #[test]
-    fn purge_removes_only_expired() {
-        let mut c = RecordCache::new(8);
-        c.insert(
-            &name("a.com"),
-            RecordType::A,
-            a(1),
-            SimDuration::from_secs(10),
-            at(0),
-        );
-        c.insert(
-            &name("b.com"),
-            RecordType::A,
-            a(2),
-            SimDuration::from_secs(100),
-            at(0),
-        );
-        c.purge_expired(at(50));
-        assert_eq!(c.len(), 1);
-        assert!(c.lookup(&name("b.com"), RecordType::A, at(50)).is_some());
-    }
-
-    #[test]
-    fn hit_ratio() {
-        let mut c = RecordCache::new(8);
-        assert_eq!(c.stats().hit_ratio(), 0.0);
-        c.insert(
-            &name("a.com"),
-            RecordType::A,
-            a(1),
-            SimDuration::from_secs(60),
-            at(0),
-        );
-        c.lookup(&name("a.com"), RecordType::A, at(1));
-        c.lookup(&name("z.com"), RecordType::A, at(1));
-        assert!((c.stats().hit_ratio() - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Statistics for the measurement analysis: quantiles and five-number
 //! summaries ([`summary`]), box-plot geometry with Tukey whiskers
 //! ([`boxplot`] — the paper's figures are rows of box plots), empirical
-//! CDFs ([`cdf`]), fixed-width histograms ([`histogram`]), Pearson/Spearman
-//! correlation ([`correlation`] — for the latency-vs-response-time
-//! question), availability ledgers ([`availability`] — the
-//! success/error accounting of §4), and mergeable latency sketches
+//! CDFs ([`cdf`]), Pearson/Spearman correlation ([`correlation`] — for
+//! the latency-vs-response-time question), availability ledgers
+//! ([`availability`] — the success/error accounting of §4), and
+//! mergeable latency sketches
 //! ([`sketch`] — the bounded-memory aggregation cells longitudinal
 //! campaigns checkpoint and fold across shards).
 //!
@@ -19,7 +19,6 @@ pub mod availability;
 pub mod boxplot;
 pub mod cdf;
 pub mod correlation;
-pub mod histogram;
 pub mod sketch;
 pub mod streaming;
 pub mod summary;
@@ -28,7 +27,6 @@ pub use availability::{Availability, AvailabilityLedger};
 pub use boxplot::BoxPlot;
 pub use cdf::Ecdf;
 pub use correlation::{pearson, spearman};
-pub use histogram::Histogram;
 pub use sketch::{LatencySketch, SKETCH_BUCKETS_MS, SKETCH_BUCKET_COUNT};
 pub use streaming::{P2Quantile, RunningMoments};
 pub use summary::{mean, median, quantile, quantile_sorted, std_dev, tail_quantiles, Summary};

@@ -70,12 +70,8 @@ impl FrameType {
 pub mod flags {
     /// DATA/HEADERS: no more frames on this stream.
     pub const END_STREAM: u8 = 0x1;
-    /// SETTINGS/PING: acknowledgement.
-    pub const ACK: u8 = 0x1;
     /// HEADERS: the header block is complete.
     pub const END_HEADERS: u8 = 0x4;
-    /// DATA/HEADERS: payload is padded.
-    pub const PADDED: u8 = 0x8;
 }
 
 /// One HTTP/2 frame.
@@ -147,16 +143,6 @@ impl Frame {
     /// An empty SETTINGS frame.
     pub fn settings() -> Self {
         Frame::new(FrameType::Settings, 0, 0, Bytes::new())
-    }
-
-    /// A SETTINGS ACK.
-    pub fn settings_ack() -> Self {
-        Frame::new(FrameType::Settings, flags::ACK, 0, Bytes::new())
-    }
-
-    /// True when the given flag is set.
-    pub fn has_flag(&self, flag: u8) -> bool {
-        self.flags & flag != 0
     }
 
     /// Wire size: 9-octet header plus payload.
@@ -303,13 +289,5 @@ mod tests {
         for v in 0u8..=12 {
             assert_eq!(FrameType::from_u8(v).to_u8(), v);
         }
-    }
-
-    #[test]
-    fn flags_helpers() {
-        let f = Frame::settings_ack();
-        assert!(f.has_flag(flags::ACK));
-        assert_eq!(f.stream_id, 0);
-        assert!(!Frame::settings().has_flag(flags::ACK));
     }
 }

@@ -14,16 +14,30 @@
 //!   violation through.
 //! * `Type::name(…)` — resolved exactly when `Type` matches an indexed
 //!   `impl` type (`Self` uses the caller's own impl); `mod::name(…)`
-//!   matches free functions by module-path suffix. A qualifier that
+//!   matches free functions by module-path suffix, and `krate::name(…)`
+//!   any free function of that crate (a crate-root re-export). A
+//!   qualifier that
 //!   matches nothing in the workspace names foreign code (std, vendored
 //!   deps) and produces no edge.
 //! * `name(…)` — edges to every indexed free function called `name`.
 //!
-//! Function pointers/closures passed as values (`map(Self::helper)`) are
-//! not tracked, and trait dispatch is covered only by the all-same-name
-//! method edges above. Items in `bench`, `xtask` and binary targets are
-//! never edge *targets*: library code cannot link against them, so any
-//! name match into them is known to be spurious.
+//! A path passed as an argument (`map(Self::helper)`) counts as a call of
+//! it; a bare fn name passed the same way, or a fn bound to a variable
+//! first, is not tracked, and trait dispatch is covered only by the
+//! all-same-name method edges above. Items in `bench` and `xtask` are edge *targets*
+//! only for callers in the same crate, and a binary's items only for
+//! callers in its own file: nothing else can link against them, so any
+//! other name match into them is known to be spurious.
+//!
+//! ## The `unreachable_pub` report
+//!
+//! [`unreachable_pub`] lists the unrestricted-`pub` fns outside test
+//! regions that no *other* non-test fn has an edge into — candidates for
+//! deletion, under the same by-name resolution: a method is "called" when
+//! any receiver calls its name, and a fn only ever named through a
+//! renaming re-export (`pub use http1::parse as h1_parse`) or a generic
+//! qualifier, or driven from `examples/`, `benches/` or `tests/`, is
+//! listed although it has a user. It is a report, never a finding.
 //!
 //! ## Transitive rules
 //!
@@ -58,7 +72,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::rules::{Finding, Rule};
-use crate::symbols::{Callee, FnSymbol, SymbolIndex};
+use crate::symbols::{binary_path, Callee, FnSymbol, SymbolIndex};
 
 /// Names of the hot-path entry points that seed `panic-reach`.
 pub const PANIC_REACH_ROOTS: [&str; 2] = ["run_pair", "drive"];
@@ -97,7 +111,7 @@ pub fn build(index: &SymbolIndex) -> CallGraph {
     let mut methods: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     let mut frees: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (id, f) in index.fns.iter().enumerate() {
-        if f.in_test || !f.linkable {
+        if f.in_test {
             continue;
         }
         if f.impl_type.is_some() {
@@ -115,7 +129,7 @@ pub fn build(index: &SymbolIndex) -> CallGraph {
         if !f.in_test {
             for call in &f.calls {
                 let mut push = |targets: &[usize]| {
-                    for &t in targets {
+                    for &t in targets.iter().filter(|&&t| can_call(f, &index.fns[t])) {
                         out.push(Edge {
                             line: call.line,
                             target: t,
@@ -142,6 +156,39 @@ pub fn build(index: &SymbolIndex) -> CallGraph {
     graph
 }
 
+/// The crate segment of a fn's module path.
+fn crate_of(f: &FnSymbol) -> &str {
+    f.module.split("::").next().unwrap_or("")
+}
+
+/// Whether `caller` can name `target` at all. Library items are reachable
+/// from anywhere; the harness crates are linked only by their own
+/// binaries, and a binary's items only by its own file.
+fn can_call(caller: &FnSymbol, target: &FnSymbol) -> bool {
+    if target.linkable {
+        true
+    } else if binary_path(&target.file) {
+        caller.file == target.file
+    } else {
+        crate_of(caller) == crate_of(target)
+    }
+}
+
+/// The `unreachable_pub` report: ids of the unrestricted-`pub` fns outside
+/// test regions that no other non-test fn has an edge into (see the module
+/// docs for what by-name resolution makes of that).
+pub fn unreachable_pub(index: &SymbolIndex, graph: &CallGraph) -> Vec<usize> {
+    let mut called = vec![false; index.fns.len()];
+    for (caller, edges) in graph.edges.iter().enumerate() {
+        for e in edges.iter().filter(|e| e.target != caller) {
+            called[e.target] = true;
+        }
+    }
+    (0..index.fns.len())
+        .filter(|&id| index.fns[id].is_pub && !index.fns[id].in_test && !called[id])
+        .collect()
+}
+
 fn resolve_qualified(
     index: &SymbolIndex,
     methods: &BTreeMap<&str, Vec<usize>>,
@@ -164,15 +211,6 @@ fn resolve_qualified(
         }
         return;
     }
-    if last == "self" || last == "crate" || last == "super" {
-        // A module-relative path: stay within the caller's crate.
-        let crate_root = caller.module.split("::").next().unwrap_or("");
-        let ids: Vec<usize> = candidate_ids(frees, name)
-            .filter(|&id| index.fns[id].module.split("::").next() == Some(crate_root))
-            .collect();
-        push(&ids);
-        return;
-    }
     // `Type::name` — exact impl-type match.
     let typed: Vec<usize> = candidate_ids(methods, name)
         .filter(|&id| index.fns[id].impl_type.as_deref() == Some(last.as_str()))
@@ -183,9 +221,21 @@ fn resolve_qualified(
     }
     // `module::path::name` — free fns whose module path ends with the
     // qualifier (so both `faults::hash_decision` and
-    // `netsim::faults::hash_decision` resolve).
+    // `netsim::faults::hash_decision` resolve), or whose crate is the
+    // whole qualifier (`report::metrics_json`, a crate-root re-export). A
+    // module-relative path (`crate::json::write_str`, `super::helper`)
+    // matches on what follows the relative part, within the caller's crate.
+    let relative = segments
+        .iter()
+        .take_while(|s| matches!(s.as_str(), "crate" | "self" | "super"))
+        .count();
+    let reexported = |f: &FnSymbol| segments.len() == 1 && crate_of(f) == last;
     let ids: Vec<usize> = candidate_ids(frees, name)
-        .filter(|&id| module_suffix_matches(&index.fns[id].module, segments))
+        .filter(|&id| {
+            let f = &index.fns[id];
+            let in_reach = relative == 0 || crate_of(f) == crate_of(caller);
+            (in_reach && module_suffix_matches(&f.module, &segments[relative..])) || reexported(f)
+        })
         .collect();
     push(&ids);
 }
@@ -670,6 +720,30 @@ mod tests {
             ("crates/bench/src/lib.rs", "pub fn helper() { x.unwrap(); }"),
         ]);
         assert!(found.is_empty(), "bench is not linkable: {found:?}");
+    }
+
+    #[test]
+    fn harness_fns_are_targets_for_their_own_crate_only() {
+        let (index, graph) = analyse(&[
+            (
+                "crates/bench/src/lib.rs",
+                "pub fn used() {}\npub fn unused() {}\npub fn recursive() { recursive(); }",
+            ),
+            ("crates/bench/src/bin/tool.rs", "fn main() { used(); }"),
+            (
+                "crates/a/src/lib.rs",
+                "pub fn caller() { unused(); }\npub(crate) fn private() {}\n\
+                 #[cfg(test)]\nmod tests { pub fn helper() { caller(); } }",
+            ),
+        ]);
+        let names: Vec<&str> = unreachable_pub(&index, &graph)
+            .into_iter()
+            .map(|id| index.fns[id].name.as_str())
+            .collect();
+        // `used` has a caller in its crate's binary; `unused` is named only
+        // from a crate that cannot link it, `recursive` only by itself,
+        // `caller` only from a test region.
+        assert_eq!(names, ["unused", "recursive", "caller"]);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! determinism-relevant facts. Phase 2 is workspace-wide: [`callgraph`]
 //! resolves the call sites into a conservative graph and runs the
 //! transitive rules (`deny-alloc-reach`, `rng-stream`, `panic-reach`)
-//! over it. See [`rules`] for the rule table and the
-//! `detlint:allow(rule, reason)` escape hatch, and DESIGN.md §8/§13 for
-//! the policy and the analysis model.
+//! over it, plus the `unreachable_pub` report. See [`rules`] for the rule
+//! table and the `detlint:allow(rule, reason)` escape hatch, and DESIGN.md
+//! §8/§13 for the policy and the analysis model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,8 +30,20 @@ pub use rules::{lint_source, lint_source_with, FilePolicy, Finding, Rule};
 pub use symbols::SymbolIndex;
 
 /// Version of the `--json` report layout. Bumped to 2 when the
-/// call-graph pass added `fns_indexed` / `call_edges`.
-pub const JSON_SCHEMA: u32 = 2;
+/// call-graph pass added `fns_indexed` / `call_edges`, to 3 for
+/// `unreachable_pub`.
+pub const JSON_SCHEMA: u32 = 3;
+
+/// One row of the `unreachable_pub` report (see [`callgraph`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnreachablePub {
+    /// Repo-relative file path.
+    pub file: String,
+    /// 1-based line of the fn's body.
+    pub line: u32,
+    /// `Type::name` for a method, `name` for a free fn.
+    pub name: String,
+}
 
 /// The result of linting a file set.
 #[derive(Debug, Default)]
@@ -44,6 +56,9 @@ pub struct Report {
     pub fns_indexed: usize,
     /// How many call edges the graph resolved (0 in single-file mode).
     pub call_edges: usize,
+    /// `pub` fns no non-test fn calls, in file order. A report: it is
+    /// never a finding and never makes the tree unclean.
+    pub unreachable_pub: Vec<UnreachablePub>,
 }
 
 impl Report {
@@ -65,41 +80,56 @@ impl Report {
             ));
         }
         out.push_str(&format!(
-            "detlint: {} finding(s) in {} file(s) scanned ({} fns, {} call edges)\n",
+            "detlint: {} finding(s) in {} file(s) scanned ({} fns, {} call edges, \
+             {} unreachable pub fns — listed by --json)\n",
             self.findings.len(),
             self.files_scanned,
             self.fns_indexed,
-            self.call_edges
+            self.call_edges,
+            self.unreachable_pub.len()
         ));
         out
     }
 
     /// Machine-readable JSON rendering (stable key order, sorted findings).
     pub fn render_json(&self) -> String {
-        let mut out = format!("{{\n  \"schema\": {JSON_SCHEMA},\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}",
+        let findings = self.findings.iter().map(|f| {
+            format!(
+                "{{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}",
                 json_str(&f.file),
                 f.line,
                 json_str(f.rule.id()),
                 json_str(&f.message)
-            ));
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!(
-            "],\n  \"files_scanned\": {},\n  \"fns_indexed\": {},\n  \"call_edges\": {},\n  \"clean\": {}\n}}\n",
+            )
+        });
+        let unreachable = self.unreachable_pub.iter().map(|u| {
+            format!(
+                "{{\"file\": {}, \"line\": {}, \"name\": {}}}",
+                json_str(&u.file),
+                u.line,
+                json_str(&u.name)
+            )
+        });
+        format!(
+            "{{\n  \"schema\": {JSON_SCHEMA},\n  \"findings\": {},\n  \"unreachable_pub\": {},\n  \
+             \"files_scanned\": {},\n  \"fns_indexed\": {},\n  \"call_edges\": {},\n  \"clean\": {}\n}}\n",
+            json_rows(findings),
+            json_rows(unreachable),
             self.files_scanned,
             self.fns_indexed,
             self.call_edges,
             self.is_clean()
-        ));
-        out
+        )
+    }
+}
+
+/// A JSON array of pre-rendered objects, one per line.
+fn json_rows(rows: impl Iterator<Item = String>) -> String {
+    let rows: Vec<String> = rows.collect();
+    if rows.is_empty() {
+        "[]".to_string()
+    } else {
+        format!("[\n    {}\n  ]", rows.join(",\n    "))
     }
 }
 
@@ -168,11 +198,26 @@ pub fn lint_files(files: &[(String, String)], detect_unused: bool) -> Report {
 
     findings.sort();
     findings.dedup();
+    let unreachable_pub = callgraph::unreachable_pub(&index, &graph)
+        .into_iter()
+        .map(|id| {
+            let f = &index.fns[id];
+            UnreachablePub {
+                file: f.file.clone(),
+                line: f.line,
+                name: match &f.impl_type {
+                    Some(ty) => format!("{ty}::{}", f.name),
+                    None => f.name.clone(),
+                },
+            }
+        })
+        .collect();
     Report {
         findings,
         files_scanned: files.len(),
         fns_indexed: index.fns.len(),
         call_edges: graph.edge_count(),
+        unreachable_pub,
     }
 }
 
@@ -282,9 +327,20 @@ mod tests {
             files_scanned: 1,
             fns_indexed: 4,
             call_edges: 2,
+            unreachable_pub: vec![UnreachablePub {
+                file: "crates/x/src/lib.rs".into(),
+                line: 9,
+                name: "X::idle".into(),
+            }],
         };
         let json = report.render_json();
-        assert!(json.contains("\"schema\": 2"), "{json}");
+        assert!(json.contains("\"schema\": 3"), "{json}");
+        assert!(
+            json.contains(
+                "{\"file\": \"crates/x/src/lib.rs\", \"line\": 9, \"name\": \"X::idle\"}"
+            ),
+            "{json}"
+        );
         assert!(json.contains("\"rule\": \"wall-clock\""), "{json}");
         assert!(json.contains("\\\"quoted\\\""), "{json}");
         assert!(json.contains("\"fns_indexed\": 4"), "{json}");

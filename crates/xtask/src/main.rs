@@ -5,7 +5,9 @@
 //! * `lint [--json] [--rules] [--budget-ms N] [PATH…]` — run detlint, the
 //!   determinism & hot-path invariant checker, over `crates/*/src` (or
 //!   just the given files). Exits nonzero when findings exist. `--json`
-//!   prints a machine-readable report instead of text; `--rules` prints
+//!   prints a machine-readable report instead of text, with the
+//!   `unreachable_pub` list (`pub` fns no non-test fn calls — a report,
+//!   never a finding; the text output prints its length); `--rules` prints
 //!   the rule table and exits; `--budget-ms N` fails the run if the full
 //!   pass takes longer than `N` milliseconds (CI uses this to keep the
 //!   analysis cheap enough to gate every PR).

@@ -10,7 +10,8 @@
 //! * **annotations** — `#[deny_alloc]`, `#[rng_neutral]`, and whether the
 //!   item sits inside a `#[cfg(test)]`/`#[test]` region;
 //! * **call sites** — every `name(…)`, `recv.name(…)` and
-//!   `Path::name(…)` in the body, with the line it occurs on;
+//!   `Path::name(…)` in the body, plus every `Path::name` handed over as
+//!   an argument, with the line it occurs on;
 //! * **facts** — the lexical hazards the transitive rules look for:
 //!   allocating constructs, panicking constructs, and direct `Rng` draws.
 //!
@@ -28,9 +29,8 @@ pub const ALLOC_METHODS: [&str; 4] = ["to_string", "to_owned", "to_vec", "clone"
 
 /// `SimRng` method names that advance an RNG stream. A call edge into one
 /// of these from a `#[rng_neutral]` zone is an `rng-stream` violation.
-pub const RNG_DRAW_METHODS: [&str; 9] = [
+pub const RNG_DRAW_METHODS: [&str; 8] = [
     "uniform",
-    "uniform_range",
     "below",
     "chance",
     "standard_normal",
@@ -99,8 +99,11 @@ pub struct FnSymbol {
     pub rng_neutral: bool,
     /// Inside a `#[cfg(test)]` region or `#[test]` function.
     pub in_test: bool,
+    /// Declared with an unrestricted `pub` (not `pub(crate)`; a trait-impl
+    /// method never is, its visibility being the trait's).
+    pub is_pub: bool,
     /// May be called from first-party library code (false for `bench`,
-    /// `xtask`, `src/bin` and `main.rs` items, which nothing links
+    /// `xtask`, `src/bin` and `main.rs` items, which no other crate links
     /// against).
     pub linkable: bool,
     /// Exempt from the `unwrap`-family rules by path policy.
@@ -140,16 +143,6 @@ pub struct SymbolIndex {
 }
 
 impl SymbolIndex {
-    /// Ids of every fn with the given name.
-    pub fn by_name(&self, name: &str) -> impl Iterator<Item = usize> + '_ {
-        let name = name.to_string();
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(move |(_, f)| f.name == name)
-            .map(|(i, _)| i)
-    }
-
     /// Indexes one file's token stream into the symbol table.
     pub fn index_file(&mut self, path: &str, lexed: &Lexed) {
         let policy = crate::rules::FilePolicy::for_path(path);
@@ -165,12 +158,16 @@ impl SymbolIndex {
 
 /// Whether first-party library code can link against items in this file.
 /// `bench`/`xtask` are harnesses and `src/bin`/`main.rs` are executables:
-/// nothing imports them, so edges *into* them are always name collisions.
+/// no other crate imports them, so edges *into* them from outside are
+/// always name collisions.
 fn linkable_path(path: &str) -> bool {
-    !(path.starts_with("crates/bench/")
-        || path.starts_with("crates/xtask/")
-        || path.contains("/src/bin/")
-        || path.ends_with("/src/main.rs"))
+    !(path.starts_with("crates/bench/") || path.starts_with("crates/xtask/") || binary_path(path))
+}
+
+/// Whether the file is an executable's root: its items are callable from
+/// that file alone.
+pub(crate) fn binary_path(path: &str) -> bool {
+    path.contains("/src/bin/") || path.ends_with("/src/main.rs")
 }
 
 /// Derives the module path of a repo-relative file path:
@@ -225,7 +222,11 @@ struct Scope {
 enum PendingKind {
     Module(String),
     Impl(Option<String>),
-    Fn { name: String, attrs: AttrFlags },
+    Fn {
+        name: String,
+        attrs: AttrFlags,
+        is_pub: bool,
+    },
 }
 
 struct Walker<'a> {
@@ -265,7 +266,11 @@ impl Walker<'_> {
                         let kind = match kind {
                             PendingKind::Module(name) => ScopeKind::Module(name),
                             PendingKind::Impl(ty) => ScopeKind::Impl(ty),
-                            PendingKind::Fn { name, attrs: fa } => {
+                            PendingKind::Fn {
+                                name,
+                                attrs: fa,
+                                is_pub,
+                            } => {
                                 let impl_type = scopes.iter().rev().find_map(|s| match &s.kind {
                                     ScopeKind::Impl(ty) => Some(ty.clone()),
                                     _ => None,
@@ -280,6 +285,7 @@ impl Walker<'_> {
                                     deny_alloc: fa.deny_alloc,
                                     rng_neutral: fa.rng_neutral,
                                     in_test: inherited_test || fa.test,
+                                    is_pub,
                                     linkable: self.linkable,
                                     unwrap_exempt: self.unwrap_exempt,
                                     calls: Vec::new(),
@@ -341,6 +347,7 @@ impl Walker<'_> {
                                     PendingKind::Fn {
                                         name: name.to_string(),
                                         attrs,
+                                        is_pub: is_plain_pub(tokens, i),
                                     },
                                     attrs.test,
                                 ));
@@ -409,13 +416,17 @@ impl Walker<'_> {
             return;
         }
 
-        let called = is_call(tokens, i + 1);
-        if !called || KEYWORDS.contains(&name) {
-            return;
-        }
-
         let after_dot = i > 0 && tokens[i - 1].is_punct('.');
         let after_path = i >= 2 && tokens[i - 1].is_punct(':') && tokens[i - 2].is_punct(':');
+        // `map(Type::name)`: a path handed over as an argument is as good
+        // as a call of it (a variant or constant resolves to no fn).
+        let passed = after_path
+            && tokens
+                .get(i + 1)
+                .is_some_and(|t| t.is_punct(')') || t.is_punct(','));
+        if !(is_call(tokens, i + 1) || passed) || KEYWORDS.contains(&name) {
+            return;
+        }
 
         if after_dot {
             let on_self = i >= 2 && tokens[i - 2].is_ident("self");
@@ -480,6 +491,23 @@ impl Walker<'_> {
             });
         }
     }
+}
+
+/// True when the `fn` keyword at `fn_pos` is declared `pub` with no
+/// restriction: the qualifiers between the visibility and `fn` (`const`,
+/// `async`, `unsafe`, `extern "C"`) are skipped, and `pub(crate)` /
+/// `pub(super)` end in `)` rather than `pub`.
+fn is_plain_pub(tokens: &[Token], fn_pos: usize) -> bool {
+    tokens[..fn_pos]
+        .iter()
+        .rev()
+        .find(|t| {
+            t.kind != TokenKind::Literal
+                && !["const", "async", "unsafe", "extern"]
+                    .iter()
+                    .any(|q| t.is_ident(q))
+        })
+        .is_some_and(|t| t.is_ident("pub"))
 }
 
 /// Parses an attribute starting just inside `#[`; returns its flags and
@@ -664,10 +692,20 @@ mod tests {
     }
 
     #[test]
+    fn only_unrestricted_pub_counts_as_pub() {
+        let idx = index_of(
+            "pub fn a() {}\nfn b() {}\npub(crate) fn c() {}\npub const unsafe fn d() {}\n\
+             pub extern \"C\" fn e() {}\nimpl Display for S { fn fmt(&self) {} }",
+        );
+        let flags: Vec<bool> = idx.fns.iter().map(|f| f.is_pub).collect();
+        assert_eq!(flags, [true, false, false, true, true, false]);
+    }
+
+    #[test]
     fn call_sites_classify_method_qualified_free() {
         let idx = index_of(
             "fn f(x: &T) { x.method_call(); helper(2); netsim::faults::hash_decision(1); \
-             Self::own(); sum::<f64>(); }",
+             Self::own(); sum::<f64>(); x.map(Rec::read_line); let k = Kind::Variant; }",
         );
         let calls = &idx.fns[0].calls;
         let kinds: Vec<&Callee> = calls.iter().map(|c| &c.callee).collect();
@@ -681,6 +719,12 @@ mod tests {
             matches!(kinds[4], Callee::Free(m) if m == "sum"),
             "turbofish"
         );
+        assert!(matches!(kinds[5], Callee::Method(m) if m == "map"));
+        assert!(
+            matches!(&kinds[6], Callee::Qualified(q, m) if q == &["Rec"] && m == "read_line"),
+            "a path passed as an argument"
+        );
+        assert_eq!(kinds.len(), 7, "a path in value position is not a call");
     }
 
     #[test]

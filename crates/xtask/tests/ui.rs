@@ -6,7 +6,9 @@
 //! pipeline instead: every `*.rs` file in the directory is linted together
 //! through `lint_files` (symbol index, call graph, transitive rules,
 //! unused-allow detection) and the findings — `file:line:rule` — are
-//! compared against `tests/ui/<name>/expected`.
+//! compared against `tests/ui/<name>/expected`. A directory that also
+//! holds an `unreachable_pub.expected` has the report of that name —
+//! `file:line:name` — compared against it.
 //!
 //! To update a snapshot after an intentional rule change, run with
 //! `DETLINT_UI_BLESS=1` and review the diff like any other golden file.
@@ -45,8 +47,9 @@ fn rust_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
 /// Lints every `*.rs` in a directory fixture through the two-phase
 /// pipeline; file paths in the output are relative to the fixture dir, so
 /// a fixture can lay files out under `crates/<name>/src/` where a rule
-/// looks at the path.
-fn findings_of_dir(dir: &Path) -> String {
+/// looks at the path. Returns the findings and the `unreachable_pub`
+/// report, each rendered one per line.
+fn findings_of_dir(dir: &Path) -> (String, String) {
     let mut files = Vec::new();
     rust_files(dir, dir, &mut files);
     files.sort();
@@ -58,11 +61,16 @@ fn findings_of_dir(dir: &Path) -> String {
             (rel, src)
         })
         .collect();
+    let report = lint_files(&sources, true);
     let mut out = String::new();
-    for f in lint_files(&sources, true).findings {
+    for f in report.findings {
         out.push_str(&format!("{}:{}:{}\n", f.file, f.line, f.rule.id()));
     }
-    out
+    let mut unreachable = String::new();
+    for u in report.unreachable_pub {
+        unreachable.push_str(&format!("{}:{}:{}\n", u.file, u.line, u.name));
+    }
+    (out, unreachable)
 }
 
 #[test]
@@ -87,16 +95,20 @@ fn fixtures_match_expected_findings() {
 
     let bless = std::env::var_os("DETLINT_UI_BLESS").is_some();
     let mut failures = Vec::new();
-    let cases = single
-        .iter()
-        .map(|p| (p.clone(), p.with_extension("expected"), false))
-        .chain(dirs.iter().map(|p| (p.clone(), p.join("expected"), true)));
-    for (fixture, expected_path, is_dir) in cases {
-        let got = if is_dir {
-            findings_of_dir(&fixture)
-        } else {
-            findings_of(&fixture)
-        };
+    // (snapshot path, what the fixture produces for it)
+    let mut cases: Vec<(PathBuf, String)> = Vec::new();
+    for fixture in single {
+        cases.push((fixture.with_extension("expected"), findings_of(&fixture)));
+    }
+    for fixture in dirs {
+        let (findings, unreachable) = findings_of_dir(&fixture);
+        cases.push((fixture.join("expected"), findings));
+        let report = fixture.join("unreachable_pub.expected");
+        if report.exists() {
+            cases.push((report, unreachable));
+        }
+    }
+    for (expected_path, got) in cases {
         if bless {
             std::fs::write(&expected_path, &got).expect("write snapshot");
             continue;
@@ -110,7 +122,7 @@ fn fixtures_match_expected_findings() {
         if got != expected {
             failures.push(format!(
                 "== {}\n-- expected --\n{expected}-- got --\n{got}",
-                fixture.display()
+                expected_path.display()
             ));
         }
     }
@@ -152,11 +164,10 @@ fn json_report_is_stable_and_escaped() {
     let report = Report {
         findings,
         files_scanned: 1,
-        fns_indexed: 0,
-        call_edges: 0,
+        ..Report::default()
     };
     let json = report.render_json();
-    assert!(json.contains("\"schema\": 2"), "{json}");
+    assert!(json.contains("\"schema\": 3"), "{json}");
     assert!(json.contains("\"rule\": \"wall-clock\""), "{json}");
     assert!(json.contains("\"line\": 2"), "{json}");
     assert!(json.contains("a \\\"quoted\\\" path.rs"), "{json}");
@@ -168,10 +179,11 @@ fn json_report_is_stable_and_escaped() {
         files_scanned: 3,
         fns_indexed: 12,
         call_edges: 7,
+        unreachable_pub: Vec::new(),
     };
     assert_eq!(
         clean.render_json(),
-        "{\n  \"schema\": 2,\n  \"findings\": [],\n  \"files_scanned\": 3,\n  \
+        "{\n  \"schema\": 3,\n  \"findings\": [],\n  \"unreachable_pub\": [],\n  \"files_scanned\": 3,\n  \
          \"fns_indexed\": 12,\n  \"call_edges\": 7,\n  \"clean\": true\n}\n"
     );
 }
