@@ -30,14 +30,17 @@ use std::time::Instant;
 use measure::{metrics_of, Campaign, CampaignConfig, SessionConfig};
 
 /// CI floor for the quick profile, in end-to-end pipeline probes/sec
-/// (probe + merge + JSONL + metrics): half the 143.1k median of ten runs
+/// (probe + merge + JSONL + metrics): half the 255.2k median of ten runs
 /// on the reference container (2 vCPUs; `BENCH_campaign.json` lists the
 /// ten). The pre-interning implementation measured ~2.1e4 there, the
-/// streaming hot path ~6.1e4, the arena/`PairContext` fast path ~1.15e5.
-/// Tripping this floor means a stage fell back a generation: hoisted wire
-/// templates regressing to per-probe rebuilds, or the resolver side
-/// cloning names again, shows up here first.
-const QUICK_FLOOR_PIPELINE_PROBES_PER_SEC: f64 = 71_000.0;
+/// streaming hot path ~6.1e4, the arena/`PairContext` fast path ~1.15e5,
+/// the allocation-free resolver side with the float record codec ~1.8e5
+/// in the session the ten were taken in. Tripping this floor means a
+/// stage fell back a generation: hoisted wire templates regressing to
+/// per-probe rebuilds, the resolver side cloning names again, or
+/// `write_json_line` formatting its times through `f64` again, shows up
+/// here first.
+const QUICK_FLOOR_PIPELINE_PROBES_PER_SEC: f64 = 127_000.0;
 
 /// CI floor on single-thread probe generation alone (the `generate`
 /// stage, before merge/serialization): half the 248.9k median of the same

@@ -5,9 +5,19 @@
 //! implements the subset of JSON the tool needs — which is all of JSON,
 //! minus any exotic number formats on output (numbers serialize as i64 or
 //! shortest-round-trip f64).
+//!
+//! A simulated time is an exact `u64` of nanoseconds and is written as
+//! decimal milliseconds without passing through a float: [`write_millis`]
+//! produces, by integer arithmetic, the bytes [`write_float`] would, on
+//! the two domains where that can be argued, and calls it elsewhere.
+//! `write_float` stays for what is a float, for the tree writer — which
+//! is thereby the record writer's oracle in every golden and differential
+//! test — and as that fallback.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use detlint_macros::deny_alloc;
 
 /// A JSON value. Objects use ordered maps so output is deterministic.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,7 +110,7 @@ impl Json {
                 let _ = write!(out, "{i}");
             }
             Json::Float(f) => write_float(out, *f),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_str(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -117,7 +127,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -130,15 +140,14 @@ impl Json {
 /// Appends one JSON float to `out` exactly as the document model would:
 /// shortest-round-trip formatting with a `.0` suffix when the rendering
 /// would otherwise re-parse as an integer, `null` for non-finite values.
-/// Shared by [`Json::to_string_compact`] and the streaming record writer so
-/// the two paths are byte-identical by construction.
+/// For what really is a float (cell-file moments and sketches, the
+/// [`Json`] tree); a simulated time goes through [`write_millis`].
 pub fn write_float(out: &mut String, f: f64) {
     if f.is_finite() {
+        let start = out.len();
         let _ = write!(out, "{f}");
         // Ensure floats stay floats on re-parse (e.g. 3 -> 3.0).
-        if !out.ends_with(|c: char| !c.is_ascii_digit() && c != '-')
-            && !out.contains_last_token_dot_or_exp()
-        {
+        if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     } else {
@@ -146,49 +155,101 @@ pub fn write_float(out: &mut String, f: f64) {
     }
 }
 
-/// Appends one JSON string literal (quotes and escapes included) to `out`.
-/// Shared by the document model and the streaming record writer.
+/// Below this many nanoseconds (11.5 days) [`write_millis`] is exact:
+/// domain (a).
+const EXACT_NANOS: u64 = 1_000_000_000_000_000;
+/// Below this many *whole* milliseconds (15 years) it is exact too:
+/// domain (b).
+const EXACT_WHOLE_MS: u64 = 500_000_000_000;
+// What the argument in `write_millis` rests on: (a) 15-digit decimals are
+// sparser than doubles, (b) the odd part of `ms · 10^6` fits a mantissa.
+const _: () = assert!(EXACT_NANOS < 1 << 52 && (EXACT_WHOLE_MS - 1) * 15_625 < 1 << 53);
+
+/// Whether `ms`.`frac` milliseconds (`frac` in nanoseconds, below 10^6) is
+/// in one of the two domains where decimal milliseconds and integer
+/// nanoseconds convert exactly without a float — see [`write_millis`].
+pub(crate) fn millis_are_exact(ms: u64, frac: u64) -> bool {
+    ms < EXACT_NANOS / 1_000_000 || (frac == 0 && ms < EXACT_WHOLE_MS)
+}
+
+/// Appends `nanos` nanoseconds as JSON decimal milliseconds: the integer
+/// part, `.`, and up to six fraction digits with trailing zeros trimmed
+/// (`.0` when there are none) — by integer arithmetic alone, and byte for
+/// byte what `write_float(out, nanos as f64 / 1e6)` writes:
+///
+/// * (a) `nanos < 10^15` — every duration the simulator produces. Below
+///   2^53 the conversion to `f64` is exact, so the IEEE quotient is the
+///   double nearest the exact decimal `nanos / 10^6`. That decimal has at
+///   most 15 significant digits, and no two decimals of ≤ 15 digits share
+///   a nearest double (10^15 < 2^52), so it is the one shortest decimal
+///   that reads back to its double — what `Display` prints, never with an
+///   exponent.
+/// * (b) a whole number of milliseconds below 5·10^11 — every `ts_ms`,
+///   rounds being scheduled on whole seconds. `ms · 2^6 · 5^6` has an odd
+///   part below 2^53: conversion and quotient are both exact and the
+///   rendering is `ms` followed by `.0`.
+///
+/// Anywhere else (above 2^53 `nanos as f64` itself rounds, whatever the
+/// digit count) the float path is the definition and is what runs.
+#[deny_alloc]
+pub fn write_millis(out: &mut String, nanos: u64) {
+    let (ms, mut frac) = (nanos / 1_000_000, nanos % 1_000_000);
+    if !millis_are_exact(ms, frac) {
+        return write_float(out, nanos as f64 / 1e6);
+    }
+    // Right to left: ≤ 12 integer digits, the point, ≤ 6 fraction digits.
+    let mut buf = [0u8; 19];
+    let mut at = buf.len();
+    let mut width = 6;
+    while width > 1 && frac % 10 == 0 {
+        frac /= 10;
+        width -= 1;
+    }
+    for _ in 0..width {
+        at -= 1;
+        buf[at] = b'0' + (frac % 10) as u8;
+        frac /= 10;
+    }
+    at -= 1;
+    buf[at] = b'.';
+    let mut int = ms;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (int % 10) as u8;
+        int /= 10;
+        if int == 0 {
+            break;
+        }
+    }
+    out.extend(buf[at..].iter().map(|&b| char::from(b)));
+}
+
+/// Appends one JSON string literal (quotes and escapes included) to `out`:
+/// each run of characters that need no escape — for a label or a key, the
+/// whole string — is pushed in one piece. Shared by the document model and
+/// the streaming record writer.
 pub fn write_str(out: &mut String, s: &str) {
-    write_escaped(out, s);
-}
-
-/// Helper trait so `write` above can check whether the last numeric token
-/// already contains a '.' or exponent (to append `.0` only when needed).
-trait LastTokenCheck {
-    fn contains_last_token_dot_or_exp(&self) -> bool;
-}
-
-impl LastTokenCheck for String {
-    fn contains_last_token_dot_or_exp(&self) -> bool {
-        // Scan the trailing numeric token in reverse without building a
-        // temporary string — this runs once per float on the hot
-        // serialization path.
-        for &b in self.as_bytes().iter().rev() {
-            match b {
-                b'.' | b'e' | b'E' => return true,
-                b'0'..=b'9' | b'-' | b'+' => continue,
-                _ => return false,
-            }
-        }
-        false
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Everything escaped is ASCII, so a byte index here is a char boundary.
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[clean..]);
     out.push('"');
 }
 
@@ -446,6 +507,41 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     Ok(v)
 }
 
+/// The nanosecond values the codec's equivalence tests walk, writer and
+/// reader alike: every n < 2·10^6; 10^k and 10^k ± 1 up to `u64::MAX`;
+/// d·10^k shapes (trailing-zero trimming); whole-second timestamps for
+/// every day of a 133-day and a 5,000-day campaign; 10^5 seeded n per
+/// decade; both sides of each domain guard; seeded n above 2^53.
+#[cfg(test)]
+pub(crate) fn millis_cases(mut visit: impl FnMut(u64)) {
+    (0..2_000_000).for_each(&mut visit);
+    let mut state = 0x5eed_0014;
+    let mut seeded = |lo: u64, span: u64| lo + netsim::rng::splitmix64(&mut state) % span;
+    for k in 0..20 {
+        let p = 10u64.pow(k);
+        [p - 1, p, p + 1].into_iter().for_each(&mut visit);
+        for d in [
+            1, 2, 5, 9, 12, 25, 101, 999, 1_001, 123_456, 999_999, 1_000_001,
+        ] {
+            p.checked_mul(d).into_iter().for_each(&mut visit);
+        }
+        let span = p.checked_mul(9).unwrap_or(u64::MAX - p);
+        (0..100_000).for_each(|_| visit(seeded(p, span)));
+    }
+    visit(u64::MAX);
+    for day in 0..5_000 {
+        for second in [0, 1, 3_599, 43_200, 86_399] {
+            visit((day * 86_400 + second) * 1_000_000_000);
+        }
+    }
+    for edge in [EXACT_NANOS, EXACT_WHOLE_MS * 1_000_000, 1 << 53] {
+        [edge - 1_000_000, edge - 1, edge, edge + 1, edge + 1_000_000]
+            .into_iter()
+            .for_each(&mut visit);
+    }
+    (0..100_000).for_each(|_| visit(seeded(1 << 53, u64::MAX - (1 << 53))));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,5 +659,66 @@ mod tests {
     fn whitespace_tolerated() {
         let v = parse("  {\n\t\"a\" :\r [ 1 , 2 ]\n} ").unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 2);
+    }
+
+    /// `write_millis` against its definition, `write_float(n as f64 / 1e6)`,
+    /// and inside the two domains against plain decimal arithmetic.
+    #[test]
+    fn write_millis_is_write_float_of_the_quotient() {
+        let (mut got, mut want) = (String::new(), String::new());
+        let (mut exact, mut fallback_only) = (0u64, 0u64);
+        millis_cases(|n| {
+            got.clear();
+            want.clear();
+            write_millis(&mut got, n);
+            write_float(&mut want, n as f64 / 1e6);
+            assert_eq!(got, want, "n = {n}");
+            // Six fraction digits, trailing zeros dropped, one always kept.
+            let decimal = format!("{}.{:06}", n / 1_000_000, n % 1_000_000);
+            let kept = decimal.trim_end_matches('0').len().max(decimal.len() - 5);
+            let plain = &decimal[..kept];
+            if millis_are_exact(n / 1_000_000, n % 1_000_000) {
+                assert_eq!(got, plain, "n = {n}");
+                exact += 1;
+            } else {
+                fallback_only += u64::from(got != plain);
+            }
+        });
+        // Past the guards the decimal digits of n are not what the float
+        // path prints: the fallback is needed, not decoration.
+        assert!(
+            exact > 3_000_000 && fallback_only > 100_000,
+            "{exact} {fallback_only}"
+        );
+    }
+
+    #[test]
+    fn millis_guards_sit_where_the_argument_puts_them() {
+        // (a) ends at 10^15 ns, (b) at 5·10^11 whole ms.
+        assert!(millis_are_exact(999_999_999, 999_999));
+        assert!(!millis_are_exact(1_000_000_000, 1));
+        assert!(millis_are_exact(1_000_000_000, 0));
+        assert!(millis_are_exact(499_999_999_999, 0));
+        assert!(!millis_are_exact(499_999_999_999, 1));
+        assert!(!millis_are_exact(500_000_000_000, 0));
+    }
+
+    #[test]
+    fn clean_strings_are_pushed_whole_and_escapes_split_the_runs() {
+        for (s, want) in [
+            ("", r#""""#),
+            ("dns.google", r#""dns.google""#),
+            ("ünïcødé 漢字", r#""ünïcødé 漢字""#),
+            ("\"", r#""\"""#),
+            ("a\"b\\c", r#""a\"b\\c""#),
+            ("\n\r\t", r#""\n\r\t""#),
+            ("é\u{1}漢\u{1f}", r#""é\u0001漢\u001f""#),
+            ("tail\\", r#""tail\\""#),
+        ] {
+            let mut out = String::new();
+            write_str(&mut out, s);
+            assert_eq!(out, want, "{s:?}");
+            assert_eq!(parse(&out).unwrap(), Json::Str(s.to_string()));
+        }
     }
 }

@@ -1,5 +1,14 @@
 //! Result records: one JSON-serialisable record per probe, as the tool
 //! writes to its output file.
+//!
+//! A record has two codecs. The tree path ([`ProbeRecord::to_json`] /
+//! [`ProbeRecord::from_json`] over [`crate::json::Json`]) formats and
+//! parses every `*_ms` value as an `f64`, reads files the engine did not
+//! write, and is the oracle. The line path
+//! ([`ProbeRecord::write_json_line`] / [`ProbeRecord::read_json_line`]) is
+//! what campaigns, shard files and assembly run: the same bytes and the
+//! same records, with integer nanoseconds ↔ decimal milliseconds in both
+//! directions and every key one literal.
 
 use std::borrow::Cow;
 
@@ -330,12 +339,81 @@ fn region_from_label(s: &str) -> Option<Region> {
     })
 }
 
+/// Every key of a record line, rendered once as `,"key":` — what the
+/// writer pushes and the strict reader eats in one piece (an object's
+/// first key drops the comma). The keys are plain ASCII words, so each
+/// literal is what [`json::write_str`](crate::json::write_str) would
+/// write; a unit test holds the table to that.
+macro_rules! keys {
+    ($($name:ident = $key:literal;)*) => {
+        $(const $name: &str = concat!(",\"", $key, "\":");)*
+        #[cfg(test)]
+        const KEYS: &[(&str, &str)] = &[$(($key, $name)),*];
+    };
+}
+
+keys! {
+    ATTEMPT_ERRORS = "attempt_errors";
+    ATTEMPTS = "attempts";
+    CACHE_HIT = "cache_hit";
+    CONN_MODE = "conn_mode";
+    CONNECT_MS = "connect_ms";
+    DNS_DECODE_MS = "dns_decode_ms";
+    DNS_ENCODE_MS = "dns_encode_ms";
+    DOMAIN = "domain";
+    ELAPSED_MS = "elapsed_ms";
+    ERROR = "error";
+    HTTP_EXCHANGE_MS = "http_exchange_ms";
+    MAINSTREAM = "mainstream";
+    PHASES = "phases";
+    PING_MS = "ping_ms";
+    PROTOCOL = "protocol";
+    QUERY_MS = "query_ms";
+    RESOLVER = "resolver";
+    RESOLVER_REGION = "resolver_region";
+    RESPONSE_MS = "response_ms";
+    SECURE_MS = "secure_ms";
+    SERVER_PROCESSING_MS = "server_processing_ms";
+    SITE = "site";
+    SUCCESS = "success";
+    TLS_HANDSHAKE_MS = "tls_handshake_ms";
+    TS_MS = "ts_ms";
+    TTFB_MS = "ttfb_ms";
+    TTLB_MS = "ttlb_ms";
+    VANTAGE = "vantage";
+}
+
+/// The `phases` object in its sorted key order.
+const PHASE_KEYS: [(Phase, &str); 6] = [
+    (Phase::Connect, CONNECT_MS),
+    (Phase::DnsDecode, DNS_DECODE_MS),
+    (Phase::DnsEncode, DNS_ENCODE_MS),
+    (Phase::HttpExchange, HTTP_EXCHANGE_MS),
+    (Phase::ServerProcessing, SERVER_PROCESSING_MS),
+    (Phase::TlsHandshake, TLS_HANDSHAKE_MS),
+];
+
 /// The cursor of [`ProbeRecord::read_json_line`]: token readers that
 /// accept exactly what [`ProbeRecord::write_json_line`] emits and agree
 /// with [`crate::json::parse`] on every token they accept.
 struct LineReader<'a> {
     s: &'a str,
     pos: usize,
+}
+
+/// A run of one to `max` ASCII digits at the head of `b`: its value and
+/// its length.
+fn digit_run(b: &[u8], max: usize) -> Option<(u64, usize)> {
+    let mut value = 0;
+    let mut len = 0;
+    while let Some(d) = b.get(len).map(|c| c.wrapping_sub(b'0')).filter(|d| *d < 10) {
+        if len == max {
+            return None;
+        }
+        value = value * 10 + u64::from(d);
+        len += 1;
+    }
+    (len > 0).then_some((value, len))
 }
 
 impl<'a> LineReader<'a> {
@@ -351,22 +429,13 @@ impl<'a> LineReader<'a> {
         self.try_eat(lit).then_some(())
     }
 
-    /// `"k":`, after a comma unless `first`; consumes nothing unless all
-    /// of it is there.
-    fn try_key(&mut self, first: bool, k: &str) -> bool {
-        let start = self.pos;
-        let hit = (first || self.try_eat(","))
-            && self.try_eat("\"")
-            && self.try_eat(k)
-            && self.try_eat("\":");
-        if !hit {
-            self.pos = start;
-        }
-        hit
+    /// One of the `,"key":` literals, without its comma when `first`.
+    fn try_key(&mut self, first: bool, lit: &str) -> bool {
+        self.try_eat(&lit[usize::from(first)..])
     }
 
-    fn key(&mut self, first: bool, k: &str) -> Option<()> {
-        self.try_key(first, k).then_some(())
+    fn key(&mut self, first: bool, lit: &str) -> Option<()> {
+        self.try_key(first, lit).then_some(())
     }
 
     fn boolean(&mut self) -> Option<bool> {
@@ -409,6 +478,51 @@ impl<'a> LineReader<'a> {
             }
         }
         text.parse::<f64>().ok()
+    }
+
+    /// The mirror of [`json::write_millis`](crate::json::write_millis):
+    /// a token of the shape it emits (`digits '.' 1–6 digits`: no sign, no
+    /// exponent, no redundant leading zero) whose value lies in one of its
+    /// two exact domains, as nanoseconds by integer arithmetic. Anything
+    /// else is `None` with nothing consumed, and takes the float route
+    /// ([`number`](Self::number), then `× 1e6` and `round`), which on
+    /// those domains lands on the same integer: in (a) a correctly rounded
+    /// parse and one product put it within n·2⁻⁵² < 0.25 ns of n, in (b)
+    /// parse and product are both exact.
+    fn exact_millis(&mut self) -> Option<u64> {
+        let b = &self.s.as_bytes()[self.pos..];
+        let (ms, point) = digit_run(b, 12)?;
+        if (point > 1 && b[0] == b'0') || b.get(point) != Some(&b'.') {
+            return None;
+        }
+        let (frac, places) = digit_run(&b[point + 1..], 6)?;
+        let end = point + 1 + places;
+        if matches!(b.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+            return None;
+        }
+        let frac = frac * 10u64.pow(6 - places as u32);
+        if !crate::json::millis_are_exact(ms, frac) {
+            return None;
+        }
+        self.pos += end;
+        Some(ms * 1_000_000 + frac)
+    }
+
+    /// A `*_ms` duration, as `from_json` reads it.
+    fn duration(&mut self) -> Option<SimDuration> {
+        match self.exact_millis() {
+            Some(nanos) => Some(SimDuration::from_nanos(nanos)),
+            None => self.number().map(SimDuration::from_millis_f64),
+        }
+    }
+
+    /// `ts_ms`, as `from_json` reads it.
+    fn time(&mut self) -> Option<SimTime> {
+        let nanos = match self.exact_millis() {
+            Some(nanos) => nanos,
+            None => (self.number()? * 1e6).round() as u64,
+        };
+        Some(SimTime::from_nanos(nanos))
     }
 
     /// An integer token (the writer never renders a count as a float).
@@ -568,37 +682,37 @@ impl ProbeRecord {
     /// a caller-owned buffer. Byte-identical to
     /// `self.to_json().to_string_compact()` — the keys below are exactly
     /// the document model's sorted key order — but with zero intermediate
-    /// tree: once `out` has warmed up, serialising a record performs no
-    /// heap allocation (asserted by `tests/serialize_alloc.rs`).
+    /// tree and no float: every `*_ms` value is an integer of nanoseconds
+    /// and goes through [`json::write_millis`](crate::json::write_millis),
+    /// every key is one literal. Once `out` has warmed up, serialising a
+    /// record performs no heap allocation (asserted by
+    /// `tests/serialize_alloc.rs`).
     #[deny_alloc]
     pub fn write_json_line(&self, out: &mut String) {
-        fn key(out: &mut String, first: bool, k: &str) {
-            if !first {
-                out.push(',');
-            }
-            crate::json::write_str(out, k);
-            out.push(':');
+        // `lit` is one of the `,"key":` literals.
+        fn key(out: &mut String, first: bool, lit: &str) {
+            out.push_str(&lit[usize::from(first)..]);
         }
-        fn float_field(out: &mut String, first: bool, k: &str, v: f64) {
-            key(out, first, k);
-            crate::json::write_float(out, v);
+        fn millis_field(out: &mut String, lit: &str, v: SimDuration) {
+            key(out, false, lit);
+            crate::json::write_millis(out, v.as_nanos());
         }
-        fn str_field(out: &mut String, first: bool, k: &str, v: &str) {
-            key(out, first, k);
+        fn str_field(out: &mut String, first: bool, lit: &str, v: &str) {
+            key(out, first, lit);
             crate::json::write_str(out, v);
         }
-        fn bool_field(out: &mut String, first: bool, k: &str, v: bool) {
-            key(out, first, k);
+        fn bool_field(out: &mut String, first: bool, lit: &str, v: bool) {
+            key(out, first, lit);
             out.push_str(if v { "true" } else { "false" });
         }
-        fn int_field(out: &mut String, first: bool, k: &str, v: i64) {
-            key(out, first, k);
+        fn count_field(out: &mut String, lit: &str, v: i64) {
+            key(out, false, lit);
             let _ = std::fmt::Write::write_fmt(out, format_args!("{v}"));
         }
         // Leading retry keys ("attempt_errors", "attempts") sort before
         // every other top-level key in both record shapes.
         fn retry_prefix(out: &mut String, info: &RetryInfo) {
-            key(out, true, "attempt_errors");
+            key(out, true, ATTEMPT_ERRORS);
             out.push('[');
             for (i, e) in info.attempt_errors.iter().enumerate() {
                 if i > 0 {
@@ -607,12 +721,16 @@ impl ProbeRecord {
                 crate::json::write_str(out, e.label());
             }
             out.push(']');
-            int_field(out, false, "attempts", info.attempts as i64);
+            count_field(out, ATTEMPTS, info.attempts as i64);
         }
-        // Trailing retry keys sort between "ts_ms" and "vantage".
-        fn retry_suffix(out: &mut String, info: &RetryInfo) {
-            float_field(out, false, "ttfb_ms", info.ttfb.as_millis_f64());
-            float_field(out, false, "ttlb_ms", info.ttlb.as_millis_f64());
+        fn ping_field(out: &mut String, ping: Option<SimDuration>) {
+            match ping {
+                Some(p) => millis_field(out, PING_MS, p),
+                None => {
+                    key(out, false, PING_MS);
+                    out.push_str("null");
+                }
+            }
         }
 
         out.push('{');
@@ -626,138 +744,105 @@ impl ProbeRecord {
                 cache_hit,
                 site,
             } => {
-                bool_field(out, lead, "cache_hit", *cache_hit);
+                bool_field(out, lead, CACHE_HIT, *cache_hit);
                 // "conn_mode" sorts between "cache_hit" and "connect_ms"
                 // ('_' 0x5F < 'e' 0x65 after the shared "conn" prefix).
                 if let Some(mode) = self.conn_mode {
-                    str_field(out, false, "conn_mode", mode.label());
+                    str_field(out, false, CONN_MODE, mode.label());
                 }
-                float_field(out, false, "connect_ms", timings.connect.as_millis_f64());
-                str_field(out, false, "domain", self.domain());
-                bool_field(out, false, "mainstream", self.mainstream);
-                key(out, false, "phases");
+                millis_field(out, CONNECT_MS, timings.connect);
+                str_field(out, false, DOMAIN, self.domain());
+                bool_field(out, false, MAINSTREAM, self.mainstream);
+                key(out, false, PHASES);
                 out.push('{');
-                // The phases object in its sorted key order.
-                float_field(out, true, "connect_ms", timings.connect.as_millis_f64());
-                float_field(
-                    out,
-                    false,
-                    "dns_decode_ms",
-                    timings.dns_decode.as_millis_f64(),
-                );
-                float_field(
-                    out,
-                    false,
-                    "dns_encode_ms",
-                    timings.dns_encode.as_millis_f64(),
-                );
-                float_field(
-                    out,
-                    false,
-                    "http_exchange_ms",
-                    timings.http_exchange.as_millis_f64(),
-                );
-                float_field(
-                    out,
-                    false,
-                    "server_processing_ms",
-                    timings.server_processing.as_millis_f64(),
-                );
-                float_field(
-                    out,
-                    false,
-                    "tls_handshake_ms",
-                    timings.tls_handshake.as_millis_f64(),
-                );
-                out.push('}');
-                match self.ping {
-                    Some(p) => float_field(out, false, "ping_ms", p.as_millis_f64()),
-                    None => {
-                        key(out, false, "ping_ms");
-                        out.push_str("null");
-                    }
+                for (i, (phase, lit)) in PHASE_KEYS.into_iter().enumerate() {
+                    key(out, i == 0, lit);
+                    crate::json::write_millis(out, timings.phase(phase).as_nanos());
                 }
-                str_field(out, false, "protocol", self.protocol.label());
-                float_field(out, false, "query_ms", timings.exchange().as_millis_f64());
-                str_field(out, false, "resolver", self.resolver());
+                out.push('}');
+                ping_field(out, self.ping);
+                str_field(out, false, PROTOCOL, self.protocol.label());
+                millis_field(out, QUERY_MS, timings.exchange());
+                str_field(out, false, RESOLVER, self.resolver());
                 str_field(
                     out,
                     false,
-                    "resolver_region",
+                    RESOLVER_REGION,
                     region_label(self.resolver_region),
                 );
-                float_field(out, false, "response_ms", timings.total().as_millis_f64());
-                float_field(
-                    out,
-                    false,
-                    "secure_ms",
-                    timings.tls_handshake.as_millis_f64(),
-                );
-                key(out, false, "site");
-                let _ = std::fmt::Write::write_fmt(out, format_args!("{}", *site as i64));
-                bool_field(out, false, "success", true);
-                float_field(out, false, "ts_ms", self.at.as_millis_f64());
-                if let Some(info) = &self.retry {
-                    retry_suffix(out, info);
-                }
-                str_field(out, false, "vantage", self.vantage());
+                millis_field(out, RESPONSE_MS, timings.total());
+                millis_field(out, SECURE_MS, timings.tls_handshake);
+                count_field(out, SITE, *site as i64);
+                bool_field(out, false, SUCCESS, true);
             }
             ProbeOutcome::Failure { kind, elapsed } => {
                 // In the failure shape "conn_mode" sorts first (before
                 // "domain"), so when present it takes over the lead key.
                 match self.conn_mode {
                     Some(mode) => {
-                        str_field(out, lead, "conn_mode", mode.label());
-                        str_field(out, false, "domain", self.domain());
+                        str_field(out, lead, CONN_MODE, mode.label());
+                        str_field(out, false, DOMAIN, self.domain());
                     }
-                    None => str_field(out, lead, "domain", self.domain()),
+                    None => str_field(out, lead, DOMAIN, self.domain()),
                 }
-                float_field(out, false, "elapsed_ms", elapsed.as_millis_f64());
-                str_field(out, false, "error", kind.label());
-                bool_field(out, false, "mainstream", self.mainstream);
-                match self.ping {
-                    Some(p) => float_field(out, false, "ping_ms", p.as_millis_f64()),
-                    None => {
-                        key(out, false, "ping_ms");
-                        out.push_str("null");
-                    }
-                }
-                str_field(out, false, "protocol", self.protocol.label());
-                str_field(out, false, "resolver", self.resolver());
+                millis_field(out, ELAPSED_MS, *elapsed);
+                str_field(out, false, ERROR, kind.label());
+                bool_field(out, false, MAINSTREAM, self.mainstream);
+                ping_field(out, self.ping);
+                str_field(out, false, PROTOCOL, self.protocol.label());
+                str_field(out, false, RESOLVER, self.resolver());
                 str_field(
                     out,
                     false,
-                    "resolver_region",
+                    RESOLVER_REGION,
                     region_label(self.resolver_region),
                 );
-                bool_field(out, false, "success", false);
-                float_field(out, false, "ts_ms", self.at.as_millis_f64());
-                if let Some(info) = &self.retry {
-                    retry_suffix(out, info);
-                }
-                str_field(out, false, "vantage", self.vantage());
+                bool_field(out, false, SUCCESS, false);
             }
         }
+        key(out, false, TS_MS);
+        crate::json::write_millis(out, self.at.as_nanos());
+        // Trailing retry keys sort between "ts_ms" and "vantage".
+        if let Some(info) = &self.retry {
+            millis_field(out, TTFB_MS, info.ttfb);
+            millis_field(out, TTLB_MS, info.ttlb);
+        }
+        str_field(out, false, VANTAGE, self.vantage());
         out.push('}');
     }
 
     /// Reads back one line written by
     /// [`write_json_line`](Self::write_json_line): its exact inverse, over
     /// the same fixed key order, both record shapes and the optional retry
-    /// and `conn_mode` keys, with no intermediate tree and no allocation
-    /// (a record's `attempt_errors` and a label with an escape in it
-    /// aside). Numbers and labels go through the same `str::parse` and
-    /// [`Label::intern`] as [`json::parse`](crate::json::parse) →
-    /// [`from_json`](Self::from_json), so wherever this returns a record
-    /// that path returns the same one, bit for bit.
+    /// and `conn_mode` keys, with no intermediate tree, no allocation (a
+    /// record's `attempt_errors` and a label with an escape in it aside)
+    /// and, for every `*_ms` token the writer's integer path emits, no
+    /// float (`LineReader::exact_millis`). Any other number goes through
+    /// the same `str::parse` as [`json::parse`](crate::json::parse) →
+    /// [`from_json`](Self::from_json) and labels through the same
+    /// [`Label::intern`], so wherever this returns a record that path
+    /// returns the same one, bit for bit.
     ///
     /// Strict: anything `write_json_line` would not have written —
-    /// reordered or extra keys, whitespace, an escape it never emits — is
-    /// `None`. Files the engine did not write go through the tree path.
+    /// reordered or extra keys, whitespace, an escape it never emits, a
+    /// derived field (`connect_ms`, `secure_ms`, `query_ms`,
+    /// `response_ms`) that is not what `phases` makes it — is `None`.
+    /// Files the engine did not write go through the tree path.
     pub fn read_json_line(line: &str) -> Option<ProbeRecord> {
+        // A derived field: read, and held to the sum of the phases it
+        // repeats (a sum that overflows equals nothing).
+        fn derived(r: &mut LineReader, lit: &str, t: &ProbeTimings, of: &[Phase]) -> Option<()> {
+            r.key(false, lit)?;
+            let nanos = |p: &Phase| t.phase(*p).as_nanos();
+            let want = of
+                .iter()
+                .try_fold(0u64, |sum, p| sum.checked_add(nanos(p)))?;
+            (r.duration()?.as_nanos() == want).then_some(())
+        }
+
         let mut r = LineReader { s: line, pos: 0 };
         r.eat("{")?;
-        let retried = r.try_key(true, "attempt_errors");
+        let retried = r.try_key(true, ATTEMPT_ERRORS);
         let mut attempt_errors = Vec::new();
         let mut attempts = 0;
         if retried {
@@ -771,84 +856,74 @@ impl ProbeRecord {
                     }
                 }
             }
-            r.key(false, "attempts")?;
+            r.key(false, ATTEMPTS)?;
             attempts = r.int()? as u32;
         }
         let lead = !retried;
         // Only the success shape has "cache_hit", and has it first.
-        let success = r.try_key(lead, "cache_hit");
+        let success = r.try_key(lead, CACHE_HIT);
         let cache_hit = success && r.boolean()?;
         // "conn_mode" follows "cache_hit" in the success shape and leads
         // the failure shape.
         let conn_first = lead && !success;
-        let conn_mode = if r.try_key(conn_first, "conn_mode") {
+        let conn_mode = if r.try_key(conn_first, CONN_MODE) {
             Some(ConnectionMode::from_label(&r.string()?)?)
         } else {
             None
         };
+        // The top-level "connect_ms" comes before the phases it repeats.
+        let mut connect = SimDuration::ZERO;
         if success {
-            // The legacy top-level legs repeat what "phases" holds; they
-            // are read, so a malformed one fails the line, and dropped.
-            r.key(false, "connect_ms")?;
-            r.number()?;
+            r.key(false, CONNECT_MS)?;
+            connect = r.duration()?;
         }
-        r.key(conn_first && conn_mode.is_none(), "domain")?;
+        r.key(conn_first && conn_mode.is_none(), DOMAIN)?;
         let domain = Label::intern(&r.string()?);
         let mut failure = None;
         if !success {
-            r.key(false, "elapsed_ms")?;
-            let elapsed = SimDuration::from_millis_f64(r.number()?);
-            r.key(false, "error")?;
+            r.key(false, ELAPSED_MS)?;
+            let elapsed = r.duration()?;
+            r.key(false, ERROR)?;
             failure = Some((ProbeErrorKind::from_label(&r.string()?)?, elapsed));
         }
-        r.key(false, "mainstream")?;
+        r.key(false, MAINSTREAM)?;
         let mainstream = r.boolean()?;
         let mut timings = ProbeTimings::default();
         if success {
-            r.key(false, "phases")?;
+            r.key(false, PHASES)?;
             r.eat("{")?;
-            // The phases object in its sorted key order.
-            for (i, p) in [
-                Phase::Connect,
-                Phase::DnsDecode,
-                Phase::DnsEncode,
-                Phase::HttpExchange,
-                Phase::ServerProcessing,
-                Phase::TlsHandshake,
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                r.key(i == 0, phase_key(p))?;
-                *timings.phase_mut(p) = SimDuration::from_millis_f64(r.number()?);
+            for (i, (phase, lit)) in PHASE_KEYS.into_iter().enumerate() {
+                r.key(i == 0, lit)?;
+                *timings.phase_mut(phase) = r.duration()?;
             }
             r.eat("}")?;
+            if connect != timings.connect {
+                return None;
+            }
         }
-        r.key(false, "ping_ms")?;
+        r.key(false, PING_MS)?;
         let ping = if r.try_eat("null") {
             None
         } else {
-            Some(SimDuration::from_millis_f64(r.number()?))
+            Some(r.duration()?)
         };
-        r.key(false, "protocol")?;
+        r.key(false, PROTOCOL)?;
         let protocol = Protocol::from_label(&r.string()?)?;
         if success {
-            r.key(false, "query_ms")?;
-            r.number()?;
+            let exchange = [Phase::HttpExchange, Phase::ServerProcessing];
+            derived(&mut r, QUERY_MS, &timings, &exchange)?;
         }
-        r.key(false, "resolver")?;
+        r.key(false, RESOLVER)?;
         let resolver = Label::intern(&r.string()?);
-        r.key(false, "resolver_region")?;
+        r.key(false, RESOLVER_REGION)?;
         let resolver_region = region_from_label(&r.string()?)?;
         let outcome = match failure {
             None => {
-                r.key(false, "response_ms")?;
-                r.number()?;
-                r.key(false, "secure_ms")?;
-                r.number()?;
-                r.key(false, "site")?;
+                derived(&mut r, RESPONSE_MS, &timings, &Phase::ALL)?;
+                derived(&mut r, SECURE_MS, &timings, &[Phase::TlsHandshake])?;
+                r.key(false, SITE)?;
                 let site = r.int()? as usize;
-                r.key(false, "success")?;
+                r.key(false, SUCCESS)?;
                 r.eat("true")?;
                 ProbeOutcome::Success {
                     timings,
@@ -857,18 +932,18 @@ impl ProbeRecord {
                 }
             }
             Some((kind, elapsed)) => {
-                r.key(false, "success")?;
+                r.key(false, SUCCESS)?;
                 r.eat("false")?;
                 ProbeOutcome::Failure { kind, elapsed }
             }
         };
-        r.key(false, "ts_ms")?;
-        let at = SimTime::from_nanos((r.number()? * 1e6).round() as u64);
+        r.key(false, TS_MS)?;
+        let at = r.time()?;
         let retry = if retried {
-            r.key(false, "ttfb_ms")?;
-            let ttfb = SimDuration::from_millis_f64(r.number()?);
-            r.key(false, "ttlb_ms")?;
-            let ttlb = SimDuration::from_millis_f64(r.number()?);
+            r.key(false, TTFB_MS)?;
+            let ttfb = r.duration()?;
+            r.key(false, TTLB_MS)?;
+            let ttlb = r.duration()?;
             Some(RetryInfo {
                 attempts,
                 attempt_errors,
@@ -878,7 +953,7 @@ impl ProbeRecord {
         } else {
             None
         };
-        r.key(false, "vantage")?;
+        r.key(false, VANTAGE)?;
         let vantage = Label::intern(&r.string()?);
         r.eat("}")?;
         (r.pos == line.len()).then_some(ProbeRecord {
@@ -1399,5 +1474,96 @@ mod tests {
             r.write_json_line(&mut streamed);
             assert!(!streamed.contains("conn_mode"), "{streamed}");
         }
+    }
+
+    #[test]
+    fn key_literals_are_what_write_str_writes() {
+        assert_eq!(KEYS.len(), 28);
+        for (key, literal) in KEYS {
+            let mut want = String::from(",");
+            crate::json::write_str(&mut want, key);
+            want.push(':');
+            assert_eq!(*literal, want);
+        }
+        // And the writer reaches them all: every key of every shape is in
+        // the table (the tree writer escapes its keys through `write_str`).
+        let mut r = retried_success().with_conn_mode(Some(ConnectionMode::Cold));
+        let mut lines = String::new();
+        r.write_json_line(&mut lines);
+        r.outcome = failure_record().outcome;
+        r.write_json_line(&mut lines);
+        for (_, literal) in KEYS {
+            assert!(lines.contains(&literal[1..]), "{literal} is never written");
+        }
+    }
+
+    fn reader(s: &str) -> LineReader<'_> {
+        LineReader { s, pos: 0 }
+    }
+
+    /// What `read_json_line` did with a `*_ms` token before it had an
+    /// integer route, and still does with every token that route declines:
+    /// `str::parse` (an integer token through `i64`), `× 1e6`, `round`.
+    fn float_route(text: &str) -> Option<(SimDuration, SimTime)> {
+        let mut r = reader(text);
+        let ms = r.number().filter(|_| r.pos == text.len())?;
+        Some((
+            SimDuration::from_millis_f64(ms),
+            SimTime::from_nanos((ms * 1e6).round() as u64),
+        ))
+    }
+
+    fn read_millis(text: &str) -> Option<(SimDuration, SimTime)> {
+        let (mut d, mut t) = (reader(text), reader(text));
+        let read = (d.duration()?, t.time()?);
+        (d.pos == text.len() && t.pos == text.len()).then_some(read)
+    }
+
+    #[test]
+    fn the_integer_route_is_the_float_route_on_every_case() {
+        let mut text = String::new();
+        let mut taken = 0u64;
+        crate::json::millis_cases(|n| {
+            text.clear();
+            crate::json::write_millis(&mut text, n);
+            // Past the guards the writer's float may print another value,
+            // itself exact (10^16 - 1 reads "10000000000.0"): whichever
+            // route takes the token, one answer.
+            assert_eq!(read_millis(&text), float_route(&text), "{text}");
+            if crate::json::millis_are_exact(n / 1_000_000, n % 1_000_000) {
+                let mut r = reader(&text);
+                assert_eq!((r.exact_millis(), r.pos), (Some(n), text.len()), "{text}");
+                let ms = text.parse::<f64>().unwrap();
+                assert_eq!(SimDuration::from_millis_f64(ms).as_nanos(), n, "{text}");
+                taken += 1;
+            }
+        });
+        assert!(taken > 3_000_000, "{taken}");
+    }
+
+    #[test]
+    fn the_integer_route_declines_what_write_millis_never_writes() {
+        for (what, tokens) in [
+            ("an exponent", &["1e3", "1.5e3", "1.0E+2"][..]),
+            ("7+ fraction digits", &["0.1234567", "1.0000000"]),
+            (
+                "outside (a), not whole",
+                &["1000000000.5", "1000000000.000001"],
+            ),
+            ("whole, outside (b)", &["500000000000.0", "9999999999999.0"]),
+            ("a leading zero", &["007.5", "00.0"]),
+            ("a bare integer", &["42", "0"]),
+            ("a sign", &["-0.0", "-1.5", "+1.5"]),
+            ("no number", &["1.", ".5", "1.5.2", "1.5-", ""]),
+        ] {
+            for text in tokens {
+                let mut r = reader(text);
+                assert_eq!((r.exact_millis(), r.pos), (None, 0), "{what}: {text:?}");
+                assert_eq!(read_millis(text), float_route(text), "{what}: {text:?}");
+            }
+        }
+        // Trailing zeros, and a token that ends mid-line, are the shape.
+        let mut r = reader("12.500,");
+        assert_eq!((r.exact_millis(), r.pos), (Some(12_500_000), 6));
     }
 }

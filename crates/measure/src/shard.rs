@@ -38,7 +38,7 @@
 //! reproduces the one-shot order exactly.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write as _};
@@ -1010,8 +1010,10 @@ impl<'a> ShardedRunner<'a> {
             ));
         }
         let watch = Stopwatch::start();
-        // (vantage, resolver) → merge rank, for head-line keying.
-        let ranks: BTreeMap<(Label, Label), u32> = self
+        // (vantage, resolver) → merge rank, for head-line keying: hashed
+        // by label id and only ever probed (`Label`'s `Ord` resolves both
+        // strings under a lock, once per comparison, for every record).
+        let ranks: HashMap<(Label, Label), u32> = self
             .plans
             .iter()
             .map(|p| ((p.vantage_label, p.resolver_label), p.order))

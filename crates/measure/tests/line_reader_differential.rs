@@ -210,6 +210,56 @@ fn what_the_writer_would_not_write_is_rejected() {
     assert!(tree(&format!(" {line} ")).is_some());
 }
 
+/// `line` with the number after the first `"key":` replaced.
+fn with_number(line: &str, key: &str, new: impl Fn(&str) -> String) -> String {
+    let start = line.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+    let end = start + line[start..].find([',', '}']).unwrap();
+    let new = new(&line[start..end]);
+    format!("{}{new}{}", &line[..start], &line[end..])
+}
+
+/// `line` with the number after the first `"key":` a nanosecond larger.
+fn nudged(line: &str, key: &str) -> String {
+    with_number(line, key, |old| {
+        let nanos = (old.parse::<f64>().unwrap() * 1e6).round() as u64 + 1;
+        format!("{}.{:06}", nanos / 1_000_000, nanos % 1_000_000)
+    })
+}
+
+/// The four top-level legs of a success line repeat what `phases` holds.
+/// The strict reader holds them to it, to the nanosecond; the tree path
+/// never looked at them, and `FromStr` still falls through to it.
+#[test]
+fn a_derived_field_that_disagrees_with_the_phases_is_declined() {
+    let fixture = include_str!("golden/campaign_seed4_retries.jsonl");
+    let line = fixture.lines().find(|l| l.contains("\"site\":0,")).unwrap();
+    let record = ProbeRecord::read_json_line(line).expect("an engine line");
+    // In line order, so the first `"connect_ms":` is the top-level one.
+    for key in ["connect_ms", "query_ms", "response_ms", "secure_ms"] {
+        let text = nudged(line, key);
+        assert_ne!(text, line);
+        assert_eq!(ProbeRecord::read_json_line(&text), None, "{key}: {text}");
+        assert_eq!(tree(&text).as_ref(), Some(&record), "{key}: {text}");
+        assert_eq!(text.parse::<ProbeRecord>().as_ref(), Ok(&record), "{key}");
+    }
+    // A phase moved without its legs is as inconsistent.
+    for key in ["tls_handshake_ms", "server_processing_ms", "dns_decode_ms"] {
+        assert_eq!(
+            ProbeRecord::read_json_line(&nudged(line, key)),
+            None,
+            "{key}"
+        );
+    }
+    // Legs whose sum does not fit 64 bits equal nothing, and panic nowhere.
+    let huge = ["http_exchange_ms", "server_processing_ms"]
+        .iter()
+        .fold(line.to_string(), |l, key| {
+            with_number(&l, key, |_| "1e13".to_string())
+        });
+    assert!(tree(&huge).is_some());
+    assert_eq!(ProbeRecord::read_json_line(&huge), None);
+}
+
 /// Every 7th line of a faulted, retried, session-driven campaign (both
 /// shapes, every optional key) and of the plain golden fixture.
 fn hostile_sample() -> Vec<String> {
