@@ -30,7 +30,7 @@ macro_rules! out {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
+        Some("list") => cmd_list(&args[1..]),
         Some("probe") => cmd_probe(&args[1..]),
         Some("campaign") => cmd_campaign(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
@@ -72,8 +72,7 @@ USAGE:
                         [--backoff-ms MS] [--jitter F] [--faults none|default]
                         [--load MULT] [--session cold|warm|FRACTION]
                         [--days N] [--shards K]
-                        [--checkpoint-dir DIR] [--events FILE] [--health FILE]
-                        [--trace-out FILE] [--progress]
+                        [--checkpoint-dir DIR] [--observe DIR]
       Run a full campaign over the whole population and write JSON-Lines
       results (default scale standard, output results.jsonl). --metrics
       prints the per-resolver × vantage metrics snapshot (counters, error
@@ -90,20 +89,13 @@ USAGE:
       byte-identical output. --shards/--checkpoint-dir without --days
       shard the selected --scale instead.
 
-      FLIGHT RECORDER (sharded engine; any of these flags selects it):
-        --events FILE     structured event journal as JSON-Lines, stamped
-                          in simulated time (shard lifecycle, fault
-                          windows, retry exhaustions, drift findings)
-        --health FILE     per-(resolver, day) health timeseries as
-                          JSON-Lines (probes, availability, error mix,
-                          response-time quantiles)
-        --trace-out FILE  shard execution timeline as Chrome trace-event
-                          JSON (chrome://tracing / ui.perfetto.dev)
-        --progress        live per-shard completion lines on stderr
-                          (wall-clock; never part of measured output)
+      FLIGHT RECORDER: --observe DIR selects the sharded engine, prints a
+      line per completed shard on stderr and writes DIR/events.jsonl (every
+      event in simulated time), DIR/health.jsonl (per resolver and day) and
+      DIR/trace.json (Chrome trace-event JSON, one bar per shard).
       Drift findings, if any, are always printed after the run summary.
-      Same seed + config => byte-identical --events/--health/--trace-out
-      files, whether the campaign ran in one shot or was killed+resumed.
+      Same seed + config => byte-identical files under DIR, whether the
+      campaign ran in one shot or was killed+resumed.
 
   edns-measure report <results.jsonl>
       Regenerate the availability analysis and headline findings from a
@@ -141,6 +133,32 @@ SESSION FLAGS (campaign only):
                     --load: a pooled connection is dropped when the load
                     model moves the pair to another site.
 ";
+
+/// Checks one subcommand's arguments against the flags it documents
+/// (each list space-separated): `valued` flags take the next argument,
+/// `bare` flags none, and `positionals` arguments may stand outside any
+/// flag. Anything else, or a valued flag at the end of the line, is an
+/// error naming it.
+fn check_args(args: &[String], positionals: usize, valued: &str, bare: &str) -> Result<(), String> {
+    let mut seen = 0;
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if valued.split(' ').any(|flag| flag == arg) {
+            args.next()
+                .ok_or_else(|| format!("{arg} requires a value"))?;
+        } else if arg.starts_with("--") {
+            if !bare.split(' ').any(|flag| flag == arg) {
+                return Err(format!("unknown flag {arg}; try --help"));
+            }
+        } else {
+            seen += 1;
+            if seen > positionals {
+                return Err(format!("unexpected argument {arg:?}; try --help"));
+            }
+        }
+    }
+    Ok(())
+}
 
 /// Fetches the value following `--flag`, if present.
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -192,7 +210,8 @@ fn faults_enabled(args: &[String]) -> Result<bool, String> {
     }
 }
 
-fn cmd_list() -> Result<(), String> {
+fn cmd_list(args: &[String]) -> Result<(), String> {
+    check_args(args, 0, "", "")?;
     let mut entries = catalog::resolvers::all();
     entries.sort_by_key(|e| (e.region(), e.hostname));
     out!(
@@ -214,6 +233,9 @@ fn cmd_list() -> Result<(), String> {
 }
 
 fn cmd_probe(args: &[String]) -> Result<(), String> {
+    let valued = "--vantage --protocol --count --domain --seed --trace-out \
+                  --retries --timeout --backoff-ms --jitter --faults";
+    check_args(args, 1, valued, "--trace")?;
     let hostname = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -352,7 +374,19 @@ fn cmd_probe(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The recorder flags `--observe DIR` replaced.
+const RETIRED_RECORDER_FLAGS: [&str; 4] = ["--events", "--health", "--trace-out", "--progress"];
+
 fn cmd_campaign(args: &[String]) -> Result<(), String> {
+    if let Some(old) = args
+        .iter()
+        .find(|a| RETIRED_RECORDER_FLAGS.contains(&a.as_str()))
+    {
+        return Err(format!("{old} was replaced by --observe DIR"));
+    }
+    let valued = "--scale --seed --out --retries --timeout --backoff-ms --jitter --faults \
+                  --load --session --days --shards --checkpoint-dir --observe";
+    check_args(args, 0, valued, "--metrics")?;
     let seed: u64 = flag_value(args, "--seed")
         .unwrap_or("0")
         .parse()
@@ -385,15 +419,12 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     apply_retry_flags(args, &mut config.probe.retry)?;
     let out = flag_value(args, "--out").unwrap_or("results.jsonl");
 
-    // The flight recorder lives in the sharded engine, so any recorder
-    // flag selects it too (with the default shard count).
+    // The flight recorder lives in the sharded engine, so --observe
+    // selects it too (with the default shard count).
     let sharded = days.is_some()
         || flag_value(args, "--shards").is_some()
         || flag_value(args, "--checkpoint-dir").is_some()
-        || flag_value(args, "--events").is_some()
-        || flag_value(args, "--health").is_some()
-        || flag_value(args, "--trace-out").is_some()
-        || flag_present(args, "--progress");
+        || flag_value(args, "--observe").is_some();
     if sharded {
         return cmd_campaign_sharded(args, config, out);
     }
@@ -435,14 +466,12 @@ fn cmd_campaign_sharded(args: &[String], config: CampaignConfig, out: &str) -> R
         .parse()
         .map_err(|_| "bad --shards")?;
     let dir = flag_value(args, "--checkpoint-dir").unwrap_or("checkpoints");
-    let events_out = flag_value(args, "--events");
-    let health_out = flag_value(args, "--health");
-    let trace_out = flag_value(args, "--trace-out");
+    let observe = flag_value(args, "--observe");
 
     let campaign = Campaign::new(config);
     let runner = measure::ShardedRunner::new(&campaign, shards, dir)
         .map_err(|e| e.to_string())?
-        .with_progress(flag_present(args, "--progress"));
+        .with_progress(observe.is_some());
     eprintln!(
         "running {} probes over {} resolvers in {} shards (checkpoints in {dir})...",
         campaign.probe_count(),
@@ -479,25 +508,15 @@ fn cmd_campaign_sharded(args: &[String], config: CampaignConfig, out: &str) -> R
             overall.response.count(),
         );
     }
-    if let Some(path) = events_out {
-        std::fs::write(path, outcome.journal.to_jsonl()).map_err(|e| e.to_string())?;
+    if let Some(dir) = observe {
+        outcome.export(dir).map_err(|e| e.to_string())?;
         eprintln!(
-            "event journal written to {path} ({} events, {} warnings)",
+            "flight recorder written to {dir}: events.jsonl ({} events, {} warnings), \
+             health.jsonl ({} resolver-day rows), trace.json",
             outcome.journal.recorded(),
             outcome.journal.count_at(obs::EventLevel::Warn),
-        );
-    }
-    if let Some(path) = health_out {
-        std::fs::write(path, outcome.health.to_jsonl()).map_err(|e| e.to_string())?;
-        eprintln!(
-            "health timeseries written to {path} ({} resolver-day rows)",
             outcome.health.resolver_rows().len(),
         );
-    }
-    if let Some(path) = trace_out {
-        std::fs::write(path, obs::traceview::chrome_trace(&outcome.spans))
-            .map_err(|e| e.to_string())?;
-        eprintln!("trace written to {path}");
     }
     if !outcome.drift.is_empty() {
         out!("\ndrift findings ({}):", outcome.drift.len());
@@ -512,7 +531,7 @@ fn cmd_campaign_sharded(args: &[String], config: CampaignConfig, out: &str) -> R
 }
 
 /// One human-readable line per drift finding (the machine form lives in
-/// the `--events` journal under the same code).
+/// the `--observe` journal under the same code).
 fn render_drift(f: &measure::DriftFinding) -> String {
     use measure::DriftKind;
     match f.kind {
@@ -544,6 +563,7 @@ fn render_drift(f: &measure::DriftFinding) -> String {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
+    check_args(args, 1, "", "")?;
     let path = args.first().ok_or("report requires a results file")?;
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
 

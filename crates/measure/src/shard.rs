@@ -101,10 +101,26 @@ pub struct ShardedOutcome {
     pub drift: Vec<DriftFinding>,
     /// The flight-recorder journal: shard lifecycle, checkpoint traffic,
     /// fault windows, retry exhaustions and drift findings in simulated
-    /// time, plus Ops-class resume telemetry.
+    /// time, every event of the campaign.
     pub journal: Journal,
     /// Where this run's wall-clock time went, stage by stage.
     pub stages: StageLedger,
+}
+
+impl ShardedOutcome {
+    /// Writes the flight recorder's three documents into `dir` (created if
+    /// absent): `events.jsonl` (the journal), `health.jsonl` (the
+    /// per-(resolver, day) series) and `trace.json` (one bar per shard
+    /// over its simulated extent, Chrome trace-event JSON). All three are
+    /// pure functions of seed and configuration.
+    pub fn export(&self, dir: impl AsRef<Path>) -> Result<(), CheckpointError> {
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir).map_err(io_err("create", dir))?;
+        let write = |name, text: String| write_atomic_bytes(&dir.join(name), text.as_bytes());
+        write("events.jsonl", self.journal.to_jsonl())?;
+        write("health.jsonl", self.health.to_jsonl())?;
+        write("trace.json", obs::traceview::chrome_trace(&self.spans))
+    }
 }
 
 /// Wall-clock seconds per stage of one [`ShardedRunner::run`]. Operator
@@ -474,10 +490,6 @@ pub fn hand_off<T: Send, P: Send, E: Send>(
     (landed, lanes)
 }
 
-/// Default flight-recorder journal capacity: comfortably above what a
-/// months-long campaign's lifecycle + findings emit, still O(1) memory.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 8_192;
-
 /// Every field of a probe configuration, spelled for the fingerprint. The
 /// patterns are exhaustive, so a new field cannot be left out of it.
 fn probe_fingerprint(probe: &ProbeConfig) -> String {
@@ -514,8 +526,6 @@ pub struct ShardedRunner<'a> {
     plans: Vec<PairPlan>,
     shards: u32,
     dir: PathBuf,
-    /// Journal ring capacity; 0 disables the journal entirely.
-    journal_capacity: usize,
     /// Operator-facing wall-clock progress lines on stderr.
     progress: bool,
 }
@@ -557,17 +567,8 @@ impl<'a> ShardedRunner<'a> {
             shards: shards.min(plans.len().max(1) as u32),
             plans,
             dir,
-            journal_capacity: DEFAULT_JOURNAL_CAPACITY,
             progress: false,
         })
-    }
-
-    /// Sets the flight-recorder journal capacity (builder-style). A
-    /// capacity of 0 disables the journal: recording costs one branch and
-    /// zero allocations, and the outcome's journal exports empty.
-    pub fn with_journal_capacity(mut self, capacity: usize) -> Self {
-        self.journal_capacity = capacity;
-        self
     }
 
     /// Enables operator-facing progress lines on stderr (builder-style).
@@ -576,14 +577,6 @@ impl<'a> ShardedRunner<'a> {
     pub fn with_progress(mut self, progress: bool) -> Self {
         self.progress = progress;
         self
-    }
-
-    fn new_journal(&self) -> Journal {
-        if self.journal_capacity == 0 {
-            Journal::disabled()
-        } else {
-            Journal::with_capacity(self.journal_capacity)
-        }
     }
 
     /// The effective shard count (clamped to the pair count).
@@ -925,7 +918,6 @@ impl<'a> ShardedRunner<'a> {
     pub fn run(&self, threads: usize) -> Result<ShardedOutcome, CheckpointError> {
         let mut run = ShardRunMetrics::new();
         run.shards_planned.add(self.shards as u64);
-        let mut journal = self.new_journal();
         let validate = Stopwatch::start();
         let manifest = self.load_or_init()?;
         let stages = StageLedger {
@@ -935,20 +927,12 @@ impl<'a> ShardedRunner<'a> {
         let pending = pending_shards(&manifest);
         run.shards_resumed
             .add((self.shards as usize - pending.len()) as u64);
-        // Fold resumed shards' work into the campaign-wide counters (and
-        // the Ops journal), so a kill+resume reports the same pair/record
-        // totals as a one-shot run. Ops events are process telemetry and
-        // never reach the JSONL export.
+        // Fold resumed shards' work into the campaign-wide counters, so a
+        // kill+resume reports the same pair/record totals as a one-shot run.
         for (i, state) in manifest.states.iter().enumerate() {
             if let ShardState::Complete(c) = state {
                 run.pairs_run.add(self.shard_range(i as u32).len() as u64);
                 run.records_produced.add(c.records);
-                journal.record_ops(
-                    0,
-                    EventLevel::Info,
-                    codes::SHARD_RESUME,
-                    EventData::shard(i as u32).with_count(c.records),
-                );
             }
         }
 
@@ -971,7 +955,7 @@ impl<'a> ShardedRunner<'a> {
         state.stages.generator_persist_s = lanes.generator_persist_s;
         state.stages.generator_wait_s = lanes.generator_wait_s;
         state.stages.committer_wait_s = lanes.committer_wait_s;
-        self.assemble(&state.manifest, state.run, journal, state.stages)
+        self.assemble(&state.manifest, state.run, state.stages)
     }
 
     /// Executes up to `max_shards` pending shards serially (lowest index
@@ -1001,7 +985,6 @@ impl<'a> ShardedRunner<'a> {
         &self,
         manifest: &Manifest,
         mut run: ShardRunMetrics,
-        mut journal: Journal,
         mut stages: StageLedger,
     ) -> Result<ShardedOutcome, CheckpointError> {
         if !manifest.is_complete() {
@@ -1057,11 +1040,9 @@ impl<'a> ShardedRunner<'a> {
         let jsonl_path = self.dir.join(CAMPAIGN_FILE);
         let mut registry = MetricsRegistry::new();
         let mut records = 0u64;
-        // Sim-class journal events, collected here and recorded in one
-        // canonical order after the merge (so the journal is independent
-        // of shard execution interleaving).
+        // Journal events, in the order assembly meets them; the journal
+        // puts them in its canonical order.
         let mut events: Vec<JournalEvent> = Vec::new();
-        let journal_on = journal.is_enabled();
         write_atomic(&jsonl_path, |file| {
             let mut out: Vec<u8> = Vec::with_capacity(ASSEMBLE_WRITE_BYTES + 4096);
             let mut flush = |out: &mut Vec<u8>| {
@@ -1081,24 +1062,21 @@ impl<'a> ShardedRunner<'a> {
                 })?;
                 cursor.last_at = record.at.as_nanos();
                 observe_record(&mut registry, &record);
-                if journal_on {
-                    if let (ProbeOutcome::Failure { .. }, Some(retry)) =
-                        (&record.outcome, &record.retry)
-                    {
-                        if retry.exhausted() {
-                            events.push(JournalEvent {
-                                at: record.at.as_nanos(),
-                                level: EventLevel::Warn,
-                                class: obs::EventClass::Sim,
-                                code: codes::RETRY_EXHAUSTED,
-                                data: EventData {
-                                    resolver: Some(record.resolver_id()),
-                                    vantage: Some(record.vantage_id()),
-                                    count: Some(retry.attempts as u64),
-                                    ..EventData::default()
-                                },
-                            });
-                        }
+                if let (ProbeOutcome::Failure { .. }, Some(retry)) =
+                    (&record.outcome, &record.retry)
+                {
+                    if retry.exhausted() {
+                        events.push(JournalEvent {
+                            at: record.at.as_nanos(),
+                            level: EventLevel::Warn,
+                            code: codes::RETRY_EXHAUSTED,
+                            data: EventData {
+                                resolver: Some(record.resolver_id()),
+                                vantage: Some(record.vantage_id()),
+                                count: Some(retry.attempts as u64),
+                                ..EventData::default()
+                            },
+                        });
                     }
                 }
                 out.extend_from_slice(cursor.line.as_bytes());
@@ -1174,94 +1152,61 @@ impl<'a> ShardedRunner<'a> {
             obs::sharding::record_shard_span(&mut spans, i as u32, c.first_at, c.last_at);
         }
 
-        if journal_on {
-            // Shard lifecycle + checkpoint traffic, from the merge
-            // cursors' simulated extents and the manifest.
-            for (i, c) in cursors.iter().enumerate() {
-                if let ShardState::Complete(ckpt) = &manifest.states[i] {
-                    let shard = i as u32;
-                    events.push(JournalEvent {
-                        at: c.first_at,
-                        level: EventLevel::Info,
-                        class: obs::EventClass::Sim,
-                        code: codes::SHARD_START,
-                        data: EventData::shard(shard),
-                    });
-                    events.push(JournalEvent {
-                        at: c.last_at,
-                        level: EventLevel::Info,
-                        class: obs::EventClass::Sim,
-                        code: codes::SHARD_FINISH,
-                        data: EventData::shard(shard).with_count(ckpt.records),
-                    });
-                    events.push(JournalEvent {
-                        at: c.last_at,
-                        level: EventLevel::Debug,
-                        class: obs::EventClass::Sim,
-                        code: codes::CHECKPOINT_STORE,
-                        data: EventData::shard(shard).with_count(ckpt.bytes),
-                    });
-                }
-            }
-            // Fault-plan windows, straight from the configuration.
-            for f in &self.campaign.config().faults.events {
-                let from = f.from.as_nanos();
-                let mut data = EventData::default()
-                    .with_value((f.until.as_nanos().saturating_sub(from)) as f64 / 1e6);
-                match &f.scope {
-                    FaultScope::Resolver(host) => data.resolver = Some(Label::intern(host)),
-                    FaultScope::Vantage(v) => data.vantage = Some(Label::intern(v)),
-                    _ => {}
-                }
+        // Shard lifecycle + checkpoint traffic, from the merge cursors'
+        // simulated extents and the manifest.
+        for (i, c) in cursors.iter().enumerate() {
+            if let ShardState::Complete(ckpt) = &manifest.states[i] {
+                let shard = i as u32;
                 events.push(JournalEvent {
-                    at: from,
+                    at: c.first_at,
                     level: EventLevel::Info,
-                    class: obs::EventClass::Sim,
-                    code: codes::FAULT_WINDOW,
-                    data,
+                    code: codes::SHARD_START,
+                    data: EventData::shard(shard),
                 });
-            }
-            // Drift findings, stamped at the end of the flagged day.
-            for d in &drift {
                 events.push(JournalEvent {
-                    at: (d.day as u64 + 1) * NANOS_PER_DAY,
-                    level: EventLevel::Warn,
-                    class: obs::EventClass::Sim,
-                    code: d.kind.code(),
-                    data: EventData {
-                        resolver: Some(d.resolver),
-                        day: Some(d.day),
-                        value: Some(d.value),
-                        ..EventData::default()
-                    },
+                    at: c.last_at,
+                    level: EventLevel::Info,
+                    code: codes::SHARD_FINISH,
+                    data: EventData::shard(shard).with_count(ckpt.records),
                 });
-            }
-            if spans.dropped() > 0 {
                 events.push(JournalEvent {
-                    at: cursors.iter().map(|c| c.last_at).max().unwrap_or(0),
-                    level: EventLevel::Warn,
-                    class: obs::EventClass::Sim,
-                    code: codes::SPAN_OVERFLOW,
-                    data: EventData::count(spans.dropped()),
+                    at: c.last_at,
+                    level: EventLevel::Debug,
+                    code: codes::CHECKPOINT_STORE,
+                    data: EventData::shard(shard).with_count(ckpt.bytes),
                 });
             }
-            // One canonical order for the whole stream: time, then code,
-            // then payload coordinates — a pure function of seed + config.
-            let sort_key = |e: &JournalEvent| {
-                (
-                    e.at,
-                    e.code,
-                    e.data.shard.unwrap_or(u32::MAX),
-                    e.data.resolver.map(|l| l.as_str()).unwrap_or(""),
-                    e.data.vantage.map(|l| l.as_str()).unwrap_or(""),
-                    e.data.day.unwrap_or(u32::MAX),
-                    e.data.count.unwrap_or(0),
-                )
-            };
-            events.sort_by(|a, b| sort_key(a).cmp(&sort_key(b)));
-            for e in events {
-                journal.record(e.at, e.level, e.code, e.data);
+        }
+        // Fault-plan windows, straight from the configuration.
+        for f in &self.campaign.config().faults.events {
+            let from = f.from.as_nanos();
+            let mut data = EventData::default()
+                .with_value((f.until.as_nanos().saturating_sub(from)) as f64 / 1e6);
+            match &f.scope {
+                FaultScope::Resolver(host) => data.resolver = Some(Label::intern(host)),
+                FaultScope::Vantage(v) => data.vantage = Some(Label::intern(v)),
+                _ => {}
             }
+            events.push(JournalEvent {
+                at: from,
+                level: EventLevel::Info,
+                code: codes::FAULT_WINDOW,
+                data,
+            });
+        }
+        // Drift findings, stamped at the end of the flagged day.
+        for d in &drift {
+            events.push(JournalEvent {
+                at: (d.day as u64 + 1) * NANOS_PER_DAY,
+                level: EventLevel::Warn,
+                code: d.kind.code(),
+                data: EventData {
+                    resolver: Some(d.resolver),
+                    day: Some(d.day),
+                    value: Some(d.value),
+                    ..EventData::default()
+                },
+            });
         }
 
         Ok(ShardedOutcome {
@@ -1273,14 +1218,8 @@ impl<'a> ShardedRunner<'a> {
             spans,
             health,
             drift,
-            journal,
+            journal: Journal::from_events(events),
             stages,
         })
-    }
-
-    /// Convenience: runs any remaining shards serially and assembles.
-    /// Equivalent to [`run`](Self::run) with one generator thread.
-    pub fn finish(&self) -> Result<ShardedOutcome, CheckpointError> {
-        self.run(1)
     }
 }

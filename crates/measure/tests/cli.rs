@@ -1,6 +1,7 @@
 //! The shipped binary, end to end: `edns-measure campaign` in memory and
 //! sharded into a checkpoint directory, a resume, a resume under a changed
-//! command line, and `report` over the file the campaign wrote.
+//! command line, `report` over the file the campaign wrote, the
+//! `--observe` directory, and the flags each subcommand refuses.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -81,6 +82,60 @@ fn campaign_shards_resumes_refuses_and_reports() {
     assert!(!run.status.success(), "{}", text(&run.stdout));
     let said = text(&run.stderr);
     assert!(said.contains("torn.jsonl:3:"), "{said}");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn observe_writes_the_recorder_and_unknown_flags_are_refused() {
+    let dir = std::env::temp_dir().join(format!("edns-measure-cli-observe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let quick = ["campaign", "--scale", "quick", "--seed", "9", "--out"];
+
+    // (a) --observe writes the three documents; a second run that resumes
+    // every shard leaves each byte-identical.
+    let observed = [
+        &quick[..],
+        &["o.jsonl", "--shards", "4", "--checkpoint-dir", "D"],
+        &["--faults", "default", "--observe", "O"],
+    ]
+    .concat();
+    let documents = || {
+        ["events.jsonl", "health.jsonl", "trace.json"]
+            .map(|name| std::fs::read_to_string(dir.join("O").join(name)).expect(name))
+    };
+    let run = edns_measure(&observed, &dir);
+    assert!(run.status.success(), "{}", text(&run.stderr));
+    let said = text(&run.stderr);
+    assert!(said.contains("shard 3/4 complete"), "{said}");
+    let first = documents();
+    assert!(first[0].starts_with("{\"at\":0,"), "{}", first[0]);
+    let events = format!("({} events,", first[0].lines().count());
+    assert!(said.contains(&events), "{said}");
+    let run = edns_measure(&observed, &dir);
+    assert!(run.status.success(), "{}", text(&run.stderr));
+    assert!(text(&run.stdout).contains("shards_resumed     4"));
+    assert!(first == documents());
+
+    // (b) A retired recorder flag, a misspelt flag and a value flag at the
+    // end of the line each fail naming the flag, before anything runs.
+    let replaced = "was replaced by --observe DIR";
+    for (tail, flag, why) in [
+        (&["--events", "x"][..], "--events", replaced),
+        (&["--progress"][..], "--progress", replaced),
+        (&["--sede", "3"][..], "--sede", "unknown flag"),
+        (&["--seed"][..], "--seed", "requires a value"),
+    ] {
+        let run = edns_measure(&[&quick[..], &["refused.jsonl"], tail].concat(), &dir);
+        assert!(!run.status.success(), "{tail:?}");
+        let said = text(&run.stderr);
+        assert!(said.starts_with("error: "), "{said}");
+        assert!(said.contains(flag) && said.contains(why), "{said}");
+        assert!(!dir.join("refused.jsonl").exists(), "{tail:?}");
+    }
+    let run = edns_measure(&["report", "o.jsonl", "--verbose"], &dir);
+    assert!(!run.status.success());
+    assert!(text(&run.stderr).contains("unknown flag --verbose"));
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,15 +1,15 @@
 //! Flight-recorder integration: the sharded engine's event journal,
 //! health timeseries, and drift findings must be pure functions of
 //! (seed, config) — identical across repeat runs, identical across
-//! kill+resume, identical to the in-memory fold — and switching the
-//! recorder off must not perturb the measured output by a single byte.
+//! kill+resume, identical to the in-memory fold — and the journal must
+//! export every event it holds.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use measure::{
-    detect_drift, Campaign, CampaignConfig, DriftConfig, HealthSeries, ShardedOutcome,
-    ShardedRunner,
+    detect_drift, Campaign, CampaignConfig, DriftConfig, HealthSeries, ProbeOutcome,
+    ShardedOutcome, ShardedRunner,
 };
 
 const HOSTS: [&str; 3] = ["dns.google", "dns.quad9.net", "doh.ffmuc.net"];
@@ -46,11 +46,18 @@ fn same_seed_runs_export_identical_recorder_documents() {
     assert!(a.journal.recorded() > 0, "faulted campaign must journal");
     assert_eq!(a.journal.to_jsonl(), b.journal.to_jsonl());
     assert_eq!(a.health.to_jsonl(), b.health.to_jsonl());
-    assert_eq!(
-        obs::traceview::chrome_trace(&a.spans),
-        obs::traceview::chrome_trace(&b.spans)
-    );
+    let trace = obs::traceview::chrome_trace(&a.spans);
+    assert_eq!(trace, obs::traceview::chrome_trace(&b.spans));
     assert_eq!(a.drift, b.drift);
+
+    // The trace is a Chrome trace-event document: it parses, and every
+    // span it begins it ends.
+    let doc = measure::json::parse(&trace).expect("trace.json parses as JSON");
+    let events = doc.get("traceEvents").and_then(|v| v.as_array());
+    assert!(events.is_some(), "{trace}");
+    let begins = trace.matches(r#""ph":"B""#).count();
+    assert!(begins >= 1, "{trace}");
+    assert_eq!(begins, trace.matches(r#""ph":"E""#).count());
 }
 
 #[test]
@@ -64,20 +71,14 @@ fn kill_and_resume_preserves_recorder_exports() {
     let resumed = ShardedRunner::new(&c, 5, &dir).unwrap().run(2).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 
-    // The exported (Sim) documents are byte-identical to the one-shot
-    // run's: a resume is invisible to the measured record.
+    // The journal, event for event, and the exported documents are the
+    // one-shot run's: a resume is invisible to the record. What the
+    // operator learns of it is `shards_resumed`.
+    assert!(resumed.journal.events().eq(reference.journal.events()));
     assert_eq!(resumed.journal.to_jsonl(), reference.journal.to_jsonl());
     assert_eq!(resumed.health.to_jsonl(), reference.health.to_jsonl());
     assert_eq!(resumed.drift, reference.drift);
-
-    // ...but the Ops side still tells the operator what happened: the
-    // resumed shards appear in render() tagged [ops], excluded from the
-    // JSONL export.
-    let rendered = resumed.journal.render();
-    assert!(rendered.contains("shard_resume"), "{rendered}");
-    assert!(rendered.contains("[ops]"), "{rendered}");
-    assert!(!resumed.journal.to_jsonl().contains("shard_resume"));
-    assert!(!reference.journal.render().contains("shard_resume"));
+    assert_eq!(resumed.run.shards_resumed.get(), 3);
 }
 
 #[test]
@@ -137,31 +138,23 @@ fn drift_findings_are_journaled_under_their_code() {
         });
         assert!(matched, "finding {f:?} has no journal event");
     }
-}
 
-#[test]
-fn disabling_the_journal_does_not_change_measured_output() {
-    let c = campaign(CampaignConfig::quick(13, 2).with_default_faults());
-    let dir_on = scratch_dir("on");
-    let on = ShardedRunner::new(&c, 3, &dir_on).unwrap().run(2).unwrap();
-    let jsonl_on = std::fs::read_to_string(&on.jsonl_path).unwrap();
-    std::fs::remove_dir_all(&dir_on).unwrap();
-
-    let dir_off = scratch_dir("off");
-    let off = ShardedRunner::new(&c, 3, &dir_off)
-        .unwrap()
-        .with_journal_capacity(0)
-        .run(2)
-        .unwrap();
-    let jsonl_off = std::fs::read_to_string(&off.jsonl_path).unwrap();
-    std::fs::remove_dir_all(&dir_off).unwrap();
-
-    assert!(on.journal.is_enabled());
-    assert!(!off.journal.is_enabled());
-    assert_eq!(off.journal.recorded(), 0);
-    assert_eq!(jsonl_on, jsonl_off, "recorder must be output-neutral");
-    // Health and drift stay on either way: they feed the checkpoint
-    // manifest, not the journal.
-    assert_eq!(on.health.to_jsonl(), off.health.to_jsonl());
-    assert_eq!(on.drift, off.drift);
+    // The export is the whole journal, and the journal has a
+    // retry_exhausted line for each probe the one-shot run sees burn its
+    // retry budget.
+    let exported = outcome.journal.to_jsonl();
+    assert_eq!(exported.lines().count() as u64, outcome.journal.recorded());
+    let exhausted = c
+        .run()
+        .records
+        .iter()
+        .filter(|r| matches!(r.outcome, ProbeOutcome::Failure { .. }))
+        .filter(|r| r.retry.as_ref().is_some_and(|retry| retry.exhausted()))
+        .count();
+    assert!(exhausted > 0, "the seeded fault plan must exhaust retries");
+    let journaled = exported
+        .lines()
+        .filter(|l| l.contains("\"code\":\"retry_exhausted\""))
+        .count();
+    assert_eq!(journaled, exhausted);
 }

@@ -21,9 +21,9 @@
 //! * [`clock`] — the audited wall-clock shim: the one sanctioned home for
 //!   real-time reads (operator-facing progress output only; results run
 //!   purely in simulated time). Enforced by `cargo xtask lint`.
-//! * [`journal`] — the campaign flight recorder's bounded, severity-leveled
-//!   structured event journal: `Copy` events in simulated time, zero
-//!   allocations on record, deterministic `events.jsonl` export.
+//! * [`journal`] — the campaign flight recorder's severity-leveled
+//!   structured event journal: every event in simulated time, one canonical
+//!   order, deterministic `events.jsonl` export.
 //! * [`traceview`] — [`SpanLog`] → Chrome trace-event JSON, so probe
 //!   phase timelines and shard schedules render in `chrome://tracing`.
 //!
@@ -43,7 +43,7 @@ mod span;
 pub mod traceview;
 
 pub use intern::Label;
-pub use journal::{EventClass, EventData, EventLevel, Journal, JournalEvent};
+pub use journal::{EventData, EventLevel, Journal, JournalEvent};
 pub use metrics::{
     CellMetrics, CellSnapshot, Counter, Gauge, Histogram, MetricKey, MetricsRegistry,
     MetricsSnapshot, LATENCY_BUCKETS_MS,

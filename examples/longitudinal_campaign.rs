@@ -7,11 +7,11 @@
 //! sketches) stay bounded at one cell per (vantage, resolver) pair no
 //! matter how many simulated days the campaign spans.
 //!
-//! The run flies with the full flight recorder on: a structured event
-//! journal stamped in simulated time, a per-(resolver, day) health
-//! timeseries with drift detection against a trailing-window baseline,
-//! and a Chrome trace of the shard timeline — all exported under
-//! `target/edns-bench-out/`.
+//! The run exports the flight recorder's three documents under
+//! `target/edns-bench-out/`: `events.jsonl` (every event, stamped in
+//! simulated time), `health.jsonl` (the per-(resolver, day) series the
+//! drift detector reads) and `trace.json` (one bar per shard over its
+//! simulated extent; load it in chrome://tracing).
 //!
 //! ```sh
 //! cargo run --release --example longitudinal_campaign              # 14 days
@@ -22,8 +22,7 @@
 //!
 //! ```sh
 //! edns-measure campaign --days 60 --shards 16 --checkpoint-dir ckpt \
-//!     --out out.jsonl --events events.jsonl --health health.jsonl \
-//!     --trace-out trace.json --progress
+//!     --out out.jsonl --observe observed
 //! ```
 
 use std::path::Path;
@@ -82,16 +81,7 @@ fn main() {
         outcome.jsonl_path.display(),
     );
 
-    // Flight recorder exports: the structured event journal (simulated
-    // time), the per-(resolver, day) health series, and a Chrome trace of
-    // the shard timeline (load trace.json in chrome://tracing).
-    std::fs::write(out_dir.join("events.jsonl"), outcome.journal.to_jsonl()).expect("write events");
-    std::fs::write(out_dir.join("health.jsonl"), outcome.health.to_jsonl()).expect("write health");
-    std::fs::write(
-        out_dir.join("trace.json"),
-        edns_bench::obs::traceview::chrome_trace(&outcome.spans),
-    )
-    .expect("write trace");
+    outcome.export(out_dir).expect("write flight recorder");
     eprintln!(
         "flight recorder: {} events ({} warnings) -> {}/events.jsonl, health.jsonl, trace.json\n",
         outcome.journal.recorded(),
