@@ -27,6 +27,10 @@
 //! do shows it as its wait row (`generator_wait_s` / `committer_wait_s`);
 //! `generator_persist_s` is the part of the three persist rows that ran on
 //! a generator because another was already in line for this thread.
+//! Assembly has a second lane too: `assemble_cells_s` is the cell files'
+//! decode and install on a thread of their own, overlapped with the merge,
+//! so it is no term of the phases' sum and a fourth assertion bounds it by
+//! assembly's wall time (`assemble_read_s + assemble_write_s`).
 
 // Bench harness: real elapsed time is the measurement itself.
 #![allow(clippy::disallowed_methods)]
@@ -40,12 +44,13 @@ use measure::{Campaign, CampaignConfig, ShardedRunner};
 /// the quick-profile campaign in memory again would blow past this.
 const QUICK_RSS_CAP_KB: u64 = 512 * 1024;
 
-/// Throughput floor for the CI profile: half the 251.5k probes/s measured
-/// on the reference container (2 vCPUs, 1 generator thread, median of ten
-/// runs; `BENCH_campaign.json`), so only a structural regression — the
-/// manifest or assembly going super-linear again, probe generation losing
-/// the allocation-free resolver side, or the record codec going back
-/// through `f64` in either direction — trips it.
+/// Throughput floor for the CI profile: just under half the 258.0k
+/// probes/s measured on the reference container (2 vCPUs, 1 generator
+/// thread, median of ten runs; `BENCH_campaign.json`), so only a
+/// structural regression — the manifest or assembly going super-linear
+/// again, probe generation losing the allocation-free resolver side, or
+/// the record codec going back through `f64` in either direction — trips
+/// it.
 const QUICK_PROBES_PER_SEC_FLOOR: f64 = 125_000.0;
 
 /// How far a ledger identity's two sides may differ, as a share of the
@@ -159,6 +164,7 @@ fn main() {
         "  of serialise_s + data_write_s + cell_write_s, {:.3} s ran on the generators",
         stages.generator_persist_s
     );
+    eprintln!("  assemble_cells_s ran beside assemble_read_s + assemble_write_s, not after them");
     assert_adds_up(
         "generator lane",
         stages.generator_lane_s(),
@@ -170,6 +176,12 @@ fn main() {
         stages.execute_wall_s,
     );
     assert_adds_up("phases", killed_run_s + stages.phases_s(), elapsed);
+    let assemble_wall_s = stages.assemble_read_s + stages.assemble_write_s;
+    assert!(
+        stages.assemble_cells_s <= assemble_wall_s * (1.0 + LEDGER_TOLERANCE),
+        "cell lane: {:.3} s cannot outlast assembly's {assemble_wall_s:.3} s",
+        stages.assemble_cells_s
+    );
     rows.push(("generator_persist_s", stages.generator_persist_s));
     let stages_json = rows
         .iter()

@@ -18,10 +18,12 @@
 //! persists its own. [`ShardedRunner::advance`] runs the halves one after
 //! the other.
 //!
+//! The read side has two lanes as well. *Validation* re-checks every
+//! complete shard's files, every other shard on a second thread.
 //! *Assembly* streams the shard files through a k-way merge into the final
-//! campaign JSONL, folding each record into the metrics registry, then
-//! installs the cells one cell file at a time — memory stays O(shards)
-//! buffer heads + O(pairs) cells, never O(records).
+//! campaign JSONL, folding each record into the metrics registry, while a
+//! second thread installs the cells one cell file at a time — memory stays
+//! O(shards) buffer heads + O(pairs) cells, never O(records).
 //!
 //! Determinism contract (DESIGN.md §9): for any seed, shard count, thread
 //! count, and any kill/resume schedule,
@@ -41,7 +43,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -135,6 +137,9 @@ impl ShardedOutcome {
 /// ```
 ///
 /// less the few milliseconds of drift detection and journal assembly.
+/// Validation and assembly each keep a second thread busy, but only the
+/// calling thread's time is a term here: `assemble_cells_s` runs inside
+/// `assemble_read_s + assemble_write_s`, not after them.
 /// The execute phase has two lanes running side by side, the generator
 /// threads and the committing (calling) thread. The persist rows
 /// (`serialise_s`, `data_write_s`, `cell_write_s`) are totals over both
@@ -155,7 +160,8 @@ impl ShardedOutcome {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageLedger {
     /// `load_or_init`: manifest decode plus re-validation of every
-    /// complete shard's data and cell file.
+    /// complete shard's data and cell file — wall time of the two
+    /// validation lanes side by side, each taking every other shard.
     pub validate_s: f64,
     /// The execute phase's wall time: from the first generator's spawn to
     /// the last shard's commit. Next to nothing when no shard is pending.
@@ -184,11 +190,17 @@ pub struct StageLedger {
     pub commit_s: f64,
     /// The committer waiting for a generator to hand it a shard.
     pub committer_wait_s: f64,
-    /// Assembly less its writes: shard-file reads, line parsing, the
-    /// k-way merge, the metrics fold, cell-file decode and install.
+    /// Assembly's wall time less its writes: shard-file reads, line
+    /// parsing, the k-way merge and the metrics fold on the calling thread,
+    /// then whatever wait is left for the cell lane to finish.
     pub assemble_read_s: f64,
     /// Assembly's writes of the campaign JSONL.
     pub assemble_write_s: f64,
+    /// The cell lane's own wall time: every cell file read, decoded,
+    /// checked and installed, on a second thread while the merge runs.
+    /// Overlapped with the two rows above, so not a term of
+    /// [`phases_s`](Self::phases_s).
+    pub assemble_cells_s: f64,
     /// Not a row of its own: the part of the three persist rows that ran
     /// on generator threads.
     pub generator_persist_s: f64,
@@ -196,7 +208,7 @@ pub struct StageLedger {
 
 impl StageLedger {
     /// The stages in pipeline order, by field name.
-    pub fn rows(&self) -> [(&'static str, f64); 13] {
+    pub fn rows(&self) -> [(&'static str, f64); 14] {
         [
             ("validate_s", self.validate_s),
             ("execute_wall_s", self.execute_wall_s),
@@ -211,6 +223,7 @@ impl StageLedger {
             ("committer_wait_s", self.committer_wait_s),
             ("assemble_read_s", self.assemble_read_s),
             ("assemble_write_s", self.assemble_write_s),
+            ("assemble_cells_s", self.assemble_cells_s),
         ]
     }
 
@@ -230,7 +243,8 @@ impl StageLedger {
             + self.committer_wait_s
     }
 
-    /// The three phases' wall time: what a run's elapsed time must match.
+    /// The three phases' wall time on the calling thread: what a run's
+    /// elapsed time must match.
     pub fn phases_s(&self) -> f64 {
         self.validate_s + self.execute_wall_s + self.assemble_read_s + self.assemble_write_s
     }
@@ -240,22 +254,39 @@ impl StageLedger {
 /// writes of this size.
 const ASSEMBLE_WRITE_BYTES: usize = 256 * 1024;
 
-/// Assembly's per-shard read buffer.
+/// Assembly's per-shard read buffer, and a validation lane's block.
 const ASSEMBLE_READ_BYTES: usize = 64 * 1024;
 
 /// Re-validates one of a complete shard's files against the size and
-/// checksum its manifest entry records.
-fn validate_file(path: &Path, bytes: u64, checksum: u64) -> Result<(), CheckpointError> {
-    let found = std::fs::read(path)
-        .map_err(|e| CheckpointError::ShardData(format!("read {}: {e}", path.display())))?;
-    if found.len() as u64 != bytes {
+/// checksum its manifest entry records, streaming it through `block` so
+/// that validation holds a block of the file, never the file.
+fn validate_file(
+    path: &Path,
+    bytes: u64,
+    checksum: u64,
+    block: &mut [u8],
+) -> Result<(), CheckpointError> {
+    let unreadable =
+        |e: std::io::Error| CheckpointError::ShardData(format!("read {}: {e}", path.display()));
+    let mut file = File::open(path).map_err(unreadable)?;
+    let (mut found, mut sum) = (0u64, FNV64_INIT);
+    loop {
+        match file.read(block) {
+            Ok(0) => break,
+            Ok(n) => {
+                found += n as u64;
+                sum = fnv64_extend(sum, &block[..n]);
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(unreadable(e)),
+        }
+    }
+    if found != bytes {
         return Err(CheckpointError::ShardData(format!(
-            "{} is {} bytes, manifest says {bytes}",
-            path.display(),
-            found.len()
+            "{} is {found} bytes, manifest says {bytes}",
+            path.display()
         )));
     }
-    let sum = fnv64(&found);
     if sum != checksum {
         return Err(CheckpointError::ShardData(format!(
             "{} hashes to {sum:016x}, manifest says {checksum:016x}",
@@ -392,12 +423,12 @@ pub struct HandOff {
 }
 
 /// The execute phase's two lanes. Up to `generators` threads (at least
-/// one, never more than there are items) claim `pending`'s items in order
-/// and `generate` them. A finished product is offered to the calling
-/// thread over a rendezvous channel: the generator waits until it is
-/// taken, then starts on its next item while the calling thread
-/// `persist`s and `commit`s the product. Only one generator stands in
-/// line like that. One that finishes a product while another is in line
+/// one, never more than there are items; `edns-gen-0`, `edns-gen-1`, …)
+/// claim `pending`'s items in order and `generate` them. A finished
+/// product is offered to the calling thread over a rendezvous channel:
+/// the generator waits until it is taken, then starts on its next item
+/// while the calling thread `persist`s and `commit`s the product. Only
+/// one generator stands in line like that. One that finishes a product while another is in line
 /// `persist`s its own and reports the outcome, which the calling thread
 /// `commit`s when it next takes a product. So the calling thread is the
 /// only one to commit; `persist` runs on as many threads as it needs to
@@ -430,11 +461,14 @@ pub fn hand_off<T: Send, P: Send, E: Send>(
     let landed = std::thread::scope(|scope| {
         let (offer, offered) = sync_channel::<T>(0);
         let (report, reported) = channel::<Result<P, E>>();
+        // A generator the OS will not start is left out: the others claim
+        // its share off the same queue.
         let handles: Vec<_> = (0..lanes.generators)
-            .map(|_| {
+            .filter_map(|i| {
                 let (offer, report) = (offer.clone(), report.clone());
                 let (next, in_line, generate, persist) = (&next, &in_line, &generate, &persist);
-                scope.spawn(move || {
+                let generator = std::thread::Builder::new().name(format!("edns-gen-{i}"));
+                let spawned = generator.spawn_scoped(scope, move || {
                     let (mut persist_s, mut blocked_s) = (0.0, 0.0);
                     while let Some(&item) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
                         let product = generate(item);
@@ -454,9 +488,11 @@ pub fn hand_off<T: Send, P: Send, E: Send>(
                         }
                     }
                     (persist_s, blocked_s, execute.elapsed_secs())
-                })
+                });
+                spawned.ok()
             })
             .collect();
+        lanes.generators = handles.len();
         drop((offer, report));
 
         let mut land_all = || loop {
@@ -693,7 +729,9 @@ impl<'a> ShardedRunner<'a> {
     /// otherwise starts a fresh one. A manifest for a different
     /// configuration, a corrupt manifest, or a complete shard with a file
     /// that is missing or fails its checksum is a typed error — never a
-    /// silent restart.
+    /// silent restart. With two or more complete shards a second thread
+    /// (`edns-validate`) checks every other one; of several damaged
+    /// shards the error names the lowest, its data file first.
     pub fn load_or_init(&self) -> Result<Manifest, CheckpointError> {
         let path = self.manifest_path();
         if !path.exists() {
@@ -719,13 +757,52 @@ impl<'a> ShardedRunner<'a> {
                 self.shards
             )));
         }
-        for (i, state) in manifest.states.iter().enumerate() {
-            if let ShardState::Complete(c) = state {
-                validate_file(&self.shard_path(i as u32), c.bytes, c.checksum)?;
-                validate_file(&self.cells_path(i as u32), c.cell_bytes, c.cell_checksum)?;
+        // Two lanes, each through a block of its own: this thread takes
+        // every other complete shard, a second thread the rest. A lane
+        // stops at its first failure, its lowest, so the lower of the two
+        // is the failure a walk in index order would have met first.
+        let complete: Vec<&ShardCheckpoint> = manifest
+            .states
+            .iter()
+            .filter_map(|state| match state {
+                ShardState::Complete(c) => Some(c),
+                ShardState::Pending => None,
+            })
+            .collect();
+        let lane = |first: usize| -> Result<(), (u32, CheckpointError)> {
+            let mut block = vec![0u8; ASSEMBLE_READ_BYTES];
+            for c in complete.iter().skip(first).step_by(2) {
+                validate_file(&self.shard_path(c.shard), c.bytes, c.checksum, &mut block)
+                    .and_then(|()| {
+                        let cells = self.cells_path(c.shard);
+                        validate_file(&cells, c.cell_bytes, c.cell_checksum, &mut block)
+                    })
+                    .map_err(|e| (c.shard, e))?;
             }
+            Ok(())
+        };
+        let (own, other) = if complete.len() < 2 {
+            (lane(0), Ok(()))
+        } else {
+            std::thread::scope(|scope| {
+                let second = std::thread::Builder::new()
+                    .name("edns-validate".to_string())
+                    .spawn_scoped(scope, || lane(1))
+                    .map_err(|e| CheckpointError::Io(format!("spawn edns-validate: {e}")))?;
+                let own = lane(0);
+                // detlint:allow(unwrap, propagates a validation lane's panic like a generator's; half a validation proves nothing)
+                let other = second.join().expect("shard validation lane panicked");
+                Ok((own, other))
+            })?
+        };
+        let failed = [own, other]
+            .into_iter()
+            .filter_map(Result::err)
+            .min_by_key(|(shard, _)| *shard);
+        match failed {
+            Some((_, e)) => Err(e),
+            None => Ok(manifest),
         }
-        Ok(manifest)
     }
 
     /// The generator half of a shard: runs its pairs, folds their cells
@@ -914,7 +991,9 @@ impl<'a> ShardedRunner<'a> {
     /// for the calling thread, so the persist half runs on as many threads
     /// as it needs to keep up. One shard per thread is in flight at most,
     /// so memory stays O(shard). With one generator shards commit in index
-    /// order; with no shard pending none is spawned.
+    /// order; with no shard pending none is spawned. Whatever `threads` is,
+    /// validation before the generators start and assembly after they are
+    /// joined each run one thread of their own beside the calling thread.
     pub fn run(&self, threads: usize) -> Result<ShardedOutcome, CheckpointError> {
         let mut run = ShardRunMetrics::new();
         run.shards_planned.add(self.shards as u64);
@@ -976,128 +1055,11 @@ impl<'a> ShardedRunner<'a> {
         Ok(pending.len().saturating_sub(max_shards))
     }
 
-    /// Streams the completed shard files through a k-way merge into the
-    /// final campaign JSONL, rebuilding metrics, then installs the
-    /// checkpointed cells one cell file at a time — the same way whether
-    /// this process executed the shard or resumed it. Memory: one buffered
-    /// line per shard, one shard's cells, and the O(pairs × days) series.
-    fn assemble(
-        &self,
-        manifest: &Manifest,
-        mut run: ShardRunMetrics,
-        mut stages: StageLedger,
-    ) -> Result<ShardedOutcome, CheckpointError> {
-        if !manifest.is_complete() {
-            return Err(CheckpointError::ShardData(
-                "cannot assemble: shards still pending".to_string(),
-            ));
-        }
-        let watch = Stopwatch::start();
-        // (vantage, resolver) → merge rank, for head-line keying: hashed
-        // by label id and only ever probed (`Label`'s `Ord` resolves both
-        // strings under a lock, once per comparison, for every record).
-        let ranks: HashMap<(Label, Label), u32> = self
-            .plans
-            .iter()
-            .map(|p| ((p.vantage_label, p.resolver_label), p.order))
-            .collect();
-
-        let mut cursors = (0..self.shards)
-            .map(|i| Cursor::open(self.shard_path(i)))
-            .collect::<Result<Vec<_>, _>>()?;
-
-        let key = |r: &ProbeRecord| -> Result<(u64, u32, u32), CheckpointError> {
-            let rank = ranks
-                .get(&(r.vantage_id(), r.resolver_id()))
-                .copied()
-                .ok_or_else(|| {
-                    CheckpointError::ShardData(format!(
-                        "record for unknown pair ({}, {})",
-                        r.vantage_id().as_str(),
-                        r.resolver_id().as_str()
-                    ))
-                })?;
-            Ok((
-                r.at.as_nanos(),
-                rank,
-                self.campaign.domain_rank(r.domain_id()),
-            ))
-        };
-
-        // Min-heap over shard heads. The record key (time, pair rank,
-        // domain rank) is unique across shards — a pair lives in exactly
-        // one shard — so the trailing shard index only stabilises ties
-        // *within* a shard, preserving each file's own order.
-        let mut heap: BinaryHeap<Reverse<(u64, u32, u32, u32)>> =
-            BinaryHeap::with_capacity(cursors.len());
-        for (i, c) in cursors.iter().enumerate() {
-            if let Some(r) = &c.head {
-                let (at, rank, domain) = key(r)?;
-                heap.push(Reverse((at, rank, domain, i as u32)));
-            }
-        }
-
-        let jsonl_path = self.dir.join(CAMPAIGN_FILE);
-        let mut registry = MetricsRegistry::new();
-        let mut records = 0u64;
-        // Journal events, in the order assembly meets them; the journal
-        // puts them in its canonical order.
-        let mut events: Vec<JournalEvent> = Vec::new();
-        write_atomic(&jsonl_path, |file| {
-            let mut out: Vec<u8> = Vec::with_capacity(ASSEMBLE_WRITE_BYTES + 4096);
-            let mut flush = |out: &mut Vec<u8>| {
-                let started = watch.elapsed_secs();
-                let written = file.write_all(out).map_err(io_err("write", &jsonl_path));
-                out.clear();
-                stages.assemble_write_s += watch.elapsed_secs() - started;
-                written
-            };
-            while let Some(Reverse((_, _, _, i))) = heap.pop() {
-                let cursor = &mut cursors[i as usize];
-                let record = cursor.head.take().ok_or_else(|| {
-                    CheckpointError::ShardData(format!(
-                        "merge cursor for {} lost its head",
-                        cursor.path.display()
-                    ))
-                })?;
-                cursor.last_at = record.at.as_nanos();
-                observe_record(&mut registry, &record);
-                if let (ProbeOutcome::Failure { .. }, Some(retry)) =
-                    (&record.outcome, &record.retry)
-                {
-                    if retry.exhausted() {
-                        events.push(JournalEvent {
-                            at: record.at.as_nanos(),
-                            level: EventLevel::Warn,
-                            code: codes::RETRY_EXHAUSTED,
-                            data: EventData {
-                                resolver: Some(record.resolver_id()),
-                                vantage: Some(record.vantage_id()),
-                                count: Some(retry.attempts as u64),
-                                ..EventData::default()
-                            },
-                        });
-                    }
-                }
-                out.extend_from_slice(cursor.line.as_bytes());
-                if out.len() >= ASSEMBLE_WRITE_BYTES {
-                    flush(&mut out)?;
-                }
-                records += 1;
-                cursor.advance()?;
-                if let Some(r) = &cursor.head {
-                    let (at, rank, domain) = key(r)?;
-                    heap.push(Reverse((at, rank, domain, i)));
-                }
-            }
-            flush(&mut out)
-        })?;
-        run.records_merged.add(records);
-
-        // Install the checkpointed cells, one cell file at a time. A cell
-        // file must list exactly its shard's pairs, in pair-index order,
-        // and its day cells must account for exactly the probes each
-        // pair's aggregate cell saw.
+    /// The cell half of assembly: installs the checkpointed cells, one
+    /// cell file at a time in shard order. A cell file must list exactly
+    /// its shard's pairs, in pair-index order, and its day cells must
+    /// account for exactly the probes each pair's aggregate cell saw.
+    fn install_cells(&self) -> Result<(CampaignAggregates, HealthSeries), CheckpointError> {
         let mut aggregates = CampaignAggregates::for_campaign(self.campaign);
         let mut health = HealthSeries::for_campaign(self.campaign);
         for i in 0..self.shards {
@@ -1142,6 +1104,150 @@ impl<'a> ShardedRunner<'a> {
                 health.install(h.pair, h.day, h.cell);
             }
         }
+        Ok((aggregates, health))
+    }
+
+    /// Streams the completed shard files through a k-way merge into the
+    /// final campaign JSONL, rebuilding metrics, while a second thread
+    /// [installs the checkpointed cells](Self::install_cells) — the same
+    /// way whether this process executed the shard or resumed it. The
+    /// campaign file takes its name only once both halves have succeeded;
+    /// when both fail, the merge's error is the one returned. Memory: one
+    /// buffered line per shard, one shard's cells, and the O(pairs × days)
+    /// series.
+    fn assemble(
+        &self,
+        manifest: &Manifest,
+        mut run: ShardRunMetrics,
+        mut stages: StageLedger,
+    ) -> Result<ShardedOutcome, CheckpointError> {
+        if !manifest.is_complete() {
+            return Err(CheckpointError::ShardData(
+                "cannot assemble: shards still pending".to_string(),
+            ));
+        }
+        let watch = Stopwatch::start();
+        // (vantage, resolver) → merge rank, for head-line keying: hashed
+        // by label id and only ever probed (`Label`'s `Ord` resolves both
+        // strings under a lock, once per comparison, for every record).
+        let ranks: HashMap<(Label, Label), u32> = self
+            .plans
+            .iter()
+            .map(|p| ((p.vantage_label, p.resolver_label), p.order))
+            .collect();
+
+        let key = |r: &ProbeRecord| -> Result<(u64, u32, u32), CheckpointError> {
+            let rank = ranks
+                .get(&(r.vantage_id(), r.resolver_id()))
+                .copied()
+                .ok_or_else(|| {
+                    CheckpointError::ShardData(format!(
+                        "record for unknown pair ({}, {})",
+                        r.vantage_id().as_str(),
+                        r.resolver_id().as_str()
+                    ))
+                })?;
+            Ok((
+                r.at.as_nanos(),
+                rank,
+                self.campaign.domain_rank(r.domain_id()),
+            ))
+        };
+
+        let jsonl_path = self.dir.join(CAMPAIGN_FILE);
+        let mut registry = MetricsRegistry::new();
+        let mut records = 0u64;
+        // Journal events, in the order assembly meets them; the journal
+        // puts them in its canonical order.
+        let mut events: Vec<JournalEvent> = Vec::new();
+        let (cursors, (aggregates, health)) = std::thread::scope(|scope| {
+            // The cell lane: nothing in the merge reads what it builds.
+            let cell_lane = std::thread::Builder::new()
+                .name("edns-cells".to_string())
+                .spawn_scoped(scope, || {
+                    let lane = Stopwatch::start();
+                    let installed = self.install_cells();
+                    (installed, lane.elapsed_secs())
+                })
+                .map_err(|e| CheckpointError::Io(format!("spawn edns-cells: {e}")))?;
+
+            let mut cursors = (0..self.shards)
+                .map(|i| Cursor::open(self.shard_path(i)))
+                .collect::<Result<Vec<_>, _>>()?;
+
+            // Min-heap over shard heads. The record key (time, pair rank,
+            // domain rank) is unique across shards — a pair lives in
+            // exactly one shard — so the trailing shard index only
+            // stabilises ties *within* a shard, preserving each file's own
+            // order.
+            let mut heap: BinaryHeap<Reverse<(u64, u32, u32, u32)>> =
+                BinaryHeap::with_capacity(cursors.len());
+            for (i, c) in cursors.iter().enumerate() {
+                if let Some(r) = &c.head {
+                    let (at, rank, domain) = key(r)?;
+                    heap.push(Reverse((at, rank, domain, i as u32)));
+                }
+            }
+
+            let cells = write_atomic(&jsonl_path, |file| {
+                let mut out: Vec<u8> = Vec::with_capacity(ASSEMBLE_WRITE_BYTES + 4096);
+                let mut flush = |out: &mut Vec<u8>| {
+                    let started = watch.elapsed_secs();
+                    let written = file.write_all(out).map_err(io_err("write", &jsonl_path));
+                    out.clear();
+                    stages.assemble_write_s += watch.elapsed_secs() - started;
+                    written
+                };
+                while let Some(Reverse((_, _, _, i))) = heap.pop() {
+                    let cursor = &mut cursors[i as usize];
+                    let record = cursor.head.take().ok_or_else(|| {
+                        CheckpointError::ShardData(format!(
+                            "merge cursor for {} lost its head",
+                            cursor.path.display()
+                        ))
+                    })?;
+                    cursor.last_at = record.at.as_nanos();
+                    observe_record(&mut registry, &record);
+                    if let (ProbeOutcome::Failure { .. }, Some(retry)) =
+                        (&record.outcome, &record.retry)
+                    {
+                        if retry.exhausted() {
+                            events.push(JournalEvent {
+                                at: record.at.as_nanos(),
+                                level: EventLevel::Warn,
+                                code: codes::RETRY_EXHAUSTED,
+                                data: EventData {
+                                    resolver: Some(record.resolver_id()),
+                                    vantage: Some(record.vantage_id()),
+                                    count: Some(retry.attempts as u64),
+                                    ..EventData::default()
+                                },
+                            });
+                        }
+                    }
+                    out.extend_from_slice(cursor.line.as_bytes());
+                    if out.len() >= ASSEMBLE_WRITE_BYTES {
+                        flush(&mut out)?;
+                    }
+                    records += 1;
+                    cursor.advance()?;
+                    if let Some(r) = &cursor.head {
+                        let (at, rank, domain) = key(r)?;
+                        heap.push(Reverse((at, rank, domain, i)));
+                    }
+                }
+                flush(&mut out)?;
+                // The two lanes meet before the rename: a cell file that
+                // fails its content checks leaves no campaign file behind.
+                // detlint:allow(unwrap, propagates the cell lane's panic like a generator's; there is no partial result to salvage)
+                let (installed, cells_s) = cell_lane.join().expect("cell lane panicked");
+                stages.assemble_cells_s = cells_s;
+                installed
+            })?;
+            Ok::<_, CheckpointError>((cursors, cells))
+        })?;
+        run.records_merged.add(records);
+
         stages.assemble_read_s = watch.elapsed_secs() - stages.assemble_write_s;
         let drift = detect_drift(&health.resolver_rows(), &DriftConfig::default());
 
@@ -1221,5 +1327,73 @@ impl<'a> ShardedRunner<'a> {
             journal: Journal::from_events(events),
             stages,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What the streaming validator must agree with: the whole file read
+    /// at once, its length and its checksum.
+    fn whole_file_accepts(path: &Path, bytes: u64, checksum: u64) -> bool {
+        std::fs::read(path)
+            .is_ok_and(|found| found.len() as u64 == bytes && fnv64(&found) == checksum)
+    }
+
+    #[test]
+    fn streaming_validation_accepts_exactly_what_a_whole_file_read_accepts() {
+        let dir = std::env::temp_dir().join(format!("edns-validate-file-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard-0000.jsonl");
+        let mut block = vec![0u8; ASSEMBLE_READ_BYTES];
+        let mut check = |content: &[u8], bytes: u64, checksum: u64| {
+            std::fs::write(&path, content).unwrap();
+            let streamed = validate_file(&path, bytes, checksum, &mut block);
+            assert_eq!(
+                streamed.is_ok(),
+                whole_file_accepts(&path, bytes, checksum),
+                "{} bytes on disk against {bytes} bytes / {checksum:016x}: {streamed:?}",
+                content.len()
+            );
+            streamed
+        };
+
+        let b = ASSEMBLE_READ_BYTES;
+        for size in [0, 1, b - 1, b, b + 1, 3 * b + 7] {
+            let content: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
+            let (bytes, checksum) = (size as u64, fnv64(&content));
+            assert_eq!(check(&content, bytes, checksum), Ok(()), "{size} bytes");
+            // The right file against the wrong entry.
+            let wrong_sum = check(&content, bytes, checksum ^ 1).unwrap_err();
+            assert!(matches!(&wrong_sum, CheckpointError::ShardData(m) if m.contains("hashes to")));
+            let wrong_len = check(&content, bytes + 1, checksum).unwrap_err();
+            assert!(
+                matches!(&wrong_len, CheckpointError::ShardData(m) if m.contains("bytes, manifest says"))
+            );
+            if size == 0 {
+                continue;
+            }
+            // A flipped byte in the first, a middle and the last block.
+            for at in [0, size / 2, size - 1] {
+                let mut flipped = content.clone();
+                flipped[at] ^= 0x40;
+                let e = check(&flipped, bytes, checksum).unwrap_err();
+                assert!(
+                    matches!(&e, CheckpointError::ShardData(m) if m.contains("hashes to")),
+                    "{size} bytes, byte {at} flipped: {e:?}"
+                );
+            }
+            let e = check(&content[..size - 1], bytes, checksum).unwrap_err();
+            assert!(
+                matches!(&e, CheckpointError::ShardData(m) if m.contains(&format!("is {} bytes", size - 1))),
+                "{size} bytes less one: {e:?}"
+            );
+        }
+
+        std::fs::remove_file(&path).unwrap();
+        let missing = validate_file(&path, 0, FNV64_INIT, &mut block).unwrap_err();
+        assert!(matches!(&missing, CheckpointError::ShardData(m) if m.starts_with("read ")));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

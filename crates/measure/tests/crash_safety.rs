@@ -2,14 +2,17 @@
 //! — truncated manifests, flipped bytes, stale format versions, shard
 //! data and cell files that no longer match their recorded checksums, and
 //! checkpoints from a different campaign configuration. Every rejection
-//! is a typed [`CheckpointError`]. A kill at any point of a shard's
+//! is a typed [`CheckpointError`] — the same one on every call, though
+//! validation and assembly each run on two threads — and a rejected
+//! assembly leaves no `campaign.jsonl`. A kill at any point of a shard's
 //! commit order (data file → cell file → manifest), and a write the
 //! committing thread cannot make, must resume to the one-shot output.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use measure::checkpoint::fnv64;
+use measure::shard::CAMPAIGN_FILE;
 use measure::{
     Campaign, CampaignConfig, CheckpointError, Manifest, Protocol, ShardState, ShardedRunner,
 };
@@ -40,6 +43,68 @@ fn partial_run(c: &Campaign, tag: &str) -> PathBuf {
     let remaining = runner.advance(2).unwrap();
     assert_eq!(remaining, 2);
     dir
+}
+
+/// Runs all four shards and returns a runner over the complete directory,
+/// and the directory.
+fn complete_run<'a>(c: &'a Campaign, tag: &str) -> (ShardedRunner<'a>, PathBuf) {
+    let dir = scratch_dir(tag);
+    let runner = ShardedRunner::new(c, 4, &dir).unwrap();
+    assert_eq!(runner.advance(4).unwrap(), 0);
+    (runner, dir)
+}
+
+/// Makes the manifest record shard `index`'s two files as they now are on
+/// disk, so that only a check of their content can reject them.
+fn rerecord(runner: &ShardedRunner, index: u32) {
+    let (data, cells) = (
+        std::fs::read(runner.shard_path(index)).unwrap(),
+        std::fs::read(runner.cells_path(index)).unwrap(),
+    );
+    let mut manifest = Manifest::load(&runner.manifest_path()).unwrap();
+    match &mut manifest.states[index as usize] {
+        ShardState::Complete(entry) => {
+            (entry.bytes, entry.checksum) = (data.len() as u64, fnv64(&data));
+            (entry.cell_bytes, entry.cell_checksum) = (cells.len() as u64, fnv64(&cells));
+        }
+        ShardState::Pending => unreachable!("all four shards ran"),
+    }
+    manifest.store(&runner.manifest_path()).unwrap();
+}
+
+/// Gives shard `index` a data file of valid JSON records that are not
+/// `write_json_line` output (a space after each comma), recorded in the
+/// manifest.
+fn respace_data_file(runner: &ShardedRunner, index: u32) {
+    let shard = runner.shard_path(index);
+    let respaced = std::fs::read_to_string(&shard)
+        .unwrap()
+        .replace(",\"", ", \"");
+    std::fs::write(&shard, respaced).unwrap();
+    rerecord(runner, index);
+}
+
+/// Gives shard `index` shard `from`'s cell file, recorded in the manifest:
+/// its checksum holds, its content is another shard's.
+fn borrow_cell_file(runner: &ShardedRunner, index: u32, from: u32) {
+    std::fs::copy(runner.cells_path(from), runner.cells_path(index)).unwrap();
+    rerecord(runner, index);
+}
+
+/// Flips one byte in the middle of `path`.
+fn flip_a_byte(path: &Path) {
+    let mut data = std::fs::read(path).unwrap();
+    let mid = data.len() / 2;
+    data[mid] = data[mid].wrapping_add(1);
+    std::fs::write(path, data).unwrap();
+}
+
+/// The `ShardData` message of `result`.
+fn shard_data_message<T: std::fmt::Debug>(result: Result<T, CheckpointError>) -> String {
+    match result.unwrap_err() {
+        CheckpointError::ShardData(msg) => msg,
+        other => panic!("expected ShardData, got {other:?}"),
+    }
 }
 
 #[test]
@@ -157,27 +222,71 @@ fn a_shard_file_the_engine_did_not_write_is_rejected_at_assembly() {
     // `write_json_line` output (a space after each comma): assembly reads
     // shard files with the strict line reader and must say so, typed.
     let c = campaign(CampaignConfig::quick(3, 2));
-    let dir = scratch_dir("foreign-lines");
-    let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
-    assert_eq!(runner.advance(4).unwrap(), 0);
-    let shard = runner.shard_path(1);
-    let respaced = std::fs::read_to_string(&shard)
-        .unwrap()
-        .replace(",\"", ", \"");
-    std::fs::write(&shard, &respaced).unwrap();
-    let mut manifest = Manifest::load(&runner.manifest_path()).unwrap();
-    match &mut manifest.states[1] {
-        ShardState::Complete(entry) => {
-            entry.bytes = respaced.len() as u64;
-            entry.checksum = fnv64(respaced.as_bytes());
-        }
-        ShardState::Pending => unreachable!("all four shards ran"),
-    }
-    manifest.store(&runner.manifest_path()).unwrap();
+    let (runner, dir) = complete_run(&c, "foreign-lines");
+    respace_data_file(&runner, 1);
 
-    match runner.run(1).unwrap_err() {
-        CheckpointError::ShardData(msg) => assert!(msg.contains("shard-0001.jsonl"), "{msg}"),
-        other => panic!("expected ShardData, got {other:?}"),
+    let msg = shard_data_message(runner.run(1));
+    assert!(msg.contains("shard-0001.jsonl"), "{msg}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_cell_file_that_fails_its_content_checks_leaves_no_campaign_file() {
+    // Shard 0's cell file under shard 1's name, checksummed correctly in
+    // the manifest: only the cell lane's content checks can reject it, and
+    // they must do so before the merged output takes its name.
+    let c = campaign(CampaignConfig::quick(3, 2));
+    let (runner, dir) = complete_run(&c, "foreign-cells");
+    borrow_cell_file(&runner, 1, 0);
+
+    let msg = shard_data_message(runner.run(1));
+    assert!(msg.contains("shard-0001.cells"), "{msg}");
+    assert!(!dir.join(CAMPAIGN_FILE).exists(), "a torn campaign file");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn two_damaged_shards_on_different_lanes_name_the_lower_index_every_time() {
+    // Validation takes shards 0 and 2 on the calling thread and 1 and 3 on
+    // the second; whichever lane finishes first, the error is the one a
+    // walk in index order meets first: lowest shard, data file before cell
+    // file.
+    let c = campaign(CampaignConfig::quick(3, 2));
+    for (damaged, named) in [
+        ([(1, "cells"), (2, "jsonl")], "shard-0001.cells"),
+        ([(2, "cells"), (1, "jsonl")], "shard-0001.jsonl"),
+        ([(0, "cells"), (3, "jsonl")], "shard-0000.cells"),
+        ([(3, "cells"), (0, "jsonl")], "shard-0000.jsonl"),
+        ([(1, "cells"), (1, "jsonl")], "shard-0001.jsonl"),
+    ] {
+        let (runner, dir) = complete_run(&c, "two-lanes");
+        for (shard, extension) in damaged {
+            flip_a_byte(&dir.join(format!("shard-{shard:04}.{extension}")));
+        }
+        let first = shard_data_message(runner.load_or_init());
+        assert!(first.contains(named), "{damaged:?}: {first}");
+        for _ in 0..20 {
+            assert_eq!(shard_data_message(runner.load_or_init()), first);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn the_merge_error_is_the_one_reported_when_the_cell_lane_fails_too() {
+    // A foreign data line in shard 2 and a content-invalid cell file in
+    // shard 1, both checksummed correctly: the cell lane meets its error
+    // long before the merge reaches shard 2's, and the merge's is still
+    // the one returned, every time.
+    let c = campaign(CampaignConfig::quick(3, 2));
+    let (runner, dir) = complete_run(&c, "both-lanes-fail");
+    respace_data_file(&runner, 2);
+    borrow_cell_file(&runner, 1, 0);
+
+    for _ in 0..20 {
+        let msg = shard_data_message(runner.run(1));
+        assert!(msg.contains("shard-0002.jsonl"), "{msg}");
+        assert!(!dir.join(CAMPAIGN_FILE).exists());
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
