@@ -1,5 +1,5 @@
 //! Campaign hot-path throughput check: runs a full-population campaign and
-//! reports a staged breakdown — probe generation (the arena/`PairContext`
+//! reports a staged breakdown — probe generation (the `PairContext`
 //! fast path, measured separately per worker-thread count), merge/assembly,
 //! JSONL serialization, metrics aggregation, flight-recorder overhead, and
 //! the end-to-end pipeline rate — as one JSON object on stdout.
@@ -33,7 +33,7 @@ use measure::{metrics_of, Campaign, CampaignConfig, SessionConfig};
 /// (probe + merge + JSONL + metrics): half the 255.2k median of ten runs
 /// on the reference container (2 vCPUs; `BENCH_campaign.json` lists the
 /// ten). The pre-interning implementation measured ~2.1e4 there, the
-/// streaming hot path ~6.1e4, the arena/`PairContext` fast path ~1.15e5,
+/// streaming hot path ~6.1e4, the `PairContext` fast path ~1.15e5,
 /// the allocation-free resolver side with the float record codec ~1.8e5
 /// in the session the ten were taken in. Tripping this floor means a
 /// stage fell back a generation: hoisted wire templates regressing to

@@ -105,15 +105,7 @@ impl Message {
 
     /// Encodes the message to wire format, recomputing all section counts.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        self.encode_into(Vec::with_capacity(512))
-    }
-
-    /// [`encode`](Self::encode) into a recycled buffer: `buf` is cleared,
-    /// its capacity is reused, and the finished wire image is returned.
-    /// The probe fast path pairs this with an arena of pooled buffers so
-    /// repeated encodes perform no heap allocation.
-    pub fn encode_into(&self, buf: Vec<u8>) -> Result<Vec<u8>, WireError> {
-        let mut w = Writer::from_buf(buf);
+        let mut w = Writer::with_capacity(512);
         let mut c = NameCompressor::new();
 
         let arcount = self.additionals.len() + usize::from(self.edns.is_some());

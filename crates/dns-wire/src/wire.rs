@@ -112,14 +112,6 @@ impl Writer {
         }
     }
 
-    /// Creates a writer over a recycled buffer: `buf` is cleared and its
-    /// capacity reused, so encoding into a pooled buffer touches no
-    /// allocator once the pool is warm.
-    pub fn from_buf(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        Writer { buf }
-    }
-
     /// Number of octets written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

@@ -79,15 +79,15 @@ USAGE:
       tallies, phase histograms). For JSON/CSV metrics exports see
       examples/global_campaign.rs, which uses the report crate.
 
-      LONGITUDINAL MODE: --days N switches to the simulated multi-month
-      schedule (home 6 rounds/day + EC2 3 rounds/day over N days; 133
-      days tops a million probes) and runs through the sharded,
-      resumable engine: the pair space splits into K shards (--shards,
-      default 8), each checkpointed under --checkpoint-dir (default
-      'checkpoints') as it completes. A killed campaign re-run with the
-      same flags resumes from the last completed shard and produces
-      byte-identical output. --shards/--checkpoint-dir without --days
-      shard the selected --scale instead.
+      LONGITUDINAL MODE: --days N (instead of --scale; both is an error)
+      switches to the simulated multi-month schedule (home 6 rounds/day +
+      EC2 3 rounds/day over N days; 133 days tops a million probes) and
+      runs through the sharded, resumable engine: the pair space splits
+      into K shards (--shards, default 8), each checkpointed under
+      --checkpoint-dir (default 'checkpoints') as it completes. A killed
+      campaign re-run with the same flags resumes from the last completed
+      shard and produces byte-identical output. --shards/--checkpoint-dir
+      without --days shard the selected --scale instead.
 
       FLIGHT RECORDER: --observe DIR selects the sharded engine, prints a
       line per completed shard on stderr and writes DIR/events.jsonl (every
@@ -394,9 +394,12 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let days: Option<u32> = flag_value(args, "--days")
         .map(|v| v.parse().map_err(|_| "bad --days"))
         .transpose()?;
-    let mut config = match days {
-        Some(days) => CampaignConfig::longitudinal(seed, days),
-        None => match flag_value(args, "--scale").unwrap_or("standard") {
+    let mut config = match (days, flag_value(args, "--scale")) {
+        (Some(_), Some(_)) => {
+            return Err("--days and --scale each select the campaign; give one".into())
+        }
+        (Some(days), None) => CampaignConfig::longitudinal(seed, days),
+        (None, scale) => match scale.unwrap_or("standard") {
             "quick" => CampaignConfig::quick(seed, 4),
             "standard" => CampaignConfig::quick(seed, 24),
             "paper" => CampaignConfig::paper(seed),

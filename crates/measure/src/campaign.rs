@@ -491,30 +491,22 @@ impl Campaign {
                 for (domain_idx, domain) in self.domains.iter().enumerate() {
                     let session = session_cfg.zip(session.as_mut());
                     let report = match &mut ctx {
-                        Some(ctx) => {
-                            let report = prober.drive(ProbeJob {
-                                client: &ctx.client,
-                                ftarget: &ctx.ftarget,
-                                scope_mask: Some(&ctx.scope_mask),
-                                site: ctx.site,
-                                path: &ctx.path,
-                                now: at,
-                                cfg,
-                                faults,
-                                target: &mut target,
-                                wires: Wires::Cached(&mut ctx.domains[domain_idx]),
-                                load: load.zip(pair_load.as_mut()),
-                                session,
-                                arena: &mut ctx.arena,
-                                rng: &mut rng,
-                                log: &mut log,
-                            });
-                            // Rewind the arena's checkout accounting:
-                            // buffers kept by the templates stay; scratch
-                            // is written off.
-                            ctx.arena.reset();
-                            report
-                        }
+                        Some(ctx) => prober.drive(ProbeJob {
+                            client: &ctx.client,
+                            ftarget: &ctx.ftarget,
+                            scope_mask: Some(&ctx.scope_mask),
+                            site: ctx.site,
+                            path: &ctx.path,
+                            now: at,
+                            cfg,
+                            faults,
+                            target: &mut target,
+                            wires: Wires::Cached(&mut ctx.domains[domain_idx]),
+                            load: load.zip(pair_load.as_mut()),
+                            session,
+                            rng: &mut rng,
+                            log: &mut log,
+                        }),
                         None => {
                             let mut fresh_load = load.map(|m| PairLoad::build(m, vantage, &target));
                             let req = ProbeRequest {

@@ -26,15 +26,14 @@
 //! [`PairContext`] carries the rest of what is constant across a pair's
 //! probe series: the routed site and [`Path`] (home peering penalty
 //! applied), the [`FaultTarget`], the indices of the plan events in scope
-//! ([`FaultPlan::scope_mask`]), and the [`Arena`] the templates check
-//! their buffers out of.
+//! ([`FaultPlan::scope_mask`]).
 
 use bytes::Bytes;
 use catalog::ResolverEntry;
 use detlint_macros::deny_alloc;
 use dns_wire::{base64url, Message, MessageBuilder, Name, RData, Rcode, RecordType};
 use netsim::faults::{FaultPlan, FaultTarget};
-use netsim::{Arena, Host, Path};
+use netsim::{Host, Path};
 use transport::{doh_headers, H2Connection, H2Request, HeaderField};
 
 use crate::probe::{ProbeConfig, ProbeTarget};
@@ -163,18 +162,12 @@ impl Wires<'_> {
     /// Makes the frontend's response to this query — the message is only
     /// assembled and encoded when the source has not seen its shape — and
     /// returns the handle the accessors below take.
-    pub(crate) fn respond(
-        &mut self,
-        shed: bool,
-        rcode: Rcode,
-        records: &[RData],
-        arena: &mut Arena,
-    ) -> usize {
+    pub(crate) fn respond(&mut self, shed: bool, rcode: Rcode, records: &[RData]) -> usize {
         match self {
             Wires::Cached(t) => match t.find_variant(shed, rcode, records) {
                 Some(i) => i,
                 // detlint:allow(deny-alloc-reach, the first sight of a response shape on a pair builds and keeps its wire; every later probe finds it above)
-                None => t.add_variant(shed, rcode, records, arena),
+                None => t.add_variant(shed, rcode, records),
             },
             Wires::Fresh(f) => {
                 // detlint:allow(deny-alloc-reach, the fresh wire source exists to build every message anew; campaigns probe through Cached)
@@ -336,8 +329,6 @@ pub(crate) struct PairContext {
     pub(crate) scope_mask: Vec<u32>,
     /// One wire template per campaign domain, in campaign domain order.
     pub(crate) domains: Vec<DomainTemplate>,
-    /// Pooled buffers for template wire assembly; reset between probes.
-    pub(crate) arena: Arena,
 }
 
 impl PairContext {
@@ -360,10 +351,9 @@ impl PairContext {
             vantage: vantage.label,
         };
         let scope_mask = faults.scope_mask(&ftarget);
-        let mut arena = Arena::new();
         let domains = domains
             .into_iter()
-            .map(|name| DomainTemplate::build(&target.entry, name, cfg, &mut arena))
+            .map(|name| DomainTemplate::build(&target.entry, name, cfg))
             .collect();
         PairContext {
             client,
@@ -372,7 +362,6 @@ impl PairContext {
             ftarget,
             scope_mask,
             domains,
-            arena,
         }
     }
 }
@@ -393,10 +382,10 @@ pub(crate) struct DomainTemplate {
 }
 
 impl DomainTemplate {
-    fn build(entry: &ResolverEntry, name: &Name, cfg: ProbeConfig, arena: &mut Arena) -> Self {
+    fn build(entry: &ResolverEntry, name: &Name, cfg: ProbeConfig) -> Self {
         let query = build_query(name, cfg);
         // detlint:allow(unwrap, queries built by build_query are well-formed; encoding cannot fail)
-        let query_wire = query.encode_into(arena.alloc()).expect("query encodes");
+        let query_wire = query.encode().expect("query encodes");
         let doh =
             (cfg.protocol == Protocol::DoH).then(|| DohTemplate::build(entry, &query_wire, cfg));
         DomainTemplate {
@@ -420,15 +409,9 @@ impl DomainTemplate {
 
     /// Builds and caches a response variant (cold path: runs once per
     /// distinct response shape per pair).
-    fn add_variant(
-        &mut self,
-        shed: bool,
-        rcode: Rcode,
-        records: &[RData],
-        arena: &mut Arena,
-    ) -> usize {
+    fn add_variant(&mut self, shed: bool, rcode: Rcode, records: &[RData]) -> usize {
         let wire = response_message(&self.query, &self.name, shed, rcode, records)
-            .encode_into(arena.alloc())
+            .encode()
             // detlint:allow(unwrap, responses assembled by the simulated resolver are well-formed)
             .expect("response encodes");
         let decoded_rcode = Message::decode(&wire).ok().map(|m| m.rcode());

@@ -23,7 +23,7 @@ use catalog::ResolverEntry;
 use detlint_macros::deny_alloc;
 use dns_wire::{Message, Name, Rcode, RecordType};
 use netsim::faults::{FaultEffects, FaultPlan, FaultTarget};
-use netsim::{icmp, Arena, Host, Path, SimDuration, SimRng, SimTime};
+use netsim::{icmp, Host, Path, SimDuration, SimRng, SimTime};
 use obs::{Nanos, Phase, SpanLog};
 use resolver_sim::{AuthorityTree, ProbeHealth, ResolverInstance};
 use transport::{
@@ -102,7 +102,6 @@ struct Attempt<'a> {
     warm: WarmStart,
     rng: &'a mut SimRng,
     log: &'a mut SpanLog,
-    arena: &'a mut Arena,
     /// The timeline's clock: where the next phase span starts.
     t: Nanos,
     /// The phases paid so far.
@@ -373,7 +372,6 @@ pub(crate) struct ProbeJob<'a> {
     /// How each attempt's connection starts: `None` is always cold, a live
     /// session layer decides per attempt and learns from the outcome.
     pub(crate) session: Option<(&'a SessionConfig, &'a mut SessionState)>,
-    pub(crate) arena: &'a mut Arena,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) log: &'a mut SpanLog,
 }
@@ -470,7 +468,6 @@ impl Prober {
             wires: Wires::Fresh(&mut wires),
             load,
             session,
-            arena: &mut Arena::new(),
             rng,
             log,
         })
@@ -498,7 +495,6 @@ impl Prober {
             mut wires,
             mut load,
             mut session,
-            arena,
             rng,
             log,
         } = job;
@@ -579,7 +575,6 @@ impl Prober {
                 warm,
                 rng,
                 log: &mut *log,
-                arena: &mut *arena,
                 t: attempt_now.as_nanos(),
                 timings: ProbeTimings::default(),
             };
@@ -832,7 +827,7 @@ impl Prober {
             server_time,
             cache_hit: resolution.cache_hit,
             rcode,
-            response: wires.respond(shed, rcode, &resolution.records, env.arena),
+            response: wires.respond(shed, rcode, &resolution.records),
         }
     }
 
@@ -1655,7 +1650,6 @@ mod tests {
             warm: WarmStart::Cold,
             rng: &mut SimRng::from_seed(2),
             log: &mut log,
-            arena: &mut Arena::new(),
             t: now.as_nanos(),
             timings: ProbeTimings::default(),
         };

@@ -117,14 +117,16 @@ fn observe_writes_the_recorder_and_unknown_flags_are_refused() {
     assert!(text(&run.stdout).contains("shards_resumed     4"));
     assert!(first == documents());
 
-    // (b) A retired recorder flag, a misspelt flag and a value flag at the
-    // end of the line each fail naming the flag, before anything runs.
+    // (b) A retired recorder flag, a misspelt flag, a value flag at the
+    // end of the line and --days beside --scale each fail naming the
+    // flag, before anything runs.
     let replaced = "was replaced by --observe DIR";
     for (tail, flag, why) in [
         (&["--events", "x"][..], "--events", replaced),
         (&["--progress"][..], "--progress", replaced),
         (&["--sede", "3"][..], "--sede", "unknown flag"),
         (&["--seed"][..], "--seed", "requires a value"),
+        (&["--days", "3"][..], "--days", "--scale"),
     ] {
         let run = edns_measure(&[&quick[..], &["refused.jsonl"], tail].concat(), &dir);
         assert!(!run.status.success(), "{tail:?}");

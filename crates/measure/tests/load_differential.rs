@@ -17,7 +17,7 @@ use measure::{Campaign, CampaignConfig, LoadModel, Protocol, RetryPolicy, Sessio
 use netsim::SimDuration;
 use proptest::prelude::*;
 
-/// Same deliberate diversity as the arena differential: healthy anycast
+/// Same deliberate diversity as the wires differential: healthy anycast
 /// mainstream, mostly-down hobbyist, HTTP/1.1-only flaky host.
 const HOSTS: [&str; 3] = [
     "dns.google",

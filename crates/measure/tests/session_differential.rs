@@ -36,7 +36,7 @@ use netsim::faults::{FaultKind, FaultPlan, FaultScope};
 use netsim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// The arena differential's deliberately diverse roster: a healthy anycast
+/// The wires differential's deliberately diverse roster: a healthy anycast
 /// mainstream, a mostly-down host, and an HTTP/1.1-only flaky host.
 const HOSTS: [&str; 3] = [
     "dns.google",

@@ -1,5 +1,5 @@
 //! Differential pinning of the cached wire source: `Campaign::run()`
-//! (pair-constant `PairContext`, wire templates, arena) must produce
+//! (pair-constant `PairContext`, wire templates) must produce
 //! **byte-identical** records to `Campaign::run_reference()` (same driver
 //! and protocol machines, but every probe routed on its own, its faults
 //! resolved against the unmasked plan, and every wire freshly built,

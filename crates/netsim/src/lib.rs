@@ -28,8 +28,6 @@
 //! * [`icmp`] — the ping probe paired with every DNS measurement.
 //! * [`faults`] — time-windowed fault plans resolved per attempt into
 //!   plain [`FaultEffects`], without touching any probe's RNG stream.
-//! * [`Arena`] — a capacity-retaining buffer pool giving the probe fast
-//!   path zero steady-state heap churn (see `arena`).
 //!
 //! ```
 //! use netsim::{geo::cities, AccessProfile, Deployment, Host, HostId, SimRng, Site};
@@ -50,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod faults;
 pub mod geo;
 pub mod icmp;
@@ -60,7 +57,6 @@ pub mod rng;
 pub mod routing;
 pub mod time;
 
-pub use arena::Arena;
 pub use faults::{FaultEffects, FaultEvent, FaultKind, FaultPlan, FaultScope, FaultTarget};
 pub use geo::{City, GeoPoint, Region};
 pub use icmp::{ping, ping_with_retries, IcmpPolicy, PingOutcome};

@@ -42,11 +42,10 @@
 //! ## Transitive rules
 //!
 //! * `deny-alloc-reach` — from every `#[deny_alloc]` fn, no call may
-//!   transitively reach an allocating construct (or `Arena::new`).
-//!   Reported at the offending call site *inside the annotated fn*, so
-//!   the escape hatch lives in the zone that owns the invariant.
-//!   Traversal stops at other `#[deny_alloc]` fns (they carry their own
-//!   obligation) and at the sanctioned `Arena` pool API. A reasoned
+//!   transitively reach an allocating construct. Reported at the
+//!   offending call site *inside the annotated fn*, so the escape hatch
+//!   lives in the zone that owns the invariant. Traversal stops at other
+//!   `#[deny_alloc]` fns (they carry their own obligation). A reasoned
 //!   `detlint:allow(deny-alloc-reach, …)` on an allocating line *outside*
 //!   a zone sanctions that cold site for every zone that reaches it (a
 //!   name's first insertion into a map, say): the traversal neither
@@ -278,9 +277,8 @@ enum Trace {
 
 fn barrier(f: &FnSymbol, trace: Trace) -> bool {
     match trace {
-        // Another annotated zone carries its own obligation; the arena
-        // pool API is the sanctioned allocation primitive.
-        Trace::Alloc => f.deny_alloc || f.is_arena_pool_api(),
+        // Another annotated zone carries its own obligation.
+        Trace::Alloc => f.deny_alloc,
         Trace::Rng => f.rng_neutral,
     }
 }
@@ -744,23 +742,5 @@ mod tests {
         // from a crate that cannot link it, `recursive` only by itself,
         // `caller` only from a test region.
         assert_eq!(names, ["unused", "recursive", "caller"]);
-    }
-
-    #[test]
-    fn arena_pool_api_is_sanctioned() {
-        let found = rules_of(&[
-            (
-                "crates/netsim/src/arena.rs",
-                "pub struct Arena;\nimpl Arena {\n    pub fn alloc(&mut self) -> Vec<u8> {\n        self.fresh()\n    }\n    fn fresh(&mut self) -> Vec<u8> { Vec::new() }\n}",
-            ),
-            (
-                "crates/a/src/lib.rs",
-                "#[deny_alloc]\npub fn hot(arena: &mut Arena) {\n    let b = arena.alloc();\n}",
-            ),
-        ]);
-        assert!(
-            found.is_empty(),
-            "arena pool checkout is sanctioned: {found:?}"
-        );
     }
 }

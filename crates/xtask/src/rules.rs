@@ -5,10 +5,10 @@
 //! |------|-----------------|
 //! | `hash-iter` | iterating a `HashMap`/`HashSet` (`iter`, `keys`, `values`, `drain`, `into_iter`, `retain`, `for … in map`) — iteration order is seeded per process, so anything order-dependent must use `BTreeMap`/`BTreeSet` or rank-keyed vectors |
 //! | `wall-clock` | `Instant::now` / `SystemTime::now` / `thread_rng` / `from_entropy` outside the `obs` timing shim and the `bench`/`xtask` crates — output must be a pure function of `(seed, simulated time)` |
-//! | `deny-alloc` | allocating constructs (`format!`, `vec!`, `String::from`, `.to_string()`, `.to_owned()`, `.clone()`, `Box::new`, `.alloc()` on a non-arena receiver, `Arena::new`, …) inside a `#[deny_alloc]` function body; `arena.alloc(…)` / `arena.recycle(…)` are the sanctioned pooled-buffer API and pass |
+//! | `deny-alloc` | allocating constructs (`format!`, `vec!`, `String::from`, `.to_string()`, `.to_owned()`, `.clone()`, `Box::new`, `.alloc()` on any receiver, …) inside a `#[deny_alloc]` function body |
 //! | `unwrap` | `.unwrap()` / `.expect(…)` / `panic!` in library code (binaries and `#[cfg(test)]` code are exempt) |
 //! | `float-order` | `f64` reductions (`sum`/`fold`/`product`/`+=`) fed by hash-container iteration — float addition is not associative, so reduction order must be rank-ordered |
-//! | `deny-alloc-reach` | a call inside a `#[deny_alloc]` fn that transitively reaches an allocating construct (or `Arena::new`) through the workspace call graph; reported at the call in the annotated fn, and a reasoned allow on the allocating line itself sanctions that cold site for every zone — see [`crate::callgraph`] |
+//! | `deny-alloc-reach` | a call inside a `#[deny_alloc]` fn that transitively reaches an allocating construct through the workspace call graph; reported at the call in the annotated fn, and a reasoned allow on the allocating line itself sanctions that cold site for every zone — see [`crate::callgraph`] |
 //! | `rng-stream` | a `#[rng_neutral]` fn that draws on, or transitively reaches a draw on, the probe RNG stream (`SimRng`) |
 //! | `panic-reach` | `panic!`/`unwrap`/`expect` in any fn reachable from the hot-path roots (`run_pair`, `drive`); a root that names no function while `crates/measure` is scanned |
 //! | `bad-allow` | a `detlint:allow` escape hatch without a reason, or naming an unknown rule |
@@ -582,26 +582,14 @@ fn scan(
                             && tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
                             && tokens.get(i + 3).is_some_and(|t| t.is_ident(b))
                     };
-                    // `arena.alloc(…)` / `arena.recycle(…)` checkout pooled
-                    // buffers (capacity-retaining, no steady-state heap
-                    // traffic) — the receiver naming the arena is the signal
-                    // that the call is the sanctioned pool API.
-                    let arena_receiver = after_dot
-                        && i >= 2
-                        && tokens[i - 2]
-                            .ident()
-                            .is_some_and(|recv| recv == "arena" || recv.ends_with("_arena"));
                     let hit = if bang && (name == "format" || name == "vec") {
                         Some(format!("{name}! allocates"))
                     } else if after_dot && ALLOC_METHODS.contains(&name.as_str()) {
                         Some(format!(".{name}() allocates"))
-                    } else if after_dot && name == "alloc" && !arena_receiver {
-                        Some(".alloc() on a non-arena receiver allocates".to_string())
                     } else if path2("String", "from")
                         || path2("String", "new")
                         || path2("Vec", "new")
                         || path2("Box", "new")
-                        || path2("Arena", "new")
                     {
                         let target = tokens[i + 3].ident().unwrap_or("new");
                         Some(format!("{name}::{target} allocates"))
@@ -917,25 +905,13 @@ mod tests {
     }
 
     #[test]
-    fn deny_alloc_permits_arena_checkout() {
-        let src = "#[deny_alloc]\nfn hot(arena: &mut Arena) {\n\
-                   let buf = arena.alloc();\n\
-                   arena.recycle(buf);\n}";
-        assert!(rules(src).is_empty());
-        let src = "#[deny_alloc]\nfn hot(ctx: &mut Ctx) { let b = ctx.wire_arena.alloc(); }";
-        assert!(rules(src).is_empty());
-    }
-
-    #[test]
-    fn deny_alloc_flags_non_arena_alloc_and_arena_new() {
-        let src = "#[deny_alloc]\nfn hot(layout: Layout) { let p = allocator.alloc(layout); }";
-        let f = findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::DenyAlloc);
-        let src = "#[deny_alloc]\nfn hot() { let a = Arena::new(); }";
-        let f = findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("Arena::new"), "{f:?}");
+    fn deny_alloc_flags_alloc_on_any_receiver() {
+        for recv in ["allocator", "pool", "ctx.scratch"] {
+            let src = format!("#[deny_alloc]\nfn hot(l: Layout) {{ let p = {recv}.alloc(l); }}");
+            let f = findings(&src);
+            assert_eq!(f.len(), 1, "{recv}: {f:?}");
+            assert_eq!(f[0].rule, Rule::DenyAlloc);
+        }
     }
 
     #[test]

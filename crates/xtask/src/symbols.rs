@@ -25,7 +25,7 @@ use crate::lexer::{Lexed, Token, TokenKind};
 
 /// Method names that allocate when called on any receiver (the same set
 /// the local `deny-alloc` rule rejects).
-pub const ALLOC_METHODS: [&str; 4] = ["to_string", "to_owned", "to_vec", "clone"];
+pub const ALLOC_METHODS: [&str; 5] = ["to_string", "to_owned", "to_vec", "clone", "alloc"];
 
 /// `SimRng` method names that advance an RNG stream. A call edge into one
 /// of these from a `#[rng_neutral]` zone is an `rng-stream` violation.
@@ -123,15 +123,6 @@ impl FnSymbol {
     pub fn is_rng_draw(&self) -> bool {
         self.impl_type.as_deref() == Some("SimRng")
             && RNG_DRAW_METHODS.contains(&self.name.as_str())
-    }
-
-    /// True for the sanctioned arena pool API: `#[deny_alloc]` zones may
-    /// check buffers out of an [`Arena`] without that counting as heap
-    /// traffic, so `deny-alloc-reach` neither traverses into nor flags
-    /// these methods.
-    pub fn is_arena_pool_api(&self) -> bool {
-        self.impl_type.as_deref() == Some("Arena")
-            && matches!(self.name.as_str(), "alloc" | "recycle" | "reset")
     }
 }
 
@@ -436,18 +427,6 @@ impl Walker<'_> {
                     what: format!(".{name}() allocates"),
                 });
             }
-            if name == "alloc" {
-                let arena_receiver = i >= 2
-                    && tokens[i - 2]
-                        .ident()
-                        .is_some_and(|recv| recv == "arena" || recv.ends_with("_arena"));
-                if !arena_receiver {
-                    f.alloc_facts.push(Fact {
-                        line,
-                        what: ".alloc() on a non-arena receiver allocates".to_string(),
-                    });
-                }
-            }
             if (name == "unwrap" || name == "expect") && !on_self {
                 f.panic_facts.push(Fact {
                     line,
@@ -472,7 +451,6 @@ impl Walker<'_> {
                     || pair("String", "new")
                     || pair("Vec", "new")
                     || pair("Box", "new")
-                    || pair("Arena", "new")
                 {
                     f.alloc_facts.push(Fact {
                         line,
@@ -775,17 +753,12 @@ mod tests {
     }
 
     #[test]
-    fn simrng_draws_and_arena_pool_are_recognised() {
+    fn simrng_draws_are_recognised() {
         let mut idx = SymbolIndex::default();
         idx.index_file(
             "crates/netsim/src/rng.rs",
             &lex("pub struct SimRng;\nimpl SimRng { pub fn uniform(&mut self) -> f64 { 0.0 } }"),
         );
-        idx.index_file(
-            "crates/netsim/src/arena.rs",
-            &lex("pub struct Arena;\nimpl Arena { pub fn alloc(&mut self) -> Vec<u8> { x() } }"),
-        );
         assert!(idx.fns[0].is_rng_draw());
-        assert!(idx.fns[1].is_arena_pool_api());
     }
 }

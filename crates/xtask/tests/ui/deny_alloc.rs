@@ -24,3 +24,10 @@ fn escape() {
 fn cold(x: u32) -> String {
     format!("allocating outside deny_alloc is fine: {x}")
 }
+
+#[deny_alloc]
+fn any_receiver(allocator: &Bump, arena: &mut Pool, layout: Layout) {
+    let p = allocator.alloc(layout);
+    let b = Box::new(p);
+    let buf = arena.alloc();
+}
