@@ -17,9 +17,10 @@ use std::collections::BinaryHeap;
 use detlint_macros::deny_alloc;
 use dns_wire::Name;
 use netsim::rng::SimRng;
-use obs::{Label, MetricsRegistry, MetricsSnapshot, Phase, SpanLog};
+use netsim::time::SimTime;
+use obs::{CellMetrics, Label, MetricsRegistry, MetricsSnapshot, Phase, SpanLog};
 
-use crate::config::CampaignConfig;
+use crate::config::{CampaignConfig, Span};
 use crate::context::{PairContext, Wires};
 use crate::population::PairLoad;
 use crate::probe::{ProbeJob, ProbeRequest, ProbeTarget, Prober};
@@ -96,6 +97,15 @@ impl CampaignResult {
 pub fn observe_record(registry: &mut MetricsRegistry, r: &ProbeRecord) {
     // detlint:allow(deny-alloc-reach, interning allocates only on a label's first occurrence; the vocabulary is bounded and warm after setup — the zero-alloc tests hold the runtime line)
     let cell = registry.cell_interned(r.resolver_id(), r.vantage_id(), r.protocol.interned_label());
+    observe_cell(cell, r);
+}
+
+/// Folds one probe record into its (resolver, vantage, protocol) cell —
+/// the body of [`observe_record`], and the sharded engine's per-pair
+/// metrics fold: a pair is one cell, so folding its records in its own
+/// order is bit for bit the registry's fold over the merged stream.
+#[deny_alloc]
+pub(crate) fn observe_cell(cell: &mut CellMetrics, r: &ProbeRecord) {
     cell.probes.inc();
     match &r.outcome {
         ProbeOutcome::Success {
@@ -180,6 +190,28 @@ impl GeneratedPairs {
     pub fn record_count(&self) -> usize {
         self.outputs.iter().map(Vec::len).sum()
     }
+
+    /// Each pair's vantage label and record stream, in pair order: what
+    /// `tests/shard_resume_differential.rs` holds to [`Campaign::slots`].
+    #[doc(hidden)]
+    pub fn pairs(&self) -> impl Iterator<Item = (&'static str, &[ProbeRecord])> {
+        let vantages = self.plans.iter().map(|p| p.vantage.label);
+        vantages.zip(self.outputs.iter().map(Vec::as_slice))
+    }
+}
+
+/// One probe of a vantage's schedule, where canonical order puts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    /// Simulated time of the probe's round, in nanoseconds.
+    pub at: u64,
+    /// The queried domain's index in the campaign's domain list.
+    pub domain: u32,
+    /// That domain's rank in sorted-domain order.
+    pub rank: u32,
+    /// The probe's position in schedule order, which is the order a
+    /// pair's RNG stream runs its probes in.
+    pub probe: u32,
 }
 
 /// One queried domain, parsed and interned once per campaign.
@@ -306,6 +338,45 @@ impl Campaign {
             .get(label.index())
             .copied()
             .unwrap_or(u32::MAX)
+    }
+
+    /// The spans that list `vantage`, in configuration order.
+    fn spans_of<'a>(&'a self, vantage: &'a str) -> impl Iterator<Item = &'a Span> + 'a {
+        let spans = self.config.spans.iter();
+        spans.filter(move |s| s.vantages.contains(&vantage))
+    }
+
+    /// A vantage's probes in schedule order — every span that lists it,
+    /// each of its rounds, the domains in list order — as (round time,
+    /// domain index).
+    fn schedule<'a>(&'a self, vantage: &'a str) -> impl Iterator<Item = (SimTime, usize)> + 'a {
+        self.spans_of(vantage)
+            .flat_map(|s| s.round_times())
+            .flat_map(move |at| (0..self.domains.len()).map(move |d| (at, d)))
+    }
+
+    /// Every probe slot of a vantage in canonical order: by time, then by
+    /// domain rank, and slots equal in both (overlapping spans, a domain
+    /// listed twice) in schedule order. Each of the vantage's pairs fills
+    /// exactly these slots, so this is the one definition of a pair's
+    /// record order: [`run_pair`](Self::run_pair) places its records by
+    /// it, and the sharded engine's assembly merges shard files by it
+    /// without reading a record.
+    pub fn slots(&self, vantage: &str) -> Vec<Slot> {
+        // Sized from the schedule, so it never regrows.
+        let rounds: usize = self.spans_of(vantage).map(Span::round_count).sum();
+        let mut slots = Vec::with_capacity(rounds * self.domains.len());
+        let schedule = self.schedule(vantage).enumerate();
+        slots.extend(schedule.map(|(probe, (at, domain))| Slot {
+            at: at.as_nanos(),
+            domain: domain as u32,
+            rank: self.domain_rank(self.domains[domain].label),
+            probe: probe as u32,
+        }));
+        // `probe` is unique, so this is the stable sort by (time, rank)
+        // without the stable sort's scratch buffer.
+        slots.sort_unstable_by_key(|s| (s.at, s.rank, s.probe));
+        slots
     }
 
     /// Runs every probe on the calling thread.
@@ -479,76 +550,67 @@ impl Campaign {
             )
         });
 
-        let spans = || {
-            let all = self.config.spans.iter();
-            all.filter(|s| s.vantages.contains(&vantage.label))
-        };
-        // Sized from the schedule, so the series never regrows.
-        let rounds: usize = spans().map(|s| s.round_count()).sum();
-        let mut records = Vec::with_capacity(rounds * self.domains.len());
-        for span in spans() {
-            for at in span.round_times() {
-                for (domain_idx, domain) in self.domains.iter().enumerate() {
-                    let session = session_cfg.zip(session.as_mut());
-                    let report = match &mut ctx {
-                        Some(ctx) => prober.drive(ProbeJob {
-                            client: &ctx.client,
-                            ftarget: &ctx.ftarget,
-                            scope_mask: Some(&ctx.scope_mask),
-                            site: ctx.site,
-                            path: &ctx.path,
-                            now: at,
-                            cfg,
-                            faults,
-                            target: &mut target,
-                            wires: Wires::Cached(&mut ctx.domains[domain_idx]),
-                            load: load.zip(pair_load.as_mut()),
-                            session,
-                            rng: &mut rng,
-                            log: &mut log,
-                        }),
-                        None => {
-                            let mut fresh_load = load.map(|m| PairLoad::build(m, vantage, &target));
-                            let req = ProbeRequest {
-                                client: &client,
-                                domain: &domain.name,
-                                now: at,
-                                is_home: vantage.is_home(),
-                                cfg,
-                                faults,
-                            };
-                            prober.probe_fresh(
-                                &req,
-                                &mut target,
-                                load.zip(fresh_load.as_mut()),
-                                session,
-                                &mut rng,
-                                &mut log,
-                            )
-                        }
+        let mut slots = self.slots(vantage.label);
+        let mut records = Vec::with_capacity(slots.len());
+        for (at, domain_idx) in self.schedule(vantage.label) {
+            let domain = &self.domains[domain_idx];
+            let session = session_cfg.zip(session.as_mut());
+            let report = match &mut ctx {
+                Some(ctx) => prober.drive(ProbeJob {
+                    client: &ctx.client,
+                    ftarget: &ctx.ftarget,
+                    scope_mask: Some(&ctx.scope_mask),
+                    site: ctx.site,
+                    path: &ctx.path,
+                    now: at,
+                    cfg,
+                    faults,
+                    target: &mut target,
+                    wires: Wires::Cached(&mut ctx.domains[domain_idx]),
+                    load: load.zip(pair_load.as_mut()),
+                    session,
+                    rng: &mut rng,
+                    log: &mut log,
+                }),
+                None => {
+                    let mut fresh_load = load.map(|m| PairLoad::build(m, vantage, &target));
+                    let req = ProbeRequest {
+                        client: &client,
+                        domain: &domain.name,
+                        now: at,
+                        is_home: vantage.is_home(),
+                        cfg,
+                        faults,
                     };
-                    records.push(
-                        ProbeRecord::new(
-                            at,
-                            plan.vantage_label,
-                            plan.resolver_label,
-                            entry.region(),
-                            entry.mainstream,
-                            domain.label,
-                            cfg.protocol,
-                            report.outcome,
-                            report.ping,
-                        )
-                        .with_retry(report.retry)
-                        .with_conn_mode(report.conn_mode),
-                    );
+                    prober.probe_fresh(
+                        &req,
+                        &mut target,
+                        load.zip(fresh_load.as_mut()),
+                        session,
+                        &mut rng,
+                        &mut log,
+                    )
                 }
-            }
+            };
+            records.push(
+                ProbeRecord::new(
+                    at,
+                    plan.vantage_label,
+                    plan.resolver_label,
+                    entry.region(),
+                    entry.mainstream,
+                    domain.label,
+                    cfg.protocol,
+                    report.outcome,
+                    report.ping,
+                )
+                .with_retry(report.retry)
+                .with_conn_mode(report.conn_mode),
+            );
         }
         // Probes run in schedule order (the RNG stream depends on it);
-        // canonical order only differs by the within-round domain
-        // permutation, so this stable integer-keyed sort is near-free.
-        records.sort_by_cached_key(|r| (r.at, self.domain_rank(r.domain_id())));
+        // each record then moves to its slot.
+        place(&mut records, &mut slots);
         records
     }
 
@@ -615,6 +677,26 @@ impl Campaign {
     }
 }
 
+/// Moves each of `records`, which are in schedule order, to its slot: the
+/// record of probe `slots[p].probe` to position `p`. One cycle of the
+/// permutation at a time, so every record moves once, in place; a filled
+/// slot's `probe` is overwritten with its own position, which marks it.
+fn place(records: &mut [ProbeRecord], slots: &mut [Slot]) {
+    debug_assert_eq!(records.len(), slots.len());
+    for start in 0..slots.len() {
+        let mut p = start;
+        loop {
+            let q = slots[p].probe as usize;
+            slots[p].probe = p as u32;
+            if q == start {
+                break;
+            }
+            records.swap(p, q);
+            p = q;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,6 +746,27 @@ mod tests {
             let ka = (w[0].at, w[0].vantage(), w[0].resolver(), w[0].domain());
             let kb = (w[1].at, w[1].vantage(), w[1].resolver(), w[1].domain());
             assert!(ka <= kb);
+        }
+    }
+
+    #[test]
+    fn place_moves_every_record_to_its_slot() {
+        let result = small_campaign(6).run();
+        // Two cycles, a fixed point and a swap: 0→3→1→0, 2 stays, 4↔5.
+        let order = [3u32, 0, 2, 1, 5, 4];
+        let mut slots: Vec<Slot> = order
+            .iter()
+            .map(|&probe| Slot {
+                at: 0,
+                domain: 0,
+                rank: 0,
+                probe,
+            })
+            .collect();
+        let mut records = result.records[..6].to_vec();
+        place(&mut records, &mut slots);
+        for (p, &probe) in order.iter().enumerate() {
+            assert_eq!(records[p], result.records[probe as usize], "slot {p}");
         }
     }
 

@@ -4,24 +4,25 @@
 //! recording, per shard, whether the shard is still pending or complete —
 //! and for complete shards, the record count of the shard, and the byte
 //! count and checksum of its two write-once files: the JSONL data file and
-//! the *cell file* ([`ShardCells`]) holding the per-pair aggregate cells
-//! and per-(pair, day) health cells the shard produced. The manifest is
-//! O(shards) however long the campaign runs; a commit rewrites a few KB.
-//! A killed campaign resumes by loading the manifest, re-validating every
-//! complete shard's two files against the recorded checksums, and running
-//! only what is left.
+//! the *cell file* ([`ShardCells`]) holding everything the shard's pairs
+//! fold to — per pair an aggregate cell, a metrics cell and its retry
+//! exhaustions, per (pair, day) a health cell. The manifest is O(shards)
+//! however long the campaign runs; a commit rewrites a few KB. A killed
+//! campaign resumes by loading the manifest, re-validating every complete
+//! shard's two files against the recorded checksums, and running only
+//! what is left.
 //!
 //! Manifest and cell file share one framing, a header line followed by a
 //! JSON body:
 //!
 //! ```text
-//! edns-checkpoint v3 <16-hex fnv64 of body>
+//! edns-checkpoint v4 <16-hex fnv64 of body>
 //! {"entries":[...],"fingerprint":"...","pairs":21,"seed":"2a","shards":4}
 //! ```
 //!
 //! ```text
-//! edns-checkpoint v3 <16-hex fnv64 of body>
-//! {"cells":[...],"health":[...],"shard":2}
+//! edns-checkpoint v4 <16-hex fnv64 of body>
+//! {"cells":[...],"exhausted":[...],"health":[...],"metrics":[...],"shard":2}
 //! ```
 //!
 //! The header carries the format version and a checksum of the body, so a
@@ -42,21 +43,21 @@ use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use edns_stats::{Availability, LatencySketch, RunningMoments, SKETCH_BUCKET_COUNT};
-use obs::Label;
+use edns_stats::{Availability, LatencySketch, RunningMoments};
+use obs::{CellMetrics, Counter, Gauge, Histogram, Label, Phase};
 
 use crate::aggregate::{AggregateCell, PairAggregate};
+use crate::errors::ProbeErrorKind;
 use crate::health::HealthCell;
 use crate::json::Json;
 
 /// The checkpoint format version this build reads and writes.
 ///
-/// v3 moved every shard's aggregate and health cells out of the manifest
-/// into a write-once per-shard cell file, so a commit costs O(shards)
-/// rather than O(everything checkpointed so far). v1 and v2 manifests are
-/// rejected (the engine re-runs from scratch rather than resuming from a
-/// manifest whose cells it no longer reads).
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// v4 cell files carry each pair's metrics cell and retry exhaustions, so
+/// assembly reads no record. Earlier versions are rejected: the engine
+/// re-runs from scratch rather than resuming from cells it no longer
+/// reads or cell files that lack what it needs.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// The magic token opening every checkpoint header line.
 pub const CHECKPOINT_MAGIC: &str = "edns-checkpoint";
@@ -199,9 +200,16 @@ pub struct ShardCells {
     pub shard: u32,
     /// The shard's per-pair aggregate cells, in pair-index order.
     pub pairs: Vec<PairAggregate>,
+    /// The shard's per-pair metrics cells, one per aggregate cell and in
+    /// the same order.
+    pub metrics: Vec<PairMetrics>,
     /// The shard's per-(pair, day) health cells, in (pair, day) order —
     /// the flight recorder's health timeseries deltas.
     pub health: Vec<PairDayHealth>,
+    /// Every probe of the shard's pairs that failed with its retry budget
+    /// spent, in (pair, canonical record) order — the journal's
+    /// `retry_exhausted` events.
+    pub exhausted: Vec<RetryExhausted>,
 }
 
 impl ShardCells {
@@ -215,8 +223,16 @@ impl ShardCells {
                     Json::Array(self.pairs.iter().map(pair_aggregate_to_json).collect()),
                 ),
                 (
+                    "metrics",
+                    Json::Array(self.metrics.iter().map(pair_metrics_to_json).collect()),
+                ),
+                (
                     "health",
                     Json::Array(self.health.iter().map(pair_day_health_to_json).collect()),
+                ),
+                (
+                    "exhausted",
+                    Json::Array(self.exhausted.iter().map(retry_exhausted_to_json).collect()),
                 ),
             ])
             .to_string_compact(),
@@ -232,12 +248,42 @@ impl ShardCells {
                 .iter()
                 .map(pair_aggregate_from_json)
                 .collect::<Result<_, _>>()?,
+            metrics: array_field(&v, "metrics")?
+                .iter()
+                .map(pair_metrics_from_json)
+                .collect::<Result<_, _>>()?,
             health: array_field(&v, "health")?
                 .iter()
                 .map(pair_day_health_from_json)
                 .collect::<Result<_, _>>()?,
+            exhausted: array_field(&v, "exhausted")?
+                .iter()
+                .map(retry_exhausted_from_json)
+                .collect::<Result<_, _>>()?,
         })
     }
+}
+
+/// One pair's metrics cell as persisted in a cell file: what
+/// [`observe_record`](crate::observe_record) folds the pair's records to,
+/// installed under the pair's (resolver, vantage, protocol) key.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairMetrics {
+    /// Pair index within the campaign plan.
+    pub pair: u32,
+    /// The pair's metrics cell.
+    pub cell: CellMetrics,
+}
+
+/// One probe that failed with every retry attempt spent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryExhausted {
+    /// Pair index within the campaign plan.
+    pub pair: u32,
+    /// Simulated time of the probe, nanoseconds.
+    pub at: u64,
+    /// Attempts it made.
+    pub attempts: u32,
 }
 
 /// One (pair, day) health delta as persisted in a cell file.
@@ -513,24 +559,66 @@ pub fn sketch_from_json(v: &Json) -> Result<LatencySketch, CheckpointError> {
         parse_float_field(v, "min")?,
         parse_float_field(v, "max")?,
     );
-    let buckets = v
-        .get("buckets")
-        .and_then(Json::as_array)
-        .ok_or_else(|| parse_err("sketch missing buckets"))?;
-    if buckets.len() != SKETCH_BUCKET_COUNT {
-        return Err(parse_err("sketch bucket arity mismatch"));
-    }
-    let mut counts = [0u64; SKETCH_BUCKET_COUNT];
-    for (slot, b) in counts.iter_mut().zip(buckets) {
-        *slot = b
-            .as_i64()
-            .filter(|&c| c >= 0)
-            .ok_or_else(|| parse_err("sketch bucket not a count"))? as u64;
-    }
+    let counts = counts_field(v, "buckets")?;
     if counts.iter().sum::<u64>() != n {
         return Err(parse_err("sketch bucket total disagrees with count"));
     }
     Ok(LatencySketch::from_parts(moments, counts))
+}
+
+/// A fixed-arity array of counts.
+fn counts_field<const N: usize>(v: &Json, key: &str) -> Result<[u64; N], CheckpointError> {
+    let items = array_field(v, key)?;
+    if items.len() != N {
+        return Err(parse_err_owned(format!(
+            "{key:?} holds {} counts, not {N}",
+            items.len()
+        )));
+    }
+    let mut counts = [0u64; N];
+    for (slot, item) in counts.iter_mut().zip(items) {
+        *slot = item
+            .as_i64()
+            .filter(|&c| c >= 0)
+            .ok_or_else(|| parse_err_owned(format!("{key:?} holds something not a count")))?
+            as u64;
+    }
+    Ok(counts)
+}
+
+/// Encodes a metrics histogram. Empty ones collapse to `{"n":0}`, as
+/// sketches do.
+fn histogram_to_json(h: &Histogram) -> Json {
+    if h.count() == 0 {
+        return Json::object([("n", Json::Int(0))]);
+    }
+    Json::object([
+        ("n", Json::Int(h.count() as i64)),
+        ("sum", Json::Float(h.sum())),
+        (
+            "buckets",
+            Json::Array(
+                h.bucket_counts()
+                    .iter()
+                    .map(|&c| Json::Int(c as i64))
+                    .collect(),
+            ),
+        ),
+    ])
+}
+
+/// Decodes a metrics histogram, validating bucket arity and that the
+/// bucket total matches the count.
+fn histogram_from_json(v: &Json) -> Result<Histogram, CheckpointError> {
+    let n = int_field(v, "n")?;
+    if n == 0 {
+        return Ok(Histogram::default());
+    }
+    let counts = counts_field(v, "buckets")?;
+    if counts.iter().sum::<u64>() != n {
+        return Err(parse_err("histogram bucket total disagrees with count"));
+    }
+    Ok(Histogram::from_parts(counts, parse_float_field(v, "sum")?))
 }
 
 /// Encodes an availability tally.
@@ -640,6 +728,114 @@ pub fn pair_day_health_from_json(v: &Json) -> Result<PairDayHealth, CheckpointEr
     })
 }
 
+/// Encodes one pair's metrics cell. Floats (histogram sums, the last
+/// response) round-trip bit-exactly, so a decoded cell snapshots exactly
+/// like the fold that produced it.
+pub fn pair_metrics_to_json(m: &PairMetrics) -> Json {
+    let c = &m.cell;
+    let count = |n: Counter| Json::Int(n.get() as i64);
+    let errors: BTreeMap<String, Json> = c
+        .errors
+        .iter()
+        .map(|(&k, &n)| (k.to_string(), Json::Int(n as i64)))
+        .collect();
+    Json::object([
+        ("pair", Json::Int(m.pair as i64)),
+        ("probes", count(c.probes)),
+        ("successes", count(c.successes)),
+        ("cache_hits", count(c.cache_hits)),
+        ("errors", Json::Object(errors)),
+        ("response", histogram_to_json(&c.response_ms)),
+        ("ping", histogram_to_json(&c.ping_ms)),
+        (
+            "phases",
+            Json::Array(c.phase_ms.iter().map(histogram_to_json).collect()),
+        ),
+        ("last_response_ms", Json::Float(c.last_response_ms.get())),
+        (
+            "retries",
+            Json::Array(c.retries_by_phase.iter().map(|&n| count(n)).collect()),
+        ),
+        ("recovered", count(c.recovered)),
+        ("exhausted", count(c.exhausted)),
+    ])
+}
+
+/// Decodes one pair's metrics cell. An error label must be one a probe
+/// can fail with.
+pub fn pair_metrics_from_json(v: &Json) -> Result<PairMetrics, CheckpointError> {
+    let counter = |key: &str| int_field(v, key).map(counter_of);
+    let histogram = |key: &str| {
+        histogram_from_json(
+            v.get(key)
+                .ok_or_else(|| parse_err_owned(format!("metrics cell missing {key:?}")))?,
+        )
+    };
+    let mut errors = BTreeMap::new();
+    let Some(Json::Object(tallies)) = v.get("errors") else {
+        return Err(parse_err("metrics cell missing errors object"));
+    };
+    for (label, n) in tallies {
+        let kind = ProbeErrorKind::from_label(label)
+            .ok_or_else(|| parse_err_owned(format!("unknown error label {label:?}")))?;
+        let n = n
+            .as_i64()
+            .filter(|&n| n >= 0)
+            .ok_or_else(|| parse_err("metrics error count invalid"))?;
+        errors.insert(kind.label(), n as u64);
+    }
+    let phases = array_field(v, "phases")?;
+    if phases.len() != Phase::COUNT {
+        return Err(parse_err("metrics phase histogram arity mismatch"));
+    }
+    let mut phase_ms: [Histogram; Phase::COUNT] = Default::default();
+    for (slot, h) in phase_ms.iter_mut().zip(phases) {
+        *slot = histogram_from_json(h)?;
+    }
+    let mut last_response_ms = Gauge::default();
+    last_response_ms.set(parse_float_field(v, "last_response_ms")?);
+    Ok(PairMetrics {
+        pair: int_field(v, "pair")? as u32,
+        cell: CellMetrics {
+            probes: counter("probes")?,
+            successes: counter("successes")?,
+            cache_hits: counter("cache_hits")?,
+            errors,
+            response_ms: histogram("response")?,
+            ping_ms: histogram("ping")?,
+            phase_ms,
+            last_response_ms,
+            retries_by_phase: counts_field::<{ Phase::COUNT }>(v, "retries")?.map(counter_of),
+            recovered: counter("recovered")?,
+            exhausted: counter("exhausted")?,
+        },
+    })
+}
+
+fn counter_of(n: u64) -> Counter {
+    let mut c = Counter::default();
+    c.add(n);
+    c
+}
+
+/// Encodes one retry exhaustion.
+fn retry_exhausted_to_json(e: &RetryExhausted) -> Json {
+    Json::object([
+        ("pair", Json::Int(e.pair as i64)),
+        ("at", Json::Int(e.at as i64)),
+        ("attempts", Json::Int(e.attempts as i64)),
+    ])
+}
+
+/// Decodes one retry exhaustion.
+fn retry_exhausted_from_json(v: &Json) -> Result<RetryExhausted, CheckpointError> {
+    Ok(RetryExhausted {
+        pair: int_field(v, "pair")? as u32,
+        at: int_field(v, "at")?,
+        attempts: int_field(v, "attempts")? as u32,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,8 +903,40 @@ mod tests {
                     cell: AggregateCell::default(),
                 },
             ],
+            metrics: vec![
+                PairMetrics {
+                    pair: 2,
+                    cell: sample_metrics(),
+                },
+                PairMetrics {
+                    pair: 3,
+                    cell: CellMetrics::default(),
+                },
+            ],
             health: sample_health(),
+            exhausted: vec![RetryExhausted {
+                pair: 2,
+                at: 7_200_000_000_000,
+                attempts: 3,
+            }],
         }
+    }
+
+    fn sample_metrics() -> CellMetrics {
+        let mut m = CellMetrics::default();
+        m.probes.add(3);
+        m.successes.add(2);
+        m.cache_hits.inc();
+        m.errors.insert("query_timeout", 1);
+        // Sums that only a bit-exact float codec gets back: 0.1 + 0.2.
+        m.response_ms.observe(0.1);
+        m.response_ms.observe(0.2);
+        m.last_response_ms.set(0.2);
+        m.phase(Phase::Connect).observe(0.1);
+        m.ping_ms.observe(3.75);
+        m.retries(Phase::TlsHandshake).add(2);
+        m.exhausted.inc();
+        m
     }
 
     #[test]
@@ -749,7 +977,7 @@ mod tests {
     fn header_is_versioned_and_checksummed() {
         for text in [sample_manifest().encode(), sample_cells().encode()] {
             let header = text.lines().next().unwrap();
-            assert!(header.starts_with("edns-checkpoint v3 "));
+            assert!(header.starts_with("edns-checkpoint v4 "));
             let hex = header.rsplit(' ').next().unwrap();
             assert_eq!(hex.len(), 16);
         }
@@ -765,11 +993,12 @@ mod tests {
 
     #[test]
     fn other_versions_are_rejected() {
-        // A future format, and the two earlier ones: v2 kept every cell
-        // in the manifest, v1 had no health cells. No silent resume from
-        // either — the engine re-runs from scratch.
-        for other in ["v4", "v2", "v1"] {
-            let text = sample_manifest().encode().replacen("v3", other, 1);
+        // A future format, and the earlier ones: v3 cell files had no
+        // metrics cells, v2 kept every cell in the manifest, v1 had no
+        // health cells. No silent resume from any — the engine re-runs
+        // from scratch.
+        for other in ["v5", "v3", "v2", "v1"] {
+            let text = sample_manifest().encode().replacen("v4", other, 1);
             assert_eq!(
                 Manifest::decode(&text),
                 Err(CheckpointError::VersionMismatch {
@@ -777,6 +1006,38 @@ mod tests {
                 })
             );
         }
+    }
+
+    #[test]
+    fn metrics_cells_round_trip_bit_exactly() {
+        let m = PairMetrics {
+            pair: 2,
+            cell: sample_metrics(),
+        };
+        let back = pair_metrics_from_json(&pair_metrics_to_json(&m)).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(
+            back.cell.response_ms.sum().to_bits(),
+            (0.1f64 + 0.2).to_bits()
+        );
+        // An error label no probe fails with, and a histogram whose
+        // buckets disagree with its count, are both rejected.
+        let tamper = |key: &str, value: Json| {
+            let Json::Object(mut obj) = pair_metrics_to_json(&m) else {
+                unreachable!()
+            };
+            obj.insert(key.to_string(), value);
+            pair_metrics_from_json(&Json::Object(obj))
+        };
+        let bogus = Json::object([("gremlins", Json::Int(1))]);
+        assert!(
+            matches!(tamper("errors", bogus), Err(CheckpointError::Parse(m)) if m.contains("gremlins"))
+        );
+        let mut response = pair_metrics_to_json(&m).get("response").unwrap().clone();
+        if let Json::Object(h) = &mut response {
+            h.insert("n".to_string(), Json::Int(3));
+        }
+        assert!(tamper("response", response).is_err());
     }
 
     #[test]

@@ -31,18 +31,16 @@ pub struct Span {
 }
 
 impl Span {
-    /// The probe times this span schedules.
-    pub fn round_times(&self) -> Vec<SimTime> {
-        let mut out = Vec::with_capacity(self.round_count());
-        let step = SimDuration::from_secs(86_400 / u64::from(self.rounds_per_day.max(1)));
-        for day in 0..self.days {
+    /// The probe times this span schedules, in order.
+    pub fn round_times(&self) -> impl Iterator<Item = SimTime> {
+        let (start_day, rounds) = (self.start_day, self.rounds_per_day);
+        let step = SimDuration::from_secs(86_400 / u64::from(rounds.max(1)));
+        (0..self.days).flat_map(move |day| {
             let day_start =
-                SimTime::ZERO + SimDuration::from_secs(u64::from(self.start_day + day) * 86_400);
-            for r in 0..self.rounds_per_day {
-                out.push(day_start + SimDuration::from_nanos(step.as_nanos() * u64::from(r)));
-            }
-        }
-        out
+                SimTime::ZERO + SimDuration::from_secs(u64::from(start_day + day) * 86_400);
+            (0..rounds)
+                .map(move |r| day_start + SimDuration::from_nanos(step.as_nanos() * u64::from(r)))
+        })
     }
 
     /// Number of rounds in the span.
@@ -464,7 +462,7 @@ mod tests {
             rounds_per_day: 3,
             vantages: vec!["ec2-ohio"],
         };
-        let times = s.round_times();
+        let times: Vec<SimTime> = s.round_times().collect();
         assert_eq!(times.len(), 6);
         assert_eq!(times[0].as_secs(), 2 * 86_400);
         assert_eq!(times[1].as_secs() - times[0].as_secs(), 86_400 / 3);

@@ -6,7 +6,7 @@
 //! parses every `*_ms` value as an `f64`, reads files the engine did not
 //! write, and is the oracle. The line path
 //! ([`ProbeRecord::write_json_line`] / [`ProbeRecord::read_json_line`]) is
-//! what campaigns, shard files and assembly run: the same bytes and the
+//! what campaigns, shard files and `report` run: the same bytes and the
 //! same records, with integer nanoseconds ↔ decimal milliseconds in both
 //! directions and every key one literal.
 
@@ -811,6 +811,42 @@ impl ProbeRecord {
         out.push('}');
     }
 
+    /// The closing bytes, newline included, of every line
+    /// [`write_json_line`](Self::write_json_line) renders for a record from
+    /// `vantage`: `,"vantage":"…"}` and `\n`.
+    pub(crate) fn line_tail(vantage: &str) -> Vec<u8> {
+        let mut tail = String::from(VANTAGE);
+        crate::json::write_str(&mut tail, vantage);
+        tail.push_str("}\n");
+        tail.into_bytes()
+    }
+
+    /// Whether `line`, newline included, closes like the
+    /// [`write_json_line`](Self::write_json_line) line of a record at `at`
+    /// (nanoseconds) whose line ends in `tail` ([`line_tail`](Self::line_tail)),
+    /// read without parsing: it ends in `tail`, and just before that comes
+    /// `at`'s `ts_ms` token, or that token and then the `ttfb_ms` and
+    /// `ttlb_ms` of retry accounting. `scratch` holds the rendered token.
+    #[deny_alloc]
+    pub(crate) fn line_closes_at(line: &[u8], tail: &[u8], at: u64, scratch: &mut String) -> bool {
+        let Some(body) = line.strip_suffix(tail) else {
+            return false;
+        };
+        scratch.clear();
+        scratch.push_str(TS_MS);
+        crate::json::write_millis(scratch, at);
+        let ts = scratch.as_bytes();
+        if body.ends_with(ts) {
+            return true;
+        }
+        // A key literal never occurs inside a string value (its quotes
+        // would be escaped), so the last match is the `ts_ms` key.
+        match body.windows(ts.len()).rposition(|w| w == ts) {
+            Some(i) => body[i + ts.len()..].starts_with(TTFB_MS.as_bytes()),
+            None => false,
+        }
+    }
+
     /// Reads back one line written by
     /// [`write_json_line`](Self::write_json_line): its exact inverse, over
     /// the same fixed key order, both record shapes and the optional retry
@@ -1377,6 +1413,40 @@ mod tests {
             ttfb: SimDuration::from_secs(15),
             ttlb: SimDuration::from_secs(15),
         }))
+    }
+
+    #[test]
+    fn a_line_closes_at_its_own_slot_only() {
+        let mut scratch = String::new();
+        for r in [
+            success_record(),
+            failure_record(),
+            retried_success(),
+            exhausted_failure(),
+        ] {
+            let mut line = String::new();
+            r.write_json_line(&mut line);
+            line.push('\n');
+            let line = line.as_bytes();
+            let at = r.at.as_nanos();
+            let tail = ProbeRecord::line_tail(r.vantage());
+            let closes = |line: &[u8], tail: &[u8], at: u64, scratch: &mut String| {
+                ProbeRecord::line_closes_at(line, tail, at, scratch)
+            };
+            assert!(closes(line, &tail, at, &mut scratch), "{r:?}");
+            // Another time — a digit more, a digit less, a millisecond
+            // off — another vantage, a missing newline, a respaced line.
+            for other in [at * 10, at / 10, at + 1_000_000] {
+                assert!(!closes(line, &tail, other, &mut scratch), "{other}");
+            }
+            let elsewhere = ProbeRecord::line_tail("home-9");
+            assert!(!closes(line, &elsewhere, at, &mut scratch));
+            assert!(!closes(&line[..line.len() - 1], &tail, at, &mut scratch));
+            let respaced = String::from_utf8(line.to_vec())
+                .unwrap()
+                .replace(",\"", ", \"");
+            assert!(!closes(respaced.as_bytes(), &tail, at, &mut scratch));
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! whole pair always lives in exactly one shard — the per-pair RNG stream
 //! is sequential, so a pair can never be split without replaying it.
 //! Shards execute independently, in two halves. The *generator* half runs
-//! a shard's pairs, folds their cells and merges their records; the
-//! *persist* half writes the records as a JSONL data file and the
-//! aggregate and health cells as a cell file (both tmp + rename, so a
+//! a shard's pairs, folds each pair's aggregate, metrics and health cells
+//! and its retry exhaustions, and merges their records; the *persist*
+//! half writes the records as a JSONL data file and the folds as a cell
+//! file (both tmp + rename, so a
 //! crash never leaves a torn file under the real name), after which the
 //! shard is marked complete in the campaign [`Manifest`] — a commit that
 //! costs O(shards), not O(work done so far). [`ShardedRunner::run`]
@@ -20,10 +21,14 @@
 //!
 //! The read side has two lanes as well. *Validation* re-checks every
 //! complete shard's files, every other shard on a second thread.
-//! *Assembly* streams the shard files through a k-way merge into the final
-//! campaign JSONL, folding each record into the metrics registry, while a
-//! second thread installs the cells one cell file at a time — memory stays
-//! O(shards) buffer heads + O(pairs) cells, never O(records).
+//! *Assembly* copies the shard files' lines into the final campaign JSONL
+//! without parsing one: the campaign schedule ([`Campaign::slots`]) says
+//! which pair's probe comes next, so the next line of that pair's shard
+//! file is copied, after a check that it closes like the record of that
+//! slot. A second thread installs the cells one cell file at a time —
+//! metrics, aggregates, health and journal events all come from them.
+//! Memory stays O(shards) read buffers + O(pairs) cells and cursors, never
+//! O(records).
 //!
 //! Determinism contract (DESIGN.md §9): for any seed, shard count, thread
 //! count, and any kill/resume schedule,
@@ -33,14 +38,14 @@
 //! ```
 //!
 //! — byte-identical final JSONL, identical metrics snapshot, identical
-//! aggregate cells. Within a shard, records merge by the same
-//! `(time, pair rank, domain rank)` key the one-shot engine uses; across
-//! shards the key is globally unique per pair (duplicate pairs are
-//! rejected at construction), so the k-way merge over shard files
-//! reproduces the one-shot order exactly.
+//! aggregate cells. A pair's records take its vantage's slot order, and
+//! pairs merge by the `(time, pair rank, domain rank)` key the one-shot
+//! engine uses. Pair ranks are unique (duplicate pairs are rejected at
+//! construction), so that key orders the whole campaign and each shard
+//! file, written in the same order, is read straight through.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write as _};
@@ -53,15 +58,16 @@ use netsim::faults::FaultScope;
 use obs::clock::Stopwatch;
 use obs::journal::codes;
 use obs::{
-    EventData, EventLevel, Journal, JournalEvent, Label, MetricsRegistry, MetricsSnapshot,
-    ShardRunMetrics, SpanLog,
+    CellMetrics, EventData, EventLevel, Journal, JournalEvent, Label, MetricsRegistry,
+    MetricsSnapshot, ShardRunMetrics, SpanLog,
 };
 
 use crate::aggregate::{CampaignAggregates, PairAggregate};
-use crate::campaign::{observe_record, Campaign, PairPlan};
+use crate::campaign::{observe_cell, Campaign, PairPlan, Slot};
 use crate::checkpoint::{
     fnv64, fnv64_extend, io_err, write_atomic, write_atomic_bytes, CheckpointError, Manifest,
-    PairDayHealth, ShardCells, ShardCheckpoint, ShardState, CHECKPOINT_VERSION, FNV64_INIT,
+    PairDayHealth, PairMetrics, RetryExhausted, ShardCells, ShardCheckpoint, ShardState,
+    FNV64_INIT,
 };
 use crate::health::{
     day_of, detect_drift, DriftConfig, DriftFinding, HealthCell, HealthSeries, NANOS_PER_DAY,
@@ -172,7 +178,8 @@ pub struct StageLedger {
     /// `run_pair` over each executed shard's pairs (generator lane,
     /// summed over generators like the lane's other rows).
     pub generate_s: f64,
-    /// The per-pair aggregate and per-(pair, day) health fold.
+    /// The per-pair fold: aggregate, metrics and per-(pair, day) health
+    /// cells, and the retry exhaustions.
     pub fold_s: f64,
     /// `merge_pairs` within each shard.
     pub merge_s: f64,
@@ -190,14 +197,15 @@ pub struct StageLedger {
     pub commit_s: f64,
     /// The committer waiting for a generator to hand it a shard.
     pub committer_wait_s: f64,
-    /// Assembly's wall time less its writes: shard-file reads, line
-    /// parsing, the k-way merge and the metrics fold on the calling thread,
-    /// then whatever wait is left for the cell lane to finish.
+    /// Assembly's wall time less its writes: the schedule's slots, the
+    /// merge over them, and each line's read, check and copy on the calling
+    /// thread, then whatever wait is left for the cell lane to finish.
     pub assemble_read_s: f64,
     /// Assembly's writes of the campaign JSONL.
     pub assemble_write_s: f64,
     /// The cell lane's own wall time: every cell file read, decoded,
-    /// checked and installed, on a second thread while the merge runs.
+    /// checked and installed — aggregates, metrics, health and retry
+    /// exhaustions — on a second thread while the merge runs.
     /// Overlapped with the two rows above, so not a term of
     /// [`phases_s`](Self::phases_s).
     pub assemble_cells_s: f64,
@@ -296,62 +304,43 @@ fn validate_file(
     Ok(())
 }
 
-/// One shard file's position in assembly's k-way merge.
-struct Cursor {
-    path: PathBuf,
-    reader: BufReader<File>,
-    /// The head line as read, newline included.
-    line: String,
-    /// The head line's record; `None` once the file is exhausted.
-    head: Option<ProbeRecord>,
-    first_at: u64,
-    last_at: u64,
+/// What every pair of one vantage shares in assembly.
+struct VantageSlots {
+    vantage: Label,
+    /// The slots each of its pairs fills, in order.
+    slots: Vec<Slot>,
+    /// How each of its pairs' lines closes ([`ProbeRecord::line_tail`]).
+    tail: Vec<u8>,
 }
 
-impl Cursor {
-    fn open(path: PathBuf) -> Result<Cursor, CheckpointError> {
-        let file = File::open(&path).map_err(io_err("open", &path))?;
-        let mut cursor = Cursor {
-            reader: BufReader::with_capacity(ASSEMBLE_READ_BYTES, file),
-            path,
-            line: String::new(),
-            head: None,
-            first_at: 0,
-            last_at: 0,
-        };
-        cursor.advance()?;
-        if let Some(r) = &cursor.head {
-            cursor.first_at = r.at.as_nanos();
-            cursor.last_at = cursor.first_at;
-        }
-        Ok(cursor)
-    }
+/// One shard data file as assembly reads it: straight through, a line
+/// at a time, each into the output block.
+struct ShardReader {
+    path: PathBuf,
+    reader: BufReader<File>,
+    /// Lines copied so far.
+    lines: u64,
+    /// Lines its pairs' slots add up to.
+    expected: u64,
+}
 
-    /// Reads the next line into `line` and `head`. The engine wrote the
-    /// file, so anything but newline-terminated `write_json_line` output
-    /// is damage.
-    fn advance(&mut self) -> Result<(), CheckpointError> {
-        self.line.clear();
-        let n = self
-            .reader
-            .read_line(&mut self.line)
-            .map_err(io_err("read", &self.path))?;
-        self.head = match n {
-            0 => None,
-            _ => Some(
-                self.line
-                    .strip_suffix('\n')
-                    .and_then(ProbeRecord::read_json_line)
-                    .ok_or_else(|| {
-                        CheckpointError::ShardData(format!(
-                            "{}: line is not an engine-written probe record",
-                            self.path.display()
-                        ))
-                    })?,
-            ),
-        };
-        Ok(())
-    }
+/// What assembly's cell lane builds from the cell files.
+struct InstalledCells {
+    aggregates: CampaignAggregates,
+    health: HealthSeries,
+    metrics: MetricsRegistry,
+    /// The journal's `retry_exhausted` events.
+    events: Vec<JournalEvent>,
+}
+
+/// One pair's place in assembly's merge.
+struct PairCursor {
+    /// Its shard, which is its reader's index.
+    shard: u32,
+    /// Its vantage's index among the [`VantageSlots`].
+    vantage: u32,
+    /// The next of its slots to fill.
+    next: usize,
 }
 
 /// The shards `manifest` does not hold complete, lowest index first.
@@ -526,6 +515,12 @@ pub fn hand_off<T: Send, P: Send, E: Send>(
     (landed, lanes)
 }
 
+/// The tag opening every fingerprint's input. It was once the format
+/// version; that is the header's alone now (a file of another version is
+/// refused before its fingerprint is read), so a format change that
+/// changes no configuration leaves every fingerprint as it was.
+const FINGERPRINT_TAG: &str = "v3";
+
 /// Every field of a probe configuration, spelled for the fingerprint. The
 /// patterns are exhaustive, so a new field cannot be left out of it.
 fn probe_fingerprint(probe: &ProbeConfig) -> String {
@@ -652,7 +647,7 @@ impl<'a> ShardedRunner<'a> {
         let mut s = String::new();
         let _ = write!(
             s,
-            "v{CHECKPOINT_VERSION};seed={:x};shards={};",
+            "{FINGERPRINT_TAG};seed={:x};shards={};",
             config.seed, self.shards
         );
         for d in &config.domains {
@@ -819,14 +814,18 @@ impl<'a> ShardedRunner<'a> {
             .collect();
         stages.generate_s = laps.lap();
 
-        // Per-pair aggregate cells and per-(pair, day) health cells, both
-        // folded in each pair's own canonical order (merging never
-        // reorders records within a pair) — so the checkpointed health
-        // series is independent of shard count and resume schedule.
+        // Per-pair aggregate and metrics cells, per-(pair, day) health
+        // cells and retry exhaustions, all folded in each pair's own
+        // canonical order (merging never reorders records within a pair,
+        // and a pair is one metrics cell) — so every one of them is what
+        // the one-shot engine folds over the merged stream, whatever the
+        // shard count and resume schedule.
         let mut cells = ShardCells {
             shard: index,
             pairs: Vec::with_capacity(shard_plans.len()),
+            metrics: Vec::with_capacity(shard_plans.len()),
             health: Vec::new(),
+            exhausted: Vec::new(),
         };
         for (offset, records) in outputs.iter().enumerate() {
             let plan = &shard_plans[offset];
@@ -837,12 +836,27 @@ impl<'a> ShardedRunner<'a> {
                 resolver: plan.resolver_label,
                 cell: Default::default(),
             };
+            let mut metrics = CellMetrics::default();
             let mut days: BTreeMap<u32, HealthCell> = BTreeMap::new();
             for r in records {
                 agg.cell.observe(r);
+                observe_cell(&mut metrics, r);
                 days.entry(day_of(r.at.as_nanos())).or_default().observe(r);
+                if let (ProbeOutcome::Failure { .. }, Some(retry)) = (&r.outcome, &r.retry) {
+                    if retry.exhausted() {
+                        cells.exhausted.push(RetryExhausted {
+                            pair,
+                            at: r.at.as_nanos(),
+                            attempts: retry.attempts,
+                        });
+                    }
+                }
             }
             cells.pairs.push(agg);
+            cells.metrics.push(PairMetrics {
+                pair,
+                cell: metrics,
+            });
             let days = days
                 .into_iter()
                 .map(|(day, cell)| PairDayHealth { pair, day, cell });
@@ -1057,11 +1071,18 @@ impl<'a> ShardedRunner<'a> {
 
     /// The cell half of assembly: installs the checkpointed cells, one
     /// cell file at a time in shard order. A cell file must list exactly
-    /// its shard's pairs, in pair-index order, and its day cells must
-    /// account for exactly the probes each pair's aggregate cell saw.
-    fn install_cells(&self) -> Result<(CampaignAggregates, HealthSeries), CheckpointError> {
-        let mut aggregates = CampaignAggregates::for_campaign(self.campaign);
-        let mut health = HealthSeries::for_campaign(self.campaign);
+    /// its shard's pairs, in pair-index order, with a metrics cell beside
+    /// each aggregate cell. Each pair's day cells and metrics cell must
+    /// account for exactly the probes its aggregate cell saw, and its
+    /// retry exhaustions for exactly those its metrics cell counts.
+    fn install_cells(&self) -> Result<InstalledCells, CheckpointError> {
+        let protocol = self.campaign.config().probe.protocol.interned_label();
+        let mut installed = InstalledCells {
+            aggregates: CampaignAggregates::for_campaign(self.campaign),
+            health: HealthSeries::for_campaign(self.campaign),
+            metrics: MetricsRegistry::new(),
+            events: Vec::new(),
+        };
         for i in 0..self.shards {
             let path = self.cells_path(i);
             let text = std::fs::read_to_string(&path).map_err(io_err("read", &path))?;
@@ -1081,11 +1102,22 @@ impl<'a> ShardedRunner<'a> {
                     self.shard_range(i)
                 )));
             }
+            if cells.metrics.len() != cells.pairs.len() {
+                return Err(invalid(format!(
+                    "holds {} metrics cells for {} pairs",
+                    cells.metrics.len(),
+                    cells.pairs.len()
+                )));
+            }
             let mut daily: BTreeMap<u32, u64> = BTreeMap::new();
             for h in &cells.health {
                 *daily.entry(h.pair).or_default() += h.cell.probes();
             }
-            for p in &cells.pairs {
+            let mut exhausted: BTreeMap<u32, u64> = BTreeMap::new();
+            for e in &cells.exhausted {
+                *exhausted.entry(e.pair).or_default() += 1;
+            }
+            for (p, m) in cells.pairs.iter().zip(cells.metrics) {
                 let (days, total) = (daily.remove(&p.pair).unwrap_or(0), p.cell.probes());
                 if days != total {
                     return Err(invalid(format!(
@@ -1093,28 +1125,121 @@ impl<'a> ShardedRunner<'a> {
                         p.pair
                     )));
                 }
-                aggregates.install(p).map_err(invalid)?;
+                if m.pair != p.pair || m.cell.probes.get() != total {
+                    return Err(invalid(format!(
+                        "pair {}'s metrics cell is pair {}'s and holds {} probes, aggregate has {total}",
+                        p.pair,
+                        m.pair,
+                        m.cell.probes.get()
+                    )));
+                }
+                let spent = exhausted.remove(&p.pair).unwrap_or(0);
+                if spent != m.cell.exhausted.get() {
+                    return Err(invalid(format!(
+                        "pair {} lists {spent} retry exhaustions, its metrics cell counts {}",
+                        p.pair,
+                        m.cell.exhausted.get()
+                    )));
+                }
+                installed.aggregates.install(p).map_err(invalid)?;
+                // A pair without a probe has no metrics cell in the
+                // one-shot fold either.
+                if total > 0 {
+                    let plan = &self.plans[p.pair as usize];
+                    installed
+                        .metrics
+                        .install(plan.resolver_label, plan.vantage_label, protocol, m.cell)
+                        .map_err(invalid)?;
+                }
             }
             if let Some(pair) = daily.keys().next() {
                 return Err(invalid(format!(
                     "health cells for pair {pair}, which is not the shard's"
                 )));
             }
+            if let Some(pair) = exhausted.keys().next() {
+                return Err(invalid(format!(
+                    "retry exhaustions for pair {pair}, which is not the shard's"
+                )));
+            }
             for h in cells.health {
-                health.install(h.pair, h.day, h.cell);
+                installed.health.install(h.pair, h.day, h.cell);
+            }
+            for e in cells.exhausted {
+                let plan = &self.plans[e.pair as usize];
+                installed.events.push(JournalEvent {
+                    at: e.at,
+                    level: EventLevel::Warn,
+                    code: codes::RETRY_EXHAUSTED,
+                    data: EventData {
+                        resolver: Some(plan.resolver_label),
+                        vantage: Some(plan.vantage_label),
+                        count: Some(e.attempts as u64),
+                        ..EventData::default()
+                    },
+                });
             }
         }
-        Ok((aggregates, health))
+        Ok(installed)
     }
 
-    /// Streams the completed shard files through a k-way merge into the
-    /// final campaign JSONL, rebuilding metrics, while a second thread
+    /// Every vantage's slots, computed once per vantage, and which of them
+    /// each pair (in pair order) fills.
+    fn vantage_slots(&self) -> (Vec<VantageSlots>, Vec<u32>) {
+        let mut vantages: Vec<VantageSlots> = Vec::new();
+        let of_pair = self
+            .plans
+            .iter()
+            .map(|p| {
+                let known = vantages.iter().position(|v| v.vantage == p.vantage_label);
+                known.unwrap_or_else(|| {
+                    vantages.push(VantageSlots {
+                        vantage: p.vantage_label,
+                        slots: self.campaign.slots(p.vantage.label),
+                        tail: ProbeRecord::line_tail(p.vantage.label),
+                    });
+                    vantages.len() - 1
+                }) as u32
+            })
+            .collect();
+        (vantages, of_pair)
+    }
+
+    /// The fault plan's windows, as journal events.
+    fn fault_windows(&self) -> impl Iterator<Item = JournalEvent> + '_ {
+        self.campaign.config().faults.events.iter().map(|f| {
+            let from = f.from.as_nanos();
+            let mut data = EventData::default()
+                .with_value((f.until.as_nanos().saturating_sub(from)) as f64 / 1e6);
+            match &f.scope {
+                FaultScope::Resolver(host) => data.resolver = Some(Label::intern(host)),
+                FaultScope::Vantage(v) => data.vantage = Some(Label::intern(v)),
+                _ => {}
+            }
+            JournalEvent {
+                at: from,
+                level: EventLevel::Info,
+                code: codes::FAULT_WINDOW,
+                data,
+            }
+        })
+    }
+
+    /// Copies the completed shard files' lines into the final campaign
+    /// JSONL in schedule order, while a second thread
     /// [installs the checkpointed cells](Self::install_cells) — the same
-    /// way whether this process executed the shard or resumed it. The
-    /// campaign file takes its name only once both halves have succeeded;
-    /// when both fail, the merge's error is the one returned. Memory: one
-    /// buffered line per shard, one shard's cells, and the O(pairs × days)
-    /// series.
+    /// way whether this process executed the shard or resumed it. No
+    /// record is parsed: a min-heap over per-pair slot cursors, keyed
+    /// `(time, pair rank, domain rank, pair)`, names the pair whose probe
+    /// comes next, and the next line of that pair's shard file is copied
+    /// once it closes like that probe's record
+    /// ([`ProbeRecord::line_closes_at`]). A line that does not, a file
+    /// that ends early and a file with lines to spare are `ShardData`
+    /// errors naming the file. The campaign file takes its name only once
+    /// both halves have succeeded; when both fail, the merge's error is
+    /// the one returned. Memory: one read buffer per shard, a cursor per
+    /// pair, each vantage's slots, one shard's cells, and the
+    /// O(pairs × days) series.
     fn assemble(
         &self,
         manifest: &Manifest,
@@ -1127,40 +1252,8 @@ impl<'a> ShardedRunner<'a> {
             ));
         }
         let watch = Stopwatch::start();
-        // (vantage, resolver) → merge rank, for head-line keying: hashed
-        // by label id and only ever probed (`Label`'s `Ord` resolves both
-        // strings under a lock, once per comparison, for every record).
-        let ranks: HashMap<(Label, Label), u32> = self
-            .plans
-            .iter()
-            .map(|p| ((p.vantage_label, p.resolver_label), p.order))
-            .collect();
-
-        let key = |r: &ProbeRecord| -> Result<(u64, u32, u32), CheckpointError> {
-            let rank = ranks
-                .get(&(r.vantage_id(), r.resolver_id()))
-                .copied()
-                .ok_or_else(|| {
-                    CheckpointError::ShardData(format!(
-                        "record for unknown pair ({}, {})",
-                        r.vantage_id().as_str(),
-                        r.resolver_id().as_str()
-                    ))
-                })?;
-            Ok((
-                r.at.as_nanos(),
-                rank,
-                self.campaign.domain_rank(r.domain_id()),
-            ))
-        };
-
         let jsonl_path = self.dir.join(CAMPAIGN_FILE);
-        let mut registry = MetricsRegistry::new();
-        let mut records = 0u64;
-        // Journal events, in the order assembly meets them; the journal
-        // puts them in its canonical order.
-        let mut events: Vec<JournalEvent> = Vec::new();
-        let (cursors, (aggregates, health)) = std::thread::scope(|scope| {
+        let (records, extents, installed) = std::thread::scope(|scope| {
             // The cell lane: nothing in the merge reads what it builds.
             let cell_lane = std::thread::Builder::new()
                 .name("edns-cells".to_string())
@@ -1171,25 +1264,52 @@ impl<'a> ShardedRunner<'a> {
                 })
                 .map_err(|e| CheckpointError::Io(format!("spawn edns-cells: {e}")))?;
 
-            let mut cursors = (0..self.shards)
-                .map(|i| Cursor::open(self.shard_path(i)))
-                .collect::<Result<Vec<_>, _>>()?;
-
-            // Min-heap over shard heads. The record key (time, pair rank,
-            // domain rank) is unique across shards — a pair lives in
-            // exactly one shard — so the trailing shard index only
-            // stabilises ties *within* a shard, preserving each file's own
-            // order.
+            // Per shard: its reader, the lines its pairs' slots add up to
+            // and its simulated extent; per pair, its cursor.
+            let (vantages, of_pair) = self.vantage_slots();
+            let slots_of = |pair: usize| &vantages[of_pair[pair] as usize].slots;
+            let mut readers = Vec::with_capacity(self.shards as usize);
+            let mut extents = Vec::with_capacity(self.shards as usize);
+            let mut cursors = Vec::with_capacity(self.plans.len());
+            for (i, state) in manifest.states.iter().enumerate() {
+                let range = self.shard_range(i as u32);
+                let slots = || range.clone().map(slots_of).filter(|s| !s.is_empty());
+                let first = slots().map(|s| s[0].at).min().unwrap_or(0);
+                let last = slots().map(|s| s[s.len() - 1].at).max().unwrap_or(0);
+                let expected: u64 = slots().map(|s| s.len() as u64).sum();
+                let path = self.shard_path(i as u32);
+                if let ShardState::Complete(c) = state {
+                    if c.records != expected {
+                        return Err(CheckpointError::ShardData(format!(
+                            "{}: the manifest records {} lines, its pairs' slots add up to {expected}",
+                            path.display(),
+                            c.records
+                        )));
+                    }
+                }
+                let file = File::open(&path).map_err(io_err("open", &path))?;
+                readers.push(ShardReader {
+                    reader: BufReader::with_capacity(ASSEMBLE_READ_BYTES, file),
+                    path,
+                    lines: 0,
+                    expected,
+                });
+                extents.push((first, last));
+                cursors.extend(range.map(|pair| PairCursor {
+                    shard: i as u32,
+                    vantage: of_pair[pair],
+                    next: 0,
+                }));
+            }
             let mut heap: BinaryHeap<Reverse<(u64, u32, u32, u32)>> =
                 BinaryHeap::with_capacity(cursors.len());
-            for (i, c) in cursors.iter().enumerate() {
-                if let Some(r) = &c.head {
-                    let (at, rank, domain) = key(r)?;
-                    heap.push(Reverse((at, rank, domain, i as u32)));
+            for (pair, plan) in self.plans.iter().enumerate() {
+                if let Some(s) = slots_of(pair).first() {
+                    heap.push(Reverse((s.at, plan.order, s.rank, pair as u32)));
                 }
             }
 
-            let cells = write_atomic(&jsonl_path, |file| {
+            let (records, installed) = write_atomic(&jsonl_path, |file| {
                 let mut out: Vec<u8> = Vec::with_capacity(ASSEMBLE_WRITE_BYTES + 4096);
                 let mut flush = |out: &mut Vec<u8>| {
                     let started = watch.elapsed_secs();
@@ -1198,108 +1318,110 @@ impl<'a> ShardedRunner<'a> {
                     stages.assemble_write_s += watch.elapsed_secs() - started;
                     written
                 };
-                while let Some(Reverse((_, _, _, i))) = heap.pop() {
-                    let cursor = &mut cursors[i as usize];
-                    let record = cursor.head.take().ok_or_else(|| {
-                        CheckpointError::ShardData(format!(
-                            "merge cursor for {} lost its head",
-                            cursor.path.display()
-                        ))
-                    })?;
-                    cursor.last_at = record.at.as_nanos();
-                    observe_record(&mut registry, &record);
-                    if let (ProbeOutcome::Failure { .. }, Some(retry)) =
-                        (&record.outcome, &record.retry)
-                    {
-                        if retry.exhausted() {
-                            events.push(JournalEvent {
-                                at: record.at.as_nanos(),
-                                level: EventLevel::Warn,
-                                code: codes::RETRY_EXHAUSTED,
-                                data: EventData {
-                                    resolver: Some(record.resolver_id()),
-                                    vantage: Some(record.vantage_id()),
-                                    count: Some(retry.attempts as u64),
-                                    ..EventData::default()
-                                },
-                            });
-                        }
+                let mut ts = String::new();
+                while let Some(Reverse((at, order, _, pair))) = heap.pop() {
+                    let cursor = &mut cursors[pair as usize];
+                    let vantage = &vantages[cursor.vantage as usize];
+                    let shard = &mut readers[cursor.shard as usize];
+                    let start = out.len();
+                    let read = shard
+                        .reader
+                        .read_until(b'\n', &mut out)
+                        .map_err(io_err("read", &shard.path))?;
+                    if read == 0 {
+                        return Err(CheckpointError::ShardData(format!(
+                            "{}: ends after {} lines, its pairs' slots add up to {}",
+                            shard.path.display(),
+                            shard.lines,
+                            shard.expected
+                        )));
                     }
-                    out.extend_from_slice(cursor.line.as_bytes());
+                    shard.lines += 1;
+                    if !ProbeRecord::line_closes_at(&out[start..], &vantage.tail, at, &mut ts) {
+                        return Err(CheckpointError::ShardData(format!(
+                            "{}: line {} is not the engine-written record of its slot, \
+                             {} at {at} ns",
+                            shard.path.display(),
+                            shard.lines,
+                            vantage.vantage.as_str()
+                        )));
+                    }
+                    cursor.next += 1;
+                    if let Some(s) = vantage.slots.get(cursor.next) {
+                        heap.push(Reverse((s.at, order, s.rank, pair)));
+                    }
                     if out.len() >= ASSEMBLE_WRITE_BYTES {
                         flush(&mut out)?;
                     }
-                    records += 1;
-                    cursor.advance()?;
-                    if let Some(r) = &cursor.head {
-                        let (at, rank, domain) = key(r)?;
-                        heap.push(Reverse((at, rank, domain, i)));
-                    }
                 }
                 flush(&mut out)?;
+                for shard in &mut readers {
+                    let rest = shard
+                        .reader
+                        .fill_buf()
+                        .map_err(io_err("read", &shard.path))?;
+                    if !rest.is_empty() {
+                        return Err(CheckpointError::ShardData(format!(
+                            "{}: holds more than the {} lines its pairs' slots add up to",
+                            shard.path.display(),
+                            shard.expected
+                        )));
+                    }
+                }
                 // The two lanes meet before the rename: a cell file that
                 // fails its content checks leaves no campaign file behind.
                 // detlint:allow(unwrap, propagates the cell lane's panic like a generator's; there is no partial result to salvage)
                 let (installed, cells_s) = cell_lane.join().expect("cell lane panicked");
                 stages.assemble_cells_s = cells_s;
-                installed
+                let records = readers.iter().map(|r| r.lines).sum::<u64>();
+                installed.map(|installed| (records, installed))
             })?;
-            Ok::<_, CheckpointError>((cursors, cells))
+            Ok::<_, CheckpointError>((records, extents, installed))
         })?;
         run.records_merged.add(records);
 
         stages.assemble_read_s = watch.elapsed_secs() - stages.assemble_write_s;
+        let InstalledCells {
+            aggregates,
+            health,
+            metrics,
+            mut events,
+        } = installed;
         let drift = detect_drift(&health.resolver_rows(), &DriftConfig::default());
 
         // Shard spans, recorded in shard-index order so the log is
         // independent of execution interleaving.
         let mut spans = SpanLog::with_capacity((self.shards as usize * 2).max(16));
-        for (i, c) in cursors.iter().enumerate() {
-            obs::sharding::record_shard_span(&mut spans, i as u32, c.first_at, c.last_at);
+        for (i, &(first, last)) in extents.iter().enumerate() {
+            obs::sharding::record_shard_span(&mut spans, i as u32, first, last);
         }
 
-        // Shard lifecycle + checkpoint traffic, from the merge cursors'
-        // simulated extents and the manifest.
-        for (i, c) in cursors.iter().enumerate() {
+        // Shard lifecycle + checkpoint traffic, from the shards' simulated
+        // extents and the manifest.
+        for (i, &(first, last)) in extents.iter().enumerate() {
             if let ShardState::Complete(ckpt) = &manifest.states[i] {
                 let shard = i as u32;
                 events.push(JournalEvent {
-                    at: c.first_at,
+                    at: first,
                     level: EventLevel::Info,
                     code: codes::SHARD_START,
                     data: EventData::shard(shard),
                 });
                 events.push(JournalEvent {
-                    at: c.last_at,
+                    at: last,
                     level: EventLevel::Info,
                     code: codes::SHARD_FINISH,
                     data: EventData::shard(shard).with_count(ckpt.records),
                 });
                 events.push(JournalEvent {
-                    at: c.last_at,
+                    at: last,
                     level: EventLevel::Debug,
                     code: codes::CHECKPOINT_STORE,
                     data: EventData::shard(shard).with_count(ckpt.bytes),
                 });
             }
         }
-        // Fault-plan windows, straight from the configuration.
-        for f in &self.campaign.config().faults.events {
-            let from = f.from.as_nanos();
-            let mut data = EventData::default()
-                .with_value((f.until.as_nanos().saturating_sub(from)) as f64 / 1e6);
-            match &f.scope {
-                FaultScope::Resolver(host) => data.resolver = Some(Label::intern(host)),
-                FaultScope::Vantage(v) => data.vantage = Some(Label::intern(v)),
-                _ => {}
-            }
-            events.push(JournalEvent {
-                at: from,
-                level: EventLevel::Info,
-                code: codes::FAULT_WINDOW,
-                data,
-            });
-        }
+        events.extend(self.fault_windows());
         // Drift findings, stamped at the end of the flagged day.
         for d in &drift {
             events.push(JournalEvent {
@@ -1318,7 +1440,7 @@ impl<'a> ShardedRunner<'a> {
         Ok(ShardedOutcome {
             jsonl_path,
             records,
-            metrics: registry.snapshot(),
+            metrics: metrics.snapshot(),
             aggregates,
             run,
             spans,

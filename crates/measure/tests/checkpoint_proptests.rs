@@ -1,18 +1,22 @@
 //! Property tests for the checkpoint codec: manifests built from
-//! arbitrary shard states and cell files built from arbitrary cells must
-//! encode/decode exactly, the encoding must be a fixed point
-//! (encode ∘ decode ∘ encode = encode), and a changed byte must never
-//! decode to different content.
+//! arbitrary shard states and cell files built from arbitrary cells —
+//! aggregate, metrics and health cells and retry exhaustions — must
+//! encode/decode exactly, with every float bit for bit, the encoding must
+//! be a fixed point (encode ∘ decode ∘ encode = encode), a changed byte
+//! must never decode to different content, and no body, however mangled,
+//! may panic a decoder.
 
 use proptest::prelude::*;
 
 use measure::aggregate::{AggregateCell, PairAggregate};
 use measure::checkpoint::{
-    availability_from_json, availability_to_json, pair_day_health_from_json,
-    pair_day_health_to_json, sketch_from_json, sketch_to_json, Manifest, PairDayHealth, ShardCells,
+    availability_from_json, availability_to_json, fnv64, pair_day_health_from_json,
+    pair_day_health_to_json, pair_metrics_from_json, pair_metrics_to_json, sketch_from_json,
+    sketch_to_json, Manifest, PairDayHealth, PairMetrics, RetryExhausted, ShardCells,
     ShardCheckpoint, ShardState,
 };
-use measure::{HealthCell, Label};
+use measure::{HealthCell, Label, CHECKPOINT_VERSION};
+use obs::{CellMetrics, Histogram, Phase};
 
 use edns_stats::{Availability, LatencySketch};
 
@@ -71,6 +75,78 @@ fn arb_pair() -> impl Strategy<Value = PairAggregate> {
     )
 }
 
+/// Labels a probe can fail with: the only ones a metrics cell decodes.
+const PROBE_ERROR_LABELS: [&str; 4] = [
+    "connect_timeout",
+    "query_timeout",
+    "tls_failure",
+    "rate_limited",
+];
+
+fn arb_histogram() -> impl Strategy<Value = Histogram> {
+    proptest::collection::vec(0.01f64..60_000.0, 0..24).prop_map(|samples| {
+        let mut h = Histogram::default();
+        for x in samples {
+            h.observe(x);
+        }
+        h
+    })
+}
+
+fn arb_cell_metrics() -> impl Strategy<Value = CellMetrics> {
+    (
+        proptest::collection::vec(0u64..100_000, 5),
+        proptest::collection::vec((0usize..PROBE_ERROR_LABELS.len(), 1u64..500), 0..4),
+        (arb_histogram(), arb_histogram()),
+        proptest::collection::vec(arb_histogram(), Phase::COUNT),
+        0.01f64..60_000.0,
+        proptest::collection::vec(0u64..1_000, Phase::COUNT),
+    )
+        .prop_map(
+            |(counts, errors, (response, ping), phases, last, retries)| {
+                let mut m = CellMetrics::default();
+                m.probes.add(counts[0]);
+                m.successes.add(counts[1]);
+                m.cache_hits.add(counts[2]);
+                m.recovered.add(counts[3]);
+                m.exhausted.add(counts[4]);
+                for (label, n) in errors {
+                    *m.errors.entry(PROBE_ERROR_LABELS[label]).or_insert(0) += n;
+                }
+                m.response_ms = response;
+                m.ping_ms = ping;
+                for (slot, h) in m.phase_ms.iter_mut().zip(phases) {
+                    *slot = h;
+                }
+                m.last_response_ms.set(last);
+                for (slot, n) in m.retries_by_phase.iter_mut().zip(retries) {
+                    slot.add(n);
+                }
+                m
+            },
+        )
+}
+
+fn arb_pair_metrics() -> impl Strategy<Value = PairMetrics> {
+    (0u32..512, arb_cell_metrics()).prop_map(|(pair, cell)| PairMetrics { pair, cell })
+}
+
+fn arb_retry_exhausted() -> impl Strategy<Value = RetryExhausted> {
+    (0u32..512, 0u64..1 << 50, 1u32..8).prop_map(|(pair, at, attempts)| RetryExhausted {
+        pair,
+        at,
+        attempts,
+    })
+}
+
+/// Every float of a metrics cell, as bits.
+fn float_bits(m: &CellMetrics) -> Vec<u64> {
+    let sums = [&m.response_ms, &m.ping_ms].into_iter().chain(&m.phase_ms);
+    sums.map(|h| h.sum().to_bits())
+        .chain([m.last_response_ms.get().to_bits()])
+        .collect()
+}
+
 fn arb_pair_day_health() -> impl Strategy<Value = PairDayHealth> {
     (0u32..512, 0u32..256, arb_availability(), arb_sketch()).prop_map(
         |(pair, day, availability, response)| PairDayHealth {
@@ -117,12 +193,16 @@ fn arb_cells() -> impl Strategy<Value = ShardCells> {
     (
         0u32..64,
         proptest::collection::vec(arb_pair(), 0..5),
+        proptest::collection::vec(arb_pair_metrics(), 0..4),
         proptest::collection::vec(arb_pair_day_health(), 0..6),
+        proptest::collection::vec(arb_retry_exhausted(), 0..4),
     )
-        .prop_map(|(shard, pairs, health)| ShardCells {
+        .prop_map(|(shard, pairs, metrics, health, exhausted)| ShardCells {
             shard,
             pairs,
+            metrics,
             health,
+            exhausted,
         })
 }
 
@@ -190,6 +270,16 @@ proptest! {
     }
 
     #[test]
+    fn metrics_cells_round_trip_bit_exactly(m in arb_pair_metrics()) {
+        let json = pair_metrics_to_json(&m);
+        let back = pair_metrics_from_json(&json).unwrap();
+        prop_assert_eq!(float_bits(&back.cell), float_bits(&m.cell));
+        prop_assert_eq!(&back, &m);
+        // Fixed point.
+        prop_assert_eq!(pair_metrics_to_json(&back), json);
+    }
+
+    #[test]
     fn sketch_json_round_trips_bit_exactly(s in arb_sketch()) {
         let back = sketch_from_json(&sketch_to_json(&s)).unwrap();
         prop_assert_eq!(&back, &s);
@@ -215,6 +305,28 @@ proptest! {
     #[test]
     fn decoder_never_panics_on_arbitrary_text(s in "\\PC{0,300}") {
         let _ = Manifest::decode(&s);
+        let _ = ShardCells::decode(&s);
+    }
+
+    #[test]
+    fn decoder_never_panics_on_mangled_cell_bodies(
+        cells in arb_cells(),
+        idx in any::<prop::sample::Index>(),
+        byte in 0u8..128,
+    ) {
+        // The body is changed and then framed anew, so the change gets
+        // past the checksum into the field decoders.
+        let text = cells.encode();
+        let mut body = text.split_once('\n').unwrap().1.trim_end().as_bytes().to_vec();
+        let i = idx.index(body.len());
+        body[i] = byte;
+        if let Ok(body) = std::str::from_utf8(&body) {
+            let framed = format!(
+                "edns-checkpoint v{CHECKPOINT_VERSION} {:016x}\n{body}\n",
+                fnv64(body.as_bytes())
+            );
+            let _ = ShardCells::decode(&framed);
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Crash-safety: a sharded campaign must *detect* — never silently absorb
 //! — truncated manifests, flipped bytes, stale format versions, shard
-//! data and cell files that no longer match their recorded checksums, and
-//! checkpoints from a different campaign configuration. Every rejection
+//! data and cell files that no longer match their recorded checksums or,
+//! checksummed anew, no longer match the campaign schedule or their own
+//! aggregate cells, and checkpoints from a different campaign
+//! configuration. Every rejection
 //! is a typed [`CheckpointError`] — the same one on every call, though
 //! validation and assembly each run on two threads — and a rejected
 //! assembly leaves no `campaign.jsonl`. A kill at any point of a shard's
@@ -14,7 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use measure::checkpoint::fnv64;
 use measure::shard::CAMPAIGN_FILE;
 use measure::{
-    Campaign, CampaignConfig, CheckpointError, Manifest, Protocol, ShardState, ShardedRunner,
+    Campaign, CampaignConfig, CheckpointError, Manifest, Protocol, ShardCells, ShardState,
+    ShardedRunner,
 };
 
 const HOSTS: [&str; 3] = ["dns.google", "dns.quad9.net", "doh.ffmuc.net"];
@@ -91,6 +94,37 @@ fn borrow_cell_file(runner: &ShardedRunner, index: u32, from: u32) {
     rerecord(runner, index);
 }
 
+/// An edit of a data file's lines, and of a cell file's content.
+type LineEdit = fn(&mut Vec<&str>);
+type CellEdit = fn(&mut ShardCells);
+
+/// Rewrites shard `index`'s data file line by line with `edit`, recorded
+/// in the manifest.
+fn edit_data_file(runner: &ShardedRunner, index: u32, edit: impl FnOnce(&mut Vec<&str>)) {
+    let shard = runner.shard_path(index);
+    let text = std::fs::read_to_string(&shard).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    edit(&mut lines);
+    let edited: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    std::fs::write(&shard, edited).unwrap();
+    rerecord(runner, index);
+}
+
+/// Rewrites shard `index`'s cell file with `edit`, recorded in the
+/// manifest: its framing and checksums hold, its content does not.
+fn edit_cell_file(runner: &ShardedRunner, index: u32, edit: impl FnOnce(&mut ShardCells)) {
+    let path = runner.cells_path(index);
+    let mut cells = ShardCells::decode(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    edit(&mut cells);
+    std::fs::write(&path, cells.encode()).unwrap();
+    rerecord(runner, index);
+}
+
+/// The vantage a data line closes with.
+fn vantage_of(line: &str) -> &str {
+    line.rsplit("\"vantage\":\"").next().unwrap()
+}
+
 /// Flips one byte in the middle of `path`.
 fn flip_a_byte(path: &Path) {
     let mut data = std::fs::read(path).unwrap();
@@ -155,11 +189,12 @@ fn stale_format_version_is_rejected() {
     let dir = partial_run(&c, "version");
     let path = dir.join("manifest.ckpt");
     let text = std::fs::read_to_string(&path).unwrap();
-    // v2 is the previous format, whose manifest held every cell: it must
-    // not resume either.
-    for stale in ["v0", "v2"] {
+    // v3 is the previous format, whose cell files held no metrics cells,
+    // and v2 the one before, whose manifest held every cell: neither may
+    // resume.
+    for stale in ["v0", "v2", "v3"] {
         let header = format!("edns-checkpoint {stale}");
-        std::fs::write(&path, text.replacen("edns-checkpoint v3", &header, 1)).unwrap();
+        std::fs::write(&path, text.replacen("edns-checkpoint v4", &header, 1)).unwrap();
         let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
         assert_eq!(
             runner.run(1).unwrap_err(),
@@ -228,6 +263,65 @@ fn a_shard_file_the_engine_did_not_write_is_rejected_at_assembly() {
     let msg = shard_data_message(runner.run(1));
     assert!(msg.contains("shard-0001.jsonl"), "{msg}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_data_file_out_of_step_with_its_schedule_is_rejected_at_assembly() {
+    // Each file is checksummed correctly in the manifest, so only the
+    // merge's check of every line against the slot it fills can reject
+    // it, and it must do so before the merged output takes its name.
+    let c = campaign(CampaignConfig::quick(3, 2));
+    let edits: [(&str, LineEdit); 3] = [
+        ("one line short", |lines| {
+            lines.pop();
+        }),
+        ("a line moved to another vantage's slot", |lines| {
+            let other = lines
+                .iter()
+                .position(|l| vantage_of(l) != vantage_of(lines[0]))
+                .expect("shard 1 holds pairs of two vantages");
+            lines.swap(0, other);
+        }),
+        ("a surplus line", |lines| {
+            let last = lines[lines.len() - 1];
+            lines.push(last);
+        }),
+    ];
+    for (what, edit) in edits {
+        let (runner, dir) = complete_run(&c, "schedule");
+        edit_data_file(&runner, 1, edit);
+        let msg = shard_data_message(runner.run(1));
+        assert!(msg.contains("shard-0001.jsonl"), "{what}: {msg}");
+        assert!(
+            !dir.join(CAMPAIGN_FILE).exists(),
+            "{what}: a torn campaign file"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn a_cell_file_whose_metrics_disagree_with_its_aggregates_is_rejected() {
+    let c = campaign(CampaignConfig::quick(3, 2));
+    let edits: [(&str, CellEdit); 2] = [
+        ("a metrics cell short", |cells| {
+            cells.metrics.pop();
+        }),
+        ("a probe more in a metrics cell", |cells| {
+            cells.metrics[0].cell.probes.inc();
+        }),
+    ];
+    for (what, edit) in edits {
+        let (runner, dir) = complete_run(&c, "metrics-cells");
+        edit_cell_file(&runner, 2, edit);
+        let msg = shard_data_message(runner.run(1));
+        assert!(msg.contains("shard-0002.cells"), "{what}: {msg}");
+        assert!(
+            !dir.join(CAMPAIGN_FILE).exists(),
+            "{what}: a torn campaign file"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Differential pinning of the strict line reader against the tree path:
 //! for every line the engine writes, `ProbeRecord::read_json_line(l)` must
 //! equal `ProbeRecord::from_json(json::parse(l))` — both record shapes,
-//! with and without the retry and `conn_mode` keys — so shard assembly,
-//! which reads each line back with the former, rebuilds exactly the
-//! records, metrics and journal the tree path did.
+//! with and without the retry and `conn_mode` keys — so `FromStr` and
+//! `edns-measure report`, which read each line back with the former, get
+//! exactly the records the tree path does.
 //!
 //! On hostile input (every truncation, seeded single-byte mutations) the
 //! reader may be stricter than the tree path, never different: it must

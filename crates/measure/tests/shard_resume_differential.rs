@@ -2,12 +2,15 @@
 //! for multiple seeds and shard counts, the one-shot `run()` output must
 //! be **byte-identical** to a sharded run — and to a campaign killed and
 //! resumed at *every* shard boundary. Compares the final JSONL bytes, the
-//! metrics snapshot render, and the bounded-memory aggregate cells.
+//! metrics snapshot render, and the bounded-memory aggregate cells. And
+//! since assembly merges by the campaign schedule rather than by reading
+//! records, every pair's generated records must fill its vantage's slots
+//! in order.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use measure::{metrics_of, Campaign, CampaignAggregates, CampaignConfig, ShardedRunner};
+use measure::{metrics_of, Campaign, CampaignAggregates, CampaignConfig, ShardedRunner, Span};
 
 const HOSTS: [&str; 4] = [
     "dns.google",
@@ -181,4 +184,81 @@ fn shard_spans_cover_the_campaign_in_index_order() {
         assert!(s.end >= s.start);
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A quick campaign in which one home vantage also runs a second,
+/// overlapping span: its rounds at 0 h and 12 h come twice.
+fn overlapping_spans(seed: u64) -> CampaignConfig {
+    let mut config = CampaignConfig::quick(seed, 2);
+    config.spans.push(Span {
+        start_day: 0,
+        days: 1,
+        rounds_per_day: 4,
+        vantages: config.spans[0].vantages[..1].to_vec(),
+    });
+    config
+}
+
+/// A quick campaign whose domains are listed against their rank order,
+/// one of them twice.
+fn domains_out_of_rank_order(seed: u64) -> CampaignConfig {
+    let mut config = CampaignConfig::quick(seed, 2);
+    config.domains = ["wikipedia.com", "google.com", "amazon.com", "google.com"]
+        .map(String::from)
+        .to_vec();
+    config
+}
+
+#[test]
+fn every_pair_fills_its_vantage_slots_in_order() {
+    let configs = [
+        ("quick", CampaignConfig::quick(31, 2)),
+        (
+            "longitudinal, faults and retries",
+            CampaignConfig::longitudinal(31, 3).with_default_faults(),
+        ),
+        ("overlapping spans", overlapping_spans(31)),
+        ("domains out of rank order", domains_out_of_rank_order(31)),
+    ];
+    for (what, config) in configs {
+        let c = campaign(config);
+        let domains = &c.config().domains;
+        let generated = c.generate(1);
+        for (vantage, records) in generated.pairs() {
+            let slots = c.slots(vantage);
+            let filled: Vec<(u64, &str)> = records
+                .iter()
+                .map(|r| (r.at.as_nanos(), r.domain()))
+                .collect();
+            let scheduled: Vec<(u64, &str)> = slots
+                .iter()
+                .map(|s| (s.at, domains[s.domain as usize].as_str()))
+                .collect();
+            assert_eq!(filled, scheduled, "{what}: a pair of {vantage}");
+        }
+    }
+    // Where slots tie on (time, domain rank), the stable tie-break is
+    // all that orders them: the sharded engine must still reproduce the
+    // one-shot bytes at any shard count.
+    for (what, config) in [
+        ("overlapping spans", overlapping_spans(37)),
+        ("domains out of rank order", domains_out_of_rank_order(37)),
+    ] {
+        let c = campaign(config);
+        let reference = one_shot(&c);
+        for shards in [1u32, 3, 7] {
+            let dir = scratch_dir("slots");
+            let outcome = ShardedRunner::new(&c, shards, &dir)
+                .unwrap()
+                .run(2)
+                .unwrap();
+            assert_matches_one_shot(
+                &c,
+                &reference,
+                &outcome,
+                &format!("{what}, {shards} shards"),
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 }

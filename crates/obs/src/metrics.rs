@@ -75,6 +75,17 @@ impl Default for Histogram {
 }
 
 impl Histogram {
+    /// A histogram from what [`bucket_counts`](Self::bucket_counts) and
+    /// [`sum`](Self::sum) read back: the count is the buckets' total, so a
+    /// decoded histogram cannot disagree with itself.
+    pub fn from_parts(counts: [u64; LATENCY_BUCKETS_MS.len() + 1], sum: f64) -> Histogram {
+        Histogram {
+            count: counts.iter().sum(),
+            counts,
+            sum,
+        }
+    }
+
     /// Records one observation in milliseconds.
     pub fn observe(&mut self, ms: f64) {
         let idx = LATENCY_BUCKETS_MS
@@ -284,6 +295,31 @@ impl MetricsRegistry {
         &mut self.cells[idx].1
     }
 
+    /// Installs a cell folded elsewhere under an interned key — the
+    /// sharded engine's path, which folds each cell where its records are
+    /// generated. A key already present is an error, never a merge: a
+    /// cell's histogram sums are only bit-exact as one fold in record
+    /// order.
+    pub fn install(
+        &mut self,
+        resolver: Label,
+        vantage: Label,
+        protocol: Label,
+        metrics: CellMetrics,
+    ) -> Result<(), String> {
+        if self.index.contains_key(&(resolver, vantage, protocol)) {
+            return Err(format!(
+                "metrics cell ({}, {}, {}) installed twice",
+                resolver.as_str(),
+                vantage.as_str(),
+                protocol.as_str()
+            ));
+        }
+        let cell = self.cell_interned(resolver, vantage, protocol);
+        *cell = metrics;
+        Ok(())
+    }
+
     /// Number of populated cells.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -489,6 +525,29 @@ mod tests {
             loud.contains("retries: total=3 recovered=1 exhausted=0 [connect=2 tls_handshake=1]"),
             "{loud}"
         );
+    }
+
+    #[test]
+    fn an_installed_cell_snapshots_like_the_fold_it_came_from() {
+        let mut folded = MetricsRegistry::new();
+        let cell = folded.cell("x", "v", "doh");
+        cell.probes.add(2);
+        cell.response_ms.observe(0.1);
+        cell.response_ms.observe(0.2);
+        let h = &cell.response_ms;
+        let rebuilt = Histogram::from_parts(h.counts, h.sum());
+        assert_eq!(&rebuilt, h);
+        assert_eq!(rebuilt.sum().to_bits(), (0.1f64 + 0.2).to_bits());
+
+        let (r, v, p) = (Label::intern("x"), Label::intern("v"), Label::intern("doh"));
+        let mut installed = MetricsRegistry::new();
+        let metrics = folded.snapshot().cells[0].metrics.clone();
+        installed.install(r, v, p, metrics.clone()).unwrap();
+        assert_eq!(installed.snapshot(), folded.snapshot());
+        assert!(installed
+            .install(r, v, p, metrics)
+            .unwrap_err()
+            .contains("installed twice"));
     }
 
     #[test]
