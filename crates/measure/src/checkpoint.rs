@@ -37,8 +37,18 @@
 //! shortest-round-trip formatter ([`crate::json::write_float`]), which
 //! re-parses bit-exactly — a decode of an encode reproduces the aggregate
 //! cells down to the last bit, which the resume-determinism tests rely on.
+//!
+//! The manifest, a few KB, goes through the [`Json`] tree both ways. A
+//! cell file, which resume reads for every shard, has a direct codec
+//! instead, as records do: [`ShardCells::encode`] writes the body field by
+//! field and [`ShardCells::decode`] reads it back in one strict pass over
+//! the [`LineReader`] primitives, building no tree. The tree codec the
+//! cell files had before is kept in `tests/checkpoint_proptests.rs` as the
+//! oracle: the writer must emit its bytes, and the reader must read what
+//! it reads or decline the body.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -49,7 +59,7 @@ use obs::{CellMetrics, Counter, Gauge, Histogram, Label, Phase};
 use crate::aggregate::{AggregateCell, PairAggregate};
 use crate::errors::ProbeErrorKind;
 use crate::health::HealthCell;
-use crate::json::Json;
+use crate::json::{self, Json, LineReader};
 
 /// The checkpoint format version this build reads and writes.
 ///
@@ -80,6 +90,24 @@ pub(crate) fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// [`fnv64_extend`] on four states at once, state `i` over `bytes[i]`;
+/// the four slices are of equal length. One FNV-1a chain waits on its
+/// xor→multiply latency at every byte; four independent chains in one
+/// loop fill those waits, so this hashes the bytes about four times as
+/// fast as four calls of `fnv64_extend` do, to the same states.
+pub(crate) fn fnv64_lanes(h: [u64; 4], bytes: [&[u8]; 4]) -> [u64; 4] {
+    debug_assert!(bytes.iter().all(|b| b.len() == bytes[0].len()));
+    let [mut a, mut b, mut c, mut d] = h;
+    let [w, x, y, z] = bytes;
+    for (((&p, &q), &r), &s) in w.iter().zip(x).zip(y).zip(z) {
+        a = (a ^ p as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        b = (b ^ q as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        c = (c ^ r as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        d = (d ^ s as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    [a, b, c, d]
 }
 
 /// `map_err` adapter for the filesystem calls of the checkpoint and shard
@@ -213,54 +241,42 @@ pub struct ShardCells {
 }
 
 impl ShardCells {
-    /// Serialises the cells: header line plus compact JSON body.
+    /// Serialises the cells: header line plus compact JSON body, written
+    /// field by field — keys sorted, floats through
+    /// [`json::write_float`] — with no [`Json`] tree in between.
     pub fn encode(&self) -> String {
-        frame(
-            &Json::object([
-                ("shard", Json::Int(self.shard as i64)),
-                (
-                    "cells",
-                    Json::Array(self.pairs.iter().map(pair_aggregate_to_json).collect()),
-                ),
-                (
-                    "metrics",
-                    Json::Array(self.metrics.iter().map(pair_metrics_to_json).collect()),
-                ),
-                (
-                    "health",
-                    Json::Array(self.health.iter().map(pair_day_health_to_json).collect()),
-                ),
-                (
-                    "exhausted",
-                    Json::Array(self.exhausted.iter().map(retry_exhausted_to_json).collect()),
-                ),
-            ])
-            .to_string_compact(),
-        )
+        let mut body = String::new();
+        put_list(&mut body, "{\"cells\":", &self.pairs, put_pair_aggregate);
+        put_list(
+            &mut body,
+            ",\"exhausted\":",
+            &self.exhausted,
+            put_retry_exhausted,
+        );
+        put_list(&mut body, ",\"health\":", &self.health, put_pair_day_health);
+        put_list(&mut body, ",\"metrics\":", &self.metrics, put_pair_metrics);
+        put_count(&mut body, ",\"shard\":", self.shard.into());
+        body.push('}');
+        frame(&body)
     }
 
-    /// Parses and validates a serialised cell file.
+    /// Parses and validates a serialised cell file in one pass over the
+    /// body. Strict, like the record reader: a body of a shape
+    /// [`encode`](Self::encode) does not write — whitespace, another key
+    /// order, a float where it writes a count — is a
+    /// [`CheckpointError::Parse`], and so are a bucket total that disagrees
+    /// with its count, a negative count, a non-finite float, an error label
+    /// no probe fails with, a pair, day, shard or attempt count past `u32`,
+    /// and a histogram or retry count too many or too few for the phases.
     pub fn decode(text: &str) -> Result<ShardCells, CheckpointError> {
-        let v = unframe(text)?;
-        Ok(ShardCells {
-            shard: int_field(&v, "shard")? as u32,
-            pairs: array_field(&v, "cells")?
-                .iter()
-                .map(pair_aggregate_from_json)
-                .collect::<Result<_, _>>()?,
-            metrics: array_field(&v, "metrics")?
-                .iter()
-                .map(pair_metrics_from_json)
-                .collect::<Result<_, _>>()?,
-            health: array_field(&v, "health")?
-                .iter()
-                .map(pair_day_health_from_json)
-                .collect::<Result<_, _>>()?,
-            exhausted: array_field(&v, "exhausted")?
-                .iter()
-                .map(retry_exhausted_from_json)
-                .collect::<Result<_, _>>()?,
-        })
+        let mut r = LineReader::new(unframe(text)?);
+        match take_cells(&mut r) {
+            Some(cells) if r.pos == r.s.len() => Ok(cells),
+            _ => Err(parse_err_owned(format!(
+                "cell file body unreadable at byte {}",
+                r.pos
+            ))),
+        }
     }
 }
 
@@ -390,12 +406,13 @@ impl Manifest {
 
     /// Parses and validates a serialised manifest.
     pub fn decode(text: &str) -> Result<Manifest, CheckpointError> {
-        let v = unframe(text)?;
+        let v = json::parse(unframe(text)?).map_err(|e| CheckpointError::Parse(e.to_string()))?;
 
         let fingerprint = hex_field(&v, "fingerprint")?;
         let seed = hex_field(&v, "seed")?;
         let shards = int_field(&v, "shards")? as usize;
-        let pairs = int_field(&v, "pairs")? as u32;
+        let pairs =
+            u32::try_from(int_field(&v, "pairs")?).map_err(|_| parse_err("pair count past u32"))?;
         let entries = array_field(&v, "entries")?;
         if entries.len() != shards {
             return Err(parse_err("entries length disagrees with shard count"));
@@ -454,9 +471,9 @@ fn frame(body: &str) -> String {
     )
 }
 
-/// Checks a framed file's magic, version and body checksum, and parses
+/// Checks a framed file's magic, version and body checksum, and returns
 /// the body.
-fn unframe(text: &str) -> Result<Json, CheckpointError> {
+fn unframe(text: &str) -> Result<&str, CheckpointError> {
     let mut lines = text.splitn(2, '\n');
     let header = lines.next().unwrap_or("");
     let mut tokens = header.split(' ');
@@ -481,7 +498,7 @@ fn unframe(text: &str) -> Result<Json, CheckpointError> {
     if actual != expected {
         return Err(CheckpointError::ChecksumMismatch { expected, actual });
     }
-    crate::json::parse(body).map_err(|e| CheckpointError::Parse(e.to_string()))
+    Ok(body)
 }
 
 fn parse_err(msg: &str) -> CheckpointError {
@@ -513,183 +530,274 @@ fn hex_field(v: &Json, key: &str) -> Result<u64, CheckpointError> {
         .ok_or_else(|| parse_err_owned(format!("missing or invalid hex field {key:?}")))
 }
 
-fn parse_float_field(v: &Json, key: &str) -> Result<f64, CheckpointError> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .filter(|f| f.is_finite())
-        .ok_or_else(|| parse_err_owned(format!("missing or invalid float field {key:?}")))
+// The cell codec. Each `put_*` writes one value of a cell file's body and
+// each `take_*` reads it back: the same `"key":` literals in the same
+// (sorted) order, so that a body is one pass each way. A `lit` opens with
+// the `{` or `,` before its key.
+
+fn put_count(out: &mut String, lit: &str, n: u64) {
+    out.push_str(lit);
+    let _ = write!(out, "{n}");
 }
 
-/// Encodes a latency sketch. Empty sketches collapse to `{"n":0}`, which
-/// keeps the infinite min/max sentinels of an empty [`RunningMoments`] out
-/// of the JSON (JSON has no `Infinity`).
-pub fn sketch_to_json(s: &LatencySketch) -> Json {
-    if s.count() == 0 {
-        return Json::object([("n", Json::Int(0))]);
-    }
-    Json::object([
-        ("n", Json::Int(s.count() as i64)),
-        ("mean", Json::Float(s.mean().unwrap_or(0.0))),
-        ("m2", Json::Float(s.moments().m2().unwrap_or(0.0))),
-        ("min", Json::Float(s.min().unwrap_or(0.0))),
-        ("max", Json::Float(s.max().unwrap_or(0.0))),
-        (
-            "buckets",
-            Json::Array(
-                s.bucket_counts()
-                    .iter()
-                    .map(|&c| Json::Int(c as i64))
-                    .collect(),
-            ),
-        ),
-    ])
+fn put_float(out: &mut String, lit: &str, f: f64) {
+    out.push_str(lit);
+    json::write_float(out, f);
 }
 
-/// Decodes a latency sketch, validating bucket arity and that the bucket
-/// total matches the moment count.
-pub fn sketch_from_json(v: &Json) -> Result<LatencySketch, CheckpointError> {
-    let n = int_field(v, "n")?;
-    if n == 0 {
-        return Ok(LatencySketch::new());
+fn put_counts(out: &mut String, lit: &str, counts: &[u64]) {
+    put_list(out, lit, counts, |out, &n| put_count(out, "", n));
+}
+
+fn put_list<T>(out: &mut String, lit: &str, items: &[T], put: impl Fn(&mut String, &T)) {
+    out.push_str(lit);
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        put(out, item);
     }
-    let moments = RunningMoments::from_parts(
-        n,
-        parse_float_field(v, "mean")?,
-        parse_float_field(v, "m2")?,
-        parse_float_field(v, "min")?,
-        parse_float_field(v, "max")?,
-    );
-    let counts = counts_field(v, "buckets")?;
-    if counts.iter().sum::<u64>() != n {
-        return Err(parse_err("sketch bucket total disagrees with count"));
+    out.push(']');
+}
+
+/// A label → count object (availability and metrics error tallies).
+fn put_tallies<'k>(out: &mut String, lit: &str, tallies: impl Iterator<Item = (&'k str, u64)>) {
+    out.push_str(lit);
+    out.push('{');
+    for (i, (label, n)) in tallies.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_str(out, label);
+        put_count(out, ":", n);
     }
-    Ok(LatencySketch::from_parts(moments, counts))
+    out.push('}');
+}
+
+/// A latency sketch. An empty one collapses to `{"n":0}`, which keeps the
+/// infinite min/max sentinels of an empty [`RunningMoments`] out of the
+/// body (JSON has no `Infinity`).
+fn put_sketch(out: &mut String, lit: &str, s: &LatencySketch) {
+    out.push_str(lit);
+    let m = s.moments();
+    let (Some(mean), Some(m2), Some(min), Some(max)) = (m.mean(), m.m2(), m.min(), m.max()) else {
+        return out.push_str("{\"n\":0}");
+    };
+    put_counts(out, "{\"buckets\":", s.bucket_counts());
+    put_float(out, ",\"m2\":", m2);
+    put_float(out, ",\"max\":", max);
+    put_float(out, ",\"mean\":", mean);
+    put_float(out, ",\"min\":", min);
+    put_count(out, ",\"n\":", s.count());
+    out.push('}');
+}
+
+/// A metrics histogram; empty ones collapse to `{"n":0}`, as sketches do.
+fn put_histogram(out: &mut String, lit: &str, h: &Histogram) {
+    out.push_str(lit);
+    if h.count() == 0 {
+        return out.push_str("{\"n\":0}");
+    }
+    put_counts(out, "{\"buckets\":", h.bucket_counts());
+    put_count(out, ",\"n\":", h.count());
+    put_float(out, ",\"sum\":", h.sum());
+    out.push('}');
+}
+
+fn put_availability(out: &mut String, lit: &str, a: &Availability) {
+    out.push_str(lit);
+    let errors = a.errors.iter().map(|(k, &n)| (k.as_str(), n));
+    put_tallies(out, "{\"errors\":", errors);
+    put_count(out, ",\"successes\":", a.successes);
+    out.push('}');
+}
+
+fn put_pair_aggregate(out: &mut String, p: &PairAggregate) {
+    put_availability(out, "{\"availability\":", &p.cell.availability);
+    put_count(out, ",\"pair\":", p.pair.into());
+    put_sketch(out, ",\"ping\":", &p.cell.ping);
+    out.push_str(",\"resolver\":");
+    json::write_str(out, p.resolver.as_str());
+    put_sketch(out, ",\"response\":", &p.cell.response);
+    out.push_str(",\"vantage\":");
+    json::write_str(out, p.vantage.as_str());
+    out.push('}');
+}
+
+fn put_retry_exhausted(out: &mut String, e: &RetryExhausted) {
+    put_count(out, "{\"at\":", e.at);
+    put_count(out, ",\"attempts\":", e.attempts.into());
+    put_count(out, ",\"pair\":", e.pair.into());
+    out.push('}');
+}
+
+fn put_pair_day_health(out: &mut String, h: &PairDayHealth) {
+    put_availability(out, "{\"availability\":", &h.cell.availability);
+    put_count(out, ",\"day\":", h.day.into());
+    put_count(out, ",\"pair\":", h.pair.into());
+    put_sketch(out, ",\"response\":", &h.cell.response);
+    out.push('}');
+}
+
+/// One pair's metrics cell. Floats (histogram sums, the last response)
+/// round-trip bit-exactly, so a decoded cell snapshots exactly like the
+/// fold that produced it.
+fn put_pair_metrics(out: &mut String, m: &PairMetrics) {
+    let c = &m.cell;
+    put_count(out, "{\"cache_hits\":", c.cache_hits.get());
+    put_tallies(out, ",\"errors\":", c.errors.iter().map(|(&k, &n)| (k, n)));
+    put_count(out, ",\"exhausted\":", c.exhausted.get());
+    put_float(out, ",\"last_response_ms\":", c.last_response_ms.get());
+    put_count(out, ",\"pair\":", m.pair.into());
+    put_list(out, ",\"phases\":", &c.phase_ms, |out, h| {
+        put_histogram(out, "", h)
+    });
+    put_histogram(out, ",\"ping\":", &c.ping_ms);
+    put_count(out, ",\"probes\":", c.probes.get());
+    put_count(out, ",\"recovered\":", c.recovered.get());
+    put_histogram(out, ",\"response\":", &c.response_ms);
+    let retries = c.retries_by_phase.map(Counter::get);
+    put_counts(out, ",\"retries\":", &retries);
+    put_count(out, ",\"successes\":", c.successes.get());
+    out.push('}');
+}
+
+fn take_cells(r: &mut LineReader) -> Option<ShardCells> {
+    let cells = ShardCells {
+        pairs: take_list(r, "{\"cells\":", take_pair_aggregate)?,
+        exhausted: take_list(r, ",\"exhausted\":", take_retry_exhausted)?,
+        health: take_list(r, ",\"health\":", take_pair_day_health)?,
+        metrics: take_list(r, ",\"metrics\":", take_pair_metrics)?,
+        shard: take_index(r, ",\"shard\":")?,
+    };
+    r.eat("}")?;
+    Some(cells)
+}
+
+fn take_count(r: &mut LineReader, lit: &str) -> Option<u64> {
+    r.eat(lit)?;
+    u64::try_from(r.int()?).ok()
+}
+
+/// A count that must fit the `u32` it is stored in.
+fn take_index(r: &mut LineReader, lit: &str) -> Option<u32> {
+    u32::try_from(take_count(r, lit)?).ok()
+}
+
+fn take_float(r: &mut LineReader, lit: &str) -> Option<f64> {
+    r.eat(lit)?;
+    r.number().filter(|f| f.is_finite())
+}
+
+fn take_list<T>(
+    r: &mut LineReader,
+    lit: &str,
+    mut take: impl FnMut(&mut LineReader) -> Option<T>,
+) -> Option<Vec<T>> {
+    r.eat(lit)?;
+    r.eat("[")?;
+    let mut items = Vec::new();
+    if r.try_eat("]") {
+        return Some(items);
+    }
+    loop {
+        items.push(take(r)?);
+        if !r.try_eat(",") {
+            r.eat("]")?;
+            return Some(items);
+        }
+    }
 }
 
 /// A fixed-arity array of counts.
-fn counts_field<const N: usize>(v: &Json, key: &str) -> Result<[u64; N], CheckpointError> {
-    let items = array_field(v, key)?;
-    if items.len() != N {
-        return Err(parse_err_owned(format!(
-            "{key:?} holds {} counts, not {N}",
-            items.len()
-        )));
-    }
-    let mut counts = [0u64; N];
-    for (slot, item) in counts.iter_mut().zip(items) {
-        *slot = item
-            .as_i64()
-            .filter(|&c| c >= 0)
-            .ok_or_else(|| parse_err_owned(format!("{key:?} holds something not a count")))?
-            as u64;
-    }
-    Ok(counts)
+fn take_counts<const N: usize>(r: &mut LineReader, lit: &str) -> Option<[u64; N]> {
+    take_list(r, lit, |r| take_count(r, ""))?.try_into().ok()
 }
 
-/// Encodes a metrics histogram. Empty ones collapse to `{"n":0}`, as
-/// sketches do.
-fn histogram_to_json(h: &Histogram) -> Json {
-    if h.count() == 0 {
-        return Json::object([("n", Json::Int(0))]);
+/// Counts whose total is `n`, which no overflow reaches.
+fn total_is(counts: &[u64], n: u64) -> bool {
+    counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) == Some(n)
+}
+
+/// A label → count object; `key` vets each label. A repeated label keeps
+/// its last count, as a parsed object would.
+fn take_tallies<K: Ord>(
+    r: &mut LineReader,
+    lit: &str,
+    key: impl Fn(&str) -> Option<K>,
+) -> Option<BTreeMap<K, u64>> {
+    r.eat(lit)?;
+    r.eat("{")?;
+    let mut tallies = BTreeMap::new();
+    if r.try_eat("}") {
+        return Some(tallies);
     }
-    Json::object([
-        ("n", Json::Int(h.count() as i64)),
-        ("sum", Json::Float(h.sum())),
-        (
-            "buckets",
-            Json::Array(
-                h.bucket_counts()
-                    .iter()
-                    .map(|&c| Json::Int(c as i64))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Decodes a metrics histogram, validating bucket arity and that the
-/// bucket total matches the count.
-fn histogram_from_json(v: &Json) -> Result<Histogram, CheckpointError> {
-    let n = int_field(v, "n")?;
-    if n == 0 {
-        return Ok(Histogram::default());
+    loop {
+        let label = key(&r.string()?)?;
+        tallies.insert(label, take_count(r, ":")?);
+        if !r.try_eat(",") {
+            r.eat("}")?;
+            return Some(tallies);
+        }
     }
-    let counts = counts_field(v, "buckets")?;
-    if counts.iter().sum::<u64>() != n {
-        return Err(parse_err("histogram bucket total disagrees with count"));
+}
+
+/// A latency sketch whose bucket total is its count.
+fn take_sketch(r: &mut LineReader, lit: &str) -> Option<LatencySketch> {
+    r.eat(lit)?;
+    if r.try_eat("{\"n\":0}") {
+        return Some(LatencySketch::new());
     }
-    Ok(Histogram::from_parts(counts, parse_float_field(v, "sum")?))
+    let counts = take_counts(r, "{\"buckets\":")?;
+    let m2 = take_float(r, ",\"m2\":")?;
+    let max = take_float(r, ",\"max\":")?;
+    let mean = take_float(r, ",\"mean\":")?;
+    let min = take_float(r, ",\"min\":")?;
+    let n = take_count(r, ",\"n\":").filter(|&n| n > 0 && total_is(&counts, n))?;
+    r.eat("}")?;
+    let moments = RunningMoments::from_parts(n, mean, m2, min, max);
+    Some(LatencySketch::from_parts(moments, counts))
 }
 
-/// Encodes an availability tally.
-pub fn availability_to_json(a: &Availability) -> Json {
-    let errors: BTreeMap<String, Json> = a
-        .errors
-        .iter()
-        .map(|(k, &c)| (k.clone(), Json::Int(c as i64)))
-        .collect();
-    Json::object([
-        ("successes", Json::Int(a.successes as i64)),
-        ("errors", Json::Object(errors)),
-    ])
-}
-
-/// Decodes an availability tally.
-pub fn availability_from_json(v: &Json) -> Result<Availability, CheckpointError> {
-    let successes = int_field(v, "successes")?;
-    let errors_obj = match v.get("errors") {
-        Some(Json::Object(m)) => m,
-        _ => return Err(parse_err("availability missing errors object")),
-    };
-    let mut errors = BTreeMap::new();
-    for (k, c) in errors_obj {
-        let c = c
-            .as_i64()
-            .filter(|&n| n >= 0)
-            .ok_or_else(|| parse_err("availability error count invalid"))?;
-        errors.insert(k.clone(), c as u64);
+/// A metrics histogram whose bucket total is its count.
+fn take_histogram(r: &mut LineReader, lit: &str) -> Option<Histogram> {
+    r.eat(lit)?;
+    if r.try_eat("{\"n\":0}") {
+        return Some(Histogram::default());
     }
-    Ok(Availability { successes, errors })
+    let counts = take_counts(r, "{\"buckets\":")?;
+    take_count(r, ",\"n\":").filter(|&n| n > 0 && total_is(&counts, n))?;
+    let sum = take_float(r, ",\"sum\":")?;
+    r.eat("}")?;
+    Some(Histogram::from_parts(counts, sum))
 }
 
-/// Encodes one pair's aggregate cell.
-pub fn pair_aggregate_to_json(p: &PairAggregate) -> Json {
-    Json::object([
-        ("pair", Json::Int(p.pair as i64)),
-        ("vantage", Json::Str(p.vantage.as_str().to_string())),
-        ("resolver", Json::Str(p.resolver.as_str().to_string())),
-        ("availability", availability_to_json(&p.cell.availability)),
-        ("response", sketch_to_json(&p.cell.response)),
-        ("ping", sketch_to_json(&p.cell.ping)),
-    ])
+fn take_availability(r: &mut LineReader, lit: &str) -> Option<Availability> {
+    r.eat(lit)?;
+    let errors = take_tallies(r, "{\"errors\":", |label| Some(label.to_string()))?;
+    let successes = take_count(r, ",\"successes\":")?;
+    r.eat("}")?;
+    Some(Availability { successes, errors })
 }
 
-/// Decodes one pair's aggregate cell.
-pub fn pair_aggregate_from_json(v: &Json) -> Result<PairAggregate, CheckpointError> {
-    let vantage = v
-        .get("vantage")
-        .and_then(Json::as_str)
-        .ok_or_else(|| parse_err("cell missing vantage"))?;
-    let resolver = v
-        .get("resolver")
-        .and_then(Json::as_str)
-        .ok_or_else(|| parse_err("cell missing resolver"))?;
-    let availability = availability_from_json(
-        v.get("availability")
-            .ok_or_else(|| parse_err("cell missing availability"))?,
-    )?;
-    let response = sketch_from_json(
-        v.get("response")
-            .ok_or_else(|| parse_err("cell missing response sketch"))?,
-    )?;
-    let ping = sketch_from_json(
-        v.get("ping")
-            .ok_or_else(|| parse_err("cell missing ping sketch"))?,
-    )?;
-    Ok(PairAggregate {
-        pair: int_field(v, "pair")? as u32,
-        vantage: Label::intern(vantage),
-        resolver: Label::intern(resolver),
+fn take_label(r: &mut LineReader, lit: &str) -> Option<Label> {
+    r.eat(lit)?;
+    Some(Label::intern(&r.string()?))
+}
+
+fn take_pair_aggregate(r: &mut LineReader) -> Option<PairAggregate> {
+    let availability = take_availability(r, "{\"availability\":")?;
+    let pair = take_index(r, ",\"pair\":")?;
+    let ping = take_sketch(r, ",\"ping\":")?;
+    let resolver = take_label(r, ",\"resolver\":")?;
+    let response = take_sketch(r, ",\"response\":")?;
+    let vantage = take_label(r, ",\"vantage\":")?;
+    r.eat("}")?;
+    Some(PairAggregate {
+        pair,
+        vantage,
+        resolver,
         cell: AggregateCell {
             availability,
             response,
@@ -698,29 +806,23 @@ pub fn pair_aggregate_from_json(v: &Json) -> Result<PairAggregate, CheckpointErr
     })
 }
 
-/// Encodes one (pair, day) health cell.
-pub fn pair_day_health_to_json(h: &PairDayHealth) -> Json {
-    Json::object([
-        ("pair", Json::Int(h.pair as i64)),
-        ("day", Json::Int(h.day as i64)),
-        ("availability", availability_to_json(&h.cell.availability)),
-        ("response", sketch_to_json(&h.cell.response)),
-    ])
+fn take_retry_exhausted(r: &mut LineReader) -> Option<RetryExhausted> {
+    let at = take_count(r, "{\"at\":")?;
+    let attempts = take_index(r, ",\"attempts\":")?;
+    let pair = take_index(r, ",\"pair\":")?;
+    r.eat("}")?;
+    Some(RetryExhausted { pair, at, attempts })
 }
 
-/// Decodes one (pair, day) health cell.
-pub fn pair_day_health_from_json(v: &Json) -> Result<PairDayHealth, CheckpointError> {
-    let availability = availability_from_json(
-        v.get("availability")
-            .ok_or_else(|| parse_err("health cell missing availability"))?,
-    )?;
-    let response = sketch_from_json(
-        v.get("response")
-            .ok_or_else(|| parse_err("health cell missing response sketch"))?,
-    )?;
-    Ok(PairDayHealth {
-        pair: int_field(v, "pair")? as u32,
-        day: int_field(v, "day")? as u32,
+fn take_pair_day_health(r: &mut LineReader) -> Option<PairDayHealth> {
+    let availability = take_availability(r, "{\"availability\":")?;
+    let day = take_index(r, ",\"day\":")?;
+    let pair = take_index(r, ",\"pair\":")?;
+    let response = take_sketch(r, ",\"response\":")?;
+    r.eat("}")?;
+    Some(PairDayHealth {
+        pair,
+        day,
         cell: HealthCell {
             availability,
             response,
@@ -728,111 +830,45 @@ pub fn pair_day_health_from_json(v: &Json) -> Result<PairDayHealth, CheckpointEr
     })
 }
 
-/// Encodes one pair's metrics cell. Floats (histogram sums, the last
-/// response) round-trip bit-exactly, so a decoded cell snapshots exactly
-/// like the fold that produced it.
-pub fn pair_metrics_to_json(m: &PairMetrics) -> Json {
-    let c = &m.cell;
-    let count = |n: Counter| Json::Int(n.get() as i64);
-    let errors: BTreeMap<String, Json> = c
-        .errors
-        .iter()
-        .map(|(&k, &n)| (k.to_string(), Json::Int(n as i64)))
-        .collect();
-    Json::object([
-        ("pair", Json::Int(m.pair as i64)),
-        ("probes", count(c.probes)),
-        ("successes", count(c.successes)),
-        ("cache_hits", count(c.cache_hits)),
-        ("errors", Json::Object(errors)),
-        ("response", histogram_to_json(&c.response_ms)),
-        ("ping", histogram_to_json(&c.ping_ms)),
-        (
-            "phases",
-            Json::Array(c.phase_ms.iter().map(histogram_to_json).collect()),
-        ),
-        ("last_response_ms", Json::Float(c.last_response_ms.get())),
-        (
-            "retries",
-            Json::Array(c.retries_by_phase.iter().map(|&n| count(n)).collect()),
-        ),
-        ("recovered", count(c.recovered)),
-        ("exhausted", count(c.exhausted)),
-    ])
-}
-
-/// Decodes one pair's metrics cell. An error label must be one a probe
-/// can fail with.
-pub fn pair_metrics_from_json(v: &Json) -> Result<PairMetrics, CheckpointError> {
-    let counter = |key: &str| int_field(v, key).map(counter_of);
-    let histogram = |key: &str| {
-        histogram_from_json(
-            v.get(key)
-                .ok_or_else(|| parse_err_owned(format!("metrics cell missing {key:?}")))?,
-        )
+/// One pair's metrics cell. An error label must be one a probe can fail
+/// with, and there is a histogram and a retry count per phase.
+fn take_pair_metrics(r: &mut LineReader) -> Option<PairMetrics> {
+    let counter = |n| {
+        let mut c = Counter::default();
+        c.add(n);
+        c
     };
-    let mut errors = BTreeMap::new();
-    let Some(Json::Object(tallies)) = v.get("errors") else {
-        return Err(parse_err("metrics cell missing errors object"));
-    };
-    for (label, n) in tallies {
-        let kind = ProbeErrorKind::from_label(label)
-            .ok_or_else(|| parse_err_owned(format!("unknown error label {label:?}")))?;
-        let n = n
-            .as_i64()
-            .filter(|&n| n >= 0)
-            .ok_or_else(|| parse_err("metrics error count invalid"))?;
-        errors.insert(kind.label(), n as u64);
-    }
-    let phases = array_field(v, "phases")?;
-    if phases.len() != Phase::COUNT {
-        return Err(parse_err("metrics phase histogram arity mismatch"));
-    }
-    let mut phase_ms: [Histogram; Phase::COUNT] = Default::default();
-    for (slot, h) in phase_ms.iter_mut().zip(phases) {
-        *slot = histogram_from_json(h)?;
-    }
+    let cache_hits = take_count(r, "{\"cache_hits\":")?;
+    let errors = take_tallies(r, ",\"errors\":", |label| {
+        ProbeErrorKind::from_label(label).map(ProbeErrorKind::label)
+    })?;
+    let exhausted = take_count(r, ",\"exhausted\":")?;
     let mut last_response_ms = Gauge::default();
-    last_response_ms.set(parse_float_field(v, "last_response_ms")?);
-    Ok(PairMetrics {
-        pair: int_field(v, "pair")? as u32,
+    last_response_ms.set(take_float(r, ",\"last_response_ms\":")?);
+    let pair = take_index(r, ",\"pair\":")?;
+    let phases = take_list(r, ",\"phases\":", |r| take_histogram(r, ""))?;
+    let ping_ms = take_histogram(r, ",\"ping\":")?;
+    let probes = take_count(r, ",\"probes\":")?;
+    let recovered = take_count(r, ",\"recovered\":")?;
+    let response_ms = take_histogram(r, ",\"response\":")?;
+    let retries = take_counts::<{ Phase::COUNT }>(r, ",\"retries\":")?;
+    let successes = take_count(r, ",\"successes\":")?;
+    r.eat("}")?;
+    Some(PairMetrics {
+        pair,
         cell: CellMetrics {
-            probes: counter("probes")?,
-            successes: counter("successes")?,
-            cache_hits: counter("cache_hits")?,
+            probes: counter(probes),
+            successes: counter(successes),
+            cache_hits: counter(cache_hits),
             errors,
-            response_ms: histogram("response")?,
-            ping_ms: histogram("ping")?,
-            phase_ms,
+            response_ms,
+            ping_ms,
+            phase_ms: phases.try_into().ok()?,
             last_response_ms,
-            retries_by_phase: counts_field::<{ Phase::COUNT }>(v, "retries")?.map(counter_of),
-            recovered: counter("recovered")?,
-            exhausted: counter("exhausted")?,
+            retries_by_phase: retries.map(counter),
+            recovered: counter(recovered),
+            exhausted: counter(exhausted),
         },
-    })
-}
-
-fn counter_of(n: u64) -> Counter {
-    let mut c = Counter::default();
-    c.add(n);
-    c
-}
-
-/// Encodes one retry exhaustion.
-fn retry_exhausted_to_json(e: &RetryExhausted) -> Json {
-    Json::object([
-        ("pair", Json::Int(e.pair as i64)),
-        ("at", Json::Int(e.at as i64)),
-        ("attempts", Json::Int(e.attempts as i64)),
-    ])
-}
-
-/// Decodes one retry exhaustion.
-fn retry_exhausted_from_json(v: &Json) -> Result<RetryExhausted, CheckpointError> {
-    Ok(RetryExhausted {
-        pair: int_field(v, "pair")? as u32,
-        at: int_field(v, "at")?,
-        attempts: int_field(v, "attempts")? as u32,
     })
 }
 
@@ -1008,52 +1044,58 @@ mod tests {
         }
     }
 
+    /// `cells` encoded, its body edited and framed anew: past the
+    /// checksum, into the field readers.
+    fn reframed(cells: &ShardCells, edit: impl FnOnce(&str) -> String) -> String {
+        let text = cells.encode();
+        let edited = frame(&edit(unframe(&text).unwrap()));
+        assert_ne!(edited, text, "the edit changed nothing");
+        edited
+    }
+
     #[test]
     fn metrics_cells_round_trip_bit_exactly() {
-        let m = PairMetrics {
-            pair: 2,
-            cell: sample_metrics(),
+        let cells = ShardCells {
+            pairs: Vec::new(),
+            health: Vec::new(),
+            ..sample_cells()
         };
-        let back = pair_metrics_from_json(&pair_metrics_to_json(&m)).unwrap();
-        assert_eq!(back, m);
+        let back = ShardCells::decode(&cells.encode()).unwrap();
+        assert_eq!(back, cells);
         assert_eq!(
-            back.cell.response_ms.sum().to_bits(),
+            back.metrics[0].cell.response_ms.sum().to_bits(),
             (0.1f64 + 0.2).to_bits()
         );
-        // An error label no probe fails with, and a histogram whose
-        // buckets disagree with its count, are both rejected.
-        let tamper = |key: &str, value: Json| {
-            let Json::Object(mut obj) = pair_metrics_to_json(&m) else {
-                unreachable!()
-            };
-            obj.insert(key.to_string(), value);
-            pair_metrics_from_json(&Json::Object(obj))
-        };
-        let bogus = Json::object([("gremlins", Json::Int(1))]);
-        assert!(
-            matches!(tamper("errors", bogus), Err(CheckpointError::Parse(m)) if m.contains("gremlins"))
-        );
-        let mut response = pair_metrics_to_json(&m).get("response").unwrap().clone();
-        if let Json::Object(h) = &mut response {
-            h.insert("n".to_string(), Json::Int(3));
+        // An error label no probe fails with, a histogram whose buckets
+        // disagree with its count, and one phase histogram too many are
+        // all rejected.
+        for (from, to) in [
+            ("\"query_timeout\":", "\"gremlins\":"),
+            ("\"n\":2,\"sum\"", "\"n\":3,\"sum\""),
+            ("],\"ping\":", ",{\"n\":0}],\"ping\":"),
+        ] {
+            let text = reframed(&cells, |body| body.replacen(from, to, 1));
+            assert!(
+                matches!(ShardCells::decode(&text), Err(CheckpointError::Parse(_))),
+                "{to}"
+            );
         }
-        assert!(tamper("response", response).is_err());
     }
 
     #[test]
     fn health_cells_round_trip_bit_exactly() {
-        for h in sample_health() {
-            let back = pair_day_health_from_json(&pair_day_health_to_json(&h)).unwrap();
-            assert_eq!(back, h);
-        }
-        // A tampered day count is caught by the sketch validator.
-        let h = &sample_health()[0];
-        let mut obj = match pair_day_health_to_json(h) {
-            Json::Object(m) => m,
-            _ => unreachable!(),
+        let cells = ShardCells {
+            pairs: Vec::new(),
+            metrics: Vec::new(),
+            ..sample_cells()
         };
-        obj.insert("response".to_string(), Json::object([("n", Json::Int(3))]));
-        assert!(pair_day_health_from_json(&Json::Object(obj)).is_err());
+        assert_eq!(ShardCells::decode(&cells.encode()).unwrap(), cells);
+        // A tampered day count is caught by the sketch validator.
+        let text = reframed(&cells, |body| body.replacen("\"n\":2}", "\"n\":3}", 1));
+        assert!(matches!(
+            ShardCells::decode(&text),
+            Err(CheckpointError::Parse(_))
+        ));
     }
 
     #[test]
@@ -1082,12 +1124,18 @@ mod tests {
         ));
     }
 
+    fn sketch_round_trip(s: &LatencySketch) -> (String, Option<LatencySketch>) {
+        let mut text = String::new();
+        put_sketch(&mut text, "", s);
+        let mut r = LineReader::new(&text);
+        let back = take_sketch(&mut r, "").filter(|_| r.pos == text.len());
+        (text, back)
+    }
+
     #[test]
     fn empty_sketch_encodes_compactly() {
         let s = LatencySketch::new();
-        let v = sketch_to_json(&s);
-        assert_eq!(v.to_string_compact(), r#"{"n":0}"#);
-        assert_eq!(sketch_from_json(&v).unwrap(), s);
+        assert_eq!(sketch_round_trip(&s), (r#"{"n":0}"#.to_string(), Some(s)));
     }
 
     #[test]
@@ -1096,7 +1144,7 @@ mod tests {
         for x in [0.125, 3.9, 17.0, 230.75, 1999.5, 0.3] {
             s.observe(x);
         }
-        let back = sketch_from_json(&sketch_to_json(&s)).unwrap();
+        let back = sketch_round_trip(&s).1.unwrap();
         assert_eq!(back, s);
         assert_eq!(back.mean().unwrap().to_bits(), s.mean().unwrap().to_bits());
         assert_eq!(
@@ -1109,13 +1157,16 @@ mod tests {
     fn sketch_validation_catches_tampering() {
         let mut s = LatencySketch::new();
         s.observe(5.0);
-        let v = sketch_to_json(&s);
-        let mut tampered = match v {
-            Json::Object(m) => m,
-            _ => unreachable!(),
-        };
-        tampered.insert("n".to_string(), Json::Int(2));
-        assert!(sketch_from_json(&Json::Object(tampered)).is_err());
+        let text = sketch_round_trip(&s).0;
+        for tampered in [
+            text.replacen("\"n\":1}", "\"n\":2}", 1),
+            text.replacen("\"n\":1}", "\"n\":0}", 1),
+            text.replacen("\"mean\":5.0", "\"mean\":1e999", 1),
+        ] {
+            assert_ne!(tampered, text);
+            let mut r = LineReader::new(&tampered);
+            assert_eq!(take_sketch(&mut r, ""), None, "{tampered}");
+        }
     }
 
     #[test]
@@ -1141,5 +1192,19 @@ mod tests {
             fnv64_extend(fnv64_extend(FNV64_INIT, b"foo"), b"bar"),
             fnv64(b"foobar")
         );
+    }
+
+    #[test]
+    fn fnv64_lanes_is_fnv64_per_stream() {
+        let data: Vec<u8> = (0..4 * 1031u32).map(|i| (i * 131 % 251) as u8).collect();
+        let streams: [&[u8]; 4] = std::array::from_fn(|i| &data[i * 1031..(i + 1) * 1031]);
+        for len in [0, 1, 7, 1031] {
+            let lanes = fnv64_lanes([FNV64_INIT; 4], streams.map(|s| &s[..len]));
+            assert_eq!(lanes, streams.map(|s| fnv64(&s[..len])), "{len} bytes");
+        }
+        // From any states, and piece by piece like `fnv64_extend`.
+        let start = streams.map(|s| fnv64(&s[..100]));
+        let lanes = fnv64_lanes(start, streams.map(|s| &s[100..]));
+        assert_eq!(lanes, streams.map(fnv64));
     }
 }

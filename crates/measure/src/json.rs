@@ -13,7 +13,12 @@
 //! `write_float` stays for what is a float, for the tree writer — which
 //! is thereby the record writer's oracle in every golden and differential
 //! test — and as that fallback.
+//!
+//! [`LineReader`] is the other direction of the direct writers: the token
+//! readers that the strict record reader and the cell-file reader are
+//! built from, each agreeing with [`parse`] on what it accepts.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -251,6 +256,149 @@ pub fn write_str(out: &mut String, s: &str) {
     }
     out.push_str(&s[clean..]);
     out.push('"');
+}
+
+/// A cursor over compact JSON as this crate's direct writers emit it: the
+/// token readers of the strict record reader
+/// ([`ProbeRecord::read_json_line`](crate::ProbeRecord::read_json_line))
+/// and cell-file reader ([`ShardCells::decode`](crate::ShardCells::decode)).
+/// Each accepts what the writers write and agrees with [`parse`] on every
+/// token it accepts; a miss is `None`.
+pub(crate) struct LineReader<'a> {
+    pub(crate) s: &'a str,
+    pub(crate) pos: usize,
+}
+
+impl<'a> LineReader<'a> {
+    pub(crate) fn new(s: &'a str) -> LineReader<'a> {
+        LineReader { s, pos: 0 }
+    }
+
+    pub(crate) fn try_eat(&mut self, lit: &str) -> bool {
+        let hit = self.s.as_bytes()[self.pos..].starts_with(lit.as_bytes());
+        if hit {
+            self.pos += lit.len();
+        }
+        hit
+    }
+
+    pub(crate) fn eat(&mut self, lit: &str) -> Option<()> {
+        self.try_eat(lit).then_some(())
+    }
+
+    /// One of the `,"key":` literals, without its comma when `first`.
+    pub(crate) fn try_key(&mut self, first: bool, lit: &str) -> bool {
+        self.try_eat(&lit[usize::from(first)..])
+    }
+
+    pub(crate) fn key(&mut self, first: bool, lit: &str) -> Option<()> {
+        self.try_key(first, lit).then_some(())
+    }
+
+    pub(crate) fn boolean(&mut self) -> Option<bool> {
+        if self.try_eat("true") {
+            Some(true)
+        } else {
+            self.eat("false").map(|()| false)
+        }
+    }
+
+    /// The token `parse` takes for a number: a digit or `-`, then every
+    /// following digit, `.`, `e`, `E`, `+` and `-`.
+    pub(crate) fn number_token(&mut self) -> Option<(&'a str, bool)> {
+        let b = self.s.as_bytes();
+        let start = self.pos;
+        if !matches!(b.get(start), Some(b'-' | b'0'..=b'9')) {
+            return None;
+        }
+        let mut end = start + 1;
+        let mut is_float = false;
+        while let Some(&c) = b.get(end) {
+            match c {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
+                _ => break,
+            }
+            end += 1;
+        }
+        self.pos = end;
+        Some((&self.s[start..end], is_float))
+    }
+
+    /// A number as `parse` → [`Json::as_f64`] reads it: an integer token
+    /// goes through `i64` first.
+    pub(crate) fn number(&mut self) -> Option<f64> {
+        let (text, is_float) = self.number_token()?;
+        if !is_float {
+            if let Ok(i) = text.parse::<i64>() {
+                return Some(i as f64);
+            }
+        }
+        text.parse::<f64>().ok()
+    }
+
+    /// An integer token (the writers never render a count as a float).
+    pub(crate) fn int(&mut self) -> Option<i64> {
+        match self.number_token()? {
+            (text, false) => text.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// A string literal: borrowed from the input unless it holds an
+    /// escape. A raw control character is rejected, as `parse` does.
+    pub(crate) fn string(&mut self) -> Option<Cow<'a, str>> {
+        self.eat("\"")?;
+        let rest = &self.s[self.pos..];
+        let mut escaped = false;
+        let mut bytes = rest.bytes().enumerate();
+        let end = loop {
+            match bytes.next()? {
+                (i, b'"') => break i,
+                (_, b'\\') => {
+                    escaped = true;
+                    bytes.next()?;
+                }
+                (_, c) if c < 0x20 => return None,
+                _ => {}
+            }
+        };
+        self.pos += end + 1;
+        let raw = &rest[..end];
+        if escaped {
+            unescape(raw).map(Cow::Owned)
+        } else {
+            Some(Cow::Borrowed(raw))
+        }
+    }
+}
+
+/// Undoes the escapes [`write_str`] emits (`\"`, `\\`, `\n`, `\r`, `\t`,
+/// `\u00XX` for the other control characters); any other escape is
+/// `None`.
+fn unescape(raw: &str) -> Option<String> {
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next()? {
+                '"' => '"',
+                '\\' => '\\',
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => {
+                    let (hex, rest) = chars.as_str().split_at_checked(4)?;
+                    chars = rest.chars();
+                    let code = u32::from_str_radix(hex, 16).ok()?;
+                    char::from_u32(code).filter(|_| code < 0x20)?
+                }
+                _ => return None,
+            },
+            c => c,
+        });
+    }
+    Some(out)
 }
 
 /// A JSON parse error with byte offset.

@@ -10,14 +10,12 @@
 //! same records, with integer nanoseconds ↔ decimal milliseconds in both
 //! directions and every key one literal.
 
-use std::borrow::Cow;
-
 use detlint_macros::deny_alloc;
 use netsim::{Region, SimDuration, SimTime};
 use obs::{Label, Phase};
 
 use crate::errors::ProbeErrorKind;
-use crate::json::Json;
+use crate::json::{Json, LineReader};
 use crate::retry::RetryInfo;
 
 /// The encrypted-DNS protocol a probe used.
@@ -393,14 +391,6 @@ const PHASE_KEYS: [(Phase, &str); 6] = [
     (Phase::TlsHandshake, TLS_HANDSHAKE_MS),
 ];
 
-/// The cursor of [`ProbeRecord::read_json_line`]: token readers that
-/// accept exactly what [`ProbeRecord::write_json_line`] emits and agree
-/// with [`crate::json::parse`] on every token they accept.
-struct LineReader<'a> {
-    s: &'a str,
-    pos: usize,
-}
-
 /// A run of one to `max` ASCII digits at the head of `b`: its value and
 /// its length.
 fn digit_run(b: &[u8], max: usize) -> Option<(u64, usize)> {
@@ -416,70 +406,8 @@ fn digit_run(b: &[u8], max: usize) -> Option<(u64, usize)> {
     (len > 0).then_some((value, len))
 }
 
-impl<'a> LineReader<'a> {
-    fn try_eat(&mut self, lit: &str) -> bool {
-        let hit = self.s.as_bytes()[self.pos..].starts_with(lit.as_bytes());
-        if hit {
-            self.pos += lit.len();
-        }
-        hit
-    }
-
-    fn eat(&mut self, lit: &str) -> Option<()> {
-        self.try_eat(lit).then_some(())
-    }
-
-    /// One of the `,"key":` literals, without its comma when `first`.
-    fn try_key(&mut self, first: bool, lit: &str) -> bool {
-        self.try_eat(&lit[usize::from(first)..])
-    }
-
-    fn key(&mut self, first: bool, lit: &str) -> Option<()> {
-        self.try_key(first, lit).then_some(())
-    }
-
-    fn boolean(&mut self) -> Option<bool> {
-        if self.try_eat("true") {
-            Some(true)
-        } else {
-            self.eat("false").map(|()| false)
-        }
-    }
-
-    /// The token `json::parse` takes for a number: a digit or `-`, then
-    /// every following digit, `.`, `e`, `E`, `+` and `-`.
-    fn number_token(&mut self) -> Option<(&'a str, bool)> {
-        let b = self.s.as_bytes();
-        let start = self.pos;
-        if !matches!(b.get(start), Some(b'-' | b'0'..=b'9')) {
-            return None;
-        }
-        let mut end = start + 1;
-        let mut is_float = false;
-        while let Some(&c) = b.get(end) {
-            match c {
-                b'0'..=b'9' => {}
-                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
-                _ => break,
-            }
-            end += 1;
-        }
-        self.pos = end;
-        Some((&self.s[start..end], is_float))
-    }
-
-    /// A number as `json::parse` → `Json::as_f64` reads it: an integer
-    /// token goes through `i64` first.
-    fn number(&mut self) -> Option<f64> {
-        let (text, is_float) = self.number_token()?;
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Some(i as f64);
-            }
-        }
-        text.parse::<f64>().ok()
-    }
-
+/// The record reader's own tokens on the shared cursor: simulated times.
+impl LineReader<'_> {
     /// The mirror of [`json::write_millis`](crate::json::write_millis):
     /// a token of the shape it emits (`digits '.' 1–6 digits`: no sign, no
     /// exponent, no redundant leading zero) whose value lies in one of its
@@ -524,69 +452,6 @@ impl<'a> LineReader<'a> {
         };
         Some(SimTime::from_nanos(nanos))
     }
-
-    /// An integer token (the writer never renders a count as a float).
-    fn int(&mut self) -> Option<i64> {
-        match self.number_token()? {
-            (text, false) => text.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// A string literal: borrowed from the line unless it holds an
-    /// escape. A raw control character is rejected, as `json::parse` does.
-    fn string(&mut self) -> Option<Cow<'a, str>> {
-        self.eat("\"")?;
-        let rest = &self.s[self.pos..];
-        let mut escaped = false;
-        let mut bytes = rest.bytes().enumerate();
-        let end = loop {
-            match bytes.next()? {
-                (i, b'"') => break i,
-                (_, b'\\') => {
-                    escaped = true;
-                    bytes.next()?;
-                }
-                (_, c) if c < 0x20 => return None,
-                _ => {}
-            }
-        };
-        self.pos += end + 1;
-        let raw = &rest[..end];
-        if escaped {
-            unescape(raw).map(Cow::Owned)
-        } else {
-            Some(Cow::Borrowed(raw))
-        }
-    }
-}
-
-/// Undoes the escapes `json::write_str` emits (`\"`, `\\`, `\n`, `\r`,
-/// `\t`, `\u00XX` for the other control characters); any other escape is
-/// `None`.
-fn unescape(raw: &str) -> Option<String> {
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        out.push(match c {
-            '\\' => match chars.next()? {
-                '"' => '"',
-                '\\' => '\\',
-                'n' => '\n',
-                'r' => '\r',
-                't' => '\t',
-                'u' => {
-                    let (hex, rest) = chars.as_str().split_at_checked(4)?;
-                    chars = rest.chars();
-                    let code = u32::from_str_radix(hex, 16).ok()?;
-                    char::from_u32(code).filter(|_| code < 0x20)?
-                }
-                _ => return None,
-            },
-            c => c,
-        });
-    }
-    Some(out)
 }
 
 /// One line of a results file: [`read_json_line`](ProbeRecord::read_json_line)
@@ -876,7 +741,7 @@ impl ProbeRecord {
             (r.duration()?.as_nanos() == want).then_some(())
         }
 
-        let mut r = LineReader { s: line, pos: 0 };
+        let mut r = LineReader::new(line);
         r.eat("{")?;
         let retried = r.try_key(true, ATTEMPT_ERRORS);
         let mut attempt_errors = Vec::new();
@@ -1568,7 +1433,7 @@ mod tests {
     }
 
     fn reader(s: &str) -> LineReader<'_> {
-        LineReader { s, pos: 0 }
+        LineReader::new(s)
     }
 
     /// What `read_json_line` did with a `*_ms` token before it had an

@@ -5,20 +5,368 @@
 //! be a fixed point (encode ∘ decode ∘ encode = encode), a changed byte
 //! must never decode to different content, and no body, however mangled,
 //! may panic a decoder.
+//!
+//! The cell files' direct codec is pinned against the [`tree`] codec it
+//! replaced: the writer emits the tree's bytes, and the strict reader
+//! reads what the tree path reads — on hostile input it may decline more,
+//! never read differently.
 
 use proptest::prelude::*;
 
 use measure::aggregate::{AggregateCell, PairAggregate};
 use measure::checkpoint::{
-    availability_from_json, availability_to_json, fnv64, pair_day_health_from_json,
-    pair_day_health_to_json, pair_metrics_from_json, pair_metrics_to_json, sketch_from_json,
-    sketch_to_json, Manifest, PairDayHealth, PairMetrics, RetryExhausted, ShardCells,
+    fnv64, CheckpointError, Manifest, PairDayHealth, PairMetrics, RetryExhausted, ShardCells,
     ShardCheckpoint, ShardState,
 };
 use measure::{HealthCell, Label, CHECKPOINT_VERSION};
 use obs::{CellMetrics, Histogram, Phase};
 
 use edns_stats::{Availability, LatencySketch};
+
+use tree::{
+    availability_from_json, availability_to_json, pair_day_health_from_json,
+    pair_day_health_to_json, pair_metrics_from_json, pair_metrics_to_json, sketch_from_json,
+    sketch_to_json,
+};
+
+/// The cell files' codec before the direct one: every cell built as a
+/// [`Json`](measure::json::Json) value and rendered with
+/// `to_string_compact`, read back with `json::parse` and a walk of the
+/// tree. Kept here as the oracle the direct codec is compared against.
+mod tree {
+    use std::collections::BTreeMap;
+
+    use edns_stats::{Availability, LatencySketch, RunningMoments};
+    use measure::aggregate::{AggregateCell, PairAggregate};
+    use measure::checkpoint::{
+        CheckpointError, PairDayHealth, PairMetrics, RetryExhausted, ShardCells,
+    };
+    use measure::json::{self, Json};
+    use measure::{HealthCell, Label, ProbeErrorKind};
+    use obs::{CellMetrics, Counter, Gauge, Histogram, Phase};
+
+    fn parse_err(msg: &str) -> CheckpointError {
+        CheckpointError::Parse(msg.to_string())
+    }
+
+    fn int_field(v: &Json, key: &str) -> Result<u64, CheckpointError> {
+        v.get(key)
+            .and_then(Json::as_i64)
+            .filter(|&n| n >= 0)
+            .map(|n| n as u64)
+            .ok_or_else(|| parse_err(&format!("missing or invalid field {key:?}")))
+    }
+
+    /// A pair, day, shard or attempt count: it must fit its `u32`.
+    fn index_field(v: &Json, key: &str) -> Result<u32, CheckpointError> {
+        u32::try_from(int_field(v, key)?).map_err(|_| parse_err(&format!("{key:?} past u32")))
+    }
+
+    fn array_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], CheckpointError> {
+        v.get(key)
+            .and_then(Json::as_array)
+            .ok_or_else(|| parse_err(&format!("missing or invalid array {key:?}")))
+    }
+
+    fn float_field(v: &Json, key: &str) -> Result<f64, CheckpointError> {
+        v.get(key)
+            .and_then(Json::as_f64)
+            .filter(|f| f.is_finite())
+            .ok_or_else(|| parse_err(&format!("missing or invalid float field {key:?}")))
+    }
+
+    fn counts_field<const N: usize>(v: &Json, key: &str) -> Result<[u64; N], CheckpointError> {
+        let items = array_field(v, key)?;
+        if items.len() != N {
+            return Err(parse_err(&format!("{key:?} holds {} counts", items.len())));
+        }
+        let mut counts = [0u64; N];
+        for (slot, item) in counts.iter_mut().zip(items) {
+            *slot = item
+                .as_i64()
+                .filter(|&c| c >= 0)
+                .ok_or_else(|| parse_err(&format!("{key:?} holds something not a count")))?
+                as u64;
+        }
+        Ok(counts)
+    }
+
+    fn total_is(counts: &[u64], n: u64) -> bool {
+        counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) == Some(n)
+    }
+
+    fn counts_json(counts: &[u64]) -> Json {
+        Json::Array(counts.iter().map(|&c| Json::Int(c as i64)).collect())
+    }
+
+    fn counter_of(n: u64) -> Counter {
+        let mut c = Counter::default();
+        c.add(n);
+        c
+    }
+
+    pub fn sketch_to_json(s: &LatencySketch) -> Json {
+        if s.count() == 0 {
+            return Json::object([("n", Json::Int(0))]);
+        }
+        Json::object([
+            ("n", Json::Int(s.count() as i64)),
+            ("mean", Json::Float(s.mean().unwrap_or(0.0))),
+            ("m2", Json::Float(s.moments().m2().unwrap_or(0.0))),
+            ("min", Json::Float(s.min().unwrap_or(0.0))),
+            ("max", Json::Float(s.max().unwrap_or(0.0))),
+            ("buckets", counts_json(s.bucket_counts())),
+        ])
+    }
+
+    pub fn sketch_from_json(v: &Json) -> Result<LatencySketch, CheckpointError> {
+        let n = int_field(v, "n")?;
+        if n == 0 {
+            return Ok(LatencySketch::new());
+        }
+        let moments = RunningMoments::from_parts(
+            n,
+            float_field(v, "mean")?,
+            float_field(v, "m2")?,
+            float_field(v, "min")?,
+            float_field(v, "max")?,
+        );
+        let counts = counts_field(v, "buckets")?;
+        if !total_is(&counts, n) {
+            return Err(parse_err("sketch bucket total disagrees with count"));
+        }
+        Ok(LatencySketch::from_parts(moments, counts))
+    }
+
+    fn histogram_to_json(h: &Histogram) -> Json {
+        if h.count() == 0 {
+            return Json::object([("n", Json::Int(0))]);
+        }
+        Json::object([
+            ("n", Json::Int(h.count() as i64)),
+            ("sum", Json::Float(h.sum())),
+            ("buckets", counts_json(h.bucket_counts())),
+        ])
+    }
+
+    fn histogram_from_json(v: &Json) -> Result<Histogram, CheckpointError> {
+        let n = int_field(v, "n")?;
+        if n == 0 {
+            return Ok(Histogram::default());
+        }
+        let counts = counts_field(v, "buckets")?;
+        if !total_is(&counts, n) {
+            return Err(parse_err("histogram bucket total disagrees with count"));
+        }
+        Ok(Histogram::from_parts(counts, float_field(v, "sum")?))
+    }
+
+    pub fn availability_to_json(a: &Availability) -> Json {
+        let errors = a
+            .errors
+            .iter()
+            .map(|(k, &c)| (k.clone(), Json::Int(c as i64)))
+            .collect();
+        Json::object([
+            ("successes", Json::Int(a.successes as i64)),
+            ("errors", Json::Object(errors)),
+        ])
+    }
+
+    pub fn availability_from_json(v: &Json) -> Result<Availability, CheckpointError> {
+        let successes = int_field(v, "successes")?;
+        let Some(Json::Object(tallies)) = v.get("errors") else {
+            return Err(parse_err("availability missing errors object"));
+        };
+        let mut errors = BTreeMap::new();
+        for (k, c) in tallies {
+            let c = c
+                .as_i64()
+                .filter(|&n| n >= 0)
+                .ok_or_else(|| parse_err("availability error count invalid"))?;
+            errors.insert(k.clone(), c as u64);
+        }
+        Ok(Availability { successes, errors })
+    }
+
+    fn pair_aggregate_to_json(p: &PairAggregate) -> Json {
+        Json::object([
+            ("pair", Json::Int(p.pair as i64)),
+            ("vantage", Json::Str(p.vantage.as_str().to_string())),
+            ("resolver", Json::Str(p.resolver.as_str().to_string())),
+            ("availability", availability_to_json(&p.cell.availability)),
+            ("response", sketch_to_json(&p.cell.response)),
+            ("ping", sketch_to_json(&p.cell.ping)),
+        ])
+    }
+
+    fn member<'a>(v: &'a Json, key: &str) -> Result<&'a Json, CheckpointError> {
+        v.get(key)
+            .ok_or_else(|| parse_err(&format!("cell missing {key:?}")))
+    }
+
+    fn label(v: &Json, key: &str) -> Result<Label, CheckpointError> {
+        let s = member(v, key)?.as_str();
+        s.map(Label::intern)
+            .ok_or_else(|| parse_err(&format!("cell missing {key:?}")))
+    }
+
+    fn pair_aggregate_from_json(v: &Json) -> Result<PairAggregate, CheckpointError> {
+        Ok(PairAggregate {
+            pair: index_field(v, "pair")?,
+            vantage: label(v, "vantage")?,
+            resolver: label(v, "resolver")?,
+            cell: AggregateCell {
+                availability: availability_from_json(member(v, "availability")?)?,
+                response: sketch_from_json(member(v, "response")?)?,
+                ping: sketch_from_json(member(v, "ping")?)?,
+            },
+        })
+    }
+
+    pub fn pair_day_health_to_json(h: &PairDayHealth) -> Json {
+        Json::object([
+            ("pair", Json::Int(h.pair as i64)),
+            ("day", Json::Int(h.day as i64)),
+            ("availability", availability_to_json(&h.cell.availability)),
+            ("response", sketch_to_json(&h.cell.response)),
+        ])
+    }
+
+    pub fn pair_day_health_from_json(v: &Json) -> Result<PairDayHealth, CheckpointError> {
+        Ok(PairDayHealth {
+            pair: index_field(v, "pair")?,
+            day: index_field(v, "day")?,
+            cell: HealthCell {
+                availability: availability_from_json(member(v, "availability")?)?,
+                response: sketch_from_json(member(v, "response")?)?,
+            },
+        })
+    }
+
+    pub fn pair_metrics_to_json(m: &PairMetrics) -> Json {
+        let c = &m.cell;
+        let count = |n: Counter| Json::Int(n.get() as i64);
+        let errors = c
+            .errors
+            .iter()
+            .map(|(&k, &n)| (k.to_string(), Json::Int(n as i64)))
+            .collect();
+        Json::object([
+            ("pair", Json::Int(m.pair as i64)),
+            ("probes", count(c.probes)),
+            ("successes", count(c.successes)),
+            ("cache_hits", count(c.cache_hits)),
+            ("errors", Json::Object(errors)),
+            ("response", histogram_to_json(&c.response_ms)),
+            ("ping", histogram_to_json(&c.ping_ms)),
+            (
+                "phases",
+                Json::Array(c.phase_ms.iter().map(histogram_to_json).collect()),
+            ),
+            ("last_response_ms", Json::Float(c.last_response_ms.get())),
+            (
+                "retries",
+                Json::Array(c.retries_by_phase.iter().map(|&n| count(n)).collect()),
+            ),
+            ("recovered", count(c.recovered)),
+            ("exhausted", count(c.exhausted)),
+        ])
+    }
+
+    pub fn pair_metrics_from_json(v: &Json) -> Result<PairMetrics, CheckpointError> {
+        let counter = |key: &str| int_field(v, key).map(counter_of);
+        let mut errors = BTreeMap::new();
+        let Some(Json::Object(tallies)) = v.get("errors") else {
+            return Err(parse_err("metrics cell missing errors object"));
+        };
+        for (label, n) in tallies {
+            let kind = ProbeErrorKind::from_label(label)
+                .ok_or_else(|| parse_err(&format!("unknown error label {label:?}")))?;
+            let n = n
+                .as_i64()
+                .filter(|&n| n >= 0)
+                .ok_or_else(|| parse_err("metrics error count invalid"))?;
+            errors.insert(kind.label(), n as u64);
+        }
+        let phases = array_field(v, "phases")?;
+        if phases.len() != Phase::COUNT {
+            return Err(parse_err("metrics phase histogram arity mismatch"));
+        }
+        let mut phase_ms: [Histogram; Phase::COUNT] = Default::default();
+        for (slot, h) in phase_ms.iter_mut().zip(phases) {
+            *slot = histogram_from_json(h)?;
+        }
+        let mut last_response_ms = Gauge::default();
+        last_response_ms.set(float_field(v, "last_response_ms")?);
+        Ok(PairMetrics {
+            pair: index_field(v, "pair")?,
+            cell: CellMetrics {
+                probes: counter("probes")?,
+                successes: counter("successes")?,
+                cache_hits: counter("cache_hits")?,
+                errors,
+                response_ms: histogram_from_json(member(v, "response")?)?,
+                ping_ms: histogram_from_json(member(v, "ping")?)?,
+                phase_ms,
+                last_response_ms,
+                retries_by_phase: counts_field::<{ Phase::COUNT }>(v, "retries")?.map(counter_of),
+                recovered: counter("recovered")?,
+                exhausted: counter("exhausted")?,
+            },
+        })
+    }
+
+    fn retry_exhausted_to_json(e: &RetryExhausted) -> Json {
+        Json::object([
+            ("pair", Json::Int(e.pair as i64)),
+            ("at", Json::Int(e.at as i64)),
+            ("attempts", Json::Int(e.attempts as i64)),
+        ])
+    }
+
+    fn retry_exhausted_from_json(v: &Json) -> Result<RetryExhausted, CheckpointError> {
+        Ok(RetryExhausted {
+            pair: index_field(v, "pair")?,
+            at: int_field(v, "at")?,
+            attempts: index_field(v, "attempts")?,
+        })
+    }
+
+    /// A cell file's body as the tree renders it.
+    pub fn encode_body(cells: &ShardCells) -> String {
+        fn list<T>(items: &[T], each: fn(&T) -> Json) -> Json {
+            Json::Array(items.iter().map(each).collect())
+        }
+        Json::object([
+            ("shard", Json::Int(cells.shard as i64)),
+            ("cells", list(&cells.pairs, pair_aggregate_to_json)),
+            ("metrics", list(&cells.metrics, pair_metrics_to_json)),
+            ("health", list(&cells.health, pair_day_health_to_json)),
+            ("exhausted", list(&cells.exhausted, retry_exhausted_to_json)),
+        ])
+        .to_string_compact()
+    }
+
+    /// A cell file's body as the tree path reads it.
+    pub fn decode_body(body: &str) -> Result<ShardCells, CheckpointError> {
+        fn list<T>(
+            v: &Json,
+            key: &str,
+            each: fn(&Json) -> Result<T, CheckpointError>,
+        ) -> Result<Vec<T>, CheckpointError> {
+            array_field(v, key)?.iter().map(each).collect()
+        }
+        let v = json::parse(body).map_err(|e| CheckpointError::Parse(e.to_string()))?;
+        Ok(ShardCells {
+            shard: index_field(&v, "shard")?,
+            pairs: list(&v, "cells", pair_aggregate_from_json)?,
+            metrics: list(&v, "metrics", pair_metrics_from_json)?,
+            health: list(&v, "health", pair_day_health_from_json)?,
+            exhausted: list(&v, "exhausted", retry_exhausted_from_json)?,
+        })
+    }
+}
 
 const ERROR_LABELS: [&str; 4] = [
     "connect_timeout",
@@ -228,6 +576,178 @@ fn arb_manifest() -> impl Strategy<Value = Manifest> {
         })
 }
 
+/// A body in the checkpoint framing, as the engine frames it.
+fn framed(body: &str) -> String {
+    format!(
+        "edns-checkpoint v{CHECKPOINT_VERSION} {:016x}\n{body}\n",
+        fnv64(body.as_bytes())
+    )
+}
+
+/// Every float of a cell file, as bits: what `PartialEq` would let a
+/// `-0.0` for `0.0` slip past.
+fn cell_float_bits(cells: &ShardCells) -> Vec<u64> {
+    let sketch = |s: &LatencySketch| {
+        let m = s.moments();
+        [m.mean(), m.m2(), m.min(), m.max()].map(|f| f.map(f64::to_bits))
+    };
+    let sketches = cells
+        .pairs
+        .iter()
+        .flat_map(|p| [&p.cell.response, &p.cell.ping])
+        .chain(cells.health.iter().map(|h| &h.cell.response));
+    sketches
+        .flat_map(sketch)
+        .flatten()
+        .chain(cells.metrics.iter().flat_map(|m| float_bits(&m.cell)))
+        .collect()
+}
+
+/// The direct reader against the tree path on one body: whatever the
+/// reader returns, the tree path returns, bit for bit; whatever the tree
+/// path rejects, the reader rejects, typed; and what the reader declines
+/// that the tree path reads is a body the writer would not have written.
+/// Whether the reader read it.
+fn assert_reads_like_the_tree(body: &str) -> bool {
+    let direct = ShardCells::decode(&framed(body));
+    match (&direct, tree::decode_body(body)) {
+        (Ok(read), Ok(tree)) => {
+            assert_eq!(read, &tree, "{body}");
+            assert_eq!(cell_float_bits(read), cell_float_bits(&tree), "{body}");
+        }
+        (Ok(read), Err(e)) => panic!("read {read:?}, the tree path says {e}: {body}"),
+        (Err(CheckpointError::Parse(_)), Ok(tree)) => {
+            assert_ne!(tree::encode_body(&tree), body, "a written body declined");
+        }
+        (Err(CheckpointError::Parse(_)), Err(_)) => {}
+        (Err(e), _) => panic!("untyped rejection {e:?}: {body}"),
+    }
+    direct.is_ok()
+}
+
+/// A cell body with every kind of cell, each in its one-entry form: shard
+/// 0, pair 0, day 0, one exhaustion of one attempt.
+fn shard_zero_body() -> String {
+    let mut cell = AggregateCell::default();
+    cell.availability.success();
+    cell.response.observe(12.5);
+    let mut metrics = CellMetrics::default();
+    metrics.probes.inc();
+    metrics.successes.inc();
+    metrics.response_ms.observe(12.5);
+    tree::encode_body(&ShardCells {
+        shard: 0,
+        pairs: vec![PairAggregate {
+            pair: 0,
+            vantage: Label::intern("home-us-east"),
+            resolver: Label::intern("dns.google"),
+            cell: cell.clone(),
+        }],
+        metrics: vec![PairMetrics {
+            pair: 0,
+            cell: metrics,
+        }],
+        health: vec![PairDayHealth {
+            pair: 0,
+            day: 0,
+            cell: HealthCell {
+                availability: cell.availability,
+                response: cell.response,
+            },
+        }],
+        exhausted: vec![RetryExhausted {
+            pair: 0,
+            at: 1_000,
+            attempts: 1,
+        }],
+    })
+}
+
+#[test]
+fn indices_past_u32_are_refused_not_truncated() {
+    let body = shard_zero_body();
+    assert!(assert_reads_like_the_tree(&body));
+    // 2^32 truncates to 0, which a narrowing `as u32` would have read as
+    // shard 0, pair 0: the file is refused instead, by both paths.
+    let past = |body: &str, key: &str| {
+        let (from, to) = (format!("\"{key}\":0"), format!("\"{key}\":4294967296"));
+        assert!(body.contains(&from), "{key}");
+        body.replace(&from, &to)
+    };
+    let shard_and_pair = past(&past(&body, "shard"), "pair");
+    let cases = [
+        shard_and_pair,
+        past(&body, "shard"),
+        past(&body, "pair"),
+        past(&body, "day"),
+        body.replace("\"attempts\":1", "\"attempts\":4294967297"),
+    ];
+    for case in cases {
+        assert!(
+            matches!(
+                ShardCells::decode(&framed(&case)),
+                Err(CheckpointError::Parse(_))
+            ),
+            "{case}"
+        );
+        assert!(
+            matches!(tree::decode_body(&case), Err(CheckpointError::Parse(_))),
+            "{case}"
+        );
+    }
+    // The largest index a u32 holds is read as itself.
+    let edge = body.replace("\"shard\":0", "\"shard\":4294967295");
+    assert_eq!(ShardCells::decode(&framed(&edge)).unwrap().shard, u32::MAX);
+    assert!(assert_reads_like_the_tree(&edge));
+
+    // The manifest's pair count too.
+    let manifest = Manifest::new(0xfeed, 42, 2, 21).encode();
+    let body = manifest.split_once('\n').unwrap().1.trim_end();
+    let past = body.replace("\"pairs\":21", "\"pairs\":4294967317");
+    assert_ne!(past, body);
+    assert!(matches!(
+        Manifest::decode(&framed(&past)),
+        Err(CheckpointError::Parse(_))
+    ));
+}
+
+/// Seeded single-byte mutations of the pinned cell file (a real shard's,
+/// every kind of cell in it), re-framed so they reach the field readers:
+/// never a panic, never a difference from the tree path.
+#[test]
+fn seeded_mutations_of_an_engine_cell_file_read_like_the_tree() {
+    let golden = include_str!("golden/shard_cells_seed4_shard2.cells");
+    let body = golden.split_once('\n').unwrap().1.trim_end();
+    assert!(assert_reads_like_the_tree(body));
+    // splitmix64: seeded, so a failure names a reproducible mutation.
+    let mut state = 0x5eed_0026u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    // Mostly the bytes a body is made of, so that mutations land on other
+    // valid tokens; sometimes any ASCII byte at all.
+    let pool = b"0123456789.eE+-\",:{}[]\\nbfu \t";
+    let mut still_read = 0;
+    for _ in 0..3_000 {
+        let mut bytes = body.as_bytes().to_vec();
+        let at = (next() % bytes.len() as u64) as usize;
+        bytes[at] = match next() % 4 {
+            0 => (next() % 128) as u8,
+            _ => pool[(next() % pool.len() as u64) as usize],
+        };
+        if let Ok(text) = String::from_utf8(bytes) {
+            still_read += usize::from(assert_reads_like_the_tree(&text));
+        }
+    }
+    // Digit-for-digit mutations keep a body readable: the comparison above
+    // was not vacuous.
+    assert!(still_read > 300, "{still_read} mutated bodies still read");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -345,6 +865,34 @@ proptest! {
             // checksum and structure valid — e.g. mutating a byte to
             // itself) or return a typed error; never panic.
             let _ = Manifest::decode(s);
+        }
+    }
+
+    #[test]
+    fn the_direct_writer_writes_the_tree_encoders_bytes(cells in arb_cells()) {
+        prop_assert_eq!(cells.encode(), framed(&tree::encode_body(&cells)));
+    }
+
+    #[test]
+    fn the_direct_reader_reads_like_the_tree(cells in arb_cells()) {
+        let body = tree::encode_body(&cells);
+        prop_assert!(assert_reads_like_the_tree(&body));
+        let back = ShardCells::decode(&framed(&body)).unwrap();
+        prop_assert_eq!(cell_float_bits(&back), cell_float_bits(&cells));
+        prop_assert_eq!(back, cells);
+    }
+
+    #[test]
+    fn mangled_cell_bodies_read_like_the_tree_or_not_at_all(
+        cells in arb_cells(),
+        idx in any::<prop::sample::Index>(),
+        byte in 0u8..128,
+    ) {
+        let mut body = tree::encode_body(&cells).into_bytes();
+        let i = idx.index(body.len());
+        body[i] = byte;
+        if let Ok(body) = String::from_utf8(body) {
+            assert_reads_like_the_tree(&body);
         }
     }
 }

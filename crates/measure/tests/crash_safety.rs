@@ -367,6 +367,36 @@ fn two_damaged_shards_on_different_lanes_name_the_lower_index_every_time() {
 }
 
 #[test]
+fn two_damaged_shards_on_one_lane_name_the_lower_index_every_time() {
+    // Eight shards: the calling thread's lane takes 0, 2, 4 and 6, the
+    // second lane 1, 3, 5 and 7, and each hashes four of its files at a
+    // time, so a lane can meet a later file's failure first — at 20 rounds
+    // a data file spans several 16 KB reads and a cell file one. The error
+    // is still the one a walk in index order meets first.
+    let c = campaign(CampaignConfig::quick(3, 20));
+    for (damaged, named) in [
+        ([(2, "cells"), (6, "jsonl")], "shard-0002.cells"),
+        ([(2, "jsonl"), (4, "cells")], "shard-0002.jsonl"),
+        ([(0, "jsonl"), (2, "cells")], "shard-0000.jsonl"),
+        ([(3, "cells"), (7, "jsonl")], "shard-0003.cells"),
+        ([(5, "jsonl"), (5, "cells")], "shard-0005.jsonl"),
+    ] {
+        let dir = scratch_dir("one-lane");
+        let runner = ShardedRunner::new(&c, 8, &dir).unwrap();
+        assert_eq!(runner.advance(8).unwrap(), 0);
+        for (shard, extension) in damaged {
+            flip_a_byte(&dir.join(format!("shard-{shard:04}.{extension}")));
+        }
+        let first = shard_data_message(runner.load_or_init());
+        assert!(first.contains(named), "{damaged:?}: {first}");
+        for _ in 0..20 {
+            assert_eq!(shard_data_message(runner.load_or_init()), first);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
 fn the_merge_error_is_the_one_reported_when_the_cell_lane_fails_too() {
     // A foreign data line in shard 2 and a content-invalid cell file in
     // shard 1, both checksummed correctly: the cell lane meets its error
