@@ -18,18 +18,16 @@
 //! asserted. Prints one JSON object on stdout, and on stderr the stage
 //! ledger: where `elapsed_s` went — the killed run as one row, then the
 //! resumed run's own [`measure::shard::StageLedger`] stage by stage. The
-//! execute phase runs two lanes side by side (`--threads` generators, and
-//! this thread persisting what they hand over and committing everything),
-//! so three identities are asserted, each to within 5 %: the generator
-//! lane's rows sum to `execute_wall_s` per generator, the committer lane's
-//! rows sum to `execute_wall_s`, and the killed run plus the validate,
-//! execute and assemble phases sum to `elapsed_s`. A lane with nothing to
-//! do shows it as its wait row (`generator_wait_s` / `committer_wait_s`);
-//! `generator_persist_s` is the part of the three persist rows that ran on
-//! a generator because another was already in line for this thread.
+//! execute phase runs identical lanes side by side (`--threads` workers
+//! and this thread, each generating and persisting the shards it claims;
+//! this thread also commits them all), so two identities are asserted,
+//! each to within 5 %: the execute rows, `wait_s` included, sum to
+//! `lanes × execute_wall_s`, and the killed run plus the validate, execute
+//! and assemble phases sum to `elapsed_s`. A lane with nothing to do shows
+//! it as `wait_s`.
 //! Assembly has a second lane too: `assemble_cells_s` is the cell files'
 //! decode and install on a thread of their own, overlapped with the merge,
-//! so it is no term of the phases' sum and a fourth assertion bounds it by
+//! so it is no term of the phases' sum and a third assertion bounds it by
 //! assembly's wall time (`assemble_read_s + assemble_write_s`).
 
 // Bench harness: real elapsed time is the measurement itself.
@@ -45,12 +43,12 @@ use measure::{Campaign, CampaignConfig, ShardedRunner};
 const QUICK_RSS_CAP_KB: u64 = 512 * 1024;
 
 /// Throughput floor for the CI profile: just under half the 258.0k
-/// probes/s measured on the reference container (2 vCPUs, 1 generator
-/// thread, median of ten runs; `BENCH_campaign.json`), so only a
-/// structural regression — the manifest or assembly going super-linear
-/// again, probe generation losing the allocation-free resolver side, or
-/// the record codec going back through `f64` in either direction — trips
-/// it.
+/// probes/s measured on the reference container (2 vCPUs, one generator
+/// thread beside a committing one, median of ten runs;
+/// `BENCH_campaign.json`), so only a structural regression — the manifest
+/// or assembly going super-linear again, probe generation losing the
+/// allocation-free resolver side, or the record codec going back through
+/// `f64` in either direction — trips it.
 const QUICK_PROBES_PER_SEC_FLOOR: f64 = 125_000.0;
 
 /// How far a ledger identity's two sides may differ, as a share of the
@@ -95,18 +93,15 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("edns-longitudinal-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    // `--threads N` pins the generator count (the scaling CI step sweeps
-    // it); the default tracks the host so local runs use every core.
+    // `--threads N` pins the workers spawned beside this thread (the
+    // scaling CI step sweeps it); the default is one per further core, so
+    // local runs keep every core busy.
     let threads = args
         .iter()
         .position(|a| a == "--threads")
         .and_then(|i| args.get(i + 1))
-        .map(|n| n.parse().expect("--threads takes a generator count"))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
+        .map(|n| n.parse().expect("--threads takes a worker count"))
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get() - 1));
 
     let t = Instant::now();
     // Phase 1: run a few shards, then drop the runner — the kill.
@@ -144,14 +139,14 @@ fn main() {
     }
 
     // The stage ledger: every row a wall-clock total. Three phases after
-    // the killed run, the middle one split over two lanes.
+    // the killed run, the middle one over every lane.
     let stages = &outcome.stages;
     let mut rows = vec![("killed_run_s", killed_run_s)];
     rows.extend(stages.rows());
     rows.push(("unattributed_s", elapsed - killed_run_s - stages.phases_s()));
     eprintln!(
-        "stage ledger ({} generator thread(s), this thread commits):",
-        stages.generators
+        "stage ledger ({} lane(s), each generating and persisting; this thread commits):",
+        stages.lanes
     );
     for (name, seconds) in &rows {
         eprintln!(
@@ -160,20 +155,11 @@ fn main() {
         );
     }
     eprintln!("  {:<18} {elapsed:>8.3} s", "elapsed_s");
-    eprintln!(
-        "  of serialise_s + data_write_s + cell_write_s, {:.3} s ran on the generators",
-        stages.generator_persist_s
-    );
-    eprintln!("  assemble_cells_s ran beside assemble_read_s + assemble_write_s, not after them");
+    eprintln!("  the execute rows are totals over the lanes; assemble_cells_s ran beside assemble_read_s + assemble_write_s");
     assert_adds_up(
-        "generator lane",
-        stages.generator_lane_s(),
-        stages.generators as f64 * stages.execute_wall_s,
-    );
-    assert_adds_up(
-        "committer lane",
-        stages.committer_lane_s(),
-        stages.execute_wall_s,
+        "execute lanes",
+        stages.lanes_s(),
+        stages.lanes as f64 * stages.execute_wall_s,
     );
     assert_adds_up("phases", killed_run_s + stages.phases_s(), elapsed);
     let assemble_wall_s = stages.assemble_read_s + stages.assemble_write_s;
@@ -182,7 +168,6 @@ fn main() {
         "cell lane: {:.3} s cannot outlast assembly's {assemble_wall_s:.3} s",
         stages.assemble_cells_s
     );
-    rows.push(("generator_persist_s", stages.generator_persist_s));
     let stages_json = rows
         .iter()
         .map(|(name, seconds)| format!("\"{name}\":{seconds:.3}"))
@@ -191,7 +176,7 @@ fn main() {
 
     println!(
         concat!(
-            "{{\"profile\":\"{}\",\"days\":{},\"shards\":{},\"threads\":{},\"generators\":{},",
+            "{{\"profile\":\"{}\",\"days\":{},\"shards\":{},\"threads\":{},\"lanes\":{},",
             "\"probes\":{},\"resumed_shards\":{},\"jsonl_bytes\":{},",
             "\"elapsed_s\":{:.3},\"probes_per_sec\":{:.0},",
             "\"peak_rss_kb\":{},\"availability_pct\":{:.2},",
@@ -202,7 +187,7 @@ fn main() {
         days,
         shards,
         threads,
-        stages.generators,
+        stages.lanes,
         outcome.records,
         kill_after,
         jsonl_bytes,

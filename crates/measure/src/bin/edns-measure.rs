@@ -86,8 +86,9 @@ USAGE:
       into K shards (--shards, default 8), each checkpointed under
       --checkpoint-dir (default 'checkpoints') as it completes. A killed
       campaign re-run with the same flags resumes from the last completed
-      shard and produces byte-identical output. --shards/--checkpoint-dir
-      without --days shard the selected --scale instead.
+      shard and produces byte-identical output. Shards run on every core
+      and commit in shard order. --shards/--checkpoint-dir without --days
+      shard the selected --scale instead.
 
       FLIGHT RECORDER: --observe DIR selects the sharded engine, prints a
       line per completed shard on stderr and writes DIR/events.jsonl (every
@@ -483,10 +484,9 @@ fn cmd_campaign_sharded(args: &[String], config: CampaignConfig, out: &str) -> R
     );
     // Operator feedback only — results run purely in simulated time.
     let start = obs::clock::Stopwatch::start();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let outcome = runner.run(threads).map_err(|e| e.to_string())?;
+    // One worker per core beside this thread, which works too.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get() - 1);
+    let outcome = runner.run(workers).map_err(|e| e.to_string())?;
     let overall = outcome.aggregates.overall();
     eprintln!(
         "done in {:.1}s: {} records, availability {:.2}% ({} resumed of {} shards)",

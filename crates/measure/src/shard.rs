@@ -4,20 +4,18 @@
 //! contiguous, balanced ranges of the (vantage, resolver) pair list. A
 //! whole pair always lives in exactly one shard — the per-pair RNG stream
 //! is sequential, so a pair can never be split without replaying it.
-//! Shards execute independently, in two halves. The *generator* half runs
+//! Shards execute independently, in two halves. The *generate* half runs
 //! a shard's pairs, folds each pair's aggregate, metrics and health cells
 //! and its retry exhaustions, and merges their records; the *persist*
 //! half writes the records as a JSONL data file and the folds as a cell
 //! file (both tmp + rename, so a
 //! crash never leaves a torn file under the real name), after which the
 //! shard is marked complete in the campaign [`Manifest`] — a commit that
-//! costs O(shards), not O(work done so far). [`ShardedRunner::run`]
-//! overlaps the halves — generator threads claim shards off a work queue
-//! and [`hand_off`] each finished one to the calling thread, which persists
-//! it while the next is being generated, and which alone commits; a
-//! generator that finds another already in line for the calling thread
-//! persists its own. [`ShardedRunner::advance`] runs the halves one after
-//! the other.
+//! costs O(shards), not O(work done so far). In [`hand_off`] every
+//! execute-phase thread, the calling thread included, claims the next
+//! pending shard, generates it and persists it; the calling thread alone
+//! commits, in shard order. [`ShardedRunner::run`] spawns workers beside
+//! it, [`ShardedRunner::advance`] none.
 //!
 //! The read side has two lanes as well. *Validation* re-checks every
 //! complete shard's files, every other shard on a second thread.
@@ -52,7 +50,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel};
+use std::sync::mpsc::channel;
 
 use netsim::faults::FaultScope;
 use obs::clock::Stopwatch;
@@ -146,23 +144,18 @@ impl ShardedOutcome {
 /// Validation and assembly each keep a second thread busy, but only the
 /// calling thread's time is a term here: `assemble_cells_s` runs inside
 /// `assemble_read_s + assemble_write_s`, not after them.
-/// The execute phase has two lanes running side by side, the generator
-/// threads and the committing (calling) thread. The persist rows
-/// (`serialise_s`, `data_write_s`, `cell_write_s`) are totals over both
-/// lanes: the committer persists the shards handed to it, a generator
-/// its own when another was already in line to hand one over, and
-/// `generator_persist_s` says how much of the three that was. Each lane
-/// accounts for the phase's wall time:
+/// The execute phase runs `lanes` identical lanes side by side, each
+/// generating and persisting the shards it claims, and the calling
+/// thread's lane also commits them all. Every execute row is a total over
+/// the lanes, so together they account for the phase's wall time on each:
 ///
 /// ```text
-/// generate_s + fold_s + merge_s + generator_persist_s + generator_wait_s
-///     == generators * execute_wall_s
-/// serialise_s + data_write_s + cell_write_s - generator_persist_s
-///     + commit_s + committer_wait_s
-///     == execute_wall_s
+/// generate_s + fold_s + merge_s + serialise_s + data_write_s + cell_write_s
+///     + commit_s + wait_s
+///     == lanes * execute_wall_s
 /// ```
 ///
-/// A lane with nothing to do shows it as its wait row.
+/// A lane with nothing to do shows it as wait.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageLedger {
     /// `load_or_init`: manifest decode plus re-validation of every
@@ -170,34 +163,32 @@ pub struct StageLedger {
     /// validation lanes side by side, each taking every other shard and
     /// hashing four of its files at a time.
     pub validate_s: f64,
-    /// The execute phase's wall time: from the first generator's spawn to
-    /// the last shard's commit. Next to nothing when no shard is pending.
+    /// The execute phase's wall time: from the first worker's spawn to the
+    /// last worker's join, after the last shard's commit. Next to nothing
+    /// when no shard is pending.
     pub execute_wall_s: f64,
-    /// Generator threads the execute phase ran: what `run` was asked for,
-    /// at least one, and no more than there were pending shards.
-    pub generators: usize,
-    /// `run_pair` over each executed shard's pairs (generator lane,
-    /// summed over generators like the lane's other rows).
+    /// Lanes the execute phase ran: the calling thread and the workers
+    /// `run` spawned beside it.
+    pub lanes: usize,
+    /// `run_pair` over each executed shard's pairs.
     pub generate_s: f64,
     /// The per-pair fold: aggregate, metrics and per-(pair, day) health
     /// cells, and the retry exhaustions.
     pub fold_s: f64,
     /// `merge_pairs` within each shard.
     pub merge_s: f64,
-    /// Generators not working: in line for the committer with a finished
-    /// shard, or out of shards while the rest are landed.
-    pub generator_wait_s: f64,
-    /// Rendering each shard's JSONL body, checksummed as it is rendered
-    /// (either lane, as are the two rows after it).
+    /// Rendering each shard's JSONL body, checksummed as it is rendered.
     pub serialise_s: f64,
     /// Data-file write + rename.
     pub data_write_s: f64,
     /// Cell-file encode + write + rename.
     pub cell_write_s: f64,
-    /// Manifest commits: encode, write + rename (committer lane).
+    /// Manifest commits: encode, write + rename (calling thread).
     pub commit_s: f64,
-    /// The committer waiting for a generator to hand it a shard.
-    pub committer_wait_s: f64,
+    /// Lanes not working: the calling thread out of shards to claim while
+    /// others are still landing, a worker before its start and after its
+    /// last shard.
+    pub wait_s: f64,
     /// Assembly's wall time less its writes: the schedule's slots, the
     /// merge over them, and each line's read, check and copy on the calling
     /// thread, then whatever wait is left for the cell lane to finish.
@@ -210,46 +201,39 @@ pub struct StageLedger {
     /// the merge runs, which takes longer. Overlapped with the two rows
     /// above, so not a term of [`phases_s`](Self::phases_s).
     pub assemble_cells_s: f64,
-    /// Not a row of its own: the part of the three persist rows that ran
-    /// on generator threads.
-    pub generator_persist_s: f64,
 }
 
 impl StageLedger {
     /// The stages in pipeline order, by field name.
-    pub fn rows(&self) -> [(&'static str, f64); 14] {
+    pub fn rows(&self) -> [(&'static str, f64); 13] {
         [
             ("validate_s", self.validate_s),
             ("execute_wall_s", self.execute_wall_s),
             ("generate_s", self.generate_s),
             ("fold_s", self.fold_s),
             ("merge_s", self.merge_s),
-            ("generator_wait_s", self.generator_wait_s),
             ("serialise_s", self.serialise_s),
             ("data_write_s", self.data_write_s),
             ("cell_write_s", self.cell_write_s),
             ("commit_s", self.commit_s),
-            ("committer_wait_s", self.committer_wait_s),
+            ("wait_s", self.wait_s),
             ("assemble_read_s", self.assemble_read_s),
             ("assemble_write_s", self.assemble_write_s),
             ("assemble_cells_s", self.assemble_cells_s),
         ]
     }
 
-    /// What the generator lane spent on its stages, wait included.
-    pub fn generator_lane_s(&self) -> f64 {
+    /// What the execute phase's lanes spent on their stages, wait
+    /// included: `lanes * execute_wall_s`.
+    pub fn lanes_s(&self) -> f64 {
         self.generate_s
             + self.fold_s
             + self.merge_s
-            + self.generator_persist_s
-            + self.generator_wait_s
-    }
-
-    /// What the committer lane spent on its stages, wait included.
-    pub fn committer_lane_s(&self) -> f64 {
-        self.serialise_s + self.data_write_s + self.cell_write_s - self.generator_persist_s
+            + self.serialise_s
+            + self.data_write_s
+            + self.cell_write_s
             + self.commit_s
-            + self.committer_wait_s
+            + self.wait_s
     }
 
     /// The three phases' wall time on the calling thread: what a run's
@@ -432,12 +416,12 @@ impl Laps {
     }
 }
 
-/// One shard as the generator half hands it to the persist half.
+/// One shard as the generate half hands it to the persist half.
 struct GeneratedShard {
     /// The shard's records in canonical order.
     merged: Vec<ProbeRecord>,
     cells: ShardCells,
-    /// The generator-lane stages (`generate_s`, `fold_s`, `merge_s`).
+    /// The generate stages (`generate_s`, `fold_s`, `merge_s`).
     stages: StageLedger,
 }
 
@@ -449,8 +433,8 @@ struct PersistedShard {
     stages: StageLedger,
 }
 
-/// What the committing thread owns for the length of a run: no lock, the
-/// generators never see it.
+/// What the calling thread owns for the length of a run: no lock, the
+/// workers never see it.
 struct RunState {
     manifest: Manifest,
     run: ShardRunMetrics,
@@ -464,111 +448,116 @@ struct RunState {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HandOff {
-    pub generators: usize,
+    pub lanes: usize,
     pub execute_wall_s: f64,
-    pub generator_persist_s: f64,
-    pub generator_wait_s: f64,
-    pub committer_wait_s: f64,
+    pub wait_s: f64,
 }
 
-/// The execute phase's two lanes. Up to `generators` threads (at least
-/// one, never more than there are items; `edns-gen-0`, `edns-gen-1`, …)
-/// claim `pending`'s items in order and `generate` them. A finished
-/// product is offered to the calling thread over a rendezvous channel:
-/// the generator waits until it is taken, then starts on its next item
-/// while the calling thread `persist`s and `commit`s the product. Only
-/// one generator stands in line like that. One that finishes a product while another is in line
-/// `persist`s its own and reports the outcome, which the calling thread
-/// `commit`s when it next takes a product. So the calling thread is the
-/// only one to commit; `persist` runs on as many threads as it needs to
-/// keep up; nothing is queued but outcomes, and one product per thread is
-/// in flight at most. With one generator, every product goes to the
-/// calling thread and commits happen in `pending`'s order.
+/// The execute phase: identical lanes, one per thread. Up to `workers`
+/// threads are spawned beside the calling thread (`edns-shard-0`, …; none
+/// for fewer than two items, and a worker the OS will not start is simply
+/// absent). Every lane claims the next of `pending`'s items off one atomic
+/// cursor, `generate`s it and `persist`s it, then claims the next. The
+/// calling thread also `commit`s: it keeps the persisted items in a
+/// reorder buffer and commits the longest prefix of `pending` that has
+/// landed, so commits follow `pending`'s order whatever the worker count.
+/// A lane holds one generated item at most, and only persisted ones wait.
 ///
-/// The first error, from `persist` on either lane or from `commit`, ends
-/// the run: both receivers are dropped, the generator in line and every
-/// other at its next send find out and exit (what they persist on the way
-/// there is never committed). All threads are joined before this returns.
+/// A failed `persist` stops every lane from claiming more. The calling
+/// thread still lands and commits every item before it, commits nothing
+/// after it, and returns the error of the lowest failing item — what a
+/// lone calling thread would have. A failed `commit` ends the run at once.
+/// All workers are joined before this returns; what they persist after
+/// the end is never committed.
 ///
 /// Public for `tests/handoff_stress.rs`, which drives it with fakes.
 #[doc(hidden)]
-pub fn hand_off<T: Send, P: Send, E: Send>(
+pub fn hand_off<T, P: Send, E: Send>(
     pending: &[u32],
-    generators: usize,
+    workers: usize,
     generate: impl Fn(u32) -> T + Sync,
     persist: impl Fn(T) -> Result<P, E> + Sync,
     mut commit: impl FnMut(P) -> Result<(), E>,
 ) -> (Result<(), E>, HandOff) {
-    let mut lanes = HandOff {
-        generators: generators.max(1).min(pending.len()),
-        ..HandOff::default()
-    };
     let next = AtomicUsize::new(0);
-    // Whether a generator is in line for the calling thread.
-    let in_line = AtomicBool::new(false);
+    // Set when an item fails to persist or the run ends: no lane claims
+    // another item. Every item before a failed one is claimed already.
+    // Relaxed: it publishes no data, and a lane that misses it claims an
+    // item past the failure, which is never committed.
+    let stop = AtomicBool::new(false);
+    // One lane's step: the next item's place in `pending`, persisted.
+    let work = || {
+        if stop.load(Ordering::Relaxed) {
+            return None;
+        }
+        let at = next.fetch_add(1, Ordering::Relaxed);
+        let persisted = persist(generate(*pending.get(at)?));
+        if persisted.is_err() {
+            stop.store(true, Ordering::Relaxed);
+        }
+        Some((at, persisted))
+    };
+    let mut lanes = HandOff::default();
     let execute = Stopwatch::start();
     let landed = std::thread::scope(|scope| {
-        let (offer, offered) = sync_channel::<T>(0);
-        let (report, reported) = channel::<Result<P, E>>();
-        // A generator the OS will not start is left out: the others claim
-        // its share off the same queue.
-        let handles: Vec<_> = (0..lanes.generators)
+        let (land, landing) = channel::<(usize, Result<P, E>)>();
+        let handles: Vec<_> = (0..workers.min(pending.len().saturating_sub(1)))
             .filter_map(|i| {
-                let (offer, report) = (offer.clone(), report.clone());
-                let (next, in_line, generate, persist) = (&next, &in_line, &generate, &persist);
-                let generator = std::thread::Builder::new().name(format!("edns-gen-{i}"));
-                let spawned = generator.spawn_scoped(scope, move || {
-                    let (mut persist_s, mut blocked_s) = (0.0, 0.0);
-                    while let Some(&item) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        let product = generate(item);
-                        let since = Stopwatch::start();
-                        let sent = if in_line.swap(true, Ordering::Relaxed) {
-                            let persisted = persist(product);
-                            persist_s += since.elapsed_secs();
-                            report.send(persisted).is_ok()
-                        } else {
-                            let taken = offer.send(product).is_ok();
-                            in_line.store(false, Ordering::Relaxed);
-                            blocked_s += since.elapsed_secs();
-                            taken
-                        };
-                        if !sent {
+                let (land, work) = (land.clone(), &work);
+                let worker = std::thread::Builder::new().name(format!("edns-shard-{i}"));
+                let spawned = worker.spawn_scoped(scope, move || {
+                    let started_at = execute.elapsed_secs();
+                    while let Some(landed) = work() {
+                        if land.send(landed).is_err() {
                             break;
                         }
                     }
-                    (persist_s, blocked_s, execute.elapsed_secs())
+                    (started_at, execute.elapsed_secs())
                 });
                 spawned.ok()
             })
             .collect();
-        lanes.generators = handles.len();
-        drop((offer, report));
+        lanes.lanes = 1 + handles.len();
+        drop(land);
 
+        // Persisted items by their place in `pending`, each waiting for
+        // every one before it.
+        let mut buffer = BTreeMap::new();
+        let mut committed = 0;
         let mut land_all = || loop {
-            let idle = Stopwatch::start();
-            let taken = offered.recv();
-            lanes.committer_wait_s += idle.elapsed_secs();
-            for persisted in reported.try_iter() {
+            buffer.extend(landing.try_iter());
+            while let Some(persisted) = buffer.remove(&committed) {
                 commit(persisted?)?;
+                committed += 1;
             }
-            match taken {
-                Ok(product) => commit(persist(product)?)?,
-                // Every generator has run out of items and hung up, its
-                // last report sent before it did.
-                Err(_) => return Ok(()),
+            if committed == pending.len() {
+                return Ok(());
             }
+            if let Some((at, persisted)) = work() {
+                buffer.insert(at, persisted);
+                continue;
+            }
+            let idle = Stopwatch::start();
+            let landed = landing.recv();
+            lanes.wait_s += idle.elapsed_secs();
+            // Every worker hung up with an item unlanded: one panicked,
+            // and its join below re-raises the panic.
+            let Ok((at, persisted)) = landed else {
+                return Ok(());
+            };
+            buffer.insert(at, persisted);
         };
         let landed = land_all();
-        drop((offered, reported));
-        let exits: Vec<(f64, f64, f64)> = handles
+        stop.store(true, Ordering::Relaxed);
+        drop(landing);
+        let spans: Vec<(f64, f64)> = handles
             .into_iter()
-            // detlint:allow(unwrap, propagates a generator panic; there is no partial result to salvage)
-            .map(|h| h.join().expect("shard generator panicked"))
+            // detlint:allow(unwrap, propagates a worker panic; there is no partial result to salvage)
+            .map(|h| h.join().expect("shard worker panicked"))
             .collect();
         lanes.execute_wall_s = execute.elapsed_secs();
-        for (persist_s, blocked_s, exited_at) in exits {
-            lanes.generator_persist_s += persist_s;
-            lanes.generator_wait_s += blocked_s + (lanes.execute_wall_s - exited_at);
+        for (started_at, exited_at) in spans {
+            lanes.wait_s += started_at + (lanes.execute_wall_s - exited_at);
         }
         landed
     });
@@ -851,7 +840,7 @@ impl<'a> ShardedRunner<'a> {
                     .spawn_scoped(scope, || lane(1))
                     .map_err(|e| CheckpointError::Io(format!("spawn edns-validate: {e}")))?;
                 let own = lane(0);
-                // detlint:allow(unwrap, propagates a validation lane's panic like a generator's; half a validation proves nothing)
+                // detlint:allow(unwrap, propagates a validation lane's panic like a worker's; half a validation proves nothing)
                 let other = second.join().expect("shard validation lane panicked");
                 Ok((own, other))
             })?
@@ -866,7 +855,7 @@ impl<'a> ShardedRunner<'a> {
         }
     }
 
-    /// The generator half of a shard: runs its pairs, folds their cells
+    /// The generate half of a shard: runs its pairs, folds their cells
     /// and merges their records. Touches no file.
     fn generate_shard(&self, index: u32) -> GeneratedShard {
         let mut laps = Laps::start();
@@ -1064,16 +1053,16 @@ impl<'a> ShardedRunner<'a> {
     /// Runs the whole campaign, resuming from any existing checkpoints,
     /// and assembles the final output.
     ///
-    /// `threads` is the number of *generator* threads. The calling thread
-    /// makes one more: it persists the shards they [`hand_off`] to it, each
-    /// while its generator is already on the next, and commits every shard.
-    /// A generator persists a shard itself when another is already in line
-    /// for the calling thread, so the persist half runs on as many threads
-    /// as it needs to keep up. One shard per thread is in flight at most,
-    /// so memory stays O(shard). With one generator shards commit in index
-    /// order; with no shard pending none is spawned. Whatever `threads` is,
-    /// validation before the generators start and assembly after they are
-    /// joined each run one thread of their own beside the calling thread.
+    /// `threads` is the number of workers spawned beside the calling
+    /// thread, which always works too: `run(0)` is the calling thread
+    /// alone, `run(n - 1)` keeps n cores busy. Every thread claims pending
+    /// shards, generates and persists them ([`hand_off`]); the calling
+    /// thread commits them in index order at every thread count. One shard
+    /// of records per thread is in flight at most, so memory stays
+    /// O(shard). No worker is spawned for fewer than two pending shards.
+    /// Whatever `threads` is, validation before the execute phase and
+    /// assembly after it each run one thread of their own beside the
+    /// calling thread.
     pub fn run(&self, threads: usize) -> Result<ShardedOutcome, CheckpointError> {
         let mut run = ShardRunMetrics::new();
         run.shards_planned.add(self.shards as u64);
@@ -1101,25 +1090,17 @@ impl<'a> ShardedRunner<'a> {
             stages,
             progress: self.progress.then(Stopwatch::start),
         };
-        let (landed, lanes) = hand_off(
-            &pending,
-            threads,
-            |index| self.generate_shard(index),
-            |shard| self.persist_shard(shard),
-            |shard| self.commit_shard(&mut state, shard),
-        );
-        landed?;
-        state.stages.generators = lanes.generators;
+        let lanes = self.execute(&mut state, &pending, threads)?;
+        state.stages.lanes = lanes.lanes;
         state.stages.execute_wall_s = lanes.execute_wall_s;
-        state.stages.generator_persist_s = lanes.generator_persist_s;
-        state.stages.generator_wait_s = lanes.generator_wait_s;
-        state.stages.committer_wait_s = lanes.committer_wait_s;
+        state.stages.wait_s = lanes.wait_s;
         self.assemble(&state.manifest, state.run, state.stages)
     }
 
-    /// Executes up to `max_shards` pending shards serially (lowest index
-    /// first), checkpointing after each — the kill/resume simulation hook.
-    /// Returns the number of shards still pending afterwards.
+    /// Executes up to `max_shards` pending shards on the calling thread
+    /// alone (lowest index first), committing after each — the kill/resume
+    /// simulation hook. Returns the number of shards still pending
+    /// afterwards.
     pub fn advance(&self, max_shards: usize) -> Result<usize, CheckpointError> {
         let mut state = RunState {
             manifest: self.load_or_init()?,
@@ -1128,11 +1109,27 @@ impl<'a> ShardedRunner<'a> {
             progress: None,
         };
         let pending = pending_shards(&state.manifest);
-        for &index in pending.iter().take(max_shards) {
-            let persisted = self.persist_shard(self.generate_shard(index))?;
-            self.commit_shard(&mut state, persisted)?;
-        }
-        Ok(pending.len().saturating_sub(max_shards))
+        let now = &pending[..max_shards.min(pending.len())];
+        self.execute(&mut state, now, 0)?;
+        Ok(pending.len() - now.len())
+    }
+
+    /// The execute phase over `pending`, `workers` beside the calling
+    /// thread: [`run`](Self::run)'s and [`advance`](Self::advance)'s path.
+    fn execute(
+        &self,
+        state: &mut RunState,
+        pending: &[u32],
+        workers: usize,
+    ) -> Result<HandOff, CheckpointError> {
+        let (landed, lanes) = hand_off(
+            pending,
+            workers,
+            |index| self.generate_shard(index),
+            |shard| self.persist_shard(shard),
+            |shard| self.commit_shard(state, shard),
+        );
+        landed.map(|()| lanes)
     }
 
     /// The cell half of assembly: installs the checkpointed cells, one
@@ -1436,7 +1433,7 @@ impl<'a> ShardedRunner<'a> {
                 }
                 // The two lanes meet before the rename: a cell file that
                 // fails its content checks leaves no campaign file behind.
-                // detlint:allow(unwrap, propagates the cell lane's panic like a generator's; there is no partial result to salvage)
+                // detlint:allow(unwrap, propagates the cell lane's panic like a worker's; there is no partial result to salvage)
                 let (installed, cells_s) = cell_lane.join().expect("cell lane panicked");
                 stages.assemble_cells_s = cells_s;
                 let records = readers.iter().map(|r| r.lines).sum::<u64>();

@@ -7,8 +7,9 @@
 //! is a typed [`CheckpointError`] — the same one on every call, though
 //! validation and assembly each run on two threads — and a rejected
 //! assembly leaves no `campaign.jsonl`. A kill at any point of a shard's
-//! commit order (data file → cell file → manifest), and a write the
-//! committing thread cannot make, must resume to the one-shot output.
+//! commit order (data file → cell file → manifest), and a write that
+//! fails on any lane, must resume to the one-shot output; a failed write
+//! ends the run where a lone calling thread would, at every thread count.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -505,51 +506,76 @@ fn a_kill_between_cell_file_and_manifest_commit_resumes_identically() {
     std::fs::remove_dir_all(reference.jsonl_path.parent().unwrap()).unwrap();
 }
 
+/// Runs four shards with `workers` beside the calling thread, the tmp
+/// names of `blocked` shards' data files taken by directories, and holds
+/// the run to ending as a lone calling thread would: an `Io` error naming
+/// the lowest blocked shard's tmp file, and exactly the shards before it
+/// complete. Then resumes with the obstacles gone, to the one-shot bytes.
+fn a_run_with_blocked_writes(c: &Campaign, workers: usize, blocked: &[u32], expected: &str) {
+    let dir = scratch_dir("write-fails");
+    let runner = ShardedRunner::new(c, 4, &dir).unwrap();
+    let obstacles: Vec<PathBuf> = blocked
+        .iter()
+        .map(|shard| dir.join(format!("shard-{shard:04}.jsonl.tmp")))
+        .collect();
+    for obstacle in &obstacles {
+        std::fs::create_dir(obstacle).unwrap();
+    }
+    // Returning at all means every worker stopped and was joined.
+    let lowest = blocked.iter().min().copied().unwrap();
+    match runner.run(workers).unwrap_err() {
+        CheckpointError::Io(msg) => assert!(
+            msg.contains(&format!("shard-{lowest:04}.jsonl.tmp")),
+            "{workers} workers: {msg}"
+        ),
+        other => panic!("expected Io, got {other:?}"),
+    }
+
+    // What was committed before the failure still is (`load_or_init`
+    // re-validates each complete shard's files), and nothing after it.
+    let before = ShardedRunner::new(c, 4, &dir)
+        .unwrap()
+        .load_or_init()
+        .unwrap();
+    let complete: Vec<bool> = before.states.iter().map(|s| s.is_complete()).collect();
+    let serial: Vec<bool> = (0..4).map(|shard| shard < lowest).collect();
+    assert_eq!(complete, serial, "{workers} workers");
+
+    for obstacle in &obstacles {
+        std::fs::remove_dir(obstacle).unwrap();
+    }
+    let outcome = ShardedRunner::new(c, 4, &dir)
+        .unwrap()
+        .run(workers)
+        .unwrap();
+    assert_eq!(outcome.run.shards_resumed.get(), lowest as u64);
+    assert_eq!(
+        std::fs::read_to_string(&outcome.jsonl_path).unwrap(),
+        expected,
+        "{workers} workers"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn a_failed_shard_write_ends_the_run_typed_and_resumes_identically() {
     let c = campaign(CampaignConfig::quick(3, 2));
-    let records = c.run();
-    for generators in [1, 3] {
-        let dir = scratch_dir("write-fails");
-        let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
+    let expected = c.run().to_json_lines();
+    for workers in [0, 1, 3] {
         // Shard 2's data file cannot be created: its tmp name is taken by
-        // a directory.
-        let obstacle = dir.join("shard-0002.jsonl.tmp");
-        std::fs::create_dir(&obstacle).unwrap();
-        // Returning at all means every generator stopped and was joined.
-        match runner.run(generators).unwrap_err() {
-            CheckpointError::Io(msg) => assert!(msg.contains("shard-0002.jsonl.tmp"), "{msg}"),
-            other => panic!("expected Io, got {other:?}"),
-        }
+        // a directory. Shards 0 and 1 are committed at every thread count.
+        a_run_with_blocked_writes(&c, workers, &[2], &expected);
+    }
+}
 
-        // What was committed before the failure still is (`load_or_init`
-        // re-validates each complete shard's files); shard 2 is not.
-        let before = ShardedRunner::new(&c, 4, &dir)
-            .unwrap()
-            .load_or_init()
-            .unwrap();
-        assert!(!before.states[2].is_complete());
-        if generators == 1 {
-            // One generator commits in index order.
-            let complete: Vec<bool> = before.states.iter().map(|s| s.is_complete()).collect();
-            assert_eq!(complete, [true, true, false, false]);
+#[test]
+fn two_failed_shard_writes_report_the_lower_one_at_every_thread_count() {
+    let c = campaign(CampaignConfig::quick(3, 2));
+    let expected = c.run().to_json_lines();
+    for workers in [0, 1, 3] {
+        for _ in 0..20 {
+            a_run_with_blocked_writes(&c, workers, &[1, 3], &expected);
         }
-
-        std::fs::remove_dir(&obstacle).unwrap();
-        let outcome = ShardedRunner::new(&c, 4, &dir)
-            .unwrap()
-            .run(generators)
-            .unwrap();
-        assert_eq!(
-            outcome.run.shards_resumed.get(),
-            before.complete_count() as u64
-        );
-        assert_eq!(
-            std::fs::read_to_string(&outcome.jsonl_path).unwrap(),
-            records.to_json_lines(),
-            "{generators} generator(s)"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 

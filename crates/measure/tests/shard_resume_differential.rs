@@ -104,8 +104,10 @@ fn kill_and_resume_at_every_shard_boundary_is_byte_identical() {
         let c = campaign(CampaignConfig::quick(seed, 2));
         let reference = one_shot(&c);
         let shards = 5u32;
-        // Finished by one generator (commits in index order) and by two.
-        for (stop_after, finishers) in (0..=shards as usize).flat_map(|k| [(k, 1), (k, 2)]) {
+        // Finished by the calling thread alone, and with one and two
+        // workers beside it.
+        for (stop_after, finishers) in (0..=shards as usize).flat_map(|k| [(k, 0), (k, 1), (k, 2)])
+        {
             let dir = scratch_dir("resume");
             {
                 // First process: killed after `stop_after` shards.

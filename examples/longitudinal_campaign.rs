@@ -68,10 +68,9 @@ fn main() {
         .expect("configure sharded runner")
         .with_progress(true);
     let start = edns_bench::obs::clock::Stopwatch::start();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let outcome = runner.run(threads).expect("sharded campaign");
+    // One worker per core beside this thread, which works too.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get() - 1);
+    let outcome = runner.run(workers).expect("sharded campaign");
     eprintln!(
         "{} records in {:.1}s ({} of {} shards resumed from checkpoints)\nJSONL: {}\n",
         outcome.records,
