@@ -26,7 +26,7 @@
 //! and assemble phases sum to `elapsed_s`. A lane with nothing to do shows
 //! it as `wait_s`.
 //! Assembly has a second lane too: `assemble_cells_s` is the cell files'
-//! decode and install on a thread of their own, overlapped with the merge,
+//! decode and install on a thread of their own, overlapped with the copy,
 //! so it is no term of the phases' sum and a third assertion bounds it by
 //! assembly's wall time (`assemble_read_s + assemble_write_s`).
 

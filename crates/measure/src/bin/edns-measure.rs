@@ -443,10 +443,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     // runs purely in simulated time). obs::clock is the audited wall-clock
     // shim; detlint rejects a bare Instant::now here.
     let start = obs::clock::Stopwatch::start();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let result = campaign.run_parallel(threads);
+    let result = campaign.run_parallel(cores());
     eprintln!(
         "done in {:.1}s: {} ok / {} errors",
         start.elapsed_secs(),
@@ -459,6 +456,11 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         out!("{}", result.metrics().render());
     }
     Ok(())
+}
+
+/// Threads a campaign keeps busy, this one included: one per core, else 2.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(2, |n| n.get())
 }
 
 /// The longitudinal path: shard the campaign, execute with checkpoints,
@@ -484,9 +486,8 @@ fn cmd_campaign_sharded(args: &[String], config: CampaignConfig, out: &str) -> R
     );
     // Operator feedback only — results run purely in simulated time.
     let start = obs::clock::Stopwatch::start();
-    // One worker per core beside this thread, which works too.
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get() - 1);
-    let outcome = runner.run(workers).map_err(|e| e.to_string())?;
+    // A worker per core beside this thread, which works too.
+    let outcome = runner.run(cores() - 1).map_err(|e| e.to_string())?;
     let overall = outcome.aggregates.overall();
     eprintln!(
         "done in {:.1}s: {} records, availability {:.2}% ({} resumed of {} shards)",

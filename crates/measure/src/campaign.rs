@@ -5,14 +5,16 @@
 //! Determinism under parallelism: every (vantage, resolver) pair gets its
 //! own RNG stream derived from the master seed and its labels, and its own
 //! simulated resolver state, so results do not depend on thread scheduling.
-//! Each pair emits its records already in canonical order, and the pair
-//! streams are combined by a stable k-way merge keyed on precomputed
-//! integer ranks — output is identical at any thread count without ever
-//! sorting the full record vector, and without a single string comparison
-//! on the merge path.
+//! Each pair fills its vantage's slots ([`Campaign::slots`]) in order, and
+//! [`CampaignOrder`] says, from the schedule alone, which pair's record
+//! comes next: assembly gathers the pair streams in that order, so output
+//! is identical at any thread count without sorting the record vector or
+//! comparing a record.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
+use std::convert::Infallible;
 
 use detlint_macros::deny_alloc;
 use dns_wire::Name;
@@ -26,6 +28,7 @@ use crate::population::PairLoad;
 use crate::probe::{ProbeJob, ProbeRequest, ProbeTarget, Prober};
 use crate::results::{ProbeOutcome, ProbeRecord};
 use crate::session::SessionState;
+use crate::shard::hand_off;
 use crate::vantage::Vantage;
 
 /// A completed campaign: all records plus the configuration that made them.
@@ -103,7 +106,7 @@ pub fn observe_record(registry: &mut MetricsRegistry, r: &ProbeRecord) {
 /// Folds one probe record into its (resolver, vantage, protocol) cell —
 /// the body of [`observe_record`], and the sharded engine's per-pair
 /// metrics fold: a pair is one cell, so folding its records in its own
-/// order is bit for bit the registry's fold over the merged stream.
+/// order is bit for bit the registry's fold over the whole stream.
 #[deny_alloc]
 pub(crate) fn observe_cell(cell: &mut CellMetrics, r: &ProbeRecord) {
     cell.probes.inc();
@@ -178,7 +181,7 @@ pub fn metrics_of(records: &[ProbeRecord]) -> MetricsSnapshot {
 /// (vantage, resolver) pair, each already in canonical per-pair order.
 /// Produced by [`Campaign::generate`], consumed by [`Campaign::assemble`];
 /// the split exists so benches can time probe generation separately from
-/// the k-way merge.
+/// the gather.
 #[derive(Debug)]
 pub struct GeneratedPairs {
     pub(crate) plans: Vec<PairPlan>,
@@ -192,7 +195,8 @@ impl GeneratedPairs {
     }
 
     /// Each pair's vantage label and record stream, in pair order: what
-    /// `tests/shard_resume_differential.rs` holds to [`Campaign::slots`].
+    /// `tests/shard_resume_differential.rs` holds to [`Campaign::slots`],
+    /// and `tests/campaign_order_oracle.rs` sorts.
     #[doc(hidden)]
     pub fn pairs(&self) -> impl Iterator<Item = (&'static str, &[ProbeRecord])> {
         let vantages = self.plans.iter().map(|p| p.vantage.label);
@@ -207,8 +211,6 @@ pub struct Slot {
     pub at: u64,
     /// The queried domain's index in the campaign's domain list.
     pub domain: u32,
-    /// That domain's rank in sorted-domain order.
-    pub rank: u32,
     /// The probe's position in schedule order, which is the order a
     /// pair's RNG stream runs its probes in.
     pub probe: u32,
@@ -219,6 +221,9 @@ pub struct Slot {
 struct CampaignDomain {
     label: Label,
     name: Name,
+    /// Its rank in sorted-domain order: the slot order compares these
+    /// integers instead of domain strings.
+    rank: u32,
 }
 
 /// One (vantage, resolver) unit of work, with its interned labels and its
@@ -229,10 +234,70 @@ pub(crate) struct PairPlan {
     pub(crate) entry: catalog::ResolverEntry,
     pub(crate) vantage_label: Label,
     pub(crate) resolver_label: Label,
+    /// Its vantage's index in `config.vantages()`, which is its row of
+    /// the [slot table](Campaign::slot_table).
+    pub(crate) vantage_index: u32,
     /// Position of this pair when all pairs are sorted by
-    /// (vantage label, resolver hostname) — the merge compares this
-    /// integer instead of the two strings.
+    /// (vantage label, resolver hostname) — [`CampaignOrder`] compares
+    /// this integer instead of the two strings.
     pub(crate) order: u32,
+}
+
+/// The campaign's one record order, walked as (pair, slot): which pair's
+/// record comes next, and which of its slots that record fills.
+///
+/// Over a contiguous slice of pairs it yields every slot of every pair, by
+/// `(slot.at, plan.order)`. A pair's own slots come in their order
+/// ([`Campaign::slots`]) and pair ranks are unique, duplicate pairs
+/// included, so that key orders the whole campaign, and the walk over a
+/// range of pairs is the whole walk with the other pairs left out: a
+/// shard file written in it is read straight through by assembly.
+pub(crate) struct CampaignOrder<'a> {
+    /// Per pair of the slice, the slots it has still to fill.
+    pairs: Vec<std::slice::Iter<'a, Slot>>,
+    /// One entry per pair with a slot left: its next slot's time, its
+    /// rank, and the pair, which only rides along (ranks are unique).
+    heap: BinaryHeap<Reverse<(u64, u32, u32)>>,
+}
+
+impl<'a> CampaignOrder<'a> {
+    /// The order over `plans`, whose slots are `slots`' rows
+    /// ([`Campaign::slot_table`]).
+    pub(crate) fn new(plans: &[PairPlan], slots: &'a [Vec<Slot>]) -> Self {
+        let slots_of = |p: &PairPlan| &slots[p.vantage_index as usize];
+        let pairs = plans.iter().map(|p| slots_of(p).iter()).collect();
+        let heads = plans.iter().enumerate().filter_map(|(pair, p)| {
+            let first = slots_of(p).first()?;
+            Some(Reverse((first.at, p.order, pair as u32)))
+        });
+        let heap = heads.collect();
+        CampaignOrder { pairs, heap }
+    }
+
+    /// Takes the records of `outputs` — one stream per pair of the slice,
+    /// each in its slots' order — in this order.
+    pub(crate) fn gather<T: 'a>(self, outputs: Vec<Vec<T>>) -> impl Iterator<Item = T> + 'a {
+        let mut outputs: Vec<_> = outputs.into_iter().map(Vec::into_iter).collect();
+        self.filter_map(move |(pair, _)| outputs[pair].next())
+    }
+}
+
+impl Iterator for CampaignOrder<'_> {
+    type Item = (usize, Slot);
+
+    #[deny_alloc]
+    fn next(&mut self) -> Option<(usize, Slot)> {
+        let mut top = self.heap.peek_mut()?;
+        let Reverse((_, order, pair)) = *top;
+        let rest = &mut self.pairs[pair as usize];
+        let slot = *rest.next()?;
+        match rest.as_slice().first() {
+            // The pair's entry is replaced where it stands: one sift.
+            Some(s) => *top = Reverse((s.at, order, pair)),
+            None => _ = PeekMut::pop(top),
+        }
+        Some((pair as usize, slot))
+    }
 }
 
 /// Runs campaigns over a resolver population.
@@ -242,10 +307,6 @@ pub struct Campaign {
     entries: Vec<catalog::ResolverEntry>,
     /// The campaign's domains in config (probe) order.
     domains: Vec<CampaignDomain>,
-    /// Label-index → rank of the domain in sorted-domain order; the merge
-    /// and the per-pair ordering compare these integers instead of domain
-    /// strings.
-    domain_ranks: Vec<u32>,
     /// The probe engine (the authority tree every resolver recurses
     /// against): read-only, so every pair and worker thread borrows it.
     prober: Prober,
@@ -287,7 +348,7 @@ impl Campaign {
         entries: Vec<catalog::ResolverEntry>,
     ) -> Result<Self, String> {
         config.validate()?;
-        let domains: Vec<CampaignDomain> = config
+        let mut domains: Vec<CampaignDomain> = config
             .domains
             .iter()
             .map(|d| CampaignDomain {
@@ -295,25 +356,19 @@ impl Campaign {
                 // validate() proved every domain parses.
                 // detlint:allow(unwrap, validate() proved every domain parses)
                 name: Name::parse(d).expect("validated domain"),
+                rank: 0,
             })
             .collect();
         let mut sorted: Vec<Label> = domains.iter().map(|d| d.label).collect();
         sorted.sort_unstable();
         sorted.dedup();
-        let table = domains
-            .iter()
-            .map(|d| d.label.index())
-            .max()
-            .map_or(0, |m| m + 1);
-        let mut domain_ranks = vec![u32::MAX; table];
-        for (rank, label) in sorted.iter().enumerate() {
-            domain_ranks[label.index()] = rank as u32;
+        for d in &mut domains {
+            d.rank = sorted.partition_point(|&l| l < d.label) as u32;
         }
         Ok(Campaign {
             config,
             entries,
             domains,
-            domain_ranks,
             prober: Prober::new(),
         })
     }
@@ -331,13 +386,6 @@ impl Campaign {
     /// The resolver population this campaign probes.
     pub fn entries(&self) -> &[catalog::ResolverEntry] {
         &self.entries
-    }
-
-    pub(crate) fn domain_rank(&self, label: Label) -> u32 {
-        self.domain_ranks
-            .get(label.index())
-            .copied()
-            .unwrap_or(u32::MAX)
     }
 
     /// The spans that list `vantage`, in configuration order.
@@ -360,8 +408,8 @@ impl Campaign {
     /// listed twice) in schedule order. Each of the vantage's pairs fills
     /// exactly these slots, so this is the one definition of a pair's
     /// record order: [`run_pair`](Self::run_pair) places its records by
-    /// it, and the sharded engine's assembly merges shard files by it
-    /// without reading a record.
+    /// it, and [`CampaignOrder`] interleaves the pairs by it, so that both
+    /// engines order records without reading one.
     pub fn slots(&self, vantage: &str) -> Vec<Slot> {
         // Sized from the schedule, so it never regrows.
         let rounds: usize = self.spans_of(vantage).map(Span::round_count).sum();
@@ -370,13 +418,20 @@ impl Campaign {
         slots.extend(schedule.map(|(probe, (at, domain))| Slot {
             at: at.as_nanos(),
             domain: domain as u32,
-            rank: self.domain_rank(self.domains[domain].label),
             probe: probe as u32,
         }));
-        // `probe` is unique, so this is the stable sort by (time, rank)
-        // without the stable sort's scratch buffer.
-        slots.sort_unstable_by_key(|s| (s.at, s.rank, s.probe));
+        // `probe` is unique, so this is the stable sort by (time, domain
+        // rank) without the stable sort's scratch buffer.
+        slots.sort_unstable_by_key(|s| (s.at, self.domains[s.domain as usize].rank, s.probe));
         slots
+    }
+
+    /// Every vantage's [`slots`](Self::slots), indexed like
+    /// `config.vantages()` and so by [`PairPlan::vantage_index`]: what
+    /// [`CampaignOrder`] walks, computed once per engine run.
+    pub(crate) fn slot_table(&self) -> Vec<Vec<Slot>> {
+        let vantages = self.config.vantages();
+        vantages.iter().map(|v| self.slots(v.label)).collect()
     }
 
     /// Runs every probe on the calling thread.
@@ -384,8 +439,9 @@ impl Campaign {
         self.assemble(self.generate(1))
     }
 
-    /// Runs the campaign across `threads` worker threads (deterministic —
-    /// identical output to [`run`](Self::run) at any thread count).
+    /// Runs the campaign across `threads` threads, the calling thread one
+    /// of them (deterministic — identical output to [`run`](Self::run) at
+    /// any thread count).
     pub fn run_parallel(&self, threads: usize) -> CampaignResult {
         self.assemble(self.generate(threads))
     }
@@ -401,75 +457,56 @@ impl Campaign {
     #[doc(hidden)]
     pub fn run_reference(&self) -> CampaignResult {
         let plans = self.pair_plans();
-        let outputs: Vec<Vec<ProbeRecord>> =
-            plans.iter().map(|p| self.run_pair_over(p, false)).collect();
-        CampaignResult {
-            records: self.merge_pairs(outputs, &plans),
-            seed: self.config.seed,
-        }
+        let outputs = plans.iter().map(|p| self.run_pair_over(p, false)).collect();
+        self.assemble(GeneratedPairs { plans, outputs })
     }
 
-    /// The generation stage: runs every (vantage, resolver) pair — across
-    /// `threads` worker threads when `threads > 1` — and returns the
-    /// per-pair record streams, each already in canonical order. Output is
-    /// independent of the thread count; [`assemble`](Self::assemble)
-    /// merges the streams into a [`CampaignResult`]. Split out so the
-    /// bench harness can time generation separately from the merge.
+    /// The generation stage: runs every (vantage, resolver) pair across
+    /// `threads` threads, the calling thread one of them, and returns the
+    /// per-pair record streams, each already in canonical order. The pairs
+    /// go through the sharded engine's [`hand_off`]: every thread claims
+    /// the next pair and runs it, and the calling thread keeps the streams
+    /// in pair order, so output is independent of the thread count.
+    /// [`assemble`](Self::assemble) gathers the streams into a
+    /// [`CampaignResult`]; split out so the bench harness can time
+    /// generation separately from the gather.
     pub fn generate(&self, threads: usize) -> GeneratedPairs {
         let plans = self.pair_plans();
-        let threads = threads.max(1).min(plans.len().max(1));
-        if threads == 1 {
-            let outputs: Vec<Vec<ProbeRecord>> = plans.iter().map(|p| self.run_pair(p)).collect();
-            return GeneratedPairs { plans, outputs };
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut outputs: Vec<Vec<ProbeRecord>> = Vec::new();
-        outputs.resize_with(plans.len(), Vec::new);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let plans = &plans;
-                let next = &next;
-                handles.push(scope.spawn(move || {
-                    // Each worker returns (pair_index, records): where a
-                    // pair ran never affects where its records land.
-                    let mut out: Vec<(usize, Vec<ProbeRecord>)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= plans.len() {
-                            break;
-                        }
-                        out.push((i, self.run_pair(&plans[i])));
-                    }
-                    out
-                }));
-            }
-            for h in handles {
-                // detlint:allow(unwrap, propagates a worker panic; there is no partial result to salvage)
-                for (i, records) in h.join().expect("campaign worker panicked") {
-                    outputs[i] = records;
-                }
-            }
-        });
+        let pending: Vec<u32> = (0..plans.len() as u32).collect();
+        let mut outputs = Vec::with_capacity(plans.len());
+        let (generated, _) = hand_off(
+            &pending,
+            threads.saturating_sub(1),
+            |pair| self.run_pair(&plans[pair as usize]),
+            Ok::<_, Infallible>,
+            |records| {
+                outputs.push(records);
+                Ok(())
+            },
+        );
+        let Ok(()) = generated;
         GeneratedPairs { plans, outputs }
     }
 
-    /// The merge stage: combines generated pair streams into the final
-    /// canonical-order result.
+    /// The gather stage: takes the generated pair streams' records in
+    /// [`CampaignOrder`] into the final canonical-order result.
     pub fn assemble(&self, generated: GeneratedPairs) -> CampaignResult {
         let GeneratedPairs { plans, outputs } = generated;
+        let slots = self.slot_table();
+        let mut records = Vec::with_capacity(outputs.iter().map(Vec::len).sum());
+        records.extend(CampaignOrder::new(&plans, &slots).gather(outputs));
         CampaignResult {
-            records: self.merge_pairs(outputs, &plans),
+            records,
             seed: self.config.seed,
         }
     }
 
-    /// Every (vantage, resolver) pair with its interned labels and merge
-    /// rank.
+    /// Every (vantage, resolver) pair with its interned labels, its row of
+    /// the slot table and its rank.
     pub(crate) fn pair_plans(&self) -> Vec<PairPlan> {
         let vantages = self.config.vantages();
         let mut plans = Vec::with_capacity(vantages.len() * self.entries.len());
-        for v in &vantages {
+        for (vantage_index, v) in vantages.iter().enumerate() {
             let vantage_label = Label::from_static(v.label);
             for e in &self.entries {
                 plans.push(PairPlan {
@@ -477,14 +514,14 @@ impl Campaign {
                     entry: e.clone(),
                     vantage_label,
                     resolver_label: Label::from_static(e.hostname),
+                    vantage_index: vantage_index as u32,
                     order: 0,
                 });
             }
         }
-        // Rank pairs by their (vantage, resolver) strings once; the merge
+        // Rank pairs by their (vantage, resolver) strings once; the order
         // then compares only these integers. Stable sort keeps duplicate
-        // pairs in schedule order, mirroring the stable global sort the
-        // merge replaces.
+        // pairs in schedule order, each with a rank of its own.
         let mut by_key: Vec<usize> = (0..plans.len()).collect();
         by_key.sort_by(|&a, &b| {
             (plans[a].vantage.label, plans[a].entry.hostname)
@@ -613,68 +650,6 @@ impl Campaign {
         place(&mut records, &mut slots);
         records
     }
-
-    /// Stable k-way merge of per-pair record streams into canonical
-    /// (time, vantage, resolver, domain) order. Each stream is already
-    /// sorted, so the merge is O(n log pairs) integer-tuple comparisons —
-    /// no global sort, no string comparison, no record is copied twice.
-    #[deny_alloc]
-    pub(crate) fn merge_pairs(
-        &self,
-        outputs: Vec<Vec<ProbeRecord>>,
-        plans: &[PairPlan],
-    ) -> Vec<ProbeRecord> {
-        debug_assert_eq!(outputs.len(), plans.len());
-        let total: usize = outputs.iter().map(Vec::len).sum();
-        let mut merged = Vec::with_capacity(total);
-
-        struct Cursor {
-            head: Option<ProbeRecord>,
-            rest: std::vec::IntoIter<ProbeRecord>,
-        }
-        let mut cursors: Vec<Cursor> = outputs
-            .into_iter()
-            .map(|records| {
-                let mut rest = records.into_iter();
-                Cursor {
-                    head: rest.next(),
-                    rest,
-                }
-            })
-            .collect();
-
-        // Min-heap keyed by (time, pair rank, domain rank, pair index).
-        // The pair index both addresses the cursor and breaks exact-key
-        // ties in schedule order (stability).
-        let mut heap: BinaryHeap<Reverse<(u64, u32, u32, u32)>> =
-            BinaryHeap::with_capacity(cursors.len());
-        for (i, c) in cursors.iter().enumerate() {
-            if let Some(r) = &c.head {
-                heap.push(Reverse((
-                    r.at.as_nanos(),
-                    plans[i].order,
-                    self.domain_rank(r.domain_id()),
-                    i as u32,
-                )));
-            }
-        }
-        while let Some(Reverse((_, order, _, i))) = heap.pop() {
-            let cursor = &mut cursors[i as usize];
-            // detlint:allow(unwrap, heap entries are only pushed with a populated head record)
-            let record = cursor.head.take().expect("heap entry without record");
-            cursor.head = cursor.rest.next();
-            if let Some(r) = &cursor.head {
-                heap.push(Reverse((
-                    r.at.as_nanos(),
-                    order,
-                    self.domain_rank(r.domain_id()),
-                    i,
-                )));
-            }
-            merged.push(record);
-        }
-        merged
-    }
 }
 
 /// Moves each of `records`, which are in schedule order, to its slot: the
@@ -713,6 +688,32 @@ mod tests {
         .map(|h| catalog::resolvers::find(h).unwrap())
         .collect();
         Campaign::with_resolvers(CampaignConfig::quick(seed, 3), entries)
+    }
+
+    #[test]
+    fn the_order_over_a_pair_range_is_the_whole_order_restricted_to_it() {
+        // Time ties within a pair (a domain twice, overlapping spans) and across pairs.
+        let mut config = CampaignConfig::quick(2, 2);
+        config.domains.push(config.domains[0].clone());
+        config.spans.push(Span {
+            start_day: 0,
+            days: 1,
+            rounds_per_day: 4,
+            vantages: config.spans[0].vantages[..1].to_vec(),
+        });
+        let c = Campaign::with_resolvers(config, small_campaign(2).entries.clone());
+        let (plans, slots) = (c.pair_plans(), c.slot_table());
+        let whole: Vec<(usize, Slot)> = CampaignOrder::new(&plans, &slots).collect();
+        assert_eq!(whole.len(), c.probe_count());
+        for start in 0..=plans.len() {
+            for end in start..=plans.len() {
+                let range = CampaignOrder::new(&plans[start..end], &slots);
+                let walked: Vec<(usize, Slot)> = range.map(|(p, s)| (start + p, s)).collect();
+                let mut restricted = whole.clone();
+                restricted.retain(|(p, _)| (start..end).contains(p));
+                assert_eq!(walked, restricted, "pairs {start}..{end}");
+            }
+        }
     }
 
     #[test]
@@ -759,7 +760,6 @@ mod tests {
             .map(|&probe| Slot {
                 at: 0,
                 domain: 0,
-                rank: 0,
                 probe,
             })
             .collect();

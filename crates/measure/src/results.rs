@@ -538,11 +538,6 @@ impl ProbeRecord {
         self.resolver
     }
 
-    /// The interned domain.
-    pub fn domain_id(&self) -> Label {
-        self.domain
-    }
-
     /// Appends this record's JSON-Lines rendering (no trailing newline) to
     /// a caller-owned buffer. Byte-identical to
     /// `self.to_json().to_string_compact()` — the keys below are exactly
@@ -1216,7 +1211,6 @@ mod tests {
         assert_eq!(r.domain(), "google.com");
         assert_eq!(r.vantage_id().as_str(), "ec2-ohio");
         assert_eq!(r.resolver_id(), obs::Label::intern("dns.google"));
-        assert_eq!(r.domain_id(), obs::Label::intern("google.com"));
     }
 
     #[test]

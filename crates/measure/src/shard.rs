@@ -5,10 +5,10 @@
 //! whole pair always lives in exactly one shard — the per-pair RNG stream
 //! is sequential, so a pair can never be split without replaying it.
 //! Shards execute independently, in two halves. The *generate* half runs
-//! a shard's pairs, folds each pair's aggregate, metrics and health cells
-//! and its retry exhaustions, and merges their records; the *persist*
-//! half writes the records as a JSONL data file and the folds as a cell
-//! file (both tmp + rename, so a
+//! a shard's pairs and folds each pair's aggregate, metrics and health
+//! cells and its retry exhaustions; the *persist* half writes the records,
+//! in [`CampaignOrder`] over the shard's pairs, as a JSONL data file and
+//! the folds as a cell file (both tmp + rename, so a
 //! crash never leaves a torn file under the real name), after which the
 //! shard is marked complete in the campaign [`Manifest`] — a commit that
 //! costs O(shards), not O(work done so far). In [`hand_off`] every
@@ -20,13 +20,12 @@
 //! The read side has two lanes as well. *Validation* re-checks every
 //! complete shard's files, every other shard on a second thread.
 //! *Assembly* copies the shard files' lines into the final campaign JSONL
-//! without parsing one: the campaign schedule ([`Campaign::slots`]) says
-//! which pair's probe comes next, so the next line of that pair's shard
-//! file is copied, after a check that it closes like the record of that
-//! slot. A second thread installs the cells one cell file at a time —
-//! metrics, aggregates, health and journal events all come from them.
-//! Memory stays O(shards) read buffers + O(pairs) cells and cursors, never
-//! O(records).
+//! without parsing one: [`CampaignOrder`] over every pair says which
+//! pair's probe comes next, so the next line of that pair's shard file is
+//! copied, after a check that it closes like the record of that slot. A
+//! second thread installs the cells one cell file at a time — metrics,
+//! aggregates, health and journal events all come from them. Memory stays
+//! O(shards) read buffers + O(pairs) cells and cursors, never O(records).
 //!
 //! Determinism contract (DESIGN.md §9): for any seed, shard count, thread
 //! count, and any kill/resume schedule,
@@ -36,14 +35,13 @@
 //! ```
 //!
 //! — byte-identical final JSONL, identical metrics snapshot, identical
-//! aggregate cells. A pair's records take its vantage's slot order, and
-//! pairs merge by the `(time, pair rank, domain rank)` key the one-shot
-//! engine uses. Pair ranks are unique (duplicate pairs are rejected at
-//! construction), so that key orders the whole campaign and each shard
-//! file, written in the same order, is read straight through.
+//! aggregate cells. Both engines walk the one [`CampaignOrder`]: a pair's
+//! records take its vantage's slot order, and pairs interleave by
+//! `(time, pair rank)`. The walk over a shard's pairs is the campaign's
+//! walk restricted to them, so each shard file, written in it, is read
+//! straight through.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write as _};
@@ -61,7 +59,7 @@ use obs::{
 };
 
 use crate::aggregate::{CampaignAggregates, PairAggregate};
-use crate::campaign::{observe_cell, Campaign, PairPlan, Slot};
+use crate::campaign::{observe_cell, Campaign, CampaignOrder, PairPlan, Slot};
 use crate::checkpoint::{
     fnv64, fnv64_extend, fnv64_lanes, io_err, write_atomic, write_atomic_bytes, CheckpointError,
     Manifest, PairDayHealth, PairMetrics, RetryExhausted, ShardCells, ShardCheckpoint, ShardState,
@@ -94,7 +92,7 @@ pub struct ShardedOutcome {
     /// Bounded-memory per-pair aggregates.
     pub aggregates: CampaignAggregates,
     /// Scheduler telemetry: planned/executed/resumed shard counts,
-    /// checkpoint traffic, merge volume.
+    /// checkpoint traffic, assembly volume.
     pub run: ShardRunMetrics,
     /// One span per shard laying its simulated-time extent on a timeline.
     pub spans: SpanLog,
@@ -150,7 +148,7 @@ impl ShardedOutcome {
 /// the lanes, so together they account for the phase's wall time on each:
 ///
 /// ```text
-/// generate_s + fold_s + merge_s + serialise_s + data_write_s + cell_write_s
+/// generate_s + fold_s + serialise_s + data_write_s + cell_write_s
 ///     + commit_s + wait_s
 ///     == lanes * execute_wall_s
 /// ```
@@ -175,9 +173,8 @@ pub struct StageLedger {
     /// The per-pair fold: aggregate, metrics and per-(pair, day) health
     /// cells, and the retry exhaustions.
     pub fold_s: f64,
-    /// `merge_pairs` within each shard.
-    pub merge_s: f64,
-    /// Rendering each shard's JSONL body, checksummed as it is rendered.
+    /// Rendering each shard's JSONL body in [`CampaignOrder`] over its
+    /// pairs, checksummed as it is rendered.
     pub serialise_s: f64,
     /// Data-file write + rename.
     pub data_write_s: f64,
@@ -189,29 +186,29 @@ pub struct StageLedger {
     /// others are still landing, a worker before its start and after its
     /// last shard.
     pub wait_s: f64,
-    /// Assembly's wall time less its writes: the schedule's slots, the
-    /// merge over them, and each line's read, check and copy on the calling
-    /// thread, then whatever wait is left for the cell lane to finish.
+    /// Assembly's wall time less its writes: the walk of the
+    /// [`CampaignOrder`], and each line's read, check and copy on the
+    /// calling thread, then whatever wait is left for the cell lane to
+    /// finish.
     pub assemble_read_s: f64,
     /// Assembly's writes of the campaign JSONL.
     pub assemble_write_s: f64,
     /// The cell lane's own wall time: every cell file read, decoded in
     /// one pass with no `Json` tree, checked and installed — aggregates,
     /// metrics, health and retry exhaustions — on a second thread while
-    /// the merge runs, which takes longer. Overlapped with the two rows
+    /// the line copy runs, which takes longer. Overlapped with the two rows
     /// above, so not a term of [`phases_s`](Self::phases_s).
     pub assemble_cells_s: f64,
 }
 
 impl StageLedger {
     /// The stages in pipeline order, by field name.
-    pub fn rows(&self) -> [(&'static str, f64); 13] {
+    pub fn rows(&self) -> [(&'static str, f64); 12] {
         [
             ("validate_s", self.validate_s),
             ("execute_wall_s", self.execute_wall_s),
             ("generate_s", self.generate_s),
             ("fold_s", self.fold_s),
-            ("merge_s", self.merge_s),
             ("serialise_s", self.serialise_s),
             ("data_write_s", self.data_write_s),
             ("cell_write_s", self.cell_write_s),
@@ -228,7 +225,6 @@ impl StageLedger {
     pub fn lanes_s(&self) -> f64 {
         self.generate_s
             + self.fold_s
-            + self.merge_s
             + self.serialise_s
             + self.data_write_s
             + self.cell_write_s
@@ -348,15 +344,6 @@ fn validate_files(files: &[Recorded], block: &mut [u8]) -> Result<(), (usize, Ch
     failed.map_or(Ok(()), Err)
 }
 
-/// What every pair of one vantage shares in assembly.
-struct VantageSlots {
-    vantage: Label,
-    /// The slots each of its pairs fills, in order.
-    slots: Vec<Slot>,
-    /// How each of its pairs' lines closes ([`ProbeRecord::line_tail`]).
-    tail: Vec<u8>,
-}
-
 /// One shard data file as assembly reads it: straight through, a line
 /// at a time, each into the output block.
 struct ShardReader {
@@ -375,16 +362,6 @@ struct InstalledCells {
     metrics: MetricsRegistry,
     /// The journal's `retry_exhausted` events.
     events: Vec<JournalEvent>,
-}
-
-/// One pair's place in assembly's merge.
-struct PairCursor {
-    /// Its shard, which is its reader's index.
-    shard: u32,
-    /// Its vantage's index among the [`VantageSlots`].
-    vantage: u32,
-    /// The next of its slots to fill.
-    next: usize,
 }
 
 /// The shards `manifest` does not hold complete, lowest index first.
@@ -418,10 +395,10 @@ impl Laps {
 
 /// One shard as the generate half hands it to the persist half.
 struct GeneratedShard {
-    /// The shard's records in canonical order.
-    merged: Vec<ProbeRecord>,
+    /// Each of the shard's pairs' records, in pair order.
+    outputs: Vec<Vec<ProbeRecord>>,
     cells: ShardCells,
-    /// The generate stages (`generate_s`, `fold_s`, `merge_s`).
+    /// The generate stages (`generate_s`, `fold_s`).
     stages: StageLedger,
 }
 
@@ -453,14 +430,16 @@ pub struct HandOff {
     pub wait_s: f64,
 }
 
-/// The execute phase: identical lanes, one per thread. Up to `workers`
-/// threads are spawned beside the calling thread (`edns-shard-0`, …; none
-/// for fewer than two items, and a worker the OS will not start is simply
-/// absent). Every lane claims the next of `pending`'s items off one atomic
-/// cursor, `generate`s it and `persist`s it, then claims the next. The
-/// calling thread also `commit`s: it keeps the persisted items in a
-/// reorder buffer and commits the longest prefix of `pending` that has
-/// landed, so commits follow `pending`'s order whatever the worker count.
+/// The one claim loop: the execute phase over shards, and
+/// [`Campaign::generate`] over pairs. Identical lanes, one per thread. Up
+/// to `workers` threads are spawned beside the calling thread
+/// (`edns-lane-0`, …; none for fewer than two items, and a worker the OS
+/// will not start is simply absent). Every lane claims the next of
+/// `pending`'s items off one atomic cursor, `generate`s it and `persist`s
+/// it, then claims the next. The calling thread also `commit`s: it keeps
+/// the persisted items in a reorder buffer and commits the longest prefix
+/// of `pending` that has landed, so commits follow `pending`'s order
+/// whatever the worker count.
 /// A lane holds one generated item at most, and only persisted ones wait.
 ///
 /// A failed `persist` stops every lane from claiming more. The calling
@@ -504,7 +483,7 @@ pub fn hand_off<T, P: Send, E: Send>(
         let handles: Vec<_> = (0..workers.min(pending.len().saturating_sub(1)))
             .filter_map(|i| {
                 let (land, work) = (land.clone(), &work);
-                let worker = std::thread::Builder::new().name(format!("edns-shard-{i}"));
+                let worker = std::thread::Builder::new().name(format!("edns-lane-{i}"));
                 let spawned = worker.spawn_scoped(scope, move || {
                     let started_at = execute.elapsed_secs();
                     while let Some(landed) = work() {
@@ -604,6 +583,9 @@ pub struct ShardedRunner<'a> {
     /// Every (vantage, resolver) pair in schedule order, ranked once here
     /// rather than on each use.
     plans: Vec<PairPlan>,
+    /// Every vantage's slots ([`Campaign::slot_table`]): what
+    /// [`CampaignOrder`] walks to write the shard files and to assemble.
+    slots: Vec<Vec<Slot>>,
     shards: u32,
     dir: PathBuf,
     /// Operator-facing wall-clock progress lines on stderr.
@@ -615,9 +597,8 @@ impl<'a> ShardedRunner<'a> {
     /// `dir` (created if absent).
     ///
     /// Rejects a shard count of zero and campaigns with duplicate
-    /// (vantage, resolver) pairs — a duplicated pair would appear in two
-    /// shards with the same merge rank, making the cross-shard order
-    /// ambiguous.
+    /// (vantage, resolver) pairs — a duplicated pair's cells would install
+    /// twice under one (vantage, resolver) label pair.
     pub fn new(
         campaign: &'a Campaign,
         shards: u32,
@@ -646,6 +627,7 @@ impl<'a> ShardedRunner<'a> {
             campaign,
             shards: shards.min(plans.len().max(1) as u32),
             plans,
+            slots: campaign.slot_table(),
             dir,
             progress: false,
         })
@@ -855,8 +837,8 @@ impl<'a> ShardedRunner<'a> {
         }
     }
 
-    /// The generate half of a shard: runs its pairs, folds their cells
-    /// and merges their records. Touches no file.
+    /// The generate half of a shard: runs its pairs and folds their cells.
+    /// Touches no file.
     fn generate_shard(&self, index: u32) -> GeneratedShard {
         let mut laps = Laps::start();
         let mut stages = StageLedger::default();
@@ -871,10 +853,10 @@ impl<'a> ShardedRunner<'a> {
 
         // Per-pair aggregate and metrics cells, per-(pair, day) health
         // cells and retry exhaustions, all folded in each pair's own
-        // canonical order (merging never reorders records within a pair,
-        // and a pair is one metrics cell) — so every one of them is what
-        // the one-shot engine folds over the merged stream, whatever the
-        // shard count and resume schedule.
+        // canonical order (the campaign order never reorders records
+        // within a pair, and a pair is one metrics cell) — so every one of
+        // them is what the one-shot engine folds over the whole stream,
+        // whatever the shard count and resume schedule.
         let mut cells = ShardCells {
             shard: index,
             pairs: Vec::with_capacity(shard_plans.len()),
@@ -918,25 +900,23 @@ impl<'a> ShardedRunner<'a> {
             cells.health.extend(days);
         }
         stages.fold_s = laps.lap();
-
-        let merged = self.campaign.merge_pairs(outputs, shard_plans);
-        stages.merge_s = laps.lap();
         GeneratedShard {
-            merged,
+            outputs,
             cells,
             stages,
         }
     }
 
-    /// The persist half of a shard: writes its data file, then its cell
-    /// file (each tmp + rename), timing itself. The shard is not complete
-    /// until [`commit_shard`](Self::commit_shard) puts the checkpoint in
-    /// the manifest; a kill before that leaves files the re-run simply
-    /// overwrites.
+    /// The persist half of a shard: writes its data file, its records
+    /// taken from the pairs' streams in [`CampaignOrder`] over the shard's
+    /// pairs, then its cell file (each tmp + rename), timing itself. The
+    /// shard is not complete until [`commit_shard`](Self::commit_shard)
+    /// puts the checkpoint in the manifest; a kill before that leaves files
+    /// the re-run simply overwrites.
     fn persist_shard(&self, shard: GeneratedShard) -> Result<PersistedShard, CheckpointError> {
         let mut laps = Laps::start();
         let GeneratedShard {
-            merged,
+            outputs,
             cells,
             mut stages,
         } = shard;
@@ -948,7 +928,8 @@ impl<'a> ShardedRunner<'a> {
         // is summed as it is appended, while it is still in cache, and
         // each record is freed once rendered. Time inside `write_all` is
         // the data write; the rest of the loop is serialisation.
-        let records = merged.len() as u64;
+        let records = outputs.iter().map(Vec::len).sum::<usize>() as u64;
+        let order = CampaignOrder::new(&self.plans[self.shard_range(index)], &self.slots);
         let path = self.shard_path(index);
         let mut checksum = FNV64_INIT;
         let mut bytes = 0u64;
@@ -966,7 +947,7 @@ impl<'a> ShardedRunner<'a> {
                 write_s += watch.elapsed_secs() - started;
                 written
             };
-            for r in merged {
+            for r in order.gather(outputs) {
                 let line_start = out.len();
                 r.write_json_line(&mut out);
                 out.push('\n');
@@ -1019,7 +1000,6 @@ impl<'a> ShardedRunner<'a> {
         } = shard;
         stages.generate_s += shard_stages.generate_s;
         stages.fold_s += shard_stages.fold_s;
-        stages.merge_s += shard_stages.merge_s;
         stages.serialise_s += shard_stages.serialise_s;
         stages.data_write_s += shard_stages.data_write_s;
         stages.cell_write_s += shard_stages.cell_write_s;
@@ -1246,28 +1226,6 @@ impl<'a> ShardedRunner<'a> {
         Ok(installed)
     }
 
-    /// Every vantage's slots, computed once per vantage, and which of them
-    /// each pair (in pair order) fills.
-    fn vantage_slots(&self) -> (Vec<VantageSlots>, Vec<u32>) {
-        let mut vantages: Vec<VantageSlots> = Vec::new();
-        let of_pair = self
-            .plans
-            .iter()
-            .map(|p| {
-                let known = vantages.iter().position(|v| v.vantage == p.vantage_label);
-                known.unwrap_or_else(|| {
-                    vantages.push(VantageSlots {
-                        vantage: p.vantage_label,
-                        slots: self.campaign.slots(p.vantage.label),
-                        tail: ProbeRecord::line_tail(p.vantage.label),
-                    });
-                    vantages.len() - 1
-                }) as u32
-            })
-            .collect();
-        (vantages, of_pair)
-    }
-
     /// The fault plan's windows, as journal events.
     fn fault_windows(&self) -> impl Iterator<Item = JournalEvent> + '_ {
         self.campaign.config().faults.events.iter().map(|f| {
@@ -1292,16 +1250,15 @@ impl<'a> ShardedRunner<'a> {
     /// JSONL in schedule order, while a second thread
     /// [installs the checkpointed cells](Self::install_cells) — the same
     /// way whether this process executed the shard or resumed it. No
-    /// record is parsed: a min-heap over per-pair slot cursors, keyed
-    /// `(time, pair rank, domain rank, pair)`, names the pair whose probe
-    /// comes next, and the next line of that pair's shard file is copied
-    /// once it closes like that probe's record
+    /// record is parsed: [`CampaignOrder`] over every pair names the pair
+    /// whose probe comes next, and the next line of that pair's shard file
+    /// is copied once it closes like that probe's record
     /// ([`ProbeRecord::line_closes_at`]). A line that does not, a file
     /// that ends early and a file with lines to spare are `ShardData`
     /// errors naming the file. The campaign file takes its name only once
-    /// both halves have succeeded; when both fail, the merge's error is
-    /// the one returned. Memory: one read buffer per shard, a cursor per
-    /// pair, each vantage's slots, one shard's cells, and the
+    /// both halves have succeeded; when both fail, the line copy's error
+    /// is the one returned. Memory: one read buffer per shard, the order's
+    /// cursor per pair, each vantage's slots, one shard's cells, and the
     /// O(pairs × days) series.
     fn assemble(
         &self,
@@ -1317,7 +1274,7 @@ impl<'a> ShardedRunner<'a> {
         let watch = Stopwatch::start();
         let jsonl_path = self.dir.join(CAMPAIGN_FILE);
         let (records, extents, installed) = std::thread::scope(|scope| {
-            // The cell lane: nothing in the merge reads what it builds.
+            // The cell lane: nothing in the line copy reads what it builds.
             let cell_lane = std::thread::Builder::new()
                 .name("edns-cells".to_string())
                 .spawn_scoped(scope, || {
@@ -1328,12 +1285,16 @@ impl<'a> ShardedRunner<'a> {
                 .map_err(|e| CheckpointError::Io(format!("spawn edns-cells: {e}")))?;
 
             // Per shard: its reader, the lines its pairs' slots add up to
-            // and its simulated extent; per pair, its cursor.
-            let (vantages, of_pair) = self.vantage_slots();
-            let slots_of = |pair: usize| &vantages[of_pair[pair] as usize].slots;
+            // and its simulated extent; per pair, its shard and vantage.
+            let vantages = self.campaign.config().vantages();
+            let tails: Vec<Vec<u8>> = vantages
+                .iter()
+                .map(|v| ProbeRecord::line_tail(v.label))
+                .collect();
+            let slots_of = |pair: usize| &self.slots[self.plans[pair].vantage_index as usize];
             let mut readers = Vec::with_capacity(self.shards as usize);
             let mut extents = Vec::with_capacity(self.shards as usize);
-            let mut cursors = Vec::with_capacity(self.plans.len());
+            let mut of_pair = Vec::with_capacity(self.plans.len());
             for (i, state) in manifest.states.iter().enumerate() {
                 let range = self.shard_range(i as u32);
                 let slots = || range.clone().map(slots_of).filter(|s| !s.is_empty());
@@ -1358,18 +1319,8 @@ impl<'a> ShardedRunner<'a> {
                     expected,
                 });
                 extents.push((first, last));
-                cursors.extend(range.map(|pair| PairCursor {
-                    shard: i as u32,
-                    vantage: of_pair[pair],
-                    next: 0,
-                }));
-            }
-            let mut heap: BinaryHeap<Reverse<(u64, u32, u32, u32)>> =
-                BinaryHeap::with_capacity(cursors.len());
-            for (pair, plan) in self.plans.iter().enumerate() {
-                if let Some(s) = slots_of(pair).first() {
-                    heap.push(Reverse((s.at, plan.order, s.rank, pair as u32)));
-                }
+                let plans = &self.plans[range];
+                of_pair.extend(plans.iter().map(|p| (i, p.vantage_index as usize)));
             }
 
             let (records, installed) = write_atomic(&jsonl_path, |file| {
@@ -1382,10 +1333,9 @@ impl<'a> ShardedRunner<'a> {
                     written
                 };
                 let mut ts = String::new();
-                while let Some(Reverse((at, order, _, pair))) = heap.pop() {
-                    let cursor = &mut cursors[pair as usize];
-                    let vantage = &vantages[cursor.vantage as usize];
-                    let shard = &mut readers[cursor.shard as usize];
+                for (pair, Slot { at, .. }) in CampaignOrder::new(&self.plans, &self.slots) {
+                    let (shard, vantage) = of_pair[pair];
+                    let shard = &mut readers[shard];
                     let start = out.len();
                     let read = shard
                         .reader
@@ -1400,18 +1350,14 @@ impl<'a> ShardedRunner<'a> {
                         )));
                     }
                     shard.lines += 1;
-                    if !ProbeRecord::line_closes_at(&out[start..], &vantage.tail, at, &mut ts) {
+                    if !ProbeRecord::line_closes_at(&out[start..], &tails[vantage], at, &mut ts) {
                         return Err(CheckpointError::ShardData(format!(
                             "{}: line {} is not the engine-written record of its slot, \
                              {} at {at} ns",
                             shard.path.display(),
                             shard.lines,
-                            vantage.vantage.as_str()
+                            vantages[vantage].label
                         )));
-                    }
-                    cursor.next += 1;
-                    if let Some(s) = vantage.slots.get(cursor.next) {
-                        heap.push(Reverse((s.at, order, s.rank, pair)));
                     }
                     if out.len() >= ASSEMBLE_WRITE_BYTES {
                         flush(&mut out)?;

@@ -2,7 +2,7 @@
 //!
 //! The fixtures under `tests/golden/` were generated by the pre-interning
 //! implementation (global string sort, JSON-tree serializer). The current
-//! hot path — interned labels, per-pair k-way merge, streaming JSONL —
+//! hot path — interned labels, pair streams in campaign order, streaming JSONL —
 //! must reproduce them byte-for-byte, for both the JSON Lines record
 //! stream and the rendered metrics snapshot.
 //!

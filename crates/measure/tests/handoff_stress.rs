@@ -1,4 +1,5 @@
-//! The sharded runner's execute phase ([`measure::shard::hand_off`]): every
+//! The one claim loop ([`measure::shard::hand_off`]), which runs the
+//! sharded runner's execute phase and `Campaign::generate`'s pairs: every
 //! lane — the calling thread and the workers spawned beside it — claims
 //! the next pending shard, generates it and persists it, and the calling
 //! thread commits the persisted shards in pending order. Driven here with
@@ -18,9 +19,8 @@ use measure::shard::{hand_off, HandOff};
 
 const SHARDS: usize = 6;
 
-/// Real-thread repetitions of each case (`loom::STRESS_ITERATIONS`, the
-/// same count the models beside this file run for).
-const REPEATS: usize = loom::STRESS_ITERATIONS;
+/// Real-thread repetitions of each case.
+const REPEATS: usize = 64;
 
 /// Where a hand-off is made to fail.
 #[derive(Debug, Clone, Copy)]

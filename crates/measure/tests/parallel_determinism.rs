@@ -3,9 +3,9 @@
 //! byte-identical to `run()` for n in {1, 2, 3, 7, 16} — record streams,
 //! the rendered JSONL document, and the rendered metrics snapshot.
 //!
-//! This pins the k-way merge design: workers return `(pair_index,
-//! records)` and the merge is keyed on precomputed integer ranks, so
-//! scheduling can never leak into the output.
+//! This pins the design: threads claim pairs through one claim loop, the
+//! calling thread keeps their streams in pair order, and the schedule alone
+//! interleaves them, so scheduling can never leak into the output.
 
 use measure::{Campaign, CampaignConfig};
 

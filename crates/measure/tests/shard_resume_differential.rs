@@ -3,9 +3,9 @@
 //! be **byte-identical** to a sharded run — and to a campaign killed and
 //! resumed at *every* shard boundary. Compares the final JSONL bytes, the
 //! metrics snapshot render, and the bounded-memory aggregate cells. And
-//! since assembly merges by the campaign schedule rather than by reading
-//! records, every pair's generated records must fill its vantage's slots
-//! in order.
+//! since both engines order records by the campaign schedule rather than
+//! by reading them, every pair's generated records must fill its
+//! vantage's slots in order.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -39,7 +39,7 @@ pub struct ShardRunMetrics {
     pub cell_bytes: Counter,
     /// Manifest rewrites performed by this run.
     pub manifest_writes: Counter,
-    /// Records streamed through the final k-way assembly merge.
+    /// Records assembly copied into the campaign file, in campaign order.
     pub records_merged: Counter,
 }
 
