@@ -16,12 +16,12 @@
 //! JSON body:
 //!
 //! ```text
-//! edns-checkpoint v4 <16-hex fnv64 of body>
+//! edns-checkpoint v5 <16 lower-case hex digits: checksum of body>
 //! {"entries":[...],"fingerprint":"...","pairs":21,"seed":"2a","shards":4}
 //! ```
 //!
 //! ```text
-//! edns-checkpoint v4 <16-hex fnv64 of body>
+//! edns-checkpoint v5 <16 lower-case hex digits: checksum of body>
 //! {"cells":[...],"exhausted":[...],"health":[...],"metrics":[...],"shard":2}
 //! ```
 //!
@@ -29,9 +29,14 @@
 //! truncated write, a corrupt byte, or a file from a different format
 //! version is detected and rejected with a typed [`CheckpointError`] — the
 //! engine then re-runs from scratch rather than silently resuming from bad
-//! state. The `fingerprint` binds the manifest to one campaign
-//! configuration (seed, pair list, schedule); resuming with a different
-//! configuration is a [`CheckpointError::ConfigMismatch`].
+//! state. One checksum, [`Checksum`], sums every byte the checkpoint
+//! vouches for: the framed bodies, and the data and cell files whose
+//! checksums the manifest records. It is FNV-1a's step over little-endian
+//! `u64` words in four lanes, which runs at memory speed where byte-serial
+//! FNV-1a ([`fnv64`], kept for fingerprints and content hashes) waits on a
+//! multiply at every byte. The `fingerprint` binds the manifest to one
+//! campaign configuration (seed, pair list, schedule); resuming with a
+//! different configuration is a [`CheckpointError::ConfigMismatch`].
 //!
 //! Every float in a body is written with the workspace's
 //! shortest-round-trip formatter ([`crate::json::write_float`]), which
@@ -53,6 +58,7 @@ use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use detlint_macros::deny_alloc;
 use edns_stats::{Availability, LatencySketch, RunningMoments};
 use obs::{CellMetrics, Counter, Gauge, Histogram, Label, Phase};
 
@@ -63,51 +69,116 @@ use crate::json::{self, Json, LineReader};
 
 /// The checkpoint format version this build reads and writes.
 ///
-/// v4 cell files carry each pair's metrics cell and retry exhaustions, so
-/// assembly reads no record. Earlier versions are rejected: the engine
-/// re-runs from scratch rather than resuming from cells it no longer
-/// reads or cell files that lack what it needs.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// v5 sums files and bodies with [`Checksum`]; v4, the same files under
+/// byte-serial FNV-1a, and earlier versions are rejected: the engine
+/// re-runs from scratch rather than resuming from checksums it does not
+/// compute or cell files that lack what it needs.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// The magic token opening every checkpoint header line.
 pub const CHECKPOINT_MAGIC: &str = "edns-checkpoint";
 
-/// The FNV-1a offset basis: the checksum of no bytes, and the state
-/// [`fnv64_extend`] starts from.
-pub(crate) const FNV64_INIT: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a offset basis: the state [`fnv64`] and every fold of
+/// [`Checksum::finish`] start from.
+const FNV64_INIT: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// 64-bit FNV-1a — the workspace's dependency-free content checksum.
+/// The FNV-1a prime.
+const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a step: `x` xored into `h`, then a multiply by the odd prime.
+/// A bijection of `h` for any `x`, and of `x` for any `h`.
+fn fnv_step(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(FNV64_PRIME)
+}
+
+/// 64-bit FNV-1a, one step per byte — the workspace's dependency-free
+/// content hash: fingerprints, ticket ids and golden hashes.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_extend(FNV64_INIT, bytes)
+    bytes.iter().fold(FNV64_INIT, |h, &b| fnv_step(h, b.into()))
 }
 
-/// Continues an FNV-1a checksum `h` over `bytes`, so a writer can sum
-/// what it produces piece by piece: extending over the pieces in order
-/// equals [`fnv64`] over their concatenation.
-pub(crate) fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Bytes [`Checksum`] takes per round: one word for each of its lanes.
+const STRIDE: usize = 32;
+
+/// The checkpoint checksum. Each 32-byte stride of the input is four
+/// little-endian `u64` words, and word `i` takes one FNV-1a step of lane
+/// `i`: four independent multiplies in flight, where byte-serial FNV-1a
+/// waits on one per byte. [`finish`](Self::finish) takes the [`fnv64`] of
+/// the tail of fewer than 32 bytes, then steps it over each lane as one
+/// word, then over the length.
+///
+/// Each step is a bijection of the state it updates, so two inputs of one
+/// length that differ in a single byte never sum alike. Unlike byte-serial
+/// FNV-1a, a word's top bits reach only its lane's top bits, so changes
+/// confined to the high bytes of several words of one lane can cancel: a
+/// guard against damage, not against an adversary. [`update`](Self::update)
+/// over the pieces of an input, split anywhere, equals [`checksum`].
+#[derive(Debug)]
+pub struct Checksum {
+    lanes: [u64; 4],
+    /// The first `len % STRIDE` bytes of a stride not yet whole.
+    stride: [u8; STRIDE],
+    len: u64,
 }
 
-/// [`fnv64_extend`] on four states at once, state `i` over `bytes[i]`;
-/// the four slices are of equal length. One FNV-1a chain waits on its
-/// xor→multiply latency at every byte; four independent chains in one
-/// loop fill those waits, so this hashes the bytes about four times as
-/// fast as four calls of `fnv64_extend` do, to the same states.
-pub(crate) fn fnv64_lanes(h: [u64; 4], bytes: [&[u8]; 4]) -> [u64; 4] {
-    debug_assert!(bytes.iter().all(|b| b.len() == bytes[0].len()));
-    let [mut a, mut b, mut c, mut d] = h;
-    let [w, x, y, z] = bytes;
-    for (((&p, &q), &r), &s) in w.iter().zip(x).zip(y).zip(z) {
-        a = (a ^ p as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        b = (b ^ q as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        c = (c ^ r as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        d = (d ^ s as u64).wrapping_mul(0x0000_0100_0000_01b3);
+impl Default for Checksum {
+    fn default() -> Checksum {
+        let (lanes, stride) = ([FNV64_INIT; 4], [0; STRIDE]);
+        Checksum {
+            lanes,
+            stride,
+            len: 0,
+        }
     }
-    [a, b, c, d]
+}
+
+impl Checksum {
+    /// Sums `bytes` after everything summed so far.
+    #[deny_alloc]
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        let held = self.len as usize % STRIDE;
+        self.len += bytes.len() as u64;
+        if held > 0 {
+            let (head, rest) = bytes.split_at(bytes.len().min(STRIDE - held));
+            self.stride[held..held + head.len()].copy_from_slice(head);
+            if held + head.len() < STRIDE {
+                return;
+            }
+            let stride = self.stride;
+            run_lanes(&mut self.lanes, &stride);
+            bytes = rest;
+        }
+        let rest = run_lanes(&mut self.lanes, bytes);
+        self.stride[..rest.len()].copy_from_slice(rest);
+    }
+
+    /// The checksum of everything summed so far.
+    pub fn finish(&self) -> u64 {
+        let tail = fnv64(&self.stride[..self.len as usize % STRIDE]);
+        let lanes = self.lanes.iter().fold(tail, |h, &lane| fnv_step(h, lane));
+        fnv_step(lanes, self.len)
+    }
+}
+
+/// Steps `lanes` over every whole stride of `bytes`; returns the rest.
+fn run_lanes<'a>(lanes: &mut [u64; 4], bytes: &'a [u8]) -> &'a [u8] {
+    let (strides, rest) = bytes.as_chunks::<STRIDE>();
+    let mut state = *lanes;
+    for stride in strides {
+        let (words, _) = stride.as_chunks::<8>();
+        for (lane, word) in state.iter_mut().zip(words) {
+            *lane = fnv_step(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    *lanes = state;
+    rest
+}
+
+/// [`Checksum`] of `bytes` in one call.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut sum = Checksum::default();
+    sum.update(bytes);
+    sum.finish()
 }
 
 /// `map_err` adapter for the filesystem calls of the checkpoint and shard
@@ -211,11 +282,11 @@ pub struct ShardCheckpoint {
     pub records: u64,
     /// Size of the shard's JSONL data file in bytes.
     pub bytes: u64,
-    /// FNV-1a checksum of the shard's JSONL data file.
+    /// [`checksum`] of the shard's JSONL data file.
     pub checksum: u64,
     /// Size of the shard's cell file in bytes.
     pub cell_bytes: u64,
-    /// FNV-1a checksum of the shard's cell file (header line included).
+    /// [`checksum`] of the shard's cell file (header line included).
     pub cell_checksum: u64,
 }
 
@@ -467,12 +538,14 @@ impl Manifest {
 fn frame(body: &str) -> String {
     format!(
         "{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {:016x}\n{body}\n",
-        fnv64(body.as_bytes())
+        checksum(body.as_bytes())
     )
 }
 
 /// Checks a framed file's magic, version and body checksum, and returns
-/// the body.
+/// the body. The header is read as strictly as [`frame`] writes it: its
+/// checksum is 16 lower-case hex digits and ends the line, so no two
+/// spellings of one header read alike.
 fn unframe(text: &str) -> Result<&str, CheckpointError> {
     let mut lines = text.splitn(2, '\n');
     let header = lines.next().unwrap_or("");
@@ -487,14 +560,17 @@ fn unframe(text: &str) -> Result<&str, CheckpointError> {
         });
     }
     let checksum_hex = tokens.next().ok_or(CheckpointError::Truncated)?;
-    let expected = u64::from_str_radix(checksum_hex, 16)
-        .map_err(|_| CheckpointError::Parse("unreadable header checksum".to_string()))?;
+    let lower_hex = |b: u8| matches!(b, b'0'..=b'9' | b'a'..=b'f');
+    let expected = Some(checksum_hex)
+        .filter(|hex| hex.len() == 16 && hex.bytes().all(lower_hex) && tokens.next().is_none())
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .ok_or_else(|| parse_err("header checksum is not 16 lower-case hex digits"))?;
     let body = lines.next().ok_or(CheckpointError::Truncated)?;
     let body = body.strip_suffix('\n').unwrap_or(body);
     if body.is_empty() {
         return Err(CheckpointError::Truncated);
     }
-    let actual = fnv64(body.as_bytes());
+    let actual = checksum(body.as_bytes());
     if actual != expected {
         return Err(CheckpointError::ChecksumMismatch { expected, actual });
     }
@@ -1013,7 +1089,7 @@ mod tests {
     fn header_is_versioned_and_checksummed() {
         for text in [sample_manifest().encode(), sample_cells().encode()] {
             let header = text.lines().next().unwrap();
-            assert!(header.starts_with("edns-checkpoint v4 "));
+            assert!(header.starts_with("edns-checkpoint v5 "));
             let hex = header.rsplit(' ').next().unwrap();
             assert_eq!(hex.len(), 16);
         }
@@ -1029,12 +1105,12 @@ mod tests {
 
     #[test]
     fn other_versions_are_rejected() {
-        // A future format, and the earlier ones: v3 cell files had no
-        // metrics cells, v2 kept every cell in the manifest, v1 had no
-        // health cells. No silent resume from any — the engine re-runs
-        // from scratch.
-        for other in ["v5", "v3", "v2", "v1"] {
-            let text = sample_manifest().encode().replacen("v4", other, 1);
+        // A future format, and the earlier ones: v4 summed with
+        // byte-serial FNV-1a, v3 cell files had no metrics cells, v2 kept
+        // every cell in the manifest, v1 had no health cells. No silent
+        // resume from any — the engine re-runs from scratch.
+        for other in ["v6", "v4", "v3", "v2", "v1"] {
+            let text = sample_manifest().encode().replacen("v5", other, 1);
             assert_eq!(
                 Manifest::decode(&text),
                 Err(CheckpointError::VersionMismatch {
@@ -1187,24 +1263,5 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-        // Summing piece by piece equals summing the whole.
-        assert_eq!(
-            fnv64_extend(fnv64_extend(FNV64_INIT, b"foo"), b"bar"),
-            fnv64(b"foobar")
-        );
-    }
-
-    #[test]
-    fn fnv64_lanes_is_fnv64_per_stream() {
-        let data: Vec<u8> = (0..4 * 1031u32).map(|i| (i * 131 % 251) as u8).collect();
-        let streams: [&[u8]; 4] = std::array::from_fn(|i| &data[i * 1031..(i + 1) * 1031]);
-        for len in [0, 1, 7, 1031] {
-            let lanes = fnv64_lanes([FNV64_INIT; 4], streams.map(|s| &s[..len]));
-            assert_eq!(lanes, streams.map(|s| fnv64(&s[..len])), "{len} bytes");
-        }
-        // From any states, and piece by piece like `fnv64_extend`.
-        let start = streams.map(|s| fnv64(&s[..100]));
-        let lanes = fnv64_lanes(start, streams.map(|s| &s[100..]));
-        assert_eq!(lanes, streams.map(fnv64));
     }
 }

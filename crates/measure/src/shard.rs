@@ -61,9 +61,8 @@ use obs::{
 use crate::aggregate::{CampaignAggregates, PairAggregate};
 use crate::campaign::{observe_cell, Campaign, CampaignOrder, PairPlan, Slot};
 use crate::checkpoint::{
-    fnv64, fnv64_extend, fnv64_lanes, io_err, write_atomic, write_atomic_bytes, CheckpointError,
-    Manifest, PairDayHealth, PairMetrics, RetryExhausted, ShardCells, ShardCheckpoint, ShardState,
-    FNV64_INIT,
+    checksum, fnv64, io_err, write_atomic, write_atomic_bytes, CheckpointError, Checksum, Manifest,
+    PairDayHealth, PairMetrics, RetryExhausted, ShardCells, ShardCheckpoint, ShardState,
 };
 use crate::health::{
     day_of, detect_drift, DriftConfig, DriftFinding, HealthCell, HealthSeries, NANOS_PER_DAY,
@@ -159,7 +158,7 @@ pub struct StageLedger {
     /// `load_or_init`: manifest decode plus re-validation of every
     /// complete shard's data and cell file — wall time of the two
     /// validation lanes side by side, each taking every other shard and
-    /// hashing four of its files at a time.
+    /// reading its files straight through.
     pub validate_s: f64,
     /// The execute phase's wall time: from the first worker's spawn to the
     /// last worker's join, after the last shard's commit. Next to nothing
@@ -174,7 +173,7 @@ pub struct StageLedger {
     /// cells, and the retry exhaustions.
     pub fold_s: f64,
     /// Rendering each shard's JSONL body in [`CampaignOrder`] over its
-    /// pairs, checksummed as it is rendered.
+    /// pairs, each block checksummed before it is written.
     pub serialise_s: f64,
     /// Data-file write + rename.
     pub data_write_s: f64,
@@ -246,102 +245,45 @@ const ASSEMBLE_WRITE_BYTES: usize = 256 * 1024;
 /// Assembly's per-shard read buffer, and a validation lane's block.
 const ASSEMBLE_READ_BYTES: usize = 64 * 1024;
 
-/// Files a validation lane hashes side by side, each through its own
-/// quarter of the lane's block. One FNV-1a chain waits on its multiply's
-/// latency at every byte: on a 2-vCPU Xeon it hashes 1.0 GB/s, and four in
-/// one loop ([`fnv64_lanes`]) 4.0 GB/s, while each stream still reads
-/// 16 KB at a time.
-const VALIDATE_STREAMS: usize = 4;
-
 /// One of a complete shard's files: its path, and the size and checksum
 /// its manifest entry records.
 type Recorded = (PathBuf, u64, u64);
 
-/// Re-validates `files` against the sizes and checksums their manifest
-/// entries record, streaming them through `block` so that validation
-/// holds a block, never a file. Four files are read at a time, each
-/// through a quarter of the block, and each round hashes the four reads
-/// in lockstep over their common length, then the rest of each alone; a
-/// stream whose file ends takes the next one. Of the files that
-/// are missing, unreadable, or of another size or checksum, the error is
-/// the first in `files`' order, with its index, whatever order the
-/// streams finish in.
-fn validate_files(files: &[Recorded], block: &mut [u8]) -> Result<(), (usize, CheckpointError)> {
-    let unreadable = |at: usize, e: std::io::Error| {
-        let path = files[at].0.display();
-        (at, CheckpointError::ShardData(format!("read {path}: {e}")))
-    };
-    // The first failure in `files`' order met so far.
-    fn keep(failed: &mut Option<(usize, CheckpointError)>, failure: (usize, CheckpointError)) {
-        if failed.as_ref().is_none_or(|(at, _)| failure.0 < *at) {
-            *failed = Some(failure);
-        }
-    }
-    let mut failed = None;
-    let quarter = block.len() / VALIDATE_STREAMS;
-    // Per stream: the index of the file it is hashing, the file, the
-    // bytes and the checksum so far.
-    let mut streams: [Option<(usize, File)>; VALIDATE_STREAMS] = Default::default();
-    let mut found = [0u64; VALIDATE_STREAMS];
-    let mut sums = [FNV64_INIT; VALIDATE_STREAMS];
-    let mut next = 0;
-    loop {
-        let mut filled = [0usize; VALIDATE_STREAMS];
-        for (i, buf) in block.chunks_exact_mut(quarter).enumerate() {
-            filled[i] = loop {
-                let Some((at, file)) = &mut streams[i] else {
-                    // A file after a failure cannot change the error.
-                    let past = failed.as_ref().is_some_and(|(at, _)| next > *at);
-                    if next == files.len() || past {
-                        break 0;
-                    }
-                    match File::open(&files[next].0) {
-                        Ok(file) => streams[i] = Some((next, file)),
-                        Err(e) => keep(&mut failed, unreadable(next, e)),
-                    }
-                    (found[i], sums[i]) = (0, FNV64_INIT);
-                    next += 1;
-                    continue;
-                };
-                let at = *at;
-                match file.read(buf) {
-                    Ok(0) => {
-                        let (path, bytes, checksum) = &files[at];
-                        let path = path.display();
-                        let (len, sum) = (found[i], sums[i]);
-                        if len != *bytes {
-                            let why = format!("{path} is {len} bytes, manifest says {bytes}");
-                            keep(&mut failed, (at, CheckpointError::ShardData(why)));
-                        } else if sum != *checksum {
-                            let why = format!(
-                                "{path} hashes to {sum:016x}, manifest says {checksum:016x}"
-                            );
-                            keep(&mut failed, (at, CheckpointError::ShardData(why)));
-                        }
-                        streams[i] = None;
-                    }
-                    Ok(n) => break n,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        keep(&mut failed, unreadable(at, e));
-                        streams[i] = None;
-                    }
+/// Re-validates `files`, in order, against the sizes and checksums their
+/// manifest entries record, reading each straight through `block` so that
+/// validation holds a block, never a file. Stops at the first file that is
+/// missing, unreadable, or of another size or checksum, with an error that
+/// names it.
+fn validate_files(files: &[Recorded], block: &mut [u8]) -> Result<(), CheckpointError> {
+    for (path, bytes, recorded) in files {
+        let fail = CheckpointError::ShardData;
+        let unreadable = |e: std::io::Error| fail(format!("read {}: {e}", path.display()));
+        let mut file = File::open(path).map_err(unreadable)?;
+        let (mut found, mut sum) = (0u64, Checksum::default());
+        loop {
+            match file.read(block) {
+                Ok(0) => break,
+                Ok(n) => {
+                    found += n as u64;
+                    sum.update(&block[..n]);
                 }
-            };
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(unreadable(e)),
+            }
         }
-        if filled == [0; VALIDATE_STREAMS] {
-            break;
+        let (path, sum) = (path.display(), sum.finish());
+        if found != *bytes {
+            return Err(fail(format!(
+                "{path} is {found} bytes, manifest says {bytes}"
+            )));
         }
-        let quarters: [&[u8]; VALIDATE_STREAMS] =
-            std::array::from_fn(|i| &block[i * quarter..i * quarter + filled[i]]);
-        let common = filled.iter().copied().min().unwrap_or(0);
-        sums = fnv64_lanes(sums, quarters.map(|q| &q[..common]));
-        for i in 0..VALIDATE_STREAMS {
-            sums[i] = fnv64_extend(sums[i], &quarters[i][common..]);
-            found[i] += filled[i] as u64;
+        if sum != *recorded {
+            return Err(fail(format!(
+                "{path} hashes to {sum:016x}, manifest says {recorded:016x}"
+            )));
         }
     }
-    failed.map_or(Ok(()), Err)
+    Ok(())
 }
 
 /// One shard data file as assembly reads it: straight through, a line
@@ -756,11 +698,10 @@ impl<'a> ShardedRunner<'a> {
     /// configuration, a corrupt manifest, or a complete shard with a file
     /// that is missing or fails its checksum is a typed error — never a
     /// silent restart. With two or more complete shards a second thread
-    /// (`edns-validate`) checks every other one. Each lane streams its
-    /// shards' files, in index order, four at a time through one 64 KB
-    /// block, 16 KB per file, hashing the four in lockstep; of several
-    /// damaged shards the error names the lowest, its data file first,
-    /// whichever the lanes meet first.
+    /// (`edns-validate`) checks every other one. Each lane reads its
+    /// shards' files, in index order, one at a time straight through one
+    /// 64 KB block; of several damaged shards the error names the lowest,
+    /// its data file first, whichever the lanes meet first.
     pub fn load_or_init(&self) -> Result<Manifest, CheckpointError> {
         let path = self.manifest_path();
         if !path.exists() {
@@ -788,10 +729,9 @@ impl<'a> ShardedRunner<'a> {
         }
         // Two lanes, each through a 64 KB block of its own: this thread
         // takes every other complete shard, a second thread the rest. A
-        // lane hashes its shards' files four at a time, so it may meet a
-        // failure out of order; it reports its first in index order (data
-        // file before cell file), and the lower of the two lanes' is the
-        // failure a walk in index order would have met first.
+        // lane stops at its first failure, its lowest (data file before
+        // cell file), so the lower of the two lanes' is the failure a walk
+        // in index order would have met first.
         let complete: Vec<&ShardCheckpoint> = manifest
             .states
             .iter()
@@ -801,17 +741,13 @@ impl<'a> ShardedRunner<'a> {
             })
             .collect();
         let lane = |first: usize| -> Result<(), (u32, CheckpointError)> {
-            let mine: Vec<&ShardCheckpoint> =
-                complete.iter().skip(first).step_by(2).copied().collect();
-            let files: Vec<Recorded> = mine
-                .iter()
-                .flat_map(|c| {
-                    let cells = (self.cells_path(c.shard), c.cell_bytes, c.cell_checksum);
-                    [(self.shard_path(c.shard), c.bytes, c.checksum), cells]
-                })
-                .collect();
             let mut block = vec![0u8; ASSEMBLE_READ_BYTES];
-            validate_files(&files, &mut block).map_err(|(at, e)| (mine[at / 2].shard, e))
+            for c in complete.iter().skip(first).step_by(2) {
+                let data = (self.shard_path(c.shard), c.bytes, c.checksum);
+                let cells = (self.cells_path(c.shard), c.cell_bytes, c.cell_checksum);
+                validate_files(&[data, cells], &mut block).map_err(|e| (c.shard, e))?;
+            }
+            Ok(())
         };
         let (own, other) = if complete.len() < 2 {
             (lane(0), Ok(()))
@@ -924,20 +860,21 @@ impl<'a> ShardedRunner<'a> {
 
         // The body is rendered through one block-sized buffer and written
         // as it fills, so no more than a block of it is ever in memory
-        // while the next shard's records are being generated. Each line
-        // is summed as it is appended, while it is still in cache, and
+        // while the next shard's records are being generated. Each block
+        // is summed before it is written, while it is still in cache, and
         // each record is freed once rendered. Time inside `write_all` is
         // the data write; the rest of the loop is serialisation.
         let records = outputs.iter().map(Vec::len).sum::<usize>() as u64;
         let order = CampaignOrder::new(&self.plans[self.shard_range(index)], &self.slots);
         let path = self.shard_path(index);
-        let mut checksum = FNV64_INIT;
+        let mut sum = Checksum::default();
         let mut bytes = 0u64;
         let mut write_s = 0.0;
         let watch = &laps.watch;
         write_atomic(&path, |file| {
             let mut out = String::with_capacity(ASSEMBLE_WRITE_BYTES + 4096);
             let mut flush = |out: &mut String| {
+                sum.update(out.as_bytes());
                 let started = watch.elapsed_secs();
                 let written = file
                     .write_all(out.as_bytes())
@@ -948,10 +885,8 @@ impl<'a> ShardedRunner<'a> {
                 written
             };
             for r in order.gather(outputs) {
-                let line_start = out.len();
                 r.write_json_line(&mut out);
                 out.push('\n');
-                checksum = fnv64_extend(checksum, &out.as_bytes()[line_start..]);
                 if out.len() >= ASSEMBLE_WRITE_BYTES {
                     flush(&mut out)?;
                 }
@@ -970,9 +905,9 @@ impl<'a> ShardedRunner<'a> {
                 shard: index,
                 records,
                 bytes,
-                checksum,
+                checksum: sum.finish(),
                 cell_bytes: encoded_cells.len() as u64,
-                cell_checksum: fnv64(encoded_cells.as_bytes()),
+                cell_checksum: checksum(encoded_cells.as_bytes()),
             },
             stages,
         })
@@ -1467,9 +1402,9 @@ mod tests {
 
     /// What the streaming validator must agree with: the whole file read
     /// at once, its length and its checksum.
-    fn whole_file_accepts((path, bytes, checksum): &Recorded) -> bool {
+    fn whole_file_accepts((path, bytes, recorded): &Recorded) -> bool {
         std::fs::read(path)
-            .is_ok_and(|found| found.len() as u64 == *bytes && fnv64(&found) == *checksum)
+            .is_ok_and(|found| found.len() as u64 == *bytes && checksum(&found) == *recorded)
     }
 
     #[test]
@@ -1481,75 +1416,66 @@ mod tests {
         // the first file they reject is the one the error names. The
         // error's message, if any.
         let mut check = |files: &[Recorded]| {
-            let streamed = validate_files(files, &mut block);
             let whole = files.iter().position(|f| !whole_file_accepts(f));
-            assert_eq!(
-                streamed.as_ref().err().map(|(at, _)| *at),
-                whole,
-                "{streamed:?}"
-            );
-            streamed.err().map(|(at, e)| match e {
-                CheckpointError::ShardData(m) if m.contains(&*files[at].0.to_string_lossy()) => m,
-                e => panic!("{e:?} does not name {}", files[at].0.display()),
-            })
+            match (validate_files(files, &mut block), whole) {
+                (Ok(()), None) => None,
+                (Err(CheckpointError::ShardData(m)), Some(at))
+                    if m.contains(&*files[at].0.to_string_lossy()) =>
+                {
+                    Some(m)
+                }
+                (streamed, _) => panic!("{streamed:?}, the whole-file reads reject {whole:?}"),
+            }
         };
-        let (b, q) = (ASSEMBLE_READ_BYTES, ASSEMBLE_READ_BYTES / VALIDATE_STREAMS);
-        // Sizes across a stream's 16 KB reads and the block, and several
-        // blocks. Groups of one to five files, each size first in turn, so
-        // that every size stands alone once, streams end in different
-        // rounds and the fifth file waits for a stream.
-        let sizes = [0, 1, q - 1, q, q + 1, b - 1, b + 1, 3 * b + 7];
-        for count in 1..=5 {
-            for first in 0..sizes.len() {
-                let files: Vec<Recorded> = (0..count)
-                    .map(|k| {
-                        let size = sizes[(first + k) % sizes.len()];
-                        let intact: Vec<u8> =
-                            (0..size).map(|i| ((i + 7 * k) * 31 % 251) as u8).collect();
-                        let path = dir.join(format!("group-{k}"));
-                        std::fs::write(&path, &intact).unwrap();
-                        (path, size as u64, fnv64(&intact))
-                    })
-                    .collect();
-                assert_eq!(check(&files), None, "{count} files from size {first}");
-                let last = &files[count - 1].0;
-                let last_intact = std::fs::read(last).unwrap();
-                for (victim, (path, ..)) in files.iter().enumerate() {
-                    // The file flipped in its first, a middle and its last
-                    // block, cut short by a byte, and missing.
-                    let intact = std::fs::read(path).unwrap();
-                    let n = intact.len();
-                    let flipped = [0, n / 2, n.saturating_sub(1)]
-                        .into_iter()
-                        .filter(|&at| at < n);
-                    let mut damaged: Vec<(Option<Vec<u8>>, &str)> = flipped
-                        .map(|at| {
-                            let mut flipped = intact.clone();
-                            flipped[at] ^= 0x40;
-                            (Some(flipped), "hashes to")
-                        })
-                        .collect();
-                    if n > 0 {
-                        damaged.push((Some(intact[..n - 1].to_vec()), " bytes, manifest says"));
-                    }
-                    damaged.push((None, "read "));
-                    for (content, what) in damaged {
-                        match content {
-                            Some(content) => std::fs::write(path, content).unwrap(),
-                            None => std::fs::remove_file(path).unwrap(),
-                        }
-                        assert!(check(&files).unwrap().contains(what), "{what}");
-                        // And the group's last file missing too, which its
-                        // stream may meet first.
-                        if victim + 1 < count {
-                            std::fs::remove_file(last).unwrap();
-                            check(&files);
-                            std::fs::write(last, &last_intact).unwrap();
-                        }
-                    }
-                    std::fs::write(path, &intact).unwrap();
+        // One file of each size either side of the block and of several
+        // blocks, in one list.
+        let b = ASSEMBLE_READ_BYTES;
+        let files: Vec<Recorded> = [0, 1, b - 1, b, b + 1, 3 * b + 7]
+            .into_iter()
+            .enumerate()
+            .map(|(k, size)| {
+                let intact: Vec<u8> = (0..size).map(|i| ((i + 7 * k) * 31 % 251) as u8).collect();
+                let path = dir.join(format!("file-{k}"));
+                std::fs::write(&path, &intact).unwrap();
+                (path, size as u64, checksum(&intact))
+            })
+            .collect();
+        assert_eq!(check(&files), None);
+        let last = &files[files.len() - 1].0;
+        let last_intact = std::fs::read(last).unwrap();
+        for (path, ..) in &files {
+            // The file flipped in its first, a middle and its last block,
+            // cut short by a byte, and missing.
+            let intact = std::fs::read(path).unwrap();
+            let n = intact.len();
+            let flipped = [0, n / 2, n.saturating_sub(1)]
+                .into_iter()
+                .filter(|&at| at < n);
+            let mut damaged: Vec<(Option<Vec<u8>>, &str)> = flipped
+                .map(|at| {
+                    let mut flipped = intact.clone();
+                    flipped[at] ^= 0x40;
+                    (Some(flipped), "hashes to")
+                })
+                .collect();
+            if n > 0 {
+                damaged.push((Some(intact[..n - 1].to_vec()), " bytes, manifest says"));
+            }
+            damaged.push((None, "read "));
+            for (content, what) in damaged {
+                match content {
+                    Some(content) => std::fs::write(path, content).unwrap(),
+                    None => std::fs::remove_file(path).unwrap(),
+                }
+                assert!(check(&files).unwrap().contains(what), "{what}");
+                // And the last file missing too: the lower index is named.
+                if path != last {
+                    std::fs::remove_file(last).unwrap();
+                    check(&files);
+                    std::fs::write(last, &last_intact).unwrap();
                 }
             }
+            std::fs::write(path, &intact).unwrap();
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

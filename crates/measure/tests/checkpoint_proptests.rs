@@ -4,7 +4,9 @@
 //! encode/decode exactly, with every float bit for bit, the encoding must
 //! be a fixed point (encode ∘ decode ∘ encode = encode), a changed byte
 //! must never decode to different content, and no body, however mangled,
-//! may panic a decoder.
+//! may panic a decoder. The checkpoint checksum is held to its definition,
+//! restated here, to a pinned vector and to catching every single-byte
+//! change, and a header is read only as the engine writes it.
 //!
 //! The cell files' direct codec is pinned against the [`tree`] codec it
 //! replaced: the writer emits the tree's bytes, and the strict reader
@@ -15,8 +17,8 @@ use proptest::prelude::*;
 
 use measure::aggregate::{AggregateCell, PairAggregate};
 use measure::checkpoint::{
-    fnv64, CheckpointError, Manifest, PairDayHealth, PairMetrics, RetryExhausted, ShardCells,
-    ShardCheckpoint, ShardState,
+    checksum, CheckpointError, Checksum, Manifest, PairDayHealth, PairMetrics, RetryExhausted,
+    ShardCells, ShardCheckpoint, ShardState,
 };
 use measure::{HealthCell, Label, CHECKPOINT_VERSION};
 use obs::{CellMetrics, Histogram, Phase};
@@ -580,7 +582,7 @@ fn arb_manifest() -> impl Strategy<Value = Manifest> {
 fn framed(body: &str) -> String {
     format!(
         "edns-checkpoint v{CHECKPOINT_VERSION} {:016x}\n{body}\n",
-        fnv64(body.as_bytes())
+        checksum(body.as_bytes())
     )
 }
 
@@ -748,6 +750,83 @@ fn seeded_mutations_of_an_engine_cell_file_read_like_the_tree() {
     assert!(still_read > 300, "{still_read} mutated bodies still read");
 }
 
+#[test]
+fn header_checksum_is_read_only_as_written() {
+    // A manifest whose checksum opens with a zero and holds a letter, so
+    // that each respelling below is the same number to `from_str_radix`.
+    let (text, hex) = (0..)
+        .map(|seed| {
+            let text = Manifest::new(0xfeed_beef, seed, 3, 4).encode();
+            let hex = text.split([' ', '\n']).nth(2).unwrap().to_string();
+            (text, hex)
+        })
+        .find(|(_, hex)| hex.starts_with('0') && hex.contains(char::is_alphabetic))
+        .unwrap();
+    assert!(Manifest::decode(&text).is_ok());
+    // A sign, upper-case digits, a digit short, a token after it.
+    for spelled in [
+        format!("+{}", &hex[1..]),
+        hex.to_ascii_uppercase(),
+        hex[1..].to_string(),
+        format!("{hex} v{CHECKPOINT_VERSION}"),
+    ] {
+        let number = spelled.split(' ').next().unwrap();
+        assert_eq!(
+            u64::from_str_radix(number, 16),
+            u64::from_str_radix(&hex, 16)
+        );
+        let respelled = Manifest::decode(&text.replacen(&hex, &spelled, 1));
+        assert!(
+            matches!(respelled, Err(CheckpointError::Parse(_))),
+            "{spelled}"
+        );
+    }
+}
+
+/// [`checksum`] as its definition reads: FNV-1a's step on each
+/// little-endian word of the whole 32-byte strides, word `i` in lane
+/// `i % 4`; then, from the offset basis, the tail's bytes, the four lanes
+/// and the length.
+fn checksum_by_definition(bytes: &[u8]) -> u64 {
+    let step = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    let basis: u64 = 0xcbf2_9ce4_8422_2325;
+    let whole = bytes.len() / 32 * 32;
+    let mut lanes = [basis; 4];
+    for (i, word) in bytes[..whole].chunks(8).enumerate() {
+        lanes[i % 4] = step(lanes[i % 4], u64::from_le_bytes(word.try_into().unwrap()));
+    }
+    let tail = bytes[whole..].iter().fold(basis, |h, &b| step(h, b.into()));
+    step(
+        lanes.iter().fold(tail, |h, &l| step(h, l)),
+        bytes.len() as u64,
+    )
+}
+
+#[test]
+fn checksum_matches_its_pinned_vectors() {
+    // The format: a change here is a checkpoint version change.
+    let bytes: Vec<u8> = (0..100u32).map(|i| (i * 37 % 256) as u8).collect();
+    assert_eq!(checksum(b""), 0x7f6e_4d21_b650_a5a3);
+    assert_eq!(checksum(&bytes), 0xbc0f_7b53_7189_8743);
+    for len in 0..=bytes.len() {
+        let prefix = &bytes[..len];
+        assert_eq!(checksum(prefix), checksum_by_definition(prefix), "{len}");
+    }
+}
+
+#[test]
+fn checksum_catches_every_single_byte_change() {
+    for len in (0..=96).chain([127, 128, 129, 255, 256, 257]) {
+        let intact: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
+        let sum = checksum(&intact);
+        for (at, flip) in (0..len).flat_map(|at| [(at, 0x01), (at, 0x40), (at, 0x80)]) {
+            let mut changed = intact.clone();
+            changed[at] ^= flip;
+            assert_ne!(checksum(&changed), sum, "{len} bytes, {at} ^ {flip:#x}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -780,13 +859,32 @@ proptest! {
         mutated[i] = byte;
         if let Ok(s) = std::str::from_utf8(&mutated) {
             // Never a panic and never different cells: a changed byte is
-            // a typed error, unless it leaves the content as it was (the
-            // byte it replaced, or the other case of a header hex digit).
+            // a typed error, and only the byte it replaced reads.
             match ShardCells::decode(s) {
-                Ok(back) => prop_assert_eq!(back, cells),
+                Ok(back) => {
+                    prop_assert_eq!(s, text.as_str());
+                    prop_assert_eq!(back, cells);
+                }
                 Err(_) => prop_assert_ne!(s, text.as_str()),
             }
         }
+    }
+
+    #[test]
+    fn checksum_updates_split_anywhere_equal_the_one_shot_checksum(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..6),
+    ) {
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut sum = Checksum::default();
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([bytes.len()]) {
+            sum.update(&bytes[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(sum.finish(), checksum(&bytes));
+        prop_assert_eq!(checksum(&bytes), checksum_by_definition(&bytes));
     }
 
     #[test]
@@ -843,7 +941,7 @@ proptest! {
         if let Ok(body) = std::str::from_utf8(&body) {
             let framed = format!(
                 "edns-checkpoint v{CHECKPOINT_VERSION} {:016x}\n{body}\n",
-                fnv64(body.as_bytes())
+                checksum(body.as_bytes())
             );
             let _ = ShardCells::decode(&framed);
         }

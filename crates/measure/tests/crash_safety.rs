@@ -14,7 +14,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use measure::checkpoint::fnv64;
+use measure::checkpoint::checksum;
 use measure::shard::CAMPAIGN_FILE;
 use measure::{
     Campaign, CampaignConfig, CheckpointError, Manifest, Protocol, ShardCells, ShardState,
@@ -68,8 +68,8 @@ fn rerecord(runner: &ShardedRunner, index: u32) {
     let mut manifest = Manifest::load(&runner.manifest_path()).unwrap();
     match &mut manifest.states[index as usize] {
         ShardState::Complete(entry) => {
-            (entry.bytes, entry.checksum) = (data.len() as u64, fnv64(&data));
-            (entry.cell_bytes, entry.cell_checksum) = (cells.len() as u64, fnv64(&cells));
+            (entry.bytes, entry.checksum) = (data.len() as u64, checksum(&data));
+            (entry.cell_bytes, entry.cell_checksum) = (cells.len() as u64, checksum(&cells));
         }
         ShardState::Pending => unreachable!("all four shards ran"),
     }
@@ -190,12 +190,13 @@ fn stale_format_version_is_rejected() {
     let dir = partial_run(&c, "version");
     let path = dir.join("manifest.ckpt");
     let text = std::fs::read_to_string(&path).unwrap();
-    // v3 is the previous format, whose cell files held no metrics cells,
-    // and v2 the one before, whose manifest held every cell: neither may
+    // v4 is the previous format, whose checksums were byte-serial FNV-1a,
+    // v3 the one before, whose cell files held no metrics cells, and v2
+    // the one before that, whose manifest held every cell: none may
     // resume.
-    for stale in ["v0", "v2", "v3"] {
+    for stale in ["v0", "v2", "v3", "v4"] {
         let header = format!("edns-checkpoint {stale}");
-        std::fs::write(&path, text.replacen("edns-checkpoint v4", &header, 1)).unwrap();
+        std::fs::write(&path, text.replacen("edns-checkpoint v5", &header, 1)).unwrap();
         let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
         assert_eq!(
             runner.run(1).unwrap_err(),
@@ -370,10 +371,9 @@ fn two_damaged_shards_on_different_lanes_name_the_lower_index_every_time() {
 #[test]
 fn two_damaged_shards_on_one_lane_name_the_lower_index_every_time() {
     // Eight shards: the calling thread's lane takes 0, 2, 4 and 6, the
-    // second lane 1, 3, 5 and 7, and each hashes four of its files at a
-    // time, so a lane can meet a later file's failure first — at 20 rounds
-    // a data file spans several 16 KB reads and a cell file one. The error
-    // is still the one a walk in index order meets first.
+    // second lane 1, 3, 5 and 7, two damaged files on one lane, and at 20
+    // rounds a data file spans several 64 KB reads. The error is the one a
+    // walk in index order meets first.
     let c = campaign(CampaignConfig::quick(3, 20));
     for (damaged, named) in [
         ([(2, "cells"), (6, "jsonl")], "shard-0002.cells"),
