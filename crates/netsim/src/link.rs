@@ -12,7 +12,7 @@ use crate::time::SimDuration;
 
 /// Relative log-space sigma of the wide-area segment. Backbone paths are
 /// stable; most variance comes from access networks and server load.
-const WAN_SIGMA: f64 = 0.04;
+pub(crate) const WAN_SIGMA: f64 = 0.04;
 
 /// Per-traversal loss probability on the wide-area segment.
 const WAN_LOSS: f64 = 0.0005;
