@@ -11,9 +11,11 @@
 //!   comparison, and RFC 1035 §4.1.4 compression on encode and decode.
 //! * [`Header`], [`Question`], [`ResourceRecord`], [`Message`] — the four
 //!   wire sections, all round-trippable.
-//! * [`RData`] — typed record data for A, AAAA, CNAME, NS, PTR, SOA, MX,
-//!   TXT, SRV, CAA, OPT (EDNS), SVCB/HTTPS, with an opaque fallback for
-//!   unknown types.
+//! * [`RData`] — typed record data for A, AAAA, CNAME, NS, PTR, MX, SOA,
+//!   TXT and OPT (EDNS) — the types the simulation speaks. Every other
+//!   type (SRV, CAA, SVCB/HTTPS among them) rides RFC 3597 opaque rdata
+//!   and re-encodes byte for byte; SOA stays typed because RFC 1035 lets
+//!   its names be compressed, and an opaque copy would keep the pointers.
 //! * [`MessageBuilder`] — ergonomic construction of queries and responses.
 //! * [`base64url`] — the padding-free base64url codec required by DoH GET
 //!   requests ([RFC 8484] §4.1).
@@ -62,9 +64,7 @@ pub use message::{Edns, Message};
 pub use name::Name;
 pub use question::Question;
 pub use rdata::option_code;
-pub use rdata::{
-    CaaData, OptData, OptOption, RData, SoaData, SrvData, SvcParam, SvcbData, TxtData,
-};
+pub use rdata::{OptData, OptOption, RData, SoaData, TxtData};
 pub use record::ResourceRecord;
 pub use wire::{Reader, Writer};
 

@@ -1,18 +1,21 @@
-//! Typed record data (RDATA) for the record types the measurement stack
-//! needs, plus an opaque fallback for everything else.
+//! Record data (RDATA): typed for A, AAAA, CNAME, NS, PTR, MX, SOA, TXT
+//! and OPT — what the simulated resolvers answer, what `zonefile` parses
+//! and what EDNS(0) needs — and carried opaquely (RFC 3597) for every
+//! other type, SRV, CAA, SVCB and HTTPS included.
+//!
+//! An opaque copy is exact only when the rdata holds no compression
+//! pointer, which would point into the message it came from. RFC 2782
+//! and RFC 9460 forbid compressing the names in SRV and SVCB/HTTPS rdata
+//! and CAA holds no names, so those ride opaquely byte for byte. RFC 1035
+//! lets SOA's two names be compressed, so SOA stays typed: decoding
+//! resolves the pointers and encoding writes the names out whole.
 
-mod caa;
 mod opt;
 mod soa;
-mod srv;
-mod svcb;
 mod txt;
 
-pub use caa::CaaData;
 pub use opt::{option_code, OptData, OptOption};
 pub use soa::SoaData;
-pub use srv::SrvData;
-pub use svcb::{SvcParam, SvcbData};
 pub use txt::TxtData;
 
 use std::fmt;
@@ -25,7 +28,7 @@ use crate::wire::{Reader, Writer};
 
 /// Typed record data.
 ///
-/// Name-bearing rdata (CNAME, NS, PTR, MX, SOA, SRV) encodes its names
+/// Name-bearing rdata (CNAME, NS, PTR, MX, SOA) encodes its names
 /// *without* compression, following RFC 3597 §4's rule that servers must not
 /// compress rdata of types unknown to the peer; modern encoders compress only
 /// owner names. Decoding still accepts compressed rdata names for
@@ -53,15 +56,10 @@ pub enum RData {
     Soa(SoaData),
     /// One or more text strings.
     Txt(TxtData),
-    /// Service locator.
-    Srv(SrvData),
-    /// Certification authority authorization.
-    Caa(CaaData),
     /// EDNS(0) options (pseudo-record).
     Opt(OptData),
-    /// Service binding (SVCB or HTTPS).
-    Svcb(SvcbData),
-    /// Unknown type carried opaquely (RFC 3597).
+    /// Any other type (SRV, CAA, SVCB, HTTPS, ...) carried opaquely
+    /// (RFC 3597).
     Opaque {
         /// The record type whose rdata this is.
         rtype: RecordType,
@@ -82,16 +80,7 @@ impl RData {
             RData::Mx { .. } => RecordType::MX,
             RData::Soa(_) => RecordType::SOA,
             RData::Txt(_) => RecordType::TXT,
-            RData::Srv(_) => RecordType::SRV,
-            RData::Caa(_) => RecordType::CAA,
             RData::Opt(_) => RecordType::OPT,
-            RData::Svcb(d) => {
-                if d.https {
-                    RecordType::HTTPS
-                } else {
-                    RecordType::SVCB
-                }
-            }
             RData::Opaque { rtype, .. } => *rtype,
         }
     }
@@ -111,10 +100,7 @@ impl RData {
             }
             RData::Soa(s) => s.encode(w),
             RData::Txt(t) => t.encode(w),
-            RData::Srv(s) => s.encode(w),
-            RData::Caa(c2) => c2.encode(w),
             RData::Opt(o) => o.encode(w),
-            RData::Svcb(s) => s.encode(w),
             RData::Opaque { data, .. } => w.write_slice(data),
         }
     }
@@ -152,11 +138,7 @@ impl RData {
             }
             RecordType::SOA => RData::Soa(SoaData::decode(r)?),
             RecordType::TXT => RData::Txt(TxtData::decode(r, rdlen)?),
-            RecordType::SRV => RData::Srv(SrvData::decode(r)?),
-            RecordType::CAA => RData::Caa(CaaData::decode(r, rdlen)?),
             RecordType::OPT => RData::Opt(OptData::decode(r, rdlen)?),
-            RecordType::SVCB => RData::Svcb(SvcbData::decode(r, rdlen, false)?),
-            RecordType::HTTPS => RData::Svcb(SvcbData::decode(r, rdlen, true)?),
             other => {
                 let data = r.read_slice(rdlen, "opaque rdata")?.to_vec();
                 RData::Opaque { rtype: other, data }
@@ -185,10 +167,7 @@ impl fmt::Display for RData {
             } => write!(f, "{preference} {exchange}"),
             RData::Soa(s) => write!(f, "{s}"),
             RData::Txt(t) => write!(f, "{t}"),
-            RData::Srv(s) => write!(f, "{s}"),
-            RData::Caa(c) => write!(f, "{c}"),
             RData::Opt(_) => write!(f, "OPT"),
-            RData::Svcb(s) => write!(f, "{s}"),
             RData::Opaque { data, .. } => {
                 write!(f, "\\# {}", data.len())?;
                 for b in data {
@@ -259,6 +238,51 @@ mod tests {
         };
         assert_eq!(round_trip(&rd), rd);
         assert_eq!(rd.to_string(), "\\# 4 01 02 03 04");
+    }
+
+    /// One response carrying `rdata` as the answer to `example.com`,
+    /// built by hand: the owner name is a pointer to the question's.
+    fn response_wire(rtype: u16, rdata: &[u8]) -> Vec<u8> {
+        let mut wire = vec![0x12, 0x34, 0x81, 0x80, 0, 1, 0, 1, 0, 0, 0, 0];
+        wire.extend_from_slice(b"\x07example\x03com\x00");
+        wire.extend_from_slice(&rtype.to_be_bytes());
+        wire.extend_from_slice(&[0, 1, 0xc0, 0x0c]);
+        wire.extend_from_slice(&rtype.to_be_bytes());
+        wire.extend_from_slice(&[0, 1, 0, 0, 0x0e, 0x10]);
+        wire.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
+        wire.extend_from_slice(rdata);
+        wire
+    }
+
+    #[test]
+    fn srv_caa_svcb_https_ride_opaque_rdata_byte_for_byte() {
+        let cases: [(u16, &[u8]); 5] = [
+            // SRV 10 60 853 dot.example.net.
+            (33, b"\x00\x0a\x00\x3c\x03\x55\x03dot\x07example\x03net\x00"),
+            // CAA 128 issue "letsencrypt.org"; CAA 0 iodef "".
+            (257, b"\x80\x05issueletsencrypt.org"),
+            (257, b"\x00\x05iodef"),
+            // SVCB 0 pool.svc.example. (AliasMode, no parameters)
+            (64, b"\x00\x00\x04pool\x03svc\x07example\x00"),
+            // HTTPS 1 . alpn=h2,h3 ipv4hint=1.1.1.1 dohpath=/dns-query{?dns}
+            (
+                65,
+                b"\x00\x01\x00\x00\x01\x00\x06\x02h2\x02h3\x00\x04\x00\x04\x01\x01\x01\x01\
+                  \x00\x07\x00\x10/dns-query{?dns}",
+            ),
+        ];
+        for (code, rdata) in cases {
+            let wire = response_wire(code, rdata);
+            let msg = crate::Message::decode(&wire).unwrap();
+            assert_eq!(
+                msg.answers[0].rdata,
+                RData::Opaque {
+                    rtype: RecordType::from_u16(code),
+                    data: rdata.to_vec(),
+                }
+            );
+            assert_eq!(msg.encode().unwrap(), wire, "type {code}");
+        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 use proptest::prelude::*;
 
 use dns_wire::{
-    base64url, Message, MessageBuilder, Name, RData, RecordType, ResourceRecord, SoaData, SrvData,
-    TxtData,
+    base64url, Message, MessageBuilder, Name, RData, RecordType, ResourceRecord, SoaData, TxtData,
 };
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -79,20 +78,16 @@ fn arb_rdata() -> impl Strategy<Value = RData> {
             }),
         proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..255), 1..4)
             .prop_map(|ss| RData::Txt(TxtData::new(ss))),
-        (any::<u16>(), any::<u16>(), any::<u16>(), arb_name()).prop_map(
-            |(priority, weight, port, target)| RData::Srv(SrvData {
-                priority,
-                weight,
-                port,
-                target
-            })
-        ),
-        (1u16..=500, proptest::collection::vec(any::<u8>(), 0..64)).prop_map(|(t, data)| {
-            // Avoid codes that collide with known types, which would decode
-            // as typed rdata instead of opaque.
-            let rtype = RecordType::from_u16(t + 1000);
-            RData::Opaque { rtype, data }
-        }),
+        (
+            prop_oneof![
+                // Codes past every typed one, and the named types that ride
+                // opaque rdata: SRV, SVCB, HTTPS, CAA.
+                (1001u16..=1500).prop_map(RecordType::from_u16),
+                (0usize..4).prop_map(|i| RecordType::from_u16([33, 64, 65, 257][i])),
+            ],
+            proptest::collection::vec(any::<u8>(), 0..64)
+        )
+            .prop_map(|(rtype, data)| RData::Opaque { rtype, data }),
     ]
 }
 

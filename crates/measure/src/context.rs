@@ -28,7 +28,6 @@
 //! applied), the [`FaultTarget`], the indices of the plan events in scope
 //! ([`FaultPlan::scope_mask`]).
 
-use bytes::Bytes;
 use catalog::ResolverEntry;
 use detlint_macros::deny_alloc;
 use dns_wire::{base64url, Message, MessageBuilder, Name, RData, Rcode, RecordType};
@@ -63,10 +62,10 @@ fn doh_request(hostname: &str, doh_path: &str, query_wire: &[u8], cfg: ProbeConf
     let (http_path, body) = if cfg.doh_get {
         (
             format!("{doh_path}?dns={}", base64url::encode(query_wire)),
-            Bytes::new(),
+            Vec::new(),
         )
     } else {
-        (doh_path.to_string(), Bytes::from(query_wire.to_vec()))
+        (doh_path.to_string(), query_wire.to_vec())
     };
     H2Request {
         headers: doh_headers(hostname, &http_path, !cfg.doh_get, body.len()),
@@ -299,10 +298,9 @@ impl FreshWires {
                 headers,
                 &self.response,
             );
-            let wire_len = wire.len();
             // detlint:allow(unwrap, parses the HTTP/2 response encoded on the line above)
-            let parsed = self.h2.parse_response(wire).expect("own HTTP/2 response");
-            (wire_len, parsed.status, parsed.body)
+            let parsed = self.h2.parse_response(&wire).expect("own HTTP/2 response");
+            (wire.len(), parsed.status, parsed.body)
         };
         HttpReply {
             wire_len,

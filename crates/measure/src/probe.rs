@@ -18,7 +18,6 @@
 //! differs between a campaign and a one-off probe is only the
 //! [`Wires`] the machine reads its byte counts from.
 
-use bytes::Bytes;
 use catalog::ResolverEntry;
 use detlint_macros::deny_alloc;
 use dns_wire::{Message, Name, Rcode, RecordType};
@@ -1131,7 +1130,7 @@ impl Prober {
         headers.push(content_type.clone());
         let req = H2Request {
             headers,
-            body: Bytes::from(sealed_query_wire),
+            body: sealed_query_wire,
         };
         // A rate-limited target answers the relay with a 429, which the
         // relay forwards to the client.

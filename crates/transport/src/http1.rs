@@ -1,8 +1,7 @@
 //! HTTP/1.1 (RFC 9112) request/response serialisation — the fallback
 //! protocol for DoH servers that do not negotiate h2 (common among the
-//! hobbyist deployments in the measured population).
-
-use bytes::Bytes;
+//! hobbyist deployments in the measured population). Encoders return and
+//! the parser reads plain bytes (`Vec<u8>` / `&[u8]`).
 
 use crate::error::{TransportError, TransportErrorKind};
 use crate::http2::hpack::HeaderField;
@@ -64,7 +63,7 @@ pub struct H1Response {
     /// Headers, lowercased names.
     pub headers: Vec<HeaderField>,
     /// Body.
-    pub body: Bytes,
+    pub body: Vec<u8>,
 }
 
 fn protocol_error() -> TransportError {
@@ -72,7 +71,8 @@ fn protocol_error() -> TransportError {
 }
 
 /// Parses an HTTP/1.1 response (Content-Length framing only — DoH responses
-/// are single small messages, never chunked in practice).
+/// are single small messages, never chunked in practice). A Content-Length
+/// past the end of `wire`, however large, is a protocol error.
 pub fn parse_response(wire: &[u8]) -> Result<H1Response, TransportError> {
     let header_end = wire
         .windows(4)
@@ -104,18 +104,16 @@ pub fn parse_response(wire: &[u8]) -> Result<H1Response, TransportError> {
     }
     let body_start = header_end + 4;
     let body = match content_length {
-        Some(len) => {
-            if wire.len() < body_start + len {
-                return Err(protocol_error());
-            }
-            Bytes::copy_from_slice(&wire[body_start..body_start + len])
-        }
-        None => Bytes::copy_from_slice(&wire[body_start..]),
+        Some(len) => body_start
+            .checked_add(len)
+            .and_then(|end| wire.get(body_start..end))
+            .ok_or_else(protocol_error)?,
+        None => &wire[body_start..],
     };
     Ok(H1Response {
         status,
         headers,
-        body,
+        body: body.to_vec(),
     })
 }
 
@@ -155,7 +153,7 @@ mod tests {
         );
         let resp = parse_response(&wire).unwrap();
         assert_eq!(resp.status, 200);
-        assert_eq!(resp.body.as_ref(), b"dns-bytes");
+        assert_eq!(resp.body, b"dns-bytes");
         assert!(resp
             .headers
             .iter()
@@ -185,9 +183,18 @@ mod tests {
     }
 
     #[test]
+    fn content_length_past_the_address_space_is_a_protocol_error() {
+        for len in [u64::MAX, u64::MAX / 2] {
+            let wire = format!("HTTP/1.1 200 OK\r\ncontent-length: {len}\r\n\r\nbody");
+            let err = parse_response(wire.as_bytes()).unwrap_err();
+            assert_eq!(err.kind, TransportErrorKind::ProtocolError);
+        }
+    }
+
+    #[test]
     fn binary_body_survives() {
         let body: Vec<u8> = (0u8..=255).collect();
         let wire = encode_response(200, &[], &body);
-        assert_eq!(parse_response(&wire).unwrap().body.as_ref(), &body[..]);
+        assert_eq!(parse_response(&wire).unwrap().body, body);
     }
 }

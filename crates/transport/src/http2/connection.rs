@@ -2,7 +2,6 @@
 //! responses (so payload sizes are accurate) and charges the round trips a
 //! DoH exchange costs over an established TLS session.
 
-use bytes::Bytes;
 use netsim::{Path, SimDuration, SimRng};
 
 use crate::error::{TransportError, TransportErrorKind};
@@ -16,7 +15,7 @@ pub struct H2Request {
     /// Pseudo-headers and regular headers in order.
     pub headers: Vec<HeaderField>,
     /// Request body (e.g. a DoH POST's DNS message).
-    pub body: Bytes,
+    pub body: Vec<u8>,
 }
 
 /// An HTTP/2 response.
@@ -27,7 +26,7 @@ pub struct H2Response {
     /// Response headers (excluding `:status`).
     pub headers: Vec<HeaderField>,
     /// Response body.
-    pub body: Bytes,
+    pub body: Vec<u8>,
 }
 
 /// A client HTTP/2 connection multiplexed over one TLS session.
@@ -62,7 +61,7 @@ impl H2Connection {
 
     /// Encodes the wire bytes for a request: optional preface/SETTINGS,
     /// HEADERS, optional DATA.
-    pub fn encode_request(&mut self, req: &H2Request) -> (u32, Bytes) {
+    pub fn encode_request(&mut self, req: &H2Request) -> (u32, Vec<u8>) {
         let stream_id = self.next_stream_id;
         self.next_stream_id += 2;
 
@@ -100,7 +99,7 @@ impl H2Connection {
         status: u16,
         extra_headers: &[HeaderField],
         body: &[u8],
-    ) -> Bytes {
+    ) -> Vec<u8> {
         Self::encode_response(
             &mut Encoder::default(),
             stream_id,
@@ -118,19 +117,19 @@ impl H2Connection {
         status: u16,
         extra_headers: &[HeaderField],
         body: &[u8],
-    ) -> Bytes {
+    ) -> Vec<u8> {
         let mut headers = vec![HeaderField::new(":status", status.to_string())];
         headers.extend_from_slice(extra_headers);
         let block = encoder.encode(&headers);
         let frames = vec![
             Frame::new(FrameType::Headers, flags::END_HEADERS, stream_id, block),
-            Frame::new(FrameType::Data, flags::END_STREAM, stream_id, body.to_vec()),
+            Frame::new(FrameType::Data, flags::END_STREAM, stream_id, body),
         ];
         Frame::encode_all(&frames, false)
     }
 
     /// Parses response bytes into an [`H2Response`].
-    pub fn parse_response(&mut self, wire: Bytes) -> Result<H2Response, TransportError> {
+    pub fn parse_response(&mut self, wire: &[u8]) -> Result<H2Response, TransportError> {
         let frames = Frame::decode_all(wire).map_err(|_| {
             TransportError::new(TransportErrorKind::ProtocolError, SimDuration::ZERO)
         })?;
@@ -170,20 +169,19 @@ impl H2Connection {
         Ok(H2Response {
             status,
             headers,
-            body: body.into(),
+            body,
         })
     }
 
     /// Performs one request/response exchange over the path, charging the
     /// accurate wire sizes and the server's processing time. Returns the
     /// response and the elapsed time.
-    #[allow(clippy::too_many_arguments)]
     pub fn round_trip(
         &mut self,
         tcp: &mut TcpConnection,
         path: &Path,
         req: &H2Request,
-        response_wire: impl FnOnce(u32, &mut Encoder) -> Bytes,
+        response_wire: impl FnOnce(u32, &mut Encoder) -> Vec<u8>,
         server_time: SimDuration,
         rng: &mut SimRng,
     ) -> Result<(H2Response, SimDuration), TransportError> {
@@ -193,7 +191,7 @@ impl H2Connection {
         let mut server_encoder = Encoder::default();
         let resp_wire = response_wire(stream_id, &mut server_encoder);
         let out = tcp.request_response(path, req_wire.len(), resp_wire.len(), server_time, rng)?;
-        let resp = self.parse_response(resp_wire)?;
+        let resp = self.parse_response(&resp_wire)?;
         Ok((resp, out.elapsed))
     }
 }
@@ -235,7 +233,7 @@ mod tests {
         let mut conn = H2Connection::new();
         let req = H2Request {
             headers: doh_headers("dns.google", "/dns-query?dns=AAAA", false, 0),
-            body: Bytes::new(),
+            body: Vec::new(),
         };
         let (sid1, wire1) = conn.encode_request(&req);
         assert_eq!(sid1, 1);
@@ -255,14 +253,14 @@ mod tests {
     #[test]
     fn post_request_has_data_frame() {
         let mut conn = H2Connection::new();
-        let body = Bytes::from(vec![0u8; 40]);
+        let body = vec![0u8; 40];
         let req = H2Request {
             headers: doh_headers("dns.google", "/dns-query", true, 40),
             body: body.clone(),
         };
         let (_, wire) = conn.encode_request(&req);
         // Skip the preface then inspect frames.
-        let frames = Frame::decode_all(wire.slice(Frame::PREFACE.len()..)).unwrap();
+        let frames = Frame::decode_all(&wire[Frame::PREFACE.len()..]).unwrap();
         assert_eq!(frames[0].ftype, FrameType::Settings);
         assert_eq!(frames[1].ftype, FrameType::Headers);
         assert_eq!(frames[1].flags & flags::END_STREAM, 0);
@@ -282,17 +280,17 @@ mod tests {
             &[HeaderField::new("content-type", "application/dns-message")],
             b"dns-bytes",
         );
-        let resp = conn.parse_response(wire).unwrap();
+        let resp = conn.parse_response(&wire).unwrap();
         assert_eq!(resp.status, 200);
-        assert_eq!(resp.body.as_ref(), b"dns-bytes");
+        assert_eq!(resp.body, b"dns-bytes");
         assert_eq!(resp.headers[0].value, "application/dns-message");
     }
 
     #[test]
     fn goaway_is_protocol_error() {
         let mut conn = H2Connection::new();
-        let wire = Frame::encode_all(&[Frame::new(FrameType::Goaway, 0, 0, Bytes::new())], false);
-        let err = conn.parse_response(wire).unwrap_err();
+        let wire = Frame::encode_all(&[Frame::new(FrameType::Goaway, 0, 0, Vec::new())], false);
+        let err = conn.parse_response(&wire).unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::ProtocolError);
     }
 
@@ -305,7 +303,7 @@ mod tests {
         let mut conn = H2Connection::new();
         let req = H2Request {
             headers: doh_headers("dns.example", "/dns-query?dns=AAEC", false, 0),
-            body: Bytes::new(),
+            body: Vec::new(),
         };
         let (resp, elapsed) = conn
             .round_trip(

@@ -1,8 +1,6 @@
 //! HTTP/2 framing layer (RFC 9113 §4): the 9-octet frame header and the
 //! frame types a DoH client touches.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 /// HTTP/2 frame types (RFC 9113 §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameType {
@@ -84,7 +82,7 @@ pub struct Frame {
     /// Stream identifier (0 = connection).
     pub stream_id: u32,
     /// Payload octets.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 /// Error decoding a frame.
@@ -128,7 +126,7 @@ pub const DEFAULT_MAX_FRAME_SIZE: usize = 16_384;
 
 impl Frame {
     /// Builds a frame.
-    pub fn new(ftype: FrameType, flags: u8, stream_id: u32, payload: impl Into<Bytes>) -> Self {
+    pub fn new(ftype: FrameType, flags: u8, stream_id: u32, payload: impl Into<Vec<u8>>) -> Self {
         Frame {
             ftype,
             flags,
@@ -142,7 +140,7 @@ impl Frame {
 
     /// An empty SETTINGS frame.
     pub fn settings() -> Self {
-        Frame::new(FrameType::Settings, 0, 0, Bytes::new())
+        Frame::new(FrameType::Settings, 0, 0, Vec::new())
     }
 
     /// Wire size: 9-octet header plus payload.
@@ -151,32 +149,31 @@ impl Frame {
     }
 
     /// Encodes into `out`.
-    pub fn encode(&self, out: &mut BytesMut) {
+    pub fn encode(&self, out: &mut Vec<u8>) {
         let len = self.payload.len();
         debug_assert!(len <= 0xFF_FFFF);
-        out.put_u8((len >> 16) as u8);
-        out.put_u8((len >> 8) as u8);
-        out.put_u8(len as u8);
-        out.put_u8(self.ftype.to_u8());
-        out.put_u8(self.flags);
-        out.put_u32(self.stream_id & 0x7FFF_FFFF);
-        out.put_slice(&self.payload);
+        out.extend_from_slice(&(len as u32).to_be_bytes()[1..]);
+        out.push(self.ftype.to_u8());
+        out.push(self.flags);
+        out.extend_from_slice(&(self.stream_id & 0x7FFF_FFFF).to_be_bytes());
+        out.extend_from_slice(&self.payload);
     }
 
     /// Encodes a sequence of frames (with the preface when `preface`).
-    pub fn encode_all(frames: &[Frame], preface: bool) -> Bytes {
-        let mut out = BytesMut::new();
+    pub fn encode_all(frames: &[Frame], preface: bool) -> Vec<u8> {
+        let mut out = Vec::new();
         if preface {
-            out.put_slice(Frame::PREFACE);
+            out.extend_from_slice(Frame::PREFACE);
         }
         for f in frames {
             f.encode(&mut out);
         }
-        out.freeze()
+        out
     }
 
-    /// Decodes one frame from the front of `buf`, consuming it.
-    pub fn decode(buf: &mut Bytes) -> Result<Frame, FrameError> {
+    /// Decodes one frame from the front of `buf`, advancing it past the
+    /// frame.
+    pub fn decode(buf: &mut &[u8]) -> Result<Frame, FrameError> {
         if buf.len() < 9 {
             return Err(FrameError::ShortHeader);
         }
@@ -193,8 +190,8 @@ impl Frame {
         let ftype = FrameType::from_u8(buf[3]);
         let fflags = buf[4];
         let stream_id = u32::from_be_bytes([buf[5], buf[6], buf[7], buf[8]]) & 0x7FFF_FFFF;
-        buf.advance(9);
-        let payload = buf.split_to(len);
+        let payload = buf[9..9 + len].to_vec();
+        *buf = &buf[9 + len..];
         Ok(Frame {
             ftype,
             flags: fflags,
@@ -204,7 +201,7 @@ impl Frame {
     }
 
     /// Decodes every frame in `buf`.
-    pub fn decode_all(mut buf: Bytes) -> Result<Vec<Frame>, FrameError> {
+    pub fn decode_all(mut buf: &[u8]) -> Result<Vec<Frame>, FrameError> {
         let mut frames = Vec::new();
         while !buf.is_empty() {
             frames.push(Frame::decode(&mut buf)?);
@@ -225,13 +222,13 @@ mod tests {
             1,
             &b"block"[..],
         );
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         f.encode(&mut out);
         assert_eq!(out.len(), f.wire_len());
-        let mut bytes = out.freeze();
-        let back = Frame::decode(&mut bytes).unwrap();
+        let mut rest = &out[..];
+        let back = Frame::decode(&mut rest).unwrap();
         assert_eq!(back, f);
-        assert!(bytes.is_empty());
+        assert!(rest.is_empty());
     }
 
     #[test]
@@ -242,7 +239,7 @@ mod tests {
             Frame::new(FrameType::Data, flags::END_STREAM, 1, &b"body"[..]),
         ];
         let wire = Frame::encode_all(&frames, false);
-        let back = Frame::decode_all(wire).unwrap();
+        let back = Frame::decode_all(&wire).unwrap();
         assert_eq!(back, frames);
     }
 
@@ -254,19 +251,18 @@ mod tests {
 
     #[test]
     fn reserved_bit_masked() {
-        let f = Frame::new(FrameType::Data, 0, 0xFFFF_FFFF, Bytes::new());
-        let mut out = BytesMut::new();
+        let f = Frame::new(FrameType::Data, 0, 0xFFFF_FFFF, Vec::new());
+        let mut out = Vec::new();
         f.encode(&mut out);
-        let mut bytes = out.freeze();
-        let back = Frame::decode(&mut bytes).unwrap();
+        let back = Frame::decode(&mut &out[..]).unwrap();
         assert_eq!(back.stream_id, 0x7FFF_FFFF);
     }
 
     #[test]
     fn short_inputs_rejected() {
-        let mut b = Bytes::from_static(&[0, 0, 5, 0, 0, 0, 0, 0]);
+        let mut b: &[u8] = &[0, 0, 5, 0, 0, 0, 0, 0];
         assert_eq!(Frame::decode(&mut b), Err(FrameError::ShortHeader));
-        let mut b = Bytes::from_static(&[0, 0, 5, 0, 0, 0, 0, 0, 1, b'x']);
+        let mut b: &[u8] = &[0, 0, 5, 0, 0, 0, 0, 0, 1, b'x'];
         assert!(matches!(
             Frame::decode(&mut b),
             Err(FrameError::ShortPayload {
@@ -280,8 +276,10 @@ mod tests {
     fn oversized_frame_rejected() {
         let mut hdr = vec![0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 1];
         hdr.extend_from_slice(&[0u8; 16]);
-        let mut b = Bytes::from(hdr);
-        assert!(matches!(Frame::decode(&mut b), Err(FrameError::TooLong(_))));
+        assert!(matches!(
+            Frame::decode(&mut &hdr[..]),
+            Err(FrameError::TooLong(_))
+        ));
     }
 
     #[test]

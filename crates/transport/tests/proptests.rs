@@ -1,14 +1,14 @@
 //! Property-based tests for the transport layer: HPACK and HTTP/2 framing
-//! round trips over arbitrary inputs, and flight-exchange invariants.
+//! round trips over arbitrary inputs, decoders (HPACK, HTTP/2 frames,
+//! HTTP/1.1 responses) that never panic, and flight-exchange invariants.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 
 use netsim::geo::cities;
 use netsim::{AccessProfile, Path, SimDuration, SimRng};
 use transport::http2::frames::{Frame, FrameType};
 use transport::http2::hpack::{Decoder, Encoder, HeaderField};
-use transport::{exchange, RetryPolicy, TransportErrorKind};
+use transport::{exchange, h1_parse_response, RetryPolicy, TransportErrorKind};
 
 fn arb_header() -> impl Strategy<Value = HeaderField> {
     // Header names are lowercase tokens; values printable ASCII.
@@ -78,13 +78,36 @@ proptest! {
             })
             .collect();
         let wire = Frame::encode_all(&frames, false);
-        let back = Frame::decode_all(wire).unwrap();
+        let back = Frame::decode_all(&wire).unwrap();
         prop_assert_eq!(back, frames);
     }
 
     #[test]
     fn frame_decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let _ = Frame::decode_all(Bytes::from(bytes));
+        let _ = Frame::decode_all(&bytes);
+    }
+
+    #[test]
+    fn http1_parser_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
+        let _ = h1_parse_response(&bytes);
+    }
+
+    #[test]
+    fn http1_parser_never_panics_on_any_content_length(
+        length in prop_oneof![
+            (0u64..80).prop_map(|n| n.to_string()),
+            // Lengths whose sum with the head's overflows a usize.
+            (0u64..128).prop_map(|n| (u64::MAX - n).to_string()),
+            any::<u64>().prop_map(|n| n.to_string()),
+            "[ -~]{0,24}",
+        ],
+        body in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut wire = format!("HTTP/1.1 200 OK\r\ncontent-length: {length}\r\n\r\n").into_bytes();
+        wire.extend_from_slice(&body);
+        if let Ok(resp) = h1_parse_response(&wire) {
+            prop_assert!(resp.body.len() <= body.len());
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn a_full_doh_transaction_end_to_end() {
     let mut h2 = H2Connection::new();
     let req = H2Request {
         headers: doh_headers("dns.example", &format!("/dns-query?dns={b64}"), false, 0),
-        body: bytes::Bytes::new(),
+        body: Vec::new(),
     };
     let (resp, elapsed) = h2
         .round_trip(
