@@ -7,7 +7,7 @@
 //! edns-measure report results.jsonl
 //! ```
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 use dns_wire::Name;
@@ -450,12 +450,26 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         result.successes(),
         result.errors()
     );
-    std::fs::write(out, result.to_json_lines()).map_err(|e| e.to_string())?;
+    write_json_lines(out, &result.records).map_err(|e| e.to_string())?;
     eprintln!("results written to {out}");
     if flag_present(args, "--metrics") {
         out!("{}", result.metrics().render());
     }
     Ok(())
+}
+
+/// Writes `records` to `path` as JSON Lines, byte for byte
+/// `CampaignResult::to_json_lines`, one rendered line in memory at a time.
+fn write_json_lines(path: &str, records: &[ProbeRecord]) -> std::io::Result<()> {
+    let mut file = BufWriter::with_capacity(64 * 1024, std::fs::File::create(path)?);
+    let mut line = String::new();
+    for r in records {
+        line.clear();
+        r.write_json_line(&mut line);
+        line.push('\n');
+        file.write_all(line.as_bytes())?;
+    }
+    file.flush()
 }
 
 /// Threads a campaign keeps busy, this one included: one per core, else 2.

@@ -7,9 +7,9 @@
 //! simulated resolver state, so results do not depend on thread scheduling.
 //! Each pair fills its vantage's slots ([`Campaign::slots`]) in order, and
 //! [`CampaignOrder`] says, from the schedule alone, which pair's record
-//! comes next: assembly gathers the pair streams in that order, so output
-//! is identical at any thread count without sorting the record vector or
-//! comparing a record.
+//! comes next: assembly permutes the generated records into that order in
+//! place, so output is identical at any thread count without sorting the
+//! record vector or comparing a record.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -61,9 +61,10 @@ impl CampaignResult {
     /// intermediate JSON tree); byte-identical to serialising each record
     /// through [`ProbeRecord::to_json`], as pinned by the golden-file test.
     pub fn to_json_lines(&self) -> String {
-        // ~470 bytes per rendered record; reserving up front keeps buffer
-        // growth out of the per-record loop.
-        let mut out = String::with_capacity(self.records.len() * 480);
+        // Reserving up front keeps buffer growth out of the per-record
+        // loop, so the reservation must cover every line: a short one
+        // regrows the whole document once.
+        let mut out = String::with_capacity(self.records.iter().map(line_bytes_hint).sum());
         for r in &self.records {
             r.write_json_line(&mut out);
             out.push('\n');
@@ -90,6 +91,25 @@ impl CampaignResult {
             .collect::<Result<Vec<ProbeRecord>, String>>()?;
         Ok(CampaignResult { records, seed })
     }
+}
+
+/// A little more than the bytes [`ProbeRecord::write_json_line`] renders
+/// for a record of `r`'s shape, newline included: what the fixed keys and
+/// typical values take for its outcome, plus its retry keys and attempt
+/// errors and its connection mode, when it carries them.
+fn line_bytes_hint(r: &ProbeRecord) -> usize {
+    let outcome = if r.outcome.is_success() { 500 } else { 260 };
+    // `"attempt_errors":[…],"attempts":N` and the ttfb/ttlb fields, then
+    // each error's quoted label and comma.
+    let retry = r.retry.as_ref().map_or(0, |info| {
+        72 + info
+            .attempt_errors
+            .iter()
+            .map(|e| e.label().len() + 3)
+            .sum::<usize>()
+    });
+    let conn_mode = if r.conn_mode.is_some() { 22 } else { 0 };
+    outcome + retry + conn_mode
 }
 
 /// Folds one probe record into a metrics registry. Allocation-free per
@@ -177,21 +197,26 @@ pub fn metrics_of(records: &[ProbeRecord]) -> MetricsSnapshot {
     registry.snapshot()
 }
 
-/// The output of the campaign's generation stage: one record stream per
-/// (vantage, resolver) pair, each already in canonical per-pair order.
-/// Produced by [`Campaign::generate`], consumed by [`Campaign::assemble`];
-/// the split exists so benches can time probe generation separately from
-/// the gather.
+/// The output of the campaign's generation stage: every record of the
+/// campaign in one buffer sized to [`Campaign::probe_count`], pair after
+/// pair in pair order, each pair's records in canonical per-pair order.
+/// Produced by [`Campaign::generate`], consumed by [`Campaign::assemble`],
+/// which permutes the buffer in place, so a campaign's records are held
+/// once; the split exists so benches can time probe generation separately
+/// from assembly.
 #[derive(Debug)]
 pub struct GeneratedPairs {
-    pub(crate) plans: Vec<PairPlan>,
-    pub(crate) outputs: Vec<Vec<ProbeRecord>>,
+    plans: Vec<PairPlan>,
+    records: Vec<ProbeRecord>,
+    /// Where each pair's records start in `records`, and one past the
+    /// last pair's end.
+    starts: Vec<usize>,
 }
 
 impl GeneratedPairs {
     /// Total records generated across all pairs.
     pub fn record_count(&self) -> usize {
-        self.outputs.iter().map(Vec::len).sum()
+        self.records.len()
     }
 
     /// Each pair's vantage label and record stream, in pair order: what
@@ -200,7 +225,8 @@ impl GeneratedPairs {
     #[doc(hidden)]
     pub fn pairs(&self) -> impl Iterator<Item = (&'static str, &[ProbeRecord])> {
         let vantages = self.plans.iter().map(|p| p.vantage.label);
-        vantages.zip(self.outputs.iter().map(Vec::as_slice))
+        let streams = self.starts.windows(2).map(|w| &self.records[w[0]..w[1]]);
+        vantages.zip(streams)
     }
 }
 
@@ -456,45 +482,70 @@ impl Campaign {
     /// session models.
     #[doc(hidden)]
     pub fn run_reference(&self) -> CampaignResult {
-        let plans = self.pair_plans();
-        let outputs = plans.iter().map(|p| self.run_pair_over(p, false)).collect();
-        self.assemble(GeneratedPairs { plans, outputs })
+        self.assemble(self.generate_over(1, false))
     }
 
     /// The generation stage: runs every (vantage, resolver) pair across
-    /// `threads` threads, the calling thread one of them, and returns the
-    /// per-pair record streams, each already in canonical order. The pairs
-    /// go through the sharded engine's [`hand_off`]: every thread claims
-    /// the next pair and runs it, and the calling thread keeps the streams
-    /// in pair order, so output is independent of the thread count.
-    /// [`assemble`](Self::assemble) gathers the streams into a
-    /// [`CampaignResult`]; split out so the bench harness can time
-    /// generation separately from the gather.
+    /// `threads` threads, the calling thread one of them, and returns
+    /// their records in one campaign-sized buffer, pair after pair, each
+    /// pair's in canonical order. The pairs go through the sharded
+    /// engine's [`hand_off`]: every thread claims the next pair and runs
+    /// it, and the calling thread appends each pair's records in pair
+    /// order and frees the pair's own vector, so output is independent of
+    /// the thread count. [`assemble`](Self::assemble) permutes the buffer
+    /// into a [`CampaignResult`]; split out so the bench harness can time
+    /// generation separately from assembly.
     pub fn generate(&self, threads: usize) -> GeneratedPairs {
+        self.generate_over(threads, true)
+    }
+
+    /// [`generate`](Self::generate) over either wire source (see
+    /// [`run_pair_over`](Self::run_pair_over)).
+    fn generate_over(&self, threads: usize, cached: bool) -> GeneratedPairs {
         let plans = self.pair_plans();
         let pending: Vec<u32> = (0..plans.len() as u32).collect();
-        let mut outputs = Vec::with_capacity(plans.len());
+        let mut records = Vec::with_capacity(self.probe_count());
+        let mut starts = Vec::with_capacity(plans.len() + 1);
+        starts.push(0);
         let (generated, _) = hand_off(
             &pending,
             threads.saturating_sub(1),
-            |pair| self.run_pair(&plans[pair as usize]),
+            |pair| self.run_pair_over(&plans[pair as usize], cached),
             Ok::<_, Infallible>,
-            |records| {
-                outputs.push(records);
+            |mut pair| {
+                records.append(&mut pair);
+                starts.push(records.len());
                 Ok(())
             },
         );
         let Ok(()) = generated;
-        GeneratedPairs { plans, outputs }
+        GeneratedPairs {
+            plans,
+            records,
+            starts,
+        }
     }
 
-    /// The gather stage: takes the generated pair streams' records in
-    /// [`CampaignOrder`] into the final canonical-order result.
+    /// The assembly stage: moves the generated records into
+    /// [`CampaignOrder`] in place, so the result is the buffer
+    /// [`generate`](Self::generate) filled, now in canonical order.
     pub fn assemble(&self, generated: GeneratedPairs) -> CampaignResult {
-        let GeneratedPairs { plans, outputs } = generated;
+        let GeneratedPairs {
+            plans,
+            mut records,
+            mut starts,
+        } = generated;
+        // `place` takes u32 sources; no campaign held in memory comes near.
+        assert!(records.len() <= u32::MAX as usize, "too many records");
         let slots = self.slot_table();
-        let mut records = Vec::with_capacity(outputs.iter().map(Vec::len).sum());
-        records.extend(CampaignOrder::new(&plans, &slots).gather(outputs));
+        // Each position's source: the next unplaced record of its pair.
+        let sources = CampaignOrder::new(&plans, &slots).map(|(pair, _)| {
+            let source = starts[pair];
+            starts[pair] += 1;
+            source as u32
+        });
+        let mut sources: Vec<u32> = sources.collect();
+        place(&mut records, &mut sources);
         CampaignResult {
             records,
             seed: self.config.seed,
@@ -587,8 +638,10 @@ impl Campaign {
             )
         });
 
-        let mut slots = self.slots(vantage.label);
-        let mut records = Vec::with_capacity(slots.len());
+        // Each slot's probe, in slot order: where `place` takes records from.
+        let slots = self.slots(vantage.label).into_iter().map(|s| s.probe);
+        let mut sources: Vec<u32> = slots.collect();
+        let mut records = Vec::with_capacity(sources.len());
         for (at, domain_idx) in self.schedule(vantage.label) {
             let domain = &self.domains[domain_idx];
             let session = session_cfg.zip(session.as_mut());
@@ -647,22 +700,23 @@ impl Campaign {
         }
         // Probes run in schedule order (the RNG stream depends on it);
         // each record then moves to its slot.
-        place(&mut records, &mut slots);
+        place(&mut records, &mut sources);
         records
     }
 }
 
-/// Moves each of `records`, which are in schedule order, to its slot: the
-/// record of probe `slots[p].probe` to position `p`. One cycle of the
-/// permutation at a time, so every record moves once, in place; a filled
-/// slot's `probe` is overwritten with its own position, which marks it.
-fn place(records: &mut [ProbeRecord], slots: &mut [Slot]) {
-    debug_assert_eq!(records.len(), slots.len());
-    for start in 0..slots.len() {
+/// Moves `records[sources[p]]` to position `p` for every `p`, in place:
+/// `sources` must be a permutation of `0..records.len()`. One cycle of the
+/// permutation at a time, so every record moves once; a filled position's
+/// source is overwritten with the position itself, which marks it, so
+/// `sources` ends as the identity.
+fn place(records: &mut [ProbeRecord], sources: &mut [u32]) {
+    assert_eq!(records.len(), sources.len());
+    for start in 0..sources.len() {
         let mut p = start;
         loop {
-            let q = slots[p].probe as usize;
-            slots[p].probe = p as u32;
+            let q = sources[p] as usize;
+            sources[p] = p as u32;
             if q == start {
                 break;
             }
@@ -753,20 +807,73 @@ mod tests {
     #[test]
     fn place_moves_every_record_to_its_slot() {
         let result = small_campaign(6).run();
-        // Two cycles, a fixed point and a swap: 0→3→1→0, 2 stays, 4↔5.
-        let order = [3u32, 0, 2, 1, 5, 4];
-        let mut slots: Vec<Slot> = order
-            .iter()
-            .map(|&probe| Slot {
-                at: 0,
-                domain: 0,
-                probe,
-            })
-            .collect();
-        let mut records = result.records[..6].to_vec();
-        place(&mut records, &mut slots);
-        for (p, &probe) in order.iter().enumerate() {
-            assert_eq!(records[p], result.records[probe as usize], "slot {p}");
+        let cases: [&[u32]; 7] = [
+            &[],
+            &[0],
+            &[0, 1, 2, 3, 4, 5],
+            &[5, 4, 3, 2, 1, 0],
+            // Two cycles, a fixed point and a swap: 0→3→1→0, 2 stays, 4↔5.
+            &[3, 0, 2, 1, 5, 4],
+            // One cycle through every position.
+            &[1, 2, 3, 4, 5, 0],
+            // Fixed points at both ends around two interleaved cycles:
+            // 1→3→4→1 and 2↔5.
+            &[0, 3, 5, 4, 1, 2, 6],
+        ];
+        for order in cases {
+            let mut sources = order.to_vec();
+            let mut records = result.records[..order.len()].to_vec();
+            place(&mut records, &mut sources);
+            for (p, &source) in order.iter().enumerate() {
+                assert_eq!(
+                    records[p], result.records[source as usize],
+                    "{order:?} slot {p}"
+                );
+            }
+            let identity: Vec<u32> = (0..order.len() as u32).collect();
+            assert_eq!(sources, identity, "{order:?}");
+        }
+    }
+
+    #[test]
+    fn assemble_returns_the_buffer_generate_filled() {
+        for threads in [1, 3] {
+            let c = small_campaign(8);
+            let generated = c.generate(threads);
+            let (buffer, capacity) = (generated.records.as_ptr(), generated.records.capacity());
+            assert_eq!(capacity, c.probe_count());
+            let result = c.assemble(generated);
+            assert_eq!(result.records.as_ptr(), buffer, "threads {threads}");
+            assert_eq!(result.records.capacity(), c.probe_count());
+            assert_eq!(result.records, c.run_reference().records);
+        }
+    }
+
+    #[test]
+    fn json_lines_reserve_what_the_records_render() {
+        let quick = || CampaignConfig::quick(11, 1);
+        let configs = [
+            ("plain", quick()),
+            (
+                "faults + load",
+                quick()
+                    .with_default_faults()
+                    .with_load(crate::LoadModel::standard(11).with_multiplier(2.0)),
+            ),
+            (
+                "faults + sessions",
+                quick()
+                    .with_default_faults()
+                    .with_session(crate::SessionConfig::interleaved(0.3)),
+            ),
+        ];
+        for (label, config) in configs {
+            let doc = Campaign::new(config).run().to_json_lines();
+            let ratio = doc.capacity() as f64 / doc.len() as f64;
+            assert!(
+                (1.0..=1.15).contains(&ratio),
+                "{label}: capacity {ratio:.3}x the length"
+            );
         }
     }
 
