@@ -4,8 +4,9 @@
 //! A longitudinal campaign can produce millions of probe records; holding
 //! them all to compute availability tables and latency distributions is
 //! exactly what the sharded engine exists to avoid. [`CampaignAggregates`]
-//! keeps, per pair, an [`Availability`] tally and two [`LatencySketch`]es
-//! (responses and pings) — O(pairs) memory however long the campaign runs.
+//! keeps, per pair, a [`Tally`] and two [`LatencySketch`]es (responses
+//! and pings) — O(pairs) memory however long the campaign runs, and no
+//! heap inside a cell.
 //!
 //! Determinism contract (the resume invariant of `DESIGN.md` §9): every
 //! cell only ever observes its own pair's records in that pair's canonical
@@ -16,17 +17,18 @@
 
 use std::collections::BTreeMap;
 
-use edns_stats::{Availability, LatencySketch};
+use edns_stats::LatencySketch;
 use obs::Label;
 
 use crate::campaign::Campaign;
+use crate::errors::Tally;
 use crate::results::{ProbeOutcome, ProbeRecord};
 
 /// The sketch cell shared by per-pair aggregates and their rollups.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AggregateCell {
-    /// Success/error tallies by error label.
-    pub availability: Availability,
+    /// Success/error tallies by error kind.
+    pub availability: Tally,
     /// Response-time sketch over successful probes, ms.
     pub response: LatencySketch,
     /// Paired ICMP RTT sketch, ms.
@@ -42,7 +44,7 @@ impl AggregateCell {
                 self.response.observe(timings.total().as_millis_f64());
             }
             ProbeOutcome::Failure { kind, .. } => {
-                self.availability.error(kind.label());
+                self.availability.error(*kind);
             }
         }
         if let Some(p) = r.ping {

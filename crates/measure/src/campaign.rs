@@ -15,6 +15,7 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::convert::Infallible;
+use std::ops::Range;
 
 use detlint_macros::deny_alloc;
 use dns_wire::Name;
@@ -420,6 +421,15 @@ impl Campaign {
         spans.filter(move |s| s.vantages.contains(&vantage))
     }
 
+    /// The days `vantage` probes on, first to last: from its earliest
+    /// span's first day to its latest span's end (empty for a vantage no
+    /// span lists). Every record of its pairs falls on one of them.
+    pub(crate) fn days_of(&self, vantage: &str) -> Range<u32> {
+        let first = self.spans_of(vantage).map(|s| s.start_day).min();
+        let end = self.spans_of(vantage).map(|s| s.start_day + s.days).max();
+        first.unwrap_or(0)..end.unwrap_or(0)
+    }
+
     /// A vantage's probes in schedule order — every span that lists it,
     /// each of its rounds, the domains in list order — as (round time,
     /// domain index).
@@ -502,9 +512,15 @@ impl Campaign {
     /// [`generate`](Self::generate) over either wire source (see
     /// [`run_pair_over`](Self::run_pair_over)).
     fn generate_over(&self, threads: usize, cached: bool) -> GeneratedPairs {
+        // The record buffer is the run's first allocation. A previous
+        // run's buffer, freed, leaves a hole of exactly its size in the
+        // heap (glibc's dynamic mmap threshold has moved it onto the brk
+        // heap); any smaller allocation carved from that hole first would
+        // make this one extend the heap instead, and peak RSS would grow
+        // by a buffer from one run to the next.
+        let mut records = Vec::with_capacity(self.probe_count());
         let plans = self.pair_plans();
         let pending: Vec<u32> = (0..plans.len() as u32).collect();
-        let mut records = Vec::with_capacity(self.probe_count());
         let mut starts = Vec::with_capacity(plans.len() + 1);
         starts.push(0);
         let (generated, _) = hand_off(

@@ -59,11 +59,11 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use detlint_macros::deny_alloc;
-use edns_stats::{Availability, LatencySketch, RunningMoments};
+use edns_stats::{LatencySketch, RunningMoments};
 use obs::{CellMetrics, Counter, Gauge, Histogram, Label, Phase};
 
 use crate::aggregate::{AggregateCell, PairAggregate};
-use crate::errors::ProbeErrorKind;
+use crate::errors::{ProbeErrorKind, Tally};
 use crate::health::HealthCell;
 use crate::json::{self, Json, LineReader};
 
@@ -681,9 +681,9 @@ fn put_histogram(out: &mut String, lit: &str, h: &Histogram) {
     out.push('}');
 }
 
-fn put_availability(out: &mut String, lit: &str, a: &Availability) {
+fn put_availability(out: &mut String, lit: &str, a: &Tally) {
     out.push_str(lit);
-    let errors = a.errors.iter().map(|(k, &n)| (k.as_str(), n));
+    let errors = a.errors().map(|(k, n)| (k.label(), n));
     put_tallies(out, "{\"errors\":", errors);
     put_count(out, ",\"successes\":", a.successes);
     out.push('}');
@@ -849,12 +849,17 @@ fn take_histogram(r: &mut LineReader, lit: &str) -> Option<Histogram> {
     Some(Histogram::from_parts(counts, sum))
 }
 
-fn take_availability(r: &mut LineReader, lit: &str) -> Option<Availability> {
+/// A tally: each error label must be one a probe can fail with.
+fn take_availability(r: &mut LineReader, lit: &str) -> Option<Tally> {
     r.eat(lit)?;
-    let errors = take_tallies(r, "{\"errors\":", |label| Some(label.to_string()))?;
-    let successes = take_count(r, ",\"successes\":")?;
+    let errors = take_tallies(r, "{\"errors\":", ProbeErrorKind::from_label)?;
+    let mut tally = Tally::default();
+    tally.successes = take_count(r, ",\"successes\":")?;
     r.eat("}")?;
-    Some(Availability { successes, errors })
+    for (kind, n) in errors {
+        tally.set_errors(kind, n);
+    }
+    Some(tally)
 }
 
 fn take_label(r: &mut LineReader, lit: &str) -> Option<Label> {
@@ -956,7 +961,7 @@ mod tests {
         let mut cell = AggregateCell::default();
         cell.availability.success();
         cell.availability.success();
-        cell.availability.error("query_timeout");
+        cell.availability.error(ProbeErrorKind::QueryTimeout);
         cell.response.observe(12.5);
         cell.response.observe(48.25);
         cell.ping.observe(3.75);
@@ -970,7 +975,7 @@ mod tests {
         day0.response.observe(12.5);
         day0.response.observe(48.25);
         let mut day1 = HealthCell::default();
-        day1.availability.error("query_timeout");
+        day1.availability.error(ProbeErrorKind::QueryTimeout);
         vec![
             PairDayHealth {
                 pair: 2,

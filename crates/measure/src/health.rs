@@ -3,11 +3,15 @@
 //!
 //! The paper's headline findings are longitudinal — availability dips and
 //! latency shifts over months — so the flight recorder keeps one
-//! [`HealthCell`] (availability ledger + response-latency sketch delta)
-//! per **(pair, day)**, folded during sharded execution and persisted in
-//! each shard's `edns-checkpoint` cell file. Memory is O(pairs × days) =
+//! [`HealthCell`] (a [`Tally`] + response-latency sketch delta) per
+//! **(pair, day)**, folded during sharded execution and persisted in each
+//! shard's `edns-checkpoint` cell file. Memory is O(pairs × days) =
 //! O(vantages × resolvers × days) with the vantage count a small constant
-//! — bounded however many probes a day carries.
+//! — bounded however many probes a day carries. A cell is a fixed
+//! `size_of::<HealthCell>()` (312 B) with no heap behind it, and a
+//! [`HealthSeries`] holds them all in one table, each pair's over its
+//! vantage's day range, plus 28 B per pair: at 76 resolvers × 7 vantages,
+//! ~166 KB per campaign day.
 //!
 //! ## Determinism contract (extends `DESIGN.md` §9/§10)
 //!
@@ -26,10 +30,11 @@
 
 use std::collections::BTreeMap;
 
-use edns_stats::{Availability, LatencySketch};
+use edns_stats::LatencySketch;
 use obs::Label;
 
 use crate::campaign::Campaign;
+use crate::errors::Tally;
 use crate::json::Json;
 use crate::results::{ProbeOutcome, ProbeRecord};
 
@@ -45,8 +50,8 @@ pub fn day_of(nanos: u64) -> u32 {
 /// response-latency sketch over that day's successful probes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HealthCell {
-    /// Success/error tallies by error label.
-    pub availability: Availability,
+    /// Success/error tallies by error kind.
+    pub availability: Tally,
     /// Response-time sketch over the day's successful probes, ms.
     pub response: LatencySketch,
 }
@@ -61,7 +66,7 @@ impl HealthCell {
                 self.response.observe(timings.total().as_millis_f64());
             }
             ProbeOutcome::Failure { kind, .. } => {
-                self.availability.error(kind.label());
+                self.availability.error(*kind);
             }
         }
     }
@@ -80,6 +85,38 @@ impl HealthCell {
     }
 }
 
+/// One pair's day cells, the layout both engines fold a pair's days into:
+/// a cell per day from `first_day` on, present iff it saw a probe.
+pub(crate) struct DayCells<'a> {
+    pub(crate) first_day: u32,
+    pub(crate) cells: &'a mut [HealthCell],
+}
+
+impl DayCells<'_> {
+    /// The cell of `day`, if the range holds it.
+    fn cell(&mut self, day: u32) -> Option<&mut HealthCell> {
+        let offset = day.checked_sub(self.first_day)?;
+        self.cells.get_mut(offset as usize)
+    }
+
+    /// Folds `r` into its day's cell; a record outside the range (one
+    /// the campaign did not schedule) is ignored.
+    pub(crate) fn observe(&mut self, r: &ProbeRecord) {
+        if let Some(cell) = self.cell(day_of(r.at.as_nanos())) {
+            cell.observe(r);
+        }
+    }
+}
+
+/// The present cells of day cells from `first_day` on, with their days,
+/// in day order.
+pub(crate) fn present_days(
+    first_day: u32,
+    cells: &[HealthCell],
+) -> impl Iterator<Item = (u32, &HealthCell)> {
+    (first_day..).zip(cells).filter(|(_, c)| c.probes() > 0)
+}
+
 /// One (resolver, day) row of the reduced health timeseries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthRow {
@@ -91,27 +128,67 @@ pub struct HealthRow {
     pub cell: HealthCell,
 }
 
+/// Where one pair's day cells sit in a [`HealthSeries`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PairDays {
+    resolver: Label,
+    /// The first day of the pair's vantage's range.
+    first_day: u32,
+    /// The pair's cells are `cells[start..end]`, one per day.
+    start: u32,
+    end: u32,
+}
+
+/// A record's route in a [`HealthSeries`]: its (vantage, resolver)
+/// interned-label indices.
+fn route_key(vantage: Label, resolver: Label) -> (u32, u32) {
+    (vantage.index() as u32, resolver.index() as u32)
+}
+
 /// The campaign health timeseries: per-(pair, day) cells, reducible to
 /// per-(resolver, day) rows in canonical order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthSeries {
-    /// (pair index, day) → cell. A `BTreeMap` over integer keys, so
-    /// iteration order never depends on hash state or insertion order.
-    pairs: BTreeMap<(u32, u32), HealthCell>,
-    /// Pair index → resolver hostname, for the resolver reduction.
-    pair_resolvers: Vec<Label>,
+    /// Every pair's day cells in one table, pair after pair in pair-index
+    /// order, each pair's over its vantage's days ([`Campaign::days_of`]).
+    /// Sized once, so folding a record never allocates.
+    cells: Vec<HealthCell>,
+    /// Per pair, in pair-index order.
+    pairs: Vec<PairDays>,
+    /// (vantage, resolver) interned-label indices → pair index, sorted,
+    /// the first pair of a duplicated coordinate only: routes a record.
+    /// Process-local indices, but only used for routing — output order
+    /// comes from pair indices and hostnames.
+    routes: Vec<((u32, u32), u32)>,
 }
 
 impl HealthSeries {
-    /// An empty series shaped for `campaign`'s pair space.
+    /// An empty series shaped for `campaign`'s pair space and days.
     pub fn for_campaign(campaign: &Campaign) -> HealthSeries {
+        let plans = campaign.pair_plans();
+        let mut pairs = Vec::with_capacity(plans.len());
+        let mut end = 0u32;
+        for p in &plans {
+            let days = campaign.days_of(p.vantage.label);
+            let start = end;
+            end += days.len() as u32;
+            pairs.push(PairDays {
+                resolver: p.resolver_label,
+                first_day: days.start,
+                start,
+                end,
+            });
+        }
+        let mut routes: Vec<((u32, u32), u32)> = (0u32..)
+            .zip(&plans)
+            .map(|(i, p)| (route_key(p.vantage_label, p.resolver_label), i))
+            .collect();
+        routes.sort_by_key(|&(key, _)| key);
+        routes.dedup_by_key(|&mut (key, _)| key);
         HealthSeries {
-            pairs: BTreeMap::new(),
-            pair_resolvers: campaign
-                .pair_plans()
-                .iter()
-                .map(|p| p.resolver_label)
-                .collect(),
+            cells: vec![HealthCell::default(); end as usize],
+            pairs,
+            routes,
         }
     }
 
@@ -122,58 +199,78 @@ impl HealthSeries {
     /// the same observation sequence as per-shard execution.
     pub fn of(campaign: &Campaign, records: &[ProbeRecord]) -> HealthSeries {
         let mut series = HealthSeries::for_campaign(campaign);
-        // Route by interned-label index: process-local, but only used for
-        // routing — output order comes from pair indices and hostnames.
-        let index: BTreeMap<(usize, usize), u32> = campaign
-            .pair_plans()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                (
-                    (p.vantage_label.index(), p.resolver_label.index()),
-                    i as u32,
-                )
-            })
-            .collect();
         for r in records {
-            if let Some(&pair) = index.get(&(r.vantage_id().index(), r.resolver_id().index())) {
-                series.observe_pair(pair, r);
-            }
+            series.observe(r);
         }
         series
     }
 
-    /// Folds one record into its (pair, day) cell.
-    pub fn observe_pair(&mut self, pair: u32, r: &ProbeRecord) {
-        self.pairs
-            .entry((pair, day_of(r.at.as_nanos())))
-            .or_default()
-            .observe(r);
+    /// Routes one record to its pair and folds it into its day's cell.
+    /// Records of a pair or a day the campaign does not schedule are
+    /// ignored. Allocation-free.
+    pub fn observe(&mut self, r: &ProbeRecord) {
+        let key = route_key(r.vantage_id(), r.resolver_id());
+        let Ok(i) = self.routes.binary_search_by_key(&key, |&(k, _)| k) else {
+            return;
+        };
+        if let Some(mut days) = self.days_mut(self.routes[i].1) {
+            days.observe(r);
+        }
+    }
+
+    /// Pair `pair`'s day cells.
+    fn days_mut(&mut self, pair: u32) -> Option<DayCells<'_>> {
+        let p = *self.pairs.get(pair as usize)?;
+        Some(DayCells {
+            first_day: p.first_day,
+            cells: &mut self.cells[p.start as usize..p.end as usize],
+        })
     }
 
     /// Installs a checkpointed (pair, day) cell wholesale (resume path).
-    pub fn install(&mut self, pair: u32, day: u32, cell: HealthCell) {
-        self.pairs.insert((pair, day), cell);
+    /// The cell must hold a probe, fall in the pair's days, and be the
+    /// day's first.
+    pub fn install(&mut self, pair: u32, day: u32, cell: HealthCell) -> Result<(), String> {
+        if cell.probes() == 0 {
+            return Err(format!(
+                "pair {pair}'s health cell for day {day} holds no probe"
+            ));
+        }
+        let mut days = self
+            .days_mut(pair)
+            .ok_or_else(|| format!("health cell for pair {pair}, past the campaign's pairs"))?;
+        let range = days.first_day..days.first_day + days.cells.len() as u32;
+        let slot = days.cell(day).ok_or_else(|| {
+            format!("pair {pair}'s health cell for day {day} lies outside its days {range:?}")
+        })?;
+        if slot.probes() > 0 {
+            return Err(format!("pair {pair} has two health cells for day {day}"));
+        }
+        *slot = cell;
+        Ok(())
     }
 
     /// Populated (pair, day) cells in ascending key order.
     pub fn pair_cells(&self) -> impl Iterator<Item = ((u32, u32), &HealthCell)> {
-        self.pairs.iter().map(|(&k, v)| (k, v))
+        self.pairs.iter().enumerate().flat_map(|(pair, p)| {
+            let cells = &self.cells[p.start as usize..p.end as usize];
+            present_days(p.first_day, cells).map(move |(day, c)| ((pair as u32, day), c))
+        })
     }
 
     /// Populated cell count.
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.pair_cells().count()
     }
 
     /// Whether no cell is populated.
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+        self.pair_cells().next().is_none()
     }
 
     /// Total probes across all cells.
     pub fn probes(&self) -> u64 {
-        self.pair_cells().map(|(_, c)| c.probes()).sum()
+        self.cells.iter().map(HealthCell::probes).sum()
     }
 
     /// Reduces to (resolver, day) rows: pair cells merge in pair-index
@@ -181,8 +278,8 @@ impl HealthSeries {
     /// shard-count-independent.
     pub fn resolver_rows(&self) -> Vec<HealthRow> {
         let mut map: BTreeMap<(Label, u32), HealthCell> = BTreeMap::new();
-        for (&(pair, day), cell) in &self.pairs {
-            let resolver = self.pair_resolvers[pair as usize];
+        for ((pair, day), cell) in self.pair_cells() {
+            let resolver = self.pairs[pair as usize].resolver;
             map.entry((resolver, day)).or_default().merge(cell);
         }
         map.into_iter()
@@ -201,6 +298,8 @@ impl HealthSeries {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for row in self.resolver_rows() {
+            let errors = row.cell.availability.errors();
+            let errors = errors.map(|(k, c)| (k.label().to_string(), Json::Int(c as i64)));
             let mut fields = vec![
                 ("resolver", Json::Str(row.resolver.as_str().to_string())),
                 ("day", Json::Int(row.day as i64)),
@@ -213,17 +312,7 @@ impl HealthSeries {
                     "availability",
                     Json::Float(row.cell.availability.availability()),
                 ),
-                (
-                    "errors",
-                    Json::Object(
-                        row.cell
-                            .availability
-                            .errors
-                            .iter()
-                            .map(|(k, &c)| (k.clone(), Json::Int(c as i64)))
-                            .collect(),
-                    ),
-                ),
+                ("errors", Json::Object(errors.collect())),
             ];
             if let Some(mean) = row.cell.response.mean() {
                 fields.push(("mean_ms", Json::Float(mean)));

@@ -53,7 +53,7 @@ pub use checkpoint::{
     CheckpointError, Manifest, ShardCells, ShardCheckpoint, ShardState, CHECKPOINT_VERSION,
 };
 pub use config::{standard_domains, CampaignConfig, Span};
-pub use errors::ProbeErrorKind;
+pub use errors::{ProbeErrorKind, Tally};
 pub use health::{
     day_of, detect_drift, DriftConfig, DriftFinding, DriftKind, HealthCell, HealthRow,
     HealthSeries, NANOS_PER_DAY,

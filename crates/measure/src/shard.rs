@@ -65,7 +65,8 @@ use crate::checkpoint::{
     PairDayHealth, PairMetrics, RetryExhausted, ShardCells, ShardCheckpoint, ShardState,
 };
 use crate::health::{
-    day_of, detect_drift, DriftConfig, DriftFinding, HealthCell, HealthSeries, NANOS_PER_DAY,
+    detect_drift, present_days, DayCells, DriftConfig, DriftFinding, HealthCell, HealthSeries,
+    NANOS_PER_DAY,
 };
 use crate::probe::ProbeConfig;
 use crate::results::{ProbeOutcome, ProbeRecord};
@@ -800,9 +801,19 @@ impl<'a> ShardedRunner<'a> {
             health: Vec::new(),
             exhausted: Vec::new(),
         };
+        // One pair's day cells at a time, over its vantage's days: the
+        // layout `HealthSeries` holds every pair's in.
+        let mut scratch = Vec::new();
         for (offset, records) in outputs.iter().enumerate() {
             let plan = &shard_plans[offset];
             let pair = (range.start + offset) as u32;
+            let days = self.campaign.days_of(plan.vantage.label);
+            scratch.clear();
+            scratch.resize(days.len(), HealthCell::default());
+            let mut day_cells = DayCells {
+                first_day: days.start,
+                cells: &mut scratch,
+            };
             let mut agg = PairAggregate {
                 pair,
                 vantage: plan.vantage_label,
@@ -810,11 +821,10 @@ impl<'a> ShardedRunner<'a> {
                 cell: Default::default(),
             };
             let mut metrics = CellMetrics::default();
-            let mut days: BTreeMap<u32, HealthCell> = BTreeMap::new();
             for r in records {
                 agg.cell.observe(r);
                 observe_cell(&mut metrics, r);
-                days.entry(day_of(r.at.as_nanos())).or_default().observe(r);
+                day_cells.observe(r);
                 if let (ProbeOutcome::Failure { .. }, Some(retry)) = (&r.outcome, &r.retry) {
                     if retry.exhausted() {
                         cells.exhausted.push(RetryExhausted {
@@ -830,10 +840,14 @@ impl<'a> ShardedRunner<'a> {
                 pair,
                 cell: metrics,
             });
-            let days = days
-                .into_iter()
-                .map(|(day, cell)| PairDayHealth { pair, day, cell });
-            cells.health.extend(days);
+            let present = present_days(days.start, &scratch);
+            cells
+                .health
+                .extend(present.map(|(day, cell)| PairDayHealth {
+                    pair,
+                    day,
+                    cell: cell.clone(),
+                }));
         }
         stages.fold_s = laps.lap();
         GeneratedShard {
@@ -1052,7 +1066,9 @@ impl<'a> ShardedRunner<'a> {
     /// its shard's pairs, in pair-index order, with a metrics cell beside
     /// each aggregate cell. Each pair's day cells and metrics cell must
     /// account for exactly the probes its aggregate cell saw, and its
-    /// retry exhaustions for exactly those its metrics cell counts.
+    /// retry exhaustions for exactly those its metrics cell counts; each
+    /// day cell must fall in its pair's days, once. A file that breaks
+    /// any of this, or does not decode, is `ShardData` naming the file.
     fn install_cells(&self) -> Result<InstalledCells, CheckpointError> {
         let protocol = self.campaign.config().probe.protocol.interned_label();
         let mut installed = InstalledCells {
@@ -1064,9 +1080,9 @@ impl<'a> ShardedRunner<'a> {
         for i in 0..self.shards {
             let path = self.cells_path(i);
             let text = std::fs::read_to_string(&path).map_err(io_err("read", &path))?;
-            let cells = ShardCells::decode(&text)?;
             let invalid =
                 |what: String| CheckpointError::ShardData(format!("{}: {what}", path.display()));
+            let cells = ShardCells::decode(&text).map_err(|e| invalid(e.to_string()))?;
             if cells.shard != i
                 || !cells
                     .pairs
@@ -1141,7 +1157,10 @@ impl<'a> ShardedRunner<'a> {
                 )));
             }
             for h in cells.health {
-                installed.health.install(h.pair, h.day, h.cell);
+                installed
+                    .health
+                    .install(h.pair, h.day, h.cell)
+                    .map_err(invalid)?;
             }
             for e in cells.exhausted {
                 let plan = &self.plans[e.pair as usize];

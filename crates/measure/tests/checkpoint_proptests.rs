@@ -13,6 +13,8 @@
 //! reads what the tree path reads — on hostile input it may decline more,
 //! never read differently.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use proptest::prelude::*;
 
 use measure::aggregate::{AggregateCell, PairAggregate};
@@ -20,10 +22,13 @@ use measure::checkpoint::{
     checksum, CheckpointError, Checksum, Manifest, PairDayHealth, PairMetrics, RetryExhausted,
     ShardCells, ShardCheckpoint, ShardState,
 };
-use measure::{HealthCell, Label, CHECKPOINT_VERSION};
+use measure::{
+    Campaign, CampaignConfig, HealthCell, Label, ProbeErrorKind, ShardedRunner, Tally,
+    CHECKPOINT_VERSION,
+};
 use obs::{CellMetrics, Histogram, Phase};
 
-use edns_stats::{Availability, LatencySketch};
+use edns_stats::LatencySketch;
 
 use tree::{
     availability_from_json, availability_to_json, pair_day_health_from_json,
@@ -38,13 +43,13 @@ use tree::{
 mod tree {
     use std::collections::BTreeMap;
 
-    use edns_stats::{Availability, LatencySketch, RunningMoments};
+    use edns_stats::{LatencySketch, RunningMoments};
     use measure::aggregate::{AggregateCell, PairAggregate};
     use measure::checkpoint::{
         CheckpointError, PairDayHealth, PairMetrics, RetryExhausted, ShardCells,
     };
     use measure::json::{self, Json};
-    use measure::{HealthCell, Label, ProbeErrorKind};
+    use measure::{HealthCell, Label, ProbeErrorKind, Tally};
     use obs::{CellMetrics, Counter, Gauge, Histogram, Phase};
 
     fn parse_err(msg: &str) -> CheckpointError {
@@ -163,11 +168,10 @@ mod tree {
         Ok(Histogram::from_parts(counts, float_field(v, "sum")?))
     }
 
-    pub fn availability_to_json(a: &Availability) -> Json {
+    pub fn availability_to_json(a: &Tally) -> Json {
         let errors = a
-            .errors
-            .iter()
-            .map(|(k, &c)| (k.clone(), Json::Int(c as i64)))
+            .errors()
+            .map(|(k, c)| (k.label().to_string(), Json::Int(c as i64)))
             .collect();
         Json::object([
             ("successes", Json::Int(a.successes as i64)),
@@ -175,20 +179,23 @@ mod tree {
         ])
     }
 
-    pub fn availability_from_json(v: &Json) -> Result<Availability, CheckpointError> {
-        let successes = int_field(v, "successes")?;
+    /// A tally holds only the labels a probe can fail with.
+    pub fn availability_from_json(v: &Json) -> Result<Tally, CheckpointError> {
+        let mut tally = Tally::default();
+        tally.successes = int_field(v, "successes")?;
         let Some(Json::Object(tallies)) = v.get("errors") else {
             return Err(parse_err("availability missing errors object"));
         };
-        let mut errors = BTreeMap::new();
         for (k, c) in tallies {
+            let kind = ProbeErrorKind::from_label(k)
+                .ok_or_else(|| parse_err(&format!("unknown error label {k:?}")))?;
             let c = c
                 .as_i64()
                 .filter(|&n| n >= 0)
                 .ok_or_else(|| parse_err("availability error count invalid"))?;
-            errors.insert(k.clone(), c as u64);
+            tally.set_errors(kind, c as u64);
         }
-        Ok(Availability { successes, errors })
+        Ok(tally)
     }
 
     fn pair_aggregate_to_json(p: &PairAggregate) -> Json {
@@ -370,13 +377,6 @@ mod tree {
     }
 }
 
-const ERROR_LABELS: [&str; 4] = [
-    "connect_timeout",
-    "query_timeout",
-    "tls_failure",
-    "http_error",
-];
-
 fn arb_sketch() -> impl Strategy<Value = LatencySketch> {
     proptest::collection::vec(0.01f64..60_000.0, 0..40).prop_map(|samples| {
         let mut s = LatencySketch::new();
@@ -387,18 +387,20 @@ fn arb_sketch() -> impl Strategy<Value = LatencySketch> {
     })
 }
 
-fn arb_availability() -> impl Strategy<Value = Availability> {
+/// A tally can hold only the labels a probe can fail with.
+fn arb_availability() -> impl Strategy<Value = Tally> {
+    let kinds = ProbeErrorKind::all().len();
     (
         0u64..10_000,
-        proptest::collection::vec((0usize..ERROR_LABELS.len(), 1u64..500), 0..4),
+        proptest::collection::vec((0..kinds, 1u64..500), 0..4),
     )
         .prop_map(|(successes, errors)| {
-            let mut a = Availability {
-                successes,
-                ..Availability::default()
-            };
-            for (label, count) in errors {
-                *a.errors.entry(ERROR_LABELS[label].to_string()).or_insert(0) += count;
+            let mut a = Tally::default();
+            a.successes = successes;
+            for (kind, count) in errors {
+                let mut one = Tally::default();
+                one.set_errors(ProbeErrorKind::all()[kind], count);
+                a.merge(&one);
             }
             a
         })
@@ -713,6 +715,73 @@ fn indices_past_u32_are_refused_not_truncated() {
     ));
 }
 
+/// An edit of a cell file's body.
+type BodyEdit = fn(&str) -> String;
+
+/// A cell file rewritten by `edit` and recorded anew in the manifest, so
+/// that only the cell lane's decode and content checks can reject it:
+/// what a run over it returns.
+fn run_with_edited_cell_file(edit: BodyEdit) -> Result<(), CheckpointError> {
+    let entries = ["dns.google", "doh.ffmuc.net"]
+        .into_iter()
+        .filter_map(catalog::resolvers::find)
+        .collect();
+    let c = Campaign::with_resolvers(CampaignConfig::longitudinal(4, 2), entries);
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "edns-checkpoint-proptests-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
+    assert_eq!(runner.advance(4).unwrap(), 0);
+    let path = runner.cells_path(1);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let body = edit(text.split_once('\n').unwrap().1.trim_end());
+    std::fs::write(&path, framed(&body)).unwrap();
+    let mut manifest = Manifest::load(&runner.manifest_path()).unwrap();
+    let ShardState::Complete(entry) = &mut manifest.states[1] else {
+        unreachable!("all four shards ran")
+    };
+    let cells = std::fs::read(&path).unwrap();
+    (entry.cell_bytes, entry.cell_checksum) = (cells.len() as u64, checksum(&cells));
+    manifest.store(&runner.manifest_path()).unwrap();
+    let result = runner.run(1).map(|_| ());
+    std::fs::remove_dir_all(&dir).unwrap();
+    result
+}
+
+#[test]
+fn a_label_a_tally_cannot_hold_or_a_day_outside_its_pair_is_shard_data_naming_the_file() {
+    let unknown_label: BodyEdit = |body| {
+        // The first availability ledger's errors, whatever they hold.
+        let (head, tail) = body.split_once("{\"errors\":{").unwrap();
+        let sep = if tail.starts_with('}') { "" } else { "," };
+        format!("{head}{{\"errors\":{{\"http_error\":1{sep}{tail}")
+    };
+    let day_outside: BodyEdit = |body| {
+        let mut cells = tree::decode_body(body).unwrap();
+        // Two days, 0 and 1: day 2 is the first outside.
+        cells.health[0].day = 2;
+        tree::encode_body(&cells)
+    };
+    let cases = [
+        ("an unknown error label", unknown_label),
+        (
+            "a health cell for a day outside its pair's days",
+            day_outside,
+        ),
+    ];
+    for (what, edit) in cases {
+        match run_with_edited_cell_file(edit) {
+            Err(CheckpointError::ShardData(msg)) => {
+                assert!(msg.contains("shard-0001.cells"), "{what}: {msg}")
+            }
+            other => panic!("{what}: expected ShardData, got {other:?}"),
+        }
+    }
+}
+
 /// Seeded single-byte mutations of the pinned cell file (a real shard's,
 /// every kind of cell in it), re-framed so they reach the field readers:
 /// never a panic, never a difference from the tree path.
@@ -733,8 +802,11 @@ fn seeded_mutations_of_an_engine_cell_file_read_like_the_tree() {
     // Mostly the bytes a body is made of, so that mutations land on other
     // valid tokens; sometimes any ASCII byte at all.
     let pool = b"0123456789.eE+-\",:{}[]\\nbfu \t";
+    // A mutated error label is refused by both paths (a tally holds only
+    // the labels a probe can fail with), so about a tenth of the bodies
+    // still read.
     let mut still_read = 0;
-    for _ in 0..3_000 {
+    for _ in 0..3_600 {
         let mut bytes = body.as_bytes().to_vec();
         let at = (next() % bytes.len() as u64) as usize;
         bytes[at] = match next() % 4 {

@@ -19,9 +19,15 @@ impl Availability {
         self.successes += 1;
     }
 
-    /// Records a failure with its error label.
+    /// Records a failure with its error label. Allocates only on a
+    /// label's first failure: `entry` would need an owned key every time.
     pub fn error(&mut self, label: &str) {
-        *self.errors.entry(label.to_string()).or_insert(0) += 1;
+        match self.errors.get_mut(label) {
+            Some(n) => *n += 1,
+            None => {
+                self.errors.insert(label.to_string(), 1);
+            }
+        }
     }
 
     /// Total failed probes.
@@ -75,12 +81,21 @@ impl AvailabilityLedger {
 
     /// Records a success for `key`.
     pub fn success(&mut self, key: &str) {
-        self.groups.entry(key.to_string()).or_default().success();
+        self.update(key, Availability::success);
     }
 
     /// Records an error for `key`.
     pub fn error(&mut self, key: &str, label: &str) {
-        self.groups.entry(key.to_string()).or_default().error(label);
+        self.update(key, |a| a.error(label));
+    }
+
+    /// Applies `f` to the tally for `key`, creating it on the key's first
+    /// use: the only call that allocates the key.
+    fn update(&mut self, key: &str, f: impl FnOnce(&mut Availability)) {
+        match self.groups.get_mut(key) {
+            Some(a) => f(a),
+            None => f(self.groups.entry(key.to_string()).or_default()),
+        }
     }
 
     /// The tally for `key`.
