@@ -3,17 +3,18 @@
 //!
 //! A longitudinal campaign can produce millions of probe records; holding
 //! them all to compute availability tables and latency distributions is
-//! exactly what the sharded engine exists to avoid. [`CampaignAggregates`]
-//! keeps, per pair, a [`Tally`] and two [`LatencySketch`]es (responses
-//! and pings) — O(pairs) memory however long the campaign runs, and no
-//! heap inside a cell.
+//! exactly what the sharded engine exists to avoid. An [`AggregateCell`]
+//! keeps a pair's [`Tally`] and two [`LatencySketch`]es (responses and
+//! pings) — O(pairs) memory however long the campaign runs, and no heap
+//! inside a cell. The cells are folded as part of each pair's
+//! [`PairFold`](crate::fold::PairFold); [`CampaignAggregates`] is the
+//! rollup view of them that [`CampaignFolds`] hands out, for the
+//! per-resolver and per-vantage tables.
 //!
 //! Determinism contract (the resume invariant of `DESIGN.md` §9): every
-//! cell only ever observes its own pair's records in that pair's canonical
-//! (time, domain) order, and every cross-cell rollup is a left-fold over
-//! cells in pair-index order. Both are independent of shard count and of
-//! where a kill/resume boundary fell, so a one-shot run, an n-thread
-//! sharded run and a resumed run produce bit-identical aggregates.
+//! cross-cell rollup is a left-fold over cells in pair-index order, so a
+//! one-shot run, an n-thread sharded run and a resumed run produce
+//! bit-identical rollups.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +23,8 @@ use obs::Label;
 
 use crate::campaign::Campaign;
 use crate::errors::Tally;
-use crate::results::{ProbeOutcome, ProbeRecord};
+use crate::fold::CampaignFolds;
+use crate::results::ProbeRecord;
 
 /// The sketch cell shared by per-pair aggregates and their rollups.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -36,22 +38,6 @@ pub struct AggregateCell {
 }
 
 impl AggregateCell {
-    /// Folds one probe record into the cell.
-    pub fn observe(&mut self, r: &ProbeRecord) {
-        match &r.outcome {
-            ProbeOutcome::Success { timings, .. } => {
-                self.availability.success();
-                self.response.observe(timings.total().as_millis_f64());
-            }
-            ProbeOutcome::Failure { kind, .. } => {
-                self.availability.error(*kind);
-            }
-        }
-        if let Some(p) = r.ping {
-            self.ping.observe(p.as_millis_f64());
-        }
-    }
-
     /// Merges another cell into this one. Only used by cross-cell
     /// rollups — two cells of the *same* pair never merge (a pair lives
     /// in exactly one shard).
@@ -85,69 +71,14 @@ pub struct PairAggregate {
 /// (schedule) order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignAggregates {
-    pairs: Vec<PairAggregate>,
-    /// (vantage, resolver) → pair index, for record routing.
-    index: BTreeMap<(Label, Label), u32>,
+    pub(crate) pairs: Vec<PairAggregate>,
 }
 
 impl CampaignAggregates {
-    /// Empty aggregates shaped for `campaign`'s pair space.
-    pub fn for_campaign(campaign: &Campaign) -> CampaignAggregates {
-        let plans = campaign.pair_plans();
-        let mut pairs = Vec::with_capacity(plans.len());
-        let mut index = BTreeMap::new();
-        for (i, p) in plans.iter().enumerate() {
-            pairs.push(PairAggregate {
-                pair: i as u32,
-                vantage: p.vantage_label,
-                resolver: p.resolver_label,
-                cell: AggregateCell::default(),
-            });
-            index
-                .entry((p.vantage_label, p.resolver_label))
-                .or_insert(i as u32);
-        }
-        CampaignAggregates { pairs, index }
-    }
-
-    /// Aggregates of an in-memory record stream — the one-shot reference
-    /// path the sharded engine must reproduce bit-for-bit.
+    /// The aggregates of an in-memory record stream: the projection of
+    /// [`CampaignFolds::of`] the benchmark in `benchmark/` times.
     pub fn of(campaign: &Campaign, records: &[ProbeRecord]) -> CampaignAggregates {
-        let mut agg = CampaignAggregates::for_campaign(campaign);
-        for r in records {
-            agg.observe(r);
-        }
-        agg
-    }
-
-    /// Routes one record to its pair's cell. Records whose (vantage,
-    /// resolver) pair is not part of the campaign are ignored.
-    pub fn observe(&mut self, r: &ProbeRecord) {
-        if let Some(&i) = self.index.get(&(r.vantage_id(), r.resolver_id())) {
-            self.pairs[i as usize].cell.observe(r);
-        }
-    }
-
-    /// Installs a checkpointed pair aggregate (resume path). Returns an
-    /// error when the pair index or its coordinates do not match this
-    /// campaign's plan — a checkpoint from a different configuration.
-    pub fn install(&mut self, pair: &PairAggregate) -> Result<(), String> {
-        let slot = self
-            .pairs
-            .get_mut(pair.pair as usize)
-            .ok_or_else(|| format!("pair index {} out of range", pair.pair))?;
-        if slot.vantage != pair.vantage || slot.resolver != pair.resolver {
-            return Err(format!(
-                "pair {} is ({}, {}) in the plan but ({}, {}) in the checkpoint",
-                pair.pair,
-                slot.vantage.as_str(),
-                slot.resolver.as_str(),
-                pair.vantage.as_str(),
-                pair.resolver.as_str()
-            ));
-        }
-        slot.cell = pair.cell.clone();
-        Ok(())
+        CampaignFolds::of(campaign, records).into_views().0
     }
 
     /// The per-pair cells in pair (schedule) order.
@@ -172,27 +103,23 @@ impl CampaignAggregates {
     /// Per-resolver rollups (merged across vantages in pair order),
     /// sorted by resolver hostname.
     pub fn by_resolver(&self) -> Vec<(&'static str, AggregateCell)> {
-        let mut rollup: BTreeMap<Label, AggregateCell> = BTreeMap::new();
-        for p in &self.pairs {
-            rollup.entry(p.resolver).or_default().merge(&p.cell);
-        }
-        rollup
-            .into_iter()
-            .map(|(label, cell)| (label.as_str(), cell))
-            .collect()
+        self.rollup(|p| p.resolver)
     }
 
     /// Per-vantage rollups (merged across resolvers in pair order),
     /// sorted by vantage label.
     pub fn by_vantage(&self) -> Vec<(&'static str, AggregateCell)> {
+        self.rollup(|p| p.vantage)
+    }
+
+    /// The cells merged by `key`, in pair order, sorted by its label.
+    fn rollup(&self, key: impl Fn(&PairAggregate) -> Label) -> Vec<(&'static str, AggregateCell)> {
         let mut rollup: BTreeMap<Label, AggregateCell> = BTreeMap::new();
         for p in &self.pairs {
-            rollup.entry(p.vantage).or_default().merge(&p.cell);
+            rollup.entry(key(p)).or_default().merge(&p.cell);
         }
-        rollup
-            .into_iter()
-            .map(|(label, cell)| (label.as_str(), cell))
-            .collect()
+        let rollup = rollup.into_iter();
+        rollup.map(|(label, cell)| (label.as_str(), cell)).collect()
     }
 }
 
@@ -236,37 +163,5 @@ mod tests {
         let total: u64 = by_resolver.iter().map(|(_, cell)| cell.probes()).sum();
         assert_eq!(total, agg.probes());
         assert_eq!(agg.by_vantage().len(), 7);
-    }
-
-    #[test]
-    fn install_rejects_mismatched_pairs() {
-        let c = campaign();
-        let agg = CampaignAggregates::of(&c, &c.run().records);
-        let mut fresh = CampaignAggregates::for_campaign(&c);
-        for p in agg.pairs() {
-            fresh.install(p).unwrap();
-        }
-        assert_eq!(fresh, agg);
-
-        let mut bad = agg.pairs()[0].clone();
-        bad.pair = 999;
-        assert!(fresh.install(&bad).unwrap_err().contains("out of range"));
-        let mut swapped = agg.pairs()[0].clone();
-        swapped.pair = 1;
-        assert!(fresh.install(&swapped).is_err());
-    }
-
-    #[test]
-    fn unknown_records_are_ignored() {
-        let c = campaign();
-        let mut agg = CampaignAggregates::for_campaign(&c);
-        let other = Campaign::with_resolvers(
-            CampaignConfig::quick(11, 1),
-            vec![catalog::resolvers::find("dns.quad9.net").unwrap()],
-        );
-        for r in &other.run().records {
-            agg.observe(r);
-        }
-        assert_eq!(agg.probes(), 0);
     }
 }

@@ -122,46 +122,47 @@ pub fn observe_record(registry: &mut MetricsRegistry, r: &ProbeRecord) {
     // detlint:allow(deny-alloc-reach, interning allocates only on a label's first occurrence; the vocabulary is bounded and warm after setup — the zero-alloc tests hold the runtime line)
     let cell = registry.cell_interned(r.resolver_id(), r.vantage_id(), r.protocol.interned_label());
     observe_cell(cell, r);
+    if let ProbeOutcome::Failure { kind, .. } = &r.outcome {
+        // Keyed by the kind's static label: no per-failure allocation.
+        *cell.errors.entry(kind.label()).or_insert(0) += 1;
+    }
 }
 
-/// Folds one probe record into its (resolver, vantage, protocol) cell —
-/// the body of [`observe_record`], and the sharded engine's per-pair
-/// metrics fold: a pair is one cell, so folding its records in its own
-/// order is bit for bit the registry's fold over the whole stream.
+/// Folds one probe record into its (resolver, vantage, protocol) cell,
+/// all but the error tallies — the body of [`observe_record`], and the
+/// metrics part of a [`PairFold`](crate::fold::PairFold), whose error
+/// tallies are its aggregate's: a pair is one cell, so folding its records
+/// in its own order is bit for bit the registry's fold over the whole
+/// stream.
 #[deny_alloc]
 pub(crate) fn observe_cell(cell: &mut CellMetrics, r: &ProbeRecord) {
     cell.probes.inc();
-    match &r.outcome {
-        ProbeOutcome::Success {
-            timings, cache_hit, ..
-        } => {
-            cell.successes.inc();
-            if *cache_hit {
-                cell.cache_hits.inc();
-            }
-            let ms = timings.total().as_millis_f64();
-            // The `.observe(…)` calls below resolve by name to every
-            // workspace `observe` — including cold-path aggregators that
-            // key ledgers by owned strings. The cells here are metric
-            // histograms (`obs::metrics`), whose observe is append-only
-            // arithmetic on preallocated buckets.
-            // detlint:allow(deny-alloc-reach, MetricCell::observe is alloc-free; the name-matched ledger observes are cold-path types)
-            cell.response_ms.observe(ms);
-            cell.last_response_ms.set(ms);
-            for p in Phase::ALL {
-                // detlint:allow(deny-alloc-reach, MetricCell::observe is alloc-free; the name-matched ledger observes are cold-path types)
-                cell.phase(p).observe(timings.phase(p).as_millis_f64());
-            }
+    if let ProbeOutcome::Success {
+        timings, cache_hit, ..
+    } = &r.outcome
+    {
+        cell.successes.inc();
+        if *cache_hit {
+            cell.cache_hits.inc();
         }
-        ProbeOutcome::Failure { kind, .. } => {
-            // Keyed by the kind's static label: no per-failure allocation.
-            *cell.errors.entry(kind.label()).or_insert(0) += 1;
+        let ms = timings.total().as_millis_f64();
+        // The `.observe(…)` calls below resolve by name to every
+        // workspace `observe` — including cold-path aggregators that
+        // key ledgers by owned strings. The cells here are metric
+        // histograms (`obs::metrics`), whose observe is append-only
+        // arithmetic on preallocated buckets.
+        // detlint:allow(deny-alloc-reach, MetricCell::observe is alloc-free; the name-matched ledger observes are cold-path types)
+        cell.response_ms.observe(ms);
+        cell.last_response_ms.set(ms);
+        for p in Phase::ALL {
+            // detlint:allow(deny-alloc-reach, MetricCell::observe is alloc-free; the name-matched ledger observes are cold-path types)
+            cell.phase(p).observe(timings.phase(p).as_millis_f64());
         }
     }
     if let Some(retry) = &r.retry {
         // Every error in `attempt_errors` names a retried (non-final)
         // attempt on success; on failure the last entry is the probe's
-        // final verdict, already tallied in `errors` above.
+        // final verdict, which the error tallies count.
         let retried = match &r.outcome {
             ProbeOutcome::Success { .. } => retry.attempt_errors.as_slice(),
             ProbeOutcome::Failure { .. } => {

@@ -5,8 +5,8 @@
 //! and for complete shards, the record count of the shard, and the byte
 //! count and checksum of its two write-once files: the JSONL data file and
 //! the *cell file* ([`ShardCells`]) holding everything the shard's pairs
-//! fold to — per pair an aggregate cell, a metrics cell and its retry
-//! exhaustions, per (pair, day) a health cell. The manifest is O(shards)
+//! fold to — per pair ([`PairCells`]) an aggregate cell, a metrics cell,
+//! a health cell per day and its retry exhaustions. The manifest is O(shards)
 //! however long the campaign runs; a commit rewrites a few KB. A killed
 //! campaign resumes by loading the manifest, re-validating every complete
 //! shard's two files against the recorded checksums, and running only
@@ -297,35 +297,45 @@ pub struct ShardCheckpoint {
 pub struct ShardCells {
     /// Shard index (a cell file under another shard's name is rejected).
     pub shard: u32,
-    /// The shard's per-pair aggregate cells, in pair-index order.
-    pub pairs: Vec<PairAggregate>,
-    /// The shard's per-pair metrics cells, one per aggregate cell and in
-    /// the same order.
-    pub metrics: Vec<PairMetrics>,
-    /// The shard's per-(pair, day) health cells, in (pair, day) order —
-    /// the flight recorder's health timeseries deltas.
-    pub health: Vec<PairDayHealth>,
-    /// Every probe of the shard's pairs that failed with its retry budget
-    /// spent, in (pair, canonical record) order — the journal's
-    /// `retry_exhausted` events.
+    /// The shard's pairs' cells, in pair-index order.
+    pub pairs: Vec<PairCells>,
+}
+
+/// One pair's cells: what its [`PairFold`](crate::fold::PairFold) folds
+/// its records to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairCells {
+    /// The aggregate cell, with the pair's index and coordinates.
+    pub aggregate: PairAggregate,
+    /// The metrics cell, its error tallies left to the aggregate's.
+    pub metrics: CellMetrics,
+    /// The day cells that saw a probe, with their days, in day order.
+    pub health: Vec<(u32, HealthCell)>,
+    /// The probes that failed with their retry budget spent, in record
+    /// order: the journal's `retry_exhausted` events.
     pub exhausted: Vec<RetryExhausted>,
 }
 
 impl ShardCells {
     /// Serialises the cells: header line plus compact JSON body, written
     /// field by field — keys sorted, floats through
-    /// [`json::write_float`] — with no [`Json`] tree in between.
+    /// [`json::write_float`] — with no [`Json`] tree in between. The body
+    /// lists the pairs' cells in four sections, each pair after pair:
+    /// aggregate cells, retry exhaustions, (pair, day) health cells and
+    /// metrics cells.
     pub fn encode(&self) -> String {
+        let pairs = &self.pairs;
         let mut body = String::new();
-        put_list(&mut body, "{\"cells\":", &self.pairs, put_pair_aggregate);
-        put_list(
-            &mut body,
-            ",\"exhausted\":",
-            &self.exhausted,
-            put_retry_exhausted,
-        );
-        put_list(&mut body, ",\"health\":", &self.health, put_pair_day_health);
-        put_list(&mut body, ",\"metrics\":", &self.metrics, put_pair_metrics);
+        let aggregates = pairs.iter().map(|p| &p.aggregate);
+        put_list(&mut body, "{\"cells\":", aggregates, put_pair_aggregate);
+        let exhausted = pairs.iter().flat_map(|p| &p.exhausted);
+        put_list(&mut body, ",\"exhausted\":", exhausted, put_retry_exhausted);
+        let health = pairs.iter().flat_map(|p| {
+            let pair = p.aggregate.pair;
+            p.health.iter().map(move |(day, cell)| (pair, *day, cell))
+        });
+        put_list(&mut body, ",\"health\":", health, put_pair_day_health);
+        put_list(&mut body, ",\"metrics\":", pairs, put_pair_metrics);
         put_count(&mut body, ",\"shard\":", self.shard.into());
         body.push('}');
         frame(&body)
@@ -338,28 +348,76 @@ impl ShardCells {
     /// [`CheckpointError::Parse`], and so are a bucket total that disagrees
     /// with its count, a negative count, a non-finite float, an error label
     /// no probe fails with, a pair, day, shard or attempt count past `u32`,
-    /// and a histogram or retry count too many or too few for the phases.
+    /// a histogram or retry count too many or too few for the phases, and
+    /// sections that [`from_sections`](Self::from_sections) cannot group.
     pub fn decode(text: &str) -> Result<ShardCells, CheckpointError> {
         let mut r = LineReader::new(unframe(text)?);
         match take_cells(&mut r) {
-            Some(cells) if r.pos == r.s.len() => Ok(cells),
+            Some(cells) if r.pos == r.s.len() => cells,
             _ => Err(parse_err_owned(format!(
                 "cell file body unreadable at byte {}",
                 r.pos
             ))),
         }
     }
-}
 
-/// One pair's metrics cell as persisted in a cell file: what
-/// [`observe_record`](crate::observe_record) folds the pair's records to,
-/// installed under the pair's (resolver, vantage, protocol) key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PairMetrics {
-    /// Pair index within the campaign plan.
-    pub pair: u32,
-    /// The pair's metrics cell.
-    pub cell: CellMetrics,
+    /// Groups a cell file's four sections into one entry per pair, as
+    /// [`decode`](Self::decode) (and the tree codec, its oracle in
+    /// `tests/checkpoint_proptests.rs`) reads them: a metrics cell per
+    /// aggregate cell, of its pair and counting its tally's errors, and
+    /// each pair's day cells and exhaustions in the pairs' order. Anything
+    /// else is a [`CheckpointError::Parse`].
+    pub fn from_sections(
+        shard: u32,
+        aggregates: Vec<PairAggregate>,
+        exhausted: Vec<RetryExhausted>,
+        health: Vec<(u32, u32, HealthCell)>,
+        metrics: Vec<(u32, CellMetrics)>,
+    ) -> Result<ShardCells, CheckpointError> {
+        let (n, m) = (aggregates.len(), metrics.len());
+        if n != m {
+            return Err(parse_err_owned(format!(
+                "holds {m} metrics cells for {n} pairs"
+            )));
+        }
+        let mut pairs = Vec::with_capacity(n);
+        for (aggregate, (pair, mut metrics)) in aggregates.into_iter().zip(metrics) {
+            let tally = aggregate.cell.availability.errors();
+            let tally = tally.map(|(kind, n)| (kind.label(), n));
+            if pair != aggregate.pair || !tally.eq(metrics.errors.iter().map(|(&k, &n)| (k, n))) {
+                let p = aggregate.pair;
+                let other =
+                    format!("pair {p}'s metrics cell is pair {pair}'s or counts other errors");
+                return Err(parse_err_owned(other));
+            }
+            metrics.errors.clear();
+            pairs.push(PairCells {
+                aggregate,
+                metrics,
+                health: Vec::new(),
+                exhausted: Vec::new(),
+            });
+        }
+        // Each section lists the pairs' entries in the pairs' order.
+        let position = |pairs: &[PairCells], pair| {
+            let at = pairs
+                .iter()
+                .position(|p: &PairCells| p.aggregate.pair == pair);
+            let stray = || format!("a cell of pair {pair} out of the pairs' order or of none");
+            at.ok_or_else(|| parse_err_owned(stray()))
+        };
+        let mut at = 0;
+        for (pair, day, cell) in health {
+            at += position(&pairs[at..], pair)?;
+            pairs[at].health.push((day, cell));
+        }
+        let mut at = 0;
+        for e in exhausted {
+            at += position(&pairs[at..], e.pair)?;
+            pairs[at].exhausted.push(e);
+        }
+        Ok(ShardCells { shard, pairs })
+    }
 }
 
 /// One probe that failed with every retry attempt spent.
@@ -371,17 +429,6 @@ pub struct RetryExhausted {
     pub at: u64,
     /// Attempts it made.
     pub attempts: u32,
-}
-
-/// One (pair, day) health delta as persisted in a cell file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PairDayHealth {
-    /// Pair index within the campaign plan.
-    pub pair: u32,
-    /// Campaign day index.
-    pub day: u32,
-    /// The day's health cell.
-    pub cell: HealthCell,
 }
 
 /// A shard's state in the manifest.
@@ -625,10 +672,15 @@ fn put_counts(out: &mut String, lit: &str, counts: &[u64]) {
     put_list(out, lit, counts, |out, &n| put_count(out, "", n));
 }
 
-fn put_list<T>(out: &mut String, lit: &str, items: &[T], put: impl Fn(&mut String, &T)) {
+fn put_list<T>(
+    out: &mut String,
+    lit: &str,
+    items: impl IntoIterator<Item = T>,
+    put: impl Fn(&mut String, T),
+) {
     out.push_str(lit);
     out.push('[');
-    for (i, item) in items.iter().enumerate() {
+    for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -708,24 +760,25 @@ fn put_retry_exhausted(out: &mut String, e: &RetryExhausted) {
     out.push('}');
 }
 
-fn put_pair_day_health(out: &mut String, h: &PairDayHealth) {
-    put_availability(out, "{\"availability\":", &h.cell.availability);
-    put_count(out, ",\"day\":", h.day.into());
-    put_count(out, ",\"pair\":", h.pair.into());
-    put_sketch(out, ",\"response\":", &h.cell.response);
+fn put_pair_day_health(out: &mut String, (pair, day, cell): (u32, u32, &HealthCell)) {
+    put_availability(out, "{\"availability\":", &cell.availability);
+    put_count(out, ",\"day\":", day.into());
+    put_count(out, ",\"pair\":", pair.into());
+    put_sketch(out, ",\"response\":", &cell.response);
     out.push('}');
 }
 
-/// One pair's metrics cell. Floats (histogram sums, the last response)
-/// round-trip bit-exactly, so a decoded cell snapshots exactly like the
-/// fold that produced it.
-fn put_pair_metrics(out: &mut String, m: &PairMetrics) {
-    let c = &m.cell;
+/// One pair's metrics cell, its error tallies the aggregate's. Floats
+/// (histogram sums, the last response) round-trip bit-exactly, so a
+/// decoded cell snapshots exactly like the fold that produced it.
+fn put_pair_metrics(out: &mut String, p: &PairCells) {
+    let c = &p.metrics;
+    let errors = p.aggregate.cell.availability.errors();
     put_count(out, "{\"cache_hits\":", c.cache_hits.get());
-    put_tallies(out, ",\"errors\":", c.errors.iter().map(|(&k, &n)| (k, n)));
+    put_tallies(out, ",\"errors\":", errors.map(|(k, n)| (k.label(), n)));
     put_count(out, ",\"exhausted\":", c.exhausted.get());
     put_float(out, ",\"last_response_ms\":", c.last_response_ms.get());
-    put_count(out, ",\"pair\":", m.pair.into());
+    put_count(out, ",\"pair\":", p.aggregate.pair.into());
     put_list(out, ",\"phases\":", &c.phase_ms, |out, h| {
         put_histogram(out, "", h)
     });
@@ -739,16 +792,16 @@ fn put_pair_metrics(out: &mut String, m: &PairMetrics) {
     out.push('}');
 }
 
-fn take_cells(r: &mut LineReader) -> Option<ShardCells> {
-    let cells = ShardCells {
-        pairs: take_list(r, "{\"cells\":", take_pair_aggregate)?,
-        exhausted: take_list(r, ",\"exhausted\":", take_retry_exhausted)?,
-        health: take_list(r, ",\"health\":", take_pair_day_health)?,
-        metrics: take_list(r, ",\"metrics\":", take_pair_metrics)?,
-        shard: take_index(r, ",\"shard\":")?,
-    };
+fn take_cells(r: &mut LineReader) -> Option<Result<ShardCells, CheckpointError>> {
+    let aggregates = take_list(r, "{\"cells\":", take_pair_aggregate)?;
+    let exhausted = take_list(r, ",\"exhausted\":", take_retry_exhausted)?;
+    let health = take_list(r, ",\"health\":", take_pair_day_health)?;
+    let metrics = take_list(r, ",\"metrics\":", take_pair_metrics)?;
+    let shard = take_index(r, ",\"shard\":")?;
     r.eat("}")?;
-    Some(cells)
+    Some(ShardCells::from_sections(
+        shard, aggregates, exhausted, health, metrics,
+    ))
 }
 
 fn take_count(r: &mut LineReader, lit: &str) -> Option<u64> {
@@ -895,25 +948,22 @@ fn take_retry_exhausted(r: &mut LineReader) -> Option<RetryExhausted> {
     Some(RetryExhausted { pair, at, attempts })
 }
 
-fn take_pair_day_health(r: &mut LineReader) -> Option<PairDayHealth> {
+fn take_pair_day_health(r: &mut LineReader) -> Option<(u32, u32, HealthCell)> {
     let availability = take_availability(r, "{\"availability\":")?;
     let day = take_index(r, ",\"day\":")?;
     let pair = take_index(r, ",\"pair\":")?;
     let response = take_sketch(r, ",\"response\":")?;
     r.eat("}")?;
-    Some(PairDayHealth {
-        pair,
-        day,
-        cell: HealthCell {
-            availability,
-            response,
-        },
-    })
+    let cell = HealthCell {
+        availability,
+        response,
+    };
+    Some((pair, day, cell))
 }
 
 /// One pair's metrics cell. An error label must be one a probe can fail
 /// with, and there is a histogram and a retry count per phase.
-fn take_pair_metrics(r: &mut LineReader) -> Option<PairMetrics> {
+fn take_pair_metrics(r: &mut LineReader) -> Option<(u32, CellMetrics)> {
     let counter = |n| {
         let mut c = Counter::default();
         c.add(n);
@@ -935,9 +985,9 @@ fn take_pair_metrics(r: &mut LineReader) -> Option<PairMetrics> {
     let retries = take_counts::<{ Phase::COUNT }>(r, ",\"retries\":")?;
     let successes = take_count(r, ",\"successes\":")?;
     r.eat("}")?;
-    Some(PairMetrics {
+    Some((
         pair,
-        cell: CellMetrics {
+        CellMetrics {
             probes: counter(probes),
             successes: counter(successes),
             cache_hits: counter(cache_hits),
@@ -950,7 +1000,7 @@ fn take_pair_metrics(r: &mut LineReader) -> Option<PairMetrics> {
             recovered: counter(recovered),
             exhausted: counter(exhausted),
         },
-    })
+    ))
 }
 
 #[cfg(test)]
@@ -968,7 +1018,7 @@ mod tests {
         cell
     }
 
-    fn sample_health() -> Vec<PairDayHealth> {
+    fn sample_health() -> Vec<(u32, HealthCell)> {
         let mut day0 = HealthCell::default();
         day0.availability.success();
         day0.availability.success();
@@ -976,18 +1026,7 @@ mod tests {
         day0.response.observe(48.25);
         let mut day1 = HealthCell::default();
         day1.availability.error(ProbeErrorKind::QueryTimeout);
-        vec![
-            PairDayHealth {
-                pair: 2,
-                day: 0,
-                cell: day0,
-            },
-            PairDayHealth {
-                pair: 2,
-                day: 1,
-                cell: day1,
-            },
-        ]
+        vec![(0, day0), (1, day1)]
     }
 
     fn sample_manifest() -> Manifest {
@@ -1004,38 +1043,32 @@ mod tests {
     }
 
     fn sample_cells() -> ShardCells {
+        let pair = |pair, resolver, cell| PairAggregate {
+            pair,
+            vantage: Label::intern("home-us-east"),
+            resolver: Label::intern(resolver),
+            cell,
+        };
         ShardCells {
             shard: 1,
             pairs: vec![
-                PairAggregate {
-                    pair: 2,
-                    vantage: Label::intern("home-us-east"),
-                    resolver: Label::intern("dns.google"),
-                    cell: sample_cell(),
+                PairCells {
+                    aggregate: pair(2, "dns.google", sample_cell()),
+                    metrics: sample_metrics(),
+                    health: sample_health(),
+                    exhausted: vec![RetryExhausted {
+                        pair: 2,
+                        at: 7_200_000_000_000,
+                        attempts: 3,
+                    }],
                 },
-                PairAggregate {
-                    pair: 3,
-                    vantage: Label::intern("home-us-east"),
-                    resolver: Label::intern("dns.quad9.net"),
-                    cell: AggregateCell::default(),
-                },
-            ],
-            metrics: vec![
-                PairMetrics {
-                    pair: 2,
-                    cell: sample_metrics(),
-                },
-                PairMetrics {
-                    pair: 3,
-                    cell: CellMetrics::default(),
+                PairCells {
+                    aggregate: pair(3, "dns.quad9.net", AggregateCell::default()),
+                    metrics: CellMetrics::default(),
+                    health: Vec::new(),
+                    exhausted: Vec::new(),
                 },
             ],
-            health: sample_health(),
-            exhausted: vec![RetryExhausted {
-                pair: 2,
-                at: 7_200_000_000_000,
-                attempts: 3,
-            }],
         }
     }
 
@@ -1044,7 +1077,6 @@ mod tests {
         m.probes.add(3);
         m.successes.add(2);
         m.cache_hits.inc();
-        m.errors.insert("query_timeout", 1);
         // Sums that only a bit-exact float codec gets back: 0.1 + 0.2.
         m.response_ms.observe(0.1);
         m.response_ms.observe(0.2);
@@ -1136,24 +1168,31 @@ mod tests {
 
     #[test]
     fn metrics_cells_round_trip_bit_exactly() {
-        let cells = ShardCells {
-            pairs: Vec::new(),
-            health: Vec::new(),
-            ..sample_cells()
-        };
-        let back = ShardCells::decode(&cells.encode()).unwrap();
-        assert_eq!(back, cells);
+        let (cells, text) = (sample_cells(), sample_cells().encode());
+        let back = ShardCells::decode(&text).unwrap();
         assert_eq!(
-            back.metrics[0].cell.response_ms.sum().to_bits(),
+            back.pairs[0].metrics.response_ms.sum().to_bits(),
             (0.1f64 + 0.2).to_bits()
         );
+        // The metrics cell's errors are written from its aggregate's tally.
+        let metrics = text.split(",\"metrics\":").nth(1).unwrap();
+        assert!(metrics.contains("\"errors\":{\"query_timeout\":1}"));
         // An error label no probe fails with, a histogram whose buckets
-        // disagree with its count, and one phase histogram too many are
-        // all rejected.
+        // disagree with its count, one phase histogram too many, a metrics
+        // cell counting other errors than its aggregate, and one of
+        // another pair are all rejected.
         for (from, to) in [
             ("\"query_timeout\":", "\"gremlins\":"),
             ("\"n\":2,\"sum\"", "\"n\":3,\"sum\""),
             ("],\"ping\":", ",{\"n\":0}],\"ping\":"),
+            (
+                "\"errors\":{\"query_timeout\":1},\"exhausted\"",
+                "\"errors\":{},\"exhausted\"",
+            ),
+            (
+                "\"last_response_ms\":0.2,\"pair\":2",
+                "\"last_response_ms\":0.2,\"pair\":3",
+            ),
         ] {
             let text = reframed(&cells, |body| body.replacen(from, to, 1));
             assert!(
@@ -1165,18 +1204,32 @@ mod tests {
 
     #[test]
     fn health_cells_round_trip_bit_exactly() {
-        let cells = ShardCells {
-            pairs: Vec::new(),
-            metrics: Vec::new(),
-            ..sample_cells()
+        let cells = sample_cells();
+        let back = ShardCells::decode(&cells.encode()).unwrap();
+        assert_eq!(back.pairs[0].health, sample_health());
+        // A tampered day count is caught by the sketch validator; a day
+        // cell or an exhaustion of a pair not listed is refused.
+        let health = |from: &'static str, to: &'static str| {
+            move |body: &str| {
+                let (head, tail) = body.split_once(",\"health\":").unwrap();
+                format!("{head},\"health\":{}", tail.replacen(from, to, 1))
+            }
         };
-        assert_eq!(ShardCells::decode(&cells.encode()).unwrap(), cells);
-        // A tampered day count is caught by the sketch validator.
-        let text = reframed(&cells, |body| body.replacen("\"n\":2}", "\"n\":3}", 1));
-        assert!(matches!(
-            ShardCells::decode(&text),
-            Err(CheckpointError::Parse(_))
-        ));
+        for text in [
+            reframed(&cells, health("\"n\":2}", "\"n\":3}")),
+            reframed(
+                &cells,
+                health("\"day\":1,\"pair\":2", "\"day\":1,\"pair\":4"),
+            ),
+            reframed(&cells, |body| {
+                body.replacen("\"attempts\":3,\"pair\":2", "\"attempts\":3,\"pair\":1", 1)
+            }),
+        ] {
+            assert!(matches!(
+                ShardCells::decode(&text),
+                Err(CheckpointError::Parse(_))
+            ));
+        }
     }
 
     #[test]

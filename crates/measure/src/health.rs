@@ -4,14 +4,16 @@
 //! The paper's headline findings are longitudinal — availability dips and
 //! latency shifts over months — so the flight recorder keeps one
 //! [`HealthCell`] (a [`Tally`] + response-latency sketch delta) per
-//! **(pair, day)**, folded during sharded execution and persisted in each
-//! shard's `edns-checkpoint` cell file. Memory is O(pairs × days) =
+//! **(pair, day)**, folded as part of each pair's
+//! [`PairFold`](crate::fold::PairFold) and persisted in each shard's
+//! `edns-checkpoint` cell file. Memory is O(pairs × days) =
 //! O(vantages × resolvers × days) with the vantage count a small constant
 //! — bounded however many probes a day carries. A cell is a fixed
 //! `size_of::<HealthCell>()` (312 B) with no heap behind it, and a
-//! [`HealthSeries`] holds them all in one table, each pair's over its
-//! vantage's day range, plus 28 B per pair: at 76 resolvers × 7 vantages,
-//! ~166 KB per campaign day.
+//! [`HealthSeries`] — the day-cell table under [`CampaignFolds`] — holds
+//! them all in one table, each pair's over its vantage's day range, plus
+//! a few words per pair: at 76 resolvers × 7 vantages, ~166 KB per
+//! campaign day.
 //!
 //! ## Determinism contract (extends `DESIGN.md` §9/§10)
 //!
@@ -35,8 +37,9 @@ use obs::Label;
 
 use crate::campaign::Campaign;
 use crate::errors::Tally;
+use crate::fold::CampaignFolds;
 use crate::json::Json;
-use crate::results::{ProbeOutcome, ProbeRecord};
+use crate::results::ProbeRecord;
 
 /// Simulated nanoseconds per campaign day.
 pub const NANOS_PER_DAY: u64 = 86_400_000_000_000;
@@ -57,20 +60,6 @@ pub struct HealthCell {
 }
 
 impl HealthCell {
-    /// Folds one probe record into the cell (mirrors the campaign
-    /// aggregate cell, minus the ping sketch).
-    pub fn observe(&mut self, r: &ProbeRecord) {
-        match &r.outcome {
-            ProbeOutcome::Success { timings, .. } => {
-                self.availability.success();
-                self.response.observe(timings.total().as_millis_f64());
-            }
-            ProbeOutcome::Failure { kind, .. } => {
-                self.availability.error(*kind);
-            }
-        }
-    }
-
     /// Merges another cell into this one (bucket counts add exactly,
     /// moments combine pairwise — a left-fold in a fixed order is
     /// deterministic).
@@ -82,29 +71,6 @@ impl HealthCell {
     /// Probes observed.
     pub fn probes(&self) -> u64 {
         self.availability.total()
-    }
-}
-
-/// One pair's day cells, the layout both engines fold a pair's days into:
-/// a cell per day from `first_day` on, present iff it saw a probe.
-pub(crate) struct DayCells<'a> {
-    pub(crate) first_day: u32,
-    pub(crate) cells: &'a mut [HealthCell],
-}
-
-impl DayCells<'_> {
-    /// The cell of `day`, if the range holds it.
-    fn cell(&mut self, day: u32) -> Option<&mut HealthCell> {
-        let offset = day.checked_sub(self.first_day)?;
-        self.cells.get_mut(offset as usize)
-    }
-
-    /// Folds `r` into its day's cell; a record outside the range (one
-    /// the campaign did not schedule) is ignored.
-    pub(crate) fn observe(&mut self, r: &ProbeRecord) {
-        if let Some(cell) = self.cell(day_of(r.at.as_nanos())) {
-            cell.observe(r);
-        }
     }
 }
 
@@ -130,19 +96,13 @@ pub struct HealthRow {
 
 /// Where one pair's day cells sit in a [`HealthSeries`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct PairDays {
-    resolver: Label,
+pub(crate) struct PairDays {
+    pub(crate) resolver: Label,
     /// The first day of the pair's vantage's range.
-    first_day: u32,
+    pub(crate) first_day: u32,
     /// The pair's cells are `cells[start..end]`, one per day.
-    start: u32,
-    end: u32,
-}
-
-/// A record's route in a [`HealthSeries`]: its (vantage, resolver)
-/// interned-label indices.
-fn route_key(vantage: Label, resolver: Label) -> (u32, u32) {
-    (vantage.index() as u32, resolver.index() as u32)
+    pub(crate) start: u32,
+    pub(crate) end: u32,
 }
 
 /// The campaign health timeseries: per-(pair, day) cells, reducible to
@@ -151,103 +111,25 @@ fn route_key(vantage: Label, resolver: Label) -> (u32, u32) {
 pub struct HealthSeries {
     /// Every pair's day cells in one table, pair after pair in pair-index
     /// order, each pair's over its vantage's days ([`Campaign::days_of`]).
-    /// Sized once, so folding a record never allocates.
-    cells: Vec<HealthCell>,
+    pub(crate) cells: Vec<HealthCell>,
     /// Per pair, in pair-index order.
-    pairs: Vec<PairDays>,
-    /// (vantage, resolver) interned-label indices → pair index, sorted,
-    /// the first pair of a duplicated coordinate only: routes a record.
-    /// Process-local indices, but only used for routing — output order
-    /// comes from pair indices and hostnames.
-    routes: Vec<((u32, u32), u32)>,
+    pub(crate) pairs: Vec<PairDays>,
 }
 
 impl HealthSeries {
-    /// An empty series shaped for `campaign`'s pair space and days.
-    pub fn for_campaign(campaign: &Campaign) -> HealthSeries {
-        let plans = campaign.pair_plans();
-        let mut pairs = Vec::with_capacity(plans.len());
-        let mut end = 0u32;
-        for p in &plans {
-            let days = campaign.days_of(p.vantage.label);
-            let start = end;
-            end += days.len() as u32;
-            pairs.push(PairDays {
-                resolver: p.resolver_label,
-                first_day: days.start,
-                start,
-                end,
-            });
-        }
-        let mut routes: Vec<((u32, u32), u32)> = (0u32..)
-            .zip(&plans)
-            .map(|(i, p)| (route_key(p.vantage_label, p.resolver_label), i))
-            .collect();
-        routes.sort_by_key(|&(key, _)| key);
-        routes.dedup_by_key(|&mut (key, _)| key);
-        HealthSeries {
-            cells: vec![HealthCell::default(); end as usize],
-            pairs,
-            routes,
-        }
-    }
-
-    /// The series of an in-memory record stream — the one-shot reference
-    /// the sharded engine's checkpoint-installed series must reproduce
-    /// bit-for-bit. Records are routed to their pair; the merged stream
-    /// preserves each pair's internal order, so per-(pair, day) cells see
-    /// the same observation sequence as per-shard execution.
+    /// The series of an in-memory record stream: the projection of
+    /// [`CampaignFolds::of`] the benchmark in `benchmark/` times.
     pub fn of(campaign: &Campaign, records: &[ProbeRecord]) -> HealthSeries {
-        let mut series = HealthSeries::for_campaign(campaign);
-        for r in records {
-            series.observe(r);
-        }
-        series
+        CampaignFolds::of(campaign, records).into_views().1
     }
 
-    /// Routes one record to its pair and folds it into its day's cell.
-    /// Records of a pair or a day the campaign does not schedule are
-    /// ignored. Allocation-free.
-    pub fn observe(&mut self, r: &ProbeRecord) {
-        let key = route_key(r.vantage_id(), r.resolver_id());
-        let Ok(i) = self.routes.binary_search_by_key(&key, |&(k, _)| k) else {
-            return;
-        };
-        if let Some(mut days) = self.days_mut(self.routes[i].1) {
-            days.observe(r);
-        }
-    }
-
-    /// Pair `pair`'s day cells.
-    fn days_mut(&mut self, pair: u32) -> Option<DayCells<'_>> {
-        let p = *self.pairs.get(pair as usize)?;
-        Some(DayCells {
-            first_day: p.first_day,
-            cells: &mut self.cells[p.start as usize..p.end as usize],
-        })
-    }
-
-    /// Installs a checkpointed (pair, day) cell wholesale (resume path).
-    /// The cell must hold a probe, fall in the pair's days, and be the
-    /// day's first.
-    pub fn install(&mut self, pair: u32, day: u32, cell: HealthCell) -> Result<(), String> {
-        if cell.probes() == 0 {
-            return Err(format!(
-                "pair {pair}'s health cell for day {day} holds no probe"
-            ));
-        }
-        let mut days = self
-            .days_mut(pair)
-            .ok_or_else(|| format!("health cell for pair {pair}, past the campaign's pairs"))?;
-        let range = days.first_day..days.first_day + days.cells.len() as u32;
-        let slot = days.cell(day).ok_or_else(|| {
-            format!("pair {pair}'s health cell for day {day} lies outside its days {range:?}")
-        })?;
-        if slot.probes() > 0 {
-            return Err(format!("pair {pair} has two health cells for day {day}"));
-        }
-        *slot = cell;
-        Ok(())
+    /// Pair `pair`'s day cells, and the day of the first.
+    pub(crate) fn days_mut(&mut self, pair: u32) -> (u32, &mut [HealthCell]) {
+        let p = self.pairs[pair as usize];
+        (
+            p.first_day,
+            &mut self.cells[p.start as usize..p.end as usize],
+        )
     }
 
     /// Populated (pair, day) cells in ascending key order.

@@ -31,6 +31,7 @@ pub mod checkpoint;
 pub mod config;
 mod context;
 pub mod errors;
+pub mod fold;
 pub mod health;
 pub mod json;
 pub mod population;
@@ -54,6 +55,7 @@ pub use checkpoint::{
 };
 pub use config::{standard_domains, CampaignConfig, Span};
 pub use errors::{ProbeErrorKind, Tally};
+pub use fold::CampaignFolds;
 pub use health::{
     day_of, detect_drift, DriftConfig, DriftFinding, DriftKind, HealthCell, HealthRow,
     HealthSeries, NANOS_PER_DAY,

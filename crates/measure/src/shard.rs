@@ -54,22 +54,22 @@ use netsim::faults::FaultScope;
 use obs::clock::Stopwatch;
 use obs::journal::codes;
 use obs::{
-    CellMetrics, EventData, EventLevel, Journal, JournalEvent, Label, MetricsRegistry,
-    MetricsSnapshot, ShardRunMetrics, SpanLog,
+    CellMetrics, EventData, EventLevel, Journal, JournalEvent, Label, MetricsSnapshot,
+    ShardRunMetrics, SpanLog,
 };
 
 use crate::aggregate::{CampaignAggregates, PairAggregate};
-use crate::campaign::{observe_cell, Campaign, CampaignOrder, PairPlan, Slot};
+use crate::campaign::{Campaign, CampaignOrder, PairPlan, Slot};
 use crate::checkpoint::{
     checksum, fnv64, io_err, write_atomic, write_atomic_bytes, CheckpointError, Checksum, Manifest,
-    PairDayHealth, PairMetrics, RetryExhausted, ShardCells, ShardCheckpoint, ShardState,
+    PairCells, ShardCells, ShardCheckpoint, ShardState,
 };
+use crate::fold::{CampaignFolds, PairFold};
 use crate::health::{
-    detect_drift, present_days, DayCells, DriftConfig, DriftFinding, HealthCell, HealthSeries,
-    NANOS_PER_DAY,
+    detect_drift, present_days, DriftConfig, DriftFinding, HealthCell, HealthSeries, NANOS_PER_DAY,
 };
 use crate::probe::ProbeConfig;
-use crate::results::{ProbeOutcome, ProbeRecord};
+use crate::results::ProbeRecord;
 use crate::retry::RetryPolicy;
 
 /// The manifest's file name inside a checkpoint directory.
@@ -296,15 +296,6 @@ struct ShardReader {
     lines: u64,
     /// Lines its pairs' slots add up to.
     expected: u64,
-}
-
-/// What assembly's cell lane builds from the cell files.
-struct InstalledCells {
-    aggregates: CampaignAggregates,
-    health: HealthSeries,
-    metrics: MetricsRegistry,
-    /// The journal's `retry_exhausted` events.
-    events: Vec<JournalEvent>,
 }
 
 /// The shards `manifest` does not hold complete, lowest index first.
@@ -788,66 +779,46 @@ impl<'a> ShardedRunner<'a> {
             .collect();
         stages.generate_s = laps.lap();
 
-        // Per-pair aggregate and metrics cells, per-(pair, day) health
-        // cells and retry exhaustions, all folded in each pair's own
-        // canonical order (the campaign order never reorders records
-        // within a pair, and a pair is one metrics cell) — so every one of
-        // them is what the one-shot engine folds over the whole stream,
-        // whatever the shard count and resume schedule.
+        // Each pair's cells, folded in its own canonical order (the
+        // campaign order never reorders records within a pair) — so they
+        // are what the one-shot engine folds over the whole stream,
+        // whatever the shard count and resume schedule. The day cells span
+        // the pair's vantage's days, one pair at a time, as they do in
+        // `CampaignFolds`; the file keeps those that saw a probe.
         let mut cells = ShardCells {
             shard: index,
             pairs: Vec::with_capacity(shard_plans.len()),
-            metrics: Vec::with_capacity(shard_plans.len()),
-            health: Vec::new(),
-            exhausted: Vec::new(),
         };
-        // One pair's day cells at a time, over its vantage's days: the
-        // layout `HealthSeries` holds every pair's in.
         let mut scratch = Vec::new();
-        for (offset, records) in outputs.iter().enumerate() {
-            let plan = &shard_plans[offset];
-            let pair = (range.start + offset) as u32;
+        for ((pair, plan), records) in (range.start as u32..).zip(shard_plans).zip(&outputs) {
             let days = self.campaign.days_of(plan.vantage.label);
             scratch.clear();
             scratch.resize(days.len(), HealthCell::default());
-            let mut day_cells = DayCells {
-                first_day: days.start,
-                cells: &mut scratch,
-            };
-            let mut agg = PairAggregate {
-                pair,
-                vantage: plan.vantage_label,
-                resolver: plan.resolver_label,
-                cell: Default::default(),
-            };
-            let mut metrics = CellMetrics::default();
-            for r in records {
-                agg.cell.observe(r);
-                observe_cell(&mut metrics, r);
-                day_cells.observe(r);
-                if let (ProbeOutcome::Failure { .. }, Some(retry)) = (&r.outcome, &r.retry) {
-                    if retry.exhausted() {
-                        cells.exhausted.push(RetryExhausted {
-                            pair,
-                            at: r.at.as_nanos(),
-                            attempts: retry.attempts,
-                        });
-                    }
-                }
-            }
-            cells.pairs.push(agg);
-            cells.metrics.push(PairMetrics {
-                pair,
-                cell: metrics,
-            });
-            let present = present_days(days.start, &scratch);
-            cells
-                .health
-                .extend(present.map(|(day, cell)| PairDayHealth {
+            let mut entry = PairCells {
+                aggregate: PairAggregate {
                     pair,
-                    day,
-                    cell: cell.clone(),
-                }));
+                    vantage: plan.vantage_label,
+                    resolver: plan.resolver_label,
+                    cell: Default::default(),
+                },
+                metrics: CellMetrics::default(),
+                health: Vec::new(),
+                exhausted: Vec::new(),
+            };
+            let mut fold = PairFold {
+                pair,
+                aggregate: &mut entry.aggregate.cell,
+                metrics: &mut entry.metrics,
+                first_day: days.start,
+                days: &mut scratch,
+                exhausted: &mut entry.exhausted,
+            };
+            for r in records {
+                fold.observe(r);
+            }
+            let present = present_days(days.start, &scratch);
+            entry.health = present.map(|(day, cell)| (day, cell.clone())).collect();
+            cells.pairs.push(entry);
         }
         stages.fold_s = laps.lap();
         GeneratedShard {
@@ -1063,121 +1034,30 @@ impl<'a> ShardedRunner<'a> {
 
     /// The cell half of assembly: installs the checkpointed cells, one
     /// cell file at a time in shard order. A cell file must list exactly
-    /// its shard's pairs, in pair-index order, with a metrics cell beside
-    /// each aggregate cell. Each pair's day cells and metrics cell must
-    /// account for exactly the probes its aggregate cell saw, and its
-    /// retry exhaustions for exactly those its metrics cell counts; each
-    /// day cell must fall in its pair's days, once. A file that breaks
-    /// any of this, or does not decode, is `ShardData` naming the file.
-    fn install_cells(&self) -> Result<InstalledCells, CheckpointError> {
-        let protocol = self.campaign.config().probe.protocol.interned_label();
-        let mut installed = InstalledCells {
-            aggregates: CampaignAggregates::for_campaign(self.campaign),
-            health: HealthSeries::for_campaign(self.campaign),
-            metrics: MetricsRegistry::new(),
-            events: Vec::new(),
-        };
+    /// its shard's pairs, in pair-index order, and each pair's cells must
+    /// pass [`CampaignFolds::install`]'s checks. A file that breaks any of
+    /// this, or does not decode, is `ShardData` naming the file.
+    fn install_cells(&self) -> Result<CampaignFolds, CheckpointError> {
+        let mut folds = CampaignFolds::for_campaign(self.campaign);
         for i in 0..self.shards {
             let path = self.cells_path(i);
             let text = std::fs::read_to_string(&path).map_err(io_err("read", &path))?;
             let invalid =
                 |what: String| CheckpointError::ShardData(format!("{}: {what}", path.display()));
             let cells = ShardCells::decode(&text).map_err(|e| invalid(e.to_string()))?;
-            if cells.shard != i
-                || !cells
-                    .pairs
-                    .iter()
-                    .map(|p| p.pair as usize)
-                    .eq(self.shard_range(i))
-            {
+            let pairs = cells.pairs.iter().map(|p| p.aggregate.pair as usize);
+            if cells.shard != i || !pairs.eq(self.shard_range(i)) {
                 return Err(invalid(format!(
                     "holds shard {}'s cells, not shard {i}'s pairs {:?}",
                     cells.shard,
                     self.shard_range(i)
                 )));
             }
-            if cells.metrics.len() != cells.pairs.len() {
-                return Err(invalid(format!(
-                    "holds {} metrics cells for {} pairs",
-                    cells.metrics.len(),
-                    cells.pairs.len()
-                )));
-            }
-            let mut daily: BTreeMap<u32, u64> = BTreeMap::new();
-            for h in &cells.health {
-                *daily.entry(h.pair).or_default() += h.cell.probes();
-            }
-            let mut exhausted: BTreeMap<u32, u64> = BTreeMap::new();
-            for e in &cells.exhausted {
-                *exhausted.entry(e.pair).or_default() += 1;
-            }
-            for (p, m) in cells.pairs.iter().zip(cells.metrics) {
-                let (days, total) = (daily.remove(&p.pair).unwrap_or(0), p.cell.probes());
-                if days != total {
-                    return Err(invalid(format!(
-                        "pair {} health cells hold {days} probes, aggregate has {total}",
-                        p.pair
-                    )));
-                }
-                if m.pair != p.pair || m.cell.probes.get() != total {
-                    return Err(invalid(format!(
-                        "pair {}'s metrics cell is pair {}'s and holds {} probes, aggregate has {total}",
-                        p.pair,
-                        m.pair,
-                        m.cell.probes.get()
-                    )));
-                }
-                let spent = exhausted.remove(&p.pair).unwrap_or(0);
-                if spent != m.cell.exhausted.get() {
-                    return Err(invalid(format!(
-                        "pair {} lists {spent} retry exhaustions, its metrics cell counts {}",
-                        p.pair,
-                        m.cell.exhausted.get()
-                    )));
-                }
-                installed.aggregates.install(p).map_err(invalid)?;
-                // A pair without a probe has no metrics cell in the
-                // one-shot fold either.
-                if total > 0 {
-                    let plan = &self.plans[p.pair as usize];
-                    installed
-                        .metrics
-                        .install(plan.resolver_label, plan.vantage_label, protocol, m.cell)
-                        .map_err(invalid)?;
-                }
-            }
-            if let Some(pair) = daily.keys().next() {
-                return Err(invalid(format!(
-                    "health cells for pair {pair}, which is not the shard's"
-                )));
-            }
-            if let Some(pair) = exhausted.keys().next() {
-                return Err(invalid(format!(
-                    "retry exhaustions for pair {pair}, which is not the shard's"
-                )));
-            }
-            for h in cells.health {
-                installed
-                    .health
-                    .install(h.pair, h.day, h.cell)
-                    .map_err(invalid)?;
-            }
-            for e in cells.exhausted {
-                let plan = &self.plans[e.pair as usize];
-                installed.events.push(JournalEvent {
-                    at: e.at,
-                    level: EventLevel::Warn,
-                    code: codes::RETRY_EXHAUSTED,
-                    data: EventData {
-                        resolver: Some(plan.resolver_label),
-                        vantage: Some(plan.vantage_label),
-                        count: Some(e.attempts as u64),
-                        ..EventData::default()
-                    },
-                });
+            for p in cells.pairs {
+                folds.install(p).map_err(invalid)?;
             }
         }
-        Ok(installed)
+        Ok(folds)
     }
 
     /// The fault plan's windows, as journal events.
@@ -1227,14 +1107,14 @@ impl<'a> ShardedRunner<'a> {
         }
         let watch = Stopwatch::start();
         let jsonl_path = self.dir.join(CAMPAIGN_FILE);
-        let (records, extents, installed) = std::thread::scope(|scope| {
+        let (records, extents, folds) = std::thread::scope(|scope| {
             // The cell lane: nothing in the line copy reads what it builds.
             let cell_lane = std::thread::Builder::new()
                 .name("edns-cells".to_string())
                 .spawn_scoped(scope, || {
                     let lane = Stopwatch::start();
-                    let installed = self.install_cells();
-                    (installed, lane.elapsed_secs())
+                    let folds = self.install_cells();
+                    (folds, lane.elapsed_secs())
                 })
                 .map_err(|e| CheckpointError::Io(format!("spawn edns-cells: {e}")))?;
 
@@ -1277,7 +1157,7 @@ impl<'a> ShardedRunner<'a> {
                 of_pair.extend(plans.iter().map(|p| (i, p.vantage_index as usize)));
             }
 
-            let (records, installed) = write_atomic(&jsonl_path, |file| {
+            let (records, folds) = write_atomic(&jsonl_path, |file| {
                 let mut out: Vec<u8> = Vec::with_capacity(ASSEMBLE_WRITE_BYTES + 4096);
                 let mut flush = |out: &mut Vec<u8>| {
                     let started = watch.elapsed_secs();
@@ -1334,23 +1214,37 @@ impl<'a> ShardedRunner<'a> {
                 // The two lanes meet before the rename: a cell file that
                 // fails its content checks leaves no campaign file behind.
                 // detlint:allow(unwrap, propagates the cell lane's panic like a worker's; there is no partial result to salvage)
-                let (installed, cells_s) = cell_lane.join().expect("cell lane panicked");
+                let (folds, cells_s) = cell_lane.join().expect("cell lane panicked");
                 stages.assemble_cells_s = cells_s;
                 let records = readers.iter().map(|r| r.lines).sum::<u64>();
-                installed.map(|installed| (records, installed))
+                folds.map(|folds| (records, folds))
             })?;
-            Ok::<_, CheckpointError>((records, extents, installed))
+            Ok::<_, CheckpointError>((records, extents, folds))
         })?;
         run.records_merged.add(records);
 
         stages.assemble_read_s = watch.elapsed_secs() - stages.assemble_write_s;
-        let InstalledCells {
-            aggregates,
-            health,
-            metrics,
-            mut events,
-        } = installed;
-        let drift = detect_drift(&health.resolver_rows(), &DriftConfig::default());
+        let drift = detect_drift(&folds.health().resolver_rows(), &DriftConfig::default());
+        let metrics = folds.metrics();
+        let mut events: Vec<JournalEvent> = folds
+            .exhausted
+            .iter()
+            .map(|e| {
+                let plan = &self.plans[e.pair as usize];
+                JournalEvent {
+                    at: e.at,
+                    level: EventLevel::Warn,
+                    code: codes::RETRY_EXHAUSTED,
+                    data: EventData {
+                        resolver: Some(plan.resolver_label),
+                        vantage: Some(plan.vantage_label),
+                        count: Some(e.attempts as u64),
+                        ..EventData::default()
+                    },
+                }
+            })
+            .collect();
+        let (aggregates, health) = folds.into_views();
 
         // Shard spans, recorded in shard-index order so the log is
         // independent of execution interleaving.
@@ -1403,7 +1297,7 @@ impl<'a> ShardedRunner<'a> {
         Ok(ShardedOutcome {
             jsonl_path,
             records,
-            metrics: metrics.snapshot(),
+            metrics,
             aggregates,
             run,
             spans,

@@ -16,10 +16,10 @@
 //!   is a hole the next fits in. An allocation carved out of that hole
 //!   before the buffer is reserved leaves it too small, the buffer
 //!   extends the heap instead, and peak RSS grows by a buffer.
-//! * The health series and the campaign aggregates hold no map and no
-//!   string per cell: once built, folding a campaign's records into them
-//!   allocates nothing, and the series' heap is its day cells plus a few
-//!   words per pair.
+//! * The campaign's folds hold no map and no string per cell: once
+//!   built, folding a campaign's records into them allocates nothing,
+//!   and their day-cell table's heap is its day cells plus a few words per
+//!   pair.
 //!
 //! The peak and live counters are global, so the tests take turns; the
 //! allocation counts are the calling thread's own.
@@ -30,8 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use measure::{
-    Campaign, CampaignAggregates, CampaignConfig, CampaignResult, HealthCell, HealthSeries,
-    ProbeRecord, SessionConfig,
+    Campaign, CampaignConfig, CampaignFolds, CampaignResult, HealthCell, ProbeRecord, SessionConfig,
 };
 
 struct PeakAlloc;
@@ -181,33 +180,37 @@ fn folding_into_the_health_series_and_aggregates_allocates_nothing() {
     let campaign = Campaign::new(CampaignConfig::longitudinal(SEED, 10));
     let records = campaign.run().records;
 
-    let (mut series, series_bytes) = held(|| HealthSeries::for_campaign(&campaign));
-    let mut aggregates = CampaignAggregates::for_campaign(&campaign);
-    let ((), folds) = allocations(|| {
+    let (mut folds, folds_bytes) = held(|| CampaignFolds::for_campaign(&campaign));
+    let ((), allocs) = allocations(|| {
         for r in &records {
-            series.observe(r);
-            aggregates.observe(r);
+            folds.observe(r);
         }
     });
+    // The day-cell table's heap: what a copy of it holds.
+    let (series, series_bytes) = held(|| folds.health().clone());
+    let metrics = folds.metrics();
+    let (aggregates, _) = folds.into_views();
     assert_eq!(series.probes(), records.len() as u64);
     assert_eq!(aggregates.probes(), records.len() as u64);
+    assert_eq!(metrics.total_probes(), records.len() as u64);
     let pairs = aggregates.pairs().len();
     let cells = series.len();
     let budget = cells * std::mem::size_of::<HealthCell>() + 64 * pairs;
     println!(
         "{} records into {cells} (pair, day) cells of {} B over {pairs} pairs: \
-         {folds} allocations; series heap {series_bytes} B, budget {budget} B",
+         {allocs} allocations; day-cell table heap {series_bytes} B, budget {budget} B; \
+         whole CampaignFolds heap {folds_bytes} B",
         records.len(),
         std::mem::size_of::<HealthCell>(),
     );
     assert_eq!(
-        folds, 0,
-        "folding records into HealthSeries and CampaignAggregates allocated {folds} times: \
+        allocs, 0,
+        "folding records into CampaignFolds allocated {allocs} times: \
          a map or a String key per cell is back"
     );
     assert!(
         series_bytes <= budget as isize,
-        "HealthSeries holds {series_bytes} B for {cells} cells over {pairs} pairs, \
+        "the day-cell table holds {series_bytes} B for {cells} cells over {pairs} pairs, \
          budget {budget} B"
     );
 }

@@ -19,8 +19,8 @@ use proptest::prelude::*;
 
 use measure::aggregate::{AggregateCell, PairAggregate};
 use measure::checkpoint::{
-    checksum, CheckpointError, Checksum, Manifest, PairDayHealth, PairMetrics, RetryExhausted,
-    ShardCells, ShardCheckpoint, ShardState,
+    checksum, CheckpointError, Checksum, Manifest, PairCells, RetryExhausted, ShardCells,
+    ShardCheckpoint, ShardState,
 };
 use measure::{
     Campaign, CampaignConfig, HealthCell, Label, ProbeErrorKind, ShardedRunner, Tally,
@@ -33,24 +33,33 @@ use edns_stats::LatencySketch;
 use tree::{
     availability_from_json, availability_to_json, pair_day_health_from_json,
     pair_day_health_to_json, pair_metrics_from_json, pair_metrics_to_json, sketch_from_json,
-    sketch_to_json,
+    sketch_to_json, PairDayHealth, PairMetrics,
 };
 
 /// The cell files' codec before the direct one: every cell built as a
 /// [`Json`](measure::json::Json) value and rendered with
 /// `to_string_compact`, read back with `json::parse` and a walk of the
-/// tree. Kept here as the oracle the direct codec is compared against.
+/// tree, grouped by pair through `ShardCells::from_sections`. Kept here as
+/// the oracle the direct codec is compared against.
 mod tree {
     use std::collections::BTreeMap;
 
     use edns_stats::{LatencySketch, RunningMoments};
     use measure::aggregate::{AggregateCell, PairAggregate};
-    use measure::checkpoint::{
-        CheckpointError, PairDayHealth, PairMetrics, RetryExhausted, ShardCells,
-    };
+    use measure::checkpoint::{CheckpointError, RetryExhausted, ShardCells};
     use measure::json::{self, Json};
     use measure::{HealthCell, Label, ProbeErrorKind, Tally};
     use obs::{CellMetrics, Counter, Gauge, Histogram, Phase};
+
+    /// A metrics section row.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PairMetrics {
+        pub pair: u32,
+        pub cell: CellMetrics,
+    }
+
+    /// A health section row: (pair, day, cell).
+    pub type PairDayHealth = (u32, u32, HealthCell);
 
     fn parse_err(msg: &str) -> CheckpointError {
         CheckpointError::Parse(msg.to_string())
@@ -233,24 +242,21 @@ mod tree {
         })
     }
 
-    pub fn pair_day_health_to_json(h: &PairDayHealth) -> Json {
+    pub fn pair_day_health_to_json((pair, day, cell): &PairDayHealth) -> Json {
         Json::object([
-            ("pair", Json::Int(h.pair as i64)),
-            ("day", Json::Int(h.day as i64)),
-            ("availability", availability_to_json(&h.cell.availability)),
-            ("response", sketch_to_json(&h.cell.response)),
+            ("pair", Json::Int(*pair as i64)),
+            ("day", Json::Int(*day as i64)),
+            ("availability", availability_to_json(&cell.availability)),
+            ("response", sketch_to_json(&cell.response)),
         ])
     }
 
     pub fn pair_day_health_from_json(v: &Json) -> Result<PairDayHealth, CheckpointError> {
-        Ok(PairDayHealth {
-            pair: index_field(v, "pair")?,
-            day: index_field(v, "day")?,
-            cell: HealthCell {
-                availability: availability_from_json(member(v, "availability")?)?,
-                response: sketch_from_json(member(v, "response")?)?,
-            },
-        })
+        let cell = HealthCell {
+            availability: availability_from_json(member(v, "availability")?)?,
+            response: sketch_from_json(member(v, "response")?)?,
+        };
+        Ok((index_field(v, "pair")?, index_field(v, "day")?, cell))
     }
 
     pub fn pair_metrics_to_json(m: &PairMetrics) -> Json {
@@ -344,15 +350,32 @@ mod tree {
 
     /// A cell file's body as the tree renders it.
     pub fn encode_body(cells: &ShardCells) -> String {
-        fn list<T>(items: &[T], each: fn(&T) -> Json) -> Json {
-            Json::Array(items.iter().map(each).collect())
-        }
+        let pairs = &cells.pairs;
+        let aggregates = pairs.iter().map(|p| pair_aggregate_to_json(&p.aggregate));
+        // A metrics cell's error tallies are its aggregate's.
+        let metrics = pairs.iter().map(|p| {
+            let mut cell = p.metrics.clone();
+            let errors = p.aggregate.cell.availability.errors();
+            cell.errors = errors.map(|(kind, n)| (kind.label(), n)).collect();
+            pair_metrics_to_json(&PairMetrics {
+                pair: p.aggregate.pair,
+                cell,
+            })
+        });
+        let health = pairs.iter().flat_map(|p| {
+            let days = p.health.iter().cloned();
+            days.map(|(day, cell)| pair_day_health_to_json(&(p.aggregate.pair, day, cell)))
+        });
+        let exhausted = pairs.iter().flat_map(|p| &p.exhausted);
         Json::object([
             ("shard", Json::Int(cells.shard as i64)),
-            ("cells", list(&cells.pairs, pair_aggregate_to_json)),
-            ("metrics", list(&cells.metrics, pair_metrics_to_json)),
-            ("health", list(&cells.health, pair_day_health_to_json)),
-            ("exhausted", list(&cells.exhausted, retry_exhausted_to_json)),
+            ("cells", Json::Array(aggregates.collect())),
+            ("metrics", Json::Array(metrics.collect())),
+            ("health", Json::Array(health.collect())),
+            (
+                "exhausted",
+                Json::Array(exhausted.map(retry_exhausted_to_json).collect()),
+            ),
         ])
         .to_string_compact()
     }
@@ -367,13 +390,13 @@ mod tree {
             array_field(v, key)?.iter().map(each).collect()
         }
         let v = json::parse(body).map_err(|e| CheckpointError::Parse(e.to_string()))?;
-        Ok(ShardCells {
-            shard: index_field(&v, "shard")?,
-            pairs: list(&v, "cells", pair_aggregate_from_json)?,
-            metrics: list(&v, "metrics", pair_metrics_from_json)?,
-            health: list(&v, "health", pair_day_health_from_json)?,
-            exhausted: list(&v, "exhausted", retry_exhausted_from_json)?,
-        })
+        let shard = index_field(&v, "shard")?;
+        let pairs = list(&v, "cells", pair_aggregate_from_json)?;
+        let metrics = list(&v, "metrics", pair_metrics_from_json)?;
+        let health = list(&v, "health", pair_day_health_from_json)?;
+        let exhausted = list(&v, "exhausted", retry_exhausted_from_json)?;
+        let metrics = metrics.into_iter().map(|m| (m.pair, m.cell)).collect();
+        ShardCells::from_sections(shard, pairs, exhausted, health, metrics)
     }
 }
 
@@ -501,13 +524,12 @@ fn float_bits(m: &CellMetrics) -> Vec<u64> {
 
 fn arb_pair_day_health() -> impl Strategy<Value = PairDayHealth> {
     (0u32..512, 0u32..256, arb_availability(), arb_sketch()).prop_map(
-        |(pair, day, availability, response)| PairDayHealth {
-            pair,
-            day,
-            cell: HealthCell {
+        |(pair, day, availability, response)| {
+            let cell = HealthCell {
                 availability,
                 response,
-            },
+            };
+            (pair, day, cell)
         },
     )
 }
@@ -541,21 +563,40 @@ fn arb_state() -> impl Strategy<Value = ShardState> {
         )
 }
 
-fn arb_cells() -> impl Strategy<Value = ShardCells> {
+/// One pair's cells. Its metrics cell holds no error tallies: those are
+/// its aggregate's.
+fn arb_pair_cells() -> impl Strategy<Value = PairCells> {
     (
-        0u32..64,
-        proptest::collection::vec(arb_pair(), 0..5),
-        proptest::collection::vec(arb_pair_metrics(), 0..4),
-        proptest::collection::vec(arb_pair_day_health(), 0..6),
-        proptest::collection::vec(arb_retry_exhausted(), 0..4),
+        arb_pair(),
+        arb_pair_metrics(),
+        proptest::collection::vec(arb_pair_day_health(), 0..3),
+        proptest::collection::vec(arb_retry_exhausted(), 0..2),
     )
-        .prop_map(|(shard, pairs, metrics, health, exhausted)| ShardCells {
-            shard,
-            pairs,
-            metrics,
-            health,
-            exhausted,
+        .prop_map(|(aggregate, mut metrics, health, mut exhausted)| {
+            let pair = aggregate.pair;
+            metrics.cell.errors.clear();
+            for e in &mut exhausted {
+                e.pair = pair;
+            }
+            PairCells {
+                aggregate,
+                metrics: metrics.cell,
+                health: health
+                    .into_iter()
+                    .map(|(_, day, cell)| (day, cell))
+                    .collect(),
+                exhausted,
+            }
         })
+}
+
+fn arb_cells() -> impl Strategy<Value = ShardCells> {
+    (0u32..64, proptest::collection::vec(arb_pair_cells(), 0..5)).prop_map(|(shard, mut pairs)| {
+        // A cell file lists each pair once.
+        pairs.sort_by_key(|p| p.aggregate.pair);
+        pairs.dedup_by_key(|p| p.aggregate.pair);
+        ShardCells { shard, pairs }
+    })
 }
 
 fn arb_manifest() -> impl Strategy<Value = Manifest> {
@@ -595,15 +636,16 @@ fn cell_float_bits(cells: &ShardCells) -> Vec<u64> {
         let m = s.moments();
         [m.mean(), m.m2(), m.min(), m.max()].map(|f| f.map(f64::to_bits))
     };
-    let sketches = cells
-        .pairs
-        .iter()
-        .flat_map(|p| [&p.cell.response, &p.cell.ping])
-        .chain(cells.health.iter().map(|h| &h.cell.response));
+    let sketches = cells.pairs.iter().flat_map(|p| {
+        let days = p.health.iter().map(|(_, cell)| &cell.response);
+        [&p.aggregate.cell.response, &p.aggregate.cell.ping]
+            .into_iter()
+            .chain(days)
+    });
     sketches
         .flat_map(sketch)
         .flatten()
-        .chain(cells.metrics.iter().flat_map(|m| float_bits(&m.cell)))
+        .chain(cells.pairs.iter().flat_map(|p| float_bits(&p.metrics)))
         .collect()
 }
 
@@ -639,30 +681,26 @@ fn shard_zero_body() -> String {
     metrics.probes.inc();
     metrics.successes.inc();
     metrics.response_ms.observe(12.5);
+    let day = HealthCell {
+        availability: cell.availability,
+        response: cell.response.clone(),
+    };
     tree::encode_body(&ShardCells {
         shard: 0,
-        pairs: vec![PairAggregate {
-            pair: 0,
-            vantage: Label::intern("home-us-east"),
-            resolver: Label::intern("dns.google"),
-            cell: cell.clone(),
-        }],
-        metrics: vec![PairMetrics {
-            pair: 0,
-            cell: metrics,
-        }],
-        health: vec![PairDayHealth {
-            pair: 0,
-            day: 0,
-            cell: HealthCell {
-                availability: cell.availability,
-                response: cell.response,
+        pairs: vec![PairCells {
+            aggregate: PairAggregate {
+                pair: 0,
+                vantage: Label::intern("home-us-east"),
+                resolver: Label::intern("dns.google"),
+                cell,
             },
-        }],
-        exhausted: vec![RetryExhausted {
-            pair: 0,
-            at: 1_000,
-            attempts: 1,
+            metrics,
+            health: vec![(0, day)],
+            exhausted: vec![RetryExhausted {
+                pair: 0,
+                at: 1_000,
+                attempts: 1,
+            }],
         }],
     })
 }
@@ -762,7 +800,7 @@ fn a_label_a_tally_cannot_hold_or_a_day_outside_its_pair_is_shard_data_naming_th
     let day_outside: BodyEdit = |body| {
         let mut cells = tree::decode_body(body).unwrap();
         // Two days, 0 and 1: day 2 is the first outside.
-        cells.health[0].day = 2;
+        cells.pairs[0].health[0].0 = 2;
         tree::encode_body(&cells)
     };
     let cases = [

@@ -17,8 +17,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use measure::checkpoint::checksum;
 use measure::shard::CAMPAIGN_FILE;
 use measure::{
-    Campaign, CampaignConfig, CheckpointError, Manifest, Protocol, ShardCells, ShardState,
-    ShardedRunner,
+    Campaign, CampaignConfig, CheckpointError, Manifest, Protocol, ShardState, ShardedRunner,
+    CHECKPOINT_VERSION,
 };
 
 const HOSTS: [&str; 3] = ["dns.google", "dns.quad9.net", "doh.ffmuc.net"];
@@ -95,9 +95,9 @@ fn borrow_cell_file(runner: &ShardedRunner, index: u32, from: u32) {
     rerecord(runner, index);
 }
 
-/// An edit of a data file's lines, and of a cell file's content.
+/// An edit of a data file's lines, and of a cell file's body.
 type LineEdit = fn(&mut Vec<&str>);
-type CellEdit = fn(&mut ShardCells);
+type CellEdit = fn(&str) -> String;
 
 /// Rewrites shard `index`'s data file line by line with `edit`, recorded
 /// in the manifest.
@@ -111,13 +111,16 @@ fn edit_data_file(runner: &ShardedRunner, index: u32, edit: impl FnOnce(&mut Vec
     rerecord(runner, index);
 }
 
-/// Rewrites shard `index`'s cell file with `edit`, recorded in the
-/// manifest: its framing and checksums hold, its content does not.
-fn edit_cell_file(runner: &ShardedRunner, index: u32, edit: impl FnOnce(&mut ShardCells)) {
+/// Rewrites shard `index`'s cell file body with `edit`, framed anew and
+/// recorded in the manifest: its framing and checksums hold, its content
+/// does not.
+fn edit_cell_file(runner: &ShardedRunner, index: u32, edit: impl FnOnce(&str) -> String) {
     let path = runner.cells_path(index);
-    let mut cells = ShardCells::decode(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    edit(&mut cells);
-    std::fs::write(&path, cells.encode()).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let body = edit(text.split_once('\n').unwrap().1.trim_end());
+    let sum = checksum(body.as_bytes());
+    let framed = format!("edns-checkpoint v{CHECKPOINT_VERSION} {sum:016x}\n{body}\n");
+    std::fs::write(&path, framed).unwrap();
     rerecord(runner, index);
 }
 
@@ -306,11 +309,18 @@ fn a_data_file_out_of_step_with_its_schedule_is_rejected_at_assembly() {
 fn a_cell_file_whose_metrics_disagree_with_its_aggregates_is_rejected() {
     let c = campaign(CampaignConfig::quick(3, 2));
     let edits: [(&str, CellEdit); 2] = [
-        ("a metrics cell short", |cells| {
-            cells.metrics.pop();
+        ("a metrics cell short", |body| {
+            let last = body.rfind(",{\"cache_hits\":").unwrap();
+            let end = body.rfind("],\"shard\":").unwrap();
+            format!("{}{}", &body[..last], &body[end..])
         }),
-        ("a probe more in a metrics cell", |cells| {
-            cells.metrics[0].cell.probes.inc();
+        ("a probe more in a metrics cell", |body| {
+            let (head, metrics) = body.split_at(body.find(",\"metrics\":").unwrap());
+            let (before, after) = metrics.split_once(",\"probes\":").unwrap();
+            let digits = after.find(|c: char| !c.is_ascii_digit()).unwrap();
+            let probes: u64 = after[..digits].parse().unwrap();
+            let rest = &after[digits..];
+            format!("{head}{before},\"probes\":{}{rest}", probes + 1)
         }),
     ];
     for (what, edit) in edits {

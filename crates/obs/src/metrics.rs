@@ -8,6 +8,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use edns_stats::Buckets;
+
 use crate::intern::Label;
 use crate::phase::Phase;
 
@@ -54,24 +56,12 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket latency histogram over [`LATENCY_BUCKETS_MS`].
-#[derive(Debug, Clone, PartialEq)]
+/// A fixed-bucket latency histogram over [`LATENCY_BUCKETS_MS`]: the
+/// `edns_stats` bucket core plus the exact sum of its observations.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
-    /// counts[i] observes values <= LATENCY_BUCKETS_MS[i]; the final slot
-    /// is the +inf overflow bucket.
-    counts: [u64; LATENCY_BUCKETS_MS.len() + 1],
-    count: u64,
+    buckets: Buckets<{ LATENCY_BUCKETS_MS.len() + 1 }>,
     sum: f64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            counts: [0; LATENCY_BUCKETS_MS.len() + 1],
-            count: 0,
-            sum: 0.0,
-        }
-    }
 }
 
 impl Histogram {
@@ -79,27 +69,19 @@ impl Histogram {
     /// [`sum`](Self::sum) read back: the count is the buckets' total, so a
     /// decoded histogram cannot disagree with itself.
     pub fn from_parts(counts: [u64; LATENCY_BUCKETS_MS.len() + 1], sum: f64) -> Histogram {
-        Histogram {
-            count: counts.iter().sum(),
-            counts,
-            sum,
-        }
+        let buckets = Buckets(counts);
+        Histogram { buckets, sum }
     }
 
     /// Records one observation in milliseconds.
     pub fn observe(&mut self, ms: f64) {
-        let idx = LATENCY_BUCKETS_MS
-            .iter()
-            .position(|&b| ms <= b)
-            .unwrap_or(LATENCY_BUCKETS_MS.len());
-        self.counts[idx] += 1;
-        self.count += 1;
+        self.buckets.observe(&LATENCY_BUCKETS_MS, ms);
         self.sum += ms;
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.count
+        self.buckets.total()
     }
 
     /// Sum of observations (ms).
@@ -109,56 +91,31 @@ impl Histogram {
 
     /// Mean observation (ms); zero when empty.
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
+        match self.count() {
+            0 => 0.0,
+            n => self.sum / n as f64,
         }
     }
 
     /// Per-bucket counts (last slot is the +inf bucket).
     pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
+        &self.buckets.0
     }
 
-    /// Approximate quantile by linear interpolation inside the bucket.
+    /// Approximate quantile by linear interpolation inside the bucket; the
+    /// open-ended overflow bucket reports its lower edge. Zero when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = q.clamp(0.0, 1.0) * self.count as f64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let next = seen + c;
-            if rank <= next as f64 {
-                let lo = if i == 0 {
-                    0.0
-                } else {
-                    LATENCY_BUCKETS_MS[i - 1]
-                };
-                let hi = if i < LATENCY_BUCKETS_MS.len() {
-                    LATENCY_BUCKETS_MS[i]
-                } else {
-                    // Open-ended overflow bucket: report its lower edge.
-                    return LATENCY_BUCKETS_MS[LATENCY_BUCKETS_MS.len() - 1];
-                };
-                let frac = (rank - seen as f64) / c as f64;
-                return lo + (hi - lo) * frac.clamp(0.0, 1.0);
-            }
-            seen = next;
-        }
-        LATENCY_BUCKETS_MS[LATENCY_BUCKETS_MS.len() - 1]
+        let last = LATENCY_BUCKETS_MS[LATENCY_BUCKETS_MS.len() - 1];
+        let q = self.buckets.quantile(&LATENCY_BUCKETS_MS, q, last);
+        q.unwrap_or(0.0)
     }
 
     /// A one-line sparkline of bucket occupancy plus summary statistics.
     pub fn render_compact(&self) -> String {
         const GLYPHS: [char; 8] = [' ', '.', ':', '-', '=', '+', '*', '#'];
-        let max = self.counts.iter().copied().max().unwrap_or(0);
+        let max = self.bucket_counts().iter().copied().max().unwrap_or(0);
         let bar: String = self
-            .counts
+            .bucket_counts()
             .iter()
             .map(|&c| {
                 if max == 0 {
@@ -171,7 +128,7 @@ impl Histogram {
             .collect();
         format!(
             "n={:<6} p50={:>8.2}ms p95={:>8.2}ms mean={:>8.2}ms |{bar}|",
-            self.count,
+            self.count(),
             self.quantile(0.50),
             self.quantile(0.95),
             self.mean(),
@@ -293,41 +250,6 @@ impl MetricsRegistry {
             }
         };
         &mut self.cells[idx].1
-    }
-
-    /// Installs a cell folded elsewhere under an interned key — the
-    /// sharded engine's path, which folds each cell where its records are
-    /// generated. A key already present is an error, never a merge: a
-    /// cell's histogram sums are only bit-exact as one fold in record
-    /// order.
-    pub fn install(
-        &mut self,
-        resolver: Label,
-        vantage: Label,
-        protocol: Label,
-        metrics: CellMetrics,
-    ) -> Result<(), String> {
-        if self.index.contains_key(&(resolver, vantage, protocol)) {
-            return Err(format!(
-                "metrics cell ({}, {}, {}) installed twice",
-                resolver.as_str(),
-                vantage.as_str(),
-                protocol.as_str()
-            ));
-        }
-        let cell = self.cell_interned(resolver, vantage, protocol);
-        *cell = metrics;
-        Ok(())
-    }
-
-    /// Number of populated cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether no cell has been touched.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 
     /// Freezes the registry into an exportable snapshot (cells in canonical
@@ -525,29 +447,6 @@ mod tests {
             loud.contains("retries: total=3 recovered=1 exhausted=0 [connect=2 tls_handshake=1]"),
             "{loud}"
         );
-    }
-
-    #[test]
-    fn an_installed_cell_snapshots_like_the_fold_it_came_from() {
-        let mut folded = MetricsRegistry::new();
-        let cell = folded.cell("x", "v", "doh");
-        cell.probes.add(2);
-        cell.response_ms.observe(0.1);
-        cell.response_ms.observe(0.2);
-        let h = &cell.response_ms;
-        let rebuilt = Histogram::from_parts(h.counts, h.sum());
-        assert_eq!(&rebuilt, h);
-        assert_eq!(rebuilt.sum().to_bits(), (0.1f64 + 0.2).to_bits());
-
-        let (r, v, p) = (Label::intern("x"), Label::intern("v"), Label::intern("doh"));
-        let mut installed = MetricsRegistry::new();
-        let metrics = folded.snapshot().cells[0].metrics.clone();
-        installed.install(r, v, p, metrics.clone()).unwrap();
-        assert_eq!(installed.snapshot(), folded.snapshot());
-        assert!(installed
-            .install(r, v, p, metrics)
-            .unwrap_err()
-            .contains("installed twice"));
     }
 
     #[test]

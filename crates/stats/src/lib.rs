@@ -8,7 +8,8 @@
 //! ([`availability`] — the success/error accounting of §4), and
 //! mergeable latency sketches
 //! ([`sketch`] — the bounded-memory aggregation cells longitudinal
-//! campaigns checkpoint and fold across shards).
+//! campaigns checkpoint and fold across shards, on the bucket core
+//! [`Buckets`] that `obs`'s metrics histograms share).
 //!
 //! Everything rejects NaN inputs explicitly rather than propagating them.
 
@@ -27,6 +28,6 @@ pub use availability::{Availability, AvailabilityLedger};
 pub use boxplot::BoxPlot;
 pub use cdf::Ecdf;
 pub use correlation::{pearson, spearman};
-pub use sketch::{LatencySketch, SKETCH_BUCKETS_MS, SKETCH_BUCKET_COUNT};
+pub use sketch::{Buckets, LatencySketch, SKETCH_BUCKETS_MS, SKETCH_BUCKET_COUNT};
 pub use streaming::{P2Quantile, RunningMoments};
 pub use summary::{mean, median, quantile, quantile_sorted, std_dev, tail_quantiles, Summary};

@@ -24,12 +24,69 @@ pub const SKETCH_BUCKETS_MS: [f64; 24] = [
 /// Number of bucket slots a [`LatencySketch`] carries (bounds + overflow).
 pub const SKETCH_BUCKET_COUNT: usize = SKETCH_BUCKETS_MS.len() + 1;
 
+/// Counts over a table of bucket upper bounds: the bucket core of both
+/// latency histograms, [`LatencySketch`] and `obs::Histogram`. `N` is one
+/// more than the table's length: slot `i` counts the observations in
+/// `(bounds[i - 1], bounds[i]]`, the last slot the +inf overflow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Buckets<const N: usize>(pub [u64; N]);
+
+impl<const N: usize> Default for Buckets<N> {
+    fn default() -> Self {
+        Buckets([0; N])
+    }
+}
+
+impl<const N: usize> Buckets<N> {
+    /// Observations counted.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// Counts `x` in the first bucket whose bound is at least `x`.
+    pub fn observe(&mut self, bounds: &[f64], x: f64) {
+        debug_assert_eq!(bounds.len() + 1, N);
+        let slot = bounds.iter().position(|&b| x <= b).unwrap_or(bounds.len());
+        self.0[slot] += 1;
+    }
+
+    /// Adds `other`'s counts to these.
+    pub fn merge(&mut self, other: &Self) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
+    }
+
+    /// The `q`-quantile by linear interpolation inside the bucket that
+    /// holds rank `q × total`, from the bound below it (0 below the first)
+    /// to its own, or to `overflow` in the overflow bucket. `None` when
+    /// empty.
+    pub fn quantile(&self, bounds: &[f64], q: f64, overflow: f64) -> Option<f64> {
+        let total = self.total();
+        if total == 0 {
+            return None;
+        }
+        let rank = q.clamp(0.0, 1.0) * total as f64;
+        let mut seen = 0u64;
+        for (i, &c) in self.0.iter().enumerate() {
+            if c > 0 && (seen + c) as f64 >= rank {
+                let lo = if i == 0 { 0.0 } else { bounds[i - 1] };
+                let hi = bounds.get(i).copied().unwrap_or(overflow);
+                let frac = ((rank - seen as f64) / c as f64).clamp(0.0, 1.0);
+                return Some(lo + (hi - lo) * frac);
+            }
+            seen += c;
+        }
+        Some(overflow)
+    }
+}
+
 /// A fixed-size, mergeable latency summary: running moments plus
 /// log-bucket counts. O(1) memory per cell regardless of sample count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencySketch {
     moments: RunningMoments,
-    counts: [u64; SKETCH_BUCKET_COUNT],
+    buckets: Buckets<SKETCH_BUCKET_COUNT>,
 }
 
 impl LatencySketch {
@@ -45,7 +102,8 @@ impl LatencySketch {
         moments: RunningMoments,
         counts: [u64; SKETCH_BUCKET_COUNT],
     ) -> LatencySketch {
-        LatencySketch { moments, counts }
+        let buckets = Buckets(counts);
+        LatencySketch { moments, buckets }
     }
 
     /// Adds one observation in milliseconds. Non-finite values are
@@ -55,11 +113,7 @@ impl LatencySketch {
             return;
         }
         self.moments.observe(ms);
-        let idx = SKETCH_BUCKETS_MS
-            .iter()
-            .position(|&b| ms <= b)
-            .unwrap_or(SKETCH_BUCKETS_MS.len());
-        self.counts[idx] += 1;
+        self.buckets.observe(&SKETCH_BUCKETS_MS, ms);
     }
 
     /// Merges another sketch into this one. Bucket counts add exactly;
@@ -67,9 +121,7 @@ impl LatencySketch {
     /// sketches in a fixed order is deterministic.
     pub fn merge(&mut self, other: &LatencySketch) {
         self.moments.merge(&other.moments);
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
+        self.buckets.merge(&other.buckets);
     }
 
     /// Samples observed.
@@ -105,34 +157,16 @@ impl LatencySketch {
     /// Per-bucket counts; the final slot is the +inf overflow bucket
     /// (checkpoint encode).
     pub fn bucket_counts(&self) -> &[u64; SKETCH_BUCKET_COUNT] {
-        &self.counts
+        &self.buckets.0
     }
 
     /// Approximate `q`-quantile by linear interpolation inside the
-    /// containing bucket, clamped to the observed min/max. `None` when
-    /// empty.
+    /// containing bucket (the overflow bucket ends at the maximum),
+    /// clamped to the observed min/max. `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
         let (min, max) = (self.moments.min()?, self.moments.max()?);
-        let rank = q.clamp(0.0, 1.0) * total as f64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 && (seen + c) as f64 >= rank {
-                let lo = if i == 0 {
-                    0.0
-                } else {
-                    SKETCH_BUCKETS_MS[i - 1]
-                };
-                let hi = SKETCH_BUCKETS_MS.get(i).copied().unwrap_or(max);
-                let frac = ((rank - seen as f64) / c as f64).clamp(0.0, 1.0);
-                return Some((lo + (hi - lo) * frac).clamp(min, max));
-            }
-            seen += c;
-        }
-        Some(max)
+        let q = self.buckets.quantile(&SKETCH_BUCKETS_MS, q, max)?;
+        Some(q.clamp(min, max))
     }
 }
 
@@ -203,6 +237,17 @@ mod tests {
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
         assert!((a.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_value_on_a_bound_counts_in_that_bound_s_bucket() {
+        let mut buckets = Buckets::<SKETCH_BUCKET_COUNT>::default();
+        for bound in SKETCH_BUCKETS_MS {
+            buckets.observe(&SKETCH_BUCKETS_MS, bound);
+        }
+        let mut expected = [1; SKETCH_BUCKET_COUNT];
+        expected[SKETCH_BUCKET_COUNT - 1] = 0;
+        assert_eq!(buckets.0, expected);
     }
 
     #[test]
