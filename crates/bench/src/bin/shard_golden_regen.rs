@@ -8,10 +8,13 @@
 //!
 //! The fixtures pin the complete `manifest.ckpt` bytes (header, checksum,
 //! per-shard record/byte counts and file checksums) and shard 2's cell
-//! file (its aggregate and health cells) for a fixed-seed campaign split
-//! into five shards; `crates/measure/tests/shard_golden.rs` asserts the
-//! scheduler reproduces them byte-for-byte and that the assembled JSONL
-//! still matches the one-shot golden fixture.
+//! file (one entry per pair: its aggregate, exhaustions, day and metrics
+//! cells) for a fixed-seed campaign split into five shards;
+//! `crates/measure/tests/shard_golden.rs` asserts the scheduler reproduces
+//! them byte-for-byte and that the assembled JSONL still matches the
+//! one-shot golden fixture. Both files are decoded by the direct codecs,
+//! and `crates/measure/tests/checkpoint_proptests.rs` reads each against
+//! its tree oracle, mutated byte by byte.
 
 use measure::{Campaign, CampaignConfig, ShardedRunner};
 

@@ -100,7 +100,8 @@ USAGE:
 
   edns-measure report <results.jsonl>
       Regenerate the availability analysis and headline findings from a
-      results file.
+      results file this tool wrote; a line it would not have written (one
+      whose response time is not the sum of its phases, say) is an error.
 
 RETRY & FAULT FLAGS:
   --retries N       attempts per probe (default 1 = no retries)

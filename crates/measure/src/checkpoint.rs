@@ -16,13 +16,13 @@
 //! JSON body:
 //!
 //! ```text
-//! edns-checkpoint v5 <16 lower-case hex digits: checksum of body>
+//! edns-checkpoint v6 <16 lower-case hex digits: checksum of body>
 //! {"entries":[...],"fingerprint":"...","pairs":21,"seed":"2a","shards":4}
 //! ```
 //!
 //! ```text
-//! edns-checkpoint v5 <16 lower-case hex digits: checksum of body>
-//! {"cells":[...],"exhausted":[...],"health":[...],"metrics":[...],"shard":2}
+//! edns-checkpoint v6 <16 lower-case hex digits: checksum of body>
+//! {"pairs":[{"aggregate":{...},"exhausted":[...],"health":[...],"metrics":{...},"pair":8},...],"shard":2}
 //! ```
 //!
 //! The header carries the format version and a checksum of the body, so a
@@ -43,16 +43,14 @@
 //! re-parses bit-exactly — a decode of an encode reproduces the aggregate
 //! cells down to the last bit, which the resume-determinism tests rely on.
 //!
-//! The manifest, a few KB, goes through the [`Json`] tree both ways. A
-//! cell file, which resume reads for every shard, has a direct codec
-//! instead, as records do: [`ShardCells::encode`] writes the body field by
-//! field and [`ShardCells::decode`] reads it back in one strict pass over
-//! the [`LineReader`] primitives, building no tree. The tree codec the
-//! cell files had before is kept in `tests/checkpoint_proptests.rs` as the
-//! oracle: the writer must emit its bytes, and the reader must read what
-//! it reads or decline the body.
+//! Both bodies have one codec, as records do: `encode` writes the body
+//! field by field, keys in sorted order, and `decode` reads it back in one
+//! strict pass over the [`LineReader`] primitives, building no tree. A
+//! cell file lists one entry per pair, as [`PairCells`] holds it. The tree
+//! codecs both files had before are kept in `tests/checkpoint_proptests.rs`
+//! as the oracles: each writer must emit its tree's bytes, and each reader
+//! must read what its tree reads or decline the body.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::Write as _;
@@ -65,15 +63,15 @@ use obs::{CellMetrics, Counter, Gauge, Histogram, Label, Phase};
 use crate::aggregate::{AggregateCell, PairAggregate};
 use crate::errors::{ProbeErrorKind, Tally};
 use crate::health::HealthCell;
-use crate::json::{self, Json, LineReader};
+use crate::json::{self, LineReader};
 
 /// The checkpoint format version this build reads and writes.
 ///
-/// v5 sums files and bodies with [`Checksum`]; v4, the same files under
-/// byte-serial FNV-1a, and earlier versions are rejected: the engine
-/// re-runs from scratch rather than resuming from checksums it does not
-/// compute or cell files that lack what it needs.
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// v6 lists a cell file's cells pair by pair; v5, the same cells in four
+/// sections, v4, summed with byte-serial FNV-1a, and earlier versions are
+/// rejected: the engine re-runs from scratch rather than resuming from
+/// files it does not read or checksums it does not compute.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// The magic token opening every checkpoint header line.
 pub const CHECKPOINT_MAGIC: &str = "edns-checkpoint";
@@ -319,23 +317,11 @@ pub struct PairCells {
 impl ShardCells {
     /// Serialises the cells: header line plus compact JSON body, written
     /// field by field — keys sorted, floats through
-    /// [`json::write_float`] — with no [`Json`] tree in between. The body
-    /// lists the pairs' cells in four sections, each pair after pair:
-    /// aggregate cells, retry exhaustions, (pair, day) health cells and
-    /// metrics cells.
+    /// [`json::write_float`] — with no tree in between. The body lists
+    /// one entry per pair, in the order [`pairs`](Self::pairs) holds them.
     pub fn encode(&self) -> String {
-        let pairs = &self.pairs;
         let mut body = String::new();
-        let aggregates = pairs.iter().map(|p| &p.aggregate);
-        put_list(&mut body, "{\"cells\":", aggregates, put_pair_aggregate);
-        let exhausted = pairs.iter().flat_map(|p| &p.exhausted);
-        put_list(&mut body, ",\"exhausted\":", exhausted, put_retry_exhausted);
-        let health = pairs.iter().flat_map(|p| {
-            let pair = p.aggregate.pair;
-            p.health.iter().map(move |(day, cell)| (pair, *day, cell))
-        });
-        put_list(&mut body, ",\"health\":", health, put_pair_day_health);
-        put_list(&mut body, ",\"metrics\":", pairs, put_pair_metrics);
+        put_list(&mut body, "{\"pairs\":", &self.pairs, put_pair);
         put_count(&mut body, ",\"shard\":", self.shard.into());
         body.push('}');
         frame(&body)
@@ -348,75 +334,9 @@ impl ShardCells {
     /// [`CheckpointError::Parse`], and so are a bucket total that disagrees
     /// with its count, a negative count, a non-finite float, an error label
     /// no probe fails with, a pair, day, shard or attempt count past `u32`,
-    /// a histogram or retry count too many or too few for the phases, and
-    /// sections that [`from_sections`](Self::from_sections) cannot group.
+    /// and a histogram or retry count too many or too few for the phases.
     pub fn decode(text: &str) -> Result<ShardCells, CheckpointError> {
-        let mut r = LineReader::new(unframe(text)?);
-        match take_cells(&mut r) {
-            Some(cells) if r.pos == r.s.len() => cells,
-            _ => Err(parse_err_owned(format!(
-                "cell file body unreadable at byte {}",
-                r.pos
-            ))),
-        }
-    }
-
-    /// Groups a cell file's four sections into one entry per pair, as
-    /// [`decode`](Self::decode) (and the tree codec, its oracle in
-    /// `tests/checkpoint_proptests.rs`) reads them: a metrics cell per
-    /// aggregate cell, of its pair and counting its tally's errors, and
-    /// each pair's day cells and exhaustions in the pairs' order. Anything
-    /// else is a [`CheckpointError::Parse`].
-    pub fn from_sections(
-        shard: u32,
-        aggregates: Vec<PairAggregate>,
-        exhausted: Vec<RetryExhausted>,
-        health: Vec<(u32, u32, HealthCell)>,
-        metrics: Vec<(u32, CellMetrics)>,
-    ) -> Result<ShardCells, CheckpointError> {
-        let (n, m) = (aggregates.len(), metrics.len());
-        if n != m {
-            return Err(parse_err_owned(format!(
-                "holds {m} metrics cells for {n} pairs"
-            )));
-        }
-        let mut pairs = Vec::with_capacity(n);
-        for (aggregate, (pair, mut metrics)) in aggregates.into_iter().zip(metrics) {
-            let tally = aggregate.cell.availability.errors();
-            let tally = tally.map(|(kind, n)| (kind.label(), n));
-            if pair != aggregate.pair || !tally.eq(metrics.errors.iter().map(|(&k, &n)| (k, n))) {
-                let p = aggregate.pair;
-                let other =
-                    format!("pair {p}'s metrics cell is pair {pair}'s or counts other errors");
-                return Err(parse_err_owned(other));
-            }
-            metrics.errors.clear();
-            pairs.push(PairCells {
-                aggregate,
-                metrics,
-                health: Vec::new(),
-                exhausted: Vec::new(),
-            });
-        }
-        // Each section lists the pairs' entries in the pairs' order.
-        let position = |pairs: &[PairCells], pair| {
-            let at = pairs
-                .iter()
-                .position(|p: &PairCells| p.aggregate.pair == pair);
-            let stray = || format!("a cell of pair {pair} out of the pairs' order or of none");
-            at.ok_or_else(|| parse_err_owned(stray()))
-        };
-        let mut at = 0;
-        for (pair, day, cell) in health {
-            at += position(&pairs[at..], pair)?;
-            pairs[at].health.push((day, cell));
-        }
-        let mut at = 0;
-        for e in exhausted {
-            at += position(&pairs[at..], e.pair)?;
-            pairs[at].exhausted.push(e);
-        }
-        Ok(ShardCells { shard, pairs })
+        read_body(text, "cell file", take_cells)
     }
 }
 
@@ -482,89 +402,27 @@ impl Manifest {
         self.states.iter().all(ShardState::is_complete)
     }
 
-    /// Serialises the manifest: header line plus compact JSON body.
+    /// Serialises the manifest: header line plus compact JSON body,
+    /// written field by field in the cell files' codec.
     pub fn encode(&self) -> String {
-        let entries: Vec<Json> = self
-            .states
-            .iter()
-            .enumerate()
-            .map(|(i, s)| match s {
-                ShardState::Pending => Json::object([
-                    ("shard", Json::Int(i as i64)),
-                    ("state", Json::Str("pending".to_string())),
-                ]),
-                ShardState::Complete(c) => Json::object([
-                    ("shard", Json::Int(i as i64)),
-                    ("state", Json::Str("complete".to_string())),
-                    ("records", Json::Int(c.records as i64)),
-                    ("bytes", Json::Int(c.bytes as i64)),
-                    ("checksum", Json::Str(format!("{:016x}", c.checksum))),
-                    ("cell_bytes", Json::Int(c.cell_bytes as i64)),
-                    (
-                        "cell_checksum",
-                        Json::Str(format!("{:016x}", c.cell_checksum)),
-                    ),
-                ]),
-            })
-            .collect();
-        frame(
-            &Json::object([
-                (
-                    "fingerprint",
-                    Json::Str(format!("{:016x}", self.fingerprint)),
-                ),
-                ("seed", Json::Str(format!("{:x}", self.seed))),
-                ("shards", Json::Int(self.states.len() as i64)),
-                ("pairs", Json::Int(self.pairs as i64)),
-                ("entries", Json::Array(entries)),
-            ])
-            .to_string_compact(),
-        )
+        let mut body = String::new();
+        let entries = self.states.iter().enumerate();
+        put_list(&mut body, "{\"entries\":", entries, put_entry);
+        put_hex(&mut body, ",\"fingerprint\":", self.fingerprint, true);
+        put_count(&mut body, ",\"pairs\":", self.pairs.into());
+        put_hex(&mut body, ",\"seed\":", self.seed, false);
+        put_count(&mut body, ",\"shards\":", self.states.len() as u64);
+        body.push('}');
+        frame(&body)
     }
 
-    /// Parses and validates a serialised manifest.
+    /// Parses and validates a serialised manifest in one strict pass, as
+    /// [`ShardCells::decode`] reads a cell file: a body of another shape
+    /// than [`encode`](Self::encode) writes, hex spelt otherwise, entries
+    /// out of shard order or other than the shard count is a
+    /// [`CheckpointError::Parse`].
     pub fn decode(text: &str) -> Result<Manifest, CheckpointError> {
-        let v = json::parse(unframe(text)?).map_err(|e| CheckpointError::Parse(e.to_string()))?;
-
-        let fingerprint = hex_field(&v, "fingerprint")?;
-        let seed = hex_field(&v, "seed")?;
-        let shards = int_field(&v, "shards")? as usize;
-        let pairs =
-            u32::try_from(int_field(&v, "pairs")?).map_err(|_| parse_err("pair count past u32"))?;
-        let entries = array_field(&v, "entries")?;
-        if entries.len() != shards {
-            return Err(parse_err("entries length disagrees with shard count"));
-        }
-        let mut states = Vec::with_capacity(shards);
-        for (i, e) in entries.iter().enumerate() {
-            if int_field(e, "shard")? != i as u64 {
-                return Err(parse_err("entries out of order"));
-            }
-            let state = e
-                .get("state")
-                .and_then(Json::as_str)
-                .ok_or_else(|| parse_err("missing shard state"))?;
-            match state {
-                "pending" => states.push(ShardState::Pending),
-                "complete" => states.push(ShardState::Complete(ShardCheckpoint {
-                    shard: i as u32,
-                    records: int_field(e, "records")?,
-                    bytes: int_field(e, "bytes")?,
-                    checksum: hex_field(e, "checksum")?,
-                    cell_bytes: int_field(e, "cell_bytes")?,
-                    cell_checksum: hex_field(e, "cell_checksum")?,
-                })),
-                other => {
-                    return Err(parse_err_owned(format!("unknown shard state {other:?}")));
-                }
-            }
-        }
-        Ok(Manifest {
-            fingerprint,
-            seed,
-            pairs,
-            states,
-        })
+        read_body(text, "manifest", take_manifest)
     }
 
     /// Writes the manifest atomically (tmp sibling + rename), so a crash
@@ -607,11 +465,12 @@ fn unframe(text: &str) -> Result<&str, CheckpointError> {
         });
     }
     let checksum_hex = tokens.next().ok_or(CheckpointError::Truncated)?;
-    let lower_hex = |b: u8| matches!(b, b'0'..=b'9' | b'a'..=b'f');
     let expected = Some(checksum_hex)
-        .filter(|hex| hex.len() == 16 && hex.bytes().all(lower_hex) && tokens.next().is_none())
-        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-        .ok_or_else(|| parse_err("header checksum is not 16 lower-case hex digits"))?;
+        .filter(|_| tokens.next().is_none())
+        .and_then(|hex| read_hex(hex, true))
+        .ok_or_else(|| {
+            CheckpointError::Parse("header checksum is not 16 lower-case hex digits".into())
+        })?;
     let body = lines.next().ok_or(CheckpointError::Truncated)?;
     let body = body.strip_suffix('\n').unwrap_or(body);
     if body.is_empty() {
@@ -624,39 +483,34 @@ fn unframe(text: &str) -> Result<&str, CheckpointError> {
     Ok(body)
 }
 
-fn parse_err(msg: &str) -> CheckpointError {
-    CheckpointError::Parse(msg.to_string())
+/// Unframes `text` and reads its body with `take`, which must read all
+/// of it; otherwise a [`CheckpointError::Parse`] naming where it stopped.
+fn read_body<T>(
+    text: &str,
+    what: &str,
+    take: fn(&mut LineReader) -> Option<T>,
+) -> Result<T, CheckpointError> {
+    let mut r = LineReader::new(unframe(text)?);
+    let read = take(&mut r).filter(|_| r.pos == r.s.len());
+    read.ok_or_else(|| CheckpointError::Parse(format!("{what} body unreadable at byte {}", r.pos)))
 }
 
-fn parse_err_owned(msg: String) -> CheckpointError {
-    CheckpointError::Parse(msg)
+/// `hex` as a `u64`, only when spelt as [`put_hex`] writes it: lower-case
+/// digits, sixteen of them when `padded`, else no leading zero.
+fn read_hex(hex: &str, padded: bool) -> Option<u64> {
+    let n = u64::from_str_radix(hex, 16).ok()?;
+    let written = if padded {
+        format!("{n:016x}")
+    } else {
+        format!("{n:x}")
+    };
+    (written == hex).then_some(n)
 }
 
-fn int_field(v: &Json, key: &str) -> Result<u64, CheckpointError> {
-    v.get(key)
-        .and_then(Json::as_i64)
-        .filter(|&n| n >= 0)
-        .map(|n| n as u64)
-        .ok_or_else(|| parse_err_owned(format!("missing or invalid field {key:?}")))
-}
-
-fn array_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], CheckpointError> {
-    v.get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| parse_err_owned(format!("missing or invalid array {key:?}")))
-}
-
-fn hex_field(v: &Json, key: &str) -> Result<u64, CheckpointError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| parse_err_owned(format!("missing or invalid hex field {key:?}")))
-}
-
-// The cell codec. Each `put_*` writes one value of a cell file's body and
-// each `take_*` reads it back: the same `"key":` literals in the same
-// (sorted) order, so that a body is one pass each way. A `lit` opens with
-// the `{` or `,` before its key.
+// The body codec. Each `put_*` writes one value of a manifest's or a cell
+// file's body and each `take_*` reads it back: the same `"key":` literals
+// in the same (sorted) order, so that a body is one pass each way. A `lit`
+// opens with the `{` or `,` before its key.
 
 fn put_count(out: &mut String, lit: &str, n: u64) {
     out.push_str(lit);
@@ -668,8 +522,29 @@ fn put_float(out: &mut String, lit: &str, f: f64) {
     json::write_float(out, f);
 }
 
+/// A `u64` as a quoted string of lower-case hex digits: sixteen when
+/// `padded` (fingerprint and checksums), else as few as it takes (seed).
+fn put_hex(out: &mut String, lit: &str, n: u64, padded: bool) {
+    out.push_str(lit);
+    let _ = if padded {
+        write!(out, "\"{n:016x}\"")
+    } else {
+        write!(out, "\"{n:x}\"")
+    };
+}
+
 fn put_counts(out: &mut String, lit: &str, counts: &[u64]) {
     put_list(out, lit, counts, |out, &n| put_count(out, "", n));
+}
+
+/// `items`, comma-separated.
+fn put_each<T>(out: &mut String, items: impl IntoIterator<Item = T>, put: impl Fn(&mut String, T)) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        put(out, item);
+    }
 }
 
 fn put_list<T>(
@@ -680,27 +555,8 @@ fn put_list<T>(
 ) {
     out.push_str(lit);
     out.push('[');
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        put(out, item);
-    }
+    put_each(out, items, put);
     out.push(']');
-}
-
-/// A label → count object (availability and metrics error tallies).
-fn put_tallies<'k>(out: &mut String, lit: &str, tallies: impl Iterator<Item = (&'k str, u64)>) {
-    out.push_str(lit);
-    out.push('{');
-    for (i, (label, n)) in tallies.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_str(out, label);
-        put_count(out, ":", n);
-    }
-    out.push('}');
 }
 
 /// A latency sketch. An empty one collapses to `{"n":0}`, which keeps the
@@ -733,52 +589,77 @@ fn put_histogram(out: &mut String, lit: &str, h: &Histogram) {
     out.push('}');
 }
 
+/// A tally: its error counts as a label → count object, then its
+/// successes.
 fn put_availability(out: &mut String, lit: &str, a: &Tally) {
     out.push_str(lit);
-    let errors = a.errors().map(|(k, n)| (k.label(), n));
-    put_tallies(out, "{\"errors\":", errors);
-    put_count(out, ",\"successes\":", a.successes);
+    out.push_str("{\"errors\":{");
+    put_each(out, a.errors(), |out, (kind, n)| {
+        json::write_str(out, kind.label());
+        put_count(out, ":", n);
+    });
+    put_count(out, "},\"successes\":", a.successes);
     out.push('}');
 }
 
-fn put_pair_aggregate(out: &mut String, p: &PairAggregate) {
-    put_availability(out, "{\"availability\":", &p.cell.availability);
-    put_count(out, ",\"pair\":", p.pair.into());
-    put_sketch(out, ",\"ping\":", &p.cell.ping);
+/// One manifest entry: a pending shard's index, or a complete shard's
+/// record.
+fn put_entry(out: &mut String, (shard, state): (usize, &ShardState)) {
+    let state = match state {
+        ShardState::Pending => {
+            put_count(out, "{\"shard\":", shard as u64);
+            "pending"
+        }
+        ShardState::Complete(c) => {
+            put_count(out, "{\"bytes\":", c.bytes);
+            put_count(out, ",\"cell_bytes\":", c.cell_bytes);
+            put_hex(out, ",\"cell_checksum\":", c.cell_checksum, true);
+            put_hex(out, ",\"checksum\":", c.checksum, true);
+            put_count(out, ",\"records\":", c.records);
+            put_count(out, ",\"shard\":", shard as u64);
+            "complete"
+        }
+    };
+    let _ = write!(out, ",\"state\":\"{state}\"}}");
+}
+
+/// One pair's entry, as [`PairCells`] holds it: the aggregate cell, the
+/// retry exhaustions and day cells, the metrics cell, and the pair index,
+/// written once for all four.
+fn put_pair(out: &mut String, p: &PairCells) {
+    let a = &p.aggregate;
+    out.push_str("{\"aggregate\":");
+    put_availability(out, "{\"availability\":", &a.cell.availability);
+    put_sketch(out, ",\"ping\":", &a.cell.ping);
     out.push_str(",\"resolver\":");
-    json::write_str(out, p.resolver.as_str());
-    put_sketch(out, ",\"response\":", &p.cell.response);
+    json::write_str(out, a.resolver.as_str());
+    put_sketch(out, ",\"response\":", &a.cell.response);
     out.push_str(",\"vantage\":");
-    json::write_str(out, p.vantage.as_str());
+    json::write_str(out, a.vantage.as_str());
+    put_list(out, "},\"exhausted\":", &p.exhausted, |out, e| {
+        put_count(out, "{\"at\":", e.at);
+        put_count(out, ",\"attempts\":", e.attempts.into());
+        out.push('}');
+    });
+    put_list(out, ",\"health\":", &p.health, |out, (day, cell)| {
+        put_availability(out, "{\"availability\":", &cell.availability);
+        put_count(out, ",\"day\":", (*day).into());
+        put_sketch(out, ",\"response\":", &cell.response);
+        out.push('}');
+    });
+    put_metrics(out, ",\"metrics\":", &p.metrics);
+    put_count(out, ",\"pair\":", a.pair.into());
     out.push('}');
 }
 
-fn put_retry_exhausted(out: &mut String, e: &RetryExhausted) {
-    put_count(out, "{\"at\":", e.at);
-    put_count(out, ",\"attempts\":", e.attempts.into());
-    put_count(out, ",\"pair\":", e.pair.into());
-    out.push('}');
-}
-
-fn put_pair_day_health(out: &mut String, (pair, day, cell): (u32, u32, &HealthCell)) {
-    put_availability(out, "{\"availability\":", &cell.availability);
-    put_count(out, ",\"day\":", day.into());
-    put_count(out, ",\"pair\":", pair.into());
-    put_sketch(out, ",\"response\":", &cell.response);
-    out.push('}');
-}
-
-/// One pair's metrics cell, its error tallies the aggregate's. Floats
-/// (histogram sums, the last response) round-trip bit-exactly, so a
-/// decoded cell snapshots exactly like the fold that produced it.
-fn put_pair_metrics(out: &mut String, p: &PairCells) {
-    let c = &p.metrics;
-    let errors = p.aggregate.cell.availability.errors();
+/// A metrics cell without its error tallies, which are its aggregate's.
+/// Floats (histogram sums, the last response) round-trip bit-exactly, so
+/// a decoded cell snapshots exactly like the fold that produced it.
+fn put_metrics(out: &mut String, lit: &str, c: &CellMetrics) {
+    out.push_str(lit);
     put_count(out, "{\"cache_hits\":", c.cache_hits.get());
-    put_tallies(out, ",\"errors\":", errors.map(|(k, n)| (k.label(), n)));
     put_count(out, ",\"exhausted\":", c.exhausted.get());
     put_float(out, ",\"last_response_ms\":", c.last_response_ms.get());
-    put_count(out, ",\"pair\":", p.aggregate.pair.into());
     put_list(out, ",\"phases\":", &c.phase_ms, |out, h| {
         put_histogram(out, "", h)
     });
@@ -792,16 +673,59 @@ fn put_pair_metrics(out: &mut String, p: &PairCells) {
     out.push('}');
 }
 
-fn take_cells(r: &mut LineReader) -> Option<Result<ShardCells, CheckpointError>> {
-    let aggregates = take_list(r, "{\"cells\":", take_pair_aggregate)?;
-    let exhausted = take_list(r, ",\"exhausted\":", take_retry_exhausted)?;
-    let health = take_list(r, ",\"health\":", take_pair_day_health)?;
-    let metrics = take_list(r, ",\"metrics\":", take_pair_metrics)?;
+/// A manifest: its entries must list the shards in order, one each.
+fn take_manifest(r: &mut LineReader) -> Option<Manifest> {
+    let mut next = 0;
+    let states = take_list(r, "{\"entries\":", |r| {
+        let (shard, state) = take_entry(r)?;
+        if shard != next {
+            return None;
+        }
+        next += 1;
+        Some(state)
+    })?;
+    let fingerprint = take_hex(r, ",\"fingerprint\":", true)?;
+    let pairs = take_index(r, ",\"pairs\":")?;
+    let seed = take_hex(r, ",\"seed\":", false)?;
+    take_count(r, ",\"shards\":").filter(|&n| n == states.len() as u64)?;
+    r.eat("}")?;
+    Some(Manifest {
+        fingerprint,
+        seed,
+        pairs,
+        states,
+    })
+}
+
+fn take_entry(r: &mut LineReader) -> Option<(u32, ShardState)> {
+    if r.try_eat("{\"shard\":") {
+        let shard = take_index(r, "")?;
+        r.eat(",\"state\":\"pending\"}")?;
+        return Some((shard, ShardState::Pending));
+    }
+    let bytes = take_count(r, "{\"bytes\":")?;
+    let cell_bytes = take_count(r, ",\"cell_bytes\":")?;
+    let cell_checksum = take_hex(r, ",\"cell_checksum\":", true)?;
+    let checksum = take_hex(r, ",\"checksum\":", true)?;
+    let records = take_count(r, ",\"records\":")?;
+    let shard = take_index(r, ",\"shard\":")?;
+    r.eat(",\"state\":\"complete\"}")?;
+    let complete = ShardCheckpoint {
+        shard,
+        records,
+        bytes,
+        checksum,
+        cell_bytes,
+        cell_checksum,
+    };
+    Some((shard, ShardState::Complete(complete)))
+}
+
+fn take_cells(r: &mut LineReader) -> Option<ShardCells> {
+    let pairs = take_list(r, "{\"pairs\":", take_pair)?;
     let shard = take_index(r, ",\"shard\":")?;
     r.eat("}")?;
-    Some(ShardCells::from_sections(
-        shard, aggregates, exhausted, health, metrics,
-    ))
+    Some(ShardCells { shard, pairs })
 }
 
 fn take_count(r: &mut LineReader, lit: &str) -> Option<u64> {
@@ -819,6 +743,28 @@ fn take_float(r: &mut LineReader, lit: &str) -> Option<f64> {
     r.number().filter(|f| f.is_finite())
 }
 
+fn take_hex(r: &mut LineReader, lit: &str, padded: bool) -> Option<u64> {
+    r.eat(lit)?;
+    read_hex(&r.string()?, padded)
+}
+
+/// Comma-separated items up to `close`: `take` reads each.
+fn take_each(
+    r: &mut LineReader,
+    close: &str,
+    mut take: impl FnMut(&mut LineReader) -> Option<()>,
+) -> Option<()> {
+    if r.try_eat(close) {
+        return Some(());
+    }
+    loop {
+        take(r)?;
+        if !r.try_eat(",") {
+            return r.eat(close);
+        }
+    }
+}
+
 fn take_list<T>(
     r: &mut LineReader,
     lit: &str,
@@ -827,16 +773,11 @@ fn take_list<T>(
     r.eat(lit)?;
     r.eat("[")?;
     let mut items = Vec::new();
-    if r.try_eat("]") {
-        return Some(items);
-    }
-    loop {
+    take_each(r, "]", |r| {
         items.push(take(r)?);
-        if !r.try_eat(",") {
-            r.eat("]")?;
-            return Some(items);
-        }
-    }
+        Some(())
+    })?;
+    Some(items)
 }
 
 /// A fixed-arity array of counts.
@@ -847,29 +788,6 @@ fn take_counts<const N: usize>(r: &mut LineReader, lit: &str) -> Option<[u64; N]
 /// Counts whose total is `n`, which no overflow reaches.
 fn total_is(counts: &[u64], n: u64) -> bool {
     counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) == Some(n)
-}
-
-/// A label → count object; `key` vets each label. A repeated label keeps
-/// its last count, as a parsed object would.
-fn take_tallies<K: Ord>(
-    r: &mut LineReader,
-    lit: &str,
-    key: impl Fn(&str) -> Option<K>,
-) -> Option<BTreeMap<K, u64>> {
-    r.eat(lit)?;
-    r.eat("{")?;
-    let mut tallies = BTreeMap::new();
-    if r.try_eat("}") {
-        return Some(tallies);
-    }
-    loop {
-        let label = key(&r.string()?)?;
-        tallies.insert(label, take_count(r, ":")?);
-        if !r.try_eat(",") {
-            r.eat("}")?;
-            return Some(tallies);
-        }
-    }
 }
 
 /// A latency sketch whose bucket total is its count.
@@ -902,16 +820,19 @@ fn take_histogram(r: &mut LineReader, lit: &str) -> Option<Histogram> {
     Some(Histogram::from_parts(counts, sum))
 }
 
-/// A tally: each error label must be one a probe can fail with.
+/// A tally: each error label must be one a probe can fail with. A
+/// repeated label keeps its last count, as a parsed object would.
 fn take_availability(r: &mut LineReader, lit: &str) -> Option<Tally> {
     r.eat(lit)?;
-    let errors = take_tallies(r, "{\"errors\":", ProbeErrorKind::from_label)?;
+    r.eat("{\"errors\":{")?;
     let mut tally = Tally::default();
+    take_each(r, "}", |r| {
+        let kind = ProbeErrorKind::from_label(&r.string()?)?;
+        tally.set_errors(kind, take_count(r, ":")?);
+        Some(())
+    })?;
     tally.successes = take_count(r, ",\"successes\":")?;
     r.eat("}")?;
-    for (kind, n) in errors {
-        tally.set_errors(kind, n);
-    }
     Some(tally)
 }
 
@@ -920,63 +841,66 @@ fn take_label(r: &mut LineReader, lit: &str) -> Option<Label> {
     Some(Label::intern(&r.string()?))
 }
 
-fn take_pair_aggregate(r: &mut LineReader) -> Option<PairAggregate> {
-    let availability = take_availability(r, "{\"availability\":")?;
-    let pair = take_index(r, ",\"pair\":")?;
+/// One pair's entry. The pair index comes last, and is its aggregate
+/// cell's and each of its exhaustions'.
+fn take_pair(r: &mut LineReader) -> Option<PairCells> {
+    let availability = take_availability(r, "{\"aggregate\":{\"availability\":")?;
     let ping = take_sketch(r, ",\"ping\":")?;
     let resolver = take_label(r, ",\"resolver\":")?;
     let response = take_sketch(r, ",\"response\":")?;
     let vantage = take_label(r, ",\"vantage\":")?;
-    r.eat("}")?;
-    Some(PairAggregate {
-        pair,
-        vantage,
-        resolver,
-        cell: AggregateCell {
+    let exhausted = take_list(r, "},\"exhausted\":", |r| {
+        let at = take_count(r, "{\"at\":")?;
+        let attempts = take_index(r, ",\"attempts\":")?;
+        r.eat("}")?;
+        Some((at, attempts))
+    })?;
+    let health = take_list(r, ",\"health\":", |r| {
+        let availability = take_availability(r, "{\"availability\":")?;
+        let day = take_index(r, ",\"day\":")?;
+        let response = take_sketch(r, ",\"response\":")?;
+        r.eat("}")?;
+        let cell = HealthCell {
             availability,
             response,
-            ping,
+        };
+        Some((day, cell))
+    })?;
+    let metrics = take_metrics(r, ",\"metrics\":")?;
+    let pair = take_index(r, ",\"pair\":")?;
+    r.eat("}")?;
+    let exhausted = exhausted.into_iter();
+    let exhausted = exhausted.map(|(at, attempts)| RetryExhausted { pair, at, attempts });
+    Some(PairCells {
+        aggregate: PairAggregate {
+            pair,
+            vantage,
+            resolver,
+            cell: AggregateCell {
+                availability,
+                response,
+                ping,
+            },
         },
+        metrics,
+        health,
+        exhausted: exhausted.collect(),
     })
 }
 
-fn take_retry_exhausted(r: &mut LineReader) -> Option<RetryExhausted> {
-    let at = take_count(r, "{\"at\":")?;
-    let attempts = take_index(r, ",\"attempts\":")?;
-    let pair = take_index(r, ",\"pair\":")?;
-    r.eat("}")?;
-    Some(RetryExhausted { pair, at, attempts })
-}
-
-fn take_pair_day_health(r: &mut LineReader) -> Option<(u32, u32, HealthCell)> {
-    let availability = take_availability(r, "{\"availability\":")?;
-    let day = take_index(r, ",\"day\":")?;
-    let pair = take_index(r, ",\"pair\":")?;
-    let response = take_sketch(r, ",\"response\":")?;
-    r.eat("}")?;
-    let cell = HealthCell {
-        availability,
-        response,
-    };
-    Some((pair, day, cell))
-}
-
-/// One pair's metrics cell. An error label must be one a probe can fail
-/// with, and there is a histogram and a retry count per phase.
-fn take_pair_metrics(r: &mut LineReader) -> Option<(u32, CellMetrics)> {
+/// A metrics cell, its error tallies left empty: there is a histogram and
+/// a retry count per phase.
+fn take_metrics(r: &mut LineReader, lit: &str) -> Option<CellMetrics> {
     let counter = |n| {
         let mut c = Counter::default();
         c.add(n);
         c
     };
+    r.eat(lit)?;
     let cache_hits = take_count(r, "{\"cache_hits\":")?;
-    let errors = take_tallies(r, ",\"errors\":", |label| {
-        ProbeErrorKind::from_label(label).map(ProbeErrorKind::label)
-    })?;
     let exhausted = take_count(r, ",\"exhausted\":")?;
     let mut last_response_ms = Gauge::default();
     last_response_ms.set(take_float(r, ",\"last_response_ms\":")?);
-    let pair = take_index(r, ",\"pair\":")?;
     let phases = take_list(r, ",\"phases\":", |r| take_histogram(r, ""))?;
     let ping_ms = take_histogram(r, ",\"ping\":")?;
     let probes = take_count(r, ",\"probes\":")?;
@@ -985,22 +909,19 @@ fn take_pair_metrics(r: &mut LineReader) -> Option<(u32, CellMetrics)> {
     let retries = take_counts::<{ Phase::COUNT }>(r, ",\"retries\":")?;
     let successes = take_count(r, ",\"successes\":")?;
     r.eat("}")?;
-    Some((
-        pair,
-        CellMetrics {
-            probes: counter(probes),
-            successes: counter(successes),
-            cache_hits: counter(cache_hits),
-            errors,
-            response_ms,
-            ping_ms,
-            phase_ms: phases.try_into().ok()?,
-            last_response_ms,
-            retries_by_phase: retries.map(counter),
-            recovered: counter(recovered),
-            exhausted: counter(exhausted),
-        },
-    ))
+    Some(CellMetrics {
+        probes: counter(probes),
+        successes: counter(successes),
+        cache_hits: counter(cache_hits),
+        errors: Default::default(),
+        response_ms,
+        ping_ms,
+        phase_ms: phases.try_into().ok()?,
+        last_response_ms,
+        retries_by_phase: retries.map(counter),
+        recovered: counter(recovered),
+        exhausted: counter(exhausted),
+    })
 }
 
 #[cfg(test)]
@@ -1126,7 +1047,7 @@ mod tests {
     fn header_is_versioned_and_checksummed() {
         for text in [sample_manifest().encode(), sample_cells().encode()] {
             let header = text.lines().next().unwrap();
-            assert!(header.starts_with("edns-checkpoint v5 "));
+            assert!(header.starts_with("edns-checkpoint v6 "));
             let hex = header.rsplit(' ').next().unwrap();
             assert_eq!(hex.len(), 16);
         }
@@ -1142,12 +1063,13 @@ mod tests {
 
     #[test]
     fn other_versions_are_rejected() {
-        // A future format, and the earlier ones: v4 summed with
-        // byte-serial FNV-1a, v3 cell files had no metrics cells, v2 kept
-        // every cell in the manifest, v1 had no health cells. No silent
-        // resume from any — the engine re-runs from scratch.
-        for other in ["v6", "v4", "v3", "v2", "v1"] {
-            let text = sample_manifest().encode().replacen("v5", other, 1);
+        // A future format, and the earlier ones: v5 cell files listed the
+        // cells in four sections, v4 summed with byte-serial FNV-1a, v3
+        // cell files had no metrics cells, v2 kept every cell in the
+        // manifest, v1 had no health cells. No silent resume from any —
+        // the engine re-runs from scratch.
+        for other in ["v7", "v5", "v4", "v3", "v2", "v1"] {
+            let text = sample_manifest().encode().replacen("v6", other, 1);
             assert_eq!(
                 Manifest::decode(&text),
                 Err(CheckpointError::VersionMismatch {
@@ -1174,25 +1096,25 @@ mod tests {
             back.pairs[0].metrics.response_ms.sum().to_bits(),
             (0.1f64 + 0.2).to_bits()
         );
-        // The metrics cell's errors are written from its aggregate's tally.
+        // The aggregate's tally is the one copy of the errors: a metrics
+        // cell holds none, and the pair index is the entry's alone.
         let metrics = text.split(",\"metrics\":").nth(1).unwrap();
-        assert!(metrics.contains("\"errors\":{\"query_timeout\":1}"));
+        assert!(metrics.starts_with("{\"cache_hits\":1,\"exhausted\":1,"));
+        assert_eq!(text.matches("\"errors\":").count(), 4);
+        assert_eq!(text.matches("\"pair\":").count(), 2);
         // An error label no probe fails with, a histogram whose buckets
-        // disagree with its count, one phase histogram too many, a metrics
-        // cell counting other errors than its aggregate, and one of
-        // another pair are all rejected.
+        // disagree with its count, one phase histogram too many, and the
+        // v5 shapes — errors in a metrics cell, a pair index in an
+        // aggregate cell — are all rejected.
         for (from, to) in [
             ("\"query_timeout\":", "\"gremlins\":"),
             ("\"n\":2,\"sum\"", "\"n\":3,\"sum\""),
             ("],\"ping\":", ",{\"n\":0}],\"ping\":"),
             (
-                "\"errors\":{\"query_timeout\":1},\"exhausted\"",
-                "\"errors\":{},\"exhausted\"",
+                "{\"cache_hits\":1,\"exhausted\"",
+                "{\"cache_hits\":1,\"errors\":{},\"exhausted\"",
             ),
-            (
-                "\"last_response_ms\":0.2,\"pair\":2",
-                "\"last_response_ms\":0.2,\"pair\":3",
-            ),
+            ("},\"ping\":{", "},\"pair\":2,\"ping\":{"),
         ] {
             let text = reframed(&cells, |body| body.replacen(from, to, 1));
             assert!(
@@ -1208,7 +1130,8 @@ mod tests {
         let back = ShardCells::decode(&cells.encode()).unwrap();
         assert_eq!(back.pairs[0].health, sample_health());
         // A tampered day count is caught by the sketch validator; a day
-        // cell or an exhaustion of a pair not listed is refused.
+        // past u32 and an exhaustion naming a pair (v5's shape) are
+        // refused.
         let health = |from: &'static str, to: &'static str| {
             move |body: &str| {
                 let (head, tail) = body.split_once(",\"health\":").unwrap();
@@ -1217,12 +1140,9 @@ mod tests {
         };
         for text in [
             reframed(&cells, health("\"n\":2}", "\"n\":3}")),
-            reframed(
-                &cells,
-                health("\"day\":1,\"pair\":2", "\"day\":1,\"pair\":4"),
-            ),
+            reframed(&cells, health("\"day\":1,", "\"day\":4294967296,")),
             reframed(&cells, |body| {
-                body.replacen("\"attempts\":3,\"pair\":2", "\"attempts\":3,\"pair\":1", 1)
+                body.replacen("\"attempts\":3}", "\"attempts\":3,\"pair\":2}", 1)
             }),
         ] {
             assert!(matches!(

@@ -9,10 +9,11 @@
 //! [`PairCells`]; the engines hand out its projections, the metrics
 //! snapshot, [`CampaignAggregates`] and [`HealthSeries`]. A metrics cell's
 //! error tallies are left to the aggregate's tally, which the snapshot
-//! and the cell file read them from, so folding a record allocates
-//! nothing but a retry exhaustion's entry. Every pair's cells observe only
-//! its own records, in its canonical order, so the folds are the same at
-//! any shard count, thread count and kill/resume schedule (`DESIGN.md` §9).
+//! reads them from and the cell file stores as their one copy, so folding
+//! a record allocates nothing but a retry exhaustion's entry. Every pair's
+//! cells observe only its own records, in its canonical order, so the
+//! folds are the same at any shard count, thread count and kill/resume
+//! schedule (`DESIGN.md` §9).
 
 use obs::{CellMetrics, CellSnapshot, Label, MetricKey, MetricsSnapshot};
 

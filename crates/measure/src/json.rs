@@ -15,8 +15,9 @@
 //! test — and as that fallback.
 //!
 //! [`LineReader`] is the other direction of the direct writers: the token
-//! readers that the strict record reader and the cell-file reader are
-//! built from, each agreeing with [`parse`] on what it accepts.
+//! readers that the strict record reader and the checkpoint readers
+//! (manifest and cell file) are built from, each agreeing with [`parse`]
+//! on what it accepts.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -261,7 +262,8 @@ pub fn write_str(out: &mut String, s: &str) {
 /// A cursor over compact JSON as this crate's direct writers emit it: the
 /// token readers of the strict record reader
 /// ([`ProbeRecord::read_json_line`](crate::ProbeRecord::read_json_line))
-/// and cell-file reader ([`ShardCells::decode`](crate::ShardCells::decode)).
+/// and checkpoint readers ([`Manifest::decode`](crate::Manifest::decode),
+/// [`ShardCells::decode`](crate::ShardCells::decode)).
 /// Each accepts what the writers write and agrees with [`parse`] on every
 /// token it accepts; a miss is `None`.
 pub(crate) struct LineReader<'a> {
@@ -642,6 +644,12 @@ impl<'a> Parser<'a> {
 }
 
 /// Parses a complete JSON document (rejecting trailing garbage).
+///
+/// No engine path reads through it: records, manifests and cell files
+/// have their strict readers. It stays as the oracle those readers are
+/// held to (`tests/line_reader_differential.rs`,
+/// `tests/checkpoint_proptests.rs`, `tests/json_proptests.rs`) and for the
+/// benchmark's replay rows (`benchmark/`).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         b: input.as_bytes(),

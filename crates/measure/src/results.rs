@@ -3,12 +3,12 @@
 //!
 //! A record has two codecs. The tree path ([`ProbeRecord::to_json`] /
 //! [`ProbeRecord::from_json`] over [`crate::json::Json`]) formats and
-//! parses every `*_ms` value as an `f64`, reads files the engine did not
-//! write, and is the oracle. The line path
+//! parses every `*_ms` value as an `f64` and is the oracle. The line path
 //! ([`ProbeRecord::write_json_line`] / [`ProbeRecord::read_json_line`]) is
 //! what campaigns, shard files and `report` run: the same bytes and the
 //! same records, with integer nanoseconds ↔ decimal milliseconds in both
-//! directions and every key one literal.
+//! directions and every key one literal. A line the engine would not have
+//! written is one the line path declines, so `report` reads only those.
 
 use detlint_macros::deny_alloc;
 use netsim::{Region, SimDuration, SimTime};
@@ -454,20 +454,16 @@ impl LineReader<'_> {
     }
 }
 
-/// One line of a results file: [`read_json_line`](ProbeRecord::read_json_line)
-/// first, and for a line that strict reader declines (a file the engine
-/// did not write) the tree path, [`json::parse`](crate::json::parse) →
-/// [`from_json`](ProbeRecord::from_json). The error says which of the two
-/// steps of the tree path gave up.
+/// One line of a results file, read by
+/// [`read_json_line`](ProbeRecord::read_json_line) alone: a line the
+/// engine would not have written — whose derived legs disagree with its
+/// phases, say — is an error.
 impl std::str::FromStr for ProbeRecord {
     type Err = String;
 
     fn from_str(line: &str) -> Result<ProbeRecord, String> {
-        if let Some(record) = ProbeRecord::read_json_line(line) {
-            return Ok(record);
-        }
-        let tree = crate::json::parse(line).map_err(|e| e.to_string())?;
-        ProbeRecord::from_json(&tree).ok_or_else(|| "not a probe record".to_string())
+        ProbeRecord::read_json_line(line)
+            .ok_or_else(|| "not a probe record as the engine writes it".to_string())
     }
 }
 
@@ -722,8 +718,8 @@ impl ProbeRecord {
     /// Strict: anything `write_json_line` would not have written —
     /// reordered or extra keys, whitespace, an escape it never emits, a
     /// derived field (`connect_ms`, `secure_ms`, `query_ms`,
-    /// `response_ms`) that is not what `phases` makes it — is `None`.
-    /// Files the engine did not write go through the tree path.
+    /// `response_ms`) that is not what `phases` makes it, a negative site
+    /// or attempt count — is `None`.
     pub fn read_json_line(line: &str) -> Option<ProbeRecord> {
         // A derived field: read, and held to the sum of the phases it
         // repeats (a sum that overflows equals nothing).
@@ -753,7 +749,7 @@ impl ProbeRecord {
                 }
             }
             r.key(false, ATTEMPTS)?;
-            attempts = r.int()? as u32;
+            attempts = u32::try_from(r.int()?).ok()?;
         }
         let lead = !retried;
         // Only the success shape has "cache_hit", and has it first.
@@ -818,7 +814,7 @@ impl ProbeRecord {
                 derived(&mut r, RESPONSE_MS, &timings, &Phase::ALL)?;
                 derived(&mut r, SECURE_MS, &timings, &[Phase::TlsHandshake])?;
                 r.key(false, SITE)?;
-                let site = r.int()? as usize;
+                let site = usize::try_from(r.int()?).ok()?;
                 r.key(false, SUCCESS)?;
                 r.eat("true")?;
                 ProbeOutcome::Success {
@@ -940,7 +936,11 @@ impl ProbeRecord {
         Json::object(pairs)
     }
 
-    /// Parses a record back from its JSON shape.
+    /// Parses a record back from its JSON shape. No engine path reads
+    /// through it; it stays as the oracle of
+    /// [`read_json_line`](Self::read_json_line)
+    /// (`tests/line_reader_differential.rs`) and for the benchmark's replay
+    /// rows (`benchmark/`).
     pub fn from_json(v: &Json) -> Option<ProbeRecord> {
         let at = SimTime::from_nanos((v.get("ts_ms")?.as_f64()? * 1e6).round() as u64);
         let success = v.get("success")?.as_bool()?;

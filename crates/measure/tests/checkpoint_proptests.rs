@@ -8,9 +8,9 @@
 //! restated here, to a pinned vector and to catching every single-byte
 //! change, and a header is read only as the engine writes it.
 //!
-//! The cell files' direct codec is pinned against the [`tree`] codec it
-//! replaced: the writer emits the tree's bytes, and the strict reader
-//! reads what the tree path reads — on hostile input it may decline more,
+//! Both files' direct codecs are pinned against the [`tree`] codecs they
+//! replaced: each writer emits its tree's bytes, and each strict reader
+//! reads what its tree path reads — on hostile input it may decline more,
 //! never read differently.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,35 +31,27 @@ use obs::{CellMetrics, Histogram, Phase};
 use edns_stats::LatencySketch;
 
 use tree::{
-    availability_from_json, availability_to_json, pair_day_health_from_json,
-    pair_day_health_to_json, pair_metrics_from_json, pair_metrics_to_json, sketch_from_json,
-    sketch_to_json, PairDayHealth, PairMetrics,
+    availability_from_json, availability_to_json, day_health_from_json, day_health_to_json,
+    metrics_from_json, metrics_to_json, sketch_from_json, sketch_to_json, DayHealth,
 };
 
-/// The cell files' codec before the direct one: every cell built as a
-/// [`Json`](measure::json::Json) value and rendered with
+/// The checkpoint files' codecs before the direct ones: every value built
+/// as a [`Json`](measure::json::Json) value and rendered with
 /// `to_string_compact`, read back with `json::parse` and a walk of the
-/// tree, grouped by pair through `ShardCells::from_sections`. Kept here as
-/// the oracle the direct codec is compared against.
+/// tree. Kept here as the oracles the direct codecs are compared against.
 mod tree {
-    use std::collections::BTreeMap;
-
     use edns_stats::{LatencySketch, RunningMoments};
     use measure::aggregate::{AggregateCell, PairAggregate};
-    use measure::checkpoint::{CheckpointError, RetryExhausted, ShardCells};
+    use measure::checkpoint::{
+        CheckpointError, Manifest, PairCells, RetryExhausted, ShardCells, ShardCheckpoint,
+        ShardState,
+    };
     use measure::json::{self, Json};
     use measure::{HealthCell, Label, ProbeErrorKind, Tally};
     use obs::{CellMetrics, Counter, Gauge, Histogram, Phase};
 
-    /// A metrics section row.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct PairMetrics {
-        pub pair: u32,
-        pub cell: CellMetrics,
-    }
-
-    /// A health section row: (pair, day, cell).
-    pub type PairDayHealth = (u32, u32, HealthCell);
+    /// A health entry of a pair: (day, cell).
+    pub type DayHealth = (u32, HealthCell);
 
     fn parse_err(msg: &str) -> CheckpointError {
         CheckpointError::Parse(msg.to_string())
@@ -84,6 +76,13 @@ mod tree {
             .ok_or_else(|| parse_err(&format!("missing or invalid array {key:?}")))
     }
 
+    fn hex_field(v: &Json, key: &str) -> Result<u64, CheckpointError> {
+        v.get(key)
+            .and_then(Json::as_str)
+            .and_then(|s| u64::from_str_radix(s, 16).ok())
+            .ok_or_else(|| parse_err(&format!("missing or invalid hex field {key:?}")))
+    }
+
     fn float_field(v: &Json, key: &str) -> Result<f64, CheckpointError> {
         v.get(key)
             .and_then(Json::as_f64)
@@ -105,6 +104,14 @@ mod tree {
                 as u64;
         }
         Ok(counts)
+    }
+
+    fn list<T>(
+        v: &Json,
+        key: &str,
+        each: impl Fn(&Json) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
+        array_field(v, key)?.iter().map(each).collect()
     }
 
     fn total_is(counts: &[u64], n: u64) -> bool {
@@ -207,17 +214,6 @@ mod tree {
         Ok(tally)
     }
 
-    fn pair_aggregate_to_json(p: &PairAggregate) -> Json {
-        Json::object([
-            ("pair", Json::Int(p.pair as i64)),
-            ("vantage", Json::Str(p.vantage.as_str().to_string())),
-            ("resolver", Json::Str(p.resolver.as_str().to_string())),
-            ("availability", availability_to_json(&p.cell.availability)),
-            ("response", sketch_to_json(&p.cell.response)),
-            ("ping", sketch_to_json(&p.cell.ping)),
-        ])
-    }
-
     fn member<'a>(v: &'a Json, key: &str) -> Result<&'a Json, CheckpointError> {
         v.get(key)
             .ok_or_else(|| parse_err(&format!("cell missing {key:?}")))
@@ -229,50 +225,29 @@ mod tree {
             .ok_or_else(|| parse_err(&format!("cell missing {key:?}")))
     }
 
-    fn pair_aggregate_from_json(v: &Json) -> Result<PairAggregate, CheckpointError> {
-        Ok(PairAggregate {
-            pair: index_field(v, "pair")?,
-            vantage: label(v, "vantage")?,
-            resolver: label(v, "resolver")?,
-            cell: AggregateCell {
-                availability: availability_from_json(member(v, "availability")?)?,
-                response: sketch_from_json(member(v, "response")?)?,
-                ping: sketch_from_json(member(v, "ping")?)?,
-            },
-        })
-    }
-
-    pub fn pair_day_health_to_json((pair, day, cell): &PairDayHealth) -> Json {
+    pub fn day_health_to_json((day, cell): &DayHealth) -> Json {
         Json::object([
-            ("pair", Json::Int(*pair as i64)),
             ("day", Json::Int(*day as i64)),
             ("availability", availability_to_json(&cell.availability)),
             ("response", sketch_to_json(&cell.response)),
         ])
     }
 
-    pub fn pair_day_health_from_json(v: &Json) -> Result<PairDayHealth, CheckpointError> {
+    pub fn day_health_from_json(v: &Json) -> Result<DayHealth, CheckpointError> {
         let cell = HealthCell {
             availability: availability_from_json(member(v, "availability")?)?,
             response: sketch_from_json(member(v, "response")?)?,
         };
-        Ok((index_field(v, "pair")?, index_field(v, "day")?, cell))
+        Ok((index_field(v, "day")?, cell))
     }
 
-    pub fn pair_metrics_to_json(m: &PairMetrics) -> Json {
-        let c = &m.cell;
+    /// A metrics cell; its error tallies are its aggregate's, not its own.
+    pub fn metrics_to_json(c: &CellMetrics) -> Json {
         let count = |n: Counter| Json::Int(n.get() as i64);
-        let errors = c
-            .errors
-            .iter()
-            .map(|(&k, &n)| (k.to_string(), Json::Int(n as i64)))
-            .collect();
         Json::object([
-            ("pair", Json::Int(m.pair as i64)),
             ("probes", count(c.probes)),
             ("successes", count(c.successes)),
             ("cache_hits", count(c.cache_hits)),
-            ("errors", Json::Object(errors)),
             ("response", histogram_to_json(&c.response_ms)),
             ("ping", histogram_to_json(&c.ping_ms)),
             (
@@ -289,21 +264,8 @@ mod tree {
         ])
     }
 
-    pub fn pair_metrics_from_json(v: &Json) -> Result<PairMetrics, CheckpointError> {
+    pub fn metrics_from_json(v: &Json) -> Result<CellMetrics, CheckpointError> {
         let counter = |key: &str| int_field(v, key).map(counter_of);
-        let mut errors = BTreeMap::new();
-        let Some(Json::Object(tallies)) = v.get("errors") else {
-            return Err(parse_err("metrics cell missing errors object"));
-        };
-        for (label, n) in tallies {
-            let kind = ProbeErrorKind::from_label(label)
-                .ok_or_else(|| parse_err(&format!("unknown error label {label:?}")))?;
-            let n = n
-                .as_i64()
-                .filter(|&n| n >= 0)
-                .ok_or_else(|| parse_err("metrics error count invalid"))?;
-            errors.insert(kind.label(), n as u64);
-        }
         let phases = array_field(v, "phases")?;
         if phases.len() != Phase::COUNT {
             return Err(parse_err("metrics phase histogram arity mismatch"));
@@ -314,67 +276,83 @@ mod tree {
         }
         let mut last_response_ms = Gauge::default();
         last_response_ms.set(float_field(v, "last_response_ms")?);
-        Ok(PairMetrics {
-            pair: index_field(v, "pair")?,
-            cell: CellMetrics {
-                probes: counter("probes")?,
-                successes: counter("successes")?,
-                cache_hits: counter("cache_hits")?,
-                errors,
-                response_ms: histogram_from_json(member(v, "response")?)?,
-                ping_ms: histogram_from_json(member(v, "ping")?)?,
-                phase_ms,
-                last_response_ms,
-                retries_by_phase: counts_field::<{ Phase::COUNT }>(v, "retries")?.map(counter_of),
-                recovered: counter("recovered")?,
-                exhausted: counter("exhausted")?,
-            },
+        Ok(CellMetrics {
+            probes: counter("probes")?,
+            successes: counter("successes")?,
+            cache_hits: counter("cache_hits")?,
+            errors: Default::default(),
+            response_ms: histogram_from_json(member(v, "response")?)?,
+            ping_ms: histogram_from_json(member(v, "ping")?)?,
+            phase_ms,
+            last_response_ms,
+            retries_by_phase: counts_field::<{ Phase::COUNT }>(v, "retries")?.map(counter_of),
+            recovered: counter("recovered")?,
+            exhausted: counter("exhausted")?,
         })
     }
 
-    fn retry_exhausted_to_json(e: &RetryExhausted) -> Json {
+    fn pair_to_json(p: &PairCells) -> Json {
+        let a = &p.aggregate;
+        let aggregate = Json::object([
+            ("vantage", Json::Str(a.vantage.as_str().to_string())),
+            ("resolver", Json::Str(a.resolver.as_str().to_string())),
+            ("availability", availability_to_json(&a.cell.availability)),
+            ("response", sketch_to_json(&a.cell.response)),
+            ("ping", sketch_to_json(&a.cell.ping)),
+        ]);
+        let exhausted = p.exhausted.iter().map(|e| {
+            Json::object([
+                ("at", Json::Int(e.at as i64)),
+                ("attempts", Json::Int(e.attempts as i64)),
+            ])
+        });
         Json::object([
-            ("pair", Json::Int(e.pair as i64)),
-            ("at", Json::Int(e.at as i64)),
-            ("attempts", Json::Int(e.attempts as i64)),
+            ("pair", Json::Int(a.pair as i64)),
+            ("aggregate", aggregate),
+            ("metrics", metrics_to_json(&p.metrics)),
+            (
+                "health",
+                Json::Array(p.health.iter().map(day_health_to_json).collect()),
+            ),
+            ("exhausted", Json::Array(exhausted.collect())),
         ])
     }
 
-    fn retry_exhausted_from_json(v: &Json) -> Result<RetryExhausted, CheckpointError> {
-        Ok(RetryExhausted {
-            pair: index_field(v, "pair")?,
-            at: int_field(v, "at")?,
-            attempts: index_field(v, "attempts")?,
+    fn pair_from_json(v: &Json) -> Result<PairCells, CheckpointError> {
+        let pair = index_field(v, "pair")?;
+        let a = member(v, "aggregate")?;
+        let aggregate = PairAggregate {
+            pair,
+            vantage: label(a, "vantage")?,
+            resolver: label(a, "resolver")?,
+            cell: AggregateCell {
+                availability: availability_from_json(member(a, "availability")?)?,
+                response: sketch_from_json(member(a, "response")?)?,
+                ping: sketch_from_json(member(a, "ping")?)?,
+            },
+        };
+        let exhausted = list(v, "exhausted", |e| {
+            Ok(RetryExhausted {
+                pair,
+                at: int_field(e, "at")?,
+                attempts: index_field(e, "attempts")?,
+            })
+        })?;
+        Ok(PairCells {
+            aggregate,
+            metrics: metrics_from_json(member(v, "metrics")?)?,
+            health: list(v, "health", day_health_from_json)?,
+            exhausted,
         })
     }
 
     /// A cell file's body as the tree renders it.
     pub fn encode_body(cells: &ShardCells) -> String {
-        let pairs = &cells.pairs;
-        let aggregates = pairs.iter().map(|p| pair_aggregate_to_json(&p.aggregate));
-        // A metrics cell's error tallies are its aggregate's.
-        let metrics = pairs.iter().map(|p| {
-            let mut cell = p.metrics.clone();
-            let errors = p.aggregate.cell.availability.errors();
-            cell.errors = errors.map(|(kind, n)| (kind.label(), n)).collect();
-            pair_metrics_to_json(&PairMetrics {
-                pair: p.aggregate.pair,
-                cell,
-            })
-        });
-        let health = pairs.iter().flat_map(|p| {
-            let days = p.health.iter().cloned();
-            days.map(|(day, cell)| pair_day_health_to_json(&(p.aggregate.pair, day, cell)))
-        });
-        let exhausted = pairs.iter().flat_map(|p| &p.exhausted);
         Json::object([
             ("shard", Json::Int(cells.shard as i64)),
-            ("cells", Json::Array(aggregates.collect())),
-            ("metrics", Json::Array(metrics.collect())),
-            ("health", Json::Array(health.collect())),
             (
-                "exhausted",
-                Json::Array(exhausted.map(retry_exhausted_to_json).collect()),
+                "pairs",
+                Json::Array(cells.pairs.iter().map(pair_to_json).collect()),
             ),
         ])
         .to_string_compact()
@@ -382,21 +360,87 @@ mod tree {
 
     /// A cell file's body as the tree path reads it.
     pub fn decode_body(body: &str) -> Result<ShardCells, CheckpointError> {
-        fn list<T>(
-            v: &Json,
-            key: &str,
-            each: fn(&Json) -> Result<T, CheckpointError>,
-        ) -> Result<Vec<T>, CheckpointError> {
-            array_field(v, key)?.iter().map(each).collect()
-        }
         let v = json::parse(body).map_err(|e| CheckpointError::Parse(e.to_string()))?;
-        let shard = index_field(&v, "shard")?;
-        let pairs = list(&v, "cells", pair_aggregate_from_json)?;
-        let metrics = list(&v, "metrics", pair_metrics_from_json)?;
-        let health = list(&v, "health", pair_day_health_from_json)?;
-        let exhausted = list(&v, "exhausted", retry_exhausted_from_json)?;
-        let metrics = metrics.into_iter().map(|m| (m.pair, m.cell)).collect();
-        ShardCells::from_sections(shard, pairs, exhausted, health, metrics)
+        Ok(ShardCells {
+            shard: index_field(&v, "shard")?,
+            pairs: list(&v, "pairs", pair_from_json)?,
+        })
+    }
+
+    /// A manifest's body as the tree renders it.
+    pub fn encode_manifest(m: &Manifest) -> String {
+        let entries: Vec<Json> = m
+            .states
+            .iter()
+            .enumerate()
+            .map(|(i, s)| match s {
+                ShardState::Pending => Json::object([
+                    ("shard", Json::Int(i as i64)),
+                    ("state", Json::Str("pending".to_string())),
+                ]),
+                ShardState::Complete(c) => Json::object([
+                    ("shard", Json::Int(i as i64)),
+                    ("state", Json::Str("complete".to_string())),
+                    ("records", Json::Int(c.records as i64)),
+                    ("bytes", Json::Int(c.bytes as i64)),
+                    ("checksum", Json::Str(format!("{:016x}", c.checksum))),
+                    ("cell_bytes", Json::Int(c.cell_bytes as i64)),
+                    (
+                        "cell_checksum",
+                        Json::Str(format!("{:016x}", c.cell_checksum)),
+                    ),
+                ]),
+            })
+            .collect();
+        Json::object([
+            ("fingerprint", Json::Str(format!("{:016x}", m.fingerprint))),
+            ("seed", Json::Str(format!("{:x}", m.seed))),
+            ("shards", Json::Int(m.states.len() as i64)),
+            ("pairs", Json::Int(m.pairs as i64)),
+            ("entries", Json::Array(entries)),
+        ])
+        .to_string_compact()
+    }
+
+    /// A manifest's body as the tree path reads it.
+    pub fn decode_manifest(body: &str) -> Result<Manifest, CheckpointError> {
+        let v = json::parse(body).map_err(|e| CheckpointError::Parse(e.to_string()))?;
+        let fingerprint = hex_field(&v, "fingerprint")?;
+        let seed = hex_field(&v, "seed")?;
+        let shards = int_field(&v, "shards")? as usize;
+        let pairs = index_field(&v, "pairs")?;
+        let entries = array_field(&v, "entries")?;
+        if entries.len() != shards {
+            return Err(parse_err("entries length disagrees with shard count"));
+        }
+        let mut states = Vec::with_capacity(shards);
+        for (i, e) in entries.iter().enumerate() {
+            if int_field(e, "shard")? != i as u64 {
+                return Err(parse_err("entries out of order"));
+            }
+            let state = e
+                .get("state")
+                .and_then(Json::as_str)
+                .ok_or_else(|| parse_err("missing shard state"))?;
+            match state {
+                "pending" => states.push(ShardState::Pending),
+                "complete" => states.push(ShardState::Complete(ShardCheckpoint {
+                    shard: i as u32,
+                    records: int_field(e, "records")?,
+                    bytes: int_field(e, "bytes")?,
+                    checksum: hex_field(e, "checksum")?,
+                    cell_bytes: int_field(e, "cell_bytes")?,
+                    cell_checksum: hex_field(e, "cell_checksum")?,
+                })),
+                other => return Err(parse_err(&format!("unknown shard state {other:?}"))),
+            }
+        }
+        Ok(Manifest {
+            fingerprint,
+            seed,
+            pairs,
+            states,
+        })
     }
 }
 
@@ -450,14 +494,6 @@ fn arb_pair() -> impl Strategy<Value = PairAggregate> {
     )
 }
 
-/// Labels a probe can fail with: the only ones a metrics cell decodes.
-const PROBE_ERROR_LABELS: [&str; 4] = [
-    "connect_timeout",
-    "query_timeout",
-    "tls_failure",
-    "rate_limited",
-];
-
 fn arb_histogram() -> impl Strategy<Value = Histogram> {
     proptest::collection::vec(0.01f64..60_000.0, 0..24).prop_map(|samples| {
         let mut h = Histogram::default();
@@ -468,42 +504,34 @@ fn arb_histogram() -> impl Strategy<Value = Histogram> {
     })
 }
 
+/// A metrics cell as a cell file holds it: no error tallies, which are its
+/// aggregate's.
 fn arb_cell_metrics() -> impl Strategy<Value = CellMetrics> {
     (
         proptest::collection::vec(0u64..100_000, 5),
-        proptest::collection::vec((0usize..PROBE_ERROR_LABELS.len(), 1u64..500), 0..4),
         (arb_histogram(), arb_histogram()),
         proptest::collection::vec(arb_histogram(), Phase::COUNT),
         0.01f64..60_000.0,
         proptest::collection::vec(0u64..1_000, Phase::COUNT),
     )
-        .prop_map(
-            |(counts, errors, (response, ping), phases, last, retries)| {
-                let mut m = CellMetrics::default();
-                m.probes.add(counts[0]);
-                m.successes.add(counts[1]);
-                m.cache_hits.add(counts[2]);
-                m.recovered.add(counts[3]);
-                m.exhausted.add(counts[4]);
-                for (label, n) in errors {
-                    *m.errors.entry(PROBE_ERROR_LABELS[label]).or_insert(0) += n;
-                }
-                m.response_ms = response;
-                m.ping_ms = ping;
-                for (slot, h) in m.phase_ms.iter_mut().zip(phases) {
-                    *slot = h;
-                }
-                m.last_response_ms.set(last);
-                for (slot, n) in m.retries_by_phase.iter_mut().zip(retries) {
-                    slot.add(n);
-                }
-                m
-            },
-        )
-}
-
-fn arb_pair_metrics() -> impl Strategy<Value = PairMetrics> {
-    (0u32..512, arb_cell_metrics()).prop_map(|(pair, cell)| PairMetrics { pair, cell })
+        .prop_map(|(counts, (response, ping), phases, last, retries)| {
+            let mut m = CellMetrics::default();
+            m.probes.add(counts[0]);
+            m.successes.add(counts[1]);
+            m.cache_hits.add(counts[2]);
+            m.recovered.add(counts[3]);
+            m.exhausted.add(counts[4]);
+            m.response_ms = response;
+            m.ping_ms = ping;
+            for (slot, h) in m.phase_ms.iter_mut().zip(phases) {
+                *slot = h;
+            }
+            m.last_response_ms.set(last);
+            for (slot, n) in m.retries_by_phase.iter_mut().zip(retries) {
+                slot.add(n);
+            }
+            m
+        })
 }
 
 fn arb_retry_exhausted() -> impl Strategy<Value = RetryExhausted> {
@@ -522,16 +550,14 @@ fn float_bits(m: &CellMetrics) -> Vec<u64> {
         .collect()
 }
 
-fn arb_pair_day_health() -> impl Strategy<Value = PairDayHealth> {
-    (0u32..512, 0u32..256, arb_availability(), arb_sketch()).prop_map(
-        |(pair, day, availability, response)| {
-            let cell = HealthCell {
-                availability,
-                response,
-            };
-            (pair, day, cell)
-        },
-    )
+fn arb_day_health() -> impl Strategy<Value = DayHealth> {
+    (0u32..256, arb_availability(), arb_sketch()).prop_map(|(day, availability, response)| {
+        let cell = HealthCell {
+            availability,
+            response,
+        };
+        (day, cell)
+    })
 }
 
 fn arb_state() -> impl Strategy<Value = ShardState> {
@@ -563,28 +589,22 @@ fn arb_state() -> impl Strategy<Value = ShardState> {
         )
 }
 
-/// One pair's cells. Its metrics cell holds no error tallies: those are
-/// its aggregate's.
+/// One pair's cells: its exhaustions are its own.
 fn arb_pair_cells() -> impl Strategy<Value = PairCells> {
     (
         arb_pair(),
-        arb_pair_metrics(),
-        proptest::collection::vec(arb_pair_day_health(), 0..3),
+        arb_cell_metrics(),
+        proptest::collection::vec(arb_day_health(), 0..3),
         proptest::collection::vec(arb_retry_exhausted(), 0..2),
     )
-        .prop_map(|(aggregate, mut metrics, health, mut exhausted)| {
-            let pair = aggregate.pair;
-            metrics.cell.errors.clear();
+        .prop_map(|(aggregate, metrics, health, mut exhausted)| {
             for e in &mut exhausted {
-                e.pair = pair;
+                e.pair = aggregate.pair;
             }
             PairCells {
                 aggregate,
-                metrics: metrics.cell,
-                health: health
-                    .into_iter()
-                    .map(|(_, day, cell)| (day, cell))
-                    .collect(),
+                metrics,
+                health,
                 exhausted,
             }
         })
@@ -671,6 +691,62 @@ fn assert_reads_like_the_tree(body: &str) -> bool {
     direct.is_ok()
 }
 
+/// The manifest reader against the tree path on one body, as
+/// [`assert_reads_like_the_tree`] holds the cell-file reader: the same
+/// manifest or a typed decline, and a decline only of a body the tree
+/// encoder would not have written. Whether the reader read it.
+fn assert_manifest_reads_like_the_tree(body: &str) -> bool {
+    let direct = Manifest::decode(&framed(body));
+    match (&direct, tree::decode_manifest(body)) {
+        (Ok(read), Ok(tree)) => assert_eq!(read, &tree, "{body}"),
+        (Ok(read), Err(e)) => panic!("read {read:?}, the tree path says {e}: {body}"),
+        (Err(CheckpointError::Parse(_)), Ok(tree)) => {
+            assert_ne!(
+                tree::encode_manifest(&tree),
+                body,
+                "a written body declined"
+            );
+        }
+        (Err(CheckpointError::Parse(_)), Err(_)) => {}
+        (Err(e), _) => panic!("untyped rejection {e:?}: {body}"),
+    }
+    direct.is_ok()
+}
+
+/// splitmix64 from `seed`: seeded, so a failure names a reproducible
+/// mutation.
+fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// `rounds` copies of `body`, each with one byte replaced: mostly by the
+/// bytes a body is made of, so that mutations land on other valid tokens;
+/// sometimes by any ASCII byte at all. `check` sees each copy that is
+/// still UTF-8 and says whether it was read; the count of those read.
+fn mutate(body: &str, seed: u64, rounds: usize, mut check: impl FnMut(&str) -> bool) -> usize {
+    let mut next = splitmix(seed);
+    let pool = b"0123456789.eE+-\",:{}[]\\nbfu \t";
+    let mut still_read = 0;
+    for _ in 0..rounds {
+        let mut bytes = body.as_bytes().to_vec();
+        let at = (next() % bytes.len() as u64) as usize;
+        bytes[at] = match next() % 4 {
+            0 => (next() % 128) as u8,
+            _ => pool[(next() % pool.len() as u64) as usize],
+        };
+        if let Ok(text) = String::from_utf8(bytes) {
+            still_read += usize::from(check(&text));
+        }
+    }
+    still_read
+}
+
 /// A cell body with every kind of cell, each in its one-entry form: shard
 /// 0, pair 0, day 0, one exhaustion of one attempt.
 fn shard_zero_body() -> String {
@@ -703,6 +779,53 @@ fn shard_zero_body() -> String {
             }],
         }],
     })
+}
+
+#[test]
+fn a_manifest_body_the_writer_would_not_write_is_refused() {
+    let mut m = Manifest::new(0xfeed_beef, 0x2a, 2, 21);
+    m.states[0] = ShardState::Complete(ShardCheckpoint {
+        shard: 0,
+        records: 45,
+        bytes: 19_102,
+        checksum: 0xaa17_94ac_84fe_0d54,
+        cell_bytes: 6_377,
+        cell_checksum: 0x0033_de36_ee55_2267,
+    });
+    let body = tree::encode_manifest(&m);
+    assert!(assert_manifest_reads_like_the_tree(&body));
+    // Each of these the tree path reads as `m`; the strict reader refuses.
+    for (what, from, to) in [
+        ("whitespace", "\"pairs\":21", "\"pairs\": 21"),
+        (
+            "a float where a count goes",
+            "\"pairs\":21",
+            "\"pairs\":21.0",
+        ),
+        ("upper-case hex", "0033de36ee552267", "0033DE36EE552267"),
+        (
+            "a short checksum",
+            "\"0033de36ee552267\"",
+            "\"33de36ee552267\"",
+        ),
+        ("a padded seed", "\"seed\":\"2a\"", "\"seed\":\"02a\""),
+        (
+            "another key order",
+            "\"records\":45,\"shard\":0",
+            "\"shard\":0,\"records\":45",
+        ),
+    ] {
+        let edited = body.replacen(from, to, 1);
+        assert_ne!(edited, body, "{what}");
+        assert_eq!(tree::decode_manifest(&edited).as_ref(), Ok(&m), "{what}");
+        assert!(
+            matches!(
+                Manifest::decode(&framed(&edited)),
+                Err(CheckpointError::Parse(_))
+            ),
+            "{what}"
+        );
+    }
 }
 
 #[test]
@@ -828,35 +951,28 @@ fn seeded_mutations_of_an_engine_cell_file_read_like_the_tree() {
     let golden = include_str!("golden/shard_cells_seed4_shard2.cells");
     let body = golden.split_once('\n').unwrap().1.trim_end();
     assert!(assert_reads_like_the_tree(body));
-    // splitmix64: seeded, so a failure names a reproducible mutation.
-    let mut state = 0x5eed_0026u64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    // Mostly the bytes a body is made of, so that mutations land on other
-    // valid tokens; sometimes any ASCII byte at all.
-    let pool = b"0123456789.eE+-\",:{}[]\\nbfu \t";
     // A mutated error label is refused by both paths (a tally holds only
     // the labels a probe can fail with), so about a tenth of the bodies
     // still read.
-    let mut still_read = 0;
-    for _ in 0..3_600 {
-        let mut bytes = body.as_bytes().to_vec();
-        let at = (next() % bytes.len() as u64) as usize;
-        bytes[at] = match next() % 4 {
-            0 => (next() % 128) as u8,
-            _ => pool[(next() % pool.len() as u64) as usize],
-        };
-        if let Ok(text) = String::from_utf8(bytes) {
-            still_read += usize::from(assert_reads_like_the_tree(&text));
-        }
-    }
+    let still_read = mutate(body, 0x5eed_0026, 3_600, assert_reads_like_the_tree);
     // Digit-for-digit mutations keep a body readable: the comparison above
     // was not vacuous.
+    assert!(still_read > 300, "{still_read} mutated bodies still read");
+}
+
+/// The same of the pinned manifest: a real run's, pending and complete
+/// entries alike.
+#[test]
+fn seeded_mutations_of_an_engine_manifest_read_like_the_tree() {
+    let golden = include_str!("golden/shard_manifest_seed4.ckpt");
+    let body = golden.split_once('\n').unwrap().1.trim_end();
+    assert!(assert_manifest_reads_like_the_tree(body));
+    let still_read = mutate(
+        body,
+        0x5eed_0039,
+        3_600,
+        assert_manifest_reads_like_the_tree,
+    );
     assert!(still_read > 300, "{still_read} mutated bodies still read");
 }
 
@@ -998,13 +1114,13 @@ proptest! {
     }
 
     #[test]
-    fn metrics_cells_round_trip_bit_exactly(m in arb_pair_metrics()) {
-        let json = pair_metrics_to_json(&m);
-        let back = pair_metrics_from_json(&json).unwrap();
-        prop_assert_eq!(float_bits(&back.cell), float_bits(&m.cell));
+    fn metrics_cells_round_trip_bit_exactly(m in arb_cell_metrics()) {
+        let json = metrics_to_json(&m);
+        let back = metrics_from_json(&json).unwrap();
+        prop_assert_eq!(float_bits(&back), float_bits(&m));
         prop_assert_eq!(&back, &m);
         // Fixed point.
-        prop_assert_eq!(pair_metrics_to_json(&back), json);
+        prop_assert_eq!(metrics_to_json(&back), json);
     }
 
     #[test]
@@ -1025,8 +1141,8 @@ proptest! {
     }
 
     #[test]
-    fn pair_day_health_json_round_trips(h in arb_pair_day_health()) {
-        let back = pair_day_health_from_json(&pair_day_health_to_json(&h)).unwrap();
+    fn pair_day_health_json_round_trips(h in arb_day_health()) {
+        let back = day_health_from_json(&day_health_to_json(&h)).unwrap();
         prop_assert_eq!(back, h);
     }
 
@@ -1073,6 +1189,40 @@ proptest! {
             // checksum and structure valid — e.g. mutating a byte to
             // itself) or return a typed error; never panic.
             let _ = Manifest::decode(s);
+        }
+    }
+
+    #[test]
+    fn the_manifest_writer_writes_the_tree_encoders_bytes(m in arb_manifest()) {
+        prop_assert_eq!(m.encode(), framed(&tree::encode_manifest(&m)));
+    }
+
+    #[test]
+    fn the_manifest_reader_reads_like_the_tree(m in arb_manifest()) {
+        let body = tree::encode_manifest(&m);
+        prop_assert!(assert_manifest_reads_like_the_tree(&body));
+        prop_assert_eq!(Manifest::decode(&framed(&body)).unwrap(), m);
+    }
+
+    #[test]
+    fn truncated_manifest_bodies_are_declined_like_the_tree(m in arb_manifest()) {
+        let body = tree::encode_manifest(&m);
+        for end in 1..body.len() {
+            prop_assert!(!assert_manifest_reads_like_the_tree(&body[..end]));
+        }
+    }
+
+    #[test]
+    fn mangled_manifest_bodies_read_like_the_tree_or_not_at_all(
+        m in arb_manifest(),
+        idx in any::<prop::sample::Index>(),
+        byte in 0u8..128,
+    ) {
+        let mut body = tree::encode_manifest(&m).into_bytes();
+        let i = idx.index(body.len());
+        body[i] = byte;
+        if let Ok(body) = String::from_utf8(body) {
+            assert_manifest_reads_like_the_tree(&body);
         }
     }
 

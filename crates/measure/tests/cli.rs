@@ -1,6 +1,7 @@
 //! The shipped binary, end to end: `edns-measure campaign` in memory and
 //! sharded into a checkpoint directory, a resume, a resume under a changed
-//! command line, `report` over the file the campaign wrote, the
+//! command line, `report` over the file the campaign wrote (and over
+//! copies with one line torn or unlike any the engine writes), the
 //! `--observe` directory, and the flags each subcommand refuses.
 
 use std::path::Path;
@@ -18,6 +19,18 @@ fn edns_measure(args: &[&str], cwd: &Path) -> Output {
 
 fn text(bytes: &[u8]) -> &str {
     std::str::from_utf8(bytes).expect("the tool prints UTF-8")
+}
+
+/// `line` with the value after its first `"key":` rewritten by `edit`.
+fn with_value(line: &str, key: &str, edit: fn(&str) -> String) -> String {
+    let start = line.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+    let end = start + line[start..].find([',', '}']).unwrap();
+    format!(
+        "{}{}{}",
+        &line[..start],
+        edit(&line[start..end]),
+        &line[end..]
+    )
 }
 
 #[test]
@@ -82,6 +95,39 @@ fn campaign_shards_resumes_refuses_and_reports() {
     assert!(!run.status.success(), "{}", text(&run.stdout));
     let said = text(&run.stderr);
     assert!(said.contains("torn.jsonl:3:"), "{said}");
+
+    // A line the engine would not have written is refused as well: a
+    // response time 1 ms off the sum of its phases, a negative site.
+    let at = a
+        .lines()
+        .position(|l| l.contains("\"success\":true"))
+        .unwrap();
+    let later: fn(&str) -> String = |ms| {
+        let (whole, frac) = ms.split_once('.').unwrap();
+        format!("{}.{frac}", whole.parse::<u64>().unwrap() + 1)
+    };
+    let negative: fn(&str) -> String = |_| "-1".to_string();
+    for (file, key, edit) in [
+        ("late.jsonl", "response_ms", later),
+        ("negative.jsonl", "site", negative),
+    ] {
+        let edited: Vec<String> = a
+            .lines()
+            .enumerate()
+            .map(|(i, l)| {
+                if i == at {
+                    with_value(l, key, edit)
+                } else {
+                    l.to_string()
+                }
+            })
+            .collect();
+        std::fs::write(dir.join(file), edited.join("\n")).unwrap();
+        let run = edns_measure(&["report", file], &dir);
+        assert!(!run.status.success(), "{file}: {}", text(&run.stdout));
+        let said = text(&run.stderr);
+        assert!(said.contains(&format!("{file}:{}:", at + 1)), "{said}");
+    }
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -193,13 +193,13 @@ fn stale_format_version_is_rejected() {
     let dir = partial_run(&c, "version");
     let path = dir.join("manifest.ckpt");
     let text = std::fs::read_to_string(&path).unwrap();
-    // v4 is the previous format, whose checksums were byte-serial FNV-1a,
-    // v3 the one before, whose cell files held no metrics cells, and v2
-    // the one before that, whose manifest held every cell: none may
-    // resume.
-    for stale in ["v0", "v2", "v3", "v4"] {
+    // v5 is the previous format, whose cell files listed the cells in four
+    // sections, v4 the one before, whose checksums were byte-serial
+    // FNV-1a, v3 the one before that, whose cell files held no metrics
+    // cells, and v2, whose manifest held every cell: none may resume.
+    for stale in ["v0", "v2", "v3", "v4", "v5"] {
         let header = format!("edns-checkpoint {stale}");
-        std::fs::write(&path, text.replacen("edns-checkpoint v5", &header, 1)).unwrap();
+        std::fs::write(&path, text.replacen("edns-checkpoint v6", &header, 1)).unwrap();
         let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
         assert_eq!(
             runner.run(1).unwrap_err(),
@@ -309,8 +309,8 @@ fn a_data_file_out_of_step_with_its_schedule_is_rejected_at_assembly() {
 fn a_cell_file_whose_metrics_disagree_with_its_aggregates_is_rejected() {
     let c = campaign(CampaignConfig::quick(3, 2));
     let edits: [(&str, CellEdit); 2] = [
-        ("a metrics cell short", |body| {
-            let last = body.rfind(",{\"cache_hits\":").unwrap();
+        ("the last pair entry dropped", |body| {
+            let last = body.rfind(",{\"aggregate\":").unwrap();
             let end = body.rfind("],\"shard\":").unwrap();
             format!("{}{}", &body[..last], &body[end..])
         }),

@@ -2,7 +2,7 @@
 //! health timeseries, and drift findings must be pure functions of
 //! (seed, config) — identical across repeat runs, identical across
 //! kill+resume, identical to the in-memory fold — and the journal must
-//! export every event it holds.
+//! export every event it holds, each line JSON whatever label it carries.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,6 +11,8 @@ use measure::{
     detect_drift, Campaign, CampaignConfig, DriftConfig, HealthSeries, ProbeOutcome,
     ShardedOutcome, ShardedRunner,
 };
+use netsim::faults::{FaultKind, FaultScope};
+use netsim::{SimDuration, SimTime};
 
 const HOSTS: [&str; 3] = ["dns.google", "dns.quad9.net", "doh.ffmuc.net"];
 
@@ -157,4 +159,26 @@ fn drift_findings_are_journaled_under_their_code() {
         .filter(|l| l.contains("\"code\":\"retry_exhausted\""))
         .count();
     assert_eq!(journaled, exhausted);
+}
+
+#[test]
+fn journal_lines_escape_the_labels_they_carry() {
+    // A fault window may scope any resolver name, and its journal event
+    // carries the name: the line must stay JSON and read back as the name.
+    let odd = "a\"b\\c";
+    let mut config = CampaignConfig::quick(11, 2);
+    let hour = |h| SimTime::ZERO + SimDuration::from_hours(h);
+    let scope = FaultScope::Resolver(odd.to_string());
+    config
+        .faults
+        .push(FaultKind::SiteOutage, scope, hour(1), hour(2));
+    let outcome = run_fresh(&campaign(config), 2, "escaped");
+    let exported = outcome.journal.to_jsonl();
+    let mut named = 0;
+    for line in exported.lines() {
+        let event = measure::json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let resolver = event.get("resolver").and_then(|r| r.as_str());
+        named += usize::from(resolver == Some(odd));
+    }
+    assert_eq!(named, 1, "{exported}");
 }

@@ -4,7 +4,8 @@
 //! body checksum, per-shard record/byte counts, data-file and cell-file
 //! checksums — for the seed-4 quick campaign split into five shards, and
 //! `golden/shard_cells_seed4_shard2.cells` pins one of its cell files:
-//! every serialized aggregate and health cell of shard 2. Any drift in
+//! every pair entry of shard 2, its aggregate, exhaustions, day and
+//! metrics cells. Any drift in
 //! shard assignment, checkpoint encoding, or the aggregate and health
 //! folds shows up as a byte diff here (in the other four cell files too:
 //! the manifest pins their checksums).

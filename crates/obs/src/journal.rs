@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 
 use crate::intern::Label;
 use crate::span::Nanos;
+use crate::traceview::write_json_str;
 
 /// Stable codes for the events the campaign engine records. Free-form
 /// codes are allowed (any `&'static str`); these constants just keep the
@@ -181,10 +182,12 @@ impl Journal {
             let _ = write!(out, ",\"shard\":{s}");
         }
         if let Some(r) = ev.data.resolver {
-            let _ = write!(out, ",\"resolver\":\"{}\"", r.as_str());
+            out.push_str(",\"resolver\":");
+            write_json_str(out, r.as_str());
         }
         if let Some(v) = ev.data.vantage {
-            let _ = write!(out, ",\"vantage\":\"{}\"", v.as_str());
+            out.push_str(",\"vantage\":");
+            write_json_str(out, v.as_str());
         }
         if let Some(d) = ev.data.day {
             let _ = write!(out, ",\"day\":{d}");

@@ -114,8 +114,9 @@ fn write_micros(out: &mut String, nanos: u64) {
     let _ = write!(out, "{}.{:03}", nanos / 1_000, nanos % 1_000);
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn write_json_str(out: &mut String, s: &str) {
+/// Minimal JSON string escaping (quotes, backslashes, control bytes): the
+/// one escaper of this crate's JSON writers (trace and journal).
+pub(crate) fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -1,6 +1,6 @@
 //! Phase 2 of the workspace analysis: a conservative call graph over the
-//! [`SymbolIndex`](crate::symbols::SymbolIndex), and the transitive
-//! determinism rules that run over it.
+//! [`SymbolIndex`], and the transitive determinism rules that run over
+//! it.
 //!
 //! ## Resolution model (and its honest limits)
 //!
