@@ -2,25 +2,27 @@
 //!
 //! [`PairFold::observe`] folds a record into its pair's aggregate cell,
 //! metrics cell and day cells, and lists its retry exhaustion: the sharded
-//! engine calls it per pair as it generates a shard, [`CampaignFolds::of`]
-//! per record of an in-memory campaign. [`CampaignFolds`] is one pair
-//! table over one dense day-cell table, with one route from a record to
-//! its pair and one [`install`](CampaignFolds::install) of a cell file's
-//! [`PairCells`]; the engines hand out its projections, the metrics
+//! engine runs it over each pair's records as it generates a shard
+//! ([`fold_pair`]), [`CampaignFolds::of`] per record of an in-memory
+//! campaign. [`CampaignFolds`] is one pair table beside the (resolver,
+//! day) rows of a [`HealthSeries`], with one route from a record to its
+//! pair and one [`install`](CampaignFolds::install) of a cell file's
+//! [`PairCells`], which merges the pair's day cells into the rows and
+//! keeps none of them; the engines hand out its projections, the metrics
 //! snapshot, [`CampaignAggregates`] and [`HealthSeries`]. A metrics cell's
 //! error tallies are left to the aggregate's tally, which the snapshot
 //! reads them from and the cell file stores as their one copy, so folding
 //! a record allocates nothing but a retry exhaustion's entry. Every pair's
-//! cells observe only its own records, in its canonical order, so the
-//! folds are the same at any shard count, thread count and kill/resume
-//! schedule (`DESIGN.md` §9).
+//! cells observe only its own records, in its canonical order, and merge
+//! into the rows in pair-index order, so the folds are the same at any
+//! shard count, thread count and kill/resume schedule (`DESIGN.md` §9).
 
 use obs::{CellMetrics, CellSnapshot, Label, MetricKey, MetricsSnapshot};
 
 use crate::aggregate::{AggregateCell, CampaignAggregates, PairAggregate};
-use crate::campaign::{observe_cell, Campaign};
+use crate::campaign::{observe_cell, Campaign, PairPlan};
 use crate::checkpoint::{PairCells, RetryExhausted};
-use crate::health::{day_of, HealthCell, HealthSeries, PairDays};
+use crate::health::{day_of, present_days, HealthCell, HealthSeries};
 use crate::results::{ProbeOutcome, ProbeRecord};
 
 /// One pair's folds, borrowed from a shard's [`PairCells`] or a
@@ -72,6 +74,46 @@ impl PairFold<'_> {
     }
 }
 
+/// Pair `pair`'s cells: its records, in its canonical order, folded over
+/// `scratch` day cells that span its vantage's days, of which the cells
+/// keep those that saw a probe.
+pub(crate) fn fold_pair(
+    campaign: &Campaign,
+    pair: u32,
+    plan: &PairPlan,
+    records: &[ProbeRecord],
+    scratch: &mut Vec<HealthCell>,
+) -> PairCells {
+    let days = campaign.days_of(plan.vantage.label);
+    scratch.clear();
+    scratch.resize(days.len(), HealthCell::default());
+    let mut cells = PairCells {
+        aggregate: PairAggregate {
+            pair,
+            vantage: plan.vantage_label,
+            resolver: plan.resolver_label,
+            cell: AggregateCell::default(),
+        },
+        metrics: CellMetrics::default(),
+        health: Vec::new(),
+        exhausted: Vec::new(),
+    };
+    let mut fold = PairFold {
+        pair,
+        aggregate: &mut cells.aggregate.cell,
+        metrics: &mut cells.metrics,
+        first_day: days.start,
+        days: scratch,
+        exhausted: &mut cells.exhausted,
+    };
+    for r in records {
+        fold.observe(r);
+    }
+    let present = present_days(days.start, scratch);
+    cells.health = present.map(|(day, cell)| (day, cell.clone())).collect();
+    cells
+}
+
 /// The cell of `day` among `days`, which start at `first_day`.
 fn day_cell(first_day: u32, days: &mut [HealthCell], day: u32) -> Option<&mut HealthCell> {
     days.get_mut(day.checked_sub(first_day)? as usize)
@@ -89,12 +131,14 @@ pub struct CampaignFolds {
     aggregates: CampaignAggregates,
     /// Each pair's metrics cell, in pair order.
     metrics: Vec<CellMetrics>,
-    /// Every pair's day cells, over its vantage's days.
+    /// The (resolver, day) rows every merged pair's day cells went into.
     health: HealthSeries,
     /// (vantage, resolver) interned-label indices → pair, sorted; a
     /// duplicated coordinate routes to its first pair.
     routes: Vec<((u32, u32), u32)>,
-    /// Every retry exhaustion, pair after pair, each in record order.
+    /// Every retry exhaustion: pair after pair, each pair's in record
+    /// order, as [`install`](Self::install) meets them; in the campaign's
+    /// record order from [`of`](Self::of).
     pub(crate) exhausted: Vec<RetryExhausted>,
     /// Every metrics cell's third coordinate.
     protocol: Label,
@@ -105,78 +149,79 @@ impl CampaignFolds {
     pub fn for_campaign(campaign: &Campaign) -> CampaignFolds {
         let plans = campaign.pair_plans();
         let n = plans.len();
-        let mut folds = CampaignFolds {
-            aggregates: CampaignAggregates {
-                pairs: Vec::with_capacity(n),
-            },
-            metrics: vec![CellMetrics::default(); n],
-            health: HealthSeries {
-                cells: Vec::new(),
-                pairs: Vec::with_capacity(n),
-            },
-            routes: Vec::with_capacity(n),
-            exhausted: Vec::new(),
-            protocol: campaign.config().probe.protocol.interned_label(),
-        };
-        let mut end = 0;
+        let mut pairs = Vec::with_capacity(n);
+        let mut days = Vec::with_capacity(n);
+        let mut routes = Vec::with_capacity(n);
         for (pair, p) in (0u32..).zip(&plans) {
             let (vantage, resolver) = (p.vantage_label, p.resolver_label);
-            let (days, start) = (campaign.days_of(p.vantage.label), end);
-            end += days.len() as u32;
-            folds.health.pairs.push(PairDays {
-                resolver,
-                first_day: days.start,
-                start,
-                end,
-            });
-            folds.aggregates.pairs.push(PairAggregate {
+            pairs.push(PairAggregate {
                 pair,
                 vantage,
                 resolver,
                 cell: AggregateCell::default(),
             });
-            folds.routes.push((route_key(vantage, resolver), pair));
+            days.push((resolver, campaign.days_of(p.vantage.label)));
+            routes.push((route_key(vantage, resolver), pair));
         }
-        folds.health.cells = vec![HealthCell::default(); end as usize];
-        folds.routes.sort_by_key(|&(key, _)| key);
-        folds.routes.dedup_by_key(|&mut (key, _)| key);
-        folds
+        routes.sort_by_key(|&(key, _)| key);
+        routes.dedup_by_key(|&mut (key, _)| key);
+        CampaignFolds {
+            aggregates: CampaignAggregates { pairs },
+            metrics: vec![CellMetrics::default(); n],
+            health: HealthSeries::for_pairs(&days),
+            routes,
+            exhausted: Vec::new(),
+            protocol: campaign.config().probe.protocol.interned_label(),
+        }
     }
 
     /// The folds of an in-memory record stream: the one-shot reference the
-    /// sharded engine's installed folds must equal bit for bit.
+    /// sharded engine's installed folds must equal bit for bit. A record
+    /// of a pair or a day the campaign does not schedule is ignored. The
+    /// pairs' records arrive interleaved, so their day cells fold into a
+    /// (pair, day) scratch table, each pair's over its vantage's days, and
+    /// merge into the rows pair by pair once the last record is in.
     pub fn of(campaign: &Campaign, records: &[ProbeRecord]) -> CampaignFolds {
         let mut folds = CampaignFolds::for_campaign(campaign);
+        let n = folds.aggregates.pairs.len();
+        // Pair `p`'s day cells are `scratch[starts[p]..starts[p + 1]]`.
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        for pair in 0..n as u32 {
+            starts.push(starts[pair as usize] + folds.health.days_of(pair).len());
+        }
+        let mut scratch = vec![HealthCell::default(); starts[n]];
         for r in records {
-            folds.observe(r);
+            let key = route_key(r.vantage_id(), r.resolver_id());
+            let Ok(i) = folds.routes.binary_search_by_key(&key, |&(k, _)| k) else {
+                continue;
+            };
+            let pair = folds.routes[i].1;
+            let p = pair as usize;
+            PairFold {
+                pair,
+                aggregate: &mut folds.aggregates.pairs[p].cell,
+                metrics: &mut folds.metrics[p],
+                first_day: folds.health.days_of(pair).start,
+                days: &mut scratch[starts[p]..starts[p + 1]],
+                exhausted: &mut folds.exhausted,
+            }
+            .observe(r);
+        }
+        for (pair, bounds) in (0u32..).zip(starts.windows(2)) {
+            let first_day = folds.health.days_of(pair).start;
+            let cells = &scratch[bounds[0]..bounds[1]];
+            folds.health.merge_pair(present_days(first_day, cells));
         }
         folds
     }
 
-    /// Routes one record to its pair's fold; a record of a pair or a day
-    /// the campaign does not schedule is ignored.
-    pub fn observe(&mut self, r: &ProbeRecord) {
-        let key = route_key(r.vantage_id(), r.resolver_id());
-        if let Ok(i) = self.routes.binary_search_by_key(&key, |&(k, _)| k) {
-            let pair = self.routes[i].1;
-            let (first_day, days) = self.health.days_mut(pair);
-            PairFold {
-                pair,
-                aggregate: &mut self.aggregates.pairs[pair as usize].cell,
-                metrics: &mut self.metrics[pair as usize],
-                first_day,
-                days,
-                exhausted: &mut self.exhausted,
-            }
-            .observe(r);
-        }
-    }
-
-    /// Installs one pair's checkpointed cells (the resume path). The pair
-    /// must be in the plan under the same coordinates and not installed
-    /// yet; its day cells and metrics cell must hold exactly its aggregate
-    /// cell's probes, and its exhaustions be those its metrics cell
-    /// counts; each day cell must hold a probe and fall in its days, once.
+    /// Installs one pair's checkpointed cells (the resume path), merging
+    /// its day cells into the rows. Pairs install in pair-index order,
+    /// each once, under the plan's coordinates; a pair's day cells and
+    /// metrics cell must hold exactly its aggregate cell's probes, and its
+    /// exhaustions be those its metrics cell counts; its day cells must
+    /// each hold a probe, in strictly increasing days within its vantage's.
     pub(crate) fn install(&mut self, cells: PairCells) -> Result<(), String> {
         let PairCells {
             aggregate,
@@ -196,29 +241,42 @@ impl CampaignFolds {
                 aggregate.resolver.as_str()
             ));
         }
+        let next = self.health.next_pair();
+        if pair != next {
+            let what = if pair < next {
+                "already installed"
+            } else {
+                "out of order"
+            };
+            return Err(format!("pair {pair} is {what}: pair {next} is next"));
+        }
         let daily: u64 = health.iter().map(|(_, cell)| cell.probes()).sum();
         let (probes, spent) = (metrics.probes.get(), metrics.exhausted.get());
         let listed = exhausted.len() as u64;
-        if slot.cell.probes() > 0 || daily != total || probes != total || listed != spent {
+        if daily != total || probes != total || listed != spent {
             return Err(format!(
-                "pair {pair} is already installed or its cells disagree: its aggregate cell \
-                 holds {total} probes, its health cells {daily}, its metrics cell {probes} \
-                 and {spent} retry exhaustions, of which it lists {listed}"
+                "pair {pair}'s cells disagree: its aggregate cell holds {total} probes, its \
+                 health cells {daily}, its metrics cell {probes} and {spent} retry \
+                 exhaustions, of which it lists {listed}"
             ));
         }
-        let (first_day, days) = self.health.days_mut(pair);
-        let range = first_day..first_day + days.len() as u32;
-        for (day, cell) in health {
-            let slot = day_cell(first_day, days, day).ok_or_else(|| {
-                format!("pair {pair}'s health cell for day {day} lies outside its days {range:?}")
-            })?;
-            if cell.probes() == 0 || slot.probes() > 0 {
+        let days = self.health.days_of(pair);
+        let mut last = None;
+        for &(day, ref cell) in &health {
+            if !days.contains(&day) {
                 return Err(format!(
-                    "pair {pair}'s health cell for day {day} is empty or not the day's first"
+                    "pair {pair}'s health cell for day {day} lies outside its days {days:?}"
                 ));
             }
-            *slot = cell;
+            if cell.probes() == 0 || last >= Some(day) {
+                return Err(format!(
+                    "pair {pair}'s health cell for day {day} is empty or not after the one before"
+                ));
+            }
+            last = Some(day);
         }
+        self.health
+            .merge_pair(health.iter().map(|(day, cell)| (*day, cell)));
         self.aggregates.pairs[pair as usize] = aggregate;
         self.metrics[pair as usize] = metrics;
         self.exhausted.extend(exhausted);
@@ -248,12 +306,12 @@ impl CampaignFolds {
         MetricsSnapshot { cells }
     }
 
-    /// The day-cell table.
+    /// The (resolver, day) rows.
     pub fn health(&self) -> &HealthSeries {
         &self.health
     }
 
-    /// The aggregates and the day-cell table, moved out.
+    /// The aggregates and the (resolver, day) rows, moved out.
     pub fn into_views(self) -> (CampaignAggregates, HealthSeries) {
         (self.aggregates, self.health)
     }
@@ -269,53 +327,74 @@ mod tests {
         Campaign::with_resolvers(CampaignConfig::quick(11, 4), entries.collect())
     }
 
+    /// Every pair's cells, as a shard folds them.
+    fn pair_cells(c: &Campaign) -> Vec<PairCells> {
+        let mut scratch = Vec::new();
+        let plans = c.pair_plans();
+        let pairs = (0u32..).zip(&plans);
+        let fold = |(pair, plan)| fold_pair(c, pair, plan, &c.run_pair(plan), &mut scratch);
+        pairs.map(fold).collect()
+    }
+
     #[test]
-    fn install_rejects_mismatched_pairs() {
+    fn install_takes_each_pair_once_in_order_and_equals_the_in_memory_folds() {
         let c = campaign(&["dns.google", "doh.ffmuc.net", "chewbacca.meganerd.nl"]);
-        let folds = CampaignFolds::of(&c, &c.run().records);
+        let pairs = pair_cells(&c);
         let mut fresh = CampaignFolds::for_campaign(&c);
-        for (pair, aggregate) in folds.aggregates.pairs.iter().enumerate() {
-            let days = folds
-                .health
-                .pair_cells()
-                .filter(|((p, _), _)| *p as usize == pair);
-            let cells = PairCells {
-                aggregate: aggregate.clone(),
-                metrics: folds.metrics[pair].clone(),
-                health: days.map(|((_, day), c)| (day, c.clone())).collect(),
-                exhausted: Vec::new(),
-            };
+        assert!(fresh
+            .install(pairs[1].clone())
+            .unwrap_err()
+            .contains("pair 1 is out of order: pair 0 is next"));
+        for cells in &pairs {
             fresh.install(cells.clone()).unwrap();
             assert!(fresh
-                .install(cells)
+                .install(cells.clone())
                 .unwrap_err()
                 .contains("already installed"));
         }
-        assert_eq!(fresh, folds);
+        assert_eq!(fresh, CampaignFolds::of(&c, &c.run().records));
+    }
 
-        let mut bad = PairCells {
-            aggregate: folds.aggregates.pairs[0].clone(),
-            metrics: CellMetrics::default(),
-            health: Vec::new(),
-            exhausted: Vec::new(),
-        };
+    #[test]
+    fn install_rejects_mismatched_pairs() {
+        let c = campaign(&["dns.google", "doh.ffmuc.net", "chewbacca.meganerd.nl"]);
+        let pairs = pair_cells(&c);
+        let install = |cells: PairCells| CampaignFolds::for_campaign(&c).install(cells);
+
+        let mut bad = pairs[0].clone();
         bad.aggregate.pair = 999;
-        let mut empty = CampaignFolds::for_campaign(&c);
-        assert!(empty
-            .install(bad.clone())
-            .unwrap_err()
-            .contains("out of range"));
+        assert!(install(bad.clone()).unwrap_err().contains("out of range"));
         bad.aggregate.pair = 1;
-        assert!(empty.install(bad).unwrap_err().contains("in the plan but"));
+        assert!(install(bad).unwrap_err().contains("in the plan but"));
+
+        let mut bad = pairs[0].clone();
+        bad.metrics.probes.inc();
+        assert!(install(bad).unwrap_err().contains("disagree"));
+
+        // A day cell split in two under the same day: the totals still
+        // agree, the repeated day does not install.
+        let mut bad = pairs[0].clone();
+        let mut split = HealthCell::default();
+        split.availability.successes = 1;
+        bad.health[0].1.availability.successes -= 1;
+        bad.health.insert(1, (bad.health[0].0, split));
+        let err = install(bad).unwrap_err();
+        assert!(err.contains("not after the one before"), "{err}");
+
+        let mut bad = pairs[0].clone();
+        bad.health[0].0 += 100;
+        assert!(install(bad).unwrap_err().contains("lies outside its days"));
+
+        let mut bad = pairs[0].clone();
+        bad.health.insert(0, (0, HealthCell::default()));
+        let err = install(bad).unwrap_err();
+        assert!(err.contains("is empty"), "{err}");
     }
 
     #[test]
     fn unknown_records_are_ignored() {
-        let mut folds = CampaignFolds::for_campaign(&campaign(&["dns.google"]));
-        let before = folds.clone();
-        for r in &campaign(&["dns.quad9.net"]).run().records {
-            folds.observe(r);
-        }
-        assert_eq!(folds, before);
+        let c = campaign(&["dns.google"]);
+        let foreign = campaign(&["dns.quad9.net"]).run().records;
+        assert_eq!(CampaignFolds::of(&c, &foreign), CampaignFolds::of(&c, &[]));
     }
 }

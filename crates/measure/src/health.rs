@@ -2,35 +2,40 @@
 //! deterministic drift detector.
 //!
 //! The paper's headline findings are longitudinal — availability dips and
-//! latency shifts over months — so the flight recorder keeps one
-//! [`HealthCell`] (a [`Tally`] + response-latency sketch delta) per
-//! **(pair, day)**, folded as part of each pair's
-//! [`PairFold`](crate::fold::PairFold) and persisted in each shard's
-//! `edns-checkpoint` cell file. Memory is O(pairs × days) =
-//! O(vantages × resolvers × days) with the vantage count a small constant
-//! — bounded however many probes a day carries. A cell is a fixed
-//! `size_of::<HealthCell>()` (312 B) with no heap behind it, and a
-//! [`HealthSeries`] — the day-cell table under [`CampaignFolds`] — holds
-//! them all in one table, each pair's over its vantage's day range, plus
-//! a few words per pair: at 76 resolvers × 7 vantages, ~166 KB per
+//! latency shifts over months — so each pair's
+//! [`PairFold`](crate::fold::PairFold) folds one [`HealthCell`] (a
+//! [`Tally`] + response-latency sketch delta) per **(pair, day)**. Those
+//! live only while a pair is folded — in the sharded engine's per-pair
+//! scratch, then in its shard's `edns-checkpoint` cell file — and in the
+//! (pair, day) scratch of [`CampaignFolds::of`]. What a campaign keeps and
+//! exports is a [`HealthSeries`]: one cell per **(resolver, day)**, each
+//! the merge of its pairs' cells, over the union of its pairs' vantage
+//! days, plus a few words per pair. Memory is O(resolvers × days),
+//! bounded however many probes a day carries and however many vantages
+//! probe a resolver: a cell is a fixed `size_of::<HealthCell>()` (312 B)
+//! with no heap behind it, so at 76 resolvers the rows take ~23.7 KB per
 //! campaign day.
 //!
 //! ## Determinism contract (extends `DESIGN.md` §9/§10)
 //!
 //! Each (pair, day) cell only ever observes its own pair's records in
-//! that pair's canonical order, and every rollup to (resolver, day) is a
-//! left-fold over pair cells in pair-index order. Both are independent of
-//! shard count, thread count and kill/resume boundaries, so
-//! [`HealthSeries::of`] over the one-shot record stream equals the
-//! sharded engine's checkpoint-installed series bit-for-bit — and the
-//! exported timeseries and drift findings are byte-identical across runs.
+//! that pair's canonical order, and each (resolver, day) row is a
+//! left-fold of its pairs' cells in pair-index order: both engines merge
+//! pair after pair through one routine, the sharded engine as it installs
+//! each cell file (shards in order, each listing its pairs in order). Both
+//! are independent of shard count, thread count and kill/resume
+//! boundaries, so [`HealthSeries::of`] over the one-shot record stream
+//! equals the sharded engine's checkpoint-installed series bit-for-bit —
+//! and the exported timeseries and drift findings are byte-identical
+//! across runs.
 //!
 //! On top sits [`detect_drift`]: each day's cell is compared against a
 //! trailing-window baseline of the same resolver's preceding days,
 //! flagging availability burns, p95 drift and error-mix shifts — the
 //! paper's outage/degradation narrative as machine-detected findings.
 
-use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::ops::Range;
 
 use edns_stats::LatencySketch;
 use obs::Label;
@@ -38,7 +43,7 @@ use obs::Label;
 use crate::campaign::Campaign;
 use crate::errors::Tally;
 use crate::fold::CampaignFolds;
-use crate::json::Json;
+use crate::json;
 use crate::results::ProbeRecord;
 
 /// Simulated nanoseconds per campaign day.
@@ -94,26 +99,24 @@ pub struct HealthRow {
     pub cell: HealthCell,
 }
 
-/// Where one pair's day cells sit in a [`HealthSeries`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct PairDays {
-    pub(crate) resolver: Label,
-    /// The first day of the pair's vantage's range.
-    pub(crate) first_day: u32,
-    /// The pair's cells are `cells[start..end]`, one per day.
-    pub(crate) start: u32,
-    pub(crate) end: u32,
-}
-
-/// The campaign health timeseries: per-(pair, day) cells, reducible to
-/// per-(resolver, day) rows in canonical order.
+/// The campaign health timeseries: per-(resolver, day) rows in
+/// (resolver hostname, day) order, each the merge of its pairs' day cells
+/// in pair-index order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthSeries {
-    /// Every pair's day cells in one table, pair after pair in pair-index
-    /// order, each pair's over its vantage's days ([`Campaign::days_of`]).
-    pub(crate) cells: Vec<HealthCell>,
-    /// Per pair, in pair-index order.
-    pub(crate) pairs: Vec<PairDays>,
+    /// A row per (resolver, day) in one table, resolver after resolver
+    /// in hostname order, each resolver's over `days`.
+    rows: Vec<HealthCell>,
+    /// The resolvers, in hostname order.
+    resolvers: Vec<Label>,
+    /// The campaign's days: the union of every pair's. Every vantage
+    /// probes every resolver, so each resolver's pairs span them all.
+    days: Range<u32>,
+    /// Per pair, in pair-index order: its resolver's index in `resolvers`
+    /// and its vantage's days ([`Campaign::days_of`]).
+    pairs: Vec<(u32, Range<u32>)>,
+    /// Pairs merged so far: pairs merge in pair-index order, each once.
+    merged: u32,
 }
 
 impl HealthSeries {
@@ -123,90 +126,111 @@ impl HealthSeries {
         CampaignFolds::of(campaign, records).into_views().1
     }
 
-    /// Pair `pair`'s day cells, and the day of the first.
-    pub(crate) fn days_mut(&mut self, pair: u32) -> (u32, &mut [HealthCell]) {
-        let p = self.pairs[pair as usize];
-        (
-            p.first_day,
-            &mut self.cells[p.start as usize..p.end as usize],
-        )
-    }
-
-    /// Populated (pair, day) cells in ascending key order.
-    pub fn pair_cells(&self) -> impl Iterator<Item = ((u32, u32), &HealthCell)> {
-        self.pairs.iter().enumerate().flat_map(|(pair, p)| {
-            let cells = &self.cells[p.start as usize..p.end as usize];
-            present_days(p.first_day, cells).map(move |(day, c)| ((pair as u32, day), c))
-        })
-    }
-
-    /// Populated cell count.
-    pub fn len(&self) -> usize {
-        self.pair_cells().count()
-    }
-
-    /// Whether no cell is populated.
-    pub fn is_empty(&self) -> bool {
-        self.pair_cells().next().is_none()
-    }
-
-    /// Total probes across all cells.
-    pub fn probes(&self) -> u64 {
-        self.cells.iter().map(HealthCell::probes).sum()
-    }
-
-    /// Reduces to (resolver, day) rows: pair cells merge in pair-index
-    /// order, rows sort by (resolver hostname, day). Deterministic and
-    /// shard-count-independent.
-    pub fn resolver_rows(&self) -> Vec<HealthRow> {
-        let mut map: BTreeMap<(Label, u32), HealthCell> = BTreeMap::new();
-        for ((pair, day), cell) in self.pair_cells() {
-            let resolver = self.pairs[pair as usize].resolver;
-            map.entry((resolver, day)).or_default().merge(cell);
+    /// Empty rows for pairs of these resolvers and vantage days, in
+    /// pair-index order.
+    pub(crate) fn for_pairs(pairs: &[(Label, Range<u32>)]) -> HealthSeries {
+        let mut resolvers: Vec<Label> = pairs.iter().map(|&(resolver, _)| resolver).collect();
+        resolvers.sort();
+        resolvers.dedup();
+        let spans = pairs.iter().map(|(_, days)| days).filter(|d| !d.is_empty());
+        let first = spans.clone().map(|d| d.start).min().unwrap_or(0);
+        let days = first..spans.map(|d| d.end).max().unwrap_or(0);
+        let pairs = pairs.iter().map(|(resolver, days)| {
+            let index = resolvers.partition_point(|r| r < resolver);
+            (index as u32, days.clone())
+        });
+        HealthSeries {
+            rows: vec![HealthCell::default(); resolvers.len() * days.len()],
+            pairs: pairs.collect(),
+            resolvers,
+            days,
+            merged: 0,
         }
-        map.into_iter()
-            .map(|((resolver, day), cell)| HealthRow {
-                resolver,
-                day,
-                cell,
+    }
+
+    /// The next pair to merge.
+    pub(crate) fn next_pair(&self) -> u32 {
+        self.merged
+    }
+
+    /// Pair `pair`'s vantage's days.
+    pub(crate) fn days_of(&self, pair: u32) -> Range<u32> {
+        self.pairs[pair as usize].1.clone()
+    }
+
+    /// Merges the next pair's day cells — present, in day order, within its
+    /// days — into its resolver's rows: the one place rows are built.
+    pub(crate) fn merge_pair<'a>(
+        &mut self,
+        cells: impl IntoIterator<Item = (u32, &'a HealthCell)>,
+    ) {
+        let resolver = self.pairs[self.merged as usize].0 as usize;
+        let rows = &mut self.rows[resolver * self.days.len()..][..self.days.len()];
+        for (day, cell) in cells {
+            rows[(day - self.days.start) as usize].merge(cell);
+        }
+        self.merged += 1;
+    }
+
+    /// The present rows, in (resolver hostname, day) order.
+    fn present_rows(&self) -> impl Iterator<Item = (Label, u32, &HealthCell)> {
+        // A campaign of no days has no rows to chunk.
+        let rows = self.rows.chunks(self.days.len().max(1));
+        self.resolvers
+            .iter()
+            .zip(rows)
+            .flat_map(|(&resolver, rows)| {
+                present_days(self.days.start, rows).map(move |(day, cell)| (resolver, day, cell))
             })
-            .collect()
+    }
+
+    /// Total probes across all rows.
+    pub fn probes(&self) -> u64 {
+        self.rows.iter().map(HealthCell::probes).sum()
+    }
+
+    /// The (resolver, day) rows that saw a probe, in (resolver hostname,
+    /// day) order. Deterministic and shard-count-independent.
+    pub fn resolver_rows(&self) -> Vec<HealthRow> {
+        let rows = self.present_rows().map(|(resolver, day, cell)| HealthRow {
+            resolver,
+            day,
+            cell: cell.clone(),
+        });
+        rows.collect()
     }
 
     /// Exports the (resolver, day) timeseries as JSONL, one row per line
-    /// in (resolver hostname, day) order. Latency fields are omitted on
-    /// days with no successful probe. Byte-deterministic for a fixed
-    /// seed; identical across one-shot, sharded and resumed runs.
+    /// in (resolver hostname, day) order, keys sorted. Latency fields are
+    /// omitted on days with no successful probe. Byte-deterministic for a
+    /// fixed seed; identical across one-shot, sharded and resumed runs.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for row in self.resolver_rows() {
-            let errors = row.cell.availability.errors();
-            let errors = errors.map(|(k, c)| (k.label().to_string(), Json::Int(c as i64)));
-            let mut fields = vec![
-                ("resolver", Json::Str(row.resolver.as_str().to_string())),
-                ("day", Json::Int(row.day as i64)),
-                ("probes", Json::Int(row.cell.probes() as i64)),
-                (
-                    "successes",
-                    Json::Int(row.cell.availability.successes as i64),
-                ),
-                (
-                    "availability",
-                    Json::Float(row.cell.availability.availability()),
-                ),
-                ("errors", Json::Object(errors.collect())),
+        for (resolver, day, cell) in self.present_rows() {
+            let (availability, response) = (&cell.availability, &cell.response);
+            out.push_str("{\"availability\":");
+            json::write_float(&mut out, availability.availability());
+            let _ = write!(out, ",\"day\":{day},\"errors\":{{");
+            for (i, (kind, n)) in availability.errors().enumerate() {
+                out.push_str(if i == 0 { "" } else { "," });
+                json::write_str(&mut out, kind.label());
+                let _ = write!(out, ":{n}");
+            }
+            out.push('}');
+            let latency = [
+                (",\"mean_ms\":", response.mean()),
+                (",\"p50_ms\":", response.quantile(0.5)),
+                (",\"p95_ms\":", response.quantile(0.95)),
             ];
-            if let Some(mean) = row.cell.response.mean() {
-                fields.push(("mean_ms", Json::Float(mean)));
+            for (key, ms) in latency {
+                if let Some(ms) = ms {
+                    out.push_str(key);
+                    json::write_float(&mut out, ms);
+                }
             }
-            if let Some(p50) = row.cell.response.quantile(0.5) {
-                fields.push(("p50_ms", Json::Float(p50)));
-            }
-            if let Some(p95) = row.cell.response.quantile(0.95) {
-                fields.push(("p95_ms", Json::Float(p95)));
-            }
-            out.push_str(&Json::object(fields).to_string_compact());
-            out.push('\n');
+            let _ = write!(out, ",\"probes\":{},\"resolver\":", cell.probes());
+            json::write_str(&mut out, resolver.as_str());
+            let _ = writeln!(out, ",\"successes\":{}}}", availability.successes);
         }
         out
     }

@@ -25,7 +25,8 @@
 //! copied, after a check that it closes like the record of that slot. A
 //! second thread installs the cells one cell file at a time — metrics,
 //! aggregates, health and journal events all come from them. Memory stays
-//! O(shards) read buffers + O(pairs) cells and cursors, never O(records).
+//! O(shards) read buffers + O(pairs) cells and cursors + O(resolvers ×
+//! days) health rows, never O(records).
 //!
 //! Determinism contract (DESIGN.md §9): for any seed, shard count, thread
 //! count, and any kill/resume schedule,
@@ -54,20 +55,17 @@ use netsim::faults::FaultScope;
 use obs::clock::Stopwatch;
 use obs::journal::codes;
 use obs::{
-    CellMetrics, EventData, EventLevel, Journal, JournalEvent, Label, MetricsSnapshot,
-    ShardRunMetrics, SpanLog,
+    EventData, EventLevel, Journal, JournalEvent, Label, MetricsSnapshot, ShardRunMetrics, SpanLog,
 };
 
-use crate::aggregate::{CampaignAggregates, PairAggregate};
+use crate::aggregate::CampaignAggregates;
 use crate::campaign::{Campaign, CampaignOrder, PairPlan, Slot};
 use crate::checkpoint::{
     checksum, fnv64, io_err, write_atomic, write_atomic_bytes, CheckpointError, Checksum, Manifest,
-    PairCells, ShardCells, ShardCheckpoint, ShardState,
+    ShardCells, ShardCheckpoint, ShardState,
 };
-use crate::fold::{CampaignFolds, PairFold};
-use crate::health::{
-    detect_drift, present_days, DriftConfig, DriftFinding, HealthCell, HealthSeries, NANOS_PER_DAY,
-};
+use crate::fold::{fold_pair, CampaignFolds};
+use crate::health::{detect_drift, DriftConfig, DriftFinding, HealthSeries, NANOS_PER_DAY};
 use crate::probe::ProbeConfig;
 use crate::results::ProbeRecord;
 use crate::retry::RetryPolicy;
@@ -96,9 +94,9 @@ pub struct ShardedOutcome {
     pub run: ShardRunMetrics,
     /// One span per shard laying its simulated-time extent on a timeline.
     pub spans: SpanLog,
-    /// The per-(resolver, day) health timeseries, folded from the
-    /// checkpointed (pair, day) cells — identical to
-    /// [`HealthSeries::of`] over the one-shot record vector.
+    /// The per-(resolver, day) health rows, each pair's checkpointed
+    /// (pair, day) cells merged into them as its cell file is installed —
+    /// identical to [`HealthSeries::of`] over the one-shot record vector.
     pub health: HealthSeries,
     /// Deterministic drift findings over the health timeseries
     /// (default [`DriftConfig`]).
@@ -783,41 +781,15 @@ impl<'a> ShardedRunner<'a> {
         // campaign order never reorders records within a pair) — so they
         // are what the one-shot engine folds over the whole stream,
         // whatever the shard count and resume schedule. The day cells span
-        // the pair's vantage's days, one pair at a time, as they do in
-        // `CampaignFolds`; the file keeps those that saw a probe.
+        // the pair's vantage's days, one pair at a time in one scratch;
+        // the file keeps those that saw a probe.
         let mut cells = ShardCells {
             shard: index,
             pairs: Vec::with_capacity(shard_plans.len()),
         };
         let mut scratch = Vec::new();
         for ((pair, plan), records) in (range.start as u32..).zip(shard_plans).zip(&outputs) {
-            let days = self.campaign.days_of(plan.vantage.label);
-            scratch.clear();
-            scratch.resize(days.len(), HealthCell::default());
-            let mut entry = PairCells {
-                aggregate: PairAggregate {
-                    pair,
-                    vantage: plan.vantage_label,
-                    resolver: plan.resolver_label,
-                    cell: Default::default(),
-                },
-                metrics: CellMetrics::default(),
-                health: Vec::new(),
-                exhausted: Vec::new(),
-            };
-            let mut fold = PairFold {
-                pair,
-                aggregate: &mut entry.aggregate.cell,
-                metrics: &mut entry.metrics,
-                first_day: days.start,
-                days: &mut scratch,
-                exhausted: &mut entry.exhausted,
-            };
-            for r in records {
-                fold.observe(r);
-            }
-            let present = present_days(days.start, &scratch);
-            entry.health = present.map(|(day, cell)| (day, cell.clone())).collect();
+            let entry = fold_pair(self.campaign, pair, plan, records, &mut scratch);
             cells.pairs.push(entry);
         }
         stages.fold_s = laps.lap();
@@ -1092,8 +1064,9 @@ impl<'a> ShardedRunner<'a> {
     /// errors naming the file. The campaign file takes its name only once
     /// both halves have succeeded; when both fail, the line copy's error
     /// is the one returned. Memory: one read buffer per shard, the order's
-    /// cursor per pair, each vantage's slots, one shard's cells, and the
-    /// O(pairs × days) series.
+    /// cursor per pair, each vantage's slots, one shard's cells, the O(pairs)
+    /// aggregate and metrics cells, and the O(resolvers × days) health
+    /// rows each pair's day cells merge into as it is installed.
     fn assemble(
         &self,
         manifest: &Manifest,

@@ -16,10 +16,14 @@
 //!   is a hole the next fits in. An allocation carved out of that hole
 //!   before the buffer is reserved leaves it too small, the buffer
 //!   extends the heap instead, and peak RSS grows by a buffer.
-//! * The campaign's folds hold no map and no string per cell: once
-//!   built, folding a campaign's records into them allocates nothing,
-//!   and their day-cell table's heap is its day cells plus a few words per
-//!   pair.
+//! * The campaign's folds hold no map and no string per cell: folding a
+//!   campaign's records into them allocates nothing beyond what folding
+//!   no record does, and their health rows' heap is a cell per (resolver,
+//!   day) plus a few words per pair.
+//! * A sharded run holds no (pair, day) table of day cells: its peak live
+//!   heap is within a read buffer per shard, the pairs' aggregate and
+//!   metrics cells, the (resolver, day) rows and a stated slack — a (pair,
+//!   day) table, at 30 days, would add more than the whole budget.
 //!
 //! The peak and live counters are global, so the tests take turns; the
 //! allocation counts are the calling thread's own.
@@ -29,9 +33,13 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use std::mem::size_of;
+
 use measure::{
-    Campaign, CampaignConfig, CampaignFolds, CampaignResult, HealthCell, ProbeRecord, SessionConfig,
+    AggregateCell, Campaign, CampaignConfig, CampaignFolds, CampaignResult, HealthCell,
+    ProbeRecord, SessionConfig, ShardedRunner,
 };
+use obs::CellMetrics;
 
 struct PeakAlloc;
 
@@ -177,16 +185,16 @@ fn the_record_buffer_is_the_first_allocation_generate_makes() {
 #[test]
 fn folding_into_the_health_series_and_aggregates_allocates_nothing() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    let campaign = Campaign::new(CampaignConfig::longitudinal(SEED, 10));
+    const DAYS: usize = 10;
+    let campaign = Campaign::new(CampaignConfig::longitudinal(SEED, DAYS as u32));
     let records = campaign.run().records;
 
-    let (mut folds, folds_bytes) = held(|| CampaignFolds::for_campaign(&campaign));
-    let ((), allocs) = allocations(|| {
-        for r in &records {
-            folds.observe(r);
-        }
-    });
-    // The day-cell table's heap: what a copy of it holds.
+    // `of` over no record makes every allocation `of` makes around the
+    // fold: the pair table, the (pair, day) scratch and the rows.
+    let (_, around) = allocations(|| CampaignFolds::of(&campaign, &[]));
+    let (folds, allocs) = allocations(|| CampaignFolds::of(&campaign, &records));
+    let (_, folds_bytes) = held(|| CampaignFolds::for_campaign(&campaign));
+    // The rows' heap: what a copy of them holds.
     let (series, series_bytes) = held(|| folds.health().clone());
     let metrics = folds.metrics();
     let (aggregates, _) = folds.into_views();
@@ -194,23 +202,67 @@ fn folding_into_the_health_series_and_aggregates_allocates_nothing() {
     assert_eq!(aggregates.probes(), records.len() as u64);
     assert_eq!(metrics.total_probes(), records.len() as u64);
     let pairs = aggregates.pairs().len();
-    let cells = series.len();
-    let budget = cells * std::mem::size_of::<HealthCell>() + 64 * pairs;
+    let rows = campaign.entries().len() * DAYS;
+    let budget = rows * std::mem::size_of::<HealthCell>() + 32 * pairs;
     println!(
-        "{} records into {cells} (pair, day) cells of {} B over {pairs} pairs: \
-         {allocs} allocations; day-cell table heap {series_bytes} B, budget {budget} B; \
+        "{} records over {pairs} pairs: {} allocations, {around} of them around the fold; \
+         (resolver, day) rows heap {series_bytes} B for {rows} rows of {} B, budget {budget} B; \
          whole CampaignFolds heap {folds_bytes} B",
         records.len(),
+        allocs,
         std::mem::size_of::<HealthCell>(),
     );
     assert_eq!(
-        allocs, 0,
-        "folding records into CampaignFolds allocated {allocs} times: \
-         a map or a String key per cell is back"
+        allocs,
+        around,
+        "folding records into CampaignFolds allocated {} times: \
+         a map or a String key per cell is back",
+        allocs - around
     );
     assert!(
         series_bytes <= budget as isize,
-        "the day-cell table holds {series_bytes} B for {cells} cells over {pairs} pairs, \
+        "the rows hold {series_bytes} B for {rows} (resolver, day) rows over {pairs} pairs, \
          budget {budget} B"
+    );
+}
+
+#[test]
+fn sharded_assembly_holds_no_pair_day_table() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    const DAYS: usize = 30;
+    const SHARDS: usize = 32;
+    // Assembly's read buffer per shard.
+    const READ_BUFFER: usize = 64 * 1024;
+    // What else a run holds at its peak: assembly's 256 KB write buffer,
+    // the campaign order's cursors and slots, the metrics snapshot beside
+    // the cells it is taken from, one shard's cells in the cell lane —
+    // 0.70 MB over the other terms as measured, here rounded up to 1 MiB.
+    const SLACK: usize = 1 << 20;
+    let campaign = Campaign::new(CampaignConfig::longitudinal(SEED, DAYS as u32));
+    let dir = std::env::temp_dir().join(format!("edns-peak-heap-{}", std::process::id()));
+    let runner = ShardedRunner::new(&campaign, SHARDS as u32, &dir).unwrap();
+
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let outcome = runner.run(0).unwrap();
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(outcome.records, campaign.probe_count() as u64);
+
+    let pairs = outcome.aggregates.pairs().len();
+    let cells = pairs * (size_of::<AggregateCell>() + size_of::<CellMetrics>());
+    let rows = campaign.entries().len() * DAYS * size_of::<HealthCell>();
+    let budget = SHARDS * READ_BUFFER + cells + rows + SLACK;
+    let pair_days = pairs * DAYS * size_of::<HealthCell>();
+    println!(
+        "run(0) of longitudinal({SEED}, {DAYS}) in {SHARDS} shards: peak live heap {peak} B; \
+         budget {budget} B = {SHARDS} read buffers + {pairs} aggregate and metrics cells \
+         ({cells} B) + (resolver, day) rows ({rows} B) + {SLACK} B slack; \
+         a (pair, day) table would add {pair_days} B"
+    );
+    assert!(
+        peak <= budget,
+        "a sharded run peaks at {peak} B, over its {budget} B budget: \
+         a (pair, day) table of day cells ({pair_days} B) is back"
     );
 }

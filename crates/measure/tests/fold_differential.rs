@@ -3,7 +3,8 @@
 //! by label, which needs no campaign), its aggregates equal a `BTreeMap`
 //! keyed by (vantage, resolver) label folded here, and its health equals
 //! `health_oracle`'s. On `quick`, default faults with retries, load ×2 and
-//! interleaved sessions the sharded engine's outcome equals the folds too;
+//! interleaved sessions the sharded engine's outcome equals the folds too,
+//! and its cell files hold the oracle's (pair, day) cells;
 //! a resolver listed twice, which the sharded engine refuses, is checked
 //! in memory, every record of a duplicated pair routed to its first.
 
@@ -65,7 +66,9 @@ fn assert_folds_match(
     let dir = std::env::temp_dir().join(format!("edns-fold-differential-{}", std::process::id()));
     let runner = ShardedRunner::new(&c, 3, &dir);
     if sharded {
-        let outcome = runner.unwrap().run(1).unwrap();
+        let runner = runner.unwrap();
+        let outcome = runner.run(1).unwrap();
+        health_oracle::assert_cell_files_match_the_oracle(&c, &records, &runner, what);
         std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(outcome.metrics, metrics, "{what}");
         assert_eq!(outcome.aggregates, aggregates, "{what}");

@@ -4,12 +4,12 @@
 //!   on seeded sequences of successes, errors and merges: every query
 //!   answers alike, `dominant_error` ties included (the map's
 //!   `max_by_key` keeps the last maximum in label order).
-//! * The dense [`HealthSeries`] table against `health_oracle`'s
-//!   `BTreeMap` keyed by (pair, day) of `Availability` + sketch cells,
-//!   built from the same records: the same present cells, rows, JSONL
-//!   bytes and drift findings, on vantages whose day ranges start apart,
-//!   overlap and leave gaps — and the sharded engine's series equal to
-//!   both.
+//! * The [`HealthSeries`] rows against `health_oracle`'s `BTreeMap`
+//!   keyed by (pair, day) of `Availability` + sketch cells, built from the
+//!   same records: the same rows, JSONL bytes and drift findings, on
+//!   vantages whose day ranges start apart, overlap and leave gaps — the
+//!   sharded engine's cell files holding the oracle's (pair, day) cells,
+//!   and its series equal to the in-memory one.
 
 mod health_oracle;
 
@@ -19,7 +19,7 @@ use edns_stats::Availability;
 use measure::{Campaign, CampaignConfig, HealthSeries, ProbeErrorKind, ShardedRunner, Span, Tally};
 use netsim::rng::SimRng;
 
-use health_oracle::assert_health_matches_the_oracle;
+use health_oracle::{assert_cell_files_match_the_oracle, assert_health_matches_the_oracle};
 
 /// A tally and the ledger it replaces, fed the same observations.
 fn both(rng: &mut SimRng, observations: usize) -> (Tally, Availability) {
@@ -136,20 +136,24 @@ fn the_dense_series_matches_a_map_of_label_keyed_cells() {
     let series = assert_series_matches_the_oracle(&campaign(faulted), "longitudinal(7, 3)");
     assert!(
         series
-            .pair_cells()
-            .any(|(_, c)| c.availability.error_count() > 0),
+            .resolver_rows()
+            .iter()
+            .any(|row| row.cell.availability.error_count() > 0),
         "the faulted campaign must exercise the error tallies"
     );
 
     let c = campaign(staggered_config(5));
     let series = assert_series_matches_the_oracle(&c, "staggered spans");
-    let days: Vec<u32> = series.pair_cells().map(|((_, day), _)| day).collect();
+    let days: Vec<u32> = series.resolver_rows().iter().map(|row| row.day).collect();
     assert!(days.contains(&0) && days.contains(&6) && !days.contains(&4));
 
-    // The sharded engine folds each pair over the same day range and
-    // installs its cells into the same table.
+    // The sharded engine folds each pair over the same day range, persists
+    // its present day cells and merges them into the same rows.
     let dir = std::env::temp_dir().join(format!("edns-health-differential-{}", std::process::id()));
-    let sharded = ShardedRunner::new(&c, 5, &dir).unwrap().run(1).unwrap();
+    let runner = ShardedRunner::new(&c, 5, &dir).unwrap();
+    let sharded = runner.run(1).unwrap();
+    let records = c.run().records;
+    assert_cell_files_match_the_oracle(&c, &records, &runner, "staggered spans, sharded");
     std::fs::remove_dir_all(PathBuf::from(&dir)).unwrap();
     assert_eq!(sharded.health, series);
 }

@@ -1,8 +1,9 @@
 //! The health oracle: a `BTreeMap` keyed by (pair, day) of label-keyed
 //! `Availability` + sketch cells, folded from the records with none of the
-//! engine's fold code, and what the health series of the same records must
-//! equal — present cells, resolver rows, JSONL bytes and drift findings.
-//! Shared by `health_differential.rs` and `fold_differential.rs`.
+//! engine's fold code. A sharded run's cell files must hold exactly its
+//! present (pair, day) cells, and the health series of the same records
+//! its resolver rows, JSONL bytes and drift findings. Shared by
+//! `health_differential.rs` and `fold_differential.rs`.
 
 use std::collections::BTreeMap;
 
@@ -10,7 +11,7 @@ use edns_stats::{Availability, LatencySketch};
 use measure::json::Json;
 use measure::{
     day_of, detect_drift, Campaign, DriftConfig, HealthCell, HealthRow, HealthSeries,
-    ProbeErrorKind, ProbeOutcome, ProbeRecord, Tally,
+    ProbeErrorKind, ProbeOutcome, ProbeRecord, ShardCells, ShardedRunner, Tally,
 };
 use obs::Label;
 
@@ -120,7 +121,38 @@ impl Oracle {
     }
 }
 
-/// `series`, the health of `records`, against the oracle's.
+/// The present (pair, day) cells of a sharded run's cell files, in
+/// ascending key order: each pair's day cells as its fold persisted them.
+fn pair_cells(runner: &ShardedRunner) -> Vec<((u32, u32), HealthCell)> {
+    let mut cells = Vec::new();
+    for shard in 0..runner.shards() {
+        let text = std::fs::read_to_string(runner.cells_path(shard)).unwrap();
+        for p in ShardCells::decode(&text).unwrap().pairs {
+            let pair = p.aggregate.pair;
+            cells.extend(p.health.into_iter().map(|(day, cell)| ((pair, day), cell)));
+        }
+    }
+    cells
+}
+
+/// The (pair, day) cells in `runner`'s cell files, written by a run over
+/// `records`, against the oracle's.
+pub fn assert_cell_files_match_the_oracle(
+    c: &Campaign,
+    records: &[ProbeRecord],
+    runner: &ShardedRunner,
+    what: &str,
+) {
+    let expected: Vec<((u32, u32), HealthCell)> = Oracle::of(c, records)
+        .cells
+        .iter()
+        .map(|(&k, c)| (k, c.to_health()))
+        .collect();
+    assert_eq!(pair_cells(runner), expected, "{what}: pair cells");
+}
+
+/// `series`, the health of `records`, against the oracle's: its rows,
+/// their JSONL export and the drift findings over them.
 pub fn assert_health_matches_the_oracle(
     c: &Campaign,
     records: &[ProbeRecord],
@@ -128,16 +160,6 @@ pub fn assert_health_matches_the_oracle(
     what: &str,
 ) {
     let oracle = Oracle::of(c, records);
-
-    let cells: Vec<((u32, u32), HealthCell)> =
-        series.pair_cells().map(|(k, c)| (k, c.clone())).collect();
-    let expected: Vec<((u32, u32), HealthCell)> = oracle
-        .cells
-        .iter()
-        .map(|(&k, c)| (k, c.to_health()))
-        .collect();
-    assert_eq!(cells, expected, "{what}: pair cells");
-    assert_eq!(series.len(), oracle.cells.len(), "{what}");
     assert_eq!(series.probes(), records.len() as u64, "{what}");
 
     let rows = series.resolver_rows();
