@@ -37,13 +37,14 @@ use std::time::Instant;
 
 use measure::{Campaign, CampaignConfig, ShardedRunner};
 
-/// Peak-RSS cap for the CI profile, 24 MiB. The bounded-memory engine
-/// peaks at 8.6–8.8 MB on the reference container (three runs,
-/// `--threads 1`; 10.9–11.1 MB while assembly held a (pair, day) table of
-/// health cells), and the cap allows 15.9 MB over that — less than the
-/// profile's record bytes (150,480 records × 152 B = 22.9 MB), so a run
-/// that holds every record again, whatever else it frees, breaches it.
-const QUICK_RSS_CAP_KB: u64 = 24 * 1024;
+/// Peak-RSS cap for the CI profile, 20 MiB. The bounded-memory engine
+/// peaks at 7.7–7.8 MB on the reference container (three runs,
+/// `--threads 1`; 8.6–8.8 MB while a record took 152 B, 10.9–11.1 MB
+/// while assembly held a (pair, day) table of health cells), and the cap
+/// allows 13.2 MB over that — less than the profile's record bytes
+/// (150,480 records × 104 B = 15.6 MB), so a run that holds every record
+/// again, whatever else it frees, breaches it.
+const QUICK_RSS_CAP_KB: u64 = 20 * 1024;
 
 /// Throughput floor for the CI profile: just under half the 258.0k
 /// probes/s measured on the reference container (2 vCPUs, one generator

@@ -610,11 +610,8 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             ProbeOutcome::Failure { kind, .. } => ledger.error(r.resolver(), kind.label()),
         }
         if let Some(retry) = &r.retry {
-            match &r.outcome {
-                ProbeOutcome::Success { .. } if retry.recovered() => recovered += 1,
-                ProbeOutcome::Failure { .. } if retry.exhausted() => exhausted += 1,
-                _ => {}
-            }
+            recovered += u64::from(retry.recovered(&r.outcome));
+            exhausted += u64::from(retry.exhausted(&r.outcome));
         }
     }
     out!("{n} records: {successes} ok / {} errors\n", n - successes);

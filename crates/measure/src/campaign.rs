@@ -104,8 +104,7 @@ fn line_bytes_hint(r: &ProbeRecord) -> usize {
     // each error's quoted label and comma.
     let retry = r.retry.as_ref().map_or(0, |info| {
         72 + info
-            .attempt_errors
-            .iter()
+            .attempt_errors(&r.outcome)
             .map(|e| e.label().len() + 3)
             .sum::<usize>()
     });
@@ -160,27 +159,19 @@ pub(crate) fn observe_cell(cell: &mut CellMetrics, r: &ProbeRecord) {
         }
     }
     if let Some(retry) = &r.retry {
-        // Every error in `attempt_errors` names a retried (non-final)
-        // attempt on success; on failure the last entry is the probe's
-        // final verdict, which the error tallies count.
-        let retried = match &r.outcome {
-            ProbeOutcome::Success { .. } => retry.attempt_errors.as_slice(),
-            ProbeOutcome::Failure { .. } => {
-                let n = retry.attempt_errors.len();
-                &retry.attempt_errors[..n.saturating_sub(1)]
-            }
-        };
-        for kind in retried {
+        // The burned attempts were retried; a failure's final verdict is
+        // the outcome's, which the error tallies count.
+        for kind in retry.burned_errors() {
             cell.retries(kind.phase()).inc();
         }
-        if retry.recovered() {
+        if retry.recovered(&r.outcome) {
             cell.recovered.inc();
         }
-        if matches!(r.outcome, ProbeOutcome::Failure { .. }) && retry.exhausted() {
+        if retry.exhausted(&r.outcome) {
             cell.exhausted.inc();
         }
     }
-    if let Some(p) = r.ping {
+    if let Some(p) = r.ping() {
         // detlint:allow(deny-alloc-reach, MetricCell::observe is alloc-free; the name-matched ledger observes are cold-path types)
         cell.ping_ms.observe(p.as_millis_f64());
     }

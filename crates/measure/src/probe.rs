@@ -709,16 +709,14 @@ impl Prober {
         rng: &mut SimRng,
         mut attempt: impl FnMut(SimTime, &mut SimRng) -> ProbeOutcome,
     ) -> (ProbeOutcome, Option<RetryInfo>) {
-        let mut attempts = 0u32;
-        let mut attempt_errors: Vec<ProbeErrorKind> = Vec::new();
-        // Simulated time since probe start: failed attempts and backoff
-        // waits accumulate here, so retries see later plan windows.
-        let mut offset = SimDuration::ZERO;
+        // `info`'s burned time is the simulated time since probe start:
+        // failed attempts and backoff waits accumulate there, so retries
+        // see later plan windows.
+        let mut info = RetryInfo::FIRST_TRY;
         let mut prev_backoff = SimDuration::ZERO;
 
         loop {
-            attempts += 1;
-            let attempt_now = now + offset;
+            let attempt_now = now + info.burned();
             let outcome = attempt(attempt_now, rng);
 
             // Apply the per-attempt timeout: a "successful" exchange that
@@ -752,13 +750,6 @@ impl Prober {
 
             match attempt_result {
                 Ok((timings, cache_hit, site)) => {
-                    let ttlb = offset + timings.total();
-                    let info = RetryInfo {
-                        attempts,
-                        attempt_errors,
-                        ttfb: ttlb.saturating_sub(timings.dns_decode),
-                        ttlb,
-                    };
                     return (
                         ProbeOutcome::Success {
                             timings,
@@ -769,23 +760,17 @@ impl Prober {
                     );
                 }
                 Err((kind, spent)) => {
-                    attempt_errors.push(kind);
+                    let attempts = u32::from(info.attempts);
                     if attempts >= policy.tries {
-                        let elapsed = offset + spent;
-                        let info = RetryInfo {
-                            attempts,
-                            attempt_errors,
-                            ttfb: elapsed,
-                            ttlb: elapsed,
-                        };
+                        let elapsed = info.burned() + spent;
                         return (
                             ProbeOutcome::Failure { kind, elapsed },
-                            policy.enabled().then_some(info),
+                            policy.enabled().then_some(info.exhaust()),
                         );
                     }
                     // Burned attempt plus the (possibly jittered) wait.
                     prev_backoff = policy.backoff_after(attempts, prev_backoff, rng);
-                    offset = offset + spent + prev_backoff;
+                    info.burn(kind, spent + prev_backoff);
                 }
             }
         }
@@ -841,7 +826,8 @@ impl Prober {
             ProbeOutcome::Success {
                 timings,
                 cache_hit: served.cache_hit,
-                site,
+                // A deployment has a handful of sites.
+                site: site as u32,
             }
         } else {
             Self::dns_error(timings.total())

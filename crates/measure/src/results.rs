@@ -16,7 +16,7 @@ use obs::{Label, Phase};
 
 use crate::errors::ProbeErrorKind;
 use crate::json::{Json, LineReader};
-use crate::retry::RetryInfo;
+use crate::retry::{RetryInfo, MAX_TRIES};
 
 /// The encrypted-DNS protocol a probe used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -233,7 +233,7 @@ impl ProbeTimings {
 }
 
 /// One probe's outcome.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProbeOutcome {
     /// The query succeeded.
     Success {
@@ -242,7 +242,7 @@ pub enum ProbeOutcome {
         /// Whether the resolver answered from cache.
         cache_hit: bool,
         /// Index of the deployment site that served the probe.
-        site: usize,
+        site: u32,
     },
     /// The probe failed.
     Failure {
@@ -270,12 +270,14 @@ impl ProbeOutcome {
 
 /// One complete record, as written to the results file.
 ///
-/// The three textual coordinates — vantage, resolver, domain — are stored
-/// as interned [`Label`]s (4 bytes each, `Copy`), so constructing, cloning
-/// and comparing records never touches the heap. String views come from
-/// the [`vantage`](Self::vantage) / [`resolver`](Self::resolver) /
-/// [`domain`](Self::domain) accessors.
-#[derive(Debug, Clone, PartialEq)]
+/// A record is `Copy` and owns no heap: the three textual coordinates —
+/// vantage, resolver, domain — are interned [`Label`]s (4 bytes each),
+/// the retry accounting is inline ([`RetryInfo`]) and the ping a plain
+/// duration with a reserved "no answer" value, so constructing, copying
+/// and comparing records never touches the heap, in 104 bytes. String
+/// views come from the [`vantage`](Self::vantage) /
+/// [`resolver`](Self::resolver) / [`domain`](Self::domain) accessors.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeRecord {
     /// Simulated timestamp of the probe.
     pub at: SimTime,
@@ -293,8 +295,9 @@ pub struct ProbeRecord {
     pub protocol: Protocol,
     /// Outcome.
     pub outcome: ProbeOutcome,
-    /// Paired ICMP RTT, when the resolver answered the ping.
-    pub ping: Option<SimDuration>,
+    /// Paired ICMP RTT, or [`NO_PING`] when the resolver did not answer
+    /// it ([`ping`](Self::ping) is the view).
+    ping: SimDuration,
     /// Per-attempt retry accounting; `None` when the retry layer is
     /// disabled (keeps the JSON byte-identical to pre-retry output).
     pub retry: Option<RetryInfo>,
@@ -303,6 +306,10 @@ pub struct ProbeRecord {
     /// pre-session output).
     pub conn_mode: Option<ConnectionMode>,
 }
+
+/// A record's ping when the resolver did not answer: no round trip takes
+/// 584 years, and the readers refuse a line that spells it.
+const NO_PING: SimDuration = SimDuration::from_nanos(u64::MAX);
 
 /// The JSON key for one phase inside the `phases` object.
 fn phase_key(p: Phase) -> &'static str {
@@ -490,7 +497,7 @@ impl ProbeRecord {
             domain,
             protocol,
             outcome,
-            ping,
+            ping: ping.unwrap_or(NO_PING),
             retry: None,
             conn_mode: None,
         }
@@ -507,6 +514,11 @@ impl ProbeRecord {
     pub fn with_conn_mode(mut self, conn_mode: Option<ConnectionMode>) -> ProbeRecord {
         self.conn_mode = conn_mode;
         self
+    }
+
+    /// Paired ICMP RTT, when the resolver answered the ping.
+    pub fn ping(&self) -> Option<SimDuration> {
+        (self.ping != NO_PING).then_some(self.ping)
     }
 
     /// Vantage label, e.g. `"ec2-ohio"`.
@@ -567,17 +579,17 @@ impl ProbeRecord {
         }
         // Leading retry keys ("attempt_errors", "attempts") sort before
         // every other top-level key in both record shapes.
-        fn retry_prefix(out: &mut String, info: &RetryInfo) {
+        fn retry_prefix(out: &mut String, info: &RetryInfo, outcome: &ProbeOutcome) {
             key(out, true, ATTEMPT_ERRORS);
             out.push('[');
-            for (i, e) in info.attempt_errors.iter().enumerate() {
+            for (i, e) in info.attempt_errors(outcome).enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
                 crate::json::write_str(out, e.label());
             }
             out.push(']');
-            count_field(out, ATTEMPTS, info.attempts as i64);
+            count_field(out, ATTEMPTS, i64::from(info.attempts));
         }
         fn ping_field(out: &mut String, ping: Option<SimDuration>) {
             match ping {
@@ -592,7 +604,7 @@ impl ProbeRecord {
         out.push('{');
         let lead = self.retry.is_none();
         if let Some(info) = &self.retry {
-            retry_prefix(out, info);
+            retry_prefix(out, info, &self.outcome);
         }
         match &self.outcome {
             ProbeOutcome::Success {
@@ -616,7 +628,7 @@ impl ProbeRecord {
                     crate::json::write_millis(out, timings.phase(phase).as_nanos());
                 }
                 out.push('}');
-                ping_field(out, self.ping);
+                ping_field(out, self.ping());
                 str_field(out, false, PROTOCOL, self.protocol.label());
                 millis_field(out, QUERY_MS, timings.exchange());
                 str_field(out, false, RESOLVER, self.resolver());
@@ -628,7 +640,7 @@ impl ProbeRecord {
                 );
                 millis_field(out, RESPONSE_MS, timings.total());
                 millis_field(out, SECURE_MS, timings.tls_handshake);
-                count_field(out, SITE, *site as i64);
+                count_field(out, SITE, i64::from(*site));
                 bool_field(out, false, SUCCESS, true);
             }
             ProbeOutcome::Failure { kind, elapsed } => {
@@ -644,7 +656,7 @@ impl ProbeRecord {
                 millis_field(out, ELAPSED_MS, *elapsed);
                 str_field(out, false, ERROR, kind.label());
                 bool_field(out, false, MAINSTREAM, self.mainstream);
-                ping_field(out, self.ping);
+                ping_field(out, self.ping());
                 str_field(out, false, PROTOCOL, self.protocol.label());
                 str_field(out, false, RESOLVER, self.resolver());
                 str_field(
@@ -660,8 +672,8 @@ impl ProbeRecord {
         crate::json::write_millis(out, self.at.as_nanos());
         // Trailing retry keys sort between "ts_ms" and "vantage".
         if let Some(info) = &self.retry {
-            millis_field(out, TTFB_MS, info.ttfb);
-            millis_field(out, TTLB_MS, info.ttlb);
+            millis_field(out, TTFB_MS, info.ttfb(&self.outcome));
+            millis_field(out, TTLB_MS, info.ttlb(&self.outcome));
         }
         str_field(out, false, VANTAGE, self.vantage());
         out.push('}');
@@ -707,19 +719,21 @@ impl ProbeRecord {
     /// [`write_json_line`](Self::write_json_line): its exact inverse, over
     /// the same fixed key order, both record shapes and the optional retry
     /// and `conn_mode` keys, with no intermediate tree, no allocation (a
-    /// record's `attempt_errors` and a label with an escape in it aside)
-    /// and, for every `*_ms` token the writer's integer path emits, no
-    /// float (`LineReader::exact_millis`). Any other number goes through
-    /// the same `str::parse` as [`json::parse`](crate::json::parse) →
-    /// [`from_json`](Self::from_json) and labels through the same
-    /// [`Label::intern`], so wherever this returns a record that path
-    /// returns the same one, bit for bit.
+    /// label with an escape in it aside) and, for every `*_ms` token the
+    /// writer's integer path emits, no float (`LineReader::exact_millis`).
+    /// Any other number goes through the same `str::parse` as
+    /// [`json::parse`](crate::json::parse) → [`from_json`](Self::from_json)
+    /// and labels through the same [`Label::intern`], so wherever this
+    /// returns a record that path returns the same one, bit for bit.
     ///
     /// Strict: anything `write_json_line` would not have written —
     /// reordered or extra keys, whitespace, an escape it never emits, a
     /// derived field (`connect_ms`, `secure_ms`, `query_ms`,
-    /// `response_ms`) that is not what `phases` makes it, a negative site
-    /// or attempt count — is `None`.
+    /// `response_ms`) that is not what `phases` makes it, a negative site,
+    /// retry accounting no probe makes (no attempt, an error list that is
+    /// not the burned attempts' plus, on a failure, its `error`, a
+    /// `ttfb_ms` or `ttlb_ms` other than [`RetryInfo`] derives), a ping
+    /// of [`NO_PING`] — is `None`.
     pub fn read_json_line(line: &str) -> Option<ProbeRecord> {
         // A derived field: read, and held to the sum of the phases it
         // repeats (a sum that overflows equals nothing).
@@ -735,13 +749,15 @@ impl ProbeRecord {
         let mut r = LineReader::new(line);
         r.eat("{")?;
         let retried = r.try_key(true, ATTEMPT_ERRORS);
-        let mut attempt_errors = Vec::new();
+        let mut attempt_errors = [ProbeErrorKind::ConnectTimeout; MAX_TRIES as usize];
+        let mut errors = 0;
         let mut attempts = 0;
         if retried {
             r.eat("[")?;
             if !r.try_eat("]") {
                 loop {
-                    attempt_errors.push(ProbeErrorKind::from_label(&r.string()?)?);
+                    *attempt_errors.get_mut(errors)? = ProbeErrorKind::from_label(&r.string()?)?;
+                    errors += 1;
                     if !r.try_eat(",") {
                         r.eat("]")?;
                         break;
@@ -749,7 +765,7 @@ impl ProbeRecord {
                 }
             }
             r.key(false, ATTEMPTS)?;
-            attempts = u32::try_from(r.int()?).ok()?;
+            attempts = r.int()?;
         }
         let lead = !retried;
         // Only the success shape has "cache_hit", and has it first.
@@ -795,9 +811,9 @@ impl ProbeRecord {
         }
         r.key(false, PING_MS)?;
         let ping = if r.try_eat("null") {
-            None
+            NO_PING
         } else {
-            Some(r.duration()?)
+            Some(r.duration()?).filter(|d| *d != NO_PING)?
         };
         r.key(false, PROTOCOL)?;
         let protocol = Protocol::from_label(&r.string()?)?;
@@ -814,7 +830,7 @@ impl ProbeRecord {
                 derived(&mut r, RESPONSE_MS, &timings, &Phase::ALL)?;
                 derived(&mut r, SECURE_MS, &timings, &[Phase::TlsHandshake])?;
                 r.key(false, SITE)?;
-                let site = usize::try_from(r.int()?).ok()?;
+                let site = u32::try_from(r.int()?).ok()?;
                 r.key(false, SUCCESS)?;
                 r.eat("true")?;
                 ProbeOutcome::Success {
@@ -836,12 +852,30 @@ impl ProbeRecord {
             let ttfb = r.duration()?;
             r.key(false, TTLB_MS)?;
             let ttlb = r.duration()?;
-            Some(RetryInfo {
-                attempts,
-                attempt_errors,
-                ttfb,
-                ttlb,
-            })
+            // The errors are the burned attempts', then a failure's own;
+            // the burned time is what a success's ttlb spends before its
+            // response time (a phase sum that fits: `response_ms` held).
+            let errors = &attempt_errors[..errors];
+            let (burned_errors, burned) = match outcome {
+                ProbeOutcome::Success { timings, .. } => (
+                    errors,
+                    ttlb.as_nanos().checked_sub(timings.total().as_nanos())?,
+                ),
+                ProbeOutcome::Failure { kind, .. } => match errors.split_last()? {
+                    (last, burned) if *last == kind => (burned, 0),
+                    _ => return None,
+                },
+            };
+            let info = RetryInfo::new(burned_errors, SimDuration::from_nanos(burned))?;
+            let derived = (
+                i64::from(info.attempts),
+                info.ttfb(&outcome),
+                info.ttlb(&outcome),
+            );
+            if derived != (attempts, ttfb, ttlb) {
+                return None;
+            }
+            Some(info)
         } else {
             None
         };
@@ -903,7 +937,7 @@ impl ProbeRecord {
                     ),
                 ));
                 pairs.push(("cache_hit", Json::Bool(*cache_hit)));
-                pairs.push(("site", Json::Int(*site as i64)));
+                pairs.push(("site", Json::Int(i64::from(*site))));
             }
             ProbeOutcome::Failure { kind, elapsed } => {
                 pairs.push(("success", Json::Bool(false)));
@@ -911,7 +945,7 @@ impl ProbeRecord {
                 pairs.push(("elapsed_ms", Json::Float(elapsed.as_millis_f64())));
             }
         }
-        if let Some(p) = self.ping {
+        if let Some(p) = self.ping() {
             pairs.push(("ping_ms", Json::Float(p.as_millis_f64())));
         } else {
             pairs.push(("ping_ms", Json::Null));
@@ -920,18 +954,18 @@ impl ProbeRecord {
             pairs.push(("conn_mode", Json::Str(mode.label().to_string())));
         }
         if let Some(info) = &self.retry {
-            pairs.push(("attempts", Json::Int(info.attempts as i64)));
+            let outcome = &self.outcome;
+            pairs.push(("attempts", Json::Int(i64::from(info.attempts))));
             pairs.push((
                 "attempt_errors",
                 Json::Array(
-                    info.attempt_errors
-                        .iter()
+                    info.attempt_errors(outcome)
                         .map(|e| Json::Str(e.label().to_string()))
                         .collect(),
                 ),
             ));
-            pairs.push(("ttfb_ms", Json::Float(info.ttfb.as_millis_f64())));
-            pairs.push(("ttlb_ms", Json::Float(info.ttlb.as_millis_f64())));
+            pairs.push(("ttfb_ms", Json::Float(info.ttfb(outcome).as_millis_f64())));
+            pairs.push(("ttlb_ms", Json::Float(info.ttlb(outcome).as_millis_f64())));
         }
         Json::object(pairs)
     }
@@ -968,7 +1002,7 @@ impl ProbeRecord {
             ProbeOutcome::Success {
                 timings,
                 cache_hit: v.get("cache_hit")?.as_bool()?,
-                site: v.get("site")?.as_i64()? as usize,
+                site: u32::try_from(v.get("site")?.as_i64()?).ok()?,
             }
         } else {
             ProbeOutcome::Failure {
@@ -977,23 +1011,37 @@ impl ProbeRecord {
             }
         };
         let ping = match v.get("ping_ms") {
-            Some(Json::Null) | None => None,
-            Some(p) => Some(SimDuration::from_millis_f64(p.as_f64()?)),
+            Some(Json::Null) | None => NO_PING,
+            Some(p) => Some(SimDuration::from_millis_f64(p.as_f64()?)).filter(|d| *d != NO_PING)?,
         };
         // Retry accounting is optional: pre-retry records simply lack the
-        // "attempts" key.
+        // "attempts" key. Of the rest, `ttfb_ms` is derived, like
+        // `connect_ms`; a success's `ttlb_ms` holds the time its burned
+        // attempts took, which a failure's `elapsed_ms` spans.
         let retry = match v.get("attempts") {
             Some(attempts) => {
-                let mut attempt_errors = Vec::new();
+                let mut errors = Vec::new();
                 for e in v.get("attempt_errors")?.as_array()? {
-                    attempt_errors.push(ProbeErrorKind::from_label(e.as_str()?)?);
+                    errors.push(ProbeErrorKind::from_label(e.as_str()?)?);
                 }
-                Some(RetryInfo {
-                    attempts: attempts.as_i64()? as u32,
-                    attempt_errors,
-                    ttfb: SimDuration::from_millis_f64(v.get("ttfb_ms")?.as_f64()?),
-                    ttlb: SimDuration::from_millis_f64(v.get("ttlb_ms")?.as_f64()?),
-                })
+                let (burned_errors, burned) = match &outcome {
+                    ProbeOutcome::Success { timings, .. } => {
+                        let ttlb = SimDuration::from_millis_f64(v.get("ttlb_ms")?.as_f64()?);
+                        let total = Phase::ALL.iter().fold(0u64, |sum, p| {
+                            sum.saturating_add(timings.phase(*p).as_nanos())
+                        });
+                        (
+                            &errors[..],
+                            ttlb.saturating_sub(SimDuration::from_nanos(total)),
+                        )
+                    }
+                    ProbeOutcome::Failure { .. } => (errors.split_last()?.1, SimDuration::ZERO),
+                };
+                let info = RetryInfo::new(burned_errors, burned)?;
+                if attempts.as_i64()? != i64::from(info.attempts) {
+                    return None;
+                }
+                Some(info)
             }
             None => None,
         };
@@ -1043,7 +1091,7 @@ mod tests {
                 cache_hit: true,
                 site: 0,
             },
-            ping: Some(SimDuration::from_millis_f64(7.0)),
+            ping: SimDuration::from_millis_f64(7.0),
             retry: None,
             conn_mode: None,
         }
@@ -1062,7 +1110,7 @@ mod tests {
                 kind: ProbeErrorKind::ConnectTimeout,
                 elapsed: SimDuration::from_secs(15),
             },
-            ping: None,
+            ping: NO_PING,
             retry: None,
             conn_mode: None,
         }
@@ -1072,7 +1120,7 @@ mod tests {
     fn success_round_trips_through_json() {
         let r = success_record();
         let j = r.to_json();
-        assert_eq!(ProbeRecord::from_json(&j), Some(r.clone()));
+        assert_eq!(ProbeRecord::from_json(&j), Some(r));
         // And through text.
         let text = j.to_string_compact();
         let back = crate::json::parse(&text).unwrap();
@@ -1197,7 +1245,7 @@ mod tests {
         }
         // A success record without a ping exercises the null branch.
         let mut r = success_record();
-        r.ping = None;
+        r.ping = NO_PING;
         let mut streamed = String::new();
         r.write_json_line(&mut streamed);
         assert_eq!(streamed, r.to_json().to_string_compact());
@@ -1233,7 +1281,7 @@ mod tests {
         let r = failure_record();
         let j = r.to_json();
         assert_eq!(j.get("ping_ms"), Some(&Json::Null));
-        assert_eq!(ProbeRecord::from_json(&j).unwrap().ping, None);
+        assert_eq!(ProbeRecord::from_json(&j).unwrap().ping(), None);
     }
 
     #[test]
@@ -1257,21 +1305,13 @@ mod tests {
     }
 
     fn retried_success() -> ProbeRecord {
-        success_record().with_retry(Some(RetryInfo {
-            attempts: 3,
-            attempt_errors: vec![ProbeErrorKind::ConnectTimeout, ProbeErrorKind::RateLimited],
-            ttfb: SimDuration::from_millis_f64(10_023.2),
-            ttlb: SimDuration::from_millis_f64(10_023.21),
-        }))
+        let burned = [ProbeErrorKind::ConnectTimeout, ProbeErrorKind::RateLimited];
+        success_record().with_retry(RetryInfo::new(&burned, SimDuration::from_secs(10)))
     }
 
     fn exhausted_failure() -> ProbeRecord {
-        failure_record().with_retry(Some(RetryInfo {
-            attempts: 3,
-            attempt_errors: vec![ProbeErrorKind::ConnectTimeout; 3],
-            ttfb: SimDuration::from_secs(15),
-            ttlb: SimDuration::from_secs(15),
-        }))
+        let burned = [ProbeErrorKind::ConnectTimeout; 2];
+        failure_record().with_retry(RetryInfo::new(&burned, SimDuration::ZERO))
     }
 
     #[test]
@@ -1328,12 +1368,8 @@ mod tests {
             assert_eq!(streamed, r.to_json().to_string_compact());
         }
         // Recovered on attempt 2: a success with a single burned attempt.
-        let r = success_record().with_retry(Some(RetryInfo {
-            attempts: 2,
-            attempt_errors: vec![ProbeErrorKind::TlsFailure],
-            ttfb: SimDuration::from_secs(5),
-            ttlb: SimDuration::from_secs(5),
-        }));
+        let burned = [ProbeErrorKind::TlsFailure];
+        let r = success_record().with_retry(RetryInfo::new(&burned, SimDuration::from_secs(5)));
         let mut streamed = String::new();
         r.write_json_line(&mut streamed);
         assert_eq!(streamed, r.to_json().to_string_compact());
@@ -1362,7 +1398,7 @@ mod tests {
     fn conn_mode_round_trips_through_json() {
         for base in [success_record(), failure_record(), retried_success()] {
             for mode in ConnectionMode::ALL {
-                let r = base.clone().with_conn_mode(Some(mode));
+                let r = base.with_conn_mode(Some(mode));
                 let text = r.to_json().to_string_compact();
                 assert!(
                     text.contains(&format!("\"conn_mode\":\"{}\"", mode.label())),
@@ -1385,7 +1421,7 @@ mod tests {
             exhausted_failure(),
         ] {
             for mode in ConnectionMode::ALL {
-                let r = base.clone().with_conn_mode(Some(mode));
+                let r = base.with_conn_mode(Some(mode));
                 let mut streamed = String::new();
                 r.write_json_line(&mut streamed);
                 assert_eq!(streamed, r.to_json().to_string_compact());

@@ -15,6 +15,7 @@
 //! stream, keeping `run_parallel(n)` bit-identical to `run()`.
 
 use crate::errors::ProbeErrorKind;
+use crate::results::ProbeOutcome;
 use netsim::{SimDuration, SimRng};
 use transport::RetryPolicy as FlightRetryPolicy;
 
@@ -22,6 +23,9 @@ use transport::RetryPolicy as FlightRetryPolicy;
 pub const DIG_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 /// `dig`'s stock try count (`+tries=3`).
 pub const DIG_TRIES: u32 = 3;
+/// The most tries a policy may make: a record keeps the error kinds of
+/// its burned attempts inline, in `MAX_TRIES - 1` slots.
+pub const MAX_TRIES: u32 = 8;
 
 /// A probe-level retry schedule: how many attempts, how long each may
 /// run, and how long to wait between them.
@@ -77,6 +81,11 @@ impl RetryPolicy {
     pub fn validate(&self) -> Result<(), String> {
         if self.tries == 0 {
             return Err("retry policy: tries must be >= 1".into());
+        }
+        if self.tries > MAX_TRIES {
+            return Err(format!(
+                "retry policy: tries must be <= {MAX_TRIES} (a record keeps its attempts inline)"
+            ));
         }
         if !(0.0..=1.0).contains(&self.jitter) {
             return Err("retry policy: jitter must be in [0, 1]".into());
@@ -189,32 +198,144 @@ impl Default for RetryPolicy {
 
 /// Per-attempt accounting for one retried probe, recorded in the probe
 /// record when the policy is [enabled](RetryPolicy::enabled).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// It keeps only what the probe's [`ProbeOutcome`] does not determine: the
+/// attempt count, the error kinds of the attempts before the final one,
+/// and the time they took. Everything else is derived from the pair of
+/// them — the full error list ([`attempt_errors`](Self::attempt_errors)),
+/// [`ttfb`](Self::ttfb), [`ttlb`](Self::ttlb) — so a record holds its
+/// accounting in 16 bytes, inline, with no heap behind it.
+#[derive(Clone, Copy, PartialEq)]
 pub struct RetryInfo {
-    /// Attempts actually made (1-based; `<= tries`).
-    pub attempts: u32,
-    /// Error kinds of the failed attempts, in attempt order. On a
-    /// recovered probe this holds the burned attempts; on an exhausted
-    /// probe the final attempt's error is the last element.
-    pub attempt_errors: Vec<ProbeErrorKind>,
-    /// Probe start to first response byte of the successful attempt
-    /// (equals [`ttlb`](Self::ttlb) minus decode time on success; equals
-    /// `ttlb` on failure).
-    pub ttfb: SimDuration,
-    /// Probe start to the end of the final attempt, burned attempts and
-    /// backoff waits included.
-    pub ttlb: SimDuration,
+    /// Attempts actually made (1-based; `<= tries <= MAX_TRIES`): the
+    /// burned ones and the final one.
+    pub attempts: u8,
+    /// The burned attempts' error kinds in attempt order: the first
+    /// `attempts - 1` slots; the rest hold [`Self::UNUSED`], so that equal
+    /// accounting compares equal.
+    burned_errors: [ProbeErrorKind; MAX_TRIES as usize - 1],
+    /// Probe start to the start of the final attempt: the burned
+    /// attempts and the backoff waits after them. Zero on a failure, whose
+    /// `elapsed` already spans every attempt.
+    burned: SimDuration,
 }
 
 impl RetryInfo {
-    /// Whether the probe succeeded only after burning earlier attempts.
-    pub fn recovered(&self) -> bool {
-        self.attempts > 1 && self.attempt_errors.len() < self.attempts as usize
+    /// What an unused error slot holds.
+    const UNUSED: ProbeErrorKind = ProbeErrorKind::ConnectTimeout;
+
+    /// One attempt, nothing burned: a probe whose first attempt was final.
+    pub(crate) const FIRST_TRY: RetryInfo = RetryInfo {
+        attempts: 1,
+        burned_errors: [Self::UNUSED; MAX_TRIES as usize - 1],
+        burned: SimDuration::ZERO,
+    };
+
+    /// The accounting of a probe whose attempts before the final one
+    /// failed with `burned_errors`, in order, and took `burned` in all.
+    /// `None` past [`MAX_TRIES`] attempts, or for time burned by no attempt.
+    pub fn new(burned_errors: &[ProbeErrorKind], burned: SimDuration) -> Option<RetryInfo> {
+        if burned_errors.is_empty() && burned != SimDuration::ZERO {
+            return None;
+        }
+        let mut info = RetryInfo::FIRST_TRY;
+        info.burned_errors
+            .get_mut(..burned_errors.len())?
+            .copy_from_slice(burned_errors);
+        info.attempts += burned_errors.len() as u8;
+        info.burned = burned;
+        Some(info)
     }
 
-    /// Whether every attempt failed.
-    pub fn exhausted(&self) -> bool {
-        !self.attempt_errors.is_empty() && self.attempt_errors.len() == self.attempts as usize
+    /// Adds a burned attempt that failed with `kind` and, with the wait
+    /// after it, took `spent`.
+    ///
+    /// # Panics
+    ///
+    /// On the [`MAX_TRIES`]th burned attempt, which a validated policy
+    /// never makes.
+    pub(crate) fn burn(&mut self, kind: ProbeErrorKind, spent: SimDuration) {
+        self.burned_errors[usize::from(self.attempts) - 1] = kind;
+        self.attempts += 1;
+        self.burned += spent;
+    }
+
+    /// The accounting as a failure records it: its `elapsed` spans the
+    /// burned time.
+    pub(crate) fn exhaust(self) -> RetryInfo {
+        RetryInfo {
+            burned: SimDuration::ZERO,
+            ..self
+        }
+    }
+
+    /// The time burned before the final attempt (zero on a failure).
+    pub fn burned(&self) -> SimDuration {
+        self.burned
+    }
+
+    /// The error kinds of the attempts before the final one.
+    pub fn burned_errors(&self) -> &[ProbeErrorKind] {
+        // `attempts` is public: a count no probe makes slices no further.
+        let burned = usize::from(self.attempts.saturating_sub(1));
+        &self.burned_errors[..burned.min(self.burned_errors.len())]
+    }
+
+    /// Every failed attempt's error kind, in attempt order: the burned
+    /// ones, then on a failure the final attempt's, which is the
+    /// outcome's.
+    pub fn attempt_errors(
+        &self,
+        outcome: &ProbeOutcome,
+    ) -> impl Iterator<Item = ProbeErrorKind> + '_ {
+        let last = match outcome {
+            ProbeOutcome::Success { .. } => None,
+            ProbeOutcome::Failure { kind, .. } => Some(*kind),
+        };
+        self.burned_errors().iter().copied().chain(last)
+    }
+
+    /// Probe start to the end of the final attempt, burned attempts and
+    /// backoff waits included: on a success the burned time plus the
+    /// response time, on a failure its `elapsed`.
+    pub fn ttlb(&self, outcome: &ProbeOutcome) -> SimDuration {
+        match outcome {
+            ProbeOutcome::Success { timings, .. } => self.burned + timings.total(),
+            ProbeOutcome::Failure { elapsed, .. } => *elapsed,
+        }
+    }
+
+    /// Probe start to the first response byte of the successful attempt:
+    /// [`ttlb`](Self::ttlb) less the decode time on a success, `ttlb` on a
+    /// failure.
+    pub fn ttfb(&self, outcome: &ProbeOutcome) -> SimDuration {
+        match outcome {
+            ProbeOutcome::Success { timings, .. } => {
+                self.ttlb(outcome).saturating_sub(timings.dns_decode)
+            }
+            ProbeOutcome::Failure { elapsed, .. } => *elapsed,
+        }
+    }
+
+    /// Whether the probe succeeded only after burning earlier attempts.
+    pub fn recovered(&self, outcome: &ProbeOutcome) -> bool {
+        outcome.is_success() && self.attempts > 1
+    }
+
+    /// Whether every attempt failed: a failure under an enabled policy
+    /// always spends the whole budget.
+    pub fn exhausted(&self, outcome: &ProbeOutcome) -> bool {
+        !outcome.is_success()
+    }
+}
+
+impl std::fmt::Debug for RetryInfo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RetryInfo")
+            .field("attempts", &self.attempts)
+            .field("burned_errors", &self.burned_errors())
+            .field("burned", &self.burned)
+            .finish()
     }
 }
 
@@ -318,30 +439,74 @@ mod tests {
     }
 
     #[test]
+    fn validate_bounds_tries_by_the_inline_capacity() {
+        let mut p = RetryPolicy::dig_defaults();
+        p.tries = MAX_TRIES;
+        assert_eq!(p.validate(), Ok(()));
+        p.tries = MAX_TRIES + 1;
+        let err = p.validate().unwrap_err();
+        assert!(err.contains("tries must be <= 8"), "{err}");
+        // The most attempts a validated policy makes fit a record.
+        let burned = [ProbeErrorKind::QueryTimeout; MAX_TRIES as usize - 1];
+        let mut info = RetryInfo::FIRST_TRY;
+        for kind in burned {
+            info.burn(kind, SimDuration::from_secs(5));
+        }
+        assert_eq!(u32::from(info.attempts), MAX_TRIES);
+        assert_eq!(
+            RetryInfo::new(&burned, SimDuration::from_secs(35)),
+            Some(info)
+        );
+        assert_eq!(
+            RetryInfo::new(&[burned[0]; MAX_TRIES as usize], SimDuration::ZERO),
+            None
+        );
+    }
+
+    fn success(total_ms: u64, decode_ms: u64) -> ProbeOutcome {
+        ProbeOutcome::Success {
+            timings: crate::results::ProbeTimings {
+                connect: SimDuration::from_millis(total_ms - decode_ms),
+                dns_decode: SimDuration::from_millis(decode_ms),
+                ..Default::default()
+            },
+            cache_hit: false,
+            site: 0,
+        }
+    }
+
+    #[test]
     fn retry_info_classification() {
-        let recovered = RetryInfo {
-            attempts: 3,
-            attempt_errors: vec![ProbeErrorKind::ConnectTimeout; 2],
-            ttfb: SimDuration::from_secs(10),
-            ttlb: SimDuration::from_secs(10),
+        let timeout = ProbeErrorKind::ConnectTimeout;
+        let recovered = RetryInfo::new(&[timeout; 2], SimDuration::from_secs(10)).unwrap();
+        let ok = success(42, 2);
+        assert!(recovered.recovered(&ok));
+        assert!(!recovered.exhausted(&ok));
+        assert_eq!(recovered.ttlb(&ok), SimDuration::from_millis(10_042));
+        assert_eq!(recovered.ttfb(&ok), SimDuration::from_millis(10_040));
+        assert_eq!(recovered.attempt_errors(&ok).count(), 2);
+
+        let exhausted = RetryInfo::new(&[timeout; 2], SimDuration::ZERO).unwrap();
+        let failed = ProbeOutcome::Failure {
+            kind: ProbeErrorKind::QueryTimeout,
+            elapsed: SimDuration::from_secs(15),
         };
-        assert!(recovered.recovered());
-        assert!(!recovered.exhausted());
-        let exhausted = RetryInfo {
-            attempts: 3,
-            attempt_errors: vec![ProbeErrorKind::ConnectTimeout; 3],
-            ttfb: SimDuration::from_secs(15),
-            ttlb: SimDuration::from_secs(15),
-        };
-        assert!(!exhausted.recovered());
-        assert!(exhausted.exhausted());
-        let clean = RetryInfo {
-            attempts: 1,
-            attempt_errors: Vec::new(),
-            ttfb: SimDuration::from_millis(40),
-            ttlb: SimDuration::from_millis(42),
-        };
-        assert!(!clean.recovered());
-        assert!(!clean.exhausted());
+        assert!(!exhausted.recovered(&failed));
+        assert!(exhausted.exhausted(&failed));
+        assert_eq!(exhausted.ttfb(&failed), SimDuration::from_secs(15));
+        assert_eq!(exhausted.ttlb(&failed), SimDuration::from_secs(15));
+        assert_eq!(
+            exhausted.attempt_errors(&failed).collect::<Vec<_>>(),
+            [timeout, timeout, ProbeErrorKind::QueryTimeout]
+        );
+
+        let clean = RetryInfo::FIRST_TRY;
+        assert!(!clean.recovered(&ok));
+        assert!(!clean.exhausted(&ok));
+        assert_eq!(clean.ttlb(&ok), SimDuration::from_millis(42));
+        assert_eq!(clean.ttfb(&ok), SimDuration::from_millis(40));
+        // A first try burns no time.
+        assert_eq!(RetryInfo::new(&[], SimDuration::ZERO), Some(clean));
+        assert_eq!(RetryInfo::new(&[], SimDuration::from_nanos(1)), None);
     }
 }

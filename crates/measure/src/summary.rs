@@ -80,7 +80,7 @@ impl StreamingSummary {
             }
             ProbeOutcome::Failure { .. } => cell.failures += 1,
         }
-        if let Some(p) = record.ping {
+        if let Some(p) = record.ping() {
             cell.ping.observe(p.as_millis_f64());
         }
     }

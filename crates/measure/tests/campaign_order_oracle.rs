@@ -28,7 +28,7 @@ fn oracle(c: &Campaign) -> Vec<ProbeRecord> {
     for (_, pair) in generated.pairs() {
         let Some(first) = pair.first() else { continue };
         let occurrence = seen.entry((first.vantage(), first.resolver())).or_default();
-        records.extend(pair.iter().map(|r| (*occurrence, r.clone())));
+        records.extend(pair.iter().map(|r| (*occurrence, *r)));
         *occurrence += 1;
     }
     let key = |(k, r): &(usize, ProbeRecord)| (r.at, r.vantage(), r.resolver(), *k, r.domain());

@@ -133,6 +133,15 @@ fn held<T>(f: impl FnOnce() -> T) -> (T, isize) {
 }
 
 #[test]
+fn a_record_is_copy_in_104_bytes() {
+    fn copy<T: Copy>() {}
+    copy::<ProbeRecord>();
+    let size = size_of::<ProbeRecord>();
+    println!("ProbeRecord: {size} B, Copy");
+    assert!(size <= 104, "ProbeRecord is {size} B, over 104");
+}
+
+#[test]
 fn an_in_memory_campaign_holds_each_record_once() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     // Warm up lazy statics (catalog tables, the label interner) outside

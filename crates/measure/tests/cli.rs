@@ -165,7 +165,8 @@ fn observe_writes_the_recorder_and_unknown_flags_are_refused() {
 
     // (b) A retired recorder flag, a misspelt flag, a value flag at the
     // end of the line and --days beside --scale each fail naming the
-    // flag, before anything runs.
+    // flag, and --retries past what a record holds naming the bound,
+    // before anything runs.
     let replaced = "was replaced by --observe DIR";
     for (tail, flag, why) in [
         (&["--events", "x"][..], "--events", replaced),
@@ -173,6 +174,7 @@ fn observe_writes_the_recorder_and_unknown_flags_are_refused() {
         (&["--sede", "3"][..], "--sede", "unknown flag"),
         (&["--seed"][..], "--seed", "requires a value"),
         (&["--days", "3"][..], "--days", "--scale"),
+        (&["--retries", "9"][..], "tries", "<= 8"),
     ] {
         let run = edns_measure(&[&quick[..], &["refused.jsonl"], tail].concat(), &dir);
         assert!(!run.status.success(), "{tail:?}");

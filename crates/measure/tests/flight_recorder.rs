@@ -151,7 +151,7 @@ fn drift_findings_are_journaled_under_their_code() {
         .records
         .iter()
         .filter(|r| matches!(r.outcome, ProbeOutcome::Failure { .. }))
-        .filter(|r| r.retry.as_ref().is_some_and(|retry| retry.exhausted()))
+        .filter(|r| r.retry.is_some_and(|retry| retry.exhausted(&r.outcome)))
         .count();
     assert!(exhausted > 0, "the seeded fault plan must exhaust retries");
     let journaled = exported

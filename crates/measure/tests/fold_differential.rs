@@ -30,7 +30,7 @@ fn aggregate_oracle(records: &[ProbeRecord]) -> BTreeMap<(Label, Label), Aggrega
             }
             ProbeOutcome::Failure { kind, .. } => cell.availability.error(*kind),
         }
-        if let Some(ping) = r.ping {
+        if let Some(ping) = r.ping() {
             cell.ping.observe(ping.as_millis_f64());
         }
     }

@@ -12,7 +12,7 @@
 use measure::json;
 use measure::{
     Campaign, CampaignConfig, ConnectionMode, Label, LoadModel, ProbeErrorKind, ProbeOutcome,
-    ProbeRecord, Protocol, RetryInfo, RetryPolicy, SessionConfig,
+    ProbeRecord, ProbeTimings, Protocol, RetryInfo, RetryPolicy, SessionConfig,
 };
 use netsim::{Region, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -132,54 +132,178 @@ fn every_flavour_and_protocol_reads_like_the_tree() {
 
 /// Both shapes in every combination of the optional keys, with a vantage
 /// label that needs each escape the writer can emit — the lines a
-/// campaign cannot be relied on to produce.
+/// campaign cannot be relied on to produce. The retry accounting is what
+/// the engine makes for each shape: a first-try success, a success
+/// recovered after two burned attempts, a failure on its only attempt and
+/// one that exhausted three.
 #[test]
 fn hand_built_records_round_trip_through_both_paths() {
-    let retry = RetryInfo {
-        attempts: 2,
-        attempt_errors: vec![ProbeErrorKind::ConnectTimeout, ProbeErrorKind::QueryTimeout],
-        ttfb: SimDuration::from_secs(5),
-        ttlb: SimDuration::from_millis_f64(5_000.25),
+    use ProbeErrorKind::{ConnectTimeout, QueryTimeout};
+    let success = ProbeOutcome::Success {
+        timings: ProbeTimings::from_legs(
+            SimDuration::from_nanos(5_200),
+            SimDuration::from_millis_f64(7.2),
+            SimDuration::from_millis_f64(8.1),
+            SimDuration::from_millis_f64(7.9),
+            SimDuration::from_millis_f64(0.5),
+            SimDuration::from_nanos(6_000),
+        ),
+        cache_hit: false,
+        site: 3,
     };
+    let failure = ProbeOutcome::Failure {
+        kind: ConnectTimeout,
+        elapsed: SimDuration::from_secs(15),
+    };
+    let shapes = [
+        (success, None),
+        (success, RetryInfo::new(&[], SimDuration::ZERO)),
+        (
+            success,
+            RetryInfo::new(
+                &[ConnectTimeout, QueryTimeout],
+                SimDuration::from_millis_f64(10_000.25),
+            ),
+        ),
+        (failure, None),
+        (failure, RetryInfo::new(&[], SimDuration::ZERO)),
+        (
+            failure,
+            RetryInfo::new(&[QueryTimeout, ConnectTimeout], SimDuration::ZERO),
+        ),
+    ];
     for vantage in ["home-1", "we\"ird\\van\ntage\r\t\u{1}\u{1f}é漢"] {
-        for retry in [None, Some(retry.clone())] {
+        for (outcome, retry) in shapes {
             for mode in [
                 None,
                 Some(ConnectionMode::Cold),
                 Some(ConnectionMode::Reused),
             ] {
-                for outcome in [
-                    ProbeOutcome::Failure {
-                        kind: ProbeErrorKind::ConnectTimeout,
-                        elapsed: SimDuration::from_secs(15),
-                    },
-                    ProbeOutcome::Success {
-                        timings: Default::default(),
-                        cache_hit: false,
-                        site: 3,
-                    },
-                ] {
-                    let record = ProbeRecord::new(
-                        SimTime::from_nanos(86_400_000_000_123),
-                        Label::intern(vantage),
-                        Label::intern("doh.example"),
-                        Region::Europe,
-                        false,
-                        Label::intern("amazon.com"),
-                        Protocol::DoH,
-                        outcome,
-                        None,
-                    )
-                    .with_retry(retry.clone())
-                    .with_conn_mode(mode);
-                    let mut line = String::new();
-                    record.write_json_line(&mut line);
-                    assert_reads_like_the_tree(&line, "hand-built");
-                    assert_eq!(ProbeRecord::read_json_line(&line), Some(record));
-                }
+                let record = ProbeRecord::new(
+                    SimTime::from_nanos(86_400_000_000_123),
+                    Label::intern(vantage),
+                    Label::intern("doh.example"),
+                    Region::Europe,
+                    false,
+                    Label::intern("amazon.com"),
+                    Protocol::DoH,
+                    outcome,
+                    None,
+                )
+                .with_retry(retry)
+                .with_conn_mode(mode);
+                let mut line = String::new();
+                record.write_json_line(&mut line);
+                assert_reads_like_the_tree(&line, "hand-built");
+                assert_eq!(ProbeRecord::read_json_line(&line), Some(record));
             }
         }
     }
+}
+
+/// Retry accounting no probe makes: the engine writes a success's burned
+/// attempts and a failure's as well as its final `error`, one attempt at
+/// least, and the `ttfb_ms` and `ttlb_ms` that the outcome and the burned
+/// time make. The strict reader holds a line to all of that.
+#[test]
+fn retry_accounting_the_engine_never_writes_is_declined() {
+    let fixture = include_str!("golden/campaign_seed4_retries.jsonl");
+    let line = |prefix: &str| {
+        fixture
+            .lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no line starts {prefix}"))
+    };
+    let first_try = line(r#"{"attempt_errors":[],"attempts":1,"cache_hit""#);
+    let recovered = line(r#"{"attempt_errors":["connect_timeout"],"attempts":2,"cache_hit""#);
+    let exhausted = line(
+        r#"{"attempt_errors":["connect_timeout","connect_timeout","connect_timeout"],"attempts":3,"domain""#,
+    );
+    for engine_line in [first_try, recovered, exhausted] {
+        assert_reads_like_the_tree(engine_line, "fixture");
+    }
+    let nudged_both = |l: &str| nudged(&nudged(l, "ttfb_ms"), "ttlb_ms");
+    for (what, text) in [
+        (
+            "no attempt",
+            first_try.replacen(r#""attempts":1"#, r#""attempts":0"#, 1),
+        ),
+        (
+            "more errors than attempts",
+            recovered.replacen(
+                r#"["connect_timeout"],"attempts":2"#,
+                r#"["connect_timeout","connect_timeout","connect_timeout"],"attempts":2"#,
+                1,
+            ),
+        ),
+        (
+            "a success with as many errors as attempts",
+            recovered.replacen(
+                r#"["connect_timeout"],"attempts":2"#,
+                r#"["connect_timeout","connect_timeout"],"attempts":2"#,
+                1,
+            ),
+        ),
+        (
+            "a success with fewer errors than attempts - 1",
+            recovered.replacen(r#""attempts":2"#, r#""attempts":3"#, 1),
+        ),
+        (
+            "a failure with fewer errors than attempts",
+            exhausted.replacen(
+                r#","connect_timeout"],"attempts":3"#,
+                r#"],"attempts":3"#,
+                1,
+            ),
+        ),
+        (
+            "a failure whose last error is not its error",
+            exhausted.replacen(
+                r#""connect_timeout"],"attempts":3"#,
+                r#""query_timeout"],"attempts":3"#,
+                1,
+            ),
+        ),
+        (
+            "a success's ttfb off its ttlb",
+            nudged(recovered, "ttfb_ms"),
+        ),
+        (
+            "a success's ttlb off its ttfb",
+            nudged(recovered, "ttlb_ms"),
+        ),
+        ("a first try that burned time", nudged_both(first_try)),
+        (
+            "a failure's ttfb off its elapsed",
+            nudged(exhausted, "ttfb_ms"),
+        ),
+        (
+            "a failure's ttlb off its elapsed",
+            nudged(exhausted, "ttlb_ms"),
+        ),
+        ("a failure's legs off its elapsed", nudged_both(exhausted)),
+        (
+            "a ping of 2^64 - 1 ns",
+            with_number(recovered, "ping_ms", |_| {
+                "18446744073709.551615".to_string()
+            }),
+        ),
+    ] {
+        assert!(
+            ![first_try, recovered, exhausted].contains(&text.as_str()),
+            "{what}"
+        );
+        assert_eq!(ProbeRecord::read_json_line(&text), None, "{what}: {text}");
+        assert!(text.parse::<ProbeRecord>().is_err(), "{what}");
+    }
+    // `ttfb_ms` is derived and the tree path never looked at it; a
+    // success's `ttlb_ms` holds its burned time, and moving it and
+    // `ttfb_ms` together is another engine line.
+    let record = ProbeRecord::read_json_line(recovered).unwrap();
+    assert_eq!(tree(&nudged(recovered, "ttfb_ms")), Some(record));
+    let later = ProbeRecord::read_json_line(&nudged_both(recovered)).expect("an engine line");
+    let burned = |r: &ProbeRecord| r.retry.unwrap().burned().as_nanos();
+    assert_eq!(burned(&later), burned(&record) + 1);
 }
 
 #[test]

@@ -109,7 +109,7 @@ proptest! {
             "elapsed {:?} exceeds budget {:?}", elapsed, bound
         );
         let info = retry.expect("policy with a timeout records attempts");
-        prop_assert_eq!(info.attempts, policy.tries);
-        prop_assert_eq!(info.ttlb, elapsed);
+        prop_assert_eq!(u32::from(info.attempts), policy.tries);
+        prop_assert_eq!(info.ttlb(&outcome), elapsed);
     }
 }

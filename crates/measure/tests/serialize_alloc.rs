@@ -1,7 +1,8 @@
 //! Proves the campaign hot path is allocation-free per record after
 //! warm-up: building a `ProbeRecord` from interned labels, streaming it
-//! as a JSON line into a pre-grown buffer, reading that line back, and
-//! folding it into an existing metrics cell must not touch the heap.
+//! as a JSON line into a pre-grown buffer, reading that line back (retry
+//! accounting included), and folding it into an existing metrics cell
+//! must not touch the heap.
 //!
 //! The counter counts the measuring thread only: the test harness's own
 //! thread allocates while it prints, at a moment of its choosing, and a
@@ -11,7 +12,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use measure::{observe_record, ProbeOutcome, ProbeRecord, ProbeTimings, Protocol};
+use measure::{
+    observe_record, ProbeErrorKind, ProbeOutcome, ProbeRecord, ProbeTimings, Protocol, RetryInfo,
+};
 use netsim::{SimDuration, SimTime};
 use obs::{Label, MetricsRegistry};
 
@@ -146,6 +149,32 @@ fn record_build_serialize_and_observe_are_allocation_free() {
     assert_eq!(
         parse, 0,
         "reading a JSONL line back allocated {parse} times per 100 records"
+    );
+
+    // Retry accounting is inline: the lines of a recovered success and of
+    // an exhausted failure write and read back without the heap too.
+    let burned = [ProbeErrorKind::ConnectTimeout, ProbeErrorKind::RateLimited];
+    let recovered = record.with_retry(RetryInfo::new(&burned, SimDuration::from_secs(10)));
+    let mut exhausted = recovered.with_retry(RetryInfo::new(&burned, SimDuration::ZERO));
+    exhausted.outcome = ProbeOutcome::Failure {
+        kind: ProbeErrorKind::QueryTimeout,
+        elapsed: SimDuration::from_secs(15),
+    };
+    let retried = [recovered, exhausted];
+    let mut reads = [None; 2];
+    let retry = allocations_during(|| {
+        for _ in 0..100 {
+            for (r, read) in retried.iter().zip(&mut reads) {
+                buf.clear();
+                r.write_json_line(&mut buf);
+                *read = ProbeRecord::read_json_line(&buf);
+            }
+        }
+    });
+    assert_eq!(reads, retried.map(Some));
+    assert_eq!(
+        retry, 0,
+        "writing and reading retried lines allocated {retry} times per 200 records"
     );
 
     // Metrics: the record's cell and error entries already exist, so each

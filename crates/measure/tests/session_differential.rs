@@ -535,7 +535,7 @@ fn a_reused_connection_is_always_to_the_site_it_was_opened_to() {
     let idle = SimDuration::from_secs(240);
     let (mut reused, mut moved_while_pooled) = (0, 0);
     for series in by_vantage(&result.records) {
-        let mut previous: Option<(SimTime, usize)> = None;
+        let mut previous: Option<(SimTime, u32)> = None;
         for r in series {
             let ProbeOutcome::Success { site, .. } = r.outcome else {
                 previous = None;

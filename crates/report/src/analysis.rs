@@ -95,7 +95,7 @@ impl Dataset {
     /// resolvers).
     pub fn ping_series(&self, group: &VantageGroup, resolver: &str) -> Vec<f64> {
         self.cell(group, resolver)
-            .filter_map(|r| r.ping)
+            .filter_map(|r| r.ping())
             .map(|d| d.as_millis_f64())
             .collect()
     }
@@ -156,11 +156,8 @@ impl Dataset {
         let mut exhausted = 0u64;
         for r in &self.records {
             if let Some(retry) = &r.retry {
-                match &r.outcome {
-                    ProbeOutcome::Success { .. } if retry.recovered() => recovered += 1,
-                    ProbeOutcome::Failure { .. } if retry.exhausted() => exhausted += 1,
-                    _ => {}
-                }
+                recovered += u64::from(retry.recovered(&r.outcome));
+                exhausted += u64::from(retry.exhausted(&r.outcome));
             }
         }
         (recovered, exhausted)

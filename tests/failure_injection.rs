@@ -375,17 +375,15 @@ fn failure_mode_matrix_pins_classification_and_attempt_accounting() {
                     .as_ref()
                     .unwrap_or_else(|| panic!("{label}: enabled policy must record attempts"));
                 assert_eq!(
-                    info.attempts, policy.tries,
+                    u32::from(info.attempts),
+                    policy.tries,
                     "{label}: persistent faults burn the whole budget"
                 );
-                assert_eq!(info.attempt_errors.len() as u32, policy.tries, "{label}");
-                assert!(
-                    info.attempt_errors.iter().all(|k| *k == expected),
-                    "{label}: {:?}",
-                    info.attempt_errors
-                );
-                assert!(info.exhausted(), "{label}");
-                assert!(!info.recovered(), "{label}");
+                let errors: Vec<_> = info.attempt_errors(&outcome).collect();
+                assert_eq!(errors.len() as u32, policy.tries, "{label}");
+                assert!(errors.iter().all(|k| *k == expected), "{label}: {errors:?}");
+                assert!(info.exhausted(&outcome), "{label}");
+                assert!(!info.recovered(&outcome), "{label}");
                 if let Some(bound) = policy.max_total() {
                     assert!(
                         elapsed <= bound,
@@ -437,9 +435,9 @@ fn transient_fault_windows_recover_between_attempts() {
     assert!(outcome.is_success(), "{outcome:?}");
     let info = retry.expect("enabled policy records attempts");
     assert_eq!(info.attempts, 2, "recovered on the second attempt");
-    assert_eq!(info.attempt_errors, vec![ProbeErrorKind::ConnectTimeout]);
-    assert!(info.recovered());
-    assert!(!info.exhausted());
+    assert_eq!(info.burned_errors(), [ProbeErrorKind::ConnectTimeout]);
+    assert!(info.recovered(&outcome));
+    assert!(!info.exhausted(&outcome));
 }
 
 #[test]

@@ -84,11 +84,8 @@ fn retries_absorb_transient_faults() {
     let mut exhausted = 0u64;
     for r in &result.records {
         if let Some(retry) = &r.retry {
-            match &r.outcome {
-                ProbeOutcome::Success { .. } if retry.recovered() => recovered += 1,
-                ProbeOutcome::Failure { .. } if retry.exhausted() => exhausted += 1,
-                _ => {}
-            }
+            recovered += u64::from(retry.recovered(&r.outcome));
+            exhausted += u64::from(retry.exhausted(&r.outcome));
         }
     }
     assert!(

@@ -98,12 +98,12 @@ fn ping_data_is_present_for_responders_absent_for_filterers() {
     let google_pings: usize = d
         .records
         .iter()
-        .filter(|r| r.resolver() == "dns.google" && r.ping.is_some())
+        .filter(|r| r.resolver() == "dns.google" && r.ping().is_some())
         .count();
     let njalla_pings: usize = d
         .records
         .iter()
-        .filter(|r| r.resolver() == "dns.njal.la" && r.ping.is_some())
+        .filter(|r| r.resolver() == "dns.njal.la" && r.ping().is_some())
         .count();
     assert!(google_pings > 0);
     assert_eq!(njalla_pings, 0, "njal.la filters ICMP");
