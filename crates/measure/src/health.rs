@@ -192,12 +192,15 @@ impl HealthSeries {
     /// The (resolver, day) rows that saw a probe, in (resolver hostname,
     /// day) order. Deterministic and shard-count-independent.
     pub fn resolver_rows(&self) -> Vec<HealthRow> {
-        let rows = self.present_rows().map(|(resolver, day, cell)| HealthRow {
+        // One buffer of the table's size: a collect from the flat map would
+        // double its way there, a reallocation per step.
+        let mut rows = Vec::with_capacity(self.rows.len());
+        rows.extend(self.present_rows().map(|(resolver, day, cell)| HealthRow {
             resolver,
             day,
             cell: cell.clone(),
-        });
-        rows.collect()
+        }));
+        rows
     }
 
     /// Exports the (resolver, day) timeseries as JSONL, one row per line
