@@ -278,7 +278,7 @@ mod tests {
         let mut e = sample_entry();
         e.proc_override_ms = 9.0;
         let inst = e.instantiate();
-        assert_eq!(inst.servers[0].profile.proc_median_ms, 9.0);
+        assert_eq!(inst.servers[0].profile().proc_median_ms, 9.0);
     }
 
     #[test]

@@ -490,11 +490,12 @@ impl Campaign {
     /// The generation stage: runs every (vantage, resolver) pair across
     /// `threads` threads, the calling thread one of them, and returns
     /// their records in one campaign-sized buffer, pair after pair, each
-    /// pair's in canonical order. The pairs go through the sharded
+    /// pair's in canonical order. On one thread each pair writes straight
+    /// into that buffer. On more, the pairs go through the sharded
     /// engine's [`hand_off`]: every thread claims the next pair and runs
-    /// it, and the calling thread appends each pair's records in pair
-    /// order and frees the pair's own vector, so output is independent of
-    /// the thread count. [`assemble`](Self::assemble) permutes the buffer
+    /// it into a vector of its own, and the calling thread appends each
+    /// pair's records in pair order and frees that vector, so output is
+    /// independent of the thread count. [`assemble`](Self::assemble) permutes the buffer
     /// into a [`CampaignResult`]; split out so the bench harness can time
     /// generation separately from assembly.
     pub fn generate(&self, threads: usize) -> GeneratedPairs {
@@ -502,7 +503,7 @@ impl Campaign {
     }
 
     /// [`generate`](Self::generate) over either wire source (see
-    /// [`run_pair_over`](Self::run_pair_over)).
+    /// [`run_pair_into`](Self::run_pair_into)).
     fn generate_over(&self, threads: usize, cached: bool) -> GeneratedPairs {
         // The record buffer is the run's first allocation. A previous
         // run's buffer, freed, leaves a hole of exactly its size in the
@@ -512,21 +513,33 @@ impl Campaign {
         // by a buffer from one run to the next.
         let mut records = Vec::with_capacity(self.probe_count());
         let plans = self.pair_plans();
-        let pending: Vec<u32> = (0..plans.len() as u32).collect();
         let mut starts = Vec::with_capacity(plans.len() + 1);
         starts.push(0);
-        let (generated, _) = hand_off(
-            &pending,
-            threads.saturating_sub(1),
-            |pair| self.run_pair_over(&plans[pair as usize], cached),
-            Ok::<_, Infallible>,
-            |mut pair| {
-                records.append(&mut pair);
+        if threads <= 1 {
+            // One lane: each pair writes straight into the campaign buffer.
+            for plan in &plans {
+                self.run_pair_into(plan, cached, &mut records);
                 starts.push(records.len());
-                Ok(())
-            },
-        );
-        let Ok(()) = generated;
+            }
+        } else {
+            let pending: Vec<u32> = (0..plans.len() as u32).collect();
+            let (generated, _) = hand_off(
+                &pending,
+                threads - 1,
+                |pair| {
+                    let mut records = Vec::new();
+                    self.run_pair_into(&plans[pair as usize], cached, &mut records);
+                    records
+                },
+                Ok::<_, Infallible>,
+                |mut pair| {
+                    records.append(&mut pair);
+                    starts.push(records.len());
+                    Ok(())
+                },
+            );
+            let Ok(()) = generated;
+        }
         GeneratedPairs {
             plans,
             records,
@@ -599,16 +612,18 @@ impl Campaign {
     /// wire templates — is hoisted into a [`PairContext`] built once here
     /// and borrowed by every probe.
     pub(crate) fn run_pair(&self, plan: &PairPlan) -> Vec<ProbeRecord> {
-        self.run_pair_over(plan, true)
+        let mut records = Vec::new();
+        self.run_pair_into(plan, true, &mut records);
+        records
     }
 
-    /// [`run_pair`](Self::run_pair) over either wire source. With `cached`
-    /// off nothing outlives a probe except what the model says does (the
-    /// resolver's caches, the session state, the RNG stream): each probe
-    /// is routed, resolves its faults against the whole plan, rebuilds the
-    /// pair's load tables and encodes and re-parses every wire, through
-    /// [`Prober::probe_fresh`].
-    fn run_pair_over(&self, plan: &PairPlan, cached: bool) -> Vec<ProbeRecord> {
+    /// [`run_pair`](Self::run_pair) over either wire source, appending the
+    /// pair's records to `records`. With `cached` off nothing outlives a
+    /// probe except what the model says does (the resolver's caches, the
+    /// session state, the RNG stream): each probe is routed, resolves its
+    /// faults against the whole plan, rebuilds the pair's load tables and
+    /// encodes and re-parses every wire, through [`Prober::probe_fresh`].
+    fn run_pair_into(&self, plan: &PairPlan, cached: bool, records: &mut Vec<ProbeRecord>) {
         let vantage = &plan.vantage;
         let entry = &plan.entry;
         let cfg = self.config.probe;
@@ -649,7 +664,8 @@ impl Campaign {
         // Each slot's probe, in slot order: where `place` takes records from.
         let slots = self.slots(vantage.label).into_iter().map(|s| s.probe);
         let mut sources: Vec<u32> = slots.collect();
-        let mut records = Vec::with_capacity(sources.len());
+        let base = records.len();
+        records.reserve_exact(sources.len());
         for (at, domain_idx) in self.schedule(vantage.label) {
             let domain = &self.domains[domain_idx];
             let session = session_cfg.zip(session.as_mut());
@@ -708,8 +724,7 @@ impl Campaign {
         }
         // Probes run in schedule order (the RNG stream depends on it);
         // each record then moves to its slot.
-        place(&mut records, &mut sources);
-        records
+        place(&mut records[base..], &mut sources);
     }
 }
 

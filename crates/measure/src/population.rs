@@ -38,6 +38,7 @@ use catalog::ResolverEntry;
 use detlint_macros::rng_neutral;
 use netsim::faults::{hash_decision, FaultTarget};
 use netsim::geo::{cities, Region};
+use netsim::math;
 use netsim::rng::{derive_seed, splitmix64};
 use netsim::{AccessProfile, Host, HostId, Path, SimTime};
 use resolver_sim::{QueueModel, ResolverInstance, SiteLoad};
@@ -69,7 +70,7 @@ impl RegionDemand {
         let base = self.clients * self.queries_per_client_day / 86_400.0;
         let hour = (now.as_secs() % 86_400) as f64 / 3_600.0;
         let phase = (hour - self.peak_hour) / 24.0 * std::f64::consts::TAU;
-        base * (1.0 + self.diurnal_amplitude * phase.cos()).max(0.0)
+        base * (1.0 + self.diurnal_amplitude * math::cos(phase)).max(0.0)
     }
 }
 
@@ -344,7 +345,7 @@ impl PairLoad {
                 .instance
                 .servers
                 .iter()
-                .map(|s| s.profile.queue())
+                .map(|s| s.profile().queue())
                 .collect(),
             offered: vec![0.0; dep.sites.len()],
         }

@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use crate::math;
+
 /// A point on the Earth's surface in decimal degrees.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
@@ -83,8 +85,9 @@ impl GeoPoint {
         let (lat2, lon2) = (other.lat.to_radians(), other.lon.to_radians());
         let dlat = lat2 - lat1;
         let dlon = lon2 - lon1;
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
-        2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
+        let a = math::sin(dlat / 2.0).powi(2)
+            + math::cos(lat1) * math::cos(lat2) * math::sin(dlon / 2.0).powi(2);
+        2.0 * EARTH_RADIUS_KM * math::asin(a.sqrt())
     }
 
     /// One-way light-in-fiber propagation delay to `other`, in milliseconds,

@@ -7,7 +7,7 @@
 
 use crate::geo::GeoPoint;
 use crate::node::AccessProfile;
-use crate::rng::SimRng;
+use crate::rng::{LogNormal, SimRng};
 use crate::time::SimDuration;
 
 /// Relative log-space sigma of the wide-area segment. Backbone paths are
@@ -40,14 +40,25 @@ impl Traversal {
 }
 
 /// An end-to-end unidirectional path model between a client and a server.
+///
+/// Its endpoints and their distance are fixed when it is built, and so
+/// are the three log-normal delays a traversal draws: each holds its
+/// `ln(median)`, taken once here rather than on every draw. Only the
+/// per-attempt extras below may change afterwards.
 #[derive(Debug, Clone)]
 pub struct Path {
     /// Client access model.
-    pub client_access: AccessProfile,
+    client_access: AccessProfile,
     /// Server access model.
-    pub server_access: AccessProfile,
+    server_access: AccessProfile,
     /// Base wide-area one-way propagation delay, milliseconds.
-    pub wan_base_ms: f64,
+    wan_base_ms: f64,
+    /// The wide-area delay: median `wan_base_ms`, sigma [`WAN_SIGMA`].
+    wan: LogNormal,
+    /// The client access network's delay before spikes.
+    client: LogNormal,
+    /// The server access network's delay before spikes.
+    server: LogNormal,
     /// Additional per-traversal loss applied to this path (e.g. a lossy
     /// route to a badly peered resolver).
     pub extra_loss: f64,
@@ -64,10 +75,14 @@ impl Path {
         server_loc: GeoPoint,
         server_access: AccessProfile,
     ) -> Self {
+        let wan_base_ms = client_loc.propagation_ms(&server_loc).max(MIN_WAN_MS);
         Path {
             client_access,
             server_access,
-            wan_base_ms: client_loc.propagation_ms(&server_loc).max(MIN_WAN_MS),
+            wan_base_ms,
+            wan: LogNormal::new(wan_base_ms, WAN_SIGMA),
+            client: client_access.latency(),
+            server: server_access.latency(),
             extra_loss: 0.0,
             extra_latency_ms: 0.0,
         }
@@ -100,9 +115,9 @@ impl Path {
         {
             return Traversal::Lost;
         }
-        let wan = rng.lognormal_median(self.wan_base_ms, WAN_SIGMA);
-        let client = self.client_access.sample_ms(rng);
-        let server = self.server_access.sample_ms(rng);
+        let wan = self.wan.sample(rng);
+        let client = self.client_access.sample_ms_with(&self.client, rng);
+        let server = self.server_access.sample_ms_with(&self.server, rng);
         // Serialization: client uplink on forward, downlink on reverse; the
         // server side is never the bottleneck for DNS-sized payloads.
         let ser = self.client_access.serialization_ms(bytes, forward);

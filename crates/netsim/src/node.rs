@@ -9,7 +9,7 @@
 use std::fmt;
 
 use crate::geo::{City, GeoPoint, Region};
-use crate::rng::SimRng;
+use crate::rng::{LogNormal, SimRng};
 
 /// Identifier for a host within a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,9 +99,21 @@ impl AccessProfile {
         }
     }
 
+    /// This access network's one-way latency before spikes, in ms. A
+    /// [`Path`](crate::Path) builds it once for each of its ends.
+    pub fn latency(&self) -> LogNormal {
+        LogNormal::new(self.median_ms.max(0.01), self.sigma)
+    }
+
     /// Samples this access network's one-way latency contribution in ms.
     pub fn sample_ms(&self, rng: &mut SimRng) -> f64 {
-        let mut ms = rng.lognormal_median(self.median_ms.max(0.01), self.sigma);
+        self.sample_ms_with(&self.latency(), rng)
+    }
+
+    /// [`sample_ms`](Self::sample_ms) over this profile's
+    /// [`latency`](Self::latency), built by the caller.
+    pub(crate) fn sample_ms_with(&self, latency: &LogNormal, rng: &mut SimRng) -> f64 {
+        let mut ms = latency.sample(rng);
         if rng.chance(self.spike_prob) {
             ms += rng.pareto(self.spike_scale_ms, 1.8);
         }

@@ -92,7 +92,7 @@ impl ResolverInstance {
             .iter()
             .copied()
             .find(|&i| {
-                let q = self.servers[i].profile.queue();
+                let q = self.servers[i].profile().queue();
                 q.utilization(offered.get(i).copied().unwrap_or(0.0)) < spill
             })
             .unwrap_or(order[0]);
@@ -108,7 +108,7 @@ impl ResolverInstance {
             .iter()
             .enumerate()
             .map(|(i, server)| {
-                let q = server.profile.queue();
+                let q = server.profile().queue();
                 let qps = offered.get(i).copied().unwrap_or(0.0);
                 SiteLoad {
                     site: i,
@@ -246,7 +246,7 @@ mod tests {
     fn route_loaded_spills_to_next_site_and_falls_back() {
         let inst = anycast_instance();
         let c = client(cities::CHICAGO);
-        let capacity = inst.servers[0].profile.queue().capacity_qps();
+        let capacity = inst.servers[0].profile().queue().capacity_qps();
         // Idle: identical to plain routing.
         let (site, _) = inst.route_loaded(&c, &[0.0, 0.0, 0.0], 0.8);
         assert_eq!(site, inst.route(&c).0);
@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn site_load_table_reports_per_site_queueing() {
         let inst = anycast_instance();
-        let capacity = inst.servers[0].profile.queue().capacity_qps();
+        let capacity = inst.servers[0].profile().queue().capacity_qps();
         let table = inst.site_load_table(&[0.0, capacity * 0.5, capacity * 2.0]);
         assert_eq!(table.len(), 3);
         assert_eq!(

@@ -3,7 +3,7 @@
 
 use dns_wire::{Name, RecordType};
 use netsim::geo::City;
-use netsim::{SimDuration, SimRng, SimTime};
+use netsim::{math, LogNormal, SimDuration, SimRng, SimTime};
 
 use crate::authority::AuthorityTree;
 use crate::queue::QueueModel;
@@ -218,8 +218,9 @@ impl HealthModel {
 /// the processing model.
 #[derive(Debug)]
 pub struct ResolverServer {
-    /// Performance profile.
-    pub profile: ServerProfile,
+    profile: ServerProfile,
+    /// The profile's processing-time distribution, built with the server.
+    proc: LogNormal,
     engine: RecursiveResolver,
 }
 
@@ -238,8 +239,14 @@ impl ResolverServer {
     ) -> Self {
         ResolverServer {
             profile,
+            proc: LogNormal::new(profile.proc_median_ms, profile.proc_sigma),
             engine: RecursiveResolver::new(location, cache_capacity),
         }
+    }
+
+    /// The performance profile, fixed when the server is built.
+    pub fn profile(&self) -> &ServerProfile {
+        &self.profile
     }
 
     /// The recursive engine behind this frontend, read-only.
@@ -256,7 +263,7 @@ impl ResolverServer {
     fn load_factor(&self, now: SimTime) -> f64 {
         let day_secs = 86_400.0;
         let phase = (now.as_secs() as f64 % day_secs) / day_secs * std::f64::consts::TAU;
-        1.0 + self.profile.load_amplitude * (phase - 1.0).sin().max(-0.8)
+        1.0 + self.profile.load_amplitude * math::sin(phase - 1.0).max(-0.8)
     }
 
     /// Handles one query, returning the total server-side time (processing
@@ -301,9 +308,7 @@ impl ResolverServer {
 
         let resolution = self.engine.resolve(qname, qtype, authorities, now, rng);
 
-        let mut proc_ms = rng
-            .lognormal_median(self.profile.proc_median_ms, self.profile.proc_sigma)
-            * self.load_factor(now);
+        let mut proc_ms = self.proc.sample(rng) * self.load_factor(now);
         if rng.chance(self.profile.overload_prob) {
             proc_ms += rng.exponential(self.profile.overload_mean_ms);
         }

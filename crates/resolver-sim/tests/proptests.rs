@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use dns_wire::{Name, RData, RecordType};
 use netsim::geo::cities;
-use netsim::{SimDuration, SimRng, SimTime};
+use netsim::{LogNormal, SimDuration, SimRng, SimTime};
 use resolver_sim::{
     parse_zone, AuthorityTree, RecordCache, RecursiveResolver, Resolution, ResolverServer,
     ServerProfile,
@@ -43,7 +43,7 @@ fn handle_query_with_resolved_prewarm(
     let phase = (now.as_secs() as f64 % 86_400.0) / 86_400.0 * std::f64::consts::TAU;
     let load_factor = 1.0 + profile.load_amplitude * (phase - 1.0).sin().max(-0.8);
     let mut proc_ms =
-        rng.lognormal_median(profile.proc_median_ms, profile.proc_sigma) * load_factor;
+        LogNormal::new(profile.proc_median_ms, profile.proc_sigma).sample(rng) * load_factor;
     if rng.chance(profile.overload_prob) {
         proc_ms += rng.exponential(profile.overload_mean_ms);
     }

@@ -120,7 +120,7 @@ fn offered_from_seed(seed: u64, sites: usize, scale: f64) -> Vec<f64> {
 #[test]
 fn load_tables_keep_site_order_across_seeds() {
     let inst = anycast_instance();
-    let capacity = inst.servers[0].profile.queue().capacity_qps();
+    let capacity = inst.servers[0].profile().queue().capacity_qps();
     for seed in [7u64, 1234] {
         let offered = offered_from_seed(seed, 3, capacity * 3.0);
         let table = inst.site_load_table(&offered);
@@ -147,7 +147,7 @@ fn load_tables_keep_site_order_across_seeds() {
 #[test]
 fn load_table_rows_are_consistent_with_the_queue_model() {
     let inst = anycast_instance();
-    let q = inst.servers[0].profile.queue();
+    let q = inst.servers[0].profile().queue();
     let capacity = q.capacity_qps();
     let offered = vec![0.0, capacity * 0.5, capacity * 4.0];
     let table = inst.site_load_table(&offered);

@@ -29,13 +29,12 @@ pub const ALLOC_METHODS: [&str; 5] = ["to_string", "to_owned", "to_vec", "clone"
 
 /// `SimRng` method names that advance an RNG stream. A call edge into one
 /// of these from a `#[rng_neutral]` zone is an `rng-stream` violation.
-pub const RNG_DRAW_METHODS: [&str; 8] = [
+pub const RNG_DRAW_METHODS: [&str; 7] = [
     "uniform",
     "below",
     "chance",
     "standard_normal",
     "normal",
-    "lognormal_median",
     "exponential",
     "pareto",
 ];
