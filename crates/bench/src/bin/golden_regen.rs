@@ -12,13 +12,29 @@
 //! fixtures under `crates/report/tests/golden/` pin the JSON and CSV
 //! export formats the same way (`crates/report/tests/golden_metrics.rs`).
 //!
-//! `crates/measure/tests/golden/probe_matrix.txt` is deliberately not
-//! written here. It holds what the separate reference implementation of
-//! the probe path produced at the last commit that had one (named in its
-//! header, whose version of this bin generated it); rewriting it from
-//! today's code would make it agree with itself.
+//! `crates/measure/tests/golden/probe_matrix.txt` is not written by a
+//! plain run. It holds what a separate reference implementation of the
+//! probe path produced (named in its header); rewriting it from today's
+//! code would make it agree with itself. Only a deliberate change of the
+//! simulated world's random draws — one that a bit-identical commit
+//! before it has shown today's code still reproduces the matrix under
+//! the old draws — rewrites it, with `--frozen`:
+//!
+//! ```text
+//! cargo run --release -p bench --bin golden_regen -- --frozen
+//! FROZEN_REBASELINE=1 cargo test -p measure --lib span_matrix_matches
+//! ```
+//!
+//! The second line rewrites the other frozen fixture, `span_matrix.txt`,
+//! from the test that reads it (its probes go through crate-private
+//! session plumbing no bin can reach).
 
-use measure::{metrics_of, Campaign, CampaignConfig, LoadModel, Protocol, SessionConfig};
+use measure::checkpoint::fnv64;
+use measure::{
+    metrics_of, Campaign, CampaignConfig, LoadModel, ProbeConfig, ProbeRequest, ProbeTarget,
+    Prober, Protocol, RetryPolicy, SessionConfig, SpanLog,
+};
+use netsim::{SimDuration, SimRng, SimTime};
 
 fn entries() -> Vec<catalog::ResolverEntry> {
     [
@@ -35,6 +51,11 @@ fn entries() -> Vec<catalog::ResolverEntry> {
 fn main() {
     let dir = std::path::Path::new("crates/measure/tests/golden");
     std::fs::create_dir_all(dir).unwrap();
+    match std::env::args().nth(1).as_deref() {
+        None => {}
+        Some("--frozen") => write_probe_matrix(dir),
+        Some(other) => panic!("unknown argument {other}: expected nothing or --frozen"),
+    }
 
     // Baseline: retries disabled, no fault plan. This fixture predates the
     // retry layer and must never change when retry/fault code does — the
@@ -139,4 +160,128 @@ fn main() {
     )
     .unwrap();
     eprintln!("wrote reuse ablation with {} rows", ablation.rows().len());
+}
+
+/// The probe matrix's campaign cells, as `golden_output.rs` reads them.
+fn matrix_config(seed: u64, protocol: Protocol, cell: &str) -> CampaignConfig {
+    let mut config = CampaignConfig::quick(seed, 2);
+    config.probe.protocol = protocol;
+    match cell {
+        "plain" => config,
+        "faults_dig" => config.with_default_faults(),
+        "faults_jitter3" => {
+            let mut config = config.with_default_faults();
+            config.probe.retry = RetryPolicy {
+                tries: 3,
+                attempt_timeout: Some(SimDuration::from_millis(800)),
+                backoff_base: SimDuration::from_millis(100),
+                backoff_cap: SimDuration::from_secs(1),
+                jitter: 0.5,
+            };
+            config
+        }
+        "faults_dig_load2" => config
+            .with_default_faults()
+            .with_load(LoadModel::standard(seed).with_multiplier(2.0)),
+        "faults_dig_interleaved" => config
+            .with_default_faults()
+            .with_session(SessionConfig::interleaved(0.3)),
+        "warm" => config.with_session(SessionConfig::warm()),
+        other => panic!("unknown matrix cell {other}"),
+    }
+}
+
+/// Rewrites `probe_matrix.txt`: per (seed, protocol, cell) the record
+/// count and FNV-1a of the campaign JSONL, asserted equal between
+/// `run()` and `run_reference()`, then per (protocol, host) the event
+/// count and FNV-1a of three traced probes' span renders.
+fn write_probe_matrix(dir: &std::path::Path) {
+    const CELLS: [&str; 6] = [
+        "plain",
+        "faults_dig",
+        "faults_jitter3",
+        "faults_dig_load2",
+        "faults_dig_interleaved",
+        "warm",
+    ];
+    const PROTOCOLS: [Protocol; 5] = [
+        Protocol::Do53,
+        Protocol::DoT,
+        Protocol::DoH,
+        Protocol::DoQ,
+        Protocol::ODoH,
+    ];
+    let mut out = String::from(
+        "# probe matrix. Generated by commit 8f7ec30aa020df042a4cbd59cddf027624d951b0 from\n\
+         # its separate reference implementation of the probe path; every later commit\n\
+         # reproduced it bit for bit until the normal sampler changed from Box-Muller to\n\
+         # the ziggurat, when `golden_regen --frozen` rewrote it under the new draws.\n\
+         # campaign lines: run_reference() output, asserted equal to run(); span lines:\n\
+         # three traced Prober::probe calls an hour apart under seed 4's fault plan.\n",
+    );
+    let hosts = [
+        "dns.google",
+        "chewbacca.meganerd.nl",
+        "ibksturm.synology.me",
+    ];
+    for seed in [4, 23] {
+        for protocol in PROTOCOLS {
+            for cell in CELLS {
+                let entries = hosts.map(|h| catalog::resolvers::find(h).unwrap()).to_vec();
+                let config = matrix_config(seed, protocol, cell);
+                let campaign = Campaign::with_resolvers(config, entries);
+                let result = campaign.run_reference();
+                assert_eq!(
+                    result.records,
+                    campaign.run().records,
+                    "run() and run_reference() disagree on seed={seed} {protocol} {cell}"
+                );
+                out.push_str(&format!(
+                    "campaign seed={seed} protocol={protocol} cell={cell} source=run_reference \
+                     records={} fnv64={:016x}\n",
+                    result.records.len(),
+                    fnv64(result.to_json_lines().as_bytes())
+                ));
+            }
+        }
+    }
+    let vantage = measure::vantage::find("ec2-ohio").unwrap();
+    let client = vantage.host(0);
+    let domain = dns_wire::Name::parse("google.com").unwrap();
+    let faults = measure::config::default_fault_plan(4, SimDuration::from_hours(24));
+    let prober = Prober::new();
+    for protocol in PROTOCOLS {
+        for host in &hosts[..2] {
+            let mut target = ProbeTarget::from_entry(catalog::resolvers::find(host).unwrap());
+            let mut rng = SimRng::derived(4, &format!("matrix:{host}"));
+            let cfg = ProbeConfig {
+                protocol,
+                retry: RetryPolicy::dig_defaults(),
+                ..ProbeConfig::default()
+            };
+            let (mut text, mut events) = (String::new(), 0);
+            for i in 0..3u64 {
+                let mut log = SpanLog::with_capacity(1024);
+                let req = ProbeRequest {
+                    cfg,
+                    faults: &faults,
+                    ..ProbeRequest::new(
+                        &client,
+                        &domain,
+                        SimTime::ZERO + SimDuration::from_hours(i),
+                    )
+                };
+                prober.probe(&req, &mut target, &mut rng, &mut log);
+                assert_eq!(log.dropped(), 0);
+                events += log.recorded();
+                text.push_str(&log.render());
+            }
+            out.push_str(&format!(
+                "spans protocol={protocol} host={host} events={events} fnv64={:016x}\n",
+                fnv64(text.as_bytes())
+            ));
+        }
+    }
+    std::fs::write(dir.join("probe_matrix.txt"), out).unwrap();
+    eprintln!("wrote the probe matrix");
 }

@@ -7,6 +7,7 @@
 use std::collections::BTreeMap;
 
 use measure::json::Json;
+use measure::ProbeErrorKind;
 use obs::{Histogram, MetricsSnapshot, Phase, LATENCY_BUCKETS_MS};
 
 use crate::csv::Csv;
@@ -31,18 +32,26 @@ fn histogram_json(h: &Histogram) -> Json {
 }
 
 /// The whole snapshot as one JSON document: bucket bounds once at the top,
-/// then one entry per cell with counters, error tallies, and the response /
-/// ping / per-phase histograms.
+/// then one entry per cell with counters, a tally of every error kind
+/// (zero when unseen), and the response / ping / per-phase histograms.
 pub fn metrics_json(snapshot: &MetricsSnapshot) -> Json {
     let cells = snapshot
         .cells
         .iter()
         .map(|cell| {
             let m = &cell.metrics;
-            let errors: BTreeMap<String, Json> = m
-                .errors
+            // Every error kind, zeros included, so the document's keys are
+            // the same whichever errors a seed happened to produce.
+            let mut errors: BTreeMap<&str, u64> = ProbeErrorKind::BY_LABEL
                 .iter()
-                .map(|(&label, &n)| (label.to_string(), Json::Int(n as i64)))
+                .map(|kind| (kind.label(), 0))
+                .collect();
+            for (&label, &n) in &m.errors {
+                *errors.entry(label).or_insert(0) += n;
+            }
+            let errors = errors
+                .into_iter()
+                .map(|(label, n)| (label.to_string(), Json::Int(n as i64)))
                 .collect();
             let phases: BTreeMap<String, Json> = Phase::ALL
                 .iter()
