@@ -33,6 +33,9 @@
 //! trailing-window baseline of the same resolver's preceding days,
 //! flagging availability burns, p95 drift and error-mix shifts — the
 //! paper's outage/degradation narrative as machine-detected findings.
+//! [`HealthSeries::detect_drift`] runs the same routine over the series'
+//! rows where they lie, one resolver's at a time, so the engines never
+//! hold a second copy of the table.
 
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -84,7 +87,7 @@ impl HealthCell {
 pub(crate) fn present_days(
     first_day: u32,
     cells: &[HealthCell],
-) -> impl Iterator<Item = (u32, &HealthCell)> {
+) -> impl Iterator<Item = (u32, &HealthCell)> + Clone {
     (first_day..).zip(cells).filter(|(_, c)| c.probes() > 0)
 }
 
@@ -172,16 +175,24 @@ impl HealthSeries {
         self.merged += 1;
     }
 
-    /// The present rows, in (resolver hostname, day) order.
-    fn present_rows(&self) -> impl Iterator<Item = (Label, u32, &HealthCell)> {
+    /// Each resolver, in hostname order, with its present rows in day
+    /// order, read where they lie.
+    fn by_resolver(
+        &self,
+    ) -> impl Iterator<Item = (Label, impl Iterator<Item = (u32, &HealthCell)> + Clone)> {
         // A campaign of no days has no rows to chunk.
         let rows = self.rows.chunks(self.days.len().max(1));
+        let first_day = self.days.start;
         self.resolvers
             .iter()
             .zip(rows)
-            .flat_map(|(&resolver, rows)| {
-                present_days(self.days.start, rows).map(move |(day, cell)| (resolver, day, cell))
-            })
+            .map(move |(&resolver, rows)| (resolver, present_days(first_day, rows)))
+    }
+
+    /// The present rows, in (resolver hostname, day) order.
+    fn present_rows(&self) -> impl Iterator<Item = (Label, u32, &HealthCell)> {
+        self.by_resolver()
+            .flat_map(|(resolver, rows)| rows.map(move |(day, cell)| (resolver, day, cell)))
     }
 
     /// Total probes across all rows.
@@ -201,6 +212,17 @@ impl HealthSeries {
             cell: cell.clone(),
         }));
         rows
+    }
+
+    /// [`detect_drift`] over these rows where they lie, one resolver's at a
+    /// time: the same findings as over [`resolver_rows`](Self::resolver_rows),
+    /// without the copy of the table that takes.
+    pub fn detect_drift(&self, cfg: &DriftConfig) -> Vec<DriftFinding> {
+        let mut findings = Vec::new();
+        for (resolver, rows) in self.by_resolver() {
+            resolver_drift(resolver, rows, cfg, &mut findings);
+        }
+        findings
     }
 
     /// Exports the (resolver, day) timeseries as JSONL, one row per line
@@ -317,79 +339,85 @@ pub struct DriftFinding {
 /// Compares each (resolver, day) row against a trailing-window baseline
 /// of the same resolver's preceding days. Findings come out sorted by
 /// (resolver hostname, day, kind) — a pure function of the rows and the
-/// config, so two same-seed campaigns produce identical findings.
+/// config, so two same-seed campaigns produce identical findings. The
+/// engine runs [`HealthSeries::detect_drift`], the same routine over its
+/// rows in place.
 pub fn detect_drift(rows: &[HealthRow], cfg: &DriftConfig) -> Vec<DriftFinding> {
     let mut findings = Vec::new();
-    let mut i = 0;
-    while i < rows.len() {
-        // One resolver's contiguous, day-ascending run of rows.
-        let resolver = rows[i].resolver;
-        let mut j = i;
-        while j < rows.len() && rows[j].resolver == resolver {
-            j += 1;
+    for group in rows.chunk_by(|a, b| a.resolver == b.resolver) {
+        let days = group.iter().map(|row| (row.day, &row.cell));
+        resolver_drift(group[0].resolver, days, cfg, &mut findings);
+    }
+    findings
+}
+
+/// The drift findings of one resolver's contiguous, day-ascending run of
+/// rows, appended to `findings`. Each row's baseline is the merge, in row
+/// order, of the rows before it within `cfg.window_days` days.
+fn resolver_drift<'a>(
+    resolver: Label,
+    rows: impl Iterator<Item = (u32, &'a HealthCell)> + Clone,
+    cfg: &DriftConfig,
+    findings: &mut Vec<DriftFinding>,
+) {
+    for (pos, (day, cell)) in rows.clone().enumerate() {
+        let mut baseline = HealthCell::default();
+        for (prior_day, prior) in rows.clone().take(pos) {
+            if prior_day < day && day - prior_day <= cfg.window_days {
+                baseline.merge(prior);
+            }
         }
-        let group = &rows[i..j];
-        for (pos, row) in group.iter().enumerate() {
-            let mut baseline = HealthCell::default();
-            for prior in &group[..pos] {
-                if prior.day < row.day && row.day - prior.day <= cfg.window_days {
-                    baseline.merge(&prior.cell);
-                }
-            }
-            if baseline.probes() < cfg.min_probes || row.cell.probes() < cfg.min_probes {
-                continue;
-            }
-            let day_avail = row.cell.availability.availability();
-            let base_avail = baseline.availability.availability();
-            if day_avail + cfg.availability_drop <= base_avail {
+        if baseline.probes() < cfg.min_probes || cell.probes() < cfg.min_probes {
+            continue;
+        }
+        let day_avail = cell.availability.availability();
+        let base_avail = baseline.availability.availability();
+        if day_avail + cfg.availability_drop <= base_avail {
+            findings.push(DriftFinding {
+                resolver,
+                day,
+                kind: DriftKind::AvailabilityBurn,
+                value: day_avail,
+                baseline: base_avail,
+                from_error: None,
+                to_error: None,
+            });
+        }
+        if let (Some(day_p95), Some(base_p95)) = (
+            cell.response.quantile(0.95),
+            baseline.response.quantile(0.95),
+        ) {
+            if base_p95 > 0.0 && day_p95 > base_p95 * cfg.p95_ratio {
                 findings.push(DriftFinding {
                     resolver,
-                    day: row.day,
-                    kind: DriftKind::AvailabilityBurn,
-                    value: day_avail,
-                    baseline: base_avail,
+                    day,
+                    kind: DriftKind::LatencyDrift,
+                    value: day_p95,
+                    baseline: base_p95,
                     from_error: None,
                     to_error: None,
                 });
             }
-            if let (Some(day_p95), Some(base_p95)) = (
-                row.cell.response.quantile(0.95),
-                baseline.response.quantile(0.95),
+        }
+        if cell.availability.error_count() >= cfg.min_errors {
+            if let (Some(day_err), Some(base_err)) = (
+                cell.availability.dominant_error(),
+                baseline.availability.dominant_error(),
             ) {
-                if base_p95 > 0.0 && day_p95 > base_p95 * cfg.p95_ratio {
+                if day_err != base_err {
                     findings.push(DriftFinding {
                         resolver,
-                        day: row.day,
-                        kind: DriftKind::LatencyDrift,
-                        value: day_p95,
-                        baseline: base_p95,
-                        from_error: None,
-                        to_error: None,
+                        day,
+                        kind: DriftKind::ErrorMixShift,
+                        value: cell.availability.error_count() as f64,
+                        baseline: baseline.availability.error_count() as f64,
+                        from_error: Some(Label::intern(base_err)),
+                        to_error: Some(Label::intern(day_err)),
                     });
                 }
             }
-            if row.cell.availability.error_count() >= cfg.min_errors {
-                if let (Some(day_err), Some(base_err)) = (
-                    row.cell.availability.dominant_error(),
-                    baseline.availability.dominant_error(),
-                ) {
-                    if day_err != base_err {
-                        findings.push(DriftFinding {
-                            resolver,
-                            day: row.day,
-                            kind: DriftKind::ErrorMixShift,
-                            value: row.cell.availability.error_count() as f64,
-                            baseline: baseline.availability.error_count() as f64,
-                            from_error: Some(Label::intern(base_err)),
-                            to_error: Some(Label::intern(day_err)),
-                        });
-                    }
-                }
-            }
         }
-        i = j;
     }
-    findings
 }
 
 #[cfg(test)]

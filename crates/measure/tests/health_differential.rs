@@ -10,13 +10,18 @@
 //!   vantages whose day ranges start apart, overlap and leave gaps — the
 //!   sharded engine's cell files holding the oracle's (pair, day) cells,
 //!   and its series equal to the in-memory one.
+//! * [`HealthSeries::detect_drift`], which reads the rows where they lie,
+//!   against [`detect_drift`] over their copy, on seeds 1–16.
 
 mod health_oracle;
 
 use std::path::PathBuf;
 
 use edns_stats::Availability;
-use measure::{Campaign, CampaignConfig, HealthSeries, ProbeErrorKind, ShardedRunner, Span, Tally};
+use measure::{
+    detect_drift, Campaign, CampaignConfig, DriftConfig, HealthSeries, ProbeErrorKind,
+    ShardedRunner, Span, Tally,
+};
 use netsim::rng::SimRng;
 
 use health_oracle::{assert_cell_files_match_the_oracle, assert_health_matches_the_oracle};
@@ -156,4 +161,32 @@ fn the_dense_series_matches_a_map_of_label_keyed_cells() {
     assert_cell_files_match_the_oracle(&c, &records, &runner, "staggered spans, sharded");
     std::fs::remove_dir_all(PathBuf::from(&dir)).unwrap();
     assert_eq!(sharded.health, series);
+}
+
+#[test]
+fn drift_in_place_finds_what_drift_over_the_copied_rows_finds() {
+    let tight = DriftConfig {
+        min_probes: 1,
+        min_errors: 1,
+        ..DriftConfig::default()
+    };
+    let mut found = 0;
+    for seed in 1..=16 {
+        // Twelve faulted days, and the staggered spans' days with a gap.
+        let configs = [
+            CampaignConfig::longitudinal(seed, 12).with_default_faults(),
+            staggered_config(seed),
+        ];
+        for config in configs {
+            let c = campaign(config);
+            let series = HealthSeries::of(&c, &c.run().records);
+            let rows = series.resolver_rows();
+            for cfg in [DriftConfig::default(), tight] {
+                let findings = detect_drift(&rows, &cfg);
+                assert_eq!(series.detect_drift(&cfg), findings, "seed {seed}, {cfg:?}");
+                found += findings.len();
+            }
+        }
+    }
+    assert!(found > 100, "only {found} findings over 16 seeds");
 }

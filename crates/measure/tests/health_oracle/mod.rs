@@ -184,10 +184,12 @@ pub fn assert_health_matches_the_oracle(
         ..DriftConfig::default()
     };
     for cfg in [DriftConfig::default(), tight] {
+        let findings = detect_drift(&rows, &cfg);
+        assert_eq!(findings, detect_drift(&expected, &cfg), "{what}: drift");
         assert_eq!(
-            detect_drift(&rows, &cfg),
-            detect_drift(&expected, &cfg),
-            "{what}: drift"
+            series.detect_drift(&cfg),
+            findings,
+            "{what}: drift in place"
         );
     }
 }

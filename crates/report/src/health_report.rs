@@ -97,21 +97,21 @@ pub fn render(rows: &[HealthRow], findings: &[DriftFinding]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use measure::{detect_drift, Campaign, CampaignConfig, DriftConfig, HealthSeries};
+    use measure::{Campaign, CampaignConfig, DriftConfig, HealthSeries};
 
-    fn rows(seed: u64) -> Vec<HealthRow> {
+    fn series(seed: u64) -> HealthSeries {
         let entries = ["dns.google", "dns.quad9.net", "doh.ffmuc.net"]
             .into_iter()
             .filter_map(catalog::resolvers::find)
             .collect();
         let c = Campaign::with_resolvers(CampaignConfig::quick(seed, 2), entries);
         let result = c.run();
-        HealthSeries::of(&c, &result.records).resolver_rows()
+        HealthSeries::of(&c, &result.records)
     }
 
     #[test]
     fn health_table_has_one_row_per_resolver_day() {
-        let rows = rows(7);
+        let rows = series(7).resolver_rows();
         let table = health_table(&rows);
         assert_eq!(table.len(), rows.len());
         assert!(table.render().contains("dns.google"));
@@ -119,9 +119,9 @@ mod tests {
 
     #[test]
     fn quiet_campaign_renders_no_drift() {
-        let rows = rows(7);
-        let findings = detect_drift(&rows, &DriftConfig::default());
-        let text = render(&rows, &findings);
+        let series = series(7);
+        let findings = series.detect_drift(&DriftConfig::default());
+        let text = render(&series.resolver_rows(), &findings);
         assert!(text.contains("== health by resolver-day =="));
         assert!(text.contains("== drift findings =="));
         assert!(text.contains("no drift detected"));
