@@ -227,7 +227,10 @@ pub fn write_millis(out: &mut String, nanos: u64) {
             break;
         }
     }
-    out.extend(buf[at..].iter().map(|&b| char::from(b)));
+    // ASCII digits and a point: always UTF-8, appended in one copy.
+    if let Ok(token) = std::str::from_utf8(&buf[at..]) {
+        out.push_str(token);
+    }
 }
 
 /// Appends one JSON string literal (quotes and escapes included) to `out`:

@@ -20,6 +20,11 @@ const WAN_LOSS: f64 = 0.0005;
 /// Minimum wide-area delay even for co-located endpoints (router hops).
 const MIN_WAN_MS: f64 = 0.15;
 
+/// Base wide-area one-way propagation delay between two points, ms.
+fn wan_base_ms(a: GeoPoint, b: GeoPoint) -> f64 {
+    a.propagation_ms(&b).max(MIN_WAN_MS)
+}
+
 /// The outcome of sending one packet across a path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Traversal {
@@ -75,7 +80,7 @@ impl Path {
         server_loc: GeoPoint,
         server_access: AccessProfile,
     ) -> Self {
-        let wan_base_ms = client_loc.propagation_ms(&server_loc).max(MIN_WAN_MS);
+        let wan_base_ms = wan_base_ms(client_loc, server_loc);
         Path {
             client_access,
             server_access,
@@ -89,12 +94,26 @@ impl Path {
     }
 
     /// The deterministic floor of the one-way delay (no jitter, no access
-    /// medians) — used by anycast routing to pick the nearest site.
+    /// medians).
     pub fn base_one_way_ms(&self) -> f64 {
         self.wan_base_ms
             + self.extra_latency_ms
             + self.client_access.median_ms
             + self.server_access.median_ms
+    }
+
+    /// [`base_one_way_ms`](Self::base_one_way_ms) of the path
+    /// [`between`](Self::between) these endpoints would build, without
+    /// building it — what anycast routing ranks sites by.
+    pub fn base_one_way_ms_between(
+        client_loc: GeoPoint,
+        client_access: AccessProfile,
+        server_loc: GeoPoint,
+        server_access: AccessProfile,
+    ) -> f64 {
+        // A new path has no extra latency, and adding 0.0 to a positive
+        // delay changes no bit, so this is the built path's sum exactly.
+        wan_base_ms(client_loc, server_loc) + client_access.median_ms + server_access.median_ms
     }
 
     /// Samples one client→server traversal carrying `bytes`.
@@ -169,6 +188,40 @@ mod tests {
         // Chicago-Frankfurt one way ≈ 52 ms + access.
         let b = transatlantic().base_one_way_ms();
         assert!((45.0..65.0).contains(&b), "base {b}");
+    }
+
+    #[test]
+    fn base_delay_between_is_the_built_paths_to_the_bit() {
+        let places = [
+            cities::CHICAGO,
+            cities::FRANKFURT,
+            cities::SEOUL,
+            cities::SYDNEY,
+        ];
+        let profiles = [
+            AccessProfile::home_cable(),
+            AccessProfile::cloud_vm(),
+            AccessProfile::datacenter(),
+            AccessProfile::small_server(),
+        ];
+        for a in places {
+            for b in places {
+                for client in profiles {
+                    for server in profiles {
+                        let built = Path::between(a.point, client, b.point, server);
+                        let between =
+                            Path::base_one_way_ms_between(a.point, client, b.point, server);
+                        assert_eq!(
+                            between.to_bits(),
+                            built.base_one_way_ms().to_bits(),
+                            "{} -> {}",
+                            a.name,
+                            b.name
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

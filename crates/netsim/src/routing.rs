@@ -38,6 +38,12 @@ impl Site {
             extra_loss: 0.0,
         }
     }
+
+    /// The deterministic floor of the one-way delay from `client` to this
+    /// site, which anycast routing minimises.
+    fn base_one_way_ms_from(&self, client: &Host) -> f64 {
+        Path::base_one_way_ms_between(client.location, client.access, self.city.point, self.access)
+    }
 }
 
 /// How clients reach a multi-site service.
@@ -86,9 +92,7 @@ impl Deployment {
                 let mut best = 0;
                 let mut best_ms = f64::INFINITY;
                 for (i, site) in self.sites.iter().enumerate() {
-                    let ms =
-                        Path::between(client.location, client.access, site.city.point, site.access)
-                            .base_one_way_ms();
+                    let ms = site.base_one_way_ms_from(client);
                     if ms < best_ms {
                         best_ms = ms;
                         best = i;
@@ -126,10 +130,7 @@ impl Deployment {
             let ms: Vec<f64> = self
                 .sites
                 .iter()
-                .map(|site| {
-                    Path::between(client.location, client.access, site.city.point, site.access)
-                        .base_one_way_ms()
-                })
+                .map(|site| site.base_one_way_ms_from(client))
                 .collect();
             order.sort_by(|&a, &b| ms[a].total_cmp(&ms[b]).then(a.cmp(&b)));
         }

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use dns_wire::{Name, RData, Rcode, RecordType};
-use netsim::geo::City;
+use netsim::geo::{City, GeoPoint};
 use netsim::{AccessProfile, Path, SimDuration, SimRng, SimTime};
 
 use crate::authority::{AuthorityAnswer, AuthorityTree};
@@ -30,7 +30,10 @@ pub struct Resolution {
 #[derive(Debug)]
 pub struct RecursiveResolver {
     /// Where this resolver site is (drives upstream latencies).
-    pub location: City,
+    location: City,
+    /// The path to each authority site queried so far, built on the first
+    /// timed query to it: both ends are fixed, so one path serves them all.
+    upstream_paths: Vec<(GeoPoint, Path)>,
     cache: RecordCache,
     /// RFC 2308 negative cache: names known not to exist, with expiry.
     negative: NameTypeMap<SimTime>,
@@ -56,11 +59,17 @@ impl RecursiveResolver {
     pub fn new(location: City, cache_capacity: usize) -> Self {
         RecursiveResolver {
             location,
+            upstream_paths: Vec::new(),
             cache: RecordCache::new(cache_capacity),
             negative: NameTypeMap::new(),
             no_records: Arc::new([]),
             upstream_queries: 0,
         }
+    }
+
+    /// Where this resolver site is.
+    pub fn location(&self) -> City {
+        self.location
     }
 
     /// Cache statistics.
@@ -80,12 +89,7 @@ impl RecursiveResolver {
         let Some(rng) = rng else {
             return SimDuration::ZERO;
         };
-        let path = Path::between(
-            self.location.point,
-            AccessProfile::datacenter(),
-            target.point,
-            AccessProfile::datacenter(),
-        );
+        let path = self.upstream_path(target.point);
         // Authorities are redundant; a lost packet costs one retry at a
         // conservative 400 ms timeout, after which a replica answers.
         match path.sample_rtt(UPSTREAM_QUERY_BYTES, UPSTREAM_RESPONSE_BYTES, rng) {
@@ -97,6 +101,22 @@ impl RecursiveResolver {
                 SimDuration::from_millis(400) + retry
             }
         }
+    }
+
+    /// The datacenter-to-datacenter path from this site to `target`.
+    fn upstream_path(&mut self, target: GeoPoint) -> &Path {
+        let known = self.upstream_paths.iter().position(|(at, _)| *at == target);
+        let index = known.unwrap_or_else(|| {
+            let path = Path::between(
+                self.location.point,
+                AccessProfile::datacenter(),
+                target,
+                AccessProfile::datacenter(),
+            );
+            self.upstream_paths.push((target, path));
+            self.upstream_paths.len() - 1
+        });
+        &self.upstream_paths[index].1
     }
 
     /// Resolves `qname`/`qtype` at simulated time `now`, drawing the

@@ -256,7 +256,7 @@ impl ResolverServer {
 
     /// The site this server runs at.
     pub fn location(&self) -> City {
-        self.engine.location
+        self.engine.location()
     }
 
     /// Diurnal load multiplier at `now` (peaks in the simulated evening).
