@@ -129,8 +129,10 @@ fn route_key(vantage: Label, resolver: Label) -> (u32, u32) {
 pub struct CampaignFolds {
     /// The pair table: coordinates and aggregate cell, in pair order.
     aggregates: CampaignAggregates,
-    /// Each pair's metrics cell, in pair order.
-    metrics: Vec<CellMetrics>,
+    /// Each pair's metrics cell, in pair order, under an empty key until
+    /// [`into_parts`](Self::into_parts) names it: the snapshot is these
+    /// cells, keyed and put in key order where they lie.
+    metrics: Vec<CellSnapshot>,
     /// The (resolver, day) rows every merged pair's day cells went into.
     health: HealthSeries,
     /// (vantage, resolver) interned-label indices → pair, sorted; a
@@ -167,7 +169,7 @@ impl CampaignFolds {
         routes.dedup_by_key(|&mut (key, _)| key);
         CampaignFolds {
             aggregates: CampaignAggregates { pairs },
-            metrics: vec![CellMetrics::default(); n],
+            metrics: vec![unkeyed(); n],
             health: HealthSeries::for_pairs(&days),
             routes,
             exhausted: Vec::new(),
@@ -201,7 +203,7 @@ impl CampaignFolds {
             PairFold {
                 pair,
                 aggregate: &mut folds.aggregates.pairs[p].cell,
-                metrics: &mut folds.metrics[p],
+                metrics: &mut folds.metrics[p].metrics,
                 first_day: folds.health.days_of(pair).start,
                 days: &mut scratch[starts[p]..starts[p + 1]],
                 exhausted: &mut folds.exhausted,
@@ -278,40 +280,9 @@ impl CampaignFolds {
         self.health
             .merge_pair(health.iter().map(|(day, cell)| (*day, cell)));
         self.aggregates.pairs[pair as usize] = aggregate;
-        self.metrics[pair as usize] = metrics;
+        self.metrics[pair as usize].metrics = metrics;
         self.exhausted.extend(exhausted);
         Ok(())
-    }
-
-    /// The metrics snapshot — what [`metrics_of`](crate::metrics_of)
-    /// builds from the same records: a cell per pair that saw a probe, its
-    /// error tallies its aggregate's.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let pairs = &self.aggregates.pairs;
-        // The pairs are put in key order (the protocol is the campaign's
-        // one) before any cell is built, by a stable sort like the cells'
-        // own would be, so the ~1 KB cells go once into a buffer of their
-        // exact size: no doubling of it, no sort scratch of their size.
-        let key = |i: usize| (pairs[i].resolver.as_str(), pairs[i].vantage.as_str());
-        let mut order: Vec<usize> = (0..pairs.len())
-            .filter(|&i| pairs[i].cell.probes() > 0)
-            .collect();
-        order.sort_by(|&a, &b| key(a).cmp(&key(b)));
-        let cells = order.into_iter().map(|i| {
-            let p = &pairs[i];
-            let mut metrics = self.metrics[i].clone();
-            let errors = p.cell.availability.errors();
-            metrics.errors = errors.map(|(kind, n)| (kind.label(), n)).collect();
-            let key = MetricKey {
-                resolver: p.resolver.as_str().to_string(),
-                vantage: p.vantage.as_str().to_string(),
-                protocol: self.protocol.as_str().to_string(),
-            };
-            CellSnapshot { key, metrics }
-        });
-        MetricsSnapshot {
-            cells: cells.collect(),
-        }
     }
 
     /// The (resolver, day) rows.
@@ -322,6 +293,72 @@ impl CampaignFolds {
     /// The aggregates and the (resolver, day) rows, moved out.
     pub fn into_views(self) -> (CampaignAggregates, HealthSeries) {
         (self.aggregates, self.health)
+    }
+
+    /// The metrics snapshot, the aggregates and the (resolver, day) rows,
+    /// moved out. The snapshot is what [`metrics_of`](crate::metrics_of)
+    /// builds from the same records: a cell per pair that saw a probe, its
+    /// error tallies its aggregate's. Its cells are the folds' own, keyed
+    /// and moved into key order where they lie, so taking it allocates no
+    /// second buffer of the ~1 KB cells (`DESIGN.md` §9: such a buffer made
+    /// the sharded run's peak RSS differ from process to process).
+    pub fn into_parts(self) -> (MetricsSnapshot, CampaignAggregates, HealthSeries) {
+        let CampaignFolds {
+            aggregates,
+            metrics: mut cells,
+            health,
+            protocol,
+            ..
+        } = self;
+        let pairs = &aggregates.pairs;
+        // The pairs that saw a probe, by a stable sort on the key (the
+        // protocol is the campaign's one), like the cells' own would be;
+        // `to[i]` is pair `i`'s place in it, `usize::MAX` for no place.
+        let key = |i: usize| (pairs[i].resolver.as_str(), pairs[i].vantage.as_str());
+        let mut order: Vec<usize> = (0..pairs.len())
+            .filter(|&i| pairs[i].cell.probes() > 0)
+            .collect();
+        order.sort_by(|&a, &b| key(a).cmp(&key(b)));
+        let mut to = vec![usize::MAX; cells.len()];
+        for (place, &i) in order.iter().enumerate() {
+            let (p, cell) = (&pairs[i], &mut cells[i]);
+            cell.metrics.errors = p
+                .cell
+                .availability
+                .errors()
+                .map(|(kind, n)| (kind.label(), n))
+                .collect();
+            cell.key = MetricKey {
+                resolver: p.resolver.as_str().to_string(),
+                vantage: p.vantage.as_str().to_string(),
+                protocol: protocol.as_str().to_string(),
+            };
+            to[i] = place;
+        }
+        // Each swap puts one cell in its place for good, so a place is
+        // never swapped out again; the unplaced cells end up past the
+        // last place and are cut off.
+        for i in 0..cells.len() {
+            while to[i] != i && to[i] != usize::MAX {
+                let j = to[i];
+                cells.swap(i, j);
+                to.swap(i, j);
+            }
+        }
+        cells.truncate(order.len());
+        (MetricsSnapshot { cells }, aggregates, health)
+    }
+}
+
+/// A metrics cell before [`CampaignFolds::into_parts`] keys it.
+fn unkeyed() -> CellSnapshot {
+    CellSnapshot {
+        key: MetricKey {
+            resolver: String::new(),
+            vantage: String::new(),
+            protocol: String::new(),
+        },
+        metrics: CellMetrics::default(),
     }
 }
 

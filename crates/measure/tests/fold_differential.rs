@@ -50,11 +50,10 @@ fn assert_folds_match(
     let records = c.run().records;
     let folds = CampaignFolds::of(&c, &records);
 
-    let metrics = folds.metrics();
+    health_oracle::assert_health_matches_the_oracle(&c, &records, folds.health(), what);
+    let (metrics, aggregates, health) = folds.into_parts();
     assert_eq!(metrics.render(), metrics_of(&records).render(), "{what}");
     assert_eq!(metrics, metrics_of(&records), "{what}");
-    health_oracle::assert_health_matches_the_oracle(&c, &records, folds.health(), what);
-    let (aggregates, health) = folds.into_views();
     let mut oracle = aggregate_oracle(&records);
     for p in aggregates.pairs() {
         // A duplicated pair's records all went to its first pair.
