@@ -8,7 +8,10 @@
 //!
 //! The fixtures pin the JSONL byte format and the metrics snapshot render
 //! for a fixed-seed campaign; `crates/measure/tests/golden_output.rs`
-//! asserts the hot path reproduces them byte-for-byte. The metrics-export
+//! asserts the hot path reproduces them byte-for-byte. The equivalence
+//! matrix's anchor table, `equivalence_anchors.txt`, pins the bytes of
+//! each of its rows (`crates/measure/tests/support/`) at each seed, which
+//! `crates/measure/tests/equivalence.rs` holds every engine to. The metrics-export
 //! fixtures under `crates/report/tests/golden/` pin the JSON and CSV
 //! export formats the same way (`crates/report/tests/golden_metrics.rs`).
 //!
@@ -36,16 +39,14 @@ use measure::{
 };
 use netsim::{SimDuration, SimRng, SimTime};
 
+#[path = "../../../measure/tests/support/mod.rs"]
+mod support;
+
 fn entries() -> Vec<catalog::ResolverEntry> {
-    [
-        "dns.google",
-        "dns.quad9.net",
-        "doh.ffmuc.net",
-        "chewbacca.meganerd.nl",
-    ]
-    .into_iter()
-    .map(|h| catalog::resolvers::find(h).unwrap())
-    .collect()
+    let hosts = support::GOLDEN_ROSTER.into_iter();
+    hosts
+        .map(|h| catalog::resolvers::find(h).unwrap())
+        .collect()
 }
 
 fn main() {
@@ -160,35 +161,37 @@ fn main() {
     )
     .unwrap();
     eprintln!("wrote reuse ablation with {} rows", ablation.rows().len());
+
+    write_equivalence_anchors(dir);
 }
 
-/// The probe matrix's campaign cells, as `golden_output.rs` reads them.
-fn matrix_config(seed: u64, protocol: Protocol, cell: &str) -> CampaignConfig {
-    let mut config = CampaignConfig::quick(seed, 2);
-    config.probe.protocol = protocol;
-    match cell {
-        "plain" => config,
-        "faults_dig" => config.with_default_faults(),
-        "faults_jitter3" => {
-            let mut config = config.with_default_faults();
-            config.probe.retry = RetryPolicy {
-                tries: 3,
-                attempt_timeout: Some(SimDuration::from_millis(800)),
-                backoff_base: SimDuration::from_millis(100),
-                backoff_cap: SimDuration::from_secs(1),
-                jitter: 0.5,
-            };
-            config
+/// Rewrites `equivalence_anchors.txt`: per (row, seed) of the equivalence
+/// matrix, the record count, byte count and FNV-1a of `run()`'s JSONL,
+/// asserted equal to `run_reference()` and `run_parallel(4)` first.
+fn write_equivalence_anchors(dir: &std::path::Path) {
+    let mut out = String::from(support::ANCHORS_HEADER);
+    for row in &support::ROWS {
+        for seed in support::SEEDS {
+            let campaign = row.campaign(seed);
+            let result = campaign.run();
+            for (engine, other) in [
+                ("run_reference()", campaign.run_reference()),
+                ("run_parallel(4)", campaign.run_parallel(4)),
+            ] {
+                assert_eq!(
+                    result.records, other.records,
+                    "run() and {engine} disagree on row {} at seed {seed}",
+                    row.name
+                );
+            }
+            let jsonl = result.to_json_lines();
+            let line = support::anchor_line(row, seed, result.records.len(), &jsonl);
+            out.push_str(&line);
+            out.push('\n');
         }
-        "faults_dig_load2" => config
-            .with_default_faults()
-            .with_load(LoadModel::standard(seed).with_multiplier(2.0)),
-        "faults_dig_interleaved" => config
-            .with_default_faults()
-            .with_session(SessionConfig::interleaved(0.3)),
-        "warm" => config.with_session(SessionConfig::warm()),
-        other => panic!("unknown matrix cell {other}"),
     }
+    std::fs::write(dir.join("equivalence_anchors.txt"), out).unwrap();
+    eprintln!("wrote the equivalence anchors");
 }
 
 /// Rewrites `probe_matrix.txt`: per (seed, protocol, cell) the record
@@ -204,13 +207,7 @@ fn write_probe_matrix(dir: &std::path::Path) {
         "faults_dig_interleaved",
         "warm",
     ];
-    const PROTOCOLS: [Protocol; 5] = [
-        Protocol::Do53,
-        Protocol::DoT,
-        Protocol::DoH,
-        Protocol::DoQ,
-        Protocol::ODoH,
-    ];
+    use support::PROTOCOLS;
     let mut out = String::from(
         "# probe matrix. Generated by commit 8f7ec30aa020df042a4cbd59cddf027624d951b0 from\n\
          # its separate reference implementation of the probe path; every later commit\n\
@@ -219,17 +216,12 @@ fn write_probe_matrix(dir: &std::path::Path) {
          # campaign lines: run_reference() output, asserted equal to run(); span lines:\n\
          # three traced Prober::probe calls an hour apart under seed 4's fault plan.\n",
     );
-    let hosts = [
-        "dns.google",
-        "chewbacca.meganerd.nl",
-        "ibksturm.synology.me",
-    ];
+    let hosts = support::ROSTER;
     for seed in [4, 23] {
         for protocol in PROTOCOLS {
             for cell in CELLS {
-                let entries = hosts.map(|h| catalog::resolvers::find(h).unwrap()).to_vec();
-                let config = matrix_config(seed, protocol, cell);
-                let campaign = Campaign::with_resolvers(config, entries);
+                let config = support::probe_matrix_config(seed, protocol, cell);
+                let campaign = support::campaign(config, false);
                 let result = campaign.run_reference();
                 assert_eq!(
                     result.records,

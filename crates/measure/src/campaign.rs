@@ -16,15 +16,17 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::convert::Infallible;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 use detlint_macros::deny_alloc;
 use dns_wire::Name;
 use netsim::rng::SimRng;
-use netsim::time::SimTime;
+use netsim::time::{SimDuration, SimTime};
 use obs::{CellMetrics, Label, MetricsRegistry, MetricsSnapshot, Phase, SpanLog};
 
 use crate::config::{CampaignConfig, Span};
 use crate::context::{PairContext, Wires};
+use crate::errors::ProbeErrorKind;
 use crate::population::PairLoad;
 use crate::probe::{ProbeJob, ProbeRequest, ProbeTarget, Prober};
 use crate::results::{ProbeOutcome, ProbeRecord};
@@ -213,7 +215,7 @@ impl GeneratedPairs {
     }
 
     /// Each pair's vantage label and record stream, in pair order: what
-    /// `tests/shard_resume_differential.rs` holds to [`Campaign::slots`],
+    /// `tests/equivalence.rs` holds to [`Campaign::slots`],
     /// and `tests/campaign_order_oracle.rs` sorts.
     #[doc(hidden)]
     pub fn pairs(&self) -> impl Iterator<Item = (&'static str, &[ProbeRecord])> {
@@ -440,8 +442,7 @@ impl Campaign {
     /// engines order records without reading one.
     pub fn slots(&self, vantage: &str) -> Vec<Slot> {
         // Sized from the schedule, so it never regrows.
-        let rounds: usize = self.spans_of(vantage).map(Span::round_count).sum();
-        let mut slots = Vec::with_capacity(rounds * self.domains.len());
+        let mut slots = Vec::with_capacity(self.slot_count(vantage));
         let schedule = self.schedule(vantage).enumerate();
         slots.extend(schedule.map(|(probe, (at, domain))| Slot {
             at: at.as_nanos(),
@@ -452,6 +453,13 @@ impl Campaign {
         // rank) without the stable sort's scratch buffer.
         slots.sort_unstable_by_key(|s| (s.at, self.domains[s.domain as usize].rank, s.probe));
         slots
+    }
+
+    /// How many [`slots`](Self::slots) `vantage` has: the records each of
+    /// its pairs writes.
+    pub(crate) fn slot_count(&self, vantage: &str) -> usize {
+        let rounds: usize = self.spans_of(vantage).map(Span::round_count).sum();
+        rounds * self.domains.len()
     }
 
     /// Every vantage's [`slots`](Self::slots), indexed like
@@ -490,14 +498,14 @@ impl Campaign {
     /// The generation stage: runs every (vantage, resolver) pair across
     /// `threads` threads, the calling thread one of them, and returns
     /// their records in one campaign-sized buffer, pair after pair, each
-    /// pair's in canonical order. On one thread each pair writes straight
-    /// into that buffer. On more, the pairs go through the sharded
-    /// engine's [`hand_off`]: every thread claims the next pair and runs
-    /// it into a vector of its own, and the calling thread appends each
-    /// pair's records in pair order and frees that vector, so output is
-    /// independent of the thread count. [`assemble`](Self::assemble) permutes the buffer
-    /// into a [`CampaignResult`]; split out so the bench harness can time
-    /// generation separately from assembly.
+    /// pair's in canonical order. A pair fills its vantage's slots, so
+    /// each pair's slice of the buffer is cut before any record is made;
+    /// the pairs then go through the sharded engine's [`hand_off`] (no
+    /// worker beside the calling thread at one thread), and each lane
+    /// writes the pair it claims into that pair's slice, so output is
+    /// independent of the thread count. [`assemble`](Self::assemble)
+    /// permutes the buffer into a [`CampaignResult`]; split out so the
+    /// bench harness can time generation separately from assembly.
     pub fn generate(&self, threads: usize) -> GeneratedPairs {
         self.generate_over(threads, true)
     }
@@ -515,31 +523,37 @@ impl Campaign {
         let plans = self.pair_plans();
         let mut starts = Vec::with_capacity(plans.len() + 1);
         starts.push(0);
-        if threads <= 1 {
-            // One lane: each pair writes straight into the campaign buffer.
-            for plan in &plans {
-                self.run_pair_into(plan, cached, &mut records);
-                starts.push(records.len());
-            }
-        } else {
-            let pending: Vec<u32> = (0..plans.len() as u32).collect();
-            let (generated, _) = hand_off(
-                &pending,
-                threads - 1,
-                |pair| {
-                    let mut records = Vec::new();
-                    self.run_pair_into(&plans[pair as usize], cached, &mut records);
-                    records
-                },
-                Ok::<_, Infallible>,
-                |mut pair| {
-                    records.append(&mut pair);
-                    starts.push(records.len());
-                    Ok(())
-                },
-            );
-            let Ok(()) = generated;
+        for plan in &plans {
+            starts.push(starts[starts.len() - 1] + self.slot_count(plan.vantage.label));
         }
+        if let Some(plan) = plans.first() {
+            records.resize(starts[plans.len()], self.placeholder(plan));
+        }
+        // Each pair's slice, taken by the lane that claims the pair.
+        let mut rest = records.as_mut_slice();
+        let slices: Vec<Mutex<&mut [ProbeRecord]>> = (starts.windows(2))
+            .map(|w| {
+                let (pair, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+                rest = tail;
+                Mutex::new(pair)
+            })
+            .collect();
+        let pending: Vec<u32> = (0..plans.len() as u32).collect();
+        let (generated, _) = hand_off(
+            &pending,
+            threads.saturating_sub(1),
+            |pair| {
+                // Each pair is claimed once, so its lock is taken once and
+                // is never found poisoned.
+                let slice = slices[pair as usize].lock();
+                let mut slice = slice.unwrap_or_else(PoisonError::into_inner);
+                self.run_pair_into(&plans[pair as usize], cached, &mut slice);
+            },
+            Ok::<_, Infallible>,
+            |()| Ok(()),
+        );
+        let Ok(()) = generated;
+        drop(slices);
         GeneratedPairs {
             plans,
             records,
@@ -612,18 +626,42 @@ impl Campaign {
     /// wire templates — is hoisted into a [`PairContext`] built once here
     /// and borrowed by every probe.
     pub(crate) fn run_pair(&self, plan: &PairPlan) -> Vec<ProbeRecord> {
-        let mut records = Vec::new();
+        let slots = self.slot_count(plan.vantage.label);
+        let mut records = vec![self.placeholder(plan); slots];
         self.run_pair_into(plan, true, &mut records);
         records
     }
 
-    /// [`run_pair`](Self::run_pair) over either wire source, appending the
-    /// pair's records to `records`. With `cached` off nothing outlives a
-    /// probe except what the model says does (the resolver's caches, the
-    /// session state, the RNG stream): each probe is routed, resolves its
-    /// faults against the whole plan, rebuilds the pair's load tables and
-    /// encodes and re-parses every wire, through [`Prober::probe_fresh`].
-    fn run_pair_into(&self, plan: &PairPlan, cached: bool, records: &mut Vec<ProbeRecord>) {
+    /// A record of `plan`'s pair that its slots hold until the pair's
+    /// probes overwrite them.
+    fn placeholder(&self, plan: &PairPlan) -> ProbeRecord {
+        let outcome = ProbeOutcome::Failure {
+            kind: ProbeErrorKind::ConnectTimeout,
+            elapsed: SimDuration::ZERO,
+        };
+        let entry = &plan.entry;
+        ProbeRecord::new(
+            SimTime::ZERO,
+            plan.vantage_label,
+            plan.resolver_label,
+            entry.region(),
+            entry.mainstream,
+            self.domains[0].label,
+            self.config.probe.protocol,
+            outcome,
+            None,
+        )
+    }
+
+    /// [`run_pair`](Self::run_pair) over either wire source, writing the
+    /// pair's records over `records`, one per slot of its vantage
+    /// ([`slot_count`](Self::slot_count)). With `cached` off nothing
+    /// outlives a probe except what the model says does (the resolver's
+    /// caches, the session state, the RNG stream): each probe is routed,
+    /// resolves its faults against the whole plan, rebuilds the pair's
+    /// load tables and encodes and re-parses every wire, through
+    /// [`Prober::probe_fresh`].
+    fn run_pair_into(&self, plan: &PairPlan, cached: bool, records: &mut [ProbeRecord]) {
         let vantage = &plan.vantage;
         let entry = &plan.entry;
         let cfg = self.config.probe;
@@ -664,9 +702,8 @@ impl Campaign {
         // Each slot's probe, in slot order: where `place` takes records from.
         let slots = self.slots(vantage.label).into_iter().map(|s| s.probe);
         let mut sources: Vec<u32> = slots.collect();
-        let base = records.len();
-        records.reserve_exact(sources.len());
-        for (at, domain_idx) in self.schedule(vantage.label) {
+        let schedule = records.iter_mut().zip(self.schedule(vantage.label));
+        for (record, (at, domain_idx)) in schedule {
             let domain = &self.domains[domain_idx];
             let session = session_cfg.zip(session.as_mut());
             let report = match &mut ctx {
@@ -706,25 +743,23 @@ impl Campaign {
                     )
                 }
             };
-            records.push(
-                ProbeRecord::new(
-                    at,
-                    plan.vantage_label,
-                    plan.resolver_label,
-                    entry.region(),
-                    entry.mainstream,
-                    domain.label,
-                    cfg.protocol,
-                    report.outcome,
-                    report.ping,
-                )
-                .with_retry(report.retry)
-                .with_conn_mode(report.conn_mode),
-            );
+            *record = ProbeRecord::new(
+                at,
+                plan.vantage_label,
+                plan.resolver_label,
+                entry.region(),
+                entry.mainstream,
+                domain.label,
+                cfg.protocol,
+                report.outcome,
+                report.ping,
+            )
+            .with_retry(report.retry)
+            .with_conn_mode(report.conn_mode);
         }
         // Probes run in schedule order (the RNG stream depends on it);
         // each record then moves to its slot.
-        place(&mut records[base..], &mut sources);
+        place(records, &mut sources);
     }
 }
 

@@ -299,8 +299,8 @@ pub struct ShardCells {
     pub pairs: Vec<PairCells>,
 }
 
-/// One pair's cells: what its [`PairFold`](crate::fold::PairFold) folds
-/// its records to.
+/// One pair's cells: what its [`PairFold`](crate::fold::PairFold) and
+/// day cells fold its records to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairCells {
     /// The aggregate cell, with the pair's index and coordinates.

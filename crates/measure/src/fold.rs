@@ -1,15 +1,17 @@
 //! One fold per (vantage, resolver) pair, and the campaign's table of them.
 //!
-//! [`PairFold::observe`] folds a record into its pair's aggregate cell,
-//! metrics cell and day cells, and lists its retry exhaustion: the sharded
-//! engine runs it over each pair's records as it generates a shard
-//! ([`fold_pair`]), [`CampaignFolds::of`] per record of an in-memory
-//! campaign. [`CampaignFolds`] is one pair table beside the (resolver,
-//! day) rows of a [`HealthSeries`], with one route from a record to its
-//! pair and one [`install`](CampaignFolds::install) of a cell file's
-//! [`PairCells`], which merges the pair's day cells into the rows and
-//! keeps none of them; the engines hand out its projections, the metrics
-//! snapshot, [`CampaignAggregates`] and [`HealthSeries`]. A metrics cell's
+//! [`PairFold::observe`] folds a record into its pair's aggregate cell and
+//! metrics cell and lists its retry exhaustion, and
+//! [`HealthCell::observe`] into its day cell: the sharded engine runs both
+//! over each pair's records as it generates a shard ([`fold_pair`]),
+//! [`CampaignFolds::of`] per record of an in-memory campaign, and
+//! [`HealthSeries::of`] the day cells alone. [`CampaignFolds`] is one pair
+//! table beside the (resolver, day) rows of a [`HealthSeries`], with one
+//! route from a record to its pair and one
+//! [`install`](CampaignFolds::install) of a cell file's [`PairCells`],
+//! which merges the pair's day cells into the rows and keeps none of
+//! them; the engines hand out its projections, the metrics snapshot,
+//! [`CampaignAggregates`] and [`HealthSeries`]. A metrics cell's
 //! error tallies are left to the aggregate's tally, which the snapshot
 //! reads them from and the cell file stores as their one copy, so folding
 //! a record allocates nothing but a retry exhaustion's entry. Every pair's
@@ -25,39 +27,30 @@ use crate::checkpoint::{PairCells, RetryExhausted};
 use crate::health::{day_of, present_days, HealthCell, HealthSeries};
 use crate::results::{ProbeOutcome, ProbeRecord};
 
-/// One pair's folds, borrowed from a shard's [`PairCells`] or a
-/// [`CampaignFolds`] table.
+/// One pair's aggregate and metrics cells and retry exhaustions, borrowed
+/// from a shard's [`PairCells`] or a [`CampaignFolds`] table; its day
+/// cells fold beside them ([`HealthCell::observe`]).
 pub(crate) struct PairFold<'a> {
     pub(crate) pair: u32,
     pub(crate) aggregate: &'a mut AggregateCell,
     /// Without error tallies: the aggregate's tally holds them.
     pub(crate) metrics: &'a mut CellMetrics,
-    /// A cell per day of the pair's vantage, from `first_day` on.
-    pub(crate) first_day: u32,
-    pub(crate) days: &'a mut [HealthCell],
     pub(crate) exhausted: &'a mut Vec<RetryExhausted>,
 }
 
 impl PairFold<'_> {
-    /// Folds one of the pair's records into its aggregate, metrics and day
+    /// Folds one of the pair's records into its aggregate and metrics
     /// cells, and lists it when it failed with its retry budget spent.
     pub(crate) fn observe(&mut self, r: &ProbeRecord) {
-        let day = day_cell(self.first_day, self.days, day_of(r.at.as_nanos()));
         match &r.outcome {
             ProbeOutcome::Success { timings, .. } => {
-                let ms = timings.total().as_millis_f64();
                 self.aggregate.availability.success();
-                self.aggregate.response.observe(ms);
-                if let Some(day) = day {
-                    day.availability.success();
-                    day.response.observe(ms);
-                }
+                self.aggregate
+                    .response
+                    .observe(timings.total().as_millis_f64());
             }
             ProbeOutcome::Failure { kind, .. } => {
                 self.aggregate.availability.error(*kind);
-                if let Some(day) = day {
-                    day.availability.error(*kind);
-                }
                 if let Some(retry) = r.retry.filter(|info| info.exhausted(&r.outcome)) {
                     self.exhausted.push(RetryExhausted {
                         pair: self.pair,
@@ -102,11 +95,12 @@ pub(crate) fn fold_pair(
         pair,
         aggregate: &mut cells.aggregate.cell,
         metrics: &mut cells.metrics,
-        first_day: days.start,
-        days: scratch,
         exhausted: &mut cells.exhausted,
     };
     for r in records {
+        if let Some(day) = day_cell(days.start, scratch, day_of(r.at.as_nanos())) {
+            day.observe(r);
+        }
         fold.observe(r);
     }
     let present = present_days(days.start, scratch);
@@ -114,10 +108,76 @@ pub(crate) fn fold_pair(
     cells
 }
 
+/// `plans`' empty (resolver, day) rows, and each record's route to its
+/// pair: (vantage, resolver) interned-label indices → pair, sorted, a
+/// duplicated coordinate routed to its first pair.
+fn rows_and_routes(campaign: &Campaign, plans: &[PairPlan]) -> (HealthSeries, Routes) {
+    let mut days = Vec::with_capacity(plans.len());
+    let mut routes = Vec::with_capacity(plans.len());
+    for (pair, p) in (0u32..).zip(plans) {
+        days.push((p.resolver_label, campaign.days_of(p.vantage.label)));
+        routes.push((route_key(p.vantage_label, p.resolver_label), pair));
+    }
+    routes.sort_by_key(|&(key, _)| key);
+    routes.dedup_by_key(|&mut (key, _)| key);
+    (HealthSeries::for_pairs(&days), routes)
+}
+
+/// Folds the day cells of an in-memory record stream into `health`'s rows,
+/// handing every record of a scheduled pair to `each` with its pair. The
+/// pairs' records arrive interleaved, so their day cells fold into a
+/// (pair, day) scratch table, each pair's over its vantage's days, and
+/// merge into the rows pair by pair once the last record is in.
+fn fold_days(
+    health: &mut HealthSeries,
+    routes: &Routes,
+    records: &[ProbeRecord],
+    mut each: impl FnMut(u32, &ProbeRecord),
+) {
+    let n = health.pair_count();
+    // Pair `p`'s day cells are `scratch[starts[p]..starts[p + 1]]`.
+    let mut starts = Vec::with_capacity(n as usize + 1);
+    starts.push(0);
+    for pair in 0..n {
+        starts.push(starts[pair as usize] + health.days_of(pair).len());
+    }
+    let mut scratch = vec![HealthCell::default(); starts[n as usize]];
+    for r in records {
+        let key = route_key(r.vantage_id(), r.resolver_id());
+        let Ok(i) = routes.binary_search_by_key(&key, |&(k, _)| k) else {
+            continue;
+        };
+        let pair = routes[i].1;
+        let p = pair as usize;
+        let days = &mut scratch[starts[p]..starts[p + 1]];
+        let first_day = health.days_of(pair).start;
+        if let Some(day) = day_cell(first_day, days, day_of(r.at.as_nanos())) {
+            day.observe(r);
+        }
+        each(pair, r);
+    }
+    for (pair, bounds) in (0u32..).zip(starts.windows(2)) {
+        let first_day = health.days_of(pair).start;
+        let cells = &scratch[bounds[0]..bounds[1]];
+        health.merge_pair(present_days(first_day, cells));
+    }
+}
+
+/// The (resolver, day) rows of an in-memory record stream, folded alone:
+/// [`HealthSeries::of`].
+pub(crate) fn health_of(campaign: &Campaign, records: &[ProbeRecord]) -> HealthSeries {
+    let (mut health, routes) = rows_and_routes(campaign, &campaign.pair_plans());
+    fold_days(&mut health, &routes, records, |_, _| {});
+    health
+}
+
 /// The cell of `day` among `days`, which start at `first_day`.
 fn day_cell(first_day: u32, days: &mut [HealthCell], day: u32) -> Option<&mut HealthCell> {
     days.get_mut(day.checked_sub(first_day)? as usize)
 }
+
+/// (vantage, resolver) interned-label indices → pair, sorted by the key.
+type Routes = Vec<((u32, u32), u32)>;
 
 /// A record's route: its (vantage, resolver) interned-label indices.
 fn route_key(vantage: Label, resolver: Label) -> (u32, u32) {
@@ -135,9 +195,8 @@ pub struct CampaignFolds {
     metrics: Vec<CellSnapshot>,
     /// The (resolver, day) rows every merged pair's day cells went into.
     health: HealthSeries,
-    /// (vantage, resolver) interned-label indices → pair, sorted; a
-    /// duplicated coordinate routes to its first pair.
-    routes: Vec<((u32, u32), u32)>,
+    /// Each record's route to its pair ([`rows_and_routes`]).
+    routes: Routes,
     /// Every retry exhaustion: pair after pair, each pair's in record
     /// order, as [`install`](Self::install) meets them; in the campaign's
     /// record order from [`of`](Self::of).
@@ -150,27 +209,19 @@ impl CampaignFolds {
     /// Empty folds shaped for `campaign`'s pairs and days.
     pub fn for_campaign(campaign: &Campaign) -> CampaignFolds {
         let plans = campaign.pair_plans();
-        let n = plans.len();
-        let mut pairs = Vec::with_capacity(n);
-        let mut days = Vec::with_capacity(n);
-        let mut routes = Vec::with_capacity(n);
-        for (pair, p) in (0u32..).zip(&plans) {
-            let (vantage, resolver) = (p.vantage_label, p.resolver_label);
-            pairs.push(PairAggregate {
-                pair,
-                vantage,
-                resolver,
-                cell: AggregateCell::default(),
-            });
-            days.push((resolver, campaign.days_of(p.vantage.label)));
-            routes.push((route_key(vantage, resolver), pair));
-        }
-        routes.sort_by_key(|&(key, _)| key);
-        routes.dedup_by_key(|&mut (key, _)| key);
+        let pairs = (0u32..).zip(&plans).map(|(pair, p)| PairAggregate {
+            pair,
+            vantage: p.vantage_label,
+            resolver: p.resolver_label,
+            cell: AggregateCell::default(),
+        });
+        let (health, routes) = rows_and_routes(campaign, &plans);
         CampaignFolds {
-            aggregates: CampaignAggregates { pairs },
-            metrics: vec![unkeyed(); n],
-            health: HealthSeries::for_pairs(&days),
+            aggregates: CampaignAggregates {
+                pairs: pairs.collect(),
+            },
+            metrics: vec![unkeyed(); plans.len()],
+            health,
             routes,
             exhausted: Vec::new(),
             protocol: campaign.config().probe.protocol.interned_label(),
@@ -179,42 +230,27 @@ impl CampaignFolds {
 
     /// The folds of an in-memory record stream: the one-shot reference the
     /// sharded engine's installed folds must equal bit for bit. A record
-    /// of a pair or a day the campaign does not schedule is ignored. The
-    /// pairs' records arrive interleaved, so their day cells fold into a
-    /// (pair, day) scratch table, each pair's over its vantage's days, and
-    /// merge into the rows pair by pair once the last record is in.
+    /// of a pair or a day the campaign does not schedule is ignored.
     pub fn of(campaign: &Campaign, records: &[ProbeRecord]) -> CampaignFolds {
         let mut folds = CampaignFolds::for_campaign(campaign);
-        let n = folds.aggregates.pairs.len();
-        // Pair `p`'s day cells are `scratch[starts[p]..starts[p + 1]]`.
-        let mut starts = Vec::with_capacity(n + 1);
-        starts.push(0);
-        for pair in 0..n as u32 {
-            starts.push(starts[pair as usize] + folds.health.days_of(pair).len());
-        }
-        let mut scratch = vec![HealthCell::default(); starts[n]];
-        for r in records {
-            let key = route_key(r.vantage_id(), r.resolver_id());
-            let Ok(i) = folds.routes.binary_search_by_key(&key, |&(k, _)| k) else {
-                continue;
-            };
-            let pair = folds.routes[i].1;
+        let CampaignFolds {
+            aggregates,
+            metrics,
+            health,
+            routes,
+            exhausted,
+            ..
+        } = &mut folds;
+        fold_days(health, routes, records, |pair, r| {
             let p = pair as usize;
             PairFold {
                 pair,
-                aggregate: &mut folds.aggregates.pairs[p].cell,
-                metrics: &mut folds.metrics[p].metrics,
-                first_day: folds.health.days_of(pair).start,
-                days: &mut scratch[starts[p]..starts[p + 1]],
-                exhausted: &mut folds.exhausted,
+                aggregate: &mut aggregates.pairs[p].cell,
+                metrics: &mut metrics[p].metrics,
+                exhausted,
             }
             .observe(r);
-        }
-        for (pair, bounds) in (0u32..).zip(starts.windows(2)) {
-            let first_day = folds.health.days_of(pair).start;
-            let cells = &scratch[bounds[0]..bounds[1]];
-            folds.health.merge_pair(present_days(first_day, cells));
-        }
+        });
         folds
     }
 

@@ -2,13 +2,15 @@
 //! deterministic drift detector.
 //!
 //! The paper's headline findings are longitudinal — availability dips and
-//! latency shifts over months — so each pair's
-//! [`PairFold`](crate::fold::PairFold) folds one [`HealthCell`] (a
-//! [`Tally`] + response-latency sketch delta) per **(pair, day)**. Those
-//! live only while a pair is folded — in the sharded engine's per-pair
-//! scratch, then in its shard's `edns-checkpoint` cell file — and in the
-//! (pair, day) scratch of [`CampaignFolds::of`]. What a campaign keeps and
-//! exports is a [`HealthSeries`]: one cell per **(resolver, day)**, each
+//! latency shifts over months — so each pair's records fold, beside its
+//! [`PairFold`](crate::fold::PairFold), into one [`HealthCell`] (a
+//! [`Tally`] + response-latency sketch delta) per **(pair, day)**
+//! ([`HealthCell::observe`]). Those live only while a pair is folded — in
+//! the sharded engine's per-pair scratch, then in its shard's
+//! `edns-checkpoint` cell file — and in the (pair, day) scratch of
+//! [`CampaignFolds::of`](crate::CampaignFolds::of) and
+//! [`HealthSeries::of`]. What a campaign keeps and exports is a
+//! [`HealthSeries`]: one cell per **(resolver, day)**, each
 //! the merge of its pairs' cells, over the union of its pairs' vantage
 //! days, plus a few words per pair. Memory is O(resolvers × days),
 //! bounded however many probes a day carries and however many vantages
@@ -45,9 +47,9 @@ use obs::Label;
 
 use crate::campaign::Campaign;
 use crate::errors::Tally;
-use crate::fold::CampaignFolds;
+use crate::fold::health_of;
 use crate::json;
-use crate::results::ProbeRecord;
+use crate::results::{ProbeOutcome, ProbeRecord};
 
 /// Simulated nanoseconds per campaign day.
 pub const NANOS_PER_DAY: u64 = 86_400_000_000_000;
@@ -79,6 +81,17 @@ impl HealthCell {
     /// Probes observed.
     pub fn probes(&self) -> u64 {
         self.availability.total()
+    }
+
+    /// Folds one record of the day in.
+    pub(crate) fn observe(&mut self, r: &ProbeRecord) {
+        match &r.outcome {
+            ProbeOutcome::Success { timings, .. } => {
+                self.availability.success();
+                self.response.observe(timings.total().as_millis_f64());
+            }
+            ProbeOutcome::Failure { kind, .. } => self.availability.error(*kind),
+        }
     }
 }
 
@@ -123,10 +136,17 @@ pub struct HealthSeries {
 }
 
 impl HealthSeries {
-    /// The series of an in-memory record stream: the projection of
-    /// [`CampaignFolds::of`] the benchmark in `benchmark/` times.
+    /// The series of an in-memory record stream: the rows of
+    /// [`CampaignFolds::of`](crate::CampaignFolds::of), folded without
+    /// its aggregate and metrics cells — what the flight recorder adds to
+    /// a fold.
     pub fn of(campaign: &Campaign, records: &[ProbeRecord]) -> HealthSeries {
-        CampaignFolds::of(campaign, records).into_views().1
+        health_of(campaign, records)
+    }
+
+    /// Pairs the rows are shaped for.
+    pub(crate) fn pair_count(&self) -> u32 {
+        self.pairs.len() as u32
     }
 
     /// Empty rows for pairs of these resolvers and vantage days, in

@@ -9,17 +9,13 @@
 //! term, the pair's occurrence among pairs of its labels, which is 0 for
 //! every pair of the other cases.
 
+mod support;
+
 use std::collections::BTreeMap;
 
-use measure::{Campaign, CampaignConfig, ProbeRecord, Span};
+use measure::{Campaign, ProbeRecord};
 
-const HOSTS: &str = "dns.google dns.quad9.net doh.ffmuc.net chewbacca.meganerd.nl";
-
-fn campaign(config: CampaignConfig, hosts: &str) -> Campaign {
-    let entries = hosts.split(' ');
-    let entries = entries.map(|h| catalog::resolvers::find(h).unwrap());
-    Campaign::with_resolvers(config, entries.collect())
-}
+use support::{ROWS, SEEDS};
 
 fn oracle(c: &Campaign) -> Vec<ProbeRecord> {
     let generated = c.generate(1);
@@ -38,28 +34,12 @@ fn oracle(c: &Campaign) -> Vec<ProbeRecord> {
 
 #[test]
 fn run_is_the_stable_global_sort_of_the_pairs_records() {
-    // One home vantage also runs a second span: its rounds at 0 h and
-    // 12 h come twice.
-    let mut overlapping_spans = CampaignConfig::quick(5, 2);
-    overlapping_spans.spans.push(Span {
-        start_day: 0,
-        days: 1,
-        rounds_per_day: 4,
-        vantages: overlapping_spans.spans[0].vantages[..1].to_vec(),
-    });
-    let mut out_of_rank_order = CampaignConfig::quick(6, 2);
-    let domains = ["wikipedia.com", "google.com", "amazon.com", "google.com"];
-    out_of_rank_order.domains = domains.map(String::from).to_vec();
-    let twice = "dns.google dns.quad9.net dns.google";
-    let cases = [
-        ("quick, seed 3", CampaignConfig::quick(3, 2), HOSTS),
-        ("quick, seed 58", CampaignConfig::quick(58, 3), HOSTS),
-        ("overlapping spans", overlapping_spans, HOSTS),
-        ("domains against rank order", out_of_rank_order, HOSTS),
-        ("a resolver twice", CampaignConfig::quick(7, 2), twice),
-    ];
-    for (what, config, hosts) in cases {
-        let c = campaign(config, hosts);
+    // The equivalence matrix's rows, among them a home vantage whose
+    // rounds at 0 h and 12 h come twice (overlapping spans), domains
+    // listed against rank order, and a resolver listed twice.
+    for (row, seed) in ROWS.iter().flat_map(|row| SEEDS.map(|seed| (row, seed))) {
+        let what = format!("{} at seed {seed}", row.name);
+        let c = row.campaign(seed);
         let expected = oracle(&c);
         assert_eq!(expected.len(), c.probe_count(), "{what}");
         for (engine, got) in [("run()", c.run()), ("run_parallel(3)", c.run_parallel(3))] {

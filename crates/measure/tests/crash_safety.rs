@@ -11,8 +11,9 @@
 //! fails on any lane, must resume to the one-shot output; a failed write
 //! ends the run where a lone calling thread would, at every thread count.
 
+mod support;
+
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use measure::checkpoint::checksum;
 use measure::shard::CAMPAIGN_FILE;
@@ -20,6 +21,8 @@ use measure::{
     Campaign, CampaignConfig, CheckpointError, Manifest, Protocol, ShardState, ShardedRunner,
     CHECKPOINT_VERSION,
 };
+
+use support::Scratch;
 
 const HOSTS: [&str; 3] = ["dns.google", "dns.quad9.net", "doh.ffmuc.net"];
 
@@ -31,18 +34,9 @@ fn campaign(config: CampaignConfig) -> Campaign {
     Campaign::with_resolvers(config, entries)
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "edns-crash-safety-{}-{tag}-{n}",
-        std::process::id()
-    ))
-}
-
 /// Runs two of four shards and returns the checkpoint directory.
-fn partial_run(c: &Campaign, tag: &str) -> PathBuf {
-    let dir = scratch_dir(tag);
+fn partial_run(c: &Campaign) -> Scratch {
+    let dir = Scratch::new();
     let runner = ShardedRunner::new(c, 4, &dir).unwrap();
     let remaining = runner.advance(2).unwrap();
     assert_eq!(remaining, 2);
@@ -51,8 +45,8 @@ fn partial_run(c: &Campaign, tag: &str) -> PathBuf {
 
 /// Runs all four shards and returns a runner over the complete directory,
 /// and the directory.
-fn complete_run<'a>(c: &'a Campaign, tag: &str) -> (ShardedRunner<'a>, PathBuf) {
-    let dir = scratch_dir(tag);
+fn complete_run<'a>(c: &'a Campaign) -> (ShardedRunner<'a>, Scratch) {
+    let dir = Scratch::new();
     let runner = ShardedRunner::new(c, 4, &dir).unwrap();
     assert_eq!(runner.advance(4).unwrap(), 0);
     (runner, dir)
@@ -148,7 +142,7 @@ fn shard_data_message<T: std::fmt::Debug>(result: Result<T, CheckpointError>) ->
 #[test]
 fn truncated_manifest_is_rejected() {
     let c = campaign(CampaignConfig::quick(3, 2));
-    let dir = partial_run(&c, "truncated");
+    let dir = partial_run(&c);
     let path = dir.join("manifest.ckpt");
     let text = std::fs::read_to_string(&path).unwrap();
 
@@ -164,13 +158,12 @@ fn truncated_manifest_is_rejected() {
         runner.run(1).unwrap_err(),
         CheckpointError::ChecksumMismatch { .. } | CheckpointError::Truncated
     ));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn corrupt_manifest_body_is_rejected() {
     let c = campaign(CampaignConfig::quick(3, 2));
-    let dir = partial_run(&c, "corrupt");
+    let dir = partial_run(&c);
     let path = dir.join("manifest.ckpt");
     let text = std::fs::read_to_string(&path).unwrap();
     // Flip one byte inside the JSON body (after the header line).
@@ -184,13 +177,12 @@ fn corrupt_manifest_body_is_rejected() {
         runner.run(1).unwrap_err(),
         CheckpointError::ChecksumMismatch { .. }
     ));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn stale_format_version_is_rejected() {
     let c = campaign(CampaignConfig::quick(3, 2));
-    let dir = partial_run(&c, "version");
+    let dir = partial_run(&c);
     let path = dir.join("manifest.ckpt");
     let text = std::fs::read_to_string(&path).unwrap();
     // v5 is the previous format, whose cell files listed the cells in four
@@ -208,24 +200,22 @@ fn stale_format_version_is_rejected() {
             }
         );
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn foreign_file_is_rejected_as_bad_magic() {
     let c = campaign(CampaignConfig::quick(3, 2));
-    let dir = scratch_dir("magic");
+    let dir = Scratch::new();
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("manifest.ckpt"), "{\"not\": \"a checkpoint\"}\n").unwrap();
     let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
     assert_eq!(runner.run(1).unwrap_err(), CheckpointError::BadMagic);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn corrupt_shard_data_file_is_rejected() {
     let c = campaign(CampaignConfig::quick(3, 2));
-    let dir = partial_run(&c, "sharddata");
+    let dir = partial_run(&c);
     // Corrupt the first completed shard's data file without touching the
     // manifest: resume must notice via the recorded checksum.
     let shard = dir.join("shard-0000.jsonl");
@@ -253,7 +243,6 @@ fn corrupt_shard_data_file_is_rejected() {
         ShardedRunner::new(&c, 4, &dir).unwrap().run(1).unwrap_err(),
         CheckpointError::ShardData(_)
     ));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -262,12 +251,11 @@ fn a_shard_file_the_engine_did_not_write_is_rejected_at_assembly() {
     // `write_json_line` output (a space after each comma): assembly reads
     // shard files with the strict line reader and must say so, typed.
     let c = campaign(CampaignConfig::quick(3, 2));
-    let (runner, dir) = complete_run(&c, "foreign-lines");
+    let (runner, _dir) = complete_run(&c);
     respace_data_file(&runner, 1);
 
     let msg = shard_data_message(runner.run(1));
     assert!(msg.contains("shard-0001.jsonl"), "{msg}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -293,7 +281,7 @@ fn a_data_file_out_of_step_with_its_schedule_is_rejected_at_assembly() {
         }),
     ];
     for (what, edit) in edits {
-        let (runner, dir) = complete_run(&c, "schedule");
+        let (runner, dir) = complete_run(&c);
         edit_data_file(&runner, 1, edit);
         let msg = shard_data_message(runner.run(1));
         assert!(msg.contains("shard-0001.jsonl"), "{what}: {msg}");
@@ -301,7 +289,6 @@ fn a_data_file_out_of_step_with_its_schedule_is_rejected_at_assembly() {
             !dir.join(CAMPAIGN_FILE).exists(),
             "{what}: a torn campaign file"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -324,7 +311,7 @@ fn a_cell_file_whose_metrics_disagree_with_its_aggregates_is_rejected() {
         }),
     ];
     for (what, edit) in edits {
-        let (runner, dir) = complete_run(&c, "metrics-cells");
+        let (runner, dir) = complete_run(&c);
         edit_cell_file(&runner, 2, edit);
         let msg = shard_data_message(runner.run(1));
         assert!(msg.contains("shard-0002.cells"), "{what}: {msg}");
@@ -332,7 +319,6 @@ fn a_cell_file_whose_metrics_disagree_with_its_aggregates_is_rejected() {
             !dir.join(CAMPAIGN_FILE).exists(),
             "{what}: a torn campaign file"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -342,13 +328,12 @@ fn a_cell_file_that_fails_its_content_checks_leaves_no_campaign_file() {
     // the manifest: only the cell lane's content checks can reject it, and
     // they must do so before the merged output takes its name.
     let c = campaign(CampaignConfig::quick(3, 2));
-    let (runner, dir) = complete_run(&c, "foreign-cells");
+    let (runner, dir) = complete_run(&c);
     borrow_cell_file(&runner, 1, 0);
 
     let msg = shard_data_message(runner.run(1));
     assert!(msg.contains("shard-0001.cells"), "{msg}");
     assert!(!dir.join(CAMPAIGN_FILE).exists(), "a torn campaign file");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -365,7 +350,7 @@ fn two_damaged_shards_on_different_lanes_name_the_lower_index_every_time() {
         ([(3, "cells"), (0, "jsonl")], "shard-0000.jsonl"),
         ([(1, "cells"), (1, "jsonl")], "shard-0001.jsonl"),
     ] {
-        let (runner, dir) = complete_run(&c, "two-lanes");
+        let (runner, dir) = complete_run(&c);
         for (shard, extension) in damaged {
             flip_a_byte(&dir.join(format!("shard-{shard:04}.{extension}")));
         }
@@ -374,7 +359,6 @@ fn two_damaged_shards_on_different_lanes_name_the_lower_index_every_time() {
         for _ in 0..20 {
             assert_eq!(shard_data_message(runner.load_or_init()), first);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -392,7 +376,7 @@ fn two_damaged_shards_on_one_lane_name_the_lower_index_every_time() {
         ([(3, "cells"), (7, "jsonl")], "shard-0003.cells"),
         ([(5, "jsonl"), (5, "cells")], "shard-0005.jsonl"),
     ] {
-        let dir = scratch_dir("one-lane");
+        let dir = Scratch::new();
         let runner = ShardedRunner::new(&c, 8, &dir).unwrap();
         assert_eq!(runner.advance(8).unwrap(), 0);
         for (shard, extension) in damaged {
@@ -403,7 +387,6 @@ fn two_damaged_shards_on_one_lane_name_the_lower_index_every_time() {
         for _ in 0..20 {
             assert_eq!(shard_data_message(runner.load_or_init()), first);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -414,7 +397,7 @@ fn the_merge_error_is_the_one_reported_when_the_cell_lane_fails_too() {
     // long before the merge reaches shard 2's, and the merge's is still
     // the one returned, every time.
     let c = campaign(CampaignConfig::quick(3, 2));
-    let (runner, dir) = complete_run(&c, "both-lanes-fail");
+    let (runner, dir) = complete_run(&c);
     respace_data_file(&runner, 2);
     borrow_cell_file(&runner, 1, 0);
 
@@ -423,13 +406,12 @@ fn the_merge_error_is_the_one_reported_when_the_cell_lane_fails_too() {
         assert!(msg.contains("shard-0002.jsonl"), "{msg}");
         assert!(!dir.join(CAMPAIGN_FILE).exists());
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn damaged_cell_file_is_rejected() {
     let c = campaign(CampaignConfig::quick(3, 2));
-    let dir = partial_run(&c, "cells");
+    let dir = partial_run(&c);
     let cells = dir.join("shard-0000.cells");
     let intact = std::fs::read(&cells).unwrap();
     let rejected = || {
@@ -465,14 +447,14 @@ fn damaged_cell_file_is_rejected() {
         std::fs::read_to_string(&outcome.jsonl_path).unwrap(),
         c.run().to_json_lines()
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn a_kill_between_cell_file_and_manifest_commit_resumes_identically() {
     let c = campaign(CampaignConfig::quick(3, 2));
     let records = c.run();
-    let reference = ShardedRunner::new(&c, 4, scratch_dir("commit-ref"))
+    let reference_dir = Scratch::new();
+    let reference = ShardedRunner::new(&c, 4, &reference_dir)
         .unwrap()
         .run(1)
         .unwrap();
@@ -481,7 +463,7 @@ fn a_kill_between_cell_file_and_manifest_commit_resumes_identically() {
     // the manifest is the one from before shard k ran (none at all for
     // k = 0).
     for k in 0..4 {
-        let dir = scratch_dir("commit");
+        let dir = Scratch::new();
         let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
         runner.advance(k).unwrap();
         let manifest = dir.join("manifest.ckpt");
@@ -511,9 +493,7 @@ fn a_kill_between_cell_file_and_manifest_commit_resumes_identically() {
         assert_eq!(outcome.metrics, reference.metrics);
         assert_eq!(outcome.aggregates, reference.aggregates);
         assert_eq!(outcome.health.to_jsonl(), reference.health.to_jsonl());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
-    std::fs::remove_dir_all(reference.jsonl_path.parent().unwrap()).unwrap();
 }
 
 /// Runs four shards with `workers` beside the calling thread, the tmp
@@ -522,7 +502,7 @@ fn a_kill_between_cell_file_and_manifest_commit_resumes_identically() {
 /// the lowest blocked shard's tmp file, and exactly the shards before it
 /// complete. Then resumes with the obstacles gone, to the one-shot bytes.
 fn a_run_with_blocked_writes(c: &Campaign, workers: usize, blocked: &[u32], expected: &str) {
-    let dir = scratch_dir("write-fails");
+    let dir = Scratch::new();
     let runner = ShardedRunner::new(c, 4, &dir).unwrap();
     let obstacles: Vec<PathBuf> = blocked
         .iter()
@@ -564,7 +544,6 @@ fn a_run_with_blocked_writes(c: &Campaign, workers: usize, blocked: &[u32], expe
         expected,
         "{workers} workers"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -592,7 +571,7 @@ fn two_failed_shard_writes_report_the_lower_one_at_every_thread_count() {
 #[test]
 fn checkpoints_from_a_different_campaign_are_rejected() {
     let c = campaign(CampaignConfig::quick(3, 2));
-    let dir = partial_run(&c, "config");
+    let dir = partial_run(&c);
 
     // A different seed, fault plan, retry policy or protocol each makes
     // different records, so each is a different fingerprint.
@@ -634,13 +613,12 @@ fn checkpoints_from_a_different_campaign_are_rejected() {
             .unwrap_err(),
         CheckpointError::ConfigMismatch(_)
     ));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn zero_shards_and_duplicate_pairs_are_rejected_up_front() {
     let c = campaign(CampaignConfig::quick(3, 2));
-    let dir = scratch_dir("invalid");
+    let dir = Scratch::new();
     assert!(matches!(
         ShardedRunner::new(&c, 0, &dir).unwrap_err(),
         CheckpointError::ShardData(_)
@@ -657,7 +635,6 @@ fn zero_shards_and_duplicate_pairs_are_rejected_up_front() {
         ShardedRunner::new(&dup, 2, &dir).unwrap_err(),
         CheckpointError::ShardData(_)
     ));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -665,7 +642,7 @@ fn a_leftover_tmp_file_never_shadows_real_state() {
     // Simulate a crash between writing the tmp file and the rename: the
     // runner must ignore the orphan and produce correct output.
     let c = campaign(CampaignConfig::quick(3, 2));
-    let dir = partial_run(&c, "tmp");
+    let dir = partial_run(&c);
     std::fs::write(dir.join("shard-0002.jsonl.tmp"), "garbage half-write").unwrap();
     std::fs::write(dir.join("shard-0002.cells.tmp"), "garbage half-write").unwrap();
     // An orphan next to a *complete* shard's cell file must not be read
@@ -679,5 +656,4 @@ fn a_leftover_tmp_file_never_shadows_real_state() {
         std::fs::read_to_string(&outcome.jsonl_path).unwrap(),
         reference.to_json_lines()
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,18 +1,19 @@
-//! Flight-recorder integration: the sharded engine's event journal,
-//! health timeseries, and drift findings must be pure functions of
-//! (seed, config) — identical across repeat runs, identical across
-//! kill+resume, identical to the in-memory fold — and the journal must
-//! export every event it holds, each line JSON whatever label it carries.
+//! Flight-recorder integration: the sharded engine's event journal, health
+//! timeseries, drift findings and trace must be pure functions of (seed,
+//! config) — identical across repeat runs, the trace a well-formed Chrome
+//! trace — and the journal must export every event it holds, journal each
+//! drift finding and retry exhaustion, and keep each line JSON whatever
+//! label it carries. That kill and resume leave the journal, health and
+//! drift as a fresh run's, and that the sharded health and drift are the
+//! in-memory fold's, is the equivalence matrix's (`equivalence.rs`).
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+mod support;
 
-use measure::{
-    detect_drift, Campaign, CampaignConfig, DriftConfig, HealthSeries, ProbeOutcome,
-    ShardedOutcome, ShardedRunner,
-};
+use measure::{Campaign, CampaignConfig, ProbeOutcome, ShardedOutcome, ShardedRunner};
 use netsim::faults::{FaultKind, FaultScope};
 use netsim::{SimDuration, SimTime};
+
+use support::Scratch;
 
 const HOSTS: [&str; 3] = ["dns.google", "dns.quad9.net", "doh.ffmuc.net"];
 
@@ -24,27 +25,16 @@ fn campaign(config: CampaignConfig) -> Campaign {
     Campaign::with_resolvers(config, entries)
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "edns-flight-recorder-{}-{tag}-{n}",
-        std::process::id()
-    ))
-}
-
-fn run_fresh(c: &Campaign, shards: u32, tag: &str) -> ShardedOutcome {
-    let dir = scratch_dir(tag);
-    let outcome = ShardedRunner::new(c, shards, &dir).unwrap().run(2).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
-    outcome
+fn run_fresh(c: &Campaign, shards: u32) -> ShardedOutcome {
+    let dir = Scratch::new();
+    ShardedRunner::new(c, shards, &dir).unwrap().run(2).unwrap()
 }
 
 #[test]
 fn same_seed_runs_export_identical_recorder_documents() {
     let c = campaign(CampaignConfig::quick(11, 2).with_default_faults());
-    let a = run_fresh(&c, 4, "repeat-a");
-    let b = run_fresh(&c, 4, "repeat-b");
+    let a = run_fresh(&c, 4);
+    let b = run_fresh(&c, 4);
     assert!(a.journal.recorded() > 0, "faulted campaign must journal");
     assert_eq!(a.journal.to_jsonl(), b.journal.to_jsonl());
     assert_eq!(a.health.to_jsonl(), b.health.to_jsonl());
@@ -63,72 +53,11 @@ fn same_seed_runs_export_identical_recorder_documents() {
 }
 
 #[test]
-fn kill_and_resume_preserves_recorder_exports() {
-    let c = campaign(CampaignConfig::quick(29, 2).with_default_faults());
-    let reference = run_fresh(&c, 5, "oneshot");
-
-    let dir = scratch_dir("resume");
-    let remaining = ShardedRunner::new(&c, 5, &dir).unwrap().advance(3).unwrap();
-    assert_eq!(remaining, 2);
-    let resumed = ShardedRunner::new(&c, 5, &dir).unwrap().run(2).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
-
-    // The journal, event for event, and the exported documents are the
-    // one-shot run's: a resume is invisible to the record. What the
-    // operator learns of it is `shards_resumed`.
-    assert!(resumed.journal.events().eq(reference.journal.events()));
-    assert_eq!(resumed.journal.to_jsonl(), reference.journal.to_jsonl());
-    assert_eq!(resumed.health.to_jsonl(), reference.health.to_jsonl());
-    assert_eq!(resumed.drift, reference.drift);
-    assert_eq!(resumed.run.shards_resumed.get(), 3);
-}
-
-#[test]
-fn resumed_run_counters_match_the_one_shot_run() {
-    // Satellite regression: pairs_run / records_produced are campaign-wide
-    // totals — a kill+resume must fold the checkpointed shards back in
-    // rather than reporting only the pairs this process executed.
-    let c = campaign(CampaignConfig::quick(7, 2));
-    let reference = run_fresh(&c, 4, "counters-oneshot");
-
-    let dir = scratch_dir("counters-resume");
-    ShardedRunner::new(&c, 4, &dir).unwrap().advance(2).unwrap();
-    let resumed = ShardedRunner::new(&c, 4, &dir).unwrap().run(2).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
-
-    assert_eq!(resumed.run.shards_resumed.get(), 2);
-    assert_eq!(
-        resumed.run.pairs_run.get(),
-        reference.run.pairs_run.get(),
-        "pairs_run must count resumed shards' pairs"
-    );
-    assert_eq!(
-        resumed.run.records_produced.get(),
-        reference.run.records_produced.get(),
-        "records_produced must count resumed shards' records"
-    );
-    assert_eq!(resumed.records, reference.records);
-}
-
-#[test]
-fn sharded_health_matches_the_in_memory_fold() {
-    let c = campaign(CampaignConfig::longitudinal(3, 3).with_default_faults());
-    let sharded = run_fresh(&c, 6, "fold");
-    let reference = HealthSeries::of(&c, &c.run().records);
-    assert_eq!(sharded.health.to_jsonl(), reference.to_jsonl());
-    assert_eq!(sharded.health.probes(), c.probe_count() as u64);
-    assert_eq!(
-        sharded.drift,
-        detect_drift(&reference.resolver_rows(), &DriftConfig::default())
-    );
-}
-
-#[test]
 fn drift_findings_are_journaled_under_their_code() {
     // 12 faulted longitudinal days: enough for the trailing baseline to
     // arm and the seeded outage/brownout windows to trip the detector.
     let c = campaign(CampaignConfig::longitudinal(11, 12).with_default_faults());
-    let outcome = run_fresh(&c, 4, "drift");
+    let outcome = run_fresh(&c, 4);
     assert!(
         !outcome.drift.is_empty(),
         "the seeded fault plan must produce drift findings"
@@ -172,7 +101,7 @@ fn journal_lines_escape_the_labels_they_carry() {
     config
         .faults
         .push(FaultKind::SiteOutage, scope, hour(1), hour(2));
-    let outcome = run_fresh(&campaign(config), 2, "escaped");
+    let outcome = run_fresh(&campaign(config), 2);
     let exported = outcome.journal.to_jsonl();
     let mut named = 0;
     for line in exported.lines() {

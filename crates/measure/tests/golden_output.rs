@@ -11,24 +11,17 @@
 //! Regenerate (only when the simulated world intentionally changes) with:
 //! `cargo run --release -p bench --bin golden_regen`.
 
+mod support;
+
 use measure::checkpoint::fnv64;
 use measure::{
-    Campaign, CampaignConfig, LoadModel, ProbeConfig, ProbeRequest, ProbeTarget, Prober, Protocol,
-    RetryPolicy, SessionConfig, SpanLog,
+    Campaign, CampaignConfig, ProbeConfig, ProbeRequest, ProbeTarget, Prober, Protocol,
+    RetryPolicy, SpanLog,
 };
 use netsim::{SimDuration, SimRng, SimTime};
 
 fn golden_campaign() -> Campaign {
-    let entries = [
-        "dns.google",
-        "dns.quad9.net",
-        "doh.ffmuc.net",
-        "chewbacca.meganerd.nl",
-    ]
-    .into_iter()
-    .map(|h| catalog::resolvers::find(h).unwrap())
-    .collect();
-    Campaign::with_resolvers(CampaignConfig::quick(4, 3), entries)
+    support::golden_campaign(CampaignConfig::quick(4, 3))
 }
 
 #[test]
@@ -69,16 +62,7 @@ fn parallel_run_matches_golden_bytes() {
 // retries and the seeded default fault plan.
 
 fn faulted_campaign() -> Campaign {
-    let entries = [
-        "dns.google",
-        "dns.quad9.net",
-        "doh.ffmuc.net",
-        "chewbacca.meganerd.nl",
-    ]
-    .into_iter()
-    .map(|h| catalog::resolvers::find(h).unwrap())
-    .collect();
-    Campaign::with_resolvers(CampaignConfig::quick(4, 3).with_default_faults(), entries)
+    support::golden_campaign(CampaignConfig::quick(4, 3).with_default_faults())
 }
 
 #[test]
@@ -144,34 +128,6 @@ fn disabled_retry_layer_is_byte_transparent() {
 // a ziggurat, and only after a bit-identical commit has shown the code
 // still reproducing it under the old draws.
 
-fn matrix_config(seed: u64, protocol: Protocol, cell: &str) -> CampaignConfig {
-    let mut config = CampaignConfig::quick(seed, 2);
-    config.probe.protocol = protocol;
-    match cell {
-        "plain" => config,
-        "faults_dig" => config.with_default_faults(),
-        "faults_jitter3" => {
-            let mut config = config.with_default_faults();
-            config.probe.retry = RetryPolicy {
-                tries: 3,
-                attempt_timeout: Some(SimDuration::from_millis(800)),
-                backoff_base: SimDuration::from_millis(100),
-                backoff_cap: SimDuration::from_secs(1),
-                jitter: 0.5,
-            };
-            config
-        }
-        "faults_dig_load2" => config
-            .with_default_faults()
-            .with_load(LoadModel::standard(seed).with_multiplier(2.0)),
-        "faults_dig_interleaved" => config
-            .with_default_faults()
-            .with_session(SessionConfig::interleaved(0.3)),
-        "warm" => config.with_session(SessionConfig::warm()),
-        other => panic!("unknown matrix cell {other}"),
-    }
-}
-
 fn field<'a>(line: &'a str, key: &str) -> &'a str {
     line.split(' ')
         .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
@@ -185,16 +141,8 @@ fn probe_matrix_campaign_cells_match_the_frozen_reference() {
     for line in fixture.lines().filter(|l| l.starts_with("campaign ")) {
         let seed: u64 = field(line, "seed").parse().unwrap();
         let protocol = Protocol::from_label(field(line, "protocol")).unwrap();
-        let entries = [
-            "dns.google",
-            "chewbacca.meganerd.nl",
-            "ibksturm.synology.me",
-        ]
-        .into_iter()
-        .map(|h| catalog::resolvers::find(h).unwrap())
-        .collect();
-        let config = matrix_config(seed, protocol, field(line, "cell"));
-        let campaign = Campaign::with_resolvers(config, entries);
+        let config = support::probe_matrix_config(seed, protocol, field(line, "cell"));
+        let campaign = support::campaign(config, false);
         for (source, result) in [
             ("run", campaign.run()),
             ("run_reference", campaign.run_reference()),

@@ -9,13 +9,12 @@
 //!   same records: the same rows, JSONL bytes and drift findings, on
 //!   vantages whose day ranges start apart, overlap and leave gaps — the
 //!   sharded engine's cell files holding the oracle's (pair, day) cells,
-//!   and its series equal to the in-memory one.
+//!   and its series equal to the in-memory one (a day layout the
+//!   equivalence matrix has no row for).
 //! * [`HealthSeries::detect_drift`], which reads the rows where they lie,
 //!   against [`detect_drift`] over their copy, on seeds 1–16.
 
 mod health_oracle;
-
-use std::path::PathBuf;
 
 use edns_stats::Availability;
 use measure::{
@@ -159,7 +158,7 @@ fn the_dense_series_matches_a_map_of_label_keyed_cells() {
     let sharded = runner.run(1).unwrap();
     let records = c.run().records;
     assert_cell_files_match_the_oracle(&c, &records, &runner, "staggered spans, sharded");
-    std::fs::remove_dir_all(PathBuf::from(&dir)).unwrap();
+    std::fs::remove_dir_all(dir).unwrap();
     assert_eq!(sharded.health, series);
 }
 

@@ -9,29 +9,17 @@
 //! reader may be stricter than the tree path, never different: it must
 //! not panic, and a record it does return is the tree path's record.
 
+mod support;
+
 use measure::json;
 use measure::{
-    Campaign, CampaignConfig, ConnectionMode, Label, LoadModel, ProbeErrorKind, ProbeOutcome,
-    ProbeRecord, ProbeTimings, Protocol, RetryInfo, RetryPolicy, SessionConfig,
+    CampaignConfig, ConnectionMode, Label, LoadModel, ProbeErrorKind, ProbeOutcome, ProbeRecord,
+    ProbeTimings, Protocol, RetryInfo, SessionConfig,
 };
 use netsim::{Region, SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// Healthy anycast mainstream, mostly-down hobbyist, HTTP/1.1-only flaky
-/// host: successes, failures and retries all occur.
-const HOSTS: [&str; 3] = [
-    "dns.google",
-    "chewbacca.meganerd.nl",
-    "ibksturm.synology.me",
-];
-
-const PROTOCOLS: [Protocol; 5] = [
-    Protocol::Do53,
-    Protocol::DoT,
-    Protocol::DoH,
-    Protocol::DoQ,
-    Protocol::ODoH,
-];
+use support::{campaign, quick, PROTOCOLS};
 
 fn tree(line: &str) -> Option<ProbeRecord> {
     json::parse(line)
@@ -57,38 +45,24 @@ fn assert_never_differs(text: &str, context: &str) {
 /// The four campaign flavours whose lines differ in shape: plain, faults
 /// with retries, faults under 2x load, faults with interleaved sessions.
 fn flavours(seed: u64, protocol: Protocol) -> Vec<(&'static str, CampaignConfig)> {
-    let plain = || {
-        let mut config = CampaignConfig::quick(seed, 2);
-        config.probe.protocol = protocol;
-        config
-    };
-    let faulted = || {
-        let mut config = plain().with_default_faults();
-        config.probe.retry = RetryPolicy::dig_defaults();
-        config
-    };
+    let faulted = || quick(seed, protocol, true, 1);
+    let load = LoadModel::standard(seed).with_multiplier(2.0);
+    let sessions = SessionConfig::interleaved(0.3);
     vec![
-        ("plain", plain()),
+        ("plain", quick(seed, protocol, false, 0)),
         ("faults + retries", faulted()),
-        (
-            "faults + retries + load 2",
-            faulted().with_load(LoadModel::standard(seed).with_multiplier(2.0)),
-        ),
+        ("faults + retries + load 2", faulted().with_load(load)),
         (
             "faults + retries + interleaved sessions",
-            faulted().with_session(SessionConfig::interleaved(0.3)),
+            faulted().with_session(sessions),
         ),
     ]
 }
 
+/// The roster's JSONL under `config`: successes, failures and retries all
+/// occur.
 fn lines_of(config: CampaignConfig) -> String {
-    let entries = HOSTS
-        .iter()
-        .map(|h| catalog::resolvers::find(h).unwrap())
-        .collect();
-    Campaign::with_resolvers(config, entries)
-        .run()
-        .to_json_lines()
+    campaign(config, false).run().to_json_lines()
 }
 
 #[test]

@@ -3,17 +3,18 @@
 //! **Cold-only transparency** — a campaign configured with
 //! `SessionConfig::cold_only()` (or no session config at all) must produce
 //! **byte-identical** records to the legacy fresh-connection path, across
-//! seeds, protocols, fault plans and retry policies, serially and in
-//! parallel — and must keep reproducing the seed-4 golden fixture. This is
-//! the contract that lets the session subsystem ship inside the measuring
-//! tool without perturbing the paper's cold-start methodology.
+//! seeds, protocols, fault plans and retry policies — and must keep
+//! reproducing the seed-4 golden fixture. This is the contract that lets
+//! the session subsystem ship inside the measuring tool without perturbing
+//! the paper's cold-start methodology. A zero load model under live
+//! sessions changes nothing either.
 //!
-//! **Live-session differential** — with reuse enabled, the cached-wire
-//! run must stay byte-identical to the fresh-wire reference run, `run()` must equal `run_parallel(n)` (session state is
-//! strictly per-pair), and a campaign killed and resumed at shard
-//! boundaries must reassemble the same bytes. Session state itself must be
-//! a pure function of `(seed, simulated time, outcome sequence)` — pinned
-//! by a twin-replay proptest over its fingerprint.
+//! **Replay and checkpoints** — session state is a pure function of
+//! `(seed, simulated time, outcome sequence)`, pinned by a twin-replay
+//! proptest over its fingerprint, and a live session model is part of the
+//! checkpoint fingerprint. That a live-session campaign writes the same
+//! bytes in every engine — fresh-wire reference, threads, shards, kill
+//! and resume — is the equivalence matrix's (`equivalence.rs`).
 //!
 //! **Fault interaction** — every fault kind must leave the session layer
 //! in a defensible state: connection-layer faults (link down, site outage,
@@ -22,79 +23,24 @@
 //! pair opens cold; and every record of a live-session campaign carries a
 //! connection mode.
 //!
-//! **Composition with load** — the determinism checks above also run with
-//! a live client population on top of live sessions; a zero load model
-//! under live sessions changes nothing; and when the load model moves a
-//! pair between sites, a connection is only ever reused at the site it was
-//! opened to.
+//! **Composition with load** — when the load model moves a pair between
+//! sites, a connection is only ever reused at the site it was opened to.
+
+mod support;
 
 use measure::{
     Campaign, CampaignConfig, ConnectionMode, LoadModel, ProbeOutcome, ProbeRecord, Protocol,
-    RetryPolicy, SessionConfig, SessionState, ShardedRunner,
+    SessionConfig, SessionState, ShardedRunner,
 };
 use netsim::faults::{FaultKind, FaultPlan, FaultScope};
 use netsim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// The wires differential's deliberately diverse roster: a healthy anycast
-/// mainstream, a mostly-down host, and an HTTP/1.1-only flaky host.
-const HOSTS: [&str; 3] = [
-    "dns.google",
-    "chewbacca.meganerd.nl",
-    "ibksturm.synology.me",
-];
+use support::{campaign, golden_campaign, quick, Scratch, PROTOCOLS};
 
-const PROTOCOLS: [Protocol; 5] = [
-    Protocol::Do53,
-    Protocol::DoT,
-    Protocol::DoH,
-    Protocol::DoQ,
-    Protocol::ODoH,
-];
-
-fn entries(hosts: &[&str]) -> Vec<catalog::ResolverEntry> {
-    hosts
-        .iter()
-        .map(|h| catalog::resolvers::find(h).unwrap())
-        .collect()
-}
-
-fn retry_policy(idx: usize) -> RetryPolicy {
-    match idx {
-        0 => RetryPolicy::none(),
-        1 => RetryPolicy::dig_defaults(),
-        _ => RetryPolicy {
-            tries: 3,
-            attempt_timeout: Some(SimDuration::from_millis(800)),
-            backoff_base: SimDuration::from_millis(100),
-            backoff_cap: SimDuration::from_secs(1),
-            jitter: 0.5,
-        },
-    }
-}
-
-fn campaign(
-    seed: u64,
-    protocol: Protocol,
-    faulted: bool,
-    retry: RetryPolicy,
-    session: Option<SessionConfig>,
-    load: f64,
-) -> Campaign {
-    let mut config = CampaignConfig::quick(seed, 2);
-    if load > 0.0 {
-        config = config.with_load(LoadModel::standard(seed).with_multiplier(load));
-    }
-    config.probe.protocol = protocol;
-    config.probe.retry = retry;
-    if faulted {
-        config = config.with_default_faults();
-        config.probe.retry = retry; // with_default_faults resets to dig defaults
-    }
-    if let Some(s) = session {
-        config = config.with_session(s);
-    }
-    Campaign::with_resolvers(config, entries(&HOSTS))
+/// One healthy resolver.
+fn google() -> Vec<catalog::ResolverEntry> {
+    vec![catalog::resolvers::find("dns.google").unwrap()]
 }
 
 // ---------------------------------------------------------------------------
@@ -104,17 +50,10 @@ fn campaign(
 fn assert_cold_only_transparent(seed: u64, protocol: Protocol, faulted: bool, retry_idx: usize) {
     let context =
         format!("seed={seed}, protocol={protocol:?}, faulted={faulted}, retry={retry_idx}");
-    let legacy = campaign(seed, protocol, faulted, retry_policy(retry_idx), None, 0.0);
-    let cold = campaign(
-        seed,
-        protocol,
-        faulted,
-        retry_policy(retry_idx),
-        Some(SessionConfig::cold_only()),
-        0.0,
-    );
-    let legacy_run = legacy.run();
-    let cold_run = cold.run();
+    let legacy = quick(seed, protocol, faulted, retry_idx);
+    let cold = legacy.clone().with_session(SessionConfig::cold_only());
+    let legacy_run = campaign(legacy, false).run();
+    let cold_run = campaign(cold, false).run();
     assert_eq!(
         legacy_run.records, cold_run.records,
         "cold-only records diverged from legacy: {context}"
@@ -123,11 +62,6 @@ fn assert_cold_only_transparent(seed: u64, protocol: Protocol, faulted: bool, re
         legacy_run.to_json_lines(),
         cold_run.to_json_lines(),
         "cold-only JSONL bytes diverged from legacy: {context}"
-    );
-    assert_eq!(
-        cold.run_parallel(3).records,
-        cold_run.records,
-        "cold-only parallel run diverged from serial: {context}"
     );
     assert!(
         cold_run.records.iter().all(|r| r.conn_mode.is_none()),
@@ -148,13 +82,7 @@ fn cold_only_reproduces_the_seed_goldens() {
     // a cold-only campaign must keep reproducing it byte for byte.
     let golden = include_str!("golden/campaign_seed4.jsonl");
     let config = CampaignConfig::quick(4, 3).with_session(SessionConfig::cold_only());
-    let roster = entries(&[
-        "dns.google",
-        "dns.quad9.net",
-        "doh.ffmuc.net",
-        "chewbacca.meganerd.nl",
-    ]);
-    let c = Campaign::with_resolvers(config, roster);
+    let c = golden_campaign(config);
     assert_eq!(
         c.run().to_json_lines(),
         golden,
@@ -162,74 +90,12 @@ fn cold_only_reproduces_the_seed_goldens() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Part 2: live sessions are deterministic.
-// ---------------------------------------------------------------------------
-
-fn assert_live_session_deterministic(
-    seed: u64,
-    protocol: Protocol,
-    faulted: bool,
-    retry_idx: usize,
-    cold_fraction: f64,
-    load: f64,
-) {
-    let context = format!(
-        "seed={seed}, protocol={protocol:?}, faulted={faulted}, retry={retry_idx}, \
-         cold_fraction={cold_fraction}, load={load}"
-    );
-    let c = campaign(
-        seed,
-        protocol,
-        faulted,
-        retry_policy(retry_idx),
-        Some(SessionConfig::interleaved(cold_fraction)),
-        load,
-    );
-    let fast = c.run();
-    let reference = c.run_reference();
-    assert_eq!(
-        fast.records, reference.records,
-        "live-session fast path diverged from reference: {context}"
-    );
-    assert_eq!(
-        fast.to_json_lines(),
-        reference.to_json_lines(),
-        "live-session JSONL bytes diverged: {context}"
-    );
-    assert_eq!(
-        c.run_parallel(3).records,
-        fast.records,
-        "live-session parallel run diverged from serial: {context}"
-    );
-    assert!(
-        fast.records.iter().all(|r| r.conn_mode.is_some()),
-        "every live-session record must carry a connection mode: {context}"
-    );
-}
-
-#[test]
-fn live_sessions_match_reference_and_parallel_for_every_protocol() {
-    // Alone, and with a client population at x2 and x8 on top: an
-    // overloaded site and a warm session act on the same attempt.
-    for protocol in PROTOCOLS {
-        for load in [0.0, 2.0, 8.0] {
-            assert_live_session_deterministic(23, protocol, true, 1, 0.25, load);
-        }
-    }
-}
-
 #[test]
 fn zero_load_under_live_sessions_is_sessions_alone() {
     for protocol in PROTOCOLS {
-        let session = Some(SessionConfig::interleaved(0.25));
-        let alone = campaign(23, protocol, true, retry_policy(1), session, 0.0).run();
-        let mut config = CampaignConfig::quick(23, 2)
-            .with_default_faults()
-            .with_session(SessionConfig::interleaved(0.25))
-            .with_load(LoadModel::zero());
-        config.probe.protocol = protocol;
-        let zeroed = Campaign::with_resolvers(config, entries(&HOSTS)).run();
+        let alone = quick(23, protocol, true, 1).with_session(SessionConfig::interleaved(0.25));
+        let zeroed = campaign(alone.clone().with_load(LoadModel::zero()), false).run();
+        let alone = campaign(alone, false).run();
         assert_eq!(
             alone.to_json_lines(),
             zeroed.to_json_lines(),
@@ -250,18 +116,14 @@ proptest! {
     ) {
         assert_cold_only_transparent(seed, PROTOCOLS[proto_idx], faulted, retry_idx);
     }
+}
 
-    #[test]
-    fn live_sessions_are_deterministic(
-        seed in any::<u64>(),
-        proto_idx in 0usize..PROTOCOLS.len(),
-        faulted in any::<bool>(),
-        retry_idx in 0usize..3,
-        cold_idx in 0usize..3,
-    ) {
-        let cold_fraction = [0.0, 0.25, 0.9][cold_idx];
-        assert_live_session_deterministic(seed, PROTOCOLS[proto_idx], faulted, retry_idx, cold_fraction, 0.0);
-    }
+// ---------------------------------------------------------------------------
+// Part 2: live-session replay and checkpoints.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     // Session state is a pure function of (seed, simulated time, outcome
     // sequence): two states built from the same identity and driven
@@ -303,62 +165,15 @@ proptest! {
 }
 
 #[test]
-fn live_session_kill_resume_at_every_shard_boundary_is_byte_identical() {
-    for load in [0.0, 2.0, 8.0] {
-        let mut config =
-            CampaignConfig::quick(11, 2).with_session(SessionConfig::interleaved(0.25));
-        if load > 0.0 {
-            config = config.with_load(LoadModel::standard(11).with_multiplier(load));
-        }
-        config.probe.protocol = Protocol::DoH;
-        let c = Campaign::with_resolvers(config, entries(&HOSTS));
-        let reference = c.run().to_json_lines();
-        let shards = 4u32;
-        for stop_after in 0..=shards as usize {
-            let dir = std::env::temp_dir().join(format!(
-                "edns-session-resume-{}-{load}-{stop_after}",
-                std::process::id()
-            ));
-            if dir.exists() {
-                std::fs::remove_dir_all(&dir).unwrap();
-            }
-            {
-                // First process: killed after `stop_after` shards. Each
-                // shard rebuilds its pairs' session and load state from
-                // scratch, so the boundary never splits a ticket cache or
-                // pool.
-                let runner = ShardedRunner::new(&c, shards, &dir).unwrap();
-                runner.advance(stop_after).unwrap();
-            }
-            let outcome = ShardedRunner::new(&c, shards, &dir)
-                .unwrap()
-                .run(2)
-                .unwrap();
-            let assembled = std::fs::read_to_string(&outcome.jsonl_path).unwrap();
-            assert_eq!(
-                assembled, reference,
-                "live-session resume diverged after {stop_after}/{shards} shards at load x{load}"
-            );
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-    }
-}
-
-#[test]
 fn session_config_is_part_of_the_checkpoint_fingerprint() {
-    let cold = Campaign::with_resolvers(
-        CampaignConfig::quick(11, 2).with_session(SessionConfig::cold_only()),
-        entries(&HOSTS),
+    let legacy = CampaignConfig::quick(11, 2);
+    let cold = campaign(
+        legacy.clone().with_session(SessionConfig::cold_only()),
+        false,
     );
-    let legacy = Campaign::with_resolvers(CampaignConfig::quick(11, 2), entries(&HOSTS));
-    let warm = Campaign::with_resolvers(
-        CampaignConfig::quick(11, 2).with_session(SessionConfig::warm()),
-        entries(&HOSTS),
-    );
-    let dir = std::env::temp_dir().join(format!("edns-session-fpr-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
+    let warm = campaign(legacy.clone().with_session(SessionConfig::warm()), false);
+    let legacy = campaign(legacy, false);
+    let dir = Scratch::new();
     let f_cold = ShardedRunner::new(&cold, 2, &dir).unwrap().fingerprint();
     let f_legacy = ShardedRunner::new(&legacy, 2, &dir).unwrap().fingerprint();
     let f_warm = ShardedRunner::new(&warm, 2, &dir).unwrap().fingerprint();
@@ -380,7 +195,6 @@ fn session_config_is_part_of_the_checkpoint_fingerprint() {
         matches!(err, Err(measure::CheckpointError::ConfigMismatch(_))),
         "resuming a cold checkpoint with a warm config must be a config mismatch: {err:?}"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -432,7 +246,7 @@ fn matrix_campaign(kind: FaultKind, protocol: Protocol) -> Campaign {
         hour(7),
         hour(13),
     );
-    Campaign::with_resolvers(config, entries(&["dns.google"]))
+    Campaign::with_resolvers(config, google())
 }
 
 fn by_vantage(records: &[ProbeRecord]) -> Vec<Vec<&ProbeRecord>> {
@@ -528,7 +342,7 @@ fn a_reused_connection_is_always_to_the_site_it_was_opened_to() {
     for span in &mut config.spans {
         span.rounds_per_day = 720;
     }
-    let c = Campaign::with_resolvers(config, entries(&["dns.google"]));
+    let c = Campaign::with_resolvers(config, google());
     let result = c.run();
     assert_eq!(result.records, c.run_reference().records);
 

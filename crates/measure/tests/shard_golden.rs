@@ -13,33 +13,17 @@
 //! Regenerate after an intentional format change with:
 //! `cargo run --release -p bench --bin shard_golden_regen`.
 
-use std::path::PathBuf;
+mod support;
 
-use measure::{Campaign, CampaignConfig, ShardedRunner};
+use measure::{CampaignConfig, ShardedRunner};
 
-fn golden_campaign() -> Campaign {
-    let entries = [
-        "dns.google",
-        "dns.quad9.net",
-        "doh.ffmuc.net",
-        "chewbacca.meganerd.nl",
-    ]
-    .into_iter()
-    .filter_map(catalog::resolvers::find)
-    .collect();
-    Campaign::with_resolvers(CampaignConfig::quick(4, 3), entries)
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("edns-shard-golden-{}-{tag}", std::process::id()))
-}
+use support::{golden_campaign, Scratch};
 
 #[test]
 fn shard_manifest_matches_golden_bytes() {
     let expected = include_str!("golden/shard_manifest_seed4.ckpt");
-    let c = golden_campaign();
-    let dir = scratch_dir("manifest");
-    let _ = std::fs::remove_dir_all(&dir);
+    let c = golden_campaign(CampaignConfig::quick(4, 3));
+    let dir = Scratch::new();
     let outcome = ShardedRunner::new(&c, 5, &dir).unwrap().run(2).unwrap();
     let manifest = std::fs::read_to_string(dir.join("manifest.ckpt")).unwrap();
 
@@ -61,19 +45,16 @@ fn shard_manifest_matches_golden_bytes() {
         include_str!("golden/campaign_seed4.jsonl"),
         "assembled JSONL drifted from the one-shot golden fixture"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn shard_metrics_match_golden_render() {
-    let c = golden_campaign();
-    let dir = scratch_dir("metrics");
-    let _ = std::fs::remove_dir_all(&dir);
+    let c = golden_campaign(CampaignConfig::quick(4, 3));
+    let dir = Scratch::new();
     let outcome = ShardedRunner::new(&c, 5, &dir).unwrap().run(2).unwrap();
     assert_eq!(
         outcome.metrics.render(),
         include_str!("golden/campaign_seed4.metrics.txt"),
         "sharded metrics snapshot drifted from the one-shot golden fixture"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,75 +1,17 @@
-//! Reproducibility guarantees: identical seeds give bit-identical
-//! campaigns, serial equals parallel, and different seeds differ.
+//! Reproducibility of the top-level API, and the independence of each
+//! pair's stream from the rest of the roster. That every engine writes
+//! the same bytes at any thread count, shard count and kill point, and
+//! that different seeds differ, is the equivalence matrix's
+//! (`crates/measure/tests/equivalence.rs`).
 
 use edns_bench::measure::{Campaign, CampaignConfig};
 use edns_bench::{Reproduction, Scale};
-
-fn subset() -> Vec<edns_bench::catalog::ResolverEntry> {
-    [
-        "dns.google",
-        "doh.ffmuc.net",
-        "dns.twnic.tw",
-        "chewbacca.meganerd.nl",
-    ]
-    .into_iter()
-    .map(|h| edns_bench::catalog::resolvers::find(h).unwrap())
-    .collect()
-}
-
-#[test]
-fn identical_seeds_are_bit_identical() {
-    let a = Campaign::with_resolvers(CampaignConfig::quick(77, 4), subset()).run();
-    let b = Campaign::with_resolvers(CampaignConfig::quick(77, 4), subset()).run();
-    assert_eq!(a.records, b.records);
-    assert_eq!(a.to_json_lines(), b.to_json_lines());
-}
-
-#[test]
-fn parallel_equals_serial_at_any_thread_count() {
-    let serial = Campaign::with_resolvers(CampaignConfig::quick(78, 4), subset()).run();
-    for threads in [2, 3, 8] {
-        let parallel =
-            Campaign::with_resolvers(CampaignConfig::quick(78, 4), subset()).run_parallel(threads);
-        assert_eq!(serial.records, parallel.records, "threads={threads}");
-    }
-}
-
-#[test]
-fn different_seeds_differ() {
-    let a = Campaign::with_resolvers(CampaignConfig::quick(1, 4), subset()).run();
-    let b = Campaign::with_resolvers(CampaignConfig::quick(2, 4), subset()).run();
-    assert_ne!(a.records, b.records);
-}
 
 #[test]
 fn reproduction_api_is_deterministic_end_to_end() {
     let r1 = Reproduction::run_subset(55, Scale::Quick, &["dns.google", "dns0.eu"]);
     let r2 = Reproduction::run_subset(55, Scale::Quick, &["dns.google", "dns0.eu"]);
     assert_eq!(r1.render_all(60), r2.render_all(60));
-}
-
-#[test]
-fn same_seed_campaigns_export_identical_metrics() {
-    // The observability path must be as deterministic as the records it is
-    // built from: every rendered or exported form is byte-identical.
-    let a = Campaign::with_resolvers(CampaignConfig::quick(81, 4), subset()).run();
-    let b = Campaign::with_resolvers(CampaignConfig::quick(81, 4), subset()).run();
-    let (ma, mb) = (a.metrics(), b.metrics());
-    assert_eq!(ma, mb);
-    assert_eq!(ma.render(), mb.render());
-    assert_eq!(
-        edns_bench::report::metrics_json(&ma).to_string_compact(),
-        edns_bench::report::metrics_json(&mb).to_string_compact()
-    );
-    assert_eq!(
-        edns_bench::report::metrics_csv(&ma).render(),
-        edns_bench::report::metrics_csv(&mb).render()
-    );
-    // And parallel scheduling must not leak into the snapshot either.
-    let p = Campaign::with_resolvers(CampaignConfig::quick(81, 4), subset())
-        .run_parallel(4)
-        .metrics();
-    assert_eq!(ma, p);
 }
 
 #[test]
