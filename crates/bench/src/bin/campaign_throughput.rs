@@ -59,10 +59,9 @@ const QUICK_FLOOR_SCALING_EFFICIENCY: f64 = 0.7;
 /// generation: the same campaign under the full-reuse session model must
 /// not run more than 5% slower. Per probe the layer adds one schedule
 /// draw, a couple of timestamp comparisons and the mode bookkeeping —
-/// and warm probes *skip* handshake flights, so the measured delta on the
-/// reference container is negative; 5% leaves room for CI noise while
-/// failing loudly if session state ever grows per-probe allocation or
-/// re-derivation.
+/// and warm probes *skip* handshake flights, so it reads −5 to −25 % on
+/// the reference container. Per-probe re-derivation of the session state
+/// reads 0 to +10 %, mostly under the ceiling; `campaign_alloc` fails it.
 const QUICK_CEILING_SESSION_OVERHEAD: f64 = 0.05;
 
 /// Rounds of the session stage's campaign, at least: 102,144 probes, a
@@ -73,10 +72,9 @@ const QUICK_CEILING_SESSION_OVERHEAD: f64 = 0.05;
 const SESSION_ROUNDS: u32 = 64;
 
 /// Cold and warm generations the session stage times, as alternated
-/// pairs (cold first in even pairs, warm first in odd ones), so that a
-/// busy stretch of the host lands on both sides; each side's minimum is
-/// compared.
-const SESSION_PAIRS: usize = 5;
+/// pairs, each side's minimum compared. At 5 pairs one run in 20 on a
+/// shared 2-vCPU host read +14 %: every warm generation of it was slowed.
+const SESSION_PAIRS: usize = 12;
 
 /// CI ceiling for the flight recorder's share of the pipeline: what an
 /// enabled recorder adds to a campaign — its records' (pair, day) cells
@@ -92,8 +90,25 @@ const SESSION_PAIRS: usize = 5;
 const QUICK_CEILING_RECORDER_OVERHEAD: f64 = 0.05;
 
 /// Pipelines and recorder folds the recorder stage times, as alternated
-/// pairs (pipeline first in even pairs, recorder first in odd ones).
+/// pairs.
 const RECORDER_PAIRS: usize = 5;
+
+/// Each side's minimum over `n` alternated pairs of timed runs, `a` first
+/// in even pairs and `b` first in odd ones, so that a busy stretch of the
+/// host lands on both sides.
+fn min_of_pairs(n: usize, mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (f64, f64) {
+    let (mut min_a, mut min_b) = (f64::INFINITY, f64::INFINITY);
+    for pair in 0..n {
+        if pair % 2 == 1 {
+            min_b = min_b.min(b());
+        }
+        min_a = min_a.min(a());
+        if pair % 2 == 0 {
+            min_b = min_b.min(b());
+        }
+    }
+    (min_a, min_b)
+}
 
 fn campaign(rounds: u32) -> Campaign {
     Campaign::new(CampaignConfig::quick(42, rounds))
@@ -195,18 +210,11 @@ fn main() {
         assert_eq!(generated.record_count(), c.probe_count());
         gen_s
     };
-    let (mut cold_gen_s, mut session_gen_s) = (f64::INFINITY, f64::INFINITY);
-    for pair in 0..SESSION_PAIRS {
-        let (cold, warm) = if pair % 2 == 0 {
-            let cold = time_generate(&cold_campaign);
-            (cold, time_generate(&session_campaign))
-        } else {
-            let warm = time_generate(&session_campaign);
-            (time_generate(&cold_campaign), warm)
-        };
-        cold_gen_s = cold_gen_s.min(cold);
-        session_gen_s = session_gen_s.min(warm);
-    }
+    let (cold_gen_s, session_gen_s) = min_of_pairs(
+        SESSION_PAIRS,
+        || time_generate(&cold_campaign),
+        || time_generate(&session_campaign),
+    );
 
     // Flight-recorder stage: the recorder's fold and drift over the cold
     // campaign's records against that campaign's whole pipeline, each the
@@ -221,27 +229,19 @@ fn main() {
         (pipeline_s, result)
     };
     let (_, recorded) = pipeline(&cold_campaign);
-    let recorder = || {
-        let t = Instant::now();
-        let health = measure::HealthSeries::of(&cold_campaign, &recorded.records);
-        let findings = health.detect_drift(&measure::DriftConfig::default());
-        let recorder_s = t.elapsed().as_secs_f64();
-        assert_eq!(health.probes() as usize, recorded.records.len());
-        (recorder_s, findings.len())
-    };
-    let (mut recorder_s, mut recorded_pipeline_s, mut findings) = (f64::INFINITY, f64::INFINITY, 0);
-    for pair in 0..RECORDER_PAIRS {
-        let ((fold_s, found), (whole_s, _)) = if pair % 2 == 0 {
-            let whole = pipeline(&cold_campaign);
-            (recorder(), whole)
-        } else {
-            let fold = recorder();
-            (fold, pipeline(&cold_campaign))
-        };
-        recorder_s = recorder_s.min(fold_s);
-        recorded_pipeline_s = recorded_pipeline_s.min(whole_s);
-        findings = found;
-    }
+    let mut findings = 0;
+    let (recorded_pipeline_s, recorder_s) = min_of_pairs(
+        RECORDER_PAIRS,
+        || pipeline(&cold_campaign).0,
+        || {
+            let t = Instant::now();
+            let health = measure::HealthSeries::of(&cold_campaign, &recorded.records);
+            findings = health.detect_drift(&measure::DriftConfig::default()).len();
+            let recorder_s = t.elapsed().as_secs_f64();
+            assert_eq!(health.probes() as usize, recorded.records.len());
+            recorder_s
+        },
+    );
 
     let probe_gen_pps = probes / serial_gen_s;
     let pipeline_s = serial_gen_s + assemble_s + jsonl_s + metrics_s;

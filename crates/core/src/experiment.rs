@@ -1,32 +1,12 @@
 //! The one-call reproduction API: run the campaign at a chosen scale, then
 //! regenerate any of the paper's artifacts from it.
 
-use measure::{Campaign, CampaignConfig, CampaignResult};
+use measure::{Campaign, CampaignResult};
 use netsim::Region;
 use report::experiments::{availability, figures, headline, table1, tables23};
 use report::{Dataset, FigurePanel};
 
-/// How much measurement to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// A few rounds per vantage — seconds of wall-clock; for tests.
-    Quick,
-    /// A day-scale campaign — good statistics in tens of seconds.
-    Standard,
-    /// The paper's full multi-month schedule (~620k probes).
-    Paper,
-}
-
-impl Scale {
-    /// Builds the campaign configuration for this scale.
-    pub fn config(self, seed: u64) -> CampaignConfig {
-        match self {
-            Scale::Quick => CampaignConfig::quick(seed, 4),
-            Scale::Standard => CampaignConfig::quick(seed, 24),
-            Scale::Paper => CampaignConfig::paper(seed),
-        }
-    }
-}
+pub use measure::Scale;
 
 /// A completed reproduction: campaign output plus accessors for every paper
 /// artifact.
@@ -46,13 +26,7 @@ impl Reproduction {
 
     /// Runs with an explicit worker-thread count (1 = serial).
     pub fn run_with_threads(seed: u64, scale: Scale, threads: usize) -> Self {
-        let campaign = Campaign::new(scale.config(seed));
-        let result = if threads <= 1 {
-            campaign.run()
-        } else {
-            campaign.run_parallel(threads)
-        };
-        Self::from_result(result)
+        Self::from_result(Campaign::new(scale.config(seed)).run_parallel(threads))
     }
 
     /// Runs over a resolver subset (for focused experiments).

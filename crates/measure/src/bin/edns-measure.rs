@@ -7,13 +7,13 @@
 //! edns-measure report results.jsonl
 //! ```
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 
 use dns_wire::Name;
 use measure::{
     Campaign, CampaignConfig, ProbeConfig, ProbeOutcome, ProbeRecord, ProbeReport, ProbeRequest,
-    ProbeTarget, Prober, Protocol, RetryPolicy,
+    ProbeTarget, Prober, Protocol, RetryPolicy, Scale,
 };
 use netsim::faults::FaultPlan;
 use netsim::{SimDuration, SimTime};
@@ -401,12 +401,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             return Err("--days and --scale each select the campaign; give one".into())
         }
         (Some(days), None) => CampaignConfig::longitudinal(seed, days),
-        (None, scale) => match scale.unwrap_or("standard") {
-            "quick" => CampaignConfig::quick(seed, 4),
-            "standard" => CampaignConfig::quick(seed, 24),
-            "paper" => CampaignConfig::paper(seed),
-            other => return Err(format!("unknown scale {other:?}")),
-        },
+        (None, scale) => Scale::from_name(scale.unwrap_or("standard"))?.config(seed),
     };
     if faults_enabled(args)? {
         // Dig-default retries plus the seeded fault plan.
@@ -451,26 +446,14 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         result.successes(),
         result.errors()
     );
-    write_json_lines(out, &result.records).map_err(|e| e.to_string())?;
+    let mut file = std::fs::File::create(out).map_err(|e| e.to_string())?;
+    measure::campaign::write_json_blocks(&result.records, |block| file.write_all(block))
+        .map_err(|e| e.to_string())?;
     eprintln!("results written to {out}");
     if flag_present(args, "--metrics") {
         out!("{}", result.metrics().render());
     }
     Ok(())
-}
-
-/// Writes `records` to `path` as JSON Lines, byte for byte
-/// `CampaignResult::to_json_lines`, one rendered line in memory at a time.
-fn write_json_lines(path: &str, records: &[ProbeRecord]) -> std::io::Result<()> {
-    let mut file = BufWriter::with_capacity(64 * 1024, std::fs::File::create(path)?);
-    let mut line = String::new();
-    for r in records {
-        line.clear();
-        r.write_json_line(&mut line);
-        line.push('\n');
-        file.write_all(line.as_bytes())?;
-    }
-    file.flush()
 }
 
 /// Threads a campaign keeps busy, this one included: one per core, else 2.

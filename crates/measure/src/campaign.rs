@@ -96,6 +96,30 @@ impl CampaignResult {
     }
 }
 
+/// The block [`write_json_blocks`] renders into.
+pub(crate) const JSONL_BLOCK_BYTES: usize = 256 * 1024;
+
+/// Renders `records` as JSON Lines, byte for byte
+/// [`CampaignResult::to_json_lines`], through one 256 KiB block that
+/// `sink` takes each time it fills, and once more, whatever is left, at
+/// the end: no more than a block of the document is ever in memory. Stops
+/// at the sink's first error.
+pub fn write_json_blocks<E>(
+    records: &[ProbeRecord],
+    mut sink: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut block = String::with_capacity(JSONL_BLOCK_BYTES + 4096);
+    for r in records {
+        r.write_json_line(&mut block);
+        block.push('\n');
+        if block.len() >= JSONL_BLOCK_BYTES {
+            sink(block.as_bytes())?;
+            block.clear();
+        }
+    }
+    sink(block.as_bytes())
+}
+
 /// A little more than the bytes [`ProbeRecord::write_json_line`] renders
 /// for a record of `r`'s shape, newline included: what the fixed keys and
 /// typical values take for its outcome, plus its retry keys and attempt
@@ -193,19 +217,16 @@ pub fn metrics_of(records: &[ProbeRecord]) -> MetricsSnapshot {
 }
 
 /// The output of the campaign's generation stage: every record of the
-/// campaign in one buffer sized to [`Campaign::probe_count`], pair after
-/// pair in pair order, each pair's records in canonical per-pair order.
-/// Produced by [`Campaign::generate`], consumed by [`Campaign::assemble`],
-/// which permutes the buffer in place, so a campaign's records are held
-/// once; the split exists so benches can time probe generation separately
-/// from assembly.
+/// campaign in one buffer sized to [`Campaign::probe_count`], as
+/// [`Campaign::generate_over`] lays it out, beside the pairs and the slot
+/// table the run computed once. [`Campaign::assemble`] permutes the buffer
+/// in place, so a campaign's records are held once; the split exists so
+/// benches can time probe generation separately from assembly.
 #[derive(Debug)]
 pub struct GeneratedPairs {
     plans: Vec<PairPlan>,
+    slots: Vec<Vec<Slot>>,
     records: Vec<ProbeRecord>,
-    /// Where each pair's records start in `records`, and one past the
-    /// last pair's end.
-    starts: Vec<usize>,
 }
 
 impl GeneratedPairs {
@@ -220,9 +241,22 @@ impl GeneratedPairs {
     #[doc(hidden)]
     pub fn pairs(&self) -> impl Iterator<Item = (&'static str, &[ProbeRecord])> {
         let vantages = self.plans.iter().map(|p| p.vantage.label);
-        let streams = self.starts.windows(2).map(|w| &self.records[w[0]..w[1]]);
+        let streams = pair_ranges(&self.plans, &self.slots).map(|r| &self.records[r]);
         vantages.zip(streams)
     }
+}
+
+/// Where each of `plans`' pairs lies in a buffer laid out by
+/// [`Campaign::generate_over`].
+pub(crate) fn pair_ranges<'p>(
+    plans: &'p [PairPlan],
+    slots: &'p [Vec<Slot>],
+) -> impl Iterator<Item = Range<usize>> + 'p {
+    plans.iter().scan(0, |end, p| {
+        let start = *end;
+        *end += p.row(slots).len();
+        Some(start..*end)
+    })
 }
 
 /// One probe of a vantage's schedule, where canonical order puts it.
@@ -264,6 +298,13 @@ pub(crate) struct PairPlan {
     pub(crate) order: u32,
 }
 
+impl PairPlan {
+    /// Its vantage's row of `table` ([`Campaign::slot_table`]).
+    pub(crate) fn row<'s>(&self, table: &'s [Vec<Slot>]) -> &'s [Slot] {
+        &table[self.vantage_index as usize]
+    }
+}
+
 /// The campaign's one record order, walked as (pair, slot): which pair's
 /// record comes next, and which of its slots that record fills.
 ///
@@ -285,21 +326,13 @@ impl<'a> CampaignOrder<'a> {
     /// The order over `plans`, whose slots are `slots`' rows
     /// ([`Campaign::slot_table`]).
     pub(crate) fn new(plans: &[PairPlan], slots: &'a [Vec<Slot>]) -> Self {
-        let slots_of = |p: &PairPlan| &slots[p.vantage_index as usize];
-        let pairs = plans.iter().map(|p| slots_of(p).iter()).collect();
+        let pairs = plans.iter().map(|p| p.row(slots).iter()).collect();
         let heads = plans.iter().enumerate().filter_map(|(pair, p)| {
-            let first = slots_of(p).first()?;
+            let first = p.row(slots).first()?;
             Some(Reverse((first.at, p.order, pair as u32)))
         });
         let heap = heads.collect();
         CampaignOrder { pairs, heap }
-    }
-
-    /// Takes the records of `outputs` — one stream per pair of the slice,
-    /// each in its slots' order — in this order.
-    pub(crate) fn gather<T: 'a>(self, outputs: Vec<Vec<T>>) -> impl Iterator<Item = T> + 'a {
-        let mut outputs: Vec<_> = outputs.into_iter().map(Vec::into_iter).collect();
-        self.filter_map(move |(pair, _)| outputs[pair].next())
     }
 }
 
@@ -442,7 +475,8 @@ impl Campaign {
     /// engines order records without reading one.
     pub fn slots(&self, vantage: &str) -> Vec<Slot> {
         // Sized from the schedule, so it never regrows.
-        let mut slots = Vec::with_capacity(self.slot_count(vantage));
+        let rounds: usize = self.spans_of(vantage).map(Span::round_count).sum();
+        let mut slots = Vec::with_capacity(rounds * self.domains.len());
         let schedule = self.schedule(vantage).enumerate();
         slots.extend(schedule.map(|(probe, (at, domain))| Slot {
             at: at.as_nanos(),
@@ -455,16 +489,10 @@ impl Campaign {
         slots
     }
 
-    /// How many [`slots`](Self::slots) `vantage` has: the records each of
-    /// its pairs writes.
-    pub(crate) fn slot_count(&self, vantage: &str) -> usize {
-        let rounds: usize = self.spans_of(vantage).map(Span::round_count).sum();
-        rounds * self.domains.len()
-    }
-
     /// Every vantage's [`slots`](Self::slots), indexed like
-    /// `config.vantages()` and so by [`PairPlan::vantage_index`]: what
-    /// [`CampaignOrder`] walks, computed once per engine run.
+    /// `config.vantages()` and so by [`PairPlan::vantage_index`]: computed
+    /// once per engine run, each pair's generation reads its row of it and
+    /// [`CampaignOrder`] walks it.
     pub(crate) fn slot_table(&self) -> Vec<Vec<Slot>> {
         let vantages = self.config.vantages();
         vantages.iter().map(|v| self.slots(v.label)).collect()
@@ -492,27 +520,22 @@ impl Campaign {
     /// session models.
     #[doc(hidden)]
     pub fn run_reference(&self) -> CampaignResult {
-        self.assemble(self.generate_over(1, false))
+        self.assemble(self.generate_all(1, false))
     }
 
-    /// The generation stage: runs every (vantage, resolver) pair across
-    /// `threads` threads, the calling thread one of them, and returns
-    /// their records in one campaign-sized buffer, pair after pair, each
-    /// pair's in canonical order. A pair fills its vantage's slots, so
-    /// each pair's slice of the buffer is cut before any record is made;
-    /// the pairs then go through the sharded engine's [`hand_off`] (no
-    /// worker beside the calling thread at one thread), and each lane
-    /// writes the pair it claims into that pair's slice, so output is
-    /// independent of the thread count. [`assemble`](Self::assemble)
-    /// permutes the buffer into a [`CampaignResult`]; split out so the
-    /// bench harness can time generation separately from assembly.
+    /// The generation stage: [`generate_over`](Self::generate_over) every
+    /// (vantage, resolver) pair across `threads` threads, the calling
+    /// thread one of them, into one campaign-sized buffer.
+    /// [`assemble`](Self::assemble) permutes the buffer into a
+    /// [`CampaignResult`]; split out so the bench harness can time
+    /// generation separately from assembly.
     pub fn generate(&self, threads: usize) -> GeneratedPairs {
-        self.generate_over(threads, true)
+        self.generate_all(threads, true)
     }
 
     /// [`generate`](Self::generate) over either wire source (see
-    /// [`run_pair_into`](Self::run_pair_into)).
-    fn generate_over(&self, threads: usize, cached: bool) -> GeneratedPairs {
+    /// [`run_pair`](Self::run_pair)).
+    fn generate_all(&self, threads: usize, cached: bool) -> GeneratedPairs {
         // The record buffer is the run's first allocation. A previous
         // run's buffer, freed, leaves a hole of exactly its size in the
         // heap (glibc's dynamic mmap threshold has moved it onto the brk
@@ -521,19 +544,38 @@ impl Campaign {
         // by a buffer from one run to the next.
         let mut records = Vec::with_capacity(self.probe_count());
         let plans = self.pair_plans();
-        let mut starts = Vec::with_capacity(plans.len() + 1);
-        starts.push(0);
-        for plan in &plans {
-            starts.push(starts[starts.len() - 1] + self.slot_count(plan.vantage.label));
+        let slots = self.slot_table();
+        let workers = threads.saturating_sub(1);
+        self.generate_over(&plans, &slots, workers, cached, &mut records);
+        GeneratedPairs {
+            plans,
+            slots,
+            records,
         }
+    }
+
+    /// Both engines' generation, over a range of pairs: `records` becomes
+    /// `plans`' pairs one after another, each a record per slot of its row
+    /// of `slots` (the [slot table](Self::slot_table)), in that order. The
+    /// pairs go through [`hand_off`] with `workers` beside the calling
+    /// thread, each lane writing the pair it claims into its slice.
+    pub(crate) fn generate_over(
+        &self,
+        plans: &[PairPlan],
+        slots: &[Vec<Slot>],
+        workers: usize,
+        cached: bool,
+        records: &mut Vec<ProbeRecord>,
+    ) {
         if let Some(plan) = plans.first() {
-            records.resize(starts[plans.len()], self.placeholder(plan));
+            let len = plans.iter().map(|p| p.row(slots).len()).sum();
+            records.resize(len, self.placeholder(plan));
         }
         // Each pair's slice, taken by the lane that claims the pair.
         let mut rest = records.as_mut_slice();
-        let slices: Vec<Mutex<&mut [ProbeRecord]>> = (starts.windows(2))
-            .map(|w| {
-                let (pair, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+        let slices: Vec<Mutex<&mut [ProbeRecord]>> = (plans.iter())
+            .map(|p| {
+                let (pair, tail) = std::mem::take(&mut rest).split_at_mut(p.row(slots).len());
                 rest = tail;
                 Mutex::new(pair)
             })
@@ -541,46 +583,30 @@ impl Campaign {
         let pending: Vec<u32> = (0..plans.len() as u32).collect();
         let (generated, _) = hand_off(
             &pending,
-            threads.saturating_sub(1),
+            workers,
             |pair| {
                 // Each pair is claimed once, so its lock is taken once and
                 // is never found poisoned.
                 let slice = slices[pair as usize].lock();
                 let mut slice = slice.unwrap_or_else(PoisonError::into_inner);
-                self.run_pair_into(&plans[pair as usize], cached, &mut slice);
+                let plan = &plans[pair as usize];
+                self.run_pair(plan, plan.row(slots), cached, &mut slice);
             },
             Ok::<_, Infallible>,
             |()| Ok(()),
         );
         let Ok(()) = generated;
-        drop(slices);
-        GeneratedPairs {
-            plans,
-            records,
-            starts,
-        }
     }
 
-    /// The assembly stage: moves the generated records into
-    /// [`CampaignOrder`] in place, so the result is the buffer
-    /// [`generate`](Self::generate) filled, now in canonical order.
+    /// The assembly stage: [`assemble_in_place`], so the result is the
+    /// buffer [`generate`](Self::generate) filled, now in canonical order.
     pub fn assemble(&self, generated: GeneratedPairs) -> CampaignResult {
         let GeneratedPairs {
             plans,
+            slots,
             mut records,
-            mut starts,
         } = generated;
-        // `place` takes u32 sources; no campaign held in memory comes near.
-        assert!(records.len() <= u32::MAX as usize, "too many records");
-        let slots = self.slot_table();
-        // Each position's source: the next unplaced record of its pair.
-        let sources = CampaignOrder::new(&plans, &slots).map(|(pair, _)| {
-            let source = starts[pair];
-            starts[pair] += 1;
-            source as u32
-        });
-        let mut sources: Vec<u32> = sources.collect();
-        place(&mut records, &mut sources);
+        assemble_in_place(&plans, &slots, &mut records);
         CampaignResult {
             records,
             seed: self.config.seed,
@@ -619,19 +645,6 @@ impl Campaign {
         plans
     }
 
-    /// Runs the full probe series for one (vantage, resolver) pair,
-    /// returning its records in canonical (time, domain) order.
-    ///
-    /// Pair-constant work — routing, fault scope matching, query and HTTP
-    /// wire templates — is hoisted into a [`PairContext`] built once here
-    /// and borrowed by every probe.
-    pub(crate) fn run_pair(&self, plan: &PairPlan) -> Vec<ProbeRecord> {
-        let slots = self.slot_count(plan.vantage.label);
-        let mut records = vec![self.placeholder(plan); slots];
-        self.run_pair_into(plan, true, &mut records);
-        records
-    }
-
     /// A record of `plan`'s pair that its slots hold until the pair's
     /// probes overwrite them.
     fn placeholder(&self, plan: &PairPlan) -> ProbeRecord {
@@ -653,15 +666,18 @@ impl Campaign {
         )
     }
 
-    /// [`run_pair`](Self::run_pair) over either wire source, writing the
-    /// pair's records over `records`, one per slot of its vantage
-    /// ([`slot_count`](Self::slot_count)). With `cached` off nothing
-    /// outlives a probe except what the model says does (the resolver's
-    /// caches, the session state, the RNG stream): each probe is routed,
-    /// resolves its faults against the whole plan, rebuilds the pair's
-    /// load tables and encodes and re-parses every wire, through
-    /// [`Prober::probe_fresh`].
-    fn run_pair_into(&self, plan: &PairPlan, cached: bool, records: &mut [ProbeRecord]) {
+    /// Runs the full probe series for one (vantage, resolver) pair,
+    /// writing its records over `records` in the order of `slots`, its
+    /// vantage's row of the slot table: one record per slot.
+    ///
+    /// Pair-constant work — routing, fault scope matching, query and HTTP
+    /// wire templates — is hoisted into a [`PairContext`] built once here
+    /// and borrowed by every probe. With `cached` off nothing outlives a
+    /// probe except what the model says does (the resolver's caches, the
+    /// session state, the RNG stream): each probe is routed, resolves its
+    /// faults against the whole plan, rebuilds the pair's load tables and
+    /// encodes and re-parses every wire, through [`Prober::probe_fresh`].
+    fn run_pair(&self, plan: &PairPlan, slots: &[Slot], cached: bool, records: &mut [ProbeRecord]) {
         let vantage = &plan.vantage;
         let entry = &plan.entry;
         let cfg = self.config.probe;
@@ -700,8 +716,7 @@ impl Campaign {
         });
 
         // Each slot's probe, in slot order: where `place` takes records from.
-        let slots = self.slots(vantage.label).into_iter().map(|s| s.probe);
-        let mut sources: Vec<u32> = slots.collect();
+        let mut sources: Vec<u32> = slots.iter().map(|s| s.probe).collect();
         let schedule = records.iter_mut().zip(self.schedule(vantage.label));
         for (record, (at, domain_idx)) in schedule {
             let domain = &self.domains[domain_idx];
@@ -761,6 +776,28 @@ impl Campaign {
         // each record then moves to its slot.
         place(records, &mut sources);
     }
+}
+
+/// Moves `plans`' records, laid out by [`Campaign::generate_over`], into
+/// [`CampaignOrder`] over `plans` in place: both engines' one step from
+/// generated pairs to campaign order, over every pair or a shard's.
+pub(crate) fn assemble_in_place(
+    plans: &[PairPlan],
+    slots: &[Vec<Slot>],
+    records: &mut [ProbeRecord],
+) {
+    // `place` takes u32 sources; no campaign held in memory comes near.
+    assert!(records.len() <= u32::MAX as usize, "too many records");
+    // Each pair's next unplaced record, from where its records start.
+    let mut next: Vec<usize> = pair_ranges(plans, slots).map(|r| r.start).collect();
+    // Each position's source: the next unplaced record of its pair.
+    let sources = CampaignOrder::new(plans, slots).map(|(pair, _)| {
+        let source = next[pair];
+        next[pair] += 1;
+        source as u32
+    });
+    let mut sources: Vec<u32> = sources.collect();
+    place(records, &mut sources);
 }
 
 /// Moves `records[sources[p]]` to position `p` for every `p`, in place:

@@ -281,6 +281,38 @@ impl CampaignConfig {
     }
 }
 
+/// How much measurement to simulate: the campaign sizes that have a name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// A few rounds per vantage — seconds of wall-clock; for tests.
+    Quick,
+    /// A day-scale campaign — good statistics in tens of seconds.
+    Standard,
+    /// The paper's full multi-month schedule (~620k probes).
+    Paper,
+}
+
+impl Scale {
+    /// Builds the campaign configuration for this scale.
+    pub fn config(self, seed: u64) -> CampaignConfig {
+        match self {
+            Scale::Quick => CampaignConfig::quick(seed, 4),
+            Scale::Standard => CampaignConfig::quick(seed, 24),
+            Scale::Paper => CampaignConfig::paper(seed),
+        }
+    }
+
+    /// The scale called `name`: `quick`, `standard` or `paper`.
+    pub fn from_name(name: &str) -> Result<Scale, String> {
+        match name {
+            "quick" => Ok(Scale::Quick),
+            "standard" => Ok(Scale::Standard),
+            "paper" => Ok(Scale::Paper),
+            other => Err(format!("unknown scale {other:?}")),
+        }
+    }
+}
+
 /// The calibrated default fault schedule: deterministic per `(seed,
 /// horizon)`, scattering transient faults over the campaign window so
 /// that a full-population campaign probed with

@@ -412,8 +412,9 @@ mod tests {
     fn pair_cells(c: &Campaign) -> Vec<PairCells> {
         let mut scratch = Vec::new();
         let plans = c.pair_plans();
-        let pairs = (0u32..).zip(&plans);
-        let fold = |(pair, plan)| fold_pair(c, pair, plan, &c.run_pair(plan), &mut scratch);
+        let generated = c.generate(1);
+        let pairs = (0u32..).zip(&plans).zip(generated.pairs());
+        let fold = |((pair, plan), (_, records))| fold_pair(c, pair, plan, records, &mut scratch);
         pairs.map(fold).collect()
     }
 

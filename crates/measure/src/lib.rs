@@ -53,7 +53,7 @@ pub use campaign::{metrics_of, observe_record, Campaign, CampaignResult, Generat
 pub use checkpoint::{
     CheckpointError, Manifest, ShardCells, ShardCheckpoint, ShardState, CHECKPOINT_VERSION,
 };
-pub use config::{standard_domains, CampaignConfig, Span};
+pub use config::{standard_domains, CampaignConfig, Scale, Span};
 pub use errors::{ProbeErrorKind, Tally};
 pub use fold::CampaignFolds;
 pub use health::{

@@ -4,21 +4,23 @@
 //! contiguous, balanced ranges of the (vantage, resolver) pair list. A
 //! whole pair always lives in exactly one shard — the per-pair RNG stream
 //! is sequential, so a pair can never be split without replaying it.
-//! Shards execute independently, in two halves. The *generate* half runs
-//! a shard's pairs and folds each pair's aggregate, metrics and health
-//! cells and its retry exhaustions; the *persist* half writes the records,
-//! in [`CampaignOrder`] over the shard's pairs, as a JSONL data file and
-//! the folds as a cell file (both tmp + rename, so a
-//! crash never leaves a torn file under the real name), after which the
-//! shard is marked complete in the campaign [`Manifest`] — a commit that
-//! costs O(shards), not O(work done so far). In [`hand_off`] every
+//! A shard is the in-memory engine over its pairs, plus persistence, in
+//! two halves. The *generate* half runs the pairs into one buffer
+//! ([`Campaign::generate_over`]) and folds each pair's aggregate, metrics
+//! and health cells and its retry exhaustions; the *persist* half puts the
+//! buffer into [`CampaignOrder`] in place
+//! ([`campaign::assemble_in_place`]), writes it front to back as a JSONL
+//! data file and the folds as a cell file (both tmp + rename, so a crash
+//! never leaves a torn file under the real name), after which the shard is
+//! marked complete in the campaign [`Manifest`] — a commit that costs
+//! O(shards), not O(work done so far). In [`hand_off`] every
 //! execute-phase thread, the calling thread included, claims the next
 //! pending shard, generates it and persists it; the calling thread alone
 //! commits, in shard order. [`ShardedRunner::run`] spawns workers beside
 //! it, [`ShardedRunner::advance`] none.
 //!
 //! The read side has two lanes as well. *Validation* re-checks every
-//! complete shard's files, every other shard on a second thread.
+//! complete shard's files through [`hand_off`] with one worker.
 //! *Assembly* copies the shard files' lines into the final campaign JSONL
 //! without parsing one: [`CampaignOrder`] over every pair says which
 //! pair's probe comes next, so the next line of that pair's shard file is
@@ -60,7 +62,7 @@ use obs::{
 };
 
 use crate::aggregate::CampaignAggregates;
-use crate::campaign::{Campaign, CampaignOrder, PairPlan, Slot};
+use crate::campaign::{self, Campaign, CampaignOrder, PairPlan, Slot};
 use crate::checkpoint::{
     checksum, fnv64, io_err, write_atomic, write_atomic_bytes, CheckpointError, Checksum, Manifest,
     ShardCells, ShardCheckpoint, ShardState,
@@ -156,9 +158,8 @@ impl ShardedOutcome {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageLedger {
     /// `load_or_init`: manifest decode plus re-validation of every
-    /// complete shard's data and cell file — wall time of the two
-    /// validation lanes side by side, each taking every other shard and
-    /// reading its files straight through.
+    /// complete shard's data and cell file — wall time of one [`hand_off`]
+    /// with one worker, each lane reading a shard's files straight through.
     pub validate_s: f64,
     /// The execute phase's wall time: from the first worker's spawn to the
     /// last worker's join, after the last shard's commit. Next to nothing
@@ -167,13 +168,13 @@ pub struct StageLedger {
     /// Lanes the execute phase ran: the calling thread and the workers
     /// `run` spawned beside it.
     pub lanes: usize,
-    /// `run_pair` over each executed shard's pairs.
+    /// [`Campaign::generate_over`] over each executed shard's pairs.
     pub generate_s: f64,
     /// The per-pair fold: aggregate, metrics and per-(pair, day) health
     /// cells, and the retry exhaustions.
     pub fold_s: f64,
-    /// Rendering each shard's JSONL body in [`CampaignOrder`] over its
-    /// pairs, each block checksummed before it is written.
+    /// Each shard's records put into [`CampaignOrder`] in place and
+    /// rendered, each block checksummed before it is written.
     pub serialise_s: f64,
     /// Data-file write + rename.
     pub data_write_s: f64,
@@ -238,10 +239,6 @@ impl StageLedger {
     }
 }
 
-/// Assembly's output buffer, and a shard body's: JSONL goes to disk in
-/// writes of this size.
-const ASSEMBLE_WRITE_BYTES: usize = 256 * 1024;
-
 /// A validation lane's block: each file is read straight through it.
 const VALIDATE_READ_BYTES: usize = 64 * 1024;
 
@@ -257,18 +254,19 @@ const SHARD_READ_BYTES: usize = 8 * 1024;
 type Recorded = (PathBuf, u64, u64);
 
 /// Re-validates `files`, in order, against the sizes and checksums their
-/// manifest entries record, reading each straight through `block` so that
-/// validation holds a block, never a file. Stops at the first file that is
+/// manifest entries record, reading each straight through one 64 KiB block
+/// on the stack, so that validation holds a block, never a file. Stops at the first file that is
 /// missing, unreadable, or of another size or checksum, with an error that
 /// names it.
-fn validate_files(files: &[Recorded], block: &mut [u8]) -> Result<(), CheckpointError> {
+fn validate_files(files: &[Recorded]) -> Result<(), CheckpointError> {
+    let mut block = [0u8; VALIDATE_READ_BYTES];
     for (path, bytes, recorded) in files {
         let fail = CheckpointError::ShardData;
         let unreadable = |e: std::io::Error| fail(format!("read {}: {e}", path.display()));
         let mut file = File::open(path).map_err(unreadable)?;
         let (mut found, mut sum) = (0u64, Checksum::default());
         loop {
-            match file.read(block) {
+            match file.read(&mut block) {
                 Ok(0) => break,
                 Ok(n) => {
                     found += n as u64;
@@ -335,8 +333,8 @@ impl Laps {
 
 /// One shard as the generate half hands it to the persist half.
 struct GeneratedShard {
-    /// Each of the shard's pairs' records, in pair order.
-    outputs: Vec<Vec<ProbeRecord>>,
+    /// Its pairs' records, as [`Campaign::generate_over`] lays them out.
+    records: Vec<ProbeRecord>,
     cells: ShardCells,
     /// The generate stages (`generate_s`, `fold_s`).
     stages: StageLedger,
@@ -370,8 +368,9 @@ pub struct HandOff {
     pub wait_s: f64,
 }
 
-/// The one claim loop: the execute phase over shards, and
-/// [`Campaign::generate`] over pairs. Identical lanes, one per thread. Up
+/// The one claim loop: the execute phase over shards,
+/// [`ShardedRunner::load_or_init`]'s validation over complete shards, and
+/// [`Campaign::generate_over`] over pairs. Identical lanes, one per thread. Up
 /// to `workers` threads are spawned beside the calling thread
 /// (`edns-lane-0`, …; none for fewer than two items, and a worker the OS
 /// will not start is simply absent). Every lane claims the next of
@@ -695,11 +694,11 @@ impl<'a> ShardedRunner<'a> {
     /// otherwise starts a fresh one. A manifest for a different
     /// configuration, a corrupt manifest, or a complete shard with a file
     /// that is missing or fails its checksum is a typed error — never a
-    /// silent restart. With two or more complete shards a second thread
-    /// (`edns-validate`) checks every other one. Each lane reads its
-    /// shards' files, in index order, one at a time straight through one
-    /// 64 KB block; of several damaged shards the error names the lowest,
-    /// its data file first, whichever the lanes meet first.
+    /// silent restart. The complete shards go through [`hand_off`] with
+    /// one worker; each reads its data file, then its cell file, straight
+    /// through one 64 KiB block on its lane's stack ([`validate_files`]).
+    /// Of several damaged shards the error names the lowest, its data file
+    /// first.
     pub fn load_or_init(&self) -> Result<Manifest, CheckpointError> {
         let path = self.manifest_path();
         if !path.exists() {
@@ -725,50 +724,25 @@ impl<'a> ShardedRunner<'a> {
                 self.shards
             )));
         }
-        // Two lanes, each through a 64 KB block of its own: this thread
-        // takes every other complete shard, a second thread the rest. A
-        // lane stops at its first failure, its lowest (data file before
-        // cell file), so the lower of the two lanes' is the failure a walk
-        // in index order would have met first.
-        let complete: Vec<&ShardCheckpoint> = manifest
-            .states
-            .iter()
+        let complete: Vec<&ShardCheckpoint> = (manifest.states.iter())
             .filter_map(|state| match state {
                 ShardState::Complete(c) => Some(c),
                 ShardState::Pending => None,
             })
             .collect();
-        let lane = |first: usize| -> Result<(), (u32, CheckpointError)> {
-            let mut block = vec![0u8; VALIDATE_READ_BYTES];
-            for c in complete.iter().skip(first).step_by(2) {
+        let items: Vec<u32> = (0..complete.len() as u32).collect();
+        let (validated, _) = hand_off(
+            &items,
+            1,
+            |item| complete[item as usize],
+            |c| {
                 let data = (self.shard_path(c.shard), c.bytes, c.checksum);
                 let cells = (self.cells_path(c.shard), c.cell_bytes, c.cell_checksum);
-                validate_files(&[data, cells], &mut block).map_err(|e| (c.shard, e))?;
-            }
-            Ok(())
-        };
-        let (own, other) = if complete.len() < 2 {
-            (lane(0), Ok(()))
-        } else {
-            std::thread::scope(|scope| {
-                let second = std::thread::Builder::new()
-                    .name("edns-validate".to_string())
-                    .spawn_scoped(scope, || lane(1))
-                    .map_err(|e| CheckpointError::Io(format!("spawn edns-validate: {e}")))?;
-                let own = lane(0);
-                // detlint:allow(unwrap, propagates a validation lane's panic like a worker's; half a validation proves nothing)
-                let other = second.join().expect("shard validation lane panicked");
-                Ok((own, other))
-            })?
-        };
-        let failed = [own, other]
-            .into_iter()
-            .filter_map(Result::err)
-            .min_by_key(|(shard, _)| *shard);
-        match failed {
-            Some((_, e)) => Err(e),
-            None => Ok(manifest),
-        }
+                validate_files(&[data, cells])
+            },
+            |()| Ok(()),
+        );
+        validated.map(|()| manifest)
     }
 
     /// The generate half of a shard: runs its pairs and folds their cells.
@@ -778,11 +752,9 @@ impl<'a> ShardedRunner<'a> {
         let mut stages = StageLedger::default();
 
         let range = self.shard_range(index);
-        let shard_plans = &self.plans[range.clone()];
-        let outputs: Vec<Vec<ProbeRecord>> = shard_plans
-            .iter()
-            .map(|p| self.campaign.run_pair(p))
-            .collect();
+        let plans = &self.plans[range.clone()];
+        let mut records = Vec::new();
+        (self.campaign).generate_over(plans, &self.slots, 0, true, &mut records);
         stages.generate_s = laps.lap();
 
         // Each pair's cells, folded in its own canonical order (the
@@ -791,72 +763,57 @@ impl<'a> ShardedRunner<'a> {
         // whatever the shard count and resume schedule. The day cells span
         // the pair's vantage's days, one pair at a time in one scratch;
         // the file keeps those that saw a probe.
-        let mut cells = ShardCells {
-            shard: index,
-            pairs: Vec::with_capacity(shard_plans.len()),
-        };
         let mut scratch = Vec::new();
-        for ((pair, plan), records) in (range.start as u32..).zip(shard_plans).zip(&outputs) {
-            let entry = fold_pair(self.campaign, pair, plan, records, &mut scratch);
-            cells.pairs.push(entry);
-        }
+        let pairs = campaign::pair_ranges(plans, &self.slots).map(|r| &records[r]);
+        let pairs = (range.start as u32..).zip(plans).zip(pairs);
+        let fold =
+            |((pair, plan), records)| fold_pair(self.campaign, pair, plan, records, &mut scratch);
+        let cells = ShardCells {
+            shard: index,
+            pairs: pairs.map(fold).collect(),
+        };
         stages.fold_s = laps.lap();
         GeneratedShard {
-            outputs,
+            records,
             cells,
             stages,
         }
     }
 
-    /// The persist half of a shard: writes its data file, its records
-    /// taken from the pairs' streams in [`CampaignOrder`] over the shard's
-    /// pairs, then its cell file (each tmp + rename), timing itself. The
+    /// The persist half of a shard: puts its records into
+    /// [`CampaignOrder`] over its pairs in place, writes them as its data
+    /// file, then its cell file (each tmp + rename), timing itself. The
     /// shard is not complete until [`commit_shard`](Self::commit_shard)
     /// puts the checkpoint in the manifest; a kill before that leaves files
     /// the re-run simply overwrites.
     fn persist_shard(&self, shard: GeneratedShard) -> Result<PersistedShard, CheckpointError> {
         let mut laps = Laps::start();
         let GeneratedShard {
-            outputs,
+            mut records,
             cells,
             mut stages,
         } = shard;
         let index = cells.shard;
+        let plans = &self.plans[self.shard_range(index)];
+        campaign::assemble_in_place(plans, &self.slots, &mut records);
 
-        // The body is rendered through one block-sized buffer and written
-        // as it fills, so no more than a block of it is ever in memory
-        // while the next shard's records are being generated. Each block
-        // is summed before it is written, while it is still in cache, and
-        // each record is freed once rendered. Time inside `write_all` is
-        // the data write; the rest of the loop is serialisation.
-        let records = outputs.iter().map(Vec::len).sum::<usize>() as u64;
-        let order = CampaignOrder::new(&self.plans[self.shard_range(index)], &self.slots);
+        // Each block is summed before it is written, while it is still in
+        // cache. Time inside `write_all` is the data write; the rest is
+        // ordering and serialisation.
         let path = self.shard_path(index);
         let mut sum = Checksum::default();
         let mut bytes = 0u64;
         let mut write_s = 0.0;
         let watch = &laps.watch;
         write_atomic(&path, |file| {
-            let mut out = String::with_capacity(ASSEMBLE_WRITE_BYTES + 4096);
-            let mut flush = |out: &mut String| {
-                sum.update(out.as_bytes());
+            campaign::write_json_blocks(&records, |block| {
+                sum.update(block);
                 let started = watch.elapsed_secs();
-                let written = file
-                    .write_all(out.as_bytes())
-                    .map_err(io_err("write", &path));
-                bytes += out.len() as u64;
-                out.clear();
+                let written = file.write_all(block).map_err(io_err("write", &path));
+                bytes += block.len() as u64;
                 write_s += watch.elapsed_secs() - started;
                 written
-            };
-            for r in order.gather(outputs) {
-                r.write_json_line(&mut out);
-                out.push('\n');
-                if out.len() >= ASSEMBLE_WRITE_BYTES {
-                    flush(&mut out)?;
-                }
-            }
-            flush(&mut out)
+            })
         })?;
         stages.data_write_s = write_s;
         stages.serialise_s = laps.lap() - write_s;
@@ -868,7 +825,7 @@ impl<'a> ShardedRunner<'a> {
         Ok(PersistedShard {
             checkpoint: ShardCheckpoint {
                 shard: index,
-                records,
+                records: records.len() as u64,
                 bytes,
                 checksum: sum.finish(),
                 cell_bytes: encoded_cells.len() as u64,
@@ -942,9 +899,10 @@ impl<'a> ShardedRunner<'a> {
     /// O(shard); assembly then holds what [`assemble`](Self::assemble)
     /// lists, which grows with shards, pairs and days but not with records.
     /// No worker is spawned for fewer than two pending shards.
-    /// Whatever `threads` is, validation before the execute phase and
-    /// assembly after it each run one thread of their own beside the
-    /// calling thread.
+    /// Whatever `threads` is, validation before the execute phase
+    /// ([`load_or_init`](Self::load_or_init), one [`hand_off`] worker) and
+    /// assembly after it (its cell lane) each run one thread of their own
+    /// beside the calling thread.
     pub fn run(&self, threads: usize) -> Result<ShardedOutcome, CheckpointError> {
         let mut run = ShardRunMetrics::new();
         run.shards_planned.add(self.shards as u64);
@@ -1113,7 +1071,7 @@ impl<'a> ShardedRunner<'a> {
                 .iter()
                 .map(|v| ProbeRecord::line_tail(v.label))
                 .collect();
-            let slots_of = |pair: usize| &self.slots[self.plans[pair].vantage_index as usize];
+            let slots_of = |pair: usize| self.plans[pair].row(&self.slots);
             let mut readers = Vec::with_capacity(self.shards as usize);
             let mut extents = Vec::with_capacity(self.shards as usize);
             let mut of_pair = Vec::with_capacity(self.plans.len());
@@ -1146,7 +1104,7 @@ impl<'a> ShardedRunner<'a> {
             }
 
             let (records, folds) = write_atomic(&jsonl_path, |file| {
-                let mut out: Vec<u8> = Vec::with_capacity(ASSEMBLE_WRITE_BYTES + 4096);
+                let mut out: Vec<u8> = Vec::with_capacity(campaign::JSONL_BLOCK_BYTES + 4096);
                 let mut flush = |out: &mut Vec<u8>| {
                     let started = watch.elapsed_secs();
                     let written = file.write_all(out).map_err(io_err("write", &jsonl_path));
@@ -1181,7 +1139,7 @@ impl<'a> ShardedRunner<'a> {
                             vantages[vantage].label
                         )));
                     }
-                    if out.len() >= ASSEMBLE_WRITE_BYTES {
+                    if out.len() >= campaign::JSONL_BLOCK_BYTES {
                         flush(&mut out)?;
                     }
                 }
@@ -1311,13 +1269,12 @@ mod tests {
     fn streaming_validation_accepts_exactly_what_a_whole_file_read_accepts() {
         let dir = std::env::temp_dir().join(format!("edns-validate-file-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut block = vec![0u8; VALIDATE_READ_BYTES];
         // Validates `files` and holds the verdict to the whole-file reads':
         // the first file they reject is the one the error names. The
         // error's message, if any.
-        let mut check = |files: &[Recorded]| {
+        let check = |files: &[Recorded]| {
             let whole = files.iter().position(|f| !whole_file_accepts(f));
-            match (validate_files(files, &mut block), whole) {
+            match (validate_files(files), whole) {
                 (Ok(()), None) => None,
                 (Err(CheckpointError::ShardData(m)), Some(at))
                     if m.contains(&*files[at].0.to_string_lossy()) =>

@@ -338,10 +338,10 @@ fn a_cell_file_that_fails_its_content_checks_leaves_no_campaign_file() {
 
 #[test]
 fn two_damaged_shards_on_different_lanes_name_the_lower_index_every_time() {
-    // Validation takes shards 0 and 2 on the calling thread and 1 and 3 on
-    // the second; whichever lane finishes first, the error is the one a
-    // walk in index order meets first: lowest shard, data file before cell
-    // file.
+    // Validation claims the complete shards on two lanes, the calling
+    // thread and one worker; whichever lane finishes first, the error is
+    // the one a walk in index order meets first: lowest shard, data file
+    // before cell file.
     let c = campaign(CampaignConfig::quick(3, 2));
     for (damaged, named) in [
         ([(1, "cells"), (2, "jsonl")], "shard-0001.cells"),
@@ -364,10 +364,9 @@ fn two_damaged_shards_on_different_lanes_name_the_lower_index_every_time() {
 
 #[test]
 fn two_damaged_shards_on_one_lane_name_the_lower_index_every_time() {
-    // Eight shards: the calling thread's lane takes 0, 2, 4 and 6, the
-    // second lane 1, 3, 5 and 7, two damaged files on one lane, and at 20
-    // rounds a data file spans several 64 KB reads. The error is the one a
-    // walk in index order meets first.
+    // Eight shards, two damaged files either on one lane or on both, and
+    // at 20 rounds a data file spans several 64 KB reads. The error is the
+    // one a walk in index order meets first.
     let c = campaign(CampaignConfig::quick(3, 20));
     for (damaged, named) in [
         ([(2, "cells"), (6, "jsonl")], "shard-0002.cells"),
@@ -387,6 +386,21 @@ fn two_damaged_shards_on_one_lane_name_the_lower_index_every_time() {
         for _ in 0..20 {
             assert_eq!(shard_data_message(runner.load_or_init()), first);
         }
+    }
+}
+
+#[test]
+fn a_slow_lower_failure_is_named_over_a_fast_higher_one() {
+    // Shard 0's lane reads both its files through before meeting the
+    // flipped cell file; the lane that claims shard 1 fails at once on its
+    // missing data file. The lower shard is still the one named.
+    let c = campaign(CampaignConfig::quick(3, 400));
+    let (runner, dir) = complete_run(&c);
+    flip_a_byte(&dir.join("shard-0000.cells"));
+    std::fs::remove_file(dir.join("shard-0001.jsonl")).unwrap();
+    for _ in 0..20 {
+        let msg = shard_data_message(runner.load_or_init());
+        assert!(msg.contains("shard-0000.cells"), "{msg}");
     }
 }
 
