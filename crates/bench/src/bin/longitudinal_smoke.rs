@@ -29,12 +29,22 @@
 //! decode and install on a thread of their own, overlapped with the copy,
 //! so it is no term of the phases' sum and a third assertion bounds it by
 //! assembly's wall time (`assemble_read_s + assemble_write_s`).
+//!
+//! Then a third fresh runner re-runs the completed directory, the path
+//! with nothing pending, where validation rides the cell lane and
+//! `validate_s` is the manifest load alone: every shard must be resumed,
+//! the campaign file must come out byte-identical (FNV-1a and length),
+//! and the phases must again sum to its elapsed time. Its ledger is
+//! printed on stderr too, and its elapsed time goes into the JSON object
+//! as `rerun_s`.
 
 // Bench harness: real elapsed time is the measurement itself.
 #![allow(clippy::disallowed_methods)]
 
 use std::time::Instant;
 
+use measure::checkpoint::fnv64;
+use measure::shard::StageLedger;
 use measure::{Campaign, CampaignConfig, ShardedRunner};
 
 /// Peak-RSS cap for the CI profile, 20 MiB. The bounded-memory engine
@@ -77,6 +87,39 @@ fn peak_rss_kb() -> u64 {
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(0)
+}
+
+/// Prints a run's stage ledger on stderr and asserts that the killed run
+/// before it (if any, and in `elapsed`) and the phases sum to `elapsed`,
+/// and that the cell lane ends within assembly. Returns the printed rows.
+fn ledger(
+    stages: &StageLedger,
+    killed_run_s: Option<f64>,
+    elapsed: f64,
+) -> Vec<(&'static str, f64)> {
+    let mut rows: Vec<_> = killed_run_s
+        .map(|s| ("killed_run_s", s))
+        .into_iter()
+        .collect();
+    let before_s = killed_run_s.unwrap_or(0.0);
+    rows.extend(stages.rows());
+    rows.push(("unattributed_s", elapsed - before_s - stages.phases_s()));
+    for (name, seconds) in &rows {
+        eprintln!(
+            "  {name:<18} {seconds:>8.3} s  {:>5.1} %",
+            seconds / elapsed * 100.0
+        );
+    }
+    eprintln!("  {:<18} {elapsed:>8.3} s", "elapsed_s");
+    eprintln!("  the execute rows are totals over the lanes; assemble_cells_s ran beside assemble_read_s + assemble_write_s");
+    assert_adds_up("phases", before_s + stages.phases_s(), elapsed);
+    let assemble_wall_s = stages.assemble_read_s + stages.assemble_write_s;
+    assert!(
+        stages.assemble_cells_s <= assemble_wall_s * (1.0 + LEDGER_TOLERANCE),
+        "cell lane: {:.3} s cannot outlast assembly's {assemble_wall_s:.3} s",
+        stages.assemble_cells_s
+    );
+    rows
 }
 
 fn main() {
@@ -146,33 +189,38 @@ fn main() {
     // The stage ledger: every row a wall-clock total. Three phases after
     // the killed run, the middle one over every lane.
     let stages = &outcome.stages;
-    let mut rows = vec![("killed_run_s", killed_run_s)];
-    rows.extend(stages.rows());
-    rows.push(("unattributed_s", elapsed - killed_run_s - stages.phases_s()));
     eprintln!(
         "stage ledger ({} lane(s), each generating and persisting; this thread commits):",
         stages.lanes
     );
-    for (name, seconds) in &rows {
-        eprintln!(
-            "  {name:<18} {seconds:>8.3} s  {:>5.1} %",
-            seconds / elapsed * 100.0
-        );
-    }
-    eprintln!("  {:<18} {elapsed:>8.3} s", "elapsed_s");
-    eprintln!("  the execute rows are totals over the lanes; assemble_cells_s ran beside assemble_read_s + assemble_write_s");
+    let rows = ledger(stages, Some(killed_run_s), elapsed);
     assert_adds_up(
         "execute lanes",
         stages.lanes_s(),
         stages.lanes as f64 * stages.execute_wall_s,
     );
-    assert_adds_up("phases", killed_run_s + stages.phases_s(), elapsed);
-    let assemble_wall_s = stages.assemble_read_s + stages.assemble_write_s;
-    assert!(
-        stages.assemble_cells_s <= assemble_wall_s * (1.0 + LEDGER_TOLERANCE),
-        "cell lane: {:.3} s cannot outlast assembly's {assemble_wall_s:.3} s",
-        stages.assemble_cells_s
+
+    // Phase 3: a fresh runner over the completed directory, nothing
+    // pending.
+    let campaign_file = std::fs::read(&outcome.jsonl_path).unwrap();
+    let runner = ShardedRunner::new(&campaign, shards, &dir).unwrap();
+    let t = Instant::now();
+    let rerun = runner.run(threads).unwrap();
+    let rerun_s = t.elapsed().as_secs_f64();
+    assert_eq!(
+        rerun.run.shards_resumed.get(),
+        shards as u64,
+        "a re-run must resume every shard"
     );
+    let rerun_file = std::fs::read(&rerun.jsonl_path).unwrap();
+    assert_eq!(
+        (fnv64(&rerun_file), rerun_file.len()),
+        (fnv64(&campaign_file), campaign_file.len()),
+        "a re-run must assemble the same campaign file"
+    );
+    eprintln!("re-run of the completed directory (nothing pending; validation on the cell lane):");
+    ledger(&rerun.stages, None, rerun_s);
+
     let stages_json = rows
         .iter()
         .map(|(name, seconds)| format!("\"{name}\":{seconds:.3}"))
@@ -183,7 +231,7 @@ fn main() {
         concat!(
             "{{\"profile\":\"{}\",\"days\":{},\"shards\":{},\"threads\":{},\"lanes\":{},",
             "\"probes\":{},\"resumed_shards\":{},\"jsonl_bytes\":{},",
-            "\"elapsed_s\":{:.3},\"probes_per_sec\":{:.0},",
+            "\"elapsed_s\":{:.3},\"rerun_s\":{:.3},\"probes_per_sec\":{:.0},",
             "\"peak_rss_kb\":{},\"availability_pct\":{:.2},",
             "\"response_p50_ms\":{:.1},\"response_p95_ms\":{:.1},",
             "\"longitudinal_stages\":{{{}}}}}"
@@ -197,6 +245,7 @@ fn main() {
         kill_after,
         jsonl_bytes,
         elapsed,
+        rerun_s,
         probes_per_sec,
         rss_kb,
         overall.availability.availability() * 100.0,

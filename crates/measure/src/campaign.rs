@@ -11,9 +11,6 @@
 //! place, so output is identical at any thread count without sorting the
 //! record vector or comparing a record.
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
 use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
@@ -314,25 +311,92 @@ impl PairPlan {
 /// included, so that key orders the whole campaign, and the walk over a
 /// range of pairs is the whole walk with the other pairs left out: a
 /// shard file written in it is read straight through by assembly.
+///
+/// All pairs of a vantage fill one slot row ([`PairPlan::row`]), so the
+/// walk merges rows by time, not pairs: at each time, the pairs whose row
+/// has slots then come in rank order, each with all of its slots at that
+/// time. The rank-ordered list of those pairs is rebuilt only when the set
+/// of rows with slots at the time changes, so each record costs O(1)
+/// amortised, over at most as many rows as vantages.
 pub(crate) struct CampaignOrder<'a> {
-    /// Per pair of the slice, the slots it has still to fill.
-    pairs: Vec<std::slice::Iter<'a, Slot>>,
-    /// One entry per pair with a slot left: its next slot's time, its
-    /// rank, and the pair, which only rides along (ranks are unique).
-    heap: BinaryHeap<Reverse<(u64, u32, u32)>>,
+    /// Per row of the slot table, the walk of its slots (none for a row no
+    /// pair of the slice fills).
+    rows: Vec<RowWalk<'a>>,
+    /// Every pair of the slice with its row, in rank order.
+    by_rank: Vec<(u32, u32)>,
+    /// The pairs of `by_rank` whose row has slots at the current time, in
+    /// rank order: never longer than `by_rank`, whose length it reserves.
+    active: Vec<(u32, u32)>,
+    /// The entry of `active` being walked, and how many of its row's slots
+    /// at the current time it has yielded.
+    turn: usize,
+    filled: usize,
+}
+
+/// One slot row as [`CampaignOrder`] walks it.
+struct RowWalk<'a> {
+    slots: &'a [Slot],
+    /// `slots[next..end]` are its slots at the current time (none when the
+    /// two are equal); its later slots start at `end`.
+    next: usize,
+    end: usize,
 }
 
 impl<'a> CampaignOrder<'a> {
     /// The order over `plans`, whose slots are `slots`' rows
     /// ([`Campaign::slot_table`]).
     pub(crate) fn new(plans: &[PairPlan], slots: &'a [Vec<Slot>]) -> Self {
-        let pairs = plans.iter().map(|p| p.row(slots).iter()).collect();
-        let heads = plans.iter().enumerate().filter_map(|(pair, p)| {
-            let first = p.row(slots).first()?;
-            Some(Reverse((first.at, p.order, pair as u32)))
-        });
-        let heap = heads.collect();
-        CampaignOrder { pairs, heap }
+        let mut rows: Vec<RowWalk<'a>> = (slots.iter())
+            .map(|_| RowWalk {
+                slots: &[],
+                next: 0,
+                end: 0,
+            })
+            .collect();
+        let mut by_rank: Vec<(u32, u32)> = Vec::with_capacity(plans.len());
+        for (pair, p) in plans.iter().enumerate() {
+            rows[p.vantage_index as usize].slots = p.row(slots);
+            by_rank.push((pair as u32, p.vantage_index));
+        }
+        by_rank.sort_unstable_by_key(|&(pair, _)| plans[pair as usize].order);
+        CampaignOrder {
+            rows,
+            active: Vec::with_capacity(by_rank.len()),
+            by_rank,
+            turn: 0,
+            filled: 0,
+        }
+    }
+
+    /// Moves the walk on to the earliest time a row has slots at, and
+    /// rebuilds `active` if the rows with slots then are not the rows that
+    /// had slots at the previous time. `None` when no slot is left.
+    #[deny_alloc]
+    fn next_time(&mut self) -> Option<()> {
+        let rows = &mut self.rows;
+        let now = (rows.iter())
+            .filter_map(|row| row.slots.get(row.end))
+            .map(|s| s.at)
+            .min()?;
+        let mut changed = false;
+        for row in rows.iter_mut() {
+            let had_slots = row.end > row.next;
+            row.next = row.end;
+            // A row's slots are in time order, and none left is before `now`.
+            row.end += row.slots[row.next..].partition_point(|s| s.at == now);
+            changed |= (row.end > row.next) != had_slots;
+        }
+        if changed {
+            let has_slots = |&&(_, row): &&(u32, u32)| {
+                let row = &rows[row as usize];
+                row.end > row.next
+            };
+            self.active.clear();
+            self.active.extend(self.by_rank.iter().filter(has_slots));
+        }
+        self.turn = 0;
+        self.filled = 0;
+        Some(())
     }
 }
 
@@ -341,16 +405,23 @@ impl Iterator for CampaignOrder<'_> {
 
     #[deny_alloc]
     fn next(&mut self) -> Option<(usize, Slot)> {
-        let mut top = self.heap.peek_mut()?;
-        let Reverse((_, order, pair)) = *top;
-        let rest = &mut self.pairs[pair as usize];
-        let slot = *rest.next()?;
-        match rest.as_slice().first() {
-            // The pair's entry is replaced where it stands: one sift.
-            Some(s) => *top = Reverse((s.at, order, pair)),
-            None => _ = PeekMut::pop(top),
+        loop {
+            let Some(&(pair, row)) = self.active.get(self.turn) else {
+                self.next_time()?;
+                continue;
+            };
+            let row = &self.rows[row as usize];
+            match row.slots[row.next..row.end].get(self.filled) {
+                Some(&slot) => {
+                    self.filled += 1;
+                    return Some((pair as usize, slot));
+                }
+                None => {
+                    self.turn += 1;
+                    self.filled = 0;
+                }
+            }
         }
-        Some((pair as usize, slot))
     }
 }
 
@@ -825,6 +896,7 @@ fn place(records: &mut [ProbeRecord], sources: &mut [u32]) {
 mod tests {
     use super::*;
     use crate::config::CampaignConfig;
+    use proptest::prelude::*;
 
     fn small_campaign(seed: u64) -> Campaign {
         let entries = [
@@ -861,6 +933,128 @@ mod tests {
                 let mut restricted = whole.clone();
                 restricted.retain(|(p, _)| (start..end).contains(p));
                 assert_eq!(walked, restricted, "pairs {start}..{end}");
+            }
+        }
+    }
+
+    /// A campaign layout drawn from `seed`. Two to five vantages, whose
+    /// spans are disjoint (their rounds never coincide), staggered or
+    /// overlapping, a vantage sometimes with a second span over its first;
+    /// one to six rounds a day each; domains out of rank order, one
+    /// sometimes listed twice; one to four resolvers, one sometimes listed
+    /// twice.
+    fn random_layout(seed: u64) -> Campaign {
+        const VANTAGES: [&str; 7] = [
+            "home-1",
+            "ec2-ohio",
+            "home-2",
+            "ec2-frankfurt",
+            "home-3",
+            "ec2-seoul",
+            "home-4",
+        ];
+        const DOMAINS: [&str; 4] = ["wikipedia.com", "google.com", "amazon.com", "example.org"];
+        const RESOLVERS: [&str; 4] = [
+            "dns.google",
+            "dns.quad9.net",
+            "doh.ffmuc.net",
+            "dns.bebasid.com",
+        ];
+        let mut rng = SimRng::from_seed(seed);
+        let rounds = |rng: &mut SimRng| 1 + rng.below(6) as u32;
+        let (first, layout) = (rng.below(VANTAGES.len()), rng.below(3));
+        let mut spans = Vec::new();
+        for i in 0..2 + rng.below(4) {
+            let vantages = vec![VANTAGES[(first + i) % VANTAGES.len()]];
+            let (start_day, days) = match layout {
+                0 => (3 * i as u32, 1 + rng.below(2) as u32),
+                1 => (i as u32, 2 + rng.below(2) as u32),
+                _ => (rng.below(2) as u32, 1 + rng.below(3) as u32),
+            };
+            if layout == 2 && rng.chance(0.5) {
+                let (start_day, rounds_per_day) =
+                    (start_day + rng.below(2) as u32, rounds(&mut rng));
+                let vantages = vantages.clone();
+                spans.push(Span {
+                    start_day,
+                    days: 1,
+                    rounds_per_day,
+                    vantages,
+                });
+            }
+            let rounds_per_day = rounds(&mut rng);
+            spans.push(Span {
+                start_day,
+                days,
+                rounds_per_day,
+                vantages,
+            });
+        }
+        let skip = rng.below(DOMAINS.len() - 1);
+        let mut domains: Vec<String> = DOMAINS[skip..].iter().map(|d| d.to_string()).collect();
+        if rng.chance(0.3) {
+            domains.push(domains[0].clone());
+        }
+        let mut hosts: Vec<&str> = RESOLVERS[..1 + rng.below(RESOLVERS.len())].to_vec();
+        if rng.chance(0.3) {
+            hosts.push(hosts[rng.below(hosts.len())]);
+        }
+        let config = CampaignConfig {
+            domains,
+            spans,
+            ..CampaignConfig::quick(seed, 1)
+        };
+        let entries = hosts.iter().map(|h| catalog::resolvers::find(h).unwrap());
+        Campaign::with_resolvers(config, entries.collect())
+    }
+
+    /// The order by its definition, sharing no code with [`CampaignOrder`]:
+    /// the slots of `pairs`, pair after pair, stable-sorted by (time,
+    /// vantage, resolver, the pair's occurrence among the pairs of its
+    /// labels, domain). This is `tests/campaign_order_oracle.rs`'s sort,
+    /// over slots instead of records.
+    fn sorted_order(
+        c: &Campaign,
+        plans: &[PairPlan],
+        slots: &[Vec<Slot>],
+        pairs: Range<usize>,
+    ) -> Vec<(usize, Slot)> {
+        let labels = |p: &PairPlan| (p.vantage.label, p.entry.hostname);
+        let mut walk = Vec::new();
+        for pair in pairs {
+            let p = &plans[pair];
+            let occurrence = plans[..pair]
+                .iter()
+                .filter(|q| labels(q) == labels(p))
+                .count();
+            walk.extend(p.row(slots).iter().map(|&s| (pair, occurrence, s)));
+        }
+        walk.sort_by_key(|&(pair, occurrence, s)| {
+            let (vantage, resolver) = labels(&plans[pair]);
+            let domain = c.config.domains[s.domain as usize].as_str();
+            (s.at, vantage, resolver, occurrence, domain)
+        });
+        walk.into_iter().map(|(pair, _, s)| (pair, s)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_order_is_the_sorted_order_on_random_layouts(seed in any::<u64>(), cuts in any::<u64>()) {
+            let c = random_layout(seed);
+            let (plans, slots) = (c.pair_plans(), c.slot_table());
+            let n = plans.len();
+            let whole: Vec<(usize, Slot)> = CampaignOrder::new(&plans, &slots).collect();
+            prop_assert_eq!(whole.len(), c.probe_count());
+            prop_assert_eq!(whole, sorted_order(&c, &plans, &slots, 0..n));
+            let mut rng = SimRng::from_seed(cuts);
+            for _ in 0..4 {
+                let start = rng.below(n + 1);
+                let end = start + rng.below(n - start + 1);
+                let range = CampaignOrder::new(&plans[start..end], &slots);
+                let walked: Vec<(usize, Slot)> = range.map(|(p, s)| (start + p, s)).collect();
+                prop_assert_eq!(walked, sorted_order(&c, &plans, &slots, start..end), "pairs {}..{}", start, end);
             }
         }
     }

@@ -191,8 +191,9 @@ pub(crate) fn io_err<'a>(
 /// Writes `path` atomically: `fill` writes the content to a `<name>.tmp`
 /// sibling, which is then renamed over `path` — so a crash never leaves a
 /// half-written file under the real name, and a leftover `.tmp` is never
-/// read. The one write protocol of shard data files, cell files, the
-/// manifest and the assembled campaign.
+/// read. A `fill` that fails takes its `.tmp` with it, so a failed write
+/// leaves nothing beside what was there before. The one write protocol of
+/// shard data files, cell files, the manifest and the assembled campaign.
 pub(crate) fn write_atomic<T>(
     path: &Path,
     fill: impl FnOnce(&mut File) -> Result<T, CheckpointError>,
@@ -201,8 +202,12 @@ pub(crate) fn write_atomic<T>(
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     let mut file = File::create(&tmp).map_err(io_err("create", &tmp))?;
-    let filled = fill(&mut file)?;
+    let filled = fill(&mut file);
     drop(file);
+    let filled = filled.inspect_err(|_| {
+        // Best effort: the error to report is the fill's.
+        let _ = std::fs::remove_file(&tmp);
+    })?;
     std::fs::rename(&tmp, path).map_err(io_err("rename to", path))?;
     Ok(filled)
 }
@@ -336,7 +341,17 @@ impl ShardCells {
     /// no probe fails with, a pair, day, shard or attempt count past `u32`,
     /// and a histogram or retry count too many or too few for the phases.
     pub fn decode(text: &str) -> Result<ShardCells, CheckpointError> {
-        read_body(text, "cell file", take_cells)
+        Self::decode_reserving(text, |_| 0)
+    }
+
+    /// [`decode`](Self::decode), with the `k`-th pair entry's day cell
+    /// list reserved for `days(k)` cells up front: given each pair's day
+    /// span, no list regrows. The result is `decode`'s.
+    pub(crate) fn decode_reserving(
+        text: &str,
+        days: impl Fn(usize) -> usize,
+    ) -> Result<ShardCells, CheckpointError> {
+        read_body(text, "cell file", |r| take_cells(r, &days))
     }
 }
 
@@ -488,7 +503,7 @@ fn unframe(text: &str) -> Result<&str, CheckpointError> {
 fn read_body<T>(
     text: &str,
     what: &str,
-    take: fn(&mut LineReader) -> Option<T>,
+    take: impl FnOnce(&mut LineReader) -> Option<T>,
 ) -> Result<T, CheckpointError> {
     let mut r = LineReader::new(unframe(text)?);
     let read = take(&mut r).filter(|_| r.pos == r.s.len());
@@ -721,8 +736,12 @@ fn take_entry(r: &mut LineReader) -> Option<(u32, ShardState)> {
     Some((shard, ShardState::Complete(complete)))
 }
 
-fn take_cells(r: &mut LineReader) -> Option<ShardCells> {
-    let pairs = take_list(r, "{\"pairs\":", take_pair)?;
+fn take_cells(r: &mut LineReader, days: impl Fn(usize) -> usize) -> Option<ShardCells> {
+    let mut entry = 0;
+    let pairs = take_list(r, "{\"pairs\":", |r| {
+        entry += 1;
+        take_pair(r, days(entry - 1))
+    })?;
     let shard = take_index(r, ",\"shard\":")?;
     r.eat("}")?;
     Some(ShardCells { shard, pairs })
@@ -768,11 +787,21 @@ fn take_each(
 fn take_list<T>(
     r: &mut LineReader,
     lit: &str,
+    take: impl FnMut(&mut LineReader) -> Option<T>,
+) -> Option<Vec<T>> {
+    take_list_reserving(r, lit, 0, take)
+}
+
+/// [`take_list`] into a list reserved for `capacity` items.
+fn take_list_reserving<T>(
+    r: &mut LineReader,
+    lit: &str,
+    capacity: usize,
     mut take: impl FnMut(&mut LineReader) -> Option<T>,
 ) -> Option<Vec<T>> {
     r.eat(lit)?;
     r.eat("[")?;
-    let mut items = Vec::new();
+    let mut items = Vec::with_capacity(capacity);
     take_each(r, "]", |r| {
         items.push(take(r)?);
         Some(())
@@ -841,9 +870,10 @@ fn take_label(r: &mut LineReader, lit: &str) -> Option<Label> {
     Some(Label::intern(&r.string()?))
 }
 
-/// One pair's entry. The pair index comes last, and is its aggregate
-/// cell's and each of its exhaustions'.
-fn take_pair(r: &mut LineReader) -> Option<PairCells> {
+/// One pair's entry, its day cell list reserved for `days` cells. The
+/// pair index comes last, and is its aggregate cell's and each of its
+/// exhaustions'.
+fn take_pair(r: &mut LineReader, days: usize) -> Option<PairCells> {
     let availability = take_availability(r, "{\"aggregate\":{\"availability\":")?;
     let ping = take_sketch(r, ",\"ping\":")?;
     let resolver = take_label(r, ",\"resolver\":")?;
@@ -855,7 +885,7 @@ fn take_pair(r: &mut LineReader) -> Option<PairCells> {
         r.eat("}")?;
         Some((at, attempts))
     })?;
-    let health = take_list(r, ",\"health\":", |r| {
+    let health = take_list_reserving(r, ",\"health\":", days, |r| {
         let availability = take_availability(r, "{\"availability\":")?;
         let day = take_index(r, ",\"day\":")?;
         let response = take_sketch(r, ",\"response\":")?;
@@ -1234,6 +1264,43 @@ mod tests {
         // The tmp sibling does not linger.
         assert!(!dir.join("manifest.ckpt.tmp").exists());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_fill_leaves_no_tmp_and_the_old_file_as_it_was() {
+        let dir = std::env::temp_dir().join(format!("edns-write-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("campaign.jsonl");
+        let tmp = dir.join("campaign.jsonl.tmp");
+        for before in [None, Some(b"the last good write\n".as_slice())] {
+            match before {
+                Some(bytes) => std::fs::write(&path, bytes).unwrap(),
+                None => _ = std::fs::remove_file(&path),
+            }
+            let failed = write_atomic(&path, |file| {
+                file.write_all(b"half a document").unwrap();
+                Err::<(), _>(CheckpointError::ShardData("the fill failed".to_string()))
+            });
+            assert_eq!(
+                failed,
+                Err(CheckpointError::ShardData("the fill failed".to_string()))
+            );
+            assert!(!tmp.exists(), "a failed fill left its tmp");
+            assert_eq!(std::fs::read(&path).ok().as_deref(), before);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_reserved_decode_is_the_decode_with_day_lists_sized_up_front() {
+        let text = sample_cells().encode();
+        let plain = ShardCells::decode(&text).unwrap();
+        let days = sample_health().len() + 3;
+        let reserved = ShardCells::decode_reserving(&text, |_| days).unwrap();
+        assert_eq!(reserved, plain);
+        for p in &reserved.pairs {
+            assert_eq!(p.health.capacity(), days);
+        }
     }
 
     #[test]

@@ -689,21 +689,28 @@ impl ProbeRecord {
         tail.into_bytes()
     }
 
-    /// Whether `line`, newline included, closes like the
-    /// [`write_json_line`](Self::write_json_line) line of a record at `at`
-    /// (nanoseconds) whose line ends in `tail` ([`line_tail`](Self::line_tail)),
-    /// read without parsing: it ends in `tail`, and just before that comes
-    /// `at`'s `ts_ms` token, or that token and then the `ttfb_ms` and
-    /// `ttlb_ms` of retry accounting. `scratch` holds the rendered token.
+    /// Renders into `token`, cleared first, the `ts_ms` key and value of
+    /// every line [`write_json_line`](Self::write_json_line) renders for a
+    /// record at `at` (nanoseconds): what
+    /// [`line_closes_at`](Self::line_closes_at) looks for.
     #[deny_alloc]
-    pub(crate) fn line_closes_at(line: &[u8], tail: &[u8], at: u64, scratch: &mut String) -> bool {
+    pub(crate) fn ts_token(at: u64, token: &mut String) {
+        token.clear();
+        token.push_str(TS_MS);
+        crate::json::write_millis(token, at);
+    }
+
+    /// Whether `line`, newline included, closes like the
+    /// [`write_json_line`](Self::write_json_line) line of a record whose
+    /// `ts_ms` token is `ts` ([`ts_token`](Self::ts_token)) and whose line
+    /// ends in `tail` ([`line_tail`](Self::line_tail)), read without
+    /// parsing: it ends in `tail`, and just before that comes `ts`, or `ts`
+    /// and then the `ttfb_ms` and `ttlb_ms` of retry accounting.
+    #[deny_alloc]
+    pub(crate) fn line_closes_at(line: &[u8], tail: &[u8], ts: &[u8]) -> bool {
         let Some(body) = line.strip_suffix(tail) else {
             return false;
         };
-        scratch.clear();
-        scratch.push_str(TS_MS);
-        crate::json::write_millis(scratch, at);
-        let ts = scratch.as_bytes();
         if body.ends_with(ts) {
             return true;
         }
@@ -1330,7 +1337,8 @@ mod tests {
             let at = r.at.as_nanos();
             let tail = ProbeRecord::line_tail(r.vantage());
             let closes = |line: &[u8], tail: &[u8], at: u64, scratch: &mut String| {
-                ProbeRecord::line_closes_at(line, tail, at, scratch)
+                ProbeRecord::ts_token(at, scratch);
+                ProbeRecord::line_closes_at(line, tail, scratch.as_bytes())
             };
             assert!(closes(line, &tail, at, &mut scratch), "{r:?}");
             // Another time — a digit more, a digit less, a millisecond

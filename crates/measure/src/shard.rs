@@ -20,16 +20,19 @@
 //! it, [`ShardedRunner::advance`] none.
 //!
 //! The read side has two lanes as well. *Validation* re-checks every
-//! complete shard's files through [`hand_off`] with one worker.
-//! *Assembly* copies the shard files' lines into the final campaign JSONL
-//! without parsing one: [`CampaignOrder`] over every pair says which
-//! pair's probe comes next, so the next line of that pair's shard file is
-//! copied, after a check that it closes like the record of that slot. A
-//! second thread installs the cells one cell file at a time — metrics,
-//! aggregates, health and journal events all come from them, and drift is
-//! detected over the health rows where they lie. Memory stays O(shards)
-//! small read buffers + O(pairs) cells and cursors + O(resolvers × days)
-//! health rows, held once, never O(records).
+//! complete shard's files through [`hand_off`]. *Assembly* copies the
+//! shard files' lines into the final campaign JSONL without parsing one:
+//! [`CampaignOrder`] over every pair says which pair's probe comes next,
+//! so the next line of that pair's shard file is copied, after a check
+//! that it closes like the record of that slot. A second thread, the cell
+//! lane, installs the cells one cell file at a time — metrics, aggregates,
+//! health and journal events all come from them, and drift is detected
+//! over the health rows where they lie. With a shard pending, validation
+//! runs before the execute phase on two lanes; with none, it is the cell
+//! lane's first job, beside the line copy, so a resumed run that has
+//! nothing left to execute starts that one thread and no other. Memory
+//! stays O(shards) small read buffers, O(pairs) cells and order entries
+//! and O(resolvers × days) health rows, held once, never O(records).
 //!
 //! Determinism contract (DESIGN.md §9): for any seed, shard count, thread
 //! count, and any kill/resume schedule,
@@ -142,7 +145,9 @@ impl ShardedOutcome {
 /// less the few milliseconds of drift detection and journal assembly.
 /// Validation and assembly each keep a second thread busy, but only the
 /// calling thread's time is a term here: `assemble_cells_s` runs inside
-/// `assemble_read_s + assemble_write_s`, not after them.
+/// `assemble_read_s + assemble_write_s`, not after them. With no shard
+/// pending, validation runs on the cell lane too: `validate_s` is then the
+/// manifest load alone, and `assemble_cells_s` includes validation.
 /// The execute phase runs `lanes` identical lanes side by side, each
 /// generating and persisting the shards it claims, and the calling
 /// thread's lane also commits them all. Every execute row is a total over
@@ -157,9 +162,11 @@ impl ShardedOutcome {
 /// A lane with nothing to do shows it as wait.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageLedger {
-    /// `load_or_init`: manifest decode plus re-validation of every
-    /// complete shard's data and cell file — wall time of one [`hand_off`]
-    /// with one worker, each lane reading a shard's files straight through.
+    /// Manifest decode, plus, when a shard is pending, re-validation of
+    /// every complete shard's data and cell file — wall time of one
+    /// [`hand_off`] with one worker, each lane reading a shard's files
+    /// straight through. With none pending, the manifest decode alone:
+    /// validation is then part of `assemble_cells_s`.
     pub validate_s: f64,
     /// The execute phase's wall time: from the first worker's spawn to the
     /// last worker's join, after the last shard's commit. Next to nothing
@@ -193,11 +200,12 @@ pub struct StageLedger {
     pub assemble_read_s: f64,
     /// Assembly's writes of the campaign JSONL.
     pub assemble_write_s: f64,
-    /// The cell lane's own wall time: every cell file read, decoded in
+    /// The cell lane's own wall time: with no shard pending, every complete
+    /// shard's files validated first; then every cell file read, decoded in
     /// one pass with no `Json` tree, checked and installed — aggregates,
     /// metrics, health and retry exhaustions — on a second thread while
-    /// the line copy runs, which takes longer. Overlapped with the two rows
-    /// above, so not a term of [`phases_s`](Self::phases_s).
+    /// the line copy runs. Overlapped with the two rows above, so not a
+    /// term of [`phases_s`](Self::phases_s).
     pub assemble_cells_s: f64,
 }
 
@@ -368,9 +376,10 @@ pub struct HandOff {
     pub wait_s: f64,
 }
 
-/// The one claim loop: the execute phase over shards,
-/// [`ShardedRunner::load_or_init`]'s validation over complete shards, and
-/// [`Campaign::generate_over`] over pairs. Identical lanes, one per thread. Up
+/// The one claim loop: the execute phase over shards, validation over
+/// complete shards ([`ShardedRunner::load_or_init`]'s and
+/// [`ShardedRunner::run`]'s with one worker, the cell lane's with none),
+/// and [`Campaign::generate_over`] over pairs. Identical lanes, one per thread. Up
 /// to `workers` threads are spawned beside the calling thread
 /// (`edns-lane-0`, …; none for fewer than two items, and a worker the OS
 /// will not start is simply absent). Every lane claims the next of
@@ -698,8 +707,19 @@ impl<'a> ShardedRunner<'a> {
     /// one worker; each reads its data file, then its cell file, straight
     /// through one 64 KiB block on its lane's stack ([`validate_files`]).
     /// Of several damaged shards the error names the lowest, its data file
-    /// first.
+    /// first. [`run`](Self::run) takes the same two steps, the manifest
+    /// and then its files, but with no shard pending it validates on
+    /// assembly's cell lane instead, and returns the same error.
     pub fn load_or_init(&self) -> Result<Manifest, CheckpointError> {
+        let manifest = self.load_manifest()?;
+        self.validate(&manifest, 1)?;
+        Ok(manifest)
+    }
+
+    /// [`load_or_init`](Self::load_or_init)'s first step: the manifest,
+    /// checked against this configuration, or a fresh one. Reads no shard
+    /// file.
+    fn load_manifest(&self) -> Result<Manifest, CheckpointError> {
         let path = self.manifest_path();
         if !path.exists() {
             return Ok(Manifest::new(
@@ -724,6 +744,14 @@ impl<'a> ShardedRunner<'a> {
                 self.shards
             )));
         }
+        Ok(manifest)
+    }
+
+    /// [`load_or_init`](Self::load_or_init)'s second step: every complete
+    /// shard of `manifest` re-validated ([`validate_files`]) through
+    /// [`hand_off`] with `workers` beside the calling thread. The error is
+    /// the lowest failing shard's at any worker count.
+    fn validate(&self, manifest: &Manifest, workers: usize) -> Result<(), CheckpointError> {
         let complete: Vec<&ShardCheckpoint> = (manifest.states.iter())
             .filter_map(|state| match state {
                 ShardState::Complete(c) => Some(c),
@@ -733,7 +761,7 @@ impl<'a> ShardedRunner<'a> {
         let items: Vec<u32> = (0..complete.len() as u32).collect();
         let (validated, _) = hand_off(
             &items,
-            1,
+            workers,
             |item| complete[item as usize],
             |c| {
                 let data = (self.shard_path(c.shard), c.bytes, c.checksum);
@@ -742,7 +770,7 @@ impl<'a> ShardedRunner<'a> {
             },
             |()| Ok(()),
         );
-        validated.map(|()| manifest)
+        validated
     }
 
     /// The generate half of a shard: runs its pairs and folds their cells.
@@ -899,20 +927,27 @@ impl<'a> ShardedRunner<'a> {
     /// O(shard); assembly then holds what [`assemble`](Self::assemble)
     /// lists, which grows with shards, pairs and days but not with records.
     /// No worker is spawned for fewer than two pending shards.
-    /// Whatever `threads` is, validation before the execute phase
-    /// ([`load_or_init`](Self::load_or_init), one [`hand_off`] worker) and
-    /// assembly after it (its cell lane) each run one thread of their own
-    /// beside the calling thread.
+    ///
+    /// The checkpoint is checked as [`load_or_init`](Self::load_or_init)
+    /// checks it, with the same error. With any shard pending, its files
+    /// are validated before the execute phase (one [`hand_off`] worker), so
+    /// a damaged checkpoint fails before any new work. With none pending,
+    /// validation is the first job of assembly's cell lane, beside the line
+    /// copy, and that lane is the one thread the run starts.
     pub fn run(&self, threads: usize) -> Result<ShardedOutcome, CheckpointError> {
         let mut run = ShardRunMetrics::new();
         run.shards_planned.add(self.shards as u64);
         let validate = Stopwatch::start();
-        let manifest = self.load_or_init()?;
+        let manifest = self.load_manifest()?;
+        let pending = pending_shards(&manifest);
+        let validated = !pending.is_empty();
+        if validated {
+            self.validate(&manifest, 1)?;
+        }
         let stages = StageLedger {
             validate_s: validate.elapsed_secs(),
             ..StageLedger::default()
         };
-        let pending = pending_shards(&manifest);
         run.shards_resumed
             .add((self.shards as usize - pending.len()) as u64);
         // Fold resumed shards' work into the campaign-wide counters, so a
@@ -934,7 +969,7 @@ impl<'a> ShardedRunner<'a> {
         state.stages.lanes = lanes.lanes;
         state.stages.execute_wall_s = lanes.execute_wall_s;
         state.stages.wait_s = lanes.wait_s;
-        self.assemble(&state.manifest, state.run, state.stages)
+        self.assemble(&state.manifest, !validated, state.run, state.stages)
     }
 
     /// Executes up to `max_shards` pending shards on the calling thread
@@ -979,12 +1014,24 @@ impl<'a> ShardedRunner<'a> {
     /// this, or does not decode, is `ShardData` naming the file.
     fn install_cells(&self) -> Result<CampaignFolds, CheckpointError> {
         let mut folds = CampaignFolds::for_campaign(self.campaign);
+        // Each vantage's day span: the most day cells a pair of it holds.
+        let vantages = self.campaign.config().vantages();
+        let spans: Vec<usize> = (vantages.iter())
+            .map(|v| self.campaign.days_of(v.label).len())
+            .collect();
         for i in 0..self.shards {
             let path = self.cells_path(i);
             let text = std::fs::read_to_string(&path).map_err(io_err("read", &path))?;
             let invalid =
                 |what: String| CheckpointError::ShardData(format!("{}: {what}", path.display()));
-            let cells = ShardCells::decode(&text).map_err(|e| invalid(e.to_string()))?;
+            let plans = &self.plans[self.shard_range(i)];
+            let days = |entry: usize| {
+                plans
+                    .get(entry)
+                    .map_or(0, |p| spans[p.vantage_index as usize])
+            };
+            let cells = ShardCells::decode_reserving(&text, days);
+            let cells = cells.map_err(|e| invalid(e.to_string()))?;
             let pairs = cells.pairs.iter().map(|p| p.aggregate.pair as usize);
             if cells.shard != i || !pairs.eq(self.shard_range(i)) {
                 return Err(invalid(format!(
@@ -998,6 +1045,115 @@ impl<'a> ShardedRunner<'a> {
             }
         }
         Ok(folds)
+    }
+
+    /// The line half of assembly: copies every shard file's lines into
+    /// `file` in campaign order and returns how many. No record is parsed:
+    /// [`CampaignOrder`] over every pair names the pair whose probe comes
+    /// next, and the next line of that pair's shard file is copied once it
+    /// closes like that probe's record ([`ProbeRecord::line_closes_at`]).
+    /// A manifest entry whose line count is not its shard's in `extents`,
+    /// a line that does not close like its slot's record, a file that ends
+    /// early and a file with lines to spare are `ShardData` errors naming
+    /// the file. Time spent writing `file` adds to `write_s`.
+    fn copy_lines(
+        &self,
+        manifest: &Manifest,
+        extents: &[(u64, u64, u64)],
+        file: &mut File,
+        watch: &Stopwatch,
+        write_s: &mut f64,
+    ) -> Result<u64, CheckpointError> {
+        // Per shard its reader; per pair, its shard and vantage.
+        let vantages = self.campaign.config().vantages();
+        let tails: Vec<Vec<u8>> = vantages
+            .iter()
+            .map(|v| ProbeRecord::line_tail(v.label))
+            .collect();
+        let mut readers = Vec::with_capacity(self.shards as usize);
+        let mut of_pair = Vec::with_capacity(self.plans.len());
+        for (i, (state, &(_, _, expected))) in manifest.states.iter().zip(extents).enumerate() {
+            let path = self.shard_path(i as u32);
+            if let ShardState::Complete(c) = state {
+                if c.records != expected {
+                    return Err(CheckpointError::ShardData(format!(
+                        "{}: the manifest records {} lines, its pairs' slots add up to {expected}",
+                        path.display(),
+                        c.records
+                    )));
+                }
+            }
+            let shard = File::open(&path).map_err(io_err("open", &path))?;
+            readers.push(ShardReader {
+                reader: BufReader::with_capacity(SHARD_READ_BYTES, shard),
+                path,
+                lines: 0,
+                expected,
+            });
+            let plans = &self.plans[self.shard_range(i as u32)];
+            of_pair.extend(plans.iter().map(|p| (i, p.vantage_index as usize)));
+        }
+
+        let jsonl_path = self.dir.join(CAMPAIGN_FILE);
+        let mut out: Vec<u8> = Vec::with_capacity(campaign::JSONL_BLOCK_BYTES + 4096);
+        let mut flush = |out: &mut Vec<u8>| {
+            let started = watch.elapsed_secs();
+            let written = file.write_all(out).map_err(io_err("write", &jsonl_path));
+            out.clear();
+            *write_s += watch.elapsed_secs() - started;
+            written
+        };
+        // The `ts_ms` token of the slots' time, rendered once per time.
+        let (mut ts, mut ts_at) = (String::new(), None);
+        for (pair, Slot { at, .. }) in CampaignOrder::new(&self.plans, &self.slots) {
+            if ts_at != Some(at) {
+                ProbeRecord::ts_token(at, &mut ts);
+                ts_at = Some(at);
+            }
+            let (shard, vantage) = of_pair[pair];
+            let shard = &mut readers[shard];
+            let start = out.len();
+            let read = shard
+                .reader
+                .read_until(b'\n', &mut out)
+                .map_err(io_err("read", &shard.path))?;
+            if read == 0 {
+                return Err(CheckpointError::ShardData(format!(
+                    "{}: ends after {} lines, its pairs' slots add up to {}",
+                    shard.path.display(),
+                    shard.lines,
+                    shard.expected
+                )));
+            }
+            shard.lines += 1;
+            if !ProbeRecord::line_closes_at(&out[start..], &tails[vantage], ts.as_bytes()) {
+                return Err(CheckpointError::ShardData(format!(
+                    "{}: line {} is not the engine-written record of its slot, \
+                     {} at {at} ns",
+                    shard.path.display(),
+                    shard.lines,
+                    vantages[vantage].label
+                )));
+            }
+            if out.len() >= campaign::JSONL_BLOCK_BYTES {
+                flush(&mut out)?;
+            }
+        }
+        flush(&mut out)?;
+        for shard in &mut readers {
+            let rest = shard
+                .reader
+                .fill_buf()
+                .map_err(io_err("read", &shard.path))?;
+            if !rest.is_empty() {
+                return Err(CheckpointError::ShardData(format!(
+                    "{}: holds more than the {} lines its pairs' slots add up to",
+                    shard.path.display(),
+                    shard.expected
+                )));
+            }
+        }
+        Ok(readers.iter().map(|r| r.lines).sum())
     }
 
     /// The fault plan's windows, as journal events.
@@ -1021,21 +1177,21 @@ impl<'a> ShardedRunner<'a> {
     }
 
     /// Copies the completed shard files' lines into the final campaign
-    /// JSONL in schedule order, while a second thread
+    /// JSONL in schedule order ([`copy_lines`](Self::copy_lines)), while a
+    /// second thread, the cell lane,
     /// [installs the checkpointed cells](Self::install_cells) — the same
-    /// way whether this process executed the shard or resumed it. No
-    /// record is parsed: [`CampaignOrder`] over every pair names the pair
-    /// whose probe comes next, and the next line of that pair's shard file
-    /// is copied once it closes like that probe's record
-    /// ([`ProbeRecord::line_closes_at`]). A line that does not, a file
-    /// that ends early and a file with lines to spare are `ShardData`
-    /// errors naming the file. The campaign file takes its name only once
-    /// both halves have succeeded; when both fail, the line copy's error
-    /// is the one returned. Memory: an 8 KiB read buffer per shard (about
-    /// what one step of the order takes from it), the order's cursor per
-    /// pair, each vantage's slots, the 256 KiB write block, one shard's cell
-    /// file and cells, the O(pairs) aggregate and metrics cells (the
-    /// metrics snapshot is those cells, keyed in place by
+    /// way whether this process executed the shard or resumed it. With
+    /// `validate_first` (a run with no shard pending, whose files nothing
+    /// has checked yet) the cell lane first validates every shard's files as
+    /// [`load_or_init`](Self::load_or_init) does, through [`hand_off`] with
+    /// no worker, and installs nothing if one fails. The campaign file
+    /// takes its name only once all of this has succeeded. Of several
+    /// failures, validation's error is the one returned, then the line
+    /// copy's, then the cell lane's. Memory: an 8 KiB read buffer per shard
+    /// (about what one step of the order takes from it), the order's
+    /// entry per pair, each vantage's slots, the 256 KiB write block, one
+    /// shard's cell file and cells, the O(pairs) aggregate and metrics
+    /// cells (the metrics snapshot is those cells, keyed in place by
     /// [`CampaignFolds::into_parts`]), and the O(resolvers × days) health
     /// rows each pair's day cells merge into as it is installed. Drift is
     /// detected over those rows in place ([`HealthSeries::detect_drift`]),
@@ -1043,6 +1199,7 @@ impl<'a> ShardedRunner<'a> {
     fn assemble(
         &self,
         manifest: &Manifest,
+        validate_first: bool,
         mut run: ShardRunMetrics,
         mut stages: StageLedger,
     ) -> Result<ShardedOutcome, CheckpointError> {
@@ -1053,119 +1210,48 @@ impl<'a> ShardedRunner<'a> {
         }
         let watch = Stopwatch::start();
         let jsonl_path = self.dir.join(CAMPAIGN_FILE);
-        let (records, extents, folds) = std::thread::scope(|scope| {
-            // The cell lane: nothing in the line copy reads what it builds.
+        // Per shard: its simulated extent, and the lines its pairs' slots
+        // add up to.
+        let extents: Vec<(u64, u64, u64)> = (0..self.shards)
+            .map(|i| {
+                let rows = self.plans[self.shard_range(i)].iter();
+                let slots = || {
+                    rows.clone()
+                        .map(|p| p.row(&self.slots))
+                        .filter(|s| !s.is_empty())
+                };
+                let first = slots().map(|s| s[0].at).min().unwrap_or(0);
+                let last = slots().map(|s| s[s.len() - 1].at).max().unwrap_or(0);
+                (first, last, slots().map(|s| s.len() as u64).sum())
+            })
+            .collect();
+        let (records, folds) = std::thread::scope(|scope| {
             let cell_lane = std::thread::Builder::new()
                 .name("edns-cells".to_string())
                 .spawn_scoped(scope, || {
                     let lane = Stopwatch::start();
-                    let folds = self.install_cells();
+                    let validated = if validate_first {
+                        self.validate(manifest, 0)
+                    } else {
+                        Ok(())
+                    };
+                    let folds = validated.map(|()| self.install_cells());
                     (folds, lane.elapsed_secs())
                 })
                 .map_err(|e| CheckpointError::Io(format!("spawn edns-cells: {e}")))?;
-
-            // Per shard: its reader, the lines its pairs' slots add up to
-            // and its simulated extent; per pair, its shard and vantage.
-            let vantages = self.campaign.config().vantages();
-            let tails: Vec<Vec<u8>> = vantages
-                .iter()
-                .map(|v| ProbeRecord::line_tail(v.label))
-                .collect();
-            let slots_of = |pair: usize| self.plans[pair].row(&self.slots);
-            let mut readers = Vec::with_capacity(self.shards as usize);
-            let mut extents = Vec::with_capacity(self.shards as usize);
-            let mut of_pair = Vec::with_capacity(self.plans.len());
-            for (i, state) in manifest.states.iter().enumerate() {
-                let range = self.shard_range(i as u32);
-                let slots = || range.clone().map(slots_of).filter(|s| !s.is_empty());
-                let first = slots().map(|s| s[0].at).min().unwrap_or(0);
-                let last = slots().map(|s| s[s.len() - 1].at).max().unwrap_or(0);
-                let expected: u64 = slots().map(|s| s.len() as u64).sum();
-                let path = self.shard_path(i as u32);
-                if let ShardState::Complete(c) = state {
-                    if c.records != expected {
-                        return Err(CheckpointError::ShardData(format!(
-                            "{}: the manifest records {} lines, its pairs' slots add up to {expected}",
-                            path.display(),
-                            c.records
-                        )));
-                    }
-                }
-                let file = File::open(&path).map_err(io_err("open", &path))?;
-                readers.push(ShardReader {
-                    reader: BufReader::with_capacity(SHARD_READ_BYTES, file),
-                    path,
-                    lines: 0,
-                    expected,
-                });
-                extents.push((first, last));
-                let plans = &self.plans[range];
-                of_pair.extend(plans.iter().map(|p| (i, p.vantage_index as usize)));
-            }
-
-            let (records, folds) = write_atomic(&jsonl_path, |file| {
-                let mut out: Vec<u8> = Vec::with_capacity(campaign::JSONL_BLOCK_BYTES + 4096);
-                let mut flush = |out: &mut Vec<u8>| {
-                    let started = watch.elapsed_secs();
-                    let written = file.write_all(out).map_err(io_err("write", &jsonl_path));
-                    out.clear();
-                    stages.assemble_write_s += watch.elapsed_secs() - started;
-                    written
-                };
-                let mut ts = String::new();
-                for (pair, Slot { at, .. }) in CampaignOrder::new(&self.plans, &self.slots) {
-                    let (shard, vantage) = of_pair[pair];
-                    let shard = &mut readers[shard];
-                    let start = out.len();
-                    let read = shard
-                        .reader
-                        .read_until(b'\n', &mut out)
-                        .map_err(io_err("read", &shard.path))?;
-                    if read == 0 {
-                        return Err(CheckpointError::ShardData(format!(
-                            "{}: ends after {} lines, its pairs' slots add up to {}",
-                            shard.path.display(),
-                            shard.lines,
-                            shard.expected
-                        )));
-                    }
-                    shard.lines += 1;
-                    if !ProbeRecord::line_closes_at(&out[start..], &tails[vantage], at, &mut ts) {
-                        return Err(CheckpointError::ShardData(format!(
-                            "{}: line {} is not the engine-written record of its slot, \
-                             {} at {at} ns",
-                            shard.path.display(),
-                            shard.lines,
-                            vantages[vantage].label
-                        )));
-                    }
-                    if out.len() >= campaign::JSONL_BLOCK_BYTES {
-                        flush(&mut out)?;
-                    }
-                }
-                flush(&mut out)?;
-                for shard in &mut readers {
-                    let rest = shard
-                        .reader
-                        .fill_buf()
-                        .map_err(io_err("read", &shard.path))?;
-                    if !rest.is_empty() {
-                        return Err(CheckpointError::ShardData(format!(
-                            "{}: holds more than the {} lines its pairs' slots add up to",
-                            shard.path.display(),
-                            shard.expected
-                        )));
-                    }
-                }
-                // The two lanes meet before the rename: a cell file that
-                // fails its content checks leaves no campaign file behind.
+            write_atomic(&jsonl_path, |file| {
+                let write_s = &mut stages.assemble_write_s;
+                let copied = self.copy_lines(manifest, &extents, file, &watch, write_s);
+                // The two lanes meet before the rename. A file that fails
+                // validation explains whatever the line copy met in it, so
+                // validation's error comes first.
                 // detlint:allow(unwrap, propagates the cell lane's panic like a worker's; there is no partial result to salvage)
                 let (folds, cells_s) = cell_lane.join().expect("cell lane panicked");
                 stages.assemble_cells_s = cells_s;
-                let records = readers.iter().map(|r| r.lines).sum::<u64>();
-                folds.map(|folds| (records, folds))
-            })?;
-            Ok::<_, CheckpointError>((records, extents, folds))
+                let folds = folds?;
+                let records = copied?;
+                Ok((records, folds?))
+            })
         })?;
         run.records_merged.add(records);
 
@@ -1194,13 +1280,13 @@ impl<'a> ShardedRunner<'a> {
         // Shard spans, recorded in shard-index order so the log is
         // independent of execution interleaving.
         let mut spans = SpanLog::with_capacity((self.shards as usize * 2).max(16));
-        for (i, &(first, last)) in extents.iter().enumerate() {
+        for (i, &(first, last, _)) in extents.iter().enumerate() {
             obs::sharding::record_shard_span(&mut spans, i as u32, first, last);
         }
 
         // Shard lifecycle + checkpoint traffic, from the shards' simulated
         // extents and the manifest.
-        for (i, &(first, last)) in extents.iter().enumerate() {
+        for (i, &(first, last, _)) in extents.iter().enumerate() {
             if let ShardState::Complete(ckpt) = &manifest.states[i] {
                 let shard = i as u32;
                 events.push(JournalEvent {

@@ -5,8 +5,9 @@
 //! aggregate cells, and checkpoints from a different campaign
 //! configuration. Every rejection
 //! is a typed [`CheckpointError`] — the same one on every call, though
-//! validation and assembly each run on two threads — and a rejected
-//! assembly leaves no `campaign.jsonl`. A kill at any point of a shard's
+//! validation and assembly each run on two threads, and the same from
+//! `run` as from `load_or_init` when `run` validates beside the line copy
+//! — and a rejected assembly leaves no `campaign.jsonl` and no tmp. A kill at any point of a shard's
 //! commit order (data file → cell file → manifest), and a write that
 //! fails on any lane, must resume to the one-shot output; a failed write
 //! ends the run where a lone calling thread would, at every thread count.
@@ -401,6 +402,109 @@ fn a_slow_lower_failure_is_named_over_a_fast_higher_one() {
     for _ in 0..20 {
         let msg = shard_data_message(runner.load_or_init());
         assert!(msg.contains("shard-0000.cells"), "{msg}");
+    }
+}
+
+/// Flips a digit of the first `ts_ms` token in `path`, a data file: the
+/// line no longer closes like its slot's record, and the file no longer
+/// matches its checksum.
+fn flip_a_ts_digit(path: &Path) {
+    let mut data = std::fs::read(path).unwrap();
+    let key = b"\"ts_ms\":";
+    let at = data.windows(key.len()).position(|w| w == key).unwrap() + key.len();
+    data[at] = if data[at] == b'9' { b'1' } else { data[at] + 1 };
+    std::fs::write(path, data).unwrap();
+}
+
+/// A damage to a complete checkpoint directory of four shards.
+type Damage = fn(&Path);
+
+#[test]
+fn run_reports_what_validation_reports_whatever_the_damage() {
+    // Every shard complete, so `run` validates on assembly's cell lane
+    // beside the line copy, which meets the same damage: the error is
+    // still `load_or_init`'s, at every worker count, and no campaign file
+    // or its tmp is left behind.
+    let c = campaign(CampaignConfig::quick(3, 2));
+    let damages: [(&str, Damage); 9] = [
+        ("a flipped byte in a data file", |dir| {
+            flip_a_byte(&dir.join("shard-0001.jsonl"))
+        }),
+        ("a flipped digit in a ts_ms token", |dir| {
+            flip_a_ts_digit(&dir.join("shard-0001.jsonl"))
+        }),
+        ("a cut data file", |dir| {
+            let path = dir.join("shard-0002.jsonl");
+            let data = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &data[..data.len() / 2]).unwrap();
+        }),
+        ("a missing data file", |dir| {
+            std::fs::remove_file(dir.join("shard-0000.jsonl")).unwrap()
+        }),
+        ("a damaged cell file", |dir| {
+            flip_a_byte(&dir.join("shard-0003.cells"))
+        }),
+        ("two damaged files of one shard", |dir| {
+            flip_a_byte(&dir.join("shard-0001.cells"));
+            flip_a_ts_digit(&dir.join("shard-0001.jsonl"));
+        }),
+        ("a damaged cell file below a damaged data file", |dir| {
+            flip_a_byte(&dir.join("shard-0001.cells"));
+            flip_a_ts_digit(&dir.join("shard-0002.jsonl"));
+        }),
+        ("a damaged data file below a damaged cell file", |dir| {
+            flip_a_byte(&dir.join("shard-0003.cells"));
+            flip_a_ts_digit(&dir.join("shard-0000.jsonl"));
+        }),
+        ("a missing data file above a damaged cell file", |dir| {
+            flip_a_byte(&dir.join("shard-0000.cells"));
+            std::fs::remove_file(dir.join("shard-0002.jsonl")).unwrap();
+        }),
+    ];
+    for (what, damage) in damages {
+        let (runner, dir) = complete_run(&c);
+        damage(&dir);
+        let expected = runner.load_or_init().unwrap_err();
+        assert!(
+            matches!(expected, CheckpointError::ShardData(_)),
+            "{what}: {expected:?}"
+        );
+        for workers in [0, 1, 2] {
+            assert_eq!(
+                runner.run(workers).unwrap_err(),
+                expected,
+                "{what}, {workers} workers"
+            );
+            for left in [CAMPAIGN_FILE, "campaign.jsonl.tmp"] {
+                assert!(
+                    !dir.join(left).exists(),
+                    "{what}, {workers} workers: {left}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_damaged_complete_shard_fails_before_pending_shards_run() {
+    let c = campaign(CampaignConfig::quick(3, 2));
+    for workers in [0, 1, 2] {
+        let dir = partial_run(&c);
+        flip_a_ts_digit(&dir.join("shard-0001.jsonl"));
+        let manifest = std::fs::read(dir.join("manifest.ckpt")).unwrap();
+        let runner = ShardedRunner::new(&c, 4, &dir).unwrap();
+        let expected = runner.load_or_init().unwrap_err();
+        assert_eq!(
+            runner.run(workers).unwrap_err(),
+            expected,
+            "{workers} workers"
+        );
+        // No pending shard ran: neither of their files exists, and the
+        // manifest is byte for byte what it was.
+        for pending in ["shard-0002.jsonl", "shard-0003.jsonl", "shard-0002.cells"] {
+            assert!(!dir.join(pending).exists(), "{workers} workers: {pending}");
+        }
+        assert_eq!(std::fs::read(dir.join("manifest.ckpt")).unwrap(), manifest);
     }
 }
 
