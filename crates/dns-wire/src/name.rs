@@ -20,6 +20,14 @@ const MAX_POINTERS: usize = 64;
 /// ("no significance is attached to the case"). The original case is
 /// preserved for display and encoding.
 ///
+/// Beside its labels a name keeps its canonical key: the labels from the
+/// TLD down, lower-cased, each closed by the terminator `00 00`, with a
+/// zero octet inside a label escaped as `00 01`. The terminator sorts
+/// below every label octet, so comparing two keys as byte strings is RFC
+/// 4034 §6.1's canonical order; `Ord`, `Eq` and `Hash` compare keys, and a
+/// name's ancestors' keys are exactly its key's prefixes that end on a
+/// terminator.
+///
 /// ```
 /// use dns_wire::Name;
 /// let a = Name::parse("Example.COM").unwrap();
@@ -28,17 +36,65 @@ const MAX_POINTERS: usize = 64;
 /// assert_eq!(a.to_string(), "Example.COM.");
 /// assert_eq!(a.label_count(), 2);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Name {
-    /// Labels in order from most-specific to the TLD; the implicit root
-    /// label is not stored.
-    labels: Vec<Vec<u8>>,
+    /// The labels in wire form, most-specific first: a length octet, then
+    /// the label's octets. The root's terminating zero octet is not
+    /// stored.
+    wire: Vec<u8>,
+    /// The canonical key (see the type's documentation).
+    key: Vec<u8>,
+}
+
+/// The labels of a wire-form label sequence, most-specific first.
+#[derive(Clone)]
+struct Labels<'a>(&'a [u8]);
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, rest) = self.0.split_first()?;
+        let (label, rest) = rest.split_at(len as usize);
+        self.0 = rest;
+        Some(label)
+    }
+}
+
+/// Octets `label` takes in a canonical key: one per octet, one more per
+/// zero octet, and the two of the terminator.
+fn key_len(label: &[u8]) -> usize {
+    label.len() + label.iter().filter(|&&b| b == 0).count() + 2
 }
 
 impl Name {
     /// The root name (`.`).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name::default()
+    }
+
+    /// A name from its labels in wire form (already validated), with its
+    /// canonical key. The key is filled from its end, since the labels run
+    /// in the opposite order; zeros pre-fill the terminators and the first
+    /// octet of each escape.
+    fn from_wire(wire: Vec<u8>) -> Self {
+        let total = Labels(&wire).map(key_len).sum();
+        let mut key = vec![0u8; total];
+        let mut end = total;
+        for label in Labels(&wire) {
+            end -= key_len(label);
+            let mut at = end;
+            for &b in label {
+                if b == 0 {
+                    key[at + 1] = 1;
+                    at += 2;
+                } else {
+                    key[at] = b.to_ascii_lowercase();
+                    at += 1;
+                }
+            }
+        }
+        Name { wire, key }
     }
 
     /// Parses a presentation-format name (`"www.example.com"` or with a
@@ -49,24 +105,7 @@ impl Name {
         if s.is_empty() {
             return Ok(Name::root());
         }
-        let mut labels = Vec::new();
-        for part in s.split('.') {
-            if part.is_empty() {
-                return Err(WireError::InvalidText {
-                    reason: "empty label",
-                });
-            }
-            if part.len() > MAX_LABEL_LEN {
-                return Err(WireError::LabelTooLong(part.len()));
-            }
-            labels.push(part.as_bytes().to_vec());
-        }
-        let name = Name { labels };
-        let wire = name.wire_len();
-        if wire > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire));
-        }
-        Ok(name)
+        Name::from_labels(s.split('.'))
     }
 
     /// Builds a name from raw labels. Each label must be 1–63 octets.
@@ -75,7 +114,7 @@ impl Name {
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut labels = Vec::new();
+        let mut wire = Vec::new();
         for l in iter {
             let l = l.as_ref();
             if l.is_empty() {
@@ -86,9 +125,10 @@ impl Name {
             if l.len() > MAX_LABEL_LEN {
                 return Err(WireError::LabelTooLong(l.len()));
             }
-            labels.push(l.to_vec());
+            wire.push(l.len() as u8);
+            wire.extend_from_slice(l);
         }
-        let name = Name { labels };
+        let name = Name::from_wire(wire);
         let wire = name.wire_len();
         if wire > MAX_NAME_LEN {
             return Err(WireError::NameTooLong(wire));
@@ -98,77 +138,45 @@ impl Name {
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.is_empty()
     }
 
     /// Number of labels, excluding the root.
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// Iterates over the labels from most-specific to TLD.
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_slice())
+        Labels(&self.wire)
     }
 
     /// Uncompressed wire length: one length octet per label, each label's
     /// octets, and the terminating root octet.
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
+        self.wire.len() + 1
     }
 
     /// The parent name (one label removed), or `None` at the root.
     pub fn parent(&self) -> Option<Name> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(Name {
-                labels: self.labels[1..].to_vec(),
-            })
-        }
+        let first = self.labels().next()?;
+        Some(Name::from_wire(self.wire[1 + first.len()..].to_vec()))
     }
 
     /// True if `self` equals `other` or is a subdomain of it.
     /// Every name is under the root.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
-        }
-        let offset = self.labels.len() - other.labels.len();
-        self.labels[offset..]
-            .iter()
-            .zip(&other.labels)
-            .all(|(a, b)| eq_ignore_case(a, b))
+        self.key.starts_with(&other.key)
     }
 
     /// Prepends a label, producing a child name.
     pub fn child<L: AsRef<[u8]>>(&self, label: L) -> Result<Name, WireError> {
-        let l = label.as_ref();
-        if l.is_empty() {
-            return Err(WireError::InvalidText {
-                reason: "empty label",
-            });
-        }
-        if l.len() > MAX_LABEL_LEN {
-            return Err(WireError::LabelTooLong(l.len()));
-        }
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(l.to_vec());
-        labels.extend(self.labels.iter().cloned());
-        let name = Name { labels };
-        let wire = name.wire_len();
-        if wire > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire));
-        }
-        Ok(name)
+        Name::from_labels(std::iter::once(label.as_ref()).chain(self.labels()))
     }
 
     /// Encodes without compression.
     pub fn encode_uncompressed(&self, w: &mut Writer) -> Result<(), WireError> {
-        for l in &self.labels {
-            w.write_u8(l.len() as u8)?;
-            w.write_slice(l)?;
-        }
+        w.write_slice(&self.wire)?;
         w.write_u8(0)
     }
 
@@ -176,6 +184,8 @@ impl Name {
     ///
     /// `compressor` remembers the offset at which each suffix of each name
     /// was written; when a suffix recurs, a two-octet pointer replaces it.
+    /// A suffix is known by its canonical key, the prefix of the name's
+    /// key its labels fill.
     pub fn encode_compressed(
         &self,
         w: &mut Writer,
@@ -183,22 +193,24 @@ impl Name {
     ) -> Result<(), WireError> {
         // Walk suffixes from the full name downward; emit labels until a
         // suffix that was seen before, then emit a pointer to it.
-        for (i, label) in self.labels.iter().enumerate() {
-            let suffix_key = suffix_key(&self.labels[i..]);
-            if let Some(&offset) = compressor.offsets.get(&suffix_key) {
+        let mut suffix = self.key.as_slice();
+        for label in self.labels() {
+            match compressor.offsets.get(suffix) {
                 // Pointers only address the first 14 bits of offset space.
-                if offset <= 0x3FFF {
-                    w.write_u16(0xC000 | offset as u16)?;
-                    return Ok(());
+                Some(&offset) if offset <= 0x3FFF => {
+                    return w.write_u16(0xC000 | offset as u16);
                 }
-            }
-            // Record this suffix's position before writing it, if addressable.
-            let here = w.len();
-            if here <= 0x3FFF {
-                compressor.offsets.entry(suffix_key).or_insert(here);
+                Some(_) => {}
+                // Record this suffix's position before writing it, if
+                // addressable.
+                None if w.len() <= 0x3FFF => {
+                    compressor.offsets.insert(suffix.to_vec(), w.len());
+                }
+                None => {}
             }
             w.write_u8(label.len() as u8)?;
             w.write_slice(label)?;
+            suffix = &suffix[..suffix.len() - key_len(label)];
         }
         w.write_u8(0)
     }
@@ -208,8 +220,7 @@ impl Name {
     /// The cursor ends just past the name's last octet *in the original
     /// stream* (i.e. past the pointer, if one was followed).
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut labels: Vec<Vec<u8>> = Vec::new();
-        let mut wire_len = 1usize; // terminating root octet
+        let mut wire = Vec::new();
         let mut jumps = 0usize;
         // Position to restore after the first pointer jump.
         let mut resume: Option<usize> = None;
@@ -224,11 +235,13 @@ impl Name {
                         break;
                     }
                     let l = r.read_slice(len as usize, "name label")?;
-                    wire_len += 1 + l.len();
+                    // The label, its length octet and the root octet.
+                    let wire_len = wire.len() + 1 + l.len() + 1;
                     if wire_len > MAX_NAME_LEN {
                         return Err(WireError::NameTooLong(wire_len));
                     }
-                    labels.push(l.to_vec());
+                    wire.push(len);
+                    wire.extend_from_slice(l);
                 }
                 0xC0 => {
                     let lo = r.read_u8("compression pointer")?;
@@ -256,33 +269,13 @@ impl Name {
         if let Some(pos) = resume {
             r.seek(pos);
         }
-        Ok(Name { labels })
+        Ok(Name::from_wire(wire))
     }
-}
-
-fn eq_ignore_case(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.eq_ignore_ascii_case(y))
-}
-
-fn suffix_key(labels: &[Vec<u8>]) -> String {
-    let mut out = String::new();
-    for l in labels {
-        for &b in l {
-            out.push(b.to_ascii_lowercase() as char);
-        }
-        out.push('.');
-    }
-    out
 }
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(&other.labels)
-                .all(|(a, b)| eq_ignore_case(a, b))
+        self.key == other.key
     }
 }
 
@@ -290,12 +283,7 @@ impl Eq for Name {}
 
 impl std::hash::Hash for Name {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for l in &self.labels {
-            state.write_usize(l.len());
-            for &b in l {
-                state.write_u8(b.to_ascii_lowercase());
-            }
-        }
+        self.key.hash(state);
     }
 }
 
@@ -306,35 +294,33 @@ impl PartialOrd for Name {
 }
 
 impl Ord for Name {
-    /// Canonical DNS ordering (RFC 4034 §6.1): compare label-by-label from
-    /// the rightmost (TLD) label, lowercased.
+    /// Canonical DNS ordering (RFC 4034 §6.1): label by label from the
+    /// rightmost (TLD) label, lowercased — the order of the keys.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let mut a = self.labels.iter().rev();
-        let mut b = other.labels.iter().rev();
-        loop {
-            match (a.next(), b.next()) {
-                (None, None) => return std::cmp::Ordering::Equal,
-                (None, Some(_)) => return std::cmp::Ordering::Less,
-                (Some(_), None) => return std::cmp::Ordering::Greater,
-                (Some(x), Some(y)) => {
-                    let lx = x.iter().map(u8::to_ascii_lowercase);
-                    let ly = y.iter().map(u8::to_ascii_lowercase);
-                    match lx.cmp(ly) {
-                        std::cmp::Ordering::Equal => continue,
-                        o => return o,
-                    }
-                }
+        self.key.cmp(&other.key)
+    }
+}
+
+impl fmt::Debug for Name {
+    /// `Name { labels: [[…], …] }`: each label's octets, most-specific
+    /// first.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct List<'a>(&'a Name);
+        impl fmt::Debug for List<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.labels()).finish()
             }
         }
+        f.debug_struct("Name").field("labels", &List(self)).finish()
     }
 }
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return write!(f, ".");
         }
-        for l in &self.labels {
+        for l in self.labels() {
             for &b in l {
                 // Present non-printable bytes as escaped decimal, like dig.
                 if b.is_ascii_graphic() && b != b'.' && b != b'\\' {
@@ -360,7 +346,8 @@ impl std::str::FromStr for Name {
 /// can be compressed to pointers.
 #[derive(Debug, Default)]
 pub struct NameCompressor {
-    offsets: HashMap<String, usize>,
+    /// Offsets by suffix key.
+    offsets: HashMap<Vec<u8>, usize>,
 }
 
 impl NameCompressor {

@@ -22,13 +22,14 @@ fn arb_name() -> impl Strategy<Value = Name> {
         .prop_filter_map("name too long", |labels| Name::from_labels(labels).ok())
 }
 
-/// Names over a seven-octet alphabet, in labels of one to three octets:
+/// Names over an eight-octet alphabet, in labels of one to three octets:
 /// small enough that two generated names are often equal, equal up to
 /// case, or hold labels that are prefixes of each other. The alphabet
 /// straddles what lower-casing moves (`Z` sorts below `[` raw and above
-/// it lower-cased) and includes octets >= 0x80, which it must not touch.
+/// it lower-cased), includes octets >= 0x80, which it must not touch, and
+/// the zero octet, which the canonical key escapes.
 fn arb_confusable_name() -> impl Strategy<Value = Name> {
-    let octet = (0usize..7).prop_map(|i| b"aAbZ[\x80\xff"[i]);
+    let octet = (0usize..8).prop_map(|i| b"\x00aAbZ[\x80\xff"[i]);
     let label = proptest::collection::vec(octet, 1..=3);
     proptest::collection::vec(label, 0..=3)
         .prop_map(|labels| Name::from_labels(labels).expect("short labels fit"))
@@ -43,6 +44,22 @@ fn collected_order(a: &Name, b: &Name) -> std::cmp::Ordering {
         labels
     };
     key(a).cmp(&key(b))
+}
+
+/// `is_subdomain_of` as first written: `b`'s labels, compared case-blind
+/// one by one, are the last of `a`'s.
+fn labelwise_subdomain(a: &Name, b: &Name) -> bool {
+    let (a, b): (Vec<&[u8]>, Vec<&[u8]>) = (a.labels().collect(), b.labels().collect());
+    b.len() <= a.len()
+        && a[a.len() - b.len()..]
+            .iter()
+            .zip(&b)
+            .all(|(x, y)| x.eq_ignore_ascii_case(y))
+}
+
+fn hash_of(n: &Name) -> u64 {
+    use std::hash::{BuildHasher, BuildHasherDefault};
+    BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(n)
 }
 
 fn arb_rdata() -> impl Strategy<Value = RData> {
@@ -91,6 +108,46 @@ fn arb_rdata() -> impl Strategy<Value = RData> {
     ]
 }
 
+/// Every pair of names built from labels of one and two octets over
+/// `00`, `A`, `Z`, `a` and `FF` — labels that are prefixes of one
+/// another, equal up to case, or differ in an escaped zero — as single
+/// labels and under each one-octet TLD: order, subdomain and hash against
+/// their label-wise definitions.
+#[test]
+fn name_order_subdomain_and_hash_on_prefix_labels() {
+    const OCTETS: [u8; 5] = [0x00, b'A', b'Z', b'a', 0xFF];
+    let short: Vec<Vec<u8>> = OCTETS.iter().map(|&o| vec![o]).collect();
+    let labels: Vec<Vec<u8>> = (short.iter().cloned())
+        .chain(
+            OCTETS
+                .iter()
+                .flat_map(|&x| OCTETS.iter().map(move |&y| vec![x, y])),
+        )
+        .collect();
+    let mut names = vec![Name::root()];
+    for label in &labels {
+        names.push(Name::from_labels([label]).unwrap());
+        for tld in &short {
+            names.push(Name::from_labels([label, tld]).unwrap());
+        }
+    }
+    for a in &names {
+        for b in &names {
+            let order = a.cmp(b);
+            assert_eq!(order, collected_order(a, b), "{a} vs {b}");
+            assert_eq!(order == std::cmp::Ordering::Equal, a == b, "{a} vs {b}");
+            assert_eq!(
+                a.is_subdomain_of(b),
+                labelwise_subdomain(a, b),
+                "{a} under {b}"
+            );
+            if a == b {
+                assert_eq!(hash_of(a), hash_of(b), "{a} vs {b}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -104,6 +161,9 @@ proptest! {
         }
     }
 
+    // Order, and with it `is_subdomain_of` and `Hash`, against their
+    // label-wise definitions: on two confusable names, two arbitrary ones,
+    // a name and its parent, and a name and itself upper-cased.
     #[test]
     fn name_order_matches_collected_lowercase_labels(
         a in arb_confusable_name(),
@@ -111,11 +171,18 @@ proptest! {
         x in arb_name(),
         y in arb_name(),
     ) {
-        for (a, b) in [(&a, &b), (&x, &y), (&a, &x), (&a, &a)] {
+        let parent = a.parent().unwrap_or_else(Name::root);
+        let upper = Name::from_labels(a.labels().map(<[u8]>::to_ascii_uppercase)).unwrap();
+        let pairs = [(&a, &b), (&x, &y), (&a, &x), (&a, &a), (&a, &parent), (&upper, &a)];
+        for (a, b) in pairs.into_iter().flat_map(|(a, b)| [(a, b), (b, a)]) {
             let order = a.cmp(b);
             prop_assert_eq!(order, collected_order(a, b), "{} vs {}", a, b);
             prop_assert_eq!(b.cmp(a), order.reverse());
             prop_assert_eq!(order == std::cmp::Ordering::Equal, a == b, "{} vs {}", a, b);
+            prop_assert_eq!(a.is_subdomain_of(b), labelwise_subdomain(a, b), "{} under {}", a, b);
+            if a == b {
+                prop_assert_eq!(hash_of(a), hash_of(b), "{} vs {}", a, b);
+            }
         }
     }
 

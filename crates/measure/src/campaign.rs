@@ -467,12 +467,23 @@ impl Campaign {
 
     /// A campaign over a chosen subset of resolvers, validating the
     /// configuration (domain syntax) up front. Domains are parsed and
-    /// interned exactly once here — not once per (vantage, resolver) pair.
+    /// interned exactly once here — not once per (vantage, resolver) pair
+    /// — and the vantage, resolver and protocol labels are interned here
+    /// too: a label's first interning allocates its string and token, and
+    /// here that is before any run's buffers rather than among them or
+    /// inside a fold.
     pub fn try_with_resolvers(
         config: CampaignConfig,
         entries: Vec<catalog::ResolverEntry>,
     ) -> Result<Self, String> {
         config.validate()?;
+        config.probe.protocol.interned_label();
+        for v in config.vantages() {
+            Label::from_static(v.label);
+        }
+        for e in &entries {
+            Label::from_static(e.hostname);
+        }
         let mut domains: Vec<CampaignDomain> = config
             .domains
             .iter()

@@ -529,7 +529,7 @@ fn read_hex(hex: &str, padded: bool) -> Option<u64> {
 
 fn put_count(out: &mut String, lit: &str, n: u64) {
     out.push_str(lit);
-    let _ = write!(out, "{n}");
+    json::write_u64(out, n);
 }
 
 fn put_float(out: &mut String, lit: &str, f: f64) {
@@ -610,7 +610,7 @@ fn put_availability(out: &mut String, lit: &str, a: &Tally) {
     out.push_str(lit);
     out.push_str("{\"errors\":{");
     put_each(out, a.errors(), |out, (kind, n)| {
-        json::write_str(out, kind.label());
+        out.push_str(kind.token());
         put_count(out, ":", n);
     });
     put_count(out, "},\"successes\":", a.successes);
@@ -809,9 +809,17 @@ fn take_list_reserving<T>(
     Some(items)
 }
 
-/// A fixed-arity array of counts.
+/// A fixed-arity array of counts, read straight into it.
 fn take_counts<const N: usize>(r: &mut LineReader, lit: &str) -> Option<[u64; N]> {
-    take_list(r, lit, |r| take_count(r, ""))?.try_into().ok()
+    r.eat(lit)?;
+    r.eat("[")?;
+    let (mut counts, mut n) = ([0; N], 0);
+    take_each(r, "]", |r| {
+        *counts.get_mut(n)? = take_count(r, "")?;
+        n += 1;
+        Some(())
+    })?;
+    (n == N).then_some(counts)
 }
 
 /// Counts whose total is `n`, which no overflow reaches.

@@ -60,15 +60,20 @@ impl ProbeErrorKind {
 
     /// Stable machine-readable label used in JSON output.
     pub fn label(self) -> &'static str {
+        crate::json::unquote(self.token())
+    }
+
+    /// The label as the JSON string token a record line holds.
+    pub(crate) fn token(self) -> &'static str {
         match self {
-            ProbeErrorKind::ConnectTimeout => "connect_timeout",
-            ProbeErrorKind::ConnectionRefused => "connection_refused",
-            ProbeErrorKind::TlsFailure => "tls_failure",
-            ProbeErrorKind::CertificateError => "certificate_error",
-            ProbeErrorKind::HttpStatus => "http_status",
-            ProbeErrorKind::RateLimited => "rate_limited",
-            ProbeErrorKind::QueryTimeout => "query_timeout",
-            ProbeErrorKind::DnsError => "dns_error",
+            ProbeErrorKind::ConnectTimeout => r#""connect_timeout""#,
+            ProbeErrorKind::ConnectionRefused => r#""connection_refused""#,
+            ProbeErrorKind::TlsFailure => r#""tls_failure""#,
+            ProbeErrorKind::CertificateError => r#""certificate_error""#,
+            ProbeErrorKind::HttpStatus => r#""http_status""#,
+            ProbeErrorKind::RateLimited => r#""rate_limited""#,
+            ProbeErrorKind::QueryTimeout => r#""query_timeout""#,
+            ProbeErrorKind::DnsError => r#""dns_error""#,
         }
     }
 

@@ -199,67 +199,71 @@ pub(crate) fn millis_are_exact(ms: u64, frac: u64) -> bool {
 /// digit count) the float path is the definition and is what runs.
 #[deny_alloc]
 pub fn write_millis(out: &mut String, nanos: u64) {
-    let (ms, mut frac) = (nanos / 1_000_000, nanos % 1_000_000);
+    let (ms, frac) = (nanos / 1_000_000, nanos % 1_000_000);
     if !millis_are_exact(ms, frac) {
         return write_float(out, nanos as f64 / 1e6);
     }
-    // Right to left: ≤ 12 integer digits, the point, ≤ 6 fraction digits.
-    let mut buf = [0u8; 19];
-    let mut at = buf.len();
-    let mut width = 6;
-    while width > 1 && frac % 10 == 0 {
-        frac /= 10;
-        width -= 1;
+    write_u64(out, ms);
+    out.push('.');
+    // The six fraction digits are three pairs; trailing zeros are
+    // dropped, and one digit always kept.
+    let mut digits = 6;
+    let mut rest = frac;
+    while digits > 1 && rest % 10 == 0 {
+        rest /= 10;
+        digits -= 1;
     }
-    for _ in 0..width {
-        at -= 1;
-        buf[at] = b'0' + (frac % 10) as u8;
-        frac /= 10;
-    }
-    at -= 1;
-    buf[at] = b'.';
-    let mut int = ms;
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (int % 10) as u8;
-        int /= 10;
-        if int == 0 {
-            break;
+    for (i, group) in [frac / 10_000, frac / 100 % 100, frac % 100]
+        .into_iter()
+        .enumerate()
+    {
+        match digits - 2 * i {
+            1 => return out.push_str(&pair(group)[..1]),
+            2 => return out.push_str(pair(group)),
+            _ => out.push_str(pair(group)),
         }
-    }
-    // ASCII digits and a point: always UTF-8, appended in one copy.
-    if let Ok(token) = std::str::from_utf8(&buf[at..]) {
-        out.push_str(token);
     }
 }
 
-/// Appends one JSON string literal (quotes and escapes included) to `out`:
-/// each run of characters that need no escape — for a label or a key, the
-/// whole string — is pushed in one piece. Shared by the document model and
-/// the streaming record writer.
-pub fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    // Everything escaped is ASCII, so a byte index here is a char boundary.
-    let mut clean = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.push_str(&s[clean..i]);
-        clean = i + 1;
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
+/// The two-digit groups `00` to `99`, back to back: [`write_u64`] and
+/// [`write_millis`] append slices of it.
+const PAIRS: &str = "0001020304050607080910111213141516171819\
+                     2021222324252627282930313233343536373839\
+                     4041424344454647484950515253545556575859\
+                     6061626364656667686970717273747576777879\
+                     8081828384858687888990919293949596979899";
+
+/// `n` (below 100) as two digits.
+fn pair(n: u64) -> &'static str {
+    let at = 2 * n as usize;
+    &PAIRS[at..at + 2]
+}
+
+/// Appends `n` in decimal, as `Display` writes it, two digits at a time
+/// from [`PAIRS`]: no `core::fmt`, no UTF-8 check.
+pub(crate) fn write_u64(out: &mut String, mut n: u64) {
+    // The pairs below the leading one or two digits, lowest first.
+    let (mut low, mut count) = ([0u8; 9], 0);
+    while n >= 100 {
+        low[count] = (n % 100) as u8;
+        n /= 100;
+        count += 1;
     }
-    out.push_str(&s[clean..]);
-    out.push('"');
+    out.push_str(if n >= 10 { pair(n) } else { &pair(n)[1..] });
+    for &group in low[..count].iter().rev() {
+        out.push_str(pair(group.into()));
+    }
+}
+
+/// Appends one JSON string literal (quotes and escapes included) to
+/// `out`. Shared by the document model, the streaming record writer and
+/// the label interner's tokens ([`obs::Label::token`]).
+pub use obs::intern::write_str;
+
+/// The label inside a plain JSON string token: `token` without its
+/// quotes. For the enums whose labels are written as static tokens.
+pub(crate) fn unquote(token: &'static str) -> &'static str {
+    &token[1..token.len() - 1]
 }
 
 /// A cursor over compact JSON as this crate's direct writers emit it: the
@@ -343,7 +347,30 @@ impl<'a> LineReader<'a> {
     }
 
     /// An integer token (the writers never render a count as a float).
+    /// Digits accumulate here; a leading `-`, a float character after the
+    /// digits or an overflow leaves it to `str::parse`.
     pub(crate) fn int(&mut self) -> Option<i64> {
+        let b = self.s.as_bytes();
+        let (start, mut end, mut n) = (self.pos, self.pos, 0i64);
+        while let Some(&c @ b'0'..=b'9') = b.get(end) {
+            match n
+                .checked_mul(10)
+                .and_then(|n| n.checked_add(i64::from(c - b'0')))
+            {
+                Some(next) => n = next,
+                None => return self.int_token(),
+            }
+            end += 1;
+        }
+        if end == start || matches!(b.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+            return self.int_token();
+        }
+        self.pos = end;
+        Some(n)
+    }
+
+    /// [`int`](Self::int) by way of the number token.
+    fn int_token(&mut self) -> Option<i64> {
         match self.number_token()? {
             (text, false) => text.parse().ok(),
             _ => None,
@@ -849,6 +876,81 @@ mod tests {
             exact > 3_000_000 && fallback_only > 100_000,
             "{exact} {fallback_only}"
         );
+    }
+
+    /// Both sides of every digit-count boundary of the milliseconds, with
+    /// fractions of every trimmed width (trailing zeros included).
+    #[test]
+    fn write_millis_at_every_digit_count_boundary() {
+        let fractions = (0..6).flat_map(|k| {
+            let p = 10u64.pow(k);
+            [p, 9 * p, 100_000 + p, 999_999 / p * p, 123_456 / p * p]
+        });
+        let fractions: Vec<u64> = std::iter::once(0).chain(fractions).collect();
+        let (mut got, mut want) = (String::new(), String::new());
+        for k in 0..13 {
+            let p = 10u64.pow(k);
+            for ms in [p - 1, p, p + 1] {
+                for &frac in &fractions {
+                    let n = ms * 1_000_000 + frac;
+                    got.clear();
+                    want.clear();
+                    write_millis(&mut got, n);
+                    write_float(&mut want, n as f64 / 1e6);
+                    assert_eq!(got, want, "n = {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn write_u64_is_display() {
+        let mut got = String::new();
+        for k in 0..20 {
+            let p = 10u64.pow(k);
+            for n in [
+                p - 1,
+                p,
+                p + 1,
+                p.saturating_mul(2),
+                p.saturating_mul(9),
+                u64::MAX / p,
+            ] {
+                got.clear();
+                write_u64(&mut got, n);
+                assert_eq!(got, n.to_string());
+            }
+        }
+        got.clear();
+        write_u64(&mut got, u64::MAX);
+        assert_eq!(got, u64::MAX.to_string());
+    }
+
+    /// `LineReader::int` accepts a whole token exactly when `str::parse`
+    /// does, with its value.
+    #[test]
+    fn int_agrees_with_parse() {
+        let max = i64::MAX.to_string();
+        let past = (i64::MAX as u64 + 1).to_string();
+        for text in [
+            "0",
+            "007",
+            "-5",
+            "-0",
+            &max,
+            &past,
+            "1e3",
+            "1.0",
+            "12a",
+            "",
+            "-",
+            "1+2",
+            "99999999999999999999",
+        ] {
+            let mut r = LineReader::new(text);
+            let read = r.int().filter(|_| r.pos == text.len());
+            assert_eq!(read, text.parse::<i64>().ok(), "{text:?}");
+        }
     }
 
     #[test]

@@ -36,12 +36,17 @@ pub enum Protocol {
 impl Protocol {
     /// Stable label for JSON output.
     pub fn label(self) -> &'static str {
+        crate::json::unquote(self.token())
+    }
+
+    /// The label as the JSON string token a record line holds.
+    fn token(self) -> &'static str {
         match self {
-            Protocol::Do53 => "do53",
-            Protocol::DoT => "dot",
-            Protocol::DoH => "doh",
-            Protocol::DoQ => "doq",
-            Protocol::ODoH => "odoh",
+            Protocol::Do53 => r#""do53""#,
+            Protocol::DoT => r#""dot""#,
+            Protocol::DoH => r#""doh""#,
+            Protocol::DoQ => r#""doq""#,
+            Protocol::ODoH => r#""odoh""#,
         }
     }
 
@@ -103,10 +108,15 @@ pub enum ConnectionMode {
 impl ConnectionMode {
     /// Stable label for JSON output.
     pub fn label(self) -> &'static str {
+        crate::json::unquote(self.token())
+    }
+
+    /// The label as the JSON string token a record line holds.
+    fn token(self) -> &'static str {
         match self {
-            ConnectionMode::Cold => "cold",
-            ConnectionMode::Resumed => "resumed",
-            ConnectionMode::Reused => "reused",
+            ConnectionMode::Cold => r#""cold""#,
+            ConnectionMode::Resumed => r#""resumed""#,
+            ConnectionMode::Reused => r#""reused""#,
         }
     }
 
@@ -324,12 +334,17 @@ fn phase_key(p: Phase) -> &'static str {
 }
 
 fn region_label(r: Region) -> &'static str {
+    crate::json::unquote(region_token(r))
+}
+
+/// A region's label as the JSON string token a record line holds.
+fn region_token(r: Region) -> &'static str {
     match r {
-        Region::NorthAmerica => "north_america",
-        Region::Europe => "europe",
-        Region::Asia => "asia",
-        Region::Oceania => "oceania",
-        Region::Unknown => "unknown",
+        Region::NorthAmerica => r#""north_america""#,
+        Region::Europe => r#""europe""#,
+        Region::Asia => r#""asia""#,
+        Region::Oceania => r#""oceania""#,
+        Region::Unknown => r#""unknown""#,
     }
 }
 
@@ -565,17 +580,18 @@ impl ProbeRecord {
             key(out, false, lit);
             crate::json::write_millis(out, v.as_nanos());
         }
-        fn str_field(out: &mut String, first: bool, lit: &str, v: &str) {
+        // `token` is a JSON string token, quotes included.
+        fn token_field(out: &mut String, first: bool, lit: &str, token: &str) {
             key(out, first, lit);
-            crate::json::write_str(out, v);
+            out.push_str(token);
         }
         fn bool_field(out: &mut String, first: bool, lit: &str, v: bool) {
             key(out, first, lit);
             out.push_str(if v { "true" } else { "false" });
         }
-        fn count_field(out: &mut String, lit: &str, v: i64) {
+        fn count_field(out: &mut String, lit: &str, v: u64) {
             key(out, false, lit);
-            let _ = std::fmt::Write::write_fmt(out, format_args!("{v}"));
+            crate::json::write_u64(out, v);
         }
         // Leading retry keys ("attempt_errors", "attempts") sort before
         // every other top-level key in both record shapes.
@@ -586,10 +602,10 @@ impl ProbeRecord {
                 if i > 0 {
                     out.push(',');
                 }
-                crate::json::write_str(out, e.label());
+                out.push_str(e.token());
             }
             out.push(']');
-            count_field(out, ATTEMPTS, i64::from(info.attempts));
+            count_field(out, ATTEMPTS, info.attempts.into());
         }
         fn ping_field(out: &mut String, ping: Option<SimDuration>) {
             match ping {
@@ -616,10 +632,10 @@ impl ProbeRecord {
                 // "conn_mode" sorts between "cache_hit" and "connect_ms"
                 // ('_' 0x5F < 'e' 0x65 after the shared "conn" prefix).
                 if let Some(mode) = self.conn_mode {
-                    str_field(out, false, CONN_MODE, mode.label());
+                    token_field(out, false, CONN_MODE, mode.token());
                 }
                 millis_field(out, CONNECT_MS, timings.connect);
-                str_field(out, false, DOMAIN, self.domain());
+                token_field(out, false, DOMAIN, self.domain.token());
                 bool_field(out, false, MAINSTREAM, self.mainstream);
                 key(out, false, PHASES);
                 out.push('{');
@@ -629,18 +645,18 @@ impl ProbeRecord {
                 }
                 out.push('}');
                 ping_field(out, self.ping());
-                str_field(out, false, PROTOCOL, self.protocol.label());
+                token_field(out, false, PROTOCOL, self.protocol.token());
                 millis_field(out, QUERY_MS, timings.exchange());
-                str_field(out, false, RESOLVER, self.resolver());
-                str_field(
+                token_field(out, false, RESOLVER, self.resolver.token());
+                token_field(
                     out,
                     false,
                     RESOLVER_REGION,
-                    region_label(self.resolver_region),
+                    region_token(self.resolver_region),
                 );
                 millis_field(out, RESPONSE_MS, timings.total());
                 millis_field(out, SECURE_MS, timings.tls_handshake);
-                count_field(out, SITE, i64::from(*site));
+                count_field(out, SITE, (*site).into());
                 bool_field(out, false, SUCCESS, true);
             }
             ProbeOutcome::Failure { kind, elapsed } => {
@@ -648,22 +664,22 @@ impl ProbeRecord {
                 // "domain"), so when present it takes over the lead key.
                 match self.conn_mode {
                     Some(mode) => {
-                        str_field(out, lead, CONN_MODE, mode.label());
-                        str_field(out, false, DOMAIN, self.domain());
+                        token_field(out, lead, CONN_MODE, mode.token());
+                        token_field(out, false, DOMAIN, self.domain.token());
                     }
-                    None => str_field(out, lead, DOMAIN, self.domain()),
+                    None => token_field(out, lead, DOMAIN, self.domain.token()),
                 }
                 millis_field(out, ELAPSED_MS, *elapsed);
-                str_field(out, false, ERROR, kind.label());
+                token_field(out, false, ERROR, kind.token());
                 bool_field(out, false, MAINSTREAM, self.mainstream);
                 ping_field(out, self.ping());
-                str_field(out, false, PROTOCOL, self.protocol.label());
-                str_field(out, false, RESOLVER, self.resolver());
-                str_field(
+                token_field(out, false, PROTOCOL, self.protocol.token());
+                token_field(out, false, RESOLVER, self.resolver.token());
+                token_field(
                     out,
                     false,
                     RESOLVER_REGION,
-                    region_label(self.resolver_region),
+                    region_token(self.resolver_region),
                 );
                 bool_field(out, false, SUCCESS, false);
             }
@@ -675,7 +691,7 @@ impl ProbeRecord {
             millis_field(out, TTFB_MS, info.ttfb(&self.outcome));
             millis_field(out, TTLB_MS, info.ttlb(&self.outcome));
         }
-        str_field(out, false, VANTAGE, self.vantage());
+        token_field(out, false, VANTAGE, self.vantage.token());
         out.push('}');
     }
 
@@ -1468,6 +1484,44 @@ mod tests {
         for (_, literal) in KEYS {
             assert!(lines.contains(&literal[1..]), "{literal} is never written");
         }
+    }
+
+    /// Every static label token is what `write_str` writes for the label,
+    /// and the label reads back.
+    #[test]
+    fn label_tokens_are_what_write_str_writes() {
+        let protocols = [
+            Protocol::Do53,
+            Protocol::DoT,
+            Protocol::DoH,
+            Protocol::DoQ,
+            Protocol::ODoH,
+        ];
+        let modes = [
+            ConnectionMode::Cold,
+            ConnectionMode::Resumed,
+            ConnectionMode::Reused,
+        ];
+        let regions = Region::all().into_iter().chain([Region::Unknown]);
+        let tokens = (protocols.iter().map(|p| (p.label(), p.token())))
+            .chain(modes.iter().map(|m| (m.label(), m.token())))
+            .chain(regions.map(|r| (region_label(r), region_token(r))))
+            .chain(ProbeErrorKind::all().map(|k| (k.label(), k.token())));
+        for (label, token) in tokens {
+            let mut want = String::new();
+            crate::json::write_str(&mut want, label);
+            assert_eq!(token, want);
+        }
+        assert!(protocols
+            .iter()
+            .all(|&p| Protocol::from_label(p.label()) == Some(p)));
+        assert!(modes
+            .iter()
+            .all(|&m| ConnectionMode::from_label(m.label()) == Some(m)));
+        let kinds = ProbeErrorKind::all();
+        assert!(kinds
+            .iter()
+            .all(|&k| ProbeErrorKind::from_label(k.label()) == Some(k)));
     }
 
     fn reader(s: &str) -> LineReader<'_> {

@@ -269,8 +269,8 @@ type Recorded = (PathBuf, u64, u64);
 fn validate_files(files: &[Recorded]) -> Result<(), CheckpointError> {
     let mut block = [0u8; VALIDATE_READ_BYTES];
     for (path, bytes, recorded) in files {
-        let fail = CheckpointError::ShardData;
-        let unreadable = |e: std::io::Error| fail(format!("read {}: {e}", path.display()));
+        let unreadable =
+            |e: std::io::Error| CheckpointError::ShardData(format!("read {}: {e}", path.display()));
         let mut file = File::open(path).map_err(unreadable)?;
         let (mut found, mut sum) = (0u64, Checksum::default());
         loop {
@@ -284,17 +284,28 @@ fn validate_files(files: &[Recorded]) -> Result<(), CheckpointError> {
                 Err(e) => return Err(unreadable(e)),
             }
         }
-        let (path, sum) = (path.display(), sum.finish());
-        if found != *bytes {
-            return Err(fail(format!(
-                "{path} is {found} bytes, manifest says {bytes}"
-            )));
-        }
-        if sum != *recorded {
-            return Err(fail(format!(
-                "{path} hashes to {sum:016x}, manifest says {recorded:016x}"
-            )));
-        }
+        matches_record(path, (found, sum.finish()), (*bytes, *recorded))?;
+    }
+    Ok(())
+}
+
+/// Whether a file of `path` whose (length, checksum) is `found` is the
+/// one its manifest entry records: a `ShardData` error naming it if not.
+fn matches_record(
+    path: &Path,
+    (found, sum): (u64, u64),
+    (bytes, recorded): (u64, u64),
+) -> Result<(), CheckpointError> {
+    let path = path.display();
+    if found != bytes {
+        return Err(CheckpointError::ShardData(format!(
+            "{path} is {found} bytes, manifest says {bytes}"
+        )));
+    }
+    if sum != recorded {
+        return Err(CheckpointError::ShardData(format!(
+            "{path} hashes to {sum:016x}, manifest says {recorded:016x}"
+        )));
     }
     Ok(())
 }
@@ -932,8 +943,10 @@ impl<'a> ShardedRunner<'a> {
     /// checks it, with the same error. With any shard pending, its files
     /// are validated before the execute phase (one [`hand_off`] worker), so
     /// a damaged checkpoint fails before any new work. With none pending,
-    /// validation is the first job of assembly's cell lane, beside the line
-    /// copy, and that lane is the one thread the run starts.
+    /// assembly's cell lane validates, beside the line copy, and that lane
+    /// is the one thread the run starts: the data files first, then each
+    /// cell file in the one read that installs it, and on any failure the
+    /// checkpoint as `load_or_init` does.
     pub fn run(&self, threads: usize) -> Result<ShardedOutcome, CheckpointError> {
         let mut run = ShardRunMetrics::new();
         run.shards_planned.add(self.shards as u64);
@@ -1007,12 +1020,37 @@ impl<'a> ShardedRunner<'a> {
         landed.map(|()| lanes)
     }
 
+    /// The cell lane of a run with no shard pending, whose files nothing
+    /// has checked yet: every data file validated ([`validate_files`]),
+    /// then the cells installed from one read of each cell file, checked
+    /// against `manifest` before it decodes. On any failure the checkpoint
+    /// is validated as [`load_or_init`](Self::load_or_init) validates it,
+    /// so a damaged checkpoint is reported by the same error: `Err` is
+    /// that error, and `Ok(Err)` an install error on files that validate.
+    fn validate_and_install(
+        &self,
+        manifest: &Manifest,
+    ) -> Result<Result<CampaignFolds, CheckpointError>, CheckpointError> {
+        let data: Vec<Recorded> = (manifest.states.iter())
+            .filter_map(|state| match state {
+                ShardState::Complete(c) => Some((self.shard_path(c.shard), c.bytes, c.checksum)),
+                ShardState::Pending => None,
+            })
+            .collect();
+        match validate_files(&data).and_then(|()| self.install_cells(Some(manifest))) {
+            Ok(folds) => Ok(Ok(folds)),
+            Err(e) => self.validate(manifest, 0).map(|()| Err(e)),
+        }
+    }
+
     /// The cell half of assembly: installs the checkpointed cells, one
-    /// cell file at a time in shard order. A cell file must list exactly
-    /// its shard's pairs, in pair-index order, and each pair's cells must
-    /// pass [`CampaignFolds::install`]'s checks. A file that breaks any of
+    /// cell file at a time in shard order. With `check`, each file's
+    /// length and checksum must first be the ones its entry there
+    /// records. A cell file must list exactly its shard's pairs, in
+    /// pair-index order, and each pair's cells must pass
+    /// [`CampaignFolds::install`]'s checks. A file that breaks any of
     /// this, or does not decode, is `ShardData` naming the file.
-    fn install_cells(&self) -> Result<CampaignFolds, CheckpointError> {
+    fn install_cells(&self, check: Option<&Manifest>) -> Result<CampaignFolds, CheckpointError> {
         let mut folds = CampaignFolds::for_campaign(self.campaign);
         // Each vantage's day span: the most day cells a pair of it holds.
         let vantages = self.campaign.config().vantages();
@@ -1022,6 +1060,10 @@ impl<'a> ShardedRunner<'a> {
         for i in 0..self.shards {
             let path = self.cells_path(i);
             let text = std::fs::read_to_string(&path).map_err(io_err("read", &path))?;
+            if let Some(ShardState::Complete(c)) = check.map(|m| &m.states[i as usize]) {
+                let found = (text.len() as u64, checksum(text.as_bytes()));
+                matches_record(&path, found, (c.cell_bytes, c.cell_checksum))?;
+            }
             let invalid =
                 |what: String| CheckpointError::ShardData(format!("{}: {what}", path.display()));
             let plans = &self.plans[self.shard_range(i)];
@@ -1182,9 +1224,10 @@ impl<'a> ShardedRunner<'a> {
     /// [installs the checkpointed cells](Self::install_cells) — the same
     /// way whether this process executed the shard or resumed it. With
     /// `validate_first` (a run with no shard pending, whose files nothing
-    /// has checked yet) the cell lane first validates every shard's files as
-    /// [`load_or_init`](Self::load_or_init) does, through [`hand_off`] with
-    /// no worker, and installs nothing if one fails. The campaign file
+    /// has checked yet) the cell lane validates the data files, and each
+    /// cell file in the one read that installs it, and on a failure
+    /// reports what [`load_or_init`](Self::load_or_init) would
+    /// ([`validate_and_install`](Self::validate_and_install)). The campaign file
     /// takes its name only once all of this has succeeded. Of several
     /// failures, validation's error is the one returned, then the line
     /// copy's, then the cell lane's. Memory: an 8 KiB read buffer per shard
@@ -1230,12 +1273,11 @@ impl<'a> ShardedRunner<'a> {
                 .name("edns-cells".to_string())
                 .spawn_scoped(scope, || {
                     let lane = Stopwatch::start();
-                    let validated = if validate_first {
-                        self.validate(manifest, 0)
+                    let folds = if validate_first {
+                        self.validate_and_install(manifest)
                     } else {
-                        Ok(())
+                        Ok(self.install_cells(None))
                     };
-                    let folds = validated.map(|()| self.install_cells());
                     (folds, lane.elapsed_secs())
                 })
                 .map_err(|e| CheckpointError::Io(format!("spawn edns-cells: {e}")))?;

@@ -1,11 +1,12 @@
 //! A `(name, type)`-keyed map that is looked up by `&Name`.
 //!
 //! A `BTreeMap<(Name, RecordType), V>` can only be probed with an owned
-//! tuple, which costs a `Name` clone (one allocation per label plus one)
-//! on every lookup. Nesting by name and then by type lets the record
-//! cache, the negative cache and the zones all borrow the query name: a
-//! name carries a handful of types at most, so the inner level is a
-//! linear scan of a short vector.
+//! tuple, which costs a `Name` clone (two allocations: its labels and its
+//! canonical key) on every lookup. Nesting by name and then by type lets
+//! the record cache, the negative cache and the zones all borrow the query
+//! name: a name carries a handful of types at most, so the inner level is
+//! a linear scan of a short vector. Each step down the tree compares two
+//! canonical keys, one `memcmp`.
 
 use std::collections::BTreeMap;
 
