@@ -265,7 +265,7 @@ fn main() {
 
     println!(
         concat!(
-            "{{\"profile\":\"{}\",\"probes\":{},\"cores\":{},",
+            "{{\"profile\":\"{}\",\"probes\":{},\"cores\":{},\"keystream_kernel\":\"{}\",",
             "\"probe_gen_s\":{:.3},\"probe_gen_probes_per_sec\":{:.0},",
             "\"assemble_s\":{:.3},",
             "\"jsonl_bytes\":{},\"jsonl_s\":{:.3},\"jsonl_mb_per_sec\":{:.1},",
@@ -278,6 +278,7 @@ fn main() {
         if quick { "quick" } else { "full" },
         probes as u64,
         cores,
+        netsim::rng::keystream_kernel(),
         serial_gen_s,
         probe_gen_pps,
         assemble_s,

@@ -229,7 +229,8 @@ fn main() {
 
     println!(
         concat!(
-            "{{\"profile\":\"{}\",\"days\":{},\"shards\":{},\"threads\":{},\"lanes\":{},",
+            "{{\"profile\":\"{}\",\"keystream_kernel\":\"{}\",",
+            "\"days\":{},\"shards\":{},\"threads\":{},\"lanes\":{},",
             "\"probes\":{},\"resumed_shards\":{},\"jsonl_bytes\":{},",
             "\"elapsed_s\":{:.3},\"rerun_s\":{:.3},\"probes_per_sec\":{:.0},",
             "\"peak_rss_kb\":{},\"availability_pct\":{:.2},",
@@ -237,6 +238,7 @@ fn main() {
             "\"longitudinal_stages\":{{{}}}}}"
         ),
         if quick { "quick" } else { "full" },
+        netsim::rng::keystream_kernel(),
         days,
         shards,
         threads,

@@ -8,6 +8,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
+/// The ChaCha12 keystream kernel every `SimRng` refills through on this
+/// host: `"avx2"` or `"portable"`. Both give the same stream, so only the
+/// speed of a run depends on it.
+pub use rand::rngs::keystream_kernel;
+
 use crate::math;
 use crate::ziggurat::{F, R, X};
 
