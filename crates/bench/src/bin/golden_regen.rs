@@ -249,7 +249,6 @@ fn write_probe_matrix(dir: &std::path::Path) {
             let cfg = ProbeConfig {
                 protocol,
                 retry: RetryPolicy::dig_defaults(),
-                ..ProbeConfig::default()
             };
             let (mut text, mut events) = (String::new(), 0);
             for i in 0..3u64 {

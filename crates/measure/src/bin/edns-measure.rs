@@ -122,11 +122,11 @@ LOAD FLAGS (campaign only):
                     whole-ladder throughput/latency curves.
 
 SESSION FLAGS (campaign only):
-  --session MODE    connection-reuse model: 'cold' (default; every probe
-                    opens a fresh connection, byte-identical to omitting
-                    the flag — the paper's methodology), 'warm' (full
-                    ticket-cache + connection-pool + QUIC 0-RTT reuse
-                    under each resolver's policy), or a fraction in
+  --session MODE    connection-reuse model: 'cold' (the default: no
+                    model, every probe opens a fresh connection — the
+                    paper's methodology), 'warm' (full ticket-cache +
+                    connection-pool + QUIC 0-RTT reuse under each
+                    resolver's policy), or a fraction in
                     [0, 1] (warm with that share of probes forced cold on
                     a seeded schedule, so the output carries its own cold
                     baseline). Warm records gain a \"conn_mode\" JSON key
@@ -168,6 +168,18 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// Parses `value`, given for `flag`, as a count of at least one.
+fn positive<T: std::str::FromStr + PartialEq + From<u8>>(
+    value: &str,
+    flag: &str,
+) -> Result<T, String> {
+    match value.parse() {
+        Ok(n) if n == T::from(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad {flag}")),
+    }
 }
 
 /// Whether a bare `--flag` is present.
@@ -251,10 +263,7 @@ fn cmd_probe(args: &[String]) -> Result<(), String> {
     let proto_label = flag_value(args, "--protocol").unwrap_or("doh");
     let protocol = Protocol::from_label(proto_label)
         .ok_or_else(|| format!("unknown protocol {proto_label:?}"))?;
-    let count: u64 = flag_value(args, "--count")
-        .unwrap_or("5")
-        .parse()
-        .map_err(|_| "bad --count")?;
+    let count: u64 = positive(flag_value(args, "--count").unwrap_or("5"), "--count")?;
     let domain_text = flag_value(args, "--domain").unwrap_or("google.com");
     let domain = Name::parse(domain_text).map_err(|e| format!("bad domain: {e}"))?;
     let seed: u64 = flag_value(args, "--seed")
@@ -281,11 +290,7 @@ fn cmd_probe(args: &[String]) -> Result<(), String> {
     let mut target = ProbeTarget::from_entry(entry);
     let client = vantage.host(0);
     let mut rng = netsim::SimRng::derived(seed, &format!("cli:{vantage_label}:{hostname}"));
-    let cfg = ProbeConfig {
-        protocol,
-        retry,
-        ..ProbeConfig::default()
-    };
+    let cfg = ProbeConfig { protocol, retry };
 
     out!(
         "; <<>> edns-measure <<>> {domain_text} @{hostname} over {protocol} from {vantage_label}\n"
@@ -394,8 +399,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|_| "bad --seed")?;
     let days: Option<u32> = flag_value(args, "--days")
-        .map(|v| v.parse().map_err(|_| "bad --days"))
+        .map(|v| positive(v, "--days"))
         .transpose()?;
+    let shards: u32 = positive(flag_value(args, "--shards").unwrap_or("8"), "--shards")?;
     let mut config = match (days, flag_value(args, "--scale")) {
         (Some(_), Some(_)) => {
             return Err("--days and --scale each select the campaign; give one".into())
@@ -413,8 +419,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         config.validate()?;
     }
     if let Some(v) = flag_value(args, "--session") {
-        config = config.with_session(measure::SessionConfig::from_arg(v)?);
-        config.validate()?;
+        config.session = measure::SessionConfig::from_arg(v)?;
     }
     apply_retry_flags(args, &mut config.probe.retry)?;
     let out = flag_value(args, "--out").unwrap_or("results.jsonl");
@@ -426,7 +431,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         || flag_value(args, "--checkpoint-dir").is_some()
         || flag_value(args, "--observe").is_some();
     if sharded {
-        return cmd_campaign_sharded(args, config, out);
+        return cmd_campaign_sharded(args, config, shards, out);
     }
 
     let campaign = Campaign::new(config);
@@ -464,11 +469,12 @@ fn cores() -> usize {
 /// The longitudinal path: shard the campaign, execute with checkpoints,
 /// resume whatever an earlier (killed) invocation already finished, and
 /// stream the assembled JSONL to `out`.
-fn cmd_campaign_sharded(args: &[String], config: CampaignConfig, out: &str) -> Result<(), String> {
-    let shards: u32 = flag_value(args, "--shards")
-        .unwrap_or("8")
-        .parse()
-        .map_err(|_| "bad --shards")?;
+fn cmd_campaign_sharded(
+    args: &[String],
+    config: CampaignConfig,
+    shards: u32,
+    out: &str,
+) -> Result<(), String> {
     let dir = flag_value(args, "--checkpoint-dir").unwrap_or("checkpoints");
     let observe = flag_value(args, "--observe");
 

@@ -775,19 +775,19 @@ impl Campaign {
             PairContext::build(
                 vantage,
                 &target,
-                cfg,
+                cfg.protocol,
                 faults,
                 self.domains.iter().map(|d| &d.name),
             )
         });
         let client = vantage.host(0);
-        // A zero (or absent) load model and a cold-only (or absent)
-        // session model build no per-pair state at all: the driver then
-        // routes statically and starts every connection cold, and records
-        // carry no connection mode — byte for byte the seed goldens.
+        // A zero (or absent) load model and an absent session model build
+        // no per-pair state at all: the driver then routes statically and
+        // starts every connection cold, and records carry no connection
+        // mode — byte for byte the seed goldens.
         let load = self.config.load.as_ref().filter(|m| !m.is_zero());
         let mut pair_load = load.map(|m| PairLoad::build(m, vantage, &target));
-        let session_cfg = self.config.session.as_ref().filter(|s| s.is_live());
+        let session_cfg = self.config.session.as_ref();
         let mut session = session_cfg.map(|_| {
             SessionState::new(
                 self.config.seed,

@@ -71,10 +71,8 @@ pub struct CampaignConfig {
     /// `load_differential` test pins this against the seed goldens.
     pub load: Option<LoadModel>,
     /// Optional connection-reuse / session-resumption model. `None` (the
-    /// default in every constructor) — or a config whose
-    /// [`SessionConfig::is_live`] is false (cold-only) — keeps campaign
-    /// output byte-identical to the legacy fresh-connection build; the
-    /// `session_differential` test pins this against the seed goldens.
+    /// default in every constructor) opens every connection cold, as the
+    /// paper's tool does; the seed goldens pin that output.
     pub session: Option<SessionConfig>,
 }
 
@@ -223,8 +221,7 @@ impl CampaignConfig {
     }
 
     /// Attaches a connection-reuse / session-resumption model
-    /// (builder-style). A cold-only config is accepted and behaves exactly
-    /// like `None`.
+    /// (builder-style).
     pub fn with_session(mut self, session: SessionConfig) -> Self {
         self.session = Some(session);
         self

@@ -35,14 +35,14 @@ use netsim::faults::{FaultPlan, FaultTarget};
 use netsim::{Host, Path};
 use transport::{doh_headers, H2Connection, H2Request, HeaderField};
 
-use crate::probe::{ProbeConfig, ProbeTarget};
+use crate::probe::ProbeTarget;
 use crate::results::Protocol;
 use crate::vantage::Vantage;
 
 /// Builds the query message (id 0 on encrypted transports, per RFC 8484
-/// cache friendliness; padded to 128 octets there when configured).
-pub(crate) fn build_query(domain: &Name, cfg: ProbeConfig) -> Message {
-    let encrypted = cfg.protocol != Protocol::Do53;
+/// cache friendliness; padded to 128 octets there, per RFC 8467).
+pub(crate) fn build_query(domain: &Name, protocol: Protocol) -> Message {
+    let encrypted = protocol != Protocol::Do53;
     let mut b = MessageBuilder::query(
         if encrypted { 0 } else { 0x2b2b },
         domain.clone(),
@@ -50,26 +50,19 @@ pub(crate) fn build_query(domain: &Name, cfg: ProbeConfig) -> Message {
     )
     .recursion_desired(true)
     .edns_udp_size(1232);
-    if cfg.padding && encrypted {
+    if encrypted {
         b = b.padding_to(128);
     }
     b.build()
 }
 
-/// The DoH request for `query_wire`: GET with the base64url query in the
-/// URL (RFC 8484 §4.1), or POST with the wire in the body.
-fn doh_request(hostname: &str, doh_path: &str, query_wire: &[u8], cfg: ProbeConfig) -> H2Request {
-    let (http_path, body) = if cfg.doh_get {
-        (
-            format!("{doh_path}?dns={}", base64url::encode(query_wire)),
-            Vec::new(),
-        )
-    } else {
-        (doh_path.to_string(), query_wire.to_vec())
-    };
+/// The DoH GET request for `query_wire`: the base64url query in the URL
+/// (RFC 8484 §4.1), no body.
+fn doh_request(hostname: &str, doh_path: &str, query_wire: &[u8]) -> H2Request {
+    let http_path = format!("{doh_path}?dns={}", base64url::encode(query_wire));
     H2Request {
-        headers: doh_headers(hostname, &http_path, !cfg.doh_get, body.len()),
-        body,
+        headers: doh_headers(hostname, &http_path, false, 0),
+        body: Vec::new(),
     }
 }
 
@@ -226,7 +219,6 @@ pub(crate) struct FreshWires {
     doh_path: &'static str,
     http1_only: bool,
     name: Name,
-    cfg: ProbeConfig,
     query: Message,
     query_wire: Vec<u8>,
     /// The client's HTTP/2 connection of the current attempt: the request
@@ -238,8 +230,8 @@ pub(crate) struct FreshWires {
 
 impl FreshWires {
     /// Builds and encodes the query for one probe of `name`.
-    pub(crate) fn new(entry: &ResolverEntry, name: &Name, cfg: ProbeConfig) -> Self {
-        let query = build_query(name, cfg);
+    pub(crate) fn new(entry: &ResolverEntry, name: &Name, protocol: Protocol) -> Self {
+        let query = build_query(name, protocol);
         // detlint:allow(unwrap, queries built by build_query are well-formed; encoding cannot fail)
         let query_wire = query.encode().expect("query encodes");
         FreshWires {
@@ -247,7 +239,6 @@ impl FreshWires {
             doh_path: entry.doh_path,
             http1_only: entry.http1_only,
             name: name.clone(),
-            cfg,
             query,
             query_wire,
             h2: H2Connection::new(),
@@ -264,7 +255,7 @@ impl FreshWires {
     }
 
     fn encode_doh_request(&mut self, reused: bool) -> usize {
-        let req = doh_request(self.hostname, self.doh_path, &self.query_wire, self.cfg);
+        let req = doh_request(self.hostname, self.doh_path, &self.query_wire);
         // HTTP/1.1-only servers don't offer h2 in their ALPN; the client
         // falls back to serialised HTTP/1.1 over the same TLS connection.
         if self.http1_only {
@@ -334,7 +325,7 @@ impl PairContext {
     pub(crate) fn build<'a>(
         vantage: &Vantage,
         target: &ProbeTarget,
-        cfg: ProbeConfig,
+        protocol: Protocol,
         faults: &FaultPlan,
         domains: impl IntoIterator<Item = &'a Name>,
     ) -> Self {
@@ -351,7 +342,7 @@ impl PairContext {
         let scope_mask = faults.scope_mask(&ftarget);
         let domains = domains
             .into_iter()
-            .map(|name| DomainTemplate::build(&target.entry, name, cfg))
+            .map(|name| DomainTemplate::build(&target.entry, name, protocol))
             .collect();
         PairContext {
             client,
@@ -380,12 +371,11 @@ pub(crate) struct DomainTemplate {
 }
 
 impl DomainTemplate {
-    fn build(entry: &ResolverEntry, name: &Name, cfg: ProbeConfig) -> Self {
-        let query = build_query(name, cfg);
+    fn build(entry: &ResolverEntry, name: &Name, protocol: Protocol) -> Self {
+        let query = build_query(name, protocol);
         // detlint:allow(unwrap, queries built by build_query are well-formed; encoding cannot fail)
         let query_wire = query.encode().expect("query encodes");
-        let doh =
-            (cfg.protocol == Protocol::DoH).then(|| DohTemplate::build(entry, &query_wire, cfg));
+        let doh = (protocol == Protocol::DoH).then(|| DohTemplate::build(entry, &query_wire));
         DomainTemplate {
             name: name.clone(),
             query,
@@ -469,8 +459,8 @@ struct DohTemplate {
 }
 
 impl DohTemplate {
-    fn build(entry: &ResolverEntry, query_wire: &[u8], cfg: ProbeConfig) -> Self {
-        let req = doh_request(entry.hostname, entry.doh_path, query_wire, cfg);
+    fn build(entry: &ResolverEntry, query_wire: &[u8]) -> Self {
+        let req = doh_request(entry.hostname, entry.doh_path, query_wire);
         let mut conn = H2Connection::new();
         let (stream_id, h2_wire) = conn.encode_request(&req);
         // The same request re-encoded on the warm connection: stream id 3,

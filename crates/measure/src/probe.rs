@@ -264,17 +264,16 @@ impl ProbeTarget {
     }
 }
 
-/// Probe-level configuration.
+/// How long a probe's ICMP companion waits for its echo reply.
+const PING_TIMEOUT: SimDuration = SimDuration::from_secs(1);
+
+/// Probe-level configuration. What the paper's tool fixes stays fixed:
+/// a DoH query is a GET, an encrypted query is padded to 128 octets, and
+/// the ICMP companion waits [`PING_TIMEOUT`].
 #[derive(Debug, Clone, Copy)]
 pub struct ProbeConfig {
     /// Protocol to measure.
     pub protocol: Protocol,
-    /// ICMP echo timeout.
-    pub ping_timeout: SimDuration,
-    /// Use DoH GET (RFC 8484 §4.1) rather than POST.
-    pub doh_get: bool,
-    /// Pad queries to 128 octets (RFC 8467) on encrypted transports.
-    pub padding: bool,
     /// Client retry schedule. [`RetryPolicy::none`] (the default) keeps
     /// the probe single-attempt and its output byte-identical to the
     /// pre-retry tool.
@@ -285,9 +284,6 @@ impl Default for ProbeConfig {
     fn default() -> Self {
         ProbeConfig {
             protocol: Protocol::DoH,
-            ping_timeout: SimDuration::from_secs(1),
-            doh_get: true,
-            padding: true,
             retry: RetryPolicy::none(),
         }
     }
@@ -453,7 +449,7 @@ impl Prober {
             region: target.entry.region(),
             vantage: &req.client.label,
         };
-        let mut wires = FreshWires::new(&target.entry, req.domain, req.cfg);
+        let mut wires = FreshWires::new(&target.entry, req.domain, req.cfg.protocol);
         self.drive(ProbeJob {
             client: req.client,
             ftarget: &ftarget,
@@ -511,7 +507,7 @@ impl Prober {
             }
             None => path,
         };
-        let ping = icmp::ping(ping_path, target.instance.icmp, cfg.ping_timeout, rng).rtt();
+        let ping = icmp::ping(ping_path, target.instance.icmp, PING_TIMEOUT, rng).rtt();
         match ping {
             Some(rtt) => log.instant(now.as_nanos() + rtt.as_nanos(), "icmp_echo_reply"),
             None => log.instant(now.as_nanos(), "icmp_filtered"),

@@ -32,51 +32,29 @@ use transport::SessionTicket;
 use crate::checkpoint::fnv64;
 use crate::results::{ConnectionMode, Protocol};
 
-/// Campaign-level session-layer configuration: whether reuse is enabled
-/// and how often the seeded schedule forces a cold probe anyway (so a
-/// campaign can interleave cold baseline measurements with warm traffic).
+/// Campaign-level session-layer configuration: reuse is on, and the
+/// seeded schedule forces a cold probe anyway this often (so a campaign
+/// can interleave cold baseline measurements with warm traffic). No
+/// session model at all (`CampaignConfig::session == None`) is the
+/// paper's cold-only tool.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionConfig {
-    /// Master switch. `false` is *cold-only* mode: the campaign takes the
-    /// legacy fresh-connection path and output is byte-identical to a
-    /// config with no session layer at all.
-    pub reuse: bool,
     /// Fraction of probes forced to open a cold connection even when warm
     /// state is available, drawn from the per-pair schedule stream.
     pub cold_fraction: f64,
 }
 
 impl SessionConfig {
-    /// Cold-only mode: reuse disabled, byte-identical to the legacy path.
-    pub fn cold_only() -> SessionConfig {
-        SessionConfig {
-            reuse: false,
-            cold_fraction: 1.0,
-        }
-    }
-
     /// Full reuse: every probe uses the warmest state available.
     pub fn warm() -> SessionConfig {
-        SessionConfig {
-            reuse: true,
-            cold_fraction: 0.0,
-        }
+        SessionConfig::interleaved(0.0)
     }
 
     /// Reuse with a seeded cold interleave: `cold_fraction` of probes are
     /// forced cold so the ablation always has a cold baseline to compare
     /// against.
     pub fn interleaved(cold_fraction: f64) -> SessionConfig {
-        SessionConfig {
-            reuse: true,
-            cold_fraction,
-        }
-    }
-
-    /// True when the session layer actually changes campaign behaviour.
-    /// Cold-only configs are treated exactly like "no session config".
-    pub fn is_live(&self) -> bool {
-        self.reuse
+        SessionConfig { cold_fraction }
     }
 
     /// Validates the configuration.
@@ -90,19 +68,20 @@ impl SessionConfig {
         Ok(())
     }
 
-    /// Parses a CLI argument: `cold` | `warm` | a cold-fraction float
-    /// (e.g. `0.25` = warm with a 25 % forced-cold interleave).
-    pub fn from_arg(arg: &str) -> Result<SessionConfig, String> {
+    /// Parses a CLI argument: `cold` (no session model: every connection
+    /// cold) | `warm` | a cold-fraction float (e.g. `0.25` = warm with a
+    /// 25 % forced-cold interleave).
+    pub fn from_arg(arg: &str) -> Result<Option<SessionConfig>, String> {
         match arg {
-            "cold" | "cold-only" => Ok(SessionConfig::cold_only()),
-            "warm" => Ok(SessionConfig::warm()),
+            "cold" | "cold-only" => Ok(None),
+            "warm" => Ok(Some(SessionConfig::warm())),
             other => {
                 let f: f64 = other
                     .parse()
                     .map_err(|_| format!("bad session mode '{other}' (cold|warm|FRACTION)"))?;
                 let cfg = SessionConfig::interleaved(f);
                 cfg.validate()?;
-                Ok(cfg)
+                Ok(Some(cfg))
             }
         }
     }
@@ -374,19 +353,15 @@ mod tests {
 
     #[test]
     fn config_modes_and_parsing() {
-        assert!(!SessionConfig::cold_only().is_live());
-        assert!(SessionConfig::warm().is_live());
+        assert_eq!(SessionConfig::from_arg("cold"), Ok(None));
+        assert_eq!(SessionConfig::from_arg("cold-only"), Ok(None));
         assert_eq!(
-            SessionConfig::from_arg("cold").unwrap(),
-            SessionConfig::cold_only()
+            SessionConfig::from_arg("warm"),
+            Ok(Some(SessionConfig::warm()))
         );
         assert_eq!(
-            SessionConfig::from_arg("warm").unwrap(),
-            SessionConfig::warm()
-        );
-        assert_eq!(
-            SessionConfig::from_arg("0.25").unwrap(),
-            SessionConfig::interleaved(0.25)
+            SessionConfig::from_arg("0.25"),
+            Ok(Some(SessionConfig::interleaved(0.25)))
         );
         assert!(SessionConfig::from_arg("hot").is_err());
         assert!(SessionConfig::from_arg("1.5").is_err());

@@ -19,18 +19,19 @@
 //! commits, in shard order. [`ShardedRunner::run`] spawns workers beside
 //! it, [`ShardedRunner::advance`] none.
 //!
-//! The read side has two lanes as well. *Validation* re-checks every
-//! complete shard's files through [`hand_off`]. *Assembly* copies the
-//! shard files' lines into the final campaign JSONL without parsing one:
+//! On the read side, *validation* re-checks every complete shard's files
+//! against the manifest, in shard order. *Assembly* copies the shard
+//! files' lines into the final campaign JSONL without parsing one:
 //! [`CampaignOrder`] over every pair says which pair's probe comes next,
 //! so the next line of that pair's shard file is copied, after a check
 //! that it closes like the record of that slot. A second thread, the cell
-//! lane, installs the cells one cell file at a time — metrics, aggregates,
+//! lane, installs the cells one cell file at a time, each checked against
+//! its manifest entry in the read that installs it — metrics, aggregates,
 //! health and journal events all come from them, and drift is detected
 //! over the health rows where they lie. With a shard pending, validation
-//! runs before the execute phase on two lanes; with none, it is the cell
-//! lane's first job, beside the line copy, so a resumed run that has
-//! nothing left to execute starts that one thread and no other. Memory
+//! runs on the calling thread before the execute phase; with none, it is
+//! the cell lane's first job, beside the line copy, so a resumed run that
+//! has nothing left to execute starts that one thread and no other. Memory
 //! stays O(shards) small read buffers, O(pairs) cells and order entries
 //! and O(resolvers × days) health rows, held once, never O(records).
 //!
@@ -143,8 +144,8 @@ impl ShardedOutcome {
 /// ```
 ///
 /// less the few milliseconds of drift detection and journal assembly.
-/// Validation and assembly each keep a second thread busy, but only the
-/// calling thread's time is a term here: `assemble_cells_s` runs inside
+/// Assembly keeps a second thread busy, but only the calling thread's
+/// time is a term here: `assemble_cells_s` runs inside
 /// `assemble_read_s + assemble_write_s`, not after them. With no shard
 /// pending, validation runs on the cell lane too: `validate_s` is then the
 /// manifest load alone, and `assemble_cells_s` includes validation.
@@ -163,10 +164,9 @@ impl ShardedOutcome {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageLedger {
     /// Manifest decode, plus, when a shard is pending, re-validation of
-    /// every complete shard's data and cell file — wall time of one
-    /// [`hand_off`] with one worker, each lane reading a shard's files
-    /// straight through. With none pending, the manifest decode alone:
-    /// validation is then part of `assemble_cells_s`.
+    /// every complete shard's data and cell file on the calling thread,
+    /// each read straight through. With none pending, the manifest decode
+    /// alone: validation is then part of `assemble_cells_s`.
     pub validate_s: f64,
     /// The execute phase's wall time: from the first worker's spawn to the
     /// last worker's join, after the last shard's commit. Next to nothing
@@ -247,7 +247,7 @@ impl StageLedger {
     }
 }
 
-/// A validation lane's block: each file is read straight through it.
+/// Validation's block: each file is read straight through it.
 const VALIDATE_READ_BYTES: usize = 64 * 1024;
 
 /// Assembly's read buffer per shard. [`CampaignOrder`] interleaves the
@@ -328,6 +328,14 @@ fn pending_shards(manifest: &Manifest) -> Vec<u32> {
         .collect()
 }
 
+/// The shards `manifest` holds complete, lowest index first.
+fn complete_shards(manifest: &Manifest) -> impl Iterator<Item = &ShardCheckpoint> {
+    (manifest.states.iter()).filter_map(|state| match state {
+        ShardState::Complete(c) => Some(c),
+        ShardState::Pending => None,
+    })
+}
+
 /// A stopwatch read as consecutive laps.
 struct Laps {
     watch: Stopwatch,
@@ -387,10 +395,8 @@ pub struct HandOff {
     pub wait_s: f64,
 }
 
-/// The one claim loop: the execute phase over shards, validation over
-/// complete shards ([`ShardedRunner::load_or_init`]'s and
-/// [`ShardedRunner::run`]'s with one worker, the cell lane's with none),
-/// and [`Campaign::generate_over`] over pairs. Identical lanes, one per thread. Up
+/// The one claim loop: the execute phase over shards, and
+/// [`Campaign::generate_over`] over pairs. Identical lanes, one per thread. Up
 /// to `workers` threads are spawned beside the calling thread
 /// (`edns-lane-0`, …; none for fewer than two items, and a worker the OS
 /// will not start is simply absent). Every lane claims the next of
@@ -509,15 +515,12 @@ pub fn hand_off<T, P: Send, E: Send>(
 const FINGERPRINT_TAG: &str = "v3";
 
 /// Every field of a probe configuration, spelled for the fingerprint. The
-/// patterns are exhaustive, so a new field cannot be left out of it.
+/// patterns are exhaustive, so a new field cannot be left out of it. The
+/// literals `1000000000,true,true` spell what every probe fixes (the ICMP
+/// timeout in nanoseconds, DoH over GET, padded queries), so that every
+/// checkpoint directory keeps the fingerprint it was written under.
 fn probe_fingerprint(probe: &ProbeConfig) -> String {
-    let ProbeConfig {
-        protocol,
-        ping_timeout,
-        doh_get,
-        padding,
-        retry,
-    } = probe;
+    let ProbeConfig { protocol, retry } = probe;
     let RetryPolicy {
         tries,
         attempt_timeout,
@@ -526,9 +529,8 @@ fn probe_fingerprint(probe: &ProbeConfig) -> String {
         jitter,
     } = retry;
     format!(
-        "probe={},{},{doh_get},{padding};retry={tries},{:?},{},{},{jitter};",
+        "probe={},1000000000,true,true;retry={tries},{:?},{},{},{jitter};",
         protocol.label(),
-        ping_timeout.as_nanos(),
         attempt_timeout.map(|t| t.as_nanos()),
         backoff_base.as_nanos(),
         backoff_cap.as_nanos(),
@@ -677,12 +679,11 @@ impl<'a> ShardedRunner<'a> {
                 );
             }
         }
-        // A live session model changes connection modes (and with them the
-        // timing of most records), so it fingerprints too. Cold-only is
-        // byte-transparent and hashes like its absence, exactly mirroring
-        // the campaign-layer gate.
-        if let Some(session) = config.session.as_ref().filter(|s| s.is_live()) {
-            let _ = write!(s, "session={},{};", session.reuse, session.cold_fraction);
+        // A session model changes connection modes (and with them the
+        // timing of most records), so it fingerprints too, its `true` kept
+        // for the same reason as the probe's literals.
+        if let Some(session) = &config.session {
+            let _ = write!(s, "session=true,{};", session.cold_fraction);
         }
         // So do the probe configuration and the fault plan. The default
         // probe configuration and a plan without events hash like their
@@ -714,16 +715,16 @@ impl<'a> ShardedRunner<'a> {
     /// otherwise starts a fresh one. A manifest for a different
     /// configuration, a corrupt manifest, or a complete shard with a file
     /// that is missing or fails its checksum is a typed error — never a
-    /// silent restart. The complete shards go through [`hand_off`] with
-    /// one worker; each reads its data file, then its cell file, straight
-    /// through one 64 KiB block on its lane's stack ([`validate_files`]).
-    /// Of several damaged shards the error names the lowest, its data file
-    /// first. [`run`](Self::run) takes the same two steps, the manifest
+    /// silent restart. The complete shards' files are read in shard order
+    /// on the calling thread, each data file and then its cell file
+    /// straight through one 64 KiB block on the stack ([`validate_files`]),
+    /// so of several damaged shards the error names the lowest, its data
+    /// file first. [`run`](Self::run) takes the same two steps, the manifest
     /// and then its files, but with no shard pending it validates on
     /// assembly's cell lane instead, and returns the same error.
     pub fn load_or_init(&self) -> Result<Manifest, CheckpointError> {
         let manifest = self.load_manifest()?;
-        self.validate(&manifest, 1)?;
+        self.validate(&manifest)?;
         Ok(manifest)
     }
 
@@ -759,29 +760,19 @@ impl<'a> ShardedRunner<'a> {
     }
 
     /// [`load_or_init`](Self::load_or_init)'s second step: every complete
-    /// shard of `manifest` re-validated ([`validate_files`]) through
-    /// [`hand_off`] with `workers` beside the calling thread. The error is
-    /// the lowest failing shard's at any worker count.
-    fn validate(&self, manifest: &Manifest, workers: usize) -> Result<(), CheckpointError> {
-        let complete: Vec<&ShardCheckpoint> = (manifest.states.iter())
-            .filter_map(|state| match state {
-                ShardState::Complete(c) => Some(c),
-                ShardState::Pending => None,
+    /// shard of `manifest` re-validated ([`validate_files`]) in shard
+    /// order, its data file before its cell file, stopping at the first
+    /// that fails.
+    fn validate(&self, manifest: &Manifest) -> Result<(), CheckpointError> {
+        let files: Vec<Recorded> = complete_shards(manifest)
+            .flat_map(|c| {
+                [
+                    (self.shard_path(c.shard), c.bytes, c.checksum),
+                    (self.cells_path(c.shard), c.cell_bytes, c.cell_checksum),
+                ]
             })
             .collect();
-        let items: Vec<u32> = (0..complete.len() as u32).collect();
-        let (validated, _) = hand_off(
-            &items,
-            workers,
-            |item| complete[item as usize],
-            |c| {
-                let data = (self.shard_path(c.shard), c.bytes, c.checksum);
-                let cells = (self.cells_path(c.shard), c.cell_bytes, c.cell_checksum);
-                validate_files(&[data, cells])
-            },
-            |()| Ok(()),
-        );
-        validated
+        validate_files(&files)
     }
 
     /// The generate half of a shard: runs its pairs and folds their cells.
@@ -940,13 +931,13 @@ impl<'a> ShardedRunner<'a> {
     /// No worker is spawned for fewer than two pending shards.
     ///
     /// The checkpoint is checked as [`load_or_init`](Self::load_or_init)
-    /// checks it, with the same error. With any shard pending, its files
-    /// are validated before the execute phase (one [`hand_off`] worker), so
-    /// a damaged checkpoint fails before any new work. With none pending,
-    /// assembly's cell lane validates, beside the line copy, and that lane
-    /// is the one thread the run starts: the data files first, then each
-    /// cell file in the one read that installs it, and on any failure the
-    /// checkpoint as `load_or_init` does.
+    /// checks it, with the same error. With any shard pending, the complete
+    /// shards' files are validated on the calling thread before the
+    /// execute phase, so a damaged checkpoint fails before any new work.
+    /// With none pending, assembly's cell lane validates, beside the line
+    /// copy, and that lane is the one thread the run starts: the data files
+    /// first, then each cell file in the one read that installs it, and on
+    /// any failure the checkpoint as `load_or_init` does.
     pub fn run(&self, threads: usize) -> Result<ShardedOutcome, CheckpointError> {
         let mut run = ShardRunMetrics::new();
         run.shards_planned.add(self.shards as u64);
@@ -955,7 +946,7 @@ impl<'a> ShardedRunner<'a> {
         let pending = pending_shards(&manifest);
         let validated = !pending.is_empty();
         if validated {
-            self.validate(&manifest, 1)?;
+            self.validate(&manifest)?;
         }
         let stages = StageLedger {
             validate_s: validate.elapsed_secs(),
@@ -1031,26 +1022,23 @@ impl<'a> ShardedRunner<'a> {
         &self,
         manifest: &Manifest,
     ) -> Result<Result<CampaignFolds, CheckpointError>, CheckpointError> {
-        let data: Vec<Recorded> = (manifest.states.iter())
-            .filter_map(|state| match state {
-                ShardState::Complete(c) => Some((self.shard_path(c.shard), c.bytes, c.checksum)),
-                ShardState::Pending => None,
-            })
+        let data: Vec<Recorded> = complete_shards(manifest)
+            .map(|c| (self.shard_path(c.shard), c.bytes, c.checksum))
             .collect();
-        match validate_files(&data).and_then(|()| self.install_cells(Some(manifest))) {
+        match validate_files(&data).and_then(|()| self.install_cells(manifest)) {
             Ok(folds) => Ok(Ok(folds)),
-            Err(e) => self.validate(manifest, 0).map(|()| Err(e)),
+            Err(e) => self.validate(manifest).map(|()| Err(e)),
         }
     }
 
     /// The cell half of assembly: installs the checkpointed cells, one
-    /// cell file at a time in shard order. With `check`, each file's
-    /// length and checksum must first be the ones its entry there
-    /// records. A cell file must list exactly its shard's pairs, in
-    /// pair-index order, and each pair's cells must pass
+    /// cell file at a time in shard order. Each file's length and checksum
+    /// must first be the ones its entry in `manifest` records, checked in
+    /// the read that installs it. A cell file must list exactly its shard's
+    /// pairs, in pair-index order, and each pair's cells must pass
     /// [`CampaignFolds::install`]'s checks. A file that breaks any of
     /// this, or does not decode, is `ShardData` naming the file.
-    fn install_cells(&self, check: Option<&Manifest>) -> Result<CampaignFolds, CheckpointError> {
+    fn install_cells(&self, manifest: &Manifest) -> Result<CampaignFolds, CheckpointError> {
         let mut folds = CampaignFolds::for_campaign(self.campaign);
         // Each vantage's day span: the most day cells a pair of it holds.
         let vantages = self.campaign.config().vantages();
@@ -1060,7 +1048,7 @@ impl<'a> ShardedRunner<'a> {
         for i in 0..self.shards {
             let path = self.cells_path(i);
             let text = std::fs::read_to_string(&path).map_err(io_err("read", &path))?;
-            if let Some(ShardState::Complete(c)) = check.map(|m| &m.states[i as usize]) {
+            if let ShardState::Complete(c) = &manifest.states[i as usize] {
                 let found = (text.len() as u64, checksum(text.as_bytes()));
                 matches_record(&path, found, (c.cell_bytes, c.cell_checksum))?;
             }
@@ -1224,10 +1212,9 @@ impl<'a> ShardedRunner<'a> {
     /// [installs the checkpointed cells](Self::install_cells) — the same
     /// way whether this process executed the shard or resumed it. With
     /// `validate_first` (a run with no shard pending, whose files nothing
-    /// has checked yet) the cell lane validates the data files, and each
-    /// cell file in the one read that installs it, and on a failure
-    /// reports what [`load_or_init`](Self::load_or_init) would
-    /// ([`validate_and_install`](Self::validate_and_install)). The campaign file
+    /// has checked yet) the cell lane validates the data files first, and
+    /// on a failure reports what [`load_or_init`](Self::load_or_init)
+    /// would ([`validate_and_install`](Self::validate_and_install)). The campaign file
     /// takes its name only once all of this has succeeded. Of several
     /// failures, validation's error is the one returned, then the line
     /// copy's, then the cell lane's. Memory: an 8 KiB read buffer per shard
@@ -1276,7 +1263,7 @@ impl<'a> ShardedRunner<'a> {
                     let folds = if validate_first {
                         self.validate_and_install(manifest)
                     } else {
-                        Ok(self.install_cells(None))
+                        Ok(self.install_cells(manifest))
                     };
                     (folds, lane.elapsed_secs())
                 })

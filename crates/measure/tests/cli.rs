@@ -55,6 +55,13 @@ fn campaign_shards_resumes_refuses_and_reports() {
     let said = text(&run.stdout);
     assert!(said.contains("shards_executed    0"), "{said}");
     assert!(said.contains("shards_resumed     4"), "{said}");
+    // `--session cold` is no session model: the same campaign, so every
+    // shard resumes into the same bytes.
+    let cold = [&quick[..], &["s.jsonl"], &sharded, &["--session", "cold"]].concat();
+    let run = edns_measure(&cold, &dir);
+    assert!(run.status.success(), "{}", text(&run.stderr));
+    assert!(text(&run.stdout).contains("shards_resumed     4"));
+    assert!(a == std::fs::read_to_string(dir.join("s.jsonl")).unwrap());
     let faulted = [&quick[..], &["c.jsonl"], &sharded, &["--faults", "default"]].concat();
     let run = edns_measure(&faulted, &dir);
     assert!(!run.status.success(), "{}", text(&run.stdout));
@@ -182,6 +189,29 @@ fn observe_writes_the_recorder_and_unknown_flags_are_refused() {
         assert!(said.starts_with("error: "), "{said}");
         assert!(said.contains(flag) && said.contains(why), "{said}");
         assert!(!dir.join("refused.jsonl").exists(), "{tail:?}");
+    }
+    // (c) A zero count fails naming its flag before a checkpoint directory
+    // is made or a probe runs.
+    for (line, flag) in [
+        (
+            vec!["campaign", "--days", "0", "--checkpoint-dir", "Z"],
+            "--days",
+        ),
+        (
+            vec!["campaign", "--shards", "0", "--checkpoint-dir", "Z"],
+            "--shards",
+        ),
+        (vec!["probe", "dns.google", "--count", "0"], "--count"),
+    ] {
+        let run = edns_measure(&line, &dir);
+        assert!(!run.status.success(), "{line:?}");
+        let said = text(&run.stderr);
+        assert!(
+            said.contains(&format!("{flag} must be at least 1")),
+            "{said}"
+        );
+        assert!(text(&run.stdout).is_empty(), "{line:?}");
+        assert!(!dir.join("Z").exists(), "{line:?}");
     }
     let run = edns_measure(&["report", "o.jsonl", "--verbose"], &dir);
     assert!(!run.status.success());

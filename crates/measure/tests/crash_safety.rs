@@ -5,8 +5,8 @@
 //! aggregate cells, and checkpoints from a different campaign
 //! configuration. Every rejection
 //! is a typed [`CheckpointError`] — the same one on every call, though
-//! validation and assembly each run on two threads, and the same from
-//! `run` as from `load_or_init` when `run` validates beside the line copy
+//! assembly runs on two threads, and the same from `run` as from
+//! `load_or_init` when `run` validates beside the line copy
 //! — and a rejected assembly leaves no `campaign.jsonl` and no tmp. A kill at any point of a shard's
 //! commit order (data file → cell file → manifest), and a write that
 //! fails on any lane, must resume to the one-shot output; a failed write
@@ -339,10 +339,8 @@ fn a_cell_file_that_fails_its_content_checks_leaves_no_campaign_file() {
 
 #[test]
 fn two_damaged_shards_on_different_lanes_name_the_lower_index_every_time() {
-    // Validation claims the complete shards on two lanes, the calling
-    // thread and one worker; whichever lane finishes first, the error is
-    // the one a walk in index order meets first: lowest shard, data file
-    // before cell file.
+    // Whichever shard's files are damaged, the error is the one a walk in
+    // index order meets first: lowest shard, data file before cell file.
     let c = campaign(CampaignConfig::quick(3, 2));
     for (damaged, named) in [
         ([(1, "cells"), (2, "jsonl")], "shard-0001.cells"),
@@ -365,9 +363,9 @@ fn two_damaged_shards_on_different_lanes_name_the_lower_index_every_time() {
 
 #[test]
 fn two_damaged_shards_on_one_lane_name_the_lower_index_every_time() {
-    // Eight shards, two damaged files either on one lane or on both, and
-    // at 20 rounds a data file spans several 64 KB reads. The error is the
-    // one a walk in index order meets first.
+    // Eight shards, two damaged files in one shard or in two, and at 20
+    // rounds a data file spans several 64 KB reads. The error is the one a
+    // walk in index order meets first.
     let c = campaign(CampaignConfig::quick(3, 20));
     for (damaged, named) in [
         ([(2, "cells"), (6, "jsonl")], "shard-0002.cells"),
@@ -392,9 +390,9 @@ fn two_damaged_shards_on_one_lane_name_the_lower_index_every_time() {
 
 #[test]
 fn a_slow_lower_failure_is_named_over_a_fast_higher_one() {
-    // Shard 0's lane reads both its files through before meeting the
-    // flipped cell file; the lane that claims shard 1 fails at once on its
-    // missing data file. The lower shard is still the one named.
+    // Shard 0's files are read through before the flipped cell file shows;
+    // shard 1 would fail at once on its missing data file. The lower shard
+    // is still the one named.
     let c = campaign(CampaignConfig::quick(3, 400));
     let (runner, dir) = complete_run(&c);
     flip_a_byte(&dir.join("shard-0000.cells"));

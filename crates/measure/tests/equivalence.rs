@@ -12,8 +12,8 @@
 //! (row, seed)'s `run()` is pinned by its line in
 //! `golden/equivalence_anchors.txt`, so the engines agree on a fixed point.
 //!
-//! Beside the table: every wire (the five protocols, DoH POST and
-//! unpadded) on the composed row's reference column, a proptest over
+//! Beside the table: every wire (the five protocols) on the composed
+//! row's reference column, a proptest over
 //! seeds and features driving the in-memory columns, every pair's records
 //! filling its vantage's slots, and one complete directory resumed 100
 //! times to one outcome.
@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 use measure::{
     metrics_of, Campaign, CampaignAggregates, CampaignFolds, CampaignResult, CheckpointError,
-    DriftConfig, DriftFinding, HealthSeries, LoadModel, Protocol, SessionConfig, ShardedOutcome,
+    DriftConfig, DriftFinding, HealthSeries, LoadModel, SessionConfig, ShardedOutcome,
     ShardedRunner,
 };
 use obs::MetricsSnapshot;
@@ -283,18 +283,11 @@ fn every_pair_fills_its_vantage_slots_in_order() {
 
 #[test]
 fn the_composed_row_matches_its_reference_on_every_wire() {
-    // Each protocol's default wire; then DoH's POST (the query in the
-    // body) and unpadded wires, which the templates cache differently.
-    let defaults = PROTOCOLS.map(|protocol| (protocol, true, true));
-    let doh = [(false, true), (true, false), (false, false)];
-    let doh = doh.map(|(get, padding)| (Protocol::DoH, get, padding));
-    for (protocol, doh_get, padding) in defaults.into_iter().chain(doh) {
+    for protocol in PROTOCOLS {
         let mut config = (ROWS[4].config)(SEEDS[0]);
         config.probe.protocol = protocol;
-        config.probe.doh_get = doh_get;
-        config.probe.padding = padding;
         let c = campaign(config, false);
-        let what = format!("composed, {protocol:?}, doh_get={doh_get}, padding={padding}");
+        let what = format!("composed, {protocol:?}");
         Outcome::of(&c, &c.run()).assert_same(&Outcome::of(&c, &c.run_reference()), &what);
     }
 }
@@ -308,14 +301,10 @@ proptest! {
         protocol in 0usize..PROTOCOLS.len(),
         faulted in any::<bool>(),
         retry in 0usize..3,
-        doh_get in any::<bool>(),
-        padding in any::<bool>(),
         load in 0usize..3,
         session in 0usize..4,
     ) {
         let mut config = quick(seed, PROTOCOLS[protocol], faulted, retry);
-        config.probe.doh_get = doh_get;
-        config.probe.padding = padding;
         let load = [0.0, 2.0, 8.0][load];
         if load > 0.0 {
             config = config.with_load(LoadModel::standard(seed).with_multiplier(load));
@@ -336,10 +325,9 @@ proptest! {
 
 #[test]
 fn a_complete_directory_resumes_to_the_same_outcome_every_time() {
-    // Validation re-checks the directory on two threads and assembly
-    // installs the cells on a second while the first merges the data
-    // files: whichever lane gets ahead, a resumed run is a function of
-    // the directory.
+    // Assembly validates the directory and installs the cells on a second
+    // thread while the first merges the data files: whichever lane gets
+    // ahead, a resumed run is a function of the directory.
     let c = ROWS[4].campaign(SEEDS[0]);
     let expected = Outcome::of(&c, &c.run());
     let dir = Scratch::new();

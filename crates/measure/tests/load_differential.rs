@@ -6,15 +6,14 @@
 //! This is the invariant that lets the load subsystem ride along without
 //! invalidating any seed golden: a zero model never builds pair load
 //! state, so the driver routes every attempt statically. A live model, by
-//! contrast, MUST change output (otherwise the sweep measures nothing),
-//! and a cold-only session config leaves a loaded campaign as it is. That
-//! a loaded campaign writes the same bytes in every engine, the
+//! contrast, MUST change output (otherwise the sweep measures nothing).
+//! That a loaded campaign writes the same bytes in every engine, the
 //! fresh-wire reference included, is the equivalence matrix's
 //! (`equivalence.rs`).
 
 mod support;
 
-use measure::{CampaignConfig, LoadModel, Protocol, SessionConfig};
+use measure::{CampaignConfig, LoadModel, Protocol};
 use proptest::prelude::*;
 
 use support::{campaign, quick, PROTOCOLS};
@@ -63,22 +62,6 @@ fn live_load_changes_output() {
         campaign(loaded, false).run().records,
         "a saturating load model must change campaign output"
     );
-}
-
-#[test]
-fn cold_only_sessions_under_live_load_are_load_alone() {
-    for protocol in PROTOCOLS {
-        let base =
-            quick(23, protocol, true, 1).with_load(LoadModel::standard(23).with_multiplier(2.0));
-        let alone = campaign(base.clone(), false).run().to_json_lines();
-        let cold = base.with_session(SessionConfig::cold_only());
-        let cold = campaign(cold, false).run().to_json_lines();
-        assert_eq!(
-            alone, cold,
-            "a cold-only session config changed a loaded campaign: {protocol:?}"
-        );
-        assert!(!cold.contains("\"conn_mode\""));
-    }
 }
 
 proptest! {

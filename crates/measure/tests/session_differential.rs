@@ -1,13 +1,6 @@
 //! The session layer's safety net, in four parts.
 //!
-//! **Cold-only transparency** — a campaign configured with
-//! `SessionConfig::cold_only()` (or no session config at all) must produce
-//! **byte-identical** records to the legacy fresh-connection path, across
-//! seeds, protocols, fault plans and retry policies — and must keep
-//! reproducing the seed-4 golden fixture. This is the contract that lets
-//! the session subsystem ship inside the measuring tool without perturbing
-//! the paper's cold-start methodology. A zero load model under live
-//! sessions changes nothing either.
+//! **Zero load** — a zero load model under live sessions changes nothing.
 //!
 //! **Replay and checkpoints** — session state is a pure function of
 //! `(seed, simulated time, outcome sequence)`, pinned by a twin-replay
@@ -36,7 +29,7 @@ use netsim::faults::{FaultKind, FaultPlan, FaultScope};
 use netsim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-use support::{campaign, golden_campaign, quick, Scratch, PROTOCOLS};
+use support::{campaign, quick, Scratch, PROTOCOLS};
 
 /// One healthy resolver.
 fn google() -> Vec<catalog::ResolverEntry> {
@@ -44,51 +37,8 @@ fn google() -> Vec<catalog::ResolverEntry> {
 }
 
 // ---------------------------------------------------------------------------
-// Part 1: cold-only is byte-transparent.
+// Part 1: a zero load model is transparent under live sessions.
 // ---------------------------------------------------------------------------
-
-fn assert_cold_only_transparent(seed: u64, protocol: Protocol, faulted: bool, retry_idx: usize) {
-    let context =
-        format!("seed={seed}, protocol={protocol:?}, faulted={faulted}, retry={retry_idx}");
-    let legacy = quick(seed, protocol, faulted, retry_idx);
-    let cold = legacy.clone().with_session(SessionConfig::cold_only());
-    let legacy_run = campaign(legacy, false).run();
-    let cold_run = campaign(cold, false).run();
-    assert_eq!(
-        legacy_run.records, cold_run.records,
-        "cold-only records diverged from legacy: {context}"
-    );
-    assert_eq!(
-        legacy_run.to_json_lines(),
-        cold_run.to_json_lines(),
-        "cold-only JSONL bytes diverged from legacy: {context}"
-    );
-    assert!(
-        cold_run.records.iter().all(|r| r.conn_mode.is_none()),
-        "cold-only records must not carry a connection mode: {context}"
-    );
-}
-
-#[test]
-fn cold_only_is_byte_identical_to_legacy_for_every_protocol() {
-    for protocol in PROTOCOLS {
-        assert_cold_only_transparent(23, protocol, true, 1);
-    }
-}
-
-#[test]
-fn cold_only_reproduces_the_seed_goldens() {
-    // The golden fixture was written before the session subsystem existed;
-    // a cold-only campaign must keep reproducing it byte for byte.
-    let golden = include_str!("golden/campaign_seed4.jsonl");
-    let config = CampaignConfig::quick(4, 3).with_session(SessionConfig::cold_only());
-    let c = golden_campaign(config);
-    assert_eq!(
-        c.run().to_json_lines(),
-        golden,
-        "cold-only campaign drifted from the pre-session golden fixture"
-    );
-}
 
 #[test]
 fn zero_load_under_live_sessions_is_sessions_alone() {
@@ -101,20 +51,6 @@ fn zero_load_under_live_sessions_is_sessions_alone() {
             zeroed.to_json_lines(),
             "a zero load model changed a live-session campaign: {protocol:?}"
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn cold_only_matches_legacy(
-        seed in any::<u64>(),
-        proto_idx in 0usize..PROTOCOLS.len(),
-        faulted in any::<bool>(),
-        retry_idx in 0usize..3,
-    ) {
-        assert_cold_only_transparent(seed, PROTOCOLS[proto_idx], faulted, retry_idx);
     }
 }
 
@@ -167,20 +103,11 @@ proptest! {
 #[test]
 fn session_config_is_part_of_the_checkpoint_fingerprint() {
     let legacy = CampaignConfig::quick(11, 2);
-    let cold = campaign(
-        legacy.clone().with_session(SessionConfig::cold_only()),
-        false,
-    );
     let warm = campaign(legacy.clone().with_session(SessionConfig::warm()), false);
     let legacy = campaign(legacy, false);
     let dir = Scratch::new();
-    let f_cold = ShardedRunner::new(&cold, 2, &dir).unwrap().fingerprint();
     let f_legacy = ShardedRunner::new(&legacy, 2, &dir).unwrap().fingerprint();
     let f_warm = ShardedRunner::new(&warm, 2, &dir).unwrap().fingerprint();
-    assert_eq!(
-        f_cold, f_legacy,
-        "cold-only must hash like the absence of a session config"
-    );
     assert_ne!(
         f_warm, f_legacy,
         "a live session model must change the checkpoint fingerprint"

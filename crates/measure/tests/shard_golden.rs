@@ -15,7 +15,7 @@
 
 mod support;
 
-use measure::{CampaignConfig, ShardedRunner};
+use measure::{CampaignConfig, Protocol, RetryPolicy, ShardedRunner};
 
 use support::{golden_campaign, Scratch};
 
@@ -57,4 +57,48 @@ fn shard_metrics_match_golden_render() {
         include_str!("golden/campaign_seed4.metrics.txt"),
         "sharded metrics snapshot drifted from the one-shot golden fixture"
     );
+}
+
+/// `ShardedRunner::fingerprint` of configs away from the default probe
+/// configuration and with a live session model, whose fields the golden
+/// manifest (default probe, no session) never hashes. A checkpoint written
+/// by any earlier build for these configs must still be this campaign's.
+#[test]
+fn fingerprints_of_non_default_probe_and_session_configs_are_pinned() {
+    let composed = support::ROWS.iter().find(|r| r.name == "composed").unwrap();
+    let mut dot = CampaignConfig::quick(4, 3);
+    dot.probe.protocol = Protocol::DoT;
+    dot.probe.retry = RetryPolicy::dig_defaults();
+    let pins = [
+        (
+            "composed, seed 11",
+            composed.campaign(11),
+            4,
+            0x19df3f2ed9e3c9c0_u64,
+        ),
+        (
+            "composed, seed 97",
+            composed.campaign(97),
+            4,
+            0x6b0eac7ce787a92c,
+        ),
+        (
+            "quick(4, 3) over DoT, dig retries",
+            golden_campaign(dot),
+            5,
+            0x8acc8c033464a774,
+        ),
+    ];
+    let got: Vec<String> = pins
+        .iter()
+        .map(|(what, c, shards, _)| {
+            let dir = Scratch::new();
+            let fingerprint = ShardedRunner::new(c, *shards, &dir).unwrap().fingerprint();
+            format!("{what}: {fingerprint:016x}")
+        })
+        .collect();
+    let want: Vec<String> = (pins.iter())
+        .map(|(what, _, _, pin)| format!("{what}: {pin:016x}"))
+        .collect();
+    assert_eq!(got, want);
 }

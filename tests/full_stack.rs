@@ -121,53 +121,6 @@ fn a_full_doh_transaction_end_to_end() {
 }
 
 #[test]
-fn doh_get_and_post_produce_equivalent_answers() {
-    use edns_bench::dns_wire::Name;
-    use edns_bench::measure::{ProbeConfig, ProbeRequest, ProbeTarget, Prober, Protocol, SpanLog};
-
-    let prober = Prober::new();
-    let client = Host::in_city(
-        HostId(0),
-        "client",
-        cities::FRANKFURT,
-        AccessProfile::cloud_vm(),
-    );
-    let domain = Name::parse("wikipedia.com").unwrap();
-    for doh_get in [true, false] {
-        let mut target =
-            ProbeTarget::from_entry(edns_bench::catalog::resolvers::find("dns.google").unwrap());
-        let mut rng = SimRng::from_seed(5);
-        let cfg = ProbeConfig {
-            protocol: Protocol::DoH,
-            doh_get,
-            ..ProbeConfig::default()
-        };
-        let mut ok = 0;
-        for i in 0..10 {
-            let outcome = prober
-                .probe(
-                    &ProbeRequest {
-                        cfg,
-                        ..ProbeRequest::new(
-                            &client,
-                            &domain,
-                            edns_bench::netsim::SimTime::from_nanos(i * 7_200_000_000_000),
-                        )
-                    },
-                    &mut target,
-                    &mut rng,
-                    &mut SpanLog::disabled(),
-                )
-                .outcome;
-            if outcome.is_success() {
-                ok += 1;
-            }
-        }
-        assert!(ok >= 9, "doh_get={doh_get}: {ok}/10");
-    }
-}
-
-#[test]
 fn stamps_for_the_whole_population_round_trip_through_the_list_format() {
     let population = edns_bench::catalog::resolvers::all();
     let doc = edns_bench::catalog::list_parser::render(&population);
