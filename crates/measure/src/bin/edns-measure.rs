@@ -7,13 +7,15 @@
 //! edns-measure report results.jsonl
 //! ```
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 
 use dns_wire::Name;
+use edns_stats::P2Quantile;
 use measure::{
-    Campaign, CampaignConfig, ProbeConfig, ProbeOutcome, ProbeRecord, ProbeReport, ProbeRequest,
-    ProbeTarget, Prober, Protocol, RetryPolicy, Scale,
+    Campaign, CampaignConfig, Label, ProbeConfig, ProbeOutcome, ProbeRecord, ProbeReport,
+    ProbeRequest, ProbeTarget, Prober, Protocol, RetryPolicy, Scale,
 };
 use netsim::faults::FaultPlan;
 use netsim::{SimDuration, SimTime};
@@ -117,8 +119,9 @@ LOAD FLAGS (campaign only):
   --load MULT       attach the standard client-population load model at
                     the given multiplier: resolvers see queueing delay and
                     overload shedding proportional to the simulated client
-                    demand their sites attract. MULT 0 is byte-identical
-                    to omitting the flag. See the load_sweep bench for
+                    demand their sites attract. MULT is positive and
+                    finite, or 0 for no model: the same campaign as
+                    omitting the flag. See the load_sweep bench for
                     whole-ladder throughput/latency curves.
 
 SESSION FLAGS (campaign only):
@@ -415,8 +418,12 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     }
     if let Some(v) = flag_value(args, "--load") {
         let multiplier: f64 = v.parse().map_err(|_| "bad --load")?;
-        config = config.with_load(measure::LoadModel::standard(seed).with_multiplier(multiplier));
-        config.validate()?;
+        // 0 is no model, as `--session cold` is no session model.
+        if multiplier != 0.0 {
+            let load = measure::LoadModel::standard(seed).with_multiplier(multiplier);
+            load.validate().map_err(|e| format!("--load {v}: {e}"))?;
+            config = config.with_load(load);
+        }
     }
     if let Some(v) = flag_value(args, "--session") {
         config.session = measure::SessionConfig::from_arg(v)?;
@@ -576,8 +583,10 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
 
     // One streaming pass, a line in memory at a time: per-resolver
-    // availability + per-cell medians + retry-layer outcomes.
-    let mut summary = measure::StreamingSummary::new();
+    // availability + per-(vantage, resolver) streaming medians of the
+    // successes + retry-layer outcomes. Every record makes its cell, so a
+    // vantage with only failures still gets its header below.
+    let mut medians: BTreeMap<(Label, Label), P2Quantile> = BTreeMap::new();
     let mut ledger = edns_stats::AvailabilityLedger::new();
     let (mut n, mut successes) = (0u64, 0u64);
     let mut recovered = 0u64;
@@ -590,9 +599,11 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         }
         let r = &line.parse::<ProbeRecord>().map_err(|e| at(&e))?;
         n += 1;
-        summary.observe(r);
+        let median = (medians.entry((r.vantage_id(), r.resolver_id())))
+            .or_insert_with(|| P2Quantile::new(0.5));
         match &r.outcome {
-            ProbeOutcome::Success { .. } => {
+            ProbeOutcome::Success { timings, .. } => {
+                median.observe(timings.total().as_millis_f64());
                 successes += 1;
                 ledger.success(r.resolver());
             }
@@ -626,12 +637,11 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     }
 
     // Fastest resolvers per vantage, from the streaming medians.
-    let vantages: std::collections::BTreeSet<&str> = summary.iter().map(|(v, _, _)| v).collect();
+    let vantages: BTreeSet<Label> = medians.keys().map(|&(v, _)| v).collect();
     for vantage in vantages {
-        let mut rows: Vec<(&str, f64)> = summary
-            .iter()
-            .filter(|(v, _, _)| *v == vantage)
-            .filter_map(|(_, r, cell)| Some((r, cell.median.estimate()?)))
+        let mut rows: Vec<(&str, f64)> = (medians.iter())
+            .filter(|((v, _), _)| *v == vantage)
+            .filter_map(|((_, r), median)| Some((r.as_str(), median.estimate()?)))
             .collect();
         rows.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN"));
         out!("\nfastest from {vantage} (streaming medians):");

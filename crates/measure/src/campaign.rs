@@ -781,11 +781,11 @@ impl Campaign {
             )
         });
         let client = vantage.host(0);
-        // A zero (or absent) load model and an absent session model build
-        // no per-pair state at all: the driver then routes statically and
+        // An absent load model and an absent session model build no
+        // per-pair state at all: the driver then routes statically and
         // starts every connection cold, and records carry no connection
         // mode — byte for byte the seed goldens.
-        let load = self.config.load.as_ref().filter(|m| !m.is_zero());
+        let load = self.config.load.as_ref();
         let mut pair_load = load.map(|m| PairLoad::build(m, vantage, &target));
         let session_cfg = self.config.session.as_ref();
         let mut session = session_cfg.map(|_| {
@@ -920,6 +920,54 @@ mod tests {
         .map(|h| catalog::resolvers::find(h).unwrap())
         .collect();
         Campaign::with_resolvers(CampaignConfig::quick(seed, 3), entries)
+    }
+
+    #[test]
+    fn try_new_refuses_a_retry_policy_or_fault_plan_it_cannot_run() {
+        use crate::retry::RetryPolicy;
+        use netsim::faults::{FaultKind, FaultPlan, FaultScope};
+        use netsim::{SimDuration, SimTime};
+
+        let hours = |h| SimTime::ZERO + SimDuration::from_hours(h);
+        let google = FaultScope::Resolver("dns.google".into());
+        let outage =
+            FaultPlan::with_seed(1).event(FaultKind::SiteOutage, google, hours(0), hours(48));
+        let brownout = FaultKind::Brownout {
+            slowdown: 0.5,
+            servfail_rate: 0.0,
+        };
+        let brownout =
+            FaultPlan::with_seed(1).event(brownout, FaultScope::Global, hours(0), hours(1));
+        let dig = RetryPolicy::dig_defaults();
+        for (retry, faults, error) in [
+            (
+                RetryPolicy { tries: 9, ..dig },
+                &outage,
+                "retry policy: tries must be <= 8",
+            ),
+            (
+                RetryPolicy { tries: 0, ..dig },
+                &outage,
+                "retry policy: tries must be >= 1",
+            ),
+            (
+                RetryPolicy { jitter: 2.0, ..dig },
+                &FaultPlan::EMPTY,
+                "retry policy: jitter",
+            ),
+            (
+                dig,
+                &brownout,
+                "fault plan: fault event 0: rate out of range",
+            ),
+        ] {
+            let mut config = CampaignConfig::quick(9, 2);
+            config.domains.truncate(1);
+            config.probe.retry = retry;
+            config.faults = faults.clone();
+            let refused = Campaign::try_new(config).unwrap_err();
+            assert!(refused.starts_with(error), "{refused}");
+        }
     }
 
     #[test]

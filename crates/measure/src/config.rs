@@ -66,9 +66,9 @@ pub struct CampaignConfig {
     /// byte-identical to a faultless build.
     pub faults: FaultPlan,
     /// Optional client-population load model. `None` (the default in every
-    /// constructor) — or a model whose [`LoadModel::is_zero`] is true —
-    /// keeps campaign output byte-identical to an unloaded build; the
-    /// `load_differential` test pins this against the seed goldens.
+    /// constructor) is no load: campaign output is byte-identical to an
+    /// unloaded build, as the seed goldens pin. A model is live whenever
+    /// it is present; its multiplier is positive and finite.
     pub load: Option<LoadModel>,
     /// Optional connection-reuse / session-resumption model. `None` (the
     /// default in every constructor) opens every connection cold, as the
@@ -241,8 +241,9 @@ impl CampaignConfig {
 
     /// Validates the configuration up front, so malformed input surfaces
     /// as one clear error at campaign construction instead of a panic deep
-    /// inside a probe loop. Checks that every domain parses as a DNS name
-    /// and that at least one domain and span are present.
+    /// inside a probe loop. Checks that every domain parses as a DNS name,
+    /// that at least one domain and span are present, and the retry
+    /// policy, fault plan, load model and session model.
     pub fn validate(&self) -> Result<(), String> {
         if self.domains.is_empty() {
             return Err("campaign config has no domains".to_string());
@@ -255,6 +256,10 @@ impl CampaignConfig {
         if self.spans.is_empty() {
             return Err("campaign config has no measurement spans".to_string());
         }
+        self.probe.retry.validate()?;
+        self.faults
+            .validate()
+            .map_err(|e| format!("fault plan: {e}"))?;
         if let Some(load) = &self.load {
             load.validate().map_err(|e| format!("load model: {e}"))?;
         }

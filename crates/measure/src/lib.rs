@@ -40,7 +40,6 @@ pub mod results;
 pub mod retry;
 pub mod session;
 pub mod shard;
-pub mod summary;
 pub mod vantage;
 
 /// The label interner the measurement stack's hot path is built on
@@ -60,11 +59,10 @@ pub use health::{
     day_of, detect_drift, DriftConfig, DriftFinding, DriftKind, HealthCell, HealthRow,
     HealthSeries, NANOS_PER_DAY,
 };
-pub use population::{representative_client, LoadModel, RegionDemand};
+pub use population::LoadModel;
 pub use probe::{ProbeConfig, ProbeReport, ProbeRequest, ProbeTarget, Prober};
 pub use results::{ConnectionMode, ProbeOutcome, ProbeRecord, ProbeTimings, Protocol};
 pub use retry::{RetryInfo, RetryPolicy};
 pub use session::{SessionConfig, SessionState};
 pub use shard::{ShardedOutcome, ShardedRunner};
-pub use summary::{CellStats, StreamingSummary};
 pub use vantage::{Vantage, VantageKind};

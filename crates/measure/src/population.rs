@@ -3,11 +3,13 @@
 //!
 //! The paper probes *idle* resolvers, so response time is load-independent
 //! and the anycast-vs-single-site finding is purely a distance story. This
-//! module turns it into a **capacity** story. A [`LoadModel`] describes
-//! per-region client populations with open-loop diurnal arrival processes;
-//! for any resolver it converts — purely, with no per-request event
-//! simulation — into a per-(site, simulated-day, time-of-day) offered-load
-//! rate:
+//! module turns it into a **capacity** story. The standard population is a
+//! set of constants: three regional client populations ([`REGIONS`]) with
+//! open-loop diurnal arrival processes, the two class shares, the spill
+//! threshold and the day jitter. A [`LoadModel`] is a seed and a
+//! multiplier over it; for any resolver it converts — purely, with no
+//! per-request event simulation — into a per-(site, simulated-day,
+//! time-of-day) offered-load rate:
 //!
 //! 1. each [`RegionDemand`] contributes `clients × queries_per_client_day /
 //!    86 400` queries per second, modulated by a cosine diurnal cycle
@@ -23,11 +25,9 @@
 //!
 //! Determinism: everything is a pure function of `(model, resolver, now)`
 //! — seeded hashes, no wall clock, no RNG streams — so loaded campaigns
-//! stay byte-identical across thread counts, and a [`LoadModel::zero`] (or
-//! absent) model is byte-transparent: offered rates are exactly `0.0`,
-//! queueing delay is exactly `0.0`, no probe RNG draw moves. The
-//! `load_differential` test pins that transparency against the seed
-//! goldens.
+//! stay byte-identical across thread counts. No model
+//! (`CampaignConfig::load` is `None`) is no load: the campaign builds no
+//! load state and routes every attempt statically.
 //!
 //! The open-loop simplification: offered rates are computed from
 //! *unloaded* routing, so traffic that spills from a saturated site does
@@ -37,7 +37,7 @@
 use catalog::ResolverEntry;
 use detlint_macros::rng_neutral;
 use netsim::faults::{hash_decision, FaultTarget};
-use netsim::geo::{cities, Region};
+use netsim::geo::{cities, City};
 use netsim::math;
 use netsim::rng::{derive_seed, splitmix64};
 use netsim::{AccessProfile, Host, HostId, Path, SimTime};
@@ -47,26 +47,27 @@ use crate::probe::ProbeTarget;
 use crate::vantage::Vantage;
 
 /// One region's client population and its open-loop arrival process.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegionDemand {
-    /// Which region the clients live in.
-    pub region: Region,
+#[derive(Debug)]
+struct RegionDemand {
+    /// The region's major population centre, where its representative
+    /// client sits.
+    city: City,
     /// Number of encrypted-DNS clients.
-    pub clients: f64,
+    clients: f64,
     /// Mean queries per client per simulated day.
-    pub queries_per_client_day: f64,
+    queries_per_client_day: f64,
     /// Diurnal amplitude in `[0, 1]`: the arrival rate swings between
     /// `base × (1 ± amplitude)` across the day.
-    pub diurnal_amplitude: f64,
+    diurnal_amplitude: f64,
     /// Hour of the simulated day (UTC) the region's demand peaks.
-    pub peak_hour: f64,
+    peak_hour: f64,
 }
 
 impl RegionDemand {
     /// The region's aggregate demand at `now`, queries per second — the
     /// base rate under the diurnal cycle. Pure and wall-clock-free.
     #[rng_neutral]
-    pub fn qps_at(&self, now: SimTime) -> f64 {
+    fn qps_at(&self, now: SimTime) -> f64 {
         let base = self.clients * self.queries_per_client_day / 86_400.0;
         let hour = (now.as_secs() % 86_400) as f64 / 3_600.0;
         let phase = (hour - self.peak_hour) / 24.0 * std::f64::consts::TAU;
@@ -74,83 +75,69 @@ impl RegionDemand {
     }
 }
 
-/// A deterministic client-population load model for a whole campaign.
+/// The standard stylized population: three measured regions with
+/// evening-peaked diurnal cycles. Calibrated so that at multiplier `1.0`
+/// a single-site `hobbyist` profile runs around half its capacity (its
+/// queueing delay is already visible and the diurnal peak pushes it
+/// toward the admission cap), while `production` anycast sites sit below
+/// 0.1 % utilization — the paper's anycast-absorbs /
+/// single-site-collapses contrast as a capacity story. Doubling the
+/// multiplier tips hobbyist sites into shedding.
+const REGIONS: [RegionDemand; 3] = [
+    RegionDemand {
+        city: cities::CHICAGO,
+        clients: 4.0e6,
+        queries_per_client_day: 250.0,
+        diurnal_amplitude: 0.35,
+        peak_hour: 24.0, // evening in NA as UTC
+    },
+    RegionDemand {
+        city: cities::FRANKFURT,
+        clients: 6.0e6,
+        queries_per_client_day: 250.0,
+        diurnal_amplitude: 0.35,
+        peak_hour: 19.0,
+    },
+    RegionDemand {
+        city: cities::SEOUL,
+        clients: 5.0e6,
+        queries_per_client_day: 250.0,
+        diurnal_amplitude: 0.35,
+        peak_hour: 13.0,
+    },
+];
+
+/// Share of a region's demand attracted by one mainstream resolver.
+const MAINSTREAM_SHARE: f64 = 0.15;
+
+/// Share attracted by one non-mainstream resolver.
+const NICHE_SHARE: f64 = 0.004;
+
+/// Utilization threshold for load-sensitive anycast selection: a client
+/// spills past its nearest site once that site's utilization reaches this
+/// value.
+const SPILL_UTILIZATION: f64 = 0.8;
+
+/// Day-to-day demand jitter amplitude (seeded hash per simulated day).
+const DAY_JITTER: f64 = 0.1;
+
+/// A deterministic client-population load model for a whole campaign:
+/// the standard population ([`REGIONS`]) scaled by `multiplier`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadModel {
     /// Seed for the model's hash-based decisions (per-resolver share
     /// jitter, per-day jitter, shed trials). Independent of probe RNG.
     pub seed: u64,
-    /// Global scale knob — the sweep axis. `0.0` disables the model.
+    /// Global scale knob — the sweep axis. Positive and finite.
     pub multiplier: f64,
-    /// The client populations.
-    pub regions: Vec<RegionDemand>,
-    /// Share of a region's demand attracted by one mainstream resolver.
-    pub mainstream_share: f64,
-    /// Share attracted by one non-mainstream resolver.
-    pub niche_share: f64,
-    /// Utilization threshold for load-sensitive anycast selection: a
-    /// client spills past its nearest site once that site's utilization
-    /// reaches this value.
-    pub spill_utilization: f64,
-    /// Day-to-day demand jitter amplitude in `[0, 1)` (seeded hash per
-    /// simulated day).
-    pub day_jitter: f64,
 }
 
 impl LoadModel {
-    /// The zero model: no clients, offered rates exactly `0.0` everywhere
-    /// — byte-transparent to campaigns (tested against the seed goldens).
-    pub fn zero() -> Self {
-        LoadModel {
-            seed: 0,
-            multiplier: 0.0,
-            regions: Vec::new(),
-            mainstream_share: 0.0,
-            niche_share: 0.0,
-            spill_utilization: 0.8,
-            day_jitter: 0.0,
-        }
-    }
-
-    /// The standard stylized population: three measured regions with
-    /// evening-peaked diurnal cycles. Calibrated so that at `multiplier
-    /// 1.0` a single-site `hobbyist` profile runs around half its
-    /// capacity (its queueing delay is already visible and the diurnal
-    /// peak pushes it toward the admission cap), while `production`
-    /// anycast sites sit below 0.1 % utilization — the paper's
-    /// anycast-absorbs / single-site-collapses contrast as a capacity
-    /// story. Doubling the multiplier tips hobbyist sites into shedding.
+    /// The standard population at multiplier `1.0`.
     pub fn standard(seed: u64) -> Self {
         LoadModel {
             seed,
             multiplier: 1.0,
-            regions: vec![
-                RegionDemand {
-                    region: Region::NorthAmerica,
-                    clients: 4.0e6,
-                    queries_per_client_day: 250.0,
-                    diurnal_amplitude: 0.35,
-                    peak_hour: 24.0, // evening in NA as UTC
-                },
-                RegionDemand {
-                    region: Region::Europe,
-                    clients: 6.0e6,
-                    queries_per_client_day: 250.0,
-                    diurnal_amplitude: 0.35,
-                    peak_hour: 19.0,
-                },
-                RegionDemand {
-                    region: Region::Asia,
-                    clients: 5.0e6,
-                    queries_per_client_day: 250.0,
-                    diurnal_amplitude: 0.35,
-                    peak_hour: 13.0,
-                },
-            ],
-            mainstream_share: 0.15,
-            niche_share: 0.004,
-            spill_utilization: 0.8,
-            day_jitter: 0.1,
         }
     }
 
@@ -160,45 +147,14 @@ impl LoadModel {
         self
     }
 
-    /// True when the model offers no load anywhere: campaigns treat such
-    /// a model exactly like `None` (the zero-load fast path).
-    pub fn is_zero(&self) -> bool {
-        self.multiplier <= 0.0
-            || self.regions.is_empty()
-            || self
-                .regions
-                .iter()
-                .all(|r| r.clients * r.queries_per_client_day <= 0.0)
-    }
-
-    /// Validates rates and ranges, mirroring `FaultPlan::validate`.
+    /// Refuses a multiplier that is not positive and finite: no load is
+    /// no model, not a zero one.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.multiplier >= 0.0 && self.multiplier.is_finite()) {
-            return Err("load multiplier must be finite and >= 0".to_string());
+        if self.multiplier > 0.0 && self.multiplier.is_finite() {
+            Ok(())
+        } else {
+            Err("load multiplier must be positive and finite".to_string())
         }
-        for (i, r) in self.regions.iter().enumerate() {
-            if r.clients < 0.0 || r.queries_per_client_day < 0.0 {
-                return Err(format!("region demand {i}: negative population"));
-            }
-            if !(0.0..=1.0).contains(&r.diurnal_amplitude) {
-                return Err(format!("region demand {i}: amplitude out of range"));
-            }
-        }
-        for (name, share) in [
-            ("mainstream_share", self.mainstream_share),
-            ("niche_share", self.niche_share),
-        ] {
-            if !(0.0..=1.0).contains(&share) {
-                return Err(format!("{name} out of range"));
-            }
-        }
-        if !(self.spill_utilization > 0.0 && self.spill_utilization <= 1.0) {
-            return Err("spill_utilization must be in (0, 1]".to_string());
-        }
-        if !(0.0..1.0).contains(&self.day_jitter) {
-            return Err("day_jitter must be in [0, 1)".to_string());
-        }
-        Ok(())
     }
 
     /// The share of regional demand `entry` attracts: its class share
@@ -207,29 +163,23 @@ impl LoadModel {
     #[rng_neutral]
     pub fn resolver_share(&self, entry: &ResolverEntry) -> f64 {
         let class = if entry.mainstream {
-            self.mainstream_share
+            MAINSTREAM_SHARE
         } else {
-            self.niche_share
+            NICHE_SHARE
         };
-        if class <= 0.0 {
-            return 0.0;
-        }
         let mut state = derive_seed(self.seed, entry.hostname);
         let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
         class * (0.75 + 0.5 * u)
     }
 
     /// The seeded day-to-day demand jitter factor for the simulated day
-    /// containing `now` (`1.0` when `day_jitter` is zero).
+    /// containing `now`, within `1 ± DAY_JITTER`.
     #[rng_neutral]
     pub fn day_factor(&self, now: SimTime) -> f64 {
-        if self.day_jitter <= 0.0 {
-            return 1.0;
-        }
         let day = now.as_secs() / 86_400;
         let mut state = derive_seed(self.seed, "day") ^ day.wrapping_mul(0x9E3779B97F4A7C15);
         let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-        1.0 + self.day_jitter * (2.0 * u - 1.0)
+        1.0 + DAY_JITTER * (2.0 * u - 1.0)
     }
 
     /// The offered-load rate at each site of `instance` at `now`, queries
@@ -245,11 +195,8 @@ impl LoadModel {
     ) -> Vec<f64> {
         let mut offered = vec![0.0; instance.deployment.sites.len()];
         let scale = self.resolver_share(entry) * self.multiplier * self.day_factor(now);
-        if scale <= 0.0 {
-            return offered;
-        }
-        for r in &self.regions {
-            let site = instance.deployment.route(&representative_client(r.region));
+        for r in &REGIONS {
+            let site = instance.deployment.route(&representative_client(r.city));
             offered[site] += r.qps_at(now) * scale;
         }
         offered
@@ -270,16 +217,9 @@ impl LoadModel {
 }
 
 /// The representative client a region's aggregate demand routes from: a
-/// fixed well-connected host in the region's major population centre.
-/// Purely a routing anchor — it issues no probes.
-pub fn representative_client(region: Region) -> Host {
-    let city = match region {
-        Region::NorthAmerica => cities::CHICAGO,
-        Region::Europe => cities::FRANKFURT,
-        Region::Asia => cities::SEOUL,
-        Region::Oceania => cities::SYDNEY,
-        Region::Unknown => cities::FRANKFURT,
-    };
+/// fixed well-connected host in `city`, the region's major population
+/// centre. Purely a routing anchor — it issues no probes.
+fn representative_client(city: City) -> Host {
     Host::in_city(HostId(0), "population", city, AccessProfile::cloud_vm())
 }
 
@@ -291,8 +231,8 @@ pub fn representative_client(region: Region) -> Host {
 /// scratch buffer, so the per-attempt work is a handful of float ops.
 #[derive(Debug)]
 pub(crate) struct PairLoad {
-    /// Serving site per model region (unloaded routing).
-    region_site: Vec<usize>,
+    /// Serving site per [`REGIONS`] row (unloaded routing).
+    region_site: [usize; REGIONS.len()],
     /// This resolver's demand share (hash-jittered class share).
     share: f64,
     /// Site indices in the vantage's preference order.
@@ -333,11 +273,7 @@ impl PairLoad {
             })
             .collect();
         PairLoad {
-            region_site: model
-                .regions
-                .iter()
-                .map(|r| dep.route(&representative_client(r.region)))
-                .collect(),
+            region_site: REGIONS.map(|r| dep.route(&representative_client(r.city))),
             share: model.resolver_share(&target.entry),
             site_order: dep.site_order(&client),
             site_paths,
@@ -367,14 +303,14 @@ impl PairLoad {
         for v in self.offered.iter_mut() {
             *v = 0.0;
         }
-        for (r, &site) in model.regions.iter().zip(&self.region_site) {
+        for (r, &site) in REGIONS.iter().zip(&self.region_site) {
             self.offered[site] += r.qps_at(now) * scale;
         }
         let site = self
             .site_order
             .iter()
             .copied()
-            .find(|&i| self.queues[i].utilization(self.offered[i]) < model.spill_utilization)
+            .find(|&i| self.queues[i].utilization(self.offered[i]) < SPILL_UTILIZATION)
             .unwrap_or(self.site_order[0]);
         let offered_qps = self.offered[site];
         let shed = hash_decision(
@@ -410,21 +346,26 @@ mod tests {
     }
 
     #[test]
-    fn zero_model_offers_nothing() {
-        let m = LoadModel::zero();
-        assert!(m.is_zero());
-        assert_eq!(m.validate(), Ok(()));
-        let t = target("dns.google");
-        let offered = m.offered_site_qps(&t.entry, &t.instance, at_hour(5));
-        assert!(offered.iter().all(|&q| q == 0.0));
-        assert!(LoadModel::standard(1).with_multiplier(0.0).is_zero());
+    fn a_multiplier_that_is_not_positive_and_finite_is_refused() {
+        for multiplier in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                LoadModel::standard(1)
+                    .with_multiplier(multiplier)
+                    .validate(),
+                Err("load multiplier must be positive and finite".to_string()),
+                "{multiplier}"
+            );
+        }
+        for multiplier in [f64::MIN_POSITIVE, 0.5, 2.0, 1e9] {
+            let m = LoadModel::standard(1).with_multiplier(multiplier);
+            assert_eq!(m.validate(), Ok(()), "{multiplier}");
+        }
     }
 
     #[test]
     fn standard_model_validates_and_scales() {
         let m = LoadModel::standard(7);
         assert_eq!(m.validate(), Ok(()));
-        assert!(!m.is_zero());
         let t = target("chewbacca.meganerd.nl");
         let one: f64 = m
             .offered_site_qps(&t.entry, &t.instance, at_hour(3))
@@ -468,7 +409,7 @@ mod tests {
     #[test]
     fn diurnal_cycle_peaks_at_peak_hour() {
         let r = RegionDemand {
-            region: Region::Europe,
+            city: cities::FRANKFURT,
             clients: 1.0e6,
             queries_per_client_day: 100.0,
             diurnal_amplitude: 0.4,
@@ -488,7 +429,7 @@ mod tests {
             let now = SimTime::ZERO + netsim::SimDuration::from_hours(24 * d + 3);
             let f = m.day_factor(now);
             assert_eq!(f, m.day_factor(now), "same day, same factor");
-            assert!((1.0 - m.day_jitter..=1.0 + m.day_jitter).contains(&f));
+            assert!((1.0 - DAY_JITTER..=1.0 + DAY_JITTER).contains(&f));
         }
     }
 

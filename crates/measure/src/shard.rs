@@ -655,29 +655,20 @@ impl<'a> ShardedRunner<'a> {
                 span.vantages.join(",")
             );
         }
-        // A live load model changes every record, so it is part of the
+        // A load model changes every record, so it is part of the
         // fingerprint — a checkpoint can never silently resume across a
-        // load change. A zero model is byte-transparent and hashes like
-        // its absence.
-        if let Some(load) = config.load.as_ref().filter(|m| !m.is_zero()) {
+        // load change. The standard population's constants (class shares,
+        // spill threshold, day jitter and the three regions) are spelled
+        // as literals, as the probe's fixed values are.
+        if let Some(load) = &config.load {
             let _ = write!(
                 s,
-                "load={:x},{},{},{},{},{},{};",
-                load.seed,
-                load.multiplier,
-                load.mainstream_share,
-                load.niche_share,
-                load.spill_utilization,
-                load.day_jitter,
-                load.regions.len()
+                "load={:x},{},0.15,0.004,0.8,0.1,3;\
+                 region=NorthAmerica,4000000,250,0.35,24;\
+                 region=Europe,6000000,250,0.35,19;\
+                 region=Asia,5000000,250,0.35,13;",
+                load.seed, load.multiplier
             );
-            for r in &load.regions {
-                let _ = write!(
-                    s,
-                    "region={:?},{},{},{},{};",
-                    r.region, r.clients, r.queries_per_client_day, r.diurnal_amplitude, r.peak_hour
-                );
-            }
         }
         // A session model changes connection modes (and with them the
         // timing of most records), so it fingerprints too, its `true` kept

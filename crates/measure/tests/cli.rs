@@ -1,13 +1,14 @@
 //! The shipped binary, end to end: `edns-measure campaign` in memory and
 //! sharded into a checkpoint directory, a resume, a resume under a changed
 //! command line, `report` over the file the campaign wrote (and over
-//! copies with one line torn or unlike any the engine writes), the
-//! `--observe` directory, and the flags each subcommand refuses.
+//! copies with one line torn or unlike any the engine writes), `--load`
+//! (0 is no model; a loaded directory resumes), the `--observe` directory,
+//! and the flags each subcommand refuses.
 
 use std::path::Path;
 use std::process::{Command, Output};
 
-use measure::ProbeRecord;
+use measure::{checkpoint::fnv64, ProbeRecord};
 
 fn edns_measure(args: &[&str], cwd: &Path) -> Output {
     Command::new(env!("CARGO_BIN_EXE_edns-measure"))
@@ -91,6 +92,16 @@ fn campaign_shards_resumes_refuses_and_reports() {
         "{}",
         text(&run.stdout)
     );
+    // The whole report, over the file with home-1's successes taken out:
+    // home-1 keeps its header among the fastest-resolver sections, with
+    // no rows under it.
+    let failing: Vec<&str> = (a.lines())
+        .filter(|l| !(l.contains("\"vantage\":\"home-1\"") && l.contains("\"success\":true")))
+        .collect();
+    std::fs::write(dir.join("failing.jsonl"), failing.join("\n")).unwrap();
+    let run = edns_measure(&["report", "failing.jsonl"], &dir);
+    assert!(run.status.success(), "{}", text(&run.stderr));
+    assert_eq!(text(&run.stdout), include_str!("golden/report_seed9.txt"));
 
     let torn: Vec<&str> = a
         .lines()
@@ -134,6 +145,71 @@ fn campaign_shards_resumes_refuses_and_reports() {
         assert!(!run.status.success(), "{file}: {}", text(&run.stdout));
         let said = text(&run.stderr);
         assert!(said.contains(&format!("{file}:{}:", at + 1)), "{said}");
+    }
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn load_zero_is_no_model_and_a_loaded_directory_resumes() {
+    let dir = std::env::temp_dir().join(format!("edns-measure-cli-load-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let quick = ["campaign", "--scale", "quick", "--seed", "9", "--out"];
+    let sharded = ["--shards", "4", "--checkpoint-dir", "D"];
+    let read = |file: &str| std::fs::read_to_string(dir.join(file)).unwrap();
+
+    // (a) `--load 0` is no model: the same bytes in memory, and it resumes
+    // every shard of a directory written without the flag.
+    for (file, tail) in [("a.jsonl", &[][..]), ("z.jsonl", &["--load", "0"][..])] {
+        let run = edns_measure(&[&quick[..], &[file], tail].concat(), &dir);
+        assert!(run.status.success(), "{}", text(&run.stderr));
+    }
+    assert!(read("a.jsonl") == read("z.jsonl"));
+    let run = edns_measure(&[&quick[..], &["b.jsonl"], &sharded].concat(), &dir);
+    assert!(run.status.success(), "{}", text(&run.stderr));
+    let zero = [&quick[..], &["y.jsonl"], &sharded, &["--load", "0"]].concat();
+    let run = edns_measure(&zero, &dir);
+    assert!(run.status.success(), "{}", text(&run.stderr));
+    assert!(text(&run.stdout).contains("shards_resumed     4"));
+    assert!(read("a.jsonl") == read("y.jsonl"));
+
+    // (b) A loaded directory's fingerprint and output bytes are pinned, so
+    // a directory an earlier build wrote for this command line resumes;
+    // the same command again resumes every shard into the same bytes.
+    let loaded = [
+        &quick[..],
+        &["l.jsonl", "--load", "2.5", "--shards", "4"],
+        &["--checkpoint-dir", "L"],
+    ]
+    .concat();
+    let run = edns_measure(&loaded, &dir);
+    assert!(run.status.success(), "{}", text(&run.stderr));
+    let manifest = read("L/manifest.ckpt");
+    assert!(
+        manifest.starts_with("edns-checkpoint v6 c7867094ec633d1e\n"),
+        "{manifest}"
+    );
+    let bytes = read("l.jsonl");
+    assert_eq!(
+        format!("{:016x}", fnv64(bytes.as_bytes())),
+        "489c2332dce3fc91"
+    );
+    let run = edns_measure(&loaded, &dir);
+    assert!(run.status.success(), "{}", text(&run.stderr));
+    assert!(text(&run.stdout).contains("shards_resumed     4"));
+    assert!(bytes == read("l.jsonl"));
+
+    // (c) A multiplier that is not positive and finite fails naming the
+    // flag before anything runs or a checkpoint directory is made.
+    for multiplier in ["-1", "nan", "inf"] {
+        let line = [&quick[..], &["refused.jsonl", "--load", multiplier]].concat();
+        let run = edns_measure(&[&line[..], &["--checkpoint-dir", "Z"]].concat(), &dir);
+        assert!(!run.status.success(), "{multiplier}");
+        let said = text(&run.stderr);
+        assert!(said.starts_with("error: --load "), "{said}");
+        assert!(text(&run.stdout).is_empty(), "{multiplier}");
+        assert!(!dir.join("Z").exists(), "{multiplier}");
+        assert!(!dir.join("refused.jsonl").exists(), "{multiplier}");
     }
 
     std::fs::remove_dir_all(&dir).unwrap();
